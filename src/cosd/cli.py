@@ -477,20 +477,17 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     dis_train = np.load(run_dir / f"trial-{trial}" / f"{group['slug']}.dis.npy")
 
     stance_by_value = {label.value: label for label in LABELS}
-    label_cols = {label: j for j, label in enumerate(LABELS)}
-    n = len(meta["ids"])
-    entries = []
-    for i, stance_name in enumerate(meta["stances"]):
-        for j, w in enumerate(dis_train[i]):
-            if w >= graph.M1_PRUNE:
-                entries.append((i, j, float(w)))
-        entries.append((i, 3 * ckpt.h + label_cols[stance_by_value[stance_name]], 1.0))
-    m = graph.SparseMatrix.from_entries(n, 3 * ckpt.h + 3, entries)
-    lap = graph.laplacian(m)
+    lap = graph.laplacian(graph.build_adjacency(
+        [stance_by_value[name] for name in meta["stances"]], dis_train))
+    n = lap.n_text
 
     did_something = False
     if args.dump_graph:
-        lines = [f"{r} {c} {w:.12f}" for r, c, w in lap.entries()]
+        lines = []
+        for block, to_text in ((lap.to_text, True), (lap.to_side, False)):
+            for i, j in zip(*np.nonzero(block)):
+                r, c = (i, n + j) if to_text else (n + j, i)
+                lines.append(f"{r} {c} {block[i, j]:.12f}")
         Path(args.dump_graph).write_text("\n".join(lines) + "\n",
                                          encoding="utf-8")
         print(f"graph: {lap.nnz} entries over {lap.rows} nodes "

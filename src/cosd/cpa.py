@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import SparseMatrix
+from .graph import BipartiteLaplacian
 from .numerics import (NumericsError, Tensor, add, concat_cols, elemwise_mul,
                        leaky_relu, matmul, spmm, xavier_init)
 
@@ -124,7 +124,7 @@ def init_cpa_weights(d0: int = D0, d1: int = D1, hops: int = 3,
     return CpaWeights(w1=w1, w2=w2)
 
 
-def propagate(e0: Tensor, lap: SparseMatrix, weights: CpaWeights,
+def propagate(e0: Tensor, lap: BipartiteLaplacian, weights: CpaWeights,
               slope: float = 0.01) -> list[Tensor]:
     """Hop outputs E^1..E^l.
 
@@ -132,8 +132,6 @@ def propagate(e0: Tensor, lap: SparseMatrix, weights: CpaWeights,
     previous hop's output and L the normalized (possibly dropout'd)
     Laplacian. Tracked for gradients.
     """
-    if lap.rows != lap.cols:
-        raise CpaError(f"laplacian must be square, got {lap.rows}x{lap.cols}")
     if lap.rows != e0.shape[0]:
         raise CpaError(
             f"laplacian covers {lap.rows} nodes, table has {e0.shape[0]}")
@@ -264,9 +262,19 @@ def load_checkpoint(path: str | Path) -> CpaCheckpoint:
         data = fh.read()
     if data[:4] != _CPA_MAGIC:
         raise CpaError(f"{path}: bad magic, not a CPA1 file")
+    if len(data) < 24:
+        raise CpaError(f"{path}: truncated header ({len(data)} bytes)")
     d0, d1, hops, h, n_text = struct.unpack_from("<IIIII", data, 4)
-    off = 24
+    if min(d0, d1) < 1:
+        raise CpaError(f"{path}: zero width in header, file corrupt")
     n_nodes = n_text + 3 * h + 3
+    hop_values = d0 * d1 + (hops - 1) * d1 * d1 if hops else 0
+    expected = 24 + 8 * (n_nodes * d0 + 2 * hop_values)
+    if len(data) < expected:
+        raise CpaError(f"{path}: truncated, {len(data)} of {expected} bytes")
+    if len(data) > expected:
+        raise CpaError(f"{path}: trailing bytes, file corrupt")
+    off = 24
 
     def take(rows: int, cols: int) -> np.ndarray:
         nonlocal off
@@ -278,8 +286,6 @@ def load_checkpoint(path: str | Path) -> CpaCheckpoint:
     e0 = take(n_nodes, d0)
     w1 = [take(d0 if k == 0 else d1, d1) for k in range(hops)]
     w2 = [take(d0 if k == 0 else d1, d1) for k in range(hops)]
-    if off != len(data):
-        raise CpaError(f"{path}: trailing bytes, file corrupt")
     if not all(np.isfinite(a).all() for a in [e0, *w1, *w2]):
         raise CpaError(f"{path}: non-finite values")
     return CpaCheckpoint(e0=e0, w1=w1, w2=w2, h=h, n_text=n_text)

@@ -1,8 +1,10 @@
-"""Heterogeneous topic graph: adjacencies, normalized Laplacian, dropout.
+"""Heterogeneous topic graph: adjacency, normalized Laplacian, dropout.
 
 Node ordering everywhere is texts, then the 3H topics, then the 3 labels.
 Only training texts enter the graph; test texts go through the graph-free
-inference transform instead.
+inference transform instead. The graph is bipartite (texts on one side,
+topics and labels on the other), so the Laplacian is stored as its two
+off-diagonal blocks.
 """
 
 from __future__ import annotations
@@ -11,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import LABELS, Example
-from .topics import TopicDistribution
+from .corpus import LABELS, Stance
 
 # m1 fold-in weights below this are dropped; the distributions are dense but
 # mostly negligible.
@@ -20,177 +21,108 @@ M1_PRUNE = 1e-6
 
 
 class GraphError(Exception):
-    """Malformed sparse input or out-of-contract graph arguments."""
+    """Malformed adjacency input or out-of-contract graph arguments."""
 
 
-class SparseMatrix:
-    """COO sparse matrix; entries unique, in range, finite."""
+@dataclass(frozen=True)
+class BipartiteLaplacian:
+    """L = [[0, to_text], [to_side^T, 0]] over n texts then m side nodes.
 
-    __slots__ = ("rows", "cols", "row_idx", "col_idx", "weights")
+    Both blocks are (n, m): to_text[i, j] weighs side node j's message into
+    text i, to_side[i, j] text i's message into side node j. Without dropout
+    the two blocks are equal and L is symmetric.
+    """
 
-    def __init__(self, rows: int, cols: int, row_idx, col_idx, weights):
-        self.rows = int(rows)
-        self.cols = int(cols)
-        self.row_idx = np.asarray(row_idx, dtype=np.int64)
-        self.col_idx = np.asarray(col_idx, dtype=np.int64)
-        self.weights = np.asarray(weights, dtype=np.float64)
-        if not (self.row_idx.shape == self.col_idx.shape == self.weights.shape):
-            raise GraphError("entry arrays disagree in length")
-        if self.row_idx.ndim != 1:
-            raise GraphError("entry arrays must be 1-D")
-        if self.rows < 0 or self.cols < 0:
-            raise GraphError("negative dimensions")
-        if len(self.row_idx):
-            if self.row_idx.min() < 0 or self.row_idx.max() >= self.rows:
-                raise GraphError("row index out of range")
-            if self.col_idx.min() < 0 or self.col_idx.max() >= self.cols:
-                raise GraphError("column index out of range")
-            flat = self.row_idx * self.cols + self.col_idx
-            if len(np.unique(flat)) != len(flat):
-                raise GraphError("duplicate (row, col) entry")
-        if not np.isfinite(self.weights).all():
-            raise GraphError("non-finite weight")
+    to_text: np.ndarray
+    to_side: np.ndarray
 
-    @classmethod
-    def from_entries(cls, rows: int, cols: int,
-                     entries: list[tuple[int, int, float]]) -> "SparseMatrix":
-        if entries:
-            r, c, w = zip(*entries)
-        else:
-            r, c, w = (), (), ()
-        return cls(rows, cols, r, c, w)
+    def __post_init__(self):
+        if self.to_text.ndim != 2 or self.to_text.shape != self.to_side.shape:
+            raise GraphError(f"blocks must be equal-shape 2-D, got "
+                             f"{self.to_text.shape} and {self.to_side.shape}")
+
+    @property
+    def n_text(self) -> int:
+        return self.to_text.shape[0]
+
+    @property
+    def rows(self) -> int:
+        return sum(self.to_text.shape)
 
     @property
     def nnz(self) -> int:
-        return len(self.weights)
-
-    def entries(self):
-        for r, c, w in zip(self.row_idx, self.col_idx, self.weights):
-            yield int(r), int(c), float(w)
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.rows, self.cols))
-        out[self.row_idx, self.col_idx] = self.weights
-        return out
-
-    def row_sums(self) -> np.ndarray:
-        out = np.zeros(self.rows)
-        np.add.at(out, self.row_idx, self.weights)
-        return out
-
-    def col_sums(self) -> np.ndarray:
-        out = np.zeros(self.cols)
-        np.add.at(out, self.col_idx, self.weights)
-        return out
-
-    def matmul_dense(self, dense: np.ndarray) -> np.ndarray:
-        """self @ dense, plain numpy (no gradient tracking)."""
-        if dense.shape[0] != self.cols:
-            raise GraphError(
-                f"shape mismatch: {self.rows}x{self.cols} @ {dense.shape}")
-        out = np.zeros((self.rows, dense.shape[1]))
-        np.add.at(out, self.row_idx, self.weights[:, None] * dense[self.col_idx])
-        return out
+        return int(np.count_nonzero(self.to_text)
+                   + np.count_nonzero(self.to_side))
 
 
-@dataclass
-class HeteroTopicGraph:
-    """m1 (text-topic weights), m2 (text-label one-hot), m = [m1 | m2], lap."""
+def build_adjacency(stances: list[Stance], dis: np.ndarray) -> np.ndarray:
+    """Dense (n, 3H + 3) adjacency [m1 | m2] in the order of the rows given.
 
-    m1: SparseMatrix
-    m2: SparseMatrix
-    m: SparseMatrix
-    lap: SparseMatrix
-    n_text: int
-    h: int
-
-    @property
-    def n_nodes(self) -> int:
-        return self.n_text + 3 * self.h + 3
-
-
-def build_adjacency(
-    train_examples: list[Example],
-    dis_vectors: list[TopicDistribution],
-) -> tuple[SparseMatrix, SparseMatrix, SparseMatrix]:
-    """Rows follow train_examples order; columns are 3H topics then 3 labels."""
-    if len(train_examples) != len(dis_vectors):
-        raise GraphError(
-            f"{len(train_examples)} examples vs {len(dis_vectors)} distributions")
-    if not train_examples:
-        raise GraphError("empty training set")
-    h = dis_vectors[0].h
-    if any(d.h != h for d in dis_vectors):
-        raise GraphError("distributions disagree on H")
-    n = len(train_examples)
-    label_col = {label: j for j, label in enumerate(LABELS)}
-
-    m1_entries = []
-    m2_entries = []
-    for i, (ex, dist) in enumerate(zip(train_examples, dis_vectors)):
-        if ex.stance not in label_col:
-            raise GraphError(f"example {ex.id!r}: stance unknown, not graphable")
-        for j, w in enumerate(dist.values):
-            if w >= M1_PRUNE:
-                m1_entries.append((i, j, float(w)))
-        m2_entries.append((i, label_col[ex.stance], 1.0))
-
-    m1 = SparseMatrix.from_entries(n, 3 * h, m1_entries)
-    m2 = SparseMatrix.from_entries(n, 3, m2_entries)
-    m = SparseMatrix(
-        n, 3 * h + 3,
-        np.concatenate([m1.row_idx, m2.row_idx]),
-        np.concatenate([m1.col_idx, m2.col_idx + 3 * h]),
-        np.concatenate([m1.weights, m2.weights]),
-    )
-    return m1, m2, m
-
-
-def laplacian(m: SparseMatrix) -> SparseMatrix:
-    """Symmetric normalization of the bipartite block adjacency.
-
-    A = [[0, M], [M^T, 0]] over n_text + n_side nodes; each entry A_ij is
-    divided by sqrt(d_i * d_j). Zero-degree nodes keep all-zero rows/columns
-    (1/sqrt(0) treated as 0); with non-negative weights such nodes simply
-    have no stored entries.
+    m1 is the fold-in matrix with weights below M1_PRUNE zeroed; m2 one-hot
+    encodes each row's stance over LABELS.
     """
-    if (m.weights < 0).any():
+    dis = np.asarray(dis, dtype=np.float64)
+    if dis.ndim != 2 or dis.shape[1] == 0 or dis.shape[1] % 3:
+        raise GraphError(f"fold-in matrix must be (n, 3H), got {dis.shape}")
+    if len(stances) != dis.shape[0]:
+        raise GraphError(f"{len(stances)} stances vs {dis.shape[0]} rows")
+    if not len(stances):
+        raise GraphError("empty training set")
+    if not np.isfinite(dis).all():
+        raise GraphError("non-finite fold-in weight")
+    label_col = {label: j for j, label in enumerate(LABELS)}
+    m2 = np.zeros((len(stances), 3))
+    for i, stance in enumerate(stances):
+        if stance not in label_col:
+            raise GraphError(f"row {i}: stance {stance} not graphable")
+        m2[i, label_col[stance]] = 1.0
+    m1 = np.where(dis >= M1_PRUNE, dis, 0.0)
+    return np.concatenate([m1, m2], axis=1)
+
+
+def laplacian(m: np.ndarray) -> BipartiteLaplacian:
+    """Symmetric normalization of the bipartite adjacency [[0, M], [M^T, 0]].
+
+    Each entry M_ij is divided by sqrt(d_i * d_j). Zero-degree nodes keep
+    all-zero rows and columns (1/sqrt(0) treated as 0).
+    """
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2:
+        raise GraphError(f"adjacency must be 2-D, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise GraphError("non-finite weight in adjacency")
+    if (m < 0).any():
         raise GraphError("negative weight in adjacency")
-    d_text = m.row_sums()
-    d_side = m.col_sums()
-    n = m.rows + m.cols
-
-    keep = m.weights > 0
-    r = m.row_idx[keep]
-    c = m.col_idx[keep]
-    w = m.weights[keep] / np.sqrt(d_text[r] * d_side[c])
-
-    row_idx = np.concatenate([r, c + m.rows])
-    col_idx = np.concatenate([c + m.rows, r])
-    weights = np.concatenate([w, w])
-    return SparseMatrix(n, n, row_idx, col_idx, weights)
+    degrees = np.outer(m.sum(axis=1), m.sum(axis=0))
+    norm = np.divide(m, np.sqrt(degrees), out=np.zeros_like(m), where=m > 0)
+    return BipartiteLaplacian(norm, norm)
 
 
-def dropout_graph(lap: SparseMatrix, node_rate: float, edge_rate: float,
-                  rng: np.random.Generator) -> SparseMatrix:
-    """Training-time graph dropout; returns a fresh matrix.
+def dropout_graph(lap: BipartiteLaplacian, node_rate: float, edge_rate: float,
+                  rng: np.random.Generator) -> BipartiteLaplacian:
+    """Training-time graph dropout; returns a fresh Laplacian.
 
-    Edge dropout zeroes stored entries independently and rescales survivors
-    by 1/(1 - edge_rate) so the propagated expectation is unchanged; node
-    dropout samples nodes and zeroes their rows and columns.
+    Edge dropout zeroes entries of the two blocks independently (so the two
+    directions of an edge drop independently) and rescales survivors by
+    1/(1 - edge_rate) so the propagated expectation is unchanged; node
+    dropout samples nodes and zeroes their rows and columns in both blocks.
+    Draw order: the to_text mask, the to_side mask, then the node mask.
     """
     for name, rate in (("node_rate", node_rate), ("edge_rate", edge_rate)):
         if not 0.0 <= rate < 1.0:
             raise GraphError(f"{name} must be in [0, 1), got {rate}")
 
-    keep = np.ones(lap.nnz, dtype=bool)
-    weights = lap.weights
+    to_text, to_side = lap.to_text, lap.to_side
+    shape = to_text.shape
     if edge_rate > 0.0:
-        keep &= rng.random(lap.nnz) >= edge_rate
-        weights = weights / (1.0 - edge_rate)
+        survive = 1.0 - edge_rate
+        to_text = np.where(rng.random(shape) >= edge_rate,
+                           to_text / survive, 0.0)
+        to_side = np.where(rng.random(shape) >= edge_rate,
+                           to_side / survive, 0.0)
     if node_rate > 0.0:
-        dropped = rng.random(lap.rows) < node_rate
-        keep &= ~dropped[lap.row_idx]
-        keep &= ~dropped[lap.col_idx]
-    return SparseMatrix(lap.rows, lap.cols,
-                        lap.row_idx[keep], lap.col_idx[keep], weights[keep])
+        alive = rng.random(lap.rows) >= node_rate
+        keep = np.outer(alive[:lap.n_text], alive[lap.n_text:])
+        to_text = np.where(keep, to_text, 0.0)
+        to_side = np.where(keep, to_side, 0.0)
+    return BipartiteLaplacian(to_text, to_side)

@@ -1,4 +1,4 @@
-"""Dense/sparse 2-D tensor ops with reverse-mode gradients, plus Adam.
+"""Dense 2-D tensor ops with reverse-mode gradients, plus Adam.
 
 A small fixed op set recorded on a tape of parent links and vector-Jacobian
 closures; enough for the propagation and loss arithmetic, nothing more. All
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import SparseMatrix
+from .graph import BipartiteLaplacian
 
 
 class NumericsError(Exception):
@@ -77,14 +77,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result("matmul", out, (a, b), vjp)
 
 
-def spmm(s: SparseMatrix, b: Tensor) -> Tensor:
-    """Sparse @ dense; the sparse side is a constant (no gradient)."""
-    out = s.matmul_dense(b.data)
+def spmm(lap: BipartiteLaplacian, b: Tensor) -> Tensor:
+    """L @ b for a bipartite block Laplacian; L is a constant (no gradient)."""
+    if b.shape[0] != lap.rows:
+        raise NumericsError(
+            f"spmm shape mismatch: {lap.rows}x{lap.rows} @ {b.shape}")
+    n = lap.n_text
+    out = np.concatenate([lap.to_text @ b.data[n:],
+                          lap.to_side.T @ b.data[:n]])
 
     def vjp(g):
-        db = np.zeros_like(b.data)
-        np.add.at(db, s.col_idx, s.weights[:, None] * g[s.row_idx])
-        return (db,)
+        return (np.concatenate([lap.to_side @ g[n:], lap.to_text.T @ g[:n]]),)
 
     return _result("spmm", out, (b,), vjp)
 

@@ -245,7 +245,7 @@ class GroupData:
     dis_pool: np.ndarray         # (n, 3H) fold-in distributions
     dis_val: np.ndarray
     sem_val: np.ndarray          # (n_val, dim) semantic reps
-    lap: graph.SparseMatrix
+    lap: graph.BipartiteLaplacian
     pooled_vecs: np.ndarray | None = None  # filled by build_group_data
 
 
@@ -283,10 +283,8 @@ def build_group_data(dataset: Dataset, store: EncoderStore, group: str,
     val = dataset.split(Split.VAL, target)
     dis_pool = fold_in_matrix(pool, triple, config.fold_in_sweeps, config.seed)
     dis_val = fold_in_matrix(val, triple, config.fold_in_sweeps, config.seed)
-    dists = [topics.TopicDistribution(values=row, h=triple.h)
-             for row in dis_pool]
-    _, _, m = graph.build_adjacency(pool, dists)
-    lap = graph.laplacian(m)
+    lap = graph.laplacian(
+        graph.build_adjacency([ex.stance for ex in pool], dis_pool))
     data = GroupData(group=group, pool=pool, val=val, triple=triple,
                      dis_pool=dis_pool, dis_val=dis_val,
                      sem_val=semantic_matrix(val, store), lap=lap)

@@ -17,7 +17,7 @@ from cosd import inference, synth
 from cosd.cli import main
 from cosd.corpus import LABELS, Split, load_semeval, stance_subsets
 from cosd.cpa import final_reps, init_cpa_weights, one_hop_message, propagate
-from cosd.graph import SparseMatrix, laplacian
+from cosd.graph import laplacian
 from cosd.metrics import Stance, f_avg, macro_micro
 from cosd.numerics import Tensor, add, backward, gather_rows
 from cosd.topics import fit_lda, fit_triple, token_docs
@@ -38,10 +38,7 @@ def _unit_bipartite(rng, n_text, n_side):
     for i in range(n_text):
         if not mask[i].any():
             mask[i, rng.integers(0, n_side)] = True
-    m = SparseMatrix.from_entries(
-        n_text, n_side,
-        [(i, j, 1.0) for i in range(n_text) for j in range(n_side)
-         if mask[i, j]])
+    m = mask.astype(float)
     adj = np.zeros((n_text + n_side, n_text + n_side))
     adj[:n_text, n_text:] = mask
     adj[n_text:, :n_text] = mask.T
@@ -115,8 +112,8 @@ def test_criterion_2_gradients_match_finite_differences(capsys):
 
     # kink margin: h = 1e-5 perturbations cannot cross an activation zero
     dense = np.zeros((lap.rows, lap.rows))
-    for r, c, w in lap.entries():
-        dense[r, c] = w
+    dense[:n_text, n_text:] = lap.to_text
+    dense[n_text:, :n_text] = lap.to_side.T
     prev, margin = e0.data, np.inf
     for k in range(hops):
         agg = dense @ prev

@@ -7,6 +7,7 @@ inspect commands so the suite stays fast.
 
 import json
 import re
+import shutil
 
 import pytest
 
@@ -352,6 +353,15 @@ def test_missing_data_dir(capsys, synth_small, tmp_path):
 def test_eval_on_non_run_dir(tmp_path, capsys):
     _expect_failure(["eval", "--run", str(tmp_path)], capsys,
                     needle="run.json")
+
+
+def test_eval_on_truncated_checkpoint(run_dir, tmp_path, capsys):
+    copy = tmp_path / "run"
+    shutil.copytree(run_dir, copy)
+    ckpt = copy / "trial-1" / f"{SLUG}.cpa1"
+    ckpt.write_bytes(ckpt.read_bytes()[:-4])
+    _expect_failure(["eval", "--run", str(copy), "--split", "test"], capsys,
+                    needle=f"{SLUG}.cpa1")
 
 
 def test_topics_bad_h_range(synth_small, capsys):

@@ -23,7 +23,7 @@ from cosd.cpa import (
     propagate,
     save_checkpoint,
 )
-from cosd.graph import SparseMatrix, laplacian
+from cosd.graph import BipartiteLaplacian, laplacian
 from cosd.numerics import Tensor, backward, xavier_init
 
 
@@ -37,9 +37,7 @@ def _unit_bipartite(rng, n_text, n_side):
     for i in range(n_text):
         if not mask[i].any():
             mask[i, rng.integers(0, n_side)] = True
-    entries = [(i, j, 1.0) for i in range(n_text) for j in range(n_side)
-               if mask[i, j]]
-    m = SparseMatrix.from_entries(n_text, n_side, entries)
+    m = mask.astype(float)
     adj = np.zeros((n_text + n_side, n_text + n_side))
     adj[:n_text, n_text:] = mask
     adj[n_text:, :n_text] = mask.T
@@ -135,7 +133,7 @@ def test_propagate_zero_graph_reduces_to_dense_layer():
     rng = np.random.default_rng(1)
     e0 = Tensor(rng.standard_normal((5, 6)), requires_grad=True)
     weights = init_cpa_weights(d0=6, d1=4, hops=2, seed=0)
-    empty = SparseMatrix.from_entries(5, 5, [])
+    empty = BipartiteLaplacian(np.zeros((2, 3)), np.zeros((2, 3)))
     layers = propagate(e0, empty, weights)
     expect = _lrelu(e0.data @ weights.w1[0].data)
     assert np.allclose(layers[0].data, expect)
@@ -146,7 +144,8 @@ def test_propagate_layer_dims_default_widths():
     rng = np.random.default_rng(2)
     e0 = Tensor(rng.standard_normal((5, 768)), requires_grad=True)
     weights = init_cpa_weights(hops=3, seed=1)
-    layers = propagate(e0, SparseMatrix.from_entries(5, 5, []), weights)
+    empty = BipartiteLaplacian(np.zeros((2, 3)), np.zeros((2, 3)))
+    layers = propagate(e0, empty, weights)
     assert [l.shape for l in layers] == [(5, 64), (5, 64), (5, 64)]
     reps = final_reps(e0, layers)
     assert reps.shape == (5, 768 + 3 * 64)
@@ -181,9 +180,11 @@ def test_propagate_is_permutation_equivariant():
     weights = init_cpa_weights(d0=6, d1=5, hops=2, seed=9)
     base = propagate(Tensor(e0), lap, weights)[-1].data
 
-    perm = rng.permutation(n)
-    inv = np.argsort(perm)
-    lap_p = SparseMatrix(n, n, inv[lap.row_idx], inv[lap.col_idx], lap.weights)
+    # node order is texts then side nodes, so permute within each block
+    text_perm, side_perm = rng.permutation(4), rng.permutation(3)
+    perm = np.concatenate([text_perm, 4 + side_perm])
+    lap_p = BipartiteLaplacian(lap.to_text[np.ix_(text_perm, side_perm)],
+                               lap.to_side[np.ix_(text_perm, side_perm)])
     out_p = propagate(Tensor(e0[perm]), lap_p, weights)[-1].data
     assert np.allclose(out_p, base[perm])
 
@@ -192,9 +193,11 @@ def test_propagate_shape_errors():
     e0 = Tensor(np.ones((4, 6)), requires_grad=True)
     weights = init_cpa_weights(d0=6, d1=3, hops=1, seed=0)
     with pytest.raises(CpaError):
-        propagate(e0, SparseMatrix.from_entries(4, 5, []), weights)
+        propagate(e0, BipartiteLaplacian(np.zeros((2, 1)), np.zeros((2, 1))),
+                  weights)
     with pytest.raises(CpaError):
-        propagate(e0, SparseMatrix.from_entries(5, 5, []), weights)
+        propagate(e0, BipartiteLaplacian(np.zeros((2, 3)), np.zeros((2, 3))),
+                  weights)
 
 
 def test_propagate_gradients_reach_all_parameters():
@@ -342,6 +345,19 @@ def test_checkpoint_rejects_corruption(tmp_path):
     trailing.write_bytes(raw + b"\x01")
     with pytest.raises(CpaError):
         load_checkpoint(trailing)
+
+
+def test_checkpoint_truncated_at_every_offset_raises_cpa_error(tmp_path):
+    e0 = np.ones((1 + 3 + 3, 2))
+    path = tmp_path / "model.cpa1"
+    save_checkpoint(path, e0, [np.ones((2, 2))], [np.ones((2, 2))],
+                    h=1, n_text=1)
+    raw = path.read_bytes()
+    cut = tmp_path / "cut.cpa1"
+    for size in range(len(raw)):
+        cut.write_bytes(raw[:size])
+        with pytest.raises(CpaError, match="cut.cpa1"):
+            load_checkpoint(cut)
 
 
 def test_save_checkpoint_validates_shapes(tmp_path):

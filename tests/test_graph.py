@@ -1,4 +1,4 @@
-"""Graph construction tests: sparse container, adjacency, Laplacian, dropout.
+"""Graph construction tests: adjacency, block Laplacian, dropout.
 
 The Laplacian is checked entrywise against a dense oracle on random bipartite
 graphs, including zero-degree rows; dropout statistics use binomial bounds
@@ -8,24 +8,14 @@ wide enough to never flake at the pinned seeds.
 import numpy as np
 import pytest
 
-from cosd.corpus import Example, Split, Stance
+from cosd.corpus import Stance
 from cosd.graph import (
+    BipartiteLaplacian,
     GraphError,
-    SparseMatrix,
     build_adjacency,
     dropout_graph,
     laplacian,
 )
-from cosd.topics import TopicDistribution
-
-
-def _ex(i, stance):
-    return Example(id=f"t{i}", text=f"text {i}", target="Tgt", stance=stance,
-                   split=Split.TRAIN, tokens=("text", f"tok{i}"))
-
-
-def _dist(values, h):
-    return TopicDistribution(values=np.asarray(values, dtype=float), h=h)
 
 
 def _dense_lap(m_dense):
@@ -40,139 +30,108 @@ def _dense_lap(m_dense):
     return a * inv[:, None] * inv[None, :]
 
 
-# --- sparse container -------------------------------------------------------
+def _full(lap):
+    """The whole (n + m) x (n + m) matrix the two blocks stand for."""
+    n = lap.n_text
+    out = np.zeros((lap.rows, lap.rows))
+    out[:n, n:] = lap.to_text
+    out[n:, :n] = lap.to_side.T
+    return out
 
 
-def test_sparse_matrix_basic_accessors():
-    m = SparseMatrix.from_entries(2, 3, [(0, 1, 2.0), (1, 0, 3.0)])
-    assert m.nnz == 2
-    assert sorted(m.entries()) == [(0, 1, 2.0), (1, 0, 3.0)]
-    assert np.array_equal(m.to_dense(), [[0, 2, 0], [3, 0, 0]])
-    assert np.array_equal(m.row_sums(), [2, 3])
-    assert np.array_equal(m.col_sums(), [3, 2, 0])
+def _random_adjacency(rng, rows, cols, density):
+    return np.where(rng.random((rows, cols)) < density,
+                    rng.random((rows, cols)) + 0.05, 0.0)
 
 
-def test_sparse_matrix_empty_is_fine():
-    m = SparseMatrix.from_entries(2, 2, [])
-    assert m.nnz == 0
-    assert np.array_equal(m.to_dense(), np.zeros((2, 2)))
+# --- block container ----------------------------------------------------------
 
 
-def test_sparse_matrix_rejects_bad_entries():
+def test_block_laplacian_accessors_and_shape_check():
+    lap = BipartiteLaplacian(np.array([[0.5, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+                             np.array([[0.5, 0.0, 0.25], [0.0, 0.0, 0.0]]))
+    assert lap.n_text == 2
+    assert lap.rows == 5
+    assert lap.nnz == 3
     with pytest.raises(GraphError):
-        SparseMatrix(2, 2, [0], [0, 1], [1.0, 1.0])
+        BipartiteLaplacian(np.zeros((2, 3)), np.zeros((3, 2)))
     with pytest.raises(GraphError):
-        SparseMatrix.from_entries(2, 2, [(2, 0, 1.0)])
-    with pytest.raises(GraphError):
-        SparseMatrix.from_entries(2, 2, [(0, -1, 1.0)])
-    with pytest.raises(GraphError):
-        SparseMatrix.from_entries(2, 2, [(0, 0, 1.0), (0, 0, 2.0)])
-    with pytest.raises(GraphError):
-        SparseMatrix.from_entries(2, 2, [(0, 0, np.nan)])
-    with pytest.raises(GraphError):
-        SparseMatrix.from_entries(2, 2, [(0, 0, np.inf)])
-
-
-def test_sparse_matmul_matches_dense():
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        r, c, k = rng.integers(1, 8, size=3)
-        mask = rng.random((r, c)) < 0.5
-        dense = np.where(mask, rng.standard_normal((r, c)), 0.0)
-        entries = [(i, j, dense[i, j]) for i in range(r) for j in range(c)
-                   if mask[i, j]]
-        m = SparseMatrix.from_entries(r, c, entries)
-        x = rng.standard_normal((c, k))
-        assert np.allclose(m.matmul_dense(x), dense @ x)
-    with pytest.raises(GraphError):
-        m.matmul_dense(np.zeros((c + 1, 2)))
+        BipartiteLaplacian(np.zeros(3), np.zeros(3))
 
 
 # --- adjacency ---------------------------------------------------------------
 
 
 def test_adjacency_one_hot_label_rows():
-    exs = [_ex(0, Stance.FAVOR), _ex(1, Stance.NONE), _ex(2, Stance.AGAINST)]
-    dists = [_dist([0.5, 0.3, 0.2], 1)] * 3
-    m1, m2, m = build_adjacency(exs, dists)
-    assert np.array_equal(m2.to_dense(),
-                          [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert np.array_equal(m2.row_sums(), [1, 1, 1])
+    stances = [Stance.FAVOR, Stance.NONE, Stance.AGAINST]
+    m = build_adjacency(stances, np.tile([0.5, 0.3, 0.2], (3, 1)))
+    assert np.array_equal(m[:, 3:], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert np.array_equal(m[:, 3:].sum(axis=1), [1, 1, 1])
 
 
 def test_adjacency_direct_placement_h1():
-    exs = [_ex(0, Stance.FAVOR), _ex(1, Stance.AGAINST)]
-    dists = [_dist([1.0, 0.0, 0.0], 1), _dist([0.0, 0.0, 1.0], 1)]
-    m1, m2, m = build_adjacency(exs, dists)
-    assert np.array_equal(m1.to_dense(), [[1, 0, 0], [0, 0, 1]])
-    assert m.to_dense().shape == (2, 3 * 1 + 3)
+    m = build_adjacency([Stance.FAVOR, Stance.AGAINST],
+                        np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
+    assert np.array_equal(m[:, :3], [[1, 0, 0], [0, 0, 1]])
+    assert m.shape == (2, 3 * 1 + 3)
 
 
 def test_adjacency_concatenates_columns():
-    exs = [_ex(0, Stance.FAVOR), _ex(1, Stance.NONE)]
     h = 2
-    dists = [_dist([0.3, 0.1, 0.2, 0.1, 0.2, 0.1], h),
-             _dist([0.1, 0.1, 0.1, 0.1, 0.1, 0.5], h)]
-    m1, m2, m = build_adjacency(exs, dists)
-    assert m.to_dense().shape == (2, 3 * h + 3)
-    assert np.array_equal(m.to_dense(),
-                          np.hstack([m1.to_dense(), m2.to_dense()]))
-    assert np.allclose(m1.row_sums(), 1.0)
+    dis = np.array([[0.3, 0.1, 0.2, 0.1, 0.2, 0.1],
+                    [0.1, 0.1, 0.1, 0.1, 0.1, 0.5]])
+    m = build_adjacency([Stance.FAVOR, Stance.NONE], dis)
+    assert m.shape == (2, 3 * h + 3)
+    assert np.array_equal(m, np.hstack([dis, [[1, 0, 0], [0, 1, 0]]]))
+    assert np.allclose(m[:, :3 * h].sum(axis=1), 1.0)
 
 
 def test_adjacency_prunes_negligible_weights():
     tiny = 1e-9
-    exs = [_ex(0, Stance.FAVOR)]
-    dists = [_dist([1.0 - tiny, tiny, 0.0], 1)]
-    m1, _, _ = build_adjacency(exs, dists)
-    assert m1.nnz == 1
-    assert m1.to_dense()[0, 1] == 0.0
+    m = build_adjacency([Stance.FAVOR], np.array([[1.0 - tiny, tiny, 0.0]]))
+    assert np.count_nonzero(m[:, :3]) == 1
+    assert m[0, 1] == 0.0
 
 
 def test_adjacency_errors():
-    exs = [_ex(0, Stance.FAVOR)]
+    one = np.array([[1.0, 0.0, 0.0]])
     with pytest.raises(GraphError):
-        build_adjacency(exs, [])
+        build_adjacency([Stance.FAVOR], np.zeros((0, 3)))
     with pytest.raises(GraphError):
-        build_adjacency([], [])
+        build_adjacency([], np.zeros((0, 3)))
     with pytest.raises(GraphError):
-        build_adjacency([_ex(0, Stance.UNKNOWN)], [_dist([1, 0, 0], 1)])
-    two = [_ex(0, Stance.FAVOR), _ex(1, Stance.NONE)]
+        build_adjacency([Stance.UNKNOWN], one)
     with pytest.raises(GraphError):
-        build_adjacency(two, [_dist([1, 0, 0], 1),
-                              _dist([0.25, 0.25, 0.25, 0.15, 0.05, 0.05], 2)])
+        build_adjacency([Stance.FAVOR], np.array([[0.5, 0.5]]))
+    with pytest.raises(GraphError):
+        build_adjacency([Stance.FAVOR], np.array([1.0, 0.0, 0.0]))
+    with pytest.raises(GraphError):
+        build_adjacency([Stance.FAVOR], np.array([[np.nan, 0.0, 1.0]]))
 
 
 # --- laplacian ---------------------------------------------------------------
 
 
 def test_laplacian_single_edge_hand_case():
-    m = SparseMatrix.from_entries(1, 1, [(0, 0, 2.0)])
-    lap = laplacian(m)
-    assert np.allclose(lap.to_dense(), [[0, 1], [1, 0]])
+    lap = laplacian(np.array([[2.0]]))
+    assert np.allclose(_full(lap), [[0, 1], [1, 0]])
 
 
 def test_laplacian_is_symmetric():
     rng = np.random.default_rng(1)
-    mask = rng.random((4, 5)) < 0.6
-    dense = np.where(mask, rng.random((4, 5)), 0.0)
-    entries = [(i, j, dense[i, j]) for i in range(4) for j in range(5)
-               if dense[i, j] > 0]
-    lap = laplacian(SparseMatrix.from_entries(4, 5, entries))
-    full = lap.to_dense()
+    full = _full(laplacian(_random_adjacency(rng, 4, 5, 0.6)))
     assert np.array_equal(full, full.T)
 
 
 def test_laplacian_isolated_node_row_and_column_zero():
     # text 1 and side 1 have no edges at all
-    m = SparseMatrix.from_entries(2, 2, [(0, 0, 1.0)])
-    lap = laplacian(m)
-    full = lap.to_dense()
+    lap = laplacian(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    full = _full(lap)
     assert np.allclose(full[1], 0.0)
     assert np.allclose(full[:, 1], 0.0)
     assert np.allclose(full[3], 0.0)
     assert np.allclose(full[:, 3], 0.0)
-    assert not any(1 in (r, c) or 3 in (r, c) for r, c, _ in lap.entries())
+    assert lap.nnz == 2
 
 
 def test_laplacian_matches_dense_oracle_on_random_graphs():
@@ -180,21 +139,16 @@ def test_laplacian_matches_dense_oracle_on_random_graphs():
     for _ in range(20):
         r = int(rng.integers(1, 11))
         c = int(rng.integers(1, 10))
-        mask = rng.random((r, c)) < 0.45
-        dense = np.where(mask, rng.random((r, c)) + 0.05, 0.0)
-        entries = [(i, j, dense[i, j]) for i in range(r) for j in range(c)
-                   if dense[i, j] > 0]
-        lap = laplacian(SparseMatrix.from_entries(r, c, entries))
-        assert np.allclose(lap.to_dense(), _dense_lap(dense), atol=1e-12)
+        dense = _random_adjacency(rng, r, c, 0.45)
+        lap = laplacian(dense)
+        assert np.allclose(_full(lap), _dense_lap(dense), atol=1e-12)
+        assert lap.nnz == 2 * np.count_nonzero(dense)
 
 
 def test_laplacian_spectral_radius_at_most_one():
     rng = np.random.default_rng(3)
     for _ in range(5):
-        dense = np.where(rng.random((6, 7)) < 0.5, rng.random((6, 7)), 0.0)
-        entries = [(i, j, dense[i, j]) for i in range(6) for j in range(7)
-                   if dense[i, j] > 0]
-        full = laplacian(SparseMatrix.from_entries(6, 7, entries)).to_dense()
+        full = _full(laplacian(_random_adjacency(rng, 6, 7, 0.5)))
         x = rng.standard_normal(full.shape[0])
         x /= np.linalg.norm(x)
         est = 0.0
@@ -210,59 +164,73 @@ def test_laplacian_spectral_radius_at_most_one():
 
 def test_laplacian_rejects_negative_weights():
     with pytest.raises(GraphError):
-        laplacian(SparseMatrix.from_entries(1, 1, [(0, 0, -1.0)]))
+        laplacian(np.array([[-1.0]]))
+    with pytest.raises(GraphError):
+        laplacian(np.array([[np.inf]]))
 
 
 # --- dropout -----------------------------------------------------------------
 
 
-def _grid_matrix(n, nnz):
-    entries = [(i % n, (i * 7 + 3) % n, 1.0) for i in range(nnz)]
-    seen = {}
-    for r, c, w in entries:
-        seen[(r, c)] = w
-    return SparseMatrix.from_entries(n, n, [(r, c, w)
-                                            for (r, c), w in seen.items()])
+def _ones(n_text, n_side):
+    return BipartiteLaplacian(np.ones((n_text, n_side)),
+                              np.ones((n_text, n_side)))
 
 
 def test_dropout_zero_rates_is_identity():
-    m = _grid_matrix(50, 300)
-    out = dropout_graph(m, 0.0, 0.0, np.random.default_rng(0))
-    assert out is not m
-    assert np.array_equal(out.to_dense(), m.to_dense())
+    lap = laplacian(_random_adjacency(np.random.default_rng(0), 30, 12, 0.5))
+    out = dropout_graph(lap, 0.0, 0.0, np.random.default_rng(0))
+    assert out is not lap
+    assert np.array_equal(_full(out), _full(lap))
 
 
 def test_dropout_edge_rate_binomial_bound_and_rescale():
-    m = _grid_matrix(1000, 1000)
-    assert m.nnz == 1000
-    out = dropout_graph(m, 0.0, 0.5, np.random.default_rng(7))
-    assert 400 <= out.nnz <= 600
-    assert np.allclose(out.weights, 2.0)
+    lap = _ones(40, 25)
+    assert lap.nnz == 2000
+    out = dropout_graph(lap, 0.0, 0.5, np.random.default_rng(7))
+    # each block: Binomial(1000, 0.5), sd 15.8; the bounds sit 6 sd out
+    for block in (out.to_text, out.to_side):
+        assert 400 <= np.count_nonzero(block) <= 600
+        assert np.array_equal(np.unique(block), [0.0, 2.0])
+
+
+def test_dropout_directions_are_independent():
+    lap = _ones(20, 6)
+    out = dropout_graph(lap, 0.0, 0.3, np.random.default_rng(3))
+    full = _full(out)
+    assert not np.array_equal(full, full.T)
+    assert not np.array_equal(out.to_text, out.to_side)
 
 
 def test_dropout_node_rate_zeroes_rows_and_columns():
-    m = _grid_matrix(40, 200)
-    rng = np.random.default_rng(11)
-    out = dropout_graph(m, 0.5, 0.0, rng)
-    dropped = set(np.flatnonzero(np.random.default_rng(11).random(40) < 0.5))
-    assert dropped  # seed chosen so some nodes actually drop
-    for r, c, w in out.entries():
-        assert r not in dropped and c not in dropped
-        assert w == 1.0  # node dropout alone does not rescale
+    n_text, n_side = 30, 10
+    lap = _ones(n_text, n_side)
+    out = dropout_graph(lap, 0.5, 0.0, np.random.default_rng(11))
+    dropped = np.random.default_rng(11).random(n_text + n_side) < 0.5
+    texts, sides = dropped[:n_text], dropped[n_text:]
+    assert texts.any() and sides.any()  # seed chosen so both sides drop
+    for block in (out.to_text, out.to_side):
+        assert not block[texts].any()
+        assert not block[:, sides].any()
+        # node dropout alone does not rescale
+        assert (block[np.ix_(~texts, ~sides)] == 1.0).all()
+    full = _full(out)
+    assert not full[dropped].any() and not full[:, dropped].any()
 
 
 def test_dropout_deterministic_per_rng_seed():
-    m = _grid_matrix(60, 280)
-    a = dropout_graph(m, 0.2, 0.3, np.random.default_rng(5))
-    b = dropout_graph(m, 0.2, 0.3, np.random.default_rng(5))
-    assert np.array_equal(a.to_dense(), b.to_dense())
+    lap = laplacian(_random_adjacency(np.random.default_rng(4), 60, 15, 0.5))
+    a = dropout_graph(lap, 0.2, 0.3, np.random.default_rng(5))
+    b = dropout_graph(lap, 0.2, 0.3, np.random.default_rng(5))
+    assert np.array_equal(a.to_text, b.to_text)
+    assert np.array_equal(a.to_side, b.to_side)
 
 
 def test_dropout_rejects_rates_outside_unit_interval():
-    m = _grid_matrix(5, 5)
+    lap = _ones(5, 3)
     rng = np.random.default_rng(0)
     for bad in (1.0, 1.5, -0.1):
         with pytest.raises(GraphError):
-            dropout_graph(m, bad, 0.0, rng)
+            dropout_graph(lap, bad, 0.0, rng)
         with pytest.raises(GraphError):
-            dropout_graph(m, 0.0, bad, rng)
+            dropout_graph(lap, 0.0, bad, rng)

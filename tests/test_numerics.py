@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import cosd.numerics as nm
-from cosd.graph import SparseMatrix
+from cosd.graph import BipartiteLaplacian, dropout_graph, laplacian
 from cosd.numerics import (
     AdamState,
     NumericsError,
@@ -100,16 +100,70 @@ def test_matmul_forward_and_shape_error():
         nm.matmul(a, _t(2, 4))
 
 
+def _coo(lap):
+    """The block Laplacian's nonzeros as COO (row, col, weight) arrays."""
+    n = lap.n_text
+    t, s = np.nonzero(lap.to_text)
+    t2, s2 = np.nonzero(lap.to_side)
+    return (np.concatenate([t, s2 + n]), np.concatenate([s + n, t2]),
+            np.concatenate([lap.to_text[t, s], lap.to_side[t2, s2]]))
+
+
+def _coo_spmm(rows, row_idx, col_idx, weights, dense):
+    """Slow oracle: the COO scatter product the block spmm replaced."""
+    out = np.zeros((rows, dense.shape[1]))
+    np.add.at(out, row_idx, weights[:, None] * dense[col_idx])
+    return out
+
+
+def _coo_spmm_vjp(row_idx, col_idx, weights, dense, g):
+    """Slow oracle: the COO scatter vector-Jacobian product."""
+    db = np.zeros_like(dense)
+    np.add.at(db, col_idx, weights[:, None] * g[row_idx])
+    return db
+
+
+def _random_block_laplacian(rng, n_text, n_side):
+    m = np.where(rng.random((n_text, n_side)) < 0.5,
+                 rng.random((n_text, n_side)) + 0.05, 0.0)
+    return laplacian(m)
+
+
 def test_spmm_matches_dense_oracle():
     rng = np.random.default_rng(5)
     for _ in range(5):
-        mask = rng.random((10, 10)) < 0.4
-        dense = np.where(mask, rng.standard_normal((10, 10)), 0.0)
-        entries = [(i, j, dense[i, j]) for i in range(10) for j in range(10)
-                   if mask[i, j]]
-        s = SparseMatrix.from_entries(10, 10, entries)
-        b = Tensor(rng.standard_normal((10, 7)))
-        assert np.allclose(nm.spmm(s, b).data, dense @ b.data, atol=1e-12)
+        n_text, n_side = rng.integers(1, 9, size=2)
+        to_text = np.where(rng.random((n_text, n_side)) < 0.4,
+                           rng.standard_normal((n_text, n_side)), 0.0)
+        to_side = np.where(rng.random((n_text, n_side)) < 0.4,
+                           rng.standard_normal((n_text, n_side)), 0.0)
+        dense = np.zeros((n_text + n_side, n_text + n_side))
+        dense[:n_text, n_text:] = to_text
+        dense[n_text:, :n_text] = to_side.T
+        b = Tensor(rng.standard_normal((n_text + n_side, 7)))
+        lap = BipartiteLaplacian(to_text, to_side)
+        assert np.allclose(nm.spmm(lap, b).data, dense @ b.data, atol=1e-12)
+    with pytest.raises(NumericsError):
+        nm.spmm(lap, Tensor(np.zeros((n_text + n_side + 1, 2))))
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.3])
+def test_spmm_and_vjp_match_coo_scatter_oracle(rate):
+    rng = np.random.default_rng(6)
+    for _ in range(10):
+        n_text, n_side = (int(k) for k in rng.integers(1, 30, size=2))
+        lap = dropout_graph(_random_block_laplacian(rng, n_text, n_side),
+                            rate, rate, rng)
+        row_idx, col_idx, weights = _coo(lap)
+        assert len(weights) == lap.nnz
+        b = Tensor(rng.standard_normal((lap.rows, 9)), requires_grad=True)
+        out = nm.spmm(lap, b)
+        expect = _coo_spmm(lap.rows, row_idx, col_idx, weights, b.data)
+        assert np.allclose(out.data, expect, rtol=0, atol=1e-12)
+        g = rng.standard_normal(out.shape)
+        (got,) = out._vjp(g)
+        expect = _coo_spmm_vjp(row_idx, col_idx, weights, b.data, g)
+        assert np.allclose(got, expect, rtol=0, atol=1e-12)
 
 
 def test_add_sub_broadcast_rules():
@@ -206,12 +260,15 @@ def test_grad_matmul():
 
 
 def test_grad_spmm():
-    dense = np.array([[1.0, 0.0, 2.0], [0.0, -1.5, 0.0]])
-    entries = [(i, j, dense[i, j]) for i in range(2) for j in range(3)
-               if dense[i, j] != 0]
-    s = SparseMatrix.from_entries(2, 3, entries)
-    b = _t(3, 4)
-    _check_grads(lambda: _contract(nm.spmm(s, b), 2), [b])
+    to_text = np.array([[1.0, 0.0, 2.0], [0.0, -1.5, 0.0]])
+    to_side = np.array([[0.5, 0.0, 0.0], [0.0, 3.0, -1.0]])
+    lap = BipartiteLaplacian(to_text, to_side)
+    rng = np.random.default_rng(8)
+    b = Tensor(rng.uniform(-2, 2, size=(5, 4)), requires_grad=True)
+    _check_grads(lambda: _contract(nm.spmm(lap, b), 2), [b])
+    lap = dropout_graph(_random_block_laplacian(rng, 4, 3), 0.2, 0.2, rng)
+    b = Tensor(rng.uniform(-2, 2, size=(7, 3)), requires_grad=True)
+    _check_grads(lambda: _contract(nm.spmm(lap, b), 3), [b])
 
 
 def test_grad_add_sub_with_broadcast():

@@ -165,16 +165,20 @@ def _group_keys(config: RunConfig, dataset: Dataset) -> list[tuple[str, str | No
 
 
 def fit_group_triples(dataset: Dataset, config: RunConfig
-                      ) -> dict[str, topics.TopicModelTriple]:
-    triples = {}
+                      ) -> tuple[dict[str, topics.TopicModelTriple],
+                                 dict[str, float]]:
+    """Per group, the fitted topic triple and its fit wall time."""
+    triples, seconds = {}, {}
     for key, target in _group_keys(config, dataset):
+        start = time.perf_counter()
         favor, none, against = stance_subsets(dataset, target)
         triples[key] = topics.fit_triple(
             topics.token_docs(favor), topics.token_docs(none),
             topics.token_docs(against), h=config.h,
             alpha=config.alpha or None, beta=config.beta,
             sweeps=config.lda_sweeps, seed=derive_seed(config.seed, 7, key))
-    return triples
+        seconds[key] = time.perf_counter() - start
+    return triples, seconds
 
 
 # --- run directory layout ---------------------------------------------------
@@ -186,16 +190,19 @@ def run_dir_for(config: RunConfig) -> Path:
     return Path("runs") / f"{stamp}-seed{config.seed}"
 
 
+def _write_json(path: Path, doc: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def write_manifest(run_dir: Path, config: RunConfig, groups: list[str]) -> None:
-    doc = {
+    _write_json(run_dir / "run.json", {
         "config": dataclasses.asdict(config),
         "groups": [{"name": g, "slug": slugify(g)} for g in groups],
         "data": str(Path(config.data).resolve()),
         "embeddings": str(Path(config.embeddings).resolve()),
-    }
-    with open(run_dir / "run.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def read_manifest(run_dir: str | Path) -> tuple[RunConfig, list[dict], Path]:
@@ -259,10 +266,7 @@ def _write_train_outputs(run_dir: Path, config: RunConfig, dataset: Dataset,
                 "hops": ckpt.hops,
                 "seed": trial.seed,
             }
-            with open(trial_dir / f"{slug}.meta.json", "w",
-                      encoding="utf-8") as fh:
-                json.dump(meta, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            _write_json(trial_dir / f"{slug}.meta.json", meta)
             log_lines = ["epoch,loss,val_macf,val_micf"]
             log_lines += [
                 f"{r['epoch']},{r['loss']:.8f},{r['val_macf']:.6f},{r['val_micf']:.6f}"
@@ -330,6 +334,7 @@ def cmd_topics(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    start = time.perf_counter()
     config = build_config(args)
     if not config.embeddings:
         raise ConfigError("no --embeddings file given")
@@ -338,14 +343,27 @@ def cmd_train(args: argparse.Namespace) -> int:
     absent = training.missing_ids(store, dataset)
     if absent:
         raise TrainingError(f"embedding records missing for ids: {absent}")
+    loaded = time.perf_counter()
 
-    triples = fit_group_triples(dataset, config)
+    triples, fit_seconds = fit_group_triples(dataset, config)
     result = training.train(dataset, store, triples, config.train_config())
 
+    written = time.perf_counter()
     run_dir = run_dir_for(config)
     run_dir.mkdir(parents=True, exist_ok=True)
     write_manifest(run_dir, config, list(triples))
     _write_train_outputs(run_dir, config, dataset, triples, result)
+    # wall times per stage; never compared, unlike the other outputs
+    _write_json(run_dir / "timings.json", {
+        "load_s": loaded - start,
+        "groups": {key: {
+            "topic_fit_s": fit_seconds[key], **result.group_seconds[key],
+            "trials": [{"train_s": t.groups[key].train_s,
+                        "val_s": t.groups[key].val_s}
+                       for t in result.trials]} for key in triples},
+        "write_s": time.perf_counter() - written,
+        "total_s": time.perf_counter() - start,
+    })
     print(f"run directory: {run_dir}")
     print(result.report_text, end="")
     return 0
@@ -355,26 +373,6 @@ def _trial_numbers(args: argparse.Namespace, config: RunConfig) -> list[int]:
     if getattr(args, "trial", None):
         return [args.trial]
     return list(range(1, config.trials + 1))
-
-
-def _score_examples(examples, store, triple, ckpt, config: RunConfig,
-                    mode: str, score_norm: bool):
-    """(sem, dis, total, preds) for a list of examples under one group model."""
-    sem = inference.semantic_scores(
-        training.semantic_matrix(examples, store), ckpt.z)
-    dis_mat = training.fold_in_matrix(examples, triple,
-                                      config.fold_in_sweeps, config.seed)
-    dis = inference.distributed_scores(dis_mat, ckpt.u, ckpt.weights(),
-                                       slope=config.leaky_slope)
-    if score_norm:
-        sem = inference.zscore_rows(sem)
-        dis = inference.zscore_rows(dis)
-    if mode == "no_sem":
-        sem = np.zeros_like(sem)
-    elif mode == "no_dis":
-        dis = np.zeros_like(dis)
-    total = sem + dis
-    return sem, dis, total, inference.argmax_labels(total)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -388,24 +386,34 @@ def cmd_eval(args: argparse.Namespace) -> int:
     dataset = load_dataset(config)
     store = training.load_embeddings(config.embeddings)
 
+    # semantic rows and fold-ins depend on the group and split, not the trial
+    scored = []
+    for group in groups:
+        target = None if config.joint else group["name"]
+        examples = dataset.split(split, target)
+        examples = [ex for ex in examples if ex.stance is not Stance.UNKNOWN]
+        if not examples:
+            continue
+        triple = load_run_triple(run_dir, group["slug"])
+        scored.append((group["slug"], examples,
+                       training.semantic_matrix(examples, store),
+                       training.fold_in_matrix(examples, triple,
+                                               config.fold_in_sweeps,
+                                               config.seed)))
+    if not scored:
+        raise ConfigError(f"no labeled examples in split {args.split!r}")
+
     trial_rows = []
     for trial in _trial_numbers(args, config):
         preds, golds, targets = [], [], []
-        for group in groups:
-            target = None if config.joint else group["name"]
-            examples = dataset.split(split, target)
-            examples = [ex for ex in examples if ex.stance is not Stance.UNKNOWN]
-            if not examples:
-                continue
-            triple = load_run_triple(run_dir, group["slug"])
-            ckpt, _ = load_run_checkpoint(run_dir, trial, group["slug"])
-            _, _, _, group_preds = _score_examples(
-                examples, store, triple, ckpt, config, mode, score_norm)
-            preds += group_preds
+        for slug, examples, sem_rows, dis_rows in scored:
+            ckpt, _ = load_run_checkpoint(run_dir, trial, slug)
+            preds += inference.score_batch(
+                sem_rows, dis_rows, ckpt.z, ckpt.u, ckpt.weights(),
+                mode=mode, score_norm=score_norm,
+                slope=config.leaky_slope).predicted
             golds += [ex.stance for ex in examples]
             targets += [ex.target for ex in examples]
-        if not preds:
-            raise ConfigError(f"no labeled examples in split {args.split!r}")
         per_target = metrics.per_target_f_avg(preds, golds, targets)
         macf, micf = metrics.macro_micro(preds, golds, targets)
         row = {t: per_target.get(t, 0.0) for t in dataset.targets}
@@ -434,29 +442,34 @@ def cmd_predict(args: argparse.Namespace) -> int:
     examples = _tweet_rows(Path(args.infile), Split.TEST)
 
     by_name = {g["name"]: g["slug"] for g in groups}
-    loaded: dict[str, tuple] = {}
-    out_lines = ["ID\tPredicted\tSemFavor\tSemNone\tSemAgainst"
-                 "\tDisFavor\tDisNone\tDisAgainst"]
-    for ex in examples:
+    members: dict[str, list[int]] = {}  # group -> input row numbers
+    for i, ex in enumerate(examples):
         key = "joint" if config.joint else ex.target
         if key not in by_name:
             raise ConfigError(f"no trained group for target {ex.target!r}")
-        if key not in loaded:
-            slug = by_name[key]
-            loaded[key] = (load_run_triple(run_dir, slug),
-                           load_run_checkpoint(run_dir, trial, slug)[0])
-        triple, ckpt = loaded[key]
         if ex.id not in store.tokens:
             raise InferenceError(f"no embedding record for example {ex.id!r}")
-        bundle = inference.predict(
-            ex, store, triple, ckpt, mode=mode,
-            fold_in_sweeps=config.fold_in_sweeps,
-            seed=derive_seed(config.seed, 101, ex.id),
-            slope=config.leaky_slope, score_norm=score_norm)
-        sem = "\t".join(f"{x:.6f}" for x in bundle.sem)
-        dis = "\t".join(f"{x:.6f}" for x in bundle.dis)
-        out_lines.append(f"{ex.id}\t{bundle.predicted.value}\t{sem}\t{dis}")
-    Path(args.outfile).write_text("\n".join(out_lines) + "\n", encoding="utf-8")
+        members.setdefault(key, []).append(i)
+
+    lines = [""] * len(examples)
+    for key, rows in members.items():
+        group = [examples[i] for i in rows]
+        triple = load_run_triple(run_dir, by_name[key])
+        ckpt, _ = load_run_checkpoint(run_dir, trial, by_name[key])
+        scores = inference.score_batch(
+            training.semantic_matrix(group, store),
+            training.fold_in_matrix(group, triple, config.fold_in_sweeps,
+                                    config.seed),
+            ckpt.z, ckpt.u, ckpt.weights(), mode=mode,
+            score_norm=score_norm, slope=config.leaky_slope)
+        for i, sem, dis, label in zip(rows, scores.sem, scores.dis,
+                                      scores.predicted):
+            values = "\t".join(f"{x:.6f}" for x in (*sem, *dis))
+            lines[i] = f"{examples[i].id}\t{label.value}\t{values}"
+    header = ("ID\tPredicted\tSemFavor\tSemNone\tSemAgainst"
+              "\tDisFavor\tDisNone\tDisAgainst")
+    Path(args.outfile).write_text("\n".join([header, *lines]) + "\n",
+                                  encoding="utf-8")
     print(f"wrote {len(examples)} predictions to {args.outfile}")
     return 0
 

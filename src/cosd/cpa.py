@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .binfile import F64, Reader
 from .graph import BipartiteLaplacian
 from .numerics import (NumericsError, Tensor, add, concat_cols, elemwise_mul,
                        leaky_relu, matmul, spmm, xavier_init)
@@ -257,35 +258,19 @@ def save_checkpoint(path: str | Path, e0: np.ndarray, w1: list[np.ndarray],
 
 
 def load_checkpoint(path: str | Path) -> CpaCheckpoint:
-    path = Path(path)
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != _CPA_MAGIC:
-        raise CpaError(f"{path}: bad magic, not a CPA1 file")
-    if len(data) < 24:
-        raise CpaError(f"{path}: truncated header ({len(data)} bytes)")
-    d0, d1, hops, h, n_text = struct.unpack_from("<IIIII", data, 4)
-    if min(d0, d1) < 1:
-        raise CpaError(f"{path}: zero width in header, file corrupt")
-    n_nodes = n_text + 3 * h + 3
-    hop_values = d0 * d1 + (hops - 1) * d1 * d1 if hops else 0
-    expected = 24 + 8 * (n_nodes * d0 + 2 * hop_values)
-    if len(data) < expected:
-        raise CpaError(f"{path}: truncated, {len(data)} of {expected} bytes")
-    if len(data) > expected:
-        raise CpaError(f"{path}: trailing bytes, file corrupt")
-    off = 24
+    with Reader(path, CpaError, _CPA_MAGIC) as src:
+        d0, d1, hops, h, n_text = src.unpack("<IIIII")
+        if min(d0, d1) < 1:
+            raise src.fail("zero width in header, file corrupt")
 
-    def take(rows: int, cols: int) -> np.ndarray:
-        nonlocal off
-        count = rows * cols
-        arr = np.frombuffer(data, dtype="<f8", count=count, offset=off)
-        off += 8 * count
-        return arr.reshape(rows, cols).astype(np.float64)
+        def take(rows: int, cols: int) -> np.ndarray:
+            values = src.array(F64, rows * cols).reshape(rows, cols)
+            return values.astype(np.float64)
 
-    e0 = take(n_nodes, d0)
-    w1 = [take(d0 if k == 0 else d1, d1) for k in range(hops)]
-    w2 = [take(d0 if k == 0 else d1, d1) for k in range(hops)]
+        e0 = take(n_text + 3 * h + 3, d0)
+        w1 = [take(d0 if k == 0 else d1, d1) for k in range(hops)]
+        w2 = [take(d0 if k == 0 else d1, d1) for k in range(hops)]
+        src.finish()
     if not all(np.isfinite(a).all() for a in [e0, *w1, *w2]):
-        raise CpaError(f"{path}: non-finite values")
+        raise CpaError(f"{src.path}: non-finite values")
     return CpaCheckpoint(e0=e0, w1=w1, w2=w2, h=h, n_text=n_text)

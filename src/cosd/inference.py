@@ -4,21 +4,22 @@ The semantic score dots the target-attended text representation against the
 trained label embeddings; the distributed score composes the text's topic
 distribution with the trained topic embeddings, pushes both sides through
 the graph-free transform, and takes a per-stance max over topics. Their sum
-decides the label. Ablation modes zero one side.
+decides the label. Ablation modes zero one side. score_batch is the one
+scoring path: val scoring during training, eval and predict all call it on
+stacked rows.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .corpus import LABELS, Example, Stance
-from .cpa import CpaCheckpoint, CpaWeights, infer_transform
-from .topics import TopicModelTriple, dis_vector
-from .training import EncoderStore, attention_weights, semantic_rep
+from .cpa import CpaWeights, infer_transform
+from .training import EncoderStore, attention_weights
 
 MODES = ("full", "no_sem", "no_dis")
 
@@ -27,62 +28,43 @@ class InferenceError(Exception):
     """Missing records, invalid mode, or out-of-range retrieval."""
 
 
-@dataclass
-class ScoreBundle:
-    """Scores in label order (Favor, None, Against); total = sem + dis."""
+class Scores(NamedTuple):
+    """(n, 3) score rows in label order (Favor, None, Against)."""
 
     sem: np.ndarray
     dis: np.ndarray
-    total: np.ndarray
-    predicted: Stance
-
-
-def semantic_score(e_sem: np.ndarray, z_table: np.ndarray) -> np.ndarray:
-    """Inner products against the three trained label embeddings."""
-    e_sem = np.asarray(e_sem, dtype=np.float64).reshape(-1)
-    z_table = np.asarray(z_table, dtype=np.float64)
-    if z_table.shape != (3, e_sem.shape[0]):
-        raise InferenceError(
-            f"label table {z_table.shape} vs vector length {e_sem.shape[0]}")
-    return z_table @ e_sem
-
-
-def distributed_rep(dis: np.ndarray, u_table: np.ndarray) -> np.ndarray:
-    """Topic-weighted mix of topic embeddings; dis must sum to 1."""
-    dis = np.asarray(dis, dtype=np.float64).reshape(-1)
-    u_table = np.asarray(u_table, dtype=np.float64)
-    if u_table.shape[0] != dis.shape[0]:
-        raise InferenceError(
-            f"{dis.shape[0]} weights vs {u_table.shape[0]} topic rows")
-    if abs(dis.sum() - 1.0) > 1e-6:
-        raise InferenceError(f"topic distribution sums to {dis.sum():.6f}")
-    return dis @ u_table
-
-
-def distributed_score(dis: np.ndarray, u_table: np.ndarray,
-                      weights: CpaWeights, slope: float = 0.01) -> np.ndarray:
-    """Per stance block, max over its H topics of the transformed products."""
-    e_dis = infer_transform(distributed_rep(dis, u_table), weights, slope)
-    u_tilde = infer_transform(u_table, weights, slope)
-    sims = u_tilde @ e_dis
-    return sims.reshape(3, -1).max(axis=1)
+    total: np.ndarray          # sem + dis
+    predicted: list[Stance]
 
 
 def semantic_scores(e_sem_matrix: np.ndarray,
                     z_table: np.ndarray) -> np.ndarray:
-    """(n, 3) semantic scores for stacked rows."""
+    """(n, 3) inner products against the three trained label embeddings."""
     e = np.asarray(e_sem_matrix, dtype=np.float64)
-    return e @ np.asarray(z_table, dtype=np.float64).T
+    z_table = np.asarray(z_table, dtype=np.float64)
+    if e.ndim != 2 or z_table.shape != (3, e.shape[1]):
+        raise InferenceError(
+            f"label table {z_table.shape} vs semantic rows {e.shape}")
+    return e @ z_table.T
 
 
 def distributed_scores(dis_matrix: np.ndarray, u_table: np.ndarray,
                        weights: CpaWeights, slope: float = 0.01) -> np.ndarray:
-    """(n, 3) distributed scores for stacked topic distributions."""
+    """(n, 3) per stance block, max over its H topics of the products of the
+    transformed topic-weighted mix with the transformed topic embeddings.
+
+    Each row of dis_matrix is a topic distribution (sums to 1).
+    """
     dis_matrix = np.asarray(dis_matrix, dtype=np.float64)
+    u_table = np.asarray(u_table, dtype=np.float64)
+    if dis_matrix.ndim != 2 or dis_matrix.shape[1] != u_table.shape[0]:
+        raise InferenceError(
+            f"topic rows {dis_matrix.shape} vs {u_table.shape[0]} topics")
     if dis_matrix.shape[0] == 0:
         return np.zeros((0, 3))
-    reps = dis_matrix @ np.asarray(u_table, dtype=np.float64)
-    e_tilde = infer_transform(reps, weights, slope)
+    if np.abs(dis_matrix.sum(axis=1) - 1.0).max() > 1e-6:
+        raise InferenceError("a topic distribution does not sum to 1")
+    e_tilde = infer_transform(dis_matrix @ u_table, weights, slope)
     u_tilde = infer_transform(u_table, weights, slope)
     sims = e_tilde @ u_tilde.T
     return sims.reshape(len(dis_matrix), 3, -1).max(axis=2)
@@ -101,40 +83,32 @@ def argmax_labels(total: np.ndarray) -> list[Stance]:
     return [LABELS[int(np.argmax(row))] for row in np.atleast_2d(total)]
 
 
-def make_bundle(sem: np.ndarray, dis: np.ndarray, mode: str = "full",
-                score_norm: bool = False) -> ScoreBundle:
+def score_batch(sem_rows: np.ndarray, dis_rows: np.ndarray,
+                z_table: np.ndarray, u_table: np.ndarray,
+                weights: CpaWeights, mode: str = "full",
+                score_norm: bool = False, slope: float = 0.01) -> Scores:
+    """Hybrid scores of stacked texts against one group's trained tables.
+
+    sem_rows are semantic representations (n, d0), dis_rows topic
+    distributions (n, 3H). score_norm z-scores each side's row before the
+    ablation mode zeros one side; total is their sum.
+    """
     if mode not in MODES:
         raise InferenceError(f"unknown mode {mode!r}, expected one of {MODES}")
-    sem = np.asarray(sem, dtype=np.float64).reshape(3)
-    dis = np.asarray(dis, dtype=np.float64).reshape(3)
+    if len(sem_rows) != len(dis_rows):
+        raise InferenceError(
+            f"{len(sem_rows)} semantic rows vs {len(dis_rows)} topic rows")
+    sem = semantic_scores(sem_rows, z_table)
+    dis = distributed_scores(dis_rows, u_table, weights, slope)
     if score_norm:
-        sem = zscore_rows(sem[None])[0]
-        dis = zscore_rows(dis[None])[0]
+        sem = zscore_rows(sem)
+        dis = zscore_rows(dis)
     if mode == "no_sem":
-        sem = np.zeros(3)
+        sem = np.zeros_like(sem)
     elif mode == "no_dis":
-        dis = np.zeros(3)
+        dis = np.zeros_like(dis)
     total = sem + dis
-    return ScoreBundle(sem=sem, dis=dis, total=total,
-                       predicted=argmax_labels(total)[0])
-
-
-def predict(example: Example, store: EncoderStore, triple: TopicModelTriple,
-            checkpoint: CpaCheckpoint, mode: str = "full",
-            fold_in_sweeps: int = 50, seed: int = 0, slope: float = 0.01,
-            score_norm: bool = False) -> ScoreBundle:
-    """Score one example end to end against a frozen checkpoint."""
-    if example.id not in store.tokens:
-        raise InferenceError(f"no embedding record for example {example.id!r}")
-    if example.target not in store.targets:
-        raise InferenceError(f"no embedding record for target {example.target!r}")
-    e_sem = semantic_rep(store.tokens[example.id],
-                         store.targets[example.target])
-    sem = semantic_score(e_sem, checkpoint.z)
-    dist = dis_vector(triple, example.tokens, sweeps=fold_in_sweeps, seed=seed)
-    dis = distributed_score(dist.values, checkpoint.u, checkpoint.weights(),
-                            slope=slope)
-    return make_bundle(sem, dis, mode=mode, score_norm=score_norm)
+    return Scores(sem, dis, total, argmax_labels(total))
 
 
 def final_train_reps(checkpoint: CpaCheckpoint, lap,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .corpus import tokenize
 from .stopwords import STOPWORDS
-from .training import save_embeddings
+from .training import EmbeddingWriter
 
 STANCES = ("Favor", "None", "Against")
 TARGET = "Synthetic Policy"
@@ -67,45 +67,46 @@ def make_synthetic(out_dir: str | Path, seed: int = 0, n_train: int = 600,
                 raise RuntimeError(f"generated word {word!r} not tokenizer-safe")
 
     counts = {"train": n_train, "val": n_val, "test": n_test}
-    records: list[tuple[str, np.ndarray]] = []
     truth_docs = {}
     paths: dict[str, Path] = {}
     serial = 0
-    for split, n in counts.items():
-        rows = ["ID\tTarget\tTweet\tStance"]
-        for i in range(n):
-            stance_idx = i % 3
-            dominant = h * stance_idx + (i // 3) % h
-            block = list(range(h * stance_idx, h * (stance_idx + 1)))
-            length = int(rng.integers(8, 15))
-            toks = []
-            for _ in range(length):
-                if h == 1 or rng.random() < 0.85:
-                    topic = dominant
-                else:
-                    others = [t for t in block if t != dominant]
-                    topic = others[rng.integers(len(others))]
-                toks.append(topic_words[topic][rng.integers(words_per_topic)])
-            ex_id = f"synth-{split}-{serial:04d}"
-            serial += 1
-            rows.append(f"{ex_id}\t{TARGET}\t{' '.join(toks)}\t{STANCES[stance_idx]}")
-            token_mat = prototypes[stance_idx] + rng.normal(0.0, noise,
-                                                            (length, dim))
-            records.append((ex_id, token_mat))
-            truth_docs[ex_id] = {"stance": STANCES[stance_idx],
-                                 "dominant_topic": int(dominant)}
-        path = out / f"{split}.tsv"
-        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-        paths[split] = path
-
-    records.append((f"target:{TARGET}",
-                    prototypes.mean(axis=0) + rng.normal(0.0, 0.02, dim)))
-    for j, key in enumerate(("favor", "none", "against")):
-        records.append((f"label:{key}",
-                        prototypes[j] + rng.normal(0.0, 0.05, dim)))
-
+    # records are written as they are drawn: one per text, then the target
+    # and the three labels
     emb_path = out / "synth.emb1"
-    save_embeddings(emb_path, records, dim=dim)
+    with EmbeddingWriter(emb_path, sum(counts.values()) + 4, dim=dim) as emb:
+        for split, n in counts.items():
+            rows = ["ID\tTarget\tTweet\tStance"]
+            for i in range(n):
+                stance_idx = i % 3
+                dominant = h * stance_idx + (i // 3) % h
+                block = list(range(h * stance_idx, h * (stance_idx + 1)))
+                length = int(rng.integers(8, 15))
+                toks = []
+                for _ in range(length):
+                    if h == 1 or rng.random() < 0.85:
+                        topic = dominant
+                    else:
+                        others = [t for t in block if t != dominant]
+                        topic = others[rng.integers(len(others))]
+                    toks.append(
+                        topic_words[topic][rng.integers(words_per_topic)])
+                ex_id = f"synth-{split}-{serial:04d}"
+                serial += 1
+                rows.append(f"{ex_id}\t{TARGET}\t{' '.join(toks)}"
+                            f"\t{STANCES[stance_idx]}")
+                emb.write(ex_id, prototypes[stance_idx]
+                          + rng.normal(0.0, noise, (length, dim)))
+                truth_docs[ex_id] = {"stance": STANCES[stance_idx],
+                                     "dominant_topic": int(dominant)}
+            path = out / f"{split}.tsv"
+            path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+            paths[split] = path
+
+        emb.write(f"target:{TARGET}",
+                  prototypes.mean(axis=0) + rng.normal(0.0, 0.02, dim))
+        for j, key in enumerate(("favor", "none", "against")):
+            emb.write(f"label:{key}",
+                      prototypes[j] + rng.normal(0.0, 0.05, dim))
     paths["embeddings"] = emb_path
 
     truth = {

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import json
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import lgamma
 from pathlib import Path
 
 import numpy as np
 
+from .binfile import I64, Reader
 from .corpus import Example, Vocabulary
 
 
@@ -138,8 +140,9 @@ class LdaModel:
     def __post_init__(self):
         if self.h < 1:
             raise TopicsError(f"H must be >= 1, got {self.h}")
-        if self.alpha < 0 or self.beta < 0:
-            raise TopicsError("negative priors")
+        if not (0 <= self.alpha < np.inf and 0 <= self.beta < np.inf):
+            raise TopicsError(f"priors must be finite and >= 0: "
+                              f"alpha={self.alpha}, beta={self.beta}")
         if self.topic_word_counts.shape != (self.h, len(self.vocab)):
             raise TopicsError("topic_word_counts shape mismatch")
         if (self.topic_word_counts < 0).any():
@@ -187,27 +190,8 @@ class TopicModelTriple:
         return (self.favor, self.none, self.against)
 
 
-@dataclass
-class TopicDistribution:
-    """Length-3H probability vector [f_1..f_H, n_1..n_H, a_1..a_H]."""
-
-    values: np.ndarray
-    h: int
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != (3 * self.h,):
-            raise TopicsError("distribution length != 3H")
-        if (self.values < -1e-12).any():
-            raise TopicsError("negative probability entry")
-        if abs(self.values.sum() - 1.0) > 1e-9:
-            raise TopicsError("distribution does not sum to 1")
-
-    def block(self, i: int) -> np.ndarray:
-        return self.values[i * self.h:(i + 1) * self.h]
-
-
-def _doc_token_ids(docs: list[list[str]], vocab: Vocabulary) -> list[list[int]]:
+def _doc_token_ids(docs: Sequence[Sequence[str]],
+                   vocab: Vocabulary) -> list[list[int]]:
     index = vocab.index
     return [[index[t] for t in doc if t in index] for doc in docs]
 
@@ -260,85 +244,143 @@ def fit_triple(favor_docs: list[list[str]], none_docs: list[list[str]],
     return TopicModelTriple(favor=favor, none=none, against=against)
 
 
-def doc_topic_posterior(model: LdaModel, tokens, sweeps: int = 50,
-                        seed: int = 0) -> np.ndarray:
-    """Fold-in posterior over the model's H topics; sums to 1.
+# docs per lockstep batch; bounds the padded factor and topic arrays
+_FOLD_IN_BATCH = 1024
+# uniforms held at once per batch (4 MB): they are drawn a few sweeps at a
+# time, so memory does not grow with sweeps x the longest doc's length
+_FOLD_IN_UNIFORMS = 1 << 19
 
-    Topic-word counts stay frozen; only the doc-local topic counts move.
-    Empty or fully out-of-vocabulary docs return the uniform prior.
+
+def fold_in(models: Sequence[LdaModel], docs: Sequence[Sequence[str]],
+            seeds: Sequence[int], sweeps: int = 50) -> np.ndarray:
+    """Fold-in posteriors of every doc under every model, (D, len(models)*H).
+
+    Row d holds the models' length-H posteriors side by side, each summing
+    to 1. Topic-word counts stay frozen, so docs are independent: one
+    collapsed Gibbs chain per (doc, model) pair, all stepped in lockstep,
+    token position by token position. Doc d draws from one PCG64 stream
+    seeded with seeds[d] (H-ary initial topics, then sweeps x n uniforms),
+    shared by its chains under every model; the models must share H and
+    vocabulary. Each chain's arithmetic is that of a one-chain sequential
+    loop (a running sum over H, first topic whose prefix sum reaches u *
+    total), so a doc's row does not depend on the rest of the batch.
+    Empty or fully out-of-vocabulary docs, and H = 1, give the uniform prior.
     """
-    index = model.vocab.index
-    ids = [index[t] for t in tokens if t in index]
-    h = model.h
-    if len(ids) == 0 or h == 1:
-        return np.full(h, 1.0 / h)
-    rng = np.random.default_rng(seed)
-    alpha = model.alpha
-    denom = model.topic_totals + model.beta * len(model.vocab)
-    # counts are frozen, so the word factor of the conditional is a constant
-    # per distinct word; precompute it once per token position
-    factor = {}
-    for w in set(ids):
-        factor[w] = ((model.topic_word_counts[:, w] + model.beta)
-                     / denom).tolist()
-    pos_factor = [factor[w] for w in ids]
-    z = rng.integers(0, h, size=len(ids)).tolist()
-    local = [0.0] * h
-    for k in z:
-        local[k] += 1.0
-    uniforms = rng.random(sweeps * len(ids)).tolist()
-    probs = [0.0] * h
-    pos = 0
-    for _ in range(sweeps):
-        for j, fw in enumerate(pos_factor):
-            local[z[j]] -= 1.0
-            total = 0.0
-            for t in range(h):
-                p = (local[t] + alpha) * fw[t]
-                probs[t] = p
-                total += p
-            u = uniforms[pos]
-            pos += 1
-            if total <= 0.0:
-                k = int(u * h)
-            else:
-                u *= total
-                acc = 0.0
-                for k in range(h):
-                    acc += probs[k]
-                    if u <= acc:
-                        break
-            z[j] = k
-            local[k] += 1.0
-    return (np.array(local) + alpha) / (len(ids) + h * alpha)
+    if not models:
+        raise TopicsError("fold-in needs at least one model")
+    first = models[0]
+    if any(m.h != first.h or m.vocab.tokens != first.vocab.tokens
+           for m in models[1:]):
+        raise TopicsError("fold-in models disagree on H or vocabulary")
+    if len(seeds) != len(docs):
+        raise TopicsError(f"{len(seeds)} seeds for {len(docs)} docs")
+    h = first.h
+    out = np.full((len(docs), len(models) * h), 1.0 / h)
+    ids = _doc_token_ids(docs, first.vocab)
+    live = [d for d in range(len(docs)) if ids[d]]
+    if h == 1 or not live:
+        return out
+    # factor[w] = the word's frozen conditional factor under each model, H
+    # values per model side by side; alpha per model, broadcast per chain
+    factor = np.concatenate(
+        [((m.topic_word_counts + m.beta)
+          / (m.topic_totals + m.beta * len(m.vocab))[:, None]).T
+         for m in models], axis=1)
+    alphas = np.array([m.alpha for m in models])
+    # longest first (stable), so the docs still running at any token
+    # position are a prefix of the batch
+    live.sort(key=lambda d: -len(ids[d]))
+    for at in range(0, len(live), _FOLD_IN_BATCH):
+        batch = live[at:at + _FOLD_IN_BATCH]
+        out[batch] = _lockstep([ids[d] for d in batch],
+                               [seeds[d] for d in batch], factor, alphas, h,
+                               sweeps)
+    return out
 
 
-def dis_vector(triple: TopicModelTriple, tokens, sweeps: int = 50,
-               seed: int = 0) -> TopicDistribution:
-    """Concatenate the three fold-in posteriors and divide by 3."""
-    parts = [
-        doc_topic_posterior(m, tokens, sweeps=sweeps, seed=seed)
-        for m in triple.models
-    ]
-    return TopicDistribution(values=np.concatenate(parts) / 3.0, h=triple.h)
+def _lockstep(ids: list[list[int]], seeds: list[int], factor: np.ndarray,
+              alphas: np.ndarray, h: int, sweeps: int) -> np.ndarray:
+    """fold_in over nonempty docs sorted longest first; (D, M*H).
+
+    Chain c = doc * M + model, so the chains alive at a position are a
+    prefix of every per-chain array and each step works on slices.
+    """
+    n_models = len(alphas)
+    lengths = np.array([len(doc) for doc in ids])
+    n_docs, n_max = len(ids), int(lengths[0])
+    n_chains = n_docs * n_models
+    alive = (lengths[None, :] > np.arange(n_max)[:, None]).sum(axis=1)
+
+    words = np.zeros((n_max, n_docs), dtype=np.int64)
+    z = np.zeros((n_max, n_chains), dtype=np.int64)
+    rngs = []
+    for d, (doc, seed) in enumerate(zip(ids, seeds)):
+        n = len(doc)
+        rng = np.random.default_rng(seed)
+        words[:n, d] = doc
+        z[:n, d * n_models:(d + 1) * n_models] = (
+            rng.integers(0, h, size=n)[:, None])
+        rngs.append(rng)
+    # sweeps s..s+chunk-1 of doc d; successive random() calls continue the
+    # doc's stream, so the values are those of one random(sweeps * n)
+    chunk = max(1, min(sweeps, _FOLD_IN_UNIFORMS // (n_max * n_docs)))
+    uniforms = np.zeros((chunk, n_max, n_docs))
+    # (position, doc, M*H): row j of a doc's block is that token's factor
+    pos_factor = factor[words]
+    alpha = np.tile(alphas, n_docs)[:, None]
+    # local counts, addressed flat: chain c's count of topic k is at c*H + k
+    local = np.zeros((n_chains, h))
+    flat_local = local.reshape(-1)
+    base = np.arange(n_chains) * h
+    for j in range(n_max):
+        m = alive[j] * n_models
+        flat_local[base[:m] + z[j, :m]] += 1.0
+
+    for s in range(sweeps):
+        c = s % chunk
+        if c == 0:
+            todo = min(chunk, sweeps - s)
+            for d, (doc, rng) in enumerate(zip(ids, rngs)):
+                n = len(doc)
+                uniforms[:todo, :n, d] = rng.random(todo * n).reshape(todo, n)
+        for j in range(n_max):
+            m_docs = alive[j]
+            m = m_docs * n_models
+            flat_local[base[:m] + z[j, :m]] -= 1.0
+            p = local[:m] + alpha[:m]
+            p *= pos_factor[j, :m_docs].reshape(m, h)
+            acc = np.cumsum(p, axis=1, out=p)
+            total = acc[:, -1]
+            u = uniforms[c, j, :m_docs].repeat(n_models)
+            reached = acc >= (u * total)[:, None]
+            reached[:, -1] = True
+            k = reached.argmax(axis=1)
+            flat = total <= 0.0
+            if flat.any():
+                k[flat] = (u[flat] * h).astype(np.int64)
+            z[j, :m] = k
+            flat_local[base[:m] + k] += 1.0
+
+    post = (local + alpha) / (lengths.repeat(n_models)[:, None] + h * alpha)
+    return post.reshape(n_docs, n_models * h)
 
 
 def perplexity(model: LdaModel, docs: list[list[str]], sweeps: int = 50,
                seed: int = 0) -> float:
     """exp(-mean log p(w|d)) with p(w|d) = sum_h theta_dh phi_hw.
 
-    theta comes from fold-in, phi from the smoothed trained counts. Docs with
-    no in-vocabulary tokens are skipped; raises if nothing is left.
+    theta comes from fold-in (doc i seeded seed + i), phi from the smoothed
+    trained counts. Docs with no in-vocabulary tokens are skipped; raises if
+    nothing is left.
     """
     phi = model.phi()
-    index = model.vocab.index
+    thetas = fold_in([model], docs, [seed + i for i in range(len(docs))],
+                     sweeps=sweeps)
     log_lik = 0.0
     total = 0
-    for i, doc in enumerate(docs):
-        ids = np.array([index[t] for t in doc if t in index], dtype=np.int64)
-        if len(ids) == 0:
+    for theta, ids in zip(thetas, _doc_token_ids(docs, model.vocab)):
+        if not ids:
             continue
-        theta = doc_topic_posterior(model, doc, sweeps=sweeps, seed=seed + i)
         p = theta @ phi[:, ids]
         log_lik += float(np.log(p).sum())
         total += len(ids)
@@ -411,33 +453,17 @@ def save_lda(model: LdaModel, path: str | Path, sidecar: bool = True) -> None:
 
 
 def load_lda(path: str | Path) -> LdaModel:
-    path = Path(path)
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != _LDA_MAGIC:
-        raise TopicsError(f"{path}: bad magic, not an LDA1 file")
-    off = 4
-    h, v = struct.unpack_from("<II", data, off)
-    off += 8
-    alpha, beta = struct.unpack_from("<dd", data, off)
-    off += 16
-    (sweeps,) = struct.unpack_from("<I", data, off)
-    off += 4
-    counts = np.frombuffer(data, dtype="<i8", count=h * v, offset=off)
-    counts = counts.reshape(h, v).astype(np.int64)
-    off += 8 * h * v
-    tokens = []
-    freqs = []
-    for _ in range(v):
-        (n,) = struct.unpack_from("<I", data, off)
-        off += 4
-        tokens.append(data[off:off + n].decode("utf-8"))
-        off += n
-        (freq,) = struct.unpack_from("<I", data, off)
-        off += 4
-        freqs.append(freq)
-    if off != len(data):
-        raise TopicsError(f"{path}: trailing bytes, file corrupt")
+    with Reader(path, TopicsError, _LDA_MAGIC) as src:
+        h, v = src.unpack("<II")
+        alpha, beta = src.unpack("<dd")
+        (sweeps,) = src.unpack("<I")
+        counts = src.array(I64, h * v).reshape(h, v).astype(np.int64)
+        tokens = []
+        freqs = []
+        for _ in range(v):
+            tokens.append(src.text(src.u32()))
+            freqs.append(src.u32())
+        src.finish()
     vocab = Vocabulary(tokens=tokens,
                        index={t: i for i, t in enumerate(tokens)},
                        doc_freq=freqs)

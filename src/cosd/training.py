@@ -10,7 +10,9 @@ repeats over trials with shifted seeds.
 
 from __future__ import annotations
 
+import math
 import struct
+import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -19,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cpa, graph, metrics, topics
+from .binfile import F32, Reader
 from .corpus import LABELS, Dataset, Example, Split
 from .numerics import (AdamState, Tensor, adam_step, add, backward,
                        cosine_sim, elemwise_mul, gather_rows, logsigmoid,
@@ -63,63 +66,104 @@ class EncoderStore:
         return np.stack([self.labels[k] for k in LABEL_KEYS])
 
 
+class EmbeddingWriter:
+    """Writes an EMB1 file one record at a time, so records need not all be
+    held in memory; the record count is fixed up front. Use it as a context
+    manager: leaving it without an error checks that count was met."""
+
+    def __init__(self, path: str | Path, count: int, dim: int = 768):
+        self.count = count
+        self.dim = dim
+        self.written = 0
+        self._fh = open(path, "wb")
+        self._fh.write(_EMB_MAGIC)
+        self._fh.write(struct.pack("<II", count, dim))
+
+    def __enter__(self) -> EmbeddingWriter:
+        return self
+
+    def __exit__(self, exc_type, *exc) -> None:
+        self._fh.close()
+        if exc_type is None and self.written != self.count:
+            raise TrainingError(f"{self.written} records written, header "
+                                f"says {self.count}")
+
+    def write(self, rec_id: str, mat: np.ndarray) -> None:
+        if self.written == self.count:
+            raise TrainingError(f"record {rec_id!r} is past the header's "
+                                f"count of {self.count}")
+        mat = np.atleast_2d(np.asarray(mat, dtype=np.float32))
+        if mat.shape[1] != self.dim:
+            raise TrainingError(f"record {rec_id!r} has dim {mat.shape[1]}, "
+                                f"file says {self.dim}")
+        raw = rec_id.encode("utf-8")
+        self._fh.write(struct.pack("<I", len(raw)))
+        self._fh.write(raw)
+        self._fh.write(struct.pack("<I", mat.shape[0]))
+        self._fh.write(mat.astype("<f4").tobytes(order="C"))
+        self.written += 1
+
+
 def save_embeddings(path: str | Path,
                     records: list[tuple[str, np.ndarray]],
                     dim: int = 768) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_EMB_MAGIC)
-        fh.write(struct.pack("<II", len(records), dim))
+    with EmbeddingWriter(path, len(records), dim) as out:
         for rec_id, mat in records:
-            mat = np.atleast_2d(np.asarray(mat, dtype=np.float32))
-            if mat.shape[1] != dim:
-                raise TrainingError(
-                    f"record {rec_id!r} has dim {mat.shape[1]}, file says {dim}")
-            raw = rec_id.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<I", mat.shape[0]))
-            fh.write(mat.astype("<f4").tobytes(order="C"))
+            out.write(rec_id, mat)
 
 
 def load_embeddings(path: str | Path, expect_dim: int = 768) -> EncoderStore:
     path = Path(path)
     if not path.is_file():
         raise TrainingError(f"missing embedding file: {path}")
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != _EMB_MAGIC:
-        raise TrainingError(f"{path}: bad magic, not an EMB1 file")
-    count, dim = struct.unpack_from("<II", data, 4)
-    if dim != expect_dim:
-        raise TrainingError(f"{path}: dimension {dim} != expected {expect_dim}")
-    off = 12
-    store = EncoderStore(dim=dim, tokens={}, pooled={}, targets={}, labels={})
-    for _ in range(count):
-        (id_len,) = struct.unpack_from("<I", data, off)
-        off += 4
-        rec_id = data[off:off + id_len].decode("utf-8")
-        off += id_len
-        (t,) = struct.unpack_from("<I", data, off)
-        off += 4
-        if t < 1:
-            raise TrainingError(f"{path}: record {rec_id!r} has zero rows")
-        mat = np.frombuffer(data, dtype="<f4", count=t * dim, offset=off)
-        off += 4 * t * dim
-        mat = mat.reshape(t, dim).astype(np.float64)
-        if rec_id.startswith("target:"):
-            store.targets[rec_id[len("target:"):]] = mat.mean(axis=0)
-        elif rec_id.startswith("label:"):
-            key = rec_id[len("label:"):]
-            if key not in LABEL_KEYS:
-                raise TrainingError(f"{path}: unknown label record {rec_id!r}")
-            store.labels[key] = mat.mean(axis=0)
-        else:
-            if rec_id in store.tokens:
-                raise TrainingError(f"{path}: duplicate record {rec_id!r}")
-            store.tokens[rec_id] = mat
-            store.pooled[rec_id] = mat[0] if t == 1 else mat.mean(axis=0)
-    if off != len(data):
-        raise TrainingError(f"{path}: trailing bytes, file corrupt")
+    with Reader(path, TrainingError, _EMB_MAGIC) as src:
+        count, dim = src.unpack("<II")
+        if dim != expect_dim:
+            raise TrainingError(
+                f"{path}: dimension {dim} != expected {expect_dim}")
+        # a record takes at least 8 header bytes and one row of 4*dim bytes
+        if count > src.left() // (8 + 4 * dim):
+            raise src.fail(f"{count} records cannot fit in the file")
+        # Every record's rows, and one pooled row per record, are views into
+        # one float64 block sized from the file (at most one row per 4*dim
+        # bytes left, then `count` pooled rows): one allocation per load,
+        # not two per record, so loading leaves no heap fragments behind.
+        cap = src.left() // (4 * dim)
+        rows = np.empty((cap + count, dim))
+        store = EncoderStore(dim=dim, tokens={}, pooled={}, targets={},
+                             labels={})
+        n_rows = 0
+        for pooled in rows[cap:]:
+            start = src.off
+            rec_id = src.text(src.u32())
+            t = src.u32()
+            if t < 1:
+                raise src.fail(f"record {rec_id!r} has zero rows", start)
+            mat = rows[n_rows:n_rows + t]
+            mat[...] = src.array(F32, t * dim).reshape(t, dim)
+            n_rows += t
+            if t == 1:
+                pooled[...] = mat[0]
+            else:
+                np.mean(mat, axis=0, out=pooled)
+            # float32 values cannot overflow a float64 mean or sum, so the
+            # sum of the pooled row is finite exactly when the record is
+            if not math.isfinite(pooled.sum()):
+                raise src.fail(f"record {rec_id!r} has non-finite values",
+                               start)
+            if rec_id.startswith("target:"):
+                store.targets[rec_id[len("target:"):]] = pooled
+            elif rec_id.startswith("label:"):
+                key = rec_id[len("label:"):]
+                if key not in LABEL_KEYS:
+                    raise src.fail(f"unknown label record {rec_id!r}", start)
+                store.labels[key] = pooled
+            else:
+                if rec_id in store.tokens:
+                    raise src.fail(f"duplicate record {rec_id!r}", start)
+                store.tokens[rec_id] = mat
+                store.pooled[rec_id] = pooled
+        src.finish()
     return store
 
 
@@ -247,6 +291,7 @@ class GroupData:
     sem_val: np.ndarray          # (n_val, dim) semantic reps
     lap: graph.BipartiteLaplacian
     pooled_vecs: np.ndarray | None = None  # filled by build_group_data
+    seconds: dict[str, float] = field(default_factory=dict)  # stage wall times
 
 
 @dataclass
@@ -261,17 +306,17 @@ class GroupResult:
     val_preds: list
     val_golds: list
     val_targets: list[str]
+    train_s: float = 0.0   # wall time of the epochs, val scoring excluded
+    val_s: float = 0.0     # wall time of val scoring over all epochs
 
 
 def fold_in_matrix(examples: list[Example], triple: topics.TopicModelTriple,
                    sweeps: int, base_seed: int) -> np.ndarray:
-    """Stacked dis vectors; per-example seeds derived from the id."""
-    rows = np.zeros((len(examples), 3 * triple.h))
-    for i, ex in enumerate(examples):
-        dist = topics.dis_vector(triple, ex.tokens, sweeps=sweeps,
-                                 seed=derive_seed(base_seed, 101, ex.id))
-        rows[i] = dist.values
-    return rows
+    """(n, 3H) topic distributions: the three fold-in posteriors side by
+    side, divided by 3; per-example seeds derived from the id."""
+    seeds = [derive_seed(base_seed, 101, ex.id) for ex in examples]
+    return topics.fold_in(triple.models, [ex.tokens for ex in examples],
+                          seeds, sweeps) / 3.0
 
 
 def build_group_data(dataset: Dataset, store: EncoderStore, group: str,
@@ -281,13 +326,18 @@ def build_group_data(dataset: Dataset, store: EncoderStore, group: str,
     if not pool:
         raise TrainingError(f"group {group!r} has no training texts")
     val = dataset.split(Split.VAL, target)
+    start = time.perf_counter()
     dis_pool = fold_in_matrix(pool, triple, config.fold_in_sweeps, config.seed)
     dis_val = fold_in_matrix(val, triple, config.fold_in_sweeps, config.seed)
+    folded = time.perf_counter()
     lap = graph.laplacian(
         graph.build_adjacency([ex.stance for ex in pool], dis_pool))
+    built = time.perf_counter()
     data = GroupData(group=group, pool=pool, val=val, triple=triple,
                      dis_pool=dis_pool, dis_val=dis_val,
-                     sem_val=semantic_matrix(val, store), lap=lap)
+                     sem_val=semantic_matrix(val, store), lap=lap,
+                     seconds={"fold_in_s": folded - start,
+                              "graph_build_s": built - folded})
     data.pooled_vecs = np.stack([store.pooled[ex.id] for ex in pool])
     return data
 
@@ -299,10 +349,9 @@ def _val_metrics(data: GroupData, table: cpa.EmbeddingTable,
 
     if not data.val:
         return 0.0, 0.0, [], [], []
-    sem = inference.semantic_scores(data.sem_val, table.z)
-    dis = inference.distributed_scores(data.dis_val, table.u, weights,
-                                       slope=config.leaky_slope)
-    preds = inference.argmax_labels(sem + dis)
+    preds = inference.score_batch(data.sem_val, data.dis_val, table.z,
+                                  table.u, weights,
+                                  slope=config.leaky_slope).predicted
     golds = [ex.stance for ex in data.val]
     targets = [ex.target for ex in data.val]
     macf, micf = metrics.macro_micro(preds, golds, targets)
@@ -312,6 +361,8 @@ def _val_metrics(data: GroupData, table: cpa.EmbeddingTable,
 def train_group(data: GroupData, store: EncoderStore, config: TrainConfig,
                 trial_seed: int) -> GroupResult:
     """Train one group's graph model; keep the best-val epoch's snapshot."""
+    began = time.perf_counter()
+    val_s = 0.0
     n = len(data.pool)
     h = data.triple.h
     label_vecs = store.label_matrix()
@@ -359,8 +410,10 @@ def train_group(data: GroupData, store: EncoderStore, config: TrainConfig,
             epoch_loss += float(loss.data[0, 0]) * len(batch)
         epoch_loss /= n
 
+        val_start = time.perf_counter()
         macf, micf, preds, golds, targets = _val_metrics(
             data, table, weights, config)
+        val_s += time.perf_counter() - val_start
         log_rows.append({"epoch": epoch, "loss": epoch_loss,
                          "val_macf": macf, "val_micf": micf})
         if best is None or micf > best[0]:
@@ -376,6 +429,7 @@ def train_group(data: GroupData, store: EncoderStore, config: TrainConfig,
         best_epoch=best_epoch, best_val_micf=micf,
         val_preds=val_snapshot[0], val_golds=val_snapshot[1],
         val_targets=val_snapshot[2],
+        train_s=time.perf_counter() - began - val_s, val_s=val_s,
     )
 
 
@@ -395,6 +449,7 @@ class TrainResult:
     target_order: list[str]
     report_text: str
     report_csv: str
+    group_seconds: dict[str, dict[str, float]] = field(default_factory=dict)
 
 
 def _trial_val_row(trial: TrialResult, dataset: Dataset,
@@ -469,4 +524,5 @@ def train(dataset: Dataset, store: EncoderStore,
     text, csv_text = metrics.report([t.val_row for t in trials],
                                     dataset.targets)
     return TrainResult(trials=trials, target_order=dataset.targets,
-                       report_text=text, report_csv=csv_text)
+                       report_text=text, report_csv=csv_text,
+                       group_seconds={d.group: d.seconds for d in group_data})

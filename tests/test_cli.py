@@ -9,8 +9,12 @@ import json
 import re
 import shutil
 
+import numpy as np
 import pytest
 
+import cosd.inference
+import cosd.topics
+from cosd import training
 from cosd.cli import (
     ConfigError,
     build_config,
@@ -177,6 +181,21 @@ def test_train_run_layout(run_dir):
     assert "seed = 5" in config_text
 
 
+def test_train_writes_stage_timings(run_dir):
+    doc = json.loads((run_dir / "timings.json").read_text(encoding="utf-8"))
+    assert set(doc) == {"load_s", "groups", "write_s", "total_s"}
+    (group,) = doc["groups"].values()
+    for key in ("topic_fit_s", "fold_in_s", "graph_build_s"):
+        assert group[key] >= 0.0
+    assert len(group["trials"]) == 2
+    for trial in group["trials"]:
+        assert trial["train_s"] > 0.0 and trial["val_s"] >= 0.0
+    stages = (doc["load_s"] + doc["write_s"] + group["topic_fit_s"]
+              + group["fold_in_s"] + group["graph_build_s"]
+              + sum(t["train_s"] + t["val_s"] for t in group["trials"]))
+    assert stages <= doc["total_s"]
+
+
 def test_manifest_reload(run_dir, synth_small):
     root, _ = synth_small
     config, groups, got_dir = read_manifest(run_dir)
@@ -229,6 +248,22 @@ def test_eval_single_trial_and_ablation(run_dir):
                "--score-norm"])
     assert rc == 0
     assert (run_dir / "report-val-full-zscore.csv").is_file()
+
+
+def test_eval_folds_in_once_per_group(run_dir, monkeypatch):
+    calls = []
+    original = cosd.topics.fold_in
+
+    def counting(models, docs, seeds, sweeps=50):
+        calls.append(len(docs))
+        return original(models, docs, seeds, sweeps)
+
+    monkeypatch.setattr(cosd.topics, "fold_in", counting)
+    assert main(["eval", "--run", str(run_dir), "--split", "test"]) == 0
+    assert len(calls) == 1  # one group, two trials
+    lines = (run_dir / "report-test-full.csv").read_text(
+        encoding="utf-8").strip().splitlines()
+    assert len(lines) == 1 + 2 + 1  # header, two trials, mean
 
 
 def test_predict_writes_tsv(run_dir, synth_small, tmp_path, capsys):
@@ -355,6 +390,15 @@ def test_eval_on_non_run_dir(tmp_path, capsys):
                     needle="run.json")
 
 
+def test_eval_on_truncated_topic_model(run_dir, tmp_path, capsys):
+    copy = tmp_path / "run"
+    shutil.copytree(run_dir, copy)
+    lda = copy / "lda" / f"{SLUG}.none.lda1"
+    lda.write_bytes(lda.read_bytes()[:-3])
+    _expect_failure(["eval", "--run", str(copy), "--split", "test"], capsys,
+                    needle=f"{SLUG}.none.lda1")
+
+
 def test_eval_on_truncated_checkpoint(run_dir, tmp_path, capsys):
     copy = tmp_path / "run"
     shutil.copytree(run_dir, copy)
@@ -406,3 +450,77 @@ def test_topics_table_and_csv(synth_small, tmp_path, capsys):
     assert main(argv[:-1] + [str(again)]) == 0
     capsys.readouterr()
     assert again.read_bytes() == out.read_bytes()
+
+
+# --- predict agrees with eval on interleaved targets -------------------------------
+
+
+OTHER = "Other Policy"
+
+
+@pytest.fixture(scope="module")
+def two_target_run(tmp_path_factory, synth_small):
+    """The small synthetic corpus with every other row moved to a second
+    target, trained per target for one trial."""
+    root, paths = synth_small
+    data = tmp_path_factory.mktemp("two-target")
+    for split in ("train", "val", "test"):
+        header, *rows = (root / f"{split}.tsv").read_text(
+            encoding="utf-8").splitlines()
+        lines = [header]
+        for i, row in enumerate(rows):
+            cells = row.split("\t")
+            if i % 2:
+                cells[1] = OTHER
+            lines.append("\t".join(cells))
+        (data / f"{split}.tsv").write_text("\n".join(lines) + "\n",
+                                          encoding="utf-8")
+    store = training.load_embeddings(paths["embeddings"])
+    (target_vec,) = store.targets.values()
+    records = list(store.tokens.items())
+    records += [(f"target:{name}", target_vec)
+                for name in ("Synthetic Policy", OTHER)]
+    records += [(f"label:{k}", store.labels[k]) for k in training.LABEL_KEYS]
+    emb = data / "two.emb1"
+    training.save_embeddings(emb, records, dim=store.dim)
+    run = data / "run"
+    flags = list(TRAIN_FLAGS)
+    flags[flags.index("--trials") + 1] = "1"
+    assert main(["train", "--dataset", "synthetic", "--data", str(data),
+                 "--embeddings", str(emb), "--out-dir", str(run)] + flags) == 0
+    return data, run
+
+
+@pytest.mark.parametrize("mode", ["full", "no_sem", "no_dis"])
+@pytest.mark.parametrize("norm", [False, True])
+def test_predict_labels_equal_eval_predictions(two_target_run, tmp_path,
+                                               monkeypatch, mode, norm):
+    data, run = two_target_run
+    extra = ["--mode", mode] + (["--score-norm"] if norm else [])
+    out = tmp_path / "preds.tsv"
+    assert main(["predict", "--run", str(run), "--in", str(data / "test.tsv"),
+                 "--out", str(out)] + extra) == 0
+    rows = [line.split("\t") for line in
+            out.read_text(encoding="utf-8").strip().splitlines()[1:]]
+    inputs = [line.split("\t") for line in
+              (data / "test.tsv").read_text(encoding="utf-8")
+              .strip().splitlines()[1:]]
+    assert [r[0] for r in rows] == [r[0] for r in inputs]  # input order
+    assert {r[1] for r in inputs} == {"Synthetic Policy", OTHER}
+
+    # eval scores the split group by group; record its predictions
+    evaluated = []
+    original = cosd.inference.score_batch
+
+    def recording(*args, **kwargs):
+        scores = original(*args, **kwargs)
+        evaluated.extend(label.value for label in scores.predicted)
+        return scores
+
+    monkeypatch.setattr(cosd.inference, "score_batch", recording)
+    assert main(["eval", "--run", str(run), "--split", "test"] + extra) == 0
+    _, groups, _ = read_manifest(run)
+    eval_ids = [r[0] for g in groups for r in inputs if r[1] == g["name"]]
+    assert dict(zip(eval_ids, evaluated)) == {r[0]: r[1] for r in rows}
+    assert len(evaluated) == len(rows)
+    assert np.isfinite([float(x) for r in rows for x in r[2:]]).all()

@@ -1,9 +1,8 @@
-"""Scoring-path tests: semantic and distributed scores, ablation bundles,
-end-to-end predict on the synthetic corpus, retrieval, attention export.
+"""Scoring-path tests: semantic and distributed scores, ablation modes,
+end-to-end batch scoring on the synthetic corpus, retrieval, attention export.
 
-distributed_score is verified by brute-force enumeration of every per-block
-inner product; the batched scorers must agree with the single-example path
-row for row.
+distributed_scores is verified by brute-force enumeration of every per-block
+inner product; a batch must agree with one-row calls row for row.
 """
 
 import csv
@@ -11,26 +10,39 @@ import csv
 import numpy as np
 import pytest
 
-from cosd.corpus import Stance, load_semeval, stance_subsets
-from cosd.cpa import CpaCheckpoint, CpaWeights, infer_transform, init_cpa_weights
+from cosd.corpus import Split, Stance, load_semeval, stance_subsets
+from cosd.cpa import CpaWeights, infer_transform, init_cpa_weights
 from cosd.inference import (
     InferenceError,
     argmax_labels,
-    distributed_rep,
-    distributed_score,
     distributed_scores,
     export_attention,
     final_train_reps,
-    make_bundle,
-    predict,
-    semantic_score,
+    score_batch,
     semantic_scores,
     top_k_similar,
     zscore_rows,
 )
 from cosd.numerics import Tensor
 from cosd.topics import fit_triple
-from cosd.training import TrainConfig, build_group_data, load_embeddings, train_group
+from cosd.training import (TrainConfig, TrainingError, build_group_data,
+                           fold_in_matrix, load_embeddings, semantic_matrix,
+                           train_group)
+
+ZERO_WEIGHTS = CpaWeights(w1=[Tensor(np.zeros((3, 2)))],
+                          w2=[Tensor(np.zeros((3, 2)))])
+
+
+def _scored(sem, dis, topic_table=np.eye(3), **kwargs):
+    """score_batch on one row whose raw score triples are sem and dis.
+
+    The identity label table makes the semantic scores the row itself. With
+    H = 1, the identity topic table and zero weights, the distributed scores
+    are the row's topic distribution, so dis must sum to 1.
+    """
+    return score_batch(np.array([sem], dtype=float),
+                       np.array([dis], dtype=float), np.eye(3), topic_table,
+                       ZERO_WEIGHTS, **kwargs)
 
 
 # --- semantic score -------------------------------------------------------------
@@ -38,19 +50,19 @@ from cosd.training import TrainConfig, build_group_data, load_embeddings, train_
 
 def test_semantic_score_orthonormal_rows():
     z = np.eye(3, 6)
-    assert np.allclose(semantic_score(z[0], z), [1.0, 0.0, 0.0])
-    assert np.allclose(semantic_score(np.zeros(6), z), [0.0, 0.0, 0.0])
+    assert np.allclose(semantic_scores(z[:1], z), [[1.0, 0.0, 0.0]])
+    assert np.allclose(semantic_scores(np.zeros((1, 6)), z), [[0.0, 0.0, 0.0]])
 
 
 def test_semantic_score_hand_inner_products():
     rng = np.random.default_rng(0)
     e = rng.standard_normal(4)
     z = rng.standard_normal((3, 4))
-    got = semantic_score(e, z)
+    got = semantic_scores(e[None], z)[0]
     for j in range(3):
         assert got[j] == pytest.approx(sum(e[k] * z[j, k] for k in range(4)))
     with pytest.raises(InferenceError):
-        semantic_score(e, z[:, :3])
+        semantic_scores(e[None], z[:, :3])
 
 
 def test_semantic_scores_batch_matches_single():
@@ -60,20 +72,38 @@ def test_semantic_scores_batch_matches_single():
     batch = semantic_scores(mat, z)
     assert batch.shape == (5, 3)
     for i in range(5):
-        assert np.allclose(batch[i], semantic_score(mat[i], z))
+        assert np.allclose(batch[i], semantic_scores(mat[i:i + 1], z)[0])
 
 
 # --- distributed score ------------------------------------------------------------
 
 
+def _block_max_oracle(dis, u, weights):
+    """Per stance block, max over its topics of the transformed products."""
+    e_dis = infer_transform(sum(dis[j] * u[j] for j in range(len(dis))),
+                            weights)
+    products = [float(infer_transform(u[j], weights) @ e_dis)
+                for j in range(len(dis))]
+    h = len(dis) // 3
+    return [max(products[b * h:(b + 1) * h]) for b in range(3)]
+
+
 def test_distributed_rep_one_hot_and_uniform():
     rng = np.random.default_rng(2)
     u = rng.standard_normal((6, 5))
+    weights = init_cpa_weights(d0=5, d1=3, hops=2, seed=3)
+    u_tilde = infer_transform(u, weights)
     one_hot = np.zeros(6)
     one_hot[4] = 1.0
-    assert np.allclose(distributed_rep(one_hot, u), u[4])
+    # a one-hot row mixes in exactly that topic's embedding
+    expect = (u_tilde @ u_tilde[4]).reshape(3, 2).max(axis=1)
+    assert np.allclose(distributed_scores(one_hot[None], u, weights)[0],
+                       expect)
     uniform = np.full(6, 1.0 / 6.0)
-    assert np.allclose(distributed_rep(uniform, u), u.mean(axis=0))
+    e_mean = infer_transform(u.mean(axis=0), weights)
+    expect = (u_tilde @ e_mean).reshape(3, 2).max(axis=1)
+    assert np.allclose(distributed_scores(uniform[None], u, weights)[0],
+                       expect)
 
 
 def test_distributed_rep_matches_loop_and_validates():
@@ -81,13 +111,13 @@ def test_distributed_rep_matches_loop_and_validates():
     u = rng.standard_normal((6, 4))
     dis = rng.random(6)
     dis /= dis.sum()
-    got = distributed_rep(dis, u)
-    expect = sum(dis[j] * u[j] for j in range(6))
-    assert np.allclose(got, expect)
+    weights = init_cpa_weights(d0=4, d1=3, hops=1, seed=4)
+    got = distributed_scores(dis[None], u, weights)[0]
+    assert np.allclose(got, _block_max_oracle(dis, u, weights))
     with pytest.raises(InferenceError):
-        distributed_rep(dis * 2.0, u)
+        distributed_scores((dis * 2.0)[None], u, weights)
     with pytest.raises(InferenceError):
-        distributed_rep(dis[:5], u)
+        distributed_scores(dis[None, :5], u, weights)
 
 
 def test_distributed_score_h1_reduces_to_inner_products():
@@ -95,7 +125,7 @@ def test_distributed_score_h1_reduces_to_inner_products():
     u = rng.standard_normal((3, 5))
     dis = np.array([0.6, 0.3, 0.1])
     weights = init_cpa_weights(d0=5, d1=3, hops=1, seed=0)
-    got = distributed_score(dis, u, weights)
+    got = distributed_scores(dis[None], u, weights)[0]
     e_dis = infer_transform(dis @ u, weights)
     u_tilde = infer_transform(u, weights)
     assert np.allclose(got, u_tilde @ e_dis)
@@ -109,7 +139,7 @@ def test_distributed_score_zero_weights_uses_raw_blocks():
     dis /= dis.sum()
     zero = CpaWeights(w1=[Tensor(np.zeros((4, 2)))],
                       w2=[Tensor(np.zeros((4, 2)))])
-    got = distributed_score(dis, u, zero)
+    got = distributed_scores(dis[None], u, zero)[0]
     raw = u @ (dis @ u)  # transform appends zero tails, inner products survive
     assert np.allclose(got, raw.reshape(3, h).max(axis=1))
 
@@ -121,7 +151,7 @@ def test_distributed_score_brute_force_h2():
     dis = rng.random(3 * h)
     dis /= dis.sum()
     weights = init_cpa_weights(d0=5, d1=3, hops=2, seed=1)
-    got = distributed_score(dis, u, weights)
+    got = distributed_scores(dis[None], u, weights)[0]
     e_dis = infer_transform(dis @ u, weights)
     products = [float(infer_transform(u[j], weights) @ e_dis)
                 for j in range(6)]
@@ -141,11 +171,15 @@ def test_distributed_scores_batch_matches_single():
     batch = distributed_scores(dis_matrix, u, weights)
     assert batch.shape == (4, 3)
     for i in range(4):
-        assert np.allclose(batch[i], distributed_score(dis_matrix[i], u, weights))
+        assert np.allclose(batch[i], _block_max_oracle(dis_matrix[i], u,
+                                                       weights))
+        assert np.allclose(batch[i],
+                           distributed_scores(dis_matrix[i:i + 1], u,
+                                              weights)[0])
     assert distributed_scores(np.zeros((0, 6)), u, weights).shape == (0, 3)
 
 
-# --- bundles and ablations ---------------------------------------------------------
+# --- modes and score normalization -------------------------------------------------
 
 
 def test_argmax_tie_break_label_order():
@@ -155,28 +189,34 @@ def test_argmax_tie_break_label_order():
 
 
 def test_bundle_modes_zero_one_side():
-    sem = np.array([1.0, 0.0, 0.0])
-    dis = np.array([0.0, 0.0, 2.0])
-    full = make_bundle(sem, dis, mode="full")
-    assert full.predicted is Stance.AGAINST
-    assert np.allclose(full.total, [1.0, 0.0, 2.0])
-    no_sem = make_bundle(sem, dis, mode="no_sem")
+    sem = [0.5, 0.0, 0.0]
+    dis = [0.0, 0.0, 1.0]
+    full = _scored(sem, dis, mode="full")
+    assert full.predicted == [Stance.AGAINST]
+    assert np.allclose(full.total, [[0.5, 0.0, 1.0]])
+    no_sem = _scored(sem, dis, mode="no_sem")
     assert np.allclose(no_sem.sem, 0.0)
-    assert no_sem.predicted is Stance.AGAINST
-    no_dis = make_bundle(sem, dis, mode="no_dis")
+    assert np.allclose(no_sem.dis, full.dis)
+    assert no_sem.predicted == [Stance.AGAINST]
+    no_dis = _scored(sem, dis, mode="no_dis")
     assert np.allclose(no_dis.dis, 0.0)
-    assert no_dis.predicted is Stance.FAVOR
+    assert np.allclose(no_dis.sem, full.sem)
+    assert no_dis.predicted == [Stance.FAVOR]
     with pytest.raises(InferenceError):
-        make_bundle(sem, dis, mode="nope")
+        _scored(sem, dis, mode="nope")
 
 
 def test_bundle_constant_shift_invariance():
     rng = np.random.default_rng(8)
     sem = rng.standard_normal(3)
-    dis = rng.standard_normal(3)
-    base = make_bundle(sem, dis)
-    shifted = make_bundle(sem + 7.5, dis - 2.25)
-    assert shifted.predicted is base.predicted
+    dis = rng.random(3)
+    dis /= dis.sum()
+    base = _scored(sem, dis)
+    # I + c 11^T as the topic table adds one constant to every dis score
+    shifted = _scored(sem + 7.5, dis, topic_table=np.eye(3) + 0.5)
+    delta = shifted.total - base.total
+    assert np.allclose(delta, delta[0, 0])
+    assert shifted.predicted == base.predicted
 
 
 def test_zscore_rows_standardizes():
@@ -185,10 +225,34 @@ def test_zscore_rows_standardizes():
     assert np.allclose(out[0].mean(), 0.0)
     assert np.allclose(out[0].std(), 1.0)
     assert np.array_equal(out[1], np.zeros(3))
-    constant = make_bundle(np.array([2.0, 2.0, 2.0]),
-                           np.array([0.0, 1.0, 0.0]), score_norm=True)
+    constant = _scored([2.0, 2.0, 2.0], [0.0, 1.0, 0.0], score_norm=True)
     assert np.allclose(constant.sem, 0.0)
-    assert constant.predicted is Stance.NONE
+    assert constant.predicted == [Stance.NONE]
+
+
+def test_score_batch_rows_match_one_row_calls():
+    rng = np.random.default_rng(9)
+    h = 2
+    z = rng.standard_normal((3, 5))
+    u = rng.standard_normal((3 * h, 5))
+    weights = init_cpa_weights(d0=5, d1=3, hops=2, seed=5)
+    sem_rows = rng.standard_normal((6, 5))
+    dis_rows = rng.random((6, 3 * h))
+    dis_rows /= dis_rows.sum(axis=1, keepdims=True)
+    for mode in ("full", "no_sem", "no_dis"):
+        for norm in (False, True):
+            batch = score_batch(sem_rows, dis_rows, z, u, weights, mode=mode,
+                                score_norm=norm)
+            assert np.array_equal(batch.total, batch.sem + batch.dis)
+            for i in range(6):
+                one = score_batch(sem_rows[i:i + 1], dis_rows[i:i + 1], z, u,
+                                  weights, mode=mode, score_norm=norm)
+                assert np.allclose(one.total[0], batch.total[i])
+                assert one.predicted[0] is batch.predicted[i]
+    with pytest.raises(InferenceError):
+        score_batch(sem_rows[:5], dis_rows, z, u, weights)
+    empty = score_batch(sem_rows[:0], dis_rows[:0], z, u, weights)
+    assert empty.total.shape == (0, 3) and empty.predicted == []
 
 
 # --- end-to-end on synthetic data ---------------------------------------------------
@@ -212,49 +276,50 @@ def trained(synth_small):
     return dataset, store, triple, data, result
 
 
+def _score_examples(examples, store, triple, ckpt, **kwargs):
+    return score_batch(semantic_matrix(examples, store),
+                       fold_in_matrix(examples, triple, 10, 4),
+                       ckpt.z, ckpt.u, ckpt.weights(), **kwargs)
+
+
 def test_predict_returns_bundles_and_beats_chance(trained):
     dataset, store, triple, data, result = trained
-    from cosd.corpus import Split
-
     test_examples = dataset.split(Split.TEST)
-    hits = 0
-    for ex in test_examples:
-        bundle = predict(ex, store, triple, result.checkpoint,
-                         fold_in_sweeps=10, seed=4)
-        assert np.allclose(bundle.total, bundle.sem + bundle.dis)
-        hits += int(bundle.predicted is ex.stance)
+    scores = _score_examples(test_examples, store, triple, result.checkpoint)
+    assert np.array_equal(scores.total, scores.sem + scores.dis)
+    hits = sum(p is ex.stance for p, ex in zip(scores.predicted,
+                                               test_examples))
     assert hits / len(test_examples) > 0.5  # chance is 1/3
 
 
 def test_predict_deterministic_and_validates_records(trained):
     dataset, store, triple, data, result = trained
-    ex = dataset.examples[0]
-    a = predict(ex, store, triple, result.checkpoint, fold_in_sweeps=10, seed=4)
-    b = predict(ex, store, triple, result.checkpoint, fold_in_sweeps=10, seed=4)
+    examples = dataset.examples[:3]
+    a = _score_examples(examples, store, triple, result.checkpoint)
+    b = _score_examples(examples, store, triple, result.checkpoint)
     assert np.array_equal(a.total, b.total)
     from dataclasses import replace
 
-    ghost = replace(ex, id="not-in-store")
-    with pytest.raises(InferenceError):
-        predict(ghost, store, triple, result.checkpoint)
-    stranger = replace(ex, target="Unknown Target")
-    with pytest.raises(InferenceError):
-        predict(stranger, store, triple, result.checkpoint)
+    ghost = replace(examples[0], id="not-in-store")
+    with pytest.raises(TrainingError):
+        _score_examples([ghost], store, triple, result.checkpoint)
+    stranger = replace(examples[0], target="Unknown Target")
+    with pytest.raises(TrainingError):
+        _score_examples([stranger], store, triple, result.checkpoint)
 
 
 def test_predict_modes_agree_with_bundle_rules(trained):
     dataset, store, triple, data, result = trained
-    ex = dataset.examples[0]
-    full = predict(ex, store, triple, result.checkpoint, fold_in_sweeps=10,
-                   seed=4)
-    no_sem = predict(ex, store, triple, result.checkpoint, mode="no_sem",
-                     fold_in_sweeps=10, seed=4)
-    no_dis = predict(ex, store, triple, result.checkpoint, mode="no_dis",
-                     fold_in_sweeps=10, seed=4)
+    examples = dataset.examples[:5]
+    full = _score_examples(examples, store, triple, result.checkpoint)
+    no_sem = _score_examples(examples, store, triple, result.checkpoint,
+                             mode="no_sem")
+    no_dis = _score_examples(examples, store, triple, result.checkpoint,
+                             mode="no_dis")
     assert np.allclose(no_sem.sem, 0.0)
-    assert np.allclose(no_sem.dis, full.dis)
+    assert np.array_equal(no_sem.dis, full.dis)
     assert np.allclose(no_dis.dis, 0.0)
-    assert np.allclose(no_dis.sem, full.sem)
+    assert np.array_equal(no_dis.sem, full.sem)
 
 
 # --- retrieval and attention ---------------------------------------------------------

@@ -2,24 +2,27 @@
 
 Hand-computed oracles cover coherence and the single-topic perplexity case;
 the planted-corpus recovery check runs a reduced version of the acceptance
-setup so regressions surface here first.
+setup so regressions surface here first. The batched lockstep fold-in must
+equal, bit for bit, the one-doc one-model sequential sampler kept here as
+the oracle.
 """
+
+import struct
 
 import numpy as np
 import pytest
 
 from conftest import greedy_match_tv, planted_corpus
 from cosd.corpus import Vocabulary
+import cosd.topics
 from cosd.topics import (
     GibbsLda,
     LdaModel,
-    TopicDistribution,
     TopicModelTriple,
     TopicsError,
-    dis_vector,
-    doc_topic_posterior,
     fit_lda,
     fit_triple,
+    fold_in,
     load_lda,
     perplexity,
     save_lda,
@@ -104,7 +107,7 @@ def test_fit_lda_with_explicit_vocab_drops_unknown_tokens():
     vocab = Vocabulary.from_docs([["alpha", "beta"]])
     m = fit_lda([["gamma", "delta"]], h=2, sweeps=3, seed=0, vocab=vocab)
     assert m.topic_word_counts.sum() == 0
-    theta = doc_topic_posterior(m, ["gamma"], sweeps=5, seed=0)
+    theta = fold_in([m], [["gamma"]], [0], sweeps=5)[0]
     assert np.allclose(theta, [0.5, 0.5])
 
 
@@ -169,49 +172,99 @@ def test_fit_triple_builds_union_vocab_and_distinct_models():
                 and np.array_equal(tables[1], tables[2]))
 
 
-def test_topic_distribution_validation_and_blocks():
-    vals = np.array([0.5, 0.1, 0.2, 0.05, 0.1, 0.05])
-    d = TopicDistribution(values=vals, h=2)
-    assert np.allclose(d.block(0), [0.5, 0.1])
-    assert np.allclose(d.block(2), [0.1, 0.05])
-    with pytest.raises(TopicsError):
-        TopicDistribution(values=vals[:5], h=2)
-    with pytest.raises(TopicsError):
-        TopicDistribution(values=vals * 2, h=2)
-    bad = vals.copy()
-    bad[0], bad[1] = 0.7, -0.1
-    with pytest.raises(TopicsError):
-        TopicDistribution(values=bad, h=2)
-
-
 # --- fold-in ----------------------------------------------------------------
+
+
+def doc_topic_posterior(model: LdaModel, tokens, sweeps: int = 50,
+                        seed: int = 0) -> np.ndarray:
+    """Oracle: the scalar one-doc, one-model fold-in sampler.
+
+    Topic-word counts stay frozen; only the doc-local topic counts move.
+    Empty or fully out-of-vocabulary docs return the uniform prior.
+    """
+    index = model.vocab.index
+    ids = [index[t] for t in tokens if t in index]
+    h = model.h
+    if len(ids) == 0 or h == 1:
+        return np.full(h, 1.0 / h)
+    rng = np.random.default_rng(seed)
+    alpha = model.alpha
+    denom = model.topic_totals + model.beta * len(model.vocab)
+    # counts are frozen, so the word factor of the conditional is a constant
+    # per distinct word; precompute it once per token position
+    factor = {}
+    for w in set(ids):
+        factor[w] = ((model.topic_word_counts[:, w] + model.beta)
+                     / denom).tolist()
+    pos_factor = [factor[w] for w in ids]
+    z = rng.integers(0, h, size=len(ids)).tolist()
+    local = [0.0] * h
+    for k in z:
+        local[k] += 1.0
+    uniforms = rng.random(sweeps * len(ids)).tolist()
+    probs = [0.0] * h
+    pos = 0
+    for _ in range(sweeps):
+        for j, fw in enumerate(pos_factor):
+            local[z[j]] -= 1.0
+            total = 0.0
+            for t in range(h):
+                p = (local[t] + alpha) * fw[t]
+                probs[t] = p
+                total += p
+            u = uniforms[pos]
+            pos += 1
+            if total <= 0.0:
+                k = int(u * h)
+            else:
+                u *= total
+                acc = 0.0
+                for k in range(h):
+                    acc += probs[k]
+                    if u <= acc:
+                        break
+            z[j] = k
+            local[k] += 1.0
+    return (np.array(local) + alpha) / (len(ids) + h * alpha)
+
+
+def _oracle_rows(models, docs, seeds, sweeps):
+    return np.stack([
+        np.concatenate([doc_topic_posterior(m, doc, sweeps=sweeps, seed=seed)
+                        for m in models])
+        for doc, seed in zip(docs, seeds)])
+
+
+def _mixed_docs(docs):
+    """Planted docs of mixed lengths plus empty, all-OOV and part-OOV docs."""
+    return ([docs[0][:3], [], docs[1], ["zzz", "qqq"], docs[2][:1],
+             ["zzz"] + docs[3][:5]] + docs[4:12])
 
 
 def test_posterior_sums_to_one_and_is_seed_deterministic():
     docs, _ = planted_corpus(n_docs=40, seed=8)
     m = fit_lda(docs, h=3, sweeps=30, seed=1)
-    for i in range(5):
-        theta = doc_topic_posterior(m, docs[i], sweeps=20, seed=i)
-        again = doc_topic_posterior(m, docs[i], sweeps=20, seed=i)
-        assert theta.shape == (3,)
-        assert theta.sum() == pytest.approx(1.0)
-        assert (theta > 0).all()
-        assert np.array_equal(theta, again)
+    theta = fold_in([m], docs[:5], list(range(5)), sweeps=20)
+    again = fold_in([m], docs[:5], list(range(5)), sweeps=20)
+    assert theta.shape == (5, 3)
+    assert np.allclose(theta.sum(axis=1), 1.0)
+    assert (theta > 0).all()
+    assert np.array_equal(theta, again)
 
 
 def test_posterior_uniform_for_empty_oov_and_single_topic():
     m = _model([[3, 1], [1, 3]], ["a", "b"])
-    assert np.allclose(doc_topic_posterior(m, []), [0.5, 0.5])
-    assert np.allclose(doc_topic_posterior(m, ["zzz"]), [0.5, 0.5])
+    assert np.allclose(fold_in([m], [[], ["zzz"]], [0, 0]), 0.5)
     single = _model([[3, 1]], ["a", "b"])
-    assert np.allclose(doc_topic_posterior(single, ["a", "b"]), [1.0])
+    assert np.allclose(fold_in([single], [["a", "b"]], [0]), [[1.0]])
+    assert fold_in([m], [], []).shape == (0, 2)
 
 
 def test_posterior_concentrates_on_matching_topic():
     # topic 0 emits only "a", topic 1 only "b"; a pure-"a" doc should land
     # almost all of its mass on topic 0 despite the smoothing prior
     m = _model([[100, 0], [0, 100]], ["a", "b"], alpha=0.1)
-    theta = doc_topic_posterior(m, ["a"] * 6, sweeps=30, seed=0)
+    theta = fold_in([m], [["a"] * 6], [0], sweeps=30)[0]
     assert theta[0] > 0.9
 
 
@@ -220,11 +273,92 @@ def test_dis_vector_concatenates_thirds():
     split = len(docs) // 3
     triple = fit_triple(docs[:split], docs[split:2 * split],
                         docs[2 * split:], h=2, sweeps=15, seed=4)
-    d = dis_vector(triple, docs[0], sweeps=10, seed=5)
-    assert d.values.shape == (6,)
-    assert d.values.sum() == pytest.approx(1.0)
-    for i in range(3):
-        assert d.block(i).sum() == pytest.approx(1.0 / 3.0)
+    rows = fold_in(triple.models, docs[:2], [5, 6], sweeps=10)
+    assert rows.shape == (2, 6)
+    # one posterior per model side by side, each a distribution
+    assert np.allclose(rows.reshape(2, 3, 2).sum(axis=2), 1.0)
+
+
+@pytest.mark.parametrize("h", [1, 2, 3, 5, 7])
+def test_fold_in_equals_scalar_oracle(h):
+    docs, _ = planted_corpus(n_docs=30, seed=20 + h)
+    split = len(docs) // 3
+    triple = fit_triple(docs[:split], docs[split:2 * split],
+                        docs[2 * split:], h=h, sweeps=10, seed=h)
+    batch = _mixed_docs(docs)
+    seeds = [100 + 7 * i for i in range(len(batch))]
+    got = fold_in(triple.models, batch, seeds, sweeps=6)
+    assert got.shape == (len(batch), 3 * h)
+    assert np.array_equal(got, _oracle_rows(triple.models, batch, seeds, 6))
+    one = fold_in([triple.none], batch, seeds, sweeps=6)
+    assert np.array_equal(one, _oracle_rows([triple.none], batch, seeds, 6))
+
+
+def test_fold_in_zero_beta_unseen_word_takes_flat_branch():
+    # beta = 0: "c" has zero count under every topic of the first model, so
+    # its conditional is all zeros and the sampler draws int(u * H); the
+    # models' priors differ, so each chain must use its own model's alpha
+    vocab = ["a", "b", "c"]
+    models = [_model([[4, 1, 0], [1, 4, 0], [2, 2, 0]], vocab, beta=0.0),
+              _model([[4, 1, 1], [1, 4, 2], [2, 2, 3]], vocab, alpha=2.0,
+                     beta=0.0)]
+    docs = [["c", "c", "a"], ["c"], ["a", "b", "c", "c", "b"], ["b"]]
+    seeds = [3, 1, 4, 1]
+    got = fold_in(models, docs, seeds, sweeps=8)
+    assert np.array_equal(got, _oracle_rows(models, docs, seeds, 8))
+
+
+def test_fold_in_rows_independent_of_batch(monkeypatch):
+    docs, _ = planted_corpus(n_docs=30, seed=11)
+    split = len(docs) // 3
+    triple = fit_triple(docs[:split], docs[split:2 * split],
+                        docs[2 * split:], h=3, sweeps=10, seed=2)
+    batch = _mixed_docs(docs)
+    seeds = [50 + i for i in range(len(batch))]
+    full = fold_in(triple.models, batch, seeds, sweeps=5)
+    perm = np.random.default_rng(0).permutation(len(batch))
+    permuted = fold_in(triple.models, [batch[i] for i in perm],
+                       [seeds[i] for i in perm], sweeps=5)
+    assert np.array_equal(permuted, full[perm])
+    for i in (0, 2, len(batch) - 1):
+        alone = fold_in(triple.models, [batch[i]], [seeds[i]], sweeps=5)
+        assert np.array_equal(alone[0], full[i])
+    # lockstep batches smaller than the doc count give the same rows
+    monkeypatch.setattr(cosd.topics, "_FOLD_IN_BATCH", 3)
+    assert np.array_equal(fold_in(triple.models, batch, seeds, sweeps=5),
+                          full)
+
+
+def test_fold_in_uniforms_drawn_in_sweep_chunks_match_oracle(monkeypatch):
+    docs, _ = planted_corpus(n_docs=30, seed=12)
+    split = len(docs) // 3
+    triple = fit_triple(docs[:split], docs[split:2 * split],
+                        docs[2 * split:], h=3, sweeps=10, seed=4)
+    batch = [docs[0][:3], docs[1], docs[2][:1], docs[3][:5]] + docs[4:12]
+    seeds = [70 + i for i in range(len(batch))]
+    oracle = _oracle_rows(triple.models, batch, seeds, 7)
+    # one padded sweep holds longest length x docs uniforms; budgets of 1,
+    # 2 and 3 sweeps leave a short last chunk out of 7 sweeps
+    n_max = max(len(doc) for doc in batch)
+    for per_chunk in (1, 2, 3):
+        monkeypatch.setattr(cosd.topics, "_FOLD_IN_UNIFORMS",
+                            per_chunk * n_max * len(batch))
+        assert np.array_equal(fold_in(triple.models, batch, seeds, sweeps=7),
+                              oracle)
+
+
+def test_fold_in_rejects_mismatched_inputs():
+    a = _model([[3, 1], [1, 3]], ["a", "b"])
+    other_vocab = _model([[3, 1], [1, 3]], ["a", "c"])
+    other_h = _model([[3, 1], [1, 3], [2, 2]], ["a", "b"])
+    with pytest.raises(TopicsError):
+        fold_in([a, other_vocab], [["a"]], [0])
+    with pytest.raises(TopicsError):
+        fold_in([a, other_h], [["a"]], [0])
+    with pytest.raises(TopicsError):
+        fold_in([a], [["a"], ["b"]], [0])
+    with pytest.raises(TopicsError):
+        fold_in([], [["a"]], [0])
 
 
 # --- corpus-level scores ------------------------------------------------------
@@ -321,3 +455,26 @@ def test_lda_file_rejects_corruption(tmp_path):
     trailing.write_bytes(raw + b"\x00")
     with pytest.raises(TopicsError):
         load_lda(trailing)
+    nan_alpha = tmp_path / "nan.lda1"
+    nan_alpha.write_bytes(raw[:12] + struct.pack("<d", float("nan"))
+                          + raw[20:])
+    with pytest.raises(TopicsError, match="finite"):
+        load_lda(nan_alpha)
+    bad_text = tmp_path / "text.lda1"
+    # the first vocabulary token's bytes follow its u32 length
+    first = 4 + 8 + 16 + 4 + 8 * m.h * len(m.vocab) + 4
+    bad_text.write_bytes(raw[:first] + b"\xff" + raw[first + 1:])
+    with pytest.raises(TopicsError, match="UTF-8"):
+        load_lda(bad_text)
+
+
+def test_lda_truncated_at_every_offset_raises_topics_error(tmp_path):
+    m = _model([[3, 1, 0], [1, 3, 2]], ["a", "bb", "ccc"])
+    path = tmp_path / "model.lda1"
+    save_lda(m, path, sidecar=False)
+    raw = path.read_bytes()
+    cut = tmp_path / "cut.lda1"
+    for size in range(len(raw)):
+        cut.write_bytes(raw[:size])
+        with pytest.raises(TopicsError, match="cut.lda1"):
+            load_lda(cut)

@@ -16,6 +16,7 @@ from cosd.corpus import Stance, load_semeval, stance_subsets
 from cosd.numerics import AdamState, Tensor, adam_step, add, backward, gather_rows
 from cosd.topics import fit_triple
 from cosd.training import (
+    EmbeddingWriter,
     EncoderStore,
     TrainConfig,
     TrainingError,
@@ -65,7 +66,8 @@ def test_embeddings_round_trip(tmp_path):
     # storage is float32; loaded values are the rounded ones exactly
     assert np.array_equal(store.tokens["ex-1"],
                           records[0][1].astype(np.float32).astype(np.float64))
-    assert np.allclose(store.pooled["ex-1"], store.tokens["ex-1"].mean(axis=0))
+    assert np.array_equal(store.pooled["ex-1"],
+                          store.tokens["ex-1"].mean(axis=0))
     assert np.array_equal(store.pooled["ex-2"], store.tokens["ex-2"][0])
     assert np.allclose(store.labels["against"],
                        records[5][1].astype(np.float32).mean(axis=0))
@@ -77,6 +79,29 @@ def test_embeddings_writer_is_deterministic(tmp_path):
     save_embeddings(a, records, dim=8)
     save_embeddings(b, records, dim=8)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_embedding_writer_streams_the_save_embeddings_bytes(tmp_path):
+    records = _records(np.random.default_rng(3))
+    whole, streamed = tmp_path / "whole.emb1", tmp_path / "streamed.emb1"
+    save_embeddings(whole, records, dim=8)
+    with EmbeddingWriter(streamed, len(records), dim=8) as out:
+        for rec_id, mat in records:
+            out.write(rec_id, mat)
+    assert streamed.read_bytes() == whole.read_bytes()
+
+
+def test_embedding_writer_enforces_the_header_count(tmp_path):
+    with pytest.raises(TrainingError, match="1 records written, header"):
+        with EmbeddingWriter(tmp_path / "short.emb1", 2, dim=4) as out:
+            out.write("a", np.ones(4))
+    with EmbeddingWriter(tmp_path / "long.emb1", 1, dim=4) as out:
+        out.write("a", np.ones(4))
+        with pytest.raises(TrainingError, match="past the header's count"):
+            out.write("b", np.ones(4))
+    with pytest.raises(TrainingError, match="has dim 3"):
+        with EmbeddingWriter(tmp_path / "dim.emb1", 1, dim=4) as out:
+            out.write("a", np.ones(3))
 
 
 def test_embeddings_single_record_store(tmp_path):
@@ -108,12 +133,20 @@ def test_embeddings_corruption_errors(tmp_path):
     with pytest.raises(TrainingError):
         load_embeddings(trailing, expect_dim=8)
 
+    # padded to the size of a one-row record, so the count is plausible
     zero_rows = tmp_path / "zero.emb1"
     zero_rows.write_bytes(b"EMB1" + struct.pack("<II", 1, 4)
                           + struct.pack("<I", 1) + b"x"
-                          + struct.pack("<I", 0))
-    with pytest.raises(TrainingError):
+                          + struct.pack("<I", 0) + bytes(16))
+    with pytest.raises(TrainingError, match="zero rows"):
         load_embeddings(zero_rows, expect_dim=4)
+
+    # a count the file cannot hold fails before anything is allocated
+    huge_count = tmp_path / "count.emb1"
+    huge_count.write_bytes(b"EMB1" + struct.pack("<II", 2**32 - 1, 4)
+                           + raw[12:])
+    with pytest.raises(TrainingError, match="records cannot fit"):
+        load_embeddings(huge_count, expect_dim=4)
 
     dupe = tmp_path / "dupe.emb1"
     save_embeddings(dupe, [("x", np.ones((1, 4))), ("x", np.ones((1, 4)))],
@@ -128,6 +161,28 @@ def test_embeddings_corruption_errors(tmp_path):
 
     with pytest.raises(TrainingError):
         load_embeddings(tmp_path / "absent.emb1", expect_dim=8)
+
+
+def test_embeddings_truncated_at_every_offset_raise_training_error(tmp_path):
+    path = tmp_path / "vecs.emb1"
+    save_embeddings(path, [("ex-1", np.ones((2, 4))),
+                           ("label:favor", np.ones((1, 4)))], dim=4)
+    raw = path.read_bytes()
+    cut = tmp_path / "cut.emb1"
+    for size in range(len(raw)):
+        cut.write_bytes(raw[:size])
+        with pytest.raises(TrainingError, match="cut.emb1"):
+            load_embeddings(cut, expect_dim=4)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_embeddings_reject_non_finite_values(tmp_path, bad):
+    vecs = np.ones((2, 4))
+    vecs[1, 2] = bad
+    path = tmp_path / "bad.emb1"
+    save_embeddings(path, [("fine", np.ones((1, 4))), ("ex-1", vecs)], dim=4)
+    with pytest.raises(TrainingError, match="'ex-1' has non-finite"):
+        load_embeddings(path, expect_dim=4)
 
 
 def test_label_matrix_order_and_missing():
@@ -336,6 +391,19 @@ def test_fold_in_matrix_rows_are_distributions(synth_setup):
     assert np.array_equal(sub, mat[:2])
     other_seed = fold_in_matrix(pool, triple, sweeps=10, base_seed=6)
     assert not np.array_equal(other_seed, mat)
+
+
+def test_fold_in_matrix_equals_scalar_oracle_thirds(synth_setup):
+    from test_topics import doc_topic_posterior
+
+    dataset, _, target, triple = synth_setup
+    pool = dataset.train_pool(target)[:8]
+    mat = fold_in_matrix(pool, triple, sweeps=7, base_seed=5)
+    for row, ex in zip(mat, pool):
+        seed = derive_seed(5, 101, ex.id)
+        parts = [doc_topic_posterior(m, ex.tokens, sweeps=7, seed=seed)
+                 for m in triple.models]
+        assert np.array_equal(row, np.concatenate(parts) / 3.0)
 
 
 def test_build_group_data_shapes(synth_setup):

@@ -9,11 +9,13 @@ later doubles as text-to-topic edge weights.
 
 from __future__ import annotations
 
+import functools
 import json
+import numbers
 import struct
 from collections.abc import Sequence
-from dataclasses import dataclass
-from math import lgamma
+from dataclasses import dataclass, field
+from math import inf, lgamma
 from pathlib import Path
 
 import numpy as np
@@ -29,18 +31,24 @@ class TopicsError(Exception):
 class GibbsLda:
     """Sequential collapsed Gibbs sampler over a fixed vocabulary.
 
-    State lives in plain Python lists: at H <= 7 the per-token work is a
-    handful of float ops, and array round-trips would dominate. Uniform
-    draws are batched from one PCG64 stream per sampler, so runs are
-    deterministic per seed.
+    State lives in plain Python lists of integer-valued floats: per-doc and
+    per-word topic counts, topic totals and per-doc topic assignments. At
+    the small H used here the per-token work is a handful of float ops, and
+    array round-trips would dominate. sweep() runs a straight-line kernel
+    generated once per H (_sweep_kernel). Uniform draws are batched from one
+    PCG64 stream per sampler, so runs are deterministic per seed.
     """
 
     def __init__(self, doc_ids: list[list[int]], h: int, alpha: float,
                  beta: float, vocab_size: int, seed: int):
-        if h < 1:
-            raise TopicsError(f"H must be >= 1, got {h}")
-        if alpha < 0 or beta < 0:
-            raise TopicsError(f"negative priors: alpha={alpha}, beta={beta}")
+        if not isinstance(h, numbers.Integral) or h < 1:
+            raise TopicsError(f"H must be an integer >= 1, got {h!r}")
+        # beta > 0 keeps every denominator n_k + beta * |V| positive when a
+        # topic empties
+        if not (0 <= alpha < inf and 0 < beta < inf):
+            raise TopicsError(f"priors must be finite with alpha >= 0 and "
+                              f"beta > 0: alpha={alpha}, beta={beta}")
+        h = int(h)
         self.h = h
         self.alpha = float(alpha)
         self.beta = float(beta)
@@ -77,42 +85,10 @@ class GibbsLda:
 
     def sweep(self) -> None:
         """One full Gibbs pass: resample every token's topic assignment."""
-        h = self.h
-        alpha, beta = self.alpha, self.beta
-        beta_v = beta * self.vocab_size
-        n_dk, n_wk, n_k = self._n_dk, self._n_wk, self._n_k
-        uniforms = self.rng.random(self.token_total).tolist()
-        probs = [0.0] * h
-        pos = 0
-        for d, ids in enumerate(self.doc_ids):
-            z_d = self.assignments[d]
-            row = n_dk[d]
-            for j, w in enumerate(ids):
-                k = z_d[j]
-                wrow = n_wk[w]
-                row[k] -= 1.0
-                wrow[k] -= 1.0
-                n_k[k] -= 1.0
-                total = 0.0
-                for t in range(h):
-                    p = (row[t] + alpha) * (wrow[t] + beta) / (n_k[t] + beta_v)
-                    probs[t] = p
-                    total += p
-                u = uniforms[pos]
-                pos += 1
-                if total <= 0.0:
-                    k = int(u * h)
-                else:
-                    u *= total
-                    acc = 0.0
-                    for k in range(h):
-                        acc += probs[k]
-                        if u <= acc:
-                            break
-                z_d[j] = k
-                row[k] += 1.0
-                wrow[k] += 1.0
-                n_k[k] += 1.0
+        _sweep_kernel(self.h)(
+            self.doc_ids, self.assignments, self._n_dk, self._n_wk,
+            self._n_k, self.rng.random(self.token_total).tolist(),
+            self.alpha, self.beta, self.beta * self.vocab_size)
 
     def log_joint(self) -> float:
         """Collapsed log p(w, z) up to assignment-independent constants."""
@@ -127,6 +103,94 @@ class GibbsLda:
         return out
 
 
+# One Gibbs sweep with the loops over topics unrolled for a fixed H. Token
+# by token: unpack the doc, word and topic count rows into locals (d*, w*,
+# n*), take one off the old topic k's locals, form the prefix sums c* of
+# p_t = (n_dt + alpha) * (n_wt + beta) / (n_t + beta * |V|) starting from
+# 0.0, and pick the first t with u * total <= c_t (the last topic if none;
+# int(u * H) if total <= 0). Counts are integer-valued floats, so taking one
+# off and adding it back is exact: the lists are written only when the
+# topic changes.
+_SWEEP_TEMPLATE = """\
+def sweep(doc_ids, assignments, n_dk, n_wk, n_k, uniforms, alpha, beta,
+          beta_v):
+    pos = 0
+    for ids, z_d, row in zip(doc_ids, assignments, n_dk):
+        for j, w in enumerate(ids):
+            k = z_d[j]
+            wrow = n_wk[w]
+            {doc_locals}, = row
+            {word_locals}, = wrow
+            {topic_locals}, = n_k
+{unassign}
+{prefix_sums}
+            u = uniforms[pos]
+            pos += 1
+            if c{last} <= 0.0:
+                new = int(u * {h})
+            else:
+                u *= c{last}
+{pick}
+            if new != k:
+                z_d[j] = new
+                row[k] -= 1.0
+                wrow[k] -= 1.0
+                n_k[k] -= 1.0
+                row[new] += 1.0
+                wrow[new] += 1.0
+                n_k[new] += 1.0
+"""
+
+
+def _first_true(cond: str, then: str, lo: int, hi: int,
+                indent: int) -> list[str]:
+    """Source lines running `then` for the first t in [lo, hi) where `cond`
+    holds, or for hi - 1 if it holds nowhere.
+
+    cond and then are format strings in {t}; cond must be monotone in t
+    (false, then true from some t on), so halving finds the first t and
+    nests only log2(hi - lo) deep, which compiles for any H.
+    """
+    pad = " " * indent
+    if hi - lo == 1:
+        return [pad + then.format(t=lo)]
+    mid = (lo + hi) // 2
+    return ([f"{pad}if {cond.format(t=mid - 1)}:"]
+            + _first_true(cond, then, lo, mid, indent + 4)
+            + [f"{pad}else:"]
+            + _first_true(cond, then, mid, hi, indent + 4))
+
+
+@functools.lru_cache(maxsize=16)
+def _sweep_kernel(h: int):
+    """The sweep function for H topics, compiled once per H.
+
+    Bit-identical to the loop over topics it unrolls (kept in the tests as
+    the oracle): the same float expressions in the same order. The pick may
+    halve instead of scanning because the prefix sums of the nonnegative
+    p_t never decrease.
+    """
+    if type(h) is not int or h < 1:
+        raise TopicsError(f"H must be an integer >= 1, got {h!r}")
+    topics = range(h)
+    terms = [f"(d{t} + alpha) * (w{t} + beta) / (n{t} + beta_v)"
+             for t in topics]
+    source = _SWEEP_TEMPLATE.format(
+        h=h, last=h - 1,
+        doc_locals=", ".join(f"d{t}" for t in topics),
+        word_locals=", ".join(f"w{t}" for t in topics),
+        topic_locals=", ".join(f"n{t}" for t in topics),
+        unassign="\n".join(_first_true(
+            "k <= {t}", "d{t} -= 1.0; w{t} -= 1.0; n{t} -= 1.0", 0, h, 12)),
+        prefix_sums="\n".join(
+            f"            c{t} = {f'c{t - 1}' if t else '0.0'} + {term}"
+            for t, term in zip(topics, terms)),
+        pick="\n".join(_first_true("u <= c{t}", "new = {t}", 0, h, 16)))
+    namespace: dict = {}
+    exec(compile(source, f"<cosd.topics sweep H={h}>", "exec"), namespace)
+    return namespace["sweep"]
+
+
 @dataclass
 class LdaModel:
     h: int
@@ -136,6 +200,9 @@ class LdaModel:
     topic_word_counts: np.ndarray  # (h, |V|) int64
     topic_totals: np.ndarray       # (h,) int64
     trained_sweeps: int
+    # (sweeps done, GibbsLda.log_joint()) recorded by fit_lda; kept in the
+    # JSON sidecar only, so a loaded model has none
+    log_joint: list[tuple[int, float]] = field(default_factory=list)
 
     def __post_init__(self):
         if self.h < 1:
@@ -196,6 +263,10 @@ def _doc_token_ids(docs: Sequence[Sequence[str]],
     return [[index[t] for t in doc if t in index] for doc in docs]
 
 
+# sweeps between the log-joint records fit_lda keeps for the sidecar
+_LOG_JOINT_EVERY = 50
+
+
 def fit_lda(docs: list[list[str]], h: int, alpha: float | None = None,
             beta: float = 0.01, sweeps: int = 500, seed: int = 0,
             vocab: Vocabulary | None = None,
@@ -207,7 +278,10 @@ def fit_lda(docs: list[list[str]], h: int, alpha: float | None = None,
     triple). alpha defaults to 50/H, beta to 0.01. Deterministic per seed.
     An empty doc list yields a prior-only model. sweep_callback, when given,
     is called as sweep_callback(sweep_index, topic_totals_copy) after every
-    sweep (diagnostics only).
+    sweep (diagnostics only). The model's log_joint records the sampler's
+    log joint every 50 sweeps and after the last; with
+    alpha = 0 it is undefined (a doc-topic count of 0 hits the pole of
+    lgamma) and nothing is recorded.
     """
     if h < 1:
         raise TopicsError(f"H must be >= 1, got {h}")
@@ -219,15 +293,19 @@ def fit_lda(docs: list[list[str]], h: int, alpha: float | None = None,
         vocab = Vocabulary.from_docs(docs)
     sampler = GibbsLda(_doc_token_ids(docs, vocab), h, alpha, beta,
                        len(vocab), seed)
+    log_joint = []
     for s in range(sweeps):
         sampler.sweep()
         if sweep_callback is not None:
             sweep_callback(s, sampler.n_k)
+        done = s + 1
+        if alpha > 0 and (done % _LOG_JOINT_EVERY == 0 or done == sweeps):
+            log_joint.append((done, sampler.log_joint()))
     counts = sampler.topic_word_array()
     return LdaModel(
         h=h, alpha=float(alpha), beta=float(beta), vocab=vocab,
         topic_word_counts=counts, topic_totals=counts.sum(axis=1),
-        trained_sweeps=sweeps,
+        trained_sweeps=sweeps, log_joint=log_joint,
     )
 
 
@@ -423,7 +501,8 @@ def umass_coherence(model: LdaModel, docs: list[list[str]],
 #   magic "LDA1" | u32 H | u32 |V| | f64 alpha | f64 beta | u32 sweeps
 #   | i64 counts (H x |V|, row-major)
 #   | per vocab token: u32 byte length, UTF-8 bytes, u32 doc frequency
-# A JSON sidecar (<path>.json) lists the top-10 words per topic.
+# A JSON sidecar (<path>.json) lists the top-10 words per topic and the
+# fit's log-joint trace as [sweeps done, value] pairs.
 
 _LDA_MAGIC = b"LDA1"
 
@@ -446,6 +525,7 @@ def save_lda(model: LdaModel, path: str | Path, sidecar: bool = True) -> None:
             "h": model.h, "alpha": model.alpha, "beta": model.beta,
             "trained_sweeps": model.trained_sweeps,
             "top_words": model.top_words(10),
+            "log_joint": [[s, value] for s, value in model.log_joint],
         }
         with open(f"{path}.json", "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)

@@ -11,6 +11,8 @@ repeats over trials with shifted seeds.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 import struct
 import time
 import zlib
@@ -511,7 +513,11 @@ def train(dataset: Dataset, store: EncoderStore,
     ]
 
     if config.parallel_trials and config.trials > 1:
-        with ProcessPoolExecutor(max_workers=config.trials) as pool:
+        # spawn: workers start from a fresh import, not a fork of this
+        # process and whatever threads it holds
+        with ProcessPoolExecutor(
+                max_workers=min(config.trials, os.cpu_count() or 1),
+                mp_context=multiprocessing.get_context("spawn")) as pool:
             futures = [
                 pool.submit(run_trial, dataset, store, group_data, config, t)
                 for t in range(config.trials)

@@ -196,6 +196,30 @@ def test_train_writes_stage_timings(run_dir):
     assert stages <= doc["total_s"]
 
 
+def _run_files(run_dir):
+    return {str(p.relative_to(run_dir)): p.read_bytes()
+            for p in sorted(run_dir.rglob("*")) if p.is_file()}
+
+
+def test_parallel_trials_write_the_sequential_run(synth_small, tmp_path):
+    root, paths = synth_small
+    runs = {}
+    for name, extra in (("sequential", []),
+                        ("parallel", ["--parallel-trials"])):
+        out = tmp_path / name
+        assert main(["train", "--dataset", "synthetic", "--data", str(root),
+                     "--embeddings", str(paths["embeddings"]),
+                     "--out-dir", str(out)] + extra + TRAIN_FLAGS) == 0
+        runs[name] = _run_files(out)
+    # these name the run directory or hold wall times
+    differ = {"config.txt", "run.json", "timings.json"}
+    got, want = runs["parallel"], runs["sequential"]
+    assert set(got) == set(want)
+    assert "trial-2/synthetic-policy.cpa1" in got
+    for name in set(got) - differ:
+        assert got[name] == want[name], name
+
+
 def test_manifest_reload(run_dir, synth_small):
     root, _ = synth_small
     config, groups, got_dir = read_manifest(run_dir)
@@ -412,6 +436,20 @@ def test_topics_bad_h_range(synth_small, capsys):
     root, _ = synth_small
     _expect_failure(["topics", "--dataset", "synthetic", "--data", str(root),
                      "--h-range", "7:3"], capsys, needle="7:3")
+
+
+@pytest.mark.parametrize("command", ["topics", "train"])
+def test_zero_topic_word_prior_exits_2(command, synth_small, tmp_path,
+                                       capsys):
+    root, paths = synth_small
+    argv = [command, "--dataset", "synthetic", "--data", str(root),
+            "--alpha", "0.01", "--beta", "0", "--lda-sweeps", "50"]
+    if command == "topics":
+        argv += ["--h-range", "7:7"]
+    else:
+        argv += ["--embeddings", str(paths["embeddings"]), "--out-dir",
+                 str(tmp_path / "r"), "--h", "7", "--trials", "1"]
+    _expect_failure(argv, capsys, needle="beta > 0")
 
 
 def test_inspect_unknown_group(run_dir, capsys):

@@ -2,11 +2,13 @@
 
 Hand-computed oracles cover coherence and the single-topic perplexity case;
 the planted-corpus recovery check runs a reduced version of the acceptance
-setup so regressions surface here first. The batched lockstep fold-in must
-equal, bit for bit, the one-doc one-model sequential sampler kept here as
-the oracle.
+setup so regressions surface here first. Two optimised samplers must equal,
+bit for bit, the sequential loops kept here as oracles: the generated sweep
+kernel behind GibbsLda.sweep (loop_sweep), and the batched lockstep fold-in
+(doc_topic_posterior, one doc under one model).
 """
 
+import json
 import struct
 
 import numpy as np
@@ -41,6 +43,115 @@ def _model(counts, vocab_tokens, alpha=0.5, beta=0.01, sweeps=10):
 
 
 # --- sampler ---------------------------------------------------------------
+
+
+def loop_sweep(self: GibbsLda) -> None:
+    """Oracle: one Gibbs pass as a loop over topics per token."""
+    h = self.h
+    alpha, beta = self.alpha, self.beta
+    beta_v = beta * self.vocab_size
+    n_dk, n_wk, n_k = self._n_dk, self._n_wk, self._n_k
+    uniforms = self.rng.random(self.token_total).tolist()
+    probs = [0.0] * h
+    pos = 0
+    for d, ids in enumerate(self.doc_ids):
+        z_d = self.assignments[d]
+        row = n_dk[d]
+        for j, w in enumerate(ids):
+            k = z_d[j]
+            wrow = n_wk[w]
+            row[k] -= 1.0
+            wrow[k] -= 1.0
+            n_k[k] -= 1.0
+            total = 0.0
+            for t in range(h):
+                p = (row[t] + alpha) * (wrow[t] + beta) / (n_k[t] + beta_v)
+                probs[t] = p
+                total += p
+            u = uniforms[pos]
+            pos += 1
+            if total <= 0.0:
+                k = int(u * h)
+            else:
+                u *= total
+                acc = 0.0
+                for k in range(h):
+                    acc += probs[k]
+                    if u <= acc:
+                        break
+            z_d[j] = k
+            row[k] += 1.0
+            wrow[k] += 1.0
+            n_k[k] += 1.0
+
+
+def _sampler_state(sampler: GibbsLda):
+    return (sampler.assignments, sampler._n_dk, sampler._n_wk,
+            sampler._n_k)
+
+
+def _kernel_corpora(h: int):
+    """(doc ids, vocabulary size, alpha, beta) cases for the kernel test."""
+    rng = np.random.default_rng(h)
+    mixed = [rng.integers(0, 12, size=int(n)).tolist()
+             for n in rng.integers(0, 14, size=25)]
+    return [
+        (mixed, 12, 50.0 / h, 0.01),
+        # alpha = 0: one-token docs have an all-zero conditional, so the
+        # flat int(u * H) branch runs
+        (mixed + [[3], [5], [3]], 12, 0.0, 0.01),
+        (mixed, 12, 1e-12, 1e-12),
+        ([[], [0], [], [1, 1, 1, 1, 1, 1], [2] * 9 + [0]], 3, 0.1, 0.5),
+        ([[w] for w in range(8)] + [[]], 8, 0.01, 1e-9),
+        ([], 5, 0.5, 0.01),
+        ([[], []], 0, 0.5, 0.01),
+    ]
+
+
+class _DyadicUniforms:
+    """Stands in for a sampler's rng after init: uniforms in {0, 1/4, 1/2,
+    3/4}, so u * total often equals a prefix sum exactly and the tie rule
+    (first t with u * total <= prefix) decides the topic."""
+
+    def __init__(self, seed: int):
+        self._rng = np.random.default_rng(seed)
+
+    def random(self, n: int) -> np.ndarray:
+        return self._rng.integers(0, 4, size=n) / 4.0
+
+
+@pytest.mark.parametrize("h", [1, 2, 3, 4, 5, 6, 7, 8, 33])
+@pytest.mark.parametrize("dyadic", [False, True])
+def test_sweep_kernel_equals_loop_oracle(h, dyadic):
+    for case, (docs, vocab_size, alpha, beta) in enumerate(
+            _kernel_corpora(h)):
+        kernel = GibbsLda(docs, h, alpha, beta, vocab_size, seed=case)
+        oracle = GibbsLda(docs, h, alpha, beta, vocab_size, seed=case)
+        if dyadic:
+            kernel.rng = _DyadicUniforms(case)
+            oracle.rng = _DyadicUniforms(case)
+        for _ in range(12):
+            kernel.sweep()
+            loop_sweep(oracle)
+            assert _sampler_state(kernel) == _sampler_state(oracle), case
+
+
+def test_fit_triple_counts_equal_loop_oracle(monkeypatch):
+    docs, _ = planted_corpus(n_docs=45, seed=30)
+    args = (docs[:15], docs[15:30], docs[30:])
+    got = fit_triple(*args, h=4, sweeps=25, seed=8)
+    monkeypatch.setattr(GibbsLda, "sweep", loop_sweep)
+    want = fit_triple(*args, h=4, sweeps=25, seed=8)
+    for a, b in zip(got.models, want.models):
+        assert np.array_equal(a.topic_word_counts, b.topic_word_counts)
+        assert np.array_equal(a.topic_totals, b.topic_totals)
+        assert a.log_joint == b.log_joint
+
+
+def test_sweep_kernel_compiles_once_per_h():
+    assert cosd.topics._sweep_kernel(6) is cosd.topics._sweep_kernel(6)
+    with pytest.raises(TopicsError):
+        cosd.topics._sweep_kernel(2.0)
 
 
 def test_sampler_conserves_counts_every_sweep():
@@ -101,6 +212,20 @@ def test_fit_lda_rejects_bad_arguments():
         fit_lda([["a", "b"]], h=2, sweeps=0)
     with pytest.raises(TopicsError):
         fit_lda([["a", "b"]], h=2, alpha=-1.0)
+    with pytest.raises(TopicsError):
+        fit_lda([["a", "b"]], h=2.5)
+    for alpha, beta in ((float("nan"), 0.01), (0.5, float("inf"))):
+        with pytest.raises(TopicsError, match="finite"):
+            fit_lda([["a", "b"]], h=2, alpha=alpha, beta=beta)
+
+
+def test_fit_lda_rejects_zero_beta():
+    # beta = 0 would divide by n_k + 0 once a topic empties; fold-in under
+    # an existing beta = 0 model stays allowed (see the flat-branch test)
+    docs, _ = planted_corpus(n_docs=9, seed=2)
+    for beta in (0.0, -0.01):
+        with pytest.raises(TopicsError, match="beta > 0"):
+            fit_lda(docs, h=7, alpha=0.01, beta=beta, sweeps=50)
 
 
 def test_fit_lda_with_explicit_vocab_drops_unknown_tokens():
@@ -435,10 +560,39 @@ def test_lda_file_round_trip(tmp_path):
     assert np.array_equal(back.topic_word_counts, m.topic_word_counts)
     sidecar = tmp_path / "model.lda1.json"
     assert sidecar.exists()
-    import json
-
     doc = json.loads(sidecar.read_text())
     assert doc["top_words"] == m.top_words(10)
+    assert doc["log_joint"] == [[15, m.log_joint[0][1]]]
+    # the trace lives only in the sidecar
+    assert back.log_joint == []
+
+
+def test_fit_records_log_joint_of_the_oracle_sampler(tmp_path):
+    docs, _ = planted_corpus(n_docs=30, seed=14)
+    m = fit_lda(docs, h=3, sweeps=120, seed=4)
+    path = tmp_path / "model.lda1"
+    save_lda(m, path)
+    recorded = json.loads((tmp_path / "model.lda1.json").read_text())
+    ids = [[m.vocab.index[t] for t in doc] for doc in docs]
+    oracle = GibbsLda(ids, 3, 50.0 / 3, 0.01, len(m.vocab), seed=4)
+    want = []
+    for done in range(1, 121):
+        loop_sweep(oracle)
+        if done in (50, 100, 120):
+            want.append([done, oracle.log_joint()])
+    assert recorded["log_joint"] == want
+    assert [list(pair) for pair in m.log_joint] == want
+    # the trace climbs from the random start on a planted corpus
+    assert want[0][1] > GibbsLda(ids, 3, 50.0 / 3, 0.01, len(m.vocab),
+                                 seed=4).log_joint()
+
+
+def test_fit_with_zero_alpha_records_no_log_joint():
+    # lgamma has a pole at 0, so the log joint is undefined at alpha = 0
+    docs, _ = planted_corpus(n_docs=12, seed=15)
+    m = fit_lda(docs, h=3, alpha=0.0, sweeps=60, seed=1)
+    assert m.log_joint == []
+    assert m.topic_totals.sum() == sum(len(d) for d in docs)
 
 
 def test_lda_file_rejects_corruption(tmp_path):

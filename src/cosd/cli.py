@@ -205,16 +205,43 @@ def write_manifest(run_dir: Path, config: RunConfig, groups: list[str]) -> None:
     })
 
 
+def _read_json_object(path: Path) -> dict:
+    """The JSON object in a run-directory file; ConfigError names the file."""
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: not a JSON object")
+    return doc
+
+
 def read_manifest(run_dir: str | Path) -> tuple[RunConfig, list[dict], Path]:
     run_dir = Path(run_dir)
     manifest = run_dir / "run.json"
     if not manifest.is_file():
         raise ConfigError(f"not a run directory (no run.json): {run_dir}")
-    doc = json.loads(manifest.read_text(encoding="utf-8"))
-    config = RunConfig(**doc["config"])
-    config.data = doc["data"]
-    config.embeddings = doc["embeddings"]
-    return config, doc["groups"], run_dir
+    doc = _read_json_object(manifest)
+    try:
+        config = RunConfig(**doc["config"])
+        config.data = doc["data"]
+        config.embeddings = doc["embeddings"]
+        groups = doc["groups"]
+    except KeyError as exc:
+        raise ConfigError(f"{manifest}: missing key {exc}") from exc
+    except TypeError as exc:  # config not an object, or an unknown key
+        raise ConfigError(f"{manifest}: bad config: {exc}") from exc
+    for field in dataclasses.fields(RunConfig):
+        value = getattr(config, field.name)
+        if type(value) is not type(field.default):
+            raise ConfigError(f"{manifest}: {field.name} = {value!r} is not "
+                              f"a {type(field.default).__name__}")
+    if not (isinstance(groups, list) and all(
+            isinstance(g, dict) and {"name", "slug"} <= g.keys()
+            for g in groups)):
+        raise ConfigError(f"{manifest}: groups must be a list of objects "
+                          f"with a name and a slug")
+    return config, groups, run_dir
 
 
 def load_run_triple(run_dir: Path, slug: str) -> topics.TopicModelTriple:
@@ -231,8 +258,7 @@ def load_run_checkpoint(run_dir: Path, trial: int, slug: str
     meta_path = base.with_suffix(".meta.json")
     if not ckpt_path.is_file():
         raise ConfigError(f"missing checkpoint: {ckpt_path}")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    return cpa.load_checkpoint(ckpt_path), meta
+    return cpa.load_checkpoint(ckpt_path), _read_json_object(meta_path)
 
 
 def _write_train_outputs(run_dir: Path, config: RunConfig, dataset: Dataset,
@@ -351,7 +377,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     written = time.perf_counter()
     run_dir = run_dir_for(config)
     run_dir.mkdir(parents=True, exist_ok=True)
-    write_manifest(run_dir, config, list(triples))
     _write_train_outputs(run_dir, config, dataset, triples, result)
     # wall times per stage; never compared, unlike the other outputs
     _write_json(run_dir / "timings.json", {
@@ -364,6 +389,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         "write_s": time.perf_counter() - written,
         "total_s": time.perf_counter() - start,
     })
+    # last, so eval and predict reject a directory whose writing broke off
+    write_manifest(run_dir, config, list(triples))
     print(f"run directory: {run_dir}")
     print(result.report_text, end="")
     return 0
@@ -526,10 +553,10 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
     if args.similar_to:
         store = training.load_embeddings(config.embeddings)
-        if args.similar_to not in store.pooled:
+        if args.similar_to not in store.tokens:
             raise InferenceError(
                 f"no embedding record for example {args.similar_to!r}")
-        query = cpa.infer_transform(store.pooled[args.similar_to],
+        query = cpa.infer_transform(store.pooled(args.similar_to),
                                     ckpt.weights(), slope=config.leaky_slope)
         hits = inference.top_k_similar(query, reps[:n], meta["ids"], args.k,
                                        exclude_id=args.similar_to)

@@ -91,8 +91,14 @@ class GibbsLda:
             self.alpha, self.beta, self.beta * self.vocab_size)
 
     def log_joint(self) -> float:
-        """Collapsed log p(w, z) up to assignment-independent constants."""
+        """Collapsed log p(w, z) up to assignment-independent constants.
+
+        Undefined at alpha = 0, where a doc-topic count of 0 hits the pole
+        of lgamma; raises TopicsError there.
+        """
         beta, alpha = self.beta, self.alpha
+        if alpha == 0:
+            raise TopicsError("the log joint is undefined at alpha = 0")
         out = 0.0
         for k in range(self.h):
             out += sum(lgamma(wrow[k] + beta) for wrow in self._n_wk)
@@ -381,7 +387,9 @@ def _lockstep(ids: list[list[int]], seeds: list[int], factor: np.ndarray,
     """fold_in over nonempty docs sorted longest first; (D, M*H).
 
     Chain c = doc * M + model, so the chains alive at a position are a
-    prefix of every per-chain array and each step works on slices.
+    prefix of every per-chain array and each step works on slices. Counts
+    and factors are topic-major, (H, chains), so a step is a few vector ops
+    per topic over the live chains.
     """
     n_models = len(alphas)
     lengths = np.array([len(doc) for doc in ids])
@@ -403,16 +411,19 @@ def _lockstep(ids: list[list[int]], seeds: list[int], factor: np.ndarray,
     # doc's stream, so the values are those of one random(sweeps * n)
     chunk = max(1, min(sweeps, _FOLD_IN_UNIFORMS // (n_max * n_docs)))
     uniforms = np.zeros((chunk, n_max, n_docs))
-    # (position, doc, M*H): row j of a doc's block is that token's factor
-    pos_factor = factor[words]
-    alpha = np.tile(alphas, n_docs)[:, None]
-    # local counts, addressed flat: chain c's count of topic k is at c*H + k
-    local = np.zeros((n_chains, h))
+    # (position, topic, chain): the factor of the chain's token at that
+    # position under the chain's model
+    pos_factor = (factor[words].reshape(n_max, n_docs, n_models, h)
+                  .transpose(0, 3, 1, 2).reshape(n_max, h, n_chains))
+    alpha = np.tile(alphas, n_docs)
+    # local counts, addressed flat: chain c's count of topic k is at
+    # k * n_chains + c
+    local = np.zeros((h, n_chains))
     flat_local = local.reshape(-1)
-    base = np.arange(n_chains) * h
+    chains = np.arange(n_chains)
     for j in range(n_max):
         m = alive[j] * n_models
-        flat_local[base[:m] + z[j, :m]] += 1.0
+        flat_local[z[j, :m] * n_chains + chains[:m]] += 1.0
 
     for s in range(sweeps):
         c = s % chunk
@@ -424,22 +435,31 @@ def _lockstep(ids: list[list[int]], seeds: list[int], factor: np.ndarray,
         for j in range(n_max):
             m_docs = alive[j]
             m = m_docs * n_models
-            flat_local[base[:m] + z[j, :m]] -= 1.0
-            p = local[:m] + alpha[:m]
-            p *= pos_factor[j, :m_docs].reshape(m, h)
-            acc = np.cumsum(p, axis=1, out=p)
-            total = acc[:, -1]
+            flat_local[z[j, :m] * n_chains + chains[:m]] -= 1.0
+            a = alpha[:m]
+            f = pos_factor[j, :, :m]
+            # prefix sums of (L_t + alpha) * f_t, added in the order of a
+            # sequential cumsum
+            prefix = [(local[0, :m] + a) * f[0]]
+            for t in range(1, h):
+                prefix.append(prefix[-1] + (local[t, :m] + a) * f[t])
+            total = prefix[-1]
             u = uniforms[c, j, :m_docs].repeat(n_models)
-            reached = acc >= (u * total)[:, None]
-            reached[:, -1] = True
-            k = reached.argmax(axis=1)
+            goal = u * total
+            # the first t with goal <= prefix t, or H - 1 if none: the
+            # prefix sums never decrease, so that is how many of the first
+            # H - 1 fall short of goal
+            k = np.zeros(m, dtype=np.int64)
+            for t in range(h - 1):
+                k += prefix[t] < goal
             flat = total <= 0.0
             if flat.any():
                 k[flat] = (u[flat] * h).astype(np.int64)
             z[j, :m] = k
-            flat_local[base[:m] + k] += 1.0
+            flat_local[k * n_chains + chains[:m]] += 1.0
 
-    post = (local + alpha) / (lengths.repeat(n_models)[:, None] + h * alpha)
+    post = (local.T + alpha[:, None]) / (
+        lengths.repeat(n_models)[:, None] + h * alpha[:, None])
     return post.reshape(n_docs, n_models * h)
 
 

@@ -10,7 +10,6 @@ repeats over trials with shifted seeds.
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import os
 import struct
@@ -50,22 +49,30 @@ _EMB_MAGIC = b"EMB1"
 
 @dataclass
 class EncoderStore:
-    """Precomputed encoder vectors, float64 in memory."""
+    """Precomputed encoder vectors: example rows as the file's float32,
+    target and label vectors pooled to float64."""
 
     dim: int
-    tokens: dict[str, np.ndarray]   # example id -> (T, dim)
-    pooled: dict[str, np.ndarray]   # example id -> (dim,)
-    targets: dict[str, np.ndarray]  # target name -> (dim,)
+    tokens: dict[str, np.ndarray]   # example id -> (T, dim) float32
+    targets: dict[str, np.ndarray]  # target name -> (dim,) float64
     labels: dict[str, np.ndarray]   # "favor"/"none"/"against" -> (dim,)
 
     def __len__(self) -> int:
         return len(self.tokens) + len(self.targets) + len(self.labels)
+
+    def pooled(self, rec_id: str) -> np.ndarray:
+        """Mean of an example's token rows, (dim,) float64."""
+        return _pool(self.tokens[rec_id])
 
     def label_matrix(self) -> np.ndarray:
         missing = [k for k in LABEL_KEYS if k not in self.labels]
         if missing:
             raise TrainingError(f"missing label records: {missing}")
         return np.stack([self.labels[k] for k in LABEL_KEYS])
+
+
+def _pool(rows: np.ndarray) -> np.ndarray:
+    return np.mean(rows, axis=0, dtype=np.float64)
 
 
 class EmbeddingWriter:
@@ -126,16 +133,14 @@ def load_embeddings(path: str | Path, expect_dim: int = 768) -> EncoderStore:
         # a record takes at least 8 header bytes and one row of 4*dim bytes
         if count > src.left() // (8 + 4 * dim):
             raise src.fail(f"{count} records cannot fit in the file")
-        # Every record's rows, and one pooled row per record, are views into
-        # one float64 block sized from the file (at most one row per 4*dim
-        # bytes left, then `count` pooled rows): one allocation per load,
-        # not two per record, so loading leaves no heap fragments behind.
-        cap = src.left() // (4 * dim)
-        rows = np.empty((cap + count, dim))
-        store = EncoderStore(dim=dim, tokens={}, pooled={}, targets={},
-                             labels={})
+        # Every record's rows are views into one float32 block sized from
+        # the file (at most one row per 4*dim bytes left): one allocation
+        # per load, not one per record, so loading leaves no heap fragments
+        # behind.
+        rows = np.empty((src.left() // (4 * dim), dim), dtype=np.float32)
+        store = EncoderStore(dim=dim, tokens={}, targets={}, labels={})
         n_rows = 0
-        for pooled in rows[cap:]:
+        for _ in range(count):
             start = src.off
             rec_id = src.text(src.u32())
             t = src.u32()
@@ -144,27 +149,20 @@ def load_embeddings(path: str | Path, expect_dim: int = 768) -> EncoderStore:
             mat = rows[n_rows:n_rows + t]
             mat[...] = src.array(F32, t * dim).reshape(t, dim)
             n_rows += t
-            if t == 1:
-                pooled[...] = mat[0]
-            else:
-                np.mean(mat, axis=0, out=pooled)
-            # float32 values cannot overflow a float64 mean or sum, so the
-            # sum of the pooled row is finite exactly when the record is
-            if not math.isfinite(pooled.sum()):
+            if not np.isfinite(mat).all():
                 raise src.fail(f"record {rec_id!r} has non-finite values",
                                start)
             if rec_id.startswith("target:"):
-                store.targets[rec_id[len("target:"):]] = pooled
+                store.targets[rec_id[len("target:"):]] = _pool(mat)
             elif rec_id.startswith("label:"):
                 key = rec_id[len("label:"):]
                 if key not in LABEL_KEYS:
                     raise src.fail(f"unknown label record {rec_id!r}", start)
-                store.labels[key] = pooled
+                store.labels[key] = _pool(mat)
             else:
                 if rec_id in store.tokens:
                     raise src.fail(f"duplicate record {rec_id!r}", start)
                 store.tokens[rec_id] = mat
-                store.pooled[rec_id] = pooled
         src.finish()
     return store
 
@@ -340,7 +338,7 @@ def build_group_data(dataset: Dataset, store: EncoderStore, group: str,
                      sem_val=semantic_matrix(val, store), lap=lap,
                      seconds={"fold_in_s": folded - start,
                               "graph_build_s": built - folded})
-    data.pooled_vecs = np.stack([store.pooled[ex.id] for ex in pool])
+    data.pooled_vecs = np.stack([store.pooled(ex.id) for ex in pool])
     return data
 
 

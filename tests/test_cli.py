@@ -12,6 +12,7 @@ import shutil
 import numpy as np
 import pytest
 
+import cosd.cpa
 import cosd.inference
 import cosd.topics
 from cosd import training
@@ -430,6 +431,57 @@ def test_eval_on_truncated_checkpoint(run_dir, tmp_path, capsys):
     ckpt.write_bytes(ckpt.read_bytes()[:-4])
     _expect_failure(["eval", "--run", str(copy), "--split", "test"], capsys,
                     needle=f"{SLUG}.cpa1")
+
+
+@pytest.mark.parametrize("name", ["run.json", f"trial-1/{SLUG}.meta.json"])
+def test_eval_on_truncated_or_non_object_json(run_dir, tmp_path, capsys,
+                                              name):
+    copy = tmp_path / "run"
+    shutil.copytree(run_dir, copy)
+    raw = (copy / name).read_bytes()
+    for size in (0, 1, 100, len(raw) // 2, len(raw) - 2):
+        (copy / name).write_bytes(raw[:size])
+        _expect_failure(["eval", "--run", str(copy), "--split", "test"],
+                        capsys, needle=name.split("/")[-1])
+    (copy / name).write_text("[1, 2]\n", encoding="utf-8")
+    _expect_failure(["eval", "--run", str(copy), "--split", "test"], capsys,
+                    needle="not a JSON object")
+
+
+@pytest.mark.parametrize("edit", ["no_config", "unknown_key", "bad_type",
+                                  "bad_groups"])
+def test_eval_on_malformed_manifest(run_dir, tmp_path, capsys, edit):
+    copy = tmp_path / "run"
+    shutil.copytree(run_dir, copy)
+    doc = json.loads((copy / "run.json").read_text(encoding="utf-8"))
+    if edit == "no_config":
+        del doc["config"]
+    elif edit == "unknown_key":
+        doc["config"]["mystery"] = 1
+    elif edit == "bad_type":
+        doc["config"]["fold_in_sweeps"] = "10"
+    else:
+        doc["groups"] = [{"name": "Synthetic Policy"}]
+    (copy / "run.json").write_text(json.dumps(doc), encoding="utf-8")
+    _expect_failure(["eval", "--run", str(copy), "--split", "test"], capsys,
+                    needle="run.json")
+
+
+def test_interrupted_train_writes_no_manifest(synth_small, tmp_path, capsys,
+                                              monkeypatch):
+    def disk_full(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cosd.cpa, "save_checkpoint", disk_full)
+    root, paths = synth_small
+    out = tmp_path / "run"
+    _expect_failure(["train", "--dataset", "synthetic", "--data", str(root),
+                     "--embeddings", str(paths["embeddings"]),
+                     "--out-dir", str(out)] + TRAIN_FLAGS, capsys,
+                    needle="disk full")
+    assert (out / "lda").is_dir()
+    assert not (out / "run.json").exists()
+    _expect_failure(["eval", "--run", str(out)], capsys, needle="run.json")
 
 
 def test_topics_bad_h_range(synth_small, capsys):

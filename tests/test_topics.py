@@ -433,6 +433,47 @@ def test_fold_in_zero_beta_unseen_word_takes_flat_branch():
     assert np.array_equal(got, _oracle_rows(models, docs, seeds, 8))
 
 
+def _dyadic_model(rng, h: int, vocab: list[str], alpha: float) -> LdaModel:
+    """beta = 0 model whose word factors count / total are dyadic: a last
+    word pads every topic's total up to a power of two."""
+    counts = rng.integers(0, 4, size=(h, len(vocab) - 1))
+    totals = counts.sum(axis=1)
+    pad = 2 ** np.ceil(np.log2(totals + 1)).astype(np.int64) - totals
+    return _model(np.column_stack([counts, pad]), vocab, alpha=alpha,
+                  beta=0.0)
+
+
+@pytest.mark.parametrize("h", [2, 3, 4])
+def test_fold_in_tie_rule_equals_scalar_oracle(monkeypatch, h):
+    # exact dyadic arithmetic with uniforms in {0, 1/4, 1/2, 3/4}: u * total
+    # often equals a prefix sum exactly, so the first topic whose prefix sum
+    # reaches u * total must be picked, as the oracle's u <= acc does
+    real_rng = np.random.default_rng
+
+    class DyadicRng:
+        def __init__(self, seed):
+            self._rng = real_rng(seed)
+
+        def integers(self, *args, **kwargs):
+            return self._rng.integers(*args, **kwargs)
+
+        def random(self, n):
+            # split draws would not continue one stream; at this size each
+            # doc's uniforms come from one call, as in the oracle
+            return self._rng.integers(0, 4, size=n) / 4.0
+
+    monkeypatch.setattr(np.random, "default_rng", DyadicRng)
+    rng = real_rng(h)
+    vocab = [f"w{i}" for i in range(6)]
+    models = [_dyadic_model(rng, h, vocab, alpha)
+              for alpha in (0.5, 1.0, 0.25)]
+    docs = [[vocab[i] for i in rng.integers(0, len(vocab), size=n)]
+            for n in rng.integers(1, 10, size=24)]
+    seeds = list(range(len(docs)))
+    got = fold_in(models, docs, seeds, sweeps=6)
+    assert np.array_equal(got, _oracle_rows(models, docs, seeds, 6))
+
+
 def test_fold_in_rows_independent_of_batch(monkeypatch):
     docs, _ = planted_corpus(n_docs=30, seed=11)
     split = len(docs) // 3
@@ -593,6 +634,14 @@ def test_fit_with_zero_alpha_records_no_log_joint():
     m = fit_lda(docs, h=3, alpha=0.0, sweeps=60, seed=1)
     assert m.log_joint == []
     assert m.topic_totals.sum() == sum(len(d) for d in docs)
+
+
+def test_log_joint_at_zero_alpha_raises_topics_error():
+    sampler = GibbsLda([[0, 1], [2]], h=3, alpha=0.0, beta=0.01,
+                       vocab_size=3, seed=0)
+    sampler.sweep()
+    with pytest.raises(TopicsError, match="alpha = 0"):
+        sampler.log_joint()
 
 
 def test_lda_file_rejects_corruption(tmp_path):

@@ -66,9 +66,9 @@ def test_embeddings_round_trip(tmp_path):
     # storage is float32; loaded values are the rounded ones exactly
     assert np.array_equal(store.tokens["ex-1"],
                           records[0][1].astype(np.float32).astype(np.float64))
-    assert np.array_equal(store.pooled["ex-1"],
-                          store.tokens["ex-1"].mean(axis=0))
-    assert np.array_equal(store.pooled["ex-2"], store.tokens["ex-2"][0])
+    assert np.array_equal(store.pooled("ex-1"),
+                          store.tokens["ex-1"].astype(np.float64).mean(axis=0))
+    assert np.array_equal(store.pooled("ex-2"), store.tokens["ex-2"][0])
     assert np.allclose(store.labels["against"],
                        records[5][1].astype(np.float32).mean(axis=0))
 
@@ -180,17 +180,38 @@ def test_embeddings_reject_non_finite_values(tmp_path, bad):
     vecs = np.ones((2, 4))
     vecs[1, 2] = bad
     path = tmp_path / "bad.emb1"
-    save_embeddings(path, [("fine", np.ones((1, 4))), ("ex-1", vecs)], dim=4)
-    with pytest.raises(TrainingError, match="'ex-1' has non-finite"):
-        load_embeddings(path, expect_dim=4)
+    for rec_id in ("ex-1", "target:Policy", "label:none"):
+        save_embeddings(path, [("fine", np.ones((1, 4))), (rec_id, vecs)],
+                        dim=4)
+        with pytest.raises(TrainingError, match=f"'{rec_id}' has non-finite"):
+            load_embeddings(path, expect_dim=4)
+
+
+@pytest.mark.parametrize("t", [1, 2, 17, 64])
+def test_embeddings_pool_to_the_float64_mean(tmp_path, t):
+    rng = np.random.default_rng(t)
+    mats = {rec_id: rng.standard_normal((t, 768)).astype(np.float32)
+            for rec_id in ("ex-1", "target:Policy", "label:favor")}
+    path = tmp_path / "vecs.emb1"
+    save_embeddings(path, list(mats.items()))
+    store = load_embeddings(path)
+    want = {rec_id: mat.astype(np.float64).mean(axis=0)
+            for rec_id, mat in mats.items()}
+    # example rows keep the file's float32 values; pooled rows are float64
+    assert store.tokens["ex-1"].dtype == np.float32
+    assert np.array_equal(store.tokens["ex-1"], mats["ex-1"])
+    for got, rec_id in ((store.pooled("ex-1"), "ex-1"),
+                        (store.targets["Policy"], "target:Policy"),
+                        (store.labels["favor"], "label:favor")):
+        assert got.dtype == np.float64
+        assert np.array_equal(got, want[rec_id])
 
 
 def test_label_matrix_order_and_missing():
     dim = 4
     labels = {"favor": np.full(dim, 1.0), "none": np.full(dim, 2.0),
               "against": np.full(dim, 3.0)}
-    store = EncoderStore(dim=dim, tokens={}, pooled={}, targets={},
-                         labels=labels)
+    store = EncoderStore(dim=dim, tokens={}, targets={}, labels=labels)
     mat = store.label_matrix()
     assert np.array_equal(mat, [[1.0] * 4, [2.0] * 4, [3.0] * 4])
     del store.labels["none"]
@@ -235,7 +256,7 @@ def test_attention_errors():
 
 
 def test_semantic_matrix_requires_records():
-    store = EncoderStore(dim=4, tokens={}, pooled={}, targets={}, labels={})
+    store = EncoderStore(dim=4, tokens={}, targets={}, labels={})
     from cosd.corpus import Example, Split
 
     ex = Example(id="x", text="t", target="T", stance=Stance.FAVOR,
@@ -371,8 +392,7 @@ def test_missing_ids_reporting(synth_setup):
     dataset, store, target, _ = synth_setup
     assert missing_ids(store, dataset) == []
     poked = EncoderStore(dim=store.dim, tokens=dict(store.tokens),
-                         pooled=dict(store.pooled), targets={},
-                         labels=dict(store.labels))
+                         targets={}, labels=dict(store.labels))
     first = dataset.examples[0].id
     del poked.tokens[first]
     missing = missing_ids(poked, dataset)
@@ -493,7 +513,6 @@ def test_train_run_deterministic_and_trial_sensitive(synth_setup):
 def test_train_rejects_missing_records(synth_setup):
     dataset, store, target, triple = synth_setup
     poked = EncoderStore(dim=store.dim, tokens=dict(store.tokens),
-                         pooled=dict(store.pooled),
                          targets=dict(store.targets),
                          labels=dict(store.labels))
     del poked.tokens[dataset.examples[0].id]

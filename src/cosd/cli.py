@@ -1,18 +1,21 @@
 """Command-line pipeline driver.
 
-Commands: topics, train, predict, eval, inspect, synth. Configuration is
-flat key = value text; every key is also a flag. Precedence: flag, then the
-COSD_SEED environment variable (seed only), then the config file, then
-defaults. One command per process; every randomized step derives from the
-single seed, so identical invocations produce identical outputs (run
-directories are timestamped unless --out-dir pins them; file contents never
-embed timestamps).
+Commands: topics, train, predict, eval, inspect, synth. topics, train and
+synth take their configuration as flat key = value text; every key is also
+a flag. Precedence: flag, then the COSD_SEED environment variable (seed
+only), then the config file, then defaults. predict, eval and inspect read
+the configuration of the run they are given from its run.json; predict and
+eval may override only --mode and --score-norm. One command per process;
+every randomized step derives from the single seed, so identical
+invocations produce identical outputs (run directories are timestamped
+unless --out-dir pins them; file contents never embed timestamps).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import re
@@ -158,18 +161,12 @@ def load_dataset(config: RunConfig) -> Dataset:
     return load_semeval(config.data, seed=config.seed)
 
 
-def _group_keys(config: RunConfig, dataset: Dataset) -> list[tuple[str, str | None]]:
-    if config.joint:
-        return [("joint", None)]
-    return [(t, t) for t in dataset.targets]
-
-
 def fit_group_triples(dataset: Dataset, config: RunConfig
                       ) -> tuple[dict[str, topics.TopicModelTriple],
                                  dict[str, float]]:
     """Per group, the fitted topic triple and its fit wall time."""
     triples, seconds = {}, {}
-    for key, target in _group_keys(config, dataset):
+    for key, target in training.group_keys(dataset, config.joint):
         start = time.perf_counter()
         favor, none, against = stance_subsets(dataset, target)
         triples[key] = topics.fit_triple(
@@ -216,49 +213,137 @@ def _read_json_object(path: Path) -> dict:
     return doc
 
 
-def read_manifest(run_dir: str | Path) -> tuple[RunConfig, list[dict], Path]:
-    run_dir = Path(run_dir)
-    manifest = run_dir / "run.json"
-    if not manifest.is_file():
-        raise ConfigError(f"not a run directory (no run.json): {run_dir}")
-    doc = _read_json_object(manifest)
-    try:
-        config = RunConfig(**doc["config"])
-        config.data = doc["data"]
-        config.embeddings = doc["embeddings"]
-        groups = doc["groups"]
-    except KeyError as exc:
-        raise ConfigError(f"{manifest}: missing key {exc}") from exc
-    except TypeError as exc:  # config not an object, or an unknown key
-        raise ConfigError(f"{manifest}: bad config: {exc}") from exc
-    for field in dataclasses.fields(RunConfig):
-        value = getattr(config, field.name)
-        if type(value) is not type(field.default):
-            raise ConfigError(f"{manifest}: {field.name} = {value!r} is not "
-                              f"a {type(field.default).__name__}")
-    if not (isinstance(groups, list) and all(
-            isinstance(g, dict) and {"name", "slug"} <= g.keys()
-            for g in groups)):
-        raise ConfigError(f"{manifest}: groups must be a list of objects "
-                          f"with a name and a slug")
-    return config, groups, run_dir
+def _checked_slugs(names: list[str], where: str | Path) -> dict[str, str]:
+    """Group name -> file-name slug; ConfigError when two names share one."""
+    slugs = [slugify(name) for name in names]
+    clash = [n for n, slug in zip(names, slugs) if slugs.count(slug) > 1]
+    if clash:
+        raise ConfigError(f"{where}: groups {clash} share a file name")
+    return dict(zip(names, slugs))
 
 
-def load_run_triple(run_dir: Path, slug: str) -> topics.TopicModelTriple:
-    stems = [run_dir / "lda" / f"{slug}.{k}.lda1"
-             for k in ("favor", "none", "against")]
-    favor, none, against = (topics.load_lda(p) for p in stems)
-    return topics.TopicModelTriple(favor=favor, none=none, against=against)
+class RunDir:
+    """A trained run directory, opened through its checked manifest.
 
+    Only this class and the writers of cmd_train know the layout on disk.
+    Groups are addressed by name; trials count from 1. mode and score_norm
+    override the run's own scoring settings when given.
+    """
 
-def load_run_checkpoint(run_dir: Path, trial: int, slug: str
-                        ) -> tuple[cpa.CpaCheckpoint, dict]:
-    base = run_dir / f"trial-{trial}" / slug
-    ckpt_path = base.with_suffix(".cpa1")
-    meta_path = base.with_suffix(".meta.json")
-    if not ckpt_path.is_file():
-        raise ConfigError(f"missing checkpoint: {ckpt_path}")
-    return cpa.load_checkpoint(ckpt_path), _read_json_object(meta_path)
+    def __init__(self, path: str | Path, mode: str | None = None,
+                 score_norm: bool | None = None):
+        self.path = Path(path)
+        manifest = self.path / "run.json"
+        if not manifest.is_file():
+            raise ConfigError(f"not a run directory (no run.json): {self.path}")
+        doc = _read_json_object(manifest)
+        try:
+            config = RunConfig(**doc["config"])
+            config.data = doc["data"]
+            config.embeddings = doc["embeddings"]
+            groups = doc["groups"]
+        except KeyError as exc:
+            raise ConfigError(f"{manifest}: missing key {exc}") from exc
+        except TypeError as exc:  # config not an object, or an unknown key
+            raise ConfigError(f"{manifest}: bad config: {exc}") from exc
+        for field in dataclasses.fields(RunConfig):
+            value = getattr(config, field.name)
+            if type(value) is not type(field.default):
+                raise ConfigError(f"{manifest}: {field.name} = {value!r} is "
+                                  f"not a {type(field.default).__name__}")
+        try:
+            config.train_config()  # the range checks train passed
+        except TrainingError as exc:
+            raise ConfigError(f"{manifest}: {exc}") from exc
+        if not (isinstance(groups, list) and groups and all(
+                isinstance(g, dict) and isinstance(g.get("name"), str)
+                and g.get("slug") == slugify(g["name"]) for g in groups)):
+            raise ConfigError(f"{manifest}: groups must be a non-empty list "
+                              f"of objects with a name and its slug")
+        self.config = config
+        self.groups = _checked_slugs([g["name"] for g in groups], manifest)
+        self.mode = mode or config.mode
+        if self.mode not in inference.MODES:
+            raise ConfigError(f"unknown mode {self.mode!r}")
+        self.score_norm = bool(score_norm) or config.score_norm
+
+    @functools.cached_property
+    def store(self) -> training.EncoderStore:
+        return training.load_embeddings(self.config.embeddings)
+
+    def trials(self, trial: int | None) -> list[int]:
+        """[trial] when one is asked for, else every trial of the run."""
+        if trial is None:
+            return list(range(1, self.config.trials + 1))
+        if not 1 <= trial <= self.config.trials:
+            raise ConfigError(f"trial {trial} is not in this run's "
+                              f"1..{self.config.trials}")
+        return [trial]
+
+    def group(self, name: str | None) -> str:
+        """The named group, or the run's only group when none is named."""
+        if name:
+            if name not in self.groups:
+                raise ConfigError(f"unknown group {name!r}")
+            return name
+        if len(self.groups) > 1:
+            raise ConfigError("several groups in this run; pick one with --group")
+        return next(iter(self.groups))
+
+    def _trial_file(self, name: str, trial: int, suffix: str) -> Path:
+        return self.path / f"trial-{trial}" / f"{self.groups[name]}{suffix}"
+
+    def checkpoint(self, name: str, trial: int) -> cpa.CpaCheckpoint:
+        return cpa.load_checkpoint(self._trial_file(name, trial, ".cpa1"))
+
+    def rows(self, name: str, examples: list) -> tuple[np.ndarray, np.ndarray]:
+        """The semantic rows and the fold-in rows of a group's examples."""
+        triple = topics.TopicModelTriple(*(
+            topics.load_lda(self.path / "lda" / f"{self.groups[name]}.{k}.lda1")
+            for k in ("favor", "none", "against")))
+        return (training.semantic_matrix(examples, self.store),
+                training.fold_in_matrix(examples, triple,
+                                        self.config.fold_in_sweeps,
+                                        self.config.seed))
+
+    def score(self, name: str, trial: int, sem_rows: np.ndarray,
+              dis_rows: np.ndarray) -> inference.Scores:
+        ckpt = self.checkpoint(name, trial)
+        return inference.score_batch(
+            sem_rows, dis_rows, ckpt.z, ckpt.u, ckpt.weights(), mode=self.mode,
+            score_norm=self.score_norm, slope=self.config.leaky_slope)
+
+    def training_graph(self, name: str, trial: int) -> tuple[
+            cpa.CpaCheckpoint, list[str], graph.BipartiteLaplacian]:
+        """The trial's checkpoint, and its training text ids and graph as
+        checked against it."""
+        ckpt = self.checkpoint(name, trial)
+        meta_path = self._trial_file(name, trial, ".meta.json")
+        meta = _read_json_object(meta_path)
+        ids, stances = meta.get("ids"), meta.get("stances")
+        for key, value in (("ids", ids), ("stances", stances)):
+            if not (isinstance(value, list) and len(value) == ckpt.n_text
+                    and all(isinstance(v, str) for v in value)):
+                raise ConfigError(f"{meta_path}: {key} must be a list of "
+                                  f"{ckpt.n_text} strings, one per text node")
+        unknown = set(stances) - set(LABEL_NAMES)
+        if unknown:
+            raise ConfigError(f"{meta_path}: unknown stance {min(unknown)!r}")
+
+        dis_path = self._trial_file(name, trial, ".dis.npy")
+        try:
+            with open(dis_path, "rb") as fh:
+                dis = np.lib.format.read_array(fh, allow_pickle=False)
+        except ValueError as exc:
+            raise ConfigError(f"{dis_path}: not a .npy array: {exc}") from exc
+        want = (ckpt.n_text, 3 * ckpt.h)
+        if (dis.dtype != np.float64 or dis.shape != want
+                or not np.isfinite(dis).all()):
+            raise ConfigError(f"{dis_path}: want finite float64 values of "
+                              f"shape {want}, got {dis.dtype} {dis.shape}")
+        lap = graph.laplacian(graph.build_adjacency(
+            [Stance(s) for s in stances], dis))
+        return ckpt, ids, lap
 
 
 def _write_train_outputs(run_dir: Path, config: RunConfig, dataset: Dataset,
@@ -328,7 +413,7 @@ def cmd_topics(args: argparse.Namespace) -> int:
     lo, hi = parse_h_range(args.h_range)
     dataset = load_dataset(config)
     rows = []
-    for key, target in _group_keys(config, dataset):
+    for key, target in training.group_keys(dataset, config.joint):
         subsets = stance_subsets(dataset, target)
         for stance_key, subset in zip(("favor", "none", "against"), subsets):
             docs = topics.token_docs(subset)
@@ -365,6 +450,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     if not config.embeddings:
         raise ConfigError("no --embeddings file given")
     dataset = load_dataset(config)
+    # each group's files are named by its slug
+    _checked_slugs([k for k, _ in training.group_keys(dataset, config.joint)],
+                   "train")
     store = training.load_embeddings(config.embeddings)
     absent = training.missing_ids(store, dataset)
     if absent:
@@ -396,62 +484,38 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _trial_numbers(args: argparse.Namespace, config: RunConfig) -> list[int]:
-    if getattr(args, "trial", None):
-        return [args.trial]
-    return list(range(1, config.trials + 1))
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
-    config, groups, run_dir = read_manifest(args.run)
-    mode = args.mode or config.mode
-    if mode not in inference.MODES:
-        raise ConfigError(f"unknown mode {mode!r}")
-    score_norm = bool(args.score_norm) or config.score_norm
+    run = RunDir(args.run, args.mode, args.score_norm)
+    trials = run.trials(args.trial)
     split = {"train": Split.TRAIN, "val": Split.VAL,
              "test": Split.TEST}[args.split]
-    dataset = load_dataset(config)
-    store = training.load_embeddings(config.embeddings)
+    dataset = load_dataset(run.config)
 
     # semantic rows and fold-ins depend on the group and split, not the trial
     scored = []
-    for group in groups:
-        target = None if config.joint else group["name"]
-        examples = dataset.split(split, target)
-        examples = [ex for ex in examples if ex.stance is not Stance.UNKNOWN]
-        if not examples:
-            continue
-        triple = load_run_triple(run_dir, group["slug"])
-        scored.append((group["slug"], examples,
-                       training.semantic_matrix(examples, store),
-                       training.fold_in_matrix(examples, triple,
-                                               config.fold_in_sweeps,
-                                               config.seed)))
+    for name in run.groups:
+        target = None if run.config.joint else name
+        examples = [ex for ex in dataset.split(split, target)
+                    if ex.stance is not Stance.UNKNOWN]
+        if examples:
+            scored.append((name, examples, *run.rows(name, examples)))
     if not scored:
         raise ConfigError(f"no labeled examples in split {args.split!r}")
 
     trial_rows = []
-    for trial in _trial_numbers(args, config):
+    for trial in trials:
         preds, golds, targets = [], [], []
-        for slug, examples, sem_rows, dis_rows in scored:
-            ckpt, _ = load_run_checkpoint(run_dir, trial, slug)
-            preds += inference.score_batch(
-                sem_rows, dis_rows, ckpt.z, ckpt.u, ckpt.weights(),
-                mode=mode, score_norm=score_norm,
-                slope=config.leaky_slope).predicted
+        for name, examples, sem_rows, dis_rows in scored:
+            preds += run.score(name, trial, sem_rows, dis_rows).predicted
             golds += [ex.stance for ex in examples]
             targets += [ex.target for ex in examples]
-        per_target = metrics.per_target_f_avg(preds, golds, targets)
-        macf, micf = metrics.macro_micro(preds, golds, targets)
-        row = {t: per_target.get(t, 0.0) for t in dataset.targets}
-        row["MacF"] = macf
-        row["MicF"] = micf
-        trial_rows.append(row)
+        trial_rows.append(metrics.report_row(preds, golds, targets,
+                                             dataset.targets))
 
-    text, csv_text = metrics.report(trial_rows, dataset.targets)
-    suffix = f"{args.split}-{mode}" + ("-zscore" if score_norm else "")
-    (run_dir / f"report-{suffix}.txt").write_text(text, encoding="utf-8")
-    (run_dir / f"report-{suffix}.csv").write_text(csv_text, encoding="utf-8")
+    text, csv_text = metrics.report(trial_rows, dataset.targets, trials)
+    suffix = f"{args.split}-{run.mode}" + ("-zscore" if run.score_norm else "")
+    (run.path / f"report-{suffix}.txt").write_text(text, encoding="utf-8")
+    (run.path / f"report-{suffix}.csv").write_text(csv_text, encoding="utf-8")
     print(text, end="")
     return 0
 
@@ -459,36 +523,21 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     from .corpus import _tweet_rows
 
-    config, groups, run_dir = read_manifest(args.run)
-    mode = args.mode or config.mode
-    if mode not in inference.MODES:
-        raise ConfigError(f"unknown mode {mode!r}")
-    score_norm = bool(args.score_norm) or config.score_norm
-    trial = args.trial or 1
-    store = training.load_embeddings(config.embeddings)
+    run = RunDir(args.run, args.mode, args.score_norm)
+    trial = run.trials(args.trial)[0]  # the first trial unless one is named
     examples = _tweet_rows(Path(args.infile), Split.TEST)
 
-    by_name = {g["name"]: g["slug"] for g in groups}
     members: dict[str, list[int]] = {}  # group -> input row numbers
     for i, ex in enumerate(examples):
-        key = "joint" if config.joint else ex.target
-        if key not in by_name:
+        name = "joint" if run.config.joint else ex.target
+        if name not in run.groups:
             raise ConfigError(f"no trained group for target {ex.target!r}")
-        if ex.id not in store.tokens:
-            raise InferenceError(f"no embedding record for example {ex.id!r}")
-        members.setdefault(key, []).append(i)
+        members.setdefault(name, []).append(i)
 
     lines = [""] * len(examples)
-    for key, rows in members.items():
-        group = [examples[i] for i in rows]
-        triple = load_run_triple(run_dir, by_name[key])
-        ckpt, _ = load_run_checkpoint(run_dir, trial, by_name[key])
-        scores = inference.score_batch(
-            training.semantic_matrix(group, store),
-            training.fold_in_matrix(group, triple, config.fold_in_sweeps,
-                                    config.seed),
-            ckpt.z, ckpt.u, ckpt.weights(), mode=mode,
-            score_norm=score_norm, slope=config.leaky_slope)
+    for name, rows in members.items():
+        scores = run.score(name, trial,
+                           *run.rows(name, [examples[i] for i in rows]))
         for i, sem, dis, label in zip(rows, scores.sem, scores.dis,
                                       scores.predicted):
             values = "\t".join(f"{x:.6f}" for x in (*sem, *dis))
@@ -502,23 +551,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
-    config, groups, run_dir = read_manifest(args.run)
-    trial = args.trial or 1
-    if args.group:
-        matches = [g for g in groups if g["name"] == args.group]
-        if not matches:
-            raise ConfigError(f"unknown group {args.group!r}")
-        group = matches[0]
-    elif len(groups) == 1:
-        group = groups[0]
-    else:
-        raise ConfigError("several groups in this run; pick one with --group")
-    ckpt, meta = load_run_checkpoint(run_dir, trial, group["slug"])
-    dis_train = np.load(run_dir / f"trial-{trial}" / f"{group['slug']}.dis.npy")
-
-    stance_by_value = {label.value: label for label in LABELS}
-    lap = graph.laplacian(graph.build_adjacency(
-        [stance_by_value[name] for name in meta["stances"]], dis_train))
+    run = RunDir(args.run)
+    trial = run.trials(args.trial)[0]
+    group = run.group(args.group)
+    ckpt, ids, lap = run.training_graph(group, trial)
     n = lap.n_text
 
     did_something = False
@@ -535,11 +571,12 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         did_something = True
 
     reps = None
-    node_names = (meta["ids"]
+    node_names = (ids
                   + [f"topic:{j}" for j in range(3 * ckpt.h)]
                   + [f"label:{name.lower()}" for name in LABEL_NAMES])
     if args.dump_final_reps or args.similar_to:
-        reps = inference.final_train_reps(ckpt, lap, slope=config.leaky_slope)
+        reps = inference.final_train_reps(ckpt, lap,
+                                          slope=run.config.leaky_slope)
     if args.dump_final_reps:
         lines = [
             name + " " + " ".join(f"{x:.8f}" for x in row)
@@ -552,31 +589,30 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         did_something = True
 
     if args.similar_to:
-        store = training.load_embeddings(config.embeddings)
-        if args.similar_to not in store.tokens:
+        if args.similar_to not in run.store.tokens:
             raise InferenceError(
                 f"no embedding record for example {args.similar_to!r}")
-        query = cpa.infer_transform(store.pooled(args.similar_to),
-                                    ckpt.weights(), slope=config.leaky_slope)
-        hits = inference.top_k_similar(query, reps[:n], meta["ids"], args.k,
+        query = cpa.infer_transform(run.store.pooled(args.similar_to),
+                                    ckpt.weights(),
+                                    slope=run.config.leaky_slope)
+        hits = inference.top_k_similar(query, reps[:n], ids, args.k,
                                        exclude_id=args.similar_to)
         for rec_id, sim in hits:
             print(f"{rec_id}\t{sim:.6f}")
         did_something = True
 
     if args.export_attention:
-        dataset = load_dataset(config)
-        store = training.load_embeddings(config.embeddings)
+        dataset = load_dataset(run.config)
         wanted = [ex for ex in dataset.examples if ex.id == args.export_attention]
         if not wanted:
             raise ConfigError(f"example {args.export_attention!r} not in dataset")
         out = args.attention_out or f"{args.export_attention}-attention.csv"
-        inference.export_attention(wanted[0], store, out)
+        inference.export_attention(wanted[0], run.store, out)
         print(f"attention weights -> {out}")
         did_something = True
 
     if not did_something:
-        print(f"run {run_dir}: groups {[g['name'] for g in groups]}, "
+        print(f"run {run.path}: groups {list(run.groups)}, "
               f"trial {trial}, {n} text nodes, H={ckpt.h}, hops={ckpt.hops}")
     return 0
 
@@ -619,10 +655,20 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                         help="one joint graph instead of per-target graphs")
     parser.add_argument("--parallel-trials", dest="parallel_trials",
                         action="store_const", const=True)
+    _add_score_flags(parser)
+
+
+def _add_score_flags(parser: argparse.ArgumentParser) -> None:
+    """The two config keys that eval and predict may also override."""
     parser.add_argument("--score-norm", dest="score_norm",
                         action="store_const", const=True,
                         help="z-score each score triple before adding")
     parser.add_argument("--mode", choices=list(inference.MODES))
+
+
+def _add_run_flags(parser: argparse.ArgumentParser, trial_help: str) -> None:
+    parser.add_argument("--run", required=True, help="run directory from train")
+    parser.add_argument("--trial", type=int, help=trial_help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -644,25 +690,26 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("predict", help="score a TSV of texts with a trained run")
-    _add_config_flags(p)
-    p.add_argument("--run", required=True, help="run directory from train")
-    p.add_argument("--trial", type=int, help="trial number (default 1)")
+    # predict, eval and inspect take their config from the run's run.json;
+    # no abbreviations, so a config flag is an error, not a prefix of --help
+    p = sub.add_parser("predict", help="score a TSV of texts with a trained run",
+                       allow_abbrev=False)
+    _add_run_flags(p, "trial number (default 1)")
+    _add_score_flags(p)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("eval", help="metrics for a split against a trained run")
-    _add_config_flags(p)
-    p.add_argument("--run", required=True)
-    p.add_argument("--trial", type=int, help="one trial (default: all + mean)")
+    p = sub.add_parser("eval", help="metrics for a split against a trained run",
+                       allow_abbrev=False)
+    _add_run_flags(p, "one trial (default: all + mean)")
+    _add_score_flags(p)
     p.add_argument("--split", choices=["train", "val", "test"], default="test")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("inspect", help="dump graph/representations/attention")
-    _add_config_flags(p)
-    p.add_argument("--run", required=True)
-    p.add_argument("--trial", type=int)
+    p = sub.add_parser("inspect", help="dump graph/representations/attention",
+                       allow_abbrev=False)
+    _add_run_flags(p, "trial number (default 1)")
     p.add_argument("--group", help="target name (or 'joint')")
     p.add_argument("--dump-graph", dest="dump_graph",
                    help="write laplacian as 'row col weight' lines")

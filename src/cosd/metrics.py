@@ -111,24 +111,42 @@ def per_target_f_avg(preds, golds, targets) -> dict[str, float]:
     return {t: counts.f_avg(t) for t in counts.targets()}
 
 
-def report(trial_rows: list[dict[str, float]],
-           target_order: list[str]) -> tuple[str, str]:
+def report_row(preds: list[Stance], golds: list[Stance], targets: list[str],
+               target_order: list[str]) -> dict[str, float]:
+    """One trial's report row: F_avg per target of target_order (0 for a
+    target without examples), then "MacF" and "MicF"; all 0 without
+    predictions."""
+    if preds:
+        per_target = per_target_f_avg(preds, golds, targets)
+        macf, micf = macro_micro(preds, golds, targets)
+    else:
+        per_target, macf, micf = {}, 0.0, 0.0
+    row = {t: per_target.get(t, 0.0) for t in target_order}
+    row["MacF"] = macf
+    row["MicF"] = micf
+    return row
+
+
+def report(trial_rows: list[dict[str, float]], target_order: list[str],
+           trials: list[int] | None = None) -> tuple[str, str]:
     """Render trial metrics as (aligned text, CSV).
 
     Each trial row maps target name -> F_avg plus "MacF" and "MicF"; a mean
-    row is appended. Column order follows target_order.
+    row is appended. Column order follows target_order. Rows are labeled
+    trial-N with N from trials, which defaults to 1, 2, ...
     """
     if not trial_rows:
         raise MetricsError("report needs at least one trial")
+    trials = trials or list(range(1, len(trial_rows) + 1))
     columns = list(target_order) + ["MacF", "MicF"]
-    for i, row in enumerate(trial_rows):
+    for trial, row in zip(trials, trial_rows):
         absent = [c for c in columns if c not in row]
         if absent:
-            raise MetricsError(f"trial {i + 1} missing columns {absent}")
+            raise MetricsError(f"trial {trial} missing columns {absent}")
 
     mean_row = {c: sum(row[c] for row in trial_rows) / len(trial_rows)
                 for c in columns}
-    labeled = [(f"trial-{i + 1}", row) for i, row in enumerate(trial_rows)]
+    labeled = [(f"trial-{t}", row) for t, row in zip(trials, trial_rows)]
     labeled.append(("mean", mean_row))
 
     name_w = max(len("run"), max(len(name) for name, _ in labeled))

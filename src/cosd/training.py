@@ -278,6 +278,14 @@ def derive_seed(*parts) -> int:
 
 # --- per-group training -----------------------------------------------------
 
+def group_keys(dataset: Dataset, joint: bool) -> list[tuple[str, str | None]]:
+    """(group name, target filter) per training group: one group per
+    target, or a single "joint" group over every target."""
+    if joint:
+        return [("joint", None)]
+    return [(t, t) for t in dataset.targets]
+
+
 @dataclass
 class GroupData:
     """Static per-group inputs shared by all trials."""
@@ -446,30 +454,18 @@ class TrialResult:
 @dataclass
 class TrainResult:
     trials: list[TrialResult]
-    target_order: list[str]
     report_text: str
     report_csv: str
     group_seconds: dict[str, dict[str, float]] = field(default_factory=dict)
 
 
-def _trial_val_row(trial: TrialResult, dataset: Dataset,
-                   joint: bool) -> dict[str, float]:
+def _trial_val_row(trial: TrialResult, dataset: Dataset) -> dict[str, float]:
     preds, golds, targets = [], [], []
     for result in trial.groups.values():
         preds += result.val_preds
         golds += result.val_golds
         targets += result.val_targets
-    row = {}
-    if preds:
-        per_target = metrics.per_target_f_avg(preds, golds, targets)
-        macf, micf = metrics.macro_micro(preds, golds, targets)
-    else:
-        per_target, macf, micf = {}, 0.0, 0.0
-    for target in dataset.targets:
-        row[target] = per_target.get(target, 0.0)
-    row["MacF"] = macf
-    row["MicF"] = micf
-    return row
+    return metrics.report_row(preds, golds, targets, dataset.targets)
 
 
 def run_trial(dataset: Dataset, store: EncoderStore,
@@ -480,7 +476,7 @@ def run_trial(dataset: Dataset, store: EncoderStore,
     for data in group_data:
         groups[data.group] = train_group(data, store, config, seed)
     result = TrialResult(trial=trial, seed=seed, groups=groups)
-    result.val_row = _trial_val_row(result, dataset, config.joint)
+    result.val_row = _trial_val_row(result, dataset)
     return result
 
 
@@ -497,17 +493,14 @@ def train(dataset: Dataset, store: EncoderStore,
     if absent:
         raise TrainingError(f"embedding records missing for ids: {absent}")
 
-    if config.joint:
-        group_keys = [("joint", None)]
-    else:
-        group_keys = [(t, t) for t in dataset.targets]
-    for key, _ in group_keys:
+    keys = group_keys(dataset, config.joint)
+    for key, _ in keys:
         if key not in triples:
             raise TrainingError(f"no topic triple for group {key!r}")
 
     group_data = [
         build_group_data(dataset, store, key, target, triples[key], config)
-        for key, target in group_keys
+        for key, target in keys
     ]
 
     if config.parallel_trials and config.trials > 1:
@@ -527,6 +520,5 @@ def train(dataset: Dataset, store: EncoderStore,
 
     text, csv_text = metrics.report([t.val_row for t in trials],
                                     dataset.targets)
-    return TrainResult(trials=trials, target_order=dataset.targets,
-                       report_text=text, report_csv=csv_text,
+    return TrainResult(trials=trials, report_text=text, report_csv=csv_text,
                        group_seconds={d.group: d.seconds for d in group_data})

@@ -5,6 +5,7 @@ A single small training run (module fixture) backs the eval / predict /
 inspect commands so the suite stays fast.
 """
 
+import argparse
 import json
 import re
 import shutil
@@ -18,12 +19,12 @@ import cosd.topics
 from cosd import training
 from cosd.cli import (
     ConfigError,
+    RunDir,
     build_config,
     build_parser,
     main,
     parse_h_range,
     read_config_file,
-    read_manifest,
     run_dir_for,
     slugify,
 )
@@ -143,6 +144,33 @@ def test_run_dir_naming():
     assert re.fullmatch(r"runs/\d{8}-\d{6}-seed8", str(auto))
 
 
+RUN_FLAGS = {"-h", "--help", "--run", "--trial"}
+
+
+@pytest.mark.parametrize("command, own", [
+    ("eval", {"--mode", "--score-norm", "--split"}),
+    ("predict", {"--mode", "--score-norm", "--in", "--out"}),
+    ("inspect", {"--group", "--dump-graph", "--dump-final-reps",
+                 "--similar-to", "--k", "--export-attention",
+                 "--attention-out"}),
+], ids=["eval", "predict", "inspect"])
+def test_scoring_commands_take_only_their_own_flags(command, own, capsys):
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices[command]._option_string_actions) == RUN_FLAGS | own
+    argv = [command, "--run", "R"]
+    if command == "predict":
+        argv += ["--in", "in.tsv", "--out", "out.tsv"]
+    build_parser().parse_args(argv)
+    # a config flag is a usage error, not a prefix of --help
+    for flag in (["--h", "3"], ["--embeddings", "/nonexistent"],
+                 ["--config", "/nonexistent.cfg"]):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 # --- training run fixture ----------------------------------------------------------
 
 
@@ -223,13 +251,14 @@ def test_parallel_trials_write_the_sequential_run(synth_small, tmp_path):
 
 def test_manifest_reload(run_dir, synth_small):
     root, _ = synth_small
-    config, groups, got_dir = read_manifest(run_dir)
-    assert got_dir == run_dir
+    run = RunDir(run_dir)
+    assert run.path == run_dir
+    config = run.config
     assert config.seed == 5 and config.h == 2 and config.trials == 2
     assert config.data == str(root.resolve())
-    assert groups == [{"name": "Synthetic Policy", "slug": SLUG}]
+    assert run.groups == {"Synthetic Policy": SLUG}
     with pytest.raises(ConfigError):
-        read_manifest(run_dir / "lda")
+        RunDir(run_dir / "lda")
 
 
 def test_meta_and_seed_tagged_trials(run_dir):
@@ -273,6 +302,14 @@ def test_eval_single_trial_and_ablation(run_dir):
                "--score-norm"])
     assert rc == 0
     assert (run_dir / "report-val-full-zscore.csv").is_file()
+
+
+def test_eval_labels_the_trial_it_scores(run_dir):
+    assert main(["eval", "--run", str(run_dir), "--split", "val",
+                 "--trial", "2"]) == 0
+    lines = (run_dir / "report-val-full.csv").read_text(
+        encoding="utf-8").strip().splitlines()
+    assert [line.split(",")[0] for line in lines] == ["run", "trial-2", "mean"]
 
 
 def test_eval_folds_in_once_per_group(run_dir, monkeypatch):
@@ -438,18 +475,19 @@ def test_eval_on_truncated_or_non_object_json(run_dir, tmp_path, capsys,
                                               name):
     copy = tmp_path / "run"
     shutil.copytree(run_dir, copy)
+    # only inspect reads .meta.json; eval scores from the checkpoint alone
+    argv = (["eval", "--run", str(copy), "--split", "test"]
+            if name == "run.json" else ["inspect", "--run", str(copy)])
     raw = (copy / name).read_bytes()
     for size in (0, 1, 100, len(raw) // 2, len(raw) - 2):
         (copy / name).write_bytes(raw[:size])
-        _expect_failure(["eval", "--run", str(copy), "--split", "test"],
-                        capsys, needle=name.split("/")[-1])
+        _expect_failure(argv, capsys, needle=name.split("/")[-1])
     (copy / name).write_text("[1, 2]\n", encoding="utf-8")
-    _expect_failure(["eval", "--run", str(copy), "--split", "test"], capsys,
-                    needle="not a JSON object")
+    _expect_failure(argv, capsys, needle="not a JSON object")
 
 
 @pytest.mark.parametrize("edit", ["no_config", "unknown_key", "bad_type",
-                                  "bad_groups"])
+                                  "bad_groups", "zero_trials"])
 def test_eval_on_malformed_manifest(run_dir, tmp_path, capsys, edit):
     copy = tmp_path / "run"
     shutil.copytree(run_dir, copy)
@@ -460,11 +498,14 @@ def test_eval_on_malformed_manifest(run_dir, tmp_path, capsys, edit):
         doc["config"]["mystery"] = 1
     elif edit == "bad_type":
         doc["config"]["fold_in_sweeps"] = "10"
+    elif edit == "zero_trials":
+        doc["config"]["trials"] = 0
     else:
         doc["groups"] = [{"name": "Synthetic Policy"}]
     (copy / "run.json").write_text(json.dumps(doc), encoding="utf-8")
     _expect_failure(["eval", "--run", str(copy), "--split", "test"], capsys,
                     needle="run.json")
+    _expect_failure(["inspect", "--run", str(copy)], capsys, needle="run.json")
 
 
 def test_interrupted_train_writes_no_manifest(synth_small, tmp_path, capsys,
@@ -509,6 +550,115 @@ def test_inspect_unknown_group(run_dir, capsys):
                      "--group", "Atheism"], capsys, needle="Atheism")
 
 
+@pytest.mark.parametrize("command", ["eval", "predict", "inspect"])
+@pytest.mark.parametrize("trial", ["0", "3", "-1"])
+def test_trial_outside_the_run(run_dir, synth_small, tmp_path, capsys,
+                               command, trial):
+    root, _ = synth_small
+    argv = [command, "--run", str(run_dir), "--trial", trial]
+    if command == "predict":
+        argv += ["--in", str(root / "test.tsv"), "--out",
+                 str(tmp_path / "o.tsv")]
+    _expect_failure(argv, capsys, needle=f"trial {trial} is not in")
+    assert not (tmp_path / "o.tsv").exists()
+
+
+def _cut_ids(meta):
+    meta["ids"] = meta["ids"][:-5]
+
+
+def _save_dis(edit):
+    def write(path):
+        dis = np.load(path)
+        np.save(path, edit(dis), allow_pickle=True)
+    return write
+
+
+def _nan_dis(dis):
+    dis[0, 0] = np.nan
+    return dis
+
+
+META_EDITS = {
+    "no_ids": lambda meta: meta.pop("ids"),
+    "no_stances": lambda meta: meta.pop("stances"),
+    "unknown_stance": lambda meta: meta["stances"].__setitem__(0, "Bogus"),
+    "cut_ids": _cut_ids,
+    "long_stances": lambda meta: meta["stances"].append("Favor"),
+    "ids_not_strings": lambda meta: meta["ids"].__setitem__(0, 7),
+}
+DIS_EDITS = {
+    "garbage": lambda path: path.write_bytes(b"not an array at all"),
+    "truncated": lambda path: path.write_bytes(path.read_bytes()[:-9]),
+    "header_only": lambda path: path.write_bytes(path.read_bytes()[:70]),
+    "object_array": _save_dis(
+        lambda dis: np.array([{"row": r} for r in dis], dtype=object)),
+    "wrong_shape": _save_dis(lambda dis: dis[:, :-3]),
+    "wrong_rows": _save_dis(lambda dis: dis[:-1]),
+    "integer": _save_dis(lambda dis: dis.astype(np.int64)),
+    "non_finite": _save_dis(_nan_dis),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(META_EDITS) + sorted(DIS_EDITS))
+def test_inspect_rejects_bad_training_graph_files(run_dir, tmp_path, capsys,
+                                                  edit):
+    copy = tmp_path / "run"
+    shutil.copytree(run_dir, copy)
+    base = copy / "trial-1" / SLUG
+    if edit in META_EDITS:
+        name = f"{SLUG}.meta.json"
+        meta = json.loads((copy / "trial-1" / name).read_text(encoding="utf-8"))
+        META_EDITS[edit](meta)
+        (copy / "trial-1" / name).write_text(json.dumps(meta),
+                                             encoding="utf-8")
+    else:
+        name = f"{SLUG}.dis.npy"
+        DIS_EDITS[edit](base.with_suffix(".dis.npy"))
+    reps = tmp_path / "reps.txt"
+    _expect_failure(["inspect", "--run", str(copy),
+                     "--dump-final-reps", str(reps)], capsys, needle=name)
+    assert not reps.exists()
+
+
+def test_train_rejects_targets_sharing_a_slug(synth_small, tmp_path, capsys):
+    root, paths = synth_small
+    data = tmp_path / "data"
+    data.mkdir()
+    for split in ("train", "val", "test"):
+        header, *rows = (root / f"{split}.tsv").read_text(
+            encoding="utf-8").splitlines()
+        rows = [row.replace("Synthetic Policy", "synthetic policy")
+                if i % 2 else row for i, row in enumerate(rows)]
+        (data / f"{split}.tsv").write_text("\n".join([header, *rows]) + "\n",
+                                           encoding="utf-8")
+    out = tmp_path / "run"
+    _expect_failure(["train", "--dataset", "synthetic", "--data", str(data),
+                     "--embeddings", str(paths["embeddings"]),
+                     "--out-dir", str(out)] + TRAIN_FLAGS, capsys,
+                    needle="share a file name")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("groups", [
+    [{"name": "Synthetic Policy", "slug": "../../other/synthetic-policy"}],
+    [{"name": "Synthetic Policy", "slug": "synthetic"}],
+    [{"name": "Synthetic Policy", "slug": SLUG},
+     {"name": "synthetic policy", "slug": SLUG}],
+    [{"name": "Synthetic Policy", "slug": SLUG}] * 2,
+    [],
+], ids=["path", "not_the_slug", "shared_slug", "repeated", "empty"])
+def test_run_dir_rejects_bad_group_slugs(run_dir, tmp_path, capsys, groups):
+    copy = tmp_path / "run"
+    shutil.copytree(run_dir, copy)
+    doc = json.loads((copy / "run.json").read_text(encoding="utf-8"))
+    doc["groups"] = groups
+    (copy / "run.json").write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ConfigError, match="run.json"):
+        RunDir(copy)
+    _expect_failure(["eval", "--run", str(copy)], capsys, needle="run.json")
+
+
 def test_predict_unknown_target(run_dir, tmp_path, capsys):
     rogue = tmp_path / "rogue.tsv"
     rogue.write_text("ID\tTarget\tTweet\tStance\n"
@@ -516,6 +666,16 @@ def test_predict_unknown_target(run_dir, tmp_path, capsys):
     _expect_failure(["predict", "--run", str(run_dir),
                      "--in", str(rogue), "--out", str(tmp_path / "o.tsv")],
                     capsys, needle="Aliens")
+
+
+def test_predict_text_without_embedding_record(run_dir, tmp_path, capsys):
+    ghost = tmp_path / "ghost.tsv"
+    ghost.write_text("ID\tTarget\tTweet\tStance\n"
+                     "ghost-1\tSynthetic Policy\tsome words\tNONE\n",
+                     encoding="utf-8")
+    _expect_failure(["predict", "--run", str(run_dir),
+                     "--in", str(ghost), "--out", str(tmp_path / "o.tsv")],
+                    capsys, needle="ghost-1")
 
 
 # --- topics command ---------------------------------------------------------------
@@ -609,8 +769,8 @@ def test_predict_labels_equal_eval_predictions(two_target_run, tmp_path,
 
     monkeypatch.setattr(cosd.inference, "score_batch", recording)
     assert main(["eval", "--run", str(run), "--split", "test"] + extra) == 0
-    _, groups, _ = read_manifest(run)
-    eval_ids = [r[0] for g in groups for r in inputs if r[1] == g["name"]]
+    eval_ids = [r[0] for name in RunDir(run).groups
+                for r in inputs if r[1] == name]
     assert dict(zip(eval_ids, evaluated)) == {r[0]: r[1] for r in rows}
     assert len(evaluated) == len(rows)
     assert np.isfinite([float(x) for r in rows for x in r[2:]]).all()

@@ -14,6 +14,7 @@ from cosd.metrics import (
     macro_micro,
     per_target_f_avg,
     report,
+    report_row,
 )
 
 F, N, A = Stance.FAVOR, Stance.NONE, Stance.AGAINST
@@ -160,3 +161,25 @@ def test_report_requires_all_columns():
         report([], ["T"])
     with pytest.raises(MetricsError):
         report([{"T": 0.5, "MacF": 0.5}], ["T"])  # MicF missing
+
+
+def test_report_labels_rows_with_given_trial_numbers():
+    row = {"T": 0.5, "MacF": 0.5, "MicF": 0.5}
+    text, csv = report([row], ["T"], trials=[2])
+    assert [line.split()[0] for line in text.splitlines()] == [
+        "run", "trial-2", "mean"]
+    assert csv.splitlines()[1].startswith("trial-2,")
+
+
+def test_report_row_matches_the_metric_functions():
+    golds = [F, F, A, A, N, F, A]
+    preds = [F, A, A, N, N, F, A]
+    targets = ["t1"] * 5 + ["t2"] * 2
+    row = report_row(preds, golds, targets, ["t2", "absent", "t1"])
+    assert list(row) == ["t2", "absent", "t1", "MacF", "MicF"]
+    per_target = per_target_f_avg(preds, golds, targets)
+    assert row["t1"] == per_target["t1"] and row["t2"] == per_target["t2"]
+    assert row["absent"] == 0.0
+    assert (row["MacF"], row["MicF"]) == macro_micro(preds, golds, targets)
+    assert report_row([], [], [], ["t1"]) == {"t1": 0.0, "MacF": 0.0,
+                                              "MicF": 0.0}

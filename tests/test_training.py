@@ -24,6 +24,7 @@ from cosd.training import (
     build_group_data,
     derive_seed,
     fold_in_matrix,
+    group_keys,
     load_embeddings,
     loss_contrastive,
     loss_cosine,
@@ -518,6 +519,12 @@ def test_train_rejects_missing_records(synth_setup):
     del poked.tokens[dataset.examples[0].id]
     with pytest.raises(TrainingError):
         train(dataset, poked, {target: triple}, _config())
+
+
+def test_group_keys_per_target_or_joint(synth_setup):
+    dataset, _, target, _ = synth_setup
+    assert group_keys(dataset, joint=False) == [(target, target)]
+    assert group_keys(dataset, joint=True) == [("joint", None)]
 
 
 def test_train_requires_triple_per_group(synth_setup):

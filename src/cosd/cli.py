@@ -293,7 +293,7 @@ class RunDir:
     def _trial_file(self, name: str, trial: int, suffix: str) -> Path:
         return self.path / f"trial-{trial}" / f"{self.groups[name]}{suffix}"
 
-    def checkpoint(self, name: str, trial: int) -> cpa.CpaCheckpoint:
+    def checkpoint(self, name: str, trial: int) -> cpa.CpaModel:
         return cpa.load_checkpoint(self._trial_file(name, trial, ".cpa1"))
 
     def rows(self, name: str, examples: list) -> tuple[np.ndarray, np.ndarray]:
@@ -308,13 +308,12 @@ class RunDir:
 
     def score(self, name: str, trial: int, sem_rows: np.ndarray,
               dis_rows: np.ndarray) -> inference.Scores:
-        ckpt = self.checkpoint(name, trial)
         return inference.score_batch(
-            sem_rows, dis_rows, ckpt.z, ckpt.u, ckpt.weights(), mode=self.mode,
+            sem_rows, dis_rows, self.checkpoint(name, trial), mode=self.mode,
             score_norm=self.score_norm, slope=self.config.leaky_slope)
 
     def training_graph(self, name: str, trial: int) -> tuple[
-            cpa.CpaCheckpoint, list[str], graph.BipartiteLaplacian]:
+            cpa.CpaModel, list[str], graph.BipartiteLaplacian]:
         """The trial's checkpoint, and its training text ids and graph as
         checked against it."""
         ckpt = self.checkpoint(name, trial)
@@ -362,8 +361,7 @@ def _write_train_outputs(run_dir: Path, config: RunConfig, dataset: Dataset,
         for key, group in trial.groups.items():
             slug = slugify(key)
             ckpt = group.checkpoint
-            cpa.save_checkpoint(trial_dir / f"{slug}.cpa1", ckpt.e0,
-                                ckpt.w1, ckpt.w2, ckpt.h, ckpt.n_text)
+            cpa.save_checkpoint(trial_dir / f"{slug}.cpa1", ckpt)
             np.save(trial_dir / f"{slug}.dis.npy", group.dis_train)
             stance_by_id = {ex.id: ex.stance.value for ex in dataset.examples}
             meta = {
@@ -592,8 +590,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         if args.similar_to not in run.store.tokens:
             raise InferenceError(
                 f"no embedding record for example {args.similar_to!r}")
-        query = cpa.infer_transform(run.store.pooled(args.similar_to),
-                                    ckpt.weights(),
+        query = cpa.infer_transform(run.store.pooled(args.similar_to), ckpt,
                                     slope=run.config.leaky_slope)
         hits = inference.top_k_similar(query, reps[:n], ids, args.k,
                                        exclude_id=args.similar_to)

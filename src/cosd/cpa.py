@@ -1,6 +1,6 @@
-"""Collaboration propagation: multi-hop graph message passing over the
-stacked embedding table, final concatenated representations, and the
-graph-free transform used at inference time.
+"""Collaboration propagation: the CPA model record, multi-hop graph message
+passing over its stacked embedding table, the training loss with its
+hand-derived gradients, and the graph-free transform used at inference time.
 
 Node rows are ordered texts, topics, labels, matching the graph module.
 """
@@ -15,8 +15,7 @@ import numpy as np
 
 from .binfile import F64, Reader
 from .graph import BipartiteLaplacian
-from .numerics import (NumericsError, Tensor, add, concat_cols, elemwise_mul,
-                       leaky_relu, matmul, spmm, xavier_init)
+from .numerics import xavier_init
 
 D0 = 768
 D1 = 64
@@ -27,94 +26,69 @@ class CpaError(Exception):
 
 
 @dataclass
-class EmbeddingTable:
-    """Trainable stacked table [V; U; Z]: texts, topics, labels."""
+class CpaModel:
+    """Stacked table e0 = [V; U; Z] (texts, topics, labels) and per-hop
+    weights w1[k], w2[k]: first hop d0 x d1, later hops d1 x d1.
 
-    e0: Tensor
-    n_text: int
+    Training updates the arrays in place; a snapshot is a copy().
+    """
+
+    e0: np.ndarray
+    w1: list[np.ndarray]
+    w2: list[np.ndarray]
     h: int
+    n_text: int
 
     def __post_init__(self):
         expected = self.n_text + 3 * self.h + 3
-        if self.e0.shape[0] != expected:
+        if self.e0.ndim != 2 or self.e0.shape[0] != expected:
             raise CpaError(
-                f"table has {self.e0.shape[0]} rows, node order needs {expected}")
-
-    @property
-    def n_nodes(self) -> int:
-        return self.e0.shape[0]
+                f"table has shape {self.e0.shape}, node order needs "
+                f"{expected} rows")
+        if not self.w1 or len(self.w1) != len(self.w2):
+            raise CpaError(f"w1/w2 hop counts {len(self.w1)} and "
+                           f"{len(self.w2)} must be equal and positive")
+        d1 = self.w1[0].shape[1]
+        for k, (a, b) in enumerate(zip(self.w1, self.w2)):
+            shape = (self.d0 if k == 0 else d1, d1)
+            if a.shape != shape or b.shape != shape:
+                raise CpaError(f"hop {k + 1}: w1 {a.shape} and w2 {b.shape}, "
+                               f"chain needs {shape}")
 
     @property
     def d0(self) -> int:
         return self.e0.shape[1]
 
-    # read-only numpy views of the blocks
-    @property
-    def v(self) -> np.ndarray:
-        return self.e0.data[: self.n_text]
-
-    @property
-    def u(self) -> np.ndarray:
-        return self.e0.data[self.n_text: self.n_text + 3 * self.h]
-
-    @property
-    def z(self) -> np.ndarray:
-        return self.e0.data[self.n_text + 3 * self.h:]
-
-    def label_row(self, j: int) -> int:
-        return self.n_text + 3 * self.h + j
-
-    def topic_row(self, j: int) -> int:
-        return self.n_text + j
-
-
-def init_embedding_table(pooled_texts: np.ndarray, h: int,
-                         label_vecs: np.ndarray, seed: int,
-                         d0: int = D0) -> EmbeddingTable:
-    """V and Z start from encoder vectors, U from Xavier noise."""
-    pooled_texts = np.asarray(pooled_texts, dtype=np.float64)
-    label_vecs = np.asarray(label_vecs, dtype=np.float64)
-    if pooled_texts.ndim != 2 or pooled_texts.shape[1] != d0:
-        raise CpaError(f"text block must be (n, {d0})")
-    if label_vecs.shape != (3, d0):
-        raise CpaError(f"label block must be (3, {d0})")
-    u = xavier_init(3 * h, d0, seed).data
-    stacked = np.concatenate([pooled_texts, u, label_vecs], axis=0)
-    return EmbeddingTable(e0=Tensor(stacked, requires_grad=True),
-                          n_text=len(pooled_texts), h=h)
-
-
-@dataclass
-class CpaWeights:
-    """Per hop k: w1[k], w2[k]; first hop d0 x d1, later hops d1 x d1."""
-
-    w1: list[Tensor]
-    w2: list[Tensor]
-
-    def __post_init__(self):
-        if len(self.w1) != len(self.w2):
-            raise CpaError("w1/w2 hop counts differ")
-        for k, (a, b) in enumerate(zip(self.w1, self.w2)):
-            if a.shape != b.shape:
-                raise CpaError(f"hop {k}: w1 {a.shape} vs w2 {b.shape}")
-            if k > 0 and a.shape[0] != self.w1[k - 1].shape[1]:
-                raise CpaError(f"hop {k}: input dim breaks the chain")
-
     @property
     def hops(self) -> int:
         return len(self.w1)
 
+    # views of the blocks
     @property
-    def params(self) -> list[Tensor]:
-        return self.w1 + self.w2
+    def v(self) -> np.ndarray:
+        return self.e0[: self.n_text]
 
-    def as_arrays(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        return ([w.data.copy() for w in self.w1],
-                [w.data.copy() for w in self.w2])
+    @property
+    def u(self) -> np.ndarray:
+        return self.e0[self.n_text: self.n_text + 3 * self.h]
+
+    @property
+    def z(self) -> np.ndarray:
+        return self.e0[self.n_text + 3 * self.h:]
+
+    def label_row(self, j: int) -> int:
+        return self.n_text + 3 * self.h + j
+
+    def copy(self) -> CpaModel:
+        return CpaModel(e0=self.e0.copy(), w1=[w.copy() for w in self.w1],
+                        w2=[w.copy() for w in self.w2], h=self.h,
+                        n_text=self.n_text)
 
 
 def init_cpa_weights(d0: int = D0, d1: int = D1, hops: int = 3,
-                     seed: int = 0) -> CpaWeights:
+                     seed: int = 0) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """(w1, w2), Xavier-initialized; hop k draws w1 from seed + 2k and w2
+    from seed + 2k + 1."""
     if hops < 1:
         raise CpaError(f"hops must be >= 1, got {hops}")
     w1, w2 = [], []
@@ -122,70 +96,155 @@ def init_cpa_weights(d0: int = D0, d1: int = D1, hops: int = 3,
         rows = d0 if k == 0 else d1
         w1.append(xavier_init(rows, d1, seed + 2 * k))
         w2.append(xavier_init(rows, d1, seed + 2 * k + 1))
-    return CpaWeights(w1=w1, w2=w2)
+    return w1, w2
 
 
-def propagate(e0: Tensor, lap: BipartiteLaplacian, weights: CpaWeights,
-              slope: float = 0.01) -> list[Tensor]:
+def init_model(pooled_texts: np.ndarray, h: int, label_vecs: np.ndarray,
+               seed: int, weight_seed: int, d1: int = D1,
+               hops: int = 3) -> CpaModel:
+    """V and Z start from encoder vectors, U from Xavier noise (seed); the
+    weights come from init_cpa_weights(weight_seed)."""
+    pooled_texts = np.asarray(pooled_texts, dtype=np.float64)
+    label_vecs = np.asarray(label_vecs, dtype=np.float64)
+    if pooled_texts.ndim != 2:
+        raise CpaError(f"text block must be 2-D, got {pooled_texts.shape}")
+    d0 = pooled_texts.shape[1]
+    if label_vecs.shape != (3, d0):
+        raise CpaError(f"label block must be (3, {d0}), got {label_vecs.shape}")
+    u = xavier_init(3 * h, d0, seed)
+    w1, w2 = init_cpa_weights(d0, d1, hops, weight_seed)
+    return CpaModel(e0=np.concatenate([pooled_texts, u, label_vecs], axis=0),
+                    w1=w1, w2=w2, h=h, n_text=len(pooled_texts))
+
+
+def _leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:
+    return np.where(x >= 0, x, slope * x)
+
+
+def _forward(e0: np.ndarray, lap: BipartiteLaplacian, w1: list[np.ndarray],
+             w2: list[np.ndarray], slope: float):
+    """Hop inputs E^0..E^l (E^0 = e0), and per hop L E and the
+    pre-activation; the backward in batch_loss reuses all three."""
+    if lap.rows != e0.shape[0]:
+        raise CpaError(
+            f"laplacian covers {lap.rows} nodes, table has {e0.shape[0]}")
+    layers, neighbors, pres = [e0], [], []
+    for a, b in zip(w1, w2):
+        prev = layers[-1]
+        nbr = lap.matmul(prev)
+        pre = (prev + nbr) @ a + (prev * nbr) @ b
+        neighbors.append(nbr)
+        pres.append(pre)
+        layers.append(_leaky_relu(pre, slope))
+    return layers, neighbors, pres
+
+
+def propagate(e0: np.ndarray, lap: BipartiteLaplacian, w1: list[np.ndarray],
+              w2: list[np.ndarray], slope: float = 0.01) -> list[np.ndarray]:
     """Hop outputs E^1..E^l.
 
     Each hop: E^k = LReLU((E + L E) W1^k + (E (*) L E) W2^k) where E is the
     previous hop's output and L the normalized (possibly dropout'd)
-    Laplacian. Tracked for gradients.
+    Laplacian.
     """
-    if lap.rows != e0.shape[0]:
-        raise CpaError(
-            f"laplacian covers {lap.rows} nodes, table has {e0.shape[0]}")
-    outputs = []
-    prev = e0
-    for k in range(weights.hops):
-        neighbors = spmm(lap, prev)
-        mixed = matmul(add(prev, neighbors), weights.w1[k])
-        interaction = matmul(elemwise_mul(prev, neighbors), weights.w2[k])
-        prev = leaky_relu(add(mixed, interaction), slope)
-        outputs.append(prev)
-    return outputs
+    return _forward(e0, lap, w1, w2, slope)[0][1:]
 
 
-def one_hop_message(e: np.ndarray, e_i: np.ndarray, deg_e: float,
-                    deg_ei: float, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
-    """Single neighbor message (test oracle; plain numpy, row convention)."""
-    if deg_e <= 0 or deg_ei <= 0:
-        raise CpaError(f"degrees must be positive, got {deg_e}, {deg_ei}")
-    return (e_i @ w1 + (e * e_i) @ w2) / np.sqrt(deg_e * deg_ei)
+def batch_loss(model: CpaModel, lap: BipartiteLaplacian, batch: np.ndarray,
+               gold: np.ndarray, negs: np.ndarray, sem: np.ndarray,
+               slope: float = 0.01):
+    """One mini-batch's loss and its gradients: (loss, g_e0, g_w1, g_w2).
+
+    The final rep of a node is [E^0 | E^1 | ... | E^l] over the propagated
+    hops. With v a batch text's rep and z its gold (z+) or negative (z-)
+    label node's, the loss is the mean over batch rows and negatives of
+    -log sigmoid(v.z+ - v.z-), plus the batch mean of 1 - cos(sem, e0[text]).
+    batch, gold: (B,) node rows; negs: (B, J) node rows; sem: (B, d0).
+    """
+    batch, gold = np.asarray(batch), np.asarray(gold)
+    negs = np.asarray(negs)
+    b = len(batch)
+    if (gold.shape != (b,) or negs.ndim != 2 or negs.shape[0] != b
+            or negs.shape[1] < 1 or sem.shape != (b, model.d0)):
+        raise CpaError(f"batch {batch.shape}, gold {gold.shape}, negatives "
+                       f"{negs.shape} and semantic rows {sem.shape} disagree")
+    rows = np.concatenate([batch, gold, *negs.T])
+    if rows.min() < 0 or rows.max() >= model.e0.shape[0]:
+        raise CpaError("batch row out of range")
+    layers, neighbors, pres = _forward(model.e0, lap, model.w1, model.w2,
+                                       slope)
+
+    # forward: every gathered final rep, in the order of rows
+    reps = np.concatenate([layer[rows] for layer in layers], axis=1)
+    v, z_pos = reps[:b], reps[b:2 * b]
+    z_negs = [reps[(2 + j) * b:(3 + j) * b] for j in range(negs.shape[1])]
+    pos = (v * z_pos).sum(axis=1, keepdims=True)
+    margins = [pos - (v * z).sum(axis=1, keepdims=True) for z in z_negs]
+    acc = np.logaddexp(0.0, -margins[0])
+    for m in margins[1:]:
+        acc = acc + np.logaddexp(0.0, -m)
+    l_con = (acc * (1.0 / len(margins))).mean()
+    text = model.e0[batch]
+    norm_sem = np.linalg.norm(sem, axis=1, keepdims=True)
+    norm_text = np.linalg.norm(text, axis=1, keepdims=True)
+    if (norm_sem == 0).any() or (norm_text == 0).any():
+        raise CpaError("cosine of a zero-norm row")
+    cos = (sem * text).sum(axis=1, keepdims=True) / (norm_sem * norm_text)
+    loss = l_con + (1.0 - cos).mean()
+
+    # backward to the gathered reps; d(-log sigmoid(m))/dm = -sigmoid(-m)
+    coef = (1.0 / b) * (1.0 / len(margins)) * -1.0
+    g_margins = [coef * np.exp(-np.logaddexp(0.0, m)) for m in margins]
+    g_pos = sum(g_margins[1:], g_margins[0])
+    g_v = g_pos * z_pos
+    for g, z in zip(g_margins, z_negs):
+        g_v -= g * z
+    g_text = -(1.0 / b) * (sem / (norm_sem * norm_text)
+                           - cos * text / (norm_text * norm_text))
+    g_v[:, :model.d0] += g_text
+    g_reps = np.concatenate([g_v, g_pos * v] + [-g * v for g in g_margins])
+    # one accumulating scatter: label rows repeat within a batch
+    g_table = np.zeros((model.e0.shape[0], reps.shape[1]))
+    np.add.at(g_table, rows, g_reps)
+
+    # backward through the hops, last to first
+    bounds = np.cumsum([0] + [layer.shape[1] for layer in layers])
+    g_w1, g_w2 = [None] * model.hops, [None] * model.hops
+    g_layer = g_table[:, bounds[-2]:]
+    for k in reversed(range(model.hops)):
+        prev, nbr = layers[k], neighbors[k]
+        g_pre = g_layer * np.where(pres[k] >= 0, 1.0, slope)
+        g_w1[k] = (prev + nbr).T @ g_pre
+        g_w2[k] = (prev * nbr).T @ g_pre
+        g_sum = g_pre @ model.w1[k].T
+        g_prod = g_pre @ model.w2[k].T
+        g_layer = (g_table[:, bounds[k]:bounds[k + 1]] + g_sum + g_prod * nbr
+                   + lap.transpose_matmul(g_sum + g_prod * prev))
+    if not (np.isfinite(loss) and np.isfinite(g_layer).all()
+            and all(np.isfinite(g).all() for g in g_w1 + g_w2)):
+        raise CpaError("non-finite loss or gradient")
+    return float(loss), g_layer, g_w1, g_w2
 
 
-def final_reps(e0: Tensor, layers: list[Tensor]) -> Tensor:
-    """Per-node concatenation [e0 | e1 | ... | el]; width d0 + hops*d1."""
-    for k, layer in enumerate(layers):
-        if layer.shape[0] != e0.shape[0]:
-            raise CpaError(
-                f"layer {k + 1} has {layer.shape[0]} rows, table {e0.shape[0]}")
-    if not layers:
-        return e0
-    return concat_cols([e0] + layers)
-
-
-def infer_transform(x: np.ndarray, weights: CpaWeights,
+def infer_transform(x: np.ndarray, model: CpaModel,
                     slope: float = 0.01) -> np.ndarray:
     """Graph-free counterpart of propagate for unseen rows.
 
     Per hop: e^k = LReLU(e^{k-1} (W1^k + W2^k)); the hop outputs are then
-    concatenated like final_reps. Accepts a vector or a matrix of rows and
-    returns the same rank. Uses the trained weights read-only.
+    concatenated like the final reps. Accepts a vector or a matrix of rows
+    and returns the same rank. Uses the trained weights read-only.
     """
     arr = np.asarray(x, dtype=np.float64)
     single = arr.ndim == 1
     if single:
         arr = arr.reshape(1, -1)
-    if arr.shape[1] != weights.w1[0].shape[0]:
+    if arr.shape[1] != model.d0:
         raise CpaError(
-            f"input width {arr.shape[1]} != first-hop dim {weights.w1[0].shape[0]}")
+            f"input width {arr.shape[1]} != first-hop dim {model.d0}")
     parts = [arr]
     prev = arr
-    for k in range(weights.hops):
-        pre = prev @ (weights.w1[k].data + weights.w2[k].data)
-        prev = np.where(pre >= 0, pre, slope * pre)
+    for a, b in zip(model.w1, model.w2):
+        prev = _leaky_relu(prev @ (a + b), slope)
         parts.append(prev)
     out = np.concatenate(parts, axis=1)
     return out[0] if single else out
@@ -201,67 +260,21 @@ def infer_transform(x: np.ndarray, weights: CpaWeights,
 _CPA_MAGIC = b"CPA1"
 
 
-@dataclass
-class CpaCheckpoint:
-    """Frozen post-training model: numpy arrays only, safe to share."""
-
-    e0: np.ndarray
-    w1: list[np.ndarray]
-    w2: list[np.ndarray]
-    h: int
-    n_text: int
-
-    @property
-    def d0(self) -> int:
-        return self.e0.shape[1]
-
-    @property
-    def hops(self) -> int:
-        return len(self.w1)
-
-    @property
-    def v(self) -> np.ndarray:
-        return self.e0[: self.n_text]
-
-    @property
-    def u(self) -> np.ndarray:
-        return self.e0[self.n_text: self.n_text + 3 * self.h]
-
-    @property
-    def z(self) -> np.ndarray:
-        return self.e0[self.n_text + 3 * self.h:]
-
-    def weights(self) -> CpaWeights:
-        return CpaWeights(w1=[Tensor(w) for w in self.w1],
-                          w2=[Tensor(w) for w in self.w2])
-
-
-def save_checkpoint(path: str | Path, e0: np.ndarray, w1: list[np.ndarray],
-                    w2: list[np.ndarray], h: int, n_text: int) -> None:
-    e0 = np.asarray(e0, dtype=np.float64)
-    if e0.shape[0] != n_text + 3 * h + 3:
-        raise CpaError("e0 row count does not match n_tr + 3H + 3")
-    if len(w1) != len(w2):
-        raise CpaError("w1/w2 hop counts differ")
-    d0 = e0.shape[1]
-    d1 = w1[0].shape[1] if w1 else D1
+def save_checkpoint(path: str | Path, model: CpaModel) -> None:
+    d0, d1 = model.d0, model.w1[0].shape[1]
     with open(path, "wb") as fh:
         fh.write(_CPA_MAGIC)
-        fh.write(struct.pack("<IIIII", d0, d1, len(w1), h, n_text))
-        fh.write(e0.astype("<f8").tobytes(order="C"))
-        for mats in (w1, w2):
-            for k, w in enumerate(mats):
-                rows = d0 if k == 0 else d1
-                if w.shape != (rows, d1):
-                    raise CpaError(f"hop {k + 1} weight shape {w.shape}")
-                fh.write(np.asarray(w, dtype="<f8").tobytes(order="C"))
+        fh.write(struct.pack("<IIIII", d0, d1, model.hops, model.h,
+                             model.n_text))
+        for arr in [model.e0, *model.w1, *model.w2]:
+            fh.write(np.asarray(arr, dtype="<f8").tobytes(order="C"))
 
 
-def load_checkpoint(path: str | Path) -> CpaCheckpoint:
+def load_checkpoint(path: str | Path) -> CpaModel:
     with Reader(path, CpaError, _CPA_MAGIC) as src:
         d0, d1, hops, h, n_text = src.unpack("<IIIII")
-        if min(d0, d1) < 1:
-            raise src.fail("zero width in header, file corrupt")
+        if min(d0, d1, hops) < 1:
+            raise src.fail("zero width or hop count in header, file corrupt")
 
         def take(rows: int, cols: int) -> np.ndarray:
             values = src.array(F64, rows * cols).reshape(rows, cols)
@@ -273,4 +286,4 @@ def load_checkpoint(path: str | Path) -> CpaCheckpoint:
         src.finish()
     if not all(np.isfinite(a).all() for a in [e0, *w1, *w2]):
         raise CpaError(f"{src.path}: non-finite values")
-    return CpaCheckpoint(e0=e0, w1=w1, w2=w2, h=h, n_text=n_text)
+    return CpaModel(e0=e0, w1=w1, w2=w2, h=h, n_text=n_text)

@@ -54,6 +54,23 @@ class BipartiteLaplacian:
         return int(np.count_nonzero(self.to_text)
                    + np.count_nonzero(self.to_side))
 
+    def _check_rows(self, x: np.ndarray) -> None:
+        if x.ndim != 2 or x.shape[0] != self.rows:
+            raise GraphError(f"laplacian covers {self.rows} nodes, "
+                             f"operand has shape {x.shape}")
+
+    def matmul(self, x: np.ndarray) -> np.ndarray:
+        """L @ x: texts gather from side nodes, side nodes from texts."""
+        self._check_rows(x)
+        n = self.n_text
+        return np.concatenate([self.to_text @ x[n:], self.to_side.T @ x[:n]])
+
+    def transpose_matmul(self, x: np.ndarray) -> np.ndarray:
+        """L^T @ x, the adjoint of matmul."""
+        self._check_rows(x)
+        n = self.n_text
+        return np.concatenate([self.to_side @ x[n:], self.to_text.T @ x[:n]])
+
 
 def build_adjacency(stances: list[Stance], dis: np.ndarray) -> np.ndarray:
     """Dense (n, 3H + 3) adjacency [m1 | m2] in the order of the rows given.

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import LABELS, Example, Stance
-from .cpa import CpaWeights, infer_transform
+from .cpa import CpaModel, infer_transform, propagate
 from .training import EncoderStore, attention_weights
 
 MODES = ("full", "no_sem", "no_dis")
@@ -48,15 +48,16 @@ def semantic_scores(e_sem_matrix: np.ndarray,
     return e @ z_table.T
 
 
-def distributed_scores(dis_matrix: np.ndarray, u_table: np.ndarray,
-                       weights: CpaWeights, slope: float = 0.01) -> np.ndarray:
+def distributed_scores(dis_matrix: np.ndarray, model: CpaModel,
+                       slope: float = 0.01) -> np.ndarray:
     """(n, 3) per stance block, max over its H topics of the products of the
-    transformed topic-weighted mix with the transformed topic embeddings.
+    transformed topic-weighted mix with the model's transformed topic
+    embeddings.
 
     Each row of dis_matrix is a topic distribution (sums to 1).
     """
     dis_matrix = np.asarray(dis_matrix, dtype=np.float64)
-    u_table = np.asarray(u_table, dtype=np.float64)
+    u_table = model.u
     if dis_matrix.ndim != 2 or dis_matrix.shape[1] != u_table.shape[0]:
         raise InferenceError(
             f"topic rows {dis_matrix.shape} vs {u_table.shape[0]} topics")
@@ -64,8 +65,8 @@ def distributed_scores(dis_matrix: np.ndarray, u_table: np.ndarray,
         return np.zeros((0, 3))
     if np.abs(dis_matrix.sum(axis=1) - 1.0).max() > 1e-6:
         raise InferenceError("a topic distribution does not sum to 1")
-    e_tilde = infer_transform(dis_matrix @ u_table, weights, slope)
-    u_tilde = infer_transform(u_table, weights, slope)
+    e_tilde = infer_transform(dis_matrix @ u_table, model, slope)
+    u_tilde = infer_transform(u_table, model, slope)
     sims = e_tilde @ u_tilde.T
     return sims.reshape(len(dis_matrix), 3, -1).max(axis=2)
 
@@ -84,10 +85,9 @@ def argmax_labels(total: np.ndarray) -> list[Stance]:
 
 
 def score_batch(sem_rows: np.ndarray, dis_rows: np.ndarray,
-                z_table: np.ndarray, u_table: np.ndarray,
-                weights: CpaWeights, mode: str = "full",
+                model: CpaModel, mode: str = "full",
                 score_norm: bool = False, slope: float = 0.01) -> Scores:
-    """Hybrid scores of stacked texts against one group's trained tables.
+    """Hybrid scores of stacked texts against one group's trained model.
 
     sem_rows are semantic representations (n, d0), dis_rows topic
     distributions (n, 3H). score_norm z-scores each side's row before the
@@ -98,8 +98,8 @@ def score_batch(sem_rows: np.ndarray, dis_rows: np.ndarray,
     if len(sem_rows) != len(dis_rows):
         raise InferenceError(
             f"{len(sem_rows)} semantic rows vs {len(dis_rows)} topic rows")
-    sem = semantic_scores(sem_rows, z_table)
-    dis = distributed_scores(dis_rows, u_table, weights, slope)
+    sem = semantic_scores(sem_rows, model.z)
+    dis = distributed_scores(dis_rows, model, slope)
     if score_norm:
         sem = zscore_rows(sem)
         dis = zscore_rows(dis)
@@ -111,15 +111,11 @@ def score_batch(sem_rows: np.ndarray, dis_rows: np.ndarray,
     return Scores(sem, dis, total, argmax_labels(total))
 
 
-def final_train_reps(checkpoint: CpaCheckpoint, lap,
+def final_train_reps(model: CpaModel, lap,
                      slope: float = 0.01) -> np.ndarray:
-    """Propagated final representations of all graph nodes (no gradients)."""
-    from .cpa import final_reps, propagate
-    from .numerics import Tensor
-
-    layers = propagate(Tensor(checkpoint.e0), lap, checkpoint.weights(),
-                       slope=slope)
-    return final_reps(Tensor(checkpoint.e0), layers).data
+    """Final representations [e0 | E^1 | ... | E^l] of all graph nodes."""
+    layers = propagate(model.e0, lap, model.w1, model.w2, slope=slope)
+    return np.concatenate([model.e0] + layers, axis=1)
 
 
 def top_k_similar(query_rep: np.ndarray, train_reps: np.ndarray,

@@ -1,4 +1,4 @@
-"""Encoder-embedding ingestion, attention pooling, losses, training loop.
+"""Encoder-embedding ingestion, attention pooling, training loop.
 
 Sentence-encoder vectors arrive precomputed in an EMB1 file; the encoder
 itself never runs in-process, so the semantic representation of each text is
@@ -24,9 +24,7 @@ import numpy as np
 from . import cpa, graph, metrics, topics
 from .binfile import F32, Reader
 from .corpus import LABELS, Dataset, Example, Split
-from .numerics import (AdamState, Tensor, adam_step, add, backward,
-                       cosine_sim, elemwise_mul, gather_rows, logsigmoid,
-                       mean_all, row_sums, scale, sub)
+from .numerics import AdamState, adam_step
 
 LABEL_KEYS = ("favor", "none", "against")
 
@@ -212,29 +210,6 @@ def semantic_matrix(examples: list[Example],
     return np.stack(rows) if rows else np.zeros((0, store.dim))
 
 
-# --- losses -----------------------------------------------------------------
-
-def loss_contrastive(v_tilde: Tensor, z_tilde_pos: Tensor,
-                     z_tilde_negs: list[Tensor]) -> Tensor:
-    """Mean over negatives (then batch rows) of -log sigmoid(pos - neg)."""
-    if not z_tilde_negs:
-        raise TrainingError("contrastive loss needs at least one negative")
-    pos = row_sums(elemwise_mul(v_tilde, z_tilde_pos))
-    acc = None
-    for z_neg in z_tilde_negs:
-        neg = row_sums(elemwise_mul(v_tilde, z_neg))
-        term = scale(logsigmoid(sub(pos, neg)), -1.0)
-        acc = term if acc is None else add(acc, term)
-    return mean_all(scale(acc, 1.0 / len(z_tilde_negs)))
-
-
-def loss_cosine(e_sem: Tensor, v_i: Tensor) -> Tensor:
-    """Batch mean of 1 - cos(e_sem, v_i)."""
-    cos = cosine_sim(e_sem, v_i)
-    ones = Tensor(np.ones(cos.shape))
-    return mean_all(sub(ones, cos))
-
-
 # --- configuration ----------------------------------------------------------
 
 @dataclass
@@ -296,9 +271,10 @@ class GroupData:
     triple: topics.TopicModelTriple
     dis_pool: np.ndarray         # (n, 3H) fold-in distributions
     dis_val: np.ndarray
-    sem_val: np.ndarray          # (n_val, dim) semantic reps
+    sem_pool: np.ndarray         # (n, dim) semantic reps
+    sem_val: np.ndarray          # (n_val, dim)
+    pooled_vecs: np.ndarray      # (n, dim) mean-pooled encoder vectors
     lap: graph.BipartiteLaplacian
-    pooled_vecs: np.ndarray | None = None  # filled by build_group_data
     seconds: dict[str, float] = field(default_factory=dict)  # stage wall times
 
 
@@ -306,7 +282,7 @@ class GroupData:
 class GroupResult:
     group: str
     ids: list[str]
-    checkpoint: cpa.CpaCheckpoint
+    checkpoint: cpa.CpaModel     # the best-val epoch's snapshot
     dis_train: np.ndarray
     log_rows: list[dict]
     best_epoch: int
@@ -341,24 +317,22 @@ def build_group_data(dataset: Dataset, store: EncoderStore, group: str,
     lap = graph.laplacian(
         graph.build_adjacency([ex.stance for ex in pool], dis_pool))
     built = time.perf_counter()
-    data = GroupData(group=group, pool=pool, val=val, triple=triple,
+    return GroupData(group=group, pool=pool, val=val, triple=triple,
                      dis_pool=dis_pool, dis_val=dis_val,
-                     sem_val=semantic_matrix(val, store), lap=lap,
-                     seconds={"fold_in_s": folded - start,
-                              "graph_build_s": built - folded})
-    data.pooled_vecs = np.stack([store.pooled(ex.id) for ex in pool])
-    return data
+                     sem_pool=semantic_matrix(pool, store),
+                     sem_val=semantic_matrix(val, store),
+                     pooled_vecs=np.stack([store.pooled(ex.id) for ex in pool]),
+                     lap=lap, seconds={"fold_in_s": folded - start,
+                                       "graph_build_s": built - folded})
 
 
-def _val_metrics(data: GroupData, table: cpa.EmbeddingTable,
-                 weights: cpa.CpaWeights, config: TrainConfig):
+def _val_metrics(data: GroupData, model: cpa.CpaModel, config: TrainConfig):
     """(macf, micf, preds, golds, targets) on the val split, current params."""
     from . import inference  # late import; inference also imports this module
 
     if not data.val:
         return 0.0, 0.0, [], [], []
-    preds = inference.score_batch(data.sem_val, data.dis_val, table.z,
-                                  table.u, weights,
+    preds = inference.score_batch(data.sem_val, data.dis_val, model,
                                   slope=config.leaky_slope).predicted
     golds = [ex.stance for ex in data.val]
     targets = [ex.target for ex in data.val]
@@ -372,26 +346,22 @@ def train_group(data: GroupData, store: EncoderStore, config: TrainConfig,
     began = time.perf_counter()
     val_s = 0.0
     n = len(data.pool)
-    h = data.triple.h
-    label_vecs = store.label_matrix()
-    table = cpa.init_embedding_table(
-        data.pooled_vecs, h, label_vecs,
-        seed=derive_seed(trial_seed, 1, data.group), d0=store.dim)
-    weights = cpa.init_cpa_weights(
-        d0=store.dim, d1=config.d1, hops=config.hops,
-        seed=derive_seed(trial_seed, 2, data.group))
+    model = cpa.init_model(
+        data.pooled_vecs, data.triple.h, store.label_matrix(),
+        seed=derive_seed(trial_seed, 1, data.group),
+        weight_seed=derive_seed(trial_seed, 2, data.group), d1=config.d1,
+        hops=config.hops)
 
-    sem_pool = semantic_matrix(data.pool, store)
-    gold_rows = np.array([table.label_row(LABELS.index(ex.stance))
+    gold_rows = np.array([model.label_row(LABELS.index(ex.stance))
                           for ex in data.pool])
-    neg_rows = np.array([[table.label_row(j) for j in range(3)
-                          if table.label_row(j) != gold_rows[i]]
+    neg_rows = np.array([[model.label_row(j) for j in range(3)
+                          if model.label_row(j) != gold_rows[i]]
                          for i in range(n)])
 
-    adam_embed = AdamState([table.e0], lr=config.lr_embed)
-    adam_cpa = AdamState(weights.params, lr=config.lr_cpa)
+    adam_embed = AdamState([model.e0], lr=config.lr_embed)
+    adam_cpa = AdamState(model.w1 + model.w2, lr=config.lr_cpa)
 
-    best = None  # (micf, epoch, e0 copy, w1 copies, w2 copies)
+    best = None  # (micf, epoch, model copy)
     log_rows = []
     val_snapshot = ([], [], [])
     for epoch in range(1, config.epochs + 1):
@@ -402,35 +372,24 @@ def train_group(data: GroupData, store: EncoderStore, config: TrainConfig,
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
             batch = order[start:start + config.batch_size]
-            layers = cpa.propagate(table.e0, lap, weights,
-                                   slope=config.leaky_slope)
-            reps = cpa.final_reps(table.e0, layers)
-            v_tilde = gather_rows(reps, batch)
-            z_pos = gather_rows(reps, gold_rows[batch])
-            z_negs = [gather_rows(reps, neg_rows[batch, j]) for j in (0, 1)]
-            l_con = loss_contrastive(v_tilde, z_pos, z_negs)
-            l_cos = loss_cosine(Tensor(sem_pool[batch]),
-                                gather_rows(table.e0, batch))
-            loss = add(l_con, l_cos)
-            backward(loss)
-            adam_step(adam_embed)
-            adam_step(adam_cpa)
-            epoch_loss += float(loss.data[0, 0]) * len(batch)
+            loss, g_e0, g_w1, g_w2 = cpa.batch_loss(
+                model, lap, batch, gold_rows[batch], neg_rows[batch],
+                data.sem_pool[batch], slope=config.leaky_slope)
+            adam_step(adam_embed, [g_e0])
+            adam_step(adam_cpa, g_w1 + g_w2)
+            epoch_loss += loss * len(batch)
         epoch_loss /= n
 
         val_start = time.perf_counter()
-        macf, micf, preds, golds, targets = _val_metrics(
-            data, table, weights, config)
+        macf, micf, preds, golds, targets = _val_metrics(data, model, config)
         val_s += time.perf_counter() - val_start
         log_rows.append({"epoch": epoch, "loss": epoch_loss,
                          "val_macf": macf, "val_micf": micf})
         if best is None or micf > best[0]:
-            w1, w2 = weights.as_arrays()
-            best = (micf, epoch, table.e0.data.copy(), w1, w2)
+            best = (micf, epoch, model.copy())
             val_snapshot = (preds, golds, targets)
 
-    micf, best_epoch, e0, w1, w2 = best
-    checkpoint = cpa.CpaCheckpoint(e0=e0, w1=w1, w2=w2, h=h, n_text=n)
+    micf, best_epoch, checkpoint = best
     return GroupResult(
         group=data.group, ids=[ex.id for ex in data.pool],
         checkpoint=checkpoint, dis_train=data.dis_pool, log_rows=log_rows,

@@ -16,14 +16,13 @@ from conftest import (SEMEVAL_TABLE, UKP_TABLE, greedy_match_tv,
 from cosd import inference, synth
 from cosd.cli import main
 from cosd.corpus import LABELS, Split, load_semeval, stance_subsets
-from cosd.cpa import final_reps, init_cpa_weights, one_hop_message, propagate
+from cosd.cpa import CpaModel, batch_loss, init_cpa_weights, propagate
 from cosd.graph import laplacian
 from cosd.metrics import Stance, f_avg, macro_micro
-from cosd.numerics import Tensor, add, backward, gather_rows
 from cosd.topics import fit_lda, fit_triple, token_docs
 from cosd.training import (TrainConfig, derive_seed, fold_in_matrix,
-                           load_embeddings, loss_contrastive, loss_cosine,
-                           semantic_matrix, train)
+                           load_embeddings, semantic_matrix, train)
+from tape import one_hop_message
 
 
 def _verdict(capsys, num, name, ok, detail):
@@ -57,14 +56,14 @@ def test_criterion_1_node_form_equivalence(capsys):
         m, adj = _unit_bipartite(rng, n_text, n_side)
         lap = laplacian(m)
         n = n_text + n_side
-        e0 = Tensor(rng.standard_normal((n, 6)))
+        e0 = rng.standard_normal((n, 6))
         weights = init_cpa_weights(d0=6, d1=5, hops=hops, seed=trial)
-        layers = propagate(e0, lap, weights)
+        layers = propagate(e0, lap, *weights)
 
         deg = adj.sum(axis=1)
-        prev = e0.data
+        prev = e0
         for k in range(hops):
-            w1, w2 = weights.w1[k].data, weights.w2[k].data
+            w1, w2 = weights[0][k], weights[1][k]
             nxt = np.zeros((n, w1.shape[1]))
             for e in range(n):
                 acc = prev[e] @ w1
@@ -73,7 +72,7 @@ def test_criterion_1_node_form_equivalence(capsys):
                         acc = acc + adj[e, i] * one_hop_message(
                             prev[e], prev[i], deg[e], deg[i], w1, w2)
                 nxt[e] = np.where(acc > 0, acc, 0.01 * acc)
-            rel = (np.abs(layers[k].data - nxt).max()
+            rel = (np.abs(layers[k] - nxt).max()
                    / max(np.abs(nxt).max(), 1e-12))
             worst = max(worst, rel)
             prev = nxt
@@ -84,7 +83,7 @@ def test_criterion_1_node_form_equivalence(capsys):
 
 
 def test_criterion_2_gradients_match_finite_differences(capsys):
-    """Reverse-mode grads vs central differences on the full loss."""
+    """Hand-derived grads vs central differences on the full loss."""
     t0 = time.perf_counter()
     seed = 6  # keeps pre-activations and gradients away from zero
     rng = np.random.default_rng(seed)
@@ -92,9 +91,9 @@ def test_criterion_2_gradients_match_finite_differences(capsys):
     n_side = 3 * h + 3
     m, _ = _unit_bipartite(rng, n_text, n_side)
     lap = laplacian(m)
-    e0 = Tensor(rng.standard_normal((n_text + n_side, d0)),
-                requires_grad=True)
+    e0 = rng.standard_normal((n_text + n_side, d0))
     weights = init_cpa_weights(d0=d0, d1=d1, hops=hops, seed=seed + 1)
+    model = CpaModel(e0=e0, w1=weights[0], w2=weights[1], h=h, n_text=n_text)
     sem = rng.standard_normal((4, d0))
     batch = np.array([0, 1, 2, 3])
     gold = np.array([n_text + 3 * h + j for j in (0, 1, 2, 0)])
@@ -102,42 +101,35 @@ def test_criterion_2_gradients_match_finite_differences(capsys):
                       if n_text + 3 * h + j != g] for g in gold])
 
     def full_loss():
-        layers = propagate(e0, lap, weights)
-        reps = final_reps(e0, layers)
-        v = gather_rows(reps, batch)
-        z_pos = gather_rows(reps, gold)
-        z_negs = [gather_rows(reps, negs[:, j]) for j in (0, 1)]
-        return add(loss_contrastive(v, z_pos, z_negs),
-                   loss_cosine(Tensor(sem), gather_rows(e0, batch)))
+        return batch_loss(model, lap, batch, gold, negs, sem)
 
     # kink margin: h = 1e-5 perturbations cannot cross an activation zero
     dense = np.zeros((lap.rows, lap.rows))
     dense[:n_text, n_text:] = lap.to_text
     dense[n_text:, :n_text] = lap.to_side.T
-    prev, margin = e0.data, np.inf
+    prev, margin = e0, np.inf
     for k in range(hops):
         agg = dense @ prev
-        pre = ((prev + agg) @ weights.w1[k].data
-               + (prev * agg) @ weights.w2[k].data)
+        pre = ((prev + agg) @ weights[0][k]
+               + (prev * agg) @ weights[1][k])
         margin = min(margin, np.abs(pre).min())
         prev = np.where(pre > 0, pre, 0.01 * pre)
 
-    tensors = [e0] + weights.params
-    loss = full_loss()
-    backward(loss)
-    grads = [t.grad.copy() for t in tensors]
+    tensors = [model.e0] + model.w1 + model.w2
+    _, g_e0, g_w1, g_w2 = full_loss()
+    grads = [g_e0] + g_w1 + g_w2
     h_fd = 1e-5
     worst, n_params = 0.0, 0
     for t, g in zip(tensors, grads):
-        it = np.nditer(t.data, flags=["multi_index"])
+        it = np.nditer(t, flags=["multi_index"])
         for _ in it:
             idx = it.multi_index
-            keep = t.data[idx]
-            t.data[idx] = keep + h_fd
-            up = float(full_loss().data[0, 0])
-            t.data[idx] = keep - h_fd
-            down = float(full_loss().data[0, 0])
-            t.data[idx] = keep
+            keep = t[idx]
+            t[idx] = keep + h_fd
+            up = full_loss()[0]
+            t[idx] = keep - h_fd
+            down = full_loss()[0]
+            t[idx] = keep
             fd = (up - down) / (2 * h_fd)
             mag = max(abs(fd), abs(g[idx]))
             if mag > 0:
@@ -213,7 +205,7 @@ def e2e(tmp_path_factory):
     sem = inference.semantic_scores(semantic_matrix(test_ex, store), ckpt.z)
     dis_mat = fold_in_matrix(test_ex, triple, config.fold_in_sweeps,
                              config.seed)
-    dis = inference.distributed_scores(dis_mat, ckpt.u, ckpt.weights())
+    dis = inference.distributed_scores(dis_mat, ckpt)
     elapsed = time.perf_counter() - t0
 
     golds = [ex.stance for ex in test_ex]

@@ -1,30 +1,31 @@
 """Propagation module tests.
 
-The load-bearing check is matrix-form vs node-form equivalence: the batched
-hop must equal an explicit per-neighbor message loop (self term + discounted
-messages, elementwise interaction included) on random unit-weight bipartite
-graphs. The same oracle runs at acceptance scale elsewhere.
+Two checks are load-bearing. Matrix-form vs node-form equivalence: the
+batched hop must equal an explicit per-neighbor message loop (self term +
+discounted messages, elementwise interaction included) on random unit-weight
+bipartite graphs. Fused vs tape equivalence: batch_loss's hand-derived
+gradients must equal the autodiff tape's (tape.py) on random graphs. Both
+oracles also run at acceptance scale elsewhere.
 """
 
 import numpy as np
 import pytest
 
-import cosd.numerics as nm
+import tape
 from cosd.cpa import (
     CpaError,
-    CpaWeights,
-    EmbeddingTable,
-    final_reps,
+    CpaModel,
+    batch_loss,
     infer_transform,
     init_cpa_weights,
-    init_embedding_table,
+    init_model,
     load_checkpoint,
-    one_hop_message,
     propagate,
     save_checkpoint,
 )
-from cosd.graph import BipartiteLaplacian, laplacian
-from cosd.numerics import Tensor, backward, xavier_init
+from cosd.graph import BipartiteLaplacian, dropout_graph, laplacian
+from cosd.numerics import xavier_init
+from tape import Tensor, final_reps, one_hop_message
 
 
 def _lrelu(x, slope=0.01):
@@ -61,69 +62,81 @@ def _node_form_hop(prev, adj, w1, w2, slope=0.01):
 # --- embedding table ----------------------------------------------------------
 
 
+def _model(e0, w1, w2, h, n_text):
+    return CpaModel(e0=e0, w1=list(w1), w2=list(w2), h=h, n_text=n_text)
+
+
 def test_embedding_table_blocks_and_row_helpers():
     n_text, h, d0 = 4, 2, 6
     data = np.arange((n_text + 3 * h + 3) * d0, dtype=float).reshape(-1, d0)
-    table = EmbeddingTable(e0=Tensor(data, requires_grad=True),
-                           n_text=n_text, h=h)
-    assert table.n_nodes == 13
-    assert table.d0 == d0
-    assert np.array_equal(table.v, data[:4])
-    assert np.array_equal(table.u, data[4:10])
-    assert np.array_equal(table.z, data[10:])
-    assert table.topic_row(0) == 4
-    assert table.label_row(2) == 12
+    model = _model(data, *init_cpa_weights(d0, 3, 1, seed=0), h, n_text)
+    assert model.d0 == d0 and model.hops == 1
+    assert np.array_equal(model.v, data[:4])
+    assert np.array_equal(model.u, data[4:10])
+    assert np.array_equal(model.z, data[10:])
+    assert model.label_row(2) == 12
+    # views: an in-place update of e0 shows in the blocks; a copy is apart
+    snapshot = model.copy()
+    model.e0 += 1.0
+    assert np.array_equal(model.z, data[10:])
+    assert np.array_equal(snapshot.e0 + 1.0, model.e0)
+    assert snapshot.w1[0] is not model.w1[0]
     with pytest.raises(CpaError):
-        EmbeddingTable(e0=Tensor(data), n_text=5, h=h)
+        _model(data, *init_cpa_weights(d0, 3, 1, seed=0), h, 5)
 
 
 def test_init_embedding_table_seeds_blocks():
     rng = np.random.default_rng(0)
     texts = rng.standard_normal((5, 8))
     labels = rng.standard_normal((3, 8))
-    table = init_embedding_table(texts, h=2, label_vecs=labels, seed=3, d0=8)
-    assert table.e0.requires_grad
-    assert np.array_equal(table.v, texts)
-    assert np.array_equal(table.z, labels)
+    model = init_model(texts, h=2, label_vecs=labels, seed=3, d1=4, hops=2,
+                       weight_seed=7)
+    assert np.array_equal(model.v, texts)
+    assert np.array_equal(model.z, labels)
+    assert np.array_equal(model.u, xavier_init(6, 8, seed=3))
     bound = np.sqrt(6.0 / (6 + 8))
-    assert (np.abs(table.u) <= bound).all()
+    assert (np.abs(model.u) <= bound).all()
+    w1, w2 = init_cpa_weights(8, 4, 2, seed=7)
+    for a, b in zip(model.w1 + model.w2, w1 + w2):
+        assert np.array_equal(a, b)
     with pytest.raises(CpaError):
-        init_embedding_table(texts, h=2, label_vecs=labels[:2], seed=0, d0=8)
+        init_model(texts, h=2, label_vecs=labels[:2], seed=0, weight_seed=1)
     with pytest.raises(CpaError):
-        init_embedding_table(texts[:, :4], h=2, label_vecs=labels, seed=0, d0=8)
+        init_model(texts[:, :4], h=2, label_vecs=labels, seed=0,
+                   weight_seed=1)
 
 
 # --- weights -------------------------------------------------------------------
 
 
 def test_init_cpa_weights_shapes_and_determinism():
-    w = init_cpa_weights(d0=10, d1=4, hops=3, seed=7)
-    assert w.hops == 3
-    assert w.w1[0].shape == (10, 4) and w.w2[0].shape == (10, 4)
-    assert w.w1[1].shape == (4, 4) and w.w1[2].shape == (4, 4)
-    assert len(w.params) == 6
-    again = init_cpa_weights(d0=10, d1=4, hops=3, seed=7)
-    for a, b in zip(w.params, again.params):
-        assert np.array_equal(a.data, b.data)
+    w1, w2 = init_cpa_weights(d0=10, d1=4, hops=3, seed=7)
+    assert len(w1) == len(w2) == 3
+    assert w1[0].shape == (10, 4) and w2[0].shape == (10, 4)
+    assert w1[1].shape == (4, 4) and w1[2].shape == (4, 4)
+    again1, again2 = init_cpa_weights(d0=10, d1=4, hops=3, seed=7)
+    for a, b in zip(w1 + w2, again1 + again2):
+        assert np.array_equal(a, b)
     # per-hop seeds differ, so w1 and w2 of the same hop must differ
-    assert not np.array_equal(w.w1[0].data, w.w2[0].data)
+    assert not np.array_equal(w1[0], w2[0])
     with pytest.raises(CpaError):
         init_cpa_weights(hops=0)
 
 
 def test_cpa_weights_validation():
+    e0 = np.zeros((1 + 3 + 3, 4))
     a, b = xavier_init(4, 3, 0), xavier_init(3, 3, 1)
-    with pytest.raises(CpaError):
-        CpaWeights(w1=[a], w2=[])
-    with pytest.raises(CpaError):
-        CpaWeights(w1=[a], w2=[b])
-    with pytest.raises(CpaError):
-        CpaWeights(w1=[a, xavier_init(4, 3, 2)],
-                   w2=[a, xavier_init(4, 3, 3)])  # chain break: 3 != 4
-    ok = CpaWeights(w1=[a, b], w2=[xavier_init(4, 3, 4), xavier_init(3, 3, 5)])
-    arrays1, arrays2 = ok.as_arrays()
-    arrays1[0][0, 0] += 100.0
-    assert ok.w1[0].data[0, 0] != arrays1[0][0, 0]
+    for w1, w2 in (([a], []), ([], []), ([a], [b]),
+                   ([a, xavier_init(4, 3, 2)],
+                    [a, xavier_init(4, 3, 3)]),  # chain break: 3 != 4
+                   ([a, xavier_init(3, 2, 2)],
+                    [a, xavier_init(3, 2, 3)]),  # later hop not d1 x d1
+                   ([b], [b])):                  # first hop not d0 rows
+        with pytest.raises(CpaError):
+            _model(e0, w1, w2, h=1, n_text=1)
+    ok = _model(e0, [a, b], [xavier_init(4, 3, 4), xavier_init(3, 3, 5)],
+                h=1, n_text=1)
+    assert ok.hops == 2
 
 
 # --- propagation ----------------------------------------------------------------
@@ -131,24 +144,22 @@ def test_cpa_weights_validation():
 
 def test_propagate_zero_graph_reduces_to_dense_layer():
     rng = np.random.default_rng(1)
-    e0 = Tensor(rng.standard_normal((5, 6)), requires_grad=True)
-    weights = init_cpa_weights(d0=6, d1=4, hops=2, seed=0)
+    e0 = rng.standard_normal((5, 6))
+    w1, w2 = init_cpa_weights(d0=6, d1=4, hops=2, seed=0)
     empty = BipartiteLaplacian(np.zeros((2, 3)), np.zeros((2, 3)))
-    layers = propagate(e0, empty, weights)
-    expect = _lrelu(e0.data @ weights.w1[0].data)
-    assert np.allclose(layers[0].data, expect)
-    assert np.allclose(layers[1].data, _lrelu(expect @ weights.w1[1].data))
+    layers = propagate(e0, empty, w1, w2)
+    expect = _lrelu(e0 @ w1[0])
+    assert np.allclose(layers[0], expect)
+    assert np.allclose(layers[1], _lrelu(expect @ w1[1]))
 
 
 def test_propagate_layer_dims_default_widths():
     rng = np.random.default_rng(2)
-    e0 = Tensor(rng.standard_normal((5, 768)), requires_grad=True)
-    weights = init_cpa_weights(hops=3, seed=1)
+    e0 = rng.standard_normal((5, 768))
+    w1, w2 = init_cpa_weights(hops=3, seed=1)
     empty = BipartiteLaplacian(np.zeros((2, 3)), np.zeros((2, 3)))
-    layers = propagate(e0, empty, weights)
+    layers = propagate(e0, empty, w1, w2)
     assert [l.shape for l in layers] == [(5, 64), (5, 64), (5, 64)]
-    reps = final_reps(e0, layers)
-    assert reps.shape == (5, 768 + 3 * 64)
 
 
 def test_propagate_matches_node_form_oracle():
@@ -160,15 +171,14 @@ def test_propagate_matches_node_form_oracle():
         m, adj = _unit_bipartite(rng, n_text, n_side)
         lap = laplacian(m)
         n = n_text + n_side
-        e0 = Tensor(rng.standard_normal((n, 6)), requires_grad=True)
-        weights = init_cpa_weights(d0=6, d1=5, hops=hops, seed=trial)
-        layers = propagate(e0, lap, weights)
-        prev = e0.data
+        e0 = rng.standard_normal((n, 6))
+        w1, w2 = init_cpa_weights(d0=6, d1=5, hops=hops, seed=trial)
+        layers = propagate(e0, lap, w1, w2)
+        prev = e0
         for k in range(hops):
-            prev = _node_form_hop(prev, adj, weights.w1[k].data,
-                                  weights.w2[k].data)
+            prev = _node_form_hop(prev, adj, w1[k], w2[k])
             scale = max(1.0, np.abs(prev).max())
-            assert np.abs(layers[k].data - prev).max() / scale < 1e-6
+            assert np.abs(layers[k] - prev).max() / scale < 1e-6
 
 
 def test_propagate_is_permutation_equivariant():
@@ -177,40 +187,103 @@ def test_propagate_is_permutation_equivariant():
     lap = laplacian(m)
     n = 7
     e0 = rng.standard_normal((n, 6))
-    weights = init_cpa_weights(d0=6, d1=5, hops=2, seed=9)
-    base = propagate(Tensor(e0), lap, weights)[-1].data
+    w1, w2 = init_cpa_weights(d0=6, d1=5, hops=2, seed=9)
+    base = propagate(e0, lap, w1, w2)[-1]
 
     # node order is texts then side nodes, so permute within each block
     text_perm, side_perm = rng.permutation(4), rng.permutation(3)
     perm = np.concatenate([text_perm, 4 + side_perm])
     lap_p = BipartiteLaplacian(lap.to_text[np.ix_(text_perm, side_perm)],
                                lap.to_side[np.ix_(text_perm, side_perm)])
-    out_p = propagate(Tensor(e0[perm]), lap_p, weights)[-1].data
+    out_p = propagate(e0[perm], lap_p, w1, w2)[-1]
     assert np.allclose(out_p, base[perm])
 
 
 def test_propagate_shape_errors():
-    e0 = Tensor(np.ones((4, 6)), requires_grad=True)
-    weights = init_cpa_weights(d0=6, d1=3, hops=1, seed=0)
+    e0 = np.ones((4, 6))
+    w1, w2 = init_cpa_weights(d0=6, d1=3, hops=1, seed=0)
     with pytest.raises(CpaError):
         propagate(e0, BipartiteLaplacian(np.zeros((2, 1)), np.zeros((2, 1))),
-                  weights)
+                  w1, w2)
     with pytest.raises(CpaError):
         propagate(e0, BipartiteLaplacian(np.zeros((2, 3)), np.zeros((2, 3))),
-                  weights)
+                  w1, w2)
 
 
 def test_propagate_gradients_reach_all_parameters():
     rng = np.random.default_rng(5)
-    m, _ = _unit_bipartite(rng, 3, 3)
-    lap = laplacian(m)
-    e0 = Tensor(rng.standard_normal((6, 4)), requires_grad=True)
-    weights = init_cpa_weights(d0=4, d1=3, hops=2, seed=2)
-    reps = final_reps(e0, propagate(e0, lap, weights))
-    backward(nm.mean_all(reps))
-    assert e0.grad is not None and np.abs(e0.grad).sum() > 0
-    for p in weights.params:
-        assert p.grad is not None
+    m, _ = _unit_bipartite(rng, 3, 6)  # h = 1: three topics, three labels
+    model = _model(rng.standard_normal((9, 4)),
+                   *init_cpa_weights(d0=4, d1=3, hops=2, seed=2), h=1,
+                   n_text=3)
+    gold = np.array([6, 7, 8])
+    negs = np.array([[7, 8], [6, 8], [6, 7]])
+    _, g_e0, g_w1, g_w2 = batch_loss(model, laplacian(m), np.arange(3), gold,
+                                     negs, rng.standard_normal((3, 4)))
+    assert g_e0.shape == model.e0.shape and np.abs(g_e0).sum() > 0
+    # hop weights reach every node row through propagation
+    assert np.abs(g_e0[3:6]).sum() > 0
+    for g, w in zip(g_w1 + g_w2, model.w1 + model.w2):
+        assert g.shape == w.shape and np.abs(g).sum() > 0
+
+
+def _random_case(rng, hops, rate):
+    """A model on a random graph and a batch whose texts share label rows."""
+    h = int(rng.integers(1, 3))
+    n_text = int(rng.integers(4, 10))
+    n_side = 3 * h + 3
+    m = np.where(rng.random((n_text, n_side)) < 0.5,
+                 rng.random((n_text, n_side)) + 0.05, 0.0)
+    lap = dropout_graph(laplacian(m), rate, rate, rng)
+    model = _model(rng.standard_normal((n_text + n_side, 7)),
+                   *init_cpa_weights(d0=7, d1=4, hops=hops,
+                                     seed=int(rng.integers(1000))),
+                   h=h, n_text=n_text)
+    b = int(rng.integers(3, n_text + 1))
+    batch = rng.permutation(n_text)[:b]
+    labels = rng.integers(0, 3, size=b)
+    labels[:2] = labels[2]  # at least three texts share a gold label row
+    gold = np.array([model.label_row(j) for j in labels])
+    negs = np.array([[model.label_row(j) for j in range(3) if j != k]
+                     for k in labels])
+    return model, lap, batch, gold, negs, rng.standard_normal((b, 7))
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.1])
+@pytest.mark.parametrize("hops", [1, 2, 3])
+def test_batch_loss_matches_tape_oracle(hops, rate):
+    rng = np.random.default_rng(100 * hops + int(10 * rate))
+    for _ in range(5):
+        model, lap, batch, gold, negs, sem = _random_case(rng, hops, rate)
+        loss, g_e0, g_w1, g_w2 = batch_loss(model, lap, batch, gold, negs,
+                                            sem)
+        e0 = Tensor(model.e0, requires_grad=True)
+        w1 = [Tensor(w, requires_grad=True) for w in model.w1]
+        w2 = [Tensor(w, requires_grad=True) for w in model.w2]
+        oracle = tape.batch_loss(e0, w1, w2, lap, batch, gold, negs, sem)
+        tape.backward(oracle)
+        assert abs(loss - oracle.data[0, 0]) <= 1e-12 * abs(oracle.data[0, 0])
+        for got, ref in zip([g_e0] + g_w1 + g_w2, [e0] + w1 + w2):
+            scale = np.abs(ref.grad).max()
+            assert scale > 0
+            assert np.abs(got - ref.grad).max() <= 1e-12 * scale
+
+
+def test_batch_loss_validates_inputs():
+    rng = np.random.default_rng(11)
+    model, lap, batch, gold, negs, sem = _random_case(rng, 2, 0.0)
+    with pytest.raises(CpaError):
+        batch_loss(model, lap, batch, gold[1:], negs, sem)
+    with pytest.raises(CpaError):
+        batch_loss(model, lap, batch, gold, negs[:, :0], sem)
+    with pytest.raises(CpaError):
+        batch_loss(model, lap, batch, gold, negs, sem[:, 1:])
+    with pytest.raises(CpaError):
+        batch_loss(model, lap, batch, gold + 3, negs, sem)
+    zero = sem.copy()
+    zero[0] = 0.0
+    with pytest.raises(CpaError, match="zero-norm"):
+        batch_loss(model, lap, batch, gold, negs, zero)
 
 
 # --- per-message oracle ----------------------------------------------------------
@@ -269,40 +342,41 @@ def test_final_reps_blocks_and_degenerate_case():
 
 def test_infer_transform_zero_and_w2_zero_reductions():
     x = np.array([1.0, -2.0, 0.5])
-    zero = CpaWeights(w1=[Tensor(np.zeros((3, 2)))],
-                      w2=[Tensor(np.zeros((3, 2)))])
+    e0 = np.zeros((6, 3))
+    zero = _model(e0, [np.zeros((3, 2))], [np.zeros((3, 2))], h=1, n_text=0)
     out = infer_transform(x, zero)
     assert np.array_equal(out, np.concatenate([x, np.zeros(2)]))
 
     rng = np.random.default_rng(7)
     w1 = rng.standard_normal((3, 2))
-    only_w1 = CpaWeights(w1=[Tensor(w1)], w2=[Tensor(np.zeros((3, 2)))])
+    only_w1 = _model(e0, [w1], [np.zeros((3, 2))], h=1, n_text=0)
     out = infer_transform(x, only_w1)
     assert np.allclose(out[3:], _lrelu(x @ w1))
 
 
 def test_infer_transform_matches_literal_loop():
     rng = np.random.default_rng(8)
-    weights = init_cpa_weights(d0=5, d1=4, hops=3, seed=3)
+    w1, w2 = init_cpa_weights(d0=5, d1=4, hops=3, seed=3)
     x = rng.standard_normal((6, 5))
-    got = infer_transform(x, weights)
+    got = infer_transform(x, _model(np.zeros((6, 5)), w1, w2, h=1, n_text=0))
     parts = [x]
     prev = x
     for k in range(3):
-        prev = _lrelu(prev @ (weights.w1[k].data + weights.w2[k].data))
+        prev = _lrelu(prev @ (w1[k] + w2[k]))
         parts.append(prev)
     assert np.allclose(got, np.concatenate(parts, axis=1))
     assert got.shape == (6, 5 + 3 * 4)
 
 
 def test_infer_transform_rank_and_width_checks():
-    weights = init_cpa_weights(d0=4, d1=2, hops=2, seed=0)
-    vec = infer_transform(np.ones(4), weights)
-    mat = infer_transform(np.ones((1, 4)), weights)
+    model = _model(np.zeros((6, 4)), *init_cpa_weights(d0=4, d1=2, hops=2,
+                                                       seed=0), h=1, n_text=0)
+    vec = infer_transform(np.ones(4), model)
+    mat = infer_transform(np.ones((1, 4)), model)
     assert vec.ndim == 1 and mat.ndim == 2
     assert np.allclose(vec, mat[0])
     with pytest.raises(CpaError):
-        infer_transform(np.ones(5), weights)
+        infer_transform(np.ones(5), model)
 
 
 # --- checkpoints -------------------------------------------------------------------
@@ -315,7 +389,7 @@ def test_checkpoint_round_trip(tmp_path):
     w1 = [rng.standard_normal((d0, d1)), rng.standard_normal((d1, d1))]
     w2 = [rng.standard_normal((d0, d1)), rng.standard_normal((d1, d1))]
     path = tmp_path / "model.cpa1"
-    save_checkpoint(path, e0, w1, w2, h=h, n_text=n_text)
+    save_checkpoint(path, _model(e0, w1, w2, h=h, n_text=n_text))
     back = load_checkpoint(path)
     assert back.h == h and back.n_text == n_text
     assert back.d0 == d0 and back.hops == hops
@@ -325,9 +399,6 @@ def test_checkpoint_round_trip(tmp_path):
     assert np.array_equal(back.v, e0[:4])
     assert np.array_equal(back.u, e0[4:10])
     assert np.array_equal(back.z, e0[10:])
-    weights = back.weights()
-    assert weights.hops == hops
-    assert not weights.w1[0].requires_grad
 
 
 def test_checkpoint_rejects_corruption(tmp_path):
@@ -335,7 +406,7 @@ def test_checkpoint_rejects_corruption(tmp_path):
     w1 = [np.zeros((2, 2))]
     w2 = [np.zeros((2, 2))]
     path = tmp_path / "model.cpa1"
-    save_checkpoint(path, e0, w1, w2, h=1, n_text=1)
+    save_checkpoint(path, _model(e0, w1, w2, h=1, n_text=1))
     raw = path.read_bytes()
     bad = tmp_path / "bad.cpa1"
     bad.write_bytes(b"NOPE" + raw[4:])
@@ -345,13 +416,17 @@ def test_checkpoint_rejects_corruption(tmp_path):
     trailing.write_bytes(raw + b"\x01")
     with pytest.raises(CpaError):
         load_checkpoint(trailing)
+    no_hops = tmp_path / "no-hops.cpa1"
+    no_hops.write_bytes(raw[:12] + bytes(4) + raw[16:])
+    with pytest.raises(CpaError, match="no-hops.cpa1"):
+        load_checkpoint(no_hops)
 
 
 def test_checkpoint_truncated_at_every_offset_raises_cpa_error(tmp_path):
     e0 = np.ones((1 + 3 + 3, 2))
     path = tmp_path / "model.cpa1"
-    save_checkpoint(path, e0, [np.ones((2, 2))], [np.ones((2, 2))],
-                    h=1, n_text=1)
+    save_checkpoint(path, _model(e0, [np.ones((2, 2))], [np.ones((2, 2))],
+                                 h=1, n_text=1))
     raw = path.read_bytes()
     cut = tmp_path / "cut.cpa1"
     for size in range(len(raw)):
@@ -360,15 +435,13 @@ def test_checkpoint_truncated_at_every_offset_raises_cpa_error(tmp_path):
             load_checkpoint(cut)
 
 
-def test_save_checkpoint_validates_shapes(tmp_path):
+def test_save_checkpoint_validates_shapes():
+    # save_checkpoint takes a model record, which cannot hold these shapes
     with pytest.raises(CpaError):
-        save_checkpoint(tmp_path / "x.cpa1", np.zeros((5, 2)),
-                        [np.zeros((2, 2))], [np.zeros((2, 2))],
-                        h=1, n_text=1)
+        _model(np.zeros((5, 2)), [np.zeros((2, 2))], [np.zeros((2, 2))],
+               h=1, n_text=1)
     with pytest.raises(CpaError):
-        save_checkpoint(tmp_path / "x.cpa1", np.zeros((7, 2)),
-                        [np.zeros((2, 2))], [], h=1, n_text=1)
+        _model(np.zeros((7, 2)), [np.zeros((2, 2))], [], h=1, n_text=1)
     with pytest.raises(CpaError):
-        save_checkpoint(tmp_path / "x.cpa1", np.zeros((7, 2)),
-                        [np.zeros((3, 2))], [np.zeros((3, 2))],
-                        h=1, n_text=1)
+        _model(np.zeros((7, 2)), [np.zeros((3, 2))], [np.zeros((3, 2))],
+               h=1, n_text=1)

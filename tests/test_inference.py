@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cosd.corpus import Split, Stance, load_semeval, stance_subsets
-from cosd.cpa import CpaWeights, infer_transform, init_cpa_weights
+from cosd.cpa import CpaModel, infer_transform, init_cpa_weights
 from cosd.inference import (
     InferenceError,
     argmax_labels,
@@ -23,14 +23,20 @@ from cosd.inference import (
     top_k_similar,
     zscore_rows,
 )
-from cosd.numerics import Tensor
 from cosd.topics import fit_triple
 from cosd.training import (TrainConfig, TrainingError, build_group_data,
                            fold_in_matrix, load_embeddings, semantic_matrix,
                            train_group)
 
-ZERO_WEIGHTS = CpaWeights(w1=[Tensor(np.zeros((3, 2)))],
-                          w2=[Tensor(np.zeros((3, 2)))])
+ZERO_WEIGHTS = ([np.zeros((3, 2))], [np.zeros((3, 2))])
+
+
+def _model(u, weights, z=None):
+    """A text-free model with topic table u, label table z (zeros by
+    default) and weights (w1, w2)."""
+    z = np.zeros((3, u.shape[1])) if z is None else z
+    return CpaModel(e0=np.concatenate([u, z]), w1=weights[0], w2=weights[1],
+                    h=len(u) // 3, n_text=0)
 
 
 def _scored(sem, dis, topic_table=np.eye(3), **kwargs):
@@ -41,8 +47,8 @@ def _scored(sem, dis, topic_table=np.eye(3), **kwargs):
     are the row's topic distribution, so dis must sum to 1.
     """
     return score_batch(np.array([sem], dtype=float),
-                       np.array([dis], dtype=float), np.eye(3), topic_table,
-                       ZERO_WEIGHTS, **kwargs)
+                       np.array([dis], dtype=float),
+                       _model(topic_table, ZERO_WEIGHTS, np.eye(3)), **kwargs)
 
 
 # --- semantic score -------------------------------------------------------------
@@ -78,11 +84,12 @@ def test_semantic_scores_batch_matches_single():
 # --- distributed score ------------------------------------------------------------
 
 
-def _block_max_oracle(dis, u, weights):
+def _block_max_oracle(dis, model):
     """Per stance block, max over its topics of the transformed products."""
+    u = model.u
     e_dis = infer_transform(sum(dis[j] * u[j] for j in range(len(dis))),
-                            weights)
-    products = [float(infer_transform(u[j], weights) @ e_dis)
+                            model)
+    products = [float(infer_transform(u[j], model) @ e_dis)
                 for j in range(len(dis))]
     h = len(dis) // 3
     return [max(products[b * h:(b + 1) * h]) for b in range(3)]
@@ -91,19 +98,17 @@ def _block_max_oracle(dis, u, weights):
 def test_distributed_rep_one_hot_and_uniform():
     rng = np.random.default_rng(2)
     u = rng.standard_normal((6, 5))
-    weights = init_cpa_weights(d0=5, d1=3, hops=2, seed=3)
-    u_tilde = infer_transform(u, weights)
+    model = _model(u, init_cpa_weights(d0=5, d1=3, hops=2, seed=3))
+    u_tilde = infer_transform(u, model)
     one_hot = np.zeros(6)
     one_hot[4] = 1.0
     # a one-hot row mixes in exactly that topic's embedding
     expect = (u_tilde @ u_tilde[4]).reshape(3, 2).max(axis=1)
-    assert np.allclose(distributed_scores(one_hot[None], u, weights)[0],
-                       expect)
+    assert np.allclose(distributed_scores(one_hot[None], model)[0], expect)
     uniform = np.full(6, 1.0 / 6.0)
-    e_mean = infer_transform(u.mean(axis=0), weights)
+    e_mean = infer_transform(u.mean(axis=0), model)
     expect = (u_tilde @ e_mean).reshape(3, 2).max(axis=1)
-    assert np.allclose(distributed_scores(uniform[None], u, weights)[0],
-                       expect)
+    assert np.allclose(distributed_scores(uniform[None], model)[0], expect)
 
 
 def test_distributed_rep_matches_loop_and_validates():
@@ -111,23 +116,23 @@ def test_distributed_rep_matches_loop_and_validates():
     u = rng.standard_normal((6, 4))
     dis = rng.random(6)
     dis /= dis.sum()
-    weights = init_cpa_weights(d0=4, d1=3, hops=1, seed=4)
-    got = distributed_scores(dis[None], u, weights)[0]
-    assert np.allclose(got, _block_max_oracle(dis, u, weights))
+    model = _model(u, init_cpa_weights(d0=4, d1=3, hops=1, seed=4))
+    got = distributed_scores(dis[None], model)[0]
+    assert np.allclose(got, _block_max_oracle(dis, model))
     with pytest.raises(InferenceError):
-        distributed_scores((dis * 2.0)[None], u, weights)
+        distributed_scores((dis * 2.0)[None], model)
     with pytest.raises(InferenceError):
-        distributed_scores(dis[None, :5], u, weights)
+        distributed_scores(dis[None, :5], model)
 
 
 def test_distributed_score_h1_reduces_to_inner_products():
     rng = np.random.default_rng(4)
     u = rng.standard_normal((3, 5))
     dis = np.array([0.6, 0.3, 0.1])
-    weights = init_cpa_weights(d0=5, d1=3, hops=1, seed=0)
-    got = distributed_scores(dis[None], u, weights)[0]
-    e_dis = infer_transform(dis @ u, weights)
-    u_tilde = infer_transform(u, weights)
+    model = _model(u, init_cpa_weights(d0=5, d1=3, hops=1, seed=0))
+    got = distributed_scores(dis[None], model)[0]
+    e_dis = infer_transform(dis @ u, model)
+    u_tilde = infer_transform(u, model)
     assert np.allclose(got, u_tilde @ e_dis)
 
 
@@ -137,9 +142,8 @@ def test_distributed_score_zero_weights_uses_raw_blocks():
     u = rng.standard_normal((3 * h, 4))
     dis = rng.random(3 * h)
     dis /= dis.sum()
-    zero = CpaWeights(w1=[Tensor(np.zeros((4, 2)))],
-                      w2=[Tensor(np.zeros((4, 2)))])
-    got = distributed_scores(dis[None], u, zero)[0]
+    zero = _model(u, ([np.zeros((4, 2))], [np.zeros((4, 2))]))
+    got = distributed_scores(dis[None], zero)[0]
     raw = u @ (dis @ u)  # transform appends zero tails, inner products survive
     assert np.allclose(got, raw.reshape(3, h).max(axis=1))
 
@@ -150,10 +154,10 @@ def test_distributed_score_brute_force_h2():
     u = rng.standard_normal((3 * h, 5))
     dis = rng.random(3 * h)
     dis /= dis.sum()
-    weights = init_cpa_weights(d0=5, d1=3, hops=2, seed=1)
-    got = distributed_scores(dis[None], u, weights)[0]
-    e_dis = infer_transform(dis @ u, weights)
-    products = [float(infer_transform(u[j], weights) @ e_dis)
+    model = _model(u, init_cpa_weights(d0=5, d1=3, hops=2, seed=1))
+    got = distributed_scores(dis[None], model)[0]
+    e_dis = infer_transform(dis @ u, model)
+    products = [float(infer_transform(u[j], model) @ e_dis)
                 for j in range(6)]
     expect = [max(products[0], products[1]),
               max(products[2], products[3]),
@@ -165,18 +169,16 @@ def test_distributed_scores_batch_matches_single():
     rng = np.random.default_rng(7)
     h = 2
     u = rng.standard_normal((3 * h, 5))
-    weights = init_cpa_weights(d0=5, d1=3, hops=2, seed=2)
+    model = _model(u, init_cpa_weights(d0=5, d1=3, hops=2, seed=2))
     dis_matrix = rng.random((4, 3 * h))
     dis_matrix /= dis_matrix.sum(axis=1, keepdims=True)
-    batch = distributed_scores(dis_matrix, u, weights)
+    batch = distributed_scores(dis_matrix, model)
     assert batch.shape == (4, 3)
     for i in range(4):
-        assert np.allclose(batch[i], _block_max_oracle(dis_matrix[i], u,
-                                                       weights))
+        assert np.allclose(batch[i], _block_max_oracle(dis_matrix[i], model))
         assert np.allclose(batch[i],
-                           distributed_scores(dis_matrix[i:i + 1], u,
-                                              weights)[0])
-    assert distributed_scores(np.zeros((0, 6)), u, weights).shape == (0, 3)
+                           distributed_scores(dis_matrix[i:i + 1], model)[0])
+    assert distributed_scores(np.zeros((0, 6)), model).shape == (0, 3)
 
 
 # --- modes and score normalization -------------------------------------------------
@@ -235,23 +237,23 @@ def test_score_batch_rows_match_one_row_calls():
     h = 2
     z = rng.standard_normal((3, 5))
     u = rng.standard_normal((3 * h, 5))
-    weights = init_cpa_weights(d0=5, d1=3, hops=2, seed=5)
+    model = _model(u, init_cpa_weights(d0=5, d1=3, hops=2, seed=5), z)
     sem_rows = rng.standard_normal((6, 5))
     dis_rows = rng.random((6, 3 * h))
     dis_rows /= dis_rows.sum(axis=1, keepdims=True)
     for mode in ("full", "no_sem", "no_dis"):
         for norm in (False, True):
-            batch = score_batch(sem_rows, dis_rows, z, u, weights, mode=mode,
+            batch = score_batch(sem_rows, dis_rows, model, mode=mode,
                                 score_norm=norm)
             assert np.array_equal(batch.total, batch.sem + batch.dis)
             for i in range(6):
-                one = score_batch(sem_rows[i:i + 1], dis_rows[i:i + 1], z, u,
-                                  weights, mode=mode, score_norm=norm)
+                one = score_batch(sem_rows[i:i + 1], dis_rows[i:i + 1], model,
+                                  mode=mode, score_norm=norm)
                 assert np.allclose(one.total[0], batch.total[i])
                 assert one.predicted[0] is batch.predicted[i]
     with pytest.raises(InferenceError):
-        score_batch(sem_rows[:5], dis_rows, z, u, weights)
-    empty = score_batch(sem_rows[:0], dis_rows[:0], z, u, weights)
+        score_batch(sem_rows[:5], dis_rows, model)
+    empty = score_batch(sem_rows[:0], dis_rows[:0], model)
     assert empty.total.shape == (0, 3) and empty.predicted == []
 
 
@@ -279,7 +281,7 @@ def trained(synth_small):
 def _score_examples(examples, store, triple, ckpt, **kwargs):
     return score_batch(semantic_matrix(examples, store),
                        fold_in_matrix(examples, triple, 10, 4),
-                       ckpt.z, ckpt.u, ckpt.weights(), **kwargs)
+                       ckpt, **kwargs)
 
 
 def test_predict_returns_bundles_and_beats_chance(trained):

@@ -1,4 +1,5 @@
-"""Autodiff engine tests: forward values, gradient oracle, Adam, init.
+"""Tests of the autodiff tape (the test oracle in tape.py), the block
+Laplacian products, Adam and the initializer.
 
 Every tracked op is finite-difference checked against an arbitrary upstream
 cotangent (the loss contracts the op output with a fixed random matrix, so
@@ -8,16 +9,10 @@ uniform-gradient bugs cannot hide). Inputs stay away from LeakyReLU kinks.
 import numpy as np
 import pytest
 
-import cosd.numerics as nm
-from cosd.graph import BipartiteLaplacian, dropout_graph, laplacian
-from cosd.numerics import (
-    AdamState,
-    NumericsError,
-    Tensor,
-    adam_step,
-    backward,
-    xavier_init,
-)
+import tape as nm
+from cosd.graph import BipartiteLaplacian, GraphError, dropout_graph, laplacian
+from cosd.numerics import AdamState, NumericsError, adam_step, xavier_init
+from tape import Tensor, backward
 
 
 def _fd_grads(build, tensors, h=1e-6):
@@ -140,9 +135,16 @@ def test_spmm_matches_dense_oracle():
         dense = np.zeros((n_text + n_side, n_text + n_side))
         dense[:n_text, n_text:] = to_text
         dense[n_text:, :n_text] = to_side.T
-        b = Tensor(rng.standard_normal((n_text + n_side, 7)))
+        b = rng.standard_normal((n_text + n_side, 7))
         lap = BipartiteLaplacian(to_text, to_side)
-        assert np.allclose(nm.spmm(lap, b).data, dense @ b.data, atol=1e-12)
+        assert np.allclose(lap.matmul(b), dense @ b, atol=1e-12)
+        assert np.allclose(lap.transpose_matmul(b), dense.T @ b, atol=1e-12)
+        assert np.array_equal(nm.spmm(lap, Tensor(b)).data, lap.matmul(b))
+    for bad in (np.zeros((n_text + n_side + 1, 2)), np.zeros(n_text + n_side)):
+        with pytest.raises(GraphError):
+            lap.matmul(bad)
+        with pytest.raises(GraphError):
+            lap.transpose_matmul(bad)
     with pytest.raises(NumericsError):
         nm.spmm(lap, Tensor(np.zeros((n_text + n_side + 1, 2))))
 
@@ -156,14 +158,14 @@ def test_spmm_and_vjp_match_coo_scatter_oracle(rate):
                             rate, rate, rng)
         row_idx, col_idx, weights = _coo(lap)
         assert len(weights) == lap.nnz
-        b = Tensor(rng.standard_normal((lap.rows, 9)), requires_grad=True)
-        out = nm.spmm(lap, b)
-        expect = _coo_spmm(lap.rows, row_idx, col_idx, weights, b.data)
-        assert np.allclose(out.data, expect, rtol=0, atol=1e-12)
-        g = rng.standard_normal(out.shape)
-        (got,) = out._vjp(g)
-        expect = _coo_spmm_vjp(row_idx, col_idx, weights, b.data, g)
-        assert np.allclose(got, expect, rtol=0, atol=1e-12)
+        b = rng.standard_normal((lap.rows, 9))
+        expect = _coo_spmm(lap.rows, row_idx, col_idx, weights, b)
+        assert np.allclose(lap.matmul(b), expect, rtol=0, atol=1e-12)
+        g = rng.standard_normal(b.shape)
+        expect = _coo_spmm_vjp(row_idx, col_idx, weights, b, g)
+        assert np.allclose(lap.transpose_matmul(g), expect, rtol=0, atol=1e-12)
+        (tape_vjp,) = nm.spmm(lap, Tensor(b, requires_grad=True))._vjp(g)
+        assert np.array_equal(tape_vjp, lap.transpose_matmul(g))
 
 
 def test_add_sub_broadcast_rules():
@@ -388,62 +390,54 @@ def test_nonfinite_result_is_rejected():
 def test_adam_against_reference_implementation():
     rng = np.random.default_rng(21)
     shapes = [(2, 3), (4, 1)]
-    params = [Tensor(rng.standard_normal(s), requires_grad=True)
-              for s in shapes]
-    ref = [p.data.copy() for p in params]
+    params = [rng.standard_normal(s) for s in shapes]
+    ref = [p.copy() for p in params]
     m = [np.zeros(s) for s in shapes]
     v = [np.zeros(s) for s in shapes]
     lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
     state = AdamState(params, lr=lr)
     for t in range(1, 4):
         grads = [rng.standard_normal(s) for s in shapes]
-        for p, g in zip(params, grads):
-            p.grad = g.copy()
-        adam_step(state)
+        adam_step(state, [g.copy() for g in grads])
         for i, g in enumerate(grads):
             m[i] = b1 * m[i] + (1 - b1) * g
             v[i] = b2 * v[i] + (1 - b2) * g * g
             ref[i] = ref[i] - lr * (m[i] / (1 - b1 ** t)) / (
                 np.sqrt(v[i] / (1 - b2 ** t)) + eps)
         for p, r in zip(params, ref):
-            assert np.allclose(p.data, r, atol=1e-15)
+            assert np.allclose(p, r, atol=1e-15)
     assert state.step_count == 3
 
 
 def test_adam_first_step_magnitude_is_lr():
-    p = Tensor([[1.0, -2.0]], requires_grad=True)
+    p = np.array([[1.0, -2.0]])
     state = AdamState([p], lr=0.05)
-    p.grad = np.array([[0.3, -0.7]])
-    adam_step(state)
-    # bias-corrected m/sqrt(v) = sign(g) on step one, up to eps
-    assert np.allclose(p.data, [[1.0 - 0.05, -2.0 + 0.05]], atol=1e-6)
-    assert p.grad is None
+    adam_step(state, [np.array([[0.3, -0.7]])])
+    # bias-corrected m/sqrt(v) = sign(g) on step one, up to eps; in place
+    assert np.allclose(p, [[1.0 - 0.05, -2.0 + 0.05]], atol=1e-6)
+    assert state.params[0] is p
 
 
 def test_adam_zero_gradient_keeps_parameter():
-    p = Tensor([[1.5]], requires_grad=True)
+    p = np.array([[1.5]])
     state = AdamState([p], lr=0.1)
-    p.grad = np.zeros((1, 1))
-    adam_step(state)
-    assert p.data[0, 0] == 1.5
+    adam_step(state, [np.zeros((1, 1))])
+    assert p[0, 0] == 1.5
 
 
 def test_adam_validates_params_and_grads():
-    p = Tensor([[1.0]], requires_grad=True)
-    q = Tensor([[1.0]], requires_grad=True)
+    p = np.array([[1.0]])
     with pytest.raises(NumericsError):
         AdamState([], lr=0.1)
-    with pytest.raises(NumericsError):
-        AdamState([Tensor([[1.0]])], lr=0.1)
     state = AdamState([p], lr=0.1)
     with pytest.raises(NumericsError):
-        adam_step(state)  # no grad populated
-    p.grad = np.ones((1, 1))
+        adam_step(state, [])  # no grad given
     with pytest.raises(NumericsError):
-        adam_step(state, params=[q])
+        adam_step(state, [np.ones((1, 1)), np.ones((1, 1))])
     with pytest.raises(NumericsError):
-        adam_step(state, params=[p, q])
-    adam_step(state, params=[p])  # the exact list is fine
+        adam_step(state, [np.ones((1, 2))])
+    assert state.step_count == 0
+    adam_step(state, [np.ones((1, 1))])  # one grad per parameter is fine
 
 
 # --- initialization -------------------------------------------------------------
@@ -452,21 +446,19 @@ def test_adam_validates_params_and_grads():
 def test_xavier_bound_and_determinism():
     t = xavier_init(30, 50, seed=4)
     bound = np.sqrt(6.0 / 80.0)
-    assert (np.abs(t.data) <= bound).all()
-    assert t.requires_grad
+    assert t.shape == (30, 50) and t.dtype == np.float64
+    assert (np.abs(t) <= bound).all()
     again = xavier_init(30, 50, seed=4)
     other = xavier_init(30, 50, seed=5)
-    assert np.array_equal(t.data, again.data)
-    assert not np.array_equal(t.data, other.data)
-    frozen = xavier_init(2, 2, seed=0, requires_grad=False)
-    assert not frozen.requires_grad
+    assert np.array_equal(t, again)
+    assert not np.array_equal(t, other)
 
 
 def test_xavier_mean_near_zero():
     t = xavier_init(100, 1000, seed=9)
     bound = np.sqrt(6.0 / 1100.0)
     sigma = bound / np.sqrt(3.0)  # stdev of U(-b, b)
-    assert abs(t.data.mean()) < 3 * sigma / np.sqrt(t.data.size)
+    assert abs(t.mean()) < 3 * sigma / np.sqrt(t.size)
 
 
 def test_xavier_rejects_zero_dims():

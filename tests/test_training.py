@@ -1,7 +1,8 @@
 """Training-side tests: embedding file IO, attention pooling, losses,
 seed derivation, and a miniature end-to-end run on the synthetic corpus.
 
-Loss oracles are closed-form scalar evaluations; the run-level checks pin
+Loss oracles are closed-form scalar evaluations of the tape's losses
+(tape.py), which cpa.batch_loss is checked against; the run-level checks pin
 determinism, best-checkpoint bookkeeping, and the frozen-batch descent
 property at a tiny learning rate.
 """
@@ -11,9 +12,10 @@ import struct
 import numpy as np
 import pytest
 
+import cosd.training
 from cosd import cpa, graph
 from cosd.corpus import Stance, load_semeval, stance_subsets
-from cosd.numerics import AdamState, Tensor, adam_step, add, backward, gather_rows
+from cosd.numerics import AdamState, adam_step
 from cosd.topics import fit_triple
 from cosd.training import (
     EmbeddingWriter,
@@ -26,8 +28,6 @@ from cosd.training import (
     fold_in_matrix,
     group_keys,
     load_embeddings,
-    loss_contrastive,
-    loss_cosine,
     missing_ids,
     save_embeddings,
     semantic_matrix,
@@ -35,6 +35,7 @@ from cosd.training import (
     train,
     train_group,
 )
+from tape import Tensor, add, backward, loss_contrastive, loss_cosine
 
 LN2 = float(np.log(2.0))
 
@@ -435,7 +436,24 @@ def test_build_group_data_shapes(synth_setup):
     assert data.dis_pool.shape == (n, 6)
     assert data.lap.rows == n + 6 + 3
     assert data.sem_val.shape == (len(data.val), store.dim)
+    assert np.array_equal(data.sem_pool, semantic_matrix(data.pool, store))
     assert data.pooled_vecs.shape == (n, store.dim)
+
+
+def test_train_forms_pool_semantic_rows_once_per_group(synth_setup,
+                                                       monkeypatch):
+    dataset, store, target, triple = synth_setup
+    calls = []
+    original = cosd.training.semantic_matrix
+
+    def counting(examples, store):
+        calls.append([ex.id for ex in examples])
+        return original(examples, store)
+
+    monkeypatch.setattr(cosd.training, "semantic_matrix", counting)
+    train(dataset, store, {target: triple}, _config(trials=2))
+    pool = [ex.id for ex in dataset.train_pool(target)]
+    assert calls.count(pool) == 1  # one group, two trials
 
 
 def test_train_group_logs_and_best_checkpoint(synth_setup):
@@ -458,36 +476,26 @@ def test_frozen_batch_step_decreases_loss(synth_setup):
     dataset, store, target, triple = synth_setup
     config = _config(epochs=1)
     data = build_group_data(dataset, store, target, target, triple, config)
-    table = cpa.init_embedding_table(data.pooled_vecs, 2, store.label_matrix(),
-                                     seed=1, d0=store.dim)
-    weights = cpa.init_cpa_weights(d0=store.dim, d1=8, hops=2, seed=2)
-    sem_pool = semantic_matrix(data.pool, store)
+    model = cpa.init_model(data.pooled_vecs, 2, store.label_matrix(), seed=1,
+                           d1=8, hops=2, weight_seed=2)
     from cosd.corpus import LABELS
 
     batch = np.arange(4)
-    gold = np.array([table.label_row(LABELS.index(ex.stance))
+    gold = np.array([model.label_row(LABELS.index(ex.stance))
                      for ex in data.pool[:4]])
-    negs = np.array([[table.label_row(j) for j in range(3)
-                      if table.label_row(j) != gold[i]] for i in range(4)])
+    negs = np.array([[model.label_row(j) for j in range(3)
+                      if model.label_row(j) != gold[i]] for i in range(4)])
 
     def batch_loss():
-        layers = cpa.propagate(table.e0, data.lap, weights)
-        reps = cpa.final_reps(table.e0, layers)
-        l_con = loss_contrastive(
-            gather_rows(reps, batch), gather_rows(reps, gold),
-            [gather_rows(reps, negs[:, j]) for j in (0, 1)])
-        l_cos = loss_cosine(Tensor(sem_pool[batch]),
-                            gather_rows(table.e0, batch))
-        return add(l_con, l_cos)
+        return cpa.batch_loss(model, data.lap, batch, gold, negs,
+                              data.sem_pool[batch])
 
-    adam_e = AdamState([table.e0], lr=1e-7)
-    adam_w = AdamState(weights.params, lr=1e-7)
-    before = float(batch_loss().data[0, 0])
-    loss = batch_loss()
-    backward(loss)
-    adam_step(adam_e)
-    adam_step(adam_w)
-    after = float(batch_loss().data[0, 0])
+    adam_e = AdamState([model.e0], lr=1e-7)
+    adam_w = AdamState(model.w1 + model.w2, lr=1e-7)
+    before, g_e0, g_w1, g_w2 = batch_loss()
+    adam_step(adam_e, [g_e0])
+    adam_step(adam_w, g_w1 + g_w2)
+    after = batch_loss()[0]
     assert after < before
 
 

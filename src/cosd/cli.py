@@ -2,7 +2,8 @@
 
 Commands: topics, train, predict, eval, inspect, synth. topics, train and
 synth take their configuration as flat key = value text; every key is also
-a flag. Precedence: flag, then the COSD_SEED environment variable (seed
+a flag of train, while topics and synth take flags only for the keys they
+read. Precedence: flag, then the COSD_SEED environment variable (seed
 only), then the config file, then defaults. predict, eval and inspect read
 the configuration of the run they are given from its run.json; predict and
 eval may override only --mode and --score-norm. One command per process;
@@ -22,6 +23,7 @@ import re
 import sys
 import time
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -34,56 +36,10 @@ from .inference import InferenceError
 from .metrics import MetricsError
 from .numerics import NumericsError
 from .topics import TopicsError
-from .training import TrainingError, derive_seed
+from .training import (DATASETS, ConfigError, RunConfig, TrainingError,
+                       derive_seed)
 
 LABEL_NAMES = tuple(label.value for label in LABELS)
-
-
-class ConfigError(Exception):
-    """Bad config file, bad flag value, or an unusable run directory."""
-
-
-@dataclasses.dataclass
-class RunConfig:
-    dataset: str = "semeval"
-    data: str = ""
-    embeddings: str = ""
-    out_dir: str = ""
-    h: int = 5
-    hops: int = 0                 # 0 = per-dataset default (3 tweet, 2 ukp/synthetic)
-    alpha: float = 0.0            # 0 = 50/H
-    beta: float = 0.01
-    lda_sweeps: int = 500
-    fold_in_sweeps: int = 50
-    lr_cpa: float = 1e-5
-    lr_embed: float = 1e-4
-    dropout: float = 0.1
-    batch_size: int = 32
-    epochs: int = 50
-    seed: int = 0
-    trials: int = 3
-    d1: int = 64
-    leaky_slope: float = 0.01
-    joint: bool = False
-    parallel_trials: bool = False
-    score_norm: bool = False
-    mode: str = "full"
-
-    def resolved_hops(self) -> int:
-        if self.hops > 0:
-            return self.hops
-        return 2 if self.dataset in ("ukp", "synthetic") else 3
-
-    def train_config(self) -> training.TrainConfig:
-        return training.TrainConfig(
-            epochs=self.epochs, batch_size=self.batch_size,
-            lr_cpa=self.lr_cpa, lr_embed=self.lr_embed, dropout=self.dropout,
-            hops=self.resolved_hops(), h=self.h, seed=self.seed,
-            trials=self.trials, alpha=self.alpha or None, beta=self.beta,
-            lda_sweeps=self.lda_sweeps, fold_in_sweeps=self.fold_in_sweeps,
-            d1=self.d1, leaky_slope=self.leaky_slope, joint=self.joint,
-            parallel_trials=self.parallel_trials,
-        )
 
 
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
@@ -91,16 +47,14 @@ _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
 
 
 def _coerce(field: dataclasses.Field, raw: str):
-    if field.type in ("bool", bool):
+    """A config file's text as the type of the key's default."""
+    kind = type(field.default)
+    if kind is bool:
         word = raw.strip().lower()
         if word not in _BOOL_WORDS:
             raise ConfigError(f"{field.name}: not a boolean: {raw!r}")
         return _BOOL_WORDS[word]
-    if field.type in ("int", int):
-        return int(raw)
-    if field.type in ("float", float):
-        return float(raw)
-    return raw
+    return kind(raw)
 
 
 def read_config_file(path: str | Path) -> dict[str, str]:
@@ -140,10 +94,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, name, None)
         if value is not None:
             setattr(config, name, value)
-    if config.dataset not in ("semeval", "ukp", "synthetic"):
-        raise ConfigError(f"unknown dataset kind {config.dataset!r}")
-    if config.mode not in inference.MODES:
-        raise ConfigError(f"unknown mode {config.mode!r}")
+    config.validate()
     return config
 
 
@@ -159,23 +110,6 @@ def load_dataset(config: RunConfig) -> Dataset:
         return load_ukp(config.data)
     # synthetic corpora ship a val.tsv, so the loader skips the carve
     return load_semeval(config.data, seed=config.seed)
-
-
-def fit_group_triples(dataset: Dataset, config: RunConfig
-                      ) -> tuple[dict[str, topics.TopicModelTriple],
-                                 dict[str, float]]:
-    """Per group, the fitted topic triple and its fit wall time."""
-    triples, seconds = {}, {}
-    for key, target in training.group_keys(dataset, config.joint):
-        start = time.perf_counter()
-        favor, none, against = stance_subsets(dataset, target)
-        triples[key] = topics.fit_triple(
-            topics.token_docs(favor), topics.token_docs(none),
-            topics.token_docs(against), h=config.h,
-            alpha=config.alpha or None, beta=config.beta,
-            sweeps=config.lda_sweeps, seed=derive_seed(config.seed, 7, key))
-        seconds[key] = time.perf_counter() - start
-    return triples, seconds
 
 
 # --- run directory layout ---------------------------------------------------
@@ -246,14 +180,9 @@ class RunDir:
             raise ConfigError(f"{manifest}: missing key {exc}") from exc
         except TypeError as exc:  # config not an object, or an unknown key
             raise ConfigError(f"{manifest}: bad config: {exc}") from exc
-        for field in dataclasses.fields(RunConfig):
-            value = getattr(config, field.name)
-            if type(value) is not type(field.default):
-                raise ConfigError(f"{manifest}: {field.name} = {value!r} is "
-                                  f"not a {type(field.default).__name__}")
         try:
-            config.train_config()  # the range checks train passed
-        except TrainingError as exc:
+            config.validate()  # the checks train passed
+        except ConfigError as exc:
             raise ConfigError(f"{manifest}: {exc}") from exc
         if not (isinstance(groups, list) and groups and all(
                 isinstance(g, dict) and isinstance(g.get("name"), str)
@@ -346,10 +275,10 @@ class RunDir:
 
 
 def _write_train_outputs(run_dir: Path, config: RunConfig, dataset: Dataset,
-                         triples: dict, result: training.TrainResult) -> None:
+                         result: training.TrainResult) -> None:
     lda_dir = run_dir / "lda"
     lda_dir.mkdir(parents=True, exist_ok=True)
-    for key, triple in triples.items():
+    for key, triple in result.triples.items():
         slug = slugify(key)
         for stance_key, model in zip(("favor", "none", "against"),
                                      triple.models):
@@ -452,31 +381,31 @@ def cmd_train(args: argparse.Namespace) -> int:
     _checked_slugs([k for k, _ in training.group_keys(dataset, config.joint)],
                    "train")
     store = training.load_embeddings(config.embeddings)
-    absent = training.missing_ids(store, dataset)
-    if absent:
-        raise TrainingError(f"embedding records missing for ids: {absent}")
     loaded = time.perf_counter()
 
-    triples, fit_seconds = fit_group_triples(dataset, config)
-    result = training.train(dataset, store, triples, config.train_config())
+    result = training.train(dataset, store, config)
 
     written = time.perf_counter()
     run_dir = run_dir_for(config)
     run_dir.mkdir(parents=True, exist_ok=True)
-    _write_train_outputs(run_dir, config, dataset, triples, result)
+    # the old manifest goes before the first file is replaced, so a reused
+    # directory whose writing breaks off is never read as the old run
+    (run_dir / "run.json").unlink(missing_ok=True)
+    _write_train_outputs(run_dir, config, dataset, result)
     # wall times per stage; never compared, unlike the other outputs
     _write_json(run_dir / "timings.json", {
         "load_s": loaded - start,
         "groups": {key: {
-            "topic_fit_s": fit_seconds[key], **result.group_seconds[key],
+            **seconds,
             "trials": [{"train_s": t.groups[key].train_s,
                         "val_s": t.groups[key].val_s}
-                       for t in result.trials]} for key in triples},
+                       for t in result.trials]}
+            for key, seconds in result.group_seconds.items()},
         "write_s": time.perf_counter() - written,
         "total_s": time.perf_counter() - start,
     })
     # last, so eval and predict reject a directory whose writing broke off
-    write_manifest(run_dir, config, list(triples))
+    write_manifest(run_dir, config, list(result.triples))
     print(f"run directory: {run_dir}")
     print(result.report_text, end="")
     return 0
@@ -627,40 +556,40 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 # --- argument parsing --------------------------------------------------------
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--dataset", choices=["semeval", "ukp", "synthetic"])
-    parser.add_argument("--data", help="dataset directory")
-    parser.add_argument("--embeddings", help="EMB1 embedding file")
-    parser.add_argument("--out-dir", dest="out_dir", help="run directory")
-    parser.add_argument("--h", type=int, help="topics per stance subset")
-    parser.add_argument("--hops", type=int, help="propagation hops")
-    parser.add_argument("--alpha", type=float, help="doc-topic prior (0 = 50/H)")
-    parser.add_argument("--beta", type=float, help="topic-word prior")
-    parser.add_argument("--lda-sweeps", dest="lda_sweeps", type=int)
-    parser.add_argument("--fold-in-sweeps", dest="fold_in_sweeps", type=int)
-    parser.add_argument("--lr-cpa", dest="lr_cpa", type=float)
-    parser.add_argument("--lr-embed", dest="lr_embed", type=float)
-    parser.add_argument("--dropout", type=float)
-    parser.add_argument("--batch-size", dest="batch_size", type=int)
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--trials", type=int)
-    parser.add_argument("--d1", type=int, help="propagated embedding width")
-    parser.add_argument("--leaky-slope", dest="leaky_slope", type=float)
-    parser.add_argument("--joint", action="store_const", const=True,
-                        help="one joint graph instead of per-target graphs")
-    parser.add_argument("--parallel-trials", dest="parallel_trials",
-                        action="store_const", const=True)
-    _add_score_flags(parser)
+# argparse options a config key's flag takes beyond the one its type implies
+_FLAG_OPTIONS = {
+    "dataset": {"choices": DATASETS},
+    "data": {"help": "dataset directory"},
+    "embeddings": {"help": "EMB1 embedding file"},
+    "out_dir": {"help": "run directory"},
+    "h": {"help": "topics per stance subset"},
+    "hops": {"help": "propagation hops (0 = per-dataset default)"},
+    "alpha": {"help": "doc-topic prior (0 = 50/H)"},
+    "beta": {"help": "topic-word prior"},
+    "d1": {"help": "propagated embedding width"},
+    "joint": {"help": "one joint graph instead of per-target graphs"},
+    "score_norm": {"help": "z-score each score triple before adding"},
+    "mode": {"choices": inference.MODES},
+}
+TOPICS_KEYS = ("dataset", "data", "alpha", "beta", "lda_sweeps",
+               "fold_in_sweeps", "seed", "joint")
+SCORE_KEYS = ("score_norm", "mode")  # what eval and predict may override
 
 
-def _add_score_flags(parser: argparse.ArgumentParser) -> None:
-    """The two config keys that eval and predict may also override."""
-    parser.add_argument("--score-norm", dest="score_norm",
-                        action="store_const", const=True,
-                        help="z-score each score triple before adding")
-    parser.add_argument("--mode", choices=list(inference.MODES))
+def _add_config_flags(parser: argparse.ArgumentParser,
+                      keys: Iterable[str] = (), config_file: bool = True) -> None:
+    """--config FILE (if config_file) and one flag per named config key, or
+    per key when none is named. An absent flag parses to None, so the file
+    and the defaults show through."""
+    if config_file:
+        parser.add_argument("--config", help="flat key = value config file")
+    kinds = {f.name: type(f.default) for f in dataclasses.fields(RunConfig)}
+    for key in keys or kinds:
+        kind = kinds[key]
+        typed = ({"action": "store_const", "const": True} if kind is bool
+                 else {} if kind is str else {"type": kind})
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, **typed,
+                            **_FLAG_OPTIONS.get(key, {}))
 
 
 def _add_run_flags(parser: argparse.ArgumentParser, trial_help: str) -> None:
@@ -674,8 +603,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="collaborative stance detection pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("topics", help="perplexity/coherence over an H range")
-    _add_config_flags(p)
+    # no abbreviations, so a flag a command does not read is an error, not a
+    # prefix of one it does (--h of --h-range or --help)
+    p = sub.add_parser("topics", help="perplexity/coherence over an H range",
+                       allow_abbrev=False)
+    _add_config_flags(p, TOPICS_KEYS)
     p.add_argument("--h-range", dest="h_range", default="3:7",
                    help="inclusive LO:HI topic-count range")
     p.add_argument("--top-n", dest="top_n", type=int, default=10,
@@ -687,12 +619,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.set_defaults(func=cmd_train)
 
-    # predict, eval and inspect take their config from the run's run.json;
-    # no abbreviations, so a config flag is an error, not a prefix of --help
+    # predict, eval and inspect take their config from the run's run.json
     p = sub.add_parser("predict", help="score a TSV of texts with a trained run",
                        allow_abbrev=False)
     _add_run_flags(p, "trial number (default 1)")
-    _add_score_flags(p)
+    _add_config_flags(p, SCORE_KEYS, config_file=False)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
     p.set_defaults(func=cmd_predict)
@@ -700,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="metrics for a split against a trained run",
                        allow_abbrev=False)
     _add_run_flags(p, "one trial (default: all + mean)")
-    _add_score_flags(p)
+    _add_config_flags(p, SCORE_KEYS, config_file=False)
     p.add_argument("--split", choices=["train", "val", "test"], default="test")
     p.set_defaults(func=cmd_eval)
 
@@ -721,8 +652,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="CSV path for --export-attention")
     p.set_defaults(func=cmd_inspect)
 
-    p = sub.add_parser("synth", help="generate the synthetic benchmark")
-    _add_config_flags(p)
+    p = sub.add_parser("synth", help="generate the synthetic benchmark",
+                       allow_abbrev=False)
+    _add_config_flags(p, ["seed"])
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--n-train", dest="n_train", type=int, default=600)
     p.add_argument("--n-val", dest="n_val", type=int, default=150)

@@ -1,5 +1,7 @@
-"""Encoder-embedding ingestion, attention pooling, training loop.
+"""Run config, encoder-embedding ingestion, attention pooling, training.
 
+Training is one pipeline per group: fit the three per-stance topic models,
+fold the group's texts into them, build the graph, then train it.
 Sentence-encoder vectors arrive precomputed in an EMB1 file; the encoder
 itself never runs in-process, so the semantic representation of each text is
 a constant while the embedding table and propagation weights train. Each
@@ -16,14 +18,14 @@ import struct
 import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import cpa, graph, metrics, topics
 from .binfile import F32, Reader
-from .corpus import LABELS, Dataset, Example, Split
+from .corpus import LABELS, Dataset, Example, Split, stance_subsets
 from .numerics import AdamState, adam_step
 
 LABEL_KEYS = ("favor", "none", "against")
@@ -212,36 +214,75 @@ def semantic_matrix(examples: list[Example],
 
 # --- configuration ----------------------------------------------------------
 
+class ConfigError(Exception):
+    """Bad config file, bad config value, or an unusable run directory."""
+
+
+DATASETS = ("semeval", "ukp", "synthetic")
+
+
 @dataclass
-class TrainConfig:
-    epochs: int = 50
-    batch_size: int = 32
-    lr_cpa: float = 1e-5
-    lr_embed: float = 1e-4
-    dropout: float = 0.1
-    hops: int = 3
+class RunConfig:
+    """Every setting of a run: each key is a flag of cosd train and a key
+    of run.json's config. validate() is the one check of the values."""
+
+    dataset: str = "semeval"
+    data: str = ""
+    embeddings: str = ""
+    out_dir: str = ""
     h: int = 5
-    seed: int = 0
-    trials: int = 3
-    alpha: float | None = None   # None -> 50/H
+    hops: int = 0                 # 0 = per-dataset default (3 tweet, 2 ukp/synthetic)
+    alpha: float = 0.0            # 0 = 50/H
     beta: float = 0.01
     lda_sweeps: int = 500
     fold_in_sweeps: int = 50
+    lr_cpa: float = 1e-5
+    lr_embed: float = 1e-4
+    dropout: float = 0.1
+    batch_size: int = 32
+    epochs: int = 50
+    seed: int = 0
+    trials: int = 3
     d1: int = 64
     leaky_slope: float = 0.01
     joint: bool = False
     parallel_trials: bool = False
+    score_norm: bool = False
+    mode: str = "full"
 
-    def __post_init__(self):
-        for name in ("epochs", "batch_size", "hops", "h", "trials",
-                     "lda_sweeps", "fold_in_sweeps", "d1"):
-            if getattr(self, name) < 1:
-                raise TrainingError(f"{name} must be >= 1")
-        for name in ("lr_cpa", "lr_embed", "leaky_slope"):
+    def resolved_hops(self) -> int:
+        if self.hops > 0:
+            return self.hops
+        return 2 if self.dataset in ("ukp", "synthetic") else 3
+
+    def validate(self) -> None:
+        """ConfigError unless every value has its default's type and lies
+        in range."""
+        from .inference import MODES  # late import; inference imports this module
+
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) is not type(f.default):
+                raise ConfigError(f"{f.name} = {value!r} is not a "
+                                  f"{type(f.default).__name__}")
+            if type(value) is float and not np.isfinite(value):
+                raise ConfigError(f"{f.name} = {value!r} is not finite")
+        if self.dataset not in DATASETS:
+            raise ConfigError(f"unknown dataset kind {self.dataset!r}")
+        if self.mode not in MODES:
+            raise ConfigError(f"unknown mode {self.mode!r}")
+        for name, low in (("epochs", 1), ("batch_size", 1), ("h", 1),
+                          ("trials", 1), ("lda_sweeps", 1),
+                          ("fold_in_sweeps", 1), ("d1", 1),
+                          ("hops", 0), ("alpha", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"need {name} >= {low}, got "
+                                  f"{getattr(self, name)}")
+        for name in ("beta", "lr_cpa", "lr_embed", "leaky_slope"):
             if getattr(self, name) <= 0:
-                raise TrainingError(f"{name} must be positive")
+                raise ConfigError(f"need {name} > 0, got {getattr(self, name)}")
         if not 0.0 <= self.dropout < 1.0:
-            raise TrainingError("dropout must be in [0, 1)")
+            raise ConfigError(f"need 0 <= dropout < 1, got {self.dropout}")
 
 
 def derive_seed(*parts) -> int:
@@ -304,12 +345,18 @@ def fold_in_matrix(examples: list[Example], triple: topics.TopicModelTriple,
 
 
 def build_group_data(dataset: Dataset, store: EncoderStore, group: str,
-                     target: str | None, triple: topics.TopicModelTriple,
-                     config: TrainConfig) -> GroupData:
+                     target: str | None, config: RunConfig) -> GroupData:
+    """The group's topic triple, fitted on its train pool's stance subsets,
+    and everything its trials share."""
     pool = dataset.train_pool(target)
     if not pool:
         raise TrainingError(f"group {group!r} has no training texts")
     val = dataset.split(Split.VAL, target)
+    began = time.perf_counter()
+    triple = topics.fit_triple(
+        *(topics.token_docs(docs) for docs in stance_subsets(dataset, target)),
+        h=config.h, alpha=config.alpha or None, beta=config.beta,
+        sweeps=config.lda_sweeps, seed=derive_seed(config.seed, 7, group))
     start = time.perf_counter()
     dis_pool = fold_in_matrix(pool, triple, config.fold_in_sweeps, config.seed)
     dis_val = fold_in_matrix(val, triple, config.fold_in_sweeps, config.seed)
@@ -322,11 +369,12 @@ def build_group_data(dataset: Dataset, store: EncoderStore, group: str,
                      sem_pool=semantic_matrix(pool, store),
                      sem_val=semantic_matrix(val, store),
                      pooled_vecs=np.stack([store.pooled(ex.id) for ex in pool]),
-                     lap=lap, seconds={"fold_in_s": folded - start,
+                     lap=lap, seconds={"topic_fit_s": start - began,
+                                       "fold_in_s": folded - start,
                                        "graph_build_s": built - folded})
 
 
-def _val_metrics(data: GroupData, model: cpa.CpaModel, config: TrainConfig):
+def _val_metrics(data: GroupData, model: cpa.CpaModel, config: RunConfig):
     """(macf, micf, preds, golds, targets) on the val split, current params."""
     from . import inference  # late import; inference also imports this module
 
@@ -340,7 +388,7 @@ def _val_metrics(data: GroupData, model: cpa.CpaModel, config: TrainConfig):
     return macf, micf, preds, golds, targets
 
 
-def train_group(data: GroupData, store: EncoderStore, config: TrainConfig,
+def train_group(data: GroupData, store: EncoderStore, config: RunConfig,
                 trial_seed: int) -> GroupResult:
     """Train one group's graph model; keep the best-val epoch's snapshot."""
     began = time.perf_counter()
@@ -350,7 +398,7 @@ def train_group(data: GroupData, store: EncoderStore, config: TrainConfig,
         data.pooled_vecs, data.triple.h, store.label_matrix(),
         seed=derive_seed(trial_seed, 1, data.group),
         weight_seed=derive_seed(trial_seed, 2, data.group), d1=config.d1,
-        hops=config.hops)
+        hops=config.resolved_hops())
 
     gold_rows = np.array([model.label_row(LABELS.index(ex.stance))
                           for ex in data.pool])
@@ -415,6 +463,7 @@ class TrainResult:
     trials: list[TrialResult]
     report_text: str
     report_csv: str
+    triples: dict[str, topics.TopicModelTriple]
     group_seconds: dict[str, dict[str, float]] = field(default_factory=dict)
 
 
@@ -428,7 +477,7 @@ def _trial_val_row(trial: TrialResult, dataset: Dataset) -> dict[str, float]:
 
 
 def run_trial(dataset: Dataset, store: EncoderStore,
-              group_data: list[GroupData], config: TrainConfig,
+              group_data: list[GroupData], config: RunConfig,
               trial: int) -> TrialResult:
     seed = config.seed + trial
     groups = {}
@@ -440,9 +489,9 @@ def run_trial(dataset: Dataset, store: EncoderStore,
 
 
 def train(dataset: Dataset, store: EncoderStore,
-          triples: dict[str, topics.TopicModelTriple],
-          config: TrainConfig) -> TrainResult:
-    """Full run: every group, every trial; returns results plus a val report.
+          config: RunConfig) -> TrainResult:
+    """Full run: every group's topic triple, then every trial; returns the
+    results plus a val report.
 
     Trials shift only the collaborative-training seed (inits, dropout, batch
     order); topic models and fold-in distributions are fixed by the base
@@ -452,15 +501,8 @@ def train(dataset: Dataset, store: EncoderStore,
     if absent:
         raise TrainingError(f"embedding records missing for ids: {absent}")
 
-    keys = group_keys(dataset, config.joint)
-    for key, _ in keys:
-        if key not in triples:
-            raise TrainingError(f"no topic triple for group {key!r}")
-
-    group_data = [
-        build_group_data(dataset, store, key, target, triples[key], config)
-        for key, target in keys
-    ]
+    group_data = [build_group_data(dataset, store, key, target, config)
+                  for key, target in group_keys(dataset, config.joint)]
 
     if config.parallel_trials and config.trials > 1:
         # spawn: workers start from a fresh import, not a fork of this
@@ -480,4 +522,5 @@ def train(dataset: Dataset, store: EncoderStore,
     text, csv_text = metrics.report([t.val_row for t in trials],
                                     dataset.targets)
     return TrainResult(trials=trials, report_text=text, report_csv=csv_text,
+                       triples={d.group: d.triple for d in group_data},
                        group_seconds={d.group: d.seconds for d in group_data})

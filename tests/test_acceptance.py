@@ -15,13 +15,13 @@ from conftest import (SEMEVAL_TABLE, UKP_TABLE, greedy_match_tv,
                       planted_corpus)
 from cosd import inference, synth
 from cosd.cli import main
-from cosd.corpus import LABELS, Split, load_semeval, stance_subsets
+from cosd.corpus import LABELS, Split, load_semeval
 from cosd.cpa import CpaModel, batch_loss, init_cpa_weights, propagate
 from cosd.graph import laplacian
 from cosd.metrics import Stance, f_avg, macro_micro
-from cosd.topics import fit_lda, fit_triple, token_docs
-from cosd.training import (TrainConfig, derive_seed, fold_in_matrix,
-                           load_embeddings, semantic_matrix, train)
+from cosd.topics import fit_lda
+from cosd.training import (RunConfig, fold_in_matrix, load_embeddings,
+                           semantic_matrix, train)
 from tape import one_hop_message
 
 
@@ -192,14 +192,11 @@ def e2e(tmp_path_factory):
     dataset = load_semeval(out, seed=13)
     store = load_embeddings(paths["embeddings"])
     target = dataset.targets[0]
-    favor, none, against = stance_subsets(dataset, target)
-    triple = fit_triple(token_docs(favor), token_docs(none),
-                        token_docs(against), h=3, sweeps=300,
-                        seed=derive_seed(17, 7, target))
-    config = TrainConfig(epochs=10, batch_size=32, hops=2, h=3, seed=17,
-                         trials=1, lda_sweeps=300, fold_in_sweeps=50, d1=64)
-    result = train(dataset, store, {target: triple}, config)
+    config = RunConfig(epochs=10, batch_size=32, hops=2, h=3, seed=17,
+                       trials=1, lda_sweeps=300, fold_in_sweeps=50, d1=64)
+    result = train(dataset, store, config)
 
+    triple = result.triples[target]
     ckpt = result.trials[0].groups[target].checkpoint
     test_ex = dataset.split(Split.TEST)
     sem = inference.semantic_scores(semantic_matrix(test_ex, store), ckpt.z)

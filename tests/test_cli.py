@@ -13,6 +13,7 @@ import shutil
 import numpy as np
 import pytest
 
+import cosd.cli
 import cosd.cpa
 import cosd.inference
 import cosd.topics
@@ -53,13 +54,15 @@ def test_config_file_parsing(tmp_path):
     got = read_config_file(cfg)
     assert got == {"h": "4", "data": "corpus/dir", "joint": "on",
                    "score_norm": "no", "lr_cpa": "2e-5"}
-    config = _config(["train", "--config", str(cfg)])
-    assert config.h == 4
-    assert config.data == "corpus/dir"
-    assert config.joint is True
-    assert config.score_norm is False
-    assert config.lr_cpa == 2e-5
-    assert config.epochs == 50  # untouched default
+    # a file may hold keys the command has no flag for
+    for argv in (["train"], ["topics"], ["synth", "--out", "D"]):
+        config = _config(argv + ["--config", str(cfg)])
+        assert config.h == 4
+        assert config.data == "corpus/dir"
+        assert config.joint is True
+        assert config.score_norm is False
+        assert config.lr_cpa == 2e-5
+        assert config.epochs == 50  # untouched default
 
 
 def test_config_file_rejects_garbage(tmp_path):
@@ -112,6 +115,9 @@ def test_config_validation(tmp_path):
     assert cfg_config.resolved_hops() == 3
     assert _config(["train", "--dataset", "ukp"]).resolved_hops() == 2
     assert _config(["train", "--hops", "5"]).resolved_hops() == 5
+    assert _config(["train", "--hops", "0"]).resolved_hops() == 3
+    with pytest.raises(ConfigError, match="hops"):
+        _config(["train", "--hops", "-4"])
     # argparse guards the flags; merged file values are revalidated
     bad_kind = tmp_path / "kind.cfg"
     bad_kind.write_text("dataset = mystery\n", encoding="utf-8")
@@ -144,27 +150,37 @@ def test_run_dir_naming():
     assert re.fullmatch(r"runs/\d{8}-\d{6}-seed8", str(auto))
 
 
-RUN_FLAGS = {"-h", "--help", "--run", "--trial"}
+RUN_FLAGS = {"--run", "--trial"}
 
 
-@pytest.mark.parametrize("command, own", [
-    ("eval", {"--mode", "--score-norm", "--split"}),
-    ("predict", {"--mode", "--score-norm", "--in", "--out"}),
-    ("inspect", {"--group", "--dump-graph", "--dump-final-reps",
-                 "--similar-to", "--k", "--export-attention",
-                 "--attention-out"}),
-], ids=["eval", "predict", "inspect"])
-def test_scoring_commands_take_only_their_own_flags(command, own, capsys):
+@pytest.mark.parametrize("command, own, argv", [
+    ("eval", RUN_FLAGS | {"--mode", "--score-norm", "--split"}, ["--run", "R"]),
+    ("predict", RUN_FLAGS | {"--mode", "--score-norm", "--in", "--out"},
+     ["--run", "R", "--in", "in.tsv", "--out", "out.tsv"]),
+    ("inspect", RUN_FLAGS | {"--group", "--dump-graph", "--dump-final-reps",
+                             "--similar-to", "--k", "--export-attention",
+                             "--attention-out"}, ["--run", "R"]),
+    ("topics", {"--config", "--dataset", "--data", "--alpha", "--beta",
+                "--lda-sweeps", "--fold-in-sweeps", "--seed", "--joint",
+                "--h-range", "--top-n", "--out"}, []),
+    ("synth", {"--config", "--seed", "--out", "--n-train", "--n-val",
+               "--n-test", "--gen-h", "--words-per-topic", "--noise"},
+     ["--out", "D"]),
+], ids=["eval", "predict", "inspect", "topics", "synth"])
+def test_scoring_commands_take_only_their_own_flags(command, own, argv,
+                                                    capsys):
     (sub,) = [a for a in build_parser()._actions
               if isinstance(a, argparse._SubParsersAction)]
-    assert set(sub.choices[command]._option_string_actions) == RUN_FLAGS | own
-    argv = [command, "--run", "R"]
-    if command == "predict":
-        argv += ["--in", "in.tsv", "--out", "out.tsv"]
+    assert set(sub.choices[command]._option_string_actions) == {
+        "-h", "--help"} | own
+    argv = [command, *argv]
     build_parser().parse_args(argv)
-    # a config flag is a usage error, not a prefix of --help
+    # a flag the command does not read is a usage error, not a prefix of
+    # one it does
     for flag in (["--h", "3"], ["--embeddings", "/nonexistent"],
                  ["--config", "/nonexistent.cfg"]):
+        if flag[0] in own:
+            continue
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv + flag)
         assert exc.value.code == 2
@@ -487,7 +503,8 @@ def test_eval_on_truncated_or_non_object_json(run_dir, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("edit", ["no_config", "unknown_key", "bad_type",
-                                  "bad_groups", "zero_trials"])
+                                  "bad_groups", "zero_trials",
+                                  "negative_hops"])
 def test_eval_on_malformed_manifest(run_dir, tmp_path, capsys, edit):
     copy = tmp_path / "run"
     shutil.copytree(run_dir, copy)
@@ -500,6 +517,8 @@ def test_eval_on_malformed_manifest(run_dir, tmp_path, capsys, edit):
         doc["config"]["fold_in_sweeps"] = "10"
     elif edit == "zero_trials":
         doc["config"]["trials"] = 0
+    elif edit == "negative_hops":
+        doc["config"]["hops"] = -4
     else:
         doc["groups"] = [{"name": "Synthetic Policy"}]
     (copy / "run.json").write_text(json.dumps(doc), encoding="utf-8")
@@ -508,21 +527,47 @@ def test_eval_on_malformed_manifest(run_dir, tmp_path, capsys, edit):
     _expect_failure(["inspect", "--run", str(copy)], capsys, needle="run.json")
 
 
-def test_interrupted_train_writes_no_manifest(synth_small, tmp_path, capsys,
-                                              monkeypatch):
+def test_interrupted_train_writes_no_manifest(run_dir, synth_small, tmp_path,
+                                              capsys, monkeypatch):
+    root, paths = synth_small
+    argv = ["train", "--dataset", "synthetic", "--data", str(root),
+            "--embeddings", str(paths["embeddings"])] + TRAIN_FLAGS
+    reused = tmp_path / "reused"
+    shutil.copytree(run_dir, reused)
+    # a train that fails before it writes leaves the old run whole
+    _expect_failure(argv + ["--out-dir", str(reused), "--embeddings",
+                            str(tmp_path / "nope.emb1")], capsys)
+    assert RunDir(reused).config.seed == 5
+
     def disk_full(*args, **kwargs):
         raise OSError("disk full")
 
     monkeypatch.setattr(cosd.cpa, "save_checkpoint", disk_full)
+    for out in (tmp_path / "run", reused):
+        _expect_failure(argv + ["--out-dir", str(out), "--seed", "6"], capsys,
+                        needle="disk full")
+        assert (out / "lda").is_dir()
+        assert not (out / "run.json").exists()
+        _expect_failure(["eval", "--run", str(out)], capsys, needle="run.json")
+
+
+@pytest.mark.parametrize("flag", [["--epochs", "0"], ["--dropout", "1.0"],
+                                  ["--hops", "-4"], ["--lr-cpa", "nan"]])
+def test_train_checks_its_config_before_loading_or_fitting(
+        flag, synth_small, tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the config was checked")
+
+    monkeypatch.setattr(cosd.cli, "load_semeval", never)
+    monkeypatch.setattr(cosd.training, "load_embeddings", never)
+    monkeypatch.setattr(cosd.topics, "fit_triple", never)
     root, paths = synth_small
-    out = tmp_path / "run"
+    out = tmp_path / "r"
     _expect_failure(["train", "--dataset", "synthetic", "--data", str(root),
                      "--embeddings", str(paths["embeddings"]),
-                     "--out-dir", str(out)] + TRAIN_FLAGS, capsys,
-                    needle="disk full")
-    assert (out / "lda").is_dir()
-    assert not (out / "run.json").exists()
-    _expect_failure(["eval", "--run", str(out)], capsys, needle="run.json")
+                     "--out-dir", str(out)] + TRAIN_FLAGS + flag, capsys,
+                    needle=flag[0][2:].replace("-", "_"))
+    assert not out.exists()
 
 
 def test_topics_bad_h_range(synth_small, capsys):

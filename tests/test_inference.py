@@ -10,7 +10,7 @@ import csv
 import numpy as np
 import pytest
 
-from cosd.corpus import Split, Stance, load_semeval, stance_subsets
+from cosd.corpus import Split, Stance, load_semeval
 from cosd.cpa import CpaModel, infer_transform, init_cpa_weights
 from cosd.inference import (
     InferenceError,
@@ -23,8 +23,7 @@ from cosd.inference import (
     top_k_similar,
     zscore_rows,
 )
-from cosd.topics import fit_triple
-from cosd.training import (TrainConfig, TrainingError, build_group_data,
+from cosd.training import (RunConfig, TrainingError, build_group_data,
                            fold_in_matrix, load_embeddings, semantic_matrix,
                            train_group)
 
@@ -266,15 +265,12 @@ def trained(synth_small):
     dataset = load_semeval(root)
     store = load_embeddings(paths["embeddings"])
     target = dataset.targets[0]
-    favor, none, against = stance_subsets(dataset, target)
-    triple = fit_triple([list(e.tokens) for e in favor],
-                        [list(e.tokens) for e in none],
-                        [list(e.tokens) for e in against],
-                        h=2, sweeps=40, seed=3)
-    config = TrainConfig(epochs=4, batch_size=16, hops=2, h=2, seed=2,
-                         trials=1, fold_in_sweeps=10, d1=8, dropout=0.1)
-    data = build_group_data(dataset, store, target, target, triple, config)
+    config = RunConfig(epochs=4, batch_size=16, hops=2, h=2, seed=2,
+                       trials=1, lda_sweeps=40, fold_in_sweeps=10, d1=8,
+                       dropout=0.1)
+    data = build_group_data(dataset, store, target, target, config)
     result = train_group(data, store, config, trial_seed=2)
+    triple = data.triple
     return dataset, store, triple, data, result
 
 

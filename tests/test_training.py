@@ -16,11 +16,12 @@ import cosd.training
 from cosd import cpa, graph
 from cosd.corpus import Stance, load_semeval, stance_subsets
 from cosd.numerics import AdamState, adam_step
-from cosd.topics import fit_triple
+from cosd.topics import fit_triple, token_docs
 from cosd.training import (
+    ConfigError,
     EmbeddingWriter,
     EncoderStore,
-    TrainConfig,
+    RunConfig,
     TrainingError,
     attention_weights,
     build_group_data,
@@ -355,15 +356,15 @@ def test_derive_seed_stable_and_sensitive():
 
 
 def test_train_config_validation():
-    TrainConfig()
-    with pytest.raises(TrainingError):
-        TrainConfig(epochs=0)
-    with pytest.raises(TrainingError):
-        TrainConfig(dropout=1.0)
-    with pytest.raises(TrainingError):
-        TrainConfig(lr_cpa=0.0)
-    with pytest.raises(TrainingError):
-        TrainConfig(trials=0)
+    RunConfig().validate()
+    RunConfig(hops=0, alpha=0.0, dropout=0.0).validate()  # 0 = the default
+    for bad in (dict(epochs=0), dict(dropout=1.0), dict(lr_cpa=0.0),
+                dict(trials=0), dict(hops=-4), dict(alpha=-0.5),
+                dict(beta=0.0), dict(lr_embed=float("nan")),
+                dict(dataset="mystery"), dict(mode="everything"),
+                dict(epochs=3.0), dict(joint=1)):
+        with pytest.raises(ConfigError):
+            RunConfig(**bad).validate()
 
 
 # --- group data and the run ---------------------------------------------------------
@@ -385,9 +386,9 @@ def synth_setup(synth_small):
 
 def _config(**kw):
     base = dict(epochs=3, batch_size=16, hops=2, h=2, seed=5, trials=2,
-                fold_in_sweeps=10, d1=8, dropout=0.1)
+                lda_sweeps=30, fold_in_sweeps=10, d1=8, dropout=0.1)
     base.update(kw)
-    return TrainConfig(**base)
+    return RunConfig(**base)
 
 
 def test_missing_ids_reporting(synth_setup):
@@ -429,8 +430,17 @@ def test_fold_in_matrix_equals_scalar_oracle_thirds(synth_setup):
 
 
 def test_build_group_data_shapes(synth_setup):
-    dataset, store, target, triple = synth_setup
-    data = build_group_data(dataset, store, target, target, triple, _config())
+    dataset, store, target, _ = synth_setup
+    data = build_group_data(dataset, store, target, target, _config())
+    # the triple is fitted on the pool's stance subsets, seeded from the
+    # base seed and the group's name
+    want = fit_triple(*(token_docs(docs)
+                        for docs in stance_subsets(dataset, target)),
+                      h=2, sweeps=30, seed=derive_seed(5, 7, target))
+    for got_model, want_model in zip(data.triple.models, want.models):
+        assert np.array_equal(got_model.topic_word_counts,
+                              want_model.topic_word_counts)
+    assert set(data.seconds) == {"topic_fit_s", "fold_in_s", "graph_build_s"}
     n = len(dataset.train_pool(target))
     assert len(data.pool) == n
     assert data.dis_pool.shape == (n, 6)
@@ -442,7 +452,7 @@ def test_build_group_data_shapes(synth_setup):
 
 def test_train_forms_pool_semantic_rows_once_per_group(synth_setup,
                                                        monkeypatch):
-    dataset, store, target, triple = synth_setup
+    dataset, store, target, _ = synth_setup
     calls = []
     original = cosd.training.semantic_matrix
 
@@ -451,15 +461,15 @@ def test_train_forms_pool_semantic_rows_once_per_group(synth_setup,
         return original(examples, store)
 
     monkeypatch.setattr(cosd.training, "semantic_matrix", counting)
-    train(dataset, store, {target: triple}, _config(trials=2))
+    train(dataset, store, _config(trials=2))
     pool = [ex.id for ex in dataset.train_pool(target)]
     assert calls.count(pool) == 1  # one group, two trials
 
 
 def test_train_group_logs_and_best_checkpoint(synth_setup):
-    dataset, store, target, triple = synth_setup
+    dataset, store, target, _ = synth_setup
     config = _config()
-    data = build_group_data(dataset, store, target, target, triple, config)
+    data = build_group_data(dataset, store, target, target, config)
     result = train_group(data, store, config, trial_seed=7)
     assert [row["epoch"] for row in result.log_rows] == [1, 2, 3]
     best_from_log = max(row["val_micf"] for row in result.log_rows)
@@ -473,9 +483,9 @@ def test_train_group_logs_and_best_checkpoint(synth_setup):
 
 
 def test_frozen_batch_step_decreases_loss(synth_setup):
-    dataset, store, target, triple = synth_setup
+    dataset, store, target, _ = synth_setup
     config = _config(epochs=1)
-    data = build_group_data(dataset, store, target, target, triple, config)
+    data = build_group_data(dataset, store, target, target, config)
     model = cpa.init_model(data.pooled_vecs, 2, store.label_matrix(), seed=1,
                            d1=8, hops=2, weight_seed=2)
     from cosd.corpus import LABELS
@@ -500,10 +510,10 @@ def test_frozen_batch_step_decreases_loss(synth_setup):
 
 
 def test_train_run_deterministic_and_trial_sensitive(synth_setup):
-    dataset, store, target, triple = synth_setup
+    dataset, store, target, _ = synth_setup
     config = _config()
-    result = train(dataset, store, {target: triple}, config)
-    again = train(dataset, store, {target: triple}, config)
+    result = train(dataset, store, config)
+    again = train(dataset, store, config)
     assert result.report_csv == again.report_csv
     assert result.report_text == again.report_text
     assert len(result.trials) == 2
@@ -520,24 +530,16 @@ def test_train_run_deterministic_and_trial_sensitive(synth_setup):
 
 
 def test_train_rejects_missing_records(synth_setup):
-    dataset, store, target, triple = synth_setup
+    dataset, store, _, _ = synth_setup
     poked = EncoderStore(dim=store.dim, tokens=dict(store.tokens),
                          targets=dict(store.targets),
                          labels=dict(store.labels))
     del poked.tokens[dataset.examples[0].id]
     with pytest.raises(TrainingError):
-        train(dataset, poked, {target: triple}, _config())
+        train(dataset, poked, _config())
 
 
 def test_group_keys_per_target_or_joint(synth_setup):
     dataset, _, target, _ = synth_setup
     assert group_keys(dataset, joint=False) == [(target, target)]
     assert group_keys(dataset, joint=True) == [("joint", None)]
-
-
-def test_train_requires_triple_per_group(synth_setup):
-    dataset, store, target, triple = synth_setup
-    with pytest.raises(TrainingError):
-        train(dataset, store, {}, _config())
-    with pytest.raises(TrainingError):
-        train(dataset, store, {target: triple}, _config(joint=True))

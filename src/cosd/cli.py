@@ -20,6 +20,7 @@ import functools
 import json
 import os
 import re
+import shutil
 import sys
 import time
 from pathlib import Path
@@ -225,15 +226,22 @@ class RunDir:
     def checkpoint(self, name: str, trial: int) -> cpa.CpaModel:
         return cpa.load_checkpoint(self._trial_file(name, trial, ".cpa1"))
 
-    def rows(self, name: str, examples: list) -> tuple[np.ndarray, np.ndarray]:
-        """The semantic rows and the fold-in rows of a group's examples."""
-        triple = topics.TopicModelTriple(*(
+    def rows(self, examples: dict[str, list]) -> dict[
+            str, tuple[np.ndarray, np.ndarray]]:
+        """Each group's semantic rows and fold-in rows of its examples;
+        every group's texts are folded in together."""
+        sem = {name: training.semantic_matrix(group_examples, self.store)
+               for name, group_examples in examples.items()}
+        dis = training.fold_in_matrix(
+            [(self._triple(name), group_examples)
+             for name, group_examples in examples.items()],
+            self.config.fold_in_sweeps, self.config.seed)
+        return {name: (sem[name], rows) for name, rows in zip(examples, dis)}
+
+    def _triple(self, name: str) -> topics.TopicModelTriple:
+        return topics.TopicModelTriple(*(
             topics.load_lda(self.path / "lda" / f"{self.groups[name]}.{k}.lda1")
             for k in ("favor", "none", "against")))
-        return (training.semantic_matrix(examples, self.store),
-                training.fold_in_matrix(examples, triple,
-                                        self.config.fold_in_sweeps,
-                                        self.config.seed))
 
     def score(self, name: str, trial: int, sem_rows: np.ndarray,
               dis_rows: np.ndarray) -> inference.Scores:
@@ -389,8 +397,15 @@ def cmd_train(args: argparse.Namespace) -> int:
     run_dir = run_dir_for(config)
     run_dir.mkdir(parents=True, exist_ok=True)
     # the old manifest goes before the first file is replaced, so a reused
-    # directory whose writing breaks off is never read as the old run
+    # directory whose writing breaks off is never read as the old run; then
+    # the old run's files this one may not overwrite (its extra trials and
+    # groups, and eval reports of its models)
     (run_dir / "run.json").unlink(missing_ok=True)
+    for old in [*run_dir.glob("trial-*"), run_dir / "lda"]:
+        if old.is_dir():
+            shutil.rmtree(old)
+    for old in [*run_dir.glob("report-*.txt"), *run_dir.glob("report-*.csv")]:
+        old.unlink()
     _write_train_outputs(run_dir, config, dataset, result)
     # wall times per stage; never compared, unlike the other outputs
     _write_json(run_dir / "timings.json", {
@@ -419,23 +434,24 @@ def cmd_eval(args: argparse.Namespace) -> int:
     dataset = load_dataset(run.config)
 
     # semantic rows and fold-ins depend on the group and split, not the trial
-    scored = []
+    examples = {}
     for name in run.groups:
         target = None if run.config.joint else name
-        examples = [ex for ex in dataset.split(split, target)
-                    if ex.stance is not Stance.UNKNOWN]
-        if examples:
-            scored.append((name, examples, *run.rows(name, examples)))
-    if not scored:
+        labeled = [ex for ex in dataset.split(split, target)
+                   if ex.stance is not Stance.UNKNOWN]
+        if labeled:
+            examples[name] = labeled
+    if not examples:
         raise ConfigError(f"no labeled examples in split {args.split!r}")
+    rows = run.rows(examples)
 
     trial_rows = []
     for trial in trials:
         preds, golds, targets = [], [], []
-        for name, examples, sem_rows, dis_rows in scored:
+        for name, (sem_rows, dis_rows) in rows.items():
             preds += run.score(name, trial, sem_rows, dis_rows).predicted
-            golds += [ex.stance for ex in examples]
-            targets += [ex.target for ex in examples]
+            golds += [ex.stance for ex in examples[name]]
+            targets += [ex.target for ex in examples[name]]
         trial_rows.append(metrics.report_row(preds, golds, targets,
                                              dataset.targets))
 
@@ -461,11 +477,12 @@ def cmd_predict(args: argparse.Namespace) -> int:
             raise ConfigError(f"no trained group for target {ex.target!r}")
         members.setdefault(name, []).append(i)
 
+    rows = run.rows({name: [examples[i] for i in at]
+                     for name, at in members.items()})
     lines = [""] * len(examples)
-    for name, rows in members.items():
-        scores = run.score(name, trial,
-                           *run.rows(name, [examples[i] for i in rows]))
-        for i, sem, dis, label in zip(rows, scores.sem, scores.dis,
+    for name, at in members.items():
+        scores = run.score(name, trial, *rows[name])
+        for i, sem, dis, label in zip(at, scores.sem, scores.dis,
                                       scores.predicted):
             values = "\t".join(f"{x:.6f}" for x in (*sem, *dis))
             lines[i] = f"{examples[i].id}\t{label.value}\t{values}"

@@ -337,61 +337,96 @@ _FOLD_IN_UNIFORMS = 1 << 19
 
 def fold_in(models: Sequence[LdaModel], docs: Sequence[Sequence[str]],
             seeds: Sequence[int], sweeps: int = 50) -> np.ndarray:
-    """Fold-in posteriors of every doc under every model, (D, len(models)*H).
+    """Fold-in posteriors of every doc under every model, (D, len(models)*H):
+    fold_in_sets with the one set (models, docs, seeds)."""
+    (rows,) = fold_in_sets([(models, docs, seeds)], sweeps)
+    return rows
 
-    Row d holds the models' length-H posteriors side by side, each summing
-    to 1. Topic-word counts stay frozen, so docs are independent: one
-    collapsed Gibbs chain per (doc, model) pair, all stepped in lockstep,
-    token position by token position. Doc d draws from one PCG64 stream
-    seeded with seeds[d] (H-ary initial topics, then sweeps x n uniforms),
-    shared by its chains under every model; the models must share H and
-    vocabulary. Each chain's arithmetic is that of a one-chain sequential
-    loop (a running sum over H, first topic whose prefix sum reaches u *
-    total), so a doc's row does not depend on the rest of the batch.
-    Empty or fully out-of-vocabulary docs, and H = 1, give the uniform prior.
+
+FoldInSet = tuple[Sequence[LdaModel], Sequence[Sequence[str]], Sequence[int]]
+
+
+def fold_in_sets(sets: Sequence[FoldInSet],
+                 sweeps: int = 50) -> list[np.ndarray]:
+    """Fold-in posteriors of several model sets' docs; per set (models,
+    docs, seeds) one (D, len(models)*H) array.
+
+    A set's models share H and vocabulary, and every set has the same H
+    and number of models. Row d holds the set's models' length-H posteriors
+    side by side, each summing to 1. Topic-word counts stay frozen, so docs
+    are independent: one collapsed Gibbs chain per (doc, model) pair, the
+    chains of every set stepped in one lockstep, token position by token
+    position. Each chain reads its own model's word factors and alpha. Doc
+    d draws from one PCG64 stream seeded with seeds[d] (H-ary initial
+    topics, then sweeps x n uniforms), shared by its chains under every
+    model of its set. Each chain's arithmetic is that of a one-chain
+    sequential loop (a running sum over H, first topic whose prefix sum
+    reaches u * total), so a doc's row does not depend on the rest of the
+    batch or on the other sets. Empty or fully out-of-vocabulary docs, and
+    H = 1, give the uniform prior.
     """
-    if not models:
-        raise TopicsError("fold-in needs at least one model")
-    first = models[0]
-    if any(m.h != first.h or m.vocab.tokens != first.vocab.tokens
-           for m in models[1:]):
-        raise TopicsError("fold-in models disagree on H or vocabulary")
-    if len(seeds) != len(docs):
-        raise TopicsError(f"{len(seeds)} seeds for {len(docs)} docs")
-    h = first.h
-    out = np.full((len(docs), len(models) * h), 1.0 / h)
-    ids = _doc_token_ids(docs, first.vocab)
-    live = [d for d in range(len(docs)) if ids[d]]
-    if h == 1 or not live:
-        return out
-    # factor[w] = the word's frozen conditional factor under each model, H
-    # values per model side by side; alpha per model, broadcast per chain
-    factor = np.concatenate(
-        [((m.topic_word_counts + m.beta)
-          / (m.topic_totals + m.beta * len(m.vocab))[:, None]).T
-         for m in models], axis=1)
-    alphas = np.array([m.alpha for m in models])
+    if not sets:
+        return []
+    for models, docs, seeds in sets:
+        if not models:
+            raise TopicsError("fold-in needs at least one model")
+        first = models[0]
+        if any(m.h != first.h or m.vocab.tokens != first.vocab.tokens
+               for m in models[1:]):
+            raise TopicsError("fold-in models disagree on H or vocabulary")
+        if len(seeds) != len(docs):
+            raise TopicsError(f"{len(seeds)} seeds for {len(docs)} docs")
+    h, n_models = sets[0][0][0].h, len(sets[0][0])
+    if any(models[0].h != h or len(models) != n_models
+           for models, _, _ in sets):
+        raise TopicsError("fold-in sets disagree on H or model count")
+    sizes = [len(docs) for _, docs, _ in sets]
+    out = np.full((sum(sizes), n_models * h), 1.0 / h)
+    rows = np.split(out, np.cumsum(sizes)[:-1])
+    if h == 1:
+        return rows
+    ids, all_seeds, tables = [], [], []
+    for models, docs, seeds in sets:
+        ids += _doc_token_ids(docs, models[0].vocab)
+        all_seeds += seeds
+        # table[w] = the word's frozen conditional factor under each model,
+        # H values per model side by side
+        tables.append(np.concatenate(
+            [((m.topic_word_counts + m.beta)
+              / (m.topic_totals + m.beta * len(m.vocab))[:, None]).T
+             for m in models], axis=1))
+    # the sets' tables stacked; a doc's word ids shift by the vocabulary
+    # sizes of the sets before its own, and its chains take its set's alphas
+    set_of = np.repeat(np.arange(len(sets)), sizes)
+    offsets = np.cumsum([0] + [len(t) for t in tables[:-1]])[set_of]
+    alphas = np.array([[m.alpha for m in models]
+                       for models, _, _ in sets])[set_of]
+    factor = np.concatenate(tables)
+    lengths = np.array([len(doc) for doc in ids], dtype=np.int64)
     # longest first (stable), so the docs still running at any token
     # position are a prefix of the batch
-    live.sort(key=lambda d: -len(ids[d]))
+    live = np.flatnonzero(lengths)
+    live = live[np.argsort(-lengths[live], kind="stable")].tolist()
     for at in range(0, len(live), _FOLD_IN_BATCH):
         batch = live[at:at + _FOLD_IN_BATCH]
         out[batch] = _lockstep([ids[d] for d in batch],
-                               [seeds[d] for d in batch], factor, alphas, h,
-                               sweeps)
-    return out
+                               [all_seeds[d] for d in batch], offsets[batch],
+                               factor, alphas[batch], h, sweeps)
+    return rows
 
 
-def _lockstep(ids: list[list[int]], seeds: list[int], factor: np.ndarray,
-              alphas: np.ndarray, h: int, sweeps: int) -> np.ndarray:
-    """fold_in over nonempty docs sorted longest first; (D, M*H).
+def _lockstep(ids: list[list[int]], seeds: list[int], offsets: np.ndarray,
+              factor: np.ndarray, alphas: np.ndarray, h: int,
+              sweeps: int) -> np.ndarray:
+    """fold_in_sets over nonempty docs sorted longest first; (D, M*H).
 
-    Chain c = doc * M + model, so the chains alive at a position are a
-    prefix of every per-chain array and each step works on slices. Counts
-    and factors are topic-major, (H, chains), so a step is a few vector ops
-    per topic over the live chains.
+    Doc d's word w is factor row w + offsets[d], and its chains take the
+    priors alphas[d] (M values). Chain c = doc * M + model, so the chains
+    alive at a position are a prefix of every per-chain array and each step
+    works on slices. Counts and factors are topic-major, (H, chains), so a
+    step is a few vector ops per topic over the live chains.
     """
-    n_models = len(alphas)
+    n_models = alphas.shape[1]
     lengths = np.array([len(doc) for doc in ids])
     n_docs, n_max = len(ids), int(lengths[0])
     n_chains = n_docs * n_models
@@ -407,6 +442,7 @@ def _lockstep(ids: list[list[int]], seeds: list[int], factor: np.ndarray,
         z[:n, d * n_models:(d + 1) * n_models] = (
             rng.integers(0, h, size=n)[:, None])
         rngs.append(rng)
+    words += offsets
     # sweeps s..s+chunk-1 of doc d; successive random() calls continue the
     # doc's stream, so the values are those of one random(sweeps * n)
     chunk = max(1, min(sweeps, _FOLD_IN_UNIFORMS // (n_max * n_docs)))
@@ -415,7 +451,7 @@ def _lockstep(ids: list[list[int]], seeds: list[int], factor: np.ndarray,
     # position under the chain's model
     pos_factor = (factor[words].reshape(n_max, n_docs, n_models, h)
                   .transpose(0, 3, 1, 2).reshape(n_max, h, n_chains))
-    alpha = np.tile(alphas, n_docs)
+    alpha = alphas.reshape(-1)
     # local counts, addressed flat: chain c's count of topic k is at
     # k * n_chains + c
     local = np.zeros((h, n_chains))

@@ -17,6 +17,7 @@ import os
 import struct
 import time
 import zlib
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -335,13 +336,16 @@ class GroupResult:
     val_s: float = 0.0     # wall time of val scoring over all epochs
 
 
-def fold_in_matrix(examples: list[Example], triple: topics.TopicModelTriple,
-                   sweeps: int, base_seed: int) -> np.ndarray:
-    """(n, 3H) topic distributions: the three fold-in posteriors side by
-    side, divided by 3; per-example seeds derived from the id."""
-    seeds = [derive_seed(base_seed, 101, ex.id) for ex in examples]
-    return topics.fold_in(triple.models, [ex.tokens for ex in examples],
-                          seeds, sweeps) / 3.0
+def fold_in_matrix(pairs: Sequence[tuple[topics.TopicModelTriple,
+                                         list[Example]]],
+                   sweeps: int, base_seed: int) -> list[np.ndarray]:
+    """Per (triple, examples) pair, the (n, 3H) topic distributions: the
+    three fold-in posteriors side by side, divided by 3. Every pair's texts
+    are folded in together; per-example seeds derived from the id."""
+    return [rows / 3.0 for rows in topics.fold_in_sets(
+        [(triple.models, [ex.tokens for ex in examples],
+          [derive_seed(base_seed, 101, ex.id) for ex in examples])
+         for triple, examples in pairs], sweeps)]
 
 
 def build_group_data(dataset: Dataset, store: EncoderStore, group: str,
@@ -358,8 +362,8 @@ def build_group_data(dataset: Dataset, store: EncoderStore, group: str,
         h=config.h, alpha=config.alpha or None, beta=config.beta,
         sweeps=config.lda_sweeps, seed=derive_seed(config.seed, 7, group))
     start = time.perf_counter()
-    dis_pool = fold_in_matrix(pool, triple, config.fold_in_sweeps, config.seed)
-    dis_val = fold_in_matrix(val, triple, config.fold_in_sweeps, config.seed)
+    dis_pool, dis_val = fold_in_matrix([(triple, pool), (triple, val)],
+                                       config.fold_in_sweeps, config.seed)
     folded = time.perf_counter()
     lap = graph.laplacian(
         graph.build_adjacency([ex.stance for ex in pool], dis_pool))

@@ -328,22 +328,6 @@ def test_eval_labels_the_trial_it_scores(run_dir):
     assert [line.split(",")[0] for line in lines] == ["run", "trial-2", "mean"]
 
 
-def test_eval_folds_in_once_per_group(run_dir, monkeypatch):
-    calls = []
-    original = cosd.topics.fold_in
-
-    def counting(models, docs, seeds, sweeps=50):
-        calls.append(len(docs))
-        return original(models, docs, seeds, sweeps)
-
-    monkeypatch.setattr(cosd.topics, "fold_in", counting)
-    assert main(["eval", "--run", str(run_dir), "--split", "test"]) == 0
-    assert len(calls) == 1  # one group, two trials
-    lines = (run_dir / "report-test-full.csv").read_text(
-        encoding="utf-8").strip().splitlines()
-    assert len(lines) == 1 + 2 + 1  # header, two trials, mean
-
-
 def test_predict_writes_tsv(run_dir, synth_small, tmp_path, capsys):
     root, _ = synth_small
     out = tmp_path / "preds.tsv"
@@ -549,6 +533,31 @@ def test_interrupted_train_writes_no_manifest(run_dir, synth_small, tmp_path,
         assert (out / "lda").is_dir()
         assert not (out / "run.json").exists()
         _expect_failure(["eval", "--run", str(out)], capsys, needle="run.json")
+
+
+def test_train_into_a_reused_dir_leaves_only_the_new_run(run_dir, synth_small,
+                                                         tmp_path):
+    root, paths = synth_small
+    reused = tmp_path / "reused"
+    shutil.copytree(run_dir, reused)  # --trials 2
+    assert main(["eval", "--run", str(reused), "--split", "test"]) == 0
+    # the files of a group the new run lacks
+    shutil.copy(reused / "lda" / f"{SLUG}.none.lda1",
+                reused / "lda" / "other.none.lda1")
+    runs = {}
+    for out in (reused, tmp_path / "fresh"):
+        assert main(["train", "--dataset", "synthetic", "--data", str(root),
+                     "--embeddings", str(paths["embeddings"]),
+                     "--out-dir", str(out)] + TRAIN_FLAGS
+                    + ["--trials", "1", "--seed", "11"]) == 0
+        runs[out.name] = _run_files(out)
+    assert set(runs["reused"]) == set(runs["fresh"])
+    assert not (reused / "trial-2").exists()
+    assert not list(reused.glob("report-test-*"))
+    # these name the run directory or hold wall times
+    for name in set(runs["fresh"]) - {"config.txt", "run.json",
+                                      "timings.json"}:
+        assert runs["reused"][name] == runs["fresh"][name], name
 
 
 @pytest.mark.parametrize("flag", [["--epochs", "0"], ["--dropout", "1.0"],
@@ -819,3 +828,33 @@ def test_predict_labels_equal_eval_predictions(two_target_run, tmp_path,
     assert dict(zip(eval_ids, evaluated)) == {r[0]: r[1] for r in rows}
     assert len(evaluated) == len(rows)
     assert np.isfinite([float(x) for r in rows for x in r[2:]]).all()
+
+
+def test_scoring_commands_fold_in_once(run_dir, two_target_run, tmp_path,
+                                       monkeypatch):
+    calls = []
+    original = cosd.topics.fold_in_sets
+
+    def counting(sets, sweeps=50):
+        calls.append(sorted(len(docs) for _, docs, _ in sets))
+        return original(sets, sweeps)
+
+    monkeypatch.setattr(cosd.topics, "fold_in_sets", counting)
+    # one group, two trials: the fold-in does not depend on the trial
+    assert main(["eval", "--run", str(run_dir), "--split", "test"]) == 0
+    assert len(calls) == 1
+    lines = (run_dir / "report-test-full.csv").read_text(
+        encoding="utf-8").strip().splitlines()
+    assert len(lines) == 1 + 2 + 1  # header, two trials, mean
+
+    # two groups: one fold-in over both groups' texts per command
+    data, run = two_target_run
+    calls.clear()
+    assert main(["eval", "--run", str(run), "--split", "test"]) == 0
+    assert main(["predict", "--run", str(run), "--in", str(data / "test.tsv"),
+                 "--out", str(tmp_path / "preds.tsv")]) == 0
+    n_test = len((data / "test.tsv").read_text(
+        encoding="utf-8").strip().splitlines()) - 1
+    assert len(calls) == 2
+    assert calls[0] == calls[1] and len(calls[0]) == 2
+    assert sum(calls[0]) == n_test

@@ -276,7 +276,7 @@ def trained(synth_small):
 
 def _score_examples(examples, store, triple, ckpt, **kwargs):
     return score_batch(semantic_matrix(examples, store),
-                       fold_in_matrix(examples, triple, 10, 4),
+                       fold_in_matrix([(triple, examples)], 10, 4)[0],
                        ckpt, **kwargs)
 
 

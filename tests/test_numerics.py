@@ -11,6 +11,7 @@ import pytest
 
 import tape as nm
 from cosd.graph import BipartiteLaplacian, GraphError, dropout_graph, laplacian
+from cosd import numerics
 from cosd.numerics import AdamState, NumericsError, adam_step, xavier_init
 from tape import Tensor, backward
 
@@ -409,6 +410,42 @@ def test_adam_against_reference_implementation():
     assert state.step_count == 3
 
 
+def _adam_oracle_step(params, grads, m, v, t, lr, b1, b2, eps):
+    """Oracle: the Adam update as whole-array expressions, each operation
+    allocating its result."""
+    for p, g, m_i, v_i in zip(params, grads, m, v):
+        m_i *= b1
+        m_i += (1 - b1) * g
+        v_i *= b2
+        v_i += (1 - b2) * g * g
+        m_hat = m_i / (1 - b1 ** t)
+        v_hat = v_i / (1 - b2 ** t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+@pytest.mark.parametrize("lr, b1, b2, eps", [(1e-4, 0.9, 0.999, 1e-8),
+                                             (0.3, 0.5, 0.9, 1e-3)])
+def test_adam_in_place_step_equals_oracle_bitwise(lr, b1, b2, eps):
+    rng = np.random.default_rng(22)
+    # more elements than one block of the update, in rows and in a vector,
+    # so the last block is short
+    big = numerics._ADAM_BLOCK + 321
+    shapes = [(61, 77), (big // 100 + 1, 100), (5, 1), (1,), (big,)]
+    params = [rng.standard_normal(s) for s in shapes]
+    ref = [p.copy() for p in params]
+    m = [np.zeros(s) for s in shapes]
+    v = [np.zeros(s) for s in shapes]
+    state = AdamState(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+    for t in range(1, 13):
+        # tiny, huge and zero entries exercise the rounding of each operation
+        grads = [rng.standard_normal(s) * 10.0 ** rng.integers(-8, 8, s)
+                 * (rng.random(s) > 0.1) for s in shapes]
+        adam_step(state, grads)
+        _adam_oracle_step(ref, grads, m, v, t, lr, b1, b2, eps)
+        for got, want in zip(params + state.m + state.v, ref + m + v):
+            assert np.array_equal(got, want)
+
+
 def test_adam_first_step_magnitude_is_lr():
     p = np.array([[1.0, -2.0]])
     state = AdamState([p], lr=0.05)
@@ -429,6 +466,8 @@ def test_adam_validates_params_and_grads():
     p = np.array([[1.0]])
     with pytest.raises(NumericsError):
         AdamState([], lr=0.1)
+    with pytest.raises(NumericsError):
+        AdamState([p, np.array(1.0)], lr=0.1)
     state = AdamState([p], lr=0.1)
     with pytest.raises(NumericsError):
         adam_step(state, [])  # no grad given

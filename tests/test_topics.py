@@ -25,6 +25,7 @@ from cosd.topics import (
     fit_lda,
     fit_triple,
     fold_in,
+    fold_in_sets,
     load_lda,
     perplexity,
     save_lda,
@@ -513,6 +514,36 @@ def test_fold_in_uniforms_drawn_in_sweep_chunks_match_oracle(monkeypatch):
                               oracle)
 
 
+def test_fold_in_sets_equal_each_sets_own_call_and_oracle(monkeypatch):
+    # one lockstep over sets that differ in vocabulary, priors and doc
+    # lengths; each chain must read its own set's factors and alpha
+    docs, _ = planted_corpus(n_docs=30, seed=13)
+    split = len(docs) // 3
+    triple = fit_triple(docs[:split], docs[split:2 * split],
+                        docs[2 * split:], h=3, sweeps=10, seed=5)
+    rng = np.random.default_rng(13)
+    hand = [_model(rng.integers(0, 6, size=(3, 4)), ["a", "b", "c", "d"],
+                   alpha=alpha) for alpha in (0.5, 2.0, 0.1)]
+    batch = _mixed_docs(docs)
+    sets = [(triple.models, batch, [100 + i for i in range(len(batch))]),
+            (hand, [["a", "d", "a"], [], ["zzz"], ["b"] * 40, ["c", "a"]],
+             [1, 2, 3, 4, 5]),
+            (triple.models, [], []),
+            (hand, [["zzz"], ["d"]], [9, 9])]
+    own = [fold_in(models, set_docs, seeds, sweeps=6)
+           for models, set_docs, seeds in sets]
+    for size in (cosd.topics._FOLD_IN_BATCH, 3):
+        monkeypatch.setattr(cosd.topics, "_FOLD_IN_BATCH", size)
+        got = fold_in_sets(sets, sweeps=6)
+        assert len(got) == len(sets)
+        for rows, alone, (models, set_docs, seeds) in zip(got, own, sets):
+            assert rows.shape == (len(set_docs), 9)
+            assert np.array_equal(rows, alone)
+            if set_docs:
+                assert np.array_equal(
+                    rows, _oracle_rows(models, set_docs, seeds, 6))
+
+
 def test_fold_in_rejects_mismatched_inputs():
     a = _model([[3, 1], [1, 3]], ["a", "b"])
     other_vocab = _model([[3, 1], [1, 3]], ["a", "c"])
@@ -525,6 +556,12 @@ def test_fold_in_rejects_mismatched_inputs():
         fold_in([a], [["a"], ["b"]], [0])
     with pytest.raises(TopicsError):
         fold_in([], [["a"]], [0])
+    # sets folded in together must agree on H and on the number of models
+    with pytest.raises(TopicsError):
+        fold_in_sets([([a], [["a"]], [0]), ([other_h], [["a"]], [0])])
+    with pytest.raises(TopicsError):
+        fold_in_sets([([a, a], [["a"]], [0]), ([a], [["b"]], [1])])
+    assert fold_in_sets([]) == []
 
 
 # --- corpus-level scores ------------------------------------------------------

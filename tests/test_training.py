@@ -406,13 +406,19 @@ def test_missing_ids_reporting(synth_setup):
 def test_fold_in_matrix_rows_are_distributions(synth_setup):
     dataset, _, target, triple = synth_setup
     pool = dataset.train_pool(target)[:6]
-    mat = fold_in_matrix(pool, triple, sweeps=10, base_seed=5)
+    (mat,) = fold_in_matrix([(triple, pool)], sweeps=10, base_seed=5)
     assert mat.shape == (6, 6)
     assert np.allclose(mat.sum(axis=1), 1.0)
-    # per-example seeds: a subset call reproduces the same rows
-    sub = fold_in_matrix(pool[:2], triple, sweeps=10, base_seed=5)
+    # per-example seeds: a subset reproduces the same rows, alone or as
+    # one of several pairs folded in together
+    (sub,) = fold_in_matrix([(triple, pool[:2])], sweeps=10, base_seed=5)
     assert np.array_equal(sub, mat[:2])
-    other_seed = fold_in_matrix(pool, triple, sweeps=10, base_seed=6)
+    head, empty, tail = fold_in_matrix(
+        [(triple, pool[:2]), (triple, []), (triple, pool[2:])], sweeps=10,
+        base_seed=5)
+    assert np.array_equal(head, mat[:2]) and np.array_equal(tail, mat[2:])
+    assert empty.shape == (0, 6)
+    (other_seed,) = fold_in_matrix([(triple, pool)], sweeps=10, base_seed=6)
     assert not np.array_equal(other_seed, mat)
 
 
@@ -421,7 +427,7 @@ def test_fold_in_matrix_equals_scalar_oracle_thirds(synth_setup):
 
     dataset, _, target, triple = synth_setup
     pool = dataset.train_pool(target)[:8]
-    mat = fold_in_matrix(pool, triple, sweeps=7, base_seed=5)
+    (mat,) = fold_in_matrix([(triple, pool)], sweeps=7, base_seed=5)
     for row, ex in zip(mat, pool):
         seed = derive_seed(5, 101, ex.id)
         parts = [doc_topic_posterior(m, ex.tokens, sweeps=7, seed=seed)

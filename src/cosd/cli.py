@@ -313,9 +313,10 @@ def _write_train_outputs(run_dir: Path, config: RunConfig, dataset: Dataset,
                 "seed": trial.seed,
             }
             _write_json(trial_dir / f"{slug}.meta.json", meta)
-            log_lines = ["epoch,loss,val_macf,val_micf"]
+            log_lines = ["epoch,loss,val_macf,val_micf,l_con,l_cos"]
             log_lines += [
-                f"{r['epoch']},{r['loss']:.8f},{r['val_macf']:.6f},{r['val_micf']:.6f}"
+                f"{r['epoch']},{r['loss']:.8f},{r['val_macf']:.6f},"
+                f"{r['val_micf']:.6f},{r['l_con']:.8f},{r['l_cos']:.8f}"
                 for r in group.log_rows
             ]
             (trial_dir / f"{slug}.log.csv").write_text(

@@ -1,6 +1,7 @@
 """Collaboration propagation: the CPA model record, multi-hop graph message
 passing over its stacked embedding table, the training loss with its
-hand-derived gradients, and the graph-free transform used at inference time.
+hand-derived gradients and the buffers both write into, and the graph-free
+transform used at inference time.
 
 Node rows are ordered texts, topics, labels, matching the graph module.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -121,22 +123,65 @@ def _leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:
     return np.where(x >= 0, x, slope * x)
 
 
+def _shape(e0: np.ndarray, w1: list[np.ndarray]) -> tuple[int, ...]:
+    """(rows, d0, d1, hops) of a table and its hop weights."""
+    return e0.shape[0], e0.shape[1], w1[0].shape[1], len(w1)
+
+
+class Buffers:
+    """The arrays that propagate and batch_loss write, allocated once for
+    one table and weight shape and overwritten by each call, so a training
+    run allocates no table-height array per mini-batch.
+
+    Per hop k (input E^k of width d_k: d0 for the first hop, then d1):
+    layers[k] = E^{k+1}, nbr[k] = L E^k, prod[k] = E^k (*) L E^k and
+    neg[k] = (pre-activation < 0); grads[k] = d loss / d E^k for k = 0..l,
+    and g_w1[k], g_w2[k] the weight gradients. wide (d0) and narrow (d1)
+    are one scratch per width. The backward reuses nbr and prod as scratch
+    once it has read them.
+    """
+
+    def __init__(self, e0: np.ndarray, w1: list[np.ndarray]):
+        self.shape = rows, d0, d1, hops = _shape(e0, w1)
+        widths = [d0] + [d1] * (hops - 1)
+        self.layers = [np.empty((rows, d1)) for _ in range(hops)]
+        self.nbr = [np.empty((rows, w)) for w in widths]
+        self.prod = [np.empty((rows, w)) for w in widths]
+        self.neg = [np.empty((rows, d1), dtype=bool) for _ in range(hops)]
+        self.grads = [np.empty((rows, w)) for w in widths + [d1]]
+        self.g_w1 = [np.empty((w, d1)) for w in widths]
+        self.g_w2 = [np.empty((w, d1)) for w in widths]
+        self.wide = np.empty((rows, d0))
+        self.narrow = np.empty((rows, d1))
+
+
 def _forward(e0: np.ndarray, lap: BipartiteLaplacian, w1: list[np.ndarray],
-             w2: list[np.ndarray], slope: float):
-    """Hop inputs E^0..E^l (E^0 = e0), and per hop L E and the
-    pre-activation; the backward in batch_loss reuses all three."""
+             w2: list[np.ndarray], slope: float, buf: Buffers) -> None:
+    """Hop outputs into buf.layers, keeping each hop's L E, E (*) L E and
+    negative mask for the backward.
+
+    A hop's pre-activation (E + L E) W1 + (E (*) L E) W2 is computed as
+    P + L P + (E (*) L E) W2 with P = E W1, so the W1 path runs the
+    Laplacian at width d1.
+    """
     if lap.rows != e0.shape[0]:
         raise CpaError(
             f"laplacian covers {lap.rows} nodes, table has {e0.shape[0]}")
-    layers, neighbors, pres = [e0], [], []
-    for a, b in zip(w1, w2):
-        prev = layers[-1]
-        nbr = lap.matmul(prev)
-        pre = (prev + nbr) @ a + (prev * nbr) @ b
-        neighbors.append(nbr)
-        pres.append(pre)
-        layers.append(_leaky_relu(pre, slope))
-    return layers, neighbors, pres
+    if buf.shape != _shape(e0, w1):
+        raise CpaError(f"buffers of shape {buf.shape} for a table and "
+                       f"weights of shape {_shape(e0, w1)}")
+    prev = e0
+    for k, (a, b) in enumerate(zip(w1, w2)):
+        nbr, prod, pre = buf.nbr[k], buf.prod[k], buf.layers[k]
+        lap.matmul(prev, out=nbr)
+        np.multiply(prev, nbr, out=prod)
+        np.matmul(prev, a, out=pre)
+        pre += lap.matmul(pre, out=buf.narrow)
+        pre += np.matmul(prod, b, out=buf.narrow)
+        # leaky ReLU in place
+        np.less(pre, 0.0, out=buf.neg[k])
+        np.multiply(pre, slope, out=pre, where=buf.neg[k])
+        prev = pre
 
 
 def propagate(e0: np.ndarray, lap: BipartiteLaplacian, w1: list[np.ndarray],
@@ -147,19 +192,36 @@ def propagate(e0: np.ndarray, lap: BipartiteLaplacian, w1: list[np.ndarray],
     previous hop's output and L the normalized (possibly dropout'd)
     Laplacian.
     """
-    return _forward(e0, lap, w1, w2, slope)[0][1:]
+    buf = Buffers(e0, w1)
+    _forward(e0, lap, w1, w2, slope, buf)
+    return buf.layers
+
+
+class Step(NamedTuple):
+    """One mini-batch's loss, its two terms and its gradients."""
+
+    loss: float
+    l_con: float                 # ranking loss
+    l_cos: float                 # cosine loss
+    g_e0: np.ndarray
+    g_w1: list[np.ndarray]
+    g_w2: list[np.ndarray]
 
 
 def batch_loss(model: CpaModel, lap: BipartiteLaplacian, batch: np.ndarray,
                gold: np.ndarray, negs: np.ndarray, sem: np.ndarray,
-               slope: float = 0.01):
-    """One mini-batch's loss and its gradients: (loss, g_e0, g_w1, g_w2).
+               slope: float = 0.01, buffers: Buffers | None = None) -> Step:
+    """One mini-batch's loss and its gradients for (e0, w1, w2).
 
     The final rep of a node is [E^0 | E^1 | ... | E^l] over the propagated
     hops. With v a batch text's rep and z its gold (z+) or negative (z-)
-    label node's, the loss is the mean over batch rows and negatives of
-    -log sigmoid(v.z+ - v.z-), plus the batch mean of 1 - cos(sem, e0[text]).
+    label node's, l_con is the mean over batch rows and negatives of
+    -log sigmoid(v.z+ - v.z-), l_cos the batch mean of
+    1 - cos(sem, e0[text]), and the loss their sum.
     batch, gold: (B,) node rows; negs: (B, J) node rows; sem: (B, d0).
+
+    The gradients are views into buffers (fresh ones when None) and hold
+    until the next call with the same buffers overwrites them.
     """
     batch, gold = np.asarray(batch), np.asarray(gold)
     negs = np.asarray(negs)
@@ -171,8 +233,9 @@ def batch_loss(model: CpaModel, lap: BipartiteLaplacian, batch: np.ndarray,
     rows = np.concatenate([batch, gold, *negs.T])
     if rows.min() < 0 or rows.max() >= model.e0.shape[0]:
         raise CpaError("batch row out of range")
-    layers, neighbors, pres = _forward(model.e0, lap, model.w1, model.w2,
-                                       slope)
+    buf = Buffers(model.e0, model.w1) if buffers is None else buffers
+    _forward(model.e0, lap, model.w1, model.w2, slope, buf)
+    layers = [model.e0] + buf.layers
 
     # forward: every gathered final rep, in the order of rows
     reps = np.concatenate([layer[rows] for layer in layers], axis=1)
@@ -190,7 +253,8 @@ def batch_loss(model: CpaModel, lap: BipartiteLaplacian, batch: np.ndarray,
     if (norm_sem == 0).any() or (norm_text == 0).any():
         raise CpaError("cosine of a zero-norm row")
     cos = (sem * text).sum(axis=1, keepdims=True) / (norm_sem * norm_text)
-    loss = l_con + (1.0 - cos).mean()
+    l_cos = (1.0 - cos).mean()
+    loss = l_con + l_cos
 
     # backward to the gathered reps; d(-log sigmoid(m))/dm = -sigmoid(-m)
     coef = (1.0 / b) * (1.0 / len(margins)) * -1.0
@@ -203,27 +267,39 @@ def batch_loss(model: CpaModel, lap: BipartiteLaplacian, batch: np.ndarray,
                            - cos * text / (norm_text * norm_text))
     g_v[:, :model.d0] += g_text
     g_reps = np.concatenate([g_v, g_pos * v] + [-g * v for g in g_margins])
-    # one accumulating scatter: label rows repeat within a batch
-    g_table = np.zeros((model.e0.shape[0], reps.shape[1]))
-    np.add.at(g_table, rows, g_reps)
-
-    # backward through the hops, last to first
     bounds = np.cumsum([0] + [layer.shape[1] for layer in layers])
-    g_w1, g_w2 = [None] * model.hops, [None] * model.hops
-    g_layer = g_table[:, bounds[-2]:]
+
+    # backward through the hops, last to first. With G = d loss / d pre
+    # and G' = G + L^T G: g_W1 = E^T G', g_W2 = (E (*) L E)^T G, and E gets
+    # G' W1^T + (G W2^T) (*) L E + L^T((G W2^T) (*) E), plus its own
+    # gathered rows (one accumulating scatter per layer: label rows repeat
+    # within a batch).
+    g_out = buf.grads[-1]
+    g_out.fill(0.0)
+    np.add.at(g_out, rows, g_reps[:, bounds[-2]:])
     for k in reversed(range(model.hops)):
-        prev, nbr = layers[k], neighbors[k]
-        g_pre = g_layer * np.where(pres[k] >= 0, 1.0, slope)
-        g_w1[k] = (prev + nbr).T @ g_pre
-        g_w2[k] = (prev * nbr).T @ g_pre
-        g_sum = g_pre @ model.w1[k].T
-        g_prod = g_pre @ model.w2[k].T
-        g_layer = (g_table[:, bounds[k]:bounds[k + 1]] + g_sum + g_prod * nbr
-                   + lap.transpose_matmul(g_sum + g_prod * prev))
-    if not (np.isfinite(loss) and np.isfinite(g_layer).all()
+        prev, nbr, prod = layers[k], buf.nbr[k], buf.prod[k]
+        g_in, scratch = buf.grads[k], buf.wide if k == 0 else buf.narrow
+        np.multiply(g_out, slope, out=g_out, where=buf.neg[k])  # now G
+        np.matmul(prod.T, g_out, out=buf.g_w2[k])
+        g_sum = lap.transpose_matmul(g_out, out=buf.narrow)
+        g_sum += g_out                                          # G'
+        np.matmul(prev.T, g_sum, out=buf.g_w1[k])
+        np.matmul(g_sum, model.w1[k].T, out=g_in)
+        # after hop 0, scratch is narrow too: g_sum's last read is above
+        g_prod = np.matmul(g_out, model.w2[k].T, out=scratch)
+        g_in += np.multiply(g_prod, nbr, out=prod)
+        g_prod *= prev
+        g_in += lap.transpose_matmul(g_prod, out=nbr)
+        np.add.at(g_in, rows, g_reps[:, bounds[k]:bounds[k + 1]])
+        g_out = g_in
+    g_e0, g_w1, g_w2 = buf.grads[0], buf.g_w1, buf.g_w2
+    # min and max carry any nan or inf without a mask of the table's size
+    if not (np.isfinite(loss) and np.isfinite(g_e0.min())
+            and np.isfinite(g_e0.max())
             and all(np.isfinite(g).all() for g in g_w1 + g_w2)):
         raise CpaError("non-finite loss or gradient")
-    return float(loss), g_layer, g_w1, g_w2
+    return Step(float(loss), float(l_con), float(l_cos), g_e0, g_w1, g_w2)
 
 
 def infer_transform(x: np.ndarray, model: CpaModel,

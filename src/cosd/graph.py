@@ -54,22 +54,31 @@ class BipartiteLaplacian:
         return int(np.count_nonzero(self.to_text)
                    + np.count_nonzero(self.to_side))
 
-    def _check_rows(self, x: np.ndarray) -> None:
+    def _product(self, top: np.ndarray, bottom: np.ndarray, x: np.ndarray,
+                 out: np.ndarray | None) -> np.ndarray:
+        """[top @ x[n:]; bottom^T @ x[:n]], written into out if given."""
         if x.ndim != 2 or x.shape[0] != self.rows:
             raise GraphError(f"laplacian covers {self.rows} nodes, "
                              f"operand has shape {x.shape}")
+        if out is None:
+            out = np.empty(x.shape)
+        elif out.shape != x.shape or np.may_share_memory(out, x):
+            raise GraphError(f"output of shape {out.shape} must be a "
+                             f"separate array of the operand's {x.shape}")
+        n = self.n_text
+        np.matmul(top, x[n:], out=out[:n])
+        np.matmul(bottom.T, x[:n], out=out[n:])
+        return out
 
-    def matmul(self, x: np.ndarray) -> np.ndarray:
+    def matmul(self, x: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
         """L @ x: texts gather from side nodes, side nodes from texts."""
-        self._check_rows(x)
-        n = self.n_text
-        return np.concatenate([self.to_text @ x[n:], self.to_side.T @ x[:n]])
+        return self._product(self.to_text, self.to_side, x, out)
 
-    def transpose_matmul(self, x: np.ndarray) -> np.ndarray:
+    def transpose_matmul(self, x: np.ndarray,
+                         out: np.ndarray | None = None) -> np.ndarray:
         """L^T @ x, the adjoint of matmul."""
-        self._check_rows(x)
-        n = self.n_text
-        return np.concatenate([self.to_side @ x[n:], self.to_text.T @ x[:n]])
+        return self._product(self.to_side, self.to_text, x, out)
 
 
 def build_adjacency(stances: list[Stance], dis: np.ndarray) -> np.ndarray:

@@ -412,6 +412,7 @@ def train_group(data: GroupData, store: EncoderStore, config: RunConfig,
 
     adam_embed = AdamState([model.e0], lr=config.lr_embed)
     adam_cpa = AdamState(model.w1 + model.w2, lr=config.lr_cpa)
+    buffers = cpa.Buffers(model.e0, model.w1)
 
     best = None  # (micf, epoch, model copy)
     log_rows = []
@@ -421,21 +422,24 @@ def train_group(data: GroupData, store: EncoderStore, config: RunConfig,
             derive_seed(trial_seed, 3, data.group, epoch))
         lap = graph.dropout_graph(data.lap, config.dropout, config.dropout, rng)
         order = rng.permutation(n)
-        epoch_loss = 0.0
+        sums = {"loss": 0.0, "l_con": 0.0, "l_cos": 0.0}
         for start in range(0, n, config.batch_size):
             batch = order[start:start + config.batch_size]
-            loss, g_e0, g_w1, g_w2 = cpa.batch_loss(
+            step = cpa.batch_loss(
                 model, lap, batch, gold_rows[batch], neg_rows[batch],
-                data.sem_pool[batch], slope=config.leaky_slope)
-            adam_step(adam_embed, [g_e0])
-            adam_step(adam_cpa, g_w1 + g_w2)
-            epoch_loss += loss * len(batch)
-        epoch_loss /= n
+                data.sem_pool[batch], slope=config.leaky_slope,
+                buffers=buffers)
+            # the gradients live in buffers until the next batch_loss call
+            adam_step(adam_embed, [step.g_e0])
+            adam_step(adam_cpa, step.g_w1 + step.g_w2)
+            for key in sums:
+                sums[key] += getattr(step, key) * len(batch)
 
         val_start = time.perf_counter()
         macf, micf, preds, golds, targets = _val_metrics(data, model, config)
         val_s += time.perf_counter() - val_start
-        log_rows.append({"epoch": epoch, "loss": epoch_loss,
+        log_rows.append({"epoch": epoch,
+                         **{key: total / n for key, total in sums.items()},
                          "val_macf": macf, "val_micf": micf})
         if best is None or micf > best[0]:
             best = (micf, epoch, model.copy())

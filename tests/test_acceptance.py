@@ -116,8 +116,8 @@ def test_criterion_2_gradients_match_finite_differences(capsys):
         prev = np.where(pre > 0, pre, 0.01 * pre)
 
     tensors = [model.e0] + model.w1 + model.w2
-    _, g_e0, g_w1, g_w2 = full_loss()
-    grads = [g_e0] + g_w1 + g_w2
+    step = full_loss()
+    grads = [step.g_e0] + step.g_w1 + step.g_w2
     h_fd = 1e-5
     worst, n_params = 0.0, 0
     for t, g in zip(tensors, grads):
@@ -126,9 +126,9 @@ def test_criterion_2_gradients_match_finite_differences(capsys):
             idx = it.multi_index
             keep = t[idx]
             t[idx] = keep + h_fd
-            up = full_loss()[0]
+            up = full_loss().loss
             t[idx] = keep - h_fd
-            down = full_loss()[0]
+            down = full_loss().loss
             t[idx] = keep
             fd = (up - down) / (2 * h_fd)
             mag = max(abs(fd), abs(g[idx]))

@@ -218,7 +218,7 @@ def test_train_run_layout(run_dir):
         assert (base / f"{SLUG}.dis.npy").is_file()
         log = (base / f"{SLUG}.log.csv").read_text(encoding="utf-8")
         lines = log.strip().splitlines()
-        assert lines[0] == "epoch,loss,val_macf,val_micf"
+        assert lines[0] == "epoch,loss,val_macf,val_micf,l_con,l_cos"
         assert len(lines) == 1 + 3  # one row per epoch
     assert (run_dir / "report-val.txt").is_file()
     assert (run_dir / "report-val.csv").is_file()

@@ -8,11 +8,14 @@ gradients must equal the autodiff tape's (tape.py) on random graphs. Both
 oracles also run at acceptance scale elsewhere.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import tape
 from cosd.cpa import (
+    Buffers,
     CpaError,
     CpaModel,
     batch_loss,
@@ -218,8 +221,9 @@ def test_propagate_gradients_reach_all_parameters():
                    n_text=3)
     gold = np.array([6, 7, 8])
     negs = np.array([[7, 8], [6, 8], [6, 7]])
-    _, g_e0, g_w1, g_w2 = batch_loss(model, laplacian(m), np.arange(3), gold,
-                                     negs, rng.standard_normal((3, 4)))
+    _, _, _, g_e0, g_w1, g_w2 = batch_loss(
+        model, laplacian(m), np.arange(3), gold, negs,
+        rng.standard_normal((3, 4)))
     assert g_e0.shape == model.e0.shape and np.abs(g_e0).sum() > 0
     # hop weights reach every node row through propagation
     assert np.abs(g_e0[3:6]).sum() > 0
@@ -255,18 +259,88 @@ def test_batch_loss_matches_tape_oracle(hops, rate):
     rng = np.random.default_rng(100 * hops + int(10 * rate))
     for _ in range(5):
         model, lap, batch, gold, negs, sem = _random_case(rng, hops, rate)
-        loss, g_e0, g_w1, g_w2 = batch_loss(model, lap, batch, gold, negs,
-                                            sem)
+        loss, l_con, l_cos, g_e0, g_w1, g_w2 = batch_loss(
+            model, lap, batch, gold, negs, sem)
         e0 = Tensor(model.e0, requires_grad=True)
         w1 = [Tensor(w, requires_grad=True) for w in model.w1]
         w2 = [Tensor(w, requires_grad=True) for w in model.w2]
         oracle = tape.batch_loss(e0, w1, w2, lap, batch, gold, negs, sem)
         tape.backward(oracle)
         assert abs(loss - oracle.data[0, 0]) <= 1e-12 * abs(oracle.data[0, 0])
+        assert l_con + l_cos == loss
+        text = model.e0[batch]
+        cos = (sem * text).sum(axis=1) / (np.linalg.norm(sem, axis=1)
+                                          * np.linalg.norm(text, axis=1))
+        assert abs(l_cos - (1.0 - cos).mean()) <= 1e-12
         for got, ref in zip([g_e0] + g_w1 + g_w2, [e0] + w1 + w2):
             scale = np.abs(ref.grad).max()
             assert scale > 0
             assert np.abs(got - ref.grad).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.1])
+@pytest.mark.parametrize("hops", [1, 2, 3])
+def test_propagate_matches_tape_propagate(hops, rate):
+    rng = np.random.default_rng(100 * hops + int(10 * rate))
+    for _ in range(5):
+        model, lap = _random_case(rng, hops, rate)[:2]
+        got = propagate(model.e0, lap, model.w1, model.w2)
+        ref = tape.propagate(Tensor(model.e0), lap,
+                             [Tensor(w) for w in model.w1],
+                             [Tensor(w) for w in model.w2])
+        assert len(got) == len(ref) == hops
+        for a, b in zip(got, ref):
+            scale = np.abs(b.data).max()
+            assert np.abs(a - b.data).max() <= 1e-12 * scale
+
+
+def test_reused_buffers_hold_no_stale_state():
+    rng = np.random.default_rng(12)
+    model, base, batch, gold, negs, sem = _random_case(rng, 3, 0.0)
+    laps = [dropout_graph(base, 0.2, 0.2, rng) for _ in range(2)]
+    perm = rng.permutation(len(batch))
+    cases = [(laps[0], batch, gold, negs, sem),
+             (laps[1], batch[perm], gold[perm], negs[perm], sem[perm]),
+             (laps[0], batch[:2], gold[:2], negs[:2], sem[:2])]
+    buffers = Buffers(model.e0, model.w1)
+    for case in cases:
+        reused = batch_loss(model, *case, buffers=buffers)
+    fresh = batch_loss(model, *cases[-1],
+                       buffers=Buffers(model.e0, model.w1))
+    assert reused.g_e0 is buffers.grads[0]
+    assert fresh.g_e0 is not reused.g_e0
+    assert reused.loss == fresh.loss
+    for got, ref in zip([reused.g_e0] + reused.g_w1 + reused.g_w2,
+                        [fresh.g_e0] + fresh.g_w1 + fresh.g_w2):
+        assert np.array_equal(got, ref)
+
+
+def test_batch_loss_allocates_no_table_per_call():
+    # the acceptance size: 600 texts, H = 3, encoder width, two hops
+    rng = np.random.default_rng(13)
+    n_text, h, d0 = 600, 3, 768
+    n_side = 3 * h + 3
+    m = np.where(rng.random((n_text, n_side)) < 0.5,
+                 rng.random((n_text, n_side)) + 0.05, 0.0)
+    lap = dropout_graph(laplacian(m), 0.1, 0.1, rng)
+    model = _model(rng.standard_normal((n_text + n_side, d0)),
+                   *init_cpa_weights(d0=d0, d1=64, hops=2, seed=1), h=h,
+                   n_text=n_text)
+    batch = rng.permutation(n_text)[:32]
+    labels = rng.integers(0, 3, size=32)
+    gold = np.array([model.label_row(j) for j in labels])
+    negs = np.array([[model.label_row(j) for j in range(3) if j != k]
+                     for k in labels])
+    sem = rng.standard_normal((32, d0))
+    buffers = Buffers(model.e0, model.w1)
+    batch_loss(model, lap, batch, gold, negs, sem, buffers=buffers)
+    tracemalloc.start()
+    try:
+        batch_loss(model, lap, batch, gold, negs, sem, buffers=buffers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * model.e0.nbytes
 
 
 def test_batch_loss_validates_inputs():
@@ -284,6 +358,14 @@ def test_batch_loss_validates_inputs():
     zero[0] = 0.0
     with pytest.raises(CpaError, match="zero-norm"):
         batch_loss(model, lap, batch, gold, negs, zero)
+    with np.errstate(all="ignore"):
+        with pytest.raises(CpaError, match="non-finite"):
+            batch_loss(model, lap, batch, gold, negs,
+                       np.full_like(sem, np.inf))
+    other = _random_case(np.random.default_rng(1), 3, 0.0)[0]
+    with pytest.raises(CpaError, match="buffers"):
+        batch_loss(model, lap, batch, gold, negs, sem,
+                   buffers=Buffers(other.e0, other.w1))
 
 
 # --- per-message oracle ----------------------------------------------------------

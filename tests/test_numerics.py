@@ -141,11 +141,20 @@ def test_spmm_matches_dense_oracle():
         assert np.allclose(lap.matmul(b), dense @ b, atol=1e-12)
         assert np.allclose(lap.transpose_matmul(b), dense.T @ b, atol=1e-12)
         assert np.array_equal(nm.spmm(lap, Tensor(b)).data, lap.matmul(b))
+        for product in (lap.matmul, lap.transpose_matmul):
+            out = np.full_like(b, np.nan)
+            assert product(b, out=out) is out
+            assert np.array_equal(out, product(b))
     for bad in (np.zeros((n_text + n_side + 1, 2)), np.zeros(n_text + n_side)):
         with pytest.raises(GraphError):
             lap.matmul(bad)
         with pytest.raises(GraphError):
             lap.transpose_matmul(bad)
+    for out in (np.zeros((b.shape[0], 6)), b, b[:, ::-1]):
+        with pytest.raises(GraphError):
+            lap.matmul(b, out=out)
+        with pytest.raises(GraphError):
+            lap.transpose_matmul(b, out=out)
     with pytest.raises(NumericsError):
         nm.spmm(lap, Tensor(np.zeros((n_text + n_side + 1, 2))))
 

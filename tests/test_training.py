@@ -508,11 +508,11 @@ def test_frozen_batch_step_decreases_loss(synth_setup):
 
     adam_e = AdamState([model.e0], lr=1e-7)
     adam_w = AdamState(model.w1 + model.w2, lr=1e-7)
-    before, g_e0, g_w1, g_w2 = batch_loss()
-    adam_step(adam_e, [g_e0])
-    adam_step(adam_w, g_w1 + g_w2)
-    after = batch_loss()[0]
-    assert after < before
+    before = batch_loss()
+    adam_step(adam_e, [before.g_e0])
+    adam_step(adam_w, before.g_w1 + before.g_w2)
+    after = batch_loss().loss
+    assert after < before.loss
 
 
 def test_train_run_deterministic_and_trial_sensitive(synth_setup):

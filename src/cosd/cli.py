@@ -6,7 +6,7 @@ a flag of train, while topics and synth take flags only for the keys they
 read. Precedence: flag, then the COSD_SEED environment variable (seed
 only), then the config file, then defaults. predict, eval and inspect read
 the configuration of the run they are given from its run.json; predict and
-eval may override only --mode and --score-norm. One command per process;
+eval add only their own --mode and --score-norm. One command per process;
 every randomized step derives from the single seed, so identical
 invocations produce identical outputs (run directories are timestamped
 unless --out-dir pins them; file contents never embed timestamps).
@@ -162,11 +162,11 @@ class RunDir:
 
     Only this class and the writers of cmd_train know the layout on disk.
     Groups are addressed by name; trials count from 1. mode and score_norm
-    override the run's own scoring settings when given.
+    are the scoring settings of eval and predict.
     """
 
-    def __init__(self, path: str | Path, mode: str | None = None,
-                 score_norm: bool | None = None):
+    def __init__(self, path: str | Path, mode: str = "full",
+                 score_norm: bool = False):
         self.path = Path(path)
         manifest = self.path / "run.json"
         if not manifest.is_file():
@@ -192,14 +192,16 @@ class RunDir:
                               f"of objects with a name and its slug")
         self.config = config
         self.groups = _checked_slugs([g["name"] for g in groups], manifest)
-        self.mode = mode or config.mode
-        if self.mode not in inference.MODES:
-            raise ConfigError(f"unknown mode {self.mode!r}")
-        self.score_norm = bool(score_norm) or config.score_norm
+        self.mode = mode
+        self.score_norm = score_norm
 
     @functools.cached_property
     def store(self) -> training.EncoderStore:
         return training.load_embeddings(self.config.embeddings)
+
+    @functools.cached_property
+    def dataset(self) -> Dataset:
+        return load_dataset(self.config)
 
     def trials(self, trial: int | None) -> list[int]:
         """[trial] when one is asked for, else every trial of the run."""
@@ -251,60 +253,57 @@ class RunDir:
 
     def training_graph(self, name: str, trial: int) -> tuple[
             cpa.CpaModel, list[str], graph.BipartiteLaplacian]:
-        """The trial's checkpoint, and its training text ids and graph as
-        checked against it."""
+        """The trial's checkpoint, and its training text ids and graph.
+
+        The graph is rebuilt as training built it: the group's train pool,
+        checked against the trial's .meta.json, folded in again under the
+        run's topic models.
+        """
         ckpt = self.checkpoint(name, trial)
         meta_path = self._trial_file(name, trial, ".meta.json")
         meta = _read_json_object(meta_path)
-        ids, stances = meta.get("ids"), meta.get("stances")
-        for key, value in (("ids", ids), ("stances", stances)):
-            if not (isinstance(value, list) and len(value) == ckpt.n_text
-                    and all(isinstance(v, str) for v in value)):
-                raise ConfigError(f"{meta_path}: {key} must be a list of "
-                                  f"{ckpt.n_text} strings, one per text node")
-        unknown = set(stances) - set(LABEL_NAMES)
-        if unknown:
-            raise ConfigError(f"{meta_path}: unknown stance {min(unknown)!r}")
-
-        dis_path = self._trial_file(name, trial, ".dis.npy")
-        try:
-            with open(dis_path, "rb") as fh:
-                dis = np.lib.format.read_array(fh, allow_pickle=False)
-        except ValueError as exc:
-            raise ConfigError(f"{dis_path}: not a .npy array: {exc}") from exc
-        want = (ckpt.n_text, 3 * ckpt.h)
-        if (dis.dtype != np.float64 or dis.shape != want
-                or not np.isfinite(dis).all()):
-            raise ConfigError(f"{dis_path}: want finite float64 values of "
-                              f"shape {want}, got {dis.dtype} {dis.shape}")
+        pool = self.dataset.train_pool(None if self.config.joint else name)
+        ids = [ex.id for ex in pool]
+        if (meta.get("ids") != ids or meta.get("stances")
+                != [ex.stance.value for ex in pool]):
+            raise ConfigError(f"{meta_path}: ids and stances differ from the "
+                              f"train pool in {self.config.data}")
+        triple = self._triple(name)
+        if (len(pool), triple.h) != (ckpt.n_text, ckpt.h):
+            raise ConfigError(
+                f"{self._trial_file(name, trial, '.cpa1')}: {ckpt.n_text} "
+                f"texts and H={ckpt.h}, but the run has {len(pool)} and "
+                f"H={triple.h}")
+        (dis,) = training.fold_in_matrix([(triple, pool)],
+                                         self.config.fold_in_sweeps,
+                                         self.config.seed)
         lap = graph.laplacian(graph.build_adjacency(
-            [Stance(s) for s in stances], dis))
+            [ex.stance for ex in pool], dis))
         return ckpt, ids, lap
 
 
-def _write_train_outputs(run_dir: Path, config: RunConfig, dataset: Dataset,
+def _write_train_outputs(run_dir: Path, config: RunConfig,
                          result: training.TrainResult) -> None:
     lda_dir = run_dir / "lda"
     lda_dir.mkdir(parents=True, exist_ok=True)
-    for key, triple in result.triples.items():
-        slug = slugify(key)
+    for data in result.groups:
+        slug = slugify(data.group)
         for stance_key, model in zip(("favor", "none", "against"),
-                                     triple.models):
+                                     data.triple.models):
             topics.save_lda(model, lda_dir / f"{slug}.{stance_key}.lda1")
 
     for trial in result.trials:
         trial_dir = run_dir / f"trial-{trial.trial + 1}"
         trial_dir.mkdir(parents=True, exist_ok=True)
-        for key, group in trial.groups.items():
-            slug = slugify(key)
+        for data in result.groups:
+            slug = slugify(data.group)
+            group = trial.groups[data.group]
             ckpt = group.checkpoint
             cpa.save_checkpoint(trial_dir / f"{slug}.cpa1", ckpt)
-            np.save(trial_dir / f"{slug}.dis.npy", group.dis_train)
-            stance_by_id = {ex.id: ex.stance.value for ex in dataset.examples}
             meta = {
-                "group": key,
-                "ids": group.ids,
-                "stances": [stance_by_id[i] for i in group.ids],
+                "group": data.group,
+                "ids": [ex.id for ex in data.pool],
+                "stances": [ex.stance.value for ex in data.pool],
                 "best_epoch": group.best_epoch,
                 "best_val_micf": group.best_val_micf,
                 "label_order": list(LABEL_NAMES),
@@ -350,14 +349,17 @@ def cmd_topics(args: argparse.Namespace) -> int:
     dataset = load_dataset(config)
     rows = []
     for key, target in training.group_keys(dataset, config.joint):
-        subsets = stance_subsets(dataset, target)
-        for stance_key, subset in zip(("favor", "none", "against"), subsets):
-            docs = topics.token_docs(subset)
-            for h in range(lo, hi + 1):
-                model = topics.fit_lda(
-                    docs, h, alpha=config.alpha or None, beta=config.beta,
-                    sweeps=config.lda_sweeps,
-                    seed=derive_seed(config.seed, 7, key, stance_key, h))
+        subsets = [topics.token_docs(docs)
+                   for docs in stance_subsets(dataset, target)]
+        # the triple cosd train --h H fits for this group
+        triples = {h: topics.fit_triple(
+            *subsets, h=h, alpha=config.alpha or None, beta=config.beta,
+            sweeps=config.lda_sweeps, seed=derive_seed(config.seed, 7, key))
+            for h in range(lo, hi + 1)}
+        for j, (stance_key, docs) in enumerate(
+                zip(("favor", "none", "against"), subsets)):
+            for h, triple in triples.items():
+                model = triple.models[j]
                 try:
                     perp = topics.perplexity(model, docs,
                                              sweeps=config.fold_in_sweeps,
@@ -407,21 +409,21 @@ def cmd_train(args: argparse.Namespace) -> int:
             shutil.rmtree(old)
     for old in [*run_dir.glob("report-*.txt"), *run_dir.glob("report-*.csv")]:
         old.unlink()
-    _write_train_outputs(run_dir, config, dataset, result)
+    _write_train_outputs(run_dir, config, result)
     # wall times per stage; never compared, unlike the other outputs
     _write_json(run_dir / "timings.json", {
         "load_s": loaded - start,
-        "groups": {key: {
-            **seconds,
-            "trials": [{"train_s": t.groups[key].train_s,
-                        "val_s": t.groups[key].val_s}
+        "groups": {data.group: {
+            **data.seconds,
+            "trials": [{"train_s": t.groups[data.group].train_s,
+                        "val_s": t.groups[data.group].val_s}
                        for t in result.trials]}
-            for key, seconds in result.group_seconds.items()},
+            for data in result.groups},
         "write_s": time.perf_counter() - written,
         "total_s": time.perf_counter() - start,
     })
     # last, so eval and predict reject a directory whose writing broke off
-    write_manifest(run_dir, config, list(result.triples))
+    write_manifest(run_dir, config, [data.group for data in result.groups])
     print(f"run directory: {run_dir}")
     print(result.report_text, end="")
     return 0
@@ -432,13 +434,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     trials = run.trials(args.trial)
     split = {"train": Split.TRAIN, "val": Split.VAL,
              "test": Split.TEST}[args.split]
-    dataset = load_dataset(run.config)
 
     # semantic rows and fold-ins depend on the group and split, not the trial
     examples = {}
     for name in run.groups:
         target = None if run.config.joint else name
-        labeled = [ex for ex in dataset.split(split, target)
+        labeled = [ex for ex in run.dataset.split(split, target)
                    if ex.stance is not Stance.UNKNOWN]
         if labeled:
             examples[name] = labeled
@@ -446,17 +447,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ConfigError(f"no labeled examples in split {args.split!r}")
     rows = run.rows(examples)
 
-    trial_rows = []
-    for trial in trials:
-        preds, golds, targets = [], [], []
-        for name, (sem_rows, dis_rows) in rows.items():
-            preds += run.score(name, trial, sem_rows, dis_rows).predicted
-            golds += [ex.stance for ex in examples[name]]
-            targets += [ex.target for ex in examples[name]]
-        trial_rows.append(metrics.report_row(preds, golds, targets,
-                                             dataset.targets))
-
-    text, csv_text = metrics.report(trial_rows, dataset.targets, trials)
+    scored = [ex for group_examples in examples.values()
+              for ex in group_examples]
+    text, csv_text = metrics.trial_report(
+        [[label for name, group_rows in rows.items()
+          for label in run.score(name, trial, *group_rows).predicted]
+         for trial in trials],
+        [ex.stance for ex in scored], [ex.target for ex in scored],
+        run.dataset.targets, trials)
     suffix = f"{args.split}-{run.mode}" + ("-zscore" if run.score_norm else "")
     (run.path / f"report-{suffix}.txt").write_text(text, encoding="utf-8")
     (run.path / f"report-{suffix}.csv").write_text(csv_text, encoding="utf-8")
@@ -546,8 +544,8 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         did_something = True
 
     if args.export_attention:
-        dataset = load_dataset(run.config)
-        wanted = [ex for ex in dataset.examples if ex.id == args.export_attention]
+        wanted = [ex for ex in run.dataset.examples
+                  if ex.id == args.export_attention]
         if not wanted:
             raise ConfigError(f"example {args.export_attention!r} not in dataset")
         out = args.attention_out or f"{args.export_attention}-attention.csv"
@@ -586,21 +584,17 @@ _FLAG_OPTIONS = {
     "beta": {"help": "topic-word prior"},
     "d1": {"help": "propagated embedding width"},
     "joint": {"help": "one joint graph instead of per-target graphs"},
-    "score_norm": {"help": "z-score each score triple before adding"},
-    "mode": {"choices": inference.MODES},
 }
 TOPICS_KEYS = ("dataset", "data", "alpha", "beta", "lda_sweeps",
                "fold_in_sweeps", "seed", "joint")
-SCORE_KEYS = ("score_norm", "mode")  # what eval and predict may override
 
 
 def _add_config_flags(parser: argparse.ArgumentParser,
-                      keys: Iterable[str] = (), config_file: bool = True) -> None:
-    """--config FILE (if config_file) and one flag per named config key, or
-    per key when none is named. An absent flag parses to None, so the file
-    and the defaults show through."""
-    if config_file:
-        parser.add_argument("--config", help="flat key = value config file")
+                      keys: Iterable[str] = ()) -> None:
+    """--config FILE and one flag per named config key, or per key when
+    none is named. An absent flag parses to None, so the file and the
+    defaults show through."""
+    parser.add_argument("--config", help="flat key = value config file")
     kinds = {f.name: type(f.default) for f in dataclasses.fields(RunConfig)}
     for key in keys or kinds:
         kind = kinds[key]
@@ -613,6 +607,14 @@ def _add_config_flags(parser: argparse.ArgumentParser,
 def _add_run_flags(parser: argparse.ArgumentParser, trial_help: str) -> None:
     parser.add_argument("--run", required=True, help="run directory from train")
     parser.add_argument("--trial", type=int, help=trial_help)
+
+
+def _add_score_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--mode", choices=inference.MODES, default="full",
+                        help="score with both paths or ablate one")
+    parser.add_argument("--score-norm", dest="score_norm",
+                        action="store_true",
+                        help="z-score each score triple before adding")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -641,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="score a TSV of texts with a trained run",
                        allow_abbrev=False)
     _add_run_flags(p, "trial number (default 1)")
-    _add_config_flags(p, SCORE_KEYS, config_file=False)
+    _add_score_flags(p)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
     p.set_defaults(func=cmd_predict)
@@ -649,7 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="metrics for a split against a trained run",
                        allow_abbrev=False)
     _add_run_flags(p, "one trial (default: all + mean)")
-    _add_config_flags(p, SCORE_KEYS, config_file=False)
+    _add_score_flags(p)
     p.add_argument("--split", choices=["train", "val", "test"], default="test")
     p.set_defaults(func=cmd_eval)
 

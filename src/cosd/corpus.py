@@ -119,7 +119,7 @@ class Vocabulary:
 
 @dataclass
 class Dataset:
-    """Loaded corpus: examples across splits, sorted target list, train vocab.
+    """Loaded corpus: examples across splits and the sorted target list.
 
     val_carved is True when the val split was carved out of the official train
     file (tweet-style corpora). In that case the "train pool" backing topic
@@ -129,7 +129,6 @@ class Dataset:
 
     examples: list[Example]
     targets: list[str]
-    vocab: Vocabulary
     val_carved: bool = False
 
     def split(self, split: Split, target: str | None = None) -> list[Example]:
@@ -200,12 +199,9 @@ def _finish(examples: list[Example], val_carved: bool) -> Dataset:
         seen.add(ex.id)
         if ex.split is not Split.TEST and ex.stance is Stance.UNKNOWN:
             raise CorpusError(f"example {ex.id!r}: unlabeled outside test split")
-    targets = sorted({ex.target for ex in examples})
-    dataset = Dataset(examples=examples, targets=targets, vocab=Vocabulary([], {}, []),
-                      val_carved=val_carved)
-    pool_docs = [list(ex.tokens) for ex in dataset.train_pool()]
-    dataset.vocab = Vocabulary.from_docs(pool_docs)
-    return dataset
+    return Dataset(examples=examples,
+                   targets=sorted({ex.target for ex in examples}),
+                   val_carved=val_carved)
 
 
 def _tweet_rows(path: Path, split: Split) -> list[Example]:

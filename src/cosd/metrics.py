@@ -127,6 +127,15 @@ def report_row(preds: list[Stance], golds: list[Stance], targets: list[str],
     return row
 
 
+def trial_report(trial_preds: list[list[Stance]], golds: list[Stance],
+                 targets: list[str], target_order: list[str],
+                 trials: list[int] | None = None) -> tuple[str, str]:
+    """report() over one report_row per trial: each trial's predictions,
+    in the order of the one gold list and target list."""
+    return report([report_row(preds, golds, targets, target_order)
+                   for preds in trial_preds], target_order, trials)
+
+
 def report(trial_rows: list[dict[str, float]], target_order: list[str],
            trials: list[int] | None = None) -> tuple[str, str]:
     """Render trial metrics as (aligned text, CSV).

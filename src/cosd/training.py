@@ -12,13 +12,10 @@ repeats over trials with shifted seeds.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import struct
 import time
 import zlib
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -247,9 +244,6 @@ class RunConfig:
     d1: int = 64
     leaky_slope: float = 0.01
     joint: bool = False
-    parallel_trials: bool = False
-    score_norm: bool = False
-    mode: str = "full"
 
     def resolved_hops(self) -> int:
         if self.hops > 0:
@@ -259,8 +253,6 @@ class RunConfig:
     def validate(self) -> None:
         """ConfigError unless every value has its default's type and lies
         in range."""
-        from .inference import MODES  # late import; inference imports this module
-
         for f in fields(self):
             value = getattr(self, f.name)
             if type(value) is not type(f.default):
@@ -270,8 +262,6 @@ class RunConfig:
                 raise ConfigError(f"{f.name} = {value!r} is not finite")
         if self.dataset not in DATASETS:
             raise ConfigError(f"unknown dataset kind {self.dataset!r}")
-        if self.mode not in MODES:
-            raise ConfigError(f"unknown mode {self.mode!r}")
         for name, low in (("epochs", 1), ("batch_size", 1), ("h", 1),
                           ("trials", 1), ("lda_sweeps", 1),
                           ("fold_in_sweeps", 1), ("d1", 1),
@@ -322,16 +312,14 @@ class GroupData:
 
 @dataclass
 class GroupResult:
-    group: str
-    ids: list[str]
+    """One trial's training of one group; the group's inputs stay in its
+    GroupData."""
+
     checkpoint: cpa.CpaModel     # the best-val epoch's snapshot
-    dis_train: np.ndarray
     log_rows: list[dict]
     best_epoch: int
     best_val_micf: float
-    val_preds: list
-    val_golds: list
-    val_targets: list[str]
+    val_preds: list              # the best epoch's, in data.val order
     train_s: float = 0.0   # wall time of the epochs, val scoring excluded
     val_s: float = 0.0     # wall time of val scoring over all epochs
 
@@ -379,17 +367,16 @@ def build_group_data(dataset: Dataset, store: EncoderStore, group: str,
 
 
 def _val_metrics(data: GroupData, model: cpa.CpaModel, config: RunConfig):
-    """(macf, micf, preds, golds, targets) on the val split, current params."""
+    """(macf, micf, preds) on the val split, current params."""
     from . import inference  # late import; inference also imports this module
 
     if not data.val:
-        return 0.0, 0.0, [], [], []
+        return 0.0, 0.0, []
     preds = inference.score_batch(data.sem_val, data.dis_val, model,
                                   slope=config.leaky_slope).predicted
-    golds = [ex.stance for ex in data.val]
-    targets = [ex.target for ex in data.val]
-    macf, micf = metrics.macro_micro(preds, golds, targets)
-    return macf, micf, preds, golds, targets
+    macf, micf = metrics.macro_micro(preds, [ex.stance for ex in data.val],
+                                     [ex.target for ex in data.val])
+    return macf, micf, preds
 
 
 def train_group(data: GroupData, store: EncoderStore, config: RunConfig,
@@ -414,9 +401,8 @@ def train_group(data: GroupData, store: EncoderStore, config: RunConfig,
     adam_cpa = AdamState(model.w1 + model.w2, lr=config.lr_cpa)
     buffers = cpa.Buffers(model.e0, model.w1)
 
-    best = None  # (micf, epoch, model copy)
+    best = None  # (micf, epoch, model copy, val predictions)
     log_rows = []
-    val_snapshot = ([], [], [])
     for epoch in range(1, config.epochs + 1):
         rng = np.random.default_rng(
             derive_seed(trial_seed, 3, data.group, epoch))
@@ -436,22 +422,18 @@ def train_group(data: GroupData, store: EncoderStore, config: RunConfig,
                 sums[key] += getattr(step, key) * len(batch)
 
         val_start = time.perf_counter()
-        macf, micf, preds, golds, targets = _val_metrics(data, model, config)
+        macf, micf, preds = _val_metrics(data, model, config)
         val_s += time.perf_counter() - val_start
         log_rows.append({"epoch": epoch,
                          **{key: total / n for key, total in sums.items()},
                          "val_macf": macf, "val_micf": micf})
         if best is None or micf > best[0]:
-            best = (micf, epoch, model.copy())
-            val_snapshot = (preds, golds, targets)
+            best = (micf, epoch, model.copy(), preds)
 
-    micf, best_epoch, checkpoint = best
+    micf, best_epoch, checkpoint, val_preds = best
     return GroupResult(
-        group=data.group, ids=[ex.id for ex in data.pool],
-        checkpoint=checkpoint, dis_train=data.dis_pool, log_rows=log_rows,
-        best_epoch=best_epoch, best_val_micf=micf,
-        val_preds=val_snapshot[0], val_golds=val_snapshot[1],
-        val_targets=val_snapshot[2],
+        checkpoint=checkpoint, log_rows=log_rows, best_epoch=best_epoch,
+        best_val_micf=micf, val_preds=val_preds,
         train_s=time.perf_counter() - began - val_s, val_s=val_s,
     )
 
@@ -463,43 +445,20 @@ class TrialResult:
     trial: int
     seed: int
     groups: dict[str, GroupResult]
-    val_row: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
 class TrainResult:
+    groups: list[GroupData]
     trials: list[TrialResult]
     report_text: str
     report_csv: str
-    triples: dict[str, topics.TopicModelTriple]
-    group_seconds: dict[str, dict[str, float]] = field(default_factory=dict)
-
-
-def _trial_val_row(trial: TrialResult, dataset: Dataset) -> dict[str, float]:
-    preds, golds, targets = [], [], []
-    for result in trial.groups.values():
-        preds += result.val_preds
-        golds += result.val_golds
-        targets += result.val_targets
-    return metrics.report_row(preds, golds, targets, dataset.targets)
-
-
-def run_trial(dataset: Dataset, store: EncoderStore,
-              group_data: list[GroupData], config: RunConfig,
-              trial: int) -> TrialResult:
-    seed = config.seed + trial
-    groups = {}
-    for data in group_data:
-        groups[data.group] = train_group(data, store, config, seed)
-    result = TrialResult(trial=trial, seed=seed, groups=groups)
-    result.val_row = _trial_val_row(result, dataset)
-    return result
 
 
 def train(dataset: Dataset, store: EncoderStore,
           config: RunConfig) -> TrainResult:
-    """Full run: every group's topic triple, then every trial; returns the
-    results plus a val report.
+    """Full run: every group's topic triple, then every trial in order;
+    returns the group records, the trials' results and a val report.
 
     Trials shift only the collaborative-training seed (inits, dropout, batch
     order); topic models and fold-in distributions are fixed by the base
@@ -509,26 +468,19 @@ def train(dataset: Dataset, store: EncoderStore,
     if absent:
         raise TrainingError(f"embedding records missing for ids: {absent}")
 
-    group_data = [build_group_data(dataset, store, key, target, config)
-                  for key, target in group_keys(dataset, config.joint)]
+    groups = [build_group_data(dataset, store, key, target, config)
+              for key, target in group_keys(dataset, config.joint)]
+    trials = []
+    for trial in range(config.trials):
+        seed = config.seed + trial
+        trials.append(TrialResult(trial=trial, seed=seed, groups={
+            data.group: train_group(data, store, config, seed)
+            for data in groups}))
 
-    if config.parallel_trials and config.trials > 1:
-        # spawn: workers start from a fresh import, not a fork of this
-        # process and whatever threads it holds
-        with ProcessPoolExecutor(
-                max_workers=min(config.trials, os.cpu_count() or 1),
-                mp_context=multiprocessing.get_context("spawn")) as pool:
-            futures = [
-                pool.submit(run_trial, dataset, store, group_data, config, t)
-                for t in range(config.trials)
-            ]
-            trials = [f.result() for f in futures]
-    else:
-        trials = [run_trial(dataset, store, group_data, config, t)
-                  for t in range(config.trials)]
-
-    text, csv_text = metrics.report([t.val_row for t in trials],
-                                    dataset.targets)
-    return TrainResult(trials=trials, report_text=text, report_csv=csv_text,
-                       triples={d.group: d.triple for d in group_data},
-                       group_seconds={d.group: d.seconds for d in group_data})
+    val = [ex for data in groups for ex in data.val]
+    text, csv_text = metrics.trial_report(
+        [[pred for data in groups for pred in t.groups[data.group].val_preds]
+         for t in trials],
+        [ex.stance for ex in val], [ex.target for ex in val], dataset.targets)
+    return TrainResult(groups=groups, trials=trials, report_text=text,
+                       report_csv=csv_text)

@@ -196,7 +196,8 @@ def e2e(tmp_path_factory):
                        trials=1, lda_sweeps=300, fold_in_sweeps=50, d1=64)
     result = train(dataset, store, config)
 
-    triple = result.triples[target]
+    (group,) = result.groups
+    triple = group.triple
     ckpt = result.trials[0].groups[target].checkpoint
     test_ex = dataset.split(Split.TEST)
     sem = inference.semantic_scores(semantic_matrix(test_ex, store), ckpt.z)

@@ -47,20 +47,18 @@ def test_config_file_parsing(tmp_path):
         "h = 4\n"
         'data = "corpus/dir"  # trailing comment\n'
         "joint = on\n"
-        "score_norm = no\n"
         "\n"
         "lr_cpa = 2e-5\n",
         encoding="utf-8")
     got = read_config_file(cfg)
     assert got == {"h": "4", "data": "corpus/dir", "joint": "on",
-                   "score_norm": "no", "lr_cpa": "2e-5"}
+                   "lr_cpa": "2e-5"}
     # a file may hold keys the command has no flag for
     for argv in (["train"], ["topics"], ["synth", "--out", "D"]):
         config = _config(argv + ["--config", str(cfg)])
         assert config.h == 4
         assert config.data == "corpus/dir"
         assert config.joint is True
-        assert config.score_norm is False
         assert config.lr_cpa == 2e-5
         assert config.epochs == 50  # untouched default
 
@@ -123,9 +121,10 @@ def test_config_validation(tmp_path):
     bad_kind.write_text("dataset = mystery\n", encoding="utf-8")
     with pytest.raises(ConfigError):
         _config(["train", "--config", str(bad_kind)])
+    # eval and predict own --mode; it is no config key
     bad_mode = tmp_path / "mode.cfg"
-    bad_mode.write_text("mode = everything\n", encoding="utf-8")
-    with pytest.raises(ConfigError):
+    bad_mode.write_text("mode = full\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="unknown config key 'mode'"):
         _config(["train", "--config", str(bad_mode)])
 
 
@@ -151,6 +150,11 @@ def test_run_dir_naming():
 
 
 RUN_FLAGS = {"--run", "--trial"}
+TRAIN_OWN = {"--config", "--dataset", "--data", "--embeddings", "--out-dir",
+             "--h", "--hops", "--alpha", "--beta", "--lda-sweeps",
+             "--fold-in-sweeps", "--lr-cpa", "--lr-embed", "--dropout",
+             "--batch-size", "--epochs", "--seed", "--trials", "--d1",
+             "--leaky-slope", "--joint"}  # one per RunConfig key
 
 
 @pytest.mark.parametrize("command, own, argv", [
@@ -166,7 +170,8 @@ RUN_FLAGS = {"--run", "--trial"}
     ("synth", {"--config", "--seed", "--out", "--n-train", "--n-val",
                "--n-test", "--gen-h", "--words-per-topic", "--noise"},
      ["--out", "D"]),
-], ids=["eval", "predict", "inspect", "topics", "synth"])
+    ("train", TRAIN_OWN, []),
+], ids=["eval", "predict", "inspect", "topics", "synth", "train"])
 def test_scoring_commands_take_only_their_own_flags(command, own, argv,
                                                     capsys):
     (sub,) = [a for a in build_parser()._actions
@@ -178,7 +183,8 @@ def test_scoring_commands_take_only_their_own_flags(command, own, argv,
     # a flag the command does not read is a usage error, not a prefix of
     # one it does
     for flag in (["--h", "3"], ["--embeddings", "/nonexistent"],
-                 ["--config", "/nonexistent.cfg"]):
+                 ["--config", "/nonexistent.cfg"], ["--parallel-trials"],
+                 ["--mode", "full"], ["--score-norm"]):
         if flag[0] in own:
             continue
         with pytest.raises(SystemExit) as exc:
@@ -215,7 +221,7 @@ def test_train_run_layout(run_dir):
         base = run_dir / f"trial-{trial}"
         assert (base / f"{SLUG}.cpa1").is_file()
         assert (base / f"{SLUG}.meta.json").is_file()
-        assert (base / f"{SLUG}.dis.npy").is_file()
+        assert not (base / f"{SLUG}.dis.npy").exists()
         log = (base / f"{SLUG}.log.csv").read_text(encoding="utf-8")
         lines = log.strip().splitlines()
         assert lines[0] == "epoch,loss,val_macf,val_micf,l_con,l_cos"
@@ -244,25 +250,6 @@ def test_train_writes_stage_timings(run_dir):
 def _run_files(run_dir):
     return {str(p.relative_to(run_dir)): p.read_bytes()
             for p in sorted(run_dir.rglob("*")) if p.is_file()}
-
-
-def test_parallel_trials_write_the_sequential_run(synth_small, tmp_path):
-    root, paths = synth_small
-    runs = {}
-    for name, extra in (("sequential", []),
-                        ("parallel", ["--parallel-trials"])):
-        out = tmp_path / name
-        assert main(["train", "--dataset", "synthetic", "--data", str(root),
-                     "--embeddings", str(paths["embeddings"]),
-                     "--out-dir", str(out)] + extra + TRAIN_FLAGS) == 0
-        runs[name] = _run_files(out)
-    # these name the run directory or hold wall times
-    differ = {"config.txt", "run.json", "timings.json"}
-    got, want = runs["parallel"], runs["sequential"]
-    assert set(got) == set(want)
-    assert "trial-2/synthetic-policy.cpa1" in got
-    for name in set(got) - differ:
-        assert got[name] == want[name], name
 
 
 def test_manifest_reload(run_dir, synth_small):
@@ -486,8 +473,8 @@ def test_eval_on_truncated_or_non_object_json(run_dir, tmp_path, capsys,
     _expect_failure(argv, capsys, needle="not a JSON object")
 
 
-@pytest.mark.parametrize("edit", ["no_config", "unknown_key", "bad_type",
-                                  "bad_groups", "zero_trials",
+@pytest.mark.parametrize("edit", ["no_config", "unknown_key", "retired_key",
+                                  "bad_type", "bad_groups", "zero_trials",
                                   "negative_hops"])
 def test_eval_on_malformed_manifest(run_dir, tmp_path, capsys, edit):
     copy = tmp_path / "run"
@@ -497,6 +484,8 @@ def test_eval_on_malformed_manifest(run_dir, tmp_path, capsys, edit):
         del doc["config"]
     elif edit == "unknown_key":
         doc["config"]["mystery"] = 1
+    elif edit == "retired_key":
+        doc["config"]["parallel_trials"] = False
     elif edit == "bad_type":
         doc["config"]["fold_in_sweeps"] = "10"
     elif edit == "zero_trials":
@@ -621,18 +610,6 @@ def _cut_ids(meta):
     meta["ids"] = meta["ids"][:-5]
 
 
-def _save_dis(edit):
-    def write(path):
-        dis = np.load(path)
-        np.save(path, edit(dis), allow_pickle=True)
-    return write
-
-
-def _nan_dis(dis):
-    dis[0, 0] = np.nan
-    return dis
-
-
 META_EDITS = {
     "no_ids": lambda meta: meta.pop("ids"),
     "no_stances": lambda meta: meta.pop("stances"),
@@ -641,38 +618,66 @@ META_EDITS = {
     "long_stances": lambda meta: meta["stances"].append("Favor"),
     "ids_not_strings": lambda meta: meta["ids"].__setitem__(0, 7),
 }
-DIS_EDITS = {
-    "garbage": lambda path: path.write_bytes(b"not an array at all"),
-    "truncated": lambda path: path.write_bytes(path.read_bytes()[:-9]),
-    "header_only": lambda path: path.write_bytes(path.read_bytes()[:70]),
-    "object_array": _save_dis(
-        lambda dis: np.array([{"row": r} for r in dis], dtype=object)),
-    "wrong_shape": _save_dis(lambda dis: dis[:, :-3]),
-    "wrong_rows": _save_dis(lambda dis: dis[:-1]),
-    "integer": _save_dis(lambda dis: dis.astype(np.int64)),
-    "non_finite": _save_dis(_nan_dis),
-}
 
 
-@pytest.mark.parametrize("edit", sorted(META_EDITS) + sorted(DIS_EDITS))
+@pytest.mark.parametrize("edit", sorted(META_EDITS))
 def test_inspect_rejects_bad_training_graph_files(run_dir, tmp_path, capsys,
                                                   edit):
     copy = tmp_path / "run"
     shutil.copytree(run_dir, copy)
-    base = copy / "trial-1" / SLUG
-    if edit in META_EDITS:
-        name = f"{SLUG}.meta.json"
-        meta = json.loads((copy / "trial-1" / name).read_text(encoding="utf-8"))
-        META_EDITS[edit](meta)
-        (copy / "trial-1" / name).write_text(json.dumps(meta),
-                                             encoding="utf-8")
-    else:
-        name = f"{SLUG}.dis.npy"
-        DIS_EDITS[edit](base.with_suffix(".dis.npy"))
+    name = f"{SLUG}.meta.json"
+    meta = json.loads((copy / "trial-1" / name).read_text(encoding="utf-8"))
+    META_EDITS[edit](meta)
+    (copy / "trial-1" / name).write_text(json.dumps(meta), encoding="utf-8")
     reps = tmp_path / "reps.txt"
     _expect_failure(["inspect", "--run", str(copy),
                      "--dump-final-reps", str(reps)], capsys, needle=name)
     assert not reps.exists()
+
+
+def test_inspect_rejects_data_edited_after_training(run_dir, synth_small,
+                                                    tmp_path, capsys):
+    root, _ = synth_small
+    data = tmp_path / "data"
+    shutil.copytree(root, data)
+    header, first, *rows = (data / "train.tsv").read_text(
+        encoding="utf-8").splitlines()
+    cells = first.split("\t")
+    cells[3] = "AGAINST" if cells[3] != "AGAINST" else "FAVOR"
+    (data / "train.tsv").write_text(
+        "\n".join([header, "\t".join(cells), *rows]) + "\n",
+        encoding="utf-8")
+    copy = tmp_path / "run"
+    shutil.copytree(run_dir, copy)
+    doc = json.loads((copy / "run.json").read_text(encoding="utf-8"))
+    doc["data"] = str(data)
+    (copy / "run.json").write_text(json.dumps(doc), encoding="utf-8")
+    _expect_failure(["inspect", "--run", str(copy)], capsys,
+                    needle=f"{SLUG}.meta.json")
+
+
+def test_inspect_rejects_a_checkpoint_of_another_pool(run_dir,
+                                                     two_target_run,
+                                                     tmp_path, capsys):
+    _, other = two_target_run
+    copy = tmp_path / "run"
+    shutil.copytree(run_dir, copy)
+    shutil.copy(other / "trial-1" / f"{SLUG}.cpa1",
+                copy / "trial-1" / f"{SLUG}.cpa1")
+    _expect_failure(["inspect", "--run", str(copy)], capsys,
+                    needle=f"{SLUG}.cpa1")
+
+
+def test_inspect_rebuilds_the_training_laplacian(run_dir):
+    run = RunDir(run_dir)
+    name = run.group(None)
+    data = training.build_group_data(run.dataset, run.store, name, name,
+                                     run.config)
+    for trial in (1, 2):
+        _, ids, lap = run.training_graph(name, trial)
+        assert ids == [ex.id for ex in data.pool]
+        assert np.array_equal(lap.to_text, data.lap.to_text)
+        assert np.array_equal(lap.to_side, data.lap.to_side)
 
 
 def test_train_rejects_targets_sharing_a_slug(synth_small, tmp_path, capsys):
@@ -754,6 +759,30 @@ def test_topics_table_and_csv(synth_small, tmp_path, capsys):
     assert main(argv[:-1] + [str(again)]) == 0
     capsys.readouterr()
     assert again.read_bytes() == out.read_bytes()
+
+
+def test_topics_rows_score_the_models_train_fits(run_dir, synth_small,
+                                               tmp_path, capsys):
+    root, _ = synth_small
+    out = tmp_path / "sweep.csv"
+    # the flags of the run_dir fixture's train that topics reads
+    assert main(["topics", "--dataset", "synthetic", "--data", str(root),
+                 "--h-range", "2:2", "--lda-sweeps", "40",
+                 "--fold-in-sweeps", "10", "--seed", "5", "--top-n", "4",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = [line.split(",") for line in
+            out.read_text(encoding="utf-8").strip().splitlines()[1:]]
+    subsets = cosd.cli.stance_subsets(RunDir(run_dir).dataset,
+                                      "Synthetic Policy")
+    assert [row[1] for row in rows] == ["favor", "none", "against"]
+    for row, examples in zip(rows, subsets):
+        model = cosd.topics.load_lda(run_dir / "lda" / f"{SLUG}.{row[1]}.lda1")
+        docs = cosd.topics.token_docs(examples)
+        want = (cosd.topics.perplexity(model, docs, sweeps=10, seed=5),
+                cosd.topics.umass_coherence(model, docs, top_n=4))
+        assert row == ["Synthetic Policy", row[1], "2",
+                       f"{want[0]:.6f}", f"{want[1]:.6f}"]
 
 
 # --- predict agrees with eval on interleaved targets -------------------------------

@@ -70,13 +70,6 @@ class TestSemeval:
         assert ids(a) == ids(b)
         assert ids(a) != ids(c)
 
-    def test_vocab_from_train_pool_only(self, semeval_dataset):
-        assert "case10001" not in semeval_dataset.vocab  # test-only marker word
-        pool_tokens = set()
-        for ex in semeval_dataset.train_pool():
-            pool_tokens.update(ex.tokens)
-        assert set(semeval_dataset.vocab.tokens) == pool_tokens
-
 
 class TestUkp:
     def test_total_counts(self, ukp_dataset):

@@ -29,7 +29,7 @@ from typing import Iterable
 import numpy as np
 
 from . import cpa, graph, inference, metrics, synth, topics, training
-from .corpus import (LABELS, CorpusError, Dataset, Split, Stance,
+from .corpus import (LABELS, CorpusError, Dataset, Example, Split, Stance,
                      load_semeval, load_ukp, stance_subsets)
 from .cpa import CpaError
 from .graph import GraphError
@@ -37,10 +37,8 @@ from .inference import InferenceError
 from .metrics import MetricsError
 from .numerics import NumericsError
 from .topics import TopicsError
-from .training import (DATASETS, ConfigError, RunConfig, TrainingError,
-                       derive_seed)
-
-LABEL_NAMES = tuple(label.value for label in LABELS)
+from .training import (DATASETS, LABEL_KEYS, ConfigError, RunConfig,
+                       TrainingError, derive_seed)
 
 
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
@@ -157,16 +155,19 @@ def _checked_slugs(names: list[str], where: str | Path) -> dict[str, str]:
     return dict(zip(names, slugs))
 
 
+# per training group with texts, in manifest order: its name, the positions
+# of its texts in the scored list, their semantic rows and fold-in rows
+GroupRows = list[tuple[str, list[int], np.ndarray, np.ndarray]]
+
+
 class RunDir:
     """A trained run directory, opened through its checked manifest.
 
     Only this class and the writers of cmd_train know the layout on disk.
-    Groups are addressed by name; trials count from 1. mode and score_norm
-    are the scoring settings of eval and predict.
+    Groups are addressed by name; trials count from 1.
     """
 
-    def __init__(self, path: str | Path, mode: str = "full",
-                 score_norm: bool = False):
+    def __init__(self, path: str | Path):
         self.path = Path(path)
         manifest = self.path / "run.json"
         if not manifest.is_file():
@@ -192,8 +193,6 @@ class RunDir:
                               f"of objects with a name and its slug")
         self.config = config
         self.groups = _checked_slugs([g["name"] for g in groups], manifest)
-        self.mode = mode
-        self.score_norm = score_norm
 
     @functools.cached_property
     def store(self) -> training.EncoderStore:
@@ -228,28 +227,46 @@ class RunDir:
     def checkpoint(self, name: str, trial: int) -> cpa.CpaModel:
         return cpa.load_checkpoint(self._trial_file(name, trial, ".cpa1"))
 
-    def rows(self, examples: dict[str, list]) -> dict[
-            str, tuple[np.ndarray, np.ndarray]]:
-        """Each group's semantic rows and fold-in rows of its examples;
-        every group's texts are folded in together."""
-        sem = {name: training.semantic_matrix(group_examples, self.store)
-               for name, group_examples in examples.items()}
+    def rows(self, examples: list[Example]) -> GroupRows:
+        """The texts, in any order, split by training group; every group's
+        texts are folded in together. ConfigError names a target the run
+        has no group for."""
+        at: dict[str, list[int]] = {name: [] for name in self.groups}
+        for i, ex in enumerate(examples):
+            name = "joint" if self.config.joint else ex.target
+            if name not in at:
+                raise ConfigError(f"no trained group for target {ex.target!r}")
+            at[name].append(i)
+        groups = [(name, [examples[i] for i in where])
+                  for name, where in at.items() if where]
+        sem = [training.semantic_matrix(group, self.store)
+               for _, group in groups]
         dis = training.fold_in_matrix(
-            [(self._triple(name), group_examples)
-             for name, group_examples in examples.items()],
+            [(self._triple(name), group) for name, group in groups],
             self.config.fold_in_sweeps, self.config.seed)
-        return {name: (sem[name], rows) for name, rows in zip(examples, dis)}
+        return [(name, at[name], sem_rows, dis_rows)
+                for (name, _), sem_rows, dis_rows in zip(groups, sem, dis)]
 
     def _triple(self, name: str) -> topics.TopicModelTriple:
         return topics.TopicModelTriple(*(
             topics.load_lda(self.path / "lda" / f"{self.groups[name]}.{k}.lda1")
-            for k in ("favor", "none", "against")))
+            for k in LABEL_KEYS))
 
-    def score(self, name: str, trial: int, sem_rows: np.ndarray,
-              dis_rows: np.ndarray) -> inference.Scores:
-        return inference.score_batch(
-            sem_rows, dis_rows, self.checkpoint(name, trial), mode=self.mode,
-            score_norm=self.score_norm, slope=self.config.leaky_slope)
+    def score(self, rows: GroupRows, trial: int, mode: str,
+              score_norm: bool) -> inference.Scores:
+        """Every group's rows scored against the trial's checkpoint of that
+        group, in the order of the texts given to rows."""
+        n = sum(len(where) for _, where, _, _ in rows)
+        sem, dis = np.zeros((n, 3)), np.zeros((n, 3))
+        predicted: list[Stance] = [Stance.UNKNOWN] * n
+        for name, where, sem_rows, dis_rows in rows:
+            scores = inference.score_batch(
+                sem_rows, dis_rows, self.checkpoint(name, trial), mode=mode,
+                score_norm=score_norm, slope=self.config.leaky_slope)
+            sem[where], dis[where] = scores.sem, scores.dis
+            for i, label in zip(where, scores.predicted):
+                predicted[i] = label
+        return inference.Scores(sem, dis, sem + dis, predicted)
 
     def training_graph(self, name: str, trial: int) -> tuple[
             cpa.CpaModel, list[str], graph.BipartiteLaplacian]:
@@ -288,8 +305,7 @@ def _write_train_outputs(run_dir: Path, config: RunConfig,
     lda_dir.mkdir(parents=True, exist_ok=True)
     for data in result.groups:
         slug = slugify(data.group)
-        for stance_key, model in zip(("favor", "none", "against"),
-                                     data.triple.models):
+        for stance_key, model in zip(LABEL_KEYS, data.triple.models):
             topics.save_lda(model, lda_dir / f"{slug}.{stance_key}.lda1")
 
     for trial in result.trials:
@@ -306,7 +322,7 @@ def _write_train_outputs(run_dir: Path, config: RunConfig,
                 "stances": [ex.stance.value for ex in data.pool],
                 "best_epoch": group.best_epoch,
                 "best_val_micf": group.best_val_micf,
-                "label_order": list(LABEL_NAMES),
+                "label_order": [label.value for label in LABELS],
                 "h": ckpt.h,
                 "hops": ckpt.hops,
                 "seed": trial.seed,
@@ -356,8 +372,7 @@ def cmd_topics(args: argparse.Namespace) -> int:
             *subsets, h=h, alpha=config.alpha or None, beta=config.beta,
             sweeps=config.lda_sweeps, seed=derive_seed(config.seed, 7, key))
             for h in range(lo, hi + 1)}
-        for j, (stance_key, docs) in enumerate(
-                zip(("favor", "none", "against"), subsets)):
+        for j, (stance_key, docs) in enumerate(zip(LABEL_KEYS, subsets)):
             for h, triple in triples.items():
                 model = triple.models[j]
                 try:
@@ -430,32 +445,20 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    run = RunDir(args.run, args.mode, args.score_norm)
+    run = RunDir(args.run)
     trials = run.trials(args.trial)
-    split = {"train": Split.TRAIN, "val": Split.VAL,
-             "test": Split.TEST}[args.split]
-
-    # semantic rows and fold-ins depend on the group and split, not the trial
-    examples = {}
-    for name in run.groups:
-        target = None if run.config.joint else name
-        labeled = [ex for ex in run.dataset.split(split, target)
-                   if ex.stance is not Stance.UNKNOWN]
-        if labeled:
-            examples[name] = labeled
-    if not examples:
+    labeled = [ex for ex in run.dataset.split(Split[args.split.upper()])
+               if ex.stance is not Stance.UNKNOWN]
+    if not labeled:
         raise ConfigError(f"no labeled examples in split {args.split!r}")
-    rows = run.rows(examples)
-
-    scored = [ex for group_examples in examples.values()
-              for ex in group_examples]
+    # semantic rows and fold-ins depend on the split, not the trial
+    rows = run.rows(labeled)
     text, csv_text = metrics.trial_report(
-        [[label for name, group_rows in rows.items()
-          for label in run.score(name, trial, *group_rows).predicted]
+        [run.score(rows, trial, args.mode, args.score_norm).predicted
          for trial in trials],
-        [ex.stance for ex in scored], [ex.target for ex in scored],
+        [ex.stance for ex in labeled], [ex.target for ex in labeled],
         run.dataset.targets, trials)
-    suffix = f"{args.split}-{run.mode}" + ("-zscore" if run.score_norm else "")
+    suffix = f"{args.split}-{args.mode}" + ("-zscore" if args.score_norm else "")
     (run.path / f"report-{suffix}.txt").write_text(text, encoding="utf-8")
     (run.path / f"report-{suffix}.csv").write_text(csv_text, encoding="utf-8")
     print(text, end="")
@@ -465,26 +468,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     from .corpus import _tweet_rows
 
-    run = RunDir(args.run, args.mode, args.score_norm)
+    run = RunDir(args.run)
     trial = run.trials(args.trial)[0]  # the first trial unless one is named
     examples = _tweet_rows(Path(args.infile), Split.TEST)
-
-    members: dict[str, list[int]] = {}  # group -> input row numbers
-    for i, ex in enumerate(examples):
-        name = "joint" if run.config.joint else ex.target
-        if name not in run.groups:
-            raise ConfigError(f"no trained group for target {ex.target!r}")
-        members.setdefault(name, []).append(i)
-
-    rows = run.rows({name: [examples[i] for i in at]
-                     for name, at in members.items()})
-    lines = [""] * len(examples)
-    for name, at in members.items():
-        scores = run.score(name, trial, *rows[name])
-        for i, sem, dis, label in zip(at, scores.sem, scores.dis,
-                                      scores.predicted):
-            values = "\t".join(f"{x:.6f}" for x in (*sem, *dis))
-            lines[i] = f"{examples[i].id}\t{label.value}\t{values}"
+    scores = run.score(run.rows(examples), trial, args.mode, args.score_norm)
+    lines = [f"{ex.id}\t{label.value}\t"
+             + "\t".join(f"{x:.6f}" for x in (*sem, *dis))
+             for ex, sem, dis, label in zip(examples, scores.sem, scores.dis,
+                                            scores.predicted)]
     header = ("ID\tPredicted\tSemFavor\tSemNone\tSemAgainst"
               "\tDisFavor\tDisNone\tDisAgainst")
     Path(args.outfile).write_text("\n".join([header, *lines]) + "\n",
@@ -516,7 +507,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     reps = None
     node_names = (ids
                   + [f"topic:{j}" for j in range(3 * ckpt.h)]
-                  + [f"label:{name.lower()}" for name in LABEL_NAMES])
+                  + [f"label:{key}" for key in LABEL_KEYS])
     if args.dump_final_reps or args.similar_to:
         reps = inference.final_train_reps(ckpt, lap,
                                           slope=run.config.leaky_slope)
@@ -549,7 +540,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         if not wanted:
             raise ConfigError(f"example {args.export_attention!r} not in dataset")
         out = args.attention_out or f"{args.export_attention}-attention.csv"
-        inference.export_attention(wanted[0], run.store, out)
+        training.export_attention(wanted[0], run.store, out)
         print(f"attention weights -> {out}")
         did_something = True
 
@@ -561,6 +552,12 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     config = build_config(args)
+    for name in ("n_train", "n_val", "n_test", "gen_h", "words_per_topic"):
+        if getattr(args, name) < 1:
+            raise ConfigError(f"need --{name.replace('_', '-')} >= 1, got "
+                              f"{getattr(args, name)}")
+    if not (np.isfinite(args.noise) and args.noise >= 0):
+        raise ConfigError(f"need a finite --noise >= 0, got {args.noise}")
     paths = synth.make_synthetic(
         args.out, seed=config.seed, n_train=args.n_train, n_val=args.n_val,
         n_test=args.n_test, h=args.gen_h, words_per_topic=args.words_per_topic,

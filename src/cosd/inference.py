@@ -1,4 +1,4 @@
-"""Hybrid scoring of unseen texts, retrieval, and attention export.
+"""Hybrid scoring of unseen texts and retrieval.
 
 The semantic score dots the target-attended text representation against the
 trained label embeddings; the distributed score composes the text's topic
@@ -11,21 +11,18 @@ stacked rows.
 
 from __future__ import annotations
 
-import csv
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import LABELS, Example, Stance
+from .corpus import LABELS, Stance
 from .cpa import CpaModel, infer_transform, propagate
-from .training import EncoderStore, attention_weights
 
 MODES = ("full", "no_sem", "no_dis")
 
 
 class InferenceError(Exception):
-    """Missing records, invalid mode, or out-of-range retrieval."""
+    """Mismatched rows, invalid mode, or out-of-range retrieval."""
 
 
 class Scores(NamedTuple):
@@ -144,24 +141,3 @@ def top_k_similar(query_rep: np.ndarray, train_reps: np.ndarray,
                      out=np.zeros(len(keep)), where=norms > 0)
     order = np.argsort(-sims, kind="stable")[:k]
     return [(train_ids[keep[i]], float(sims[i])) for i in order]
-
-
-def export_attention(example: Example, store: EncoderStore,
-                     path: str | Path) -> None:
-    """CSV of per-token attention weights (one row per token vector)."""
-    if example.id not in store.tokens:
-        raise InferenceError(f"no embedding record for example {example.id!r}")
-    if example.target not in store.targets:
-        raise InferenceError(f"no embedding record for target {example.target!r}")
-    mat = store.tokens[example.id]
-    weights = attention_weights(mat, store.targets[example.target])
-    if len(example.tokens) == mat.shape[0]:
-        names = list(example.tokens)
-    else:
-        # encoder token rows need not align with our word tokens
-        names = [f"token_{i}" for i in range(mat.shape[0])]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["token", "attention_weight"])
-        for name, w in zip(names, weights):
-            writer.writerow([name, f"{w:.12f}"])

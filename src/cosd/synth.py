@@ -16,11 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import tokenize
+from .corpus import LABELS, tokenize
 from .stopwords import STOPWORDS
-from .training import EmbeddingWriter
+from .training import LABEL_KEYS, EmbeddingWriter
 
-STANCES = ("Favor", "None", "Against")
 TARGET = "Synthetic Policy"
 
 _CONSONANTS = "bcdfghjklmnpqrstvwz"
@@ -78,6 +77,7 @@ def make_synthetic(out_dir: str | Path, seed: int = 0, n_train: int = 600,
             rows = ["ID\tTarget\tTweet\tStance"]
             for i in range(n):
                 stance_idx = i % 3
+                stance = LABELS[stance_idx].value
                 dominant = h * stance_idx + (i // 3) % h
                 block = list(range(h * stance_idx, h * (stance_idx + 1)))
                 length = int(rng.integers(8, 15))
@@ -93,10 +93,10 @@ def make_synthetic(out_dir: str | Path, seed: int = 0, n_train: int = 600,
                 ex_id = f"synth-{split}-{serial:04d}"
                 serial += 1
                 rows.append(f"{ex_id}\t{TARGET}\t{' '.join(toks)}"
-                            f"\t{STANCES[stance_idx]}")
+                            f"\t{stance}")
                 emb.write(ex_id, prototypes[stance_idx]
                           + rng.normal(0.0, noise, (length, dim)))
-                truth_docs[ex_id] = {"stance": STANCES[stance_idx],
+                truth_docs[ex_id] = {"stance": stance,
                                      "dominant_topic": int(dominant)}
             path = out / f"{split}.tsv"
             path.write_text("\n".join(rows) + "\n", encoding="utf-8")
@@ -104,7 +104,7 @@ def make_synthetic(out_dir: str | Path, seed: int = 0, n_train: int = 600,
 
         emb.write(f"target:{TARGET}",
                   prototypes.mean(axis=0) + rng.normal(0.0, 0.02, dim))
-        for j, key in enumerate(("favor", "none", "against")):
+        for j, key in enumerate(LABEL_KEYS):
             emb.write(f"label:{key}",
                       prototypes[j] + rng.normal(0.0, 0.05, dim))
     paths["embeddings"] = emb_path

@@ -1,4 +1,5 @@
-"""Run config, encoder-embedding ingestion, attention pooling, training.
+"""Run config, encoder-embedding ingestion, attention pooling and its
+export, training.
 
 Training is one pipeline per group: fit the three per-stance topic models,
 fold the group's texts into them, build the graph, then train it.
@@ -12,6 +13,7 @@ repeats over trials with shifted seeds.
 
 from __future__ import annotations
 
+import csv
 import struct
 import time
 import zlib
@@ -21,12 +23,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cpa, graph, metrics, topics
+from . import cpa, graph, inference, metrics, topics
 from .binfile import F32, Reader
 from .corpus import LABELS, Dataset, Example, Split, stance_subsets
 from .numerics import AdamState, adam_step
 
-LABEL_KEYS = ("favor", "none", "against")
+# the label records' names, in label order
+LABEL_KEYS = tuple(label.value.lower() for label in LABELS)
 
 
 class TrainingError(Exception):
@@ -192,6 +195,27 @@ def attention_weights(token_matrix: np.ndarray,
     return e / e.sum()
 
 
+def export_attention(example: Example, store: EncoderStore,
+                     path: str | Path) -> None:
+    """CSV of per-token attention weights (one row per token vector)."""
+    if example.id not in store.tokens:
+        raise TrainingError(f"no embedding record for example {example.id!r}")
+    if example.target not in store.targets:
+        raise TrainingError(f"no embedding record for target {example.target!r}")
+    mat = store.tokens[example.id]
+    weights = attention_weights(mat, store.targets[example.target])
+    if len(example.tokens) == mat.shape[0]:
+        names = list(example.tokens)
+    else:
+        # encoder token rows need not align with our word tokens
+        names = [f"token_{i}" for i in range(mat.shape[0])]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["token", "attention_weight"])
+        for name, w in zip(names, weights):
+            writer.writerow([name, f"{w:.12f}"])
+
+
 def semantic_rep(token_matrix: np.ndarray,
                  target_vec: np.ndarray) -> np.ndarray:
     """Target-attended pooling of the token vectors; parameter-free."""
@@ -265,7 +289,7 @@ class RunConfig:
         for name, low in (("epochs", 1), ("batch_size", 1), ("h", 1),
                           ("trials", 1), ("lda_sweeps", 1),
                           ("fold_in_sweeps", 1), ("d1", 1),
-                          ("hops", 0), ("alpha", 0)):
+                          ("hops", 0), ("alpha", 0), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ConfigError(f"need {name} >= {low}, got "
                                   f"{getattr(self, name)}")
@@ -368,8 +392,6 @@ def build_group_data(dataset: Dataset, store: EncoderStore, group: str,
 
 def _val_metrics(data: GroupData, model: cpa.CpaModel, config: RunConfig):
     """(macf, micf, preds) on the val split, current params."""
-    from . import inference  # late import; inference also imports this module
-
     if not data.val:
         return 0.0, 0.0, []
     preds = inference.score_batch(data.sem_val, data.dis_val, model,

@@ -18,6 +18,7 @@ import cosd.cpa
 import cosd.inference
 import cosd.topics
 from cosd import training
+from cosd.corpus import Split
 from cosd.cli import (
     ConfigError,
     RunDir,
@@ -550,7 +551,8 @@ def test_train_into_a_reused_dir_leaves_only_the_new_run(run_dir, synth_small,
 
 
 @pytest.mark.parametrize("flag", [["--epochs", "0"], ["--dropout", "1.0"],
-                                  ["--hops", "-4"], ["--lr-cpa", "nan"]])
+                                  ["--hops", "-4"], ["--lr-cpa", "nan"],
+                                  ["--seed", "-1"]])
 def test_train_checks_its_config_before_loading_or_fitting(
         flag, synth_small, tmp_path, capsys, monkeypatch):
     def never(*args, **kwargs):
@@ -565,6 +567,33 @@ def test_train_checks_its_config_before_loading_or_fitting(
                      "--embeddings", str(paths["embeddings"]),
                      "--out-dir", str(out)] + TRAIN_FLAGS + flag, capsys,
                     needle=flag[0][2:].replace("-", "_"))
+    assert not out.exists()
+
+
+def test_topics_rejects_a_negative_seed_from_the_environment(
+        synth_small, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the config was checked")
+
+    monkeypatch.setattr(cosd.cli, "load_semeval", never)
+    monkeypatch.setenv("COSD_SEED", "-2")
+    root, _ = synth_small
+    _expect_failure(["topics", "--dataset", "synthetic", "--data", str(root)],
+                    capsys, needle="seed >= 0")
+
+
+@pytest.mark.parametrize("flag", [["--n-train", "0"], ["--n-val", "0"],
+                                  ["--n-test", "0"], ["--gen-h", "0"],
+                                  ["--words-per-topic", "0"],
+                                  ["--noise", "-1"], ["--noise", "nan"],
+                                  ["--noise", "inf"], ["--seed", "-3"]],
+                         ids=["n_train", "n_val", "n_test", "gen_h",
+                              "words_per_topic", "negative_noise",
+                              "nan_noise", "inf_noise", "negative_seed"])
+def test_synth_checks_its_flags_before_writing(flag, tmp_path, capsys):
+    out = tmp_path / "corpus"
+    _expect_failure(["synth", "--out", str(out)] + flag, capsys,
+                    needle=flag[0][2:])
     assert not out.exists()
 
 
@@ -635,6 +664,16 @@ def test_inspect_rejects_bad_training_graph_files(run_dir, tmp_path, capsys,
     assert not reps.exists()
 
 
+def _run_reading(run_dir, data, tmp_path):
+    """A copy of run_dir whose run.json names data as the run's data."""
+    copy = tmp_path / "run"
+    shutil.copytree(run_dir, copy)
+    doc = json.loads((copy / "run.json").read_text(encoding="utf-8"))
+    doc["data"] = str(data)
+    (copy / "run.json").write_text(json.dumps(doc), encoding="utf-8")
+    return copy
+
+
 def test_inspect_rejects_data_edited_after_training(run_dir, synth_small,
                                                     tmp_path, capsys):
     root, _ = synth_small
@@ -647,11 +686,7 @@ def test_inspect_rejects_data_edited_after_training(run_dir, synth_small,
     (data / "train.tsv").write_text(
         "\n".join([header, "\t".join(cells), *rows]) + "\n",
         encoding="utf-8")
-    copy = tmp_path / "run"
-    shutil.copytree(run_dir, copy)
-    doc = json.loads((copy / "run.json").read_text(encoding="utf-8"))
-    doc["data"] = str(data)
-    (copy / "run.json").write_text(json.dumps(doc), encoding="utf-8")
+    copy = _run_reading(run_dir, data, tmp_path)
     _expect_failure(["inspect", "--run", str(copy)], capsys,
                     needle=f"{SLUG}.meta.json")
 
@@ -725,6 +760,22 @@ def test_predict_unknown_target(run_dir, tmp_path, capsys):
     _expect_failure(["predict", "--run", str(run_dir),
                      "--in", str(rogue), "--out", str(tmp_path / "o.tsv")],
                     capsys, needle="Aliens")
+
+
+def test_eval_unknown_target(run_dir, synth_small, tmp_path, capsys):
+    root, _ = synth_small
+    data = tmp_path / "data"
+    shutil.copytree(root, data)
+    header, first, *rows = (data / "test.tsv").read_text(
+        encoding="utf-8").splitlines()
+    cells = first.split("\t")
+    cells[1] = "Aliens"
+    (data / "test.tsv").write_text(
+        "\n".join([header, "\t".join(cells), *rows]) + "\n",
+        encoding="utf-8")
+    copy = _run_reading(run_dir, data, tmp_path)
+    _expect_failure(["eval", "--run", str(copy), "--split", "test"], capsys,
+                    needle="no trained group for target 'Aliens'")
 
 
 def test_predict_text_without_embedding_record(run_dir, tmp_path, capsys):
@@ -887,3 +938,22 @@ def test_scoring_commands_fold_in_once(run_dir, two_target_run, tmp_path,
     assert len(calls) == 2
     assert calls[0] == calls[1] and len(calls[0]) == 2
     assert sum(calls[0]) == n_test
+
+
+def test_run_dir_scores_interleaved_targets_in_input_order(two_target_run):
+    _, path = two_target_run
+    run = RunDir(path)
+    texts = run.dataset.split(Split.TEST)
+    assert [ex.target for ex in texts[:4]] == ["Synthetic Policy", OTHER] * 2
+    for mode, norm in (("full", False), ("no_dis", True)):
+        scores = run.score(run.rows(texts), 1, mode, norm)
+        assert len(scores.predicted) == len(texts)
+        for name in run.groups:
+            at = [i for i, ex in enumerate(texts) if ex.target == name]
+            alone = run.score(run.rows([texts[i] for i in at]), 1, mode,
+                              norm)
+            for got, want in zip(scores, alone):
+                if isinstance(want, list):
+                    assert [got[i] for i in at] == want
+                else:
+                    assert np.array_equal(got[at], want)

@@ -6,17 +6,21 @@ inner product; a batch must agree with one-row calls row for row.
 """
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cosd
 from cosd.corpus import Split, Stance, load_semeval
 from cosd.cpa import CpaModel, infer_transform, init_cpa_weights
 from cosd.inference import (
     InferenceError,
     argmax_labels,
     distributed_scores,
-    export_attention,
     final_train_reps,
     score_batch,
     semantic_scores,
@@ -24,8 +28,8 @@ from cosd.inference import (
     zscore_rows,
 )
 from cosd.training import (RunConfig, TrainingError, build_group_data,
-                           fold_in_matrix, load_embeddings, semantic_matrix,
-                           train_group)
+                           export_attention, fold_in_matrix, load_embeddings,
+                           semantic_matrix, train_group)
 
 ZERO_WEIGHTS = ([np.zeros((3, 2))], [np.zeros((3, 2))])
 
@@ -387,5 +391,15 @@ def test_export_attention_csv(trained, tmp_path):
 
     from dataclasses import replace
 
-    with pytest.raises(InferenceError):
+    with pytest.raises(TrainingError):
         export_attention(replace(ex, id="ghost"), store, tmp_path / "x.csv")
+
+
+def test_inference_imports_without_training():
+    # a fresh interpreter, so no other test has imported training already
+    src = str(Path(cosd.__file__).resolve().parent.parent)
+    code = ("import sys, cosd.inference; "
+            "sys.exit('cosd.training' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0

@@ -157,7 +157,8 @@ def _checked_slugs(names: list[str], where: str | Path) -> dict[str, str]:
 
 # per training group with texts, in manifest order: its name, the positions
 # of its texts in the scored list, their semantic rows and fold-in rows
-GroupRows = list[tuple[str, list[int], np.ndarray, np.ndarray]]
+# (None for the side the scoring mode drops)
+GroupRows = list[tuple[str, list[int], np.ndarray | None, np.ndarray | None]]
 
 
 class RunDir:
@@ -227,10 +228,13 @@ class RunDir:
     def checkpoint(self, name: str, trial: int) -> cpa.CpaModel:
         return cpa.load_checkpoint(self._trial_file(name, trial, ".cpa1"))
 
-    def rows(self, examples: list[Example]) -> GroupRows:
-        """The texts, in any order, split by training group; every group's
-        texts are folded in together. ConfigError names a target the run
-        has no group for."""
+    def rows(self, examples: list[Example], mode: str = "full") -> GroupRows:
+        """The texts, in any order, split by training group, with the rows
+        the scoring mode reads: no_sem builds no semantic rows (and never
+        loads the embedding store), no_dis folds nothing in (and loads no
+        topic model); the dropped side is None. Every group's texts are
+        folded in together. ConfigError names a target the run has no
+        group for."""
         at: dict[str, list[int]] = {name: [] for name in self.groups}
         for i, ex in enumerate(examples):
             name = "joint" if self.config.joint else ex.target
@@ -239,11 +243,12 @@ class RunDir:
             at[name].append(i)
         groups = [(name, [examples[i] for i in where])
                   for name, where in at.items() if where]
-        sem = [training.semantic_matrix(group, self.store)
-               for _, group in groups]
-        dis = training.fold_in_matrix(
-            [(self._triple(name), group) for name, group in groups],
-            self.config.fold_in_sweeps, self.config.seed)
+        sem = [None] * len(groups) if mode == "no_sem" else [
+            training.semantic_matrix(group, self.store) for _, group in groups]
+        dis = [None] * len(groups) if mode == "no_dis" else (
+            training.fold_in_matrix(
+                [(self._triple(name), group) for name, group in groups],
+                self.config.fold_in_sweeps, self.config.seed))
         return [(name, at[name], sem_rows, dis_rows)
                 for (name, _), sem_rows, dis_rows in zip(groups, sem, dis)]
 
@@ -328,10 +333,12 @@ def _write_train_outputs(run_dir: Path, config: RunConfig,
                 "seed": trial.seed,
             }
             _write_json(trial_dir / f"{slug}.meta.json", meta)
-            log_lines = ["epoch,loss,val_macf,val_micf,l_con,l_cos"]
+            log_lines = ["epoch,loss,val_macf,val_micf,l_con,l_cos,"
+                         "val_micf_no_sem,val_micf_no_dis"]
             log_lines += [
                 f"{r['epoch']},{r['loss']:.8f},{r['val_macf']:.6f},"
-                f"{r['val_micf']:.6f},{r['l_con']:.8f},{r['l_cos']:.8f}"
+                f"{r['val_micf']:.6f},{r['l_con']:.8f},{r['l_cos']:.8f},"
+                f"{r['val_micf_no_sem']:.6f},{r['val_micf_no_dis']:.6f}"
                 for r in group.log_rows
             ]
             (trial_dir / f"{slug}.log.csv").write_text(
@@ -452,7 +459,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not labeled:
         raise ConfigError(f"no labeled examples in split {args.split!r}")
     # semantic rows and fold-ins depend on the split, not the trial
-    rows = run.rows(labeled)
+    rows = run.rows(labeled, args.mode)
     text, csv_text = metrics.trial_report(
         [run.score(rows, trial, args.mode, args.score_norm).predicted
          for trial in trials],
@@ -471,7 +478,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
     run = RunDir(args.run)
     trial = run.trials(args.trial)[0]  # the first trial unless one is named
     examples = _tweet_rows(Path(args.infile), Split.TEST)
-    scores = run.score(run.rows(examples), trial, args.mode, args.score_norm)
+    scores = run.score(run.rows(examples, args.mode), trial, args.mode,
+                       args.score_norm)
     lines = [f"{ex.id}\t{label.value}\t"
              + "\t".join(f"{x:.6f}" for x in (*sem, *dis))
              for ex, sem, dis, label in zip(examples, scores.sem, scores.dis,

@@ -179,10 +179,12 @@ def _read_tsv(path: Path, required: tuple[str, ...]) -> list[dict[str, str]]:
         if missing:
             raise CorpusError(f"{path}: missing columns {missing}")
         rows = []
-        for i, row in enumerate(reader, start=2):
+        for row in reader:
+            # the file's line number: the reader skips blank lines
+            line = reader.line_num
             if any(row.get(col) is None for col in required):
-                raise CorpusError(f"{path}:{i}: malformed row (short fields)")
-            row["_line"] = str(i)
+                raise CorpusError(f"{path}:{line}: malformed row (short fields)")
+            row["_line"] = str(line)
             rows.append(row)
     if not rows:
         raise CorpusError(f"{path}: no data rows")
@@ -207,8 +209,15 @@ def _finish(examples: list[Example], val_carved: bool) -> Dataset:
 def _tweet_rows(path: Path, split: Split) -> list[Example]:
     rows = _read_tsv(path, ("ID", "Target", "Tweet", "Stance"))
     out = []
+    first_line: dict[str, str] = {}
     for row in rows:
-        stance = _parse_stance(row["Stance"], path, int(row["_line"]))
+        line = row["_line"]
+        if row["ID"] in first_line:
+            raise CorpusError(f"{path}:{line}: duplicate example id "
+                              f"{row['ID']!r}, first on line "
+                              f"{first_line[row['ID']]}")
+        first_line[row["ID"]] = line
+        stance = _parse_stance(row["Stance"], path, int(line))
         text = row["Tweet"]
         out.append(Example(
             id=row["ID"],

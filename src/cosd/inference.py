@@ -4,9 +4,9 @@ The semantic score dots the target-attended text representation against the
 trained label embeddings; the distributed score composes the text's topic
 distribution with the trained topic embeddings, pushes both sides through
 the graph-free transform, and takes a per-stance max over topics. Their sum
-decides the label. Ablation modes zero one side. score_batch is the one
-scoring path: val scoring during training, eval and predict all call it on
-stacked rows.
+decides the label. Ablation modes drop one side, which scores zero and is
+never computed. score_batch is the one scoring path: val scoring during
+training, eval and predict all call it on stacked rows.
 """
 
 from __future__ import annotations
@@ -81,29 +81,32 @@ def argmax_labels(total: np.ndarray) -> list[Stance]:
     return [LABELS[int(np.argmax(row))] for row in np.atleast_2d(total)]
 
 
-def score_batch(sem_rows: np.ndarray, dis_rows: np.ndarray,
+def score_batch(sem_rows: np.ndarray | None, dis_rows: np.ndarray | None,
                 model: CpaModel, mode: str = "full",
                 score_norm: bool = False, slope: float = 0.01) -> Scores:
     """Hybrid scores of stacked texts against one group's trained model.
 
     sem_rows are semantic representations (n, d0), dis_rows topic
-    distributions (n, 3H). score_norm z-scores each side's row before the
-    ablation mode zeros one side; total is their sum.
+    distributions (n, 3H). score_norm z-scores each side's row; the side
+    the ablation mode drops is never scored and reads as zeros, so it may
+    be None. total is the sum of the two sides.
     """
     if mode not in MODES:
         raise InferenceError(f"unknown mode {mode!r}, expected one of {MODES}")
-    if len(sem_rows) != len(dis_rows):
-        raise InferenceError(
-            f"{len(sem_rows)} semantic rows vs {len(dis_rows)} topic rows")
-    sem = semantic_scores(sem_rows, model.z)
-    dis = distributed_scores(dis_rows, model, slope)
+    for side, rows, dropped_by in (("semantic", sem_rows, "no_sem"),
+                                   ("topic", dis_rows, "no_dis")):
+        if rows is None and mode != dropped_by:
+            raise InferenceError(f"mode {mode} reads the {side} rows")
+    n = len(dis_rows if sem_rows is None else sem_rows)
+    if dis_rows is not None and len(dis_rows) != n:
+        raise InferenceError(f"{n} semantic rows vs {len(dis_rows)} topic rows")
+    sem = (np.zeros((n, 3)) if mode == "no_sem"
+           else semantic_scores(sem_rows, model.z))
+    dis = (np.zeros((n, 3)) if mode == "no_dis"
+           else distributed_scores(dis_rows, model, slope))
     if score_norm:
         sem = zscore_rows(sem)
         dis = zscore_rows(dis)
-    if mode == "no_sem":
-        sem = np.zeros_like(sem)
-    elif mode == "no_dis":
-        dis = np.zeros_like(dis)
     total = sem + dis
     return Scores(sem, dis, total, argmax_labels(total))
 

@@ -391,13 +391,18 @@ def build_group_data(dataset: Dataset, store: EncoderStore, group: str,
 
 
 def _val_metrics(data: GroupData, model: cpa.CpaModel, config: RunConfig):
-    """(macf, micf, preds) on the val split, current params."""
+    """(macf, micf, preds) on the val split, current params: MacF and the
+    predictions of full mode, and MicF per scoring mode."""
+    micf = dict.fromkeys(inference.MODES, 0.0)
     if not data.val:
-        return 0.0, 0.0, []
-    preds = inference.score_batch(data.sem_val, data.dis_val, model,
-                                  slope=config.leaky_slope).predicted
-    macf, micf = metrics.macro_micro(preds, [ex.stance for ex in data.val],
-                                     [ex.target for ex in data.val])
+        return 0.0, micf, []
+    golds = [ex.stance for ex in data.val]
+    targets = [ex.target for ex in data.val]
+    for mode in ("no_sem", "no_dis", "full"):  # full mode's preds are kept
+        preds = inference.score_batch(data.sem_val, data.dis_val, model,
+                                      mode=mode,
+                                      slope=config.leaky_slope).predicted
+        macf, micf[mode] = metrics.macro_micro(preds, golds, targets)
     return macf, micf, preds
 
 
@@ -448,9 +453,11 @@ def train_group(data: GroupData, store: EncoderStore, config: RunConfig,
         val_s += time.perf_counter() - val_start
         log_rows.append({"epoch": epoch,
                          **{key: total / n for key, total in sums.items()},
-                         "val_macf": macf, "val_micf": micf})
-        if best is None or micf > best[0]:
-            best = (micf, epoch, model.copy(), preds)
+                         "val_macf": macf, "val_micf": micf["full"],
+                         "val_micf_no_sem": micf["no_sem"],
+                         "val_micf_no_dis": micf["no_dis"]})
+        if best is None or micf["full"] > best[0]:
+            best = (micf["full"], epoch, model.copy(), preds)
 
     micf, best_epoch, checkpoint, val_preds = best
     return GroupResult(

@@ -225,7 +225,8 @@ def test_train_run_layout(run_dir):
         assert not (base / f"{SLUG}.dis.npy").exists()
         log = (base / f"{SLUG}.log.csv").read_text(encoding="utf-8")
         lines = log.strip().splitlines()
-        assert lines[0] == "epoch,loss,val_macf,val_micf,l_con,l_cos"
+        assert lines[0] == ("epoch,loss,val_macf,val_micf,l_con,l_cos,"
+                            "val_micf_no_sem,val_micf_no_dis")
         assert len(lines) == 1 + 3  # one row per epoch
     assert (run_dir / "report-val.txt").is_file()
     assert (run_dir / "report-val.csv").is_file()
@@ -957,3 +958,146 @@ def test_run_dir_scores_interleaved_targets_in_input_order(two_target_run):
                     assert [got[i] for i in at] == want
                 else:
                     assert np.array_equal(got[at], want)
+
+
+def _oracle_scores(run, texts, trial, mode, norm):
+    """Scores by the path that computes both sides for every mode, then
+    zeros the side the mode drops."""
+    n = len(texts)
+    sem, dis = np.zeros((n, 3)), np.zeros((n, 3))
+    for name, where, sem_rows, dis_rows in run.rows(texts, "full"):
+        model = run.checkpoint(name, trial)
+        slope = run.config.leaky_slope
+        group_sem = cosd.inference.semantic_scores(sem_rows, model.z)
+        group_dis = cosd.inference.distributed_scores(dis_rows, model, slope)
+        if norm:
+            group_sem = cosd.inference.zscore_rows(group_sem)
+            group_dis = cosd.inference.zscore_rows(group_dis)
+        if mode == "no_sem":
+            group_sem = np.zeros_like(group_sem)
+        elif mode == "no_dis":
+            group_dis = np.zeros_like(group_dis)
+        sem[where], dis[where] = group_sem, group_dis
+    total = sem + dis
+    return cosd.inference.Scores(sem, dis, total,
+                                 cosd.inference.argmax_labels(total))
+
+
+@pytest.mark.parametrize("mode", ["full", "no_sem", "no_dis"])
+@pytest.mark.parametrize("norm", [False, True])
+def test_rows_of_a_mode_score_as_both_sides_zeroed(run_dir, two_target_run,
+                                                   mode, norm):
+    for path in (run_dir, two_target_run[1]):
+        run = RunDir(path)
+        texts = run.dataset.split(Split.TEST)
+        got = run.score(run.rows(texts, mode), 1, mode, norm)
+        want = _oracle_scores(run, texts, 1, mode, norm)
+        for field in ("sem", "dis", "total"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+        assert got.predicted == want.predicted
+
+
+def _count_calls(monkeypatch):
+    """Calls per command of the loads and row builders a mode may skip."""
+    calls = {}
+    for module, name in ((cosd.topics, "fold_in_sets"),
+                         (cosd.topics, "load_lda"),
+                         (training, "load_embeddings"),
+                         (training, "semantic_matrix")):
+        def counting(*args, _name=name, _original=getattr(module, name),
+                     **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("mode, skipped", [
+    ("full", set()),
+    ("no_dis", {"fold_in_sets", "load_lda"}),
+    ("no_sem", {"load_embeddings", "semantic_matrix"}),
+])
+def test_scoring_commands_skip_the_side_their_mode_drops(
+        run_dir, synth_small, tmp_path, monkeypatch, mode, skipped):
+    root, _ = synth_small
+    calls = _count_calls(monkeypatch)
+    # one group: one triple of topic models, one call of everything else
+    wanted = {"fold_in_sets": 1, "load_lda": 3, "load_embeddings": 1,
+              "semantic_matrix": 1}
+    for argv in (["eval", "--run", str(run_dir), "--split", "test"],
+                 ["predict", "--run", str(run_dir), "--in",
+                  str(root / "test.tsv"), "--out", str(tmp_path / "p.tsv")]):
+        calls.clear()
+        assert main(argv + ["--mode", mode]) == 0
+        assert calls == {name: count for name, count in wanted.items()
+                         if name not in skipped}
+
+
+def _run_without(run_dir, tmp_path, part):
+    """A copy of run_dir whose EMB1 file ("embeddings") or topic models
+    ("lda") are gone."""
+    copy = tmp_path / "run"
+    shutil.copytree(run_dir, copy)
+    if part == "lda":
+        shutil.rmtree(copy / "lda")
+        return copy, copy / "lda"
+    doc = json.loads((copy / "run.json").read_text(encoding="utf-8"))
+    doc["embeddings"] = str(tmp_path / "removed.emb1")
+    (copy / "run.json").write_text(json.dumps(doc), encoding="utf-8")
+    return copy, tmp_path / "removed.emb1"
+
+
+@pytest.mark.parametrize("part, mode", [("embeddings", "no_sem"),
+                                        ("lda", "no_dis")])
+def test_an_ablation_runs_without_the_inputs_of_the_side_it_drops(
+        run_dir, synth_small, tmp_path, capsys, part, mode):
+    root, _ = synth_small
+    copy, gone = _run_without(run_dir, tmp_path, part)
+    commands = (["eval", "--run", str(copy), "--split", "test"],
+                ["predict", "--run", str(copy), "--in",
+                 str(root / "test.tsv"), "--out", str(tmp_path / "p.tsv")])
+    for argv in commands:
+        assert main(argv + ["--mode", mode]) == 0
+        _expect_failure(argv + ["--mode", "full"], capsys, needle=str(gone))
+
+
+def test_predict_rejects_a_repeated_id_before_loading(run_dir, synth_small,
+                                                      tmp_path, capsys,
+                                                      monkeypatch):
+    root, _ = synth_small
+    header, first, second, *rows = (root / "test.tsv").read_text(
+        encoding="utf-8").splitlines()
+    dup = first.split("\t")[0]
+    repeat = second.split("\t")
+    repeat[0] = dup
+    repeat[2] = "another text entirely"
+    infile = tmp_path / "repeated.tsv"
+    infile.write_text("\n".join([header, first, second, *rows, "",
+                                 "\t".join(repeat)]) + "\n",
+                      encoding="utf-8")
+    calls = _count_calls(monkeypatch)
+    err = _expect_failure(["predict", "--run", str(run_dir), "--in",
+                           str(infile), "--out", str(tmp_path / "p.tsv")],
+                          capsys)
+    # the blank line counts: the repeat sits on the file's last line
+    last = len(rows) + 5
+    assert f"{infile}:{last}: duplicate example id " in err
+    assert f"{dup!r}, first on line 2" in err
+    assert calls == {}
+    assert not (tmp_path / "p.tsv").exists()
+
+
+def test_log_val_micf_per_mode_equals_eval_at_the_best_epoch(run_dir):
+    meta = json.loads((run_dir / "trial-1" / f"{SLUG}.meta.json").read_text(
+        encoding="utf-8"))
+    header, *rows = (run_dir / "trial-1" / f"{SLUG}.log.csv").read_text(
+        encoding="utf-8").strip().splitlines()
+    best = dict(zip(header.split(","), rows[meta["best_epoch"] - 1].split(",")))
+    for mode, column in (("full", "val_micf"), ("no_sem", "val_micf_no_sem"),
+                         ("no_dis", "val_micf_no_dis")):
+        assert main(["eval", "--run", str(run_dir), "--split", "val",
+                     "--trial", "1", "--mode", mode]) == 0
+        report = (run_dir / f"report-val-{mode}.csv").read_text(
+            encoding="utf-8").strip().splitlines()
+        assert report[1].split(",")[-1] == best[column]

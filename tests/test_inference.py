@@ -260,6 +260,29 @@ def test_score_batch_rows_match_one_row_calls():
     assert empty.total.shape == (0, 3) and empty.predicted == []
 
 
+def test_score_batch_takes_none_for_the_side_its_mode_drops():
+    rng = np.random.default_rng(10)
+    model = _model(rng.standard_normal((6, 5)),
+                   init_cpa_weights(d0=5, d1=3, hops=2, seed=6),
+                   rng.standard_normal((3, 5)))
+    sem_rows = rng.standard_normal((4, 5))
+    dis_rows = rng.random((4, 6))
+    dis_rows /= dis_rows.sum(axis=1, keepdims=True)
+    for mode, sides in (("no_sem", (None, dis_rows)),
+                        ("no_dis", (sem_rows, None))):
+        for norm in (False, True):
+            alone = score_batch(*sides, model, mode=mode, score_norm=norm)
+            both = score_batch(sem_rows, dis_rows, model, mode=mode,
+                               score_norm=norm)
+            for got, want in zip(alone, both):
+                assert np.array_equal(got, want)
+    for mode, sides in (("full", (None, dis_rows)), ("full", (sem_rows, None)),
+                        ("no_sem", (sem_rows, None)),
+                        ("no_dis", (None, dis_rows))):
+        with pytest.raises(InferenceError, match=f"mode {mode} reads"):
+            score_batch(*sides, model, mode=mode)
+
+
 # --- end-to-end on synthetic data ---------------------------------------------------
 
 

@@ -56,15 +56,34 @@ class Reader:
         """Bytes between the cursor and the end of the file."""
         return self.size - self.off
 
-    def _read(self, n: int) -> bytes:
+    def _need(self, n: int) -> None:
         if n > self.left():
             raise self.fail(f"truncated, {n} bytes needed but "
                             f"{self.left()} left")
+
+    def _read(self, n: int) -> bytes:
+        self._need(n)
         data = self._fh.read(n)
         if len(data) != n:
             raise self.fail(f"short read, {len(data)} of {n} bytes")
         self.off += n
         return data
+
+    def read_into(self, out: np.ndarray) -> None:
+        """Fill the C-contiguous array `out` from the file, byte for byte,
+        with no intermediate copy."""
+        view = memoryview(out).cast("B")
+        self._need(len(view))
+        got = self._fh.readinto(view)
+        if got != len(view):
+            raise self.fail(f"short read, {got} of {len(view)} bytes")
+        self.off += got
+
+    def skip(self, n: int) -> None:
+        """Move the cursor n bytes on, unread; they must lie in the file."""
+        self._need(n)
+        self._fh.seek(n, os.SEEK_CUR)
+        self.off += n
 
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self._read(struct.calcsize(fmt)))

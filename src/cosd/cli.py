@@ -230,9 +230,10 @@ class RunDir:
 
     def rows(self, examples: list[Example], mode: str = "full") -> GroupRows:
         """The texts, in any order, split by training group, with the rows
-        the scoring mode reads: no_sem builds no semantic rows (and never
-        loads the embedding store), no_dis folds nothing in (and loads no
-        topic model); the dropped side is None. Every group's texts are
+        the scoring mode reads: no_sem builds no semantic rows (and reads
+        no embedding record), no_dis folds nothing in (and loads no topic
+        model); the dropped side is None. Semantic rows read only the
+        texts' own records of the embedding file. Every group's texts are
         folded in together. ConfigError names a target the run has no
         group for."""
         at: dict[str, list[int]] = {name: [] for name in self.groups}
@@ -243,8 +244,13 @@ class RunDir:
             at[name].append(i)
         groups = [(name, [examples[i] for i in where])
                   for name, where in at.items() if where]
-        sem = [None] * len(groups) if mode == "no_sem" else [
-            training.semantic_matrix(group, self.store) for _, group in groups]
+        sem = [None] * len(groups)
+        if mode != "no_sem":
+            # the scored texts' records only, not the run's whole store
+            store = training.load_embeddings(
+                self.config.embeddings, ids=[ex.id for ex in examples])
+            sem = [training.semantic_matrix(group, store)
+                   for _, group in groups]
         dis = [None] * len(groups) if mode == "no_dis" else (
             training.fold_in_matrix(
                 [(self._triple(name), group) for name, group in groups],

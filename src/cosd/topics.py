@@ -328,6 +328,112 @@ def fit_triple(favor_docs: list[list[str]], none_docs: list[list[str]],
     return TopicModelTriple(favor=favor, none=none, against=against)
 
 
+# --- per-doc seeds ------------------------------------------------------------
+#
+# numpy's SeedSequence hash, run over a column of entropies at once. An
+# entropy is a list of uint32 words (a seed int split little-endian into 32-bit
+# words, 0 giving [0]); up to four words fill the hash's pool with zeros after
+# them, and each further word is mixed into every pool word. A stream's
+# default_rng(seed) takes its four PCG64 words from SeedSequence(seed), so
+# hashing here and handing those words to PCG64 gives the same stream.
+
+_MASK32 = 0xFFFFFFFF
+_HASH_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # the pool's hash constants
+_HASH_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # generate_state's
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix over uint32 arrays: each call xors in and
+    multiplies by the next of its own sequence of constants."""
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    return hashmix
+
+
+def seed_state(entropy: Sequence[int | np.ndarray],
+               n_words: int) -> np.ndarray:
+    """np.random.SeedSequence(row).generate_state(n_words) for every row of
+    a column of entropies; (n, n_words) uint32.
+
+    entropy holds one uint32 word per position: an int that every row
+    shares, or an array of n words (n may be 0).
+    """
+    words = [np.atleast_1d(np.asarray(w, dtype=np.uint32)) for w in entropy]
+    (n,) = np.broadcast_shapes((1,), *(w.shape for w in words))
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        out = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return out ^ (out >> np.uint32(16))
+
+    hashmix = _hasher(_HASH_A, _MULT_A)
+    zero = np.zeros(1, dtype=np.uint32)
+    pool = [hashmix(words[i] if i < len(words) else zero)
+            for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    out = np.empty((n, n_words), dtype=np.uint32)
+    final = _hasher(_HASH_B, _MULT_B)
+    for i in range(n_words):
+        out[:, i] = final(pool[i % _POOL])
+    return out
+
+
+def _stream_words(seeds: Sequence[int] | np.ndarray) -> np.ndarray:
+    """The four PCG64 seed words default_rng(seed) draws, per seed; (n, 4)
+    uint64. Seeds below 2**64 are hashed in bulk; any other seed, and a
+    negative or non-integer one with its error, takes numpy's own path."""
+    if len(seeds) == 0:
+        return np.zeros((0, 4), dtype=np.uint64)
+    column = np.asarray(seeds)
+    if column.dtype.kind == "u" or (column.dtype.kind == "i"
+                                    and column.min() >= 0):
+        column = column.astype(np.uint64)
+        state = seed_state([column & np.uint64(_MASK32),
+                            column >> np.uint64(32)], 8).astype(np.uint64)
+        return state[:, 0::2] | (state[:, 1::2] << np.uint64(32))
+    return np.array([np.random.SeedSequence(seed).generate_state(4, np.uint64)
+                     for seed in seeds])
+
+
+@functools.cache
+def _seed_words_type() -> type:
+    """The seed sequence that hands PCG64 a stream's derived words. Made on
+    first use: importing numpy.random costs a command that samples nothing
+    (a no_dis score) about 15 ms and 6 MB."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise TopicsError(f"seed words asked for as {n_words} x "
+                                  f"{np.dtype(dtype)}, derived as 4 x uint64")
+            return self.words
+
+    return SeedWords
+
+
+def _doc_stream(words: np.ndarray) -> np.random.Generator:
+    """The doc's stream, default_rng(seed) for the seed its words came
+    from."""
+    return np.random.Generator(np.random.PCG64(_seed_words_type()(words)))
+
+
 # docs per lockstep batch; bounds the padded factor and topic arrays
 _FOLD_IN_BATCH = 1024
 # uniforms held at once per batch (4 MB): they are drawn a few sweeps at a
@@ -385,16 +491,17 @@ def fold_in_sets(sets: Sequence[FoldInSet],
     rows = np.split(out, np.cumsum(sizes)[:-1])
     if h == 1:
         return rows
-    ids, all_seeds, tables = [], [], []
+    ids, words, tables = [], [], []
     for models, docs, seeds in sets:
         ids += _doc_token_ids(docs, models[0].vocab)
-        all_seeds += seeds
+        words.append(_stream_words(seeds))
         # table[w] = the word's frozen conditional factor under each model,
         # H values per model side by side
         tables.append(np.concatenate(
             [((m.topic_word_counts + m.beta)
               / (m.topic_totals + m.beta * len(m.vocab))[:, None]).T
              for m in models], axis=1))
+    words = np.concatenate(words)
     # the sets' tables stacked; a doc's word ids shift by the vocabulary
     # sizes of the sets before its own, and its chains take its set's alphas
     set_of = np.repeat(np.arange(len(sets)), sizes)
@@ -409,22 +516,23 @@ def fold_in_sets(sets: Sequence[FoldInSet],
     live = live[np.argsort(-lengths[live], kind="stable")].tolist()
     for at in range(0, len(live), _FOLD_IN_BATCH):
         batch = live[at:at + _FOLD_IN_BATCH]
-        out[batch] = _lockstep([ids[d] for d in batch],
-                               [all_seeds[d] for d in batch], offsets[batch],
-                               factor, alphas[batch], h, sweeps)
+        out[batch] = _lockstep([ids[d] for d in batch], words[batch],
+                               offsets[batch], factor, alphas[batch], h,
+                               sweeps)
     return rows
 
 
-def _lockstep(ids: list[list[int]], seeds: list[int], offsets: np.ndarray,
+def _lockstep(ids: list[list[int]], words: np.ndarray, offsets: np.ndarray,
               factor: np.ndarray, alphas: np.ndarray, h: int,
               sweeps: int) -> np.ndarray:
     """fold_in_sets over nonempty docs sorted longest first; (D, M*H).
 
-    Doc d's word w is factor row w + offsets[d], and its chains take the
-    priors alphas[d] (M values). Chain c = doc * M + model, so the chains
-    alive at a position are a prefix of every per-chain array and each step
-    works on slices. Counts and factors are topic-major, (H, chains), so a
-    step is a few vector ops per topic over the live chains.
+    Doc d's stream is seeded with the PCG64 words words[d], and its word w
+    is factor row w + offsets[d]; its chains take the priors alphas[d] (M
+    values). Chain c = doc * M + model, so the chains alive at a position
+    are a prefix of every per-chain array and each step works on slices.
+    Counts and factors are topic-major, (H, chains), so a step is a few
+    vector ops over the live chains.
     """
     n_models = alphas.shape[1]
     lengths = np.array([len(doc) for doc in ids])
@@ -432,34 +540,35 @@ def _lockstep(ids: list[list[int]], seeds: list[int], offsets: np.ndarray,
     n_chains = n_docs * n_models
     alive = (lengths[None, :] > np.arange(n_max)[:, None]).sum(axis=1)
 
-    words = np.zeros((n_max, n_docs), dtype=np.int64)
+    tokens = np.zeros((n_max, n_docs), dtype=np.int64)
     z = np.zeros((n_max, n_chains), dtype=np.int64)
     rngs = []
-    for d, (doc, seed) in enumerate(zip(ids, seeds)):
+    for d, doc in enumerate(ids):
         n = len(doc)
-        rng = np.random.default_rng(seed)
-        words[:n, d] = doc
+        rng = _doc_stream(words[d])
+        tokens[:n, d] = doc
         z[:n, d * n_models:(d + 1) * n_models] = (
             rng.integers(0, h, size=n)[:, None])
         rngs.append(rng)
-    words += offsets
+    tokens += offsets
     # sweeps s..s+chunk-1 of doc d; successive random() calls continue the
     # doc's stream, so the values are those of one random(sweeps * n)
     chunk = max(1, min(sweeps, _FOLD_IN_UNIFORMS // (n_max * n_docs)))
     uniforms = np.zeros((chunk, n_max, n_docs))
     # (position, topic, chain): the factor of the chain's token at that
     # position under the chain's model
-    pos_factor = (factor[words].reshape(n_max, n_docs, n_models, h)
+    pos_factor = (factor[tokens].reshape(n_max, n_docs, n_models, h)
                   .transpose(0, 3, 1, 2).reshape(n_max, h, n_chains))
     alpha = alphas.reshape(-1)
     # local counts, addressed flat: chain c's count of topic k is at
-    # k * n_chains + c
+    # k * n_chains + c, and z holds that flat index of each chain's topic
     local = np.zeros((h, n_chains))
     flat_local = local.reshape(-1)
     chains = np.arange(n_chains)
+    z *= n_chains
+    z += chains
     for j in range(n_max):
-        m = alive[j] * n_models
-        flat_local[z[j, :m] * n_chains + chains[:m]] += 1.0
+        flat_local[z[j, :alive[j] * n_models]] += 1.0
 
     for s in range(sweeps):
         c = s % chunk
@@ -471,7 +580,8 @@ def _lockstep(ids: list[list[int]], seeds: list[int], offsets: np.ndarray,
         for j in range(n_max):
             m_docs = alive[j]
             m = m_docs * n_models
-            flat_local[z[j, :m] * n_chains + chains[:m]] -= 1.0
+            zj = z[j, :m]
+            flat_local[zj] -= 1.0
             a = alpha[:m]
             f = pos_factor[j, :, :m]
             # prefix sums of (L_t + alpha) * f_t, added in the order of a
@@ -485,14 +595,15 @@ def _lockstep(ids: list[list[int]], seeds: list[int], offsets: np.ndarray,
             # the first t with goal <= prefix t, or H - 1 if none: the
             # prefix sums never decrease, so that is how many of the first
             # H - 1 fall short of goal
-            k = np.zeros(m, dtype=np.int64)
-            for t in range(h - 1):
+            k = (prefix[0] < goal).astype(np.int64)
+            for t in range(1, h - 1):
                 k += prefix[t] < goal
-            flat = total <= 0.0
-            if flat.any():
+            if total.min() <= 0.0:
+                flat = total <= 0.0
                 k[flat] = (u[flat] * h).astype(np.int64)
-            z[j, :m] = k
-            flat_local[k * n_chains + chains[:m]] += 1.0
+            np.multiply(k, n_chains, out=zj)
+            zj += chains[:m]
+            flat_local[zj] += 1.0
 
     post = (local.T + alpha[:, None]) / (
         lengths.repeat(n_models)[:, None] + h * alpha[:, None])

@@ -14,10 +14,11 @@ repeats over trials with shifted seeds.
 from __future__ import annotations
 
 import csv
+import operator
 import struct
 import time
 import zlib
-from collections.abc import Sequence
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -122,10 +123,16 @@ def save_embeddings(path: str | Path,
             out.write(rec_id, mat)
 
 
-def load_embeddings(path: str | Path, expect_dim: int = 768) -> EncoderStore:
+def load_embeddings(path: str | Path, expect_dim: int = 768,
+                    ids: Collection[str] | None = None) -> EncoderStore:
+    """The EMB1 file's records; a repeated record id is an error. With ids,
+    only those example records are read: every other example record has
+    its framing checked (id, row count, length) and is skipped unread.
+    Target and label records are always read."""
     path = Path(path)
     if not path.is_file():
         raise TrainingError(f"missing embedding file: {path}")
+    wanted = None if ids is None else frozenset(ids)
     with Reader(path, TrainingError, _EMB_MAGIC) as src:
         count, dim = src.unpack("<II")
         if dim != expect_dim:
@@ -134,12 +141,13 @@ def load_embeddings(path: str | Path, expect_dim: int = 768) -> EncoderStore:
         # a record takes at least 8 header bytes and one row of 4*dim bytes
         if count > src.left() // (8 + 4 * dim):
             raise src.fail(f"{count} records cannot fit in the file")
-        # Every record's rows are views into one float32 block sized from
-        # the file (at most one row per 4*dim bytes left): one allocation
-        # per load, not one per record, so loading leaves no heap fragments
-        # behind.
-        rows = np.empty((src.left() // (4 * dim), dim), dtype=np.float32)
+        # Every record's rows are read straight into views of one float32
+        # block sized from the file (at most one row per 4*dim bytes left):
+        # one allocation per load, not one per record, so loading leaves no
+        # heap fragments behind. Rows of skipped records are never touched.
+        rows = np.empty((src.left() // (4 * dim), dim), dtype=F32)
         store = EncoderStore(dim=dim, tokens={}, targets={}, labels={})
+        seen = set()
         n_rows = 0
         for _ in range(count):
             start = src.off
@@ -147,10 +155,18 @@ def load_embeddings(path: str | Path, expect_dim: int = 768) -> EncoderStore:
             t = src.u32()
             if t < 1:
                 raise src.fail(f"record {rec_id!r} has zero rows", start)
+            if rec_id in seen:
+                raise src.fail(f"duplicate record {rec_id!r}", start)
+            seen.add(rec_id)
+            if (wanted is not None and rec_id not in wanted
+                    and not rec_id.startswith(("target:", "label:"))):
+                src.skip(4 * dim * t)
+                continue
             mat = rows[n_rows:n_rows + t]
-            mat[...] = src.array(F32, t * dim).reshape(t, dim)
+            src.read_into(mat)
             n_rows += t
-            if not np.isfinite(mat).all():
+            # a NaN makes min and max NaN, an infinity makes one infinite
+            if not (-np.inf < mat.min() and mat.max() < np.inf):
                 raise src.fail(f"record {rec_id!r} has non-finite values",
                                start)
             if rec_id.startswith("target:"):
@@ -161,8 +177,6 @@ def load_embeddings(path: str | Path, expect_dim: int = 768) -> EncoderStore:
                     raise src.fail(f"unknown label record {rec_id!r}", start)
                 store.labels[key] = _pool(mat)
             else:
-                if rec_id in store.tokens:
-                    raise src.fail(f"duplicate record {rec_id!r}", start)
                 store.tokens[rec_id] = mat
         src.finish()
     return store
@@ -300,11 +314,35 @@ class RunConfig:
             raise ConfigError(f"need 0 <= dropout < 1, got {self.dropout}")
 
 
-def derive_seed(*parts) -> int:
-    """Stable child seed from mixed int/str parts."""
-    ints = [zlib.crc32(p.encode("utf-8")) if isinstance(p, str) else int(p)
-            for p in parts]
-    return int(np.random.SeedSequence(ints).generate_state(1)[0])
+def _seed_entropy(parts: Sequence[int | str]) -> list[int]:
+    """SeedSequence's uint32 words for int and str parts: an int split
+    into 32-bit words, low first; a str as the crc32 of its UTF-8 bytes."""
+    words = []
+    for part in parts:
+        if isinstance(part, str):
+            words.append(zlib.crc32(part.encode("utf-8")))
+            continue
+        value = operator.index(part)
+        if value < 0:
+            raise ValueError(f"seed parts must be >= 0, got {value}")
+        words.append(value & 0xFFFFFFFF)
+        while value := value >> 32:
+            words.append(value & 0xFFFFFFFF)
+    return words
+
+
+def derive_seeds(*parts: int | str, ids: Sequence[str]) -> np.ndarray:
+    """derive_seed(*parts, id) for every id, hashed in one pass; (n,)
+    uint32."""
+    crc = np.fromiter((zlib.crc32(i.encode("utf-8")) for i in ids),
+                      dtype=np.uint32, count=len(ids))
+    return topics.seed_state([*_seed_entropy(parts), crc], 1)[:, 0]
+
+
+def derive_seed(*parts: int | str) -> int:
+    """Stable child seed from mixed int/str parts: the first word of
+    numpy's SeedSequence over their words."""
+    return int(topics.seed_state(_seed_entropy(parts), 1)[0, 0])
 
 
 # --- per-group training -----------------------------------------------------
@@ -353,10 +391,11 @@ def fold_in_matrix(pairs: Sequence[tuple[topics.TopicModelTriple,
                    sweeps: int, base_seed: int) -> list[np.ndarray]:
     """Per (triple, examples) pair, the (n, 3H) topic distributions: the
     three fold-in posteriors side by side, divided by 3. Every pair's texts
-    are folded in together; per-example seeds derived from the id."""
+    are folded in together; text i's stream is seeded with
+    derive_seed(base_seed, 101, id), derived in bulk."""
     return [rows / 3.0 for rows in topics.fold_in_sets(
         [(triple.models, [ex.tokens for ex in examples],
-          [derive_seed(base_seed, 101, ex.id) for ex in examples])
+          derive_seeds(base_seed, 101, ids=[ex.id for ex in examples]))
          for triple, examples in pairs], sweeps)]
 
 

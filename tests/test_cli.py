@@ -9,6 +9,7 @@ import argparse
 import json
 import re
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -1101,3 +1102,48 @@ def test_log_val_micf_per_mode_equals_eval_at_the_best_epoch(run_dir):
         report = (run_dir / f"report-val-{mode}.csv").read_text(
             encoding="utf-8").strip().splitlines()
         assert report[1].split(",")[-1] == best[column]
+
+
+def test_scoring_reads_only_the_records_it_scores(run_dir, synth_small,
+                                                  tmp_path, monkeypatch):
+    root, paths = synth_small
+    asked = []
+    real = training.load_embeddings
+
+    def recording(*args, **kwargs):
+        asked.append(kwargs.get("ids"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(training, "load_embeddings", recording)
+    out = tmp_path / "p.tsv"
+    assert main(["predict", "--run", str(run_dir), "--in",
+                 str(root / "test.tsv"), "--out", str(out)]) == 0
+    assert main(["eval", "--run", str(run_dir), "--split", "val"]) == 0
+    test_ids = [line.split("\t")[0] for line in
+                out.read_text(encoding="utf-8").splitlines()[1:]]
+    val = RunDir(run_dir).dataset.split(Split.VAL)
+    assert [sorted(ids) for ids in asked] == [
+        sorted(test_ids), sorted(ex.id for ex in val)]
+    store = real(paths["embeddings"], ids=asked[0])
+    assert set(store.tokens) == set(test_ids)
+
+
+def test_a_repeated_label_record_exits_2(run_dir, synth_small, tmp_path,
+                                         capsys):
+    root, paths = synth_small
+    raw = paths["embeddings"].read_bytes()
+    count, dim = struct.unpack_from("<II", raw, 4)
+    again = (struct.pack("<I", len(b"label:favor")) + b"label:favor"
+             + struct.pack("<I", 1) + np.ones(dim, dtype="<f4").tobytes())
+    emb = tmp_path / "again.emb1"
+    emb.write_bytes(raw[:4] + struct.pack("<II", count + 1, dim) + raw[12:]
+                    + again)
+    copy = tmp_path / "run"
+    shutil.copytree(run_dir, copy)
+    doc = json.loads((copy / "run.json").read_text(encoding="utf-8"))
+    doc["embeddings"] = str(emb)
+    (copy / "run.json").write_text(json.dumps(doc), encoding="utf-8")
+    _expect_failure(["predict", "--run", str(copy), "--in",
+                     str(root / "test.tsv"), "--out", str(tmp_path / "p.tsv")],
+                    capsys, needle=f"duplicate record 'label:favor' at byte "
+                                   f"{len(raw)}")

@@ -29,6 +29,7 @@ from cosd.topics import (
     load_lda,
     perplexity,
     save_lda,
+    seed_state,
     umass_coherence,
 )
 
@@ -450,10 +451,11 @@ def test_fold_in_tie_rule_equals_scalar_oracle(monkeypatch, h):
     # often equals a prefix sum exactly, so the first topic whose prefix sum
     # reaches u * total must be picked, as the oracle's u <= acc does
     real_rng = np.random.default_rng
+    real_stream = cosd.topics._doc_stream
 
     class DyadicRng:
-        def __init__(self, seed):
-            self._rng = real_rng(seed)
+        def __init__(self, rng):
+            self._rng = rng
 
         def integers(self, *args, **kwargs):
             return self._rng.integers(*args, **kwargs)
@@ -463,7 +465,12 @@ def test_fold_in_tie_rule_equals_scalar_oracle(monkeypatch, h):
             # doc's uniforms come from one call, as in the oracle
             return self._rng.integers(0, 4, size=n) / 4.0
 
-    monkeypatch.setattr(np.random, "default_rng", DyadicRng)
+    # the oracle seeds default_rng, the lockstep builds each doc's stream
+    # from its seed words; both draw the dyadic uniforms
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: DyadicRng(real_rng(seed)))
+    monkeypatch.setattr(cosd.topics, "_doc_stream",
+                        lambda words: DyadicRng(real_stream(words)))
     rng = real_rng(h)
     vocab = [f"w{i}" for i in range(6)]
     models = [_dyadic_model(rng, h, vocab, alpha)
@@ -473,6 +480,64 @@ def test_fold_in_tie_rule_equals_scalar_oracle(monkeypatch, h):
     seeds = list(range(len(docs)))
     got = fold_in(models, docs, seeds, sweeps=6)
     assert np.array_equal(got, _oracle_rows(models, docs, seeds, 6))
+
+
+# seeds below 2**32, the 64-bit bulk path's top word, and ones that take
+# numpy's own path (2**64 and up); zero-padding an entropy to the pool's four
+# words leaves SeedSequence's hash unchanged, wider entropy mixes more
+_SEEDS = [0, 1, 17, 2**32 - 1, 2**32 + 5, 2**63 + 9, 2**64 + 7, 2**70 + 3,
+          2**130 + 1]
+
+
+def test_seed_state_equals_seed_sequence():
+    rng = np.random.default_rng(3)
+    column = rng.integers(0, 2**32, size=40, dtype=np.uint64)
+    for prefix in ([], [17], [5, 1, 101], [3, 0, 64, 101, 9, 2]):
+        got = seed_state([*prefix, column], 8)
+        for row, word in zip(got, column.tolist()):
+            want = np.random.SeedSequence([*prefix, word]).generate_state(8)
+            assert np.array_equal(row, want)
+    assert seed_state([7, column[:0]], 1).shape == (0, 1)
+    assert np.array_equal(seed_state([], 3)[0],
+                          np.random.SeedSequence([]).generate_state(3))
+
+
+def test_stream_words_give_the_default_rng_streams():
+    for seeds in ([[s] for s in _SEEDS]
+                  + [_SEEDS[:6], _SEEDS, np.arange(5, dtype=np.uint32)]):
+        words = cosd.topics._stream_words(seeds)
+        assert words.shape == (len(seeds), 4) and words.dtype == np.uint64
+        for seed, row in zip(seeds, words):
+            seed = int(seed)
+            want = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+            assert np.array_equal(row, want)
+            got, ref = (cosd.topics._doc_stream(row),
+                        np.random.default_rng(seed))
+            assert np.array_equal(got.integers(0, 5, size=9),
+                                  ref.integers(0, 5, size=9))
+            assert np.array_equal(got.random(11), ref.random(11))
+    assert cosd.topics._stream_words([]).shape == (0, 4)
+    # the words are PCG64's: any other request is refused, not misread
+    with pytest.raises(TopicsError, match="asked for as 8 x uint32"):
+        cosd.topics._seed_words_type()(words[0]).generate_state(8)
+    # default_rng's own errors for seeds it rejects
+    with pytest.raises(ValueError):
+        cosd.topics._stream_words([3, -1])
+    with pytest.raises(TypeError):
+        cosd.topics._stream_words([1.5])
+
+
+def test_fold_in_seeds_of_any_width_equal_scalar_oracle():
+    docs, _ = planted_corpus(n_docs=30, seed=14)
+    split = len(docs) // 3
+    triple = fit_triple(docs[:split], docs[split:2 * split],
+                        docs[2 * split:], h=3, sweeps=10, seed=6)
+    batch = docs[:len(_SEEDS)]
+    got = fold_in(triple.models, batch, _SEEDS, sweeps=4)
+    assert np.array_equal(got, _oracle_rows(triple.models, batch, _SEEDS, 4))
+    below = _SEEDS[:6]  # every seed below 2**64: one bulk hash
+    assert np.array_equal(fold_in(triple.models, batch[:6], below, sweeps=4),
+                          got[:6])
 
 
 def test_fold_in_rows_independent_of_batch(monkeypatch):

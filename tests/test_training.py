@@ -7,7 +7,9 @@ determinism, best-checkpoint bookkeeping, and the frozen-batch descent
 property at a tiny learning rate.
 """
 
+import re
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from cosd.training import (
     attention_weights,
     build_group_data,
     derive_seed,
+    derive_seeds,
     fold_in_matrix,
     group_keys,
     load_embeddings,
@@ -188,6 +191,86 @@ def test_embeddings_reject_non_finite_values(tmp_path, bad):
                         dim=4)
         with pytest.raises(TrainingError, match=f"'{rec_id}' has non-finite"):
             load_embeddings(path, expect_dim=4)
+
+
+def _record_offsets(records, dim):
+    """Byte offset of each record of save_embeddings(records, dim)."""
+    offsets, at = [], 12
+    for rec_id, mat in records:
+        offsets.append(at)
+        at += 8 + len(rec_id.encode("utf-8")) + 4 * dim * len(np.atleast_2d(mat))
+    return offsets
+
+
+@pytest.mark.parametrize("rec_id", ["target:Policy", "label:none", "ex-2"])
+def test_embeddings_reject_a_repeated_record(tmp_path, rec_id):
+    records = _records(np.random.default_rng(4))
+    records.append((rec_id, np.ones((1, 8))))
+    path = tmp_path / "again.emb1"
+    save_embeddings(path, records, dim=8)
+    at = _record_offsets(records, 8)[-1]
+    for ids in (None, [], ["ex-1"]):
+        with pytest.raises(TrainingError,
+                           match=f"duplicate record '{rec_id}' at byte {at}$"):
+            load_embeddings(path, expect_dim=8, ids=ids)
+
+
+def _subset_records(rng, dim=8):
+    return _records(rng, dim) + [(f"ex-{i}", rng.standard_normal((i % 3 + 1,
+                                                                   dim)))
+                                 for i in range(3, 9)]
+
+
+def test_embeddings_subset_read_equals_the_full_read(tmp_path):
+    path = tmp_path / "vecs.emb1"
+    save_embeddings(path, _subset_records(np.random.default_rng(5)), dim=8)
+    full = load_embeddings(path, expect_dim=8)
+    for ids in ([], ["ex-2"], ["ex-8", "ex-1", "ex-5", "absent"],
+                list(full.tokens)):
+        sub = load_embeddings(path, expect_dim=8, ids=ids)
+        assert set(sub.tokens) == set(ids) & set(full.tokens)
+        for rec_id, rows in sub.tokens.items():
+            assert rows.dtype == np.float32
+            assert np.array_equal(rows, full.tokens[rec_id])
+        # target and label records are always read
+        for got, want in ((sub.targets, full.targets),
+                          (sub.labels, full.labels)):
+            assert got.keys() == want.keys()
+            assert all(np.array_equal(got[k], want[k]) for k in got)
+
+
+def test_embeddings_subset_read_keeps_the_framing_checks(tmp_path):
+    path = tmp_path / "vecs.emb1"
+    save_embeddings(path, [("ex-1", np.ones((2, 4))), ("skip", np.ones((3, 4))),
+                           ("label:favor", np.ones((1, 4)))], dim=4)
+    raw = path.read_bytes()
+    cut = tmp_path / "cut.emb1"
+    for ids in ([], ["ex-1"]):
+        for size in range(len(raw)):
+            cut.write_bytes(raw[:size])
+            with pytest.raises(TrainingError, match="cut.emb1") as err:
+                load_embeddings(cut, expect_dim=4, ids=ids)
+            # a skip past the end fails where it is made, inside the file
+            at = re.search(r"at byte (\d+)$", str(err.value))
+            assert at is None or int(at.group(1)) <= size
+        cut.write_bytes(raw + b"\x00")
+        with pytest.raises(TrainingError, match="trailing bytes"):
+            load_embeddings(cut, expect_dim=4, ids=ids)
+
+
+def test_embeddings_subset_read_checks_only_the_values_it_reads(tmp_path):
+    bad = np.ones((2, 4))
+    bad[1, 3] = np.nan
+    records = [("fine", np.ones((1, 4))), ("ex-1", bad),
+               ("label:none", np.ones((1, 4)))]
+    path = tmp_path / "bad.emb1"
+    save_embeddings(path, records, dim=4)
+    at = _record_offsets(records, 4)[1]
+    with pytest.raises(TrainingError,
+                       match=f"'ex-1' has non-finite values at byte {at}$"):
+        load_embeddings(path, expect_dim=4, ids=["ex-1"])
+    store = load_embeddings(path, expect_dim=4, ids=["fine"])
+    assert set(store.tokens) == {"fine"} and set(store.labels) == {"none"}
 
 
 @pytest.mark.parametrize("t", [1, 2, 17, 64])
@@ -353,6 +436,24 @@ def test_derive_seed_stable_and_sensitive():
     assert derive_seed(1, "a", 2) != derive_seed(1, "b", 2)
     assert derive_seed(1, 2) != derive_seed(2, 1)
     assert 0 <= derive_seed(0) < 2 ** 32
+
+
+@pytest.mark.parametrize("base", [0, 17, 2**32 + 5, 2**70 + 3])
+def test_derive_seeds_equal_the_seed_sequence_oracle(base):
+    ids = ["", "a", "tweet-1", "tweet-2", "Ünïcode ✓", "x" * 300]
+    want = [int(np.random.SeedSequence(
+        [base, 101, zlib.crc32(i.encode("utf-8"))]).generate_state(1)[0])
+        for i in ids]
+    got = derive_seeds(base, 101, ids=ids)
+    assert got.dtype == np.uint32 and got.tolist() == want
+    assert [derive_seed(base, 101, i) for i in ids] == want
+    assert derive_seeds(base, 101, ids=[]).shape == (0,)
+    # parts of any mix and count, as training derives them
+    for parts in ([base], [base, 3, "group", 7], [base, 2**64, 0, "g"]):
+        words = [zlib.crc32(p.encode("utf-8")) if isinstance(p, str) else p
+                 for p in parts]
+        assert derive_seed(*parts) == int(
+            np.random.SeedSequence(words).generate_state(1)[0])
 
 
 def test_train_config_validation():

@@ -15,6 +15,7 @@ unless --out-dir pins them; file contents never embed timestamps).
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import functools
 import json
@@ -38,7 +39,7 @@ from .metrics import MetricsError
 from .numerics import NumericsError
 from .topics import TopicsError
 from .training import (DATASETS, LABEL_KEYS, ConfigError, RunConfig,
-                       TrainingError, derive_seed)
+                       TrainingError)
 
 
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
@@ -277,7 +278,7 @@ class RunDir:
             sem[where], dis[where] = scores.sem, scores.dis
             for i, label in zip(where, scores.predicted):
                 predicted[i] = label
-        return inference.Scores(sem, dis, sem + dis, predicted)
+        return inference.Scores(sem, dis, predicted)
 
     def training_graph(self, name: str, trial: int) -> tuple[
             cpa.CpaModel, list[str], graph.BipartiteLaplacian]:
@@ -381,10 +382,8 @@ def cmd_topics(args: argparse.Namespace) -> int:
         subsets = [topics.token_docs(docs)
                    for docs in stance_subsets(dataset, target)]
         # the triple cosd train --h H fits for this group
-        triples = {h: topics.fit_triple(
-            *subsets, h=h, alpha=config.alpha or None, beta=config.beta,
-            sweeps=config.lda_sweeps, seed=derive_seed(config.seed, 7, key))
-            for h in range(lo, hi + 1)}
+        triples = {h: training.fit_group_topics(subsets, key, config, h)
+                   for h in range(lo, hi + 1)}
         for j, (stance_key, docs) in enumerate(zip(LABEL_KEYS, subsets)):
             for h, triple in triples.items():
                 model = triple.models[j]
@@ -403,10 +402,11 @@ def cmd_topics(args: argparse.Namespace) -> int:
         lines.append(f"{key:<24}{stance_key:<9}{h:>3}{perp:>14.4f}{coher:>12.4f}")
     print("\n".join(lines))
     if args.out:
-        csv_lines = ["group,stance,h,perplexity,coherence"]
-        csv_lines += [f"{k},{s},{h},{p:.6f},{c:.6f}"
-                      for k, s, h, p, c in rows]
-        Path(args.out).write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8", newline="") as out:
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(["group", "stance", "h", "perplexity", "coherence"])
+            writer.writerows([k, s, h, f"{p:.6f}", f"{c:.6f}"]
+                             for k, s, h, p, c in rows)
     return 0
 
 
@@ -628,7 +628,9 @@ def _add_score_flags(parser: argparse.ArgumentParser) -> None:
                         help="z-score each score triple before adding")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The cosd parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="cosd",
         description="collaborative stance detection pipeline")

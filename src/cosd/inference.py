@@ -30,8 +30,7 @@ class Scores(NamedTuple):
 
     sem: np.ndarray
     dis: np.ndarray
-    total: np.ndarray          # sem + dis
-    predicted: list[Stance]
+    predicted: list[Stance]    # argmax of sem + dis
 
 
 def semantic_scores(e_sem_matrix: np.ndarray,
@@ -89,7 +88,7 @@ def score_batch(sem_rows: np.ndarray | None, dis_rows: np.ndarray | None,
     sem_rows are semantic representations (n, d0), dis_rows topic
     distributions (n, 3H). score_norm z-scores each side's row; the side
     the ablation mode drops is never scored and reads as zeros, so it may
-    be None. total is the sum of the two sides.
+    be None. Each text's label is the argmax of the two sides' sum.
     """
     if mode not in MODES:
         raise InferenceError(f"unknown mode {mode!r}, expected one of {MODES}")
@@ -107,8 +106,7 @@ def score_batch(sem_rows: np.ndarray | None, dis_rows: np.ndarray | None,
     if score_norm:
         sem = zscore_rows(sem)
         dis = zscore_rows(dis)
-    total = sem + dis
-    return Scores(sem, dis, total, argmax_labels(total))
+    return Scores(sem, dis, argmax_labels(sem + dis))
 
 
 def final_train_reps(model: CpaModel, lap,

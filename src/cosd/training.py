@@ -399,6 +399,15 @@ def fold_in_matrix(pairs: Sequence[tuple[topics.TopicModelTriple,
          for triple, examples in pairs], sweeps)]
 
 
+def fit_group_topics(subsets: Sequence[list[list[str]]], group: str,
+                     config: RunConfig, h: int) -> topics.TopicModelTriple:
+    """The group's topic triple with h topics per stance, fitted on the
+    token docs of its train pool's stance subsets; seeded per group."""
+    return topics.fit_triple(
+        *subsets, h=h, alpha=config.alpha or None, beta=config.beta,
+        sweeps=config.lda_sweeps, seed=derive_seed(config.seed, 7, group))
+
+
 def build_group_data(dataset: Dataset, store: EncoderStore, group: str,
                      target: str | None, config: RunConfig) -> GroupData:
     """The group's topic triple, fitted on its train pool's stance subsets,
@@ -408,10 +417,9 @@ def build_group_data(dataset: Dataset, store: EncoderStore, group: str,
         raise TrainingError(f"group {group!r} has no training texts")
     val = dataset.split(Split.VAL, target)
     began = time.perf_counter()
-    triple = topics.fit_triple(
-        *(topics.token_docs(docs) for docs in stance_subsets(dataset, target)),
-        h=config.h, alpha=config.alpha or None, beta=config.beta,
-        sweeps=config.lda_sweeps, seed=derive_seed(config.seed, 7, group))
+    triple = fit_group_topics(
+        [topics.token_docs(docs) for docs in stance_subsets(dataset, target)],
+        group, config, config.h)
     start = time.perf_counter()
     dis_pool, dis_val = fold_in_matrix([(triple, pool), (triple, val)],
                                        config.fold_in_sweeps, config.seed)

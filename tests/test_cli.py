@@ -6,6 +6,7 @@ inspect commands so the suite stays fast.
 """
 
 import argparse
+import csv
 import json
 import re
 import shutil
@@ -193,6 +194,16 @@ def test_scoring_commands_take_only_their_own_flags(command, own, argv,
             build_parser().parse_args(argv + flag)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_main_reuses_one_parser_after_a_usage_error(capsys):
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["eval"])
+    assert exc.value.code == 2
+    assert "required: --run" in capsys.readouterr().err
+    assert main(["eval", "--run", "/nonexistent"]) == 2
+    assert "not a run directory" in capsys.readouterr().err
 
 
 # --- training run fixture ----------------------------------------------------------
@@ -844,12 +855,11 @@ def test_topics_rows_score_the_models_train_fits(run_dir, synth_small,
 OTHER = "Other Policy"
 
 
-@pytest.fixture(scope="module")
-def two_target_run(tmp_path_factory, synth_small):
-    """The small synthetic corpus with every other row moved to a second
-    target, trained per target for one trial."""
+def _train_two_targets(synth_small, data, other):
+    """The small synthetic corpus with every other row moved to the target
+    named other, written to data and trained per target for one trial;
+    returns the run directory."""
     root, paths = synth_small
-    data = tmp_path_factory.mktemp("two-target")
     for split in ("train", "val", "test"):
         header, *rows = (root / f"{split}.tsv").read_text(
             encoding="utf-8").splitlines()
@@ -857,7 +867,7 @@ def two_target_run(tmp_path_factory, synth_small):
         for i, row in enumerate(rows):
             cells = row.split("\t")
             if i % 2:
-                cells[1] = OTHER
+                cells[1] = other
             lines.append("\t".join(cells))
         (data / f"{split}.tsv").write_text("\n".join(lines) + "\n",
                                           encoding="utf-8")
@@ -865,7 +875,7 @@ def two_target_run(tmp_path_factory, synth_small):
     (target_vec,) = store.targets.values()
     records = list(store.tokens.items())
     records += [(f"target:{name}", target_vec)
-                for name in ("Synthetic Policy", OTHER)]
+                for name in ("Synthetic Policy", other)]
     records += [(f"label:{k}", store.labels[k]) for k in training.LABEL_KEYS]
     emb = data / "two.emb1"
     training.save_embeddings(emb, records, dim=store.dim)
@@ -874,7 +884,44 @@ def two_target_run(tmp_path_factory, synth_small):
     flags[flags.index("--trials") + 1] = "1"
     assert main(["train", "--dataset", "synthetic", "--data", str(data),
                  "--embeddings", str(emb), "--out-dir", str(run)] + flags) == 0
-    return data, run
+    return run
+
+
+@pytest.fixture(scope="module")
+def two_target_run(tmp_path_factory, synth_small):
+    data = tmp_path_factory.mktemp("two-target")
+    return data, _train_two_targets(synth_small, data, OTHER)
+
+
+def test_csv_outputs_quote_a_target_name_with_a_comma(tmp_path, synth_small,
+                                                      capsys):
+    name = "Trump, Donald"
+    data = tmp_path / "data"
+    data.mkdir()
+    run = _train_two_targets(synth_small, data, name)
+    assert main(["eval", "--run", str(run), "--split", "test"]) == 0
+    topics_csv = tmp_path / "topics.csv"
+    assert main(["topics", "--dataset", "synthetic", "--data", str(data),
+                 "--h-range", "2:2", "--lda-sweeps", "10",
+                 "--fold-in-sweeps", "5", "--top-n", "3",
+                 "--out", str(topics_csv)]) == 0
+    capsys.readouterr()
+    with open(run / "report-test-full.csv", encoding="utf-8",
+              newline="") as f:
+        report = list(csv.DictReader(f))
+    columns = ["run", "Synthetic Policy", name, "MacF", "MicF"]
+    text = (run / "report-test-full.txt").read_text(encoding="utf-8")
+    assert [list(row) for row in report] == [columns, columns]
+    # the text report's cells, which hold no spaces after the header
+    assert [[row["run"]] + [f"{float(row[c]):.4f}" for c in columns[1:]]
+            for row in report] == [line.split()
+                                   for line in text.splitlines()[1:]]
+    with open(topics_csv, encoding="utf-8", newline="") as f:
+        topic_rows = list(csv.DictReader(f))
+    assert {row["group"] for row in topic_rows} == {"Synthetic Policy", name}
+    for row in topic_rows:
+        assert None not in row and row["h"] == "2"
+        float(row["perplexity"]), float(row["coherence"])
 
 
 @pytest.mark.parametrize("mode", ["full", "no_sem", "no_dis"])
@@ -979,9 +1026,8 @@ def _oracle_scores(run, texts, trial, mode, norm):
         elif mode == "no_dis":
             group_dis = np.zeros_like(group_dis)
         sem[where], dis[where] = group_sem, group_dis
-    total = sem + dis
-    return cosd.inference.Scores(sem, dis, total,
-                                 cosd.inference.argmax_labels(total))
+    return cosd.inference.Scores(sem, dis,
+                                 cosd.inference.argmax_labels(sem + dis))
 
 
 @pytest.mark.parametrize("mode", ["full", "no_sem", "no_dis"])
@@ -993,7 +1039,7 @@ def test_rows_of_a_mode_score_as_both_sides_zeroed(run_dir, two_target_run,
         texts = run.dataset.split(Split.TEST)
         got = run.score(run.rows(texts, mode), 1, mode, norm)
         want = _oracle_scores(run, texts, 1, mode, norm)
-        for field in ("sem", "dis", "total"):
+        for field in ("sem", "dis"):
             assert np.array_equal(getattr(got, field), getattr(want, field))
         assert got.predicted == want.predicted
 

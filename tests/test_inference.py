@@ -198,7 +198,7 @@ def test_bundle_modes_zero_one_side():
     dis = [0.0, 0.0, 1.0]
     full = _scored(sem, dis, mode="full")
     assert full.predicted == [Stance.AGAINST]
-    assert np.allclose(full.total, [[0.5, 0.0, 1.0]])
+    assert np.allclose(full.sem + full.dis, [[0.5, 0.0, 1.0]])
     no_sem = _scored(sem, dis, mode="no_sem")
     assert np.allclose(no_sem.sem, 0.0)
     assert np.allclose(no_sem.dis, full.dis)
@@ -219,7 +219,7 @@ def test_bundle_constant_shift_invariance():
     base = _scored(sem, dis)
     # I + c 11^T as the topic table adds one constant to every dis score
     shifted = _scored(sem + 7.5, dis, topic_table=np.eye(3) + 0.5)
-    delta = shifted.total - base.total
+    delta = (shifted.sem + shifted.dis) - (base.sem + base.dis)
     assert np.allclose(delta, delta[0, 0])
     assert shifted.predicted == base.predicted
 
@@ -248,16 +248,17 @@ def test_score_batch_rows_match_one_row_calls():
         for norm in (False, True):
             batch = score_batch(sem_rows, dis_rows, model, mode=mode,
                                 score_norm=norm)
-            assert np.array_equal(batch.total, batch.sem + batch.dis)
             for i in range(6):
                 one = score_batch(sem_rows[i:i + 1], dis_rows[i:i + 1], model,
                                   mode=mode, score_norm=norm)
-                assert np.allclose(one.total[0], batch.total[i])
+                assert np.allclose(one.sem[0], batch.sem[i])
+                assert np.allclose(one.dis[0], batch.dis[i])
                 assert one.predicted[0] is batch.predicted[i]
     with pytest.raises(InferenceError):
         score_batch(sem_rows[:5], dis_rows, model)
     empty = score_batch(sem_rows[:0], dis_rows[:0], model)
-    assert empty.total.shape == (0, 3) and empty.predicted == []
+    assert empty.sem.shape == empty.dis.shape == (0, 3)
+    assert empty.predicted == []
 
 
 def test_score_batch_takes_none_for_the_side_its_mode_drops():
@@ -311,7 +312,6 @@ def test_predict_returns_bundles_and_beats_chance(trained):
     dataset, store, triple, data, result = trained
     test_examples = dataset.split(Split.TEST)
     scores = _score_examples(test_examples, store, triple, result.checkpoint)
-    assert np.array_equal(scores.total, scores.sem + scores.dis)
     hits = sum(p is ex.stance for p, ex in zip(scores.predicted,
                                                test_examples))
     assert hits / len(test_examples) > 0.5  # chance is 1/3
@@ -322,7 +322,7 @@ def test_predict_deterministic_and_validates_records(trained):
     examples = dataset.examples[:3]
     a = _score_examples(examples, store, triple, result.checkpoint)
     b = _score_examples(examples, store, triple, result.checkpoint)
-    assert np.array_equal(a.total, b.total)
+    assert np.array_equal(a.sem, b.sem) and np.array_equal(a.dis, b.dis)
     from dataclasses import replace
 
     ghost = replace(examples[0], id="not-in-store")

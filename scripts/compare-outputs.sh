@@ -10,8 +10,10 @@
 # records the same absolute paths, and are then moved to WORK_DIR/base and
 # WORK_DIR/head. The report on stdout is Markdown: how each side's
 # quickstart ended, then `diff -rq` of the two trees, leaving out
-# timings.json (wall times). It always exits 0: it reports, and never
-# judges.
+# timings.json (wall times). The quickstart stops at its first failing
+# command, which the report names with its last error line; every output
+# of the commands after it then shows as on the other side only. It
+# always exits 0: it reports, and never judges.
 set -u
 
 if [ $# -ne 3 ]; then
@@ -25,11 +27,13 @@ mkdir -p "$3"
 work=$(cd "$3" && pwd)
 
 # one side: $1 = checkout, $2 = output directory; prints a line if the
-# quickstart failed, with the last line it wrote to stderr
+# quickstart failed, with the last two lines it wrote to stderr: the
+# command's error and the quickstart's line naming that command
 run_side() {
   rm -rf "$2"
   PYTHONPATH="$1/src" "$quickstart" "$2" > /dev/null 2> "$work/stderr.txt" \
-    || echo "\`scripts/quickstart.sh\` exited $?: $(tail -n 1 "$work/stderr.txt")"
+    || echo "\`scripts/quickstart.sh\` exited $?:" \
+      "$(tail -n 2 "$work/stderr.txt" | paste -sd ' ' -)"
   rm -f "$work/stderr.txt"
 }
 

@@ -7,8 +7,8 @@
 # cosd runs as `python3 -m cosd.cli`, so PYTHONPATH picks the sources;
 # its relative entries are taken from the directory the script starts in.
 # OUT_DIR receives the corpus (data/), the topics CSV and stdout (topics/),
-# the run directory (run/) with the eval reports of the val and test
-# splits in each mode, with and without --score-norm, the predict TSVs of
+# the run directory (run/) with the eval reports of the train, val and
+# test splits in each mode, with and without --score-norm, the predict TSVs of
 # the same six settings (preds/), and the inspect dumps, retrieval stdout
 # and attention CSV (inspect/). Paths are relative to OUT_DIR, so two runs
 # in the same OUT_DIR record the same paths in run.json. It exits non-zero
@@ -48,7 +48,7 @@ cosd train --dataset synthetic --data data --embeddings data/synth.emb1 \
   --out-dir run --h 3 --epochs 2 --trials 2 --lda-sweeps 100 --seed 17
 for mode in full no_dis no_sem; do
   for norm in "" --score-norm; do
-    for split in val test; do
+    for split in train val test; do
       cosd eval --run run --split "$split" --mode "$mode" $norm
     done
     cosd predict --run run --in data/test.tsv --mode "$mode" $norm \

@@ -23,7 +23,12 @@ I64 = np.dtype("<i8")
 
 
 class Reader:
-    """Sequential reads from one open file; use it as a context manager."""
+    """Sequential reads from one open file; use it as a context manager.
+
+    Arrays are read only by read_into, into arrays the loader allocates;
+    a loader checks a table's size with need() before it allocates it, so a
+    header that claims more data than the file holds fails first.
+    """
 
     def __init__(self, path: str | Path, error: type[Exception],
                  magic: bytes):
@@ -56,13 +61,14 @@ class Reader:
         """Bytes between the cursor and the end of the file."""
         return self.size - self.off
 
-    def _need(self, n: int) -> None:
+    def need(self, n: int) -> None:
+        """Raise the loader's error unless n more bytes lie in the file."""
         if n > self.left():
             raise self.fail(f"truncated, {n} bytes needed but "
                             f"{self.left()} left")
 
     def _read(self, n: int) -> bytes:
-        self._need(n)
+        self.need(n)
         data = self._fh.read(n)
         if len(data) != n:
             raise self.fail(f"short read, {len(data)} of {n} bytes")
@@ -72,8 +78,10 @@ class Reader:
     def read_into(self, out: np.ndarray) -> None:
         """Fill the C-contiguous array `out` from the file, byte for byte,
         with no intermediate copy."""
+        if not out.nbytes:
+            return  # a zero-length view cannot be cast to bytes
         view = memoryview(out).cast("B")
-        self._need(len(view))
+        self.need(len(view))
         got = self._fh.readinto(view)
         if got != len(view):
             raise self.fail(f"short read, {got} of {len(view)} bytes")
@@ -81,7 +89,7 @@ class Reader:
 
     def skip(self, n: int) -> None:
         """Move the cursor n bytes on, unread; they must lie in the file."""
-        self._need(n)
+        self.need(n)
         self._fh.seek(n, os.SEEK_CUR)
         self.off += n
 
@@ -90,10 +98,6 @@ class Reader:
 
     def u32(self) -> int:
         return _U32.unpack(self._read(4))[0]
-
-    def array(self, dtype: np.dtype, count: int) -> np.ndarray:
-        """`count` values of `dtype`, read-only."""
-        return np.frombuffer(self._read(dtype.itemsize * count), dtype=dtype)
 
     def text(self, n: int) -> str:
         start = self.off

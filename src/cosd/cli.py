@@ -31,7 +31,8 @@ import numpy as np
 
 from . import cpa, graph, inference, metrics, synth, topics, training
 from .corpus import (LABELS, CorpusError, Dataset, Example, Split, Stance,
-                     load_semeval, load_ukp, stance_subsets)
+                     load_semeval, load_ukp, read_splits, read_text,
+                     stance_subsets)
 from .cpa import CpaError
 from .graph import GraphError
 from .inference import InferenceError
@@ -62,7 +63,8 @@ def read_config_file(path: str | Path) -> dict[str, str]:
     if not path.is_file():
         raise ConfigError(f"missing config file: {path}")
     out = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(path, ConfigError).splitlines(),
+                                  1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -127,10 +129,14 @@ def _write_json(path: Path, doc: dict) -> None:
         fh.write("\n")
 
 
-def write_manifest(run_dir: Path, config: RunConfig, groups: list[str]) -> None:
+def write_manifest(run_dir: Path, config: RunConfig, groups: list[str],
+                   targets: list[str]) -> None:
+    """run.json; targets is the dataset's sorted target list, the columns
+    of every eval report."""
     _write_json(run_dir / "run.json", {
         "config": dataclasses.asdict(config),
         "groups": [{"name": g, "slug": slugify(g)} for g in groups],
+        "targets": targets,
         "data": str(Path(config.data).resolve()),
         "embeddings": str(Path(config.embeddings).resolve()),
     })
@@ -180,6 +186,7 @@ class RunDir:
             config.data = doc["data"]
             config.embeddings = doc["embeddings"]
             groups = doc["groups"]
+            targets = doc["targets"]
         except KeyError as exc:
             raise ConfigError(f"{manifest}: missing key {exc}") from exc
         except TypeError as exc:  # config not an object, or an unknown key
@@ -195,14 +202,25 @@ class RunDir:
                               f"of objects with a name and its slug")
         self.config = config
         self.groups = _checked_slugs([g["name"] for g in groups], manifest)
+        if not (isinstance(targets, list) and targets
+                and all(isinstance(t, str) for t in targets)
+                and targets == sorted(set(targets))):
+            raise ConfigError(f"{manifest}: targets must be a non-empty "
+                              f"sorted list of distinct names")
+        if not config.joint and targets != list(self.groups):
+            raise ConfigError(f"{manifest}: targets {targets} differ from "
+                              f"the groups {list(self.groups)}")
+        self.targets = targets
 
     @functools.cached_property
     def store(self) -> training.EncoderStore:
         return training.load_embeddings(self.config.embeddings)
 
-    @functools.cached_property
-    def dataset(self) -> Dataset:
-        return load_dataset(self.config)
+    def corpus(self, *splits: Split) -> Dataset:
+        """The given splits of the run's data, read from only the files
+        they need."""
+        return read_splits(self.config.data, splits, seed=self.config.seed,
+                           ukp=self.config.dataset == "ukp")
 
     def trials(self, trial: int | None) -> list[int]:
         """[trial] when one is asked for, else every trial of the run."""
@@ -291,7 +309,8 @@ class RunDir:
         ckpt = self.checkpoint(name, trial)
         meta_path = self._trial_file(name, trial, ".meta.json")
         meta = _read_json_object(meta_path)
-        pool = self.dataset.train_pool(None if self.config.joint else name)
+        pool = self.corpus(Split.TRAIN, Split.VAL).train_pool(
+            None if self.config.joint else name)
         ids = [ex.id for ex in pool]
         if (meta.get("ids") != ids or meta.get("stances")
                 != [ex.stance.value for ex in pool]):
@@ -451,7 +470,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         "total_s": time.perf_counter() - start,
     })
     # last, so eval and predict reject a directory whose writing broke off
-    write_manifest(run_dir, config, [data.group for data in result.groups])
+    write_manifest(run_dir, config, [data.group for data in result.groups],
+                   dataset.targets)
     print(f"run directory: {run_dir}")
     print(result.report_text, end="")
     return 0
@@ -460,7 +480,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     run = RunDir(args.run)
     trials = run.trials(args.trial)
-    labeled = [ex for ex in run.dataset.split(Split[args.split.upper()])
+    labeled = [ex for ex in run.corpus(Split[args.split.upper()]).examples
                if ex.stance is not Stance.UNKNOWN]
     if not labeled:
         raise ConfigError(f"no labeled examples in split {args.split!r}")
@@ -470,7 +490,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         [run.score(rows, trial, args.mode, args.score_norm).predicted
          for trial in trials],
         [ex.stance for ex in labeled], [ex.target for ex in labeled],
-        run.dataset.targets, trials)
+        run.targets, trials)
     suffix = f"{args.split}-{args.mode}" + ("-zscore" if args.score_norm else "")
     (run.path / f"report-{suffix}.txt").write_text(text, encoding="utf-8")
     (run.path / f"report-{suffix}.csv").write_text(csv_text, encoding="utf-8")
@@ -479,11 +499,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    from .corpus import _tweet_rows
-
     run = RunDir(args.run)
     trial = run.trials(args.trial)[0]  # the first trial unless one is named
-    examples = _tweet_rows(Path(args.infile), Split.TEST)
+    examples = read_splits(args.infile, [Split.TEST]).examples
     scores = run.score(run.rows(examples, args.mode), trial, args.mode,
                        args.score_norm)
     lines = [f"{ex.id}\t{label.value}\t"
@@ -549,7 +567,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         did_something = True
 
     if args.export_attention:
-        wanted = [ex for ex in run.dataset.examples
+        wanted = [ex for ex in run.corpus(*Split).examples
                   if ex.id == args.export_attention]
         if not wanted:
             raise ConfigError(f"example {args.export_attention!r} not in dataset")

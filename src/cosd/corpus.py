@@ -4,16 +4,20 @@ Two corpus layouts are supported: tweet-style TSV (ID, Target, Tweet, Stance;
 one train file and one test file, with a validation slice carved out of train
 when no val file is shipped) and the sentence-level argument layout (topic,
 sentence, annotation, set; one file per topic, split column included).
+read_splits reads any set of splits of either layout from only the files
+those splits need.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import random
 import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import Iterable
 
 from .stopwords import STOPWORDS
 
@@ -165,32 +169,43 @@ def _parse_stance(raw: str, path: Path, line: int) -> Stance:
     return _STANCE_ALIASES[key]
 
 
+def read_text(path: Path, error: type[Exception] = CorpusError) -> str:
+    """The UTF-8 text of a file; an undecodable byte raises `error` naming
+    the file, the line and the byte offset."""
+    raw = path.read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{line}: invalid UTF-8 at byte "
+                    f"{exc.start}") from exc
+
+
 def _read_tsv(path: Path, required: tuple[str, ...]) -> list[dict[str, str]]:
     if not path.is_file():
         raise CorpusError(f"missing dataset file: {path}")
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh, delimiter="\t", quoting=csv.QUOTE_NONE)
-        if reader.fieldnames is None:
-            raise CorpusError(f"{path}: empty file")
-        missing = [col for col in required if col not in reader.fieldnames]
-        if missing:
-            raise CorpusError(f"{path}: missing columns {missing}")
-        rows = []
-        for row in reader:
-            # the file's line number: the reader skips blank lines
-            line = reader.line_num
-            if any(row.get(col) is None for col in required):
-                raise CorpusError(f"{path}:{line}: malformed row (short fields)")
-            row["_line"] = str(line)
-            rows.append(row)
+    # newline="" as for a file opened for csv: line ends stay in the fields
+    text = io.StringIO(read_text(path), newline="")
+    reader = csv.DictReader(text, delimiter="\t", quoting=csv.QUOTE_NONE)
+    if reader.fieldnames is None:
+        raise CorpusError(f"{path}: empty file")
+    missing = [col for col in required if col not in reader.fieldnames]
+    if missing:
+        raise CorpusError(f"{path}: missing columns {missing}")
+    rows = []
+    for row in reader:
+        # the file's line number: the reader skips blank lines
+        line = reader.line_num
+        if any(row.get(col) is None for col in required):
+            raise CorpusError(f"{path}:{line}: malformed row (short fields)")
+        row["_line"] = str(line)
+        rows.append(row)
     if not rows:
         raise CorpusError(f"{path}: no data rows")
     return rows
 
 
 def _finish(examples: list[Example], val_carved: bool) -> Dataset:
-    if not examples:
-        raise CorpusError("dataset has no examples")
     seen: set[str] = set()
     for ex in examples:
         if ex.id in seen:
@@ -227,24 +242,54 @@ def _tweet_rows(path: Path, split: Split) -> list[Example]:
     return out
 
 
-def load_semeval(path: str | Path, seed: int = 0) -> Dataset:
-    """Load a tweet-style corpus from a directory.
+def read_splits(path: str | Path, splits: Iterable[Split] = tuple(Split),
+                *, seed: int = 0, ukp: bool = False) -> Dataset:
+    """The examples of the given splits, in file order, read from only the
+    files those splits need; ids repeated among them, or unlabeled ones
+    outside the test split, are errors.
 
-    Expects train.tsv and test.tsv; if val.tsv is present it is used as-is,
-    otherwise a sixth of each target's train rows (5:1, seeded Fisher-Yates,
-    targets visited in sorted order) is relabeled as the val split.
+    Tweet layout: path is a directory or one TSV of test texts. test reads
+    test.tsv. With a val.tsv, val reads it and train reads train.tsv.
+    Without one, val_carved is set and both read train.tsv, a sixth of
+    each target's rows of which (5:1, Fisher-Yates seeded by seed, targets
+    in sorted order) is the val split.
+
+    Argument layout (ukp): path is a directory of per-topic TSVs, or one;
+    the set column gives each row's split. Argument_for / NoArgument /
+    Argument_against map onto favor / none / against.
     """
     root = Path(path)
-    examples = _tweet_rows(root / "train.tsv", Split.TRAIN)
-    val_file = root / "val.tsv"
-    if val_file.is_file():
-        examples += _tweet_rows(val_file, Split.VAL)
-        carved = False
+    wanted = set(splits)
+    carved = False
+    if ukp:
+        examples = _ukp_rows(root, wanted)
+    elif root.is_file():
+        examples = _tweet_rows(root, Split.TEST) if Split.TEST in wanted else []
     else:
-        examples = _carve_val(examples, seed)
-        carved = True
-    examples += _tweet_rows(root / "test.tsv", Split.TEST)
+        examples = []
+        carved = not (root / "val.tsv").is_file()
+        if Split.TRAIN in wanted or (carved and Split.VAL in wanted):
+            train = _tweet_rows(root / "train.tsv", Split.TRAIN)
+            examples += [ex for ex in (_carve_val(train, seed) if carved
+                                       else train) if ex.split in wanted]
+        if Split.VAL in wanted and not carved:
+            examples += _tweet_rows(root / "val.tsv", Split.VAL)
+        if Split.TEST in wanted:
+            examples += _tweet_rows(root / "test.tsv", Split.TEST)
+    if not examples:
+        names = "/".join(split.value for split in Split if split in wanted)
+        raise CorpusError(f"{root}: no examples in split {names}")
     return _finish(examples, val_carved=carved)
+
+
+def load_semeval(path: str | Path, seed: int = 0) -> Dataset:
+    """Every split of a tweet-style corpus (see read_splits)."""
+    return read_splits(path, seed=seed)
+
+
+def load_ukp(path: str | Path) -> Dataset:
+    """Every split of the sentence-level argument corpus (see read_splits)."""
+    return read_splits(path, ukp=True)
 
 
 def _carve_val(train_examples: list[Example], seed: int) -> list[Example]:
@@ -265,14 +310,9 @@ def _carve_val(train_examples: list[Example], seed: int) -> list[Example]:
     return out
 
 
-def load_ukp(path: str | Path) -> Dataset:
-    """Load the sentence-level argument corpus.
-
-    path is a directory of per-topic TSV files (or a single TSV). Labels
-    Argument_for / NoArgument / Argument_against map onto favor / none /
-    against; the set column supplies the split.
-    """
-    root = Path(path)
+def _ukp_rows(root: Path, wanted: set[Split]) -> list[Example]:
+    """The rows of the wanted splits; the other rows' split values are
+    checked, and nothing else of them is parsed."""
     if root.is_dir():
         files = sorted(root.glob("*.tsv"))
         if not files:
@@ -290,6 +330,8 @@ def load_ukp(path: str | Path) -> Dataset:
             raw_split = row["set"].strip().lower()
             if raw_split not in split_map:
                 raise CorpusError(f"{file}:{row['_line']}: unknown split {row['set']!r}")
+            if split_map[raw_split] not in wanted:
+                continue
             stance = _parse_stance(row["annotation"], file, int(row["_line"]))
             text = row["sentence"]
             ex_id = row.get("sentenceHash") or f"{file.stem}-{row['_line']}"
@@ -301,4 +343,4 @@ def load_ukp(path: str | Path) -> Dataset:
                 split=split_map[raw_split],
                 tokens=tuple(tokenize(text)),
             ))
-    return _finish(examples, val_carved=False)
+    return examples

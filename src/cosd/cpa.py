@@ -352,11 +352,18 @@ def load_checkpoint(path: str | Path) -> CpaModel:
         if min(d0, d1, hops) < 1:
             raise src.fail("zero width or hop count in header, file corrupt")
 
-        def take(rows: int, cols: int) -> np.ndarray:
-            values = src.array(F64, rows * cols).reshape(rows, cols)
-            return values.astype(np.float64)
+        n_rows = n_text + 3 * h + 3
+        # every table must lie in the file before the first is allocated:
+        # E, then W1 and W2 of one d0 x d1 and hops - 1 d1 x d1 tables each
+        src.need(F64.itemsize
+                 * (n_rows * d0 + 2 * (d0 + (hops - 1) * d1) * d1))
 
-        e0 = take(n_text + 3 * h + 3, d0)
+        def take(rows: int, cols: int) -> np.ndarray:
+            out = np.empty((rows, cols), F64)
+            src.read_into(out)
+            return out
+
+        e0 = take(n_rows, d0)
         w1 = [take(d0 if k == 0 else d1, d1) for k in range(hops)]
         w2 = [take(d0 if k == 0 else d1, d1) for k in range(hops)]
         src.finish()

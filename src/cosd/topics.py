@@ -704,7 +704,9 @@ def load_lda(path: str | Path) -> LdaModel:
         h, v = src.unpack("<II")
         alpha, beta = src.unpack("<dd")
         (sweeps,) = src.unpack("<I")
-        counts = src.array(I64, h * v).reshape(h, v).astype(np.int64)
+        src.need(I64.itemsize * h * v)  # before the table is allocated
+        counts = np.empty((h, v), I64)
+        src.read_into(counts)
         tokens = []
         freqs = []
         for _ in range(v):

@@ -19,8 +19,8 @@ import cosd.cli
 import cosd.cpa
 import cosd.inference
 import cosd.topics
-from cosd import training
-from cosd.corpus import Split
+from cosd import metrics, training
+from cosd.corpus import Split, load_semeval
 from cosd.cli import (
     ConfigError,
     RunDir,
@@ -274,6 +274,7 @@ def test_manifest_reload(run_dir, synth_small):
     assert config.seed == 5 and config.h == 2 and config.trials == 2
     assert config.data == str(root.resolve())
     assert run.groups == {"Synthetic Policy": SLUG}
+    assert run.targets == ["Synthetic Policy"]
     with pytest.raises(ConfigError):
         RunDir(run_dir / "lda")
 
@@ -487,14 +488,33 @@ def test_eval_on_truncated_or_non_object_json(run_dir, tmp_path, capsys,
     _expect_failure(argv, capsys, needle="not a JSON object")
 
 
+# edit -> (targets, what the error says)
+TARGETS_EDITS = {
+    "targets_not_a_list": ("Synthetic Policy", "sorted list"),
+    "targets_empty": ([], "sorted list"),
+    "targets_not_strings": ([7], "sorted list"),
+    "targets_unsorted": (["Synthetic Policy", "Other Policy"], "sorted list"),
+    "targets_repeated": (["Synthetic Policy"] * 2, "sorted list"),
+    # a per-target run has one group per target
+    "targets_not_the_groups": (["Other Policy", "Synthetic Policy"],
+                               "differ from the groups"),
+}
+
+
 @pytest.mark.parametrize("edit", ["no_config", "unknown_key", "retired_key",
                                   "bad_type", "bad_groups", "zero_trials",
-                                  "negative_hops"])
+                                  "negative_hops", "no_targets",
+                                  *TARGETS_EDITS])
 def test_eval_on_malformed_manifest(run_dir, tmp_path, capsys, edit):
     copy = tmp_path / "run"
     shutil.copytree(run_dir, copy)
     doc = json.loads((copy / "run.json").read_text(encoding="utf-8"))
-    if edit == "no_config":
+    if edit in TARGETS_EDITS:
+        doc["targets"], said = TARGETS_EDITS[edit]
+    elif edit == "no_targets":
+        # a run trained before run.json held targets: no fallback
+        del doc["targets"]
+    elif edit == "no_config":
         del doc["config"]
     elif edit == "unknown_key":
         doc["config"]["mystery"] = 1
@@ -509,9 +529,13 @@ def test_eval_on_malformed_manifest(run_dir, tmp_path, capsys, edit):
     else:
         doc["groups"] = [{"name": "Synthetic Policy"}]
     (copy / "run.json").write_text(json.dumps(doc), encoding="utf-8")
-    _expect_failure(["eval", "--run", str(copy), "--split", "test"], capsys,
-                    needle="run.json")
-    _expect_failure(["inspect", "--run", str(copy)], capsys, needle="run.json")
+    for argv in (["eval", "--run", str(copy), "--split", "test"],
+                 ["inspect", "--run", str(copy)]):
+        err = _expect_failure(argv, capsys, needle="run.json")
+        if edit in TARGETS_EDITS:
+            assert said in err
+        elif edit == "no_targets":
+            assert "missing key 'targets'" in err
 
 
 def test_interrupted_train_writes_no_manifest(run_dir, synth_small, tmp_path,
@@ -719,8 +743,8 @@ def test_inspect_rejects_a_checkpoint_of_another_pool(run_dir,
 def test_inspect_rebuilds_the_training_laplacian(run_dir):
     run = RunDir(run_dir)
     name = run.group(None)
-    data = training.build_group_data(run.dataset, run.store, name, name,
-                                     run.config)
+    data = training.build_group_data(run.corpus(*Split), run.store, name,
+                                     name, run.config)
     for trial in (1, 2):
         _, ids, lap = run.training_graph(name, trial)
         assert ids == [ex.id for ex in data.pool]
@@ -837,7 +861,7 @@ def test_topics_rows_score_the_models_train_fits(run_dir, synth_small,
     capsys.readouterr()
     rows = [line.split(",") for line in
             out.read_text(encoding="utf-8").strip().splitlines()[1:]]
-    subsets = cosd.cli.stance_subsets(RunDir(run_dir).dataset,
+    subsets = cosd.cli.stance_subsets(RunDir(run_dir).corpus(*Split),
                                       "Synthetic Policy")
     assert [row[1] for row in rows] == ["favor", "none", "against"]
     for row, examples in zip(rows, subsets):
@@ -855,10 +879,10 @@ def test_topics_rows_score_the_models_train_fits(run_dir, synth_small,
 OTHER = "Other Policy"
 
 
-def _train_two_targets(synth_small, data, other):
+def _train_two_targets(synth_small, data, other, extra=()):
     """The small synthetic corpus with every other row moved to the target
-    named other, written to data and trained per target for one trial;
-    returns the run directory."""
+    named other, written to data and trained per target (or as extra train
+    flags say) for one trial; returns the run directory."""
     root, paths = synth_small
     for split in ("train", "val", "test"):
         header, *rows = (root / f"{split}.tsv").read_text(
@@ -883,7 +907,8 @@ def _train_two_targets(synth_small, data, other):
     flags = list(TRAIN_FLAGS)
     flags[flags.index("--trials") + 1] = "1"
     assert main(["train", "--dataset", "synthetic", "--data", str(data),
-                 "--embeddings", str(emb), "--out-dir", str(run)] + flags) == 0
+                 "--embeddings", str(emb), "--out-dir", str(run)] + flags
+                + list(extra)) == 0
     return run
 
 
@@ -992,7 +1017,7 @@ def test_scoring_commands_fold_in_once(run_dir, two_target_run, tmp_path,
 def test_run_dir_scores_interleaved_targets_in_input_order(two_target_run):
     _, path = two_target_run
     run = RunDir(path)
-    texts = run.dataset.split(Split.TEST)
+    texts = run.corpus(Split.TEST).examples
     assert [ex.target for ex in texts[:4]] == ["Synthetic Policy", OTHER] * 2
     for mode, norm in (("full", False), ("no_dis", True)):
         scores = run.score(run.rows(texts), 1, mode, norm)
@@ -1036,7 +1061,7 @@ def test_rows_of_a_mode_score_as_both_sides_zeroed(run_dir, two_target_run,
                                                    mode, norm):
     for path in (run_dir, two_target_run[1]):
         run = RunDir(path)
-        texts = run.dataset.split(Split.TEST)
+        texts = run.corpus(Split.TEST).examples
         got = run.score(run.rows(texts, mode), 1, mode, norm)
         want = _oracle_scores(run, texts, 1, mode, norm)
         for field in ("sem", "dis"):
@@ -1167,7 +1192,7 @@ def test_scoring_reads_only_the_records_it_scores(run_dir, synth_small,
     assert main(["eval", "--run", str(run_dir), "--split", "val"]) == 0
     test_ids = [line.split("\t")[0] for line in
                 out.read_text(encoding="utf-8").splitlines()[1:]]
-    val = RunDir(run_dir).dataset.split(Split.VAL)
+    val = RunDir(run_dir).corpus(Split.VAL).examples
     assert [sorted(ids) for ids in asked] == [
         sorted(test_ids), sorted(ex.id for ex in val)]
     store = real(paths["embeddings"], ids=asked[0])
@@ -1193,3 +1218,119 @@ def test_a_repeated_label_record_exits_2(run_dir, synth_small, tmp_path,
                      str(root / "test.tsv"), "--out", str(tmp_path / "p.tsv")],
                     capsys, needle=f"duplicate record 'label:favor' at byte "
                                    f"{len(raw)}")
+
+
+# --- eval reads only the files of its split ----------------------------------------
+
+
+def test_eval_of_the_test_split_reads_test_tsv_alone(run_dir, synth_small,
+                                                    tmp_path, capsys):
+    root, _ = synth_small
+    data = tmp_path / "data"
+    data.mkdir()
+    shutil.copy(root / "test.tsv", data / "test.tsv")
+    copy = _run_reading(run_dir, data, tmp_path)
+    for mode in ("full", "no_sem", "no_dis"):
+        for run in (run_dir, copy):
+            assert main(["eval", "--run", str(run), "--split", "test",
+                         "--mode", mode]) == 0
+        for ext in ("txt", "csv"):
+            name = f"report-test-{mode}.{ext}"
+            assert (copy / name).read_bytes() == (run_dir / name).read_bytes()
+    capsys.readouterr()
+    # with no val.tsv the val split is carved from train.tsv
+    _expect_failure(["eval", "--run", str(copy), "--split", "val"], capsys,
+                    needle=str(data / "train.tsv"))
+
+
+def test_eval_of_a_carved_split_equals_a_report_over_the_full_load(
+        synth_small, tmp_path, capsys):
+    root, paths = synth_small
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("train.tsv", "test.tsv"):
+        shutil.copy(root / name, data / name)
+    path = tmp_path / "run"
+    assert main(["train", "--dataset", "semeval", "--data", str(data),
+                 "--embeddings", str(paths["embeddings"]),
+                 "--out-dir", str(path)] + TRAIN_FLAGS) == 0
+    run = RunDir(path)
+    dataset = load_semeval(data, seed=run.config.seed)
+    assert dataset.val_carved
+    for split in (Split.VAL, Split.TRAIN):
+        name = split.name.lower()
+        assert main(["eval", "--run", str(path), "--split", name]) == 0
+        texts = dataset.split(split)
+        assert texts
+        rows = run.rows(texts)
+        want = metrics.trial_report(
+            [run.score(rows, trial, "full", False).predicted
+             for trial in (1, 2)],
+            [ex.stance for ex in texts], [ex.target for ex in texts],
+            dataset.targets, [1, 2])
+        got = tuple((path / f"report-{name}-full.{ext}").read_text(
+            encoding="utf-8") for ext in ("txt", "csv"))
+        assert got == want
+    capsys.readouterr()
+    # training scored the same carved val split
+    assert ((path / "report-val.txt").read_bytes()
+            == (path / "report-val-full.txt").read_bytes())
+
+
+def test_a_joint_report_has_a_column_for_a_target_its_split_lacks(
+        synth_small, tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    run = _train_two_targets(synth_small, data, OTHER, ["--joint"])
+    assert RunDir(run).targets == [OTHER, "Synthetic Policy"]
+    header, *rows = (data / "test.tsv").read_text(
+        encoding="utf-8").splitlines()
+    kept = [row for row in rows if row.split("\t")[1] != OTHER]
+    (data / "test.tsv").write_text("\n".join([header, *kept]) + "\n",
+                                   encoding="utf-8")
+    assert main(["eval", "--run", str(run), "--split", "test"]) == 0
+    capsys.readouterr()
+    with open(run / "report-test-full.csv", encoding="utf-8",
+              newline="") as f:
+        report = list(csv.DictReader(f))
+    assert [row["run"] for row in report] == ["trial-1", "mean"]
+    for row in report:
+        assert list(row) == ["run", OTHER, "Synthetic Policy", "MacF",
+                             "MicF"]
+        assert row[OTHER] == "0.000000"
+        # MacF averages only the targets with texts
+        assert row["MacF"] == row["Synthetic Policy"]
+
+
+def _with_bad_byte(src, dst, line):
+    """src's bytes with 0xff put at the start of line `line`, written to
+    dst."""
+    lines = src.read_bytes().split(b"\n")
+    lines[line - 1] = b"\xff" + lines[line - 1]
+    dst.write_bytes(b"\n".join(lines))
+    return dst
+
+
+def test_invalid_utf8_input_exits_2_naming_file_and_line(
+        run_dir, synth_small, tmp_path, capsys):
+    root, paths = synth_small
+    bad = _with_bad_byte(root / "test.tsv", tmp_path / "bad.tsv", 3)
+    _expect_failure(["predict", "--run", str(run_dir), "--in", str(bad),
+                     "--out", str(tmp_path / "p.tsv")], capsys,
+                    needle=f"{bad}:3: invalid UTF-8")
+    assert not (tmp_path / "p.tsv").exists()
+
+    data = tmp_path / "data"
+    shutil.copytree(root, data)
+    _with_bad_byte(root / "test.tsv", data / "test.tsv", 4)
+    copy = _run_reading(run_dir, data, tmp_path)
+    _expect_failure(["eval", "--run", str(copy), "--split", "test"], capsys,
+                    needle=f"{data / 'test.tsv'}:4: invalid UTF-8")
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"h = 2\n# caf\xe9 in Latin-1\nepochs = 1\n")
+    _expect_failure(["train", "--config", str(cfg), "--data", str(root),
+                     "--embeddings", str(paths["embeddings"]),
+                     "--out-dir", str(tmp_path / "r")], capsys,
+                    needle=f"{cfg}:2: invalid UTF-8")
+    assert not (tmp_path / "r").exists()

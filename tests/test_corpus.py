@@ -6,7 +6,8 @@ import pytest
 
 from conftest import SEMEVAL_TABLE, UKP_TABLE
 from cosd.corpus import (LABELS, CorpusError, Split, Stance, Vocabulary,
-                         load_semeval, load_ukp, stance_subsets, tokenize)
+                         load_semeval, load_ukp, read_splits, stance_subsets,
+                         tokenize)
 
 
 def by_stance(examples):
@@ -169,6 +170,105 @@ class TestErrors:
             "ID\tTarget\tTweet\tStance\n2\tX\tbye\tFAVOR\n", encoding="utf-8")
         with pytest.raises(CorpusError, match="unlabeled"):
             load_semeval(tmp_path)
+
+
+    @pytest.mark.parametrize("name", ["train.tsv", "test.tsv"])
+    def test_invalid_utf8_names_the_file_and_line(self, tmp_path, name):
+        for split in ("train", "test"):
+            (tmp_path / f"{split}.tsv").write_text(
+                f"ID\tTarget\tTweet\tStance\n{split}-1\tX\thello\tFAVOR\n"
+                f"{split}-2\tX\tbye\tNONE\n", encoding="utf-8")
+        path = tmp_path / name
+        raw = path.read_bytes()
+        at = raw.index(b"bye")
+        path.write_bytes(raw[:at] + b"\xff" + raw[at:])
+        with pytest.raises(CorpusError,
+                           match=f"{name}:3: invalid UTF-8 at byte {at}"):
+            load_semeval(tmp_path)
+        with pytest.raises(CorpusError, match=f"{name}:3: invalid UTF-8"):
+            read_splits(path, [Split.TEST])
+
+
+def _same_examples(got, want):
+    assert [(ex.id, ex.split) for ex in got] == [(ex.id, ex.split)
+                                                for ex in want]
+    assert got == want
+
+
+class TestReadSplits:
+    def test_each_split_equals_the_full_load(self, semeval_dir,
+                                             semeval_dataset, tmp_path):
+        ukp = tmp_path / "ukp"
+        ukp.mkdir()
+        for topic in ("cloning", "gun control"):
+            rows = ["topic\tsentence\tannotation\tset"] + [
+                f"{topic}\t{topic} sentence {i}\t"
+                f"{('Argument_for', 'NoArgument', 'Argument_against')[i % 3]}"
+                f"\t{('train', 'test', 'val', 'train')[i % 4]}"
+                for i in range(24)]
+            (ukp / f"{topic}.tsv").write_text("\n".join(rows) + "\n",
+                                              encoding="utf-8")
+        shipped = tmp_path / "shipped"
+        shipped.mkdir()
+        full = load_semeval(semeval_dir, seed=7)
+        for split, name in ((Split.TRAIN, "train"), (Split.VAL, "val"),
+                            (Split.TEST, "test")):
+            lines = ["ID\tTarget\tTweet\tStance"] + [
+                f"{ex.id}\t{ex.target}\t{ex.text}\t{ex.stance.value}"
+                for ex in full.split(split)]
+            (shipped / f"{name}.tsv").write_text("\n".join(lines) + "\n",
+                                                 encoding="utf-8")
+        cases = [(semeval_dir, {"seed": 7}, semeval_dataset, True),
+                 (shipped, {"seed": 7}, load_semeval(shipped, seed=7), False),
+                 (ukp, {"ukp": True}, load_ukp(ukp), False)]
+        for path, kwargs, whole, carved in cases:
+            assert whole.val_carved is carved
+            _same_examples(read_splits(path, **kwargs).examples,
+                           whole.examples)
+            for split in Split:
+                part = read_splits(path, [split], **kwargs)
+                _same_examples(part.examples, whole.split(split))
+                assert part.val_carved is carved
+            # inspect rebuilds a train pool from these two splits
+            pool = read_splits(path, [Split.TRAIN, Split.VAL], **kwargs)
+            for target in whole.targets:
+                _same_examples(pool.train_pool(target),
+                               whole.train_pool(target))
+
+    def test_a_split_reads_only_its_files(self, semeval_dir, tmp_path):
+        (tmp_path / "test.tsv").write_bytes(
+            (semeval_dir / "test.tsv").read_bytes())
+        test = read_splits(tmp_path, [Split.TEST], seed=7).examples
+        _same_examples(test, load_semeval(semeval_dir, seed=7)
+                       .split(Split.TEST))
+        # with no val.tsv, val and train are both carved from train.tsv
+        for split in (Split.VAL, Split.TRAIN):
+            with pytest.raises(CorpusError, match="train.tsv"):
+                read_splits(tmp_path, [split])
+        # a shipped val.tsv is read on its own
+        (tmp_path / "val.tsv").write_bytes(
+            (semeval_dir / "test.tsv").read_bytes())
+        assert len(read_splits(tmp_path, [Split.VAL]).examples) == len(test)
+        with pytest.raises(CorpusError, match="train.tsv"):
+            read_splits(tmp_path, [Split.TRAIN])
+
+    def test_one_file_holds_test_texts(self, semeval_dir):
+        path = semeval_dir / "train.tsv"
+        texts = read_splits(path, [Split.TEST]).examples
+        assert [ex.id for ex in texts] == [
+            ex.id for ex in load_semeval(semeval_dir, seed=7).train_pool()]
+        assert {ex.split for ex in texts} == {Split.TEST}
+        with pytest.raises(CorpusError, match="no examples in split Val"):
+            read_splits(path, [Split.VAL])
+
+    def test_a_split_with_no_texts(self, tmp_path):
+        (tmp_path / "train.tsv").write_text(
+            "ID\tTarget\tTweet\tStance\n1\tX\thello\tFAVOR\n",
+            encoding="utf-8")
+        # one text per target carves no val text
+        with pytest.raises(CorpusError, match="no examples in split Val"):
+            read_splits(tmp_path, [Split.VAL])
+        assert len(read_splits(tmp_path, [Split.TRAIN]).examples) == 1
 
 
 class TestVocabulary:

@@ -8,6 +8,7 @@ gradients must equal the autodiff tape's (tape.py) on random graphs. Both
 oracles also run at acceptance scale elsewhere.
 """
 
+import struct
 import tracemalloc
 
 import numpy as np
@@ -515,6 +516,34 @@ def test_checkpoint_truncated_at_every_offset_raises_cpa_error(tmp_path):
         cut.write_bytes(raw[:size])
         with pytest.raises(CpaError, match="cut.cpa1"):
             load_checkpoint(cut)
+
+
+def test_checkpoint_loads_the_file_bytes_and_checks_sizes_first(tmp_path):
+    rng = np.random.default_rng(3)
+    model = _model(rng.standard_normal((5 + 6 + 3, 3)),
+                   *init_cpa_weights(d0=3, d1=4, hops=2, seed=2), h=2,
+                   n_text=5)
+    path = tmp_path / "model.cpa1"
+    save_checkpoint(path, model)
+    raw = path.read_bytes()
+    tables = np.frombuffer(raw[24:], dtype="<f8")
+    back = load_checkpoint(path)
+    got = np.concatenate([a.ravel() for a in [back.e0, *back.w1, *back.w2]])
+    assert np.array_equal(got, tables)
+    # a header field claiming 2**31 (texts, width or hops) fails on the
+    # file's size before any table is allocated
+    huge = tmp_path / "huge.cpa1"
+    for offset in (20, 4, 8, 12):
+        huge.write_bytes(raw[:offset] + struct.pack("<I", 2 ** 31)
+                         + raw[offset + 4:])
+        tracemalloc.start()
+        try:
+            with pytest.raises(CpaError, match="huge.cpa1: truncated"):
+                load_checkpoint(huge)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(raw) + (1 << 16)
 
 
 def test_save_checkpoint_validates_shapes():

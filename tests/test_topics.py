@@ -10,6 +10,7 @@ kernel behind GibbsLda.sweep (loop_sweep), and the batched lockstep fold-in
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -771,6 +772,27 @@ def test_lda_file_rejects_corruption(tmp_path):
     bad_text.write_bytes(raw[:first] + b"\xff" + raw[first + 1:])
     with pytest.raises(TopicsError, match="UTF-8"):
         load_lda(bad_text)
+
+
+def test_lda_loads_the_file_counts_and_checks_sizes_first(tmp_path):
+    m = _model([[3, 1, 0], [1, 3, 2]], ["a", "bb", "ccc"])
+    path = tmp_path / "model.lda1"
+    save_lda(m, path, sidecar=False)
+    raw = path.read_bytes()
+    counts = np.frombuffer(raw[32:32 + 8 * 6], dtype="<i8").reshape(2, 3)
+    assert np.array_equal(load_lda(path).topic_word_counts, counts)
+    # a header claiming 2**31 topics fails on the file's size before the
+    # count table is allocated
+    huge = tmp_path / "huge.lda1"
+    huge.write_bytes(raw[:4] + struct.pack("<I", 2 ** 31) + raw[8:])
+    tracemalloc.start()
+    try:
+        with pytest.raises(TopicsError, match="huge.lda1: truncated"):
+            load_lda(huge)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(raw) + (1 << 16)
 
 
 def test_lda_truncated_at_every_offset_raises_topics_error(tmp_path):

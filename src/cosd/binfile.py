@@ -23,7 +23,8 @@ I64 = np.dtype("<i8")
 
 
 class Reader:
-    """Sequential reads from one open file; use it as a context manager.
+    """Reads from one open file, in order from a cursor that seek() may
+    move; use it as a context manager.
 
     Arrays are read only by read_into, into arrays the loader allocates;
     a loader checks a table's size with need() before it allocates it, so a
@@ -86,6 +87,14 @@ class Reader:
         if got != len(view):
             raise self.fail(f"short read, {got} of {len(view)} bytes")
         self.off += got
+
+    def seek(self, off: int) -> None:
+        """Move the cursor to byte `off`, which must lie in the file."""
+        if off > self.size:
+            raise self.fail(f"truncated, byte {off} is past the end",
+                            self.size)
+        self._fh.seek(off)
+        self.off = off
 
     def skip(self, n: int) -> None:
         """Move the cursor n bytes on, unread; they must lie in the file."""

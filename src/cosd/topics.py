@@ -716,9 +716,12 @@ def load_lda(path: str | Path) -> LdaModel:
     vocab = Vocabulary(tokens=tokens,
                        index={t: i for i, t in enumerate(tokens)},
                        doc_freq=freqs)
-    return LdaModel(h=h, alpha=alpha, beta=beta, vocab=vocab,
-                    topic_word_counts=counts, topic_totals=counts.sum(axis=1),
-                    trained_sweeps=sweeps)
+    try:
+        return LdaModel(h=h, alpha=alpha, beta=beta, vocab=vocab,
+                        topic_word_counts=counts,
+                        topic_totals=counts.sum(axis=1), trained_sweeps=sweeps)
+    except TopicsError as exc:  # the model's own checks name no file
+        raise TopicsError(f"{path}: {exc}") from exc
 
 
 def token_docs(examples: list[Example]) -> list[list[str]]:

@@ -14,11 +14,14 @@ repeats over trials with shifted seeds.
 from __future__ import annotations
 
 import csv
+import functools
 import operator
 import struct
 import time
 import zlib
-from collections.abc import Collection, Sequence
+from collections.abc import (Callable, Collection, Iterator, Mapping,
+                             Sequence)
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -49,22 +52,98 @@ class TrainingError(Exception):
 _EMB_MAGIC = b"EMB1"
 
 
+class TokenRows(Mapping[str, np.ndarray]):
+    """An EMB1 file's example records, read on access: each id maps to its
+    record's byte offset and row count, and no rows are kept. A read checks
+    the header and the record it finds at that offset, so a file changed
+    since it was indexed raises TrainingError, not another record's rows."""
+
+    def __init__(self, path: Path, header: tuple[int, int],
+                 index: dict[str, tuple[int, int]]):
+        self.path = path
+        self._header = header  # (record count, dim)
+        self._index = index
+
+    def __getitem__(self, rec_id: str) -> np.ndarray:
+        with self.open() as read:
+            return read(rec_id)
+
+    def __contains__(self, rec_id: object) -> bool:
+        return rec_id in self._index
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def items(self) -> Iterator[tuple[str, np.ndarray]]:
+        """(id, rows) of every record in file order, read through one open
+        file into views of one float32 block: a copy of the whole store is
+        one large allocation, which numpy asks Linux to back with huge
+        pages, not one per record, each faulted in 4 KiB at a time."""
+        block = np.empty((sum(t for _, t in self._index.values()),
+                          self._header[1]), dtype=F32)
+        at = 0
+        with self.open() as read:
+            for rec_id, (_, t) in self._index.items():
+                yield rec_id, read(rec_id, block[at:at + t])
+                at += t
+
+    @contextmanager
+    def open(self) -> Iterator[Callable[..., np.ndarray]]:
+        """read(rec_id, out=None), a record's (T, dim) float32 rows, read
+        into out when it is given; every read made in the block goes
+        through one open file."""
+        with Reader(self.path, TrainingError, _EMB_MAGIC) as src:
+            if src.unpack("<II") != self._header:
+                raise src.fail("header changed since the file was indexed", 4)
+            yield functools.partial(self._read, src)
+
+    def _read(self, src: Reader, rec_id: str,
+              out: np.ndarray | None = None) -> np.ndarray:
+        start, t = self._index[rec_id]
+        src.seek(start)
+        want = rec_id.encode("utf-8")
+        if src.unpack(f"<I{len(want)}sI") != (len(want), want, t):
+            raise src.fail(f"record {rec_id!r} changed since the file was "
+                           f"indexed", start)
+        return _read_rows(src, rec_id, t, self._header[1], start, out)
+
+
 @dataclass
 class EncoderStore:
     """Precomputed encoder vectors: example rows as the file's float32,
-    target and label vectors pooled to float64."""
+    read on access from a loaded file (TokenRows), target and label vectors
+    pooled to float64."""
 
     dim: int
-    tokens: dict[str, np.ndarray]   # example id -> (T, dim) float32
-    targets: dict[str, np.ndarray]  # target name -> (dim,) float64
-    labels: dict[str, np.ndarray]   # "favor"/"none"/"against" -> (dim,)
+    tokens: Mapping[str, np.ndarray]  # example id -> (T, dim) float32
+    targets: dict[str, np.ndarray]    # target name -> (dim,) float64
+    labels: dict[str, np.ndarray]     # "favor"/"none"/"against" -> (dim,)
 
     def __len__(self) -> int:
         return len(self.tokens) + len(self.targets) + len(self.labels)
 
+    def open_rows(self) -> AbstractContextManager[
+            Callable[[str], np.ndarray]]:
+        """read(rec_id), an example's token rows; a loaded store reads
+        every record asked for in the block through one open file."""
+        if isinstance(self.tokens, TokenRows):
+            return self.tokens.open()
+        return nullcontext(self.tokens.__getitem__)
+
     def pooled(self, rec_id: str) -> np.ndarray:
         """Mean of an example's token rows, (dim,) float64."""
         return _pool(self.tokens[rec_id])
+
+    def pooled_rows(self, ids: Sequence[str]) -> np.ndarray:
+        """pooled(id) for every id, (n, dim); each record is read once."""
+        out = np.empty((len(ids), self.dim))
+        with self.open_rows() as read:
+            for i, rec_id in enumerate(ids):
+                out[i] = _pool(read(rec_id))
+        return out
 
     def label_matrix(self) -> np.ndarray:
         missing = [k for k in LABEL_KEYS if k not in self.labels]
@@ -123,16 +202,31 @@ def save_embeddings(path: str | Path,
             out.write(rec_id, mat)
 
 
+def _read_rows(src: Reader, rec_id: str, t: int, dim: int, start: int,
+               rows: np.ndarray | None = None) -> np.ndarray:
+    """The (t, dim) float32 rows at the cursor of the record that starts at
+    byte `start`, read into rows when it is given; they must be finite."""
+    if rows is None:
+        src.need(F32.itemsize * dim * t)  # before the rows are allocated
+        rows = np.empty((t, dim), dtype=F32)
+    src.read_into(rows)
+    # a NaN makes min and max NaN, an infinity makes one infinite
+    if not (-np.inf < rows.min() and rows.max() < np.inf):
+        raise src.fail(f"record {rec_id!r} has non-finite values", start)
+    return rows
+
+
 def load_embeddings(path: str | Path, expect_dim: int = 768,
                     ids: Collection[str] | None = None) -> EncoderStore:
-    """The EMB1 file's records; a repeated record id is an error. With ids,
-    only those example records are read: every other example record has
-    its framing checked (id, row count, length) and is skipped unread.
-    Target and label records are always read."""
+    """The EMB1 file, walked once; a repeated record id is an error. Every
+    record has its framing checked (id, row count, length). Target and
+    label records are read and pooled; example records, or with ids only
+    those example records, are indexed and read on access (TokenRows)."""
     path = Path(path)
     if not path.is_file():
         raise TrainingError(f"missing embedding file: {path}")
     wanted = None if ids is None else frozenset(ids)
+    index, targets, labels = {}, {}, {}
     with Reader(path, TrainingError, _EMB_MAGIC) as src:
         count, dim = src.unpack("<II")
         if dim != expect_dim:
@@ -141,14 +235,7 @@ def load_embeddings(path: str | Path, expect_dim: int = 768,
         # a record takes at least 8 header bytes and one row of 4*dim bytes
         if count > src.left() // (8 + 4 * dim):
             raise src.fail(f"{count} records cannot fit in the file")
-        # Every record's rows are read straight into views of one float32
-        # block sized from the file (at most one row per 4*dim bytes left):
-        # one allocation per load, not one per record, so loading leaves no
-        # heap fragments behind. Rows of skipped records are never touched.
-        rows = np.empty((src.left() // (4 * dim), dim), dtype=F32)
-        store = EncoderStore(dim=dim, tokens={}, targets={}, labels={})
         seen = set()
-        n_rows = 0
         for _ in range(count):
             start = src.off
             rec_id = src.text(src.u32())
@@ -158,28 +245,22 @@ def load_embeddings(path: str | Path, expect_dim: int = 768,
             if rec_id in seen:
                 raise src.fail(f"duplicate record {rec_id!r}", start)
             seen.add(rec_id)
-            if (wanted is not None and rec_id not in wanted
-                    and not rec_id.startswith(("target:", "label:"))):
-                src.skip(4 * dim * t)
+            if not rec_id.startswith(("target:", "label:")):
+                src.skip(F32.itemsize * dim * t)
+                if wanted is None or rec_id in wanted:
+                    index[rec_id] = (start, t)
                 continue
-            mat = rows[n_rows:n_rows + t]
-            src.read_into(mat)
-            n_rows += t
-            # a NaN makes min and max NaN, an infinity makes one infinite
-            if not (-np.inf < mat.min() and mat.max() < np.inf):
-                raise src.fail(f"record {rec_id!r} has non-finite values",
-                               start)
+            pooled = _pool(_read_rows(src, rec_id, t, dim, start))
             if rec_id.startswith("target:"):
-                store.targets[rec_id[len("target:"):]] = _pool(mat)
-            elif rec_id.startswith("label:"):
+                targets[rec_id[len("target:"):]] = pooled
+            else:
                 key = rec_id[len("label:"):]
                 if key not in LABEL_KEYS:
                     raise src.fail(f"unknown label record {rec_id!r}", start)
-                store.labels[key] = _pool(mat)
-            else:
-                store.tokens[rec_id] = mat
+                labels[key] = pooled
         src.finish()
-    return store
+    return EncoderStore(dim=dim, tokens=TokenRows(path, (count, dim), index),
+                        targets=targets, labels=labels)
 
 
 def missing_ids(store: EncoderStore, dataset: Dataset) -> list[str]:
@@ -239,13 +320,15 @@ def semantic_rep(token_matrix: np.ndarray,
 
 def semantic_matrix(examples: list[Example],
                     store: EncoderStore) -> np.ndarray:
-    """Stacked semantic_rep rows for a list of examples."""
-    rows = []
-    for ex in examples:
-        if ex.id not in store.tokens or ex.target not in store.targets:
-            raise TrainingError(f"missing embedding record for {ex.id!r}")
-        rows.append(semantic_rep(store.tokens[ex.id], store.targets[ex.target]))
-    return np.stack(rows) if rows else np.zeros((0, store.dim))
+    """semantic_rep of every example against its target's vector, (n, dim)
+    float64; each record is read once."""
+    out = np.empty((len(examples), store.dim))
+    with store.open_rows() as read:
+        for i, ex in enumerate(examples):
+            if ex.id not in store.tokens or ex.target not in store.targets:
+                raise TrainingError(f"missing embedding record for {ex.id!r}")
+            out[i] = semantic_rep(read(ex.id), store.targets[ex.target])
+    return out
 
 
 # --- configuration ----------------------------------------------------------
@@ -431,7 +514,7 @@ def build_group_data(dataset: Dataset, store: EncoderStore, group: str,
                      dis_pool=dis_pool, dis_val=dis_val,
                      sem_pool=semantic_matrix(pool, store),
                      sem_val=semantic_matrix(val, store),
-                     pooled_vecs=np.stack([store.pooled(ex.id) for ex in pool]),
+                     pooled_vecs=store.pooled_rows([ex.id for ex in pool]),
                      lap=lap, seconds={"topic_fit_s": start - began,
                                        "fold_in_s": folded - start,
                                        "graph_build_s": built - folded})

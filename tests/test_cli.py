@@ -11,6 +11,7 @@ import json
 import re
 import shutil
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ import cosd.cpa
 import cosd.inference
 import cosd.topics
 from cosd import metrics, training
-from cosd.corpus import Split, load_semeval
+from cosd.corpus import Split, load_semeval, read_splits
 from cosd.cli import (
     ConfigError,
     RunDir,
@@ -463,6 +464,20 @@ def test_eval_on_truncated_topic_model(run_dir, tmp_path, capsys):
                     needle=f"{SLUG}.none.lda1")
 
 
+def test_eval_names_a_topic_model_whose_counts_fail_its_checks(
+        run_dir, tmp_path, capsys):
+    copy = tmp_path / "run"
+    shutil.copytree(run_dir, copy)
+    lda = copy / "lda" / f"{SLUG}.none.lda1"
+    raw = bytearray(lda.read_bytes())
+    # the first count follows the magic, H, |V|, both priors and the sweeps
+    struct.pack_into("<q", raw, 4 + 8 + 16 + 4, -1)
+    lda.write_bytes(bytes(raw))
+    err = _expect_failure(["eval", "--run", str(copy), "--split", "test"],
+                          capsys)
+    assert err == f"error: {lda}: negative counts\n"
+
+
 def test_eval_on_truncated_checkpoint(run_dir, tmp_path, capsys):
     copy = tmp_path / "run"
     shutil.copytree(run_dir, copy)
@@ -701,12 +716,13 @@ def test_inspect_rejects_bad_training_graph_files(run_dir, tmp_path, capsys,
     assert not reps.exists()
 
 
-def _run_reading(run_dir, data, tmp_path):
-    """A copy of run_dir whose run.json names data as the run's data."""
+def _run_reading(run_dir, path, tmp_path, key="data"):
+    """A copy of run_dir whose run.json names path as the run's data (or
+    as its embeddings)."""
     copy = tmp_path / "run"
     shutil.copytree(run_dir, copy)
     doc = json.loads((copy / "run.json").read_text(encoding="utf-8"))
-    doc["data"] = str(data)
+    doc[key] = str(path)
     (copy / "run.json").write_text(json.dumps(doc), encoding="utf-8")
     return copy
 
@@ -1109,15 +1125,13 @@ def test_scoring_commands_skip_the_side_their_mode_drops(
 def _run_without(run_dir, tmp_path, part):
     """A copy of run_dir whose EMB1 file ("embeddings") or topic models
     ("lda") are gone."""
-    copy = tmp_path / "run"
-    shutil.copytree(run_dir, copy)
     if part == "lda":
+        copy = tmp_path / "run"
+        shutil.copytree(run_dir, copy)
         shutil.rmtree(copy / "lda")
         return copy, copy / "lda"
-    doc = json.loads((copy / "run.json").read_text(encoding="utf-8"))
-    doc["embeddings"] = str(tmp_path / "removed.emb1")
-    (copy / "run.json").write_text(json.dumps(doc), encoding="utf-8")
-    return copy, tmp_path / "removed.emb1"
+    gone = tmp_path / "removed.emb1"
+    return _run_reading(run_dir, gone, tmp_path, "embeddings"), gone
 
 
 @pytest.mark.parametrize("part, mode", [("embeddings", "no_sem"),
@@ -1197,6 +1211,71 @@ def test_scoring_reads_only_the_records_it_scores(run_dir, synth_small,
         sorted(test_ids), sorted(ex.id for ex in val)]
     store = real(paths["embeddings"], ids=asked[0])
     assert set(store.tokens) == set(test_ids)
+
+
+def _record_offsets(emb):
+    """Record id -> byte offset of each record of an EMB1 file."""
+    raw = emb.read_bytes()
+    count, dim = struct.unpack_from("<II", raw, 4)
+    at, offsets = 12, {}
+    for _ in range(count):
+        (n,) = struct.unpack_from("<I", raw, at)
+        (t,) = struct.unpack_from("<I", raw, at + 4 + n)
+        offsets[raw[at + 4:at + 4 + n].decode("utf-8")] = at
+        at += 8 + n + 4 * dim * t
+    return offsets
+
+
+def test_scoring_holds_one_record_besides_the_rows_it_builds(
+        run_dir, synth_small, tmp_path):
+    _, paths = synth_small
+    store = training.load_embeddings(paths["embeddings"])
+    # unscored records of 7.9 MB, far more than the bound below
+    padded = tmp_path / "padded.emb1"
+    training.save_embeddings(padded, [
+        *store.tokens.items(),
+        *((f"target:{name}", vec) for name, vec in store.targets.items()),
+        *((f"label:{key}", vec) for key, vec in store.labels.items()),
+        *((f"pad-{i}", np.ones((64, store.dim))) for i in range(40))],
+        dim=store.dim)
+    texts = RunDir(run_dir).corpus(Split.TEST).examples
+    largest = max(store.tokens[ex.id].nbytes for ex in texts)
+    for emb in (paths["embeddings"], padded):
+        run = RunDir(_run_reading(run_dir, emb, tmp_path / emb.stem,
+                                  "embeddings"))
+        tracemalloc.start()
+        try:
+            rows = run.rows(texts, "no_dis")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        built = sum(sem.nbytes for _, _, sem, _ in rows)
+        # one record's float32 rows and their float64 copy; 128 KiB for
+        # the index, the pooled target and label vectors and file buffers
+        assert peak <= built + 3 * largest + 2**17, emb
+
+
+def test_train_reads_no_test_record(synth_small, tmp_path, capsys):
+    root, paths = synth_small
+    test_id = read_splits(root, [Split.TEST]).examples[0].id
+    raw = bytearray(paths["embeddings"].read_bytes())
+    at = _record_offsets(paths["embeddings"])[test_id]
+    # the record's first value follows its id and its row count
+    struct.pack_into("<f", raw, at + 8 + len(test_id.encode("utf-8")),
+                     np.nan)
+    emb = tmp_path / "nan.emb1"
+    emb.write_bytes(bytes(raw))
+    run = tmp_path / "run"
+    assert main(["train", "--dataset", "synthetic", "--data", str(root),
+                 "--embeddings", str(emb), "--out-dir", str(run)]
+                + TRAIN_FLAGS) == 0
+    capsys.readouterr()
+    assert main(["eval", "--run", str(run), "--split", "val"]) == 0
+    capsys.readouterr()
+    err = _expect_failure(["eval", "--run", str(run), "--split", "test"],
+                          capsys)
+    assert err == (f"error: {emb}: record {test_id!r} has non-finite values "
+                   f"at byte {at}\n")
 
 
 def test_a_repeated_label_record_exits_2(run_dir, synth_small, tmp_path,

@@ -16,7 +16,7 @@ import pytest
 
 import cosd.training
 from cosd import cpa, graph
-from cosd.corpus import Stance, load_semeval, stance_subsets
+from cosd.corpus import Example, Split, Stance, load_semeval, stance_subsets
 from cosd.numerics import AdamState, adam_step
 from cosd.topics import fit_triple, token_docs
 from cosd.training import (
@@ -190,7 +190,9 @@ def test_embeddings_reject_non_finite_values(tmp_path, bad):
         save_embeddings(path, [("fine", np.ones((1, 4))), (rec_id, vecs)],
                         dim=4)
         with pytest.raises(TrainingError, match=f"'{rec_id}' has non-finite"):
-            load_embeddings(path, expect_dim=4)
+            # target and label records are read by the load, an example
+            # record when its rows are asked for
+            load_embeddings(path, expect_dim=4).tokens.get("ex-1")
 
 
 def _record_offsets(records, dim):
@@ -268,9 +270,59 @@ def test_embeddings_subset_read_checks_only_the_values_it_reads(tmp_path):
     at = _record_offsets(records, 4)[1]
     with pytest.raises(TrainingError,
                        match=f"'ex-1' has non-finite values at byte {at}$"):
-        load_embeddings(path, expect_dim=4, ids=["ex-1"])
+        load_embeddings(path, expect_dim=4, ids=["ex-1"]).tokens["ex-1"]
     store = load_embeddings(path, expect_dim=4, ids=["fine"])
     assert set(store.tokens) == {"fine"} and set(store.labels) == {"none"}
+
+
+def _reversed(path, records):
+    save_embeddings(path, records[::-1], dim=8)
+
+
+def _more_rows(path, records):
+    save_embeddings(path, [(rec_id, np.ones((4, 8)) if rec_id == "ex-2"
+                            else mat) for rec_id, mat in records], dim=8)
+
+
+def _cut(path, records):
+    path.write_bytes(path.read_bytes()[:_record_offsets(records, 8)[1] + 20])
+
+
+def _one_more(path, records):
+    save_embeddings(path, records + [("ex-3", np.ones((1, 8)))], dim=8)
+
+
+@pytest.mark.parametrize("rewrite, message", [
+    (_reversed, "record 'ex-2' changed since the file was indexed at byte "
+                "120$"),
+    (_more_rows, "record 'ex-2' changed since the file was indexed"),
+    (_cut, "truncated"),
+    (_one_more, "header changed since the file was indexed at byte 4$"),
+])
+def test_a_file_rewritten_after_indexing_fails_the_read(tmp_path, rewrite,
+                                                        message):
+    records = _records(np.random.default_rng(6))
+    path = tmp_path / "vecs.emb1"
+    save_embeddings(path, records, dim=8)
+    store = load_embeddings(path, expect_dim=8)
+    rewrite(path, records)
+    with pytest.raises(TrainingError, match=f"vecs.emb1: {message}"):
+        store.tokens["ex-2"]
+
+
+def test_semantic_and_pooled_rows_equal_each_record_stacked(tmp_path):
+    path = tmp_path / "vecs.emb1"
+    save_embeddings(path, _subset_records(np.random.default_rng(7)), dim=8)
+    store = load_embeddings(path, expect_dim=8)
+    examples = [Example(id=rec_id, text="t", target="Policy",
+                        stance=Stance.NONE, split=Split.TEST, tokens=("t",))
+                for rec_id in ("ex-5", "ex-1", "ex-8", "ex-1")]
+    target = store.targets["Policy"]
+    assert np.array_equal(semantic_matrix(examples, store), np.stack(
+        [semantic_rep(store.tokens[ex.id], target) for ex in examples]))
+    ids = [ex.id for ex in examples]
+    assert np.array_equal(store.pooled_rows(ids), np.stack(
+        [store.tokens[i].mean(axis=0, dtype=np.float64) for i in ids]))
 
 
 @pytest.mark.parametrize("t", [1, 2, 17, 64])
@@ -343,8 +395,6 @@ def test_attention_errors():
 
 def test_semantic_matrix_requires_records():
     store = EncoderStore(dim=4, tokens={}, targets={}, labels={})
-    from cosd.corpus import Example, Split
-
     ex = Example(id="x", text="t", target="T", stance=Stance.FAVOR,
                  split=Split.TRAIN, tokens=("t",))
     with pytest.raises(TrainingError):

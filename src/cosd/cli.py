@@ -244,8 +244,18 @@ class RunDir:
     def _trial_file(self, name: str, trial: int, suffix: str) -> Path:
         return self.path / f"trial-{trial}" / f"{self.groups[name]}{suffix}"
 
-    def checkpoint(self, name: str, trial: int) -> cpa.CpaModel:
-        return cpa.load_checkpoint(self._trial_file(name, trial, ".cpa1"))
+    def checkpoint(self, name: str, trial: int,
+                   texts: bool = True) -> cpa.CpaModel:
+        """The trial's checkpoint of the group, whose H, d1 and hop count
+        must be the run's; texts=False leaves its text rows unread."""
+        path = self._trial_file(name, trial, ".cpa1")
+        ckpt = cpa.load_checkpoint(path, texts=texts)
+        got = (ckpt.h, ckpt.d1, ckpt.hops)
+        want = (self.config.h, self.config.d1, self.config.resolved_hops())
+        if got != want:
+            raise ConfigError(f"{path}: H, d1 and hops are {got}, but the "
+                              f"run's config gives {want}")
+        return ckpt
 
     def rows(self, examples: list[Example], mode: str = "full") -> GroupRows:
         """The texts, in any order, split by training group, with the rows
@@ -278,21 +288,30 @@ class RunDir:
                 for (name, _), sem_rows, dis_rows in zip(groups, sem, dis)]
 
     def _triple(self, name: str) -> topics.TopicModelTriple:
-        return topics.TopicModelTriple(*(
-            topics.load_lda(self.path / "lda" / f"{self.groups[name]}.{k}.lda1")
-            for k in LABEL_KEYS))
+        """The group's topic triple, each of whose models must have the
+        run's H."""
+        models = []
+        for key in LABEL_KEYS:
+            path = self.path / "lda" / f"{self.groups[name]}.{key}.lda1"
+            models.append(topics.load_lda(path))
+            if models[-1].h != self.config.h:
+                raise ConfigError(f"{path}: H={models[-1].h}, but the run's "
+                                  f"config gives H={self.config.h}")
+        return topics.TopicModelTriple(*models)
 
     def score(self, rows: GroupRows, trial: int, mode: str,
               score_norm: bool) -> inference.Scores:
         """Every group's rows scored against the trial's checkpoint of that
-        group, in the order of the texts given to rows."""
+        group, in the order of the texts given to rows. Scoring reads no
+        text row of a checkpoint."""
         n = sum(len(where) for _, where, _, _ in rows)
         sem, dis = np.zeros((n, 3)), np.zeros((n, 3))
         predicted: list[Stance] = [Stance.UNKNOWN] * n
         for name, where, sem_rows, dis_rows in rows:
             scores = inference.score_batch(
-                sem_rows, dis_rows, self.checkpoint(name, trial), mode=mode,
-                score_norm=score_norm, slope=self.config.leaky_slope)
+                sem_rows, dis_rows, self.checkpoint(name, trial, texts=False),
+                mode=mode, score_norm=score_norm,
+                slope=self.config.leaky_slope)
             sem[where], dis[where] = scores.sem, scores.dis
             for i, label in zip(where, scores.predicted):
                 predicted[i] = label
@@ -316,13 +335,11 @@ class RunDir:
                 != [ex.stance.value for ex in pool]):
             raise ConfigError(f"{meta_path}: ids and stances differ from the "
                               f"train pool in {self.config.data}")
-        triple = self._triple(name)
-        if (len(pool), triple.h) != (ckpt.n_text, ckpt.h):
+        if len(pool) != ckpt.n_text:
             raise ConfigError(
                 f"{self._trial_file(name, trial, '.cpa1')}: {ckpt.n_text} "
-                f"texts and H={ckpt.h}, but the run has {len(pool)} and "
-                f"H={triple.h}")
-        (dis,) = training.fold_in_matrix([(triple, pool)],
+                f"texts, but the run's train pool has {len(pool)}")
+        (dis,) = training.fold_in_matrix([(self._triple(name), pool)],
                                          self.config.fold_in_sweeps,
                                          self.config.seed)
         lap = graph.laplacian(graph.build_adjacency(

@@ -50,7 +50,7 @@ class CpaModel:
         if not self.w1 or len(self.w1) != len(self.w2):
             raise CpaError(f"w1/w2 hop counts {len(self.w1)} and "
                            f"{len(self.w2)} must be equal and positive")
-        d1 = self.w1[0].shape[1]
+        d1 = self.d1
         for k, (a, b) in enumerate(zip(self.w1, self.w2)):
             shape = (self.d0 if k == 0 else d1, d1)
             if a.shape != shape or b.shape != shape:
@@ -60,6 +60,10 @@ class CpaModel:
     @property
     def d0(self) -> int:
         return self.e0.shape[1]
+
+    @property
+    def d1(self) -> int:
+        return self.w1[0].shape[1]
 
     @property
     def hops(self) -> int:
@@ -337,36 +341,44 @@ _CPA_MAGIC = b"CPA1"
 
 
 def save_checkpoint(path: str | Path, model: CpaModel) -> None:
-    d0, d1 = model.d0, model.w1[0].shape[1]
     with open(path, "wb") as fh:
         fh.write(_CPA_MAGIC)
-        fh.write(struct.pack("<IIIII", d0, d1, model.hops, model.h,
-                             model.n_text))
+        fh.write(struct.pack("<IIIII", model.d0, model.d1, model.hops,
+                             model.h, model.n_text))
         for arr in [model.e0, *model.w1, *model.w2]:
             fh.write(np.asarray(arr, dtype="<f8").tobytes(order="C"))
 
 
-def load_checkpoint(path: str | Path) -> CpaModel:
+def load_checkpoint(path: str | Path, texts: bool = True) -> CpaModel:
+    """The model a CPA1 file holds. With texts=False the text rows V are
+    skipped, not read: their bytes must still lie in the file, and the
+    model holds only [U; Z] (n_text = 0), all that scoring reads. Every
+    array read must be finite."""
     with Reader(path, CpaError, _CPA_MAGIC) as src:
         d0, d1, hops, h, n_text = src.unpack("<IIIII")
         if min(d0, d1, hops) < 1:
             raise src.fail("zero width or hop count in header, file corrupt")
 
-        n_rows = n_text + 3 * h + 3
         # every table must lie in the file before the first is allocated:
         # E, then W1 and W2 of one d0 x d1 and hops - 1 d1 x d1 tables each
-        src.need(F64.itemsize
-                 * (n_rows * d0 + 2 * (d0 + (hops - 1) * d1) * d1))
+        src.need(F64.itemsize * ((n_text + 3 * h + 3) * d0
+                                 + 2 * (d0 + (hops - 1) * d1) * d1))
+        if not texts:
+            src.skip(F64.itemsize * n_text * d0)
+            n_text = 0
 
         def take(rows: int, cols: int) -> np.ndarray:
             out = np.empty((rows, cols), F64)
             src.read_into(out)
             return out
 
-        e0 = take(n_rows, d0)
+        e0 = take(n_text + 3 * h + 3, d0)
         w1 = [take(d0 if k == 0 else d1, d1) for k in range(hops)]
         w2 = [take(d0 if k == 0 else d1, d1) for k in range(hops)]
         src.finish()
-    if not all(np.isfinite(a).all() for a in [e0, *w1, *w2]):
+    # a NaN makes min and max NaN, an infinity makes one infinite; no mask
+    # of a table's size is allocated
+    if not all(-np.inf < a.min() and a.max() < np.inf
+               for a in [e0, *w1, *w2]):
         raise CpaError(f"{src.path}: non-finite values")
     return CpaModel(e0=e0, w1=w1, w2=w2, h=h, n_text=n_text)

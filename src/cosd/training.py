@@ -128,14 +128,6 @@ class EncoderStore:
         """Mean of an example's token rows, (dim,) float64."""
         return _pool(self.tokens[rec_id])
 
-    def pooled_rows(self, ids: Sequence[str]) -> np.ndarray:
-        """pooled(id) for every id, (n, dim); each record is read once."""
-        out = np.empty((len(ids), self.dim))
-        with self.tokens.open() as read:
-            for i, rec_id in enumerate(ids):
-                out[i] = _pool(read(rec_id))
-        return out
-
     def label_matrix(self) -> np.ndarray:
         missing = [k for k in LABEL_KEYS if k not in self.labels]
         if missing:
@@ -309,10 +301,12 @@ def semantic_rep(token_matrix: np.ndarray,
     return attention_weights(m, target_vec) @ m
 
 
-def semantic_matrix(examples: list[Example],
-                    store: EncoderStore) -> np.ndarray:
+def semantic_matrix(examples: list[Example], store: EncoderStore,
+                    pooled: np.ndarray | None = None) -> np.ndarray:
     """semantic_rep of every example against its target's vector, (n, dim)
-    float64; each record is read once, and none is read for no examples."""
+    float64; each record is read once, and none is read for no examples.
+    When pooled, an (n, dim) array, is given, its row i is set to
+    store.pooled(id) of example i from the same read."""
     for ex in examples:
         if ex.id not in store.tokens or ex.target not in store.targets:
             raise TrainingError(f"missing embedding record for {ex.id!r}")
@@ -321,7 +315,10 @@ def semantic_matrix(examples: list[Example],
         return out
     with store.tokens.open() as read:
         for i, ex in enumerate(examples):
-            out[i] = semantic_rep(read(ex.id), store.targets[ex.target])
+            rows = read(ex.id)
+            out[i] = semantic_rep(rows, store.targets[ex.target])
+            if pooled is not None:
+                pooled[i] = _pool(rows)
     return out
 
 
@@ -504,14 +501,15 @@ def build_group_data(dataset: Dataset, store: EncoderStore, group: str,
     lap = graph.laplacian(
         graph.build_adjacency([ex.stance for ex in pool], dis_pool))
     built = time.perf_counter()
+    pooled_vecs = np.empty((len(pool), store.dim))
     return GroupData(group=group, pool=pool, val=val, triple=triple,
                      dis_pool=dis_pool, dis_val=dis_val,
-                     sem_pool=semantic_matrix(pool, store),
+                     sem_pool=semantic_matrix(pool, store, pooled_vecs),
                      sem_val=semantic_matrix(val, store),
-                     pooled_vecs=store.pooled_rows([ex.id for ex in pool]),
-                     lap=lap, seconds={"topic_fit_s": start - began,
-                                       "fold_in_s": folded - start,
-                                       "graph_build_s": built - folded})
+                     pooled_vecs=pooled_vecs, lap=lap,
+                     seconds={"topic_fit_s": start - began,
+                              "fold_in_s": folded - start,
+                              "graph_build_s": built - folded})
 
 
 def _val_metrics(data: GroupData, model: cpa.CpaModel, config: RunConfig):

@@ -756,6 +756,107 @@ def test_inspect_rejects_a_checkpoint_of_another_pool(run_dir,
                     needle=f"{SLUG}.cpa1")
 
 
+
+def _reshaped(ckpt, field):
+    """ckpt with one more topic per stance ("h"), one more propagated
+    column ("d1") or one more hop ("hops")."""
+    n, h, d0, d1, hops = ckpt.n_text, ckpt.h, ckpt.d0, ckpt.d1, ckpt.hops
+    if field == "h":
+        u = np.concatenate([ckpt.u, ckpt.u[:3]])
+        return cosd.cpa.CpaModel(np.concatenate([ckpt.v, u, ckpt.z]),
+                                 ckpt.w1, ckpt.w2, h=h + 1, n_text=n)
+    w1, w2 = cosd.cpa.init_cpa_weights(
+        d0, d1 + (field == "d1"), hops + (field == "hops"), seed=0)
+    return cosd.cpa.CpaModel(ckpt.e0, w1, w2, h=h, n_text=n)
+
+
+@pytest.mark.parametrize("field", ["h", "d1", "hops"])
+def test_a_checkpoint_whose_shape_is_not_the_runs_exits_2(
+        run_dir, synth_small, tmp_path, capsys, field):
+    root, _ = synth_small
+    copy = tmp_path / "run"
+    shutil.copytree(run_dir, copy)
+    path = copy / "trial-1" / f"{SLUG}.cpa1"
+    cosd.cpa.save_checkpoint(
+        path, _reshaped(cosd.cpa.load_checkpoint(path), field))
+    run = ["--run", str(copy), "--trial", "1"]
+    for mode in ("full", "no_sem", "no_dis"):
+        for argv in (["eval", "--split", "test"],
+                     ["predict", "--in", str(root / "test.tsv"),
+                      "--out", str(tmp_path / "p.tsv")]):
+            _expect_failure(argv + run + ["--mode", mode], capsys,
+                            needle=f"{path}: H, d1 and hops")
+    _expect_failure(["inspect"] + run, capsys, needle=str(path))
+
+
+
+def test_a_topic_model_whose_h_is_not_the_runs_exits_2(run_dir, synth_small,
+                                                       tmp_path, capsys):
+    root, _ = synth_small
+    copy = tmp_path / "run"
+    shutil.copytree(run_dir, copy)
+    lda = copy / "lda" / f"{SLUG}.none.lda1"
+    cosd.topics.save_lda(cosd.topics.fit_lda([["a", "b"], ["b", "c"]], h=3,
+                                             sweeps=2), lda, sidecar=False)
+    run = ["--run", str(copy), "--trial", "1"]
+    predict = ["predict", "--in", str(root / "test.tsv"),
+               "--out", str(tmp_path / "p.tsv")]
+    for mode in ("full", "no_sem"):
+        for argv in (["eval", "--split", "test"], predict):
+            _expect_failure(argv + run + ["--mode", mode], capsys,
+                            needle=f"{lda}: H=3, but the run's config "
+                                   f"gives H=2")
+    # no_dis reads no topic model
+    assert main(predict + run + ["--mode", "no_dis"]) == 0
+    _expect_failure(["inspect"] + run, capsys, needle=str(lda))
+
+def _with_value(path, row, value):
+    """path's checkpoint with value at the first column of table row `row`
+    (text rows first, then topic and label rows, then the weights)."""
+    raw = bytearray(path.read_bytes())
+    d0 = struct.unpack_from("<I", raw, 4)[0]
+    struct.pack_into("<d", raw, 24 + 8 * d0 * row, value)
+    path.write_bytes(bytes(raw))
+
+
+def test_scoring_reads_no_text_row_of_a_checkpoint(run_dir, synth_small,
+                                                   tmp_path, capsys):
+    root, _ = synth_small
+    runs = {}
+    for name in ("clean", "nan"):
+        runs[name] = tmp_path / name
+        shutil.copytree(run_dir, runs[name])
+    paths = [runs["nan"] / f"trial-{t}" / f"{SLUG}.cpa1" for t in (1, 2)]
+    for path in paths:
+        _with_value(path, cosd.cpa.load_checkpoint(path).n_text - 1, np.nan)
+    outputs = {}
+    for name, run in runs.items():
+        capsys.readouterr()
+        for mode in ("full", "no_sem", "no_dis"):
+            assert main(["eval", "--run", str(run), "--split", "test",
+                         "--mode", mode]) == 0
+            assert main(["predict", "--run", str(run), "--in",
+                         str(root / "test.tsv"), "--mode", mode, "--out",
+                         str(run / f"pred-{mode}.tsv")]) == 0
+        outputs[name] = (capsys.readouterr().out.replace(str(run), "RUN"),
+                         {f.name: f.read_bytes() for f in
+                          [*run.glob("report-test-*"), *run.glob("pred-*")]})
+    assert len(outputs["clean"][1]) == 9
+    assert outputs["nan"] == outputs["clean"]
+    # inspect reads the text rows
+    err = _expect_failure(["inspect", "--run", str(runs["nan"])], capsys)
+    assert err == f"error: {paths[0]}: non-finite values\n"
+    # a topic row, a label row or a weight is read by every command
+    clean = runs["clean"] / "trial-1" / f"{SLUG}.cpa1"
+    ckpt = cosd.cpa.load_checkpoint(clean)
+    side = ckpt.n_text + 3 * ckpt.h
+    for row in (ckpt.n_text, side + 2, side + 3):
+        shutil.copy(run_dir / "trial-1" / f"{SLUG}.cpa1", clean)
+        _with_value(clean, row, np.inf)
+        _expect_failure(["eval", "--run", str(runs["clean"]), "--split",
+                         "test", "--trial", "1"], capsys,
+                        needle=f"{clean}: non-finite values")
+
 def test_inspect_rebuilds_the_training_laplacian(run_dir):
     run = RunDir(run_dir)
     name = run.group(None)

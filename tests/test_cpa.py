@@ -8,6 +8,7 @@ gradients must equal the autodiff tape's (tape.py) on random graphs. Both
 oracles also run at acceptance scale elsewhere.
 """
 
+import itertools
 import struct
 import tracemalloc
 
@@ -482,6 +483,50 @@ def test_checkpoint_round_trip(tmp_path):
     assert np.array_equal(back.v, e0[:4])
     assert np.array_equal(back.u, e0[4:10])
     assert np.array_equal(back.z, e0[10:])
+    # without the text rows: the same side rows and weights, no texts
+    side = load_checkpoint(path, texts=False)
+    assert side.n_text == 0 and side.h == h and side.hops == hops
+    assert np.array_equal(side.u, back.u)
+    assert np.array_equal(side.z, back.z)
+    for a, b in zip(side.w1 + side.w2, back.w1 + back.w2):
+        assert np.array_equal(a, b)
+
+
+def test_checkpoint_without_texts_reads_only_side_rows_and_weights(tmp_path):
+    rng = np.random.default_rng(4)
+    h, n_text, d0, d1 = 2, 400, 64, 8
+    model = _model(rng.standard_normal((n_text + 3 * h + 3, d0)),
+                   *init_cpa_weights(d0=d0, d1=d1, hops=2, seed=1), h=h,
+                   n_text=n_text)
+    path = tmp_path / "model.cpa1"
+    save_checkpoint(path, model)
+    read = 8 * (model.u.size + model.z.size
+                + sum(w.size for w in model.w1 + model.w2))
+    assert read < 8 * model.v.size  # the text table is the largest part
+    tracemalloc.start()
+    try:
+        load_checkpoint(path, texts=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < read + (1 << 16)
+    # a non-finite text row is seen only by a load that reads the texts
+    raw = bytearray(path.read_bytes())
+    for row in (0, n_text - 1):
+        bad = raw.copy()
+        bad[24 + 8 * d0 * row:32 + 8 * d0 * row] = struct.pack("<d", np.nan)
+        path.write_bytes(bad)
+        assert load_checkpoint(path, texts=False).n_text == 0
+        with pytest.raises(CpaError, match="model.cpa1: non-finite values"):
+            load_checkpoint(path)
+    # a non-finite topic row, label row or weight is seen by both
+    for at in (n_text, n_text + 3 * h + 2, n_text + 3 * h + 3):
+        bad = raw.copy()
+        bad[24 + 8 * d0 * at:32 + 8 * d0 * at] = struct.pack("<d", np.inf)
+        path.write_bytes(bad)
+        for texts in (True, False):
+            with pytest.raises(CpaError, match="non-finite values"):
+                load_checkpoint(path, texts=texts)
 
 
 def test_checkpoint_rejects_corruption(tmp_path):
@@ -514,8 +559,9 @@ def test_checkpoint_truncated_at_every_offset_raises_cpa_error(tmp_path):
     cut = tmp_path / "cut.cpa1"
     for size in range(len(raw)):
         cut.write_bytes(raw[:size])
-        with pytest.raises(CpaError, match="cut.cpa1"):
-            load_checkpoint(cut)
+        for texts in (True, False):
+            with pytest.raises(CpaError, match="cut.cpa1"):
+                load_checkpoint(cut, texts=texts)
 
 
 def test_checkpoint_loads_the_file_bytes_and_checks_sizes_first(tmp_path):
@@ -533,13 +579,13 @@ def test_checkpoint_loads_the_file_bytes_and_checks_sizes_first(tmp_path):
     # a header field claiming 2**31 (texts, width or hops) fails on the
     # file's size before any table is allocated
     huge = tmp_path / "huge.cpa1"
-    for offset in (20, 4, 8, 12):
+    for offset, texts in itertools.product((20, 4, 8, 12), (True, False)):
         huge.write_bytes(raw[:offset] + struct.pack("<I", 2 ** 31)
                          + raw[offset + 4:])
         tracemalloc.start()
         try:
             with pytest.raises(CpaError, match="huge.cpa1: truncated"):
-                load_checkpoint(huge)
+                load_checkpoint(huge, texts=texts)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

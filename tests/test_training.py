@@ -320,9 +320,13 @@ def test_semantic_and_pooled_rows_equal_each_record_stacked(tmp_path):
     target = store.targets["Policy"]
     assert np.array_equal(semantic_matrix(examples, store), np.stack(
         [semantic_rep(store.tokens[ex.id], target) for ex in examples]))
-    ids = [ex.id for ex in examples]
-    assert np.array_equal(store.pooled_rows(ids), np.stack(
-        [store.tokens[i].mean(axis=0, dtype=np.float64) for i in ids]))
+    # the pooled rows come from the same read as the semantic rows
+    pooled = np.empty((len(examples), 8))
+    assert np.array_equal(semantic_matrix(examples, store, pooled),
+                          semantic_matrix(examples, store))
+    assert np.array_equal(pooled, np.stack(
+        [store.tokens[ex.id].mean(axis=0, dtype=np.float64)
+         for ex in examples]))
 
 
 @pytest.mark.parametrize("t", [1, 2, 17, 64])
@@ -604,7 +608,22 @@ def test_build_group_data_shapes(synth_setup):
     assert data.lap.rows == n + 6 + 3
     assert data.sem_val.shape == (len(data.val), store.dim)
     assert np.array_equal(data.sem_pool, semantic_matrix(data.pool, store))
-    assert data.pooled_vecs.shape == (n, store.dim)
+    assert np.array_equal(data.pooled_vecs,
+                          np.stack([store.pooled(ex.id) for ex in data.pool]))
+
+
+def test_group_data_reads_each_record_once(synth_setup, monkeypatch):
+    dataset, store, target, _ = synth_setup
+    reads = []
+    original = cosd.training.TokenRows._read
+
+    def counting(self, src, rec_id, out=None):
+        reads.append(rec_id)
+        return original(self, src, rec_id, out)
+
+    monkeypatch.setattr(cosd.training.TokenRows, "_read", counting)
+    data = build_group_data(dataset, store, target, target, _config())
+    assert sorted(reads) == sorted(ex.id for ex in data.pool + data.val)
 
 
 def test_train_forms_pool_semantic_rows_once_per_group(synth_setup,
@@ -613,9 +632,9 @@ def test_train_forms_pool_semantic_rows_once_per_group(synth_setup,
     calls = []
     original = cosd.training.semantic_matrix
 
-    def counting(examples, store):
+    def counting(examples, store, *pooled):
         calls.append([ex.id for ex in examples])
-        return original(examples, store)
+        return original(examples, store, *pooled)
 
     monkeypatch.setattr(cosd.training, "semantic_matrix", counting)
     train(dataset, store, _config(trials=2))

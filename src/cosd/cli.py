@@ -289,14 +289,18 @@ class RunDir:
 
     def _triple(self, name: str) -> topics.TopicModelTriple:
         """The group's topic triple, each of whose models must have the
-        run's H."""
+        run's H and the vocabulary of the group's first model."""
         models = []
         for key in LABEL_KEYS:
             path = self.path / "lda" / f"{self.groups[name]}.{key}.lda1"
-            models.append(topics.load_lda(path))
-            if models[-1].h != self.config.h:
-                raise ConfigError(f"{path}: H={models[-1].h}, but the run's "
+            model = topics.load_lda(path)
+            if model.h != self.config.h:
+                raise ConfigError(f"{path}: H={model.h}, but the run's "
                                   f"config gives H={self.config.h}")
+            if models and model.vocab.tokens != models[0].vocab.tokens:
+                raise ConfigError(f"{path}: vocabulary differs from the "
+                                  f"group's {LABEL_KEYS[0]} model")
+            models.append(model)
         return topics.TopicModelTriple(*models)
 
     def score(self, rows: GroupRows, trial: int, mode: str,
@@ -415,18 +419,19 @@ def cmd_topics(args: argparse.Namespace) -> int:
     dataset = load_dataset(config)
     rows = []
     for key, target in training.group_keys(dataset, config.joint):
-        subsets = [topics.token_docs(docs)
-                   for docs in stance_subsets(dataset, target)]
+        examples = stance_subsets(dataset, target)
+        subsets = [topics.token_docs(docs) for docs in examples]
         # the triple cosd train --h H fits for this group
         triples = {h: training.fit_group_topics(subsets, key, config, h)
                    for h in range(lo, hi + 1)}
         for j, (stance_key, docs) in enumerate(zip(LABEL_KEYS, subsets)):
+            # the seeds cosd train folds these texts in with
+            seeds = training.fold_in_seeds(config.seed, examples[j])
             for h, triple in triples.items():
                 model = triple.models[j]
                 try:
-                    perp = topics.perplexity(model, docs,
-                                             sweeps=config.fold_in_sweeps,
-                                             seed=config.seed)
+                    perp = topics.perplexity(model, docs, seeds,
+                                             sweeps=config.fold_in_sweeps)
                 except TopicsError:
                     perp = float("nan")
                 coher = topics.umass_coherence(model, docs, top_n=args.top_n)

@@ -328,117 +328,49 @@ def fit_triple(favor_docs: list[list[str]], none_docs: list[list[str]],
     return TopicModelTriple(favor=favor, none=none, against=against)
 
 
-# --- per-doc seeds ------------------------------------------------------------
+# --- per-doc uniforms --------------------------------------------------------
 #
-# numpy's SeedSequence hash, run over a column of entropies at once. An
-# entropy is a list of uint32 words (a seed int split little-endian into 32-bit
-# words, 0 giving [0]); up to four words fill the hash's pool with zeros after
-# them, and each further word is mixed into every pool word. A stream's
-# default_rng(seed) takes its four PCG64 words from SeedSequence(seed), so
-# hashing here and handing those words to PCG64 gives the same stream.
+# A keyed counter hash (Salmon et al., "Parallel random numbers: as easy as
+# 1, 2, 3", SC 2011): a doc's key is splitmix64's finalizer over its seed,
+# and its draw number c is the top 53 bits of the finalizer over
+# key + (c + 1) * gamma, which is splitmix64's sequence started at the key.
+# The + 1 keeps seed 0's first draw off 0.0: the finalizer maps 0 to 0. All
+# arithmetic is on uint64 arrays, which wrap without a warning.
 
-_MASK32 = 0xFFFFFFFF
-_HASH_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # the pool's hash constants
-_HASH_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # generate_state's
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_POOL = 4
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _hasher(const: int, mult: int):
-    """SeedSequence's hashmix over uint32 arrays: each call xors in and
-    multiplies by the next of its own sequence of constants."""
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & _MASK32
-        value = value * np.uint32(const)
-        return value ^ (value >> np.uint32(16))
-
-    return hashmix
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """splitmix64's finalizer over a uint64 array."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
-def seed_state(entropy: Sequence[int | np.ndarray],
-               n_words: int) -> np.ndarray:
-    """np.random.SeedSequence(row).generate_state(n_words) for every row of
-    a column of entropies; (n, n_words) uint32.
-
-    entropy holds one uint32 word per position: an int that every row
-    shares, or an array of n words (n may be 0).
-    """
-    words = [np.atleast_1d(np.asarray(w, dtype=np.uint32)) for w in entropy]
-    (n,) = np.broadcast_shapes((1,), *(w.shape for w in words))
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        out = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
-        return out ^ (out >> np.uint32(16))
-
-    hashmix = _hasher(_HASH_A, _MULT_A)
-    zero = np.zeros(1, dtype=np.uint32)
-    pool = [hashmix(words[i] if i < len(words) else zero)
-            for i in range(_POOL)]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    out = np.empty((n, n_words), dtype=np.uint32)
-    final = _hasher(_HASH_B, _MULT_B)
-    for i in range(n_words):
-        out[:, i] = final(pool[i % _POOL])
-    return out
-
-
-def _stream_words(seeds: Sequence[int] | np.ndarray) -> np.ndarray:
-    """The four PCG64 seed words default_rng(seed) draws, per seed; (n, 4)
-    uint64. Seeds below 2**64 are hashed in bulk; any other seed, and a
-    negative or non-integer one with its error, takes numpy's own path."""
-    if len(seeds) == 0:
-        return np.zeros((0, 4), dtype=np.uint64)
+def _keys(seeds: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Each doc's key, the finalizer over its seed; (n,) uint64. A seed
+    must be an integer in [0, 2**64)."""
     column = np.asarray(seeds)
-    if column.dtype.kind == "u" or (column.dtype.kind == "i"
-                                    and column.min() >= 0):
-        column = column.astype(np.uint64)
-        state = seed_state([column & np.uint64(_MASK32),
-                            column >> np.uint64(32)], 8).astype(np.uint64)
-        return state[:, 0::2] | (state[:, 1::2] << np.uint64(32))
-    return np.array([np.random.SeedSequence(seed).generate_state(4, np.uint64)
-                     for seed in seeds])
+    if column.dtype.kind not in "ui" or (column.size and column.min() < 0):
+        for seed in seeds:
+            if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
+                raise TopicsError(
+                    f"seeds must be integers in [0, 2**64), got {seed!r}")
+        column = np.array([int(seed) for seed in seeds], dtype=np.uint64)
+    return _mix64(column.astype(np.uint64))
 
 
-@functools.cache
-def _seed_words_type() -> type:
-    """The seed sequence that hands PCG64 a stream's derived words. Made on
-    first use: importing numpy.random costs a command that samples nothing
-    (a no_dis score) about 15 ms and 6 MB."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class SeedWords(ISeedSequence):
-        def __init__(self, words: np.ndarray):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
-            if n_words != 4 or np.dtype(dtype) != np.uint64:
-                raise TopicsError(f"seed words asked for as {n_words} x "
-                                  f"{np.dtype(dtype)}, derived as 4 x uint64")
-            return self.words
-
-    return SeedWords
-
-
-def _doc_stream(words: np.ndarray) -> np.random.Generator:
-    """The doc's stream, default_rng(seed) for the seed its words came
-    from."""
-    return np.random.Generator(np.random.PCG64(_seed_words_type()(words)))
+def _uniforms(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """The draws numbered counters of the docs keyed by keys, broadcast
+    together, as doubles in [0, 1). A doc of n tokens draws its initial
+    topics as floor(u * H) from counters 0..n-1, and the uniform of sweep s
+    at position j from counter n * (s + 1) + j."""
+    z = _mix64(keys + (counters.astype(np.uint64) + np.uint64(1)) * _GAMMA)
+    return (z >> np.uint64(11)) * 2.0**-53
 
 
 # docs per lockstep batch; bounds the padded factor and topic arrays
 _FOLD_IN_BATCH = 1024
-# uniforms held at once per batch (4 MB): they are drawn a few sweeps at a
-# time, so memory does not grow with sweeps x the longest doc's length
-_FOLD_IN_UNIFORMS = 1 << 19
 
 
 def fold_in(models: Sequence[LdaModel], docs: Sequence[Sequence[str]],
@@ -463,16 +395,18 @@ def fold_in_sets(sets: Sequence[FoldInSet],
     are independent: one collapsed Gibbs chain per (doc, model) pair, the
     chains of every set stepped in one lockstep, token position by token
     position. Each chain reads its own model's word factors and alpha. Doc
-    d draws from one PCG64 stream seeded with seeds[d] (H-ary initial
-    topics, then sweeps x n uniforms), shared by its chains under every
-    model of its set. Each chain's arithmetic is that of a one-chain
-    sequential loop (a running sum over H, first topic whose prefix sum
-    reaches u * total), so a doc's row does not depend on the rest of the
-    batch or on the other sets. Empty or fully out-of-vocabulary docs, and
-    H = 1, give the uniform prior.
+    d's draws are those of the counter hash keyed by seeds[d], an integer
+    in [0, 2**64) (_uniforms: its initial topics, then sweeps x n
+    uniforms), shared by its chains under every model of its set. Each
+    chain's arithmetic is that of a one-chain sequential loop (a running
+    sum over H, first topic whose prefix sum reaches u * total), so a doc's
+    row does not depend on the rest of the batch or on the other sets.
+    Empty or fully out-of-vocabulary docs, and H = 1, give the uniform
+    prior.
     """
     if not sets:
         return []
+    keys = []
     for models, docs, seeds in sets:
         if not models:
             raise TopicsError("fold-in needs at least one model")
@@ -482,6 +416,7 @@ def fold_in_sets(sets: Sequence[FoldInSet],
             raise TopicsError("fold-in models disagree on H or vocabulary")
         if len(seeds) != len(docs):
             raise TopicsError(f"{len(seeds)} seeds for {len(docs)} docs")
+        keys.append(_keys(seeds))
     h, n_models = sets[0][0][0].h, len(sets[0][0])
     if any(models[0].h != h or len(models) != n_models
            for models, _, _ in sets):
@@ -491,17 +426,16 @@ def fold_in_sets(sets: Sequence[FoldInSet],
     rows = np.split(out, np.cumsum(sizes)[:-1])
     if h == 1:
         return rows
-    ids, words, tables = [], [], []
-    for models, docs, seeds in sets:
+    ids, tables = [], []
+    for models, docs, _ in sets:
         ids += _doc_token_ids(docs, models[0].vocab)
-        words.append(_stream_words(seeds))
         # table[w] = the word's frozen conditional factor under each model,
         # H values per model side by side
         tables.append(np.concatenate(
             [((m.topic_word_counts + m.beta)
               / (m.topic_totals + m.beta * len(m.vocab))[:, None]).T
              for m in models], axis=1))
-    words = np.concatenate(words)
+    keys = np.concatenate(keys)
     # the sets' tables stacked; a doc's word ids shift by the vocabulary
     # sizes of the sets before its own, and its chains take its set's alphas
     set_of = np.repeat(np.arange(len(sets)), sizes)
@@ -516,45 +450,40 @@ def fold_in_sets(sets: Sequence[FoldInSet],
     live = live[np.argsort(-lengths[live], kind="stable")].tolist()
     for at in range(0, len(live), _FOLD_IN_BATCH):
         batch = live[at:at + _FOLD_IN_BATCH]
-        out[batch] = _lockstep([ids[d] for d in batch], words[batch],
+        out[batch] = _lockstep([ids[d] for d in batch], keys[batch],
                                offsets[batch], factor, alphas[batch], h,
                                sweeps)
     return rows
 
 
-def _lockstep(ids: list[list[int]], words: np.ndarray, offsets: np.ndarray,
+def _lockstep(ids: list[list[int]], keys: np.ndarray, offsets: np.ndarray,
               factor: np.ndarray, alphas: np.ndarray, h: int,
               sweeps: int) -> np.ndarray:
     """fold_in_sets over nonempty docs sorted longest first; (D, M*H).
 
-    Doc d's stream is seeded with the PCG64 words words[d], and its word w
-    is factor row w + offsets[d]; its chains take the priors alphas[d] (M
-    values). Chain c = doc * M + model, so the chains alive at a position
-    are a prefix of every per-chain array and each step works on slices.
-    Counts and factors are topic-major, (H, chains), so a step is a few
-    vector ops over the live chains.
+    Doc d draws from the counter hash under keys[d], one (position, doc)
+    array of uniforms per sweep, and its word w is factor row
+    w + offsets[d]; its chains take the priors alphas[d] (M values). Chain
+    c = doc * M + model, so the chains alive at a position are a prefix of
+    every per-chain array and each step works on slices. Counts and
+    factors are topic-major, (H, chains), so a step is a few vector ops
+    over the live chains.
     """
     n_models = alphas.shape[1]
-    lengths = np.array([len(doc) for doc in ids])
+    lengths = np.array([len(doc) for doc in ids], dtype=np.int64)
     n_docs, n_max = len(ids), int(lengths[0])
     n_chains = n_docs * n_models
-    alive = (lengths[None, :] > np.arange(n_max)[:, None]).sum(axis=1)
+    # (position, doc) counters: draw j of each doc, then the sweeps' draws
+    counters = np.repeat(np.arange(n_max)[:, None], n_docs, axis=1)
+    in_doc = counters < lengths
+    alive = in_doc.sum(axis=1)
 
-    tokens = np.zeros((n_max, n_docs), dtype=np.int64)
-    z = np.zeros((n_max, n_chains), dtype=np.int64)
-    rngs = []
-    for d, doc in enumerate(ids):
-        n = len(doc)
-        rng = _doc_stream(words[d])
-        tokens[:n, d] = doc
-        z[:n, d * n_models:(d + 1) * n_models] = (
-            rng.integers(0, h, size=n)[:, None])
-        rngs.append(rng)
-    tokens += offsets
-    # sweeps s..s+chunk-1 of doc d; successive random() calls continue the
-    # doc's stream, so the values are those of one random(sweeps * n)
-    chunk = max(1, min(sweeps, _FOLD_IN_UNIFORMS // (n_max * n_docs)))
-    uniforms = np.zeros((chunk, n_max, n_docs))
+    tokens = np.zeros((n_docs, n_max), dtype=np.int64)
+    tokens[in_doc.T] = np.concatenate(ids)
+    tokens = tokens.T + offsets
+    # initial topics from draws 0..n-1, shared by the doc's chains
+    z = (_uniforms(keys, counters) * h).astype(np.int64)
+    z = z.repeat(n_models, axis=1)
     # (position, topic, chain): the factor of the chain's token at that
     # position under the chain's model
     pos_factor = (factor[tokens].reshape(n_max, n_docs, n_models, h)
@@ -570,13 +499,9 @@ def _lockstep(ids: list[list[int]], words: np.ndarray, offsets: np.ndarray,
     for j in range(n_max):
         flat_local[z[j, :alive[j] * n_models]] += 1.0
 
-    for s in range(sweeps):
-        c = s % chunk
-        if c == 0:
-            todo = min(chunk, sweeps - s)
-            for d, (doc, rng) in enumerate(zip(ids, rngs)):
-                n = len(doc)
-                uniforms[:todo, :n, d] = rng.random(todo * n).reshape(todo, n)
+    for _ in range(sweeps):
+        counters += lengths
+        uniforms = _uniforms(keys, counters)
         for j in range(n_max):
             m_docs = alive[j]
             m = m_docs * n_models
@@ -590,7 +515,7 @@ def _lockstep(ids: list[list[int]], words: np.ndarray, offsets: np.ndarray,
             for t in range(1, h):
                 prefix.append(prefix[-1] + (local[t, :m] + a) * f[t])
             total = prefix[-1]
-            u = uniforms[c, j, :m_docs].repeat(n_models)
+            u = uniforms[j, :m_docs].repeat(n_models)
             goal = u * total
             # the first t with goal <= prefix t, or H - 1 if none: the
             # prefix sums never decrease, so that is how many of the first
@@ -610,17 +535,16 @@ def _lockstep(ids: list[list[int]], words: np.ndarray, offsets: np.ndarray,
     return post.reshape(n_docs, n_models * h)
 
 
-def perplexity(model: LdaModel, docs: list[list[str]], sweeps: int = 50,
-               seed: int = 0) -> float:
+def perplexity(model: LdaModel, docs: list[list[str]], seeds: Sequence[int],
+               sweeps: int = 50) -> float:
     """exp(-mean log p(w|d)) with p(w|d) = sum_h theta_dh phi_hw.
 
-    theta comes from fold-in (doc i seeded seed + i), phi from the smoothed
+    theta comes from fold-in (doc i seeded seeds[i]), phi from the smoothed
     trained counts. Docs with no in-vocabulary tokens are skipped; raises if
     nothing is left.
     """
     phi = model.phi()
-    thetas = fold_in([model], docs, [seed + i for i in range(len(docs))],
-                     sweeps=sweeps)
+    thetas = fold_in([model], docs, seeds, sweeps=sweeps)
     log_lik = 0.0
     total = 0
     for theta, ids in zip(thetas, _doc_token_ids(docs, model.vocab)):

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import operator
 import struct
 import time
 import zlib
@@ -388,35 +387,23 @@ class RunConfig:
             raise ConfigError(f"need 0 <= dropout < 1, got {self.dropout}")
 
 
-def _seed_entropy(parts: Sequence[int | str]) -> list[int]:
-    """SeedSequence's uint32 words for int and str parts: an int split
-    into 32-bit words, low first; a str as the crc32 of its UTF-8 bytes."""
-    words = []
-    for part in parts:
-        if isinstance(part, str):
-            words.append(zlib.crc32(part.encode("utf-8")))
-            continue
-        value = operator.index(part)
-        if value < 0:
-            raise ValueError(f"seed parts must be >= 0, got {value}")
-        words.append(value & 0xFFFFFFFF)
-        while value := value >> 32:
-            words.append(value & 0xFFFFFFFF)
-    return words
-
-
-def derive_seeds(*parts: int | str, ids: Sequence[str]) -> np.ndarray:
-    """derive_seed(*parts, id) for every id, hashed in one pass; (n,)
-    uint32."""
-    crc = np.fromiter((zlib.crc32(i.encode("utf-8")) for i in ids),
-                      dtype=np.uint32, count=len(ids))
-    return topics.seed_state([*_seed_entropy(parts), crc], 1)[:, 0]
-
-
 def derive_seed(*parts: int | str) -> int:
     """Stable child seed from mixed int/str parts: the first word of
-    numpy's SeedSequence over their words."""
-    return int(topics.seed_state(_seed_entropy(parts), 1)[0, 0])
+    numpy's SeedSequence over the parts, a str taken as the crc32 of its
+    UTF-8 bytes."""
+    return int(np.random.SeedSequence(
+        [zlib.crc32(part.encode("utf-8")) if isinstance(part, str) else part
+         for part in parts]).generate_state(1)[0])
+
+
+def fold_in_seeds(base_seed: int, examples: Sequence[Example]) -> np.ndarray:
+    """Each text's fold-in seed, (derive_seed(base_seed, 101) << 32) |
+    crc32(id) over the id's UTF-8 bytes; (n,) uint64. The one seeding rule
+    of the fold-in: training, scoring and perplexity all use it."""
+    high = derive_seed(base_seed, 101) << 32
+    return np.fromiter((high | zlib.crc32(ex.id.encode("utf-8"))
+                        for ex in examples), dtype=np.uint64,
+                       count=len(examples))
 
 
 # --- per-group training -----------------------------------------------------
@@ -465,11 +452,10 @@ def fold_in_matrix(pairs: Sequence[tuple[topics.TopicModelTriple,
                    sweeps: int, base_seed: int) -> list[np.ndarray]:
     """Per (triple, examples) pair, the (n, 3H) topic distributions: the
     three fold-in posteriors side by side, divided by 3. Every pair's texts
-    are folded in together; text i's stream is seeded with
-    derive_seed(base_seed, 101, id), derived in bulk."""
+    are folded in together, each seeded by fold_in_seeds."""
     return [rows / 3.0 for rows in topics.fold_in_sets(
         [(triple.models, [ex.tokens for ex in examples],
-          derive_seeds(base_seed, 101, ids=[ex.id for ex in examples]))
+          fold_in_seeds(base_seed, examples))
          for triple, examples in pairs], sweeps)]
 
 

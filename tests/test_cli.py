@@ -810,6 +810,27 @@ def test_a_topic_model_whose_h_is_not_the_runs_exits_2(run_dir, synth_small,
     assert main(predict + run + ["--mode", "no_dis"]) == 0
     _expect_failure(["inspect"] + run, capsys, needle=str(lda))
 
+
+def test_a_topic_model_of_another_vocabulary_exits_2(run_dir, synth_small,
+                                                      tmp_path, capsys):
+    root, _ = synth_small
+    copy = tmp_path / "run"
+    shutil.copytree(run_dir, copy)
+    lda = copy / "lda" / f"{SLUG}.none.lda1"
+    cosd.topics.save_lda(cosd.topics.fit_lda([["a", "b"], ["b", "c"]], h=2,
+                                             sweeps=2), lda, sidecar=False)
+    run = ["--run", str(copy), "--trial", "1"]
+    predict = ["predict", "--in", str(root / "test.tsv"),
+               "--out", str(tmp_path / "p.tsv")]
+    for mode in ("full", "no_sem"):
+        for argv in (["eval", "--split", "test"], predict):
+            _expect_failure(argv + run + ["--mode", mode], capsys,
+                            needle=f"{lda}: vocabulary differs from the "
+                                   f"group's favor model")
+    assert main(predict + run + ["--mode", "no_dis"]) == 0
+    _expect_failure(["inspect"] + run, capsys, needle=str(lda))
+
+
 def _with_value(path, row, value):
     """path's checkpoint with value at the first column of table row `row`
     (text rows first, then topic and label rows, then the weights)."""
@@ -984,7 +1005,8 @@ def test_topics_rows_score_the_models_train_fits(run_dir, synth_small,
     for row, examples in zip(rows, subsets):
         model = cosd.topics.load_lda(run_dir / "lda" / f"{SLUG}.{row[1]}.lda1")
         docs = cosd.topics.token_docs(examples)
-        want = (cosd.topics.perplexity(model, docs, sweeps=10, seed=5),
+        seeds = training.fold_in_seeds(5, examples)
+        want = (cosd.topics.perplexity(model, docs, seeds, sweeps=10),
                 cosd.topics.umass_coherence(model, docs, top_n=4))
         assert row == ["Synthetic Policy", row[1], "2",
                        f"{want[0]:.6f}", f"{want[1]:.6f}"]

@@ -30,7 +30,6 @@ from cosd.topics import (
     load_lda,
     perplexity,
     save_lda,
-    seed_state,
     umass_coherence,
 )
 
@@ -315,7 +314,11 @@ def doc_topic_posterior(model: LdaModel, tokens, sweeps: int = 50,
     h = model.h
     if len(ids) == 0 or h == 1:
         return np.full(h, 1.0 / h)
-    rng = np.random.default_rng(seed)
+    # the doc's draws: counters 0..n-1 for the initial topics, then n per
+    # sweep
+    n = len(ids)
+    draws = cosd.topics._uniforms(cosd.topics._keys([seed]),
+                                  np.arange(n * (sweeps + 1)))
     alpha = model.alpha
     denom = model.topic_totals + model.beta * len(model.vocab)
     # counts are frozen, so the word factor of the conditional is a constant
@@ -325,11 +328,11 @@ def doc_topic_posterior(model: LdaModel, tokens, sweeps: int = 50,
         factor[w] = ((model.topic_word_counts[:, w] + model.beta)
                      / denom).tolist()
     pos_factor = [factor[w] for w in ids]
-    z = rng.integers(0, h, size=len(ids)).tolist()
+    z = [int(u * h) for u in draws[:n]]
     local = [0.0] * h
     for k in z:
         local[k] += 1.0
-    uniforms = rng.random(sweeps * len(ids)).tolist()
+    uniforms = draws[n:].tolist()
     probs = [0.0] * h
     pos = 0
     for _ in range(sweeps):
@@ -450,29 +453,12 @@ def _dyadic_model(rng, h: int, vocab: list[str], alpha: float) -> LdaModel:
 def test_fold_in_tie_rule_equals_scalar_oracle(monkeypatch, h):
     # exact dyadic arithmetic with uniforms in {0, 1/4, 1/2, 3/4}: u * total
     # often equals a prefix sum exactly, so the first topic whose prefix sum
-    # reaches u * total must be picked, as the oracle's u <= acc does
-    real_rng = np.random.default_rng
-    real_stream = cosd.topics._doc_stream
-
-    class DyadicRng:
-        def __init__(self, rng):
-            self._rng = rng
-
-        def integers(self, *args, **kwargs):
-            return self._rng.integers(*args, **kwargs)
-
-        def random(self, n):
-            # split draws would not continue one stream; at this size each
-            # doc's uniforms come from one call, as in the oracle
-            return self._rng.integers(0, 4, size=n) / 4.0
-
-    # the oracle seeds default_rng, the lockstep builds each doc's stream
-    # from its seed words; both draw the dyadic uniforms
-    monkeypatch.setattr(np.random, "default_rng",
-                        lambda seed: DyadicRng(real_rng(seed)))
-    monkeypatch.setattr(cosd.topics, "_doc_stream",
-                        lambda words: DyadicRng(real_stream(words)))
-    rng = real_rng(h)
+    # reaches u * total must be picked, as the oracle's u <= acc does; the
+    # oracle and the lockstep both draw through _uniforms
+    real_uniforms = cosd.topics._uniforms
+    monkeypatch.setattr(cosd.topics, "_uniforms", lambda keys, counters:
+                        np.floor(real_uniforms(keys, counters) * 4) / 4)
+    rng = np.random.default_rng(h)
     vocab = [f"w{i}" for i in range(6)]
     models = [_dyadic_model(rng, h, vocab, alpha)
               for alpha in (0.5, 1.0, 0.25)]
@@ -483,49 +469,47 @@ def test_fold_in_tie_rule_equals_scalar_oracle(monkeypatch, h):
     assert np.array_equal(got, _oracle_rows(models, docs, seeds, 6))
 
 
-# seeds below 2**32, the 64-bit bulk path's top word, and ones that take
-# numpy's own path (2**64 and up); zero-padding an entropy to the pool's four
-# words leaves SeedSequence's hash unchanged, wider entropy mixes more
-_SEEDS = [0, 1, 17, 2**32 - 1, 2**32 + 5, 2**63 + 9, 2**64 + 7, 2**70 + 3,
-          2**130 + 1]
+# seeds of one and two 32-bit words, up to the largest, 2**64 - 1
+_SEEDS = [0, 1, 17, 2**32 - 1, 2**32 + 5, 2**63 + 9, 2**64 - 1]
 
 
-def test_seed_state_equals_seed_sequence():
-    rng = np.random.default_rng(3)
-    column = rng.integers(0, 2**32, size=40, dtype=np.uint64)
-    for prefix in ([], [17], [5, 1, 101], [3, 0, 64, 101, 9, 2]):
-        got = seed_state([*prefix, column], 8)
-        for row, word in zip(got, column.tolist()):
-            want = np.random.SeedSequence([*prefix, word]).generate_state(8)
-            assert np.array_equal(row, want)
-    assert seed_state([7, column[:0]], 1).shape == (0, 1)
-    assert np.array_equal(seed_state([], 3)[0],
-                          np.random.SeedSequence([]).generate_state(3))
+# splitmix64 from state 1234567: output k is the finalizer over the state
+# advanced k times by gamma
+_SPLITMIX64 = [6457827717110365317, 3203168211198807973, 9817491932198370423,
+               4593380528125082431, 16408922859458223821]
 
 
-def test_stream_words_give_the_default_rng_streams():
-    for seeds in ([[s] for s in _SEEDS]
-                  + [_SEEDS[:6], _SEEDS, np.arange(5, dtype=np.uint32)]):
-        words = cosd.topics._stream_words(seeds)
-        assert words.shape == (len(seeds), 4) and words.dtype == np.uint64
-        for seed, row in zip(seeds, words):
-            seed = int(seed)
-            want = np.random.SeedSequence(seed).generate_state(4, np.uint64)
-            assert np.array_equal(row, want)
-            got, ref = (cosd.topics._doc_stream(row),
-                        np.random.default_rng(seed))
-            assert np.array_equal(got.integers(0, 5, size=9),
-                                  ref.integers(0, 5, size=9))
-            assert np.array_equal(got.random(11), ref.random(11))
-    assert cosd.topics._stream_words([]).shape == (0, 4)
-    # the words are PCG64's: any other request is refused, not misread
-    with pytest.raises(TopicsError, match="asked for as 8 x uint32"):
-        cosd.topics._seed_words_type()(words[0]).generate_state(8)
-    # default_rng's own errors for seeds it rejects
-    with pytest.raises(ValueError):
-        cosd.topics._stream_words([3, -1])
-    with pytest.raises(TypeError):
-        cosd.topics._stream_words([1.5])
+def test_mix64_gives_the_splitmix64_reference_outputs():
+    gamma = 0x9E3779B97F4A7C15
+    states = np.array([(1234567 + k * gamma) % 2**64 for k in range(1, 6)],
+                      dtype=np.uint64)
+    assert cosd.topics._mix64(states).tolist() == _SPLITMIX64
+
+
+def test_uniforms_are_uniform_and_uncorrelated():
+    keys = cosd.topics._keys(np.arange(1000) + 2024)
+    u = cosd.topics._uniforms(keys[:, None], np.arange(1000))
+    assert u.shape == (1000, 1000)
+    assert 0.0 <= u.min() and u.max() < 1.0
+    # chi-square over 64 equal bins against its 0.999 quantile at 63 degrees
+    # of freedom
+    counts = np.bincount((u * 64).astype(np.int64).ravel(), minlength=64)
+    expected = u.size / 64
+    assert ((counts - expected) ** 2 / expected).sum() < 103.4
+    # lag 1 within a doc, and adjacent keys at the same counter
+    for a, b in ((u[:, :-1], u[:, 1:]), (u[:-1], u[1:])):
+        assert abs(np.corrcoef(a.ravel(), b.ravel())[0, 1]) < 0.01
+    # the finalizer maps 0 to 0; the counter's + 1 keeps seed 0 off it
+    assert cosd.topics._uniforms(cosd.topics._keys([0]), np.arange(1))[0] > 0
+
+
+@pytest.mark.parametrize("bad", [-1, 2**64, 1.5])
+def test_fold_in_rejects_a_seed_outside_64_bits(bad):
+    m = _model([[3, 1], [1, 3]], ["a", "b"])
+    single = _model([[3, 1]], ["a", "b"])
+    for model in (m, single):  # checked before any draw, even at H = 1
+        with pytest.raises(TopicsError, match="seeds must be integers"):
+            fold_in([model], [["a"], ["b"]], [3, bad])
 
 
 def test_fold_in_seeds_of_any_width_equal_scalar_oracle():
@@ -536,9 +520,10 @@ def test_fold_in_seeds_of_any_width_equal_scalar_oracle():
     batch = docs[:len(_SEEDS)]
     got = fold_in(triple.models, batch, _SEEDS, sweeps=4)
     assert np.array_equal(got, _oracle_rows(triple.models, batch, _SEEDS, 4))
-    below = _SEEDS[:6]  # every seed below 2**64: one bulk hash
-    assert np.array_equal(fold_in(triple.models, batch[:6], below, sweeps=4),
-                          got[:6])
+    # a uint64 column, as training passes them, gives the same rows
+    column = np.array(_SEEDS, dtype=np.uint64)
+    assert np.array_equal(fold_in(triple.models, batch, column, sweeps=4),
+                          got)
 
 
 def test_fold_in_rows_independent_of_batch(monkeypatch):
@@ -560,24 +545,6 @@ def test_fold_in_rows_independent_of_batch(monkeypatch):
     monkeypatch.setattr(cosd.topics, "_FOLD_IN_BATCH", 3)
     assert np.array_equal(fold_in(triple.models, batch, seeds, sweeps=5),
                           full)
-
-
-def test_fold_in_uniforms_drawn_in_sweep_chunks_match_oracle(monkeypatch):
-    docs, _ = planted_corpus(n_docs=30, seed=12)
-    split = len(docs) // 3
-    triple = fit_triple(docs[:split], docs[split:2 * split],
-                        docs[2 * split:], h=3, sweeps=10, seed=4)
-    batch = [docs[0][:3], docs[1], docs[2][:1], docs[3][:5]] + docs[4:12]
-    seeds = [70 + i for i in range(len(batch))]
-    oracle = _oracle_rows(triple.models, batch, seeds, 7)
-    # one padded sweep holds longest length x docs uniforms; budgets of 1,
-    # 2 and 3 sweeps leave a short last chunk out of 7 sweeps
-    n_max = max(len(doc) for doc in batch)
-    for per_chunk in (1, 2, 3):
-        monkeypatch.setattr(cosd.topics, "_FOLD_IN_UNIFORMS",
-                            per_chunk * n_max * len(batch))
-        assert np.array_equal(fold_in(triple.models, batch, seeds, sweeps=7),
-                              oracle)
 
 
 def test_fold_in_sets_equal_each_sets_own_call_and_oracle(monkeypatch):
@@ -639,7 +606,7 @@ def test_perplexity_single_topic_matches_hand_computation():
     p_a = 3.01 / 4.02
     p_b = 1.01 / 4.02
     expect = np.exp(-(2 * np.log(p_a) + np.log(p_b)) / 3)
-    got = perplexity(m, [["a", "b", "a"]], sweeps=5, seed=0)
+    got = perplexity(m, [["a", "b", "a"]], [0], sweeps=5)
     assert got == pytest.approx(expect, rel=1e-12)
 
 
@@ -647,15 +614,16 @@ def test_perplexity_skips_oov_docs_and_is_at_least_one():
     docs, _ = planted_corpus(n_docs=30, seed=10)
     m = fit_lda(docs, h=3, sweeps=30, seed=2)
     with_oov = docs[:5] + [["zzz", "qqq"]]
-    val = perplexity(m, with_oov, sweeps=10, seed=0)
+    seeds = list(range(len(with_oov)))
+    val = perplexity(m, with_oov, seeds, sweeps=10)
     assert val >= 1.0
-    assert val == pytest.approx(perplexity(m, docs[:5], sweeps=10, seed=0))
+    assert val == pytest.approx(perplexity(m, docs[:5], seeds[:5], sweeps=10))
 
 
 def test_perplexity_errors_when_no_tokens_scorable():
     m = _model([[3, 1]], ["a", "b"])
     with pytest.raises(TopicsError):
-        perplexity(m, [["zzz"], []])
+        perplexity(m, [["zzz"], []], [0, 1])
 
 
 def test_umass_hand_computed_oracle():

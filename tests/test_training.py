@@ -18,7 +18,7 @@ import cosd.training
 from cosd import cpa, graph
 from cosd.corpus import Example, Split, Stance, load_semeval, stance_subsets
 from cosd.numerics import AdamState, adam_step
-from cosd.topics import fit_triple, token_docs
+from cosd.topics import fit_triple, fold_in, perplexity, token_docs
 from cosd.training import (
     ConfigError,
     EmbeddingWriter,
@@ -28,8 +28,8 @@ from cosd.training import (
     attention_weights,
     build_group_data,
     derive_seed,
-    derive_seeds,
     fold_in_matrix,
+    fold_in_seeds,
     group_keys,
     load_embeddings,
     missing_ids,
@@ -498,10 +498,7 @@ def test_derive_seeds_equal_the_seed_sequence_oracle(base):
     want = [int(np.random.SeedSequence(
         [base, 101, zlib.crc32(i.encode("utf-8"))]).generate_state(1)[0])
         for i in ids]
-    got = derive_seeds(base, 101, ids=ids)
-    assert got.dtype == np.uint32 and got.tolist() == want
     assert [derive_seed(base, 101, i) for i in ids] == want
-    assert derive_seeds(base, 101, ids=[]).shape == (0,)
     # parts of any mix and count, as training derives them
     for parts in ([base], [base, 3, "group", 7], [base, 2**64, 0, "g"]):
         words = [zlib.crc32(p.encode("utf-8")) if isinstance(p, str) else p
@@ -584,10 +581,43 @@ def test_fold_in_matrix_equals_scalar_oracle_thirds(synth_setup):
     pool = dataset.train_pool(target)[:8]
     (mat,) = fold_in_matrix([(triple, pool)], sweeps=7, base_seed=5)
     for row, ex in zip(mat, pool):
-        seed = derive_seed(5, 101, ex.id)
+        seed = (derive_seed(5, 101) << 32) | zlib.crc32(ex.id.encode("utf-8"))
         parts = [doc_topic_posterior(m, ex.tokens, sweeps=7, seed=seed)
                  for m in triple.models]
         assert np.array_equal(row, np.concatenate(parts) / 3.0)
+
+
+def test_fold_in_seeds_key_each_text_by_its_id():
+    texts = [Example(id=i, text="t", target="T", stance=Stance.NONE,
+                     split=Split.TRAIN, tokens=("t",))
+             for i in ("", "a", "Ünïcode ✓", "x" * 300)]
+    seeds = fold_in_seeds(2**70 + 3, texts)
+    high = derive_seed(2**70 + 3, 101) << 32
+    assert seeds.dtype == np.uint64
+    assert seeds.tolist() == [high | zlib.crc32(ex.id.encode("utf-8"))
+                              for ex in texts]
+    assert fold_in_seeds(4, []).shape == (0,)
+
+
+def test_perplexity_theta_is_the_training_fold_in_block(synth_setup):
+    # one seeding rule: a text's chain under model j depends only on its
+    # key and tokens, so its theta under that model alone is block j of the
+    # row training folds it in with
+    dataset, _, target, triple = synth_setup
+    h = triple.h
+    for j, examples in enumerate(stance_subsets(dataset, target)):
+        seeds = fold_in_seeds(5, examples)
+        docs = token_docs(examples)
+        (rows,) = fold_in_matrix([(triple, examples)], sweeps=7, base_seed=5)
+        theta = fold_in([triple.models[j]], docs, seeds, sweeps=7)
+        assert np.array_equal(theta / 3.0, rows[:, j * h:(j + 1) * h])
+        phi = triple.models[j].phi()
+        index = triple.models[j].vocab.index
+        log_lik = [np.log(t @ phi[:, [index[w] for w in doc if w in index]])
+                   for t, doc in zip(theta, docs)]
+        want = np.exp(-np.concatenate(log_lik).mean())
+        assert perplexity(triple.models[j], docs, seeds,
+                          sweeps=7) == pytest.approx(want, rel=1e-12)
 
 
 def test_build_group_data_shapes(synth_setup):

@@ -259,12 +259,16 @@ class RunDir:
 
     def rows(self, examples: list[Example], mode: str = "full") -> GroupRows:
         """The texts, in any order, split by training group, with the rows
-        the scoring mode reads: no_sem builds no semantic rows (and reads
-        no embedding record), no_dis folds nothing in (and loads no topic
-        model); the dropped side is None. Semantic rows read only the
-        texts' own records of the embedding file. Every group's texts are
-        folded in together. ConfigError names a target the run has no
-        group for."""
+        the scoring mode reads: no_sem builds no semantic rows (and opens
+        no embedding file), no_dis folds nothing in (and loads no topic
+        model); the dropped side is None. This is the one place the mode
+        is decided. Semantic rows read only the texts' own records of the
+        run's store. Every group's texts are folded in together.
+        InferenceError names an unknown mode, ConfigError a target the run
+        has no group for."""
+        if mode not in inference.MODES:
+            raise InferenceError(f"unknown mode {mode!r}, expected one of "
+                                 f"{inference.MODES}")
         at: dict[str, list[int]] = {name: [] for name in self.groups}
         for i, ex in enumerate(examples):
             name = "joint" if self.config.joint else ex.target
@@ -273,13 +277,8 @@ class RunDir:
             at[name].append(i)
         groups = [(name, [examples[i] for i in where])
                   for name, where in at.items() if where]
-        sem = [None] * len(groups)
-        if mode != "no_sem":
-            # the scored texts' records only, not the run's whole store
-            store = training.load_embeddings(
-                self.config.embeddings, ids=[ex.id for ex in examples])
-            sem = [training.semantic_matrix(group, store)
-                   for _, group in groups]
+        sem = [None] * len(groups) if mode == "no_sem" else [
+            training.semantic_matrix(group, self.store) for _, group in groups]
         dis = [None] * len(groups) if mode == "no_dis" else (
             training.fold_in_matrix(
                 [(self._triple(name), group) for name, group in groups],
@@ -303,23 +302,22 @@ class RunDir:
             models.append(model)
         return topics.TopicModelTriple(*models)
 
-    def score(self, rows: GroupRows, trial: int, mode: str,
-              score_norm: bool) -> inference.Scores:
+    def score(self, rows: GroupRows, trial: int,
+              score_norm: bool = False) -> inference.Scores:
         """Every group's rows scored against the trial's checkpoint of that
-        group, in the order of the texts given to rows. Scoring reads no
+        group, in the order of the texts given to rows; score_norm z-scores
+        each side's row before the sum's argmax labels it. Scoring reads no
         text row of a checkpoint."""
         n = sum(len(where) for _, where, _, _ in rows)
         sem, dis = np.zeros((n, 3)), np.zeros((n, 3))
-        predicted: list[Stance] = [Stance.UNKNOWN] * n
         for name, where, sem_rows, dis_rows in rows:
             scores = inference.score_batch(
                 sem_rows, dis_rows, self.checkpoint(name, trial, texts=False),
-                mode=mode, score_norm=score_norm,
                 slope=self.config.leaky_slope)
             sem[where], dis[where] = scores.sem, scores.dis
-            for i, label in zip(where, scores.predicted):
-                predicted[i] = label
-        return inference.Scores(sem, dis, predicted)
+        if score_norm:
+            sem, dis = inference.zscore_rows(sem), inference.zscore_rows(dis)
+        return inference.Scores(sem, dis, inference.argmax_labels(sem + dis))
 
     def training_graph(self, name: str, trial: int) -> tuple[
             cpa.CpaModel, list[str], graph.BipartiteLaplacian]:
@@ -456,6 +454,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = build_config(args)
     if not config.embeddings:
         raise ConfigError("no --embeddings file given")
+    run_dir = run_dir_for(config)
+    # the nearest existing path decides whether mkdir can succeed; checked
+    # here, so a file in the way fails the run before it trains
+    existing = next(p for p in (run_dir, *run_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"--out-dir {run_dir}: {existing} is not a "
+                          f"directory")
     dataset = load_dataset(config)
     # each group's files are named by its slug
     _checked_slugs([k for k, _ in training.group_keys(dataset, config.joint)],
@@ -466,7 +471,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     result = training.train(dataset, store, config)
 
     written = time.perf_counter()
-    run_dir = run_dir_for(config)
     run_dir.mkdir(parents=True, exist_ok=True)
     # the old manifest goes before the first file is replaced, so a reused
     # directory whose writing breaks off is never read as the old run; then
@@ -509,7 +513,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     # semantic rows and fold-ins depend on the split, not the trial
     rows = run.rows(labeled, args.mode)
     text, csv_text = metrics.trial_report(
-        [run.score(rows, trial, args.mode, args.score_norm).predicted
+        [run.score(rows, trial, args.score_norm).predicted
          for trial in trials],
         [ex.stance for ex in labeled], [ex.target for ex in labeled],
         run.targets, trials)
@@ -524,8 +528,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     run = RunDir(args.run)
     trial = run.trials(args.trial)[0]  # the first trial unless one is named
     examples = read_splits(args.infile, [Split.TEST]).examples
-    scores = run.score(run.rows(examples, args.mode), trial, args.mode,
-                       args.score_norm)
+    scores = run.score(run.rows(examples, args.mode), trial, args.score_norm)
     lines = [f"{ex.id}\t{label.value}\t"
              + "\t".join(f"{x:.6f}" for x in (*sem, *dis))
              for ex, sem, dis, label in zip(examples, scores.sem, scores.dis,

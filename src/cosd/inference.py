@@ -4,9 +4,11 @@ The semantic score dots the target-attended text representation against the
 trained label embeddings; the distributed score composes the text's topic
 distribution with the trained topic embeddings, pushes both sides through
 the graph-free transform, and takes a per-stance max over topics. Their sum
-decides the label. Ablation modes drop one side, which scores zero and is
-never computed. score_batch is the one scoring path: val scoring during
-training, eval and predict all call it on stacked rows.
+decides the label. score_batch is the one scoring path: val scoring during
+training, eval and predict all call it on stacked rows. It takes rows and
+no settings: a side given as None scores zeros and is never computed, which
+is how an ablation mode drops it; the caller picks the mode by the rows it
+builds.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ MODES = ("full", "no_sem", "no_dis")
 
 
 class InferenceError(Exception):
-    """Mismatched rows, invalid mode, or out-of-range retrieval."""
+    """Mismatched or missing rows, invalid mode, or out-of-range retrieval."""
 
 
 class Scores(NamedTuple):
@@ -77,35 +79,27 @@ def zscore_rows(scores: np.ndarray) -> np.ndarray:
 
 def argmax_labels(total: np.ndarray) -> list[Stance]:
     """Row-wise argmax; ties break by label order Favor < None < Against."""
-    return [LABELS[int(np.argmax(row))] for row in np.atleast_2d(total)]
+    return [LABELS[i] for i in np.argmax(np.atleast_2d(total), axis=1)]
 
 
 def score_batch(sem_rows: np.ndarray | None, dis_rows: np.ndarray | None,
-                model: CpaModel, mode: str = "full",
-                score_norm: bool = False, slope: float = 0.01) -> Scores:
+                model: CpaModel, slope: float = 0.01) -> Scores:
     """Hybrid scores of stacked texts against one group's trained model.
 
     sem_rows are semantic representations (n, d0), dis_rows topic
-    distributions (n, 3H). score_norm z-scores each side's row; the side
-    the ablation mode drops is never scored and reads as zeros, so it may
-    be None. Each text's label is the argmax of the two sides' sum.
+    distributions (n, 3H). A side given as None is never scored and reads
+    as zeros; one side must be given. Each text's label is the argmax of
+    the two sides' sum.
     """
-    if mode not in MODES:
-        raise InferenceError(f"unknown mode {mode!r}, expected one of {MODES}")
-    for side, rows, dropped_by in (("semantic", sem_rows, "no_sem"),
-                                   ("topic", dis_rows, "no_dis")):
-        if rows is None and mode != dropped_by:
-            raise InferenceError(f"mode {mode} reads the {side} rows")
+    if sem_rows is None and dis_rows is None:
+        raise InferenceError("no semantic rows and no topic rows to score")
     n = len(dis_rows if sem_rows is None else sem_rows)
     if dis_rows is not None and len(dis_rows) != n:
         raise InferenceError(f"{n} semantic rows vs {len(dis_rows)} topic rows")
-    sem = (np.zeros((n, 3)) if mode == "no_sem"
+    sem = (np.zeros((n, 3)) if sem_rows is None
            else semantic_scores(sem_rows, model.z))
-    dis = (np.zeros((n, 3)) if mode == "no_dis"
+    dis = (np.zeros((n, 3)) if dis_rows is None
            else distributed_scores(dis_rows, model, slope))
-    if score_norm:
-        sem = zscore_rows(sem)
-        dis = zscore_rows(dis)
     return Scores(sem, dis, argmax_labels(sem + dis))
 
 

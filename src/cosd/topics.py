@@ -598,7 +598,7 @@ def umass_coherence(model: LdaModel, docs: list[list[str]],
 _LDA_MAGIC = b"LDA1"
 
 
-def save_lda(model: LdaModel, path: str | Path, sidecar: bool = True) -> None:
+def save_lda(model: LdaModel, path: str | Path) -> None:
     path = Path(path)
     with open(path, "wb") as fh:
         fh.write(_LDA_MAGIC)
@@ -611,16 +611,15 @@ def save_lda(model: LdaModel, path: str | Path, sidecar: bool = True) -> None:
             fh.write(struct.pack("<I", len(raw)))
             fh.write(raw)
             fh.write(struct.pack("<I", freq))
-    if sidecar:
-        doc = {
-            "h": model.h, "alpha": model.alpha, "beta": model.beta,
-            "trained_sweeps": model.trained_sweeps,
-            "top_words": model.top_words(10),
-            "log_joint": [[s, value] for s, value in model.log_joint],
-        }
-        with open(f"{path}.json", "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    doc = {
+        "h": model.h, "alpha": model.alpha, "beta": model.beta,
+        "trained_sweeps": model.trained_sweeps,
+        "top_words": model.top_words(10),
+        "log_joint": [[s, value] for s, value in model.log_joint],
+    }
+    with open(f"{path}.json", "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def load_lda(path: str | Path) -> LdaModel:

@@ -18,8 +18,7 @@ import functools
 import struct
 import time
 import zlib
-from collections.abc import (Callable, Collection, Iterator, Mapping,
-                             Sequence)
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -120,9 +119,6 @@ class EncoderStore:
     targets: dict[str, np.ndarray]    # target name -> (dim,) float64
     labels: dict[str, np.ndarray]     # "favor"/"none"/"against" -> (dim,)
 
-    def __len__(self) -> int:
-        return len(self.tokens) + len(self.targets) + len(self.labels)
-
     def pooled(self, rec_id: str) -> np.ndarray:
         """Mean of an example's token rows, (dim,) float64."""
         return _pool(self.tokens[rec_id])
@@ -198,16 +194,14 @@ def _read_rows(src: Reader, rec_id: str, t: int, dim: int, start: int,
     return rows
 
 
-def load_embeddings(path: str | Path, expect_dim: int = 768,
-                    ids: Collection[str] | None = None) -> EncoderStore:
+def load_embeddings(path: str | Path, expect_dim: int = 768) -> EncoderStore:
     """The EMB1 file, walked once; a repeated record id is an error. Every
     record has its framing checked (id, row count, length). Target and
-    label records are read and pooled; example records, or with ids only
-    those example records, are indexed and read on access (TokenRows)."""
+    label records are read and pooled; example records are indexed and
+    read on access (TokenRows)."""
     path = Path(path)
     if not path.is_file():
         raise TrainingError(f"missing embedding file: {path}")
-    wanted = None if ids is None else frozenset(ids)
     index, targets, labels = {}, {}, {}
     with Reader(path, TrainingError, _EMB_MAGIC) as src:
         count, dim = src.unpack("<II")
@@ -229,8 +223,7 @@ def load_embeddings(path: str | Path, expect_dim: int = 768,
             seen.add(rec_id)
             if not rec_id.startswith(("target:", "label:")):
                 src.skip(F32.itemsize * dim * t)
-                if wanted is None or rec_id in wanted:
-                    index[rec_id] = (start, t)
+                index[rec_id] = (start, t)
                 continue
             pooled = _pool(_read_rows(src, rec_id, t, dim, start))
             if rec_id.startswith("target:"):
@@ -500,16 +493,18 @@ def build_group_data(dataset: Dataset, store: EncoderStore, group: str,
 
 def _val_metrics(data: GroupData, model: cpa.CpaModel, config: RunConfig):
     """(macf, micf, preds) on the val split, current params: MacF and the
-    predictions of full mode, and MicF per scoring mode."""
+    predictions of full mode, and MicF per scoring mode. Each side is
+    scored once; an ablation's labels are the argmax of the side it keeps."""
     micf = dict.fromkeys(inference.MODES, 0.0)
     if not data.val:
         return 0.0, micf, []
     golds = [ex.stance for ex in data.val]
     targets = [ex.target for ex in data.val]
-    for mode in ("no_sem", "no_dis", "full"):  # full mode's preds are kept
-        preds = inference.score_batch(data.sem_val, data.dis_val, model,
-                                      mode=mode,
-                                      slope=config.leaky_slope).predicted
+    scores = inference.score_batch(data.sem_val, data.dis_val, model,
+                                   slope=config.leaky_slope)
+    for mode, preds in (("no_sem", inference.argmax_labels(scores.dis)),
+                        ("no_dis", inference.argmax_labels(scores.sem)),
+                        ("full", scores.predicted)):  # full's preds are kept
         macf, micf[mode] = metrics.macro_micro(preds, golds, targets)
     return macf, micf, preds
 

@@ -622,6 +622,27 @@ def test_train_checks_its_config_before_loading_or_fitting(
     assert not out.exists()
 
 
+def test_train_checks_its_out_dir_before_loading_or_training(
+        synth_small, tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the out-dir was checked")
+
+    monkeypatch.setattr(cosd.cli, "load_semeval", never)
+    monkeypatch.setattr(cosd.training, "load_embeddings", never)
+    monkeypatch.setattr(cosd.training, "train", never)
+    root, paths = synth_small
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n", encoding="utf-8")
+    # the out-dir itself, or a directory above it, is a file
+    for out in (blocker, blocker / "run"):
+        _expect_failure(["train", "--dataset", "synthetic", "--data",
+                         str(root), "--embeddings", str(paths["embeddings"]),
+                         "--out-dir", str(out)] + TRAIN_FLAGS, capsys,
+                        needle=f"--out-dir {out}: {blocker} is not a "
+                               f"directory")
+    assert blocker.read_text(encoding="utf-8") == "not a directory\n"
+
+
 def test_topics_rejects_a_negative_seed_from_the_environment(
         synth_small, capsys, monkeypatch):
     def never(*args, **kwargs):
@@ -797,7 +818,7 @@ def test_a_topic_model_whose_h_is_not_the_runs_exits_2(run_dir, synth_small,
     shutil.copytree(run_dir, copy)
     lda = copy / "lda" / f"{SLUG}.none.lda1"
     cosd.topics.save_lda(cosd.topics.fit_lda([["a", "b"], ["b", "c"]], h=3,
-                                             sweeps=2), lda, sidecar=False)
+                                             sweeps=2), lda)
     run = ["--run", str(copy), "--trial", "1"]
     predict = ["predict", "--in", str(root / "test.tsv"),
                "--out", str(tmp_path / "p.tsv")]
@@ -818,7 +839,7 @@ def test_a_topic_model_of_another_vocabulary_exits_2(run_dir, synth_small,
     shutil.copytree(run_dir, copy)
     lda = copy / "lda" / f"{SLUG}.none.lda1"
     cosd.topics.save_lda(cosd.topics.fit_lda([["a", "b"], ["b", "c"]], h=2,
-                                             sweeps=2), lda, sidecar=False)
+                                             sweeps=2), lda)
     run = ["--run", str(copy), "--trial", "1"]
     predict = ["predict", "--in", str(root / "test.tsv"),
                "--out", str(tmp_path / "p.tsv")]
@@ -1105,21 +1126,18 @@ def test_predict_labels_equal_eval_predictions(two_target_run, tmp_path,
     assert [r[0] for r in rows] == [r[0] for r in inputs]  # input order
     assert {r[1] for r in inputs} == {"Synthetic Policy", OTHER}
 
-    # eval scores the split group by group; record its predictions
+    # eval scores the split's texts in file order; record its predictions
     evaluated = []
-    original = cosd.inference.score_batch
+    original = RunDir.score
 
     def recording(*args, **kwargs):
         scores = original(*args, **kwargs)
         evaluated.extend(label.value for label in scores.predicted)
         return scores
 
-    monkeypatch.setattr(cosd.inference, "score_batch", recording)
+    monkeypatch.setattr(RunDir, "score", recording)
     assert main(["eval", "--run", str(run), "--split", "test"] + extra) == 0
-    eval_ids = [r[0] for name in RunDir(run).groups
-                for r in inputs if r[1] == name]
-    assert dict(zip(eval_ids, evaluated)) == {r[0]: r[1] for r in rows}
-    assert len(evaluated) == len(rows)
+    assert evaluated == [r[1] for r in rows]
     assert np.isfinite([float(x) for r in rows for x in r[2:]]).all()
 
 
@@ -1159,17 +1177,25 @@ def test_run_dir_scores_interleaved_targets_in_input_order(two_target_run):
     texts = run.corpus(Split.TEST).examples
     assert [ex.target for ex in texts[:4]] == ["Synthetic Policy", OTHER] * 2
     for mode, norm in (("full", False), ("no_dis", True)):
-        scores = run.score(run.rows(texts), 1, mode, norm)
+        scores = run.score(run.rows(texts, mode), 1, norm)
         assert len(scores.predicted) == len(texts)
         for name in run.groups:
             at = [i for i, ex in enumerate(texts) if ex.target == name]
-            alone = run.score(run.rows([texts[i] for i in at]), 1, mode,
+            alone = run.score(run.rows([texts[i] for i in at], mode), 1,
                               norm)
             for got, want in zip(scores, alone):
                 if isinstance(want, list):
                     assert [got[i] for i in at] == want
                 else:
                     assert np.array_equal(got[at], want)
+
+
+def test_run_dir_rows_rejects_an_unknown_mode(run_dir):
+    run = RunDir(run_dir)
+    texts = run.corpus(Split.TEST).examples
+    with pytest.raises(cosd.inference.InferenceError,
+                       match="unknown mode 'nope'"):
+        run.rows(texts, "nope")
 
 
 def _oracle_scores(run, texts, trial, mode, norm):
@@ -1201,7 +1227,7 @@ def test_rows_of_a_mode_score_as_both_sides_zeroed(run_dir, two_target_run,
     for path in (run_dir, two_target_run[1]):
         run = RunDir(path)
         texts = run.corpus(Split.TEST).examples
-        got = run.score(run.rows(texts, mode), 1, mode, norm)
+        got = run.score(run.rows(texts, mode), 1, norm)
         want = _oracle_scores(run, texts, 1, mode, norm)
         for field in ("sem", "dis"):
             assert np.array_equal(getattr(got, field), getattr(want, field))
@@ -1314,26 +1340,26 @@ def test_log_val_micf_per_mode_equals_eval_at_the_best_epoch(run_dir):
 
 def test_scoring_reads_only_the_records_it_scores(run_dir, synth_small,
                                                   tmp_path, monkeypatch):
-    root, paths = synth_small
-    asked = []
-    real = training.load_embeddings
+    root, _ = synth_small
+    reads = []
+    original = training.TokenRows._read
 
-    def recording(*args, **kwargs):
-        asked.append(kwargs.get("ids"))
-        return real(*args, **kwargs)
+    def recording(self, src, rec_id, out=None):
+        reads.append(rec_id)
+        return original(self, src, rec_id, out)
 
-    monkeypatch.setattr(training, "load_embeddings", recording)
+    monkeypatch.setattr(training.TokenRows, "_read", recording)
     out = tmp_path / "p.tsv"
     assert main(["predict", "--run", str(run_dir), "--in",
                  str(root / "test.tsv"), "--out", str(out)]) == 0
-    assert main(["eval", "--run", str(run_dir), "--split", "val"]) == 0
     test_ids = [line.split("\t")[0] for line in
                 out.read_text(encoding="utf-8").splitlines()[1:]]
+    assert sorted(reads) == sorted(test_ids)
+    reads.clear()
+    # eval scores both trials from one read of each record
+    assert main(["eval", "--run", str(run_dir), "--split", "val"]) == 0
     val = RunDir(run_dir).corpus(Split.VAL).examples
-    assert [sorted(ids) for ids in asked] == [
-        sorted(test_ids), sorted(ex.id for ex in val)]
-    store = real(paths["embeddings"], ids=asked[0])
-    assert set(store.tokens) == set(test_ids)
+    assert sorted(reads) == sorted(ex.id for ex in val)
 
 
 def _record_offsets(emb):
@@ -1466,7 +1492,7 @@ def test_eval_of_a_carved_split_equals_a_report_over_the_full_load(
         assert texts
         rows = run.rows(texts)
         want = metrics.trial_report(
-            [run.score(rows, trial, "full", False).predicted
+            [run.score(rows, trial).predicted
              for trial in (1, 2)],
             [ex.stance for ex in texts], [ex.target for ex in texts],
             dataset.targets, [1, 2])

@@ -42,16 +42,17 @@ def _model(u, weights, z=None):
                     h=len(u) // 3, n_text=0)
 
 
-def _scored(sem, dis, topic_table=np.eye(3), **kwargs):
-    """score_batch on one row whose raw score triples are sem and dis.
+def _scored(sem, dis, topic_table=np.eye(3)):
+    """score_batch on one row whose raw score triples are sem and dis; a
+    side given as None is dropped.
 
     The identity label table makes the semantic scores the row itself. With
     H = 1, the identity topic table and zero weights, the distributed scores
     are the row's topic distribution, so dis must sum to 1.
     """
-    return score_batch(np.array([sem], dtype=float),
-                       np.array([dis], dtype=float),
-                       _model(topic_table, ZERO_WEIGHTS, np.eye(3)), **kwargs)
+    return score_batch(None if sem is None else np.array([sem], dtype=float),
+                       None if dis is None else np.array([dis], dtype=float),
+                       _model(topic_table, ZERO_WEIGHTS, np.eye(3)))
 
 
 # --- semantic score -------------------------------------------------------------
@@ -191,24 +192,31 @@ def test_argmax_tie_break_label_order():
     assert argmax_labels(np.array([[0.0, 0.0, 0.0]])) == [Stance.FAVOR]
     assert argmax_labels(np.array([[0.0, 1.0, 1.0]])) == [Stance.NONE]
     assert argmax_labels(np.array([[1.0, 0.0, 2.0]])) == [Stance.AGAINST]
+    # rows with ties and NaNs label as one argmax per row would
+    rows = np.random.default_rng(11).integers(0, 3, (200, 3)).astype(float)
+    rows[::7, 1] = np.nan
+    assert argmax_labels(rows) == [
+        [Stance.FAVOR, Stance.NONE, Stance.AGAINST][int(np.argmax(row))]
+        for row in rows]
+    assert argmax_labels(np.zeros((0, 3))) == []
 
 
 def test_bundle_modes_zero_one_side():
     sem = [0.5, 0.0, 0.0]
     dis = [0.0, 0.0, 1.0]
-    full = _scored(sem, dis, mode="full")
+    full = _scored(sem, dis)
     assert full.predicted == [Stance.AGAINST]
     assert np.allclose(full.sem + full.dis, [[0.5, 0.0, 1.0]])
-    no_sem = _scored(sem, dis, mode="no_sem")
+    no_sem = _scored(None, dis)
     assert np.allclose(no_sem.sem, 0.0)
     assert np.allclose(no_sem.dis, full.dis)
     assert no_sem.predicted == [Stance.AGAINST]
-    no_dis = _scored(sem, dis, mode="no_dis")
+    no_dis = _scored(sem, None)
     assert np.allclose(no_dis.dis, 0.0)
     assert np.allclose(no_dis.sem, full.sem)
     assert no_dis.predicted == [Stance.FAVOR]
-    with pytest.raises(InferenceError):
-        _scored(sem, dis, mode="nope")
+    with pytest.raises(InferenceError, match="no semantic rows and no topic"):
+        _scored(None, None)
 
 
 def test_bundle_constant_shift_invariance():
@@ -230,9 +238,11 @@ def test_zscore_rows_standardizes():
     assert np.allclose(out[0].mean(), 0.0)
     assert np.allclose(out[0].std(), 1.0)
     assert np.array_equal(out[1], np.zeros(3))
-    constant = _scored([2.0, 2.0, 2.0], [0.0, 1.0, 0.0], score_norm=True)
-    assert np.allclose(constant.sem, 0.0)
-    assert constant.predicted == [Stance.NONE]
+    # a constant side z-scores to zeros, so the other side alone decides
+    scores = _scored([2.0, 2.0, 2.0], [0.0, 1.0, 0.0])
+    sem, dis = zscore_rows(scores.sem), zscore_rows(scores.dis)
+    assert np.array_equal(sem, np.zeros((1, 3)))
+    assert argmax_labels(sem + dis) == [Stance.NONE]
 
 
 def test_score_batch_rows_match_one_row_calls():
@@ -244,16 +254,14 @@ def test_score_batch_rows_match_one_row_calls():
     sem_rows = rng.standard_normal((6, 5))
     dis_rows = rng.random((6, 3 * h))
     dis_rows /= dis_rows.sum(axis=1, keepdims=True)
-    for mode in ("full", "no_sem", "no_dis"):
-        for norm in (False, True):
-            batch = score_batch(sem_rows, dis_rows, model, mode=mode,
-                                score_norm=norm)
-            for i in range(6):
-                one = score_batch(sem_rows[i:i + 1], dis_rows[i:i + 1], model,
-                                  mode=mode, score_norm=norm)
-                assert np.allclose(one.sem[0], batch.sem[i])
-                assert np.allclose(one.dis[0], batch.dis[i])
-                assert one.predicted[0] is batch.predicted[i]
+    for sem, dis in ((sem_rows, dis_rows), (None, dis_rows), (sem_rows, None)):
+        batch = score_batch(sem, dis, model)
+        for i in range(6):
+            one = score_batch(*(None if side is None else side[i:i + 1]
+                                for side in (sem, dis)), model)
+            assert np.allclose(one.sem[0], batch.sem[i])
+            assert np.allclose(one.dis[0], batch.dis[i])
+            assert one.predicted[0] is batch.predicted[i]
     with pytest.raises(InferenceError):
         score_batch(sem_rows[:5], dis_rows, model)
     empty = score_batch(sem_rows[:0], dis_rows[:0], model)
@@ -269,19 +277,19 @@ def test_score_batch_takes_none_for_the_side_its_mode_drops():
     sem_rows = rng.standard_normal((4, 5))
     dis_rows = rng.random((4, 6))
     dis_rows /= dis_rows.sum(axis=1, keepdims=True)
-    for mode, sides in (("no_sem", (None, dis_rows)),
-                        ("no_dis", (sem_rows, None))):
-        for norm in (False, True):
-            alone = score_batch(*sides, model, mode=mode, score_norm=norm)
-            both = score_batch(sem_rows, dis_rows, model, mode=mode,
-                               score_norm=norm)
-            for got, want in zip(alone, both):
-                assert np.array_equal(got, want)
-    for mode, sides in (("full", (None, dis_rows)), ("full", (sem_rows, None)),
-                        ("no_sem", (sem_rows, None)),
-                        ("no_dis", (None, dis_rows))):
-        with pytest.raises(InferenceError, match=f"mode {mode} reads"):
-            score_batch(*sides, model, mode=mode)
+    both = score_batch(sem_rows, dis_rows, model)
+    # the side given as None reads as zeros, the other as when both are given
+    no_sem = score_batch(None, dis_rows, model)
+    assert np.array_equal(no_sem.sem, np.zeros((4, 3)))
+    assert np.array_equal(no_sem.dis, both.dis)
+    assert no_sem.predicted == argmax_labels(both.dis)
+    no_dis = score_batch(sem_rows, None, model)
+    assert np.array_equal(no_dis.sem, both.sem)
+    assert np.array_equal(no_dis.dis, np.zeros((4, 3)))
+    assert no_dis.predicted == argmax_labels(both.sem)
+    with pytest.raises(InferenceError, match="no semantic rows and no topic"):
+        score_batch(None, None, model)
+    assert score_batch(None, dis_rows[:0], model).predicted == []
 
 
 # --- end-to-end on synthetic data ---------------------------------------------------
@@ -302,10 +310,12 @@ def trained(synth_small):
     return dataset, store, triple, data, result
 
 
-def _score_examples(examples, store, triple, ckpt, **kwargs):
-    return score_batch(semantic_matrix(examples, store),
-                       fold_in_matrix([(triple, examples)], 10, 4)[0],
-                       ckpt, **kwargs)
+def _score_examples(examples, store, triple, ckpt, mode="full"):
+    """score_batch on the examples' rows, the side mode drops as None."""
+    return score_batch(
+        None if mode == "no_sem" else semantic_matrix(examples, store),
+        None if mode == "no_dis"
+        else fold_in_matrix([(triple, examples)], 10, 4)[0], ckpt)
 
 
 def test_predict_returns_bundles_and_beats_chance(trained):

@@ -719,7 +719,7 @@ def test_lda_file_rejects_corruption(tmp_path):
     docs, _ = planted_corpus(n_docs=10, seed=13)
     m = fit_lda(docs, h=2, sweeps=5, seed=0)
     path = tmp_path / "model.lda1"
-    save_lda(m, path, sidecar=False)
+    save_lda(m, path)
     raw = path.read_bytes()
     bad_magic = tmp_path / "bad.lda1"
     bad_magic.write_bytes(b"XXXX" + raw[4:])
@@ -745,7 +745,7 @@ def test_lda_file_rejects_corruption(tmp_path):
 def test_lda_loads_the_file_counts_and_checks_sizes_first(tmp_path):
     m = _model([[3, 1, 0], [1, 3, 2]], ["a", "bb", "ccc"])
     path = tmp_path / "model.lda1"
-    save_lda(m, path, sidecar=False)
+    save_lda(m, path)
     raw = path.read_bytes()
     counts = np.frombuffer(raw[32:32 + 8 * 6], dtype="<i8").reshape(2, 3)
     assert np.array_equal(load_lda(path).topic_word_counts, counts)
@@ -766,7 +766,7 @@ def test_lda_loads_the_file_counts_and_checks_sizes_first(tmp_path):
 def test_lda_truncated_at_every_offset_raises_topics_error(tmp_path):
     m = _model([[3, 1, 0], [1, 3, 2]], ["a", "bb", "ccc"])
     path = tmp_path / "model.lda1"
-    save_lda(m, path, sidecar=False)
+    save_lda(m, path)
     raw = path.read_bytes()
     cut = tmp_path / "cut.lda1"
     for size in range(len(raw)):

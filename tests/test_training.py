@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 import cosd.training
-from cosd import cpa, graph
+from cosd import cpa, graph, inference, metrics
 from cosd.corpus import Example, Split, Stance, load_semeval, stance_subsets
 from cosd.numerics import AdamState, adam_step
+from cosd.synth import make_synthetic
 from cosd.topics import fit_triple, fold_in, perplexity, token_docs
 from cosd.training import (
     ConfigError,
@@ -68,7 +69,6 @@ def test_embeddings_round_trip(tmp_path):
     assert set(store.tokens) == {"ex-1", "ex-2"}
     assert set(store.targets) == {"Policy"}
     assert set(store.labels) == {"favor", "none", "against"}
-    assert len(store) == 6
     # storage is float32; loaded values are the rounded ones exactly
     assert np.array_equal(store.tokens["ex-1"],
                           records[0][1].astype(np.float32).astype(np.float64))
@@ -114,7 +114,7 @@ def test_embeddings_single_record_store(tmp_path):
     path = tmp_path / "one.emb1"
     save_embeddings(path, [("only", np.ones((1, 8)))], dim=8)
     store = load_embeddings(path, expect_dim=8)
-    assert len(store) == 1
+    assert (len(store.tokens), store.targets, store.labels) == (1, {}, {})
 
 
 def test_embeddings_dimension_mismatch(tmp_path):
@@ -177,8 +177,14 @@ def test_embeddings_truncated_at_every_offset_raise_training_error(tmp_path):
     cut = tmp_path / "cut.emb1"
     for size in range(len(raw)):
         cut.write_bytes(raw[:size])
-        with pytest.raises(TrainingError, match="cut.emb1"):
+        with pytest.raises(TrainingError, match="cut.emb1") as err:
             load_embeddings(cut, expect_dim=4)
+        # a skip past the end fails where it is made, inside the file
+        at = re.search(r"at byte (\d+)$", str(err.value))
+        assert at is None or int(at.group(1)) <= size
+    cut.write_bytes(raw + b"\x00")
+    with pytest.raises(TrainingError, match="trailing bytes"):
+        load_embeddings(cut, expect_dim=4)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -211,53 +217,9 @@ def test_embeddings_reject_a_repeated_record(tmp_path, rec_id):
     path = tmp_path / "again.emb1"
     save_embeddings(path, records, dim=8)
     at = _record_offsets(records, 8)[-1]
-    for ids in (None, [], ["ex-1"]):
-        with pytest.raises(TrainingError,
-                           match=f"duplicate record '{rec_id}' at byte {at}$"):
-            load_embeddings(path, expect_dim=8, ids=ids)
-
-
-def _subset_records(rng, dim=8):
-    return _records(rng, dim) + [(f"ex-{i}", rng.standard_normal((i % 3 + 1,
-                                                                   dim)))
-                                 for i in range(3, 9)]
-
-
-def test_embeddings_subset_read_equals_the_full_read(tmp_path):
-    path = tmp_path / "vecs.emb1"
-    save_embeddings(path, _subset_records(np.random.default_rng(5)), dim=8)
-    full = load_embeddings(path, expect_dim=8)
-    for ids in ([], ["ex-2"], ["ex-8", "ex-1", "ex-5", "absent"],
-                list(full.tokens)):
-        sub = load_embeddings(path, expect_dim=8, ids=ids)
-        assert set(sub.tokens) == set(ids) & set(full.tokens)
-        for rec_id, rows in sub.tokens.items():
-            assert rows.dtype == np.float32
-            assert np.array_equal(rows, full.tokens[rec_id])
-        # target and label records are always read
-        for got, want in ((sub.targets, full.targets),
-                          (sub.labels, full.labels)):
-            assert got.keys() == want.keys()
-            assert all(np.array_equal(got[k], want[k]) for k in got)
-
-
-def test_embeddings_subset_read_keeps_the_framing_checks(tmp_path):
-    path = tmp_path / "vecs.emb1"
-    save_embeddings(path, [("ex-1", np.ones((2, 4))), ("skip", np.ones((3, 4))),
-                           ("label:favor", np.ones((1, 4)))], dim=4)
-    raw = path.read_bytes()
-    cut = tmp_path / "cut.emb1"
-    for ids in ([], ["ex-1"]):
-        for size in range(len(raw)):
-            cut.write_bytes(raw[:size])
-            with pytest.raises(TrainingError, match="cut.emb1") as err:
-                load_embeddings(cut, expect_dim=4, ids=ids)
-            # a skip past the end fails where it is made, inside the file
-            at = re.search(r"at byte (\d+)$", str(err.value))
-            assert at is None or int(at.group(1)) <= size
-        cut.write_bytes(raw + b"\x00")
-        with pytest.raises(TrainingError, match="trailing bytes"):
-            load_embeddings(cut, expect_dim=4, ids=ids)
+    with pytest.raises(TrainingError,
+                       match=f"duplicate record '{rec_id}' at byte {at}$"):
+        load_embeddings(path, expect_dim=8)
 
 
 def test_embeddings_subset_read_checks_only_the_values_it_reads(tmp_path):
@@ -268,11 +230,11 @@ def test_embeddings_subset_read_checks_only_the_values_it_reads(tmp_path):
     path = tmp_path / "bad.emb1"
     save_embeddings(path, records, dim=4)
     at = _record_offsets(records, 4)[1]
+    store = load_embeddings(path, expect_dim=4)
+    assert np.array_equal(store.tokens["fine"], np.ones((1, 4)))
     with pytest.raises(TrainingError,
                        match=f"'ex-1' has non-finite values at byte {at}$"):
-        load_embeddings(path, expect_dim=4, ids=["ex-1"]).tokens["ex-1"]
-    store = load_embeddings(path, expect_dim=4, ids=["fine"])
-    assert set(store.tokens) == {"fine"} and set(store.labels) == {"none"}
+        store.tokens["ex-1"]
 
 
 def _reversed(path, records):
@@ -310,9 +272,15 @@ def test_a_file_rewritten_after_indexing_fails_the_read(tmp_path, rewrite,
         store.tokens["ex-2"]
 
 
+def _more_records(rng, dim=8):
+    return _records(rng, dim) + [(f"ex-{i}", rng.standard_normal((i % 3 + 1,
+                                                                   dim)))
+                                 for i in range(3, 9)]
+
+
 def test_semantic_and_pooled_rows_equal_each_record_stacked(tmp_path):
     path = tmp_path / "vecs.emb1"
-    save_embeddings(path, _subset_records(np.random.default_rng(7)), dim=8)
+    save_embeddings(path, _more_records(np.random.default_rng(7)), dim=8)
     store = load_embeddings(path, expect_dim=8)
     examples = [Example(id=rec_id, text="t", target="Policy",
                         stance=Stance.NONE, split=Split.TEST, tokens=("t",))
@@ -686,6 +654,59 @@ def test_train_group_logs_and_best_checkpoint(synth_setup):
     assert result.checkpoint.hops == config.hops
     assert all(np.isfinite(row["loss"]) for row in result.log_rows)
     assert len(result.val_preds) == len(data.val)
+
+
+def _three_call_val_metrics(data, model, config):
+    """(macf, micf, preds) of _val_metrics by one score_batch call per
+    mode, each given only the rows its mode reads: the oracle."""
+    golds = [ex.stance for ex in data.val]
+    targets = [ex.target for ex in data.val]
+    micf = {}
+    for mode, sem, dis in (("no_sem", None, data.dis_val),
+                           ("no_dis", data.sem_val, None),
+                           ("full", data.sem_val, data.dis_val)):
+        preds = inference.score_batch(sem, dis, model,
+                                      slope=config.leaky_slope).predicted
+        macf, micf[mode] = metrics.macro_micro(preds, golds, targets)
+    return macf, micf, preds
+
+
+def test_val_metrics_scores_each_side_once_as_three_calls_would(
+        tmp_path, monkeypatch):
+    # heavy noise, so the modes' val labels differ and fall short of 1.0
+    paths = make_synthetic(tmp_path, seed=5, n_train=60, n_val=45, n_test=3,
+                           h=2, words_per_topic=6, noise=3.0)
+    dataset = load_semeval(tmp_path)
+    store = load_embeddings(paths["embeddings"])
+    target = dataset.targets[0]
+    config = _config(epochs=4)
+    data = build_group_data(dataset, store, target, target, config)
+    calls = []
+    for name in ("semantic_scores", "distributed_scores"):
+        def counting(*args, _name=name,
+                     _original=getattr(inference, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(inference, name, counting)
+    original = cosd.training._val_metrics
+    epochs = []
+
+    def checked(data, model, config):
+        calls.clear()
+        got = original(data, model, config)
+        assert sorted(calls) == ["distributed_scores", "semantic_scores"]
+        epochs.append((got, _three_call_val_metrics(data, model, config)))
+        return got
+
+    monkeypatch.setattr(cosd.training, "_val_metrics", checked)
+    train_group(data, store, config, trial_seed=7)
+    assert len(epochs) == config.epochs
+    for got, want in epochs:
+        assert got == want
+    # the ablations' labels are not full mode's
+    assert all(micf["full"] < 1.0 and micf["no_sem"] != micf["full"]
+               for (_, micf, _), _ in epochs)
 
 
 def test_frozen_batch_step_decreases_loss(synth_setup):

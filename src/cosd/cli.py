@@ -244,12 +244,11 @@ class RunDir:
     def _trial_file(self, name: str, trial: int, suffix: str) -> Path:
         return self.path / f"trial-{trial}" / f"{self.groups[name]}{suffix}"
 
-    def checkpoint(self, name: str, trial: int,
-                   texts: bool = True) -> cpa.CpaModel:
+    def checkpoint(self, name: str, trial: int) -> cpa.CpaModel:
         """The trial's checkpoint of the group, whose H, d1 and hop count
-        must be the run's; texts=False leaves its text rows unread."""
+        must be the run's."""
         path = self._trial_file(name, trial, ".cpa1")
-        ckpt = cpa.load_checkpoint(path, texts=texts)
+        ckpt = cpa.load_checkpoint(path)
         got = (ckpt.h, ckpt.d1, ckpt.hops)
         want = (self.config.h, self.config.d1, self.config.resolved_hops())
         if got != want:
@@ -306,13 +305,12 @@ class RunDir:
               score_norm: bool = False) -> inference.Scores:
         """Every group's rows scored against the trial's checkpoint of that
         group, in the order of the texts given to rows; score_norm z-scores
-        each side's row before the sum's argmax labels it. Scoring reads no
-        text row of a checkpoint."""
+        each side's row before the sum's argmax labels it."""
         n = sum(len(where) for _, where, _, _ in rows)
         sem, dis = np.zeros((n, 3)), np.zeros((n, 3))
         for name, where, sem_rows, dis_rows in rows:
             scores = inference.score_batch(
-                sem_rows, dis_rows, self.checkpoint(name, trial, texts=False),
+                sem_rows, dis_rows, self.checkpoint(name, trial),
                 slope=self.config.leaky_slope)
             sem[where], dis[where] = scores.sem, scores.dis
         if score_norm:
@@ -321,11 +319,12 @@ class RunDir:
 
     def training_graph(self, name: str, trial: int) -> tuple[
             cpa.CpaModel, list[str], graph.BipartiteLaplacian]:
-        """The trial's checkpoint, and its training text ids and graph.
+        """The trial's model over its training graph, the graph's text ids
+        and its Laplacian.
 
         The graph is rebuilt as training built it: the group's train pool,
         checked against the trial's .meta.json, folded in again under the
-        run's topic models.
+        run's topic models, with the pool's semantic rows as its text rows.
         """
         ckpt = self.checkpoint(name, trial)
         meta_path = self._trial_file(name, trial, ".meta.json")
@@ -337,16 +336,16 @@ class RunDir:
                 != [ex.stance.value for ex in pool]):
             raise ConfigError(f"{meta_path}: ids and stances differ from the "
                               f"train pool in {self.config.data}")
-        if len(pool) != ckpt.n_text:
-            raise ConfigError(
-                f"{self._trial_file(name, trial, '.cpa1')}: {ckpt.n_text} "
-                f"texts, but the run's train pool has {len(pool)}")
         (dis,) = training.fold_in_matrix([(self._triple(name), pool)],
                                          self.config.fold_in_sweeps,
                                          self.config.seed)
         lap = graph.laplacian(graph.build_adjacency(
             [ex.stance for ex in pool], dis))
-        return ckpt, ids, lap
+        model = cpa.CpaModel(
+            np.concatenate([training.semantic_matrix(pool, self.store),
+                            ckpt.e0]),
+            ckpt.w1, ckpt.w2, h=ckpt.h, n_text=len(pool))
+        return model, ids, lap
 
 
 def _write_train_outputs(run_dir: Path, config: RunConfig,
@@ -378,11 +377,12 @@ def _write_train_outputs(run_dir: Path, config: RunConfig,
                 "seed": trial.seed,
             }
             _write_json(trial_dir / f"{slug}.meta.json", meta)
-            log_lines = ["epoch,loss,val_macf,val_micf,l_con,l_cos,"
+            # l_con, the ranking term, is the whole loss
+            log_lines = ["epoch,loss,val_macf,val_micf,l_con,"
                          "val_micf_no_sem,val_micf_no_dis"]
             log_lines += [
                 f"{r['epoch']},{r['loss']:.8f},{r['val_macf']:.6f},"
-                f"{r['val_micf']:.6f},{r['l_con']:.8f},{r['l_cos']:.8f},"
+                f"{r['val_micf']:.6f},{r['loss']:.8f},"
                 f"{r['val_micf_no_sem']:.6f},{r['val_micf_no_dis']:.6f}"
                 for r in group.log_rows
             ]
@@ -545,7 +545,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     run = RunDir(args.run)
     trial = run.trials(args.trial)[0]
     group = run.group(args.group)
-    ckpt, ids, lap = run.training_graph(group, trial)
+    model, ids, lap = run.training_graph(group, trial)
     n = lap.n_text
 
     did_something = False
@@ -563,10 +563,10 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
     reps = None
     node_names = (ids
-                  + [f"topic:{j}" for j in range(3 * ckpt.h)]
+                  + [f"topic:{j}" for j in range(3 * model.h)]
                   + [f"label:{key}" for key in LABEL_KEYS])
     if args.dump_final_reps or args.similar_to:
-        reps = inference.final_train_reps(ckpt, lap,
+        reps = inference.final_train_reps(model, lap,
                                           slope=run.config.leaky_slope)
     if args.dump_final_reps:
         lines = [
@@ -580,11 +580,10 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         did_something = True
 
     if args.similar_to:
-        if args.similar_to not in run.store.tokens:
-            raise InferenceError(
-                f"no embedding record for example {args.similar_to!r}")
-        query = cpa.infer_transform(run.store.pooled(args.similar_to), ckpt,
-                                    slope=run.config.leaky_slope)
+        (sem,) = training.semantic_matrix([_example(run, args.similar_to)],
+                                          run.store)
+        # the query's first d0 columns are the text's row in the graph
+        query = cpa.infer_transform(sem, model, slope=run.config.leaky_slope)
         hits = inference.top_k_similar(query, reps[:n], ids, args.k,
                                        exclude_id=args.similar_to)
         for rec_id, sim in hits:
@@ -592,19 +591,24 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         did_something = True
 
     if args.export_attention:
-        wanted = [ex for ex in run.corpus(*Split).examples
-                  if ex.id == args.export_attention]
-        if not wanted:
-            raise ConfigError(f"example {args.export_attention!r} not in dataset")
         out = args.attention_out or f"{args.export_attention}-attention.csv"
-        training.export_attention(wanted[0], run.store, out)
+        training.export_attention(_example(run, args.export_attention),
+                                  run.store, out)
         print(f"attention weights -> {out}")
         did_something = True
 
     if not did_something:
         print(f"run {run.path}: groups {list(run.groups)}, "
-              f"trial {trial}, {n} text nodes, H={ckpt.h}, hops={ckpt.hops}")
+              f"trial {trial}, {n} text nodes, H={model.h}, hops={model.hops}")
     return 0
+
+
+def _example(run: RunDir, rec_id: str) -> Example:
+    """The text of the run's dataset (any split) with this id."""
+    for ex in run.corpus(*Split).examples:
+        if ex.id == rec_id:
+            return ex
+    raise ConfigError(f"example {rec_id!r} not in dataset")
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -638,6 +642,7 @@ _FLAG_OPTIONS = {
     "beta": {"help": "topic-word prior"},
     "d1": {"help": "propagated embedding width"},
     "joint": {"help": "one joint graph instead of per-target graphs"},
+    "lr_embed": {"help": "Adam learning rate of the topic and label rows"},
 }
 TOPICS_KEYS = ("dataset", "data", "alpha", "beta", "lda_sweeps",
                "fold_in_sweeps", "seed", "joint")

@@ -29,10 +29,12 @@ class CpaError(Exception):
 
 @dataclass
 class CpaModel:
-    """Stacked table e0 = [V; U; Z] (texts, topics, labels) and per-hop
+    """Stacked table e0 = [T; U; Z] (texts, topics, labels) and per-hop
     weights w1[k], w2[k]: first hop d0 x d1, later hops d1 x d1.
 
-    Training updates the arrays in place; a snapshot is a copy().
+    The text rows T are the texts' semantic rows, fixed; training updates
+    U, Z and the weights in place. A checkpoint holds no text rows
+    (n_text = 0); snapshot() is one.
     """
 
     e0: np.ndarray
@@ -71,10 +73,6 @@ class CpaModel:
 
     # views of the blocks
     @property
-    def v(self) -> np.ndarray:
-        return self.e0[: self.n_text]
-
-    @property
     def u(self) -> np.ndarray:
         return self.e0[self.n_text: self.n_text + 3 * self.h]
 
@@ -85,10 +83,11 @@ class CpaModel:
     def label_row(self, j: int) -> int:
         return self.n_text + 3 * self.h + j
 
-    def copy(self) -> CpaModel:
-        return CpaModel(e0=self.e0.copy(), w1=[w.copy() for w in self.w1],
-                        w2=[w.copy() for w in self.w2], h=self.h,
-                        n_text=self.n_text)
+    def snapshot(self) -> CpaModel:
+        """A copy of U, Z and the weights, with no text rows."""
+        return CpaModel(e0=self.e0[self.n_text:].copy(),
+                        w1=[w.copy() for w in self.w1],
+                        w2=[w.copy() for w in self.w2], h=self.h, n_text=0)
 
 
 def init_cpa_weights(d0: int = D0, d1: int = D1, hops: int = 3,
@@ -105,22 +104,23 @@ def init_cpa_weights(d0: int = D0, d1: int = D1, hops: int = 3,
     return w1, w2
 
 
-def init_model(pooled_texts: np.ndarray, h: int, label_vecs: np.ndarray,
+def init_model(sem_texts: np.ndarray, h: int, label_vecs: np.ndarray,
                seed: int, weight_seed: int, d1: int = D1,
                hops: int = 3) -> CpaModel:
-    """V and Z start from encoder vectors, U from Xavier noise (seed); the
-    weights come from init_cpa_weights(weight_seed)."""
-    pooled_texts = np.asarray(pooled_texts, dtype=np.float64)
+    """The text rows are the texts' semantic rows (copied), Z starts from
+    the label encoder vectors, U from Xavier noise (seed); the weights come
+    from init_cpa_weights(weight_seed)."""
+    sem_texts = np.asarray(sem_texts, dtype=np.float64)
     label_vecs = np.asarray(label_vecs, dtype=np.float64)
-    if pooled_texts.ndim != 2:
-        raise CpaError(f"text block must be 2-D, got {pooled_texts.shape}")
-    d0 = pooled_texts.shape[1]
+    if sem_texts.ndim != 2:
+        raise CpaError(f"text block must be 2-D, got {sem_texts.shape}")
+    d0 = sem_texts.shape[1]
     if label_vecs.shape != (3, d0):
         raise CpaError(f"label block must be (3, {d0}), got {label_vecs.shape}")
     u = xavier_init(3 * h, d0, seed)
     w1, w2 = init_cpa_weights(d0, d1, hops, weight_seed)
-    return CpaModel(e0=np.concatenate([pooled_texts, u, label_vecs], axis=0),
-                    w1=w1, w2=w2, h=h, n_text=len(pooled_texts))
+    return CpaModel(e0=np.concatenate([sem_texts, u, label_vecs], axis=0),
+                    w1=w1, w2=w2, h=h, n_text=len(sem_texts))
 
 
 def _leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:
@@ -202,27 +202,24 @@ def propagate(e0: np.ndarray, lap: BipartiteLaplacian, w1: list[np.ndarray],
 
 
 class Step(NamedTuple):
-    """One mini-batch's loss, its two terms and its gradients."""
+    """One mini-batch's ranking loss and its gradients."""
 
     loss: float
-    l_con: float                 # ranking loss
-    l_cos: float                 # cosine loss
     g_e0: np.ndarray
     g_w1: list[np.ndarray]
     g_w2: list[np.ndarray]
 
 
 def batch_loss(model: CpaModel, lap: BipartiteLaplacian, batch: np.ndarray,
-               gold: np.ndarray, negs: np.ndarray, sem: np.ndarray,
-               slope: float = 0.01, buffers: Buffers | None = None) -> Step:
+               gold: np.ndarray, negs: np.ndarray, slope: float = 0.01,
+               buffers: Buffers | None = None) -> Step:
     """One mini-batch's loss and its gradients for (e0, w1, w2).
 
     The final rep of a node is [E^0 | E^1 | ... | E^l] over the propagated
     hops. With v a batch text's rep and z its gold (z+) or negative (z-)
-    label node's, l_con is the mean over batch rows and negatives of
-    -log sigmoid(v.z+ - v.z-), l_cos the batch mean of
-    1 - cos(sem, e0[text]), and the loss their sum.
-    batch, gold: (B,) node rows; negs: (B, J) node rows; sem: (B, d0).
+    label node's, the loss is the mean over batch rows and negatives of
+    -log sigmoid(v.z+ - v.z-). batch, gold: (B,) node rows; negs: (B, J)
+    node rows.
 
     The gradients are views into buffers (fresh ones when None) and hold
     until the next call with the same buffers overwrites them.
@@ -231,9 +228,9 @@ def batch_loss(model: CpaModel, lap: BipartiteLaplacian, batch: np.ndarray,
     negs = np.asarray(negs)
     b = len(batch)
     if (gold.shape != (b,) or negs.ndim != 2 or negs.shape[0] != b
-            or negs.shape[1] < 1 or sem.shape != (b, model.d0)):
-        raise CpaError(f"batch {batch.shape}, gold {gold.shape}, negatives "
-                       f"{negs.shape} and semantic rows {sem.shape} disagree")
+            or negs.shape[1] < 1):
+        raise CpaError(f"batch {batch.shape}, gold {gold.shape} and "
+                       f"negatives {negs.shape} disagree")
     rows = np.concatenate([batch, gold, *negs.T])
     if rows.min() < 0 or rows.max() >= model.e0.shape[0]:
         raise CpaError("batch row out of range")
@@ -250,15 +247,7 @@ def batch_loss(model: CpaModel, lap: BipartiteLaplacian, batch: np.ndarray,
     acc = np.logaddexp(0.0, -margins[0])
     for m in margins[1:]:
         acc = acc + np.logaddexp(0.0, -m)
-    l_con = (acc * (1.0 / len(margins))).mean()
-    text = model.e0[batch]
-    norm_sem = np.linalg.norm(sem, axis=1, keepdims=True)
-    norm_text = np.linalg.norm(text, axis=1, keepdims=True)
-    if (norm_sem == 0).any() or (norm_text == 0).any():
-        raise CpaError("cosine of a zero-norm row")
-    cos = (sem * text).sum(axis=1, keepdims=True) / (norm_sem * norm_text)
-    l_cos = (1.0 - cos).mean()
-    loss = l_con + l_cos
+    loss = (acc * (1.0 / len(margins))).mean()
 
     # backward to the gathered reps; d(-log sigmoid(m))/dm = -sigmoid(-m)
     coef = (1.0 / b) * (1.0 / len(margins)) * -1.0
@@ -267,9 +256,6 @@ def batch_loss(model: CpaModel, lap: BipartiteLaplacian, batch: np.ndarray,
     g_v = g_pos * z_pos
     for g, z in zip(g_margins, z_negs):
         g_v -= g * z
-    g_text = -(1.0 / b) * (sem / (norm_sem * norm_text)
-                           - cos * text / (norm_text * norm_text))
-    g_v[:, :model.d0] += g_text
     g_reps = np.concatenate([g_v, g_pos * v] + [-g * v for g in g_margins])
     bounds = np.cumsum([0] + [layer.shape[1] for layer in layers])
 
@@ -303,7 +289,7 @@ def batch_loss(model: CpaModel, lap: BipartiteLaplacian, batch: np.ndarray,
             and np.isfinite(g_e0.max())
             and all(np.isfinite(g).all() for g in g_w1 + g_w2)):
         raise CpaError("non-finite loss or gradient")
-    return Step(float(loss), float(l_con), float(l_cos), g_e0, g_w1, g_w2)
+    return Step(float(loss), g_e0, g_w1, g_w2)
 
 
 def infer_transform(x: np.ndarray, model: CpaModel,
@@ -332,47 +318,44 @@ def infer_transform(x: np.ndarray, model: CpaModel,
 
 # --- checkpoint serialization ----------------------------------------------
 #
-# CPA1 layout, little-endian:
-#   magic "CPA1" | u32 d0 | u32 d1 | u32 l | u32 H | u32 n_tr
-#   | f64 E ((n_tr + 3H + 3) x d0, row-major)
+# CPA2 layout, little-endian (a text's row is its semantic row, so no text
+# table is stored):
+#   magic "CPA2" | u32 d0 | u32 d1 | u32 l | u32 H
+#   | f64 [U; Z] ((3H + 3) x d0, row-major)
 #   | f64 W1[1..l] then W2[1..l] (hop 1: d0 x d1, later: d1 x d1, row-major)
 
-_CPA_MAGIC = b"CPA1"
+_CPA_MAGIC = b"CPA2"
 
 
 def save_checkpoint(path: str | Path, model: CpaModel) -> None:
+    """Writes the model's U, Z and weights; its text rows are not kept."""
     with open(path, "wb") as fh:
         fh.write(_CPA_MAGIC)
-        fh.write(struct.pack("<IIIII", model.d0, model.d1, model.hops,
-                             model.h, model.n_text))
-        for arr in [model.e0, *model.w1, *model.w2]:
+        fh.write(struct.pack("<IIII", model.d0, model.d1, model.hops,
+                             model.h))
+        for arr in [model.e0[model.n_text:], *model.w1, *model.w2]:
             fh.write(np.asarray(arr, dtype="<f8").tobytes(order="C"))
 
 
-def load_checkpoint(path: str | Path, texts: bool = True) -> CpaModel:
-    """The model a CPA1 file holds. With texts=False the text rows V are
-    skipped, not read: their bytes must still lie in the file, and the
-    model holds only [U; Z] (n_text = 0), all that scoring reads. Every
-    array read must be finite."""
+def load_checkpoint(path: str | Path) -> CpaModel:
+    """The model a CPA2 file holds: [U; Z] and the weights (n_text = 0),
+    all that scoring reads. Every array must be finite."""
     with Reader(path, CpaError, _CPA_MAGIC) as src:
-        d0, d1, hops, h, n_text = src.unpack("<IIIII")
+        d0, d1, hops, h = src.unpack("<IIII")
         if min(d0, d1, hops) < 1:
             raise src.fail("zero width or hop count in header, file corrupt")
 
         # every table must lie in the file before the first is allocated:
-        # E, then W1 and W2 of one d0 x d1 and hops - 1 d1 x d1 tables each
-        src.need(F64.itemsize * ((n_text + 3 * h + 3) * d0
+        # [U; Z], then W1 and W2 of one d0 x d1 and hops - 1 d1 x d1 tables
+        src.need(F64.itemsize * ((3 * h + 3) * d0
                                  + 2 * (d0 + (hops - 1) * d1) * d1))
-        if not texts:
-            src.skip(F64.itemsize * n_text * d0)
-            n_text = 0
 
         def take(rows: int, cols: int) -> np.ndarray:
             out = np.empty((rows, cols), F64)
             src.read_into(out)
             return out
 
-        e0 = take(n_text + 3 * h + 3, d0)
+        e0 = take(3 * h + 3, d0)
         w1 = [take(d0 if k == 0 else d1, d1) for k in range(hops)]
         w2 = [take(d0 if k == 0 else d1, d1) for k in range(hops)]
         src.finish()
@@ -381,4 +364,4 @@ def load_checkpoint(path: str | Path, texts: bool = True) -> CpaModel:
     if not all(-np.inf < a.min() and a.max() < np.inf
                for a in [e0, *w1, *w2]):
         raise CpaError(f"{src.path}: non-finite values")
-    return CpaModel(e0=e0, w1=w1, w2=w2, h=h, n_text=n_text)
+    return CpaModel(e0=e0, w1=w1, w2=w2, h=h, n_text=0)

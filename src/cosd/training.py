@@ -5,10 +5,11 @@ Training is one pipeline per group: fit the three per-stance topic models,
 fold the group's texts into them, build the graph, then train it.
 Sentence-encoder vectors arrive precomputed in an EMB1 file; the encoder
 itself never runs in-process, so the semantic representation of each text is
-a constant while the embedding table and propagation weights train. Each
-training group (one per target by default, or one joint group) owns its own
-graph and model; best-val checkpoints are kept per group, and the whole run
-repeats over trials with shifted seeds.
+a constant. It is also the text's node row in the graph, while the topic and
+label rows and the propagation weights train. Each training group (one per
+target by default, or one joint group) owns its own graph and model;
+best-val checkpoints are kept per group, and the whole run repeats over
+trials with shifted seeds.
 """
 
 from __future__ import annotations
@@ -119,19 +120,11 @@ class EncoderStore:
     targets: dict[str, np.ndarray]    # target name -> (dim,) float64
     labels: dict[str, np.ndarray]     # "favor"/"none"/"against" -> (dim,)
 
-    def pooled(self, rec_id: str) -> np.ndarray:
-        """Mean of an example's token rows, (dim,) float64."""
-        return _pool(self.tokens[rec_id])
-
     def label_matrix(self) -> np.ndarray:
         missing = [k for k in LABEL_KEYS if k not in self.labels]
         if missing:
             raise TrainingError(f"missing label records: {missing}")
         return np.stack([self.labels[k] for k in LABEL_KEYS])
-
-
-def _pool(rows: np.ndarray) -> np.ndarray:
-    return np.mean(rows, axis=0, dtype=np.float64)
 
 
 class EmbeddingWriter:
@@ -225,7 +218,8 @@ def load_embeddings(path: str | Path, expect_dim: int = 768) -> EncoderStore:
                 src.skip(F32.itemsize * dim * t)
                 index[rec_id] = (start, t)
                 continue
-            pooled = _pool(_read_rows(src, rec_id, t, dim, start))
+            pooled = np.mean(_read_rows(src, rec_id, t, dim, start),
+                             axis=0, dtype=np.float64)
             if rec_id.startswith("target:"):
                 targets[rec_id[len("target:"):]] = pooled
             else:
@@ -293,12 +287,10 @@ def semantic_rep(token_matrix: np.ndarray,
     return attention_weights(m, target_vec) @ m
 
 
-def semantic_matrix(examples: list[Example], store: EncoderStore,
-                    pooled: np.ndarray | None = None) -> np.ndarray:
+def semantic_matrix(examples: list[Example],
+                    store: EncoderStore) -> np.ndarray:
     """semantic_rep of every example against its target's vector, (n, dim)
-    float64; each record is read once, and none is read for no examples.
-    When pooled, an (n, dim) array, is given, its row i is set to
-    store.pooled(id) of example i from the same read."""
+    float64; each record is read once, and none is read for no examples."""
     for ex in examples:
         if ex.id not in store.tokens or ex.target not in store.targets:
             raise TrainingError(f"missing embedding record for {ex.id!r}")
@@ -307,10 +299,7 @@ def semantic_matrix(examples: list[Example], store: EncoderStore,
         return out
     with store.tokens.open() as read:
         for i, ex in enumerate(examples):
-            rows = read(ex.id)
-            out[i] = semantic_rep(rows, store.targets[ex.target])
-            if pooled is not None:
-                pooled[i] = _pool(rows)
+            out[i] = semantic_rep(read(ex.id), store.targets[ex.target])
     return out
 
 
@@ -419,9 +408,8 @@ class GroupData:
     triple: topics.TopicModelTriple
     dis_pool: np.ndarray         # (n, 3H) fold-in distributions
     dis_val: np.ndarray
-    sem_pool: np.ndarray         # (n, dim) semantic reps
+    sem_pool: np.ndarray         # (n, dim) semantic reps, the text rows
     sem_val: np.ndarray          # (n_val, dim)
-    pooled_vecs: np.ndarray      # (n, dim) mean-pooled encoder vectors
     lap: graph.BipartiteLaplacian
     seconds: dict[str, float] = field(default_factory=dict)  # stage wall times
 
@@ -431,7 +419,7 @@ class GroupResult:
     """One trial's training of one group; the group's inputs stay in its
     GroupData."""
 
-    checkpoint: cpa.CpaModel     # the best-val epoch's snapshot
+    checkpoint: cpa.CpaModel     # the best-val epoch's snapshot, no texts
     log_rows: list[dict]
     best_epoch: int
     best_val_micf: float
@@ -480,12 +468,10 @@ def build_group_data(dataset: Dataset, store: EncoderStore, group: str,
     lap = graph.laplacian(
         graph.build_adjacency([ex.stance for ex in pool], dis_pool))
     built = time.perf_counter()
-    pooled_vecs = np.empty((len(pool), store.dim))
     return GroupData(group=group, pool=pool, val=val, triple=triple,
                      dis_pool=dis_pool, dis_val=dis_val,
-                     sem_pool=semantic_matrix(pool, store, pooled_vecs),
-                     sem_val=semantic_matrix(val, store),
-                     pooled_vecs=pooled_vecs, lap=lap,
+                     sem_pool=semantic_matrix(pool, store),
+                     sem_val=semantic_matrix(val, store), lap=lap,
                      seconds={"topic_fit_s": start - began,
                               "fold_in_s": folded - start,
                               "graph_build_s": built - folded})
@@ -511,12 +497,14 @@ def _val_metrics(data: GroupData, model: cpa.CpaModel, config: RunConfig):
 
 def train_group(data: GroupData, store: EncoderStore, config: RunConfig,
                 trial_seed: int) -> GroupResult:
-    """Train one group's graph model; keep the best-val epoch's snapshot."""
+    """Train one group's graph model; keep the best-val epoch's snapshot.
+    The text rows are the semantic rows and never change: Adam updates only
+    the topic and label rows and the weights."""
     began = time.perf_counter()
     val_s = 0.0
     n = len(data.pool)
     model = cpa.init_model(
-        data.pooled_vecs, data.triple.h, store.label_matrix(),
+        data.sem_pool, data.triple.h, store.label_matrix(),
         seed=derive_seed(trial_seed, 1, data.group),
         weight_seed=derive_seed(trial_seed, 2, data.group), d1=config.d1,
         hops=config.resolved_hops())
@@ -527,7 +515,7 @@ def train_group(data: GroupData, store: EncoderStore, config: RunConfig,
                           if model.label_row(j) != gold_rows[i]]
                          for i in range(n)])
 
-    adam_embed = AdamState([model.e0], lr=config.lr_embed)
+    adam_embed = AdamState([model.e0[n:]], lr=config.lr_embed)
     adam_cpa = AdamState(model.w1 + model.w2, lr=config.lr_cpa)
     buffers = cpa.Buffers(model.e0, model.w1)
 
@@ -538,29 +526,26 @@ def train_group(data: GroupData, store: EncoderStore, config: RunConfig,
             derive_seed(trial_seed, 3, data.group, epoch))
         lap = graph.dropout_graph(data.lap, config.dropout, config.dropout, rng)
         order = rng.permutation(n)
-        sums = {"loss": 0.0, "l_con": 0.0, "l_cos": 0.0}
+        loss = 0.0
         for start in range(0, n, config.batch_size):
             batch = order[start:start + config.batch_size]
             step = cpa.batch_loss(
                 model, lap, batch, gold_rows[batch], neg_rows[batch],
-                data.sem_pool[batch], slope=config.leaky_slope,
-                buffers=buffers)
+                slope=config.leaky_slope, buffers=buffers)
             # the gradients live in buffers until the next batch_loss call
-            adam_step(adam_embed, [step.g_e0])
+            adam_step(adam_embed, [step.g_e0[n:]])
             adam_step(adam_cpa, step.g_w1 + step.g_w2)
-            for key in sums:
-                sums[key] += getattr(step, key) * len(batch)
+            loss += step.loss * len(batch)
 
         val_start = time.perf_counter()
         macf, micf, preds = _val_metrics(data, model, config)
         val_s += time.perf_counter() - val_start
-        log_rows.append({"epoch": epoch,
-                         **{key: total / n for key, total in sums.items()},
+        log_rows.append({"epoch": epoch, "loss": loss / n,
                          "val_macf": macf, "val_micf": micf["full"],
                          "val_micf_no_sem": micf["no_sem"],
                          "val_micf_no_dis": micf["no_dis"]})
         if best is None or micf["full"] > best[0]:
-            best = (micf["full"], epoch, model.copy(), preds)
+            best = (micf["full"], epoch, model.snapshot(), preds)
 
     micf, best_epoch, checkpoint, val_preds = best
     return GroupResult(

@@ -355,12 +355,11 @@ def final_reps(e0: Tensor, layers: list[Tensor]) -> Tensor:
 
 
 def batch_loss(e0: Tensor, w1: list[Tensor], w2: list[Tensor],
-               lap: BipartiteLaplacian, batch, gold, negs, sem,
+               lap: BipartiteLaplacian, batch, gold, negs,
                slope: float = 0.01) -> Tensor:
     """The mini-batch loss of cpa.batch_loss, recorded on the tape."""
     reps = final_reps(e0, propagate(e0, lap, w1, w2, slope))
     negs = np.asarray(negs)
-    l_con = loss_contrastive(
+    return loss_contrastive(
         gather_rows(reps, batch), gather_rows(reps, gold),
         [gather_rows(reps, negs[:, j]) for j in range(negs.shape[1])])
-    return add(l_con, loss_cosine(Tensor(sem), gather_rows(e0, batch)))

@@ -94,14 +94,13 @@ def test_criterion_2_gradients_match_finite_differences(capsys):
     e0 = rng.standard_normal((n_text + n_side, d0))
     weights = init_cpa_weights(d0=d0, d1=d1, hops=hops, seed=seed + 1)
     model = CpaModel(e0=e0, w1=weights[0], w2=weights[1], h=h, n_text=n_text)
-    sem = rng.standard_normal((4, d0))
     batch = np.array([0, 1, 2, 3])
     gold = np.array([n_text + 3 * h + j for j in (0, 1, 2, 0)])
     negs = np.array([[n_text + 3 * h + j for j in range(3)
                       if n_text + 3 * h + j != g] for g in gold])
 
     def full_loss():
-        return batch_loss(model, lap, batch, gold, negs, sem)
+        return batch_loss(model, lap, batch, gold, negs)
 
     # kink margin: h = 1e-5 perturbations cannot cross an activation zero
     dense = np.zeros((lap.rows, lap.rows))

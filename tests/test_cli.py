@@ -231,16 +231,22 @@ def test_train_run_layout(run_dir):
     assert (run_dir / "run.json").is_file()
     for stance_key in ("favor", "none", "against"):
         assert (run_dir / "lda" / f"{SLUG}.{stance_key}.lda1").is_file()
+    # CPA2: a 20-byte header, then the topic and label rows (3H + 3 = 9 of
+    # d0 = 768) and the weights of two hops (768 x 8, then 8 x 8, twice),
+    # as float64; no text row
+    cpa_size = 20 + 8 * (9 * 768 + 2 * (768 * 8 + 8 * 8))
     for trial in (1, 2):
         base = run_dir / f"trial-{trial}"
-        assert (base / f"{SLUG}.cpa1").is_file()
+        assert (base / f"{SLUG}.cpa1").stat().st_size == cpa_size
         assert (base / f"{SLUG}.meta.json").is_file()
         assert not (base / f"{SLUG}.dis.npy").exists()
-        log = (base / f"{SLUG}.log.csv").read_text(encoding="utf-8")
-        lines = log.strip().splitlines()
-        assert lines[0] == ("epoch,loss,val_macf,val_micf,l_con,l_cos,"
-                            "val_micf_no_sem,val_micf_no_dis")
-        assert len(lines) == 1 + 3  # one row per epoch
+        with open(base / f"{SLUG}.log.csv", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == ["epoch", "loss", "val_macf", "val_micf",
+                                 "l_con", "val_micf_no_sem", "val_micf_no_dis"]
+        assert len(rows) == 3  # one row per epoch
+        # the ranking term is the whole loss
+        assert all(row["loss"] == row["l_con"] for row in rows)
     assert (run_dir / "report-val.txt").is_file()
     assert (run_dir / "report-val.csv").is_file()
     config_text = (run_dir / "config.txt").read_text(encoding="utf-8")
@@ -372,6 +378,40 @@ def test_inspect_summary_and_dumps(run_dir, tmp_path, capsys):
     assert rep_lines[-1].startswith("label:against ")
     width = len(rep_lines[0].split()) - 1
     assert width == 768 + 2 * 8
+
+
+def test_inspect_similar_to_queries_with_the_texts_graph_row(
+        run_dir, tmp_path, capsys, monkeypatch):
+    meta = json.loads((run_dir / "trial-1" / f"{SLUG}.meta.json")
+                      .read_text(encoding="utf-8"))
+    query_id = meta["ids"][3]
+    queries = []
+    original = cosd.inference.top_k_similar
+
+    def recording(query_rep, *args, **kwargs):
+        queries.append(query_rep)
+        return original(query_rep, *args, **kwargs)
+
+    monkeypatch.setattr(cosd.inference, "top_k_similar", recording)
+    reps = tmp_path / "reps.txt"
+    assert main(["inspect", "--run", str(run_dir), "--similar-to", query_id,
+                 "--dump-final-reps", str(reps)]) == 0
+    capsys.readouterr()
+    (query,) = queries
+    row = next(line.split()[1:] for line in
+               reps.read_text(encoding="utf-8").splitlines()
+               if line.split()[0] == query_id)
+    # the query is infer_transform of the text's semantic row, which is the
+    # text's row of the graph: E^0 of its final rep
+    assert [f"{x:.8f}" for x in query[:768]] == row[:768]
+    assert query.shape == (768 + 2 * 8,)
+    # a text of the test split is found too; an unknown id is not
+    test_id = next(ex.id for ex in RunDir(run_dir).corpus(Split.TEST).examples)
+    assert main(["inspect", "--run", str(run_dir),
+                 "--similar-to", test_id]) == 0
+    _expect_failure(["inspect", "--run", str(run_dir),
+                     "--similar-to", "no-such-text"], capsys,
+                    needle="'no-such-text' not in dataset")
 
 
 def test_inspect_similar_and_attention(run_dir, synth_small, tmp_path, capsys):
@@ -765,30 +805,17 @@ def test_inspect_rejects_data_edited_after_training(run_dir, synth_small,
                     needle=f"{SLUG}.meta.json")
 
 
-def test_inspect_rejects_a_checkpoint_of_another_pool(run_dir,
-                                                     two_target_run,
-                                                     tmp_path, capsys):
-    _, other = two_target_run
-    copy = tmp_path / "run"
-    shutil.copytree(run_dir, copy)
-    shutil.copy(other / "trial-1" / f"{SLUG}.cpa1",
-                copy / "trial-1" / f"{SLUG}.cpa1")
-    _expect_failure(["inspect", "--run", str(copy)], capsys,
-                    needle=f"{SLUG}.cpa1")
-
-
-
 def _reshaped(ckpt, field):
     """ckpt with one more topic per stance ("h"), one more propagated
     column ("d1") or one more hop ("hops")."""
-    n, h, d0, d1, hops = ckpt.n_text, ckpt.h, ckpt.d0, ckpt.d1, ckpt.hops
+    h, d0, d1, hops = ckpt.h, ckpt.d0, ckpt.d1, ckpt.hops
     if field == "h":
         u = np.concatenate([ckpt.u, ckpt.u[:3]])
-        return cosd.cpa.CpaModel(np.concatenate([ckpt.v, u, ckpt.z]),
-                                 ckpt.w1, ckpt.w2, h=h + 1, n_text=n)
+        return cosd.cpa.CpaModel(np.concatenate([u, ckpt.z]),
+                                 ckpt.w1, ckpt.w2, h=h + 1, n_text=0)
     w1, w2 = cosd.cpa.init_cpa_weights(
         d0, d1 + (field == "d1"), hops + (field == "hops"), seed=0)
-    return cosd.cpa.CpaModel(ckpt.e0, w1, w2, h=h, n_text=n)
+    return cosd.cpa.CpaModel(ckpt.e0, w1, w2, h=h, n_text=0)
 
 
 @pytest.mark.parametrize("field", ["h", "d1", "hops"])
@@ -854,50 +881,55 @@ def test_a_topic_model_of_another_vocabulary_exits_2(run_dir, synth_small,
 
 def _with_value(path, row, value):
     """path's checkpoint with value at the first column of table row `row`
-    (text rows first, then topic and label rows, then the weights)."""
+    (topic rows, then label rows, then the weights)."""
     raw = bytearray(path.read_bytes())
     d0 = struct.unpack_from("<I", raw, 4)[0]
-    struct.pack_into("<d", raw, 24 + 8 * d0 * row, value)
+    struct.pack_into("<d", raw, 20 + 8 * d0 * row, value)
     path.write_bytes(bytes(raw))
 
 
-def test_scoring_reads_no_text_row_of_a_checkpoint(run_dir, synth_small,
-                                                   tmp_path, capsys):
+def test_a_non_finite_checkpoint_table_exits_2(run_dir, synth_small,
+                                               tmp_path, capsys):
     root, _ = synth_small
-    runs = {}
-    for name in ("clean", "nan"):
-        runs[name] = tmp_path / name
-        shutil.copytree(run_dir, runs[name])
-    paths = [runs["nan"] / f"trial-{t}" / f"{SLUG}.cpa1" for t in (1, 2)]
-    for path in paths:
-        _with_value(path, cosd.cpa.load_checkpoint(path).n_text - 1, np.nan)
-    outputs = {}
-    for name, run in runs.items():
-        capsys.readouterr()
-        for mode in ("full", "no_sem", "no_dis"):
-            assert main(["eval", "--run", str(run), "--split", "test",
-                         "--mode", mode]) == 0
-            assert main(["predict", "--run", str(run), "--in",
-                         str(root / "test.tsv"), "--mode", mode, "--out",
-                         str(run / f"pred-{mode}.tsv")]) == 0
-        outputs[name] = (capsys.readouterr().out.replace(str(run), "RUN"),
-                         {f.name: f.read_bytes() for f in
-                          [*run.glob("report-test-*"), *run.glob("pred-*")]})
-    assert len(outputs["clean"][1]) == 9
-    assert outputs["nan"] == outputs["clean"]
-    # inspect reads the text rows
-    err = _expect_failure(["inspect", "--run", str(runs["nan"])], capsys)
-    assert err == f"error: {paths[0]}: non-finite values\n"
-    # a topic row, a label row or a weight is read by every command
-    clean = runs["clean"] / "trial-1" / f"{SLUG}.cpa1"
-    ckpt = cosd.cpa.load_checkpoint(clean)
-    side = ckpt.n_text + 3 * ckpt.h
-    for row in (ckpt.n_text, side + 2, side + 3):
-        shutil.copy(run_dir / "trial-1" / f"{SLUG}.cpa1", clean)
-        _with_value(clean, row, np.inf)
-        _expect_failure(["eval", "--run", str(runs["clean"]), "--split",
-                         "test", "--trial", "1"], capsys,
-                        needle=f"{clean}: non-finite values")
+    copy = tmp_path / "run"
+    shutil.copytree(run_dir, copy)
+    path = copy / "trial-1" / f"{SLUG}.cpa1"
+    h = cosd.cpa.load_checkpoint(path).h
+    # the first topic row, the last label row, the first weight
+    for row in (0, 3 * h + 2, 3 * h + 3):
+        shutil.copy(run_dir / "trial-1" / f"{SLUG}.cpa1", path)
+        _with_value(path, row, np.inf)
+        for argv in (["eval", "--split", "test"],
+                     ["predict", "--in", str(root / "test.tsv"),
+                      "--out", str(tmp_path / "p.tsv")],
+                     ["inspect"]):
+            _expect_failure(argv + ["--run", str(copy), "--trial", "1"],
+                            capsys, needle=f"{path}: non-finite values")
+
+
+def test_an_old_cpa1_checkpoint_exits_2(run_dir, synth_small, tmp_path,
+                                        capsys):
+    root, _ = synth_small
+    copy = tmp_path / "run"
+    shutil.copytree(run_dir, copy)
+    path = copy / "trial-1" / f"{SLUG}.cpa1"
+    ckpt = cosd.cpa.load_checkpoint(path)
+    # the retired CPA1 layout: n_text in the header and a text table first
+    n_text = 60
+    header = struct.pack("<4sIIIII", b"CPA1", ckpt.d0, ckpt.d1, ckpt.hops,
+                         ckpt.h, n_text)
+    path.write_bytes(header + np.concatenate(
+        [np.ones((n_text, ckpt.d0)).ravel(),
+         *(a.ravel() for a in [ckpt.e0, *ckpt.w1, *ckpt.w2])]).tobytes())
+    for argv in (["eval", "--split", "test"],
+                 ["predict", "--in", str(root / "test.tsv"),
+                  "--out", str(tmp_path / "p.tsv")],
+                 ["inspect"]):
+        err = _expect_failure(argv + ["--run", str(copy), "--trial", "1"],
+                              capsys)
+        assert err == f"error: {path}: bad magic, not a CPA2 file\n"
+    assert not (tmp_path / "p.tsv").exists()
+
 
 def test_inspect_rebuilds_the_training_laplacian(run_dir):
     run = RunDir(run_dir)

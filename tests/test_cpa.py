@@ -8,7 +8,6 @@ gradients must equal the autodiff tape's (tape.py) on random graphs. Both
 oracles also run at acceptance scale elsewhere.
 """
 
-import itertools
 import struct
 import tracemalloc
 
@@ -76,16 +75,19 @@ def test_embedding_table_blocks_and_row_helpers():
     data = np.arange((n_text + 3 * h + 3) * d0, dtype=float).reshape(-1, d0)
     model = _model(data, *init_cpa_weights(d0, 3, 1, seed=0), h, n_text)
     assert model.d0 == d0 and model.hops == 1
-    assert np.array_equal(model.v, data[:4])
     assert np.array_equal(model.u, data[4:10])
     assert np.array_equal(model.z, data[10:])
     assert model.label_row(2) == 12
-    # views: an in-place update of e0 shows in the blocks; a copy is apart
-    snapshot = model.copy()
+    # views: an in-place update of e0 shows in the blocks; a snapshot is a
+    # copy of U, Z and the weights, with no text rows
+    snapshot = model.snapshot()
     model.e0 += 1.0
     assert np.array_equal(model.z, data[10:])
-    assert np.array_equal(snapshot.e0 + 1.0, model.e0)
+    assert snapshot.n_text == 0 and snapshot.h == h
+    assert np.array_equal(snapshot.e0 + 1.0, model.e0[n_text:])
+    assert np.array_equal(snapshot.z + 1.0, model.z)
     assert snapshot.w1[0] is not model.w1[0]
+    assert np.array_equal(snapshot.w1[0], model.w1[0])
     with pytest.raises(CpaError):
         _model(data, *init_cpa_weights(d0, 3, 1, seed=0), h, 5)
 
@@ -96,7 +98,9 @@ def test_init_embedding_table_seeds_blocks():
     labels = rng.standard_normal((3, 8))
     model = init_model(texts, h=2, label_vecs=labels, seed=3, d1=4, hops=2,
                        weight_seed=7)
-    assert np.array_equal(model.v, texts)
+    # the text rows are a copy of the given rows
+    assert model.n_text == 5 and np.array_equal(model.e0[:5], texts)
+    assert not np.shares_memory(model.e0, texts)
     assert np.array_equal(model.z, labels)
     assert np.array_equal(model.u, xavier_init(6, 8, seed=3))
     bound = np.sqrt(6.0 / (6 + 8))
@@ -223,9 +227,8 @@ def test_propagate_gradients_reach_all_parameters():
                    n_text=3)
     gold = np.array([6, 7, 8])
     negs = np.array([[7, 8], [6, 8], [6, 7]])
-    _, _, _, g_e0, g_w1, g_w2 = batch_loss(
-        model, laplacian(m), np.arange(3), gold, negs,
-        rng.standard_normal((3, 4)))
+    _, g_e0, g_w1, g_w2 = batch_loss(model, laplacian(m), np.arange(3), gold,
+                                     negs)
     assert g_e0.shape == model.e0.shape and np.abs(g_e0).sum() > 0
     # hop weights reach every node row through propagation
     assert np.abs(g_e0[3:6]).sum() > 0
@@ -252,7 +255,7 @@ def _random_case(rng, hops, rate):
     gold = np.array([model.label_row(j) for j in labels])
     negs = np.array([[model.label_row(j) for j in range(3) if j != k]
                      for k in labels])
-    return model, lap, batch, gold, negs, rng.standard_normal((b, 7))
+    return model, lap, batch, gold, negs
 
 
 @pytest.mark.parametrize("rate", [0.0, 0.1])
@@ -260,20 +263,14 @@ def _random_case(rng, hops, rate):
 def test_batch_loss_matches_tape_oracle(hops, rate):
     rng = np.random.default_rng(100 * hops + int(10 * rate))
     for _ in range(5):
-        model, lap, batch, gold, negs, sem = _random_case(rng, hops, rate)
-        loss, l_con, l_cos, g_e0, g_w1, g_w2 = batch_loss(
-            model, lap, batch, gold, negs, sem)
+        model, lap, batch, gold, negs = _random_case(rng, hops, rate)
+        loss, g_e0, g_w1, g_w2 = batch_loss(model, lap, batch, gold, negs)
         e0 = Tensor(model.e0, requires_grad=True)
         w1 = [Tensor(w, requires_grad=True) for w in model.w1]
         w2 = [Tensor(w, requires_grad=True) for w in model.w2]
-        oracle = tape.batch_loss(e0, w1, w2, lap, batch, gold, negs, sem)
+        oracle = tape.batch_loss(e0, w1, w2, lap, batch, gold, negs)
         tape.backward(oracle)
         assert abs(loss - oracle.data[0, 0]) <= 1e-12 * abs(oracle.data[0, 0])
-        assert l_con + l_cos == loss
-        text = model.e0[batch]
-        cos = (sem * text).sum(axis=1) / (np.linalg.norm(sem, axis=1)
-                                          * np.linalg.norm(text, axis=1))
-        assert abs(l_cos - (1.0 - cos).mean()) <= 1e-12
         for got, ref in zip([g_e0] + g_w1 + g_w2, [e0] + w1 + w2):
             scale = np.abs(ref.grad).max()
             assert scale > 0
@@ -298,12 +295,12 @@ def test_propagate_matches_tape_propagate(hops, rate):
 
 def test_reused_buffers_hold_no_stale_state():
     rng = np.random.default_rng(12)
-    model, base, batch, gold, negs, sem = _random_case(rng, 3, 0.0)
+    model, base, batch, gold, negs = _random_case(rng, 3, 0.0)
     laps = [dropout_graph(base, 0.2, 0.2, rng) for _ in range(2)]
     perm = rng.permutation(len(batch))
-    cases = [(laps[0], batch, gold, negs, sem),
-             (laps[1], batch[perm], gold[perm], negs[perm], sem[perm]),
-             (laps[0], batch[:2], gold[:2], negs[:2], sem[:2])]
+    cases = [(laps[0], batch, gold, negs),
+             (laps[1], batch[perm], gold[perm], negs[perm]),
+             (laps[0], batch[:2], gold[:2], negs[:2])]
     buffers = Buffers(model.e0, model.w1)
     for case in cases:
         reused = batch_loss(model, *case, buffers=buffers)
@@ -333,12 +330,11 @@ def test_batch_loss_allocates_no_table_per_call():
     gold = np.array([model.label_row(j) for j in labels])
     negs = np.array([[model.label_row(j) for j in range(3) if j != k]
                      for k in labels])
-    sem = rng.standard_normal((32, d0))
     buffers = Buffers(model.e0, model.w1)
-    batch_loss(model, lap, batch, gold, negs, sem, buffers=buffers)
+    batch_loss(model, lap, batch, gold, negs, buffers=buffers)
     tracemalloc.start()
     try:
-        batch_loss(model, lap, batch, gold, negs, sem, buffers=buffers)
+        batch_loss(model, lap, batch, gold, negs, buffers=buffers)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -347,26 +343,21 @@ def test_batch_loss_allocates_no_table_per_call():
 
 def test_batch_loss_validates_inputs():
     rng = np.random.default_rng(11)
-    model, lap, batch, gold, negs, sem = _random_case(rng, 2, 0.0)
+    model, lap, batch, gold, negs = _random_case(rng, 2, 0.0)
     with pytest.raises(CpaError):
-        batch_loss(model, lap, batch, gold[1:], negs, sem)
+        batch_loss(model, lap, batch, gold[1:], negs)
     with pytest.raises(CpaError):
-        batch_loss(model, lap, batch, gold, negs[:, :0], sem)
+        batch_loss(model, lap, batch, gold, negs[:, :0])
     with pytest.raises(CpaError):
-        batch_loss(model, lap, batch, gold, negs, sem[:, 1:])
-    with pytest.raises(CpaError):
-        batch_loss(model, lap, batch, gold + 3, negs, sem)
-    zero = sem.copy()
-    zero[0] = 0.0
-    with pytest.raises(CpaError, match="zero-norm"):
-        batch_loss(model, lap, batch, gold, negs, zero)
+        batch_loss(model, lap, batch, gold + 3, negs)
+    inf = _model(model.e0.copy(), model.w1, model.w2, model.h, model.n_text)
+    inf.e0[batch[0]] = np.inf
     with np.errstate(all="ignore"):
         with pytest.raises(CpaError, match="non-finite"):
-            batch_loss(model, lap, batch, gold, negs,
-                       np.full_like(sem, np.inf))
+            batch_loss(inf, lap, batch, gold, negs)
     other = _random_case(np.random.default_rng(1), 3, 0.0)[0]
     with pytest.raises(CpaError, match="buffers"):
-        batch_loss(model, lap, batch, gold, negs, sem,
+        batch_loss(model, lap, batch, gold, negs,
                    buffers=Buffers(other.e0, other.w1))
 
 
@@ -466,6 +457,12 @@ def test_infer_transform_rank_and_width_checks():
 # --- checkpoints -------------------------------------------------------------------
 
 
+def _cpa2_size(model):
+    """20 header bytes, then [U; Z] and the weights as float64."""
+    return 20 + 8 * ((3 * model.h + 3) * model.d0
+                     + sum(w.size for w in model.w1 + model.w2))
+
+
 def test_checkpoint_round_trip(tmp_path):
     rng = np.random.default_rng(9)
     h, n_text, d0, d1, hops = 2, 4, 6, 3, 2
@@ -473,23 +470,21 @@ def test_checkpoint_round_trip(tmp_path):
     w1 = [rng.standard_normal((d0, d1)), rng.standard_normal((d1, d1))]
     w2 = [rng.standard_normal((d0, d1)), rng.standard_normal((d1, d1))]
     path = tmp_path / "model.cpa1"
-    save_checkpoint(path, _model(e0, w1, w2, h=h, n_text=n_text))
+    model = _model(e0, w1, w2, h=h, n_text=n_text)
+    save_checkpoint(path, model)
+    assert path.stat().st_size == _cpa2_size(model)
     back = load_checkpoint(path)
-    assert back.h == h and back.n_text == n_text
+    # the text rows are not kept: the file holds the model's snapshot
+    assert back.h == h and back.n_text == 0
     assert back.d0 == d0 and back.hops == hops
-    assert np.array_equal(back.e0, e0)
+    assert np.array_equal(back.e0, e0[n_text:])
     for a, b in zip(back.w1 + back.w2, w1 + w2):
         assert np.array_equal(a, b)
-    assert np.array_equal(back.v, e0[:4])
     assert np.array_equal(back.u, e0[4:10])
     assert np.array_equal(back.z, e0[10:])
-    # without the text rows: the same side rows and weights, no texts
-    side = load_checkpoint(path, texts=False)
-    assert side.n_text == 0 and side.h == h and side.hops == hops
-    assert np.array_equal(side.u, back.u)
-    assert np.array_equal(side.z, back.z)
-    for a, b in zip(side.w1 + side.w2, back.w1 + back.w2):
-        assert np.array_equal(a, b)
+    again = tmp_path / "snapshot.cpa1"
+    save_checkpoint(again, model.snapshot())
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_checkpoint_without_texts_reads_only_side_rows_and_weights(tmp_path):
@@ -502,31 +497,22 @@ def test_checkpoint_without_texts_reads_only_side_rows_and_weights(tmp_path):
     save_checkpoint(path, model)
     read = 8 * (model.u.size + model.z.size
                 + sum(w.size for w in model.w1 + model.w2))
-    assert read < 8 * model.v.size  # the text table is the largest part
+    assert path.stat().st_size == 20 + read
     tracemalloc.start()
     try:
-        load_checkpoint(path, texts=False)
+        assert load_checkpoint(path).n_text == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < read + (1 << 16)
-    # a non-finite text row is seen only by a load that reads the texts
+    # a non-finite topic row, label row or weight fails the load
     raw = bytearray(path.read_bytes())
-    for row in (0, n_text - 1):
+    for at in (0, 3 * h + 2, 3 * h + 3):
         bad = raw.copy()
-        bad[24 + 8 * d0 * row:32 + 8 * d0 * row] = struct.pack("<d", np.nan)
+        bad[20 + 8 * d0 * at:28 + 8 * d0 * at] = struct.pack("<d", np.inf)
         path.write_bytes(bad)
-        assert load_checkpoint(path, texts=False).n_text == 0
         with pytest.raises(CpaError, match="model.cpa1: non-finite values"):
             load_checkpoint(path)
-    # a non-finite topic row, label row or weight is seen by both
-    for at in (n_text, n_text + 3 * h + 2, n_text + 3 * h + 3):
-        bad = raw.copy()
-        bad[24 + 8 * d0 * at:32 + 8 * d0 * at] = struct.pack("<d", np.inf)
-        path.write_bytes(bad)
-        for texts in (True, False):
-            with pytest.raises(CpaError, match="non-finite values"):
-                load_checkpoint(path, texts=texts)
 
 
 def test_checkpoint_rejects_corruption(tmp_path):
@@ -540,6 +526,11 @@ def test_checkpoint_rejects_corruption(tmp_path):
     bad.write_bytes(b"NOPE" + raw[4:])
     with pytest.raises(CpaError):
         load_checkpoint(bad)
+    # the retired CPA1 layout (with a text table) is not read
+    old = tmp_path / "old.cpa1"
+    old.write_bytes(b"CPA1" + raw[4:])
+    with pytest.raises(CpaError, match="old.cpa1: bad magic, not a CPA2"):
+        load_checkpoint(old)
     trailing = tmp_path / "trail.cpa1"
     trailing.write_bytes(raw + b"\x01")
     with pytest.raises(CpaError):
@@ -559,9 +550,8 @@ def test_checkpoint_truncated_at_every_offset_raises_cpa_error(tmp_path):
     cut = tmp_path / "cut.cpa1"
     for size in range(len(raw)):
         cut.write_bytes(raw[:size])
-        for texts in (True, False):
-            with pytest.raises(CpaError, match="cut.cpa1"):
-                load_checkpoint(cut, texts=texts)
+        with pytest.raises(CpaError, match="cut.cpa1"):
+            load_checkpoint(cut)
 
 
 def test_checkpoint_loads_the_file_bytes_and_checks_sizes_first(tmp_path):
@@ -572,20 +562,20 @@ def test_checkpoint_loads_the_file_bytes_and_checks_sizes_first(tmp_path):
     path = tmp_path / "model.cpa1"
     save_checkpoint(path, model)
     raw = path.read_bytes()
-    tables = np.frombuffer(raw[24:], dtype="<f8")
+    tables = np.frombuffer(raw[20:], dtype="<f8")
     back = load_checkpoint(path)
     got = np.concatenate([a.ravel() for a in [back.e0, *back.w1, *back.w2]])
     assert np.array_equal(got, tables)
-    # a header field claiming 2**31 (texts, width or hops) fails on the
+    # a header field claiming 2**31 (topics, width or hops) fails on the
     # file's size before any table is allocated
     huge = tmp_path / "huge.cpa1"
-    for offset, texts in itertools.product((20, 4, 8, 12), (True, False)):
+    for offset in (16, 4, 8, 12):
         huge.write_bytes(raw[:offset] + struct.pack("<I", 2 ** 31)
                          + raw[offset + 4:])
         tracemalloc.start()
         try:
             with pytest.raises(CpaError, match="huge.cpa1: truncated"):
-                load_checkpoint(huge, texts=texts)
+                load_checkpoint(huge)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -360,13 +360,22 @@ def test_predict_modes_agree_with_bundle_rules(trained):
 # --- retrieval and attention ---------------------------------------------------------
 
 
+def _graph_model(data, ckpt):
+    """The checkpoint over its training graph: the pool's semantic rows are
+    the text rows."""
+    return CpaModel(np.concatenate([data.sem_pool, ckpt.e0]), ckpt.w1,
+                    ckpt.w2, h=ckpt.h, n_text=len(data.pool))
+
+
 def test_final_train_reps_shape(trained):
     _, _, _, data, result = trained
-    reps = final_train_reps(result.checkpoint, data.lap)
-    n_nodes = result.checkpoint.n_text + 3 * result.checkpoint.h + 3
-    width = result.checkpoint.d0 + result.checkpoint.hops * 8
-    assert reps.shape == (n_nodes, width)
+    ckpt = result.checkpoint
+    n = len(data.pool)
+    reps = final_train_reps(_graph_model(data, ckpt), data.lap)
+    width = ckpt.d0 + ckpt.hops * 8
+    assert reps.shape == (n + 3 * ckpt.h + 3, width)
     assert np.isfinite(reps).all()
+    assert np.array_equal(reps[:n, :ckpt.d0], data.sem_pool)
 
 
 def test_top_k_similar_contract():
@@ -396,14 +405,15 @@ def test_top_k_similar_contract():
 def test_top_k_retrieves_same_stance_neighbors(trained):
     dataset, store, _, data, result = trained
     lap = data.lap
-    reps = final_train_reps(result.checkpoint, lap)[: len(data.pool)]
+    reps = final_train_reps(_graph_model(data, result.checkpoint),
+                            lap)[: len(data.pool)]
     ids = [ex.id for ex in data.pool]
     stance_of = {ex.id: ex.stance for ex in data.pool}
     query_ex = data.pool[0]
     got = top_k_similar(reps[0], reps, ids, k=2, exclude_id=query_ex.id)
     assert len(got) == 2
     assert all(rec_id != query_ex.id for rec_id, _ in got)
-    # embeddings started from separable prototypes; neighbors share stance
+    # the text rows are separable semantic rows; neighbors share stance
     assert all(stance_of[rec_id] is query_ex.stance for rec_id, _ in got)
 
 

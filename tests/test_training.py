@@ -72,9 +72,6 @@ def test_embeddings_round_trip(tmp_path):
     # storage is float32; loaded values are the rounded ones exactly
     assert np.array_equal(store.tokens["ex-1"],
                           records[0][1].astype(np.float32).astype(np.float64))
-    assert np.array_equal(store.pooled("ex-1"),
-                          store.tokens["ex-1"].astype(np.float64).mean(axis=0))
-    assert np.array_equal(store.pooled("ex-2"), store.tokens["ex-2"][0])
     assert np.allclose(store.labels["against"],
                        records[5][1].astype(np.float32).mean(axis=0))
 
@@ -278,7 +275,7 @@ def _more_records(rng, dim=8):
                                  for i in range(3, 9)]
 
 
-def test_semantic_and_pooled_rows_equal_each_record_stacked(tmp_path):
+def test_semantic_rows_equal_each_record_stacked(tmp_path):
     path = tmp_path / "vecs.emb1"
     save_embeddings(path, _more_records(np.random.default_rng(7)), dim=8)
     store = load_embeddings(path, expect_dim=8)
@@ -288,13 +285,6 @@ def test_semantic_and_pooled_rows_equal_each_record_stacked(tmp_path):
     target = store.targets["Policy"]
     assert np.array_equal(semantic_matrix(examples, store), np.stack(
         [semantic_rep(store.tokens[ex.id], target) for ex in examples]))
-    # the pooled rows come from the same read as the semantic rows
-    pooled = np.empty((len(examples), 8))
-    assert np.array_equal(semantic_matrix(examples, store, pooled),
-                          semantic_matrix(examples, store))
-    assert np.array_equal(pooled, np.stack(
-        [store.tokens[ex.id].mean(axis=0, dtype=np.float64)
-         for ex in examples]))
 
 
 @pytest.mark.parametrize("t", [1, 2, 17, 64])
@@ -310,7 +300,8 @@ def test_embeddings_pool_to_the_float64_mean(tmp_path, t):
     # example rows keep the file's float32 values; pooled rows are float64
     assert store.tokens["ex-1"].dtype == np.float32
     assert np.array_equal(store.tokens["ex-1"], mats["ex-1"])
-    for got, rec_id in ((store.pooled("ex-1"), "ex-1"),
+    for got, rec_id in ((store.tokens["ex-1"].mean(axis=0, dtype=np.float64),
+                         "ex-1"),
                         (store.targets["Policy"], "target:Policy"),
                         (store.labels["favor"], "label:favor")):
         assert got.dtype == np.float64
@@ -606,8 +597,6 @@ def test_build_group_data_shapes(synth_setup):
     assert data.lap.rows == n + 6 + 3
     assert data.sem_val.shape == (len(data.val), store.dim)
     assert np.array_equal(data.sem_pool, semantic_matrix(data.pool, store))
-    assert np.array_equal(data.pooled_vecs,
-                          np.stack([store.pooled(ex.id) for ex in data.pool]))
 
 
 def test_group_data_reads_each_record_once(synth_setup, monkeypatch):
@@ -630,9 +619,9 @@ def test_train_forms_pool_semantic_rows_once_per_group(synth_setup,
     calls = []
     original = cosd.training.semantic_matrix
 
-    def counting(examples, store, *pooled):
+    def counting(examples, store):
         calls.append([ex.id for ex in examples])
-        return original(examples, store, *pooled)
+        return original(examples, store)
 
     monkeypatch.setattr(cosd.training, "semantic_matrix", counting)
     train(dataset, store, _config(trials=2))
@@ -650,10 +639,47 @@ def test_train_group_logs_and_best_checkpoint(synth_setup):
     assert result.best_val_micf == pytest.approx(best_from_log)
     assert result.log_rows[result.best_epoch - 1]["val_micf"] == \
         pytest.approx(result.best_val_micf)
-    assert result.checkpoint.n_text == len(data.pool)
+    # the snapshot holds U, Z and the weights, the shape load_checkpoint
+    # returns
+    assert result.checkpoint.n_text == 0
+    assert result.checkpoint.e0.shape == (3 * 2 + 3, store.dim)
     assert result.checkpoint.hops == config.hops
     assert all(np.isfinite(row["loss"]) for row in result.log_rows)
     assert len(result.val_preds) == len(data.val)
+
+
+def test_train_group_text_rows_are_the_semantic_rows(synth_setup,
+                                                     monkeypatch):
+    dataset, store, target, _ = synth_setup
+    config = _config()
+    data = build_group_data(dataset, store, target, target, config)
+    n = len(data.pool)
+    adam_params = []
+
+    class Recording(AdamState):
+        def __init__(self, params, lr):
+            adam_params.append([p.shape for p in params])
+            super().__init__(params, lr)
+
+    seen = []
+    original = cosd.training._val_metrics
+
+    def checked(data, model, config):
+        seen.append((model.n_text, model.e0[:n].copy(), model.u.copy()))
+        return original(data, model, config)
+
+    monkeypatch.setattr(cosd.training, "AdamState", Recording)
+    monkeypatch.setattr(cosd.training, "_val_metrics", checked)
+    train_group(data, store, config, trial_seed=7)
+    # Adam holds the topic and label rows and the weights, no text row
+    assert adam_params[0] == [(3 * 2 + 3, store.dim)]
+    assert adam_params[1] == [(store.dim, 8), (8, 8)] * 2
+    assert len(seen) == config.epochs
+    for n_text, texts, _ in seen:
+        assert n_text == n
+        assert np.array_equal(texts, data.sem_pool)  # bit for bit
+    # while the topic rows train
+    assert not np.array_equal(seen[0][2], seen[-1][2])
 
 
 def _three_call_val_metrics(data, model, config):
@@ -713,7 +739,7 @@ def test_frozen_batch_step_decreases_loss(synth_setup):
     dataset, store, target, _ = synth_setup
     config = _config(epochs=1)
     data = build_group_data(dataset, store, target, target, config)
-    model = cpa.init_model(data.pooled_vecs, 2, store.label_matrix(), seed=1,
+    model = cpa.init_model(data.sem_pool, 2, store.label_matrix(), seed=1,
                            d1=8, hops=2, weight_seed=2)
     from cosd.corpus import LABELS
 
@@ -724,13 +750,13 @@ def test_frozen_batch_step_decreases_loss(synth_setup):
                       if model.label_row(j) != gold[i]] for i in range(4)])
 
     def batch_loss():
-        return cpa.batch_loss(model, data.lap, batch, gold, negs,
-                              data.sem_pool[batch])
+        return cpa.batch_loss(model, data.lap, batch, gold, negs)
 
-    adam_e = AdamState([model.e0], lr=1e-7)
+    # as in training, the text rows stay fixed
+    adam_e = AdamState([model.e0[model.n_text:]], lr=1e-7)
     adam_w = AdamState(model.w1 + model.w2, lr=1e-7)
     before = batch_loss()
-    adam_step(adam_e, [before.g_e0])
+    adam_step(adam_e, [before.g_e0[model.n_text:]])
     adam_step(adam_w, before.g_w1 + before.g_w2)
     after = batch_loss().loss
     assert after < before.loss

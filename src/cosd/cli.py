@@ -318,21 +318,20 @@ class RunDir:
         return inference.Scores(sem, dis, inference.argmax_labels(sem + dis))
 
     def training_graph(self, name: str, trial: int) -> tuple[
-            cpa.CpaModel, list[str], graph.BipartiteLaplacian]:
-        """The trial's model over its training graph, the graph's text ids
-        and its Laplacian.
+            cpa.CpaModel, list[Example], graph.BipartiteLaplacian]:
+        """The trial's checkpoint, the train pool its graph was built over
+        and the graph's Laplacian.
 
         The graph is rebuilt as training built it: the group's train pool,
         checked against the trial's .meta.json, folded in again under the
-        run's topic models, with the pool's semantic rows as its text rows.
+        run's topic models. Its text rows are left to the caller.
         """
         ckpt = self.checkpoint(name, trial)
         meta_path = self._trial_file(name, trial, ".meta.json")
         meta = _read_json_object(meta_path)
         pool = self.corpus(Split.TRAIN, Split.VAL).train_pool(
             None if self.config.joint else name)
-        ids = [ex.id for ex in pool]
-        if (meta.get("ids") != ids or meta.get("stances")
+        if (meta.get("ids") != [ex.id for ex in pool] or meta.get("stances")
                 != [ex.stance.value for ex in pool]):
             raise ConfigError(f"{meta_path}: ids and stances differ from the "
                               f"train pool in {self.config.data}")
@@ -341,11 +340,7 @@ class RunDir:
                                          self.config.seed)
         lap = graph.laplacian(graph.build_adjacency(
             [ex.stance for ex in pool], dis))
-        model = cpa.CpaModel(
-            np.concatenate([training.semantic_matrix(pool, self.store),
-                            ckpt.e0]),
-            ckpt.w1, ckpt.w2, h=ckpt.h, n_text=len(pool))
-        return model, ids, lap
+        return ckpt, pool, lap
 
 
 def _write_train_outputs(run_dir: Path, config: RunConfig,
@@ -545,7 +540,8 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     run = RunDir(args.run)
     trial = run.trials(args.trial)[0]
     group = run.group(args.group)
-    model, ids, lap = run.training_graph(group, trial)
+    ckpt, pool, lap = run.training_graph(group, trial)
+    ids = [ex.id for ex in pool]
     n = lap.n_text
 
     did_something = False
@@ -561,11 +557,15 @@ def cmd_inspect(args: argparse.Namespace) -> int:
               f"-> {args.dump_graph}")
         did_something = True
 
-    reps = None
     node_names = (ids
-                  + [f"topic:{j}" for j in range(3 * model.h)]
+                  + [f"topic:{j}" for j in range(3 * ckpt.h)]
                   + [f"label:{key}" for key in LABEL_KEYS])
     if args.dump_final_reps or args.similar_to:
+        # the text rows: the pool's semantic rows, read only for reps
+        model = cpa.CpaModel(
+            np.concatenate([training.semantic_matrix(pool, run.store),
+                            ckpt.e0]),
+            ckpt.w1, ckpt.w2, h=ckpt.h, n_text=len(pool))
         reps = inference.final_train_reps(model, lap,
                                           slope=run.config.leaky_slope)
     if args.dump_final_reps:
@@ -599,7 +599,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
     if not did_something:
         print(f"run {run.path}: groups {list(run.groups)}, "
-              f"trial {trial}, {n} text nodes, H={model.h}, hops={model.hops}")
+              f"trial {trial}, {n} text nodes, H={ckpt.h}, hops={ckpt.hops}")
     return 0
 
 

@@ -5,11 +5,16 @@ H topics each) are fit by collapsed Gibbs sampling. Any text, train or test,
 is folded in under all three models with counts frozen; the three length-H
 posteriors concatenated and divided by 3 give its topic distribution, which
 later doubles as text-to-topic edge weights.
+
+One sampler does both jobs: one chain per doc (per doc and model in the
+fold-in), every chain stepped in lockstep one token position at a time as
+numpy operations, each doc drawing from a keyed counter hash. Fitting
+moves its models' word and topic counts after every position step
+(AD-LDA); the fold-in keeps them frozen.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import numbers
 import struct
@@ -28,175 +33,6 @@ class TopicsError(Exception):
     """Bad topic-model arguments or a corrupt model file."""
 
 
-class GibbsLda:
-    """Sequential collapsed Gibbs sampler over a fixed vocabulary.
-
-    State lives in plain Python lists of integer-valued floats: per-doc and
-    per-word topic counts, topic totals and per-doc topic assignments. At
-    the small H used here the per-token work is a handful of float ops, and
-    array round-trips would dominate. sweep() runs a straight-line kernel
-    generated once per H (_sweep_kernel). Uniform draws are batched from one
-    PCG64 stream per sampler, so runs are deterministic per seed.
-    """
-
-    def __init__(self, doc_ids: list[list[int]], h: int, alpha: float,
-                 beta: float, vocab_size: int, seed: int):
-        if not isinstance(h, numbers.Integral) or h < 1:
-            raise TopicsError(f"H must be an integer >= 1, got {h!r}")
-        # beta > 0 keeps every denominator n_k + beta * |V| positive when a
-        # topic empties
-        if not (0 <= alpha < inf and 0 < beta < inf):
-            raise TopicsError(f"priors must be finite with alpha >= 0 and "
-                              f"beta > 0: alpha={alpha}, beta={beta}")
-        h = int(h)
-        self.h = h
-        self.alpha = float(alpha)
-        self.beta = float(beta)
-        self.vocab_size = vocab_size
-        self.doc_ids = [list(ids) for ids in doc_ids]
-        self.rng = np.random.default_rng(seed)
-
-        self._n_dk = [[0.0] * h for _ in self.doc_ids]
-        self._n_wk = [[0.0] * h for _ in range(vocab_size)]
-        self._n_k = [0.0] * h
-        self.assignments = []
-        self.token_total = sum(len(ids) for ids in self.doc_ids)
-        init = self.rng.integers(0, h, size=self.token_total).tolist()
-        pos = 0
-        for d, ids in enumerate(self.doc_ids):
-            z_d = init[pos:pos + len(ids)]
-            pos += len(ids)
-            self.assignments.append(z_d)
-            row = self._n_dk[d]
-            for w, k in zip(ids, z_d):
-                row[k] += 1.0
-                self._n_wk[w][k] += 1.0
-                self._n_k[k] += 1.0
-
-    @property
-    def n_k(self) -> np.ndarray:
-        return np.array(self._n_k)
-
-    def topic_word_array(self) -> np.ndarray:
-        """(h, |V|) counts as an integer array."""
-        if self.vocab_size == 0:
-            return np.zeros((self.h, 0), dtype=np.int64)
-        return np.rint(np.array(self._n_wk).T).astype(np.int64)
-
-    def sweep(self) -> None:
-        """One full Gibbs pass: resample every token's topic assignment."""
-        _sweep_kernel(self.h)(
-            self.doc_ids, self.assignments, self._n_dk, self._n_wk,
-            self._n_k, self.rng.random(self.token_total).tolist(),
-            self.alpha, self.beta, self.beta * self.vocab_size)
-
-    def log_joint(self) -> float:
-        """Collapsed log p(w, z) up to assignment-independent constants.
-
-        Undefined at alpha = 0, where a doc-topic count of 0 hits the pole
-        of lgamma; raises TopicsError there.
-        """
-        beta, alpha = self.beta, self.alpha
-        if alpha == 0:
-            raise TopicsError("the log joint is undefined at alpha = 0")
-        out = 0.0
-        for k in range(self.h):
-            out += sum(lgamma(wrow[k] + beta) for wrow in self._n_wk)
-            out -= lgamma(self._n_k[k] + beta * self.vocab_size)
-        for d, ids in enumerate(self.doc_ids):
-            out += sum(lgamma(c + alpha) for c in self._n_dk[d])
-            out -= lgamma(len(ids) + alpha * self.h)
-        return out
-
-
-# One Gibbs sweep with the loops over topics unrolled for a fixed H. Token
-# by token: unpack the doc, word and topic count rows into locals (d*, w*,
-# n*), take one off the old topic k's locals, form the prefix sums c* of
-# p_t = (n_dt + alpha) * (n_wt + beta) / (n_t + beta * |V|) starting from
-# 0.0, and pick the first t with u * total <= c_t (the last topic if none;
-# int(u * H) if total <= 0). Counts are integer-valued floats, so taking one
-# off and adding it back is exact: the lists are written only when the
-# topic changes.
-_SWEEP_TEMPLATE = """\
-def sweep(doc_ids, assignments, n_dk, n_wk, n_k, uniforms, alpha, beta,
-          beta_v):
-    pos = 0
-    for ids, z_d, row in zip(doc_ids, assignments, n_dk):
-        for j, w in enumerate(ids):
-            k = z_d[j]
-            wrow = n_wk[w]
-            {doc_locals}, = row
-            {word_locals}, = wrow
-            {topic_locals}, = n_k
-{unassign}
-{prefix_sums}
-            u = uniforms[pos]
-            pos += 1
-            if c{last} <= 0.0:
-                new = int(u * {h})
-            else:
-                u *= c{last}
-{pick}
-            if new != k:
-                z_d[j] = new
-                row[k] -= 1.0
-                wrow[k] -= 1.0
-                n_k[k] -= 1.0
-                row[new] += 1.0
-                wrow[new] += 1.0
-                n_k[new] += 1.0
-"""
-
-
-def _first_true(cond: str, then: str, lo: int, hi: int,
-                indent: int) -> list[str]:
-    """Source lines running `then` for the first t in [lo, hi) where `cond`
-    holds, or for hi - 1 if it holds nowhere.
-
-    cond and then are format strings in {t}; cond must be monotone in t
-    (false, then true from some t on), so halving finds the first t and
-    nests only log2(hi - lo) deep, which compiles for any H.
-    """
-    pad = " " * indent
-    if hi - lo == 1:
-        return [pad + then.format(t=lo)]
-    mid = (lo + hi) // 2
-    return ([f"{pad}if {cond.format(t=mid - 1)}:"]
-            + _first_true(cond, then, lo, mid, indent + 4)
-            + [f"{pad}else:"]
-            + _first_true(cond, then, mid, hi, indent + 4))
-
-
-@functools.lru_cache(maxsize=16)
-def _sweep_kernel(h: int):
-    """The sweep function for H topics, compiled once per H.
-
-    Bit-identical to the loop over topics it unrolls (kept in the tests as
-    the oracle): the same float expressions in the same order. The pick may
-    halve instead of scanning because the prefix sums of the nonnegative
-    p_t never decrease.
-    """
-    if type(h) is not int or h < 1:
-        raise TopicsError(f"H must be an integer >= 1, got {h!r}")
-    topics = range(h)
-    terms = [f"(d{t} + alpha) * (w{t} + beta) / (n{t} + beta_v)"
-             for t in topics]
-    source = _SWEEP_TEMPLATE.format(
-        h=h, last=h - 1,
-        doc_locals=", ".join(f"d{t}" for t in topics),
-        word_locals=", ".join(f"w{t}" for t in topics),
-        topic_locals=", ".join(f"n{t}" for t in topics),
-        unassign="\n".join(_first_true(
-            "k <= {t}", "d{t} -= 1.0; w{t} -= 1.0; n{t} -= 1.0", 0, h, 12)),
-        prefix_sums="\n".join(
-            f"            c{t} = {f'c{t - 1}' if t else '0.0'} + {term}"
-            for t, term in zip(topics, terms)),
-        pick="\n".join(_first_true("u <= c{t}", "new = {t}", 0, h, 16)))
-    namespace: dict = {}
-    exec(compile(source, f"<cosd.topics sweep H={h}>", "exec"), namespace)
-    return namespace["sweep"]
-
-
 @dataclass
 class LdaModel:
     h: int
@@ -206,8 +42,8 @@ class LdaModel:
     topic_word_counts: np.ndarray  # (h, |V|) int64
     topic_totals: np.ndarray       # (h,) int64
     trained_sweeps: int
-    # (sweeps done, GibbsLda.log_joint()) recorded by fit_lda; kept in the
-    # JSON sidecar only, so a loaded model has none
+    # (sweeps done, the fit's log joint then) recorded by the fit; kept in
+    # the JSON sidecar only, so a loaded model has none
     log_joint: list[tuple[int, float]] = field(default_factory=list)
 
     def __post_init__(self):
@@ -269,65 +105,6 @@ def _doc_token_ids(docs: Sequence[Sequence[str]],
     return [[index[t] for t in doc if t in index] for doc in docs]
 
 
-# sweeps between the log-joint records fit_lda keeps for the sidecar
-_LOG_JOINT_EVERY = 50
-
-
-def fit_lda(docs: list[list[str]], h: int, alpha: float | None = None,
-            beta: float = 0.01, sweeps: int = 500, seed: int = 0,
-            vocab: Vocabulary | None = None,
-            sweep_callback=None) -> LdaModel:
-    """Fit one LDA model by collapsed Gibbs sampling.
-
-    docs are token lists. With vocab=None the vocabulary is built from docs;
-    passing a vocabulary lets several models share one (required inside a
-    triple). alpha defaults to 50/H, beta to 0.01. Deterministic per seed.
-    An empty doc list yields a prior-only model. sweep_callback, when given,
-    is called as sweep_callback(sweep_index, topic_totals_copy) after every
-    sweep (diagnostics only). The model's log_joint records the sampler's
-    log joint every 50 sweeps and after the last; with
-    alpha = 0 it is undefined (a doc-topic count of 0 hits the pole of
-    lgamma) and nothing is recorded.
-    """
-    if h < 1:
-        raise TopicsError(f"H must be >= 1, got {h}")
-    if sweeps < 1:
-        raise TopicsError(f"sweeps must be >= 1, got {sweeps}")
-    if alpha is None:
-        alpha = 50.0 / h
-    if vocab is None:
-        vocab = Vocabulary.from_docs(docs)
-    sampler = GibbsLda(_doc_token_ids(docs, vocab), h, alpha, beta,
-                       len(vocab), seed)
-    log_joint = []
-    for s in range(sweeps):
-        sampler.sweep()
-        if sweep_callback is not None:
-            sweep_callback(s, sampler.n_k)
-        done = s + 1
-        if alpha > 0 and (done % _LOG_JOINT_EVERY == 0 or done == sweeps):
-            log_joint.append((done, sampler.log_joint()))
-    counts = sampler.topic_word_array()
-    return LdaModel(
-        h=h, alpha=float(alpha), beta=float(beta), vocab=vocab,
-        topic_word_counts=counts, topic_totals=counts.sum(axis=1),
-        trained_sweeps=sweeps, log_joint=log_joint,
-    )
-
-
-def fit_triple(favor_docs: list[list[str]], none_docs: list[list[str]],
-               against_docs: list[list[str]], h: int,
-               alpha: float | None = None, beta: float = 0.01,
-               sweeps: int = 500, seed: int = 0) -> TopicModelTriple:
-    """Fit the three per-stance models over one shared vocabulary."""
-    vocab = Vocabulary.from_docs(favor_docs + none_docs + against_docs)
-    favor, none, against = (
-        fit_lda(docs, h, alpha, beta, sweeps, seed + offset, vocab=vocab)
-        for offset, docs in enumerate((favor_docs, none_docs, against_docs))
-    )
-    return TopicModelTriple(favor=favor, none=none, against=against)
-
-
 # --- per-doc uniforms --------------------------------------------------------
 #
 # A keyed counter hash (Salmon et al., "Parallel random numbers: as easy as
@@ -369,6 +146,218 @@ def _uniforms(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
     return (z >> np.uint64(11)) * 2.0**-53
 
 
+# --- the lockstep, shared by fitting and fold-in -----------------------------
+#
+# Docs are sorted longest first, so the docs still running at any token
+# position are a prefix of them, and every per-chain array is addressed by
+# slices. Counts are topic-major, (H, chains).
+
+
+def _longest_first(ids: Sequence[Sequence[int]]) -> np.ndarray:
+    """The indices of the nonempty docs, longest first (stable)."""
+    lengths = np.array([len(doc) for doc in ids], dtype=np.int64)
+    live = np.flatnonzero(lengths)
+    return live[np.argsort(-lengths[live], kind="stable")]
+
+
+def _start(ids: Sequence[Sequence[int]], keys: np.ndarray, h: int) -> tuple[
+        np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+        np.ndarray]:
+    """Over docs sorted longest first, doc d keyed by keys[d]: the padded
+    (position, doc) word ids (0 past a doc's end) and draw counters, the
+    docs' lengths, how many docs still run at each position, the initial
+    topics floor(u * H) from draws 0..n-1, and their (H, docs) counts."""
+    lengths = np.array([len(doc) for doc in ids], dtype=np.int64)
+    n_docs, n_max = len(ids), int(lengths.max(initial=0))
+    counters = np.repeat(np.arange(n_max)[:, None], n_docs, axis=1)
+    in_doc = counters < lengths
+    tokens = np.zeros((n_docs, n_max), dtype=np.int64)
+    tokens[in_doc.T] = [w for doc in ids for w in doc]
+    z = (_uniforms(keys, counters) * h).astype(np.int64)
+    docs = np.broadcast_to(np.arange(n_docs), z.shape)
+    counts = np.bincount(z[in_doc] * n_docs + docs[in_doc],
+                         minlength=h * n_docs).reshape(h, n_docs)
+    return tokens.T, counters, lengths, in_doc.sum(axis=1), z, counts
+
+
+def _draw(local: np.ndarray, at: np.ndarray, alpha, factor: np.ndarray,
+          u: np.ndarray) -> np.ndarray:
+    """Redraw the tokens of the first len(at) chains; their new topics.
+
+    local holds the chains' own topic counts, (H, chains) and C-contiguous,
+    and at[c] the flat index k * chains + c of chain c's topic k in it. The
+    token is taken off local; the prefix sums of (local_t + alpha) *
+    factor_t, added in the order of a sequential cumsum, pick the first t
+    with u * total <= prefix_t (H - 1 if none; int(u * H) where total <= 0);
+    the token is added back there and at updated in place.
+    """
+    (h, n_chains), m = local.shape, len(at)
+    flat = local.reshape(-1)
+    flat[at] -= 1
+    prefix = [(local[0, :m] + alpha) * factor[0]]
+    for t in range(1, h):
+        prefix.append(prefix[-1] + (local[t, :m] + alpha) * factor[t])
+    total = prefix[-1]
+    goal = u * total
+    # the prefix sums never decrease, and goal never exceeds the last, so
+    # the first t is how many of the first H - 1 fall short of goal
+    new = (prefix[0] < goal).astype(np.int64)
+    for t in range(1, h - 1):
+        new += prefix[t] < goal
+    if total.min() <= 0.0:
+        zero = total <= 0.0
+        new[zero] = (u[zero] * h).astype(np.int64)
+    np.multiply(new, n_chains, out=at)
+    at += np.arange(m)
+    flat[at] += 1
+    return new
+
+
+# --- fitting -----------------------------------------------------------------
+
+# sweeps between the log-joint records a fit keeps for the sidecar
+_LOG_JOINT_EVERY = 50
+
+
+def fit_lda(docs: list[list[str]], h: int, alpha: float | None = None,
+            beta: float = 0.01, sweeps: int = 500, seed: int = 0,
+            vocab: Vocabulary | None = None,
+            sweep_callback=None) -> LdaModel:
+    """Fit one LDA model by collapsed Gibbs sampling: _fit with one doc set.
+
+    docs are token lists. With vocab=None the vocabulary is built from docs;
+    passing a vocabulary lets several models share one (required inside a
+    triple). alpha defaults to 50/H, beta to 0.01. Deterministic per seed,
+    an integer in [0, 2**64). An empty doc list yields a prior-only model.
+    sweep_callback, when given, is called as sweep_callback(sweep_index,
+    topic_totals_copy) after every sweep (diagnostics only).
+    """
+    if vocab is None:
+        vocab = Vocabulary.from_docs(docs)
+    callback = None if sweep_callback is None else (
+        lambda s, totals: sweep_callback(s, totals[:, 0]))
+    (model,) = _fit([docs], vocab, h, alpha, beta, sweeps, [seed], callback)
+    return model
+
+
+def fit_triple(favor_docs: list[list[str]], none_docs: list[list[str]],
+               against_docs: list[list[str]], h: int,
+               alpha: float | None = None, beta: float = 0.01,
+               sweeps: int = 500, seed: int = 0) -> TopicModelTriple:
+    """Fit the three per-stance models over one shared vocabulary in one
+    lockstep, seeded seed, seed + 1 and seed + 2. The models share no
+    counts, so each equals fit_lda's over its docs, its seed and that
+    vocabulary."""
+    vocab = Vocabulary.from_docs(favor_docs + none_docs + against_docs)
+    return TopicModelTriple(*_fit(
+        [favor_docs, none_docs, against_docs], vocab, h, alpha, beta, sweeps,
+        [seed + offset for offset in range(3)]))
+
+
+def _fit(doc_sets: Sequence[list[list[str]]], vocab: Vocabulary, h: int,
+         alpha: float | None, beta: float, sweeps: int, seeds: Sequence[int],
+         sweep_callback=None) -> list[LdaModel]:
+    """One model per doc set over vocab, every set's docs in one lockstep.
+
+    One chain per nonempty doc; doc i of set m draws from the counter hash
+    keyed by the finalizer over (the key of seeds[m]) + i. A chain draws
+    from p_t = (n_dt + alpha)(n_wt + beta) / (n_t + beta |V|): n_dt its own
+    counts without the token, n_wt and n_t its model's counts as the
+    previous position step left them, less the token (AD-LDA; Newman et
+    al., "Distributed Algorithms for Topic Models", JMLR 2009).
+    sweep_callback(s, topic totals (H, sets)) runs after every sweep. Each
+    model records its log joint every 50 sweeps and after the last, except
+    at alpha = 0 or over an empty vocabulary, where it is undefined.
+    """
+    if not isinstance(h, numbers.Integral) or h < 1:
+        raise TopicsError(f"H must be an integer >= 1, got {h!r}")
+    if sweeps < 1:
+        raise TopicsError(f"sweeps must be >= 1, got {sweeps}")
+    h = int(h)
+    alpha = 50.0 / h if alpha is None else alpha
+    # beta > 0 keeps every denominator n_t + beta * |V| positive when a
+    # topic empties
+    if not (0 <= alpha < inf and 0 < beta < inf):
+        raise TopicsError(f"priors must be finite with alpha >= 0 and "
+                          f"beta > 0: alpha={alpha}, beta={beta}")
+    keys = np.concatenate([
+        _mix64(_keys([seed]) + np.arange(len(docs), dtype=np.uint64))
+        for seed, docs in zip(seeds, doc_sets)])
+    set_of = np.repeat(np.arange(len(doc_sets)),
+                       [len(docs) for docs in doc_sets])
+    ids = [doc for docs in doc_sets for doc in _doc_token_ids(docs, vocab)]
+    live = _longest_first(ids)
+    keys, set_of = keys[live], set_of[live]
+    tokens, counters, lengths, alive, z, n_dt = _start(
+        [ids[d] for d in live], keys, h)
+    v, n_sets, n_chains = len(vocab), len(doc_sets), len(live)
+    width = n_sets * v
+    # the sets' word-topic tables side by side, (H, sets x |V|): chain c's
+    # word w is column w + set_of[c] * |V|
+    words = tokens + set_of * v
+    in_doc = counters < lengths
+    n_wt = np.bincount(z[in_doc] * width + words[in_doc],
+                       minlength=h * width).reshape(h, width)
+    n_t = n_wt.reshape(h, n_sets, v).sum(axis=2)
+    flat_wt, flat_t = n_wt.reshape(-1), n_t.reshape(-1)
+    z = z * n_chains + np.arange(n_chains)  # flat indices into n_dt
+    topics = np.arange(h)[:, None]
+    beta_v = beta * v
+    log_joints = [[] for _ in doc_sets]
+    for s in range(sweeps):
+        counters += lengths
+        uniforms = _uniforms(keys, counters)
+        for j, m in enumerate(alive):
+            at, word, of = z[j, :m], words[j, :m], set_of[:m]
+            old = at // n_chains
+            # the model's counts as the last step left them, less the token
+            held = topics == old
+            new = _draw(n_dt, at, alpha, (n_wt[:, word] - held + beta)
+                        / (n_t[:, of] - held + beta_v), uniforms[j, :m])
+            # ufunc.at applies a repeated index once per repeat, where
+            # fancy-index += would apply it once: chains of one model may
+            # hold the same word at this position
+            np.subtract.at(flat_wt, old * width + word, 1)
+            np.add.at(flat_wt, new * width + word, 1)
+            np.subtract.at(flat_t, old * n_sets + of, 1)
+            np.add.at(flat_t, new * n_sets + of, 1)
+        if sweep_callback is not None:
+            sweep_callback(s, n_t.copy())
+        done = s + 1
+        if alpha > 0 and v > 0 and (done % _LOG_JOINT_EVERY == 0
+                                    or done == sweeps):
+            for m, record in enumerate(log_joints):
+                mine = set_of == m
+                record.append((done, _log_joint(
+                    n_wt[:, m * v:(m + 1) * v], n_t[:, m], n_dt[:, mine],
+                    lengths[mine], alpha, beta)))
+    return [LdaModel(h=h, alpha=float(alpha), beta=float(beta), vocab=vocab,
+                     topic_word_counts=n_wt[:, m * v:(m + 1) * v].copy(),
+                     topic_totals=n_t[:, m].copy(), trained_sweeps=sweeps,
+                     log_joint=record)
+            for m, record in enumerate(log_joints)]
+
+
+def _log_joint(n_wt: np.ndarray, n_t: np.ndarray, n_dt: np.ndarray,
+               lengths: np.ndarray, alpha: float, beta: float) -> float:
+    """Collapsed log p(w, z) of one model, up to assignment-independent
+    constants, from its (H, |V|) word-topic counts, (H,) topic totals and
+    (H, D) topic counts of its D nonempty docs of the given lengths.
+
+    Undefined at alpha = 0, where a doc-topic count of 0 hits the pole of
+    lgamma; raises TopicsError there.
+    """
+    if alpha == 0:
+        raise TopicsError("the log joint is undefined at alpha = 0")
+    h, v = n_wt.shape
+    word, topic, doc, length = (
+        sum(map(lgamma, terms.ravel().tolist())) for terms in (
+            n_wt + beta, n_t + beta * v, n_dt + alpha, lengths + alpha * h))
+    return word - topic + doc - length
+
+
+# --- fold-in -----------------------------------------------------------------
+
 # docs per lockstep batch; bounds the padded factor and topic arrays
 _FOLD_IN_BATCH = 1024
 
@@ -401,8 +390,7 @@ def fold_in_sets(sets: Sequence[FoldInSet],
     chain's arithmetic is that of a one-chain sequential loop (a running
     sum over H, first topic whose prefix sum reaches u * total), so a doc's
     row does not depend on the rest of the batch or on the other sets.
-    Empty or fully out-of-vocabulary docs, and H = 1, give the uniform
-    prior.
+    Empty or fully out-of-vocabulary docs give the uniform prior.
     """
     if not sets:
         return []
@@ -424,8 +412,6 @@ def fold_in_sets(sets: Sequence[FoldInSet],
     sizes = [len(docs) for _, docs, _ in sets]
     out = np.full((sum(sizes), n_models * h), 1.0 / h)
     rows = np.split(out, np.cumsum(sizes)[:-1])
-    if h == 1:
-        return rows
     ids, tables = [], []
     for models, docs, _ in sets:
         ids += _doc_token_ids(docs, models[0].vocab)
@@ -443,11 +429,7 @@ def fold_in_sets(sets: Sequence[FoldInSet],
     alphas = np.array([[m.alpha for m in models]
                        for models, _, _ in sets])[set_of]
     factor = np.concatenate(tables)
-    lengths = np.array([len(doc) for doc in ids], dtype=np.int64)
-    # longest first (stable), so the docs still running at any token
-    # position are a prefix of the batch
-    live = np.flatnonzero(lengths)
-    live = live[np.argsort(-lengths[live], kind="stable")].tolist()
+    live = _longest_first(ids)
     for at in range(0, len(live), _FOLD_IN_BATCH):
         batch = live[at:at + _FOLD_IN_BATCH]
         out[batch] = _lockstep([ids[d] for d in batch], keys[batch],
@@ -464,71 +446,29 @@ def _lockstep(ids: list[list[int]], keys: np.ndarray, offsets: np.ndarray,
     Doc d draws from the counter hash under keys[d], one (position, doc)
     array of uniforms per sweep, and its word w is factor row
     w + offsets[d]; its chains take the priors alphas[d] (M values). Chain
-    c = doc * M + model, so the chains alive at a position are a prefix of
-    every per-chain array and each step works on slices. Counts and
-    factors are topic-major, (H, chains), so a step is a few vector ops
-    over the live chains.
+    c = doc * M + model, so the live chains stay a prefix.
     """
     n_models = alphas.shape[1]
-    lengths = np.array([len(doc) for doc in ids], dtype=np.int64)
-    n_docs, n_max = len(ids), int(lengths[0])
+    tokens, counters, lengths, alive, z, counts = _start(ids, keys, h)
+    n_docs, n_max = len(ids), len(tokens)
     n_chains = n_docs * n_models
-    # (position, doc) counters: draw j of each doc, then the sweeps' draws
-    counters = np.repeat(np.arange(n_max)[:, None], n_docs, axis=1)
-    in_doc = counters < lengths
-    alive = in_doc.sum(axis=1)
-
-    tokens = np.zeros((n_docs, n_max), dtype=np.int64)
-    tokens[in_doc.T] = np.concatenate(ids)
-    tokens = tokens.T + offsets
-    # initial topics from draws 0..n-1, shared by the doc's chains
-    z = (_uniforms(keys, counters) * h).astype(np.int64)
-    z = z.repeat(n_models, axis=1)
+    tokens = tokens + offsets
+    # a doc's chains start from its initial topics; z holds the flat
+    # index of each chain's topic in local, as _draw reads it
+    z = z.repeat(n_models, axis=1) * n_chains + np.arange(n_chains)
+    local = counts.repeat(n_models, axis=1).astype(np.float64)
     # (position, topic, chain): the factor of the chain's token at that
     # position under the chain's model
     pos_factor = (factor[tokens].reshape(n_max, n_docs, n_models, h)
                   .transpose(0, 3, 1, 2).reshape(n_max, h, n_chains))
     alpha = alphas.reshape(-1)
-    # local counts, addressed flat: chain c's count of topic k is at
-    # k * n_chains + c, and z holds that flat index of each chain's topic
-    local = np.zeros((h, n_chains))
-    flat_local = local.reshape(-1)
-    chains = np.arange(n_chains)
-    z *= n_chains
-    z += chains
-    for j in range(n_max):
-        flat_local[z[j, :alive[j] * n_models]] += 1.0
-
     for _ in range(sweeps):
         counters += lengths
         uniforms = _uniforms(keys, counters)
-        for j in range(n_max):
-            m_docs = alive[j]
+        for j, m_docs in enumerate(alive):
             m = m_docs * n_models
-            zj = z[j, :m]
-            flat_local[zj] -= 1.0
-            a = alpha[:m]
-            f = pos_factor[j, :, :m]
-            # prefix sums of (L_t + alpha) * f_t, added in the order of a
-            # sequential cumsum
-            prefix = [(local[0, :m] + a) * f[0]]
-            for t in range(1, h):
-                prefix.append(prefix[-1] + (local[t, :m] + a) * f[t])
-            total = prefix[-1]
-            u = uniforms[j, :m_docs].repeat(n_models)
-            goal = u * total
-            # the first t with goal <= prefix t, or H - 1 if none: the
-            # prefix sums never decrease, so that is how many of the first
-            # H - 1 fall short of goal
-            k = (prefix[0] < goal).astype(np.int64)
-            for t in range(1, h - 1):
-                k += prefix[t] < goal
-            if total.min() <= 0.0:
-                flat = total <= 0.0
-                k[flat] = (u[flat] * h).astype(np.int64)
-            np.multiply(k, n_chains, out=zj)
-            zj += chains[:m]
-            flat_local[zj] += 1.0
+            _draw(local, z[j, :m], alpha[:m], pos_factor[j, :, :m],
+                  uniforms[j, :m_docs].repeat(n_models))
 
     post = (local.T + alpha[:, None]) / (
         lengths.repeat(n_models)[:, None] + h * alpha[:, None])

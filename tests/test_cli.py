@@ -380,6 +380,30 @@ def test_inspect_summary_and_dumps(run_dir, tmp_path, capsys):
     assert width == 768 + 2 * 8
 
 
+def test_inspect_reads_the_embeddings_only_for_final_reps(run_dir, tmp_path,
+                                                          capsys):
+    # the summary and the graph need no text rows, so they run with the
+    # run's EMB1 file gone; --dump-final-reps needs them and exits 2
+    graph_out = tmp_path / "lap.txt"
+    assert main(["inspect", "--run", str(run_dir),
+                 "--dump-graph", str(graph_out)]) == 0
+    copy = tmp_path / "run"
+    shutil.copytree(run_dir, copy)
+    doc = json.loads((copy / "run.json").read_text(encoding="utf-8"))
+    gone = tmp_path / "moved-away.emb1"
+    doc["embeddings"] = str(gone)
+    (copy / "run.json").write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["inspect", "--run", str(copy)]) == 0
+    assert "60 text nodes" in capsys.readouterr().out
+    without = tmp_path / "lap-without.txt"
+    assert main(["inspect", "--run", str(copy),
+                 "--dump-graph", str(without)]) == 0
+    assert without.read_bytes() == graph_out.read_bytes()
+    _expect_failure(["inspect", "--run", str(copy), "--dump-final-reps",
+                     str(tmp_path / "reps.txt")], capsys, needle=str(gone))
+
+
 def test_inspect_similar_to_queries_with_the_texts_graph_row(
         run_dir, tmp_path, capsys, monkeypatch):
     meta = json.loads((run_dir / "trial-1" / f"{SLUG}.meta.json")
@@ -937,8 +961,8 @@ def test_inspect_rebuilds_the_training_laplacian(run_dir):
     data = training.build_group_data(run.corpus(*Split), run.store, name,
                                      name, run.config)
     for trial in (1, 2):
-        _, ids, lap = run.training_graph(name, trial)
-        assert ids == [ex.id for ex in data.pool]
+        _, pool, lap = run.training_graph(name, trial)
+        assert [ex.id for ex in pool] == [ex.id for ex in data.pool]
         assert np.array_equal(lap.to_text, data.lap.to_text)
         assert np.array_equal(lap.to_side, data.lap.to_side)
 

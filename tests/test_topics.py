@@ -2,13 +2,16 @@
 
 Hand-computed oracles cover coherence and the single-topic perplexity case;
 the planted-corpus recovery check runs a reduced version of the acceptance
-setup so regressions surface here first. Two optimised samplers must equal,
-bit for bit, the sequential loops kept here as oracles: the generated sweep
-kernel behind GibbsLda.sweep (loop_sweep), and the batched lockstep fold-in
-(doc_topic_posterior, one doc under one model).
+setup so regressions surface here first. The lockstep sampler must equal,
+bit for bit, the plain loops kept here as oracles: when fitting
+(lockstep_loop, one doc at a time within each position step) and when
+folding in (doc_topic_posterior, one doc under one model). The sequential
+sampler it replaced (SequentialLda, loop_sweep) stays as the statistical
+reference for topic recovery.
 """
 
 import json
+import math
 import struct
 import tracemalloc
 
@@ -19,7 +22,6 @@ from conftest import greedy_match_tv, planted_corpus
 from cosd.corpus import Vocabulary
 import cosd.topics
 from cosd.topics import (
-    GibbsLda,
     LdaModel,
     TopicModelTriple,
     TopicsError,
@@ -47,8 +49,39 @@ def _model(counts, vocab_tokens, alpha=0.5, beta=0.01, sweeps=10):
 # --- sampler ---------------------------------------------------------------
 
 
-def loop_sweep(self: GibbsLda) -> None:
-    """Oracle: one Gibbs pass as a loop over topics per token."""
+class SequentialLda:
+    """Reference: the sequential collapsed Gibbs sampler, state in plain
+    lists of integer-valued floats, uniforms from one PCG64 stream. Each
+    token sees every earlier token's new topic, so it is the statistical
+    reference the lockstep fit is compared against."""
+
+    def __init__(self, doc_ids, h, alpha, beta, vocab_size, seed):
+        self.h, self.alpha, self.beta = h, alpha, beta
+        self.vocab_size = vocab_size
+        self.doc_ids = [list(ids) for ids in doc_ids]
+        self.rng = np.random.default_rng(seed)
+        self._n_dk = [[0.0] * h for _ in self.doc_ids]
+        self._n_wk = [[0.0] * h for _ in range(vocab_size)]
+        self._n_k = [0.0] * h
+        self.assignments = []
+        self.token_total = sum(len(ids) for ids in self.doc_ids)
+        init = self.rng.integers(0, h, size=self.token_total).tolist()
+        pos = 0
+        for d, ids in enumerate(self.doc_ids):
+            z_d = init[pos:pos + len(ids)]
+            pos += len(ids)
+            self.assignments.append(z_d)
+            for w, k in zip(ids, z_d):
+                self._n_dk[d][k] += 1.0
+                self._n_wk[w][k] += 1.0
+                self._n_k[k] += 1.0
+
+    def counts(self) -> np.ndarray:
+        return np.rint(np.array(self._n_wk).T).astype(np.int64)
+
+
+def loop_sweep(self: SequentialLda) -> None:
+    """One sequential Gibbs pass as a loop over topics per token."""
     h = self.h
     alpha, beta = self.alpha, self.beta
     beta_v = beta * self.vocab_size
@@ -87,73 +120,224 @@ def loop_sweep(self: GibbsLda) -> None:
             n_k[k] += 1.0
 
 
-def _sampler_state(sampler: GibbsLda):
-    return (sampler.assignments, sampler._n_dk, sampler._n_wk,
-            sampler._n_k)
+def scalar_log_joint(n_wk, n_k, rows, lengths, alpha, beta):
+    """The collapsed log joint of one model by the scalar formula."""
+    h, v = len(n_k), len(n_wk)
+    out = 0.0
+    for t in range(h):
+        out += sum(math.lgamma(n_wk[w][t] + beta) for w in range(v))
+        out -= math.lgamma(n_k[t] + beta * v)
+    for row, n in zip(rows, lengths):
+        out += sum(math.lgamma(c + alpha) for c in row)
+        out -= math.lgamma(n + alpha * h)
+    return out
+
+
+def lockstep_loop(doc_sets, v, h, alpha, beta, seeds, sweeps):
+    """Oracle: the lockstep fit as plain loops, one doc at a time within
+    each position step.
+
+    doc_sets holds each model's docs as word ids. Doc i of model m draws
+    from the counter hash keyed by the finalizer over (the key of
+    seeds[m]) + i. A doc reads its own counts as they are and its model's
+    word and topic counts as they stood after the previous step; the moves
+    of a step are applied once every doc has drawn. Returns per model the
+    (H, v) counts and the log joint at sweep 0, every 50 sweeps and after
+    the last (none at alpha = 0 or v = 0), and the number of exact ties
+    (u * total equal to the picked prefix sum) and of flat draws (total 0).
+    """
+    docs = []  # (model, word ids, draws)
+    for m, (seed, set_docs) in enumerate(zip(seeds, doc_sets)):
+        key = cosd.topics._keys([seed])
+        for i, ids in enumerate(set_docs):
+            if ids:
+                doc_key = cosd.topics._mix64(
+                    key + np.array([i], dtype=np.uint64))
+                docs.append((m, ids, cosd.topics._uniforms(
+                    doc_key, np.arange(len(ids) * (sweeps + 1))).tolist()))
+    n_wk = [[[0.0] * h for _ in range(v)] for _ in doc_sets]
+    n_k = [[0.0] * h for _ in doc_sets]
+    z, n_dk = [], []
+    for m, ids, draws in docs:
+        z.append([int(u * h) for u in draws[:len(ids)]])
+        n_dk.append([0.0] * h)
+        for w, k in zip(ids, z[-1]):
+            n_dk[-1][k] += 1.0
+            n_wk[m][w][k] += 1.0
+            n_k[m][k] += 1.0
+
+    records = [[] for _ in doc_sets]
+
+    def record(done):
+        if alpha > 0 and v > 0:
+            for m in range(len(doc_sets)):
+                mine = [i for i, doc in enumerate(docs) if doc[0] == m]
+                records[m].append((done, scalar_log_joint(
+                    n_wk[m], n_k[m], [n_dk[i] for i in mine],
+                    [len(docs[i][1]) for i in mine], alpha, beta)))
+
+    record(0)
+    ties = flats = 0
+    n_max = max((len(ids) for _, ids, _ in docs), default=0)
+    for s in range(sweeps):
+        for j in range(n_max):
+            moves = []
+            for (m, ids, draws), z_d, row in zip(docs, z, n_dk):
+                if j >= len(ids):
+                    continue
+                w, k = ids[j], z_d[j]
+                row[k] -= 1.0
+                prefix, acc = [], 0.0
+                for t in range(h):
+                    own = 1.0 if t == k else 0.0
+                    factor = ((n_wk[m][w][t] - own + beta)
+                              / (n_k[m][t] - own + beta * v))
+                    acc += (row[t] + alpha) * factor
+                    prefix.append(acc)
+                u = draws[len(ids) * (s + 1) + j]
+                if acc <= 0.0:
+                    new = int(u * h)
+                    flats += 1
+                else:
+                    goal = u * acc
+                    new = next((t for t in range(h) if goal <= prefix[t]),
+                               h - 1)
+                    ties += goal == prefix[new]
+                z_d[j] = new
+                row[new] += 1.0
+                moves.append((m, w, k, new))
+            for m, w, old, new in moves:
+                n_wk[m][w][old] -= 1.0
+                n_wk[m][w][new] += 1.0
+                n_k[m][old] -= 1.0
+                n_k[m][new] += 1.0
+        if (s + 1) % 50 == 0 or s + 1 == sweeps:
+            record(s + 1)
+    counts = [np.rint(np.array(table).reshape(v, h).T).astype(np.int64)
+              for table in n_wk]
+    return counts, records, ties, flats
+
+
+def _vocab(v: int) -> Vocabulary:
+    tokens = [f"w{i}" for i in range(v)]
+    return Vocabulary(tokens=tokens, index={t: i for i, t in enumerate(tokens)},
+                      doc_freq=[1] * v)
+
+
+def _token_docs(docs):
+    """Word ids as tokens of _vocab; -1 is a word outside it."""
+    return [[f"w{w}" if w >= 0 else "zzz" for w in doc] for doc in docs]
 
 
 def _kernel_corpora(h: int):
-    """(doc ids, vocabulary size, alpha, beta) cases for the kernel test."""
+    """(docs as word ids, vocabulary size, alpha, beta) cases; -1 is a word
+    outside the vocabulary."""
     rng = np.random.default_rng(h)
     mixed = [rng.integers(0, 12, size=int(n)).tolist()
              for n in rng.integers(0, 14, size=25)]
     return [
-        (mixed, 12, 50.0 / h, 0.01),
+        (mixed + [[-1, -1], [-1, 4, -1, 7]], 12, 50.0 / h, 0.01),
         # alpha = 0: one-token docs have an all-zero conditional, so the
         # flat int(u * H) branch runs
         (mixed + [[3], [5], [3]], 12, 0.0, 0.01),
         (mixed, 12, 1e-12, 1e-12),
         ([[], [0], [], [1, 1, 1, 1, 1, 1], [2] * 9 + [0]], 3, 0.1, 0.5),
         ([[w] for w in range(8)] + [[]], 8, 0.01, 1e-9),
+        # many docs hold word 0 at position 0 and share words further on:
+        # the step's count moves must add up over repeated indices
+        ([[0, 1, 2], [0, 1, 0], [0, 2, 1], [0], [0, 0, 0, 1]] * 3, 3, 0.5,
+         0.25),
         ([], 5, 0.5, 0.01),
-        ([[], []], 0, 0.5, 0.01),
+        ([[], [-1]], 0, 0.5, 0.01),
     ]
-
-
-class _DyadicUniforms:
-    """Stands in for a sampler's rng after init: uniforms in {0, 1/4, 1/2,
-    3/4}, so u * total often equals a prefix sum exactly and the tie rule
-    (first t with u * total <= prefix) decides the topic."""
-
-    def __init__(self, seed: int):
-        self._rng = np.random.default_rng(seed)
-
-    def random(self, n: int) -> np.ndarray:
-        return self._rng.integers(0, 4, size=n) / 4.0
 
 
 @pytest.mark.parametrize("h", [1, 2, 3, 4, 5, 6, 7, 8, 33])
 @pytest.mark.parametrize("dyadic", [False, True])
-def test_sweep_kernel_equals_loop_oracle(h, dyadic):
-    for case, (docs, vocab_size, alpha, beta) in enumerate(
-            _kernel_corpora(h)):
-        kernel = GibbsLda(docs, h, alpha, beta, vocab_size, seed=case)
-        oracle = GibbsLda(docs, h, alpha, beta, vocab_size, seed=case)
-        if dyadic:
-            kernel.rng = _DyadicUniforms(case)
-            oracle.rng = _DyadicUniforms(case)
-        for _ in range(12):
-            kernel.sweep()
-            loop_sweep(oracle)
-            assert _sampler_state(kernel) == _sampler_state(oracle), case
+def test_sweep_kernel_equals_loop_oracle(monkeypatch, h, dyadic):
+    # the lockstep fit's sweeps against lockstep_loop, count for count
+    if dyadic:
+        # uniforms in {0, 1/4, 1/2, 3/4}: u * total often equals a prefix
+        # sum exactly, so the tie rule (first t with u * total <= prefix)
+        # decides; the fit and the oracle both draw through _uniforms
+        real_uniforms = cosd.topics._uniforms
+        monkeypatch.setattr(cosd.topics, "_uniforms", lambda keys, counters:
+                            np.floor(real_uniforms(keys, counters) * 4) / 4)
+    ties = flats = 0
+    for case, (docs, v, alpha, beta) in enumerate(_kernel_corpora(h)):
+        model = fit_lda(_token_docs(docs), h, alpha, beta, sweeps=12,
+                        seed=case, vocab=_vocab(v))
+        (counts,), (records,), case_ties, case_flats = lockstep_loop(
+            [[[w for w in doc if w >= 0] for doc in docs]], v, h, alpha,
+            beta, [case], 12)
+        assert np.array_equal(model.topic_word_counts, counts), case
+        assert [s for s, _ in model.log_joint] == [s for s, _ in records[1:]]
+        for (_, got), (_, want) in zip(model.log_joint, records[1:]):
+            assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+        ties += case_ties
+        flats += case_flats
+    assert flats > 0
+    if dyadic and h > 1:
+        assert ties > 0
 
 
-def test_fit_triple_counts_equal_loop_oracle(monkeypatch):
+def test_fit_triple_counts_equal_loop_oracle():
     docs, _ = planted_corpus(n_docs=45, seed=30)
-    args = (docs[:15], docs[15:30], docs[30:])
-    got = fit_triple(*args, h=4, sweeps=25, seed=8)
-    monkeypatch.setattr(GibbsLda, "sweep", loop_sweep)
-    want = fit_triple(*args, h=4, sweeps=25, seed=8)
-    for a, b in zip(got.models, want.models):
-        assert np.array_equal(a.topic_word_counts, b.topic_word_counts)
-        assert np.array_equal(a.topic_totals, b.topic_totals)
-        assert a.log_joint == b.log_joint
+    sets = (docs[:15], docs[15:30], docs[30:])
+    got = fit_triple(*sets, h=4, sweeps=60, seed=8)
+    index = got.favor.vocab.index
+    counts, records, _, _ = lockstep_loop(
+        [[[index[t] for t in doc] for doc in set_docs] for set_docs in sets],
+        len(index), 4, 50.0 / 4, 0.01, [8, 9, 10], 60)
+    for model, want, trace in zip(got.models, counts, records):
+        assert np.array_equal(model.topic_word_counts, want)
+        assert np.array_equal(model.topic_totals, want.sum(axis=1))
+        assert [s for s, _ in model.log_joint] == [50, 60]
+        for (_, value), (_, oracle) in zip(model.log_joint, trace[1:]):
+            assert value == pytest.approx(oracle, rel=1e-9, abs=0.0)
+    # the models share no counts: each is its own one-model fit
+    for offset, (model, set_docs) in enumerate(zip(got.models, sets)):
+        alone = fit_lda(set_docs, 4, sweeps=60, seed=8 + offset,
+                        vocab=model.vocab)
+        assert np.array_equal(alone.topic_word_counts,
+                              model.topic_word_counts)
+        assert alone.log_joint == model.log_joint
 
 
-def test_sweep_kernel_compiles_once_per_h():
-    assert cosd.topics._sweep_kernel(6) is cosd.topics._sweep_kernel(6)
-    with pytest.raises(TopicsError):
-        cosd.topics._sweep_kernel(2.0)
+def test_fit_rejects_a_seed_outside_64_bits():
+    docs = [["a", "b"], ["b"]]
+    for bad in (-1, 2**64, 1.5):
+        with pytest.raises(TopicsError, match="seeds must be integers"):
+            fit_lda(docs, h=2, sweeps=1, seed=bad)
+    with pytest.raises(TopicsError, match="seeds must be integers"):
+        fit_triple(docs, docs, docs, h=2, sweeps=1, seed=2**64 - 2)
+
+
+def test_lockstep_recovers_planted_topics_like_the_sequential_sampler():
+    # either sampler lands now and then in a mode that merges two planted
+    # topics (max TV near 0.19) whatever its correctness, so each corpus
+    # compares the best of three chains per sampler, same fit seeds
+    for corpus_seed in (7, 1, 2):
+        docs, phi_true = planted_corpus(n_topics=3, n_docs=120,
+                                        vocab_size=30, seed=corpus_seed,
+                                        doc_len=(12, 25))
+        lockstep, reference = [], []
+        for seed in (11, 12, 13):
+            model = fit_lda(docs, h=3, sweeps=150, seed=seed)
+            lockstep.append(max(greedy_match_tv(model.phi(), phi_true)))
+            vocab = model.vocab
+            chain = SequentialLda([[vocab.index[t] for t in doc]
+                                   for doc in docs], 3, 50.0 / 3, 0.01,
+                                  len(vocab), seed)
+            for _ in range(150):
+                loop_sweep(chain)
+            counts = chain.counts()
+            phi = LdaModel(h=3, alpha=50.0 / 3, beta=0.01, vocab=vocab,
+                           topic_word_counts=counts,
+                           topic_totals=counts.sum(axis=1),
+                           trained_sweeps=150).phi()
+            reference.append(max(greedy_match_tv(phi, phi_true)))
+        assert min(lockstep) <= min(reference) + 0.02, corpus_seed
 
 
 def test_sampler_conserves_counts_every_sweep():
@@ -172,14 +356,10 @@ def test_sampler_conserves_counts_every_sweep():
 
 def test_sampler_improves_log_joint_on_structured_corpus():
     docs, _ = planted_corpus(n_docs=60, seed=4)
-    vocab = Vocabulary.from_docs(docs)
-    ids = [[vocab.index[t] for t in d] for d in docs]
-    sampler = GibbsLda(ids, h=3, alpha=50 / 3, beta=0.01,
-                       vocab_size=len(vocab), seed=2)
-    before = sampler.log_joint()
-    for _ in range(30):
-        sampler.sweep()
-    assert sampler.log_joint() > before
+    # one fit's first sweep is the whole of a one-sweep fit of the same seed
+    ((_, after_one),) = fit_lda(docs, h=3, sweeps=1, seed=2).log_joint
+    ((_, after_30),) = fit_lda(docs, h=3, sweeps=30, seed=2).log_joint
+    assert after_30 > after_one
 
 
 def test_fit_lda_deterministic_per_seed():
@@ -685,34 +865,38 @@ def test_fit_records_log_joint_of_the_oracle_sampler(tmp_path):
     path = tmp_path / "model.lda1"
     save_lda(m, path)
     recorded = json.loads((tmp_path / "model.lda1.json").read_text())
+    assert recorded["log_joint"] == [list(pair) for pair in m.log_joint]
     ids = [[m.vocab.index[t] for t in doc] for doc in docs]
-    oracle = GibbsLda(ids, 3, 50.0 / 3, 0.01, len(m.vocab), seed=4)
-    want = []
-    for done in range(1, 121):
-        loop_sweep(oracle)
-        if done in (50, 100, 120):
-            want.append([done, oracle.log_joint()])
-    assert recorded["log_joint"] == want
-    assert [list(pair) for pair in m.log_joint] == want
+    _, (want,), _, _ = lockstep_loop([ids], len(m.vocab), 3, 50.0 / 3, 0.01,
+                                     [4], 120)
+    assert [s for s, _ in want] == [0, 50, 100, 120]
+    assert [s for s, _ in m.log_joint] == [50, 100, 120]
+    for (_, got), (_, value) in zip(m.log_joint, want[1:]):
+        assert got == pytest.approx(value, rel=1e-9, abs=0.0)
     # the trace climbs from the random start on a planted corpus
-    assert want[0][1] > GibbsLda(ids, 3, 50.0 / 3, 0.01, len(m.vocab),
-                                 seed=4).log_joint()
+    assert m.log_joint[0][1] > want[0][1]
 
 
 def test_fit_with_zero_alpha_records_no_log_joint():
-    # lgamma has a pole at 0, so the log joint is undefined at alpha = 0
+    # lgamma has a pole at 0, so the log joint is undefined at alpha = 0,
+    # and over an empty vocabulary, where n_t + beta * |V| is 0
     docs, _ = planted_corpus(n_docs=12, seed=15)
     m = fit_lda(docs, h=3, alpha=0.0, sweeps=60, seed=1)
     assert m.log_joint == []
     assert m.topic_totals.sum() == sum(len(d) for d in docs)
+    empty = fit_lda([[], []], h=2, sweeps=3)
+    assert empty.log_joint == []
+    assert empty.topic_word_counts.shape == (2, 0)
 
 
 def test_log_joint_at_zero_alpha_raises_topics_error():
-    sampler = GibbsLda([[0, 1], [2]], h=3, alpha=0.0, beta=0.01,
-                       vocab_size=3, seed=0)
-    sampler.sweep()
+    m = fit_lda([["a", "b"], ["c"]], h=3, alpha=0.0, sweeps=1)
+    assert m.log_joint == []
+    # whatever the counts, alpha = 0 alone makes it undefined
+    doc_topics = np.array([[2, 0], [0, 0], [0, 1]])
     with pytest.raises(TopicsError, match="alpha = 0"):
-        sampler.log_joint()
+        cosd.topics._log_joint(m.topic_word_counts, m.topic_totals,
+                               doc_topics, np.array([2, 1]), 0.0, 0.01)
 
 
 def test_lda_file_rejects_corruption(tmp_path):

@@ -25,7 +25,7 @@ import shutil
 import sys
 import time
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .cpa import CpaError
 from .graph import GraphError
 from .inference import InferenceError
 from .metrics import MetricsError
-from .numerics import NumericsError
 from .topics import TopicsError
 from .training import (DATASETS, LABEL_KEYS, ConfigError, RunConfig,
                        TrainingError)
@@ -166,6 +165,15 @@ def _checked_slugs(names: list[str], where: str | Path) -> dict[str, str]:
 # of its texts in the scored list, their semantic rows and fold-in rows
 # (None for the side the scoring mode drops)
 GroupRows = list[tuple[str, list[int], np.ndarray | None, np.ndarray | None]]
+
+
+class Scores(NamedTuple):
+    """(n, 3) score rows in label order (Favor, None, Against) and each
+    text's label."""
+
+    sem: np.ndarray
+    dis: np.ndarray
+    predicted: list[Stance]    # argmax of sem + dis
 
 
 class RunDir:
@@ -302,20 +310,19 @@ class RunDir:
         return topics.TopicModelTriple(*models)
 
     def score(self, rows: GroupRows, trial: int,
-              score_norm: bool = False) -> inference.Scores:
+              score_norm: bool = False) -> Scores:
         """Every group's rows scored against the trial's checkpoint of that
         group, in the order of the texts given to rows; score_norm z-scores
         each side's row before the sum's argmax labels it."""
         n = sum(len(where) for _, where, _, _ in rows)
         sem, dis = np.zeros((n, 3)), np.zeros((n, 3))
         for name, where, sem_rows, dis_rows in rows:
-            scores = inference.score_batch(
+            sem[where], dis[where] = inference.score_batch(
                 sem_rows, dis_rows, self.checkpoint(name, trial),
                 slope=self.config.leaky_slope)
-            sem[where], dis[where] = scores.sem, scores.dis
         if score_norm:
             sem, dis = inference.zscore_rows(sem), inference.zscore_rows(dis)
-        return inference.Scores(sem, dis, inference.argmax_labels(sem + dis))
+        return Scores(sem, dis, inference.argmax_labels(sem + dis))
 
     def training_graph(self, name: str, trial: int) -> tuple[
             cpa.CpaModel, list[Example], graph.BipartiteLaplacian]:
@@ -372,12 +379,11 @@ def _write_train_outputs(run_dir: Path, config: RunConfig,
                 "seed": trial.seed,
             }
             _write_json(trial_dir / f"{slug}.meta.json", meta)
-            # l_con, the ranking term, is the whole loss
-            log_lines = ["epoch,loss,val_macf,val_micf,l_con,"
+            log_lines = ["epoch,loss,val_macf,val_micf,"
                          "val_micf_no_sem,val_micf_no_dis"]
             log_lines += [
                 f"{r['epoch']},{r['loss']:.8f},{r['val_macf']:.6f},"
-                f"{r['val_micf']:.6f},{r['loss']:.8f},"
+                f"{r['val_micf']:.6f},"
                 f"{r['val_micf_no_sem']:.6f},{r['val_micf_no_dis']:.6f}"
                 for r in group.log_rows
             ]
@@ -409,6 +415,8 @@ def parse_h_range(raw: str) -> tuple[int, int]:
 def cmd_topics(args: argparse.Namespace) -> int:
     config = build_config(args)
     lo, hi = parse_h_range(args.h_range)
+    if args.top_n < 2:
+        raise ConfigError(f"need --top-n >= 2, got {args.top_n}")
     dataset = load_dataset(config)
     rows = []
     for key, target in training.group_keys(dataset, config.joint):
@@ -749,8 +757,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLED = (ConfigError, CorpusError, TopicsError, GraphError, NumericsError,
-            CpaError, TrainingError, InferenceError, MetricsError, OSError)
+_HANDLED = (ConfigError, CorpusError, TopicsError, GraphError, CpaError,
+            TrainingError, InferenceError, MetricsError, OSError)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,7 +1,7 @@
-"""Collaboration propagation: the CPA model record, multi-hop graph message
-passing over its stacked embedding table, the training loss with its
-hand-derived gradients and the buffers both write into, and the graph-free
-transform used at inference time.
+"""Collaboration propagation: the CPA model record and its Xavier
+initialization, multi-hop graph message passing over its stacked embedding
+table, the training loss with its hand-derived gradients and the buffers both
+write into, and the graph-free transform used at inference time.
 
 Node rows are ordered texts, topics, labels, matching the graph module.
 """
@@ -17,7 +17,6 @@ import numpy as np
 
 from .binfile import F64, Reader
 from .graph import BipartiteLaplacian
-from .numerics import xavier_init
 
 D0 = 768
 D1 = 64
@@ -88,6 +87,15 @@ class CpaModel:
         return CpaModel(e0=self.e0[self.n_text:].copy(),
                         w1=[w.copy() for w in self.w1],
                         w2=[w.copy() for w in self.w2], h=self.h, n_text=0)
+
+
+def xavier_init(rows: int, cols: int, seed: int) -> np.ndarray:
+    """Uniform on +/- sqrt(6/(rows+cols)); deterministic per seed."""
+    if rows < 1 or cols < 1:
+        raise CpaError(f"xavier_init needs positive dims, got {rows}x{cols}")
+    bound = np.sqrt(6.0 / (rows + cols))
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-bound, bound, size=(rows, cols))
 
 
 def init_cpa_weights(d0: int = D0, d1: int = D1, hops: int = 3,

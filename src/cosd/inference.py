@@ -8,12 +8,11 @@ decides the label. score_batch is the one scoring path: val scoring during
 training, eval and predict all call it on stacked rows. It takes rows and
 no settings: a side given as None scores zeros and is never computed, which
 is how an ablation mode drops it; the caller picks the mode by the rows it
-builds.
+builds. It returns the two sides' scores, and the caller labels them with
+argmax_labels.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -25,14 +24,6 @@ MODES = ("full", "no_sem", "no_dis")
 
 class InferenceError(Exception):
     """Mismatched or missing rows, invalid mode, or out-of-range retrieval."""
-
-
-class Scores(NamedTuple):
-    """(n, 3) score rows in label order (Favor, None, Against)."""
-
-    sem: np.ndarray
-    dis: np.ndarray
-    predicted: list[Stance]    # argmax of sem + dis
 
 
 def semantic_scores(e_sem_matrix: np.ndarray,
@@ -83,13 +74,16 @@ def argmax_labels(total: np.ndarray) -> list[Stance]:
 
 
 def score_batch(sem_rows: np.ndarray | None, dis_rows: np.ndarray | None,
-                model: CpaModel, slope: float = 0.01) -> Scores:
-    """Hybrid scores of stacked texts against one group's trained model.
+                model: CpaModel,
+                slope: float = 0.01) -> tuple[np.ndarray, np.ndarray]:
+    """Hybrid scores of stacked texts against one group's trained model:
+    the (n, 3) semantic and distributed score rows, in label order (Favor,
+    None, Against).
 
     sem_rows are semantic representations (n, d0), dis_rows topic
     distributions (n, 3H). A side given as None is never scored and reads
-    as zeros; one side must be given. Each text's label is the argmax of
-    the two sides' sum.
+    as zeros; one side must be given. A text's label is the argmax of the
+    two sides' sum (argmax_labels).
     """
     if sem_rows is None and dis_rows is None:
         raise InferenceError("no semantic rows and no topic rows to score")
@@ -100,7 +94,7 @@ def score_batch(sem_rows: np.ndarray | None, dis_rows: np.ndarray | None,
            else semantic_scores(sem_rows, model.z))
     dis = (np.zeros((n, 3)) if dis_rows is None
            else distributed_scores(dis_rows, model, slope))
-    return Scores(sem, dis, argmax_labels(sem + dis))
+    return sem, dis
 
 
 def final_train_reps(model: CpaModel, lap,

@@ -1,8 +1,8 @@
 """English stopword list used by the tokenizer.
 
 The standard 179-word list plus "rt" (retweet marker). Contraction fragments
-("s", "t", "don", ...) are included; the tokenizer splits on non-alphanumerics
-so they show up as bare tokens.
+("s", "t", "don", ...) are included; the tokenizer splits on runs of characters
+other than a-z and 0-9, so they show up as bare tokens.
 """
 
 STOPWORDS = frozenset({

@@ -1,8 +1,8 @@
 """Run config, encoder-embedding ingestion, attention pooling and its
-export, training.
+export, the Adam optimizer, training.
 
 Training is one pipeline per group: fit the three per-stance topic models,
-fold the group's texts into them, build the graph, then train it.
+fold the group's texts into them, build the graph, then train it with Adam.
 Sentence-encoder vectors arrive precomputed in an EMB1 file; the encoder
 itself never runs in-process, so the semantic representation of each text is
 a constant. It is also the text's node row in the graph, while the topic and
@@ -29,7 +29,6 @@ import numpy as np
 from . import cpa, graph, inference, metrics, topics
 from .binfile import F32, Reader
 from .corpus import LABELS, Dataset, Example, Split, stance_subsets
-from .numerics import AdamState, adam_step
 
 # the label records' names, in label order
 LABEL_KEYS = tuple(label.value.lower() for label in LABELS)
@@ -388,6 +387,50 @@ def fold_in_seeds(base_seed: int, examples: Sequence[Example]) -> np.ndarray:
                        count=len(examples))
 
 
+# --- Adam -------------------------------------------------------------------
+
+class AdamState:
+    """Adam with bias correction over a fixed list of parameter arrays,
+    which adam_step updates in place, so whatever holds those arrays (the
+    CPA model record) sees every step."""
+
+    def __init__(self, params: list[np.ndarray], lr: float,
+                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        if not params:
+            raise TrainingError("AdamState needs at least one parameter")
+        self.params = list(params)
+        self.lr = float(lr)
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.step_count = 0
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+
+
+def adam_step(state: AdamState, grads: list[np.ndarray]) -> None:
+    """One update of every parameter, in place; grads[i] belongs to
+    state.params[i]. The update is Kingma & Ba's Algorithm 1
+    (arXiv:1412.6980)."""
+    if len(grads) != len(state.params):
+        raise TrainingError(f"{len(grads)} grads for "
+                            f"{len(state.params)} parameters")
+    for i, (p, g) in enumerate(zip(state.params, grads)):
+        if g.shape != p.shape:
+            raise TrainingError(f"grad {i} has shape {g.shape}, "
+                                f"parameter {p.shape}")
+    state.step_count += 1
+    t = state.step_count
+    b1, b2 = state.beta1, state.beta2
+    for p, g, m, v in zip(state.params, grads, state.m, state.v):
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        p -= state.lr * (m / (1 - b1 ** t)) / (
+            np.sqrt(v / (1 - b2 ** t)) + state.eps)
+
+
 # --- per-group training -----------------------------------------------------
 
 def group_keys(dataset: Dataset, joint: bool) -> list[tuple[str, str | None]]:
@@ -486,11 +529,11 @@ def _val_metrics(data: GroupData, model: cpa.CpaModel, config: RunConfig):
         return 0.0, micf, []
     golds = [ex.stance for ex in data.val]
     targets = [ex.target for ex in data.val]
-    scores = inference.score_batch(data.sem_val, data.dis_val, model,
-                                   slope=config.leaky_slope)
-    for mode, preds in (("no_sem", inference.argmax_labels(scores.dis)),
-                        ("no_dis", inference.argmax_labels(scores.sem)),
-                        ("full", scores.predicted)):  # full's preds are kept
+    sem, dis = inference.score_batch(data.sem_val, data.dis_val, model,
+                                     slope=config.leaky_slope)
+    for mode, total in (("no_sem", dis), ("no_dis", sem),
+                        ("full", sem + dis)):  # full's preds are kept
+        preds = inference.argmax_labels(total)
         macf, micf[mode] = metrics.macro_micro(preds, golds, targets)
     return macf, micf, preds
 

@@ -17,8 +17,12 @@ import numpy as np
 
 from cosd.cpa import CpaError
 from cosd.graph import BipartiteLaplacian
-from cosd.numerics import NumericsError
 from cosd.training import TrainingError
+
+
+class TapeError(Exception):
+    """A tensor that is not 2-D or not finite, mismatched operand shapes,
+    an index out of range, or a loss that is not a scalar."""
 
 
 class Tensor:
@@ -31,9 +35,9 @@ class Tensor:
         elif arr.ndim == 1:
             arr = arr.reshape(1, -1)
         elif arr.ndim != 2:
-            raise NumericsError(f"tensors are 2-D, got ndim={arr.ndim}")
+            raise TapeError(f"tensors are 2-D, got ndim={arr.ndim}")
         if not np.isfinite(arr).all():
-            raise NumericsError("non-finite tensor data")
+            raise TapeError("non-finite tensor data")
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
@@ -50,7 +54,7 @@ class Tensor:
 
 def _result(op: str, data: np.ndarray, parents: tuple, vjp) -> Tensor:
     if not np.isfinite(data).all():
-        raise NumericsError(f"non-finite result in {op}")
+        raise TapeError(f"non-finite result in {op}")
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -68,7 +72,7 @@ def _result(op: str, data: np.ndarray, parents: tuple, vjp) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
-        raise NumericsError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
+        raise TapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
     out = a.data @ b.data
 
     def vjp(g):
@@ -80,7 +84,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def spmm(lap: BipartiteLaplacian, b: Tensor) -> Tensor:
     """L @ b for a bipartite block Laplacian; L is a constant (no gradient)."""
     if b.shape[0] != lap.rows:
-        raise NumericsError(
+        raise TapeError(
             f"spmm shape mismatch: {lap.rows}x{lap.rows} @ {b.shape}")
     n = lap.n_text
     out = np.concatenate([lap.to_text @ b.data[n:],
@@ -98,7 +102,7 @@ def _binary_shapes(op: str, a: Tensor, b: Tensor) -> bool:
         return False
     if b.shape == (1, a.shape[1]):
         return True
-    raise NumericsError(f"{op} shape mismatch: {a.shape} vs {b.shape}")
+    raise TapeError(f"{op} shape mismatch: {a.shape} vs {b.shape}")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -130,7 +134,7 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 def elemwise_mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
-        raise NumericsError(f"elemwise_mul shape mismatch: {a.shape} vs {b.shape}")
+        raise TapeError(f"elemwise_mul shape mismatch: {a.shape} vs {b.shape}")
 
     def vjp(g):
         return g * b.data, g * a.data
@@ -140,10 +144,10 @@ def elemwise_mul(a: Tensor, b: Tensor) -> Tensor:
 
 def concat_cols(parts: list[Tensor]) -> Tensor:
     if not parts:
-        raise NumericsError("concat_cols of nothing")
+        raise TapeError("concat_cols of nothing")
     rows = parts[0].shape[0]
     if any(p.shape[0] != rows for p in parts):
-        raise NumericsError("concat_cols row counts differ")
+        raise TapeError("concat_cols row counts differ")
     widths = [p.shape[1] for p in parts]
     splits = np.cumsum(widths)[:-1]
 
@@ -158,9 +162,9 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
 def gather_rows(a: Tensor, idx) -> Tensor:
     idx = np.asarray(idx, dtype=np.int64)
     if idx.ndim != 1:
-        raise NumericsError("gather_rows index must be 1-D")
+        raise TapeError("gather_rows index must be 1-D")
     if len(idx) and (idx.min() < 0 or idx.max() >= a.shape[0]):
-        raise NumericsError("gather_rows index out of range")
+        raise TapeError("gather_rows index out of range")
 
     def vjp(g):
         da = np.zeros_like(a.data)
@@ -189,25 +193,6 @@ def softmax_rows(a: Tensor) -> Tensor:
         return ((g - (g * y).sum(axis=1, keepdims=True)) * y,)
 
     return _result("softmax_rows", y, (a,), vjp)
-
-
-def cosine_sim(a: Tensor, b: Tensor) -> Tensor:
-    """Row-wise cosine similarity; output (n, 1)."""
-    if a.shape != b.shape:
-        raise NumericsError(f"cosine_sim shape mismatch: {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a.data, axis=1, keepdims=True)
-    nb = np.linalg.norm(b.data, axis=1, keepdims=True)
-    if (na == 0).any() or (nb == 0).any():
-        raise NumericsError("cosine_sim of a zero-norm row")
-    dot = (a.data * b.data).sum(axis=1, keepdims=True)
-    cos = dot / (na * nb)
-
-    def vjp(g):
-        da = g * (b.data / (na * nb) - cos * a.data / (na * na))
-        db = g * (a.data / (na * nb) - cos * b.data / (nb * nb))
-        return da, db
-
-    return _result("cosine_sim", cos, (a, b), vjp)
 
 
 def logsigmoid(a: Tensor) -> Tensor:
@@ -269,7 +254,7 @@ def backward(loss: Tensor) -> None:
     tape; repeated calls keep accumulating.
     """
     if loss.data.size != 1:
-        raise NumericsError(f"backward needs a scalar loss, got {loss.shape}")
+        raise TapeError(f"backward needs a scalar loss, got {loss.shape}")
     order = _toposort(loss)
     adjoint: dict[int, np.ndarray] = {id(loss): np.ones((1, 1))}
     for node in reversed(order):
@@ -304,13 +289,6 @@ def loss_contrastive(v_tilde: Tensor, z_tilde_pos: Tensor,
         term = scale(logsigmoid(sub(pos, neg)), -1.0)
         acc = term if acc is None else add(acc, term)
     return mean_all(scale(acc, 1.0 / len(z_tilde_negs)))
-
-
-def loss_cosine(e_sem: Tensor, v_i: Tensor) -> Tensor:
-    """Batch mean of 1 - cos(e_sem, v_i)."""
-    cos = cosine_sim(e_sem, v_i)
-    ones = Tensor(np.ones(cos.shape))
-    return mean_all(sub(ones, cos))
 
 
 def propagate(e0: Tensor, lap: BipartiteLaplacian, w1: list[Tensor],

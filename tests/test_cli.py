@@ -243,10 +243,8 @@ def test_train_run_layout(run_dir):
         with open(base / f"{SLUG}.log.csv", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert list(rows[0]) == ["epoch", "loss", "val_macf", "val_micf",
-                                 "l_con", "val_micf_no_sem", "val_micf_no_dis"]
+                                 "val_micf_no_sem", "val_micf_no_dis"]
         assert len(rows) == 3  # one row per epoch
-        # the ranking term is the whole loss
-        assert all(row["loss"] == row["l_con"] for row in rows)
     assert (run_dir / "report-val.txt").is_file()
     assert (run_dir / "report-val.csv").is_file()
     config_text = (run_dir / "config.txt").read_text(encoding="utf-8")
@@ -738,6 +736,20 @@ def test_topics_bad_h_range(synth_small, capsys):
     root, _ = synth_small
     _expect_failure(["topics", "--dataset", "synthetic", "--data", str(root),
                      "--h-range", "7:3"], capsys, needle="7:3")
+
+
+@pytest.mark.parametrize("top_n", ["1", "0"])
+def test_topics_checks_top_n_before_loading_or_fitting(top_n, synth_small,
+                                                       capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("ran before --top-n was checked")
+
+    monkeypatch.setattr(cosd.cli, "load_semeval", never)
+    monkeypatch.setattr(cosd.training, "fit_group_topics", never)
+    root, _ = synth_small
+    _expect_failure(["topics", "--dataset", "synthetic", "--data", str(root),
+                     "--h-range", "2:3", "--top-n", top_n], capsys,
+                    needle=f"--top-n >= 2, got {top_n}")
 
 
 @pytest.mark.parametrize("command", ["topics", "train"])
@@ -1272,8 +1284,7 @@ def _oracle_scores(run, texts, trial, mode, norm):
         elif mode == "no_dis":
             group_dis = np.zeros_like(group_dis)
         sem[where], dis[where] = group_sem, group_dis
-    return cosd.inference.Scores(sem, dis,
-                                 cosd.inference.argmax_labels(sem + dis))
+    return cosd.cli.Scores(sem, dis, cosd.inference.argmax_labels(sem + dis))
 
 
 @pytest.mark.parametrize("mode", ["full", "no_sem", "no_dis"])

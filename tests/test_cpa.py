@@ -26,9 +26,9 @@ from cosd.cpa import (
     load_checkpoint,
     propagate,
     save_checkpoint,
+    xavier_init,
 )
 from cosd.graph import BipartiteLaplacian, dropout_graph, laplacian
-from cosd.numerics import xavier_init
 from tape import Tensor, final_reps, one_hop_message
 
 

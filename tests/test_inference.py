@@ -43,16 +43,18 @@ def _model(u, weights, z=None):
 
 
 def _scored(sem, dis, topic_table=np.eye(3)):
-    """score_batch on one row whose raw score triples are sem and dis; a
-    side given as None is dropped.
+    """(sem scores, dis scores, labels) of score_batch on one row whose raw
+    score triples are sem and dis; a side given as None is dropped.
 
     The identity label table makes the semantic scores the row itself. With
     H = 1, the identity topic table and zero weights, the distributed scores
     are the row's topic distribution, so dis must sum to 1.
     """
-    return score_batch(None if sem is None else np.array([sem], dtype=float),
-                       None if dis is None else np.array([dis], dtype=float),
-                       _model(topic_table, ZERO_WEIGHTS, np.eye(3)))
+    sem, dis = score_batch(
+        None if sem is None else np.array([sem], dtype=float),
+        None if dis is None else np.array([dis], dtype=float),
+        _model(topic_table, ZERO_WEIGHTS, np.eye(3)))
+    return sem, dis, argmax_labels(sem + dis)
 
 
 # --- semantic score -------------------------------------------------------------
@@ -204,17 +206,17 @@ def test_argmax_tie_break_label_order():
 def test_bundle_modes_zero_one_side():
     sem = [0.5, 0.0, 0.0]
     dis = [0.0, 0.0, 1.0]
-    full = _scored(sem, dis)
-    assert full.predicted == [Stance.AGAINST]
-    assert np.allclose(full.sem + full.dis, [[0.5, 0.0, 1.0]])
+    full_sem, full_dis, full_labels = _scored(sem, dis)
+    assert full_labels == [Stance.AGAINST]
+    assert np.allclose(full_sem + full_dis, [[0.5, 0.0, 1.0]])
     no_sem = _scored(None, dis)
-    assert np.allclose(no_sem.sem, 0.0)
-    assert np.allclose(no_sem.dis, full.dis)
-    assert no_sem.predicted == [Stance.AGAINST]
+    assert np.allclose(no_sem[0], 0.0)
+    assert np.allclose(no_sem[1], full_dis)
+    assert no_sem[2] == [Stance.AGAINST]
     no_dis = _scored(sem, None)
-    assert np.allclose(no_dis.dis, 0.0)
-    assert np.allclose(no_dis.sem, full.sem)
-    assert no_dis.predicted == [Stance.FAVOR]
+    assert np.allclose(no_dis[1], 0.0)
+    assert np.allclose(no_dis[0], full_sem)
+    assert no_dis[2] == [Stance.FAVOR]
     with pytest.raises(InferenceError, match="no semantic rows and no topic"):
         _scored(None, None)
 
@@ -227,9 +229,9 @@ def test_bundle_constant_shift_invariance():
     base = _scored(sem, dis)
     # I + c 11^T as the topic table adds one constant to every dis score
     shifted = _scored(sem + 7.5, dis, topic_table=np.eye(3) + 0.5)
-    delta = (shifted.sem + shifted.dis) - (base.sem + base.dis)
+    delta = (shifted[0] + shifted[1]) - (base[0] + base[1])
     assert np.allclose(delta, delta[0, 0])
-    assert shifted.predicted == base.predicted
+    assert shifted[2] == base[2]
 
 
 def test_zscore_rows_standardizes():
@@ -239,8 +241,8 @@ def test_zscore_rows_standardizes():
     assert np.allclose(out[0].std(), 1.0)
     assert np.array_equal(out[1], np.zeros(3))
     # a constant side z-scores to zeros, so the other side alone decides
-    scores = _scored([2.0, 2.0, 2.0], [0.0, 1.0, 0.0])
-    sem, dis = zscore_rows(scores.sem), zscore_rows(scores.dis)
+    sem, dis, _ = _scored([2.0, 2.0, 2.0], [0.0, 1.0, 0.0])
+    sem, dis = zscore_rows(sem), zscore_rows(dis)
     assert np.array_equal(sem, np.zeros((1, 3)))
     assert argmax_labels(sem + dis) == [Stance.NONE]
 
@@ -255,18 +257,17 @@ def test_score_batch_rows_match_one_row_calls():
     dis_rows = rng.random((6, 3 * h))
     dis_rows /= dis_rows.sum(axis=1, keepdims=True)
     for sem, dis in ((sem_rows, dis_rows), (None, dis_rows), (sem_rows, None)):
-        batch = score_batch(sem, dis, model)
+        batch_sem, batch_dis = score_batch(sem, dis, model)
         for i in range(6):
-            one = score_batch(*(None if side is None else side[i:i + 1]
-                                for side in (sem, dis)), model)
-            assert np.allclose(one.sem[0], batch.sem[i])
-            assert np.allclose(one.dis[0], batch.dis[i])
-            assert one.predicted[0] is batch.predicted[i]
+            one_sem, one_dis = score_batch(
+                *(None if side is None else side[i:i + 1]
+                  for side in (sem, dis)), model)
+            assert np.allclose(one_sem[0], batch_sem[i])
+            assert np.allclose(one_dis[0], batch_dis[i])
     with pytest.raises(InferenceError):
         score_batch(sem_rows[:5], dis_rows, model)
-    empty = score_batch(sem_rows[:0], dis_rows[:0], model)
-    assert empty.sem.shape == empty.dis.shape == (0, 3)
-    assert empty.predicted == []
+    empty_sem, empty_dis = score_batch(sem_rows[:0], dis_rows[:0], model)
+    assert empty_sem.shape == empty_dis.shape == (0, 3)
 
 
 def test_score_batch_takes_none_for_the_side_its_mode_drops():
@@ -277,19 +278,18 @@ def test_score_batch_takes_none_for_the_side_its_mode_drops():
     sem_rows = rng.standard_normal((4, 5))
     dis_rows = rng.random((4, 6))
     dis_rows /= dis_rows.sum(axis=1, keepdims=True)
-    both = score_batch(sem_rows, dis_rows, model)
+    both_sem, both_dis = score_batch(sem_rows, dis_rows, model)
     # the side given as None reads as zeros, the other as when both are given
     no_sem = score_batch(None, dis_rows, model)
-    assert np.array_equal(no_sem.sem, np.zeros((4, 3)))
-    assert np.array_equal(no_sem.dis, both.dis)
-    assert no_sem.predicted == argmax_labels(both.dis)
+    assert np.array_equal(no_sem[0], np.zeros((4, 3)))
+    assert np.array_equal(no_sem[1], both_dis)
     no_dis = score_batch(sem_rows, None, model)
-    assert np.array_equal(no_dis.sem, both.sem)
-    assert np.array_equal(no_dis.dis, np.zeros((4, 3)))
-    assert no_dis.predicted == argmax_labels(both.sem)
+    assert np.array_equal(no_dis[0], both_sem)
+    assert np.array_equal(no_dis[1], np.zeros((4, 3)))
     with pytest.raises(InferenceError, match="no semantic rows and no topic"):
         score_batch(None, None, model)
-    assert score_batch(None, dis_rows[:0], model).predicted == []
+    empty_sem, empty_dis = score_batch(None, dis_rows[:0], model)
+    assert empty_sem.shape == empty_dis.shape == (0, 3)
 
 
 # --- end-to-end on synthetic data ---------------------------------------------------
@@ -321,8 +321,9 @@ def _score_examples(examples, store, triple, ckpt, mode="full"):
 def test_predict_returns_bundles_and_beats_chance(trained):
     dataset, store, triple, data, result = trained
     test_examples = dataset.split(Split.TEST)
-    scores = _score_examples(test_examples, store, triple, result.checkpoint)
-    hits = sum(p is ex.stance for p, ex in zip(scores.predicted,
+    sem, dis = _score_examples(test_examples, store, triple,
+                               result.checkpoint)
+    hits = sum(p is ex.stance for p, ex in zip(argmax_labels(sem + dis),
                                                test_examples))
     assert hits / len(test_examples) > 0.5  # chance is 1/3
 
@@ -332,7 +333,7 @@ def test_predict_deterministic_and_validates_records(trained):
     examples = dataset.examples[:3]
     a = _score_examples(examples, store, triple, result.checkpoint)
     b = _score_examples(examples, store, triple, result.checkpoint)
-    assert np.array_equal(a.sem, b.sem) and np.array_equal(a.dis, b.dis)
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
     from dataclasses import replace
 
     ghost = replace(examples[0], id="not-in-store")
@@ -351,10 +352,10 @@ def test_predict_modes_agree_with_bundle_rules(trained):
                              mode="no_sem")
     no_dis = _score_examples(examples, store, triple, result.checkpoint,
                              mode="no_dis")
-    assert np.allclose(no_sem.sem, 0.0)
-    assert np.array_equal(no_sem.dis, full.dis)
-    assert np.allclose(no_dis.dis, 0.0)
-    assert np.array_equal(no_dis.sem, full.sem)
+    assert np.allclose(no_sem[0], 0.0)
+    assert np.array_equal(no_sem[1], full[1])
+    assert np.allclose(no_dis[1], 0.0)
+    assert np.array_equal(no_dis[0], full[0])
 
 
 # --- retrieval and attention ---------------------------------------------------------

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 import tape as nm
+from cosd.cpa import CpaError, xavier_init
 from cosd.graph import BipartiteLaplacian, GraphError, dropout_graph, laplacian
-from cosd import numerics
-from cosd.numerics import AdamState, NumericsError, adam_step, xavier_init
-from tape import Tensor, backward
+from cosd.training import AdamState, TrainingError, adam_step
+from tape import TapeError, Tensor, backward
 
 
 def _fd_grads(build, tensors, h=1e-6):
@@ -67,11 +67,11 @@ def test_tensor_shapes_normalize():
     assert Tensor(3.0).shape == (1, 1)
     assert Tensor([1.0, 2.0, 3.0]).shape == (1, 3)
     assert Tensor([[1.0], [2.0]]).shape == (2, 1)
-    with pytest.raises(NumericsError):
+    with pytest.raises(TapeError):
         Tensor(np.zeros((2, 2, 2)))
-    with pytest.raises(NumericsError):
+    with pytest.raises(TapeError):
         Tensor([np.nan])
-    with pytest.raises(NumericsError):
+    with pytest.raises(TapeError):
         Tensor([np.inf])
 
 
@@ -92,7 +92,7 @@ def test_untracked_inputs_leave_no_tape():
 def test_matmul_forward_and_shape_error():
     a, b = _t(2, 3), _t(3, 4)
     assert np.allclose(nm.matmul(a, b).data, a.data @ b.data)
-    with pytest.raises(NumericsError):
+    with pytest.raises(TapeError):
         nm.matmul(a, _t(2, 4))
 
 
@@ -155,7 +155,7 @@ def test_spmm_matches_dense_oracle():
             lap.matmul(b, out=out)
         with pytest.raises(GraphError):
             lap.transpose_matmul(b, out=out)
-    with pytest.raises(NumericsError):
+    with pytest.raises(TapeError):
         nm.spmm(lap, Tensor(np.zeros((n_text + n_side + 1, 2))))
 
 
@@ -183,11 +183,11 @@ def test_add_sub_broadcast_rules():
     bias = _t(1, 4)
     assert np.allclose(nm.add(a, bias).data, a.data + bias.data)
     assert np.allclose(nm.sub(a, bias).data, a.data - bias.data)
-    with pytest.raises(NumericsError):
+    with pytest.raises(TapeError):
         nm.add(a, _t(2, 4))
-    with pytest.raises(NumericsError):
+    with pytest.raises(TapeError):
         nm.sub(a, _t(3, 2))
-    with pytest.raises(NumericsError):
+    with pytest.raises(TapeError):
         nm.add(a, _t(3, 1))  # column broadcast is out of contract
 
 
@@ -209,18 +209,6 @@ def test_softmax_rows_sum_to_one_and_shift_invariant():
     assert np.allclose(y.data, shifted.data)
 
 
-def test_cosine_sim_known_values_and_zero_norm_error():
-    a = Tensor([[1.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
-    b = Tensor([[1.0, 0.0], [-1.0, -1.0], [0.0, 3.0]])
-    cos = nm.cosine_sim(a, b)
-    assert cos.shape == (3, 1)
-    assert np.allclose(cos.data[:, 0], [1.0, -1.0, 0.0])
-    with pytest.raises(NumericsError):
-        nm.cosine_sim(Tensor([[0.0, 0.0]]), Tensor([[1.0, 0.0]]))
-    with pytest.raises(NumericsError):
-        nm.cosine_sim(a, _t(2, 2))
-
-
 def test_logsigmoid_values_and_stability():
     x = Tensor([[0.0]])
     assert np.allclose(nm.logsigmoid(x).data, -np.log(2.0))
@@ -238,9 +226,9 @@ def test_reductions_and_gather_forward():
     assert nm.mean_all(x).data[0, 0] == 2.5
     g = nm.gather_rows(x, [1, 0, 1])
     assert np.array_equal(g.data, [[3, 4], [1, 2], [3, 4]])
-    with pytest.raises(NumericsError):
+    with pytest.raises(TapeError):
         nm.gather_rows(x, [2])
-    with pytest.raises(NumericsError):
+    with pytest.raises(TapeError):
         nm.gather_rows(x, [[0, 1]])
 
 
@@ -248,9 +236,9 @@ def test_concat_cols_forward_and_errors():
     a, b = Tensor([[1.0], [2.0]]), Tensor([[3.0, 4.0], [5.0, 6.0]])
     out = nm.concat_cols([a, b])
     assert np.array_equal(out.data, [[1, 3, 4], [2, 5, 6]])
-    with pytest.raises(NumericsError):
+    with pytest.raises(TapeError):
         nm.concat_cols([])
-    with pytest.raises(NumericsError):
+    with pytest.raises(TapeError):
         nm.concat_cols([a, Tensor(np.ones((3, 1)))])
 
 
@@ -318,11 +306,6 @@ def test_grad_softmax_rows():
     _check_grads(lambda: _contract(nm.softmax_rows(x), 13), [x])
 
 
-def test_grad_cosine_sim():
-    a, b = _t(4, 3, lo=0.5, hi=2.0), _t(4, 3, lo=0.5, hi=2.0)
-    _check_grads(lambda: _contract(nm.cosine_sim(a, b), 14), [a, b])
-
-
 def test_grad_logsigmoid():
     x = _t(2, 4, lo=-3, hi=3)
     _check_grads(lambda: _contract(nm.logsigmoid(x), 15), [x])
@@ -358,7 +341,7 @@ def test_backward_sum_gives_ones():
 
 def test_backward_requires_scalar():
     x = _t(2, 3)
-    with pytest.raises(NumericsError):
+    with pytest.raises(TapeError):
         backward(nm.row_sums(x))
 
 
@@ -390,7 +373,7 @@ def test_grads_accumulate_across_losses():
 
 def test_nonfinite_result_is_rejected():
     big = Tensor(np.full((1, 1), 1e308))
-    with np.errstate(over="ignore"), pytest.raises(NumericsError):
+    with np.errstate(over="ignore"), pytest.raises(TapeError):
         nm.elemwise_mul(big, big)
 
 
@@ -436,9 +419,8 @@ def _adam_oracle_step(params, grads, m, v, t, lr, b1, b2, eps):
                                              (0.3, 0.5, 0.9, 1e-3)])
 def test_adam_in_place_step_equals_oracle_bitwise(lr, b1, b2, eps):
     rng = np.random.default_rng(22)
-    # more elements than one block of the update, in rows and in a vector,
-    # so the last block is short
-    big = numerics._ADAM_BLOCK + 321
+    # large parameters, in rows and in a vector, beside small ones
+    big = (1 << 15) + 321
     shapes = [(61, 77), (big // 100 + 1, 100), (5, 1), (1,), (big,)]
     params = [rng.standard_normal(s) for s in shapes]
     ref = [p.copy() for p in params]
@@ -473,16 +455,14 @@ def test_adam_zero_gradient_keeps_parameter():
 
 def test_adam_validates_params_and_grads():
     p = np.array([[1.0]])
-    with pytest.raises(NumericsError):
+    with pytest.raises(TrainingError):
         AdamState([], lr=0.1)
-    with pytest.raises(NumericsError):
-        AdamState([p, np.array(1.0)], lr=0.1)
     state = AdamState([p], lr=0.1)
-    with pytest.raises(NumericsError):
+    with pytest.raises(TrainingError):
         adam_step(state, [])  # no grad given
-    with pytest.raises(NumericsError):
+    with pytest.raises(TrainingError):
         adam_step(state, [np.ones((1, 1)), np.ones((1, 1))])
-    with pytest.raises(NumericsError):
+    with pytest.raises(TrainingError):
         adam_step(state, [np.ones((1, 2))])
     assert state.step_count == 0
     adam_step(state, [np.ones((1, 1))])  # one grad per parameter is fine
@@ -510,7 +490,7 @@ def test_xavier_mean_near_zero():
 
 
 def test_xavier_rejects_zero_dims():
-    with pytest.raises(NumericsError):
+    with pytest.raises(CpaError):
         xavier_init(0, 3, seed=0)
-    with pytest.raises(NumericsError):
+    with pytest.raises(CpaError):
         xavier_init(3, 0, seed=0)

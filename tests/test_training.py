@@ -17,15 +17,16 @@ import pytest
 import cosd.training
 from cosd import cpa, graph, inference, metrics
 from cosd.corpus import Example, Split, Stance, load_semeval, stance_subsets
-from cosd.numerics import AdamState, adam_step
 from cosd.synth import make_synthetic
 from cosd.topics import fit_triple, fold_in, perplexity, token_docs
 from cosd.training import (
+    AdamState,
     ConfigError,
     EmbeddingWriter,
     EncoderStore,
     RunConfig,
     TrainingError,
+    adam_step,
     attention_weights,
     build_group_data,
     derive_seed,
@@ -40,7 +41,7 @@ from cosd.training import (
     train,
     train_group,
 )
-from tape import Tensor, add, backward, loss_contrastive, loss_cosine
+from tape import Tensor, backward, loss_contrastive
 
 LN2 = float(np.log(2.0))
 
@@ -417,29 +418,6 @@ def test_contrastive_needs_negatives_and_backprop_works():
     assert v.grad is not None and np.isfinite(v.grad).all()
 
 
-def test_cosine_loss_three_geometries():
-    a = Tensor([[1.0, 0.0]], requires_grad=True)
-    assert loss_cosine(a, Tensor([[2.0, 0.0]])).data[0, 0] == pytest.approx(0.0)
-    assert loss_cosine(a, Tensor([[0.0, 1.0]])).data[0, 0] == pytest.approx(1.0)
-    assert loss_cosine(a, Tensor([[-3.0, 0.0]])).data[0, 0] == pytest.approx(2.0)
-
-
-def test_cosine_loss_batch_mean_in_range():
-    e = Tensor([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    v = Tensor([[1.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
-    val = loss_cosine(e, v).data[0, 0]
-    assert val == pytest.approx((0.0 + 2.0 + 0.0) / 3.0)
-    assert 0.0 <= val <= 2.0
-
-
-def test_combined_loss_at_equal_scores():
-    v, pos, negs = _loss_rows([1.0, 0.0], [0.0, 1.0], [[0.0, 2.0]])
-    sem = Tensor([[0.0, 1.0]])
-    combined = add(loss_contrastive(v, pos, negs), loss_cosine(sem, v))
-    # margin 0 gives ln 2; sem orthogonal to v gives cosine term 1
-    assert combined.data[0, 0] == pytest.approx(LN2 + 1.0, abs=1e-9)
-
-
 # --- seeds and config --------------------------------------------------------------
 
 
@@ -691,8 +669,9 @@ def _three_call_val_metrics(data, model, config):
     for mode, sem, dis in (("no_sem", None, data.dis_val),
                            ("no_dis", data.sem_val, None),
                            ("full", data.sem_val, data.dis_val)):
-        preds = inference.score_batch(sem, dis, model,
-                                      slope=config.leaky_slope).predicted
+        sem_scores, dis_scores = inference.score_batch(
+            sem, dis, model, slope=config.leaky_slope)
+        preds = inference.argmax_labels(sem_scores + dis_scores)
         macf, micf[mode] = metrics.macro_micro(preds, golds, targets)
     return macf, micf, preds
 

@@ -418,18 +418,19 @@ def cmd_topics(args: argparse.Namespace) -> int:
     if args.top_n < 2:
         raise ConfigError(f"need --top-n >= 2, got {args.top_n}")
     dataset = load_dataset(config)
+    # per H, the triples cosd train --h H fits, every group in one call
+    fits = {h: training.fit_topics(dataset, config, h)
+            for h in range(lo, hi + 1)}
     rows = []
-    for key, target in training.group_keys(dataset, config.joint):
+    for g, (key, target) in enumerate(
+            training.group_keys(dataset, config.joint)):
         examples = stance_subsets(dataset, target)
-        subsets = [topics.token_docs(docs) for docs in examples]
-        # the triple cosd train --h H fits for this group
-        triples = {h: training.fit_group_topics(subsets, key, config, h)
-                   for h in range(lo, hi + 1)}
-        for j, (stance_key, docs) in enumerate(zip(LABEL_KEYS, subsets)):
+        for j, (stance_key, texts) in enumerate(zip(LABEL_KEYS, examples)):
+            docs = topics.token_docs(texts)
             # the seeds cosd train folds these texts in with
-            seeds = training.fold_in_seeds(config.seed, examples[j])
-            for h, triple in triples.items():
-                model = triple.models[j]
+            seeds = training.fold_in_seeds(config.seed, texts)
+            for h, triples in fits.items():
+                model = triples[g].models[j]
                 try:
                     perp = topics.perplexity(model, docs, seeds,
                                              sweeps=config.fold_in_sweeps)
@@ -489,8 +490,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     # wall times per stage; never compared, unlike the other outputs
     _write_json(run_dir / "timings.json", {
         "load_s": loaded - start,
+        **result.seconds,
         "groups": {data.group: {
-            **data.seconds,
+            "graph_build_s": data.graph_build_s,
             "trials": [{"train_s": t.groups[data.group].train_s,
                         "val_s": t.groups[data.group].val_s}
                        for t in result.trials]}

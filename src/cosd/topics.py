@@ -1,7 +1,8 @@
 """Per-stance LDA topic models and the 3H-dim implicit-topic distribution.
 
 Three LDA models (favor / none / against training subsets, shared vocabulary,
-H topics each) are fit by collapsed Gibbs sampling. Any text, train or test,
+H topics each) are fit by collapsed Gibbs sampling, every training group's
+triple in one lockstep (fit_triples). Any text, train or test,
 is folded in under all three models with counts frozen; the three length-H
 posteriors concatenated and divided by 3 give its topic distribution, which
 later doubles as text-to-topic edge weights.
@@ -236,38 +237,50 @@ def fit_lda(docs: list[list[str]], h: int, alpha: float | None = None,
         vocab = Vocabulary.from_docs(docs)
     callback = None if sweep_callback is None else (
         lambda s, totals: sweep_callback(s, totals[:, 0]))
-    (model,) = _fit([docs], vocab, h, alpha, beta, sweeps, [seed], callback)
+    (model,) = _fit([docs], [vocab], h, alpha, beta, sweeps, [seed],
+                    callback)
     return model
 
 
-def fit_triple(favor_docs: list[list[str]], none_docs: list[list[str]],
-               against_docs: list[list[str]], h: int,
-               alpha: float | None = None, beta: float = 0.01,
-               sweeps: int = 500, seed: int = 0) -> TopicModelTriple:
-    """Fit the three per-stance models over one shared vocabulary in one
-    lockstep, seeded seed, seed + 1 and seed + 2. The models share no
-    counts, so each equals fit_lda's over its docs, its seed and that
-    vocabulary."""
-    vocab = Vocabulary.from_docs(favor_docs + none_docs + against_docs)
-    return TopicModelTriple(*_fit(
-        [favor_docs, none_docs, against_docs], vocab, h, alpha, beta, sweeps,
-        [seed + offset for offset in range(3)]))
+def fit_triples(groups: Sequence[tuple[list[list[str]], list[list[str]],
+                                       list[list[str]]]],
+                h: int, alpha: float | None = None, beta: float = 0.01,
+                sweeps: int = 500, *,
+                seeds: Sequence[int]) -> list[TopicModelTriple]:
+    """Per group of (favor, none, against) docs, its three per-stance models
+    over one vocabulary built from its docs, seeded seeds[g], seeds[g] + 1
+    and seeds[g] + 2; every group's models in one lockstep. The models
+    share no counts, so each equals fit_lda's over its docs, its seed and
+    its group's vocabulary, whatever the other groups hold."""
+    if len(seeds) != len(groups):
+        raise TopicsError(f"{len(seeds)} seeds for {len(groups)} groups")
+    doc_sets, vocabs, set_seeds = [], [], []
+    for (favor, none, against), seed in zip(groups, seeds):
+        vocab = Vocabulary.from_docs(favor + none + against)
+        doc_sets += [favor, none, against]
+        vocabs += [vocab] * 3
+        set_seeds += [seed + offset for offset in range(3)]
+    models = _fit(doc_sets, vocabs, h, alpha, beta, sweeps, set_seeds)
+    return [TopicModelTriple(*models[at:at + 3])
+            for at in range(0, len(models), 3)]
 
 
-def _fit(doc_sets: Sequence[list[list[str]]], vocab: Vocabulary, h: int,
-         alpha: float | None, beta: float, sweeps: int, seeds: Sequence[int],
-         sweep_callback=None) -> list[LdaModel]:
-    """One model per doc set over vocab, every set's docs in one lockstep.
+def _fit(doc_sets: Sequence[list[list[str]]], vocabs: Sequence[Vocabulary],
+         h: int, alpha: float | None, beta: float, sweeps: int,
+         seeds: Sequence[int], sweep_callback=None) -> list[LdaModel]:
+    """One model per doc set over its vocabulary, every set's docs in one
+    lockstep.
 
     One chain per nonempty doc; doc i of set m draws from the counter hash
     keyed by the finalizer over (the key of seeds[m]) + i. A chain draws
     from p_t = (n_dt + alpha)(n_wt + beta) / (n_t + beta |V|): n_dt its own
     counts without the token, n_wt and n_t its model's counts as the
-    previous position step left them, less the token (AD-LDA; Newman et
-    al., "Distributed Algorithms for Topic Models", JMLR 2009).
-    sweep_callback(s, topic totals (H, sets)) runs after every sweep. Each
-    model records its log joint every 50 sweeps and after the last, except
-    at alpha = 0 or over an empty vocabulary, where it is undefined.
+    previous position step left them, less the token, and |V| its set's
+    vocabulary size (AD-LDA; Newman et al., "Distributed Algorithms for
+    Topic Models", JMLR 2009). sweep_callback(s, topic totals (H, sets))
+    runs after every sweep. Each model records its log joint every 50
+    sweeps and after the last, except at alpha = 0 or over an empty
+    vocabulary, where it is undefined.
     """
     if not isinstance(h, numbers.Integral) or h < 1:
         raise TopicsError(f"H must be an integer >= 1, got {h!r}")
@@ -285,24 +298,28 @@ def _fit(doc_sets: Sequence[list[list[str]]], vocab: Vocabulary, h: int,
         for seed, docs in zip(seeds, doc_sets)])
     set_of = np.repeat(np.arange(len(doc_sets)),
                        [len(docs) for docs in doc_sets])
-    ids = [doc for docs in doc_sets for doc in _doc_token_ids(docs, vocab)]
+    ids = [doc for docs, vocab in zip(doc_sets, vocabs)
+           for doc in _doc_token_ids(docs, vocab)]
     live = _longest_first(ids)
     keys, set_of = keys[live], set_of[live]
     tokens, counters, lengths, alive, z, n_dt = _start(
         [ids[d] for d in live], keys, h)
-    v, n_sets, n_chains = len(vocab), len(doc_sets), len(live)
-    width = n_sets * v
-    # the sets' word-topic tables side by side, (H, sets x |V|): chain c's
-    # word w is column w + set_of[c] * |V|
-    words = tokens + set_of * v
+    sizes = np.array([len(vocab) for vocab in vocabs], dtype=np.int64)
+    n_sets, n_chains = len(doc_sets), len(live)
+    # the sets' word-topic tables side by side, (H, sum of |V|): chain c's
+    # word w is column w + offsets[set_of[c]]
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    width = int(offsets[-1])
+    words = tokens + offsets[set_of]
     in_doc = counters < lengths
     n_wt = np.bincount(z[in_doc] * width + words[in_doc],
                        minlength=h * width).reshape(h, width)
-    n_t = n_wt.reshape(h, n_sets, v).sum(axis=2)
+    tables = np.split(n_wt, offsets[1:-1], axis=1)  # views, (H, |V|) each
+    n_t = np.stack([table.sum(axis=1) for table in tables], axis=1)
     flat_wt, flat_t = n_wt.reshape(-1), n_t.reshape(-1)
     z = z * n_chains + np.arange(n_chains)  # flat indices into n_dt
     topics = np.arange(h)[:, None]
-    beta_v = beta * v
+    beta_v = beta * sizes[set_of]  # each chain's beta * |V|
     log_joints = [[] for _ in doc_sets]
     for s in range(sweeps):
         counters += lengths
@@ -313,7 +330,7 @@ def _fit(doc_sets: Sequence[list[list[str]]], vocab: Vocabulary, h: int,
             # the model's counts as the last step left them, less the token
             held = topics == old
             new = _draw(n_dt, at, alpha, (n_wt[:, word] - held + beta)
-                        / (n_t[:, of] - held + beta_v), uniforms[j, :m])
+                        / (n_t[:, of] - held + beta_v[:m]), uniforms[j, :m])
             # ufunc.at applies a repeated index once per repeat, where
             # fancy-index += would apply it once: chains of one model may
             # hold the same word at this position
@@ -324,18 +341,19 @@ def _fit(doc_sets: Sequence[list[list[str]]], vocab: Vocabulary, h: int,
         if sweep_callback is not None:
             sweep_callback(s, n_t.copy())
         done = s + 1
-        if alpha > 0 and v > 0 and (done % _LOG_JOINT_EVERY == 0
-                                    or done == sweeps):
+        if alpha > 0 and (done % _LOG_JOINT_EVERY == 0 or done == sweeps):
             for m, record in enumerate(log_joints):
-                mine = set_of == m
-                record.append((done, _log_joint(
-                    n_wt[:, m * v:(m + 1) * v], n_t[:, m], n_dt[:, mine],
-                    lengths[mine], alpha, beta)))
+                if sizes[m]:
+                    mine = set_of == m
+                    record.append((done, _log_joint(
+                        tables[m], n_t[:, m], n_dt[:, mine], lengths[mine],
+                        alpha, beta)))
     return [LdaModel(h=h, alpha=float(alpha), beta=float(beta), vocab=vocab,
-                     topic_word_counts=n_wt[:, m * v:(m + 1) * v].copy(),
+                     topic_word_counts=table.copy(),
                      topic_totals=n_t[:, m].copy(), trained_sweeps=sweeps,
                      log_joint=record)
-            for m, record in enumerate(log_joints)]
+            for m, (vocab, table, record) in enumerate(
+                zip(vocabs, tables, log_joints))]
 
 
 def _log_joint(n_wt: np.ndarray, n_t: np.ndarray, n_dt: np.ndarray,

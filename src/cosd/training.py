@@ -1,8 +1,9 @@
 """Run config, encoder-embedding ingestion, attention pooling and its
 export, the Adam optimizer, training.
 
-Training is one pipeline per group: fit the three per-stance topic models,
-fold the group's texts into them, build the graph, then train it with Adam.
+Training first fits every group's three per-stance topic models in one
+lockstep, folds every group's texts into its models in one call and builds
+each group's graph; then each group's graph trains with Adam.
 Sentence-encoder vectors arrive precomputed in an EMB1 file; the encoder
 itself never runs in-process, so the semantic representation of each text is
 a constant. It is also the text's node row in the graph, while the topic and
@@ -21,7 +22,7 @@ import time
 import zlib
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -454,7 +455,7 @@ class GroupData:
     sem_pool: np.ndarray         # (n, dim) semantic reps, the text rows
     sem_val: np.ndarray          # (n_val, dim)
     lap: graph.BipartiteLaplacian
-    seconds: dict[str, float] = field(default_factory=dict)  # stage wall times
+    graph_build_s: float = 0.0   # wall time of building lap
 
 
 @dataclass
@@ -483,41 +484,55 @@ def fold_in_matrix(pairs: Sequence[tuple[topics.TopicModelTriple,
          for triple, examples in pairs], sweeps)]
 
 
-def fit_group_topics(subsets: Sequence[list[list[str]]], group: str,
-                     config: RunConfig, h: int) -> topics.TopicModelTriple:
-    """The group's topic triple with h topics per stance, fitted on the
-    token docs of its train pool's stance subsets; seeded per group."""
-    return topics.fit_triple(
-        *subsets, h=h, alpha=config.alpha or None, beta=config.beta,
-        sweeps=config.lda_sweeps, seed=derive_seed(config.seed, 7, group))
+def fit_topics(dataset: Dataset, config: RunConfig,
+               h: int) -> list[topics.TopicModelTriple]:
+    """Every group's topic triple with h topics per stance, in group_keys
+    order, fitted on the token docs of its train pool's stance subsets and
+    seeded per group; all groups in one lockstep."""
+    keys = group_keys(dataset, config.joint)
+    return topics.fit_triples(
+        [[topics.token_docs(docs) for docs in stance_subsets(dataset, target)]
+         for _, target in keys],
+        h=h, alpha=config.alpha or None, beta=config.beta,
+        sweeps=config.lda_sweeps,
+        seeds=[derive_seed(config.seed, 7, group) for group, _ in keys])
 
 
-def build_group_data(dataset: Dataset, store: EncoderStore, group: str,
-                     target: str | None, config: RunConfig) -> GroupData:
-    """The group's topic triple, fitted on its train pool's stance subsets,
-    and everything its trials share."""
-    pool = dataset.train_pool(target)
-    if not pool:
-        raise TrainingError(f"group {group!r} has no training texts")
-    val = dataset.split(Split.VAL, target)
+def build_groups(dataset: Dataset, store: EncoderStore, config: RunConfig
+                 ) -> tuple[list[GroupData], dict[str, float]]:
+    """Every group's record, in group_keys order, and the run's wall times
+    of the topic fit and the fold-in, which cover all groups at once: the
+    triples are fitted together, every pool and val split is folded in
+    together, then each group's graph is built. A group with no training
+    texts fails before anything is fitted."""
+    keys = group_keys(dataset, config.joint)
+    pools = [dataset.train_pool(target) for _, target in keys]
+    for (group, _), pool in zip(keys, pools):
+        if not pool:
+            raise TrainingError(f"group {group!r} has no training texts")
+    vals = [dataset.split(Split.VAL, target) for _, target in keys]
     began = time.perf_counter()
-    triple = fit_group_topics(
-        [topics.token_docs(docs) for docs in stance_subsets(dataset, target)],
-        group, config, config.h)
-    start = time.perf_counter()
-    dis_pool, dis_val = fold_in_matrix([(triple, pool), (triple, val)],
-                                       config.fold_in_sweeps, config.seed)
+    triples = fit_topics(dataset, config, config.h)
+    fitted = time.perf_counter()
+    rows = fold_in_matrix(
+        [(triple, examples) for triple, pool, val in zip(triples, pools, vals)
+         for examples in (pool, val)], config.fold_in_sweeps, config.seed)
     folded = time.perf_counter()
-    lap = graph.laplacian(
-        graph.build_adjacency([ex.stance for ex in pool], dis_pool))
-    built = time.perf_counter()
-    return GroupData(group=group, pool=pool, val=val, triple=triple,
-                     dis_pool=dis_pool, dis_val=dis_val,
-                     sem_pool=semantic_matrix(pool, store),
-                     sem_val=semantic_matrix(val, store), lap=lap,
-                     seconds={"topic_fit_s": start - began,
-                              "fold_in_s": folded - start,
-                              "graph_build_s": built - folded})
+    groups = []
+    for (group, _), triple, pool, val, dis_pool, dis_val in zip(
+            keys, triples, pools, vals, rows[::2], rows[1::2]):
+        start = time.perf_counter()
+        lap = graph.laplacian(
+            graph.build_adjacency([ex.stance for ex in pool], dis_pool))
+        built = time.perf_counter()
+        groups.append(GroupData(
+            group=group, pool=pool, val=val, triple=triple,
+            dis_pool=dis_pool, dis_val=dis_val,
+            sem_pool=semantic_matrix(pool, store),
+            sem_val=semantic_matrix(val, store), lap=lap,
+            graph_build_s=built - start))
+    return groups, {"topic_fit_s": fitted - began,
+                    "fold_in_s": folded - fitted}
 
 
 def _val_metrics(data: GroupData, model: cpa.CpaModel, config: RunConfig):
@@ -613,12 +628,14 @@ class TrainResult:
     trials: list[TrialResult]
     report_text: str
     report_csv: str
+    seconds: dict[str, float]    # topic_fit_s and fold_in_s, all groups
 
 
 def train(dataset: Dataset, store: EncoderStore,
           config: RunConfig) -> TrainResult:
-    """Full run: every group's topic triple, then every trial in order;
-    returns the group records, the trials' results and a val report.
+    """Full run: every group's record (build_groups), then every trial in
+    order; returns the group records, the trials' results, a val report and
+    the wall times of the topic fit and the fold-in.
 
     Trials shift only the collaborative-training seed (inits, dropout, batch
     order); topic models and fold-in distributions are fixed by the base
@@ -628,8 +645,7 @@ def train(dataset: Dataset, store: EncoderStore,
     if absent:
         raise TrainingError(f"embedding records missing for ids: {absent}")
 
-    groups = [build_group_data(dataset, store, key, target, config)
-              for key, target in group_keys(dataset, config.joint)]
+    groups, seconds = build_groups(dataset, store, config)
     trials = []
     for trial in range(config.trials):
         seed = config.seed + trial
@@ -643,4 +659,4 @@ def train(dataset: Dataset, store: EncoderStore,
          for t in trials],
         [ex.stance for ex in val], [ex.target for ex in val], dataset.targets)
     return TrainResult(groups=groups, trials=trials, report_text=text,
-                       report_csv=csv_text)
+                       report_csv=csv_text, seconds=seconds)

@@ -253,15 +253,20 @@ def test_train_run_layout(run_dir):
 
 def test_train_writes_stage_timings(run_dir):
     doc = json.loads((run_dir / "timings.json").read_text(encoding="utf-8"))
-    assert set(doc) == {"load_s", "groups", "write_s", "total_s"}
+    assert set(doc) == {"load_s", "topic_fit_s", "fold_in_s", "groups",
+                        "write_s", "total_s"}
+    # the topic fit and the fold-in cover every group at once; the graph
+    # is built per group
     (group,) = doc["groups"].values()
-    for key in ("topic_fit_s", "fold_in_s", "graph_build_s"):
-        assert group[key] >= 0.0
+    assert set(group) == {"graph_build_s", "trials"}
+    for value in (doc["topic_fit_s"], doc["fold_in_s"],
+                  group["graph_build_s"]):
+        assert value >= 0.0
     assert len(group["trials"]) == 2
     for trial in group["trials"]:
         assert trial["train_s"] > 0.0 and trial["val_s"] >= 0.0
-    stages = (doc["load_s"] + doc["write_s"] + group["topic_fit_s"]
-              + group["fold_in_s"] + group["graph_build_s"]
+    stages = (doc["load_s"] + doc["write_s"] + doc["topic_fit_s"]
+              + doc["fold_in_s"] + group["graph_build_s"]
               + sum(t["train_s"] + t["val_s"] for t in group["trials"]))
     assert stages <= doc["total_s"]
 
@@ -674,7 +679,7 @@ def test_train_checks_its_config_before_loading_or_fitting(
 
     monkeypatch.setattr(cosd.cli, "load_semeval", never)
     monkeypatch.setattr(cosd.training, "load_embeddings", never)
-    monkeypatch.setattr(cosd.topics, "fit_triple", never)
+    monkeypatch.setattr(cosd.topics, "fit_triples", never)
     root, paths = synth_small
     out = tmp_path / "r"
     _expect_failure(["train", "--dataset", "synthetic", "--data", str(root),
@@ -745,7 +750,7 @@ def test_topics_checks_top_n_before_loading_or_fitting(top_n, synth_small,
         raise AssertionError("ran before --top-n was checked")
 
     monkeypatch.setattr(cosd.cli, "load_semeval", never)
-    monkeypatch.setattr(cosd.training, "fit_group_topics", never)
+    monkeypatch.setattr(cosd.training, "fit_topics", never)
     root, _ = synth_small
     _expect_failure(["topics", "--dataset", "synthetic", "--data", str(root),
                      "--h-range", "2:3", "--top-n", top_n], capsys,
@@ -970,8 +975,8 @@ def test_an_old_cpa1_checkpoint_exits_2(run_dir, synth_small, tmp_path,
 def test_inspect_rebuilds_the_training_laplacian(run_dir):
     run = RunDir(run_dir)
     name = run.group(None)
-    data = training.build_group_data(run.corpus(*Split), run.store, name,
-                                     name, run.config)
+    (data,), _ = training.build_groups(run.corpus(*Split), run.store,
+                                       run.config)
     for trial in (1, 2):
         _, pool, lap = run.training_graph(name, trial)
         assert [ex.id for ex in pool] == [ex.id for ex in data.pool]
@@ -995,6 +1000,35 @@ def test_train_rejects_targets_sharing_a_slug(synth_small, tmp_path, capsys):
                      "--embeddings", str(paths["embeddings"]),
                      "--out-dir", str(out)] + TRAIN_FLAGS, capsys,
                     needle="share a file name")
+    assert not out.exists()
+
+
+def test_train_fails_on_a_target_without_training_texts_before_fitting(
+        synth_small, tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("fitted before every group's pool was checked")
+
+    monkeypatch.setattr(cosd.topics, "fit_triples", never)
+    root, paths = synth_small
+    data = tmp_path / "data"
+    shutil.copytree(root, data)
+    # a val-only target, named to sort after the target with texts
+    first = (root / "val.tsv").read_text(encoding="utf-8").splitlines()[1]
+    ex_id, target, text, stance = first.split("\t")
+    with open(data / "val.tsv", "a", encoding="utf-8") as fh:
+        fh.write(f"lonely-1\tZz Lonely\t{text}\t{stance}\n")
+    store = training.load_embeddings(paths["embeddings"])
+    records = [*store.tokens.items(), ("lonely-1", store.tokens[ex_id]),
+               *((f"target:{name}", vec)
+                 for name, vec in store.targets.items()),
+               ("target:Zz Lonely", store.targets[target]),
+               *((f"label:{key}", vec) for key, vec in store.labels.items())]
+    training.save_embeddings(data / "emb.emb1", records, dim=store.dim)
+    out = tmp_path / "run"
+    _expect_failure(["train", "--dataset", "synthetic", "--data", str(data),
+                     "--embeddings", str(data / "emb.emb1"),
+                     "--out-dir", str(out)] + TRAIN_FLAGS, capsys,
+                    needle="group 'Zz Lonely' has no training texts")
     assert not out.exists()
 
 

@@ -27,7 +27,7 @@ from cosd.inference import (
     top_k_similar,
     zscore_rows,
 )
-from cosd.training import (RunConfig, TrainingError, build_group_data,
+from cosd.training import (RunConfig, TrainingError, build_groups,
                            export_attention, fold_in_matrix, load_embeddings,
                            semantic_matrix, train_group)
 
@@ -300,11 +300,10 @@ def trained(synth_small):
     root, paths = synth_small
     dataset = load_semeval(root)
     store = load_embeddings(paths["embeddings"])
-    target = dataset.targets[0]
     config = RunConfig(epochs=4, batch_size=16, hops=2, h=2, seed=2,
                        trials=1, lda_sweeps=40, fold_in_sweeps=10, d1=8,
                        dropout=0.1)
-    data = build_group_data(dataset, store, target, target, config)
+    (data,), _ = build_groups(dataset, store, config)
     result = train_group(data, store, config, trial_seed=2)
     triple = data.triple
     return dataset, store, triple, data, result

@@ -26,7 +26,7 @@ from cosd.topics import (
     TopicModelTriple,
     TopicsError,
     fit_lda,
-    fit_triple,
+    fit_triples,
     fold_in,
     fold_in_sets,
     load_lda,
@@ -44,6 +44,13 @@ def _model(counts, vocab_tokens, alpha=0.5, beta=0.01, sweeps=10):
     return LdaModel(h=counts.shape[0], alpha=alpha, beta=beta, vocab=vocab,
                     topic_word_counts=counts,
                     topic_totals=counts.sum(axis=1), trained_sweeps=sweeps)
+
+
+def _triple(favor, none, against, h, sweeps, seed):
+    """One group's triple: fit_triples over that group alone."""
+    (triple,) = fit_triples([(favor, none, against)], h=h, sweeps=sweeps,
+                            seeds=[seed])
+    return triple
 
 
 # --- sampler ---------------------------------------------------------------
@@ -284,7 +291,7 @@ def test_sweep_kernel_equals_loop_oracle(monkeypatch, h, dyadic):
 def test_fit_triple_counts_equal_loop_oracle():
     docs, _ = planted_corpus(n_docs=45, seed=30)
     sets = (docs[:15], docs[15:30], docs[30:])
-    got = fit_triple(*sets, h=4, sweeps=60, seed=8)
+    got = _triple(*sets, h=4, sweeps=60, seed=8)
     index = got.favor.vocab.index
     counts, records, _, _ = lockstep_loop(
         [[[index[t] for t in doc] for doc in set_docs] for set_docs in sets],
@@ -304,13 +311,59 @@ def test_fit_triple_counts_equal_loop_oracle():
         assert alone.log_joint == model.log_joint
 
 
+def test_fit_triples_equals_each_groups_own_fit_and_loop_oracle():
+    # one lockstep over groups whose vocabularies and longest docs differ,
+    # one of them with no vocabulary at all: every model must be its own
+    # group's one-group fit, count for count and record for record
+    groups = []
+    for g, (vocab_size, doc_len) in enumerate(((12, (3, 8)), (40, (15, 31)),
+                                               (25, (1, 4)))):
+        docs, _ = planted_corpus(n_docs=24, vocab_size=vocab_size,
+                                 seed=40 + g, doc_len=doc_len)
+        groups.append((docs[:8], docs[8:16], docs[16:]))
+    groups.insert(2, ([], [[]], []))
+    seeds = [3, 2**40, 77, 5]
+    joint = fit_triples(groups, h=3, sweeps=60, seeds=seeds)
+    assert [len(t.favor.vocab) for t in joint][2] == 0
+    assert len({len(t.favor.vocab) for t in joint}) == 4
+    assert len({max(map(len, group[0] + group[1] + group[2]))
+                for group in groups}) == 4
+    for triple, group, seed in zip(joint, groups, seeds):
+        (alone,) = fit_triples([group], h=3, sweeps=60, seeds=[seed])
+        index = triple.favor.vocab.index
+        counts, records, _, _ = lockstep_loop(
+            [[[index[t] for t in doc] for doc in docs] for docs in group],
+            len(index), 3, 50.0 / 3, 0.01, [seed, seed + 1, seed + 2], 60)
+        for model, own, want, trace in zip(triple.models, alone.models,
+                                           counts, records):
+            assert model.vocab.tokens == own.vocab.tokens
+            assert np.array_equal(model.topic_word_counts,
+                                  own.topic_word_counts)
+            assert np.array_equal(model.topic_totals, own.topic_totals)
+            assert model.log_joint == own.log_joint
+            assert np.array_equal(model.topic_word_counts, want)
+            if not index:  # no vocabulary, no log joint
+                assert model.log_joint == trace == []
+                continue
+            assert [s for s, _ in model.log_joint] == [50, 60]
+            for (_, value), (_, oracle) in zip(model.log_joint, trace[1:]):
+                assert value == pytest.approx(oracle, rel=1e-9, abs=0.0)
+
+
+def test_fit_triples_takes_one_seed_per_group():
+    docs = [["a", "b"], ["b"]]
+    with pytest.raises(TopicsError, match="1 seeds for 2 groups"):
+        fit_triples([(docs, docs, docs)] * 2, h=2, sweeps=1, seeds=[4])
+
+
 def test_fit_rejects_a_seed_outside_64_bits():
     docs = [["a", "b"], ["b"]]
     for bad in (-1, 2**64, 1.5):
         with pytest.raises(TopicsError, match="seeds must be integers"):
             fit_lda(docs, h=2, sweeps=1, seed=bad)
     with pytest.raises(TopicsError, match="seeds must be integers"):
-        fit_triple(docs, docs, docs, h=2, sweeps=1, seed=2**64 - 2)
+        fit_triples([(docs, docs, docs)], h=2, sweeps=1,
+                    seeds=[2**64 - 2])
 
 
 def test_lockstep_recovers_planted_topics_like_the_sequential_sampler():
@@ -468,7 +521,7 @@ def test_fit_triple_builds_union_vocab_and_distinct_models():
     favor = [["apple", "pie"], ["apple", "tart"]]
     none = [["neutral", "words"], ["plain", "words"]]
     against = [["sour", "grapes"], ["sour", "mash"]]
-    triple = fit_triple(favor, none, against, h=2, sweeps=10, seed=3)
+    triple = _triple(favor, none, against, h=2, sweeps=10, seed=3)
     union = sorted({t for d in favor + none + against for t in d})
     for m in triple.models:
         assert m.vocab.tokens == union
@@ -582,8 +635,8 @@ def test_posterior_concentrates_on_matching_topic():
 def test_dis_vector_concatenates_thirds():
     docs, _ = planted_corpus(n_docs=30, seed=9)
     split = len(docs) // 3
-    triple = fit_triple(docs[:split], docs[split:2 * split],
-                        docs[2 * split:], h=2, sweeps=15, seed=4)
+    triple = _triple(docs[:split], docs[split:2 * split],
+                     docs[2 * split:], h=2, sweeps=15, seed=4)
     rows = fold_in(triple.models, docs[:2], [5, 6], sweeps=10)
     assert rows.shape == (2, 6)
     # one posterior per model side by side, each a distribution
@@ -594,8 +647,8 @@ def test_dis_vector_concatenates_thirds():
 def test_fold_in_equals_scalar_oracle(h):
     docs, _ = planted_corpus(n_docs=30, seed=20 + h)
     split = len(docs) // 3
-    triple = fit_triple(docs[:split], docs[split:2 * split],
-                        docs[2 * split:], h=h, sweeps=10, seed=h)
+    triple = _triple(docs[:split], docs[split:2 * split],
+                     docs[2 * split:], h=h, sweeps=10, seed=h)
     batch = _mixed_docs(docs)
     seeds = [100 + 7 * i for i in range(len(batch))]
     got = fold_in(triple.models, batch, seeds, sweeps=6)
@@ -695,8 +748,8 @@ def test_fold_in_rejects_a_seed_outside_64_bits(bad):
 def test_fold_in_seeds_of_any_width_equal_scalar_oracle():
     docs, _ = planted_corpus(n_docs=30, seed=14)
     split = len(docs) // 3
-    triple = fit_triple(docs[:split], docs[split:2 * split],
-                        docs[2 * split:], h=3, sweeps=10, seed=6)
+    triple = _triple(docs[:split], docs[split:2 * split],
+                     docs[2 * split:], h=3, sweeps=10, seed=6)
     batch = docs[:len(_SEEDS)]
     got = fold_in(triple.models, batch, _SEEDS, sweeps=4)
     assert np.array_equal(got, _oracle_rows(triple.models, batch, _SEEDS, 4))
@@ -709,8 +762,8 @@ def test_fold_in_seeds_of_any_width_equal_scalar_oracle():
 def test_fold_in_rows_independent_of_batch(monkeypatch):
     docs, _ = planted_corpus(n_docs=30, seed=11)
     split = len(docs) // 3
-    triple = fit_triple(docs[:split], docs[split:2 * split],
-                        docs[2 * split:], h=3, sweeps=10, seed=2)
+    triple = _triple(docs[:split], docs[split:2 * split],
+                     docs[2 * split:], h=3, sweeps=10, seed=2)
     batch = _mixed_docs(docs)
     seeds = [50 + i for i in range(len(batch))]
     full = fold_in(triple.models, batch, seeds, sweeps=5)
@@ -732,8 +785,8 @@ def test_fold_in_sets_equal_each_sets_own_call_and_oracle(monkeypatch):
     # lengths; each chain must read its own set's factors and alpha
     docs, _ = planted_corpus(n_docs=30, seed=13)
     split = len(docs) // 3
-    triple = fit_triple(docs[:split], docs[split:2 * split],
-                        docs[2 * split:], h=3, sweeps=10, seed=5)
+    triple = _triple(docs[:split], docs[split:2 * split],
+                     docs[2 * split:], h=3, sweeps=10, seed=5)
     rng = np.random.default_rng(13)
     hand = [_model(rng.integers(0, 6, size=(3, 4)), ["a", "b", "c", "d"],
                    alpha=alpha) for alpha in (0.5, 2.0, 0.1)]

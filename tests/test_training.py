@@ -7,6 +7,7 @@ determinism, best-checkpoint bookkeeping, and the frozen-batch descent
 property at a tiny learning rate.
 """
 
+import dataclasses
 import re
 import struct
 import zlib
@@ -16,9 +17,10 @@ import pytest
 
 import cosd.training
 from cosd import cpa, graph, inference, metrics
-from cosd.corpus import Example, Split, Stance, load_semeval, stance_subsets
+from cosd.corpus import (Dataset, Example, Split, Stance, load_semeval,
+                         stance_subsets)
 from cosd.synth import make_synthetic
-from cosd.topics import fit_triple, fold_in, perplexity, token_docs
+from cosd.topics import fit_triples, fold_in, perplexity, token_docs
 from cosd.training import (
     AdamState,
     ConfigError,
@@ -28,7 +30,7 @@ from cosd.training import (
     TrainingError,
     adam_step,
     attention_weights,
-    build_group_data,
+    build_groups,
     derive_seed,
     fold_in_matrix,
     fold_in_seeds,
@@ -465,12 +467,16 @@ def synth_setup(synth_small):
     dataset = load_semeval(root)
     store = load_embeddings(paths["embeddings"])
     target = dataset.targets[0]
-    favor, none, against = stance_subsets(dataset, target)
-    triple = fit_triple([list(e.tokens) for e in favor],
-                        [list(e.tokens) for e in none],
-                        [list(e.tokens) for e in against],
-                        h=2, sweeps=30, seed=3)
+    (triple,) = fit_triples(
+        [[token_docs(docs) for docs in stance_subsets(dataset, target)]],
+        h=2, sweeps=30, seeds=[3])
     return dataset, store, target, triple
+
+
+def _group(dataset, store, config):
+    """The record of the dataset's one training group."""
+    (data,), _ = build_groups(dataset, store, config)
+    return data
 
 
 def _config(**kw):
@@ -559,16 +565,17 @@ def test_perplexity_theta_is_the_training_fold_in_block(synth_setup):
 
 def test_build_group_data_shapes(synth_setup):
     dataset, store, target, _ = synth_setup
-    data = build_group_data(dataset, store, target, target, _config())
+    (data,), seconds = build_groups(dataset, store, _config())
     # the triple is fitted on the pool's stance subsets, seeded from the
     # base seed and the group's name
-    want = fit_triple(*(token_docs(docs)
-                        for docs in stance_subsets(dataset, target)),
-                      h=2, sweeps=30, seed=derive_seed(5, 7, target))
+    (want,) = fit_triples([[token_docs(docs)
+                            for docs in stance_subsets(dataset, target)]],
+                          h=2, sweeps=30, seeds=[derive_seed(5, 7, target)])
     for got_model, want_model in zip(data.triple.models, want.models):
         assert np.array_equal(got_model.topic_word_counts,
                               want_model.topic_word_counts)
-    assert set(data.seconds) == {"topic_fit_s", "fold_in_s", "graph_build_s"}
+    assert data.graph_build_s >= 0.0
+    assert set(seconds) == {"topic_fit_s", "fold_in_s"}
     n = len(dataset.train_pool(target))
     assert len(data.pool) == n
     assert data.dis_pool.shape == (n, 6)
@@ -587,7 +594,7 @@ def test_group_data_reads_each_record_once(synth_setup, monkeypatch):
         return original(self, src, rec_id, out)
 
     monkeypatch.setattr(cosd.training.TokenRows, "_read", counting)
-    data = build_group_data(dataset, store, target, target, _config())
+    data = _group(dataset, store, _config())
     assert sorted(reads) == sorted(ex.id for ex in data.pool + data.val)
 
 
@@ -610,7 +617,7 @@ def test_train_forms_pool_semantic_rows_once_per_group(synth_setup,
 def test_train_group_logs_and_best_checkpoint(synth_setup):
     dataset, store, target, _ = synth_setup
     config = _config()
-    data = build_group_data(dataset, store, target, target, config)
+    data = _group(dataset, store, config)
     result = train_group(data, store, config, trial_seed=7)
     assert [row["epoch"] for row in result.log_rows] == [1, 2, 3]
     best_from_log = max(row["val_micf"] for row in result.log_rows)
@@ -630,7 +637,7 @@ def test_train_group_text_rows_are_the_semantic_rows(synth_setup,
                                                      monkeypatch):
     dataset, store, target, _ = synth_setup
     config = _config()
-    data = build_group_data(dataset, store, target, target, config)
+    data = _group(dataset, store, config)
     n = len(data.pool)
     adam_params = []
 
@@ -683,9 +690,8 @@ def test_val_metrics_scores_each_side_once_as_three_calls_would(
                            h=2, words_per_topic=6, noise=3.0)
     dataset = load_semeval(tmp_path)
     store = load_embeddings(paths["embeddings"])
-    target = dataset.targets[0]
     config = _config(epochs=4)
-    data = build_group_data(dataset, store, target, target, config)
+    data = _group(dataset, store, config)
     calls = []
     for name in ("semantic_scores", "distributed_scores"):
         def counting(*args, _name=name,
@@ -717,7 +723,7 @@ def test_val_metrics_scores_each_side_once_as_three_calls_would(
 def test_frozen_batch_step_decreases_loss(synth_setup):
     dataset, store, target, _ = synth_setup
     config = _config(epochs=1)
-    data = build_group_data(dataset, store, target, target, config)
+    data = _group(dataset, store, config)
     model = cpa.init_model(data.sem_pool, 2, store.label_matrix(), seed=1,
                            d1=8, hops=2, weight_seed=2)
     from cosd.corpus import LABELS
@@ -759,6 +765,46 @@ def test_train_run_deterministic_and_trial_sensitive(synth_setup):
     assert header == ["run", target, "MacF", "MicF"]
     assert [row.split(",")[0] for row in result.report_csv.splitlines()[1:]] \
         == ["trial-1", "trial-2", "mean"]
+
+
+def test_six_target_train_equals_per_group_fits(tmp_path):
+    # train fits every group's triple in one lockstep and folds every
+    # group's texts in with one call; each group's triple and fold-in rows
+    # must be those of its own one-group fit and fold-in
+    paths = make_synthetic(tmp_path, seed=3, n_train=90, n_val=30, n_test=3,
+                           h=2, words_per_topic=6)
+    base = load_semeval(tmp_path)
+    names = [f"Target {k}" for k in range(6)]
+    # groups of unequal size, so their vocabularies and longest texts differ
+    picks = np.random.default_rng(3).choice(
+        6, size=len(base.examples), p=[0.35, 0.25, 0.15, 0.1, 0.08, 0.07])
+    dataset = Dataset([dataclasses.replace(ex, target=names[k])
+                       for ex, k in zip(base.examples, picks)], names,
+                      base.val_carved)
+    store = load_embeddings(paths["embeddings"])
+    (vector,) = store.targets.values()
+    store = dataclasses.replace(store,
+                                targets=dict.fromkeys(names, vector))
+    config = _config(trials=1, epochs=1)
+    result = train(dataset, store, config)
+    assert [data.group for data in result.groups] == names
+    assert set(result.seconds) == {"topic_fit_s", "fold_in_s"}
+    assert len({len(data.triple.favor.vocab) for data in result.groups}) > 1
+    for data in result.groups:
+        assert data.pool == dataset.train_pool(data.group)
+        (want,) = fit_triples(
+            [[token_docs(docs)
+              for docs in stance_subsets(dataset, data.group)]],
+            h=2, sweeps=30, seeds=[derive_seed(5, 7, data.group)])
+        for got, own in zip(data.triple.models, want.models):
+            assert got.vocab.tokens == own.vocab.tokens
+            assert np.array_equal(got.topic_word_counts,
+                                  own.topic_word_counts)
+            assert got.log_joint == own.log_joint
+        dis_pool, dis_val = fold_in_matrix(
+            [(want, data.pool), (want, data.val)], sweeps=10, base_seed=5)
+        assert np.array_equal(data.dis_pool, dis_pool)
+        assert np.array_equal(data.dis_val, dis_val)
 
 
 def test_train_rejects_missing_records(synth_setup):

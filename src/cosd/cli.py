@@ -418,27 +418,31 @@ def cmd_topics(args: argparse.Namespace) -> int:
     if args.top_n < 2:
         raise ConfigError(f"need --top-n >= 2, got {args.top_n}")
     dataset = load_dataset(config)
-    # per H, the triples cosd train --h H fits, every group in one call
-    fits = {h: training.fit_topics(dataset, config, h)
-            for h in range(lo, hi + 1)}
-    rows = []
-    for g, (key, target) in enumerate(
-            training.group_keys(dataset, config.joint)):
-        examples = stance_subsets(dataset, target)
-        for j, (stance_key, texts) in enumerate(zip(LABEL_KEYS, examples)):
-            docs = topics.token_docs(texts)
-            # the seeds cosd train folds these texts in with
-            seeds = training.fold_in_seeds(config.seed, texts)
-            for h, triples in fits.items():
-                model = triples[g].models[j]
-                try:
-                    perp = topics.perplexity(model, docs, seeds,
-                                             sweeps=config.fold_in_sweeps)
-                except TopicsError:
-                    perp = float("nan")
-                coher = topics.umass_coherence(model, docs, top_n=args.top_n)
-                rows.append((key, stance_key, h, perp, coher))
-
+    keys = training.group_keys(dataset, config.joint)
+    names = [(key, stance_key) for key, _ in keys for stance_key in LABEL_KEYS]
+    subsets = [texts for _, target in keys
+               for texts in stance_subsets(dataset, target)]
+    docs = [topics.token_docs(texts) for texts in subsets]
+    scores = [[] for _ in subsets]
+    for h in range(lo, hi + 1):
+        # the triples train --h H fits, every group in one call, then each
+        # subset folded into its model, with the seeds train folds its texts
+        # in with, all in one lockstep
+        models = [model for triple in training.fit_topics(dataset, config, h)
+                  for model in triple.models]
+        thetas = topics.fold_in_sets(
+            [([model], subset, training.fold_in_seeds(config.seed, texts))
+             for model, subset, texts in zip(models, docs, subsets)],
+            config.fold_in_sweeps)
+        for model, subset, theta, row in zip(models, docs, thetas, scores):
+            try:
+                perp = topics.perplexity(model, subset, theta)
+            except TopicsError:  # no in-vocabulary token in the subset
+                perp = float("nan")
+            row.append((h, perp, topics.umass_coherence(model, subset,
+                                                        top_n=args.top_n)))
+    rows = [(*name, *score) for name, row in zip(names, scores)
+            for score in row]
     header = f"{'group':<24}{'stance':<9}{'H':>3}{'perplexity':>14}{'coherence':>12}"
     lines = [header]
     for key, stance_key, h, perp, coher in rows:

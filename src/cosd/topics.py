@@ -11,7 +11,8 @@ One sampler does both jobs: one chain per doc (per doc and model in the
 fold-in), every chain stepped in lockstep one token position at a time as
 numpy operations, each doc drawing from a keyed counter hash. Fitting
 moves its models' word and topic counts after every position step
-(AD-LDA); the fold-in keeps them frozen.
+(AD-LDA); the fold-in keeps them frozen. perplexity samples nothing: it
+scores the fold-in posteriors it is given.
 """
 
 from __future__ import annotations
@@ -380,14 +381,6 @@ def _log_joint(n_wt: np.ndarray, n_t: np.ndarray, n_dt: np.ndarray,
 _FOLD_IN_BATCH = 1024
 
 
-def fold_in(models: Sequence[LdaModel], docs: Sequence[Sequence[str]],
-            seeds: Sequence[int], sweeps: int = 50) -> np.ndarray:
-    """Fold-in posteriors of every doc under every model, (D, len(models)*H):
-    fold_in_sets with the one set (models, docs, seeds)."""
-    (rows,) = fold_in_sets([(models, docs, seeds)], sweeps)
-    return rows
-
-
 FoldInSet = tuple[Sequence[LdaModel], Sequence[Sequence[str]], Sequence[int]]
 
 
@@ -435,10 +428,7 @@ def fold_in_sets(sets: Sequence[FoldInSet],
         ids += _doc_token_ids(docs, models[0].vocab)
         # table[w] = the word's frozen conditional factor under each model,
         # H values per model side by side
-        tables.append(np.concatenate(
-            [((m.topic_word_counts + m.beta)
-              / (m.topic_totals + m.beta * len(m.vocab))[:, None]).T
-             for m in models], axis=1))
+        tables.append(np.concatenate([m.phi().T for m in models], axis=1))
     keys = np.concatenate(keys)
     # the sets' tables stacked; a doc's word ids shift by the vocabulary
     # sizes of the sets before its own, and its chains take its set's alphas
@@ -493,16 +483,19 @@ def _lockstep(ids: list[list[int]], keys: np.ndarray, offsets: np.ndarray,
     return post.reshape(n_docs, n_models * h)
 
 
-def perplexity(model: LdaModel, docs: list[list[str]], seeds: Sequence[int],
-               sweeps: int = 50) -> float:
+def perplexity(model: LdaModel, docs: list[list[str]],
+               thetas: np.ndarray) -> float:
     """exp(-mean log p(w|d)) with p(w|d) = sum_h theta_dh phi_hw.
 
-    theta comes from fold-in (doc i seeded seeds[i]), phi from the smoothed
-    trained counts. Docs with no in-vocabulary tokens are skipped; raises if
-    nothing is left.
+    Row d of thetas, (len(docs), H), is doc d's topic posterior under the
+    model, which the caller takes from the fold-in; phi comes from the
+    smoothed trained counts. Docs with no in-vocabulary tokens are skipped;
+    raises if nothing is left.
     """
+    if np.shape(thetas) != (len(docs), model.h):
+        raise TopicsError(f"thetas of shape {np.shape(thetas)} for "
+                          f"{len(docs)} docs under H={model.h}")
     phi = model.phi()
-    thetas = fold_in([model], docs, seeds, sweeps=sweeps)
     log_lik = 0.0
     total = 0
     for theta, ids in zip(thetas, _doc_token_ids(docs, model.vocab)):

@@ -488,11 +488,16 @@ def fit_topics(dataset: Dataset, config: RunConfig,
                h: int) -> list[topics.TopicModelTriple]:
     """Every group's topic triple with h topics per stance, in group_keys
     order, fitted on the token docs of its train pool's stance subsets and
-    seeded per group; all groups in one lockstep."""
+    seeded per group; all groups in one lockstep. A group with no training
+    texts (a target only in val or test) fails before anything is fitted."""
     keys = group_keys(dataset, config.joint)
+    subsets = [stance_subsets(dataset, target) for _, target in keys]
+    for (group, _), examples in zip(keys, subsets):
+        if not any(examples):
+            raise TrainingError(f"group {group!r} has no training texts")
     return topics.fit_triples(
-        [[topics.token_docs(docs) for docs in stance_subsets(dataset, target)]
-         for _, target in keys],
+        [[topics.token_docs(docs) for docs in examples]
+         for examples in subsets],
         h=h, alpha=config.alpha or None, beta=config.beta,
         sweeps=config.lda_sweeps,
         seeds=[derive_seed(config.seed, 7, group) for group, _ in keys])
@@ -504,12 +509,9 @@ def build_groups(dataset: Dataset, store: EncoderStore, config: RunConfig
     of the topic fit and the fold-in, which cover all groups at once: the
     triples are fitted together, every pool and val split is folded in
     together, then each group's graph is built. A group with no training
-    texts fails before anything is fitted."""
+    texts fails in fit_topics, before anything is fitted."""
     keys = group_keys(dataset, config.joint)
     pools = [dataset.train_pool(target) for _, target in keys]
-    for (group, _), pool in zip(keys, pools):
-        if not pool:
-            raise TrainingError(f"group {group!r} has no training texts")
     vals = [dataset.split(Split.VAL, target) for _, target in keys]
     began = time.perf_counter()
     triples = fit_topics(dataset, config, config.h)

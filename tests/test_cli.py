@@ -1003,8 +1003,9 @@ def test_train_rejects_targets_sharing_a_slug(synth_small, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "topics"])
 def test_train_fails_on_a_target_without_training_texts_before_fitting(
-        synth_small, tmp_path, capsys, monkeypatch):
+        command, synth_small, tmp_path, capsys, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("fitted before every group's pool was checked")
 
@@ -1025,9 +1026,13 @@ def test_train_fails_on_a_target_without_training_texts_before_fitting(
                *((f"label:{key}", vec) for key, vec in store.labels.items())]
     training.save_embeddings(data / "emb.emb1", records, dim=store.dim)
     out = tmp_path / "run"
-    _expect_failure(["train", "--dataset", "synthetic", "--data", str(data),
-                     "--embeddings", str(data / "emb.emb1"),
-                     "--out-dir", str(out)] + TRAIN_FLAGS, capsys,
+    argv = [command, "--dataset", "synthetic", "--data", str(data)]
+    if command == "train":
+        argv += ["--embeddings", str(data / "emb.emb1"),
+                 "--out-dir", str(out)] + TRAIN_FLAGS
+    else:  # topics reports the groups train fits, and rejects the same
+        argv += ["--h-range", "2:3", "--out", str(out)]
+    _expect_failure(argv, capsys,
                     needle="group 'Zz Lonely' has no training texts")
     assert not out.exists()
 
@@ -1129,7 +1134,8 @@ def test_topics_rows_score_the_models_train_fits(run_dir, synth_small,
         model = cosd.topics.load_lda(run_dir / "lda" / f"{SLUG}.{row[1]}.lda1")
         docs = cosd.topics.token_docs(examples)
         seeds = training.fold_in_seeds(5, examples)
-        want = (cosd.topics.perplexity(model, docs, seeds, sweeps=10),
+        (theta,) = cosd.topics.fold_in_sets([([model], docs, seeds)], 10)
+        want = (cosd.topics.perplexity(model, docs, theta),
                 cosd.topics.umass_coherence(model, docs, top_n=4))
         assert row == ["Synthetic Policy", row[1], "2",
                        f"{want[0]:.6f}", f"{want[1]:.6f}"]
@@ -1271,6 +1277,50 @@ def test_scoring_commands_fold_in_once(run_dir, two_target_run, tmp_path,
     assert len(calls) == 2
     assert calls[0] == calls[1] and len(calls[0]) == 2
     assert sum(calls[0]) == n_test
+
+
+def test_topics_folds_every_subset_in_once_per_h(two_target_run, tmp_path,
+                                                 capsys, monkeypatch):
+    data, run = two_target_run
+    calls = []
+    original = cosd.topics.fold_in_sets
+
+    def recording(sets, sweeps=50):
+        calls.append((sets, sweeps))
+        return original(sets, sweeps)
+
+    monkeypatch.setattr(cosd.topics, "fold_in_sets", recording)
+    out = tmp_path / "sweep.csv"
+    assert main(["topics", "--dataset", "synthetic", "--data", str(data),
+                 "--h-range", "2:3", "--lda-sweeps", "10",
+                 "--fold-in-sweeps", "5", "--seed", "5", "--top-n", "3",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    # per H one lockstep over both groups' three subsets, one model a set
+    assert [len(sets) for sets, _ in calls] == [6, 6]
+    assert {len(models) for sets, _ in calls for models, _, _ in sets} == {1}
+    assert {sweeps for _, sweeps in calls} == {5}
+    with open(out, encoding="utf-8", newline="") as f:
+        rows = list(csv.reader(f))[1:]
+
+    # the oracle: each subset folded into its model alone
+    dataset = RunDir(run).corpus(*Split)
+    want = []
+    for g, (name, target) in enumerate(training.group_keys(dataset, False)):
+        subsets = cosd.cli.stance_subsets(dataset, target)
+        for j, (key, texts) in enumerate(zip(training.LABEL_KEYS, subsets)):
+            docs = cosd.topics.token_docs(texts)
+            seeds = training.fold_in_seeds(5, texts)
+            for h, (sets, _) in zip((2, 3), calls):
+                (model,), _, _ = sets[3 * g + j]
+                assert model.h == h
+                (theta,) = original([([model], docs, seeds)], 5)
+                want.append([
+                    name, key, str(h),
+                    f"{cosd.topics.perplexity(model, docs, theta):.6f}",
+                    f"{cosd.topics.umass_coherence(model, docs, 3):.6f}"])
+    assert {row[0] for row in want} == {"Synthetic Policy", OTHER}
+    assert rows == want
 
 
 def test_run_dir_scores_interleaved_targets_in_input_order(two_target_run):

@@ -27,7 +27,6 @@ from cosd.topics import (
     TopicsError,
     fit_lda,
     fit_triples,
-    fold_in,
     fold_in_sets,
     load_lda,
     perplexity,
@@ -467,7 +466,7 @@ def test_fit_lda_with_explicit_vocab_drops_unknown_tokens():
     vocab = Vocabulary.from_docs([["alpha", "beta"]])
     m = fit_lda([["gamma", "delta"]], h=2, sweeps=3, seed=0, vocab=vocab)
     assert m.topic_word_counts.sum() == 0
-    theta = fold_in([m], [["gamma"]], [0], sweeps=5)[0]
+    theta = fold_in_one([m], [["gamma"]], [0], sweeps=5)[0]
     assert np.allclose(theta, [0.5, 0.5])
 
 
@@ -592,6 +591,12 @@ def doc_topic_posterior(model: LdaModel, tokens, sweeps: int = 50,
     return (np.array(local) + alpha) / (len(ids) + h * alpha)
 
 
+def fold_in_one(models, docs, seeds, sweeps=50):
+    """The fold-in rows of one model set: fold_in_sets' one-set call."""
+    (rows,) = fold_in_sets([(models, docs, seeds)], sweeps)
+    return rows
+
+
 def _oracle_rows(models, docs, seeds, sweeps):
     return np.stack([
         np.concatenate([doc_topic_posterior(m, doc, sweeps=sweeps, seed=seed)
@@ -608,8 +613,8 @@ def _mixed_docs(docs):
 def test_posterior_sums_to_one_and_is_seed_deterministic():
     docs, _ = planted_corpus(n_docs=40, seed=8)
     m = fit_lda(docs, h=3, sweeps=30, seed=1)
-    theta = fold_in([m], docs[:5], list(range(5)), sweeps=20)
-    again = fold_in([m], docs[:5], list(range(5)), sweeps=20)
+    theta = fold_in_one([m], docs[:5], list(range(5)), sweeps=20)
+    again = fold_in_one([m], docs[:5], list(range(5)), sweeps=20)
     assert theta.shape == (5, 3)
     assert np.allclose(theta.sum(axis=1), 1.0)
     assert (theta > 0).all()
@@ -618,17 +623,17 @@ def test_posterior_sums_to_one_and_is_seed_deterministic():
 
 def test_posterior_uniform_for_empty_oov_and_single_topic():
     m = _model([[3, 1], [1, 3]], ["a", "b"])
-    assert np.allclose(fold_in([m], [[], ["zzz"]], [0, 0]), 0.5)
+    assert np.allclose(fold_in_one([m], [[], ["zzz"]], [0, 0]), 0.5)
     single = _model([[3, 1]], ["a", "b"])
-    assert np.allclose(fold_in([single], [["a", "b"]], [0]), [[1.0]])
-    assert fold_in([m], [], []).shape == (0, 2)
+    assert np.allclose(fold_in_one([single], [["a", "b"]], [0]), [[1.0]])
+    assert fold_in_one([m], [], []).shape == (0, 2)
 
 
 def test_posterior_concentrates_on_matching_topic():
     # topic 0 emits only "a", topic 1 only "b"; a pure-"a" doc should land
     # almost all of its mass on topic 0 despite the smoothing prior
     m = _model([[100, 0], [0, 100]], ["a", "b"], alpha=0.1)
-    theta = fold_in([m], [["a"] * 6], [0], sweeps=30)[0]
+    theta = fold_in_one([m], [["a"] * 6], [0], sweeps=30)[0]
     assert theta[0] > 0.9
 
 
@@ -637,7 +642,7 @@ def test_dis_vector_concatenates_thirds():
     split = len(docs) // 3
     triple = _triple(docs[:split], docs[split:2 * split],
                      docs[2 * split:], h=2, sweeps=15, seed=4)
-    rows = fold_in(triple.models, docs[:2], [5, 6], sweeps=10)
+    rows = fold_in_one(triple.models, docs[:2], [5, 6], sweeps=10)
     assert rows.shape == (2, 6)
     # one posterior per model side by side, each a distribution
     assert np.allclose(rows.reshape(2, 3, 2).sum(axis=2), 1.0)
@@ -651,10 +656,10 @@ def test_fold_in_equals_scalar_oracle(h):
                      docs[2 * split:], h=h, sweeps=10, seed=h)
     batch = _mixed_docs(docs)
     seeds = [100 + 7 * i for i in range(len(batch))]
-    got = fold_in(triple.models, batch, seeds, sweeps=6)
+    got = fold_in_one(triple.models, batch, seeds, sweeps=6)
     assert got.shape == (len(batch), 3 * h)
     assert np.array_equal(got, _oracle_rows(triple.models, batch, seeds, 6))
-    one = fold_in([triple.none], batch, seeds, sweeps=6)
+    one = fold_in_one([triple.none], batch, seeds, sweeps=6)
     assert np.array_equal(one, _oracle_rows([triple.none], batch, seeds, 6))
 
 
@@ -668,7 +673,7 @@ def test_fold_in_zero_beta_unseen_word_takes_flat_branch():
                      beta=0.0)]
     docs = [["c", "c", "a"], ["c"], ["a", "b", "c", "c", "b"], ["b"]]
     seeds = [3, 1, 4, 1]
-    got = fold_in(models, docs, seeds, sweeps=8)
+    got = fold_in_one(models, docs, seeds, sweeps=8)
     assert np.array_equal(got, _oracle_rows(models, docs, seeds, 8))
 
 
@@ -698,7 +703,7 @@ def test_fold_in_tie_rule_equals_scalar_oracle(monkeypatch, h):
     docs = [[vocab[i] for i in rng.integers(0, len(vocab), size=n)]
             for n in rng.integers(1, 10, size=24)]
     seeds = list(range(len(docs)))
-    got = fold_in(models, docs, seeds, sweeps=6)
+    got = fold_in_one(models, docs, seeds, sweeps=6)
     assert np.array_equal(got, _oracle_rows(models, docs, seeds, 6))
 
 
@@ -742,7 +747,7 @@ def test_fold_in_rejects_a_seed_outside_64_bits(bad):
     single = _model([[3, 1]], ["a", "b"])
     for model in (m, single):  # checked before any draw, even at H = 1
         with pytest.raises(TopicsError, match="seeds must be integers"):
-            fold_in([model], [["a"], ["b"]], [3, bad])
+            fold_in_one([model], [["a"], ["b"]], [3, bad])
 
 
 def test_fold_in_seeds_of_any_width_equal_scalar_oracle():
@@ -751,12 +756,12 @@ def test_fold_in_seeds_of_any_width_equal_scalar_oracle():
     triple = _triple(docs[:split], docs[split:2 * split],
                      docs[2 * split:], h=3, sweeps=10, seed=6)
     batch = docs[:len(_SEEDS)]
-    got = fold_in(triple.models, batch, _SEEDS, sweeps=4)
+    got = fold_in_one(triple.models, batch, _SEEDS, sweeps=4)
     assert np.array_equal(got, _oracle_rows(triple.models, batch, _SEEDS, 4))
     # a uint64 column, as training passes them, gives the same rows
     column = np.array(_SEEDS, dtype=np.uint64)
-    assert np.array_equal(fold_in(triple.models, batch, column, sweeps=4),
-                          got)
+    assert np.array_equal(
+        fold_in_one(triple.models, batch, column, sweeps=4), got)
 
 
 def test_fold_in_rows_independent_of_batch(monkeypatch):
@@ -766,18 +771,18 @@ def test_fold_in_rows_independent_of_batch(monkeypatch):
                      docs[2 * split:], h=3, sweeps=10, seed=2)
     batch = _mixed_docs(docs)
     seeds = [50 + i for i in range(len(batch))]
-    full = fold_in(triple.models, batch, seeds, sweeps=5)
+    full = fold_in_one(triple.models, batch, seeds, sweeps=5)
     perm = np.random.default_rng(0).permutation(len(batch))
-    permuted = fold_in(triple.models, [batch[i] for i in perm],
-                       [seeds[i] for i in perm], sweeps=5)
+    permuted = fold_in_one(triple.models, [batch[i] for i in perm],
+                           [seeds[i] for i in perm], sweeps=5)
     assert np.array_equal(permuted, full[perm])
     for i in (0, 2, len(batch) - 1):
-        alone = fold_in(triple.models, [batch[i]], [seeds[i]], sweeps=5)
+        alone = fold_in_one(triple.models, [batch[i]], [seeds[i]], sweeps=5)
         assert np.array_equal(alone[0], full[i])
     # lockstep batches smaller than the doc count give the same rows
     monkeypatch.setattr(cosd.topics, "_FOLD_IN_BATCH", 3)
-    assert np.array_equal(fold_in(triple.models, batch, seeds, sweeps=5),
-                          full)
+    assert np.array_equal(
+        fold_in_one(triple.models, batch, seeds, sweeps=5), full)
 
 
 def test_fold_in_sets_equal_each_sets_own_call_and_oracle(monkeypatch):
@@ -796,7 +801,7 @@ def test_fold_in_sets_equal_each_sets_own_call_and_oracle(monkeypatch):
              [1, 2, 3, 4, 5]),
             (triple.models, [], []),
             (hand, [["zzz"], ["d"]], [9, 9])]
-    own = [fold_in(models, set_docs, seeds, sweeps=6)
+    own = [fold_in_one(models, set_docs, seeds, sweeps=6)
            for models, set_docs, seeds in sets]
     for size in (cosd.topics._FOLD_IN_BATCH, 3):
         monkeypatch.setattr(cosd.topics, "_FOLD_IN_BATCH", size)
@@ -815,13 +820,13 @@ def test_fold_in_rejects_mismatched_inputs():
     other_vocab = _model([[3, 1], [1, 3]], ["a", "c"])
     other_h = _model([[3, 1], [1, 3], [2, 2]], ["a", "b"])
     with pytest.raises(TopicsError):
-        fold_in([a, other_vocab], [["a"]], [0])
+        fold_in_one([a, other_vocab], [["a"]], [0])
     with pytest.raises(TopicsError):
-        fold_in([a, other_h], [["a"]], [0])
+        fold_in_one([a, other_h], [["a"]], [0])
     with pytest.raises(TopicsError):
-        fold_in([a], [["a"], ["b"]], [0])
+        fold_in_one([a], [["a"], ["b"]], [0])
     with pytest.raises(TopicsError):
-        fold_in([], [["a"]], [0])
+        fold_in_one([], [["a"]], [0])
     # sets folded in together must agree on H and on the number of models
     with pytest.raises(TopicsError):
         fold_in_sets([([a], [["a"]], [0]), ([other_h], [["a"]], [0])])
@@ -839,7 +844,8 @@ def test_perplexity_single_topic_matches_hand_computation():
     p_a = 3.01 / 4.02
     p_b = 1.01 / 4.02
     expect = np.exp(-(2 * np.log(p_a) + np.log(p_b)) / 3)
-    got = perplexity(m, [["a", "b", "a"]], [0], sweeps=5)
+    docs = [["a", "b", "a"]]
+    got = perplexity(m, docs, fold_in_one([m], docs, [0], sweeps=5))
     assert got == pytest.approx(expect, rel=1e-12)
 
 
@@ -848,15 +854,29 @@ def test_perplexity_skips_oov_docs_and_is_at_least_one():
     m = fit_lda(docs, h=3, sweeps=30, seed=2)
     with_oov = docs[:5] + [["zzz", "qqq"]]
     seeds = list(range(len(with_oov)))
-    val = perplexity(m, with_oov, seeds, sweeps=10)
+    val = perplexity(m, with_oov, fold_in_one([m], with_oov, seeds, sweeps=10))
     assert val >= 1.0
-    assert val == pytest.approx(perplexity(m, docs[:5], seeds[:5], sweeps=10))
+    alone = fold_in_one([m], docs[:5], seeds[:5], sweeps=10)
+    assert val == pytest.approx(perplexity(m, docs[:5], alone))
 
 
 def test_perplexity_errors_when_no_tokens_scorable():
     m = _model([[3, 1]], ["a", "b"])
-    with pytest.raises(TopicsError):
-        perplexity(m, [["zzz"], []], [0, 1])
+    docs = [["zzz"], []]
+    with pytest.raises(TopicsError, match="zero in-vocabulary tokens"):
+        perplexity(m, docs, fold_in_one([m], docs, [0, 1]))
+
+
+def test_perplexity_rejects_thetas_not_one_row_per_doc_of_width_h():
+    m = _model([[3, 1], [1, 3]], ["a", "b"])
+    docs = [["a"], ["b", "a"]]
+    thetas = fold_in_one([m], docs, [0, 1])
+    perplexity(m, docs, thetas)
+    # an extra row would be dropped by the per-doc loop without a word
+    for bad in (thetas[:1], np.vstack([thetas, thetas[:1]]), thetas[:, :1],
+                np.full((2, 3), 1 / 3), thetas[0]):
+        with pytest.raises(TopicsError, match="thetas of shape"):
+            perplexity(m, docs, bad)
 
 
 def test_umass_hand_computed_oracle():

@@ -20,7 +20,7 @@ from cosd import cpa, graph, inference, metrics
 from cosd.corpus import (Dataset, Example, Split, Stance, load_semeval,
                          stance_subsets)
 from cosd.synth import make_synthetic
-from cosd.topics import fit_triples, fold_in, perplexity, token_docs
+from cosd.topics import fit_triples, fold_in_sets, perplexity, token_docs
 from cosd.training import (
     AdamState,
     ConfigError,
@@ -552,15 +552,15 @@ def test_perplexity_theta_is_the_training_fold_in_block(synth_setup):
         seeds = fold_in_seeds(5, examples)
         docs = token_docs(examples)
         (rows,) = fold_in_matrix([(triple, examples)], sweeps=7, base_seed=5)
-        theta = fold_in([triple.models[j]], docs, seeds, sweeps=7)
+        (theta,) = fold_in_sets([([triple.models[j]], docs, seeds)], sweeps=7)
         assert np.array_equal(theta / 3.0, rows[:, j * h:(j + 1) * h])
         phi = triple.models[j].phi()
         index = triple.models[j].vocab.index
         log_lik = [np.log(t @ phi[:, [index[w] for w in doc if w in index]])
                    for t, doc in zip(theta, docs)]
         want = np.exp(-np.concatenate(log_lik).mean())
-        assert perplexity(triple.models[j], docs, seeds,
-                          sweeps=7) == pytest.approx(want, rel=1e-12)
+        assert perplexity(triple.models[j], docs,
+                          theta) == pytest.approx(want, rel=1e-12)
 
 
 def test_build_group_data_shapes(synth_setup):

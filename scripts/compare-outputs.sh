@@ -13,12 +13,13 @@
 # timings.json (wall times). The quickstart stops at its first failing
 # command, which the report names with its last error line; every output
 # of the commands after it then shows as on the other side only. It
-# always exits 0: it reports, and never judges.
+# exits 0 after every comparison it completes: it reports, and never
+# judges. A usage error exits 2.
 set -u
 
 if [ $# -ne 3 ]; then
   echo "usage: $0 BASE_CHECKOUT HEAD_CHECKOUT WORK_DIR" >&2
-  exit 0
+  exit 2
 fi
 quickstart=$(cd "$(dirname "$0")" && pwd)/quickstart.sh
 base=$(cd "$1" && pwd)

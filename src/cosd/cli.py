@@ -3,13 +3,13 @@
 Commands: topics, train, predict, eval, inspect, synth. topics, train and
 synth take their configuration as flat key = value text; every key is also
 a flag of train, while topics and synth take flags only for the keys they
-read. Precedence: flag, then the COSD_SEED environment variable (seed
-only), then the config file, then defaults. predict, eval and inspect read
-the configuration of the run they are given from its run.json; predict and
-eval add only their own --mode and --score-norm. One command per process;
-every randomized step derives from the single seed, so identical
-invocations produce identical outputs (run directories are timestamped
-unless --out-dir pins them; file contents never embed timestamps).
+read. Precedence: flag, then the config file, then defaults. predict, eval
+and inspect read the configuration of the run they are given from its
+run.json; predict and eval add only their own --mode and --score-norm. One
+command per process; every randomized step derives from the single seed,
+so identical invocations produce identical outputs (run directories are
+timestamped unless --out-dir pins them; file contents never embed
+timestamps).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import csv
 import dataclasses
 import functools
 import json
-import os
 import re
 import shutil
 import sys
@@ -85,12 +84,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                 setattr(config, key, _coerce(by_name[key], raw))
             except ValueError as exc:
                 raise ConfigError(f"config key {key}: {exc}") from exc
-    env_seed = os.environ.get("COSD_SEED")
-    if env_seed is not None:
-        try:
-            config.seed = int(env_seed)
-        except ValueError as exc:
-            raise ConfigError(f"COSD_SEED: {exc}") from exc
     for name in by_name:
         value = getattr(args, name, None)
         if value is not None:

@@ -50,11 +50,6 @@ def _scores(preds, golds, targets) -> tuple[dict[str, float], float, float]:
     return per_target, macf, _f_avg(sum(groups.values(), Counter()))
 
 
-def f_avg(preds: list[Stance], golds: list[Stance]) -> float:
-    """(F1_favor + F1_against) / 2 over aligned lists."""
-    return _scores(preds, golds, [""] * len(preds))[2]
-
-
 def macro_micro(preds: list[Stance], golds: list[Stance],
                 targets: list[str]) -> tuple[float, float]:
     """(MacF, MicF) of aligned prediction, gold and target lists."""

@@ -221,28 +221,6 @@ def _draw(local: np.ndarray, at: np.ndarray, alpha, factor: np.ndarray,
 _LOG_JOINT_EVERY = 50
 
 
-def fit_lda(docs: list[list[str]], h: int, alpha: float | None = None,
-            beta: float = 0.01, sweeps: int = 500, seed: int = 0,
-            vocab: Vocabulary | None = None,
-            sweep_callback=None) -> LdaModel:
-    """Fit one LDA model by collapsed Gibbs sampling: _fit with one doc set.
-
-    docs are token lists. With vocab=None the vocabulary is built from docs;
-    passing a vocabulary lets several models share one (required inside a
-    triple). alpha defaults to 50/H, beta to 0.01. Deterministic per seed,
-    an integer in [0, 2**64). An empty doc list yields a prior-only model.
-    sweep_callback, when given, is called as sweep_callback(sweep_index,
-    topic_totals_copy) after every sweep (diagnostics only).
-    """
-    if vocab is None:
-        vocab = Vocabulary.from_docs(docs)
-    callback = None if sweep_callback is None else (
-        lambda s, totals: sweep_callback(s, totals[:, 0]))
-    (model,) = _fit([docs], [vocab], h, alpha, beta, sweeps, [seed],
-                    callback)
-    return model
-
-
 def fit_triples(groups: Sequence[tuple[list[list[str]], list[list[str]],
                                        list[list[str]]]],
                 h: int, alpha: float | None = None, beta: float = 0.01,
@@ -250,9 +228,10 @@ def fit_triples(groups: Sequence[tuple[list[list[str]], list[list[str]],
                 seeds: Sequence[int]) -> list[TopicModelTriple]:
     """Per group of (favor, none, against) docs, its three per-stance models
     over one vocabulary built from its docs, seeded seeds[g], seeds[g] + 1
-    and seeds[g] + 2; every group's models in one lockstep. The models
-    share no counts, so each equals fit_lda's over its docs, its seed and
-    its group's vocabulary, whatever the other groups hold."""
+    and seeds[g] + 2; every group's models in one lockstep. alpha defaults
+    to 50/H; a seed is an integer in [0, 2**64). The models share no
+    counts, so each is the same whatever the other groups hold: a one-set
+    fit is fit_triples([(docs, [], [])], ...)[0].favor."""
     if len(seeds) != len(groups):
         raise TopicsError(f"{len(seeds)} seeds for {len(groups)} groups")
     doc_sets, vocabs, set_seeds = [], [], []

@@ -15,11 +15,11 @@ from conftest import (SEMEVAL_TABLE, UKP_TABLE, greedy_match_tv,
                       planted_corpus)
 from cosd import inference, synth
 from cosd.cli import main
-from cosd.corpus import LABELS, Split, load_semeval
+from cosd.corpus import LABELS, Split, Vocabulary, load_semeval
 from cosd.cpa import CpaModel, batch_loss, init_cpa_weights, propagate
 from cosd.graph import laplacian
-from cosd.metrics import Stance, f_avg, macro_micro
-from cosd.topics import fit_lda
+from cosd.metrics import Stance, macro_micro
+from cosd.topics import _fit
 from cosd.training import (RunConfig, fold_in_matrix, load_embeddings,
                            semantic_matrix, train)
 from tape import one_hop_message
@@ -152,7 +152,8 @@ def test_criterion_3_planted_topic_recovery(capsys):
     def check(sweep, n_k):
         conserved.append(float(n_k.sum()) == float(total_tokens))
 
-    model = fit_lda(docs, 3, sweeps=500, seed=42, sweep_callback=check)
+    (model,) = _fit([docs], [Vocabulary.from_docs(docs)], 3, None, 0.01, 500,
+                    [42], check)
     tvs = greedy_match_tv(model.phi(), phi_true)
     elapsed = time.perf_counter() - t0
     ok = (max(tvs) <= 0.15 and len(conserved) == 500 and all(conserved)
@@ -169,7 +170,7 @@ def test_criterion_4_metric_oracle(capsys):
     golds = [F, F, A, A, N]
     preds = [F, A, A, N, N]
     # favor: p=1, r=1/2 -> 2/3; against: p=r=1/2 -> 1/2; mean 7/12
-    got = f_avg(preds, golds)
+    got = macro_micro(preds, golds, ["t"] * 5)[1]
     exact = got == (2.0 / 3.0 + 1.0 / 2.0) / 2.0
     near_rational = abs(got - 7.0 / 12.0) <= 2 ** -52
     perfect = macro_micro(golds, golds, ["t"] * 5) == (1.0, 1.0)

@@ -88,19 +88,14 @@ def test_config_file_rejects_garbage(tmp_path):
         _config(["train", "--config", str(notbool)])
 
 
-def test_seed_precedence_flag_env_file(tmp_path, monkeypatch):
+def test_seed_precedence_flag_file_default(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("seed = 3\nh = 4\n", encoding="utf-8")
+    assert _config(["train"]).seed == training.RunConfig().seed
     assert _config(["train", "--config", str(cfg)]).seed == 3
-    monkeypatch.setenv("COSD_SEED", "9")
-    env_wins = _config(["train", "--config", str(cfg)])
-    assert env_wins.seed == 9
-    assert env_wins.h == 4  # env var touches only the seed
     flag_wins = _config(["train", "--config", str(cfg), "--seed", "12"])
     assert flag_wins.seed == 12
-    monkeypatch.setenv("COSD_SEED", "not-a-number")
-    with pytest.raises(ConfigError):
-        _config(["train"])
+    assert flag_wins.h == 4  # the flag touches only the seed
 
 
 def test_flags_override_file(tmp_path):
@@ -710,16 +705,15 @@ def test_train_checks_its_out_dir_before_loading_or_training(
     assert blocker.read_text(encoding="utf-8") == "not a directory\n"
 
 
-def test_topics_rejects_a_negative_seed_from_the_environment(
-        synth_small, capsys, monkeypatch):
+def test_topics_rejects_a_negative_seed_flag(synth_small, capsys,
+                                             monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("ran before the config was checked")
 
     monkeypatch.setattr(cosd.cli, "load_semeval", never)
-    monkeypatch.setenv("COSD_SEED", "-2")
     root, _ = synth_small
-    _expect_failure(["topics", "--dataset", "synthetic", "--data", str(root)],
-                    capsys, needle="seed >= 0")
+    _expect_failure(["topics", "--dataset", "synthetic", "--data", str(root),
+                     "--seed", "-2"], capsys, needle="seed >= 0")
 
 
 @pytest.mark.parametrize("flag", [["--n-train", "0"], ["--n-val", "0"],
@@ -885,8 +879,9 @@ def test_a_topic_model_whose_h_is_not_the_runs_exits_2(run_dir, synth_small,
     copy = tmp_path / "run"
     shutil.copytree(run_dir, copy)
     lda = copy / "lda" / f"{SLUG}.none.lda1"
-    cosd.topics.save_lda(cosd.topics.fit_lda([["a", "b"], ["b", "c"]], h=3,
-                                             sweeps=2), lda)
+    (triple,) = cosd.topics.fit_triples([([["a", "b"], ["b", "c"]], [], [])],
+                                        h=3, sweeps=2, seeds=[0])
+    cosd.topics.save_lda(triple.favor, lda)
     run = ["--run", str(copy), "--trial", "1"]
     predict = ["predict", "--in", str(root / "test.tsv"),
                "--out", str(tmp_path / "p.tsv")]
@@ -906,8 +901,9 @@ def test_a_topic_model_of_another_vocabulary_exits_2(run_dir, synth_small,
     copy = tmp_path / "run"
     shutil.copytree(run_dir, copy)
     lda = copy / "lda" / f"{SLUG}.none.lda1"
-    cosd.topics.save_lda(cosd.topics.fit_lda([["a", "b"], ["b", "c"]], h=2,
-                                             sweeps=2), lda)
+    (triple,) = cosd.topics.fit_triples([([["a", "b"], ["b", "c"]], [], [])],
+                                        h=2, sweeps=2, seeds=[0])
+    cosd.topics.save_lda(triple.favor, lda)
     run = ["--run", str(copy), "--trial", "1"]
     predict = ["predict", "--in", str(root / "test.tsv"),
                "--out", str(tmp_path / "p.tsv")]

@@ -13,9 +13,14 @@ import random
 import pytest
 
 from cosd.corpus import Stance
-from cosd.metrics import MetricsError, f_avg, macro_micro, trial_report
+from cosd.metrics import MetricsError, macro_micro, trial_report
 
 F, N, A = Stance.FAVOR, Stance.NONE, Stance.AGAINST
+
+
+def f_avg_of(preds, golds):
+    """F_avg of aligned lists: the MicF of one target."""
+    return macro_micro(preds, golds, ["t"] * len(preds))[1]
 
 
 def test_f_avg_hand_computed_five_example_case():
@@ -23,53 +28,53 @@ def test_f_avg_hand_computed_five_example_case():
     preds = [F, A, A, N, N]
     # Favor: tp=1 fp=0 fn=1 -> P=1, R=1/2, F=2/3
     # Against: tp=1 fp=1 fn=1 -> P=1/2, R=1/2, F=1/2
-    assert f_avg(preds, golds) == pytest.approx(7.0 / 12.0, abs=1e-12)
+    assert f_avg_of(preds, golds) == pytest.approx(7.0 / 12.0, abs=1e-12)
 
 
 def test_f_avg_perfect_is_one():
     golds = [F, A, N, F, A]
-    assert f_avg(golds, golds) == 1.0
+    assert f_avg_of(golds, golds) == 1.0
 
 
 def test_f_avg_no_favor_anywhere_halves_against():
     golds = [A, A, N]
     preds = [A, N, N]
     # Against: tp=1 fp=0 fn=1 -> F_A = 2/3; Favor absent -> F_F = 0
-    assert f_avg(preds, golds) == pytest.approx((2.0 / 3.0) / 2.0)
+    assert f_avg_of(preds, golds) == pytest.approx((2.0 / 3.0) / 2.0)
 
 
 def test_f_avg_zero_division_rules():
-    assert f_avg([N, N], [N, N]) == 0.0
+    assert f_avg_of([N, N], [N, N]) == 0.0
     # predicted Favor never gold, gold Against never predicted
-    assert f_avg([F, F], [A, A]) == 0.0
+    assert f_avg_of([F, F], [A, A]) == 0.0
 
 
 def test_f_avg_bounds_and_length_check():
     golds = [F, A, F, N]
     preds = [F, F, A, A]
-    val = f_avg(preds, golds)
+    val = f_avg_of(preds, golds)
     assert 0.0 <= val < 1.0
     with pytest.raises(MetricsError):
-        f_avg([F], [F, A])
+        f_avg_of([F], [F, A])
     with pytest.raises(MetricsError):
-        f_avg([], [])
+        f_avg_of([], [])
 
 
 def test_f_avg_permutation_invariant():
     golds = [F, F, A, A, N, F]
     preds = [F, A, A, N, N, F]
-    base = f_avg(preds, golds)
+    base = f_avg_of(preds, golds)
     order = [3, 0, 5, 2, 1, 4]
-    assert f_avg([preds[i] for i in order],
-                 [golds[i] for i in order]) == pytest.approx(base)
+    assert f_avg_of([preds[i] for i in order],
+                    [golds[i] for i in order]) == pytest.approx(base)
 
 
 def test_counts_accumulate_over_examples():
     # Favor: tp=1 fp=0 fn=1 -> P=1, R=1/2, F=2/3
     # Against: tp=1 fp=1 fn=0 -> P=1/2, R=1, F=2/3
-    assert f_avg([F, A, A], [F, F, A]) == pytest.approx(2.0 / 3.0)
+    assert f_avg_of([F, A, A], [F, F, A]) == pytest.approx(2.0 / 3.0)
     # one more Favor hit: Favor tp=2 fn=1 -> F=4/5
-    assert f_avg([F, A, A, F], [F, F, A, F]) == pytest.approx(
+    assert f_avg_of([F, A, A, F], [F, F, A, F]) == pytest.approx(
         (4.0 / 5.0 + 2.0 / 3.0) / 2.0)
 
 
@@ -79,7 +84,7 @@ def test_macro_micro_single_target_collapse():
     mac, mic = macro_micro(preds, golds, ["t"] * 5)
     assert mac == pytest.approx(7.0 / 12.0)
     assert mic == pytest.approx(7.0 / 12.0)
-    assert mic == pytest.approx(f_avg(preds, golds))
+    assert mic == pytest.approx(f_avg_of(preds, golds))
 
 
 def test_macro_micro_perfect_multi_target():
@@ -173,7 +178,7 @@ def test_metrics_match_a_brute_force_tally():
         want_mac = sum(per_target) / len(per_target)
         want_mic = _oracle_f_avg(_oracle_cells(triples))
         assert macro_micro(preds, golds, targets) == (want_mac, want_mic)
-        assert f_avg(preds, golds) == want_mic
+        assert f_avg_of(preds, golds) == want_mic
         seen_zero += any(tp + fp == 0 or tp + fn == 0
                          for tp, fp, fn in _oracle_cells(triples))
         seen_absent += len(present) < len(pool)
@@ -243,7 +248,7 @@ def test_report_mean_over_three_trials():
     half = [F, A, A, A]
     trial_preds = [[N] * 4, half, half]
     rows = _rows(trial_report(trial_preds, golds, targets, ["T"])[1])
-    want = f_avg(half, golds)
+    want = f_avg_of(half, golds)
     assert want == pytest.approx((2.0 / 3.0 + 4.0 / 5.0) / 2.0)
     assert [float(row["T"]) for row in rows] == pytest.approx(
         [0.0, want, want, 2.0 * want / 3.0], abs=1e-6)
@@ -278,8 +283,8 @@ def test_report_row_matches_the_metric_functions():
     (row, _) = _rows(trial_report([preds], golds, targets,
                                   ["t2", "absent", "t1"])[1])
     assert list(row) == ["run", "t2", "absent", "t1", "MacF", "MicF"]
-    assert row["t1"] == f"{f_avg(preds[:5], golds[:5]):.6f}"
-    assert row["t2"] == f"{f_avg(preds[5:], golds[5:]):.6f}"
+    assert row["t1"] == f"{f_avg_of(preds[:5], golds[:5]):.6f}"
+    assert row["t2"] == f"{f_avg_of(preds[5:], golds[5:]):.6f}"
     assert row["absent"] == "0.000000"
     macf, micf = macro_micro(preds, golds, targets)
     assert (row["MacF"], row["MicF"]) == (f"{macf:.6f}", f"{micf:.6f}")

@@ -25,7 +25,6 @@ from cosd.topics import (
     LdaModel,
     TopicModelTriple,
     TopicsError,
-    fit_lda,
     fit_triples,
     fold_in_sets,
     load_lda,
@@ -43,6 +42,12 @@ def _model(counts, vocab_tokens, alpha=0.5, beta=0.01, sweeps=10):
     return LdaModel(h=counts.shape[0], alpha=alpha, beta=beta, vocab=vocab,
                     topic_word_counts=counts,
                     topic_totals=counts.sum(axis=1), trained_sweeps=sweeps)
+
+
+def fit_one(docs, h, alpha=None, beta=0.01, sweeps=500, seed=0):
+    """One model over docs alone: fit_triples' one-set call."""
+    return fit_triples([(docs, [], [])], h, alpha, beta, sweeps,
+                       seeds=[seed])[0].favor
 
 
 def _triple(favor, none, against, h, sweeps, seed):
@@ -271,8 +276,8 @@ def test_sweep_kernel_equals_loop_oracle(monkeypatch, h, dyadic):
                             np.floor(real_uniforms(keys, counters) * 4) / 4)
     ties = flats = 0
     for case, (docs, v, alpha, beta) in enumerate(_kernel_corpora(h)):
-        model = fit_lda(_token_docs(docs), h, alpha, beta, sweeps=12,
-                        seed=case, vocab=_vocab(v))
+        (model,) = cosd.topics._fit([_token_docs(docs)], [_vocab(v)], h,
+                                    alpha, beta, 12, [case])
         (counts,), (records,), case_ties, case_flats = lockstep_loop(
             [[[w for w in doc if w >= 0] for doc in docs]], v, h, alpha,
             beta, [case], 12)
@@ -303,8 +308,8 @@ def test_fit_triple_counts_equal_loop_oracle():
             assert value == pytest.approx(oracle, rel=1e-9, abs=0.0)
     # the models share no counts: each is its own one-model fit
     for offset, (model, set_docs) in enumerate(zip(got.models, sets)):
-        alone = fit_lda(set_docs, 4, sweeps=60, seed=8 + offset,
-                        vocab=model.vocab)
+        (alone,) = cosd.topics._fit([set_docs], [model.vocab], 4, None, 0.01,
+                                    60, [8 + offset])
         assert np.array_equal(alone.topic_word_counts,
                               model.topic_word_counts)
         assert alone.log_joint == model.log_joint
@@ -312,8 +317,9 @@ def test_fit_triple_counts_equal_loop_oracle():
 
 def test_fit_triples_equals_each_groups_own_fit_and_loop_oracle():
     # one lockstep over groups whose vocabularies and longest docs differ,
-    # one of them with no vocabulary at all: every model must be its own
-    # group's one-group fit, count for count and record for record
+    # one of them with no vocabulary at all and one with docs in favor
+    # only (fit_one's shape): every model must be its own group's
+    # one-group fit, count for count and record for record
     groups = []
     for g, (vocab_size, doc_len) in enumerate(((12, (3, 8)), (40, (15, 31)),
                                                (25, (1, 4)))):
@@ -321,12 +327,15 @@ def test_fit_triples_equals_each_groups_own_fit_and_loop_oracle():
                                  seed=40 + g, doc_len=doc_len)
         groups.append((docs[:8], docs[8:16], docs[16:]))
     groups.insert(2, ([], [[]], []))
-    seeds = [3, 2**40, 77, 5]
+    docs, _ = planted_corpus(n_docs=10, vocab_size=18, seed=44,
+                             doc_len=(9, 14))
+    groups.append((docs, [], []))
+    seeds = [3, 2**40, 77, 5, 2**63]
     joint = fit_triples(groups, h=3, sweeps=60, seeds=seeds)
     assert [len(t.favor.vocab) for t in joint][2] == 0
-    assert len({len(t.favor.vocab) for t in joint}) == 4
+    assert len({len(t.favor.vocab) for t in joint}) == 5
     assert len({max(map(len, group[0] + group[1] + group[2]))
-                for group in groups}) == 4
+                for group in groups}) == 5
     for triple, group, seed in zip(joint, groups, seeds):
         (alone,) = fit_triples([group], h=3, sweeps=60, seeds=[seed])
         index = triple.favor.vocab.index
@@ -359,7 +368,7 @@ def test_fit_rejects_a_seed_outside_64_bits():
     docs = [["a", "b"], ["b"]]
     for bad in (-1, 2**64, 1.5):
         with pytest.raises(TopicsError, match="seeds must be integers"):
-            fit_lda(docs, h=2, sweeps=1, seed=bad)
+            fit_one(docs, h=2, sweeps=1, seed=bad)
     with pytest.raises(TopicsError, match="seeds must be integers"):
         fit_triples([(docs, docs, docs)], h=2, sweeps=1,
                     seeds=[2**64 - 2])
@@ -375,7 +384,7 @@ def test_lockstep_recovers_planted_topics_like_the_sequential_sampler():
                                         doc_len=(12, 25))
         lockstep, reference = [], []
         for seed in (11, 12, 13):
-            model = fit_lda(docs, h=3, sweeps=150, seed=seed)
+            model = fit_one(docs, h=3, sweeps=150, seed=seed)
             lockstep.append(max(greedy_match_tv(model.phi(), phi_true)))
             vocab = model.vocab
             chain = SequentialLda([[vocab.index[t] for t in doc]
@@ -396,8 +405,9 @@ def test_sampler_conserves_counts_every_sweep():
     docs, _ = planted_corpus(n_docs=40, seed=3)
     total = sum(len(d) for d in docs)
     seen = []
-    model = fit_lda(docs, h=3, sweeps=5, seed=1,
-                    sweep_callback=lambda s, n_k: seen.append((s, n_k.copy())))
+    (model,) = cosd.topics._fit(
+        [docs], [Vocabulary.from_docs(docs)], 3, None, 0.01, 5, [1],
+        lambda s, n_t: seen.append((s, n_t[:, 0])))
     assert [s for s, _ in seen] == [0, 1, 2, 3, 4]
     for _, n_k in seen:
         assert n_k.sum() == total
@@ -409,31 +419,31 @@ def test_sampler_conserves_counts_every_sweep():
 def test_sampler_improves_log_joint_on_structured_corpus():
     docs, _ = planted_corpus(n_docs=60, seed=4)
     # one fit's first sweep is the whole of a one-sweep fit of the same seed
-    ((_, after_one),) = fit_lda(docs, h=3, sweeps=1, seed=2).log_joint
-    ((_, after_30),) = fit_lda(docs, h=3, sweeps=30, seed=2).log_joint
+    ((_, after_one),) = fit_one(docs, h=3, sweeps=1, seed=2).log_joint
+    ((_, after_30),) = fit_one(docs, h=3, sweeps=30, seed=2).log_joint
     assert after_30 > after_one
 
 
 def test_fit_lda_deterministic_per_seed():
     docs, _ = planted_corpus(n_docs=30, seed=5)
-    a = fit_lda(docs, h=3, sweeps=20, seed=9)
-    b = fit_lda(docs, h=3, sweeps=20, seed=9)
-    c = fit_lda(docs, h=3, sweeps=20, seed=10)
+    a = fit_one(docs, h=3, sweeps=20, seed=9)
+    b = fit_one(docs, h=3, sweeps=20, seed=9)
+    c = fit_one(docs, h=3, sweeps=20, seed=10)
     assert np.array_equal(a.topic_word_counts, b.topic_word_counts)
     assert not np.array_equal(a.topic_word_counts, c.topic_word_counts)
 
 
 def test_fit_lda_default_alpha_is_50_over_h():
     docs, _ = planted_corpus(n_docs=12, seed=6)
-    m = fit_lda(docs, h=4, sweeps=2, seed=0)
+    m = fit_one(docs, h=4, sweeps=2, seed=0)
     assert m.alpha == pytest.approx(50.0 / 4)
 
 
 def test_fit_lda_recovers_planted_topics_reduced():
     docs, phi_true = planted_corpus(n_topics=3, n_docs=120, vocab_size=30,
                                     seed=7, doc_len=(12, 25))
-    model = fit_lda(docs, h=3, sweeps=150, seed=11)
-    # fit_lda sorts the vocabulary, which matches the wNN naming order
+    model = fit_one(docs, h=3, sweeps=150, seed=11)
+    # the fit sorts the vocabulary, which matches the wNN naming order
     assert model.vocab.tokens == [f"w{i:02d}" for i in range(30)]
     tv = greedy_match_tv(model.phi(), phi_true)
     assert max(tv) <= 0.2
@@ -441,16 +451,16 @@ def test_fit_lda_recovers_planted_topics_reduced():
 
 def test_fit_lda_rejects_bad_arguments():
     with pytest.raises(TopicsError):
-        fit_lda([["a", "b"]], h=0)
+        fit_one([["a", "b"]], h=0)
     with pytest.raises(TopicsError):
-        fit_lda([["a", "b"]], h=2, sweeps=0)
+        fit_one([["a", "b"]], h=2, sweeps=0)
     with pytest.raises(TopicsError):
-        fit_lda([["a", "b"]], h=2, alpha=-1.0)
+        fit_one([["a", "b"]], h=2, alpha=-1.0)
     with pytest.raises(TopicsError):
-        fit_lda([["a", "b"]], h=2.5)
+        fit_one([["a", "b"]], h=2.5)
     for alpha, beta in ((float("nan"), 0.01), (0.5, float("inf"))):
         with pytest.raises(TopicsError, match="finite"):
-            fit_lda([["a", "b"]], h=2, alpha=alpha, beta=beta)
+            fit_one([["a", "b"]], h=2, alpha=alpha, beta=beta)
 
 
 def test_fit_lda_rejects_zero_beta():
@@ -459,12 +469,13 @@ def test_fit_lda_rejects_zero_beta():
     docs, _ = planted_corpus(n_docs=9, seed=2)
     for beta in (0.0, -0.01):
         with pytest.raises(TopicsError, match="beta > 0"):
-            fit_lda(docs, h=7, alpha=0.01, beta=beta, sweeps=50)
+            fit_one(docs, h=7, alpha=0.01, beta=beta, sweeps=50)
 
 
 def test_fit_lda_with_explicit_vocab_drops_unknown_tokens():
     vocab = Vocabulary.from_docs([["alpha", "beta"]])
-    m = fit_lda([["gamma", "delta"]], h=2, sweeps=3, seed=0, vocab=vocab)
+    (m,) = cosd.topics._fit([[["gamma", "delta"]]], [vocab], 2, None, 0.01, 3,
+                            [0])
     assert m.topic_word_counts.sum() == 0
     theta = fold_in_one([m], [["gamma"]], [0], sweeps=5)[0]
     assert np.allclose(theta, [0.5, 0.5])
@@ -612,7 +623,7 @@ def _mixed_docs(docs):
 
 def test_posterior_sums_to_one_and_is_seed_deterministic():
     docs, _ = planted_corpus(n_docs=40, seed=8)
-    m = fit_lda(docs, h=3, sweeps=30, seed=1)
+    m = fit_one(docs, h=3, sweeps=30, seed=1)
     theta = fold_in_one([m], docs[:5], list(range(5)), sweeps=20)
     again = fold_in_one([m], docs[:5], list(range(5)), sweeps=20)
     assert theta.shape == (5, 3)
@@ -851,7 +862,7 @@ def test_perplexity_single_topic_matches_hand_computation():
 
 def test_perplexity_skips_oov_docs_and_is_at_least_one():
     docs, _ = planted_corpus(n_docs=30, seed=10)
-    m = fit_lda(docs, h=3, sweeps=30, seed=2)
+    m = fit_one(docs, h=3, sweeps=30, seed=2)
     with_oov = docs[:5] + [["zzz", "qqq"]]
     seeds = list(range(len(with_oov)))
     val = perplexity(m, with_oov, fold_in_one([m], with_oov, seeds, sweeps=10))
@@ -912,7 +923,7 @@ def test_umass_averages_over_topics():
 
 def test_lda_file_round_trip(tmp_path):
     docs, _ = planted_corpus(n_docs=25, seed=12)
-    m = fit_lda(docs, h=3, sweeps=15, seed=6)
+    m = fit_one(docs, h=3, sweeps=15, seed=6)
     path = tmp_path / "model.lda1"
     save_lda(m, path)
     back = load_lda(path)
@@ -934,7 +945,7 @@ def test_lda_file_round_trip(tmp_path):
 
 def test_fit_records_log_joint_of_the_oracle_sampler(tmp_path):
     docs, _ = planted_corpus(n_docs=30, seed=14)
-    m = fit_lda(docs, h=3, sweeps=120, seed=4)
+    m = fit_one(docs, h=3, sweeps=120, seed=4)
     path = tmp_path / "model.lda1"
     save_lda(m, path)
     recorded = json.loads((tmp_path / "model.lda1.json").read_text())
@@ -954,16 +965,16 @@ def test_fit_with_zero_alpha_records_no_log_joint():
     # lgamma has a pole at 0, so the log joint is undefined at alpha = 0,
     # and over an empty vocabulary, where n_t + beta * |V| is 0
     docs, _ = planted_corpus(n_docs=12, seed=15)
-    m = fit_lda(docs, h=3, alpha=0.0, sweeps=60, seed=1)
+    m = fit_one(docs, h=3, alpha=0.0, sweeps=60, seed=1)
     assert m.log_joint == []
     assert m.topic_totals.sum() == sum(len(d) for d in docs)
-    empty = fit_lda([[], []], h=2, sweeps=3)
+    empty = fit_one([[], []], h=2, sweeps=3)
     assert empty.log_joint == []
     assert empty.topic_word_counts.shape == (2, 0)
 
 
 def test_log_joint_at_zero_alpha_raises_topics_error():
-    m = fit_lda([["a", "b"], ["c"]], h=3, alpha=0.0, sweeps=1)
+    m = fit_one([["a", "b"], ["c"]], h=3, alpha=0.0, sweeps=1)
     assert m.log_joint == []
     # whatever the counts, alpha = 0 alone makes it undefined
     doc_topics = np.array([[2, 0], [0, 0], [0, 1]])
@@ -974,7 +985,7 @@ def test_log_joint_at_zero_alpha_raises_topics_error():
 
 def test_lda_file_rejects_corruption(tmp_path):
     docs, _ = planted_corpus(n_docs=10, seed=13)
-    m = fit_lda(docs, h=2, sweeps=5, seed=0)
+    m = fit_one(docs, h=2, sweeps=5, seed=0)
     path = tmp_path / "model.lda1"
     save_lda(m, path)
     raw = path.read_bytes()

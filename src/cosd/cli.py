@@ -568,13 +568,9 @@ def cmd_inspect(args: argparse.Namespace) -> int:
                   + [f"topic:{j}" for j in range(3 * ckpt.h)]
                   + [f"label:{key}" for key in LABEL_KEYS])
     if args.dump_final_reps or args.similar_to:
-        # the text rows: the pool's semantic rows, read only for reps
-        model = cpa.CpaModel(
-            np.concatenate([training.semantic_matrix(pool, run.store),
-                            ckpt.e0]),
-            ckpt.w1, ckpt.w2, h=ckpt.h, n_text=len(pool))
-        reps = inference.final_train_reps(model, lap,
-                                          slope=run.config.leaky_slope)
+        # the text rows are the pool's semantic rows
+        reps = cpa.propagate(training.semantic_matrix(pool, run.store), ckpt,
+                             lap, slope=run.config.leaky_slope)
     if args.dump_final_reps:
         lines = [
             name + " " + " ".join(f"{x:.8f}" for x in row)
@@ -590,7 +586,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         (sem,) = training.semantic_matrix([_example(run, args.similar_to)],
                                           run.store)
         # the query's first d0 columns are the text's row in the graph
-        query = cpa.infer_transform(sem, model, slope=run.config.leaky_slope)
+        query = cpa.infer_transform(sem, ckpt, slope=run.config.leaky_slope)
         hits = inference.top_k_similar(query, reps[:n], ids, args.k,
                                        exclude_id=args.similar_to)
         for rec_id, sim in hits:

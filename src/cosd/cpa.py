@@ -1,7 +1,8 @@
-"""Collaboration propagation: the CPA model record and its Xavier
-initialization, multi-hop graph message passing over its stacked embedding
-table, the training loss with its hand-derived gradients and the buffers both
-write into, and the graph-free transform used at inference time.
+"""Collaboration propagation: the CPA model record (the trained topic and
+label rows and hop weights) and its Xavier initialization, multi-hop graph
+message passing over the node table [T; U; Z], the training loss with its
+hand-derived gradients and the buffers that hold the table and both write
+into, and the graph-free transform used at inference time.
 
 Node rows are ordered texts, topics, labels, matching the graph module.
 """
@@ -28,26 +29,25 @@ class CpaError(Exception):
 
 @dataclass
 class CpaModel:
-    """Stacked table e0 = [T; U; Z] (texts, topics, labels) and per-hop
-    weights w1[k], w2[k]: first hop d0 x d1, later hops d1 x d1.
+    """The trained parameters: the side table [U; Z] (3H topic rows, then
+    the 3 label rows, width d0) and per-hop weights w1[k], w2[k]: first hop
+    d0 x d1, later hops d1 x d1.
 
-    The text rows T are the texts' semantic rows, fixed; training updates
-    U, Z and the weights in place. A checkpoint holds no text rows
-    (n_text = 0); snapshot() is one.
+    Training updates every array in place; a checkpoint stores the model as
+    it is.
     """
 
-    e0: np.ndarray
+    side: np.ndarray
     w1: list[np.ndarray]
     w2: list[np.ndarray]
     h: int
-    n_text: int
 
     def __post_init__(self):
-        expected = self.n_text + 3 * self.h + 3
-        if self.e0.ndim != 2 or self.e0.shape[0] != expected:
+        expected = 3 * self.h + 3
+        if self.side.ndim != 2 or self.side.shape[0] != expected:
             raise CpaError(
-                f"table has shape {self.e0.shape}, node order needs "
-                f"{expected} rows")
+                f"side table has shape {self.side.shape}, H = {self.h} "
+                f"needs {expected} rows")
         if not self.w1 or len(self.w1) != len(self.w2):
             raise CpaError(f"w1/w2 hop counts {len(self.w1)} and "
                            f"{len(self.w2)} must be equal and positive")
@@ -60,7 +60,7 @@ class CpaModel:
 
     @property
     def d0(self) -> int:
-        return self.e0.shape[1]
+        return self.side.shape[1]
 
     @property
     def d1(self) -> int:
@@ -70,23 +70,22 @@ class CpaModel:
     def hops(self) -> int:
         return len(self.w1)
 
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.h, self.d0, self.d1, self.hops
+
     # views of the blocks
     @property
     def u(self) -> np.ndarray:
-        return self.e0[self.n_text: self.n_text + 3 * self.h]
+        return self.side[:3 * self.h]
 
     @property
     def z(self) -> np.ndarray:
-        return self.e0[self.n_text + 3 * self.h:]
+        return self.side[3 * self.h:]
 
-    def label_row(self, j: int) -> int:
-        return self.n_text + 3 * self.h + j
-
-    def snapshot(self) -> CpaModel:
-        """A copy of U, Z and the weights, with no text rows."""
-        return CpaModel(e0=self.e0[self.n_text:].copy(),
-                        w1=[w.copy() for w in self.w1],
-                        w2=[w.copy() for w in self.w2], h=self.h, n_text=0)
+    def copy(self) -> CpaModel:
+        return CpaModel(side=self.side.copy(), w1=[w.copy() for w in self.w1],
+                        w2=[w.copy() for w in self.w2], h=self.h)
 
 
 def xavier_init(rows: int, cols: int, seed: int) -> np.ndarray:
@@ -112,78 +111,76 @@ def init_cpa_weights(d0: int = D0, d1: int = D1, hops: int = 3,
     return w1, w2
 
 
-def init_model(sem_texts: np.ndarray, h: int, label_vecs: np.ndarray,
-               seed: int, weight_seed: int, d1: int = D1,
-               hops: int = 3) -> CpaModel:
-    """The text rows are the texts' semantic rows (copied), Z starts from
-    the label encoder vectors, U from Xavier noise (seed); the weights come
-    from init_cpa_weights(weight_seed)."""
-    sem_texts = np.asarray(sem_texts, dtype=np.float64)
+def init_model(h: int, label_vecs: np.ndarray, seed: int, weight_seed: int,
+               d1: int = D1, hops: int = 3) -> CpaModel:
+    """Z starts from the label encoder vectors, U from Xavier noise (seed)
+    at their width d0; the weights come from init_cpa_weights(weight_seed)."""
     label_vecs = np.asarray(label_vecs, dtype=np.float64)
-    if sem_texts.ndim != 2:
-        raise CpaError(f"text block must be 2-D, got {sem_texts.shape}")
-    d0 = sem_texts.shape[1]
-    if label_vecs.shape != (3, d0):
-        raise CpaError(f"label block must be (3, {d0}), got {label_vecs.shape}")
+    if label_vecs.ndim != 2 or label_vecs.shape[0] != 3:
+        raise CpaError(f"label block must be (3, d0), got {label_vecs.shape}")
+    d0 = label_vecs.shape[1]
     u = xavier_init(3 * h, d0, seed)
     w1, w2 = init_cpa_weights(d0, d1, hops, weight_seed)
-    return CpaModel(e0=np.concatenate([sem_texts, u, label_vecs], axis=0),
-                    w1=w1, w2=w2, h=h, n_text=len(sem_texts))
+    return CpaModel(side=np.concatenate([u, label_vecs]), w1=w1, w2=w2, h=h)
 
 
 def _leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:
     return np.where(x >= 0, x, slope * x)
 
 
-def _shape(e0: np.ndarray, w1: list[np.ndarray]) -> tuple[int, ...]:
-    """(rows, d0, d1, hops) of a table and its hop weights."""
-    return e0.shape[0], e0.shape[1], w1[0].shape[1], len(w1)
-
-
 class Buffers:
-    """The arrays that propagate and batch_loss write, allocated once for
-    one table and weight shape and overwritten by each call, so a training
-    run allocates no table-height array per mini-batch.
+    """One graph's node table e0 = [T; U; Z] and the arrays that propagate
+    and batch_loss write, allocated once for its texts (the fixed text rows
+    T, copied in here) and one model shape, so a training run allocates no
+    table-height array per mini-batch. Each forward copies the model's side
+    rows [U; Z] into e0.
 
     Per hop k (input E^k of width d_k: d0 for the first hop, then d1):
-    layers[k] = E^{k+1}, nbr[k] = L E^k, prod[k] = E^k (*) L E^k and
-    neg[k] = (pre-activation < 0); grads[k] = d loss / d E^k for k = 0..l,
-    and g_w1[k], g_w2[k] the weight gradients. wide (d0) and narrow (d1)
-    are one scratch per width. The backward reuses nbr and prod as scratch
-    once it has read them.
+    layers[k] = E^{k+1}, nbr[k] = L E^k, prod[k] = E^k (*) L E^k,
+    neg[k] = (pre-activation < 0) and grads[k] = d loss / d E^{k+1};
+    g_side = d loss / d [U; Z], and g_w1[k], g_w2[k] the weight gradients.
+    wide (d0) and narrow (d1) are one scratch per width. The backward
+    reuses nbr and prod as scratch once it has read them.
     """
 
-    def __init__(self, e0: np.ndarray, w1: list[np.ndarray]):
-        self.shape = rows, d0, d1, hops = _shape(e0, w1)
-        widths = [d0] + [d1] * (hops - 1)
+    def __init__(self, texts: np.ndarray, model: CpaModel):
+        self.shape = h, d0, d1, hops = model.shape
+        if np.ndim(texts) != 2 or np.shape(texts)[1] != d0:
+            raise CpaError(f"text rows {np.shape(texts)}, model width {d0}")
+        self.n = len(texts)
+        self.e0 = np.concatenate([texts, model.side], dtype=np.float64)
+        rows, widths = len(self.e0), [d0] + [d1] * (hops - 1)
         self.layers = [np.empty((rows, d1)) for _ in range(hops)]
         self.nbr = [np.empty((rows, w)) for w in widths]
         self.prod = [np.empty((rows, w)) for w in widths]
         self.neg = [np.empty((rows, d1), dtype=bool) for _ in range(hops)]
-        self.grads = [np.empty((rows, w)) for w in widths + [d1]]
+        self.grads = [np.empty((rows, d1)) for _ in range(hops)]
+        self.g_side = np.empty((3 * h + 3, d0))
         self.g_w1 = [np.empty((w, d1)) for w in widths]
         self.g_w2 = [np.empty((w, d1)) for w in widths]
         self.wide = np.empty((rows, d0))
         self.narrow = np.empty((rows, d1))
 
 
-def _forward(e0: np.ndarray, lap: BipartiteLaplacian, w1: list[np.ndarray],
-             w2: list[np.ndarray], slope: float, buf: Buffers) -> None:
-    """Hop outputs into buf.layers, keeping each hop's L E, E (*) L E and
-    negative mask for the backward.
+def _forward(model: CpaModel, lap: BipartiteLaplacian, slope: float,
+             buf: Buffers) -> None:
+    """The model's side rows into buf.e0, then the hop outputs into
+    buf.layers, keeping each hop's L E, E (*) L E and negative mask for the
+    backward.
 
     A hop's pre-activation (E + L E) W1 + (E (*) L E) W2 is computed as
     P + L P + (E (*) L E) W2 with P = E W1, so the W1 path runs the
     Laplacian at width d1.
     """
-    if lap.rows != e0.shape[0]:
-        raise CpaError(
-            f"laplacian covers {lap.rows} nodes, table has {e0.shape[0]}")
-    if buf.shape != _shape(e0, w1):
-        raise CpaError(f"buffers of shape {buf.shape} for a table and "
-                       f"weights of shape {_shape(e0, w1)}")
-    prev = e0
-    for k, (a, b) in enumerate(zip(w1, w2)):
+    if buf.shape != model.shape:
+        raise CpaError(f"buffers of shape {buf.shape} for a model of shape "
+                       f"{model.shape}")
+    if lap.to_text.shape != (buf.n, len(model.side)):
+        raise CpaError(f"laplacian blocks {lap.to_text.shape}, table has "
+                       f"{buf.n} texts and {len(model.side)} side rows")
+    buf.e0[buf.n:] = model.side
+    prev = buf.e0
+    for k, (a, b) in enumerate(zip(model.w1, model.w2)):
         nbr, prod, pre = buf.nbr[k], buf.prod[k], buf.layers[k]
         lap.matmul(prev, out=nbr)
         np.multiply(prev, nbr, out=prod)
@@ -196,41 +193,43 @@ def _forward(e0: np.ndarray, lap: BipartiteLaplacian, w1: list[np.ndarray],
         prev = pre
 
 
-def propagate(e0: np.ndarray, lap: BipartiteLaplacian, w1: list[np.ndarray],
-              w2: list[np.ndarray], slope: float = 0.01) -> list[np.ndarray]:
-    """Hop outputs E^1..E^l.
+def propagate(texts: np.ndarray, model: CpaModel, lap: BipartiteLaplacian,
+              slope: float = 0.01) -> np.ndarray:
+    """Final representations [E^0 | E^1 | ... | E^l] of every node, with
+    E^0 = [texts; U; Z].
 
     Each hop: E^k = LReLU((E + L E) W1^k + (E (*) L E) W2^k) where E is the
     previous hop's output and L the normalized (possibly dropout'd)
     Laplacian.
     """
-    buf = Buffers(e0, w1)
-    _forward(e0, lap, w1, w2, slope, buf)
-    return buf.layers
+    buf = Buffers(texts, model)
+    _forward(model, lap, slope, buf)
+    return np.concatenate([buf.e0] + buf.layers, axis=1)
 
 
 class Step(NamedTuple):
     """One mini-batch's ranking loss and its gradients."""
 
     loss: float
-    g_e0: np.ndarray
+    g_side: np.ndarray
     g_w1: list[np.ndarray]
     g_w2: list[np.ndarray]
 
 
-def batch_loss(model: CpaModel, lap: BipartiteLaplacian, batch: np.ndarray,
-               gold: np.ndarray, negs: np.ndarray, slope: float = 0.01,
-               buffers: Buffers | None = None) -> Step:
-    """One mini-batch's loss and its gradients for (e0, w1, w2).
+def batch_loss(model: CpaModel, buf: Buffers, lap: BipartiteLaplacian,
+               batch: np.ndarray, gold: np.ndarray, negs: np.ndarray,
+               slope: float = 0.01) -> Step:
+    """One mini-batch's loss and its gradients for (side, w1, w2), over
+    buf's texts and the model's current side rows.
 
     The final rep of a node is [E^0 | E^1 | ... | E^l] over the propagated
     hops. With v a batch text's rep and z its gold (z+) or negative (z-)
     label node's, the loss is the mean over batch rows and negatives of
-    -log sigmoid(v.z+ - v.z-). batch, gold: (B,) node rows; negs: (B, J)
-    node rows.
+    -log sigmoid(v.z+ - v.z-). batch: (B,) text rows; gold: (B,) and negs:
+    (B, J) label indices, 0..2 in label order.
 
-    The gradients are views into buffers (fresh ones when None) and hold
-    until the next call with the same buffers overwrites them.
+    The gradients are views into buf and hold until the next call with the
+    same buffers overwrites them.
     """
     batch, gold = np.asarray(batch), np.asarray(gold)
     negs = np.asarray(negs)
@@ -239,12 +238,14 @@ def batch_loss(model: CpaModel, lap: BipartiteLaplacian, batch: np.ndarray,
             or negs.shape[1] < 1):
         raise CpaError(f"batch {batch.shape}, gold {gold.shape} and "
                        f"negatives {negs.shape} disagree")
-    rows = np.concatenate([batch, gold, *negs.T])
-    if rows.min() < 0 or rows.max() >= model.e0.shape[0]:
+    labels = np.concatenate([gold, *negs.T])
+    n, side_rows = buf.n, 3 * model.h + labels  # label rows within [U; Z]
+    if not (0 <= batch.min() <= batch.max() < n
+            and 0 <= labels.min() <= labels.max() < 3):
         raise CpaError("batch row out of range")
-    buf = Buffers(model.e0, model.w1) if buffers is None else buffers
-    _forward(model.e0, lap, model.w1, model.w2, slope, buf)
-    layers = [model.e0] + buf.layers
+    rows = np.concatenate([batch, n + side_rows])
+    _forward(model, lap, slope, buf)
+    layers = [buf.e0] + buf.layers
 
     # forward: every gathered final rep, in the order of rows
     reps = np.concatenate([layer[rows] for layer in layers], axis=1)
@@ -277,27 +278,34 @@ def batch_loss(model: CpaModel, lap: BipartiteLaplacian, batch: np.ndarray,
     np.add.at(g_out, rows, g_reps[:, bounds[-2]:])
     for k in reversed(range(model.hops)):
         prev, nbr, prod = layers[k], buf.nbr[k], buf.prod[k]
-        g_in, scratch = buf.grads[k], buf.wide if k == 0 else buf.narrow
         np.multiply(g_out, slope, out=g_out, where=buf.neg[k])  # now G
         np.matmul(prod.T, g_out, out=buf.g_w2[k])
         g_sum = lap.transpose_matmul(g_out, out=buf.narrow)
         g_sum += g_out                                          # G'
         np.matmul(prev.T, g_sum, out=buf.g_w1[k])
+        if k == 0:
+            break
+        g_in = buf.grads[k - 1]
         np.matmul(g_sum, model.w1[k].T, out=g_in)
-        # after hop 0, scratch is narrow too: g_sum's last read is above
-        g_prod = np.matmul(g_out, model.w2[k].T, out=scratch)
+        # g_sum's last read is above, so narrow is free
+        g_prod = np.matmul(g_out, model.w2[k].T, out=buf.narrow)
         g_in += np.multiply(g_prod, nbr, out=prod)
         g_prod *= prev
         g_in += lap.transpose_matmul(g_prod, out=nbr)
         np.add.at(g_in, rows, g_reps[:, bounds[k]:bounds[k + 1]])
         g_out = g_in
-    g_e0, g_w1, g_w2 = buf.grads[0], buf.g_w1, buf.g_w2
-    # min and max carry any nan or inf without a mask of the table's size
-    if not (np.isfinite(loss) and np.isfinite(g_e0.min())
-            and np.isfinite(g_e0.max())
-            and all(np.isfinite(g).all() for g in g_w1 + g_w2)):
+    # hop 0 continued: only E^0's side rows n: train and get a gradient;
+    # their L^T term reads the text rows, as in transpose_matmul
+    g_side = np.matmul(g_sum[n:], model.w1[0].T, out=buf.g_side)
+    g_prod = np.matmul(g_out, model.w2[0].T, out=buf.wide)
+    g_side += np.multiply(g_prod[n:], nbr[n:], out=prod[n:])
+    g_prod[:n] *= prev[:n]
+    g_side += np.matmul(lap.to_text.T, g_prod[:n], out=nbr[n:])
+    np.add.at(g_side, side_rows, g_reps[b:, :bounds[1]])
+    if not (np.isfinite(loss) and all(
+            np.isfinite(g).all() for g in [g_side, *buf.g_w1, *buf.g_w2])):
         raise CpaError("non-finite loss or gradient")
-    return Step(float(loss), g_e0, g_w1, g_w2)
+    return Step(float(loss), g_side, buf.g_w1, buf.g_w2)
 
 
 def infer_transform(x: np.ndarray, model: CpaModel,
@@ -326,8 +334,8 @@ def infer_transform(x: np.ndarray, model: CpaModel,
 
 # --- checkpoint serialization ----------------------------------------------
 #
-# CPA2 layout, little-endian (a text's row is its semantic row, so no text
-# table is stored):
+# CPA2 layout, little-endian (the model as it is: a text's row is its
+# semantic row, so no text table is stored):
 #   magic "CPA2" | u32 d0 | u32 d1 | u32 l | u32 H
 #   | f64 [U; Z] ((3H + 3) x d0, row-major)
 #   | f64 W1[1..l] then W2[1..l] (hop 1: d0 x d1, later: d1 x d1, row-major)
@@ -336,18 +344,18 @@ _CPA_MAGIC = b"CPA2"
 
 
 def save_checkpoint(path: str | Path, model: CpaModel) -> None:
-    """Writes the model's U, Z and weights; its text rows are not kept."""
+    """Writes the model: [U; Z] and the weights."""
     with open(path, "wb") as fh:
         fh.write(_CPA_MAGIC)
         fh.write(struct.pack("<IIII", model.d0, model.d1, model.hops,
                              model.h))
-        for arr in [model.e0[model.n_text:], *model.w1, *model.w2]:
+        for arr in [model.side, *model.w1, *model.w2]:
             fh.write(np.asarray(arr, dtype="<f8").tobytes(order="C"))
 
 
 def load_checkpoint(path: str | Path) -> CpaModel:
-    """The model a CPA2 file holds: [U; Z] and the weights (n_text = 0),
-    all that scoring reads. Every array must be finite."""
+    """The model a CPA2 file holds: [U; Z] and the weights. Every array
+    must be finite."""
     with Reader(path, CpaError, _CPA_MAGIC) as src:
         d0, d1, hops, h = src.unpack("<IIII")
         if min(d0, d1, hops) < 1:
@@ -363,13 +371,13 @@ def load_checkpoint(path: str | Path) -> CpaModel:
             src.read_into(out)
             return out
 
-        e0 = take(3 * h + 3, d0)
+        side = take(3 * h + 3, d0)
         w1 = [take(d0 if k == 0 else d1, d1) for k in range(hops)]
         w2 = [take(d0 if k == 0 else d1, d1) for k in range(hops)]
         src.finish()
     # a NaN makes min and max NaN, an infinity makes one infinite; no mask
     # of a table's size is allocated
     if not all(-np.inf < a.min() and a.max() < np.inf
-               for a in [e0, *w1, *w2]):
+               for a in [side, *w1, *w2]):
         raise CpaError(f"{src.path}: non-finite values")
-    return CpaModel(e0=e0, w1=w1, w2=w2, h=h, n_text=0)
+    return CpaModel(side=side, w1=w1, w2=w2, h=h)

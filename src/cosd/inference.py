@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .corpus import LABELS, Stance
-from .cpa import CpaModel, infer_transform, propagate
+from .cpa import CpaModel, infer_transform
 
 MODES = ("full", "no_sem", "no_dis")
 
@@ -95,13 +95,6 @@ def score_batch(sem_rows: np.ndarray | None, dis_rows: np.ndarray | None,
     dis = (np.zeros((n, 3)) if dis_rows is None
            else distributed_scores(dis_rows, model, slope))
     return sem, dis
-
-
-def final_train_reps(model: CpaModel, lap,
-                     slope: float = 0.01) -> np.ndarray:
-    """Final representations [e0 | E^1 | ... | E^l] of all graph nodes."""
-    layers = propagate(model.e0, lap, model.w1, model.w2, slope=slope)
-    return np.concatenate([model.e0] + layers, axis=1)
 
 
 def top_k_similar(query_rep: np.ndarray, train_reps: np.ndarray,

@@ -463,7 +463,7 @@ class GroupResult:
     """One trial's training of one group; the group's inputs stay in its
     GroupData."""
 
-    checkpoint: cpa.CpaModel     # the best-val epoch's snapshot, no texts
+    checkpoint: cpa.CpaModel     # a copy of the best-val epoch's model
     log_rows: list[dict]
     best_epoch: int
     best_val_micf: float
@@ -557,27 +557,24 @@ def _val_metrics(data: GroupData, model: cpa.CpaModel, config: RunConfig):
 
 def train_group(data: GroupData, store: EncoderStore, config: RunConfig,
                 trial_seed: int) -> GroupResult:
-    """Train one group's graph model; keep the best-val epoch's snapshot.
-    The text rows are the semantic rows and never change: Adam updates only
-    the topic and label rows and the weights."""
+    """Train one group's graph model; keep a copy of the best-val epoch's.
+    The text rows are the pool's semantic rows, fixed in the buffers; Adam
+    updates the model in place: the topic and label rows and the weights."""
     began = time.perf_counter()
     val_s = 0.0
     n = len(data.pool)
     model = cpa.init_model(
-        data.sem_pool, data.triple.h, store.label_matrix(),
+        data.triple.h, store.label_matrix(),
         seed=derive_seed(trial_seed, 1, data.group),
         weight_seed=derive_seed(trial_seed, 2, data.group), d1=config.d1,
         hops=config.resolved_hops())
 
-    gold_rows = np.array([model.label_row(LABELS.index(ex.stance))
-                          for ex in data.pool])
-    neg_rows = np.array([[model.label_row(j) for j in range(3)
-                          if model.label_row(j) != gold_rows[i]]
-                         for i in range(n)])
+    gold = np.array([LABELS.index(ex.stance) for ex in data.pool])
+    negs = np.array([[j for j in range(3) if j != g] for g in gold])
 
-    adam_embed = AdamState([model.e0[n:]], lr=config.lr_embed)
+    adam_embed = AdamState([model.side], lr=config.lr_embed)
     adam_cpa = AdamState(model.w1 + model.w2, lr=config.lr_cpa)
-    buffers = cpa.Buffers(model.e0, model.w1)
+    buffers = cpa.Buffers(data.sem_pool, model)
 
     best = None  # (micf, epoch, model copy, val predictions)
     log_rows = []
@@ -589,11 +586,10 @@ def train_group(data: GroupData, store: EncoderStore, config: RunConfig,
         loss = 0.0
         for start in range(0, n, config.batch_size):
             batch = order[start:start + config.batch_size]
-            step = cpa.batch_loss(
-                model, lap, batch, gold_rows[batch], neg_rows[batch],
-                slope=config.leaky_slope, buffers=buffers)
+            step = cpa.batch_loss(model, buffers, lap, batch, gold[batch],
+                                  negs[batch], slope=config.leaky_slope)
             # the gradients live in buffers until the next batch_loss call
-            adam_step(adam_embed, [step.g_e0[n:]])
+            adam_step(adam_embed, [step.g_side])
             adam_step(adam_cpa, step.g_w1 + step.g_w2)
             loss += step.loss * len(batch)
 
@@ -605,7 +601,7 @@ def train_group(data: GroupData, store: EncoderStore, config: RunConfig,
                          "val_micf_no_sem": micf["no_sem"],
                          "val_micf_no_dis": micf["no_dis"]})
         if best is None or micf["full"] > best[0]:
-            best = (micf["full"], epoch, model.snapshot(), preds)
+            best = (micf["full"], epoch, model.copy(), preds)
 
     micf, best_epoch, checkpoint, val_preds = best
     return GroupResult(

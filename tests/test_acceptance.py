@@ -16,7 +16,8 @@ from conftest import (SEMEVAL_TABLE, UKP_TABLE, greedy_match_tv,
 from cosd import inference, synth
 from cosd.cli import main
 from cosd.corpus import LABELS, Split, Vocabulary, load_semeval
-from cosd.cpa import CpaModel, batch_loss, init_cpa_weights, propagate
+from cosd.cpa import (Buffers, CpaModel, batch_loss, init_cpa_weights,
+                      propagate)
 from cosd.graph import laplacian
 from cosd.metrics import Stance, macro_micro
 from cosd.topics import _fit
@@ -51,14 +52,18 @@ def test_criterion_1_node_form_equivalence(capsys):
     for trial in range(50):
         rng = np.random.default_rng(trial)
         n_text = int(rng.integers(2, 7))
-        n_side = int(rng.integers(2, min(7, 13 - n_text)))
+        # the side rows are [U; Z]: H = 1, or 2 while n stays at most 12
+        h = int(rng.integers(1, 3)) if n_text <= 3 else 1
+        n_side = 3 * h + 3
         hops = trial % 3 + 1
         m, adj = _unit_bipartite(rng, n_text, n_side)
         lap = laplacian(m)
         n = n_text + n_side
         e0 = rng.standard_normal((n, 6))
         weights = init_cpa_weights(d0=6, d1=5, hops=hops, seed=trial)
-        layers = propagate(e0, lap, *weights)
+        reps = propagate(e0[:n_text], CpaModel(e0[n_text:], *weights, h=h),
+                         lap)
+        layers = [reps[:, 6 + 5 * k:11 + 5 * k] for k in range(hops)]
 
         deg = adj.sum(axis=1)
         prev = e0
@@ -93,14 +98,16 @@ def test_criterion_2_gradients_match_finite_differences(capsys):
     lap = laplacian(m)
     e0 = rng.standard_normal((n_text + n_side, d0))
     weights = init_cpa_weights(d0=d0, d1=d1, hops=hops, seed=seed + 1)
-    model = CpaModel(e0=e0, w1=weights[0], w2=weights[1], h=h, n_text=n_text)
+    # the text rows are data; the side rows [U; Z] train
+    model = CpaModel(side=e0[n_text:].copy(), w1=weights[0], w2=weights[1],
+                     h=h)
+    buffers = Buffers(e0[:n_text], model)
     batch = np.array([0, 1, 2, 3])
-    gold = np.array([n_text + 3 * h + j for j in (0, 1, 2, 0)])
-    negs = np.array([[n_text + 3 * h + j for j in range(3)
-                      if n_text + 3 * h + j != g] for g in gold])
+    gold = np.array([0, 1, 2, 0])
+    negs = np.array([[j for j in range(3) if j != g] for g in gold])
 
     def full_loss():
-        return batch_loss(model, lap, batch, gold, negs)
+        return batch_loss(model, buffers, lap, batch, gold, negs)
 
     # kink margin: h = 1e-5 perturbations cannot cross an activation zero
     dense = np.zeros((lap.rows, lap.rows))
@@ -114,9 +121,10 @@ def test_criterion_2_gradients_match_finite_differences(capsys):
         margin = min(margin, np.abs(pre).min())
         prev = np.where(pre > 0, pre, 0.01 * pre)
 
-    tensors = [model.e0] + model.w1 + model.w2
+    tensors = [model.side] + model.w1 + model.w2
     step = full_loss()
-    grads = [step.g_e0] + step.g_w1 + step.g_w2
+    # the gradients are views into buffers, which each call overwrites
+    grads = [g.copy() for g in [step.g_side, *step.g_w1, *step.g_w2]]
     h_fd = 1e-5
     worst, n_params = 0.0, 0
     for t, g in zip(tensors, grads):

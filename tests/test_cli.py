@@ -847,10 +847,10 @@ def _reshaped(ckpt, field):
     if field == "h":
         u = np.concatenate([ckpt.u, ckpt.u[:3]])
         return cosd.cpa.CpaModel(np.concatenate([u, ckpt.z]),
-                                 ckpt.w1, ckpt.w2, h=h + 1, n_text=0)
+                                 ckpt.w1, ckpt.w2, h=h + 1)
     w1, w2 = cosd.cpa.init_cpa_weights(
         d0, d1 + (field == "d1"), hops + (field == "hops"), seed=0)
-    return cosd.cpa.CpaModel(ckpt.e0, w1, w2, h=h, n_text=0)
+    return cosd.cpa.CpaModel(ckpt.side, w1, w2, h=h)
 
 
 @pytest.mark.parametrize("field", ["h", "d1", "hops"])
@@ -957,7 +957,7 @@ def test_an_old_cpa1_checkpoint_exits_2(run_dir, synth_small, tmp_path,
                          ckpt.h, n_text)
     path.write_bytes(header + np.concatenate(
         [np.ones((n_text, ckpt.d0)).ravel(),
-         *(a.ravel() for a in [ckpt.e0, *ckpt.w1, *ckpt.w2])]).tobytes())
+         *(a.ravel() for a in [ckpt.side, *ckpt.w1, *ckpt.w2])]).tobytes())
     for argv in (["eval", "--split", "test"],
                  ["predict", "--in", str(root / "test.tsv"),
                   "--out", str(tmp_path / "p.tsv")],

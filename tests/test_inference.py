@@ -16,12 +16,11 @@ import pytest
 
 import cosd
 from cosd.corpus import Split, Stance, load_semeval
-from cosd.cpa import CpaModel, infer_transform, init_cpa_weights
+from cosd.cpa import CpaModel, infer_transform, init_cpa_weights, propagate
 from cosd.inference import (
     InferenceError,
     argmax_labels,
     distributed_scores,
-    final_train_reps,
     score_batch,
     semantic_scores,
     top_k_similar,
@@ -35,11 +34,11 @@ ZERO_WEIGHTS = ([np.zeros((3, 2))], [np.zeros((3, 2))])
 
 
 def _model(u, weights, z=None):
-    """A text-free model with topic table u, label table z (zeros by
-    default) and weights (w1, w2)."""
+    """A model with topic table u, label table z (zeros by default) and
+    weights (w1, w2)."""
     z = np.zeros((3, u.shape[1])) if z is None else z
-    return CpaModel(e0=np.concatenate([u, z]), w1=weights[0], w2=weights[1],
-                    h=len(u) // 3, n_text=0)
+    return CpaModel(side=np.concatenate([u, z]), w1=weights[0],
+                    w2=weights[1], h=len(u) // 3)
 
 
 def _scored(sem, dis, topic_table=np.eye(3)):
@@ -360,18 +359,12 @@ def test_predict_modes_agree_with_bundle_rules(trained):
 # --- retrieval and attention ---------------------------------------------------------
 
 
-def _graph_model(data, ckpt):
-    """The checkpoint over its training graph: the pool's semantic rows are
-    the text rows."""
-    return CpaModel(np.concatenate([data.sem_pool, ckpt.e0]), ckpt.w1,
-                    ckpt.w2, h=ckpt.h, n_text=len(data.pool))
-
-
 def test_final_train_reps_shape(trained):
     _, _, _, data, result = trained
     ckpt = result.checkpoint
     n = len(data.pool)
-    reps = final_train_reps(_graph_model(data, ckpt), data.lap)
+    # the pool's semantic rows are the text rows
+    reps = propagate(data.sem_pool, ckpt, data.lap)
     width = ckpt.d0 + ckpt.hops * 8
     assert reps.shape == (n + 3 * ckpt.h + 3, width)
     assert np.isfinite(reps).all()
@@ -405,8 +398,7 @@ def test_top_k_similar_contract():
 def test_top_k_retrieves_same_stance_neighbors(trained):
     dataset, store, _, data, result = trained
     lap = data.lap
-    reps = final_train_reps(_graph_model(data, result.checkpoint),
-                            lap)[: len(data.pool)]
+    reps = propagate(data.sem_pool, result.checkpoint, lap)[:len(data.pool)]
     ids = [ex.id for ex in data.pool]
     stance_of = {ex.id: ex.stance for ex in data.pool}
     query_ex = data.pool[0]

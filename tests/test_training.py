@@ -624,10 +624,10 @@ def test_train_group_logs_and_best_checkpoint(synth_setup):
     assert result.best_val_micf == pytest.approx(best_from_log)
     assert result.log_rows[result.best_epoch - 1]["val_micf"] == \
         pytest.approx(result.best_val_micf)
-    # the snapshot holds U, Z and the weights, the shape load_checkpoint
+    # the checkpoint holds U, Z and the weights, the shape load_checkpoint
     # returns
-    assert result.checkpoint.n_text == 0
-    assert result.checkpoint.e0.shape == (3 * 2 + 3, store.dim)
+    assert result.checkpoint.h == 2
+    assert result.checkpoint.side.shape == (3 * 2 + 3, store.dim)
     assert result.checkpoint.hops == config.hops
     assert all(np.isfinite(row["loss"]) for row in result.log_rows)
     assert len(result.val_preds) == len(data.val)
@@ -646,14 +646,23 @@ def test_train_group_text_rows_are_the_semantic_rows(synth_setup,
             adam_params.append([p.shape for p in params])
             super().__init__(params, lr)
 
+    buffers = []
+
+    class Held(cpa.Buffers):
+        def __init__(self, texts, model):
+            super().__init__(texts, model)
+            buffers.append(self)
+
     seen = []
     original = cosd.training._val_metrics
 
     def checked(data, model, config):
-        seen.append((model.n_text, model.e0[:n].copy(), model.u.copy()))
+        (held,) = buffers
+        seen.append((held.n, held.e0[:n].copy(), model.u.copy()))
         return original(data, model, config)
 
     monkeypatch.setattr(cosd.training, "AdamState", Recording)
+    monkeypatch.setattr(cpa, "Buffers", Held)
     monkeypatch.setattr(cosd.training, "_val_metrics", checked)
     train_group(data, store, config, trial_seed=7)
     # Adam holds the topic and label rows and the weights, no text row
@@ -724,24 +733,23 @@ def test_frozen_batch_step_decreases_loss(synth_setup):
     dataset, store, target, _ = synth_setup
     config = _config(epochs=1)
     data = _group(dataset, store, config)
-    model = cpa.init_model(data.sem_pool, 2, store.label_matrix(), seed=1,
-                           d1=8, hops=2, weight_seed=2)
+    model = cpa.init_model(2, store.label_matrix(), seed=1, d1=8, hops=2,
+                           weight_seed=2)
     from cosd.corpus import LABELS
 
     batch = np.arange(4)
-    gold = np.array([model.label_row(LABELS.index(ex.stance))
-                     for ex in data.pool[:4]])
-    negs = np.array([[model.label_row(j) for j in range(3)
-                      if model.label_row(j) != gold[i]] for i in range(4)])
+    gold = np.array([LABELS.index(ex.stance) for ex in data.pool[:4]])
+    negs = np.array([[j for j in range(3) if j != g] for g in gold])
+    buffers = cpa.Buffers(data.sem_pool, model)
 
     def batch_loss():
-        return cpa.batch_loss(model, data.lap, batch, gold, negs)
+        return cpa.batch_loss(model, buffers, data.lap, batch, gold, negs)
 
     # as in training, the text rows stay fixed
-    adam_e = AdamState([model.e0[model.n_text:]], lr=1e-7)
+    adam_e = AdamState([model.side], lr=1e-7)
     adam_w = AdamState(model.w1 + model.w2, lr=1e-7)
     before = batch_loss()
-    adam_step(adam_e, [before.g_e0[model.n_text:]])
+    adam_step(adam_e, [before.g_side])
     adam_step(adam_w, before.g_w1 + before.g_w2)
     after = batch_loss().loss
     assert after < before.loss
@@ -757,9 +765,9 @@ def test_train_run_deterministic_and_trial_sensitive(synth_setup):
     assert len(result.trials) == 2
     a = result.trials[0].groups[target].checkpoint
     b = result.trials[1].groups[target].checkpoint
-    assert not np.array_equal(a.e0, b.e0)
+    assert not np.array_equal(a.side, b.side)
     same = again.trials[0].groups[target].checkpoint
-    assert np.array_equal(a.e0, same.e0)
+    assert np.array_equal(a.side, same.side)
     # report declares one column per target plus the two aggregates
     header = result.report_csv.splitlines()[0].split(",")
     assert header == ["run", target, "MacF", "MicF"]

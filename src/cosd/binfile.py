@@ -1,4 +1,4 @@
-"""Bounds-checked reads of the little-endian artifact files (LDA1, EMB1, CPA2).
+"""Bounds-checked reads of the little-endian artifact files (LDA2, EMB1, CPA2).
 
 A loader opens its file through a Reader that carries the loader's own error
 class. A wrong magic, a read past the end, an undecodable string or trailing

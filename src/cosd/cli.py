@@ -352,12 +352,12 @@ def _write_train_outputs(run_dir: Path, config: RunConfig,
         for stance_key, model in zip(LABEL_KEYS, data.triple.models):
             topics.save_lda(model, lda_dir / f"{slug}.{stance_key}.lda1")
 
-    for trial in result.trials:
-        trial_dir = run_dir / f"trial-{trial.trial + 1}"
+    for i, trial in enumerate(result.trials):
+        trial_dir = run_dir / f"trial-{i + 1}"
         trial_dir.mkdir(parents=True, exist_ok=True)
         for data in result.groups:
             slug = slugify(data.group)
-            group = trial.groups[data.group]
+            group = trial[data.group]
             ckpt = group.checkpoint
             cpa.save_checkpoint(trial_dir / f"{slug}.cpa1", ckpt)
             meta = {
@@ -369,7 +369,7 @@ def _write_train_outputs(run_dir: Path, config: RunConfig,
                 "label_order": [label.value for label in LABELS],
                 "h": ckpt.h,
                 "hops": ckpt.hops,
-                "seed": trial.seed,
+                "seed": config.seed + i,
             }
             _write_json(trial_dir / f"{slug}.meta.json", meta)
             log_lines = ["epoch,loss,val_macf,val_micf,"
@@ -490,8 +490,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         **result.seconds,
         "groups": {data.group: {
             "graph_build_s": data.graph_build_s,
-            "trials": [{"train_s": t.groups[data.group].train_s,
-                        "val_s": t.groups[data.group].val_s}
+            "trials": [{"train_s": t[data.group].train_s,
+                        "val_s": t[data.group].val_s}
                        for t in result.trials]}
             for data in result.groups},
         "write_s": time.perf_counter() - written,

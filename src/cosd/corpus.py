@@ -95,24 +95,16 @@ class Example:
 
 @dataclass
 class Vocabulary:
-    """Sorted unique tokens with document frequencies."""
+    """Sorted unique tokens and each token's position among them."""
 
     tokens: list[str]
     index: dict[str, int]
-    doc_freq: list[int]
 
     @classmethod
     def from_docs(cls, docs: list[list[str]]) -> "Vocabulary":
-        freq: dict[str, int] = {}
-        for doc in docs:
-            for tok in set(doc):
-                freq[tok] = freq.get(tok, 0) + 1
-        tokens = sorted(freq)
-        return cls(
-            tokens=tokens,
-            index={tok: i for i, tok in enumerate(tokens)},
-            doc_freq=[freq[tok] for tok in tokens],
-        )
+        tokens = sorted({tok for doc in docs for tok in doc})
+        return cls(tokens=tokens,
+                   index={tok: i for i, tok in enumerate(tokens)})
 
     def __len__(self) -> int:
         return len(self.tokens)

@@ -35,14 +35,24 @@ class TopicsError(Exception):
     """Bad topic-model arguments or a corrupt model file."""
 
 
+def _check_priors(alpha: float, beta: float) -> None:
+    # alpha > 0 keeps every draw's total and the log joint defined; beta > 0
+    # keeps every denominator n_t + beta * |V| positive when a topic empties
+    if not (0 < alpha < inf and 0 < beta < inf):
+        raise TopicsError(f"priors must be finite with alpha > 0 and "
+                          f"beta > 0: alpha={alpha}, beta={beta}")
+
+
 @dataclass
 class LdaModel:
+    """One fitted topic model: H, its finite positive priors, its vocabulary
+    and its (H, |V|) topic-word counts, all that sampling and scoring read."""
+
     h: int
     alpha: float
     beta: float
     vocab: Vocabulary
     topic_word_counts: np.ndarray  # (h, |V|) int64
-    topic_totals: np.ndarray       # (h,) int64
     trained_sweeps: int
     # (sweeps done, the fit's log joint then) recorded by the fit; kept in
     # the JSON sidecar only, so a loaded model has none
@@ -51,24 +61,22 @@ class LdaModel:
     def __post_init__(self):
         if self.h < 1:
             raise TopicsError(f"H must be >= 1, got {self.h}")
-        if not (0 <= self.alpha < np.inf and 0 <= self.beta < np.inf):
-            raise TopicsError(f"priors must be finite and >= 0: "
-                              f"alpha={self.alpha}, beta={self.beta}")
+        _check_priors(self.alpha, self.beta)
         if self.topic_word_counts.shape != (self.h, len(self.vocab)):
             raise TopicsError("topic_word_counts shape mismatch")
         if (self.topic_word_counts < 0).any():
             raise TopicsError("negative counts")
-        if not np.array_equal(self.topic_totals,
-                              self.topic_word_counts.sum(axis=1)):
-            raise TopicsError("topic_totals do not match counts")
+
+    @property
+    def topic_totals(self) -> np.ndarray:
+        """Tokens per topic, (h,) int64."""
+        return self.topic_word_counts.sum(axis=1)
 
     def phi(self) -> np.ndarray:
         """Smoothed topic-word distributions, (h, |V|); rows sum to 1."""
-        v = len(self.vocab)
-        if v == 0:
-            return np.zeros((self.h, 0))
         counts = self.topic_word_counts.astype(np.float64)
-        return (counts + self.beta) / (self.topic_totals[:, None] + self.beta * v)
+        return (counts + self.beta) / (self.topic_totals[:, None]
+                                       + self.beta * len(self.vocab))
 
     def top_words(self, n: int) -> list[list[str]]:
         phi = self.phi()
@@ -190,8 +198,8 @@ def _draw(local: np.ndarray, at: np.ndarray, alpha, factor: np.ndarray,
     and at[c] the flat index k * chains + c of chain c's topic k in it. The
     token is taken off local; the prefix sums of (local_t + alpha) *
     factor_t, added in the order of a sequential cumsum, pick the first t
-    with u * total <= prefix_t (H - 1 if none; int(u * H) where total <= 0);
-    the token is added back there and at updated in place.
+    with u * total <= prefix_t (H - 1 if none); the token is added back
+    there and at updated in place.
     """
     (h, n_chains), m = local.shape, len(at)
     flat = local.reshape(-1)
@@ -206,9 +214,6 @@ def _draw(local: np.ndarray, at: np.ndarray, alpha, factor: np.ndarray,
     new = (prefix[0] < goal).astype(np.int64)
     for t in range(1, h - 1):
         new += prefix[t] < goal
-    if total.min() <= 0.0:
-        zero = total <= 0.0
-        new[zero] = (u[zero] * h).astype(np.int64)
     np.multiply(new, n_chains, out=at)
     at += np.arange(m)
     flat[at] += 1
@@ -223,13 +228,13 @@ _LOG_JOINT_EVERY = 50
 
 def fit_triples(groups: Sequence[tuple[list[list[str]], list[list[str]],
                                        list[list[str]]]],
-                h: int, alpha: float | None = None, beta: float = 0.01,
+                h: int, alpha: float, beta: float = 0.01,
                 sweeps: int = 500, *,
                 seeds: Sequence[int]) -> list[TopicModelTriple]:
     """Per group of (favor, none, against) docs, its three per-stance models
     over one vocabulary built from its docs, seeded seeds[g], seeds[g] + 1
-    and seeds[g] + 2; every group's models in one lockstep. alpha defaults
-    to 50/H; a seed is an integer in [0, 2**64). The models share no
+    and seeds[g] + 2; every group's models in one lockstep. The priors are
+    finite and > 0; a seed is an integer in [0, 2**64). The models share no
     counts, so each is the same whatever the other groups hold: a one-set
     fit is fit_triples([(docs, [], [])], ...)[0].favor."""
     if len(seeds) != len(groups):
@@ -246,7 +251,7 @@ def fit_triples(groups: Sequence[tuple[list[list[str]], list[list[str]],
 
 
 def _fit(doc_sets: Sequence[list[list[str]]], vocabs: Sequence[Vocabulary],
-         h: int, alpha: float | None, beta: float, sweeps: int,
+         h: int, alpha: float, beta: float, sweeps: int,
          seeds: Sequence[int], sweep_callback=None) -> list[LdaModel]:
     """One model per doc set over its vocabulary, every set's docs in one
     lockstep.
@@ -259,20 +264,15 @@ def _fit(doc_sets: Sequence[list[list[str]]], vocabs: Sequence[Vocabulary],
     vocabulary size (AD-LDA; Newman et al., "Distributed Algorithms for
     Topic Models", JMLR 2009). sweep_callback(s, topic totals (H, sets))
     runs after every sweep. Each model records its log joint every 50
-    sweeps and after the last, except at alpha = 0 or over an empty
-    vocabulary, where it is undefined.
+    sweeps and after the last, except over an empty vocabulary, where it
+    is undefined. Both priors are finite and > 0.
     """
     if not isinstance(h, numbers.Integral) or h < 1:
         raise TopicsError(f"H must be an integer >= 1, got {h!r}")
     if sweeps < 1:
         raise TopicsError(f"sweeps must be >= 1, got {sweeps}")
     h = int(h)
-    alpha = 50.0 / h if alpha is None else alpha
-    # beta > 0 keeps every denominator n_t + beta * |V| positive when a
-    # topic empties
-    if not (0 <= alpha < inf and 0 < beta < inf):
-        raise TopicsError(f"priors must be finite with alpha >= 0 and "
-                          f"beta > 0: alpha={alpha}, beta={beta}")
+    _check_priors(alpha, beta)
     keys = np.concatenate([
         _mix64(_keys([seed]) + np.arange(len(docs), dtype=np.uint64))
         for seed, docs in zip(seeds, doc_sets)])
@@ -321,7 +321,7 @@ def _fit(doc_sets: Sequence[list[list[str]]], vocabs: Sequence[Vocabulary],
         if sweep_callback is not None:
             sweep_callback(s, n_t.copy())
         done = s + 1
-        if alpha > 0 and (done % _LOG_JOINT_EVERY == 0 or done == sweeps):
+        if done % _LOG_JOINT_EVERY == 0 or done == sweeps:
             for m, record in enumerate(log_joints):
                 if sizes[m]:
                     mine = set_of == m
@@ -329,8 +329,7 @@ def _fit(doc_sets: Sequence[list[list[str]]], vocabs: Sequence[Vocabulary],
                         tables[m], n_t[:, m], n_dt[:, mine], lengths[mine],
                         alpha, beta)))
     return [LdaModel(h=h, alpha=float(alpha), beta=float(beta), vocab=vocab,
-                     topic_word_counts=table.copy(),
-                     topic_totals=n_t[:, m].copy(), trained_sweeps=sweeps,
+                     topic_word_counts=table.copy(), trained_sweeps=sweeps,
                      log_joint=record)
             for m, (vocab, table, record) in enumerate(
                 zip(vocabs, tables, log_joints))]
@@ -341,12 +340,7 @@ def _log_joint(n_wt: np.ndarray, n_t: np.ndarray, n_dt: np.ndarray,
     """Collapsed log p(w, z) of one model, up to assignment-independent
     constants, from its (H, |V|) word-topic counts, (H,) topic totals and
     (H, D) topic counts of its D nonempty docs of the given lengths.
-
-    Undefined at alpha = 0, where a doc-topic count of 0 hits the pole of
-    lgamma; raises TopicsError there.
     """
-    if alpha == 0:
-        raise TopicsError("the log joint is undefined at alpha = 0")
     h, v = n_wt.shape
     word, topic, doc, length = (
         sum(map(lgamma, terms.ravel().tolist())) for terms in (
@@ -518,14 +512,14 @@ def umass_coherence(model: LdaModel, docs: list[list[str]],
 
 # --- serialization --------------------------------------------------------
 #
-# LDA1 layout, little-endian:
-#   magic "LDA1" | u32 H | u32 |V| | f64 alpha | f64 beta | u32 sweeps
+# LDA2 layout, little-endian (in .lda1 files):
+#   magic "LDA2" | u32 H | u32 |V| | f64 alpha | f64 beta | u32 sweeps
 #   | i64 counts (H x |V|, row-major)
-#   | per vocab token: u32 byte length, UTF-8 bytes, u32 doc frequency
+#   | per vocab token: u32 byte length, UTF-8 bytes
 # A JSON sidecar (<path>.json) lists the top-10 words per topic and the
 # fit's log-joint trace as [sweeps done, value] pairs.
 
-_LDA_MAGIC = b"LDA1"
+_LDA_MAGIC = b"LDA2"
 
 
 def save_lda(model: LdaModel, path: str | Path) -> None:
@@ -536,11 +530,10 @@ def save_lda(model: LdaModel, path: str | Path) -> None:
         fh.write(struct.pack("<dd", model.alpha, model.beta))
         fh.write(struct.pack("<I", model.trained_sweeps))
         fh.write(model.topic_word_counts.astype("<i8").tobytes(order="C"))
-        for tok, freq in zip(model.vocab.tokens, model.vocab.doc_freq):
+        for tok in model.vocab.tokens:
             raw = tok.encode("utf-8")
             fh.write(struct.pack("<I", len(raw)))
             fh.write(raw)
-            fh.write(struct.pack("<I", freq))
     doc = {
         "h": model.h, "alpha": model.alpha, "beta": model.beta,
         "trained_sweeps": model.trained_sweeps,
@@ -560,19 +553,13 @@ def load_lda(path: str | Path) -> LdaModel:
         src.need(I64.itemsize * h * v)  # before the table is allocated
         counts = np.empty((h, v), I64)
         src.read_into(counts)
-        tokens = []
-        freqs = []
-        for _ in range(v):
-            tokens.append(src.text(src.u32()))
-            freqs.append(src.u32())
+        tokens = [src.text(src.u32()) for _ in range(v)]
         src.finish()
     vocab = Vocabulary(tokens=tokens,
-                       index={t: i for i, t in enumerate(tokens)},
-                       doc_freq=freqs)
+                       index={t: i for i, t in enumerate(tokens)})
     try:
         return LdaModel(h=h, alpha=alpha, beta=beta, vocab=vocab,
-                        topic_word_counts=counts,
-                        topic_totals=counts.sum(axis=1), trained_sweeps=sweeps)
+                        topic_word_counts=counts, trained_sweeps=sweeps)
     except TopicsError as exc:  # the model's own checks name no file
         raise TopicsError(f"{path}: {exc}") from exc
 

@@ -450,8 +450,7 @@ class GroupData:
     pool: list[Example]          # graph text nodes, row order fixed
     val: list[Example]
     triple: topics.TopicModelTriple
-    dis_pool: np.ndarray         # (n, 3H) fold-in distributions
-    dis_val: np.ndarray
+    dis_val: np.ndarray          # (n_val, 3H) fold-in distributions
     sem_pool: np.ndarray         # (n, dim) semantic reps, the text rows
     sem_val: np.ndarray          # (n_val, dim)
     lap: graph.BipartiteLaplacian
@@ -488,8 +487,9 @@ def fit_topics(dataset: Dataset, config: RunConfig,
                h: int) -> list[topics.TopicModelTriple]:
     """Every group's topic triple with h topics per stance, in group_keys
     order, fitted on the token docs of its train pool's stance subsets and
-    seeded per group; all groups in one lockstep. A group with no training
-    texts (a target only in val or test) fails before anything is fitted."""
+    seeded per group; all groups in one lockstep. Here, and only here, the
+    config's alpha of 0 means 50/h. A group with no training texts (a
+    target only in val or test) fails before anything is fitted."""
     keys = group_keys(dataset, config.joint)
     subsets = [stance_subsets(dataset, target) for _, target in keys]
     for (group, _), examples in zip(keys, subsets):
@@ -498,7 +498,7 @@ def fit_topics(dataset: Dataset, config: RunConfig,
     return topics.fit_triples(
         [[topics.token_docs(docs) for docs in examples]
          for examples in subsets],
-        h=h, alpha=config.alpha or None, beta=config.beta,
+        h=h, alpha=config.alpha or 50.0 / h, beta=config.beta,
         sweeps=config.lda_sweeps,
         seeds=[derive_seed(config.seed, 7, group) for group, _ in keys])
 
@@ -528,8 +528,7 @@ def build_groups(dataset: Dataset, store: EncoderStore, config: RunConfig
             graph.build_adjacency([ex.stance for ex in pool], dis_pool))
         built = time.perf_counter()
         groups.append(GroupData(
-            group=group, pool=pool, val=val, triple=triple,
-            dis_pool=dis_pool, dis_val=dis_val,
+            group=group, pool=pool, val=val, triple=triple, dis_val=dis_val,
             sem_pool=semantic_matrix(pool, store),
             sem_val=semantic_matrix(val, store), lap=lap,
             graph_build_s=built - start))
@@ -614,16 +613,9 @@ def train_group(data: GroupData, store: EncoderStore, config: RunConfig,
 # --- run orchestration ------------------------------------------------------
 
 @dataclass
-class TrialResult:
-    trial: int
-    seed: int
-    groups: dict[str, GroupResult]
-
-
-@dataclass
 class TrainResult:
     groups: list[GroupData]
-    trials: list[TrialResult]
+    trials: list[dict[str, GroupResult]]  # trial i is seeded config.seed + i
     report_text: str
     report_csv: str
     seconds: dict[str, float]    # topic_fit_s and fold_in_s, all groups
@@ -644,16 +636,13 @@ def train(dataset: Dataset, store: EncoderStore,
         raise TrainingError(f"embedding records missing for ids: {absent}")
 
     groups, seconds = build_groups(dataset, store, config)
-    trials = []
-    for trial in range(config.trials):
-        seed = config.seed + trial
-        trials.append(TrialResult(trial=trial, seed=seed, groups={
-            data.group: train_group(data, store, config, seed)
-            for data in groups}))
+    trials = [{data.group: train_group(data, store, config, config.seed + i)
+               for data in groups}
+              for i in range(config.trials)]
 
     val = [ex for data in groups for ex in data.val]
     text, csv_text = metrics.trial_report(
-        [[pred for data in groups for pred in t.groups[data.group].val_preds]
+        [[pred for data in groups for pred in t[data.group].val_preds]
          for t in trials],
         [ex.stance for ex in val], [ex.target for ex in val], dataset.targets)
     return TrainResult(groups=groups, trials=trials, report_text=text,

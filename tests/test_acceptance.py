@@ -160,8 +160,8 @@ def test_criterion_3_planted_topic_recovery(capsys):
     def check(sweep, n_k):
         conserved.append(float(n_k.sum()) == float(total_tokens))
 
-    (model,) = _fit([docs], [Vocabulary.from_docs(docs)], 3, None, 0.01, 500,
-                    [42], check)
+    (model,) = _fit([docs], [Vocabulary.from_docs(docs)], 3, 50.0 / 3, 0.01,
+                    500, [42], check)
     tvs = greedy_match_tv(model.phi(), phi_true)
     elapsed = time.perf_counter() - t0
     ok = (max(tvs) <= 0.15 and len(conserved) == 500 and all(conserved)
@@ -206,7 +206,7 @@ def e2e(tmp_path_factory):
 
     (group,) = result.groups
     triple = group.triple
-    ckpt = result.trials[0].groups[target].checkpoint
+    ckpt = result.trials[0][target].checkpoint
     test_ex = dataset.split(Split.TEST)
     sem = inference.semantic_scores(semantic_matrix(test_ex, store), ckpt.z)
     (dis_mat,) = fold_in_matrix([(triple, test_ex)], config.fold_in_sweeps,

@@ -540,6 +540,49 @@ def test_eval_names_a_topic_model_whose_counts_fail_its_checks(
     assert err == f"error: {lda}: negative counts\n"
 
 
+def test_a_topic_model_with_a_zero_prior_exits_2(run_dir, synth_small,
+                                                 tmp_path, capsys):
+    root, _ = synth_small
+    copy = tmp_path / "run"
+    shutil.copytree(run_dir, copy)
+    lda = copy / "lda" / f"{SLUG}.none.lda1"
+    raw = lda.read_bytes()
+    # alpha follows the magic, H and |V|; beta follows alpha
+    for at in (12, 20):
+        lda.write_bytes(raw[:at] + struct.pack("<d", 0.0) + raw[at + 8:])
+        for argv in (["eval", "--split", "test"],
+                     ["predict", "--in", str(root / "test.tsv"),
+                      "--out", str(tmp_path / "p.tsv")], ["inspect"]):
+            _expect_failure(argv + ["--run", str(copy), "--trial", "1"],
+                            capsys, needle=f"{lda}: priors must be finite "
+                                           f"with alpha > 0 and beta > 0")
+    assert not (tmp_path / "p.tsv").exists()
+
+
+def test_an_old_lda1_topic_model_exits_2(run_dir, synth_small, tmp_path,
+                                         capsys):
+    root, _ = synth_small
+    copy = tmp_path / "run"
+    shutil.copytree(run_dir, copy)
+    lda = copy / "lda" / f"{SLUG}.none.lda1"
+    model = cosd.topics.load_lda(lda)
+    # the retired LDA1 layout: a u32 document frequency after each token
+    raw = bytearray(b"LDA1" + lda.read_bytes()[4:32]
+                    + model.topic_word_counts.astype("<i8").tobytes())
+    for token in model.vocab.tokens:
+        raw += struct.pack("<I", len(token.encode())) + token.encode()
+        raw += struct.pack("<I", 1)
+    lda.write_bytes(bytes(raw))
+    for argv in (["eval", "--split", "test"],
+                 ["predict", "--in", str(root / "test.tsv"),
+                  "--out", str(tmp_path / "p.tsv")],
+                 ["inspect"]):
+        err = _expect_failure(argv + ["--run", str(copy), "--trial", "1"],
+                              capsys)
+        assert err == f"error: {lda}: bad magic, not a LDA2 file\n"
+    assert not (tmp_path / "p.tsv").exists()
+
+
 def test_eval_on_truncated_checkpoint(run_dir, tmp_path, capsys):
     copy = tmp_path / "run"
     shutil.copytree(run_dir, copy)
@@ -880,7 +923,8 @@ def test_a_topic_model_whose_h_is_not_the_runs_exits_2(run_dir, synth_small,
     shutil.copytree(run_dir, copy)
     lda = copy / "lda" / f"{SLUG}.none.lda1"
     (triple,) = cosd.topics.fit_triples([([["a", "b"], ["b", "c"]], [], [])],
-                                        h=3, sweeps=2, seeds=[0])
+                                        h=3, alpha=50.0 / 3, sweeps=2,
+                                        seeds=[0])
     cosd.topics.save_lda(triple.favor, lda)
     run = ["--run", str(copy), "--trial", "1"]
     predict = ["predict", "--in", str(root / "test.tsv"),
@@ -902,7 +946,8 @@ def test_a_topic_model_of_another_vocabulary_exits_2(run_dir, synth_small,
     shutil.copytree(run_dir, copy)
     lda = copy / "lda" / f"{SLUG}.none.lda1"
     (triple,) = cosd.topics.fit_triples([([["a", "b"], ["b", "c"]], [], [])],
-                                        h=2, sweeps=2, seeds=[0])
+                                        h=2, alpha=50.0 / 2, sweeps=2,
+                                        seeds=[0])
     cosd.topics.save_lda(triple.favor, lda)
     run = ["--run", str(copy), "--trial", "1"]
     predict = ["predict", "--in", str(root / "test.tsv"),

@@ -1,5 +1,6 @@
 """Loader fidelity, tokenizer rules, stance partitioning, input errors."""
 
+import dataclasses
 import random
 
 import pytest
@@ -276,5 +277,7 @@ class TestVocabulary:
         vocab = Vocabulary.from_docs([["b", "a", "b"], ["a", "c"]])
         assert vocab.tokens == ["a", "b", "c"]
         assert vocab.index == {"a": 0, "b": 1, "c": 2}
-        assert vocab.doc_freq == [2, 1, 1]  # per-document, not per-token
+        # a vocabulary keeps no per-token statistics, such as frequencies
+        assert [f.name for f in dataclasses.fields(vocab)] == ["tokens",
+                                                               "index"]
         assert len(vocab) == 3

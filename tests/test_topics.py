@@ -37,14 +37,12 @@ from cosd.topics import (
 def _model(counts, vocab_tokens, alpha=0.5, beta=0.01, sweeps=10):
     counts = np.asarray(counts, dtype=np.int64)
     vocab = Vocabulary(tokens=list(vocab_tokens),
-                       index={t: i for i, t in enumerate(vocab_tokens)},
-                       doc_freq=[1] * len(vocab_tokens))
+                       index={t: i for i, t in enumerate(vocab_tokens)})
     return LdaModel(h=counts.shape[0], alpha=alpha, beta=beta, vocab=vocab,
-                    topic_word_counts=counts,
-                    topic_totals=counts.sum(axis=1), trained_sweeps=sweeps)
+                    topic_word_counts=counts, trained_sweeps=sweeps)
 
 
-def fit_one(docs, h, alpha=None, beta=0.01, sweeps=500, seed=0):
+def fit_one(docs, h, alpha, beta=0.01, sweeps=500, seed=0):
     """One model over docs alone: fit_triples' one-set call."""
     return fit_triples([(docs, [], [])], h, alpha, beta, sweeps,
                        seeds=[seed])[0].favor
@@ -52,8 +50,8 @@ def fit_one(docs, h, alpha=None, beta=0.01, sweeps=500, seed=0):
 
 def _triple(favor, none, against, h, sweeps, seed):
     """One group's triple: fit_triples over that group alone."""
-    (triple,) = fit_triples([(favor, none, against)], h=h, sweeps=sweeps,
-                            seeds=[seed])
+    (triple,) = fit_triples([(favor, none, against)], h=h, alpha=50.0 / h,
+                            sweeps=sweeps, seeds=[seed])
     return triple
 
 
@@ -114,17 +112,13 @@ def loop_sweep(self: SequentialLda) -> None:
                 p = (row[t] + alpha) * (wrow[t] + beta) / (n_k[t] + beta_v)
                 probs[t] = p
                 total += p
-            u = uniforms[pos]
+            u = uniforms[pos] * total
             pos += 1
-            if total <= 0.0:
-                k = int(u * h)
-            else:
-                u *= total
-                acc = 0.0
-                for k in range(h):
-                    acc += probs[k]
-                    if u <= acc:
-                        break
+            acc = 0.0
+            for k in range(h):
+                acc += probs[k]
+                if u <= acc:
+                    break
             z_d[j] = k
             row[k] += 1.0
             wrow[k] += 1.0
@@ -154,8 +148,8 @@ def lockstep_loop(doc_sets, v, h, alpha, beta, seeds, sweeps):
     word and topic counts as they stood after the previous step; the moves
     of a step are applied once every doc has drawn. Returns per model the
     (H, v) counts and the log joint at sweep 0, every 50 sweeps and after
-    the last (none at alpha = 0 or v = 0), and the number of exact ties
-    (u * total equal to the picked prefix sum) and of flat draws (total 0).
+    the last (none at v = 0), and the number of exact ties (u * total
+    equal to the picked prefix sum).
     """
     docs = []  # (model, word ids, draws)
     for m, (seed, set_docs) in enumerate(zip(seeds, doc_sets)):
@@ -180,7 +174,7 @@ def lockstep_loop(doc_sets, v, h, alpha, beta, seeds, sweeps):
     records = [[] for _ in doc_sets]
 
     def record(done):
-        if alpha > 0 and v > 0:
+        if v > 0:
             for m in range(len(doc_sets)):
                 mine = [i for i, doc in enumerate(docs) if doc[0] == m]
                 records[m].append((done, scalar_log_joint(
@@ -188,7 +182,7 @@ def lockstep_loop(doc_sets, v, h, alpha, beta, seeds, sweeps):
                     [len(docs[i][1]) for i in mine], alpha, beta)))
 
     record(0)
-    ties = flats = 0
+    ties = 0
     n_max = max((len(ids) for _, ids, _ in docs), default=0)
     for s in range(sweeps):
         for j in range(n_max):
@@ -205,15 +199,9 @@ def lockstep_loop(doc_sets, v, h, alpha, beta, seeds, sweeps):
                               / (n_k[m][t] - own + beta * v))
                     acc += (row[t] + alpha) * factor
                     prefix.append(acc)
-                u = draws[len(ids) * (s + 1) + j]
-                if acc <= 0.0:
-                    new = int(u * h)
-                    flats += 1
-                else:
-                    goal = u * acc
-                    new = next((t for t in range(h) if goal <= prefix[t]),
-                               h - 1)
-                    ties += goal == prefix[new]
+                goal = draws[len(ids) * (s + 1) + j] * acc
+                new = next((t for t in range(h) if goal <= prefix[t]), h - 1)
+                ties += goal == prefix[new]
                 z_d[j] = new
                 row[new] += 1.0
                 moves.append((m, w, k, new))
@@ -226,13 +214,13 @@ def lockstep_loop(doc_sets, v, h, alpha, beta, seeds, sweeps):
             record(s + 1)
     counts = [np.rint(np.array(table).reshape(v, h).T).astype(np.int64)
               for table in n_wk]
-    return counts, records, ties, flats
+    return counts, records, ties
 
 
 def _vocab(v: int) -> Vocabulary:
     tokens = [f"w{i}" for i in range(v)]
-    return Vocabulary(tokens=tokens, index={t: i for i, t in enumerate(tokens)},
-                      doc_freq=[1] * v)
+    return Vocabulary(tokens=tokens,
+                      index={t: i for i, t in enumerate(tokens)})
 
 
 def _token_docs(docs):
@@ -248,9 +236,9 @@ def _kernel_corpora(h: int):
              for n in rng.integers(0, 14, size=25)]
     return [
         (mixed + [[-1, -1], [-1, 4, -1, 7]], 12, 50.0 / h, 0.01),
-        # alpha = 0: one-token docs have an all-zero conditional, so the
-        # flat int(u * H) branch runs
-        (mixed + [[3], [5], [3]], 12, 0.0, 0.01),
+        # a small alpha: a one-token doc's conditional is alpha times its
+        # word's factors, tiny but positive
+        (mixed + [[3], [5], [3]], 12, 1e-6, 0.01),
         (mixed, 12, 1e-12, 1e-12),
         ([[], [0], [], [1, 1, 1, 1, 1, 1], [2] * 9 + [0]], 3, 0.1, 0.5),
         ([[w] for w in range(8)] + [[]], 8, 0.01, 1e-9),
@@ -260,6 +248,9 @@ def _kernel_corpora(h: int):
          0.25),
         ([], 5, 0.5, 0.01),
         ([[], [-1]], 0, 0.5, 0.01),
+        # one word: every factor (n_wt + beta) / (n_t + beta) is exactly 1,
+        # so the terms n_dt + 1 are integers that dyadic uniforms tie
+        ([[0] * n for n in range(1, 10)], 1, 1.0, 0.01),
     ]
 
 
@@ -274,11 +265,11 @@ def test_sweep_kernel_equals_loop_oracle(monkeypatch, h, dyadic):
         real_uniforms = cosd.topics._uniforms
         monkeypatch.setattr(cosd.topics, "_uniforms", lambda keys, counters:
                             np.floor(real_uniforms(keys, counters) * 4) / 4)
-    ties = flats = 0
+    ties = 0
     for case, (docs, v, alpha, beta) in enumerate(_kernel_corpora(h)):
         (model,) = cosd.topics._fit([_token_docs(docs)], [_vocab(v)], h,
                                     alpha, beta, 12, [case])
-        (counts,), (records,), case_ties, case_flats = lockstep_loop(
+        (counts,), (records,), case_ties = lockstep_loop(
             [[[w for w in doc if w >= 0] for doc in docs]], v, h, alpha,
             beta, [case], 12)
         assert np.array_equal(model.topic_word_counts, counts), case
@@ -286,8 +277,6 @@ def test_sweep_kernel_equals_loop_oracle(monkeypatch, h, dyadic):
         for (_, got), (_, want) in zip(model.log_joint, records[1:]):
             assert got == pytest.approx(want, rel=1e-9, abs=0.0)
         ties += case_ties
-        flats += case_flats
-    assert flats > 0
     if dyadic and h > 1:
         assert ties > 0
 
@@ -297,7 +286,7 @@ def test_fit_triple_counts_equal_loop_oracle():
     sets = (docs[:15], docs[15:30], docs[30:])
     got = _triple(*sets, h=4, sweeps=60, seed=8)
     index = got.favor.vocab.index
-    counts, records, _, _ = lockstep_loop(
+    counts, records, _ = lockstep_loop(
         [[[index[t] for t in doc] for doc in set_docs] for set_docs in sets],
         len(index), 4, 50.0 / 4, 0.01, [8, 9, 10], 60)
     for model, want, trace in zip(got.models, counts, records):
@@ -308,8 +297,8 @@ def test_fit_triple_counts_equal_loop_oracle():
             assert value == pytest.approx(oracle, rel=1e-9, abs=0.0)
     # the models share no counts: each is its own one-model fit
     for offset, (model, set_docs) in enumerate(zip(got.models, sets)):
-        (alone,) = cosd.topics._fit([set_docs], [model.vocab], 4, None, 0.01,
-                                    60, [8 + offset])
+        (alone,) = cosd.topics._fit([set_docs], [model.vocab], 4, 50.0 / 4,
+                                    0.01, 60, [8 + offset])
         assert np.array_equal(alone.topic_word_counts,
                               model.topic_word_counts)
         assert alone.log_joint == model.log_joint
@@ -331,15 +320,16 @@ def test_fit_triples_equals_each_groups_own_fit_and_loop_oracle():
                              doc_len=(9, 14))
     groups.append((docs, [], []))
     seeds = [3, 2**40, 77, 5, 2**63]
-    joint = fit_triples(groups, h=3, sweeps=60, seeds=seeds)
+    joint = fit_triples(groups, h=3, alpha=50.0 / 3, sweeps=60, seeds=seeds)
     assert [len(t.favor.vocab) for t in joint][2] == 0
     assert len({len(t.favor.vocab) for t in joint}) == 5
     assert len({max(map(len, group[0] + group[1] + group[2]))
                 for group in groups}) == 5
     for triple, group, seed in zip(joint, groups, seeds):
-        (alone,) = fit_triples([group], h=3, sweeps=60, seeds=[seed])
+        (alone,) = fit_triples([group], h=3, alpha=50.0 / 3, sweeps=60,
+                               seeds=[seed])
         index = triple.favor.vocab.index
-        counts, records, _, _ = lockstep_loop(
+        counts, records, _ = lockstep_loop(
             [[[index[t] for t in doc] for doc in docs] for docs in group],
             len(index), 3, 50.0 / 3, 0.01, [seed, seed + 1, seed + 2], 60)
         for model, own, want, trace in zip(triple.models, alone.models,
@@ -361,16 +351,17 @@ def test_fit_triples_equals_each_groups_own_fit_and_loop_oracle():
 def test_fit_triples_takes_one_seed_per_group():
     docs = [["a", "b"], ["b"]]
     with pytest.raises(TopicsError, match="1 seeds for 2 groups"):
-        fit_triples([(docs, docs, docs)] * 2, h=2, sweeps=1, seeds=[4])
+        fit_triples([(docs, docs, docs)] * 2, h=2, alpha=25.0, sweeps=1,
+                    seeds=[4])
 
 
 def test_fit_rejects_a_seed_outside_64_bits():
     docs = [["a", "b"], ["b"]]
     for bad in (-1, 2**64, 1.5):
         with pytest.raises(TopicsError, match="seeds must be integers"):
-            fit_one(docs, h=2, sweeps=1, seed=bad)
+            fit_one(docs, h=2, alpha=25.0, sweeps=1, seed=bad)
     with pytest.raises(TopicsError, match="seeds must be integers"):
-        fit_triples([(docs, docs, docs)], h=2, sweeps=1,
+        fit_triples([(docs, docs, docs)], h=2, alpha=25.0, sweeps=1,
                     seeds=[2**64 - 2])
 
 
@@ -384,7 +375,7 @@ def test_lockstep_recovers_planted_topics_like_the_sequential_sampler():
                                         doc_len=(12, 25))
         lockstep, reference = [], []
         for seed in (11, 12, 13):
-            model = fit_one(docs, h=3, sweeps=150, seed=seed)
+            model = fit_one(docs, h=3, alpha=50.0 / 3, sweeps=150, seed=seed)
             lockstep.append(max(greedy_match_tv(model.phi(), phi_true)))
             vocab = model.vocab
             chain = SequentialLda([[vocab.index[t] for t in doc]
@@ -395,7 +386,6 @@ def test_lockstep_recovers_planted_topics_like_the_sequential_sampler():
             counts = chain.counts()
             phi = LdaModel(h=3, alpha=50.0 / 3, beta=0.01, vocab=vocab,
                            topic_word_counts=counts,
-                           topic_totals=counts.sum(axis=1),
                            trained_sweeps=150).phi()
             reference.append(max(greedy_match_tv(phi, phi_true)))
         assert min(lockstep) <= min(reference) + 0.02, corpus_seed
@@ -406,7 +396,7 @@ def test_sampler_conserves_counts_every_sweep():
     total = sum(len(d) for d in docs)
     seen = []
     (model,) = cosd.topics._fit(
-        [docs], [Vocabulary.from_docs(docs)], 3, None, 0.01, 5, [1],
+        [docs], [Vocabulary.from_docs(docs)], 3, 50.0 / 3, 0.01, 5, [1],
         lambda s, n_t: seen.append((s, n_t[:, 0])))
     assert [s for s, _ in seen] == [0, 1, 2, 3, 4]
     for _, n_k in seen:
@@ -419,30 +409,26 @@ def test_sampler_conserves_counts_every_sweep():
 def test_sampler_improves_log_joint_on_structured_corpus():
     docs, _ = planted_corpus(n_docs=60, seed=4)
     # one fit's first sweep is the whole of a one-sweep fit of the same seed
-    ((_, after_one),) = fit_one(docs, h=3, sweeps=1, seed=2).log_joint
-    ((_, after_30),) = fit_one(docs, h=3, sweeps=30, seed=2).log_joint
+    ((_, after_one),) = fit_one(docs, h=3, alpha=50.0 / 3, sweeps=1,
+                                seed=2).log_joint
+    ((_, after_30),) = fit_one(docs, h=3, alpha=50.0 / 3, sweeps=30,
+                               seed=2).log_joint
     assert after_30 > after_one
 
 
 def test_fit_lda_deterministic_per_seed():
     docs, _ = planted_corpus(n_docs=30, seed=5)
-    a = fit_one(docs, h=3, sweeps=20, seed=9)
-    b = fit_one(docs, h=3, sweeps=20, seed=9)
-    c = fit_one(docs, h=3, sweeps=20, seed=10)
+    a = fit_one(docs, h=3, alpha=50.0 / 3, sweeps=20, seed=9)
+    b = fit_one(docs, h=3, alpha=50.0 / 3, sweeps=20, seed=9)
+    c = fit_one(docs, h=3, alpha=50.0 / 3, sweeps=20, seed=10)
     assert np.array_equal(a.topic_word_counts, b.topic_word_counts)
     assert not np.array_equal(a.topic_word_counts, c.topic_word_counts)
-
-
-def test_fit_lda_default_alpha_is_50_over_h():
-    docs, _ = planted_corpus(n_docs=12, seed=6)
-    m = fit_one(docs, h=4, sweeps=2, seed=0)
-    assert m.alpha == pytest.approx(50.0 / 4)
 
 
 def test_fit_lda_recovers_planted_topics_reduced():
     docs, phi_true = planted_corpus(n_topics=3, n_docs=120, vocab_size=30,
                                     seed=7, doc_len=(12, 25))
-    model = fit_one(docs, h=3, sweeps=150, seed=11)
+    model = fit_one(docs, h=3, alpha=50.0 / 3, sweeps=150, seed=11)
     # the fit sorts the vocabulary, which matches the wNN naming order
     assert model.vocab.tokens == [f"w{i:02d}" for i in range(30)]
     tv = greedy_match_tv(model.phi(), phi_true)
@@ -451,31 +437,39 @@ def test_fit_lda_recovers_planted_topics_reduced():
 
 def test_fit_lda_rejects_bad_arguments():
     with pytest.raises(TopicsError):
-        fit_one([["a", "b"]], h=0)
+        fit_one([["a", "b"]], h=0, alpha=1.0)
     with pytest.raises(TopicsError):
-        fit_one([["a", "b"]], h=2, sweeps=0)
+        fit_one([["a", "b"]], h=2, alpha=25.0, sweeps=0)
     with pytest.raises(TopicsError):
         fit_one([["a", "b"]], h=2, alpha=-1.0)
     with pytest.raises(TopicsError):
-        fit_one([["a", "b"]], h=2.5)
+        fit_one([["a", "b"]], h=2.5, alpha=20.0)
     for alpha, beta in ((float("nan"), 0.01), (0.5, float("inf"))):
         with pytest.raises(TopicsError, match="finite"):
             fit_one([["a", "b"]], h=2, alpha=alpha, beta=beta)
 
 
 def test_fit_lda_rejects_zero_beta():
-    # beta = 0 would divide by n_k + 0 once a topic empties; fold-in under
-    # an existing beta = 0 model stays allowed (see the flat-branch test)
+    # beta = 0 would divide by n_k + 0 once a topic empties
     docs, _ = planted_corpus(n_docs=9, seed=2)
     for beta in (0.0, -0.01):
         with pytest.raises(TopicsError, match="beta > 0"):
             fit_one(docs, h=7, alpha=0.01, beta=beta, sweeps=50)
 
 
+def test_fit_rejects_zero_alpha_before_it_draws(monkeypatch):
+    # alpha = 0 would give a one-token doc an all-zero conditional and put
+    # the log joint on lgamma's pole; the fit refuses it up front
+    monkeypatch.setattr(cosd.topics, "_uniforms", None)  # no draw is made
+    for alpha in (0.0, -0.0):
+        with pytest.raises(TopicsError, match="alpha > 0"):
+            fit_one([["a", "b"], ["c"]], h=3, alpha=alpha, sweeps=1)
+
+
 def test_fit_lda_with_explicit_vocab_drops_unknown_tokens():
     vocab = Vocabulary.from_docs([["alpha", "beta"]])
-    (m,) = cosd.topics._fit([[["gamma", "delta"]]], [vocab], 2, None, 0.01, 3,
-                            [0])
+    (m,) = cosd.topics._fit([[["gamma", "delta"]]], [vocab], 2, 25.0, 0.01,
+                            3, [0])
     assert m.topic_word_counts.sum() == 0
     theta = fold_in_one([m], [["gamma"]], [0], sweeps=5)[0]
     assert np.allclose(theta, [0.5, 0.5])
@@ -487,18 +481,30 @@ def test_fit_lda_with_explicit_vocab_drops_unknown_tokens():
 def test_lda_model_validates_counts():
     vocab = Vocabulary.from_docs([["a", "b"]])
     good = np.array([[2, 1], [0, 3]], dtype=np.int64)
-    with pytest.raises(TopicsError):
-        LdaModel(h=2, alpha=0.1, beta=0.01, vocab=vocab,
-                 topic_word_counts=good, topic_totals=np.array([3, 4]),
-                 trained_sweeps=1)
+    model = LdaModel(h=2, alpha=0.1, beta=0.01, vocab=vocab,
+                     topic_word_counts=good, trained_sweeps=1)
+    assert model.topic_totals.tolist() == [3, 3]
     with pytest.raises(TopicsError):
         LdaModel(h=3, alpha=0.1, beta=0.01, vocab=vocab,
-                 topic_word_counts=good, topic_totals=good.sum(axis=1),
-                 trained_sweeps=1)
+                 topic_word_counts=good, trained_sweeps=1)
     with pytest.raises(TopicsError):
         LdaModel(h=2, alpha=0.1, beta=0.01, vocab=vocab,
                  topic_word_counts=np.array([[2, -1], [0, 3]]),
-                 topic_totals=np.array([1, 3]), trained_sweeps=1)
+                 trained_sweeps=1)
+
+
+def test_lda_model_rejects_a_zero_or_non_finite_prior():
+    # a fold-in under a zero prior could meet an all-zero conditional: a
+    # word no topic holds at beta = 0, or a one-token doc at alpha = 0,
+    # whose own counts are all 0 once its token is taken off; no such model
+    # can be built
+    vocab = Vocabulary.from_docs([["a", "b", "c"]])
+    counts = np.array([[4, 1, 0], [1, 4, 0]], dtype=np.int64)
+    for alpha, beta in ((0.0, 0.01), (0.5, 0.0), (-0.5, 0.01), (0.5, -0.0),
+                        (float("inf"), 0.01), (0.5, float("nan"))):
+        with pytest.raises(TopicsError, match="alpha > 0 and beta > 0"):
+            LdaModel(h=2, alpha=alpha, beta=beta, vocab=vocab,
+                     topic_word_counts=counts, trained_sweeps=1)
 
 
 def test_phi_rows_are_distributions():
@@ -586,17 +592,13 @@ def doc_topic_posterior(model: LdaModel, tokens, sweeps: int = 50,
                 p = (local[t] + alpha) * fw[t]
                 probs[t] = p
                 total += p
-            u = uniforms[pos]
+            u = uniforms[pos] * total
             pos += 1
-            if total <= 0.0:
-                k = int(u * h)
-            else:
-                u *= total
-                acc = 0.0
-                for k in range(h):
-                    acc += probs[k]
-                    if u <= acc:
-                        break
+            acc = 0.0
+            for k in range(h):
+                acc += probs[k]
+                if u <= acc:
+                    break
             z[j] = k
             local[k] += 1.0
     return (np.array(local) + alpha) / (len(ids) + h * alpha)
@@ -623,7 +625,7 @@ def _mixed_docs(docs):
 
 def test_posterior_sums_to_one_and_is_seed_deterministic():
     docs, _ = planted_corpus(n_docs=40, seed=8)
-    m = fit_one(docs, h=3, sweeps=30, seed=1)
+    m = fit_one(docs, h=3, alpha=50.0 / 3, sweeps=30, seed=1)
     theta = fold_in_one([m], docs[:5], list(range(5)), sweeps=20)
     again = fold_in_one([m], docs[:5], list(range(5)), sweeps=20)
     assert theta.shape == (5, 3)
@@ -674,14 +676,14 @@ def test_fold_in_equals_scalar_oracle(h):
     assert np.array_equal(one, _oracle_rows([triple.none], batch, seeds, 6))
 
 
-def test_fold_in_zero_beta_unseen_word_takes_flat_branch():
-    # beta = 0: "c" has zero count under every topic of the first model, so
-    # its conditional is all zeros and the sampler draws int(u * H); the
-    # models' priors differ, so each chain must use its own model's alpha
+def test_fold_in_unseen_word_under_models_of_differing_priors():
+    # "c" has zero count under every topic of the first model, so its
+    # factors are beta / (n_t + beta |V|), tiny but positive; the models'
+    # priors differ, so each chain must use its own model's alpha and beta
     vocab = ["a", "b", "c"]
-    models = [_model([[4, 1, 0], [1, 4, 0], [2, 2, 0]], vocab, beta=0.0),
+    models = [_model([[4, 1, 0], [1, 4, 0], [2, 2, 0]], vocab, beta=1e-9),
               _model([[4, 1, 1], [1, 4, 2], [2, 2, 3]], vocab, alpha=2.0,
-                     beta=0.0)]
+                     beta=0.5)]
     docs = [["c", "c", "a"], ["c"], ["a", "b", "c", "c", "b"], ["b"]]
     seeds = [3, 1, 4, 1]
     got = fold_in_one(models, docs, seeds, sweeps=8)
@@ -689,13 +691,14 @@ def test_fold_in_zero_beta_unseen_word_takes_flat_branch():
 
 
 def _dyadic_model(rng, h: int, vocab: list[str], alpha: float) -> LdaModel:
-    """beta = 0 model whose word factors count / total are dyadic: a last
-    word pads every topic's total up to a power of two."""
+    """beta = 1/2 model whose word factors (count + 1/2) / (total + |V|/2)
+    are dyadic: a last word pads every topic's denominator up to a power of
+    two. |V| is even."""
     counts = rng.integers(0, 4, size=(h, len(vocab) - 1))
-    totals = counts.sum(axis=1)
-    pad = 2 ** np.ceil(np.log2(totals + 1)).astype(np.int64) - totals
+    denom = counts.sum(axis=1) + len(vocab) // 2
+    pad = 2 ** np.ceil(np.log2(denom + 1)).astype(np.int64) - denom
     return _model(np.column_stack([counts, pad]), vocab, alpha=alpha,
-                  beta=0.0)
+                  beta=0.5)
 
 
 @pytest.mark.parametrize("h", [2, 3, 4])
@@ -862,7 +865,7 @@ def test_perplexity_single_topic_matches_hand_computation():
 
 def test_perplexity_skips_oov_docs_and_is_at_least_one():
     docs, _ = planted_corpus(n_docs=30, seed=10)
-    m = fit_one(docs, h=3, sweeps=30, seed=2)
+    m = fit_one(docs, h=3, alpha=50.0 / 3, sweeps=30, seed=2)
     with_oov = docs[:5] + [["zzz", "qqq"]]
     seeds = list(range(len(with_oov)))
     val = perplexity(m, with_oov, fold_in_one([m], with_oov, seeds, sweeps=10))
@@ -923,7 +926,7 @@ def test_umass_averages_over_topics():
 
 def test_lda_file_round_trip(tmp_path):
     docs, _ = planted_corpus(n_docs=25, seed=12)
-    m = fit_one(docs, h=3, sweeps=15, seed=6)
+    m = fit_one(docs, h=3, alpha=50.0 / 3, sweeps=15, seed=6)
     path = tmp_path / "model.lda1"
     save_lda(m, path)
     back = load_lda(path)
@@ -932,7 +935,12 @@ def test_lda_file_round_trip(tmp_path):
     assert back.beta == m.beta
     assert back.trained_sweeps == m.trained_sweeps
     assert back.vocab.tokens == m.vocab.tokens
-    assert list(back.vocab.doc_freq) == list(m.vocab.doc_freq)
+    assert back.vocab.index == m.vocab.index
+    # header, counts, then each token as its length and bytes, nothing more
+    assert path.read_bytes()[:4] == b"LDA2"
+    assert path.stat().st_size == (4 + 8 + 16 + 4 + 8 * m.h * len(m.vocab)
+                                   + sum(4 + len(t.encode())
+                                         for t in m.vocab.tokens))
     assert np.array_equal(back.topic_word_counts, m.topic_word_counts)
     sidecar = tmp_path / "model.lda1.json"
     assert sidecar.exists()
@@ -945,14 +953,14 @@ def test_lda_file_round_trip(tmp_path):
 
 def test_fit_records_log_joint_of_the_oracle_sampler(tmp_path):
     docs, _ = planted_corpus(n_docs=30, seed=14)
-    m = fit_one(docs, h=3, sweeps=120, seed=4)
+    m = fit_one(docs, h=3, alpha=50.0 / 3, sweeps=120, seed=4)
     path = tmp_path / "model.lda1"
     save_lda(m, path)
     recorded = json.loads((tmp_path / "model.lda1.json").read_text())
     assert recorded["log_joint"] == [list(pair) for pair in m.log_joint]
     ids = [[m.vocab.index[t] for t in doc] for doc in docs]
-    _, (want,), _, _ = lockstep_loop([ids], len(m.vocab), 3, 50.0 / 3, 0.01,
-                                     [4], 120)
+    _, (want,), _ = lockstep_loop([ids], len(m.vocab), 3, 50.0 / 3, 0.01,
+                                  [4], 120)
     assert [s for s, _ in want] == [0, 50, 100, 120]
     assert [s for s, _ in m.log_joint] == [50, 100, 120]
     for (_, got), (_, value) in zip(m.log_joint, want[1:]):
@@ -961,31 +969,19 @@ def test_fit_records_log_joint_of_the_oracle_sampler(tmp_path):
     assert m.log_joint[0][1] > want[0][1]
 
 
-def test_fit_with_zero_alpha_records_no_log_joint():
-    # lgamma has a pole at 0, so the log joint is undefined at alpha = 0,
-    # and over an empty vocabulary, where n_t + beta * |V| is 0
-    docs, _ = planted_corpus(n_docs=12, seed=15)
-    m = fit_one(docs, h=3, alpha=0.0, sweeps=60, seed=1)
-    assert m.log_joint == []
-    assert m.topic_totals.sum() == sum(len(d) for d in docs)
-    empty = fit_one([[], []], h=2, sweeps=3)
+def test_fit_over_an_empty_vocabulary_records_no_log_joint():
+    # the log joint is undefined over an empty vocabulary, where
+    # n_t + beta * |V| is 0; phi is (H, 0) and divides nothing
+    empty = fit_one([[], []], h=2, alpha=25.0, sweeps=3)
     assert empty.log_joint == []
     assert empty.topic_word_counts.shape == (2, 0)
-
-
-def test_log_joint_at_zero_alpha_raises_topics_error():
-    m = fit_one([["a", "b"], ["c"]], h=3, alpha=0.0, sweeps=1)
-    assert m.log_joint == []
-    # whatever the counts, alpha = 0 alone makes it undefined
-    doc_topics = np.array([[2, 0], [0, 0], [0, 1]])
-    with pytest.raises(TopicsError, match="alpha = 0"):
-        cosd.topics._log_joint(m.topic_word_counts, m.topic_totals,
-                               doc_topics, np.array([2, 1]), 0.0, 0.01)
+    assert empty.phi().shape == (2, 0)
+    assert empty.topic_totals.tolist() == [0, 0]
 
 
 def test_lda_file_rejects_corruption(tmp_path):
     docs, _ = planted_corpus(n_docs=10, seed=13)
-    m = fit_one(docs, h=2, sweeps=5, seed=0)
+    m = fit_one(docs, h=2, alpha=25.0, sweeps=5, seed=0)
     path = tmp_path / "model.lda1"
     save_lda(m, path)
     raw = path.read_bytes()
@@ -1002,6 +998,17 @@ def test_lda_file_rejects_corruption(tmp_path):
                           + raw[20:])
     with pytest.raises(TopicsError, match="finite"):
         load_lda(nan_alpha)
+    # a zero prior in the header: alpha at byte 12, beta at byte 20
+    for at, name in ((12, "alpha"), (20, "beta")):
+        zero = tmp_path / f"zero-{name}.lda1"
+        zero.write_bytes(raw[:at] + struct.pack("<d", 0.0) + raw[at + 8:])
+        with pytest.raises(TopicsError, match=f"zero-{name}.lda1: priors"):
+            load_lda(zero)
+    # the retired LDA1 magic
+    old = tmp_path / "old.lda1"
+    old.write_bytes(b"LDA1" + raw[4:])
+    with pytest.raises(TopicsError, match="old.lda1: bad magic, not a LDA2"):
+        load_lda(old)
     bad_text = tmp_path / "text.lda1"
     # the first vocabulary token's bytes follow its u32 length
     first = 4 + 8 + 16 + 4 + 8 * m.h * len(m.vocab) + 4

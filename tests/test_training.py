@@ -32,6 +32,7 @@ from cosd.training import (
     attention_weights,
     build_groups,
     derive_seed,
+    fit_topics,
     fold_in_matrix,
     fold_in_seeds,
     group_keys,
@@ -469,7 +470,7 @@ def synth_setup(synth_small):
     target = dataset.targets[0]
     (triple,) = fit_triples(
         [[token_docs(docs) for docs in stance_subsets(dataset, target)]],
-        h=2, sweeps=30, seeds=[3])
+        h=2, alpha=50.0 / 2, sweeps=30, seeds=[3])
     return dataset, store, target, triple
 
 
@@ -477,6 +478,17 @@ def _group(dataset, store, config):
     """The record of the dataset's one training group."""
     (data,), _ = build_groups(dataset, store, config)
     return data
+
+
+def _assert_graph_of(data, dis_pool):
+    """data.lap is, bit for bit, the Laplacian of the pool's stances and
+    these fold-in rows."""
+    want = graph.laplacian(graph.build_adjacency(
+        [ex.stance for ex in data.pool], dis_pool))
+    for got, block in ((data.lap.to_text, want.to_text),
+                       (data.lap.to_side, want.to_side)):
+        assert got.dtype == block.dtype and got.shape == block.shape
+        assert got.tobytes() == block.tobytes()
 
 
 def _config(**kw):
@@ -563,6 +575,16 @@ def test_perplexity_theta_is_the_training_fold_in_block(synth_setup):
                           theta) == pytest.approx(want, rel=1e-12)
 
 
+def test_fit_topics_reads_alpha_0_as_50_over_h(synth_setup):
+    # the config's 0 sentinel resolves here, to the float 50/H the topic
+    # fit then takes as given; any other alpha passes through
+    dataset = synth_setup[0]
+    for alpha, h, want in ((0.0, 4, 50.0 / 4), (0.0, 3, 50.0 / 3),
+                           (0.3, 4, 0.3)):
+        (triple,) = fit_topics(dataset, _config(alpha=alpha, lda_sweeps=1), h)
+        assert [m.alpha for m in triple.models] == [want] * 3
+
+
 def test_build_group_data_shapes(synth_setup):
     dataset, store, target, _ = synth_setup
     (data,), seconds = build_groups(dataset, store, _config())
@@ -570,7 +592,8 @@ def test_build_group_data_shapes(synth_setup):
     # base seed and the group's name
     (want,) = fit_triples([[token_docs(docs)
                             for docs in stance_subsets(dataset, target)]],
-                          h=2, sweeps=30, seeds=[derive_seed(5, 7, target)])
+                          h=2, alpha=50.0 / 2, sweeps=30,
+                          seeds=[derive_seed(5, 7, target)])
     for got_model, want_model in zip(data.triple.models, want.models):
         assert np.array_equal(got_model.topic_word_counts,
                               want_model.topic_word_counts)
@@ -578,7 +601,9 @@ def test_build_group_data_shapes(synth_setup):
     assert set(seconds) == {"topic_fit_s", "fold_in_s"}
     n = len(dataset.train_pool(target))
     assert len(data.pool) == n
-    assert data.dis_pool.shape == (n, 6)
+    (dis_pool,) = fold_in_matrix([(want, data.pool)], sweeps=10, base_seed=5)
+    assert dis_pool.shape == (n, 6)
+    _assert_graph_of(data, dis_pool)
     assert data.lap.rows == n + 6 + 3
     assert data.sem_val.shape == (len(data.val), store.dim)
     assert np.array_equal(data.sem_pool, semantic_matrix(data.pool, store))
@@ -763,10 +788,10 @@ def test_train_run_deterministic_and_trial_sensitive(synth_setup):
     assert result.report_csv == again.report_csv
     assert result.report_text == again.report_text
     assert len(result.trials) == 2
-    a = result.trials[0].groups[target].checkpoint
-    b = result.trials[1].groups[target].checkpoint
+    a = result.trials[0][target].checkpoint
+    b = result.trials[1][target].checkpoint
     assert not np.array_equal(a.side, b.side)
-    same = again.trials[0].groups[target].checkpoint
+    same = again.trials[0][target].checkpoint
     assert np.array_equal(a.side, same.side)
     # report declares one column per target plus the two aggregates
     header = result.report_csv.splitlines()[0].split(",")
@@ -803,7 +828,8 @@ def test_six_target_train_equals_per_group_fits(tmp_path):
         (want,) = fit_triples(
             [[token_docs(docs)
               for docs in stance_subsets(dataset, data.group)]],
-            h=2, sweeps=30, seeds=[derive_seed(5, 7, data.group)])
+            h=2, alpha=50.0 / 2, sweeps=30,
+            seeds=[derive_seed(5, 7, data.group)])
         for got, own in zip(data.triple.models, want.models):
             assert got.vocab.tokens == own.vocab.tokens
             assert np.array_equal(got.topic_word_counts,
@@ -811,7 +837,7 @@ def test_six_target_train_equals_per_group_fits(tmp_path):
             assert got.log_joint == own.log_joint
         dis_pool, dis_val = fold_in_matrix(
             [(want, data.pool), (want, data.val)], sweeps=10, base_seed=5)
-        assert np.array_equal(data.dis_pool, dis_pool)
+        _assert_graph_of(data, dis_pool)
         assert np.array_equal(data.dis_val, dis_val)
 
 

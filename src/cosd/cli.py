@@ -415,7 +415,7 @@ def cmd_topics(args: argparse.Namespace) -> int:
     names = [(key, stance_key) for key, _ in keys for stance_key in LABEL_KEYS]
     subsets = [texts for _, target in keys
                for texts in stance_subsets(dataset, target)]
-    docs = [topics.token_docs(texts) for texts in subsets]
+    docs = [[ex.tokens for ex in texts] for texts in subsets]
     scores = [[] for _ in subsets]
     for h in range(lo, hi + 1):
         # the triples train --h H fits, every group in one call, then each
@@ -583,10 +583,11 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         did_something = True
 
     if args.similar_to:
-        (sem,) = training.semantic_matrix([_example(run, args.similar_to)],
-                                          run.store)
+        sem = training.semantic_matrix([_example(run, args.similar_to)],
+                                       run.store)
         # the query's first d0 columns are the text's row in the graph
-        query = cpa.infer_transform(sem, ckpt, slope=run.config.leaky_slope)
+        (query,) = cpa.infer_transform(sem, ckpt,
+                                       slope=run.config.leaky_slope)
         hits = inference.top_k_similar(query, reps[:n], ids, args.k,
                                        exclude_id=args.similar_to)
         for rec_id, sim in hits:

@@ -83,10 +83,9 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class Example:
-    """One labeled text. tokens is the tokenized text, fixed at load time."""
+    """One labeled text, kept as its tokens, fixed at load time."""
 
     id: str
-    text: str
     target: str
     stance: Stance
     split: Split
@@ -101,7 +100,7 @@ class Vocabulary:
     index: dict[str, int]
 
     @classmethod
-    def from_docs(cls, docs: list[list[str]]) -> "Vocabulary":
+    def from_docs(cls, docs: Iterable[Iterable[str]]) -> "Vocabulary":
         tokens = sorted({tok for doc in docs for tok in doc})
         return cls(tokens=tokens,
                    index={tok: i for i, tok in enumerate(tokens)})
@@ -162,11 +161,12 @@ def _parse_stance(raw: str, path: Path, line: int) -> Stance:
 
 
 def read_text(path: Path, error: type[Exception] = CorpusError) -> str:
-    """The UTF-8 text of a file; an undecodable byte raises `error` naming
-    the file, the line and the byte offset."""
+    """The UTF-8 text of a file less one leading byte-order mark; an
+    undecodable byte raises `error` naming the file, the line and the byte
+    offset."""
     raw = path.read_bytes()
     try:
-        return raw.decode("utf-8")
+        return raw.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
         raise error(f"{path}:{line}: invalid UTF-8 at byte "
@@ -222,14 +222,12 @@ def _tweet_rows(path: Path, split: Split) -> list[Example]:
                               f"{first_line[row['ID']]}")
         first_line[row["ID"]] = line
         stance = _parse_stance(row["Stance"], path, int(line))
-        text = row["Tweet"]
         out.append(Example(
             id=row["ID"],
-            text=text,
             target=row["Target"],
             stance=stance,
             split=split,
-            tokens=tuple(tokenize(text)),
+            tokens=tuple(tokenize(row["Tweet"])),
         ))
     return out
 
@@ -297,7 +295,7 @@ def _carve_val(train_examples: list[Example], seed: int) -> list[Example]:
     out = []
     for i, ex in enumerate(train_examples):
         if i in val_idx:
-            ex = Example(ex.id, ex.text, ex.target, ex.stance, Split.VAL, ex.tokens)
+            ex = Example(ex.id, ex.target, ex.stance, Split.VAL, ex.tokens)
         out.append(ex)
     return out
 
@@ -325,14 +323,12 @@ def _ukp_rows(root: Path, wanted: set[Split]) -> list[Example]:
             if split_map[raw_split] not in wanted:
                 continue
             stance = _parse_stance(row["annotation"], file, int(row["_line"]))
-            text = row["sentence"]
             ex_id = row.get("sentenceHash") or f"{file.stem}-{row['_line']}"
             examples.append(Example(
                 id=ex_id,
-                text=text,
                 target=row["topic"],
                 stance=stance,
                 split=split_map[raw_split],
-                tokens=tuple(tokenize(text)),
+                tokens=tuple(tokenize(row["sentence"])),
             ))
     return examples

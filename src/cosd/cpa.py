@@ -310,26 +310,19 @@ def batch_loss(model: CpaModel, buf: Buffers, lap: BipartiteLaplacian,
 
 def infer_transform(x: np.ndarray, model: CpaModel,
                     slope: float = 0.01) -> np.ndarray:
-    """Graph-free counterpart of propagate for unseen rows.
+    """Graph-free counterpart of propagate for unseen rows, (n, d0) in.
 
     Per hop: e^k = LReLU(e^{k-1} (W1^k + W2^k)); the hop outputs are then
-    concatenated like the final reps. Accepts a vector or a matrix of rows
-    and returns the same rank. Uses the trained weights read-only.
+    concatenated like the final reps. Uses the trained weights read-only.
     """
-    arr = np.asarray(x, dtype=np.float64)
-    single = arr.ndim == 1
-    if single:
-        arr = arr.reshape(1, -1)
-    if arr.shape[1] != model.d0:
-        raise CpaError(
-            f"input width {arr.shape[1]} != first-hop dim {model.d0}")
-    parts = [arr]
-    prev = arr
+    prev = np.asarray(x, dtype=np.float64)
+    if prev.ndim != 2 or prev.shape[1] != model.d0:
+        raise CpaError(f"input of shape {prev.shape}, need (n, {model.d0})")
+    parts = [prev]
     for a, b in zip(model.w1, model.w2):
         prev = _leaky_relu(prev @ (a + b), slope)
         parts.append(prev)
-    out = np.concatenate(parts, axis=1)
-    return out[0] if single else out
+    return np.concatenate(parts, axis=1)
 
 
 # --- checkpoint serialization ----------------------------------------------

@@ -124,31 +124,25 @@ def laplacian(m: np.ndarray) -> BipartiteLaplacian:
     return BipartiteLaplacian(norm, norm)
 
 
-def dropout_graph(lap: BipartiteLaplacian, node_rate: float, edge_rate: float,
+def dropout_graph(lap: BipartiteLaplacian, rate: float,
                   rng: np.random.Generator) -> BipartiteLaplacian:
-    """Training-time graph dropout; returns a fresh Laplacian.
+    """Training-time graph dropout at one rate; returns a fresh Laplacian.
 
     Edge dropout zeroes entries of the two blocks independently (so the two
     directions of an edge drop independently) and rescales survivors by
-    1/(1 - edge_rate) so the propagated expectation is unchanged; node
-    dropout samples nodes and zeroes their rows and columns in both blocks.
-    Draw order: the to_text mask, the to_side mask, then the node mask.
+    1/(1 - rate) so the propagated expectation is unchanged; node dropout
+    then samples nodes and zeroes their rows and columns in both blocks.
+    Draw order: the to_text mask, the to_side mask, then the node mask;
+    rate 0 draws nothing, so the caller's later draws are as they were.
     """
-    for name, rate in (("node_rate", node_rate), ("edge_rate", edge_rate)):
-        if not 0.0 <= rate < 1.0:
-            raise GraphError(f"{name} must be in [0, 1), got {rate}")
-
-    to_text, to_side = lap.to_text, lap.to_side
-    shape = to_text.shape
-    if edge_rate > 0.0:
-        survive = 1.0 - edge_rate
-        to_text = np.where(rng.random(shape) >= edge_rate,
-                           to_text / survive, 0.0)
-        to_side = np.where(rng.random(shape) >= edge_rate,
-                           to_side / survive, 0.0)
-    if node_rate > 0.0:
-        alive = rng.random(lap.rows) >= node_rate
-        keep = np.outer(alive[:lap.n_text], alive[lap.n_text:])
-        to_text = np.where(keep, to_text, 0.0)
-        to_side = np.where(keep, to_side, 0.0)
-    return BipartiteLaplacian(to_text, to_side)
+    if not 0.0 <= rate < 1.0:
+        raise GraphError(f"rate must be in [0, 1), got {rate}")
+    if rate == 0.0:
+        return BipartiteLaplacian(lap.to_text, lap.to_side)
+    shape, survive = lap.to_text.shape, 1.0 - rate
+    to_text = np.where(rng.random(shape) >= rate, lap.to_text / survive, 0.0)
+    to_side = np.where(rng.random(shape) >= rate, lap.to_side / survive, 0.0)
+    alive = rng.random(lap.rows) >= rate
+    keep = np.outer(alive[:lap.n_text], alive[lap.n_text:])
+    return BipartiteLaplacian(np.where(keep, to_text, 0.0),
+                              np.where(keep, to_side, 0.0))

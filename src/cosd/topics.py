@@ -28,7 +28,10 @@ from pathlib import Path
 import numpy as np
 
 from .binfile import I64, Reader
-from .corpus import Example, Vocabulary
+from .corpus import Vocabulary
+
+# a doc set: each doc is its tokens
+Docs = Sequence[Sequence[str]]
 
 
 class TopicsError(Exception):
@@ -109,8 +112,7 @@ class TopicModelTriple:
         return (self.favor, self.none, self.against)
 
 
-def _doc_token_ids(docs: Sequence[Sequence[str]],
-                   vocab: Vocabulary) -> list[list[int]]:
+def _doc_token_ids(docs: Docs, vocab: Vocabulary) -> list[list[int]]:
     index = vocab.index
     return [[index[t] for t in doc if t in index] for doc in docs]
 
@@ -226,8 +228,7 @@ def _draw(local: np.ndarray, at: np.ndarray, alpha, factor: np.ndarray,
 _LOG_JOINT_EVERY = 50
 
 
-def fit_triples(groups: Sequence[tuple[list[list[str]], list[list[str]],
-                                       list[list[str]]]],
+def fit_triples(groups: Sequence[tuple[Docs, Docs, Docs]],
                 h: int, alpha: float, beta: float = 0.01,
                 sweeps: int = 500, *,
                 seeds: Sequence[int]) -> list[TopicModelTriple]:
@@ -241,7 +242,7 @@ def fit_triples(groups: Sequence[tuple[list[list[str]], list[list[str]],
         raise TopicsError(f"{len(seeds)} seeds for {len(groups)} groups")
     doc_sets, vocabs, set_seeds = [], [], []
     for (favor, none, against), seed in zip(groups, seeds):
-        vocab = Vocabulary.from_docs(favor + none + against)
+        vocab = Vocabulary.from_docs([*favor, *none, *against])
         doc_sets += [favor, none, against]
         vocabs += [vocab] * 3
         set_seeds += [seed + offset for offset in range(3)]
@@ -250,7 +251,7 @@ def fit_triples(groups: Sequence[tuple[list[list[str]], list[list[str]],
             for at in range(0, len(models), 3)]
 
 
-def _fit(doc_sets: Sequence[list[list[str]]], vocabs: Sequence[Vocabulary],
+def _fit(doc_sets: Sequence[Docs], vocabs: Sequence[Vocabulary],
          h: int, alpha: float, beta: float, sweeps: int,
          seeds: Sequence[int], sweep_callback=None) -> list[LdaModel]:
     """One model per doc set over its vocabulary, every set's docs in one
@@ -354,7 +355,7 @@ def _log_joint(n_wt: np.ndarray, n_t: np.ndarray, n_dt: np.ndarray,
 _FOLD_IN_BATCH = 1024
 
 
-FoldInSet = tuple[Sequence[LdaModel], Sequence[Sequence[str]], Sequence[int]]
+FoldInSet = tuple[Sequence[LdaModel], Docs, Sequence[int]]
 
 
 def fold_in_sets(sets: Sequence[FoldInSet],
@@ -456,8 +457,7 @@ def _lockstep(ids: list[list[int]], keys: np.ndarray, offsets: np.ndarray,
     return post.reshape(n_docs, n_models * h)
 
 
-def perplexity(model: LdaModel, docs: list[list[str]],
-               thetas: np.ndarray) -> float:
+def perplexity(model: LdaModel, docs: Docs, thetas: np.ndarray) -> float:
     """exp(-mean log p(w|d)) with p(w|d) = sum_h theta_dh phi_hw.
 
     Row d of thetas, (len(docs), H), is doc d's topic posterior under the
@@ -482,8 +482,7 @@ def perplexity(model: LdaModel, docs: list[list[str]],
     return float(np.exp(-log_lik / total))
 
 
-def umass_coherence(model: LdaModel, docs: list[list[str]],
-                    top_n: int) -> float:
+def umass_coherence(model: LdaModel, docs: Docs, top_n: int) -> float:
     """Mean over topics of sum_{i<j} log((D(w_i,w_j)+1)/D(w_j)).
 
     D counts document co-occurrence over docs. Pairs whose denominator word
@@ -562,8 +561,3 @@ def load_lda(path: str | Path) -> LdaModel:
                         topic_word_counts=counts, trained_sweeps=sweeps)
     except TopicsError as exc:  # the model's own checks name no file
         raise TopicsError(f"{path}: {exc}") from exc
-
-
-def token_docs(examples: list[Example]) -> list[list[str]]:
-    """Token lists for a list of examples (LDA input shape)."""
-    return [list(ex.tokens) for ex in examples]

@@ -20,7 +20,7 @@ import functools
 import struct
 import time
 import zlib
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -51,11 +51,12 @@ class TrainingError(Exception):
 _EMB_MAGIC = b"EMB1"
 
 
-class TokenRows(Mapping[str, np.ndarray]):
-    """An EMB1 file's example records, read on access: each id maps to its
-    record's byte offset and row count, and no rows are kept. A read checks
-    the header and the record it finds at that offset, so a file changed
-    since it was indexed raises TrainingError, not another record's rows."""
+class TokenRows:
+    """An EMB1 file's example records, read through open() or items(): each
+    id maps to its record's byte offset and row count, and no rows are kept.
+    A read checks the header and the record it finds at that offset, so a
+    file changed since it was indexed raises TrainingError, not another
+    record's rows."""
 
     def __init__(self, path: Path, header: tuple[int, int],
                  index: dict[str, tuple[int, int]]):
@@ -63,18 +64,8 @@ class TokenRows(Mapping[str, np.ndarray]):
         self._header = header  # (record count, dim)
         self._index = index
 
-    def __getitem__(self, rec_id: str) -> np.ndarray:
-        with self.open() as read:
-            return read(rec_id)
-
     def __contains__(self, rec_id: object) -> bool:
         return rec_id in self._index
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._index)
-
-    def __len__(self) -> int:
-        return len(self._index)
 
     def items(self) -> Iterator[tuple[str, np.ndarray]]:
         """(id, rows) of every record in file order, read through one open
@@ -113,7 +104,8 @@ class TokenRows(Mapping[str, np.ndarray]):
 @dataclass
 class EncoderStore:
     """Precomputed encoder vectors: example rows as the file's float32,
-    read on access, target and label vectors pooled to float64."""
+    read through tokens.open(), target and label vectors pooled to
+    float64."""
 
     dim: int
     tokens: TokenRows                 # example id -> (T, dim) float32
@@ -190,8 +182,8 @@ def _read_rows(src: Reader, rec_id: str, t: int, dim: int, start: int,
 def load_embeddings(path: str | Path, expect_dim: int = 768) -> EncoderStore:
     """The EMB1 file, walked once; a repeated record id is an error. Every
     record has its framing checked (id, row count, length). Target and
-    label records are read and pooled; example records are indexed and
-    read on access (TokenRows)."""
+    label records are read and pooled; example records are indexed, and
+    read later through TokenRows.open()."""
     path = Path(path)
     if not path.is_file():
         raise TrainingError(f"missing embedding file: {path}")
@@ -266,7 +258,8 @@ def export_attention(example: Example, store: EncoderStore,
         raise TrainingError(f"no embedding record for example {example.id!r}")
     if example.target not in store.targets:
         raise TrainingError(f"no embedding record for target {example.target!r}")
-    mat = store.tokens[example.id]
+    with store.tokens.open() as read:
+        mat = read(example.id)
     weights = attention_weights(mat, store.targets[example.target])
     if len(example.tokens) == mat.shape[0]:
         names = list(example.tokens)
@@ -496,7 +489,7 @@ def fit_topics(dataset: Dataset, config: RunConfig,
         if not any(examples):
             raise TrainingError(f"group {group!r} has no training texts")
     return topics.fit_triples(
-        [[topics.token_docs(docs) for docs in examples]
+        [[[ex.tokens for ex in docs] for docs in examples]
          for examples in subsets],
         h=h, alpha=config.alpha or 50.0 / h, beta=config.beta,
         sweeps=config.lda_sweeps,
@@ -580,7 +573,7 @@ def train_group(data: GroupData, store: EncoderStore, config: RunConfig,
     for epoch in range(1, config.epochs + 1):
         rng = np.random.default_rng(
             derive_seed(trial_seed, 3, data.group, epoch))
-        lap = graph.dropout_graph(data.lap, config.dropout, config.dropout, rng)
+        lap = graph.dropout_graph(data.lap, config.dropout, rng)
         order = rng.permutation(n)
         loss = 0.0
         for start in range(0, n, config.batch_size):

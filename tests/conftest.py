@@ -134,6 +134,13 @@ def synth_small(tmp_path_factory):
     return root, paths
 
 
+def record_rows(tokens, *ids):
+    """The (T, dim) float32 rows of each record id, in order, read through
+    one TokenRows.open() of the EMB1 file."""
+    with tokens.open() as read:
+        return [read(rec_id) for rec_id in ids]
+
+
 def planted_corpus(n_topics=3, n_docs=300, vocab_size=50, seed=0,
                    doc_len=(15, 31), purity=0.85):
     """Corpus drawn from known topic-word tables; returns (docs, phi_true).

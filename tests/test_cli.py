@@ -16,6 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import record_rows
 import cosd.cli
 import cosd.cpa
 import cosd.inference
@@ -86,6 +87,14 @@ def test_config_file_rejects_garbage(tmp_path):
     notbool.write_text("joint = maybe\n", encoding="utf-8")
     with pytest.raises(ConfigError):
         _config(["train", "--config", str(notbool)])
+
+
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path):
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbf" + b"dataset = ukp\nh = 4\n")
+    assert read_config_file(cfg) == {"dataset": "ukp", "h": "4"}
+    config = _config(["train", "--config", str(cfg)])
+    assert (config.dataset, config.h) == ("ukp", 4)
 
 
 def test_seed_precedence_flag_file_default(tmp_path):
@@ -458,6 +467,32 @@ def test_inspect_similar_and_attention(run_dir, synth_small, tmp_path, capsys):
     lines = attn.read_text(encoding="utf-8").strip().splitlines()
     assert lines[0] == "token,attention_weight"
     assert len(lines) > 1
+
+
+def test_export_attention_opens_the_file_once_for_its_record(
+        run_dir, tmp_path, capsys, monkeypatch):
+    meta = json.loads((run_dir / "trial-1" / f"{SLUG}.meta.json")
+                      .read_text(encoding="utf-8"))
+    query_id = meta["ids"][0]
+    opens, reads = [], []
+    original_open = training.TokenRows.open
+    original_read = training.TokenRows._read
+
+    def opening(self):
+        opens.append(self.path)
+        return original_open(self)
+
+    def recording(self, src, rec_id, out=None):
+        reads.append(rec_id)
+        return original_read(self, src, rec_id, out)
+
+    monkeypatch.setattr(training.TokenRows, "open", opening)
+    monkeypatch.setattr(training.TokenRows, "_read", recording)
+    assert main(["inspect", "--run", str(run_dir), "--export-attention",
+                 query_id, "--attention-out", str(tmp_path / "a.csv")]) == 0
+    capsys.readouterr()
+    assert len(opens) == 1
+    assert reads == [query_id]
 
 
 def test_synth_command(tmp_path, capsys):
@@ -1060,7 +1095,8 @@ def test_train_fails_on_a_target_without_training_texts_before_fitting(
     with open(data / "val.tsv", "a", encoding="utf-8") as fh:
         fh.write(f"lonely-1\tZz Lonely\t{text}\t{stance}\n")
     store = training.load_embeddings(paths["embeddings"])
-    records = [*store.tokens.items(), ("lonely-1", store.tokens[ex_id]),
+    records = [*store.tokens.items(),
+               ("lonely-1", *record_rows(store.tokens, ex_id)),
                *((f"target:{name}", vec)
                  for name, vec in store.targets.items()),
                ("target:Zz Lonely", store.targets[target]),
@@ -1173,7 +1209,7 @@ def test_topics_rows_score_the_models_train_fits(run_dir, synth_small,
     assert [row[1] for row in rows] == ["favor", "none", "against"]
     for row, examples in zip(rows, subsets):
         model = cosd.topics.load_lda(run_dir / "lda" / f"{SLUG}.{row[1]}.lda1")
-        docs = cosd.topics.token_docs(examples)
+        docs = [ex.tokens for ex in examples]
         seeds = training.fold_in_seeds(5, examples)
         (theta,) = cosd.topics.fold_in_sets([([model], docs, seeds)], 10)
         want = (cosd.topics.perplexity(model, docs, theta),
@@ -1350,7 +1386,7 @@ def test_topics_folds_every_subset_in_once_per_h(two_target_run, tmp_path,
     for g, (name, target) in enumerate(training.group_keys(dataset, False)):
         subsets = cosd.cli.stance_subsets(dataset, target)
         for j, (key, texts) in enumerate(zip(training.LABEL_KEYS, subsets)):
-            docs = cosd.topics.token_docs(texts)
+            docs = [ex.tokens for ex in texts]
             seeds = training.fold_in_seeds(5, texts)
             for h, (sets, _) in zip((2, 3), calls):
                 (model,), _, _ = sets[3 * g + j]
@@ -1580,7 +1616,8 @@ def test_scoring_holds_one_record_besides_the_rows_it_builds(
         *((f"pad-{i}", np.ones((64, store.dim))) for i in range(40))],
         dim=store.dim)
     texts = RunDir(run_dir).corpus(Split.TEST).examples
-    largest = max(store.tokens[ex.id].nbytes for ex in texts)
+    largest = max(rows.nbytes for rows in
+                  record_rows(store.tokens, *(ex.id for ex in texts)))
     for emb in (paths["embeddings"], padded):
         run = RunDir(_run_reading(run_dir, emb, tmp_path / emb.stem,
                                   "embeddings"))

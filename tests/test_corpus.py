@@ -10,6 +10,9 @@ from cosd.corpus import (LABELS, CorpusError, Split, Stance, Vocabulary,
                          load_semeval, load_ukp, read_splits, stance_subsets,
                          tokenize)
 
+# the UTF-8 byte-order mark, U+FEFF encoded
+BOM = b"\xef\xbb\xbf"
+
 
 def by_stance(examples):
     counts = {label: 0 for label in LABELS}
@@ -175,19 +178,38 @@ class TestErrors:
 
     @pytest.mark.parametrize("name", ["train.tsv", "test.tsv"])
     def test_invalid_utf8_names_the_file_and_line(self, tmp_path, name):
-        for split in ("train", "test"):
-            (tmp_path / f"{split}.tsv").write_text(
-                f"ID\tTarget\tTweet\tStance\n{split}-1\tX\thello\tFAVOR\n"
-                f"{split}-2\tX\tbye\tNONE\n", encoding="utf-8")
-        path = tmp_path / name
-        raw = path.read_bytes()
-        at = raw.index(b"bye")
-        path.write_bytes(raw[:at] + b"\xff" + raw[at:])
-        with pytest.raises(CorpusError,
-                           match=f"{name}:3: invalid UTF-8 at byte {at}"):
-            load_semeval(tmp_path)
-        with pytest.raises(CorpusError, match=f"{name}:3: invalid UTF-8"):
-            read_splits(path, [Split.TEST])
+        # the offset counts from the file's first byte, a leading
+        # byte-order mark included
+        for mark in (b"", BOM):
+            for split in ("train", "test"):
+                (tmp_path / f"{split}.tsv").write_bytes(mark + (
+                    f"ID\tTarget\tTweet\tStance\n{split}-1\tX\thello\tFAVOR\n"
+                    f"{split}-2\tX\tbye\tNONE\n").encode("utf-8"))
+            path = tmp_path / name
+            raw = path.read_bytes()
+            at = raw.index(b"bye")
+            path.write_bytes(raw[:at] + b"\xff" + raw[at:])
+            with pytest.raises(CorpusError,
+                               match=f"{name}:3: invalid UTF-8 at byte {at}"):
+                load_semeval(tmp_path)
+            with pytest.raises(CorpusError,
+                               match=f"{name}:3: invalid UTF-8 at byte {at}$"):
+                read_splits(path, [Split.TEST])
+
+    def test_one_leading_byte_order_mark_is_dropped(self, semeval_dir,
+                                                    tmp_path):
+        for name in ("train.tsv", "test.tsv"):
+            (tmp_path / name).write_bytes(
+                BOM + (semeval_dir / name).read_bytes())
+        _same_examples(load_semeval(tmp_path, seed=7).examples,
+                       load_semeval(semeval_dir, seed=7).examples)
+        _same_examples(read_splits(tmp_path / "test.tsv").examples,
+                       read_splits(semeval_dir / "test.tsv").examples)
+        # a second mark is text: it renames the first column
+        path = tmp_path / "test.tsv"
+        path.write_bytes(BOM + path.read_bytes())
+        with pytest.raises(CorpusError, match=r"missing columns \['ID'\]"):
+            read_splits(path)
 
 
 def _same_examples(got, want):
@@ -214,9 +236,10 @@ class TestReadSplits:
         full = load_semeval(semeval_dir, seed=7)
         for split, name in ((Split.TRAIN, "train"), (Split.VAL, "val"),
                             (Split.TEST, "test")):
+            # a text written as its tokens tokenizes back to them
             lines = ["ID\tTarget\tTweet\tStance"] + [
-                f"{ex.id}\t{ex.target}\t{ex.text}\t{ex.stance.value}"
-                for ex in full.split(split)]
+                f"{ex.id}\t{ex.target}\t{' '.join(ex.tokens)}"
+                f"\t{ex.stance.value}" for ex in full.split(split)]
             (shipped / f"{name}.tsv").write_text("\n".join(lines) + "\n",
                                                  encoding="utf-8")
         cases = [(semeval_dir, {"seed": 7}, semeval_dataset, True),

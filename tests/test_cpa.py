@@ -268,7 +268,7 @@ def _random_case(rng, hops, rate):
     n_side = 3 * h + 3
     m = np.where(rng.random((n_text, n_side)) < 0.5,
                  rng.random((n_text, n_side)) + 0.05, 0.0)
-    lap = dropout_graph(laplacian(m), rate, rate, rng)
+    lap = dropout_graph(laplacian(m), rate, rng)
     texts, side = _split(rng.standard_normal((n_text + n_side, 7)), lap)
     model = _model(side, *init_cpa_weights(d0=7, d1=4, hops=hops,
                                            seed=int(rng.integers(1000))),
@@ -332,7 +332,7 @@ def test_propagate_matches_tape_propagate(hops, rate):
 def test_reused_buffers_hold_no_stale_state():
     rng = np.random.default_rng(12)
     model, texts, base, batch, gold, negs = _random_case(rng, 3, 0.0)
-    laps = [dropout_graph(base, 0.2, 0.2, rng) for _ in range(2)]
+    laps = [dropout_graph(base, 0.2, rng) for _ in range(2)]
     perm = rng.permutation(len(batch))
     cases = [(laps[0], batch, gold, negs),
              (laps[1], batch[perm], gold[perm], negs[perm]),
@@ -373,7 +373,7 @@ def test_batch_loss_allocates_no_table_per_call():
     n_side = 3 * h + 3
     m = np.where(rng.random((n_text, n_side)) < 0.5,
                  rng.random((n_text, n_side)) + 0.05, 0.0)
-    lap = dropout_graph(laplacian(m), 0.1, 0.1, rng)
+    lap = dropout_graph(laplacian(m), 0.1, rng)
     texts, side = _split(rng.standard_normal((n_text + n_side, d0)), lap)
     model = _model(side, *init_cpa_weights(d0=d0, d1=64, hops=2, seed=1),
                    h=h)
@@ -469,17 +469,17 @@ def test_final_reps_blocks_and_degenerate_case():
 
 
 def test_infer_transform_zero_and_w2_zero_reductions():
-    x = np.array([1.0, -2.0, 0.5])
+    x = np.array([[1.0, -2.0, 0.5]])
     side = np.zeros((6, 3))
     zero = _model(side, [np.zeros((3, 2))], [np.zeros((3, 2))], h=1)
     out = infer_transform(x, zero)
-    assert np.array_equal(out, np.concatenate([x, np.zeros(2)]))
+    assert np.array_equal(out, np.concatenate([x, np.zeros((1, 2))], axis=1))
 
     rng = np.random.default_rng(7)
     w1 = rng.standard_normal((3, 2))
     only_w1 = _model(side, [w1], [np.zeros((3, 2))], h=1)
     out = infer_transform(x, only_w1)
-    assert np.allclose(out[3:], _lrelu(x @ w1))
+    assert np.allclose(out[:, 3:], _lrelu(x @ w1))
 
 
 def test_infer_transform_matches_literal_loop():
@@ -499,12 +499,11 @@ def test_infer_transform_matches_literal_loop():
 def test_infer_transform_rank_and_width_checks():
     model = _model(np.zeros((6, 4)), *init_cpa_weights(d0=4, d1=2, hops=2,
                                                        seed=0), h=1)
-    vec = infer_transform(np.ones(4), model)
-    mat = infer_transform(np.ones((1, 4)), model)
-    assert vec.ndim == 1 and mat.ndim == 2
-    assert np.allclose(vec, mat[0])
-    with pytest.raises(CpaError):
-        infer_transform(np.ones(5), model)
+    assert infer_transform(np.ones((1, 4)), model).shape == (1, 4 + 2 * 2)
+    # a matrix of rows in, a matrix out: a 1-D row or a 3-D stack is refused
+    for bad in (np.ones(4), np.ones((1, 1, 4)), np.ones((1, 5)), np.ones(5)):
+        with pytest.raises(CpaError):
+            infer_transform(bad, model)
 
 
 # --- checkpoints -------------------------------------------------------------------

@@ -177,26 +177,85 @@ def _ones(n_text, n_side):
                               np.ones((n_text, n_side)))
 
 
+def _two_rate_dropout(lap, node_rate, edge_rate, rng):
+    """The oracle: dropout_graph as it was with separate node and edge
+    rates, unchanged; training always passed the one rate twice."""
+    for name, rate in (("node_rate", node_rate), ("edge_rate", edge_rate)):
+        if not 0.0 <= rate < 1.0:
+            raise GraphError(f"{name} must be in [0, 1), got {rate}")
+
+    to_text, to_side = lap.to_text, lap.to_side
+    shape = to_text.shape
+    if edge_rate > 0.0:
+        survive = 1.0 - edge_rate
+        to_text = np.where(rng.random(shape) >= edge_rate,
+                           to_text / survive, 0.0)
+        to_side = np.where(rng.random(shape) >= edge_rate,
+                           to_side / survive, 0.0)
+    if node_rate > 0.0:
+        alive = rng.random(lap.rows) >= node_rate
+        keep = np.outer(alive[:lap.n_text], alive[lap.n_text:])
+        to_text = np.where(keep, to_text, 0.0)
+        to_side = np.where(keep, to_side, 0.0)
+    return BipartiteLaplacian(to_text, to_side)
+
+
 def test_dropout_zero_rates_is_identity():
     lap = laplacian(_random_adjacency(np.random.default_rng(0), 30, 12, 0.5))
-    out = dropout_graph(lap, 0.0, 0.0, np.random.default_rng(0))
+    out = dropout_graph(lap, 0.0, np.random.default_rng(0))
     assert out is not lap
     assert np.array_equal(_full(out), _full(lap))
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.1, 0.5, 0.9])
+def test_dropout_matches_two_rate_oracle(rate):
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        lap = laplacian(_random_adjacency(rng, int(rng.integers(1, 40)),
+                                          int(rng.integers(1, 15)), 0.5))
+        got_rng, want_rng = (np.random.default_rng(100 + seed)
+                             for _ in range(2))
+        got = dropout_graph(lap, rate, got_rng)
+        want = _two_rate_dropout(lap, rate, rate, want_rng)
+        for a, b in ((got.to_text, want.to_text), (got.to_side, want.to_side)):
+            assert (a.shape, a.dtype) == (b.shape, b.dtype)
+            assert a.tobytes() == b.tobytes()
+        # the same draws: both generators are left in the same state
+        assert (got_rng.bit_generator.state
+                == want_rng.bit_generator.state)
+
+
+def _replay_masks(n_text, n_side, rate, seed):
+    """The draws of dropout_graph, replayed: the to_text and to_side edge
+    keep-masks, then which text and side nodes drop."""
+    rng = np.random.default_rng(seed)
+    edge_kept = [rng.random((n_text, n_side)) >= rate for _ in range(2)]
+    dropped = rng.random(n_text + n_side) < rate
+    return edge_kept, dropped[:n_text], dropped[n_text:]
 
 
 def test_dropout_edge_rate_binomial_bound_and_rescale():
     lap = _ones(40, 25)
     assert lap.nnz == 2000
-    out = dropout_graph(lap, 0.0, 0.5, np.random.default_rng(7))
-    # each block: Binomial(1000, 0.5), sd 15.8; the bounds sit 6 sd out
-    for block in (out.to_text, out.to_side):
-        assert 400 <= np.count_nonzero(block) <= 600
-        assert np.array_equal(np.unique(block), [0.0, 2.0])
+    out = dropout_graph(lap, 0.5, np.random.default_rng(7))
+    edge_kept, texts, sides = _replay_masks(40, 25, 0.5, 7)
+    live = np.outer(~texts, ~sides)
+    # on the live node pairs each block is Binomial(live, 0.5); the bounds
+    # sit 6 sd out
+    n, sd = live.sum(), np.sqrt(live.sum() * 0.25)
+    for block, kept in zip((out.to_text, out.to_side), edge_kept):
+        assert n / 2 - 6 * sd <= np.count_nonzero(block) <= n / 2 + 6 * sd
+        assert set(np.unique(block)) <= {0.0, 2.0}
+        # an edge survives, rescaled by 1/(1 - rate), where both of its
+        # nodes and its own direction survive
+        assert np.array_equal(block, np.where(live & kept, 2.0, 0.0))
 
 
 def test_dropout_directions_are_independent():
     lap = _ones(20, 6)
-    out = dropout_graph(lap, 0.0, 0.3, np.random.default_rng(3))
+    out = dropout_graph(lap, 0.3, np.random.default_rng(3))
+    edge_kept, _, _ = _replay_masks(20, 6, 0.3, 3)
+    assert not np.array_equal(*edge_kept)
     full = _full(out)
     assert not np.array_equal(full, full.T)
     assert not np.array_equal(out.to_text, out.to_side)
@@ -205,23 +264,21 @@ def test_dropout_directions_are_independent():
 def test_dropout_node_rate_zeroes_rows_and_columns():
     n_text, n_side = 30, 10
     lap = _ones(n_text, n_side)
-    out = dropout_graph(lap, 0.5, 0.0, np.random.default_rng(11))
-    dropped = np.random.default_rng(11).random(n_text + n_side) < 0.5
-    texts, sides = dropped[:n_text], dropped[n_text:]
+    out = dropout_graph(lap, 0.5, np.random.default_rng(11))
+    _, texts, sides = _replay_masks(n_text, n_side, 0.5, 11)
     assert texts.any() and sides.any()  # seed chosen so both sides drop
     for block in (out.to_text, out.to_side):
         assert not block[texts].any()
         assert not block[:, sides].any()
-        # node dropout alone does not rescale
-        assert (block[np.ix_(~texts, ~sides)] == 1.0).all()
+    dropped = np.concatenate([texts, sides])
     full = _full(out)
     assert not full[dropped].any() and not full[:, dropped].any()
 
 
 def test_dropout_deterministic_per_rng_seed():
     lap = laplacian(_random_adjacency(np.random.default_rng(4), 60, 15, 0.5))
-    a = dropout_graph(lap, 0.2, 0.3, np.random.default_rng(5))
-    b = dropout_graph(lap, 0.2, 0.3, np.random.default_rng(5))
+    a = dropout_graph(lap, 0.3, np.random.default_rng(5))
+    b = dropout_graph(lap, 0.3, np.random.default_rng(5))
     assert np.array_equal(a.to_text, b.to_text)
     assert np.array_equal(a.to_side, b.to_side)
 
@@ -231,6 +288,4 @@ def test_dropout_rejects_rates_outside_unit_interval():
     rng = np.random.default_rng(0)
     for bad in (1.0, 1.5, -0.1):
         with pytest.raises(GraphError):
-            dropout_graph(lap, bad, 0.0, rng)
-        with pytest.raises(GraphError):
-            dropout_graph(lap, 0.0, bad, rng)
+            dropout_graph(lap, bad, rng)

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import record_rows
 import cosd
 from cosd.corpus import Split, Stance, load_semeval
 from cosd.cpa import CpaModel, infer_transform, init_cpa_weights, propagate
@@ -39,6 +40,12 @@ def _model(u, weights, z=None):
     z = np.zeros((3, u.shape[1])) if z is None else z
     return CpaModel(side=np.concatenate([u, z]), w1=weights[0],
                     w2=weights[1], h=len(u) // 3)
+
+
+def _transform_vec(vec, model):
+    """infer_transform of one vector, passed as a one-row matrix."""
+    (row,) = infer_transform(vec[None], model)
+    return row
 
 
 def _scored(sem, dis, topic_table=np.eye(3)):
@@ -92,9 +99,9 @@ def test_semantic_scores_batch_matches_single():
 def _block_max_oracle(dis, model):
     """Per stance block, max over its topics of the transformed products."""
     u = model.u
-    e_dis = infer_transform(sum(dis[j] * u[j] for j in range(len(dis))),
-                            model)
-    products = [float(infer_transform(u[j], model) @ e_dis)
+    e_dis = _transform_vec(sum(dis[j] * u[j] for j in range(len(dis))),
+                           model)
+    products = [float(_transform_vec(u[j], model) @ e_dis)
                 for j in range(len(dis))]
     h = len(dis) // 3
     return [max(products[b * h:(b + 1) * h]) for b in range(3)]
@@ -111,7 +118,7 @@ def test_distributed_rep_one_hot_and_uniform():
     expect = (u_tilde @ u_tilde[4]).reshape(3, 2).max(axis=1)
     assert np.allclose(distributed_scores(one_hot[None], model)[0], expect)
     uniform = np.full(6, 1.0 / 6.0)
-    e_mean = infer_transform(u.mean(axis=0), model)
+    e_mean = _transform_vec(u.mean(axis=0), model)
     expect = (u_tilde @ e_mean).reshape(3, 2).max(axis=1)
     assert np.allclose(distributed_scores(uniform[None], model)[0], expect)
 
@@ -136,7 +143,7 @@ def test_distributed_score_h1_reduces_to_inner_products():
     dis = np.array([0.6, 0.3, 0.1])
     model = _model(u, init_cpa_weights(d0=5, d1=3, hops=1, seed=0))
     got = distributed_scores(dis[None], model)[0]
-    e_dis = infer_transform(dis @ u, model)
+    e_dis = _transform_vec(dis @ u, model)
     u_tilde = infer_transform(u, model)
     assert np.allclose(got, u_tilde @ e_dis)
 
@@ -161,8 +168,8 @@ def test_distributed_score_brute_force_h2():
     dis /= dis.sum()
     model = _model(u, init_cpa_weights(d0=5, d1=3, hops=2, seed=1))
     got = distributed_scores(dis[None], model)[0]
-    e_dis = infer_transform(dis @ u, model)
-    products = [float(infer_transform(u[j], model) @ e_dis)
+    e_dis = _transform_vec(dis @ u, model)
+    products = [float(_transform_vec(u[j], model) @ e_dis)
                 for j in range(6)]
     expect = [max(products[0], products[1]),
               max(products[2], products[3]),
@@ -418,7 +425,8 @@ def test_export_attention_csv(trained, tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["token", "attention_weight"]
     body = rows[1:]
-    assert len(body) == store.tokens[ex.id].shape[0]
+    (rows,) = record_rows(store.tokens, ex.id)
+    assert len(body) == rows.shape[0]
     weights = [float(w) for _, w in body]
     assert sum(weights) == pytest.approx(1.0, abs=1e-9)
     if len(ex.tokens) == len(body):

@@ -165,7 +165,7 @@ def test_spmm_and_vjp_match_coo_scatter_oracle(rate):
     for _ in range(10):
         n_text, n_side = (int(k) for k in rng.integers(1, 30, size=2))
         lap = dropout_graph(_random_block_laplacian(rng, n_text, n_side),
-                            rate, rate, rng)
+                            rate, rng)
         row_idx, col_idx, weights = _coo(lap)
         assert len(weights) == lap.nnz
         b = rng.standard_normal((lap.rows, 9))
@@ -266,7 +266,7 @@ def test_grad_spmm():
     rng = np.random.default_rng(8)
     b = Tensor(rng.uniform(-2, 2, size=(5, 4)), requires_grad=True)
     _check_grads(lambda: _contract(nm.spmm(lap, b), 2), [b])
-    lap = dropout_graph(_random_block_laplacian(rng, 4, 3), 0.2, 0.2, rng)
+    lap = dropout_graph(_random_block_laplacian(rng, 4, 3), 0.2, rng)
     b = Tensor(rng.uniform(-2, 2, size=(7, 3)), requires_grad=True)
     _check_grads(lambda: _contract(nm.spmm(lap, b), 3), [b])
 

@@ -11,6 +11,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import record_rows
 from cosd.corpus import Split, Stance, load_semeval, tokenize
 from cosd.synth import TARGET, make_synthetic
 from cosd.training import load_embeddings
@@ -111,7 +112,8 @@ def test_nearest_prototype_separates_pooled_vectors(synth):
     stance_row = {Stance.FAVOR: 0, Stance.NONE: 1, Stance.AGAINST: 2}
     hits = 0
     for ex in dataset.examples:
-        scores = protos @ store.tokens[ex.id].mean(axis=0, dtype=np.float64)
+        (rows,) = record_rows(store.tokens, ex.id)
+        scores = protos @ rows.mean(axis=0, dtype=np.float64)
         hits += int(np.argmax(scores) == stance_row[ex.stance])
     assert hits / len(dataset.examples) >= 0.95
 
@@ -120,11 +122,15 @@ def test_embedding_records_complete(synth):
     root, paths = synth
     store = load_embeddings(paths["embeddings"])
     dataset = load_semeval(root)
-    assert set(store.tokens) == {ex.id for ex in dataset.examples}
+    assert ({rec_id for rec_id, _ in store.tokens.items()}
+            == {ex.id for ex in dataset.examples})
     assert set(store.targets) == {TARGET}
     assert set(store.labels) == {"favor", "none", "against"}
-    for ex in dataset.examples[:10]:
-        assert store.tokens[ex.id].shape == (len(ex.text.split()), 768)
+    # every synthetic word is one token, so a text has a row per token
+    texts = dataset.examples[:10]
+    for ex, rows in zip(texts, record_rows(store.tokens,
+                                           *(ex.id for ex in texts))):
+        assert rows.shape == (len(ex.tokens), 768)
 
 
 def test_generator_deterministic_per_seed(tmp_path):

@@ -15,12 +15,13 @@ import zlib
 import numpy as np
 import pytest
 
+from conftest import record_rows
 import cosd.training
 from cosd import cpa, graph, inference, metrics
 from cosd.corpus import (Dataset, Example, Split, Stance, load_semeval,
                          stance_subsets)
 from cosd.synth import make_synthetic
-from cosd.topics import fit_triples, fold_in_sets, perplexity, token_docs
+from cosd.topics import fit_triples, fold_in_sets, perplexity
 from cosd.training import (
     AdamState,
     ConfigError,
@@ -70,11 +71,11 @@ def test_embeddings_round_trip(tmp_path):
     save_embeddings(path, records, dim=8)
     store = load_embeddings(path, expect_dim=8)
     assert store.dim == 8
-    assert set(store.tokens) == {"ex-1", "ex-2"}
+    assert [rec_id for rec_id, _ in store.tokens.items()] == ["ex-1", "ex-2"]
     assert set(store.targets) == {"Policy"}
     assert set(store.labels) == {"favor", "none", "against"}
     # storage is float32; loaded values are the rounded ones exactly
-    assert np.array_equal(store.tokens["ex-1"],
+    assert np.array_equal(*record_rows(store.tokens, "ex-1"),
                           records[0][1].astype(np.float32).astype(np.float64))
     assert np.allclose(store.labels["against"],
                        records[5][1].astype(np.float32).mean(axis=0))
@@ -115,7 +116,8 @@ def test_embeddings_single_record_store(tmp_path):
     path = tmp_path / "one.emb1"
     save_embeddings(path, [("only", np.ones((1, 8)))], dim=8)
     store = load_embeddings(path, expect_dim=8)
-    assert (len(store.tokens), store.targets, store.labels) == (1, {}, {})
+    assert [rec_id for rec_id, _ in store.tokens.items()] == ["only"]
+    assert (store.targets, store.labels) == ({}, {})
 
 
 def test_embeddings_dimension_mismatch(tmp_path):
@@ -199,7 +201,7 @@ def test_embeddings_reject_non_finite_values(tmp_path, bad):
         with pytest.raises(TrainingError, match=f"'{rec_id}' has non-finite"):
             # target and label records are read by the load, an example
             # record when its rows are asked for
-            load_embeddings(path, expect_dim=4).tokens.get("ex-1")
+            record_rows(load_embeddings(path, expect_dim=4).tokens, rec_id)
 
 
 def _record_offsets(records, dim):
@@ -232,10 +234,10 @@ def test_embeddings_subset_read_checks_only_the_values_it_reads(tmp_path):
     save_embeddings(path, records, dim=4)
     at = _record_offsets(records, 4)[1]
     store = load_embeddings(path, expect_dim=4)
-    assert np.array_equal(store.tokens["fine"], np.ones((1, 4)))
+    assert np.array_equal(*record_rows(store.tokens, "fine"), np.ones((1, 4)))
     with pytest.raises(TrainingError,
                        match=f"'ex-1' has non-finite values at byte {at}$"):
-        store.tokens["ex-1"]
+        record_rows(store.tokens, "ex-1")
 
 
 def _reversed(path, records):
@@ -270,7 +272,7 @@ def test_a_file_rewritten_after_indexing_fails_the_read(tmp_path, rewrite,
     store = load_embeddings(path, expect_dim=8)
     rewrite(path, records)
     with pytest.raises(TrainingError, match=f"vecs.emb1: {message}"):
-        store.tokens["ex-2"]
+        record_rows(store.tokens, "ex-2")
 
 
 def _more_records(rng, dim=8):
@@ -283,12 +285,13 @@ def test_semantic_rows_equal_each_record_stacked(tmp_path):
     path = tmp_path / "vecs.emb1"
     save_embeddings(path, _more_records(np.random.default_rng(7)), dim=8)
     store = load_embeddings(path, expect_dim=8)
-    examples = [Example(id=rec_id, text="t", target="Policy",
-                        stance=Stance.NONE, split=Split.TEST, tokens=("t",))
+    examples = [Example(id=rec_id, target="Policy", stance=Stance.NONE,
+                        split=Split.TEST, tokens=("t",))
                 for rec_id in ("ex-5", "ex-1", "ex-8", "ex-1")]
     target = store.targets["Policy"]
     assert np.array_equal(semantic_matrix(examples, store), np.stack(
-        [semantic_rep(store.tokens[ex.id], target) for ex in examples]))
+        [semantic_rep(rows, target) for rows in
+         record_rows(store.tokens, *(ex.id for ex in examples))]))
 
 
 @pytest.mark.parametrize("t", [1, 2, 17, 64])
@@ -302,10 +305,10 @@ def test_embeddings_pool_to_the_float64_mean(tmp_path, t):
     want = {rec_id: mat.astype(np.float64).mean(axis=0)
             for rec_id, mat in mats.items()}
     # example rows keep the file's float32 values; pooled rows are float64
-    assert store.tokens["ex-1"].dtype == np.float32
-    assert np.array_equal(store.tokens["ex-1"], mats["ex-1"])
-    for got, rec_id in ((store.tokens["ex-1"].mean(axis=0, dtype=np.float64),
-                         "ex-1"),
+    (rows,) = record_rows(store.tokens, "ex-1")
+    assert rows.dtype == np.float32
+    assert np.array_equal(rows, mats["ex-1"])
+    for got, rec_id in ((rows.mean(axis=0, dtype=np.float64), "ex-1"),
                         (store.targets["Policy"], "target:Policy"),
                         (store.labels["favor"], "label:favor")):
         assert got.dtype == np.float64
@@ -362,7 +365,7 @@ def test_attention_errors():
 
 def test_semantic_matrix_requires_records():
     store = EncoderStore(dim=4, tokens={}, targets={}, labels={})
-    ex = Example(id="x", text="t", target="T", stance=Stance.FAVOR,
+    ex = Example(id="x", target="T", stance=Stance.FAVOR,
                  split=Split.TRAIN, tokens=("t",))
     with pytest.raises(TrainingError):
         semantic_matrix([ex], store)
@@ -469,7 +472,8 @@ def synth_setup(synth_small):
     store = load_embeddings(paths["embeddings"])
     target = dataset.targets[0]
     (triple,) = fit_triples(
-        [[token_docs(docs) for docs in stance_subsets(dataset, target)]],
+        [[[ex.tokens for ex in docs]
+          for docs in stance_subsets(dataset, target)]],
         h=2, alpha=50.0 / 2, sweeps=30, seeds=[3])
     return dataset, store, target, triple
 
@@ -501,7 +505,7 @@ def _config(**kw):
 def test_missing_ids_reporting(synth_setup):
     dataset, store, target, _ = synth_setup
     assert missing_ids(store, dataset) == []
-    poked = EncoderStore(dim=store.dim, tokens=dict(store.tokens),
+    poked = EncoderStore(dim=store.dim, tokens=dict(store.tokens.items()),
                          targets={}, labels=dict(store.labels))
     first = dataset.examples[0].id
     del poked.tokens[first]
@@ -543,7 +547,7 @@ def test_fold_in_matrix_equals_scalar_oracle_thirds(synth_setup):
 
 
 def test_fold_in_seeds_key_each_text_by_its_id():
-    texts = [Example(id=i, text="t", target="T", stance=Stance.NONE,
+    texts = [Example(id=i, target="T", stance=Stance.NONE,
                      split=Split.TRAIN, tokens=("t",))
              for i in ("", "a", "Ünïcode ✓", "x" * 300)]
     seeds = fold_in_seeds(2**70 + 3, texts)
@@ -562,7 +566,7 @@ def test_perplexity_theta_is_the_training_fold_in_block(synth_setup):
     h = triple.h
     for j, examples in enumerate(stance_subsets(dataset, target)):
         seeds = fold_in_seeds(5, examples)
-        docs = token_docs(examples)
+        docs = [ex.tokens for ex in examples]
         (rows,) = fold_in_matrix([(triple, examples)], sweeps=7, base_seed=5)
         (theta,) = fold_in_sets([([triple.models[j]], docs, seeds)], sweeps=7)
         assert np.array_equal(theta / 3.0, rows[:, j * h:(j + 1) * h])
@@ -590,7 +594,7 @@ def test_build_group_data_shapes(synth_setup):
     (data,), seconds = build_groups(dataset, store, _config())
     # the triple is fitted on the pool's stance subsets, seeded from the
     # base seed and the group's name
-    (want,) = fit_triples([[token_docs(docs)
+    (want,) = fit_triples([[[ex.tokens for ex in docs]
                             for docs in stance_subsets(dataset, target)]],
                           h=2, alpha=50.0 / 2, sweeps=30,
                           seeds=[derive_seed(5, 7, target)])
@@ -826,7 +830,7 @@ def test_six_target_train_equals_per_group_fits(tmp_path):
     for data in result.groups:
         assert data.pool == dataset.train_pool(data.group)
         (want,) = fit_triples(
-            [[token_docs(docs)
+            [[[ex.tokens for ex in docs]
               for docs in stance_subsets(dataset, data.group)]],
             h=2, alpha=50.0 / 2, sweeps=30,
             seeds=[derive_seed(5, 7, data.group)])
@@ -843,7 +847,7 @@ def test_six_target_train_equals_per_group_fits(tmp_path):
 
 def test_train_rejects_missing_records(synth_setup):
     dataset, store, _, _ = synth_setup
-    poked = EncoderStore(dim=store.dim, tokens=dict(store.tokens),
+    poked = EncoderStore(dim=store.dim, tokens=dict(store.tokens.items()),
                          targets=dict(store.targets),
                          labels=dict(store.labels))
     del poked.tokens[dataset.examples[0].id]

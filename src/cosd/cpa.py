@@ -228,54 +228,64 @@ def batch_loss(model: CpaModel, buf: Buffers, lap: BipartiteLaplacian,
     -log sigmoid(v.z+ - v.z-). batch: (B,) text rows; gold: (B,) and negs:
     (B, J) label indices, 0..2 in label order.
 
+    Every v.z is read from the (B, 3) label scores S = sum_k V_k Z_k^T, with
+    V_k the batch rows of layer k and Z_k its three label rows, so a call
+    allocates only batch-by-width arrays.
+
     The gradients are views into buf and hold until the next call with the
     same buffers overwrites them.
     """
     batch, gold = np.asarray(batch), np.asarray(gold)
     negs = np.asarray(negs)
     b = len(batch)
+    if b == 0:
+        raise CpaError("empty batch")
     if (gold.shape != (b,) or negs.ndim != 2 or negs.shape[0] != b
             or negs.shape[1] < 1):
         raise CpaError(f"batch {batch.shape}, gold {gold.shape} and "
                        f"negatives {negs.shape} disagree")
     labels = np.concatenate([gold, *negs.T])
-    n, side_rows = buf.n, 3 * model.h + labels  # label rows within [U; Z]
+    n = buf.n
     if not (0 <= batch.min() <= batch.max() < n
             and 0 <= labels.min() <= labels.max() < 3):
         raise CpaError("batch row out of range")
-    rows = np.concatenate([batch, n + side_rows])
     _forward(model, lap, slope, buf)
     layers = [buf.e0] + buf.layers
 
-    # forward: every gathered final rep, in the order of rows
-    reps = np.concatenate([layer[rows] for layer in layers], axis=1)
-    v, z_pos = reps[:b], reps[b:2 * b]
-    z_negs = [reps[(2 + j) * b:(3 + j) * b] for j in range(negs.shape[1])]
-    pos = (v * z_pos).sum(axis=1, keepdims=True)
-    margins = [pos - (v * z).sum(axis=1, keepdims=True) for z in z_negs]
+    # forward: the label scores; the label nodes are the last three rows
+    vs = [layer[batch] for layer in layers]
+    zs = [layer[-3:] for layer in layers]
+    scores = sum(v @ z.T for v, z in zip(vs, zs))
+    rows = np.arange(b)
+    pos = scores[rows, gold][:, None]
+    margins = [pos - scores[rows, neg][:, None] for neg in negs.T]
     acc = np.logaddexp(0.0, -margins[0])
     for m in margins[1:]:
         acc = acc + np.logaddexp(0.0, -m)
     loss = (acc * (1.0 / len(margins))).mean()
 
-    # backward to the gathered reps; d(-log sigmoid(m))/dm = -sigmoid(-m)
+    # backward to the scores; d(-log sigmoid(m))/dm = -sigmoid(-m)
     coef = (1.0 / b) * (1.0 / len(margins)) * -1.0
     g_margins = [coef * np.exp(-np.logaddexp(0.0, m)) for m in margins]
-    g_pos = sum(g_margins[1:], g_margins[0])
-    g_v = g_pos * z_pos
-    for g, z in zip(g_margins, z_negs):
-        g_v -= g * z
-    g_reps = np.concatenate([g_v, g_pos * v] + [-g * v for g in g_margins])
-    bounds = np.cumsum([0] + [layer.shape[1] for layer in layers])
+    one_hot = np.eye(3)
+    g_scores = one_hot[gold] * sum(g_margins[1:], g_margins[0])
+    for g, neg in zip(g_margins, negs.T):
+        g_scores -= one_hot[neg] * g
+
+    def add_scored(g_layer: np.ndarray, k: int) -> None:
+        # layer k's own score terms: dS Z_k into the batch rows (a text may
+        # repeat within a batch, so they accumulate), dS^T V_k into the
+        # label rows
+        np.add.at(g_layer, batch, g_scores @ zs[k])
+        g_layer[-3:] += g_scores.T @ vs[k]
 
     # backward through the hops, last to first. With G = d loss / d pre
     # and G' = G + L^T G: g_W1 = E^T G', g_W2 = (E (*) L E)^T G, and E gets
-    # G' W1^T + (G W2^T) (*) L E + L^T((G W2^T) (*) E), plus its own
-    # gathered rows (one accumulating scatter per layer: label rows repeat
-    # within a batch).
+    # G' W1^T + (G W2^T) (*) L E + L^T((G W2^T) (*) E), plus its own score
+    # terms
     g_out = buf.grads[-1]
     g_out.fill(0.0)
-    np.add.at(g_out, rows, g_reps[:, bounds[-2]:])
+    add_scored(g_out, model.hops)
     for k in reversed(range(model.hops)):
         prev, nbr, prod = layers[k], buf.nbr[k], buf.prod[k]
         np.multiply(g_out, slope, out=g_out, where=buf.neg[k])  # now G
@@ -292,7 +302,7 @@ def batch_loss(model: CpaModel, buf: Buffers, lap: BipartiteLaplacian,
         g_in += np.multiply(g_prod, nbr, out=prod)
         g_prod *= prev
         g_in += lap.transpose_matmul(g_prod, out=nbr)
-        np.add.at(g_in, rows, g_reps[:, bounds[k]:bounds[k + 1]])
+        add_scored(g_in, k)
         g_out = g_in
     # hop 0 continued: only E^0's side rows n: train and get a gradient;
     # their L^T term reads the text rows, as in transpose_matmul
@@ -301,7 +311,7 @@ def batch_loss(model: CpaModel, buf: Buffers, lap: BipartiteLaplacian,
     g_side += np.multiply(g_prod[n:], nbr[n:], out=prod[n:])
     g_prod[:n] *= prev[:n]
     g_side += np.matmul(lap.to_text.T, g_prod[:n], out=nbr[n:])
-    np.add.at(g_side, side_rows, g_reps[b:, :bounds[1]])
+    g_side[-3:] += g_scores.T @ vs[0]
     if not (np.isfinite(loss) and all(
             np.isfinite(g).all() for g in [g_side, *buf.g_w1, *buf.g_w2])):
         raise CpaError("non-finite loss or gradient")

@@ -28,13 +28,18 @@ class InferenceError(Exception):
 
 def semantic_scores(e_sem_matrix: np.ndarray,
                     z_table: np.ndarray) -> np.ndarray:
-    """(n, 3) inner products against the three trained label embeddings."""
+    """(n, 3) inner products against the three trained label embeddings.
+    A non-finite row or label entry makes its scores non-finite, and those
+    are rejected."""
     e = np.asarray(e_sem_matrix, dtype=np.float64)
     z_table = np.asarray(z_table, dtype=np.float64)
     if e.ndim != 2 or z_table.shape != (3, e.shape[1]):
         raise InferenceError(
             f"label table {z_table.shape} vs semantic rows {e.shape}")
-    return e @ z_table.T
+    scores = e @ z_table.T
+    if not np.isfinite(scores).all():
+        raise InferenceError("non-finite semantic scores")
+    return scores
 
 
 def distributed_scores(dis_matrix: np.ndarray, model: CpaModel,
@@ -43,7 +48,8 @@ def distributed_scores(dis_matrix: np.ndarray, model: CpaModel,
     transformed topic-weighted mix with the model's transformed topic
     embeddings.
 
-    Each row of dis_matrix is a topic distribution (sums to 1).
+    Each row of dis_matrix is a topic distribution (sums to 1; a row with a
+    NaN or an infinity sums to neither).
     """
     dis_matrix = np.asarray(dis_matrix, dtype=np.float64)
     u_table = model.u
@@ -52,7 +58,7 @@ def distributed_scores(dis_matrix: np.ndarray, model: CpaModel,
             f"topic rows {dis_matrix.shape} vs {u_table.shape[0]} topics")
     if dis_matrix.shape[0] == 0:
         return np.zeros((0, 3))
-    if np.abs(dis_matrix.sum(axis=1) - 1.0).max() > 1e-6:
+    if not np.abs(dis_matrix.sum(axis=1) - 1.0).max() <= 1e-6:
         raise InferenceError("a topic distribution does not sum to 1")
     e_tilde = infer_transform(dis_matrix @ u_table, model, slope)
     u_tilde = infer_transform(u_table, model, slope)

@@ -386,7 +386,9 @@ def fold_in_seeds(base_seed: int, examples: Sequence[Example]) -> np.ndarray:
 class AdamState:
     """Adam with bias correction over a fixed list of parameter arrays,
     which adam_step updates in place, so whatever holds those arrays (the
-    CPA model record) sees every step."""
+    CPA model record) sees every step. Two scratch arrays of the largest
+    parameter's size hold every step's temporaries; each parameter writes
+    into views of their heads of its own shape."""
 
     def __init__(self, params: list[np.ndarray], lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -400,12 +402,18 @@ class AdamState:
         self.step_count = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
+        size = max(p.size for p in params)
+        flat = np.empty(size), np.empty(size)
+        self.scratch = [tuple(f[:p.size].reshape(p.shape) for f in flat)
+                        for p in params]
 
 
 def adam_step(state: AdamState, grads: list[np.ndarray]) -> None:
     """One update of every parameter, in place; grads[i] belongs to
     state.params[i]. The update is Kingma & Ba's Algorithm 1
-    (arXiv:1412.6980)."""
+    (arXiv:1412.6980), written into the state's scratch with the operations
+    and rounding of the whole-array expressions
+    p -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)."""
     if len(grads) != len(state.params):
         raise TrainingError(f"{len(grads)} grads for "
                             f"{len(state.params)} parameters")
@@ -416,13 +424,21 @@ def adam_step(state: AdamState, grads: list[np.ndarray]) -> None:
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
-    for p, g, m, v in zip(state.params, grads, state.m, state.v):
+    for p, g, m, v, (step, den) in zip(state.params, grads, state.m, state.v,
+                                       state.scratch):
         m *= b1
-        m += (1 - b1) * g
+        m += np.multiply(g, 1 - b1, out=step)
         v *= b2
-        v += (1 - b2) * g * g
-        p -= state.lr * (m / (1 - b1 ** t)) / (
-            np.sqrt(v / (1 - b2 ** t)) + state.eps)
+        np.multiply(g, 1 - b2, out=den)
+        den *= g
+        v += den
+        np.divide(m, 1 - b1 ** t, out=step)
+        step *= state.lr
+        np.divide(v, 1 - b2 ** t, out=den)
+        np.sqrt(den, out=den)
+        den += state.eps
+        step /= den
+        p -= step
 
 
 # --- per-group training -----------------------------------------------------

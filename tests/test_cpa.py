@@ -5,7 +5,9 @@ batched hop must equal an explicit per-neighbor message loop (self term +
 discounted messages, elementwise interaction included) on random unit-weight
 bipartite graphs. Fused vs tape equivalence: batch_loss's hand-derived
 gradients must equal the autodiff tape's (tape.py) on random graphs. Both
-oracles also run at acceptance scale elsewhere.
+oracles also run at acceptance scale elsewhere. batch_loss's label-score
+form is also checked against the gathered-rows loss it replaced
+(_gathered_batch_loss), at random and acceptance sizes.
 """
 
 import struct
@@ -19,6 +21,8 @@ from cosd.cpa import (
     Buffers,
     CpaError,
     CpaModel,
+    Step,
+    _forward,
     batch_loss,
     infer_transform,
     init_cpa_weights,
@@ -312,6 +316,153 @@ def test_batch_loss_matches_tape_oracle(hops, rate):
             assert np.abs(got - ref).max() <= 1e-12 * scale
 
 
+# The gathered-rows loss batch_loss replaced, kept as its oracle: it gathers
+# every batch text's and label node's final rep, one copy per batch row, and
+# scatters their gradients back with np.add.at.
+def _gathered_batch_loss(model: CpaModel, buf: Buffers,
+                          lap: BipartiteLaplacian,
+                          batch: np.ndarray, gold: np.ndarray,
+                          negs: np.ndarray, slope: float = 0.01) -> Step:
+    """One mini-batch's loss and its gradients for (side, w1, w2), over
+    buf's texts and the model's current side rows.
+
+    The final rep of a node is [E^0 | E^1 | ... | E^l] over the propagated
+    hops. With v a batch text's rep and z its gold (z+) or negative (z-)
+    label node's, the loss is the mean over batch rows and negatives of
+    -log sigmoid(v.z+ - v.z-). batch: (B,) text rows; gold: (B,) and negs:
+    (B, J) label indices, 0..2 in label order.
+
+    The gradients are views into buf and hold until the next call with the
+    same buffers overwrites them.
+    """
+    batch, gold = np.asarray(batch), np.asarray(gold)
+    negs = np.asarray(negs)
+    b = len(batch)
+    if (gold.shape != (b,) or negs.ndim != 2 or negs.shape[0] != b
+            or negs.shape[1] < 1):
+        raise CpaError(f"batch {batch.shape}, gold {gold.shape} and "
+                       f"negatives {negs.shape} disagree")
+    labels = np.concatenate([gold, *negs.T])
+    n, side_rows = buf.n, 3 * model.h + labels  # label rows within [U; Z]
+    if not (0 <= batch.min() <= batch.max() < n
+            and 0 <= labels.min() <= labels.max() < 3):
+        raise CpaError("batch row out of range")
+    rows = np.concatenate([batch, n + side_rows])
+    _forward(model, lap, slope, buf)
+    layers = [buf.e0] + buf.layers
+
+    # forward: every gathered final rep, in the order of rows
+    reps = np.concatenate([layer[rows] for layer in layers], axis=1)
+    v, z_pos = reps[:b], reps[b:2 * b]
+    z_negs = [reps[(2 + j) * b:(3 + j) * b] for j in range(negs.shape[1])]
+    pos = (v * z_pos).sum(axis=1, keepdims=True)
+    margins = [pos - (v * z).sum(axis=1, keepdims=True) for z in z_negs]
+    acc = np.logaddexp(0.0, -margins[0])
+    for m in margins[1:]:
+        acc = acc + np.logaddexp(0.0, -m)
+    loss = (acc * (1.0 / len(margins))).mean()
+
+    # backward to the gathered reps; d(-log sigmoid(m))/dm = -sigmoid(-m)
+    coef = (1.0 / b) * (1.0 / len(margins)) * -1.0
+    g_margins = [coef * np.exp(-np.logaddexp(0.0, m)) for m in margins]
+    g_pos = sum(g_margins[1:], g_margins[0])
+    g_v = g_pos * z_pos
+    for g, z in zip(g_margins, z_negs):
+        g_v -= g * z
+    g_reps = np.concatenate([g_v, g_pos * v] + [-g * v for g in g_margins])
+    bounds = np.cumsum([0] + [layer.shape[1] for layer in layers])
+
+    # backward through the hops, last to first. With G = d loss / d pre
+    # and G' = G + L^T G: g_W1 = E^T G', g_W2 = (E (*) L E)^T G, and E gets
+    # G' W1^T + (G W2^T) (*) L E + L^T((G W2^T) (*) E), plus its own
+    # gathered rows (one accumulating scatter per layer: label rows repeat
+    # within a batch).
+    g_out = buf.grads[-1]
+    g_out.fill(0.0)
+    np.add.at(g_out, rows, g_reps[:, bounds[-2]:])
+    for k in reversed(range(model.hops)):
+        prev, nbr, prod = layers[k], buf.nbr[k], buf.prod[k]
+        np.multiply(g_out, slope, out=g_out, where=buf.neg[k])  # now G
+        np.matmul(prod.T, g_out, out=buf.g_w2[k])
+        g_sum = lap.transpose_matmul(g_out, out=buf.narrow)
+        g_sum += g_out                                          # G'
+        np.matmul(prev.T, g_sum, out=buf.g_w1[k])
+        if k == 0:
+            break
+        g_in = buf.grads[k - 1]
+        np.matmul(g_sum, model.w1[k].T, out=g_in)
+        # g_sum's last read is above, so narrow is free
+        g_prod = np.matmul(g_out, model.w2[k].T, out=buf.narrow)
+        g_in += np.multiply(g_prod, nbr, out=prod)
+        g_prod *= prev
+        g_in += lap.transpose_matmul(g_prod, out=nbr)
+        np.add.at(g_in, rows, g_reps[:, bounds[k]:bounds[k + 1]])
+        g_out = g_in
+    # hop 0 continued: only E^0's side rows n: train and get a gradient;
+    # their L^T term reads the text rows, as in transpose_matmul
+    g_side = np.matmul(g_sum[n:], model.w1[0].T, out=buf.g_side)
+    g_prod = np.matmul(g_out, model.w2[0].T, out=buf.wide)
+    g_side += np.multiply(g_prod[n:], nbr[n:], out=prod[n:])
+    g_prod[:n] *= prev[:n]
+    g_side += np.matmul(lap.to_text.T, g_prod[:n], out=nbr[n:])
+    np.add.at(g_side, side_rows, g_reps[b:, :bounds[1]])
+    if not (np.isfinite(loss) and all(
+            np.isfinite(g).all() for g in [g_side, *buf.g_w1, *buf.g_w2])):
+        raise CpaError("non-finite loss or gradient")
+    return Step(float(loss), g_side, buf.g_w1, buf.g_w2)
+
+
+def _assert_matches_gathered(model, texts, lap, batch, gold, negs):
+    got = batch_loss(model, Buffers(texts, model), lap, batch, gold, negs)
+    ref = _gathered_batch_loss(model, Buffers(texts, model), lap, batch,
+                               gold, negs)
+    assert abs(got.loss - ref.loss) <= 1e-13 * abs(ref.loss)
+    for a, b in zip([got.g_side] + got.g_w1 + got.g_w2,
+                    [ref.g_side] + ref.g_w1 + ref.g_w2):
+        # an all-zero gradient must be matched exactly
+        assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.1])
+@pytest.mark.parametrize("hops", [1, 2, 3])
+def test_batch_loss_matches_gathered_oracle(hops, rate):
+    rng = np.random.default_rng(200 * hops + int(10 * rate))
+    for _ in range(5):
+        _assert_matches_gathered(*_random_case(rng, hops, rate))
+
+
+def _acceptance_case(rng, batch_size):
+    """600 texts, H = 3, the encoder width and two hops, as at acceptance
+    scale, and a batch of distinct texts with their label indices."""
+    n_text, h, d0 = 600, 3, 768
+    n_side = 3 * h + 3
+    m = np.where(rng.random((n_text, n_side)) < 0.5,
+                 rng.random((n_text, n_side)) + 0.05, 0.0)
+    lap = dropout_graph(laplacian(m), 0.1, rng)
+    texts, side = _split(rng.standard_normal((n_text + n_side, d0)), lap)
+    model = _model(side, *init_cpa_weights(d0=d0, d1=64, hops=2, seed=1),
+                   h=h)
+    batch = rng.permutation(n_text)[:batch_size]
+    gold = rng.integers(0, 3, size=batch_size)
+    negs = np.array([[j for j in range(3) if j != k] for k in gold])
+    return model, texts, lap, batch, gold, negs
+
+
+def test_batch_loss_matches_gathered_oracle_at_acceptance_size():
+    _assert_matches_gathered(*_acceptance_case(np.random.default_rng(14),
+                                               128))
+
+
+def test_batch_loss_accumulates_a_repeated_text_row():
+    rng = np.random.default_rng(16)
+    model, texts, lap, batch, gold, negs = _random_case(rng, 3, 0.1)
+    # the first text twice, once under another gold label
+    batch = np.concatenate([batch, batch[:2], batch[:1]])
+    gold = np.concatenate([gold, gold[:2], (gold[:1] + 1) % 3])
+    negs = np.array([[j for j in range(3) if j != k] for k in gold])
+    _assert_matches_gathered(model, texts, lap, batch, gold, negs)
+
+
 @pytest.mark.parametrize("rate", [0.0, 0.1])
 @pytest.mark.parametrize("hops", [1, 2, 3])
 def test_propagate_matches_tape_propagate(hops, rate):
@@ -367,19 +518,8 @@ def test_reused_buffers_follow_the_models_side_rows():
 
 
 def test_batch_loss_allocates_no_table_per_call():
-    # the acceptance size: 600 texts, H = 3, encoder width, two hops
-    rng = np.random.default_rng(13)
-    n_text, h, d0 = 600, 3, 768
-    n_side = 3 * h + 3
-    m = np.where(rng.random((n_text, n_side)) < 0.5,
-                 rng.random((n_text, n_side)) + 0.05, 0.0)
-    lap = dropout_graph(laplacian(m), 0.1, rng)
-    texts, side = _split(rng.standard_normal((n_text + n_side, d0)), lap)
-    model = _model(side, *init_cpa_weights(d0=d0, d1=64, hops=2, seed=1),
-                   h=h)
-    batch = rng.permutation(n_text)[:32]
-    gold = rng.integers(0, 3, size=32)
-    negs = np.array([[j for j in range(3) if j != k] for k in gold])
+    model, texts, lap, batch, gold, negs = _acceptance_case(
+        np.random.default_rng(13), 32)
     buffers = Buffers(texts, model)
     batch_loss(model, buffers, lap, batch, gold, negs)
     tracemalloc.start()
@@ -388,13 +528,22 @@ def test_batch_loss_allocates_no_table_per_call():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * buffers.e0.nbytes
+    # batch-by-width arrays only: no gathered copy of a label row and no
+    # table-wide scatter
+    assert peak < buffers.e0.nbytes / 8
 
 
 def test_batch_loss_validates_inputs():
     rng = np.random.default_rng(11)
     model, texts, lap, batch, gold, negs = _random_case(rng, 2, 0.0)
     buffers = Buffers(texts, model)
+    # an empty batch raises before the forward copies the side rows in
+    before = buffers.e0.copy()
+    shifted = model.copy()
+    shifted.side += 1.0
+    with pytest.raises(CpaError, match="empty batch"):
+        batch_loss(shifted, buffers, lap, batch[:0], gold[:0], negs[:0])
+    assert np.array_equal(buffers.e0, before)
     with pytest.raises(CpaError):
         batch_loss(model, buffers, lap, batch, gold[1:], negs)
     with pytest.raises(CpaError):

@@ -93,6 +93,30 @@ def test_semantic_scores_batch_matches_single():
         assert np.allclose(batch[i], semantic_scores(mat[i:i + 1], z)[0])
 
 
+def test_semantic_scores_reject_non_finite_rows_and_labels():
+    z = np.eye(3, 4)
+    for bad in (np.nan, np.inf, -np.inf):
+        rows = np.ones((3, 4))
+        rows[1, 3] = bad  # a column every label row weighs by 0
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(InferenceError, match="non-finite"):
+            semantic_scores(rows, z)
+        labels = z.copy()
+        labels[2, 0] = bad
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(InferenceError, match="non-finite"):
+            semantic_scores(np.ones((2, 4)), labels)
+    # overflow to infinity from finite inputs gives no label either
+    with np.errstate(over="ignore"), \
+            pytest.raises(InferenceError, match="non-finite"):
+        semantic_scores(np.full((1, 4), 1e300), z * 1e10)
+    # the scoring path raises rather than label a NaN row silently
+    rows = np.eye(3)
+    rows[0, 0] = np.nan
+    with pytest.raises(InferenceError, match="non-finite"):
+        score_batch(rows, None, _model(np.eye(3), ZERO_WEIGHTS, np.eye(3)))
+
+
 # --- distributed score ------------------------------------------------------------
 
 
@@ -135,6 +159,27 @@ def test_distributed_rep_matches_loop_and_validates():
         distributed_scores((dis * 2.0)[None], model)
     with pytest.raises(InferenceError):
         distributed_scores(dis[None, :5], model)
+
+
+def test_distributed_scores_reject_non_finite_rows():
+    rng = np.random.default_rng(3)
+    model = _model(rng.standard_normal((6, 4)),
+                   init_cpa_weights(d0=4, d1=3, hops=1, seed=4))
+    dis = np.full((3, 6), 1.0 / 6.0)
+    for bad in (np.nan, np.inf):
+        rows = dis.copy()
+        rows[1, 2] = bad
+        with pytest.raises(InferenceError, match="sum to 1"):
+            distributed_scores(rows, model)
+        # the scoring path raises rather than label a NaN row silently
+        with pytest.raises(InferenceError, match="sum to 1"):
+            score_batch(None, rows, model)
+    # +inf and -inf in one row sum to NaN, not to 1
+    rows = dis.copy()
+    rows[0, :2] = np.inf, -np.inf
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(InferenceError, match="sum to 1"):
+        distributed_scores(rows, model)
 
 
 def test_distributed_score_h1_reduces_to_inner_products():

@@ -6,6 +6,8 @@ cotangent (the loss contracts the op output with a fixed random matrix, so
 uniform-gradient bugs cannot hide). Inputs stay away from LeakyReLU kinks.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -435,6 +437,23 @@ def test_adam_in_place_step_equals_oracle_bitwise(lr, b1, b2, eps):
         _adam_oracle_step(ref, grads, m, v, t, lr, b1, b2, eps)
         for got, want in zip(params + state.m + state.v, ref + m + v):
             assert np.array_equal(got, want)
+
+
+def test_adam_step_allocates_no_parameter_sized_array():
+    # the CPA weights of a three-hop model at the encoder width
+    shapes = [(768, 64), (64, 64), (64, 64)] * 2
+    rng = np.random.default_rng(23)
+    params = [rng.standard_normal(s) for s in shapes]
+    grads = [rng.standard_normal(s) for s in shapes]
+    state = AdamState(params, lr=1e-3)
+    adam_step(state, grads)
+    tracemalloc.start()
+    try:
+        adam_step(state, grads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < max(p.nbytes for p in params) / 8
 
 
 def test_adam_first_step_magnitude_is_lr():

@@ -282,7 +282,7 @@ class RunDir:
         dis = [None] * len(groups) if mode == "no_dis" else (
             training.fold_in_matrix(
                 [(self._triple(name), group) for name, group in groups],
-                self.config.fold_in_sweeps, self.config.seed))
+                self.config.fold_in_sweeps))
         return [(name, at[name], sem_rows, dis_rows)
                 for (name, _), sem_rows, dis_rows in zip(groups, sem, dis)]
 
@@ -336,8 +336,7 @@ class RunDir:
             raise ConfigError(f"{meta_path}: ids and stances differ from the "
                               f"train pool in {self.config.data}")
         (dis,) = training.fold_in_matrix([(self._triple(name), pool)],
-                                         self.config.fold_in_sweeps,
-                                         self.config.seed)
+                                         self.config.fold_in_sweeps)
         lap = graph.laplacian(graph.build_adjacency(
             [ex.stance for ex in pool], dis))
         return ckpt, pool, lap
@@ -413,19 +412,16 @@ def cmd_topics(args: argparse.Namespace) -> int:
     dataset = load_dataset(config)
     keys = training.group_keys(dataset, config.joint)
     names = [(key, stance_key) for key, _ in keys for stance_key in LABEL_KEYS]
-    subsets = [texts for _, target in keys
-               for texts in stance_subsets(dataset, target)]
-    docs = [[ex.tokens for ex in texts] for texts in subsets]
-    scores = [[] for _ in subsets]
+    docs = [[ex.tokens for ex in texts] for _, target in keys
+            for texts in stance_subsets(dataset, target)]
+    scores = [[] for _ in docs]
     for h in range(lo, hi + 1):
         # the triples train --h H fits, every group in one call, then each
-        # subset folded into its model, with the seeds train folds its texts
-        # in with, all in one lockstep
+        # subset folded into its model, all in one call
         models = [model for triple in training.fit_topics(dataset, config, h)
                   for model in triple.models]
         thetas = topics.fold_in_sets(
-            [([model], subset, training.fold_in_seeds(config.seed, texts))
-             for model, subset, texts in zip(models, docs, subsets)],
+            [([model], subset) for model, subset in zip(models, docs)],
             config.fold_in_sweeps)
         for model, subset, theta, row in zip(models, docs, thetas, scores):
             try:
@@ -644,6 +640,8 @@ _FLAG_OPTIONS = {
     "hops": {"help": "propagation hops (0 = per-dataset default)"},
     "alpha": {"help": "doc-topic prior (0 = 50/H)"},
     "beta": {"help": "topic-word prior"},
+    "fold_in_sweeps": {"help": "most CVB0 sweeps of a text's fold-in; each "
+                               "text stops at its own fixed point"},
     "d1": {"help": "propagated embedding width"},
     "joint": {"help": "one joint graph instead of per-target graphs"},
     "lr_embed": {"help": "Adam learning rate of the topic and label rows"},

@@ -2,17 +2,15 @@
 
 Three LDA models (favor / none / against training subsets, shared vocabulary,
 H topics each) are fit by collapsed Gibbs sampling, every training group's
-triple in one lockstep (fit_triples). Any text, train or test,
-is folded in under all three models with counts frozen; the three length-H
-posteriors concatenated and divided by 3 give its topic distribution, which
-later doubles as text-to-topic edge weights.
-
-One sampler does both jobs: one chain per doc (per doc and model in the
-fold-in), every chain stepped in lockstep one token position at a time as
-numpy operations, each doc drawing from a keyed counter hash. Fitting
-moves its models' word and topic counts after every position step
-(AD-LDA); the fold-in keeps them frozen. perplexity samples nothing: it
-scores the fold-in posteriors it is given.
+triple in one lockstep (fit_triples): one chain per doc, every chain stepped
+one token position at a time as numpy operations, each doc drawing from a
+keyed counter hash, its model's word and topic counts moved after every
+position step (AD-LDA). Any text, train or test, is folded in under all
+three models with counts frozen by the deterministic CVB0 fixed point
+(fold_in_sets); the three length-H posteriors concatenated and divided by 3
+give its topic distribution, which later doubles as text-to-topic edge
+weights. perplexity samples nothing: it scores the fold-in posteriors it is
+given.
 """
 
 from __future__ import annotations
@@ -136,17 +134,14 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _keys(seeds: Sequence[int] | np.ndarray) -> np.ndarray:
-    """Each doc's key, the finalizer over its seed; (n,) uint64. A seed
-    must be an integer in [0, 2**64)."""
-    column = np.asarray(seeds)
-    if column.dtype.kind not in "ui" or (column.size and column.min() < 0):
-        for seed in seeds:
-            if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
-                raise TopicsError(
-                    f"seeds must be integers in [0, 2**64), got {seed!r}")
-        column = np.array([int(seed) for seed in seeds], dtype=np.uint64)
-    return _mix64(column.astype(np.uint64))
+def _keys(seeds: Sequence[int]) -> np.ndarray:
+    """Each seed's key, the finalizer over it; (n,) uint64. A seed must be
+    an integer in [0, 2**64)."""
+    for seed in seeds:
+        if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
+            raise TopicsError(
+                f"seeds must be integers in [0, 2**64), got {seed!r}")
+    return _mix64(np.array([int(seed) for seed in seeds], dtype=np.uint64))
 
 
 def _uniforms(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
@@ -158,7 +153,7 @@ def _uniforms(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
     return (z >> np.uint64(11)) * 2.0**-53
 
 
-# --- the lockstep, shared by fitting and fold-in -----------------------------
+# --- the fit's lockstep --------------------------------------------------------
 #
 # Docs are sorted longest first, so the docs still running at any token
 # position are a prefix of them, and every per-chain array is addressed by
@@ -192,8 +187,8 @@ def _start(ids: Sequence[Sequence[int]], keys: np.ndarray, h: int) -> tuple[
     return tokens.T, counters, lengths, in_doc.sum(axis=1), z, counts
 
 
-def _draw(local: np.ndarray, at: np.ndarray, alpha, factor: np.ndarray,
-          u: np.ndarray) -> np.ndarray:
+def _draw(local: np.ndarray, at: np.ndarray, alpha: float,
+          factor: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Redraw the tokens of the first len(at) chains; their new topics.
 
     local holds the chains' own topic counts, (H, chains) and C-contiguous,
@@ -351,108 +346,120 @@ def _log_joint(n_wt: np.ndarray, n_t: np.ndarray, n_dt: np.ndarray,
 
 # --- fold-in -----------------------------------------------------------------
 
-# docs per lockstep batch; bounds the padded factor and topic arrays
+# docs per fold-in batch; bounds the (H, tokens x models) arrays
 _FOLD_IN_BATCH = 1024
 
+# a chain is frozen at the first sweep that moves none of its counts by more
+_FOLD_IN_TOL = 1e-9
 
-FoldInSet = tuple[Sequence[LdaModel], Docs, Sequence[int]]
+
+FoldInSet = tuple[Sequence[LdaModel], Docs]
 
 
 def fold_in_sets(sets: Sequence[FoldInSet],
                  sweeps: int = 50) -> list[np.ndarray]:
     """Fold-in posteriors of several model sets' docs; per set (models,
-    docs, seeds) one (D, len(models)*H) array.
+    docs) one (D, len(models)*H) array.
 
     A set's models share H and vocabulary, and every set has the same H
     and number of models. Row d holds the set's models' length-H posteriors
-    side by side, each summing to 1. Topic-word counts stay frozen, so docs
-    are independent: one collapsed Gibbs chain per (doc, model) pair, the
-    chains of every set stepped in one lockstep, token position by token
-    position. Each chain reads its own model's word factors and alpha. Doc
-    d's draws are those of the counter hash keyed by seeds[d], an integer
-    in [0, 2**64) (_uniforms: its initial topics, then sweeps x n
-    uniforms), shared by its chains under every model of its set. Each
-    chain's arithmetic is that of a one-chain sequential loop (a running
-    sum over H, first topic whose prefix sum reaches u * total), so a doc's
-    row does not depend on the rest of the batch or on the other sets.
-    Empty or fully out-of-vocabulary docs give the uniform prior.
+    side by side, each summing to 1. Topic-word counts stay frozen, so
+    every (doc, model) chain is independent; each runs the collapsed
+    variational fixed point CVB0 (Asuncion et al., "On Smoothing and
+    Inference for Topic Models", UAI 2009) from gamma = 1/H,
+    gamma_ik <- (n_k - gamma_ik + alpha) phi_k,w_i normalised over its
+    model's H topics, n_k = sum_i gamma_ik, every token at once. A chain
+    is frozen at the first sweep that moves none of its n_k by more than
+    1e-9, or after sweeps sweeps, and its posterior is
+    (n + alpha) / (length + H alpha). Each chain's arithmetic is that of a
+    scalar loop over its own tokens in order, so a doc's row does not
+    depend on the rest of the batch, the other sets or the other models of
+    its set. Empty or fully out-of-vocabulary docs give the uniform prior.
     """
     if not sets:
         return []
-    keys = []
-    for models, docs, seeds in sets:
+    if sweeps < 1:
+        raise TopicsError(f"sweeps must be >= 1, got {sweeps}")
+    for models, _ in sets:
         if not models:
             raise TopicsError("fold-in needs at least one model")
         first = models[0]
         if any(m.h != first.h or m.vocab.tokens != first.vocab.tokens
                for m in models[1:]):
             raise TopicsError("fold-in models disagree on H or vocabulary")
-        if len(seeds) != len(docs):
-            raise TopicsError(f"{len(seeds)} seeds for {len(docs)} docs")
-        keys.append(_keys(seeds))
     h, n_models = sets[0][0][0].h, len(sets[0][0])
-    if any(models[0].h != h or len(models) != n_models
-           for models, _, _ in sets):
+    if any(models[0].h != h or len(models) != n_models for models, _ in sets):
         raise TopicsError("fold-in sets disagree on H or model count")
-    sizes = [len(docs) for _, docs, _ in sets]
+    sizes = [len(docs) for _, docs in sets]
     out = np.full((sum(sizes), n_models * h), 1.0 / h)
     rows = np.split(out, np.cumsum(sizes)[:-1])
     ids, tables = [], []
-    for models, docs, _ in sets:
+    for models, docs in sets:
         ids += _doc_token_ids(docs, models[0].vocab)
-        # table[w] = the word's frozen conditional factor under each model,
-        # H values per model side by side
+        # table[w] = the word's frozen phi under each model, H values per
+        # model side by side
         tables.append(np.concatenate([m.phi().T for m in models], axis=1))
-    keys = np.concatenate(keys)
     # the sets' tables stacked; a doc's word ids shift by the vocabulary
     # sizes of the sets before its own, and its chains take its set's alphas
     set_of = np.repeat(np.arange(len(sets)), sizes)
     offsets = np.cumsum([0] + [len(t) for t in tables[:-1]])[set_of]
     alphas = np.array([[m.alpha for m in models]
-                       for models, _, _ in sets])[set_of]
+                       for models, _ in sets])[set_of]
     factor = np.concatenate(tables)
-    live = _longest_first(ids)
+    live = np.flatnonzero([len(doc) for doc in ids])
     for at in range(0, len(live), _FOLD_IN_BATCH):
         batch = live[at:at + _FOLD_IN_BATCH]
-        out[batch] = _lockstep([ids[d] for d in batch], keys[batch],
-                               offsets[batch], factor, alphas[batch], h,
-                               sweeps)
+        out[batch] = _cvb0([ids[d] for d in batch], offsets[batch], factor,
+                           alphas[batch], h, sweeps)
     return rows
 
 
-def _lockstep(ids: list[list[int]], keys: np.ndarray, offsets: np.ndarray,
-              factor: np.ndarray, alphas: np.ndarray, h: int,
-              sweeps: int) -> np.ndarray:
-    """fold_in_sets over nonempty docs sorted longest first; (D, M*H).
+def _cvb0(ids: list[list[int]], offsets: np.ndarray, factor: np.ndarray,
+          alphas: np.ndarray, h: int, sweeps: int) -> np.ndarray:
+    """fold_in_sets over nonempty docs; (D, M*H).
 
-    Doc d draws from the counter hash under keys[d], one (position, doc)
-    array of uniforms per sweep, and its word w is factor row
-    w + offsets[d]; its chains take the priors alphas[d] (M values). Chain
-    c = doc * M + model, so the live chains stay a prefix.
+    Doc d's word w is factor row w + offsets[d], and its chains take the
+    priors alphas[d] (M values); chain c = doc * M + model. Arrays are
+    topic-major, (H, columns), a column per (token, model) pair in token
+    order, so np.bincount sums a chain's columns in its tokens' order, as
+    a scalar loop would. A frozen chain's columns leave every array.
     """
-    n_models = alphas.shape[1]
-    tokens, counters, lengths, alive, z, counts = _start(ids, keys, h)
-    n_docs, n_max = len(ids), len(tokens)
+    n_docs, n_models = alphas.shape
     n_chains = n_docs * n_models
-    tokens = tokens + offsets
-    # a doc's chains start from its initial topics; z holds the flat
-    # index of each chain's topic in local, as _draw reads it
-    z = z.repeat(n_models, axis=1) * n_chains + np.arange(n_chains)
-    local = counts.repeat(n_models, axis=1).astype(np.float64)
-    # (position, topic, chain): the factor of the chain's token at that
-    # position under the chain's model
-    pos_factor = (factor[tokens].reshape(n_max, n_docs, n_models, h)
-                  .transpose(0, 3, 1, 2).reshape(n_max, h, n_chains))
+    lengths = np.array([len(doc) for doc in ids], dtype=np.int64)
+    doc = np.repeat(np.arange(n_docs), lengths)
+    words = np.array([w for doc_ids in ids for w in doc_ids]) + offsets[doc]
+    phi = (factor[words].reshape(-1, n_models, h).transpose(2, 0, 1)
+           .reshape(h, -1))
+    chain = (doc[:, None] * n_models + np.arange(n_models)).reshape(-1)
     alpha = alphas.reshape(-1)
+    col_alpha = alpha[chain]
+    gamma = np.full(phi.shape, 1.0 / h)
+    counts = np.stack([np.bincount(chain, row, n_chains) for row in gamma])
+    final = np.empty_like(counts)
+    running = np.ones(n_chains, dtype=bool)
     for _ in range(sweeps):
-        counters += lengths
-        uniforms = _uniforms(keys, counters)
-        for j, m_docs in enumerate(alive):
-            m = m_docs * n_models
-            _draw(local, z[j, :m], alpha[:m], pos_factor[j, :, :m],
-                  uniforms[j, :m_docs].repeat(n_models))
-
-    post = (local.T + alpha[:, None]) / (
+        # (n_k - gamma_ik + alpha) phi_k,w, written over the gathered n_k
+        new = np.take(counts, chain, axis=1)
+        new -= gamma
+        new += col_alpha
+        new *= phi
+        new /= new.sum(axis=0)
+        gamma = new
+        new = np.stack([np.bincount(chain, row, n_chains) for row in gamma])
+        done = running & (np.abs(new - counts).max(axis=0) <= _FOLD_IN_TOL)
+        counts = new
+        if done.any():
+            np.copyto(final, counts, where=done)
+            running &= ~done
+            if not running.any():
+                break
+            keep = running[chain]
+            chain, col_alpha, phi, gamma = (
+                np.compress(keep, a, axis=-1)
+                for a in (chain, col_alpha, phi, gamma))
+    np.copyto(final, counts, where=running)
+    post = (final.T + alpha[:, None]) / (
         lengths.repeat(n_models)[:, None] + h * alpha[:, None])
     return post.reshape(n_docs, n_models * h)
 

@@ -371,16 +371,6 @@ def derive_seed(*parts: int | str) -> int:
          for part in parts]).generate_state(1)[0])
 
 
-def fold_in_seeds(base_seed: int, examples: Sequence[Example]) -> np.ndarray:
-    """Each text's fold-in seed, (derive_seed(base_seed, 101) << 32) |
-    crc32(id) over the id's UTF-8 bytes; (n,) uint64. The one seeding rule
-    of the fold-in: training, scoring and perplexity all use it."""
-    high = derive_seed(base_seed, 101) << 32
-    return np.fromiter((high | zlib.crc32(ex.id.encode("utf-8"))
-                        for ex in examples), dtype=np.uint64,
-                       count=len(examples))
-
-
 # --- Adam -------------------------------------------------------------------
 
 class AdamState:
@@ -482,13 +472,12 @@ class GroupResult:
 
 def fold_in_matrix(pairs: Sequence[tuple[topics.TopicModelTriple,
                                          list[Example]]],
-                   sweeps: int, base_seed: int) -> list[np.ndarray]:
+                   sweeps: int) -> list[np.ndarray]:
     """Per (triple, examples) pair, the (n, 3H) topic distributions: the
     three fold-in posteriors side by side, divided by 3. Every pair's texts
-    are folded in together, each seeded by fold_in_seeds."""
+    are folded in together."""
     return [rows / 3.0 for rows in topics.fold_in_sets(
-        [(triple.models, [ex.tokens for ex in examples],
-          fold_in_seeds(base_seed, examples))
+        [(triple.models, [ex.tokens for ex in examples])
          for triple, examples in pairs], sweeps)]
 
 
@@ -527,7 +516,7 @@ def build_groups(dataset: Dataset, store: EncoderStore, config: RunConfig
     fitted = time.perf_counter()
     rows = fold_in_matrix(
         [(triple, examples) for triple, pool, val in zip(triples, pools, vals)
-         for examples in (pool, val)], config.fold_in_sweeps, config.seed)
+         for examples in (pool, val)], config.fold_in_sweeps)
     folded = time.perf_counter()
     groups = []
     for (group, _), triple, pool, val, dis_pool, dis_val in zip(
@@ -637,8 +626,8 @@ def train(dataset: Dataset, store: EncoderStore,
     the wall times of the topic fit and the fold-in.
 
     Trials shift only the collaborative-training seed (inits, dropout, batch
-    order); topic models and fold-in distributions are fixed by the base
-    seed and shared across trials.
+    order); the topic models are fixed by the base seed, the fold-in
+    distributions by the topic models, and both are shared across trials.
     """
     absent = missing_ids(store, dataset)
     if absent:

@@ -366,6 +366,25 @@ def test_predict_writes_tsv(run_dir, synth_small, tmp_path, capsys):
     assert again.read_bytes() == out.read_bytes()
 
 
+def test_predict_of_one_text_equals_its_line_in_the_whole_split(
+        run_dir, synth_small, tmp_path):
+    # a text's fold-in row and scores depend on that text alone
+    root, _ = synth_small
+    whole = tmp_path / "whole.tsv"
+    assert main(["predict", "--run", str(run_dir),
+                 "--in", str(root / "test.tsv"), "--out", str(whole)]) == 0
+    header, *rows = (root / "test.tsv").read_text(
+        encoding="utf-8").splitlines()
+    predicted = whole.read_text(encoding="utf-8").splitlines()
+    for i in (0, len(rows) // 2, len(rows) - 1):
+        one_in, one_out = tmp_path / f"one-{i}.tsv", tmp_path / f"pred-{i}.tsv"
+        one_in.write_text(f"{header}\n{rows[i]}\n", encoding="utf-8")
+        assert main(["predict", "--run", str(run_dir), "--in", str(one_in),
+                     "--out", str(one_out)]) == 0
+        assert one_out.read_text(encoding="utf-8").splitlines() == [
+            predicted[0], predicted[1 + i]]
+
+
 def test_inspect_summary_and_dumps(run_dir, tmp_path, capsys):
     assert main(["inspect", "--run", str(run_dir)]) == 0
     summary = capsys.readouterr().out
@@ -1210,8 +1229,7 @@ def test_topics_rows_score_the_models_train_fits(run_dir, synth_small,
     for row, examples in zip(rows, subsets):
         model = cosd.topics.load_lda(run_dir / "lda" / f"{SLUG}.{row[1]}.lda1")
         docs = [ex.tokens for ex in examples]
-        seeds = training.fold_in_seeds(5, examples)
-        (theta,) = cosd.topics.fold_in_sets([([model], docs, seeds)], 10)
+        (theta,) = cosd.topics.fold_in_sets([([model], docs)], 10)
         want = (cosd.topics.perplexity(model, docs, theta),
                 cosd.topics.umass_coherence(model, docs, top_n=4))
         assert row == ["Synthetic Policy", row[1], "2",
@@ -1332,7 +1350,7 @@ def test_scoring_commands_fold_in_once(run_dir, two_target_run, tmp_path,
     original = cosd.topics.fold_in_sets
 
     def counting(sets, sweeps=50):
-        calls.append(sorted(len(docs) for _, docs, _ in sets))
+        calls.append(sorted(len(docs) for _, docs in sets))
         return original(sets, sweeps)
 
     monkeypatch.setattr(cosd.topics, "fold_in_sets", counting)
@@ -1373,9 +1391,9 @@ def test_topics_folds_every_subset_in_once_per_h(two_target_run, tmp_path,
                  "--fold-in-sweeps", "5", "--seed", "5", "--top-n", "3",
                  "--out", str(out)]) == 0
     capsys.readouterr()
-    # per H one lockstep over both groups' three subsets, one model a set
+    # per H one call over both groups' three subsets, one model a set
     assert [len(sets) for sets, _ in calls] == [6, 6]
-    assert {len(models) for sets, _ in calls for models, _, _ in sets} == {1}
+    assert {len(models) for sets, _ in calls for models, _ in sets} == {1}
     assert {sweeps for _, sweeps in calls} == {5}
     with open(out, encoding="utf-8", newline="") as f:
         rows = list(csv.reader(f))[1:]
@@ -1387,11 +1405,10 @@ def test_topics_folds_every_subset_in_once_per_h(two_target_run, tmp_path,
         subsets = cosd.cli.stance_subsets(dataset, target)
         for j, (key, texts) in enumerate(zip(training.LABEL_KEYS, subsets)):
             docs = [ex.tokens for ex in texts]
-            seeds = training.fold_in_seeds(5, texts)
             for h, (sets, _) in zip((2, 3), calls):
-                (model,), _, _ = sets[3 * g + j]
+                (model,), _ = sets[3 * g + j]
                 assert model.h == h
-                (theta,) = original([([model], docs, seeds)], 5)
+                (theta,) = original([([model], docs)], 5)
                 want.append([
                     name, key, str(h),
                     f"{cosd.topics.perplexity(model, docs, theta):.6f}",

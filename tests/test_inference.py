@@ -365,7 +365,7 @@ def _score_examples(examples, store, triple, ckpt, mode="full"):
     return score_batch(
         None if mode == "no_sem" else semantic_matrix(examples, store),
         None if mode == "no_dis"
-        else fold_in_matrix([(triple, examples)], 10, 4)[0], ckpt)
+        else fold_in_matrix([(triple, examples)], 10)[0], ckpt)
 
 
 def test_predict_returns_bundles_and_beats_chance(trained):

@@ -2,11 +2,11 @@
 
 Hand-computed oracles cover coherence and the single-topic perplexity case;
 the planted-corpus recovery check runs a reduced version of the acceptance
-setup so regressions surface here first. The lockstep sampler must equal,
-bit for bit, the plain loops kept here as oracles: when fitting
-(lockstep_loop, one doc at a time within each position step) and when
-folding in (doc_topic_posterior, one doc under one model). The sequential
-sampler it replaced (SequentialLda, loop_sweep) stays as the statistical
+setup so regressions surface here first. The lockstep fit and the CVB0
+fold-in must equal, bit for bit, the plain loops kept here as oracles:
+lockstep_loop, one doc at a time within each position step, and
+cvb0_posterior, one doc under one model. The sequential sampler the
+lockstep replaced (SequentialLda, loop_sweep) stays as the statistical
 reference for topic recovery.
 """
 
@@ -471,7 +471,7 @@ def test_fit_lda_with_explicit_vocab_drops_unknown_tokens():
     (m,) = cosd.topics._fit([[["gamma", "delta"]]], [vocab], 2, 25.0, 0.01,
                             3, [0])
     assert m.topic_word_counts.sum() == 0
-    theta = fold_in_one([m], [["gamma"]], [0], sweeps=5)[0]
+    theta = fold_in_one([m], [["gamma"]], sweeps=5)[0]
     assert np.allclose(theta, [0.5, 0.5])
 
 
@@ -548,183 +548,6 @@ def test_fit_triple_builds_union_vocab_and_distinct_models():
                 and np.array_equal(tables[1], tables[2]))
 
 
-# --- fold-in ----------------------------------------------------------------
-
-
-def doc_topic_posterior(model: LdaModel, tokens, sweeps: int = 50,
-                        seed: int = 0) -> np.ndarray:
-    """Oracle: the scalar one-doc, one-model fold-in sampler.
-
-    Topic-word counts stay frozen; only the doc-local topic counts move.
-    Empty or fully out-of-vocabulary docs return the uniform prior.
-    """
-    index = model.vocab.index
-    ids = [index[t] for t in tokens if t in index]
-    h = model.h
-    if len(ids) == 0 or h == 1:
-        return np.full(h, 1.0 / h)
-    # the doc's draws: counters 0..n-1 for the initial topics, then n per
-    # sweep
-    n = len(ids)
-    draws = cosd.topics._uniforms(cosd.topics._keys([seed]),
-                                  np.arange(n * (sweeps + 1)))
-    alpha = model.alpha
-    denom = model.topic_totals + model.beta * len(model.vocab)
-    # counts are frozen, so the word factor of the conditional is a constant
-    # per distinct word; precompute it once per token position
-    factor = {}
-    for w in set(ids):
-        factor[w] = ((model.topic_word_counts[:, w] + model.beta)
-                     / denom).tolist()
-    pos_factor = [factor[w] for w in ids]
-    z = [int(u * h) for u in draws[:n]]
-    local = [0.0] * h
-    for k in z:
-        local[k] += 1.0
-    uniforms = draws[n:].tolist()
-    probs = [0.0] * h
-    pos = 0
-    for _ in range(sweeps):
-        for j, fw in enumerate(pos_factor):
-            local[z[j]] -= 1.0
-            total = 0.0
-            for t in range(h):
-                p = (local[t] + alpha) * fw[t]
-                probs[t] = p
-                total += p
-            u = uniforms[pos] * total
-            pos += 1
-            acc = 0.0
-            for k in range(h):
-                acc += probs[k]
-                if u <= acc:
-                    break
-            z[j] = k
-            local[k] += 1.0
-    return (np.array(local) + alpha) / (len(ids) + h * alpha)
-
-
-def fold_in_one(models, docs, seeds, sweeps=50):
-    """The fold-in rows of one model set: fold_in_sets' one-set call."""
-    (rows,) = fold_in_sets([(models, docs, seeds)], sweeps)
-    return rows
-
-
-def _oracle_rows(models, docs, seeds, sweeps):
-    return np.stack([
-        np.concatenate([doc_topic_posterior(m, doc, sweeps=sweeps, seed=seed)
-                        for m in models])
-        for doc, seed in zip(docs, seeds)])
-
-
-def _mixed_docs(docs):
-    """Planted docs of mixed lengths plus empty, all-OOV and part-OOV docs."""
-    return ([docs[0][:3], [], docs[1], ["zzz", "qqq"], docs[2][:1],
-             ["zzz"] + docs[3][:5]] + docs[4:12])
-
-
-def test_posterior_sums_to_one_and_is_seed_deterministic():
-    docs, _ = planted_corpus(n_docs=40, seed=8)
-    m = fit_one(docs, h=3, alpha=50.0 / 3, sweeps=30, seed=1)
-    theta = fold_in_one([m], docs[:5], list(range(5)), sweeps=20)
-    again = fold_in_one([m], docs[:5], list(range(5)), sweeps=20)
-    assert theta.shape == (5, 3)
-    assert np.allclose(theta.sum(axis=1), 1.0)
-    assert (theta > 0).all()
-    assert np.array_equal(theta, again)
-
-
-def test_posterior_uniform_for_empty_oov_and_single_topic():
-    m = _model([[3, 1], [1, 3]], ["a", "b"])
-    assert np.allclose(fold_in_one([m], [[], ["zzz"]], [0, 0]), 0.5)
-    single = _model([[3, 1]], ["a", "b"])
-    assert np.allclose(fold_in_one([single], [["a", "b"]], [0]), [[1.0]])
-    assert fold_in_one([m], [], []).shape == (0, 2)
-
-
-def test_posterior_concentrates_on_matching_topic():
-    # topic 0 emits only "a", topic 1 only "b"; a pure-"a" doc should land
-    # almost all of its mass on topic 0 despite the smoothing prior
-    m = _model([[100, 0], [0, 100]], ["a", "b"], alpha=0.1)
-    theta = fold_in_one([m], [["a"] * 6], [0], sweeps=30)[0]
-    assert theta[0] > 0.9
-
-
-def test_dis_vector_concatenates_thirds():
-    docs, _ = planted_corpus(n_docs=30, seed=9)
-    split = len(docs) // 3
-    triple = _triple(docs[:split], docs[split:2 * split],
-                     docs[2 * split:], h=2, sweeps=15, seed=4)
-    rows = fold_in_one(triple.models, docs[:2], [5, 6], sweeps=10)
-    assert rows.shape == (2, 6)
-    # one posterior per model side by side, each a distribution
-    assert np.allclose(rows.reshape(2, 3, 2).sum(axis=2), 1.0)
-
-
-@pytest.mark.parametrize("h", [1, 2, 3, 5, 7])
-def test_fold_in_equals_scalar_oracle(h):
-    docs, _ = planted_corpus(n_docs=30, seed=20 + h)
-    split = len(docs) // 3
-    triple = _triple(docs[:split], docs[split:2 * split],
-                     docs[2 * split:], h=h, sweeps=10, seed=h)
-    batch = _mixed_docs(docs)
-    seeds = [100 + 7 * i for i in range(len(batch))]
-    got = fold_in_one(triple.models, batch, seeds, sweeps=6)
-    assert got.shape == (len(batch), 3 * h)
-    assert np.array_equal(got, _oracle_rows(triple.models, batch, seeds, 6))
-    one = fold_in_one([triple.none], batch, seeds, sweeps=6)
-    assert np.array_equal(one, _oracle_rows([triple.none], batch, seeds, 6))
-
-
-def test_fold_in_unseen_word_under_models_of_differing_priors():
-    # "c" has zero count under every topic of the first model, so its
-    # factors are beta / (n_t + beta |V|), tiny but positive; the models'
-    # priors differ, so each chain must use its own model's alpha and beta
-    vocab = ["a", "b", "c"]
-    models = [_model([[4, 1, 0], [1, 4, 0], [2, 2, 0]], vocab, beta=1e-9),
-              _model([[4, 1, 1], [1, 4, 2], [2, 2, 3]], vocab, alpha=2.0,
-                     beta=0.5)]
-    docs = [["c", "c", "a"], ["c"], ["a", "b", "c", "c", "b"], ["b"]]
-    seeds = [3, 1, 4, 1]
-    got = fold_in_one(models, docs, seeds, sweeps=8)
-    assert np.array_equal(got, _oracle_rows(models, docs, seeds, 8))
-
-
-def _dyadic_model(rng, h: int, vocab: list[str], alpha: float) -> LdaModel:
-    """beta = 1/2 model whose word factors (count + 1/2) / (total + |V|/2)
-    are dyadic: a last word pads every topic's denominator up to a power of
-    two. |V| is even."""
-    counts = rng.integers(0, 4, size=(h, len(vocab) - 1))
-    denom = counts.sum(axis=1) + len(vocab) // 2
-    pad = 2 ** np.ceil(np.log2(denom + 1)).astype(np.int64) - denom
-    return _model(np.column_stack([counts, pad]), vocab, alpha=alpha,
-                  beta=0.5)
-
-
-@pytest.mark.parametrize("h", [2, 3, 4])
-def test_fold_in_tie_rule_equals_scalar_oracle(monkeypatch, h):
-    # exact dyadic arithmetic with uniforms in {0, 1/4, 1/2, 3/4}: u * total
-    # often equals a prefix sum exactly, so the first topic whose prefix sum
-    # reaches u * total must be picked, as the oracle's u <= acc does; the
-    # oracle and the lockstep both draw through _uniforms
-    real_uniforms = cosd.topics._uniforms
-    monkeypatch.setattr(cosd.topics, "_uniforms", lambda keys, counters:
-                        np.floor(real_uniforms(keys, counters) * 4) / 4)
-    rng = np.random.default_rng(h)
-    vocab = [f"w{i}" for i in range(6)]
-    models = [_dyadic_model(rng, h, vocab, alpha)
-              for alpha in (0.5, 1.0, 0.25)]
-    docs = [[vocab[i] for i in rng.integers(0, len(vocab), size=n)]
-            for n in rng.integers(1, 10, size=24)]
-    seeds = list(range(len(docs)))
-    got = fold_in_one(models, docs, seeds, sweeps=6)
-    assert np.array_equal(got, _oracle_rows(models, docs, seeds, 6))
-
-
-# seeds of one and two 32-bit words, up to the largest, 2**64 - 1
-_SEEDS = [0, 1, 17, 2**32 - 1, 2**32 + 5, 2**63 + 9, 2**64 - 1]
-
-
 # splitmix64 from state 1234567: output k is the finalizer over the state
 # advanced k times by gamma
 _SPLITMIX64 = [6457827717110365317, 3203168211198807973, 9817491932198370423,
@@ -755,78 +578,210 @@ def test_uniforms_are_uniform_and_uncorrelated():
     assert cosd.topics._uniforms(cosd.topics._keys([0]), np.arange(1))[0] > 0
 
 
-@pytest.mark.parametrize("bad", [-1, 2**64, 1.5])
-def test_fold_in_rejects_a_seed_outside_64_bits(bad):
-    m = _model([[3, 1], [1, 3]], ["a", "b"])
-    single = _model([[3, 1]], ["a", "b"])
-    for model in (m, single):  # checked before any draw, even at H = 1
-        with pytest.raises(TopicsError, match="seeds must be integers"):
-            fold_in_one([model], [["a"], ["b"]], [3, bad])
+# --- fold-in ----------------------------------------------------------------
 
 
-def test_fold_in_seeds_of_any_width_equal_scalar_oracle():
-    docs, _ = planted_corpus(n_docs=30, seed=14)
+def _token_sums(gamma, h):
+    """n_k = sum_i gamma_ik, added in token order from 0.0."""
+    counts = [0.0] * h
+    for g in gamma:
+        for k in range(h):
+            counts[k] += g[k]
+    return counts
+
+
+def cvb0_posterior(model: LdaModel, tokens, sweeps: int = 50) -> np.ndarray:
+    """Oracle: the scalar one-doc, one-model CVB0 fold-in.
+
+    phi stays frozen. Every token starts at gamma = 1/H; each sweep updates
+    every token from the previous sweep's counts and gammas,
+    gamma_ik = (n_k - gamma_ik + alpha) phi_kw over its running sum across
+    topics, then recounts, and the doc stops at the first sweep that moves
+    no count by more than 1e-9. Empty or fully out-of-vocabulary docs
+    return the uniform prior.
+    """
+    index = model.vocab.index
+    ids = [index[t] for t in tokens if t in index]
+    h = model.h
+    if not ids:
+        return np.full(h, 1.0 / h)
+    phi = model.phi().tolist()
+    alpha = model.alpha
+    gamma = [[1.0 / h] * h for _ in ids]
+    counts = _token_sums(gamma, h)
+    for _ in range(sweeps):
+        updated = []
+        for g, w in zip(gamma, ids):
+            p = [(counts[k] - g[k] + alpha) * phi[k][w] for k in range(h)]
+            total = 0.0
+            for pk in p:
+                total += pk
+            updated.append([pk / total for pk in p])
+        gamma = updated
+        new = _token_sums(gamma, h)
+        change = max(abs(a - b) for a, b in zip(new, counts))
+        counts = new
+        if change <= 1e-9:
+            break
+    return np.array([(n + alpha) / (len(ids) + h * alpha) for n in counts])
+
+
+def fold_in_one(models, docs, sweeps=50):
+    """The fold-in rows of one model set: fold_in_sets' one-set call."""
+    (rows,) = fold_in_sets([(models, docs)], sweeps)
+    return rows
+
+
+def _oracle_rows(models, docs, sweeps=50):
+    return np.stack([
+        np.concatenate([cvb0_posterior(m, doc, sweeps) for m in models])
+        for doc in docs])
+
+
+def _mixed_docs(docs):
+    """Planted docs of mixed lengths plus empty, all-OOV and part-OOV docs."""
+    return ([docs[0][:3], [], docs[1], ["zzz", "qqq"], docs[2][:1],
+             ["zzz"] + docs[3][:5]] + docs[4:12])
+
+
+def _planted_triple(corpus_seed, h, seed):
+    docs, _ = planted_corpus(n_docs=30, seed=corpus_seed)
     split = len(docs) // 3
-    triple = _triple(docs[:split], docs[split:2 * split],
-                     docs[2 * split:], h=3, sweeps=10, seed=6)
-    batch = docs[:len(_SEEDS)]
-    got = fold_in_one(triple.models, batch, _SEEDS, sweeps=4)
-    assert np.array_equal(got, _oracle_rows(triple.models, batch, _SEEDS, 4))
-    # a uint64 column, as training passes them, gives the same rows
-    column = np.array(_SEEDS, dtype=np.uint64)
-    assert np.array_equal(
-        fold_in_one(triple.models, batch, column, sweeps=4), got)
+    return docs, _triple(docs[:split], docs[split:2 * split],
+                         docs[2 * split:], h=h, sweeps=10, seed=seed)
+
+
+def test_posterior_sums_to_one_and_is_seed_deterministic():
+    # the fold-in takes no seed: the same docs give the same rows
+    docs, _ = planted_corpus(n_docs=40, seed=8)
+    m = fit_one(docs, h=3, alpha=50.0 / 3, sweeps=30, seed=1)
+    theta = fold_in_one([m], docs[:5], sweeps=20)
+    again = fold_in_one([m], docs[:5], sweeps=20)
+    assert theta.shape == (5, 3)
+    assert np.allclose(theta.sum(axis=1), 1.0)
+    assert (theta > 0).all()
+    assert np.array_equal(theta, again)
+
+
+def test_posterior_uniform_for_empty_oov_and_single_topic():
+    m = _model([[3, 1], [1, 3]], ["a", "b"])
+    assert np.array_equal(fold_in_one([m], [[], ["zzz"]]), np.full((2, 2),
+                                                                  0.5))
+    single = _model([[3, 1]], ["a", "b"])
+    assert np.allclose(fold_in_one([single], [["a", "b"]]), [[1.0]])
+    assert fold_in_one([m], []).shape == (0, 2)
+
+
+def test_posterior_concentrates_on_matching_topic():
+    # topic 0 emits only "a", topic 1 only "b"; a pure-"a" doc should land
+    # almost all of its mass on topic 0 despite the smoothing prior
+    m = _model([[100, 0], [0, 100]], ["a", "b"], alpha=0.1)
+    theta = fold_in_one([m], [["a"] * 6], sweeps=30)[0]
+    assert theta[0] > 0.9
+
+
+def test_dis_vector_concatenates_thirds():
+    docs, triple = _planted_triple(9, h=2, seed=4)
+    rows = fold_in_one(triple.models, docs[:2], sweeps=10)
+    assert rows.shape == (2, 6)
+    # one posterior per model side by side, each a distribution
+    assert np.allclose(rows.reshape(2, 3, 2).sum(axis=2), 1.0)
+
+
+@pytest.mark.parametrize("h", [1, 2, 3, 5, 7])
+def test_fold_in_equals_scalar_oracle(h):
+    docs, triple = _planted_triple(20 + h, h=h, seed=h)
+    # the planted docs plus the same docs eight times over, which run more
+    # sweeps before they settle
+    batch = _mixed_docs(docs) + [doc * 8 for doc in docs[12:16]]
+    for sweeps in (3, 50):
+        got = fold_in_one(triple.models, batch, sweeps)
+        assert got.shape == (len(batch), 3 * h)
+        assert np.array_equal(got, _oracle_rows(triple.models, batch, sweeps))
+    one = fold_in_one([triple.none], batch)
+    assert np.array_equal(one, _oracle_rows([triple.none], batch))
+    # each model's block is that model's fold-in alone
+    assert np.array_equal(got[:, h:2 * h], one)
+
+
+def test_fold_in_unseen_word_under_models_of_differing_priors():
+    # "c" has zero count under every topic of the first model, so its
+    # factors are beta / (n_t + beta |V|), tiny but positive; the models'
+    # priors differ, so each chain must use its own model's alpha and beta
+    vocab = ["a", "b", "c"]
+    models = [_model([[4, 1, 0], [1, 4, 0], [2, 2, 0]], vocab, beta=1e-9),
+              _model([[4, 1, 1], [1, 4, 2], [2, 2, 3]], vocab, alpha=2.0,
+                     beta=0.5)]
+    docs = [["c", "c", "a"], ["c"], ["a", "b", "c", "c", "b"], ["b"]]
+    got = fold_in_one(models, docs, sweeps=8)
+    assert np.array_equal(got, _oracle_rows(models, docs, 8))
+
+
+def test_fold_in_stops_each_text_at_its_own_fixed_point(monkeypatch):
+    docs, triple = _planted_triple(12, h=3, seed=7)
+    batch = _mixed_docs(docs) + [doc * 8 for doc in docs[12:16]]
+    settled = fold_in_one(triple.models, batch)
+    # every text is frozen before the default cap, so a higher cap changes
+    # no byte
+    assert np.array_equal(fold_in_one(triple.models, batch, 500), settled)
+    # a text that reaches the cap still gets its models' distributions, the
+    # oracle's after as many sweeps
+    for sweeps in (1, 2):
+        capped = fold_in_one(triple.models, batch, sweeps)
+        assert np.array_equal(capped, _oracle_rows(triple.models, batch,
+                                                   sweeps))
+        assert (capped > 0).all()
+        assert np.allclose(capped.reshape(len(batch), 3, 3).sum(axis=2), 1.0)
+        assert not np.array_equal(capped, settled)
+    # a frozen row is that of the fixed point: 200 sweeps with no text
+    # frozen move it by far less than the 1e-9 the rule stops at
+    monkeypatch.setattr(cosd.topics, "_FOLD_IN_TOL", -1.0)
+    assert np.abs(fold_in_one(triple.models, batch, 200)
+                  - settled).max() < 1e-10
 
 
 def test_fold_in_rows_independent_of_batch(monkeypatch):
-    docs, _ = planted_corpus(n_docs=30, seed=11)
-    split = len(docs) // 3
-    triple = _triple(docs[:split], docs[split:2 * split],
-                     docs[2 * split:], h=3, sweeps=10, seed=2)
+    docs, triple = _planted_triple(11, h=3, seed=2)
     batch = _mixed_docs(docs)
-    seeds = [50 + i for i in range(len(batch))]
-    full = fold_in_one(triple.models, batch, seeds, sweeps=5)
+    full = fold_in_one(triple.models, batch)
     perm = np.random.default_rng(0).permutation(len(batch))
-    permuted = fold_in_one(triple.models, [batch[i] for i in perm],
-                           [seeds[i] for i in perm], sweeps=5)
+    permuted = fold_in_one(triple.models, [batch[i] for i in perm])
     assert np.array_equal(permuted, full[perm])
     for i in (0, 2, len(batch) - 1):
-        alone = fold_in_one(triple.models, [batch[i]], [seeds[i]], sweeps=5)
+        alone = fold_in_one(triple.models, [batch[i]])
         assert np.array_equal(alone[0], full[i])
-    # lockstep batches smaller than the doc count give the same rows
+    # alongside another set, whose texts settle at other sweeps
+    hand = _model([[5, 0, 1], [0, 5, 1], [1, 1, 5]], ["a", "b", "c"])
+    _, beside = fold_in_sets([([hand] * 3, [["a", "c"] * 9, ["b"]]),
+                              (triple.models, batch)])
+    assert np.array_equal(beside, full)
+    # batches smaller than the doc count give the same rows
     monkeypatch.setattr(cosd.topics, "_FOLD_IN_BATCH", 3)
-    assert np.array_equal(
-        fold_in_one(triple.models, batch, seeds, sweeps=5), full)
+    assert np.array_equal(fold_in_one(triple.models, batch), full)
 
 
 def test_fold_in_sets_equal_each_sets_own_call_and_oracle(monkeypatch):
-    # one lockstep over sets that differ in vocabulary, priors and doc
-    # lengths; each chain must read its own set's factors and alpha
-    docs, _ = planted_corpus(n_docs=30, seed=13)
-    split = len(docs) // 3
-    triple = _triple(docs[:split], docs[split:2 * split],
-                     docs[2 * split:], h=3, sweeps=10, seed=5)
+    # one call over sets that differ in vocabulary, priors and doc lengths;
+    # each chain must read its own set's factors and alpha
+    docs, triple = _planted_triple(13, h=3, seed=5)
     rng = np.random.default_rng(13)
     hand = [_model(rng.integers(0, 6, size=(3, 4)), ["a", "b", "c", "d"],
                    alpha=alpha) for alpha in (0.5, 2.0, 0.1)]
-    batch = _mixed_docs(docs)
-    sets = [(triple.models, batch, [100 + i for i in range(len(batch))]),
-            (hand, [["a", "d", "a"], [], ["zzz"], ["b"] * 40, ["c", "a"]],
-             [1, 2, 3, 4, 5]),
-            (triple.models, [], []),
-            (hand, [["zzz"], ["d"]], [9, 9])]
-    own = [fold_in_one(models, set_docs, seeds, sweeps=6)
-           for models, set_docs, seeds in sets]
+    sets = [(triple.models, _mixed_docs(docs)),
+            (hand, [["a", "d", "a"], [], ["zzz"], ["b"] * 40, ["c", "a"]]),
+            (triple.models, []),
+            (hand, [["zzz"], ["d"]])]
+    own = [fold_in_one(models, set_docs) for models, set_docs in sets]
     for size in (cosd.topics._FOLD_IN_BATCH, 3):
         monkeypatch.setattr(cosd.topics, "_FOLD_IN_BATCH", size)
-        got = fold_in_sets(sets, sweeps=6)
+        got = fold_in_sets(sets)
         assert len(got) == len(sets)
-        for rows, alone, (models, set_docs, seeds) in zip(got, own, sets):
+        for rows, alone, (models, set_docs) in zip(got, own, sets):
             assert rows.shape == (len(set_docs), 9)
             assert np.array_equal(rows, alone)
             if set_docs:
-                assert np.array_equal(
-                    rows, _oracle_rows(models, set_docs, seeds, 6))
+                assert np.array_equal(rows,
+                                      _oracle_rows(models, set_docs))
 
 
 def test_fold_in_rejects_mismatched_inputs():
@@ -834,18 +789,18 @@ def test_fold_in_rejects_mismatched_inputs():
     other_vocab = _model([[3, 1], [1, 3]], ["a", "c"])
     other_h = _model([[3, 1], [1, 3], [2, 2]], ["a", "b"])
     with pytest.raises(TopicsError):
-        fold_in_one([a, other_vocab], [["a"]], [0])
+        fold_in_one([a, other_vocab], [["a"]])
     with pytest.raises(TopicsError):
-        fold_in_one([a, other_h], [["a"]], [0])
+        fold_in_one([a, other_h], [["a"]])
     with pytest.raises(TopicsError):
-        fold_in_one([a], [["a"], ["b"]], [0])
-    with pytest.raises(TopicsError):
-        fold_in_one([], [["a"]], [0])
+        fold_in_one([], [["a"]])
+    with pytest.raises(TopicsError, match="sweeps must be >= 1"):
+        fold_in_one([a], [["a"]], sweeps=0)
     # sets folded in together must agree on H and on the number of models
     with pytest.raises(TopicsError):
-        fold_in_sets([([a], [["a"]], [0]), ([other_h], [["a"]], [0])])
+        fold_in_sets([([a], [["a"]]), ([other_h], [["a"]])])
     with pytest.raises(TopicsError):
-        fold_in_sets([([a, a], [["a"]], [0]), ([a], [["b"]], [1])])
+        fold_in_sets([([a, a], [["a"]]), ([a], [["b"]])])
     assert fold_in_sets([]) == []
 
 
@@ -859,7 +814,7 @@ def test_perplexity_single_topic_matches_hand_computation():
     p_b = 1.01 / 4.02
     expect = np.exp(-(2 * np.log(p_a) + np.log(p_b)) / 3)
     docs = [["a", "b", "a"]]
-    got = perplexity(m, docs, fold_in_one([m], docs, [0], sweeps=5))
+    got = perplexity(m, docs, fold_in_one([m], docs, sweeps=5))
     assert got == pytest.approx(expect, rel=1e-12)
 
 
@@ -867,10 +822,9 @@ def test_perplexity_skips_oov_docs_and_is_at_least_one():
     docs, _ = planted_corpus(n_docs=30, seed=10)
     m = fit_one(docs, h=3, alpha=50.0 / 3, sweeps=30, seed=2)
     with_oov = docs[:5] + [["zzz", "qqq"]]
-    seeds = list(range(len(with_oov)))
-    val = perplexity(m, with_oov, fold_in_one([m], with_oov, seeds, sweeps=10))
+    val = perplexity(m, with_oov, fold_in_one([m], with_oov, sweeps=10))
     assert val >= 1.0
-    alone = fold_in_one([m], docs[:5], seeds[:5], sweeps=10)
+    alone = fold_in_one([m], docs[:5], sweeps=10)
     assert val == pytest.approx(perplexity(m, docs[:5], alone))
 
 
@@ -878,13 +832,13 @@ def test_perplexity_errors_when_no_tokens_scorable():
     m = _model([[3, 1]], ["a", "b"])
     docs = [["zzz"], []]
     with pytest.raises(TopicsError, match="zero in-vocabulary tokens"):
-        perplexity(m, docs, fold_in_one([m], docs, [0, 1]))
+        perplexity(m, docs, fold_in_one([m], docs))
 
 
 def test_perplexity_rejects_thetas_not_one_row_per_doc_of_width_h():
     m = _model([[3, 1], [1, 3]], ["a", "b"])
     docs = [["a"], ["b", "a"]]
-    thetas = fold_in_one([m], docs, [0, 1])
+    thetas = fold_in_one([m], docs)
     perplexity(m, docs, thetas)
     # an extra row would be dropped by the per-doc loop without a word
     for bad in (thetas[:1], np.vstack([thetas, thetas[:1]]), thetas[:, :1],

@@ -35,7 +35,6 @@ from cosd.training import (
     derive_seed,
     fit_topics,
     fold_in_matrix,
-    fold_in_seeds,
     group_keys,
     load_embeddings,
     missing_ids,
@@ -517,58 +516,41 @@ def test_missing_ids_reporting(synth_setup):
 def test_fold_in_matrix_rows_are_distributions(synth_setup):
     dataset, _, target, triple = synth_setup
     pool = dataset.train_pool(target)[:6]
-    (mat,) = fold_in_matrix([(triple, pool)], sweeps=10, base_seed=5)
+    (mat,) = fold_in_matrix([(triple, pool)], sweeps=10)
     assert mat.shape == (6, 6)
     assert np.allclose(mat.sum(axis=1), 1.0)
-    # per-example seeds: a subset reproduces the same rows, alone or as
-    # one of several pairs folded in together
-    (sub,) = fold_in_matrix([(triple, pool[:2])], sweeps=10, base_seed=5)
+    # a row depends on its text alone: a subset reproduces the same rows,
+    # alone or as one of several pairs folded in together
+    (sub,) = fold_in_matrix([(triple, pool[:2])], sweeps=10)
     assert np.array_equal(sub, mat[:2])
     head, empty, tail = fold_in_matrix(
-        [(triple, pool[:2]), (triple, []), (triple, pool[2:])], sweeps=10,
-        base_seed=5)
+        [(triple, pool[:2]), (triple, []), (triple, pool[2:])], sweeps=10)
     assert np.array_equal(head, mat[:2]) and np.array_equal(tail, mat[2:])
     assert empty.shape == (0, 6)
-    (other_seed,) = fold_in_matrix([(triple, pool)], sweeps=10, base_seed=6)
-    assert not np.array_equal(other_seed, mat)
 
 
 def test_fold_in_matrix_equals_scalar_oracle_thirds(synth_setup):
-    from test_topics import doc_topic_posterior
+    from test_topics import cvb0_posterior
 
     dataset, _, target, triple = synth_setup
     pool = dataset.train_pool(target)[:8]
-    (mat,) = fold_in_matrix([(triple, pool)], sweeps=7, base_seed=5)
+    (mat,) = fold_in_matrix([(triple, pool)], sweeps=7)
     for row, ex in zip(mat, pool):
-        seed = (derive_seed(5, 101) << 32) | zlib.crc32(ex.id.encode("utf-8"))
-        parts = [doc_topic_posterior(m, ex.tokens, sweeps=7, seed=seed)
+        parts = [cvb0_posterior(m, ex.tokens, sweeps=7)
                  for m in triple.models]
         assert np.array_equal(row, np.concatenate(parts) / 3.0)
 
 
-def test_fold_in_seeds_key_each_text_by_its_id():
-    texts = [Example(id=i, target="T", stance=Stance.NONE,
-                     split=Split.TRAIN, tokens=("t",))
-             for i in ("", "a", "Ünïcode ✓", "x" * 300)]
-    seeds = fold_in_seeds(2**70 + 3, texts)
-    high = derive_seed(2**70 + 3, 101) << 32
-    assert seeds.dtype == np.uint64
-    assert seeds.tolist() == [high | zlib.crc32(ex.id.encode("utf-8"))
-                              for ex in texts]
-    assert fold_in_seeds(4, []).shape == (0,)
-
-
 def test_perplexity_theta_is_the_training_fold_in_block(synth_setup):
-    # one seeding rule: a text's chain under model j depends only on its
-    # key and tokens, so its theta under that model alone is block j of the
-    # row training folds it in with
+    # a text's posterior under model j depends only on its tokens and that
+    # model, so its theta under that model alone is block j of the row
+    # training folds it in with
     dataset, _, target, triple = synth_setup
     h = triple.h
     for j, examples in enumerate(stance_subsets(dataset, target)):
-        seeds = fold_in_seeds(5, examples)
         docs = [ex.tokens for ex in examples]
-        (rows,) = fold_in_matrix([(triple, examples)], sweeps=7, base_seed=5)
-        (theta,) = fold_in_sets([([triple.models[j]], docs, seeds)], sweeps=7)
+        (rows,) = fold_in_matrix([(triple, examples)], sweeps=7)
+        (theta,) = fold_in_sets([([triple.models[j]], docs)], sweeps=7)
         assert np.array_equal(theta / 3.0, rows[:, j * h:(j + 1) * h])
         phi = triple.models[j].phi()
         index = triple.models[j].vocab.index
@@ -605,7 +587,7 @@ def test_build_group_data_shapes(synth_setup):
     assert set(seconds) == {"topic_fit_s", "fold_in_s"}
     n = len(dataset.train_pool(target))
     assert len(data.pool) == n
-    (dis_pool,) = fold_in_matrix([(want, data.pool)], sweeps=10, base_seed=5)
+    (dis_pool,) = fold_in_matrix([(want, data.pool)], sweeps=10)
     assert dis_pool.shape == (n, 6)
     _assert_graph_of(data, dis_pool)
     assert data.lap.rows == n + 6 + 3
@@ -840,7 +822,7 @@ def test_six_target_train_equals_per_group_fits(tmp_path):
                                   own.topic_word_counts)
             assert got.log_joint == own.log_joint
         dis_pool, dis_val = fold_in_matrix(
-            [(want, data.pool), (want, data.val)], sweeps=10, base_seed=5)
+            [(want, data.pool), (want, data.val)], sweeps=10)
         _assert_graph_of(data, dis_pool)
         assert np.array_equal(data.dis_val, dis_val)
 

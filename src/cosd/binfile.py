@@ -17,18 +17,27 @@ from pathlib import Path
 import numpy as np
 
 _U32 = struct.Struct("<I")
+# bytes read at once for fields: an EMB1 record's header (its id length, an
+# id of up to 248 bytes and its row count) comes in one read of the file
+_AHEAD = 256
 F32 = np.dtype("<f4")
 F64 = np.dtype("<f8")
 I64 = np.dtype("<i8")
 
 
 class Reader:
-    """Reads from one open file, in order from a cursor that seek() may
-    move; use it as a context manager.
+    """Reads from one open file, in order from a cursor that seek() and
+    skip() move without touching the file; use it as a context manager.
 
-    Arrays are read only by read_into, into arrays the loader allocates;
-    a loader checks a table's size with need() before it allocates it, so a
-    header that claims more data than the file holds fails first.
+    Fields are served from a run of bytes read ahead of the cursor: a
+    field the run does not hold refills it with one read of 256 bytes at
+    the cursor (more for a longer field, fewer at the end of the file), so
+    a small header read after a seek costs one small read of the file.
+
+    Arrays are read only by read_into, into arrays the loader allocates,
+    straight from the file; a loader checks a table's size with need()
+    before it allocates it, so a header that claims more data than the
+    file holds fails first.
     """
 
     def __init__(self, path: str | Path, error: type[Exception],
@@ -36,7 +45,8 @@ class Reader:
         self.path = Path(path)
         self.error = error
         self.off = 0
-        self._fh = open(self.path, "rb")
+        self._run, self._run_at = b"", 0  # bytes read ahead, from _run_at
+        self._fh = open(self.path, "rb", buffering=0)
         try:
             self.size = os.fstat(self._fh.fileno()).st_size
             if self._fh.read(len(magic)) != magic:
@@ -68,13 +78,20 @@ class Reader:
             raise self.fail(f"truncated, {n} bytes needed but "
                             f"{self.left()} left")
 
-    def _read(self, n: int) -> bytes:
-        self.need(n)
-        data = self._fh.read(n)
-        if len(data) != n:
-            raise self.fail(f"short read, {len(data)} of {n} bytes")
+    def _take(self, n: int) -> int:
+        """Where the next n bytes start in the run, which is refilled when
+        it does not hold them all; the cursor moves past them."""
+        at = self.off - self._run_at
+        if not 0 <= at <= len(self._run) - n:
+            self.need(n)
+            self._fh.seek(self.off)
+            self._run, self._run_at, at = (
+                self._fh.read(min(max(n, _AHEAD), self.left())),
+                self.off, 0)
+            if len(self._run) < n:
+                raise self.fail(f"short read, {len(self._run)} of {n} bytes")
         self.off += n
-        return data
+        return at
 
     def read_into(self, out: np.ndarray) -> None:
         """Fill the C-contiguous array `out` from the file, byte for byte,
@@ -83,9 +100,13 @@ class Reader:
             return  # a zero-length view cannot be cast to bytes
         view = memoryview(out).cast("B")
         self.need(len(view))
-        got = self._fh.readinto(view)
-        if got != len(view):
-            raise self.fail(f"short read, {got} of {len(view)} bytes")
+        self._fh.seek(self.off)
+        got = 0
+        while got < len(view):  # one read returns at most about 2 GiB
+            step = self._fh.readinto(view[got:])
+            if not step:
+                raise self.fail(f"short read, {got} of {len(view)} bytes")
+            got += step
         self.off += got
 
     def seek(self, off: int) -> None:
@@ -93,27 +114,27 @@ class Reader:
         if off > self.size:
             raise self.fail(f"truncated, byte {off} is past the end",
                             self.size)
-        self._fh.seek(off)
         self.off = off
 
     def skip(self, n: int) -> None:
         """Move the cursor n bytes on, unread; they must lie in the file."""
         self.need(n)
-        self._fh.seek(n, os.SEEK_CUR)
         self.off += n
 
     def unpack(self, fmt: str) -> tuple:
-        return struct.unpack(fmt, self._read(struct.calcsize(fmt)))
+        at = self._take(struct.calcsize(fmt))
+        return struct.unpack_from(fmt, self._run, at)
 
     def u32(self) -> int:
-        return _U32.unpack(self._read(4))[0]
+        at = self._take(4)
+        return _U32.unpack_from(self._run, at)[0]
 
     def text(self, n: int) -> str:
-        start = self.off
+        at = self._take(n)
         try:
-            return self._read(n).decode("utf-8")
+            return self._run[at:at + n].decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise self.fail("invalid UTF-8", start) from exc
+            raise self.fail("invalid UTF-8", self.off - n) from exc
 
     def finish(self) -> None:
         if self.off != self.size:

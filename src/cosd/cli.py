@@ -282,7 +282,7 @@ class RunDir:
         dis = [None] * len(groups) if mode == "no_dis" else (
             training.fold_in_matrix(
                 [(self._triple(name), group) for name, group in groups],
-                self.config.fold_in_sweeps))
+                self.config.fold_in_sweeps).rows)
         return [(name, at[name], sem_rows, dis_rows)
                 for (name, _), sem_rows, dis_rows in zip(groups, sem, dis)]
 
@@ -336,7 +336,7 @@ class RunDir:
             raise ConfigError(f"{meta_path}: ids and stances differ from the "
                               f"train pool in {self.config.data}")
         (dis,) = training.fold_in_matrix([(self._triple(name), pool)],
-                                         self.config.fold_in_sweeps)
+                                         self.config.fold_in_sweeps).rows
         lap = graph.laplacian(graph.build_adjacency(
             [ex.stance for ex in pool], dis))
         return ckpt, pool, lap
@@ -422,7 +422,7 @@ def cmd_topics(args: argparse.Namespace) -> int:
                   for model in triple.models]
         thetas = topics.fold_in_sets(
             [([model], subset) for model, subset in zip(models, docs)],
-            config.fold_in_sweeps)
+            config.fold_in_sweeps).rows
         for model, subset, theta, row in zip(models, docs, thetas, scores):
             try:
                 perp = topics.perplexity(model, subset, theta)
@@ -480,10 +480,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     for old in [*run_dir.glob("report-*.txt"), *run_dir.glob("report-*.csv")]:
         old.unlink()
     _write_train_outputs(run_dir, config, result)
-    # wall times per stage; never compared, unlike the other outputs
+    # wall times per stage and the fold-in's capped (text, model) pairs;
+    # never compared, unlike the other outputs
     _write_json(run_dir / "timings.json", {
         "load_s": loaded - start,
-        **result.seconds,
+        **result.stages,
         "groups": {data.group: {
             "graph_build_s": data.graph_build_s,
             "trials": [{"train_s": t[data.group].train_s,
@@ -527,9 +528,11 @@ def cmd_predict(args: argparse.Namespace) -> int:
     trial = run.trials(args.trial)[0]  # the first trial unless one is named
     examples = read_splits(args.infile, [Split.TEST]).examples
     scores = run.score(run.rows(examples, args.mode), trial, args.score_norm)
+    # Python floats, which format faster than numpy scalars, to the same text
     lines = [f"{ex.id}\t{label.value}\t"
              + "\t".join(f"{x:.6f}" for x in (*sem, *dis))
-             for ex, sem, dis, label in zip(examples, scores.sem, scores.dis,
+             for ex, sem, dis, label in zip(examples, scores.sem.tolist(),
+                                            scores.dis.tolist(),
                                             scores.predicted)]
     header = ("ID\tPredicted\tSemFavor\tSemNone\tSemAgainst"
               "\tDisFavor\tDisNone\tDisAgainst")

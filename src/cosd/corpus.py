@@ -54,8 +54,7 @@ _STANCE_ALIASES = {
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
 _MENTION_RE = re.compile(r"@\w+")
-_NON_ALNUM_RE = re.compile(r"[^a-z0-9]+")
-_ALL_DIGITS_RE = re.compile(r"\d+\Z")
+_TOKEN_RE = re.compile(r"[a-z0-9]{2,}")
 
 
 def tokenize(text: str) -> list[str]:
@@ -66,19 +65,9 @@ def tokenize(text: str) -> list[str]:
     bodies survive (only the '#' is a split point). Idempotent: running the
     output back through changes nothing.
     """
-    lowered = text.lower()
-    lowered = _URL_RE.sub(" ", lowered)
-    lowered = _MENTION_RE.sub(" ", lowered)
-    tokens = []
-    for tok in _NON_ALNUM_RE.split(lowered):
-        if len(tok) < 2:
-            continue
-        if tok in STOPWORDS:
-            continue
-        if _ALL_DIGITS_RE.fullmatch(tok):
-            continue
-        tokens.append(tok)
-    return tokens
+    lowered = _MENTION_RE.sub(" ", _URL_RE.sub(" ", text.lower()))
+    return [tok for tok in _TOKEN_RE.findall(lowered)
+            if tok not in STOPWORDS and not tok.isdigit()]
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ Node rows are ordered texts, topics, labels, matching the graph module.
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -320,19 +321,27 @@ def batch_loss(model: CpaModel, buf: Buffers, lap: BipartiteLaplacian,
 
 def infer_transform(x: np.ndarray, model: CpaModel,
                     slope: float = 0.01) -> np.ndarray:
-    """Graph-free counterpart of propagate for unseen rows, (n, d0) in.
-
-    Per hop: e^k = LReLU(e^{k-1} (W1^k + W2^k)); the hop outputs are then
-    concatenated like the final reps. Uses the trained weights read-only.
-    """
+    """Graph-free counterpart of propagate for unseen rows, (n, d0) in:
+    x beside its hop_outputs, concatenated like the final reps. Uses the
+    trained weights read-only."""
     prev = np.asarray(x, dtype=np.float64)
     if prev.ndim != 2 or prev.shape[1] != model.d0:
         raise CpaError(f"input of shape {prev.shape}, need (n, {model.d0})")
-    parts = [prev]
-    for a, b in zip(model.w1, model.w2):
+    first = prev @ (model.w1[0] + model.w2[0])
+    return np.concatenate([prev, *hop_outputs(first, model, slope)], axis=1)
+
+
+def hop_outputs(first: np.ndarray, model: CpaModel,
+                slope: float = 0.01) -> Iterator[np.ndarray]:
+    """The graph-free hop outputs e^1, ..., e^l of rows e^0, given the
+    first hop's pre-activation `first` = e^0 (W1^1 + W2^1):
+    e^k = LReLU(e^{k-1} (W1^k + W2^k)). The caller forms `first`, so rows
+    e^0 = D U can pass D (U (W1^1 + W2^1)) and never form e^0."""
+    prev = _leaky_relu(first, slope)
+    yield prev
+    for a, b in zip(model.w1[1:], model.w2[1:]):
         prev = _leaky_relu(prev @ (a + b), slope)
-        parts.append(prev)
-    return np.concatenate(parts, axis=1)
+        yield prev
 
 
 # --- checkpoint serialization ----------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .corpus import LABELS, Stance
-from .cpa import CpaModel, infer_transform
+from .cpa import CpaModel, hop_outputs
 
 MODES = ("full", "no_sem", "no_dis")
 
@@ -46,10 +46,13 @@ def distributed_scores(dis_matrix: np.ndarray, model: CpaModel,
                        slope: float = 0.01) -> np.ndarray:
     """(n, 3) per stance block, max over its H topics of the products of the
     transformed topic-weighted mix with the model's transformed topic
-    embeddings.
+    embeddings: infer_transform(dis_matrix @ U) @ infer_transform(U).T.
 
     Each row of dis_matrix is a topic distribution (sums to 1; a row with a
-    NaN or an infinity sums to neither).
+    NaN or an infinity sums to neither). The product is summed hop by hop
+    at the topic table's size, never at the texts' width: hop 0 is
+    dis (U U^T), hop 1's pre-activation dis (U (W1 + W2)), and later hops
+    run at width d1.
     """
     dis_matrix = np.asarray(dis_matrix, dtype=np.float64)
     u_table = model.u
@@ -60,9 +63,12 @@ def distributed_scores(dis_matrix: np.ndarray, model: CpaModel,
         return np.zeros((0, 3))
     if not np.abs(dis_matrix.sum(axis=1) - 1.0).max() <= 1e-6:
         raise InferenceError("a topic distribution does not sum to 1")
-    e_tilde = infer_transform(dis_matrix @ u_table, model, slope)
-    u_tilde = infer_transform(u_table, model, slope)
-    sims = e_tilde @ u_tilde.T
+    first = u_table @ (model.w1[0] + model.w2[0])
+    sims = dis_matrix @ (u_table @ u_table.T)
+    for text_hop, topic_hop in zip(
+            hop_outputs(dis_matrix @ first, model, slope),
+            hop_outputs(first, model, slope)):
+        sims += text_hop @ topic_hop.T
     return sims.reshape(len(dis_matrix), 3, -1).max(axis=2)
 
 

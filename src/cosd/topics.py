@@ -22,6 +22,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from math import inf, lgamma
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -356,8 +357,16 @@ _FOLD_IN_TOL = 1e-9
 FoldInSet = tuple[Sequence[LdaModel], Docs]
 
 
-def fold_in_sets(sets: Sequence[FoldInSet],
-                 sweeps: int = 50) -> list[np.ndarray]:
+class FoldIn(NamedTuple):
+    """Fold-in posteriors, one array per set, and the number of (doc,
+    model) chains stopped at the sweep cap rather than at their fixed
+    point."""
+
+    rows: list[np.ndarray]
+    capped: int
+
+
+def fold_in_sets(sets: Sequence[FoldInSet], sweeps: int = 50) -> FoldIn:
     """Fold-in posteriors of several model sets' docs; per set (models,
     docs) one (D, len(models)*H) array.
 
@@ -377,7 +386,7 @@ def fold_in_sets(sets: Sequence[FoldInSet],
     its set. Empty or fully out-of-vocabulary docs give the uniform prior.
     """
     if not sets:
-        return []
+        return FoldIn([], 0)
     if sweeps < 1:
         raise TopicsError(f"sweeps must be >= 1, got {sweeps}")
     for models, _ in sets:
@@ -407,16 +416,20 @@ def fold_in_sets(sets: Sequence[FoldInSet],
                        for models, _ in sets])[set_of]
     factor = np.concatenate(tables)
     live = np.flatnonzero([len(doc) for doc in ids])
+    capped = 0
     for at in range(0, len(live), _FOLD_IN_BATCH):
         batch = live[at:at + _FOLD_IN_BATCH]
-        out[batch] = _cvb0([ids[d] for d in batch], offsets[batch], factor,
-                           alphas[batch], h, sweeps)
-    return rows
+        out[batch], batch_capped = _cvb0(
+            [ids[d] for d in batch], offsets[batch], factor, alphas[batch], h,
+            sweeps)
+        capped += batch_capped
+    return FoldIn(rows, capped)
 
 
 def _cvb0(ids: list[list[int]], offsets: np.ndarray, factor: np.ndarray,
-          alphas: np.ndarray, h: int, sweeps: int) -> np.ndarray:
-    """fold_in_sets over nonempty docs; (D, M*H).
+          alphas: np.ndarray, h: int, sweeps: int) -> tuple[np.ndarray, int]:
+    """fold_in_sets over nonempty docs: (D, M*H) posteriors and the number
+    of chains still running after the last sweep.
 
     Doc d's word w is factor row w + offsets[d], and its chains take the
     priors alphas[d] (M values); chain c = doc * M + model. Arrays are
@@ -461,7 +474,7 @@ def _cvb0(ids: list[list[int]], offsets: np.ndarray, factor: np.ndarray,
     np.copyto(final, counts, where=running)
     post = (final.T + alpha[:, None]) / (
         lengths.repeat(n_models)[:, None] + h * alpha[:, None])
-    return post.reshape(n_docs, n_models * h)
+    return post.reshape(n_docs, n_models * h), int(running.sum())
 
 
 def perplexity(model: LdaModel, docs: Docs, thetas: np.ndarray) -> float:

@@ -67,6 +67,10 @@ class TokenRows:
     def __contains__(self, rec_id: object) -> bool:
         return rec_id in self._index
 
+    def where(self, rec_id: str) -> tuple[int, int]:
+        """The record's byte offset and row count."""
+        return self._index[rec_id]
+
     def items(self) -> Iterator[tuple[str, np.ndarray]]:
         """(id, rows) of every record in file order, read through one open
         file into views of one float32 block: one large allocation, not one
@@ -273,26 +277,30 @@ def export_attention(example: Example, store: EncoderStore,
             writer.writerow([name, f"{w:.12f}"])
 
 
-def semantic_rep(token_matrix: np.ndarray,
-                 target_vec: np.ndarray) -> np.ndarray:
-    """Target-attended pooling of the token vectors; parameter-free."""
-    m = np.atleast_2d(np.asarray(token_matrix, dtype=np.float64))
-    return attention_weights(m, target_vec) @ m
-
-
 def semantic_matrix(examples: list[Example],
                     store: EncoderStore) -> np.ndarray:
-    """semantic_rep of every example against its target's vector, (n, dim)
-    float64; each record is read once, and none is read for no examples."""
+    """Target-attended pooling of every example's token rows, (n, dim)
+    float64: row i is attention_weights(m, target) @ m, with m the float64
+    copy of example i's rows and target its target's vector.
+
+    Each example's record is read once, in file order, into one float32
+    and one float64 buffer sized for the longest, and its row is written at
+    the example's position; none is read for no examples."""
     for ex in examples:
         if ex.id not in store.tokens or ex.target not in store.targets:
             raise TrainingError(f"missing embedding record for {ex.id!r}")
     out = np.empty((len(examples), store.dim))
     if not examples:
         return out
+    where = [store.tokens.where(ex.id) for ex in examples]
+    longest = max(t for _, t in where)
+    narrow = np.empty((longest, store.dim), dtype=F32)
+    wide = np.empty((longest, store.dim))
     with store.tokens.open() as read:
-        for i, ex in enumerate(examples):
-            out[i] = semantic_rep(read(ex.id), store.targets[ex.target])
+        for i in sorted(range(len(examples)), key=where.__getitem__):
+            ex, m = examples[i], wide[:where[i][1]]
+            np.copyto(m, read(ex.id, narrow[:len(m)]))
+            out[i] = attention_weights(m, store.targets[ex.target]) @ m
     return out
 
 
@@ -472,13 +480,15 @@ class GroupResult:
 
 def fold_in_matrix(pairs: Sequence[tuple[topics.TopicModelTriple,
                                          list[Example]]],
-                   sweeps: int) -> list[np.ndarray]:
+                   sweeps: int) -> topics.FoldIn:
     """Per (triple, examples) pair, the (n, 3H) topic distributions: the
-    three fold-in posteriors side by side, divided by 3. Every pair's texts
-    are folded in together."""
-    return [rows / 3.0 for rows in topics.fold_in_sets(
+    three fold-in posteriors side by side, divided by 3; and the number of
+    (text, model) pairs stopped at `sweeps`. Every pair's texts are folded
+    in together."""
+    rows, capped = topics.fold_in_sets(
         [(triple.models, [ex.tokens for ex in examples])
-         for triple, examples in pairs], sweeps)]
+         for triple, examples in pairs], sweeps)
+    return topics.FoldIn([r / 3.0 for r in rows], capped)
 
 
 def fit_topics(dataset: Dataset, config: RunConfig,
@@ -503,18 +513,19 @@ def fit_topics(dataset: Dataset, config: RunConfig,
 
 def build_groups(dataset: Dataset, store: EncoderStore, config: RunConfig
                  ) -> tuple[list[GroupData], dict[str, float]]:
-    """Every group's record, in group_keys order, and the run's wall times
-    of the topic fit and the fold-in, which cover all groups at once: the
-    triples are fitted together, every pool and val split is folded in
-    together, then each group's graph is built. A group with no training
-    texts fails in fit_topics, before anything is fitted."""
+    """Every group's record, in group_keys order, and the run's figures of
+    the topic fit and the fold-in, which cover all groups at once: their
+    wall times and the (text, model) pairs the fold-in stopped at its sweep
+    cap. The triples are fitted together, every pool and val split is
+    folded in together, then each group's graph is built. A group with no
+    training texts fails in fit_topics, before anything is fitted."""
     keys = group_keys(dataset, config.joint)
     pools = [dataset.train_pool(target) for _, target in keys]
     vals = [dataset.split(Split.VAL, target) for _, target in keys]
     began = time.perf_counter()
     triples = fit_topics(dataset, config, config.h)
     fitted = time.perf_counter()
-    rows = fold_in_matrix(
+    rows, capped = fold_in_matrix(
         [(triple, examples) for triple, pool, val in zip(triples, pools, vals)
          for examples in (pool, val)], config.fold_in_sweeps)
     folded = time.perf_counter()
@@ -531,7 +542,7 @@ def build_groups(dataset: Dataset, store: EncoderStore, config: RunConfig
             sem_val=semantic_matrix(val, store), lap=lap,
             graph_build_s=built - start))
     return groups, {"topic_fit_s": fitted - began,
-                    "fold_in_s": folded - fitted}
+                    "fold_in_s": folded - fitted, "fold_in_capped": capped}
 
 
 def _val_metrics(data: GroupData, model: cpa.CpaModel, config: RunConfig):
@@ -616,14 +627,14 @@ class TrainResult:
     trials: list[dict[str, GroupResult]]  # trial i is seeded config.seed + i
     report_text: str
     report_csv: str
-    seconds: dict[str, float]    # topic_fit_s and fold_in_s, all groups
+    stages: dict[str, float]     # build_groups' figures, all groups
 
 
 def train(dataset: Dataset, store: EncoderStore,
           config: RunConfig) -> TrainResult:
     """Full run: every group's record (build_groups), then every trial in
     order; returns the group records, the trials' results, a val report and
-    the wall times of the topic fit and the fold-in.
+    build_groups' figures of the topic fit and the fold-in.
 
     Trials shift only the collaborative-training seed (inits, dropout, batch
     order); the topic models are fixed by the base seed, the fold-in
@@ -633,7 +644,7 @@ def train(dataset: Dataset, store: EncoderStore,
     if absent:
         raise TrainingError(f"embedding records missing for ids: {absent}")
 
-    groups, seconds = build_groups(dataset, store, config)
+    groups, stages = build_groups(dataset, store, config)
     trials = [{data.group: train_group(data, store, config, config.seed + i)
                for data in groups}
               for i in range(config.trials)]
@@ -644,4 +655,4 @@ def train(dataset: Dataset, store: EncoderStore,
          for t in trials],
         [ex.stance for ex in val], [ex.target for ex in val], dataset.targets)
     return TrainResult(groups=groups, trials=trials, report_text=text,
-                       report_csv=csv_text, seconds=seconds)
+                       report_csv=csv_text, stages=stages)

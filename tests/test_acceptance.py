@@ -209,7 +209,8 @@ def e2e(tmp_path_factory):
     ckpt = result.trials[0][target].checkpoint
     test_ex = dataset.split(Split.TEST)
     sem = inference.semantic_scores(semantic_matrix(test_ex, store), ckpt.z)
-    (dis_mat,) = fold_in_matrix([(triple, test_ex)], config.fold_in_sweeps)
+    (dis_mat,) = fold_in_matrix([(triple, test_ex)],
+                                config.fold_in_sweeps).rows
     dis = inference.distributed_scores(dis_mat, ckpt)
     elapsed = time.perf_counter() - t0
 

@@ -257,8 +257,8 @@ def test_train_run_layout(run_dir):
 
 def test_train_writes_stage_timings(run_dir):
     doc = json.loads((run_dir / "timings.json").read_text(encoding="utf-8"))
-    assert set(doc) == {"load_s", "topic_fit_s", "fold_in_s", "groups",
-                        "write_s", "total_s"}
+    assert set(doc) == {"load_s", "topic_fit_s", "fold_in_s",
+                        "fold_in_capped", "groups", "write_s", "total_s"}
     # the topic fit and the fold-in cover every group at once; the graph
     # is built per group
     (group,) = doc["groups"].values()
@@ -1229,7 +1229,7 @@ def test_topics_rows_score_the_models_train_fits(run_dir, synth_small,
     for row, examples in zip(rows, subsets):
         model = cosd.topics.load_lda(run_dir / "lda" / f"{SLUG}.{row[1]}.lda1")
         docs = [ex.tokens for ex in examples]
-        (theta,) = cosd.topics.fold_in_sets([([model], docs)], 10)
+        (theta,) = cosd.topics.fold_in_sets([([model], docs)], 10).rows
         want = (cosd.topics.perplexity(model, docs, theta),
                 cosd.topics.umass_coherence(model, docs, top_n=4))
         assert row == ["Synthetic Policy", row[1], "2",
@@ -1408,7 +1408,7 @@ def test_topics_folds_every_subset_in_once_per_h(two_target_run, tmp_path,
             for h, (sets, _) in zip((2, 3), calls):
                 (model,), _ = sets[3 * g + j]
                 assert model.h == h
-                (theta,) = original([([model], docs)], 5)
+                (theta,), _ = original([([model], docs)], 5)
                 want.append([
                     name, key, str(h),
                     f"{cosd.topics.perplexity(model, docs, theta):.6f}",

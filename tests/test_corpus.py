@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import re
 
 import pytest
 
@@ -9,6 +10,7 @@ from conftest import SEMEVAL_TABLE, UKP_TABLE
 from cosd.corpus import (LABELS, CorpusError, Split, Stance, Vocabulary,
                          load_semeval, load_ukp, read_splits, stance_subsets,
                          tokenize)
+from cosd.stopwords import STOPWORDS
 
 # the UTF-8 byte-order mark, U+FEFF encoded
 BOM = b"\xef\xbb\xbf"
@@ -21,7 +23,57 @@ def by_stance(examples):
     return tuple(counts[label] for label in LABELS)
 
 
+def tokenize_oracle(text):
+    """The tokenizer written as its rules read: lowercase, blank out URLs
+    and mentions, split on every run of characters outside [a-z0-9], then
+    drop single characters, stopwords and all-digit pieces."""
+    lowered = text.lower()
+    lowered = re.sub(r"(?:https?://|www\.)\S+", " ", lowered)
+    lowered = re.sub(r"@\w+", " ", lowered)
+    tokens = []
+    for tok in re.split(r"[^a-z0-9]+", lowered):
+        if len(tok) < 2:
+            continue
+        if tok in STOPWORDS:
+            continue
+        if re.fullmatch(r"\d+", tok):
+            continue
+        tokens.append(tok)
+    return tokens
+
+
+# strings whose pieces sit at every rule's edge: URLs and www., mentions,
+# hashtags, digit runs, non-ASCII digits and letters, single characters
+ORACLE_CASES = [
+    "", "a", "ab", "a b c", "I", "x1", "12", "1x", "99 bottles",
+    "http://x.co/a?b=1 next", "https://t.co/abc,then", "www.site.org/p ok",
+    "wwwx.site nope", "see:http://a.b", "HTTP://UPPER.CASE done",
+    "@user", "@Some_User123 replied", "a@b.com mail", "@@double at",
+    "#Climate #2016 #go2", "##tag", "covid19 2020 2020s 007bond",
+    "\u0661\u0662\u0663 \u0661\u0662\u0663ab ab\u0661\u0662\u0663",
+    "x\u00b2 \u00b2\u00b2 ab\u00b2cd", "\u0130stanbul \u0130I",
+    "caf\u00e9 na\u00efve r\u00e9sum\u00e9", "\u017fpring \u212aelvin",
+    "the and of but",
+    "don't won't it's", "ok-go ok_go ok.go", "\t\n  spaced\tout\n",
+]
+
+
 class TestTokenize:
+    @pytest.mark.parametrize("text", ORACLE_CASES)
+    def test_equals_the_rules_oracle(self, text):
+        assert tokenize(text) == tokenize_oracle(text)
+
+    def test_equals_the_rules_oracle_on_random_text(self):
+        rng = random.Random(7)
+        alphabet = ("abcxyzABCXYZ0123456789 _-#@.:/!'\t"
+                    "\u0661\u00b2\u0130\u00e9\u00df\u017f\u212a")
+        pieces = ["http://", "https://", "www.", "@", "the", "and", "42"]
+        for _ in range(500):
+            text = "".join(rng.choice(pieces) if rng.random() < 0.1
+                           else rng.choice(alphabet)
+                           for _ in range(rng.randrange(0, 80)))
+            assert tokenize(text) == tokenize_oracle(text), text
+
     def test_stated_examples(self):
         assert tokenize("Gun violence, in short") == ["gun", "violence", "short"]
         assert tokenize("") == []

@@ -238,6 +238,33 @@ def test_distributed_scores_batch_matches_single():
     assert distributed_scores(np.zeros((0, 6)), model).shape == (0, 3)
 
 
+def _whole_width_scores(dis, model, slope):
+    """Oracle: the scores formed at the texts' full width,
+    infer_transform(dis @ U) @ infer_transform(U).T, then the block max."""
+    sims = (infer_transform(dis @ model.u, model, slope)
+            @ infer_transform(model.u, model, slope).T)
+    return sims.reshape(len(dis), 3, -1).max(axis=2)
+
+
+@pytest.mark.parametrize("h", [1, 2, 3, 5])
+@pytest.mark.parametrize("hops", [1, 2, 3])
+@pytest.mark.parametrize("slope", [0.0, 0.01])
+def test_distributed_scores_hop_by_hop_equal_the_whole_width_product(
+        h, hops, slope):
+    rng = np.random.default_rng([h, hops, int(slope * 100)])
+    model = _model(rng.standard_normal((3 * h, 24)),
+                   init_cpa_weights(d0=24, d1=6, hops=hops, seed=h),
+                   rng.standard_normal((3, 24)))
+    dis = rng.random((40, 3 * h)) ** 3
+    dis /= dis.sum(axis=1, keepdims=True)
+    want = _whole_width_scores(dis, model, slope)
+    got = distributed_scores(dis, model, slope)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    dis[7, -1] = np.nan
+    with pytest.raises(InferenceError, match="sum to 1"):
+        distributed_scores(dis, model, slope)
+
+
 # --- modes and score normalization -------------------------------------------------
 
 
@@ -365,7 +392,7 @@ def _score_examples(examples, store, triple, ckpt, mode="full"):
     return score_batch(
         None if mode == "no_sem" else semantic_matrix(examples, store),
         None if mode == "no_dis"
-        else fold_in_matrix([(triple, examples)], 10)[0], ckpt)
+        else fold_in_matrix([(triple, examples)], 10).rows[0], ckpt)
 
 
 def test_predict_returns_bundles_and_beats_chance(trained):

@@ -628,7 +628,7 @@ def cvb0_posterior(model: LdaModel, tokens, sweeps: int = 50) -> np.ndarray:
 
 def fold_in_one(models, docs, sweeps=50):
     """The fold-in rows of one model set: fold_in_sets' one-set call."""
-    (rows,) = fold_in_sets([(models, docs)], sweeps)
+    (rows,), _ = fold_in_sets([(models, docs)], sweeps)
     return rows
 
 
@@ -752,8 +752,8 @@ def test_fold_in_rows_independent_of_batch(monkeypatch):
         assert np.array_equal(alone[0], full[i])
     # alongside another set, whose texts settle at other sweeps
     hand = _model([[5, 0, 1], [0, 5, 1], [1, 1, 5]], ["a", "b", "c"])
-    _, beside = fold_in_sets([([hand] * 3, [["a", "c"] * 9, ["b"]]),
-                              (triple.models, batch)])
+    (_, beside), _ = fold_in_sets([([hand] * 3, [["a", "c"] * 9, ["b"]]),
+                                   (triple.models, batch)])
     assert np.array_equal(beside, full)
     # batches smaller than the doc count give the same rows
     monkeypatch.setattr(cosd.topics, "_FOLD_IN_BATCH", 3)
@@ -774,7 +774,7 @@ def test_fold_in_sets_equal_each_sets_own_call_and_oracle(monkeypatch):
     own = [fold_in_one(models, set_docs) for models, set_docs in sets]
     for size in (cosd.topics._FOLD_IN_BATCH, 3):
         monkeypatch.setattr(cosd.topics, "_FOLD_IN_BATCH", size)
-        got = fold_in_sets(sets)
+        got, _ = fold_in_sets(sets)
         assert len(got) == len(sets)
         for rows, alone, (models, set_docs) in zip(got, own, sets):
             assert rows.shape == (len(set_docs), 9)
@@ -801,7 +801,7 @@ def test_fold_in_rejects_mismatched_inputs():
         fold_in_sets([([a], [["a"]]), ([other_h], [["a"]])])
     with pytest.raises(TopicsError):
         fold_in_sets([([a, a], [["a"]]), ([a], [["b"]])])
-    assert fold_in_sets([]) == []
+    assert fold_in_sets([]) == ([], 0)
 
 
 # --- corpus-level scores ------------------------------------------------------

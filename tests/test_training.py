@@ -40,7 +40,6 @@ from cosd.training import (
     missing_ids,
     save_embeddings,
     semantic_matrix,
-    semantic_rep,
     train,
     train_group,
 )
@@ -274,6 +273,13 @@ def test_a_file_rewritten_after_indexing_fails_the_read(tmp_path, rewrite,
         record_rows(store.tokens, "ex-2")
 
 
+def semantic_rep(token_matrix, target_vec):
+    """Oracle of a semantic_matrix row: one record's rows converted to
+    float64 on their own and pooled by their attention weights."""
+    m = np.atleast_2d(np.asarray(token_matrix, dtype=np.float64))
+    return attention_weights(m, target_vec) @ m
+
+
 def _more_records(rng, dim=8):
     return _records(rng, dim) + [(f"ex-{i}", rng.standard_normal((i % 3 + 1,
                                                                    dim)))
@@ -291,6 +297,58 @@ def test_semantic_rows_equal_each_record_stacked(tmp_path):
     assert np.array_equal(semantic_matrix(examples, store), np.stack(
         [semantic_rep(rows, target) for rows in
          record_rows(store.tokens, *(ex.id for ex in examples))]))
+
+
+def _examples(*pairs):
+    """Test examples of (record id, target) pairs, in the order given."""
+    return [Example(id=rec_id, target=target, stance=Stance.NONE,
+                    split=Split.TEST, tokens=("t",))
+            for rec_id, target in pairs]
+
+
+def test_semantic_rows_read_in_file_order_equal_the_per_text_oracle(
+        tmp_path):
+    rng = np.random.default_rng(11)
+    dim = 16
+    # each long record sits just before a short one in the file, and its
+    # rows are large, so a short record's row that read the buffer's stale
+    # rows would differ
+    records = [("long-1", 1e6 * rng.standard_normal((9, dim))),
+               ("short-1", rng.standard_normal((2, dim))),
+               ("mid", rng.standard_normal((5, dim))),
+               ("long-2", -1e6 * rng.random((12, dim))),
+               ("short-2", rng.standard_normal((1, dim))),
+               ("target:A", rng.standard_normal((1, dim))),
+               ("target:B", rng.standard_normal((3, dim)))]
+    path = tmp_path / "vecs.emb1"
+    save_embeddings(path, records, dim=dim)
+    store = load_embeddings(path, expect_dim=dim)
+    # out of file order, over two targets, one record scored twice
+    examples = _examples(("short-2", "B"), ("mid", "A"), ("long-2", "A"),
+                         ("short-1", "B"), ("long-1", "A"), ("mid", "B"),
+                         ("short-1", "A"))
+    want = np.stack([semantic_rep(rows, store.targets[ex.target])
+                     for ex, rows in zip(examples, record_rows(
+                         store.tokens, *(ex.id for ex in examples)))])
+    assert np.array_equal(semantic_matrix(examples, store), want)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_semantic_rows_reject_a_short_records_last_value(tmp_path, bad):
+    dim = 8
+    short = np.ones((2, dim))
+    short[-1, -1] = bad
+    records = [("long", np.ones((6, dim))), ("short", short),
+               ("target:A", np.ones((1, dim)))]
+    path = tmp_path / "vecs.emb1"
+    save_embeddings(path, records, dim=dim)
+    store = load_embeddings(path, expect_dim=dim)
+    at = _record_offsets(records, dim)[1]
+    # the long record is read first, and its finite rows stay in the
+    # buffer past the short record's
+    with pytest.raises(TrainingError, match=f"record 'short' has non-finite "
+                                            f"values at byte {at}$"):
+        semantic_matrix(_examples(("short", "A"), ("long", "A")), store)
 
 
 @pytest.mark.parametrize("t", [1, 2, 17, 64])
@@ -329,10 +387,21 @@ def test_label_matrix_order_and_missing():
 # --- attention pooling ----------------------------------------------------------
 
 
-def test_semantic_rep_single_token_is_identity():
+def _semantic_row(tmp_path, rows, target):
+    """semantic_matrix's row of one text whose record holds rows (stored
+    as float32), against the target vector target."""
+    path = tmp_path / "one.emb1"
+    save_embeddings(path, [("x", rows), ("target:T", target[None])],
+                    dim=len(target))
+    store = load_embeddings(path, expect_dim=len(target))
+    (row,) = semantic_matrix(_examples(("x", "T")), store)
+    return row
+
+
+def test_semantic_rep_single_token_is_identity(tmp_path):
     token = np.arange(6, dtype=float).reshape(1, 6)
     target = np.ones(6)
-    assert np.array_equal(semantic_rep(token, target), token[0])
+    assert np.array_equal(_semantic_row(tmp_path, token, target), token[0])
 
 
 def test_attention_weights_sum_and_orthonormal_ratio():
@@ -346,11 +415,11 @@ def test_attention_weights_sum_and_orthonormal_ratio():
     assert w[0] / w[1] == pytest.approx(np.exp(1.0 / np.sqrt(dim)))
 
 
-def test_semantic_rep_in_convex_hull():
+def test_semantic_rep_in_convex_hull(tmp_path):
     rng = np.random.default_rng(3)
-    tokens = rng.standard_normal((5, 7))
+    tokens = rng.standard_normal((5, 7)).astype(np.float32)
     target = rng.standard_normal(7)
-    rep = semantic_rep(tokens, target)
+    rep = _semantic_row(tmp_path, tokens, target)
     assert (rep >= tokens.min(axis=0) - 1e-12).all()
     assert (rep <= tokens.max(axis=0) + 1e-12).all()
 
@@ -516,14 +585,14 @@ def test_missing_ids_reporting(synth_setup):
 def test_fold_in_matrix_rows_are_distributions(synth_setup):
     dataset, _, target, triple = synth_setup
     pool = dataset.train_pool(target)[:6]
-    (mat,) = fold_in_matrix([(triple, pool)], sweeps=10)
+    (mat,), _ = fold_in_matrix([(triple, pool)], sweeps=10)
     assert mat.shape == (6, 6)
     assert np.allclose(mat.sum(axis=1), 1.0)
     # a row depends on its text alone: a subset reproduces the same rows,
     # alone or as one of several pairs folded in together
-    (sub,) = fold_in_matrix([(triple, pool[:2])], sweeps=10)
+    (sub,), _ = fold_in_matrix([(triple, pool[:2])], sweeps=10)
     assert np.array_equal(sub, mat[:2])
-    head, empty, tail = fold_in_matrix(
+    (head, empty, tail), _ = fold_in_matrix(
         [(triple, pool[:2]), (triple, []), (triple, pool[2:])], sweeps=10)
     assert np.array_equal(head, mat[:2]) and np.array_equal(tail, mat[2:])
     assert empty.shape == (0, 6)
@@ -534,7 +603,7 @@ def test_fold_in_matrix_equals_scalar_oracle_thirds(synth_setup):
 
     dataset, _, target, triple = synth_setup
     pool = dataset.train_pool(target)[:8]
-    (mat,) = fold_in_matrix([(triple, pool)], sweeps=7)
+    (mat,), _ = fold_in_matrix([(triple, pool)], sweeps=7)
     for row, ex in zip(mat, pool):
         parts = [cvb0_posterior(m, ex.tokens, sweeps=7)
                  for m in triple.models]
@@ -549,8 +618,8 @@ def test_perplexity_theta_is_the_training_fold_in_block(synth_setup):
     h = triple.h
     for j, examples in enumerate(stance_subsets(dataset, target)):
         docs = [ex.tokens for ex in examples]
-        (rows,) = fold_in_matrix([(triple, examples)], sweeps=7)
-        (theta,) = fold_in_sets([([triple.models[j]], docs)], sweeps=7)
+        (rows,), _ = fold_in_matrix([(triple, examples)], sweeps=7)
+        (theta,), _ = fold_in_sets([([triple.models[j]], docs)], sweeps=7)
         assert np.array_equal(theta / 3.0, rows[:, j * h:(j + 1) * h])
         phi = triple.models[j].phi()
         index = triple.models[j].vocab.index
@@ -573,7 +642,7 @@ def test_fit_topics_reads_alpha_0_as_50_over_h(synth_setup):
 
 def test_build_group_data_shapes(synth_setup):
     dataset, store, target, _ = synth_setup
-    (data,), seconds = build_groups(dataset, store, _config())
+    (data,), stages = build_groups(dataset, store, _config())
     # the triple is fitted on the pool's stance subsets, seeded from the
     # base seed and the group's name
     (want,) = fit_triples([[[ex.tokens for ex in docs]
@@ -584,15 +653,27 @@ def test_build_group_data_shapes(synth_setup):
         assert np.array_equal(got_model.topic_word_counts,
                               want_model.topic_word_counts)
     assert data.graph_build_s >= 0.0
-    assert set(seconds) == {"topic_fit_s", "fold_in_s"}
+    assert set(stages) == {"topic_fit_s", "fold_in_s", "fold_in_capped"}
     n = len(dataset.train_pool(target))
     assert len(data.pool) == n
-    (dis_pool,) = fold_in_matrix([(want, data.pool)], sweeps=10)
+    (dis_pool,), _ = fold_in_matrix([(want, data.pool)], sweeps=10)
     assert dis_pool.shape == (n, 6)
     _assert_graph_of(data, dis_pool)
     assert data.lap.rows == n + 6 + 3
     assert data.sem_val.shape == (len(data.val), store.dim)
     assert np.array_equal(data.sem_pool, semantic_matrix(data.pool, store))
+
+
+@pytest.mark.parametrize("alpha, capped", [(0.01, True), (0.0, False)])
+def test_build_groups_counts_the_fold_ins_stopped_at_the_cap(
+        synth_setup, alpha, capped):
+    # at a small prior and many topics the CVB0 fixed point is slow to
+    # reach, and 50 sweeps stop some (text, model) pairs short of it; at
+    # the default prior of 50/H none
+    dataset, store, _, _ = synth_setup
+    _, stages = build_groups(dataset, store, _config(
+        h=20, alpha=alpha, fold_in_sweeps=50))
+    assert (stages["fold_in_capped"] > 0) == capped
 
 
 def test_group_data_reads_each_record_once(synth_setup, monkeypatch):
@@ -807,7 +888,8 @@ def test_six_target_train_equals_per_group_fits(tmp_path):
     config = _config(trials=1, epochs=1)
     result = train(dataset, store, config)
     assert [data.group for data in result.groups] == names
-    assert set(result.seconds) == {"topic_fit_s", "fold_in_s"}
+    assert set(result.stages) == {"topic_fit_s", "fold_in_s",
+                                  "fold_in_capped"}
     assert len({len(data.triple.favor.vocab) for data in result.groups}) > 1
     for data in result.groups:
         assert data.pool == dataset.train_pool(data.group)
@@ -821,7 +903,7 @@ def test_six_target_train_equals_per_group_fits(tmp_path):
             assert np.array_equal(got.topic_word_counts,
                                   own.topic_word_counts)
             assert got.log_joint == own.log_joint
-        dis_pool, dis_val = fold_in_matrix(
+        (dis_pool, dis_val), _ = fold_in_matrix(
             [(want, data.pool), (want, data.val)], sweeps=10)
         _assert_graph_of(data, dis_pool)
         assert np.array_equal(data.dis_val, dis_val)

@@ -480,8 +480,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     for old in [*run_dir.glob("report-*.txt"), *run_dir.glob("report-*.csv")]:
         old.unlink()
     _write_train_outputs(run_dir, config, result)
-    # wall times per stage and the fold-in's capped (text, model) pairs;
-    # never compared, unlike the other outputs
+    # wall times per stage, the fit's token draws and the fold-in's capped
+    # (text, model) pairs; never compared, unlike the other outputs
     _write_json(run_dir / "timings.json", {
         "load_s": loaded - start,
         **result.stages,

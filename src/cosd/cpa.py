@@ -125,8 +125,23 @@ def init_model(h: int, label_vecs: np.ndarray, seed: int, weight_seed: int,
     return CpaModel(side=np.concatenate([u, label_vecs]), w1=w1, w2=w2, h=h)
 
 
-def _leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:
-    return np.where(x >= 0, x, slope * x)
+def _slopes(neg: np.ndarray, slope: float, out: np.ndarray) -> np.ndarray:
+    """The leaky ReLU's multipliers into out: exactly slope where the mask
+    neg is set and 1.0 elsewhere, so a product with them is bitwise the
+    masked product np.multiply(x, slope, where=neg)."""
+    np.multiply(neg, slope, out=out)
+    out += ~neg
+    return out
+
+
+def _leaky_relu(x: np.ndarray, slope: float, neg: np.ndarray,
+                scratch: np.ndarray) -> np.ndarray:
+    """x <- LReLU(x) in place, bitwise np.where(x >= 0, x, slope * x); neg
+    (bool, x's shape) receives the mask x < 0 and scratch (x's shape) the
+    multipliers."""
+    np.less(x, 0.0, out=neg)
+    x *= _slopes(neg, slope, scratch)
+    return x
 
 
 class Buffers:
@@ -141,7 +156,11 @@ class Buffers:
     neg[k] = (pre-activation < 0) and grads[k] = d loss / d E^{k+1};
     g_side = d loss / d [U; Z], and g_w1[k], g_w2[k] the weight gradients.
     wide (d0) and narrow (d1) are one scratch per width. The backward
-    reuses nbr and prod as scratch once it has read them.
+    reuses nbr and prod as scratch once it has read them, except nbr[0]'s
+    side rows: the texts' messages to the side nodes depend only on the
+    fixed text rows and the graph, so a forward computes them only for a
+    Laplacian other than `graph`, the one they hold. A Laplacian's blocks
+    are never changed in place.
     """
 
     def __init__(self, texts: np.ndarray, model: CpaModel):
@@ -161,6 +180,7 @@ class Buffers:
         self.g_w2 = [np.empty((w, d1)) for w in widths]
         self.wide = np.empty((rows, d0))
         self.narrow = np.empty((rows, d1))
+        self.graph = None
 
 
 def _forward(model: CpaModel, lap: BipartiteLaplacian, slope: float,
@@ -179,19 +199,24 @@ def _forward(model: CpaModel, lap: BipartiteLaplacian, slope: float,
     if lap.to_text.shape != (buf.n, len(model.side)):
         raise CpaError(f"laplacian blocks {lap.to_text.shape}, table has "
                        f"{buf.n} texts and {len(model.side)} side rows")
-    buf.e0[buf.n:] = model.side
-    prev = buf.e0
+    n, prev = buf.n, buf.e0
+    prev[n:] = model.side
     for k, (a, b) in enumerate(zip(model.w1, model.w2)):
         nbr, prod, pre = buf.nbr[k], buf.prod[k], buf.layers[k]
-        lap.matmul(prev, out=nbr)
+        if k == 0:
+            # lap.matmul; the texts' messages to the side rows, nbr[n:],
+            # only when the graph is not the one they were computed for
+            np.matmul(lap.to_text, prev[n:], out=nbr[:n])
+            if buf.graph is not lap:
+                np.matmul(lap.to_side.T, prev[:n], out=nbr[n:])
+                buf.graph = lap
+        else:
+            lap.matmul(prev, out=nbr)
         np.multiply(prev, nbr, out=prod)
         np.matmul(prev, a, out=pre)
         pre += lap.matmul(pre, out=buf.narrow)
         pre += np.matmul(prod, b, out=buf.narrow)
-        # leaky ReLU in place
-        np.less(pre, 0.0, out=buf.neg[k])
-        np.multiply(pre, slope, out=pre, where=buf.neg[k])
-        prev = pre
+        prev = _leaky_relu(pre, slope, buf.neg[k], buf.narrow)
 
 
 def propagate(texts: np.ndarray, model: CpaModel, lap: BipartiteLaplacian,
@@ -289,7 +314,7 @@ def batch_loss(model: CpaModel, buf: Buffers, lap: BipartiteLaplacian,
     add_scored(g_out, model.hops)
     for k in reversed(range(model.hops)):
         prev, nbr, prod = layers[k], buf.nbr[k], buf.prod[k]
-        np.multiply(g_out, slope, out=g_out, where=buf.neg[k])  # now G
+        g_out *= _slopes(buf.neg[k], slope, buf.narrow)         # now G
         np.matmul(prod.T, g_out, out=buf.g_w2[k])
         g_sum = lap.transpose_matmul(g_out, out=buf.narrow)
         g_sum += g_out                                          # G'
@@ -311,7 +336,7 @@ def batch_loss(model: CpaModel, buf: Buffers, lap: BipartiteLaplacian,
     g_prod = np.matmul(g_out, model.w2[0].T, out=buf.wide)
     g_side += np.multiply(g_prod[n:], nbr[n:], out=prod[n:])
     g_prod[:n] *= prev[:n]
-    g_side += np.matmul(lap.to_text.T, g_prod[:n], out=nbr[n:])
+    g_side += np.matmul(lap.to_text.T, g_prod[:n], out=prod[n:])
     g_side[-3:] += g_scores.T @ vs[0]
     if not (np.isfinite(loss) and all(
             np.isfinite(g).all() for g in [g_side, *buf.g_w1, *buf.g_w2])):
@@ -337,10 +362,11 @@ def hop_outputs(first: np.ndarray, model: CpaModel,
     first hop's pre-activation `first` = e^0 (W1^1 + W2^1):
     e^k = LReLU(e^{k-1} (W1^k + W2^k)). The caller forms `first`, so rows
     e^0 = D U can pass D (U (W1^1 + W2^1)) and never form e^0."""
-    prev = _leaky_relu(first, slope)
+    neg, scratch = np.empty(first.shape, dtype=bool), np.empty(first.shape)
+    prev = _leaky_relu(first.copy(), slope, neg, scratch)
     yield prev
     for a, b in zip(model.w1[1:], model.w2[1:]):
-        prev = _leaky_relu(prev @ (a + b), slope)
+        prev = _leaky_relu(prev @ (a + b), slope, neg, scratch)
         yield prev
 
 

@@ -188,33 +188,22 @@ def _start(ids: Sequence[Sequence[int]], keys: np.ndarray, h: int) -> tuple[
     return tokens.T, counters, lengths, in_doc.sum(axis=1), z, counts
 
 
-def _draw(local: np.ndarray, at: np.ndarray, alpha: float,
-          factor: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Redraw the tokens of the first len(at) chains; their new topics.
+def _draw(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """New topics of the chains whose unnormalised conditionals are the
+    columns of weights, (H, chains), overwritten by their prefix sums.
 
-    local holds the chains' own topic counts, (H, chains) and C-contiguous,
-    and at[c] the flat index k * chains + c of chain c's topic k in it. The
-    token is taken off local; the prefix sums of (local_t + alpha) *
-    factor_t, added in the order of a sequential cumsum, pick the first t
-    with u * total <= prefix_t (H - 1 if none); the token is added back
-    there and at updated in place.
+    The prefix sums, added row by row in the order of a sequential cumsum,
+    pick for each chain the first t with u * total <= prefix_t (H - 1 if
+    none).
     """
-    (h, n_chains), m = local.shape, len(at)
-    flat = local.reshape(-1)
-    flat[at] -= 1
-    prefix = [(local[0, :m] + alpha) * factor[0]]
-    for t in range(1, h):
-        prefix.append(prefix[-1] + (local[t, :m] + alpha) * factor[t])
-    total = prefix[-1]
-    goal = u * total
+    for t in range(1, len(weights)):
+        weights[t] += weights[t - 1]
+    goal = u * weights[-1]
     # the prefix sums never decrease, and goal never exceeds the last, so
     # the first t is how many of the first H - 1 fall short of goal
-    new = (prefix[0] < goal).astype(np.int64)
-    for t in range(1, h - 1):
-        new += prefix[t] < goal
-    np.multiply(new, n_chains, out=at)
-    at += np.arange(m)
-    flat[at] += 1
+    new = (weights[0] < goal).astype(np.int64)
+    for t in range(1, len(weights) - 1):
+        new += weights[t] < goal
     return new
 
 
@@ -259,10 +248,10 @@ def _fit(doc_sets: Sequence[Docs], vocabs: Sequence[Vocabulary],
     counts without the token, n_wt and n_t its model's counts as the
     previous position step left them, less the token, and |V| its set's
     vocabulary size (AD-LDA; Newman et al., "Distributed Algorithms for
-    Topic Models", JMLR 2009). sweep_callback(s, topic totals (H, sets))
-    runs after every sweep. Each model records its log joint every 50
-    sweeps and after the last, except over an empty vocabulary, where it
-    is undefined. Both priors are finite and > 0.
+    Topic Models", JMLR 2009). sweep_callback(s, int64 topic totals
+    (H, sets)) runs after every sweep. Each model records its log joint
+    every 50 sweeps and after the last, except over an empty vocabulary,
+    where it is undefined. Both priors are finite and > 0.
     """
     if not isinstance(h, numbers.Integral) or h < 1:
         raise TopicsError(f"H must be an integer >= 1, got {h!r}")
@@ -283,40 +272,64 @@ def _fit(doc_sets: Sequence[Docs], vocabs: Sequence[Vocabulary],
         [ids[d] for d in live], keys, h)
     sizes = np.array([len(vocab) for vocab in vocabs], dtype=np.int64)
     n_sets, n_chains = len(doc_sets), len(live)
-    # the sets' word-topic tables side by side, (H, sum of |V|): chain c's
-    # word w is column w + offsets[set_of[c]]
+    # one float64 count table, (H, sum of |V| + sets + chains): the sets'
+    # word-topic tables side by side, each set's topic totals, then each
+    # chain's own topic counts. Chain c's word w is column
+    # w + offsets[set_of[c]], its totals column width + set_of[c] and its
+    # own counts column width + sets + c. Counts stay integers below 2**53,
+    # so float64 holds them, and every count less a held token, exactly
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     width = int(offsets[-1])
     words = tokens + offsets[set_of]
     in_doc = counters < lengths
     n_wt = np.bincount(z[in_doc] * width + words[in_doc],
                        minlength=h * width).reshape(h, width)
-    tables = np.split(n_wt, offsets[1:-1], axis=1)  # views, (H, |V|) each
-    n_t = np.stack([table.sum(axis=1) for table in tables], axis=1)
-    flat_wt, flat_t = n_wt.reshape(-1), n_t.reshape(-1)
-    z = z * n_chains + np.arange(n_chains)  # flat indices into n_dt
+    counts = np.concatenate(
+        [n_wt, *(table.sum(axis=1, keepdims=True)
+                 for table in np.split(n_wt, offsets[1:-1], axis=1)), n_dt],
+        axis=1, dtype=np.float64)
+    n_cols = counts.shape[1]
+    tables = np.split(counts[:, :width], offsets[1:-1], axis=1)  # views
+    n_t, n_dt = counts[:, width:width + n_sets], counts[:, width + n_sets:]
+    flat = counts.reshape(-1)
+    # each position's (word, totals, own) columns, (3, chains running there)
+    columns = [np.stack([words[j, :m], width + set_of[:m],
+                         width + n_sets + np.arange(m)])
+               for j, m in enumerate(alive)]
+    # each chain's priors of those counts: beta, beta * |V| of its set and
+    # alpha
+    priors = np.stack([np.full(n_chains, beta), beta * sizes[set_of],
+                       np.full(n_chains, alpha)])
     topics = np.arange(h)[:, None]
-    beta_v = beta * sizes[set_of]  # each chain's beta * |V|
+    # the gathered counts, (H, 3, chains); a step uses its first m chains as
+    # one contiguous block
+    scratch = np.empty(h * 3 * n_chains)
     log_joints = [[] for _ in doc_sets]
     for s in range(sweeps):
         counters += lengths
         uniforms = _uniforms(keys, counters)
         for j, m in enumerate(alive):
-            at, word, of = z[j, :m], words[j, :m], set_of[:m]
-            old = at // n_chains
-            # the model's counts as the last step left them, less the token
-            held = topics == old
-            new = _draw(n_dt, at, alpha, (n_wt[:, word] - held + beta)
-                        / (n_t[:, of] - held + beta_v[:m]), uniforms[j, :m])
+            old, cols = z[j, :m], columns[j]  # old: a view into z
+            # the counts as the last step left them, less the chain's own
+            # token; every column is in range, and mode "wrap" writes out
+            # unbuffered
+            gathered = np.take(counts, cols.reshape(-1), axis=1,
+                               out=scratch[:h * 3 * m].reshape(h, 3 * m),
+                               mode="wrap").reshape(h, 3, m)
+            gathered -= (topics == old)[:, None]
+            gathered += priors[:, :m]
+            word, total, own = gathered[:, 0], gathered[:, 1], gathered[:, 2]
+            word /= total
+            own *= word  # p_t, unnormalised
+            new = _draw(own, uniforms[j, :m])
             # ufunc.at applies a repeated index once per repeat, where
             # fancy-index += would apply it once: chains of one model may
             # hold the same word at this position
-            np.subtract.at(flat_wt, old * width + word, 1)
-            np.add.at(flat_wt, new * width + word, 1)
-            np.subtract.at(flat_t, old * n_sets + of, 1)
-            np.add.at(flat_t, new * n_sets + of, 1)
+            np.subtract.at(flat, (old * n_cols + cols).reshape(-1), 1.0)
+            np.add.at(flat, (new * n_cols + cols).reshape(-1), 1.0)
+            old[...] = new
         if sweep_callback is not None:
-            sweep_callback(s, n_t.copy())
+            sweep_callback(s, n_t.astype(np.int64))
         done = s + 1
         if done % _LOG_JOINT_EVERY == 0 or done == sweeps:
             for m, record in enumerate(log_joints):
@@ -326,10 +339,9 @@ def _fit(doc_sets: Sequence[Docs], vocabs: Sequence[Vocabulary],
                         tables[m], n_t[:, m], n_dt[:, mine], lengths[mine],
                         alpha, beta)))
     return [LdaModel(h=h, alpha=float(alpha), beta=float(beta), vocab=vocab,
-                     topic_word_counts=table.copy(), trained_sweeps=sweeps,
-                     log_joint=record)
-            for m, (vocab, table, record) in enumerate(
-                zip(vocabs, tables, log_joints))]
+                     topic_word_counts=table.astype(np.int64),
+                     trained_sweeps=sweeps, log_joint=record)
+            for vocab, table, record in zip(vocabs, tables, log_joints)]
 
 
 def _log_joint(n_wt: np.ndarray, n_t: np.ndarray, n_dt: np.ndarray,

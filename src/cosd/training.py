@@ -515,8 +515,9 @@ def build_groups(dataset: Dataset, store: EncoderStore, config: RunConfig
                  ) -> tuple[list[GroupData], dict[str, float]]:
     """Every group's record, in group_keys order, and the run's figures of
     the topic fit and the fold-in, which cover all groups at once: their
-    wall times and the (text, model) pairs the fold-in stopped at its sweep
-    cap. The triples are fitted together, every pool and val split is
+    wall times, the fit's token draws (sweeps times in-vocabulary tokens,
+    over all models) and the (text, model) pairs the fold-in stopped at its
+    sweep cap. The triples are fitted together, every pool and val split is
     folded in together, then each group's graph is built. A group with no
     training texts fails in fit_topics, before anything is fitted."""
     keys = group_keys(dataset, config.joint)
@@ -541,7 +542,9 @@ def build_groups(dataset: Dataset, store: EncoderStore, config: RunConfig
             sem_pool=semantic_matrix(pool, store),
             sem_val=semantic_matrix(val, store), lap=lap,
             graph_build_s=built - start))
-    return groups, {"topic_fit_s": fitted - began,
+    draws = sum(m.trained_sweeps * int(m.topic_totals.sum())
+                for triple in triples for m in triple.models)
+    return groups, {"topic_fit_s": fitted - began, "topic_fit_draws": draws,
                     "fold_in_s": folded - fitted, "fold_in_capped": capped}
 
 

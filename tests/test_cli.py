@@ -257,8 +257,10 @@ def test_train_run_layout(run_dir):
 
 def test_train_writes_stage_timings(run_dir):
     doc = json.loads((run_dir / "timings.json").read_text(encoding="utf-8"))
-    assert set(doc) == {"load_s", "topic_fit_s", "fold_in_s",
-                        "fold_in_capped", "groups", "write_s", "total_s"}
+    assert set(doc) == {"load_s", "topic_fit_s", "topic_fit_draws",
+                        "fold_in_s", "fold_in_capped", "groups", "write_s",
+                        "total_s"}
+    assert type(doc["topic_fit_draws"]) is int and doc["topic_fit_draws"] > 0
     # the topic fit and the fold-in cover every group at once; the graph
     # is built per group
     (group,) = doc["groups"].values()

@@ -23,6 +23,7 @@ from cosd.cpa import (
     CpaModel,
     Step,
     _forward,
+    _leaky_relu,
     batch_loss,
     infer_transform,
     init_cpa_weights,
@@ -561,6 +562,160 @@ def test_batch_loss_validates_inputs():
     with pytest.raises(CpaError, match="buffers"):
         batch_loss(model, Buffers(other_texts, other), lap, batch, gold,
                    negs)
+
+
+# --- the leaky ReLU and the per-graph text messages -------------------------
+#
+# The forward and batch_loss as they were before the leaky ReLU became a
+# product with exact multipliers and hop 0 kept the texts' messages to the
+# side rows per graph, kept as their oracle: every hop runs lap.matmul over
+# the whole table, and the leaky ReLU and its backward are masked multiplies,
+# np.multiply(..., slope, where=neg).
+
+
+def _masked_forward(model, lap, slope, buf):
+    buf.e0[buf.n:] = model.side
+    prev = buf.e0
+    for k, (a, b) in enumerate(zip(model.w1, model.w2)):
+        nbr, prod, pre = buf.nbr[k], buf.prod[k], buf.layers[k]
+        lap.matmul(prev, out=nbr)
+        np.multiply(prev, nbr, out=prod)
+        np.matmul(prev, a, out=pre)
+        pre += lap.matmul(pre, out=buf.narrow)
+        pre += np.matmul(prod, b, out=buf.narrow)
+        np.less(pre, 0.0, out=buf.neg[k])
+        np.multiply(pre, slope, out=pre, where=buf.neg[k])
+        prev = pre
+
+
+def _masked_batch_loss(model, buf, lap, batch, gold, negs, slope):
+    n, b = buf.n, len(batch)
+    _masked_forward(model, lap, slope, buf)
+    layers = [buf.e0] + buf.layers
+    vs = [layer[batch] for layer in layers]
+    zs = [layer[-3:] for layer in layers]
+    scores = sum(v @ z.T for v, z in zip(vs, zs))
+    rows = np.arange(b)
+    pos = scores[rows, gold][:, None]
+    margins = [pos - scores[rows, neg][:, None] for neg in negs.T]
+    acc = np.logaddexp(0.0, -margins[0])
+    for m in margins[1:]:
+        acc = acc + np.logaddexp(0.0, -m)
+    loss = (acc * (1.0 / len(margins))).mean()
+    coef = (1.0 / b) * (1.0 / len(margins)) * -1.0
+    g_margins = [coef * np.exp(-np.logaddexp(0.0, m)) for m in margins]
+    one_hot = np.eye(3)
+    g_scores = one_hot[gold] * sum(g_margins[1:], g_margins[0])
+    for g, neg in zip(g_margins, negs.T):
+        g_scores -= one_hot[neg] * g
+
+    def add_scored(g_layer, k):
+        np.add.at(g_layer, batch, g_scores @ zs[k])
+        g_layer[-3:] += g_scores.T @ vs[k]
+
+    g_out = buf.grads[-1]
+    g_out.fill(0.0)
+    add_scored(g_out, model.hops)
+    for k in reversed(range(model.hops)):
+        prev, nbr, prod = layers[k], buf.nbr[k], buf.prod[k]
+        np.multiply(g_out, slope, out=g_out, where=buf.neg[k])
+        np.matmul(prod.T, g_out, out=buf.g_w2[k])
+        g_sum = lap.transpose_matmul(g_out, out=buf.narrow)
+        g_sum += g_out
+        np.matmul(prev.T, g_sum, out=buf.g_w1[k])
+        if k == 0:
+            break
+        g_in = buf.grads[k - 1]
+        np.matmul(g_sum, model.w1[k].T, out=g_in)
+        g_prod = np.matmul(g_out, model.w2[k].T, out=buf.narrow)
+        g_in += np.multiply(g_prod, nbr, out=prod)
+        g_prod *= prev
+        g_in += lap.transpose_matmul(g_prod, out=nbr)
+        add_scored(g_in, k)
+        g_out = g_in
+    g_side = np.matmul(g_sum[n:], model.w1[0].T, out=buf.g_side)
+    g_prod = np.matmul(g_out, model.w2[0].T, out=buf.wide)
+    g_side += np.multiply(g_prod[n:], nbr[n:], out=prod[n:])
+    g_prod[:n] *= prev[:n]
+    g_side += np.matmul(lap.to_text.T, g_prod[:n], out=nbr[n:])
+    g_side[-3:] += g_scores.T @ vs[0]
+    return Step(float(loss), g_side, buf.g_w1, buf.g_w2)
+
+
+def _bitwise_equal(a, b):
+    """Equal bit for bit: array_equal that also tells -0.0 from 0.0."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_steps_bitwise_equal(got, ref):
+    assert got.loss == ref.loss
+    for a, b in zip([got.g_side] + got.g_w1 + got.g_w2,
+                    [ref.g_side] + ref.g_w1 + ref.g_w2):
+        assert _bitwise_equal(a, b)
+
+
+@pytest.mark.parametrize("zeroed", [False, True])
+@pytest.mark.parametrize("slope", [0.01, 1.0, 3.0])
+def test_leaky_relu_is_bitwise_the_masked_form(slope, zeroed):
+    rng = np.random.default_rng(int(100 * slope) + zeroed)
+    for hops in (1, 2, 3):
+        for _ in range(3):
+            model, texts, lap, batch, gold, negs = _random_case(rng, hops,
+                                                                0.1)
+            if zeroed:
+                # every hop's pre-activations in column 1 are exactly 0.0
+                for w in model.w1 + model.w2:
+                    w[:, 1] = 0.0
+            ref = Buffers(texts, model)
+            _masked_forward(model, lap, slope, ref)
+            got = propagate(texts, model, lap, slope)
+            assert _bitwise_equal(
+                got, np.concatenate([ref.e0] + ref.layers, axis=1))
+            if zeroed:
+                assert all((layer[:, 1] == 0.0).all() for layer in ref.layers)
+            _assert_steps_bitwise_equal(
+                batch_loss(model, Buffers(texts, model), lap, batch, gold,
+                           negs, slope),
+                _masked_batch_loss(model, Buffers(texts, model), lap, batch,
+                                   gold, negs, slope))
+
+
+@pytest.mark.parametrize("slope", [0.01, 1.0, 3.0])
+def test_leaky_relu_keeps_signed_zeros_and_infinities(slope):
+    # a matmul sums from +0.0, so no pre-activation of the forward is -0.0;
+    # the helper itself must keep both zeros as np.where and the masked
+    # multiply do
+    x = np.array([[-2.0, -0.0, 0.0, 3.0, -1e-300, 5e-324, np.inf, -np.inf]])
+    neg, scratch = np.empty(x.shape, dtype=bool), np.empty(x.shape)
+    got = _leaky_relu(x.copy(), slope, neg, scratch)
+    assert _bitwise_equal(got, np.where(x >= 0, x, slope * x))
+    masked = x.copy()
+    np.multiply(masked, slope, out=masked, where=x < 0)
+    assert _bitwise_equal(got, masked)
+    assert np.array_equal(neg, x < 0)
+
+
+def test_buffers_follow_a_new_graph():
+    # one Buffers runs batches on one dropout graph, then on a second, with
+    # an update between batches as in training: the texts' messages to the
+    # side rows are the second graph's, as in fresh buffers
+    rng = np.random.default_rng(19)
+    model, texts, base, batch, gold, negs = _random_case(rng, 3, 0.0)
+    first, second = (dropout_graph(base, 0.3, rng) for _ in range(2))
+    buffers = Buffers(texts, model)
+    for lap in (first, first, second, second):
+        reused = batch_loss(model, buffers, lap, batch, gold, negs)
+        model.side -= 0.1 * reused.g_side
+    fresh_buffers = Buffers(texts, model)
+    fresh = batch_loss(model, fresh_buffers, second, batch, gold, negs)
+    reused = batch_loss(model, buffers, second, batch, gold, negs)
+    _assert_steps_bitwise_equal(reused, fresh)
+    for a, b in zip(buffers.layers, fresh_buffers.layers):
+        assert _bitwise_equal(a, b)
+    # and both equal the masked oracle, which runs every product per batch
+    _assert_steps_bitwise_equal(fresh, _masked_batch_loss(
+        model, Buffers(texts, model), second, batch, gold, negs, 0.01))
 
 
 # --- per-message oracle ----------------------------------------------------------

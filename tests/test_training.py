@@ -653,7 +653,12 @@ def test_build_group_data_shapes(synth_setup):
         assert np.array_equal(got_model.topic_word_counts,
                               want_model.topic_word_counts)
     assert data.graph_build_s >= 0.0
-    assert set(stages) == {"topic_fit_s", "fold_in_s", "fold_in_capped"}
+    assert set(stages) == {"topic_fit_s", "topic_fit_draws", "fold_in_s",
+                           "fold_in_capped"}
+    # one draw per token and sweep: the vocabulary is built from these docs
+    assert stages["topic_fit_draws"] == 30 * sum(
+        len(ex.tokens) for docs in stance_subsets(dataset, target)
+        for ex in docs)
     n = len(dataset.train_pool(target))
     assert len(data.pool) == n
     (dis_pool,), _ = fold_in_matrix([(want, data.pool)], sweeps=10)
@@ -888,8 +893,8 @@ def test_six_target_train_equals_per_group_fits(tmp_path):
     config = _config(trials=1, epochs=1)
     result = train(dataset, store, config)
     assert [data.group for data in result.groups] == names
-    assert set(result.stages) == {"topic_fit_s", "fold_in_s",
-                                  "fold_in_capped"}
+    assert set(result.stages) == {"topic_fit_s", "topic_fit_draws",
+                                  "fold_in_s", "fold_in_capped"}
     assert len({len(data.triple.favor.vocab) for data in result.groups}) > 1
     for data in result.groups:
         assert data.pool == dataset.train_pool(data.group)

@@ -1,4 +1,4 @@
-"""Bounds-checked reads of the little-endian artifact files (LDA2, EMB1, CPA2).
+"""Bounds-checked reads of the little-endian artifact files (LDA3, EMB1, CPA2).
 
 A loader opens its file through a Reader that carries the loader's own error
 class. A wrong magic, a read past the end, an undecodable string or trailing
@@ -22,7 +22,6 @@ _U32 = struct.Struct("<I")
 _AHEAD = 256
 F32 = np.dtype("<f4")
 F64 = np.dtype("<f8")
-I64 = np.dtype("<i8")
 
 
 class Reader:

@@ -480,7 +480,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     for old in [*run_dir.glob("report-*.txt"), *run_dir.glob("report-*.csv")]:
         old.unlink()
     _write_train_outputs(run_dir, config, result)
-    # wall times per stage, the fit's token draws and the fold-in's capped
+    # wall times per stage, the fit's token updates and the fold-in's capped
     # (text, model) pairs; never compared, unlike the other outputs
     _write_json(run_dir / "timings.json", {
         "load_s": loaded - start,
@@ -643,6 +643,8 @@ _FLAG_OPTIONS = {
     "hops": {"help": "propagation hops (0 = per-dataset default)"},
     "alpha": {"help": "doc-topic prior (0 = 50/H)"},
     "beta": {"help": "topic-word prior"},
+    "lda_sweeps": {"help": "CVB0 sweeps of the topic fit; the fit runs "
+                           "exactly this many"},
     "fold_in_sweeps": {"help": "most CVB0 sweeps of a text's fold-in; each "
                                "text stops at its own fixed point"},
     "d1": {"help": "propagated embedding width"},

@@ -1,16 +1,17 @@
 """Per-stance LDA topic models and the 3H-dim implicit-topic distribution.
 
 Three LDA models (favor / none / against training subsets, shared vocabulary,
-H topics each) are fit by collapsed Gibbs sampling, every training group's
-triple in one lockstep (fit_triples): one chain per doc, every chain stepped
-one token position at a time as numpy operations, each doc drawing from a
-keyed counter hash, its model's word and topic counts moved after every
-position step (AD-LDA). Any text, train or test, is folded in under all
-three models with counts frozen by the deterministic CVB0 fixed point
-(fold_in_sets); the three length-H posteriors concatenated and divided by 3
-give its topic distribution, which later doubles as text-to-topic edge
-weights. perplexity samples nothing: it scores the fold-in posteriors it is
-given.
+H topics each) are fit by the collapsed variational update CVB0, every
+training group's triple in one fit (fit_triples): each sweep updates every
+token of every model at once as whole-array numpy operations, from its
+model's expected counts as the previous sweep left them; the initial topics
+come from a keyed counter hash per doc. The models' topic-word counts are
+those expected counts, float64. Any text, train or test, is folded in under
+all three models with counts frozen by the same update run to its fixed
+point (fold_in_sets); the three length-H posteriors concatenated and
+divided by 3 give its topic distribution, which later doubles as
+text-to-topic edge weights. perplexity samples nothing: it scores the
+fold-in posteriors it is given.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .binfile import I64, Reader
+from .binfile import F64, Reader
 from .corpus import Vocabulary
 
 # a doc set: each doc is its tokens
@@ -38,8 +39,9 @@ class TopicsError(Exception):
 
 
 def _check_priors(alpha: float, beta: float) -> None:
-    # alpha > 0 keeps every draw's total and the log joint defined; beta > 0
-    # keeps every denominator n_t + beta * |V| positive when a topic empties
+    # alpha > 0 keeps every update's total and the log joint defined;
+    # beta > 0 keeps every denominator n_t + beta * |V| positive when a topic
+    # empties
     if not (0 < alpha < inf and 0 < beta < inf):
         raise TopicsError(f"priors must be finite with alpha > 0 and "
                           f"beta > 0: alpha={alpha}, beta={beta}")
@@ -48,13 +50,14 @@ def _check_priors(alpha: float, beta: float) -> None:
 @dataclass
 class LdaModel:
     """One fitted topic model: H, its finite positive priors, its vocabulary
-    and its (H, |V|) topic-word counts, all that sampling and scoring read."""
+    and its (H, |V|) expected topic-word counts, all that fold-in and
+    scoring read."""
 
     h: int
     alpha: float
     beta: float
     vocab: Vocabulary
-    topic_word_counts: np.ndarray  # (h, |V|) int64
+    topic_word_counts: np.ndarray  # (h, |V|) float64, finite and >= 0
     trained_sweeps: int
     # (sweeps done, the fit's log joint then) recorded by the fit; kept in
     # the JSON sidecar only, so a loaded model has none
@@ -64,21 +67,24 @@ class LdaModel:
         if self.h < 1:
             raise TopicsError(f"H must be >= 1, got {self.h}")
         _check_priors(self.alpha, self.beta)
-        if self.topic_word_counts.shape != (self.h, len(self.vocab)):
+        self.topic_word_counts = np.asarray(self.topic_word_counts,
+                                            dtype=np.float64)
+        counts = self.topic_word_counts
+        if counts.shape != (self.h, len(self.vocab)):
             raise TopicsError("topic_word_counts shape mismatch")
-        if (self.topic_word_counts < 0).any():
-            raise TopicsError("negative counts")
+        # a NaN fails every comparison, so it is tested for on its own
+        if not (np.isfinite(counts).all() and (counts >= 0).all()):
+            raise TopicsError("counts must be finite and >= 0")
 
     @property
     def topic_totals(self) -> np.ndarray:
-        """Tokens per topic, (h,) int64."""
+        """Expected tokens per topic, (h,) float64."""
         return self.topic_word_counts.sum(axis=1)
 
     def phi(self) -> np.ndarray:
         """Smoothed topic-word distributions, (h, |V|); rows sum to 1."""
-        counts = self.topic_word_counts.astype(np.float64)
-        return (counts + self.beta) / (self.topic_totals[:, None]
-                                       + self.beta * len(self.vocab))
+        return (self.topic_word_counts + self.beta) / (
+            self.topic_totals[:, None] + self.beta * len(self.vocab))
 
     def top_words(self, n: int) -> list[list[str]]:
         phi = self.phi()
@@ -148,63 +154,9 @@ def _keys(seeds: Sequence[int]) -> np.ndarray:
 def _uniforms(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
     """The draws numbered counters of the docs keyed by keys, broadcast
     together, as doubles in [0, 1). A doc of n tokens draws its initial
-    topics as floor(u * H) from counters 0..n-1, and the uniform of sweep s
-    at position j from counter n * (s + 1) + j."""
+    topics as floor(u * H) from counters 0..n-1."""
     z = _mix64(keys + (counters.astype(np.uint64) + np.uint64(1)) * _GAMMA)
     return (z >> np.uint64(11)) * 2.0**-53
-
-
-# --- the fit's lockstep --------------------------------------------------------
-#
-# Docs are sorted longest first, so the docs still running at any token
-# position are a prefix of them, and every per-chain array is addressed by
-# slices. Counts are topic-major, (H, chains).
-
-
-def _longest_first(ids: Sequence[Sequence[int]]) -> np.ndarray:
-    """The indices of the nonempty docs, longest first (stable)."""
-    lengths = np.array([len(doc) for doc in ids], dtype=np.int64)
-    live = np.flatnonzero(lengths)
-    return live[np.argsort(-lengths[live], kind="stable")]
-
-
-def _start(ids: Sequence[Sequence[int]], keys: np.ndarray, h: int) -> tuple[
-        np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray,
-        np.ndarray]:
-    """Over docs sorted longest first, doc d keyed by keys[d]: the padded
-    (position, doc) word ids (0 past a doc's end) and draw counters, the
-    docs' lengths, how many docs still run at each position, the initial
-    topics floor(u * H) from draws 0..n-1, and their (H, docs) counts."""
-    lengths = np.array([len(doc) for doc in ids], dtype=np.int64)
-    n_docs, n_max = len(ids), int(lengths.max(initial=0))
-    counters = np.repeat(np.arange(n_max)[:, None], n_docs, axis=1)
-    in_doc = counters < lengths
-    tokens = np.zeros((n_docs, n_max), dtype=np.int64)
-    tokens[in_doc.T] = [w for doc in ids for w in doc]
-    z = (_uniforms(keys, counters) * h).astype(np.int64)
-    docs = np.broadcast_to(np.arange(n_docs), z.shape)
-    counts = np.bincount(z[in_doc] * n_docs + docs[in_doc],
-                         minlength=h * n_docs).reshape(h, n_docs)
-    return tokens.T, counters, lengths, in_doc.sum(axis=1), z, counts
-
-
-def _draw(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """New topics of the chains whose unnormalised conditionals are the
-    columns of weights, (H, chains), overwritten by their prefix sums.
-
-    The prefix sums, added row by row in the order of a sequential cumsum,
-    pick for each chain the first t with u * total <= prefix_t (H - 1 if
-    none).
-    """
-    for t in range(1, len(weights)):
-        weights[t] += weights[t - 1]
-    goal = u * weights[-1]
-    # the prefix sums never decrease, and goal never exceeds the last, so
-    # the first t is how many of the first H - 1 fall short of goal
-    new = (weights[0] < goal).astype(np.int64)
-    for t in range(1, len(weights) - 1):
-        new += weights[t] < goal
-    return new
 
 
 # --- fitting -----------------------------------------------------------------
@@ -219,7 +171,7 @@ def fit_triples(groups: Sequence[tuple[Docs, Docs, Docs]],
                 seeds: Sequence[int]) -> list[TopicModelTriple]:
     """Per group of (favor, none, against) docs, its three per-stance models
     over one vocabulary built from its docs, seeded seeds[g], seeds[g] + 1
-    and seeds[g] + 2; every group's models in one lockstep. The priors are
+    and seeds[g] + 2; every group's models in one fit. The priors are
     finite and > 0; a seed is an integer in [0, 2**64). The models share no
     counts, so each is the same whatever the other groups hold: a one-set
     fit is fit_triples([(docs, [], [])], ...)[0].favor."""
@@ -239,19 +191,24 @@ def fit_triples(groups: Sequence[tuple[Docs, Docs, Docs]],
 def _fit(doc_sets: Sequence[Docs], vocabs: Sequence[Vocabulary],
          h: int, alpha: float, beta: float, sweeps: int,
          seeds: Sequence[int], sweep_callback=None) -> list[LdaModel]:
-    """One model per doc set over its vocabulary, every set's docs in one
-    lockstep.
+    """One model per doc set over its vocabulary, every set's tokens in one
+    synchronous CVB0 fit (Asuncion et al., "On Smoothing and Inference for
+    Topic Models", UAI 2009).
 
-    One chain per nonempty doc; doc i of set m draws from the counter hash
-    keyed by the finalizer over (the key of seeds[m]) + i. A chain draws
-    from p_t = (n_dt + alpha)(n_wt + beta) / (n_t + beta |V|): n_dt its own
-    counts without the token, n_wt and n_t its model's counts as the
-    previous position step left them, less the token, and |V| its set's
-    vocabulary size (AD-LDA; Newman et al., "Distributed Algorithms for
-    Topic Models", JMLR 2009). sweep_callback(s, int64 topic totals
-    (H, sets)) runs after every sweep. Each model records its log joint
-    every 50 sweeps and after the last, except over an empty vocabulary,
-    where it is undefined. Both priors are finite and > 0.
+    Each in-vocabulary token holds a distribution gamma over the H topics,
+    one-hot at its initial topic floor(u * H): doc i of set m draws u from
+    the counter hash keyed by the finalizer over (the key of seeds[m]) + i,
+    numbers 0..n-1 for its n tokens. A sweep sets every token at once, from
+    the previous sweep's expected counts of its own model,
+    gamma_k = (n_dk - gamma_k + alpha)(n_wk - gamma_k + beta)
+    / (n_k - gamma_k + beta |V|) over its sum across k, added in topic
+    order, with |V| its set's vocabulary size; then it recounts n_dk, n_wk
+    and n_k, each a sum over its tokens in token order. A model's arithmetic
+    is that of a scalar loop over its own tokens, whatever the other sets
+    hold. sweep_callback(s, topic totals (H, sets), gamma (H, tokens) in
+    the fit's column order) runs after every sweep. Each model records its log joint over its expected
+    counts every 50 sweeps and after the last, except over an empty
+    vocabulary, where it is undefined. Both priors are finite and > 0.
     """
     if not isinstance(h, numbers.Integral) or h < 1:
         raise TopicsError(f"H must be an integer >= 1, got {h!r}")
@@ -266,89 +223,88 @@ def _fit(doc_sets: Sequence[Docs], vocabs: Sequence[Vocabulary],
                        [len(docs) for docs in doc_sets])
     ids = [doc for docs, vocab in zip(doc_sets, vocabs)
            for doc in _doc_token_ids(docs, vocab)]
-    live = _longest_first(ids)
-    keys, set_of = keys[live], set_of[live]
-    tokens, counters, lengths, alive, z, n_dt = _start(
-        [ids[d] for d in live], keys, h)
+    lengths = np.array([len(doc) for doc in ids], dtype=np.int64)
     sizes = np.array([len(vocab) for vocab in vocabs], dtype=np.int64)
-    n_sets, n_chains = len(doc_sets), len(live)
-    # one float64 count table, (H, sum of |V| + sets + chains): the sets'
-    # word-topic tables side by side, each set's topic totals, then each
-    # chain's own topic counts. Chain c's word w is column
-    # w + offsets[set_of[c]], its totals column width + set_of[c] and its
-    # own counts column width + sets + c. Counts stay integers below 2**53,
-    # so float64 holds them, and every count less a held token, exactly
     offsets = np.concatenate([[0], np.cumsum(sizes)])
-    width = int(offsets[-1])
-    words = tokens + offsets[set_of]
-    in_doc = counters < lengths
-    n_wt = np.bincount(z[in_doc] * width + words[in_doc],
-                       minlength=h * width).reshape(h, width)
-    counts = np.concatenate(
-        [n_wt, *(table.sum(axis=1, keepdims=True)
-                 for table in np.split(n_wt, offsets[1:-1], axis=1)), n_dt],
-        axis=1, dtype=np.float64)
-    n_cols = counts.shape[1]
-    tables = np.split(counts[:, :width], offsets[1:-1], axis=1)  # views
-    n_t, n_dt = counts[:, width:width + n_sets], counts[:, width + n_sets:]
-    flat = counts.reshape(-1)
-    # each position's (word, totals, own) columns, (3, chains running there)
-    columns = [np.stack([words[j, :m], width + set_of[:m],
-                         width + n_sets + np.arange(m)])
-               for j, m in enumerate(alive)]
-    # each chain's priors of those counts: beta, beta * |V| of its set and
-    # alpha
-    priors = np.stack([np.full(n_chains, beta), beta * sizes[set_of],
-                       np.full(n_chains, alpha)])
-    topics = np.arange(h)[:, None]
-    # the gathered counts, (H, 3, chains); a step uses its first m chains as
-    # one contiguous block
-    scratch = np.empty(h * 3 * n_chains)
+    n_docs, n_sets, width = len(ids), len(doc_sets), int(offsets[-1])
+    # per token, in (set, doc, position) order: its doc, its set and its
+    # word's column among the sets' vocabularies side by side
+    doc = np.repeat(np.arange(n_docs), lengths)
+    token_set = set_of[doc]
+    words = (np.array([w for doc_ids in ids for w in doc_ids], dtype=np.int64)
+             + offsets[token_set])
+    position = np.arange(len(doc)) - (np.cumsum(lengths) - lengths)[doc]
+    # the columns interleave the sets: every set's first token, then every
+    # set's second, and so on. A bin holds one set's tokens, still in token
+    # order, but np.bincount's adds into one bin no longer follow each
+    # other, so none waits on the one before
+    per_set = np.bincount(token_set, minlength=n_sets)
+    rank = np.arange(len(doc)) - (np.cumsum(per_set) - per_set)[token_set]
+    layout = np.lexsort((token_set, rank))
+    doc, token_set, words, position = (
+        a[layout] for a in (doc, token_set, words, position))
+    topic = np.arange(h)[:, None]
+    gamma = (topic == (_uniforms(keys[doc], position) * h).astype(np.int64)
+             ).astype(np.float64)
+    del position, rank, layout
+    # np.bincount adds each (topic, bin) sum in token order
+    flat = [(topic * bins + index).ravel()
+            for bins, index in ((n_docs, doc), (width, words),
+                                (n_sets, token_set))]
+
+    def recount():
+        # over no tokens at all, np.bincount gives int64 zeros
+        return [np.bincount(at, gamma.ravel(), h * bins)
+                .astype(np.float64, copy=False).reshape(h, bins)
+                for at, bins in zip(flat, (n_docs, width, n_sets))]
+
+    n_dk, n_wk, n_k = recount()
+    beta_v = (beta * sizes)[token_set]
+    update, factor = np.empty_like(gamma), np.empty_like(gamma)
+    norm = np.empty(len(doc))
     log_joints = [[] for _ in doc_sets]
     for s in range(sweeps):
-        counters += lengths
-        uniforms = _uniforms(keys, counters)
-        for j, m in enumerate(alive):
-            old, cols = z[j, :m], columns[j]  # old: a view into z
-            # the counts as the last step left them, less the chain's own
-            # token; every column is in range, and mode "wrap" writes out
-            # unbuffered
-            gathered = np.take(counts, cols.reshape(-1), axis=1,
-                               out=scratch[:h * 3 * m].reshape(h, 3 * m),
-                               mode="wrap").reshape(h, 3, m)
-            gathered -= (topics == old)[:, None]
-            gathered += priors[:, :m]
-            word, total, own = gathered[:, 0], gathered[:, 1], gathered[:, 2]
-            word /= total
-            own *= word  # p_t, unnormalised
-            new = _draw(own, uniforms[j, :m])
-            # ufunc.at applies a repeated index once per repeat, where
-            # fancy-index += would apply it once: chains of one model may
-            # hold the same word at this position
-            np.subtract.at(flat, (old * n_cols + cols).reshape(-1), 1.0)
-            np.add.at(flat, (new * n_cols + cols).reshape(-1), 1.0)
-            old[...] = new
+        # every index is in range, and mode "wrap" writes out unbuffered;
+        # update becomes (n_dk - g + alpha) * (n_wk - g + beta), then that
+        # over (n_k - g + beta |V|)
+        np.take(n_dk, doc, axis=1, out=update, mode="wrap")
+        update -= gamma
+        update += alpha
+        for counts, index, prior, apply in (
+                (n_wk, words, beta, np.multiply),
+                (n_k, token_set, beta_v, np.divide)):
+            np.take(counts, index, axis=1, out=factor, mode="wrap")
+            factor -= gamma
+            factor += prior
+            apply(update, factor, out=update)
+        np.copyto(norm, update[0])
+        for row in update[1:]:
+            norm += row
+        np.divide(update, norm, out=gamma)
+        n_dk, n_wk, n_k = recount()
         if sweep_callback is not None:
-            sweep_callback(s, n_t.astype(np.int64))
+            sweep_callback(s, n_k, gamma)
         done = s + 1
         if done % _LOG_JOINT_EVERY == 0 or done == sweeps:
             for m, record in enumerate(log_joints):
                 if sizes[m]:
-                    mine = set_of == m
+                    mine = (set_of == m) & (lengths > 0)
                     record.append((done, _log_joint(
-                        tables[m], n_t[:, m], n_dt[:, mine], lengths[mine],
-                        alpha, beta)))
+                        n_wk[:, offsets[m]:offsets[m + 1]], n_k[:, m],
+                        n_dk[:, mine], lengths[mine], alpha, beta)))
     return [LdaModel(h=h, alpha=float(alpha), beta=float(beta), vocab=vocab,
-                     topic_word_counts=table.astype(np.int64),
-                     trained_sweeps=sweeps, log_joint=record)
-            for vocab, table, record in zip(vocabs, tables, log_joints)]
+                     topic_word_counts=table, trained_sweeps=sweeps,
+                     log_joint=record)
+            for vocab, table, record in zip(
+                vocabs, np.split(n_wk, offsets[1:-1], axis=1), log_joints)]
 
 
 def _log_joint(n_wt: np.ndarray, n_t: np.ndarray, n_dt: np.ndarray,
                lengths: np.ndarray, alpha: float, beta: float) -> float:
     """Collapsed log p(w, z) of one model, up to assignment-independent
     constants, from its (H, |V|) word-topic counts, (H,) topic totals and
-    (H, D) topic counts of its D nonempty docs of the given lengths.
+    (H, D) topic counts of its D nonempty docs of the given lengths; the
+    fit passes its expected counts.
     """
     h, v = n_wt.shape
     word, topic, doc, length = (
@@ -543,14 +499,14 @@ def umass_coherence(model: LdaModel, docs: Docs, top_n: int) -> float:
 
 # --- serialization --------------------------------------------------------
 #
-# LDA2 layout, little-endian (in .lda1 files):
-#   magic "LDA2" | u32 H | u32 |V| | f64 alpha | f64 beta | u32 sweeps
-#   | i64 counts (H x |V|, row-major)
+# LDA3 layout, little-endian (in .lda1 files):
+#   magic "LDA3" | u32 H | u32 |V| | f64 alpha | f64 beta | u32 sweeps
+#   | f64 expected counts (H x |V|, row-major)
 #   | per vocab token: u32 byte length, UTF-8 bytes
 # A JSON sidecar (<path>.json) lists the top-10 words per topic and the
 # fit's log-joint trace as [sweeps done, value] pairs.
 
-_LDA_MAGIC = b"LDA2"
+_LDA_MAGIC = b"LDA3"
 
 
 def save_lda(model: LdaModel, path: str | Path) -> None:
@@ -560,7 +516,7 @@ def save_lda(model: LdaModel, path: str | Path) -> None:
         fh.write(struct.pack("<II", model.h, len(model.vocab)))
         fh.write(struct.pack("<dd", model.alpha, model.beta))
         fh.write(struct.pack("<I", model.trained_sweeps))
-        fh.write(model.topic_word_counts.astype("<i8").tobytes(order="C"))
+        fh.write(model.topic_word_counts.astype(F64).tobytes(order="C"))
         for tok in model.vocab.tokens:
             raw = tok.encode("utf-8")
             fh.write(struct.pack("<I", len(raw)))
@@ -581,8 +537,8 @@ def load_lda(path: str | Path) -> LdaModel:
         h, v = src.unpack("<II")
         alpha, beta = src.unpack("<dd")
         (sweeps,) = src.unpack("<I")
-        src.need(I64.itemsize * h * v)  # before the table is allocated
-        counts = np.empty((h, v), I64)
+        src.need(F64.itemsize * h * v)  # before the table is allocated
+        counts = np.empty((h, v), F64)
         src.read_into(counts)
         tokens = [src.text(src.u32()) for _ in range(v)]
         src.finish()

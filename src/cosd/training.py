@@ -2,7 +2,7 @@
 export, the Adam optimizer, training.
 
 Training first fits every group's three per-stance topic models in one
-lockstep, folds every group's texts into its models in one call and builds
+fit, folds every group's texts into its models in one call and builds
 each group's graph; then each group's graph trains with Adam.
 Sentence-encoder vectors arrive precomputed in an EMB1 file; the encoder
 itself never runs in-process, so the semantic representation of each text is
@@ -495,7 +495,7 @@ def fit_topics(dataset: Dataset, config: RunConfig,
                h: int) -> list[topics.TopicModelTriple]:
     """Every group's topic triple with h topics per stance, in group_keys
     order, fitted on the token docs of its train pool's stance subsets and
-    seeded per group; all groups in one lockstep. Here, and only here, the
+    seeded per group; all groups in one fit. Here, and only here, the
     config's alpha of 0 means 50/h. A group with no training texts (a
     target only in val or test) fails before anything is fitted."""
     keys = group_keys(dataset, config.joint)
@@ -515,7 +515,7 @@ def build_groups(dataset: Dataset, store: EncoderStore, config: RunConfig
                  ) -> tuple[list[GroupData], dict[str, float]]:
     """Every group's record, in group_keys order, and the run's figures of
     the topic fit and the fold-in, which cover all groups at once: their
-    wall times, the fit's token draws (sweeps times in-vocabulary tokens,
+    wall times, the fit's token updates (sweeps times in-vocabulary tokens,
     over all models) and the (text, model) pairs the fold-in stopped at its
     sweep cap. The triples are fitted together, every pool and val split is
     folded in together, then each group's graph is built. A group with no
@@ -542,9 +542,12 @@ def build_groups(dataset: Dataset, store: EncoderStore, config: RunConfig
             sem_pool=semantic_matrix(pool, store),
             sem_val=semantic_matrix(val, store), lap=lap,
             graph_build_s=built - start))
-    draws = sum(m.trained_sweeps * int(m.topic_totals.sum())
-                for triple in triples for m in triple.models)
-    return groups, {"topic_fit_s": fitted - began, "topic_fit_draws": draws,
+    # a group's vocabulary is its pool's tokens, and its stance subsets
+    # split the pool, so each pool token is one model's in-vocabulary token
+    updates = config.lda_sweeps * sum(len(ex.tokens) for pool in pools
+                                      for ex in pool)
+    return groups, {"topic_fit_s": fitted - began,
+                    "topic_fit_updates": updates,
                     "fold_in_s": folded - fitted, "fold_in_capped": capped}
 
 

@@ -150,24 +150,32 @@ def test_criterion_2_gradients_match_finite_differences(capsys):
 
 
 def test_criterion_3_planted_topic_recovery(capsys):
-    """Collapsed Gibbs recovers planted topics; counts conserved."""
+    """The CVB0 fit recovers planted topics; expected counts conserved."""
     t0 = time.perf_counter()
     docs, phi_true = planted_corpus(n_topics=3, n_docs=300, vocab_size=50,
                                     seed=42)
     total_tokens = sum(len(d) for d in docs)
+    vocab = Vocabulary.from_docs(docs)
     conserved = []
 
-    def check(sweep, n_k):
-        conserved.append(float(n_k.sum()) == float(total_tokens))
+    def check(sweep, n_k, gamma):
+        # expected counts are float sums, exact to rounding only
+        conserved.append(bool((gamma >= 0).all()) and abs(
+            float(n_k.sum()) - total_tokens) <= 1e-9 * total_tokens)
 
-    (model,) = _fit([docs], [Vocabulary.from_docs(docs)], 3, 50.0 / 3, 0.01,
-                    500, [42], check)
+    (model,) = _fit([docs], [vocab], 3, 50.0 / 3, 0.01, 500, [42], check)
     tvs = greedy_match_tv(model.phi(), phi_true)
     elapsed = time.perf_counter() - t0
     ok = (max(tvs) <= 0.15 and len(conserved) == 500 and all(conserved)
           and elapsed < 30.0)
+    # a report beside the verdict: the same fit from five seeds
+    spread = [max(tvs)] + [
+        max(greedy_match_tv(_fit([docs], [vocab], 3, 50.0 / 3, 0.01, 500,
+                                 [seed])[0].phi(), phi_true))
+        for seed in range(43, 47)]
     _verdict(capsys, 3, "planted-topic recovery", ok,
-             f"max greedy TV {max(tvs):.3f}, counts conserved over "
+             f"max greedy TV {max(tvs):.3f} (fit seeds 42-46: "
+             f"{min(spread):.3f}-{max(spread):.3f}), counts conserved over "
              f"{len(conserved)} sweeps, {elapsed:.2f}s")
 
 

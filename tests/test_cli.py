@@ -257,10 +257,11 @@ def test_train_run_layout(run_dir):
 
 def test_train_writes_stage_timings(run_dir):
     doc = json.loads((run_dir / "timings.json").read_text(encoding="utf-8"))
-    assert set(doc) == {"load_s", "topic_fit_s", "topic_fit_draws",
+    assert set(doc) == {"load_s", "topic_fit_s", "topic_fit_updates",
                         "fold_in_s", "fold_in_capped", "groups", "write_s",
                         "total_s"}
-    assert type(doc["topic_fit_draws"]) is int and doc["topic_fit_draws"] > 0
+    assert (type(doc["topic_fit_updates"]) is int
+            and doc["topic_fit_updates"] > 0)
     # the topic fit and the fold-in cover every group at once; the graph
     # is built per group
     (group,) = doc["groups"].values()
@@ -587,13 +588,20 @@ def test_eval_names_a_topic_model_whose_counts_fail_its_checks(
     copy = tmp_path / "run"
     shutil.copytree(run_dir, copy)
     lda = copy / "lda" / f"{SLUG}.none.lda1"
-    raw = bytearray(lda.read_bytes())
-    # the first count follows the magic, H, |V|, both priors and the sweeps
-    struct.pack_into("<q", raw, 4 + 8 + 16 + 4, -1)
-    lda.write_bytes(bytes(raw))
-    err = _expect_failure(["eval", "--run", str(copy), "--split", "test"],
-                          capsys)
-    assert err == f"error: {lda}: negative counts\n"
+    model = cosd.topics.load_lda(lda)
+    raw = lda.read_bytes()
+    # the f8 counts follow the magic, H, |V|, both priors and the sweeps; a
+    # NaN would pass a check for negative counts alone
+    first = 4 + 8 + 16 + 4
+    for cell in range(model.topic_word_counts.size):
+        at = first + 8 * cell
+        for bad in (float("nan"), float("inf"), -1.0):
+            lda.write_bytes(raw[:at] + struct.pack("<d", bad)
+                            + raw[at + 8:])
+            err = _expect_failure(["eval", "--run", str(copy), "--split",
+                                   "test"], capsys)
+            assert err == (f"error: {lda}: counts must be finite and "
+                           f">= 0\n")
 
 
 def test_a_topic_model_with_a_zero_prior_exits_2(run_dir, synth_small,
@@ -615,6 +623,18 @@ def test_a_topic_model_with_a_zero_prior_exits_2(run_dir, synth_small,
     assert not (tmp_path / "p.tsv").exists()
 
 
+def _assert_every_reader_rejects_the_layout(copy, lda, root, tmp_path,
+                                            capsys):
+    for argv in (["eval", "--split", "test"],
+                 ["predict", "--in", str(root / "test.tsv"),
+                  "--out", str(tmp_path / "p.tsv")],
+                 ["inspect"]):
+        err = _expect_failure(argv + ["--run", str(copy), "--trial", "1"],
+                              capsys)
+        assert err == f"error: {lda}: bad magic, not a LDA3 file\n"
+    assert not (tmp_path / "p.tsv").exists()
+
+
 def test_an_old_lda1_topic_model_exits_2(run_dir, synth_small, tmp_path,
                                          capsys):
     root, _ = synth_small
@@ -622,21 +642,30 @@ def test_an_old_lda1_topic_model_exits_2(run_dir, synth_small, tmp_path,
     shutil.copytree(run_dir, copy)
     lda = copy / "lda" / f"{SLUG}.none.lda1"
     model = cosd.topics.load_lda(lda)
-    # the retired LDA1 layout: a u32 document frequency after each token
-    raw = bytearray(b"LDA1" + lda.read_bytes()[4:32]
-                    + model.topic_word_counts.astype("<i8").tobytes())
+    # the retired LDA1 layout, a u32 document frequency after each token,
+    # around this file's own f8 counts: the magic alone is read
+    size = 32 + 8 * model.topic_word_counts.size
+    raw = bytearray(b"LDA1" + lda.read_bytes()[4:size])
     for token in model.vocab.tokens:
         raw += struct.pack("<I", len(token.encode())) + token.encode()
         raw += struct.pack("<I", 1)
     lda.write_bytes(bytes(raw))
-    for argv in (["eval", "--split", "test"],
-                 ["predict", "--in", str(root / "test.tsv"),
-                  "--out", str(tmp_path / "p.tsv")],
-                 ["inspect"]):
-        err = _expect_failure(argv + ["--run", str(copy), "--trial", "1"],
-                              capsys)
-        assert err == f"error: {lda}: bad magic, not a LDA2 file\n"
-    assert not (tmp_path / "p.tsv").exists()
+    _assert_every_reader_rejects_the_layout(copy, lda, root, tmp_path, capsys)
+
+
+def test_an_old_lda2_topic_model_exits_2(run_dir, synth_small, tmp_path,
+                                         capsys):
+    root, _ = synth_small
+    copy = tmp_path / "run"
+    shutil.copytree(run_dir, copy)
+    lda = copy / "lda" / f"{SLUG}.none.lda1"
+    model = cosd.topics.load_lda(lda)
+    # the retired LDA2 layout: the same header and tokens around integer
+    # counts of the same byte size
+    raw = lda.read_bytes()
+    counts = np.rint(model.topic_word_counts).astype("<i8").tobytes()
+    lda.write_bytes(b"LDA2" + raw[4:32] + counts + raw[32 + len(counts):])
+    _assert_every_reader_rejects_the_layout(copy, lda, root, tmp_path, capsys)
 
 
 def test_eval_on_truncated_checkpoint(run_dir, tmp_path, capsys):

@@ -653,12 +653,16 @@ def test_build_group_data_shapes(synth_setup):
         assert np.array_equal(got_model.topic_word_counts,
                               want_model.topic_word_counts)
     assert data.graph_build_s >= 0.0
-    assert set(stages) == {"topic_fit_s", "topic_fit_draws", "fold_in_s",
+    assert set(stages) == {"topic_fit_s", "topic_fit_updates", "fold_in_s",
                            "fold_in_capped"}
-    # one draw per token and sweep: the vocabulary is built from these docs
-    assert stages["topic_fit_draws"] == 30 * sum(
+    # one update per token and sweep: the vocabulary is built from these
+    # docs, and each model's expected counts add up to its tokens
+    assert stages["topic_fit_updates"] == 30 * sum(
         len(ex.tokens) for docs in stance_subsets(dataset, target)
         for ex in docs)
+    assert stages["topic_fit_updates"] == pytest.approx(sum(
+        m.trained_sweeps * m.topic_totals.sum() for m in data.triple.models),
+        rel=1e-12)
     n = len(dataset.train_pool(target))
     assert len(data.pool) == n
     (dis_pool,), _ = fold_in_matrix([(want, data.pool)], sweeps=10)
@@ -873,7 +877,7 @@ def test_train_run_deterministic_and_trial_sensitive(synth_setup):
 
 
 def test_six_target_train_equals_per_group_fits(tmp_path):
-    # train fits every group's triple in one lockstep and folds every
+    # train fits every group's triple in one fit and folds every
     # group's texts in with one call; each group's triple and fold-in rows
     # must be those of its own one-group fit and fold-in
     paths = make_synthetic(tmp_path, seed=3, n_train=90, n_val=30, n_test=3,
@@ -893,8 +897,13 @@ def test_six_target_train_equals_per_group_fits(tmp_path):
     config = _config(trials=1, epochs=1)
     result = train(dataset, store, config)
     assert [data.group for data in result.groups] == names
-    assert set(result.stages) == {"topic_fit_s", "topic_fit_draws",
+    assert set(result.stages) == {"topic_fit_s", "topic_fit_updates",
                                   "fold_in_s", "fold_in_capped"}
+    # every group's tokens, each counted once per sweep: a float sum of
+    # expected counts is an integer to rounding only
+    assert result.stages["topic_fit_updates"] == sum(
+        m.trained_sweeps * round(m.topic_totals.sum())
+        for data in result.groups for m in data.triple.models)
     assert len({len(data.triple.favor.vocab) for data in result.groups}) > 1
     for data in result.groups:
         assert data.pool == dataset.train_pool(data.group)

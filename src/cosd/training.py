@@ -464,13 +464,20 @@ class GroupData:
     graph_build_s: float = 0.0   # wall time of building lap
 
 
+# an epoch's log row: its keys in the per-epoch log's column order, each
+# with its value's format spec there
+LOG_COLUMNS = (("epoch", ""), ("loss", ".8f"), ("val_macf", ".6f"),
+               ("val_micf", ".6f"), ("val_micf_no_sem", ".6f"),
+               ("val_micf_no_dis", ".6f"))
+
+
 @dataclass
 class GroupResult:
     """One trial's training of one group; the group's inputs stay in its
     GroupData."""
 
     checkpoint: cpa.CpaModel     # a copy of the best-val epoch's model
-    log_rows: list[dict]
+    log_rows: list[dict]         # per epoch, keyed as LOG_COLUMNS
     best_epoch: int
     best_val_micf: float
     val_preds: list              # the best epoch's, in data.val order
@@ -610,10 +617,10 @@ def train_group(data: GroupData, store: EncoderStore, config: RunConfig,
         val_start = time.perf_counter()
         macf, micf, preds = _val_metrics(data, model, config)
         val_s += time.perf_counter() - val_start
-        log_rows.append({"epoch": epoch, "loss": loss / n,
-                         "val_macf": macf, "val_micf": micf["full"],
-                         "val_micf_no_sem": micf["no_sem"],
-                         "val_micf_no_dis": micf["no_dis"]})
+        log_rows.append(dict(zip(
+            [name for name, _ in LOG_COLUMNS],
+            (epoch, loss / n, macf, micf["full"], micf["no_sem"],
+             micf["no_dis"]))))
         if best is None or micf["full"] > best[0]:
             best = (micf["full"], epoch, model.copy(), preds)
 

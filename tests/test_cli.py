@@ -11,6 +11,7 @@ import json
 import re
 import shutil
 import struct
+import time
 import tracemalloc
 
 import numpy as np
@@ -20,20 +21,19 @@ from conftest import record_rows
 import cosd.cli
 import cosd.cpa
 import cosd.inference
+import cosd.rundir
 import cosd.topics
 from cosd import metrics, training
 from cosd.corpus import Split, load_semeval, read_splits
 from cosd.cli import (
     ConfigError,
-    RunDir,
     build_config,
     build_parser,
     main,
     parse_h_range,
     read_config_file,
-    run_dir_for,
-    slugify,
 )
+from cosd.rundir import RunDir, run_dir_for, slugify
 
 SLUG = "synthetic-policy"  # slugified synth target name
 
@@ -231,7 +231,7 @@ def run_dir(tmp_path_factory, synth_small):
     return out
 
 
-def test_train_run_layout(run_dir):
+def test_train_run_layout(run_dir, tmp_path, monkeypatch):
     assert (run_dir / "run.json").is_file()
     for stance_key in ("favor", "none", "against"):
         assert (run_dir / "lda" / f"{SLUG}.{stance_key}.lda1").is_file()
@@ -253,6 +253,41 @@ def test_train_run_layout(run_dir):
     assert (run_dir / "report-val.csv").is_file()
     config_text = (run_dir / "config.txt").read_text(encoding="utf-8")
     assert "seed = 5" in config_text
+
+    # the writer wrote exactly the files the layout table names for the
+    # run's group, stances and trials and its val report, and the JSON
+    # sidecar save_lda writes beside each topic model
+    layout = cosd.rundir.LAYOUT
+    names = {role: {rel.format(slug=SLUG, key=key, trial=trial, suffix="val")
+                    for key in ("favor", "none", "against")
+                    for trial in (1, 2)}
+             for role, rel in layout.items()}
+    assert set(_run_files(run_dir)) == {
+        *(name for role in names.values() for name in role),
+        *(f"{name}.json" for name in names["topics"])}
+
+    # the reader opens every file through that table: under a table whose
+    # every name has moved, a copy at the moved names scores as the run
+    run = RunDir(run_dir)
+    texts = run.corpus(Split.VAL).examples
+    want = [run.score(run.rows(texts), trial) for trial in (1, 2)]
+    moved = tmp_path / "moved"
+    for role, rel in list(layout.items()):
+        for name in names[role]:
+            (moved / f"moved-{name}").parent.mkdir(parents=True,
+                                                   exist_ok=True)
+            shutil.copy(run_dir / name, moved / f"moved-{name}")
+        monkeypatch.setitem(layout, role, f"moved-{rel}")
+    run = RunDir(moved)
+    for trial, scores in zip((1, 2), want):
+        got = run.score(run.rows(texts), trial)
+        assert got.predicted == scores.predicted
+        assert np.array_equal(got.sem, scores.sem)
+        assert np.array_equal(got.dis, scores.dis)
+        _, pool, _ = run.training_graph("Synthetic Policy", trial)
+        meta = json.loads((run_dir / f"trial-{trial}" / f"{SLUG}.meta.json")
+                          .read_text(encoding="utf-8"))
+        assert [ex.id for ex in pool] == meta["ids"]
 
 
 def test_train_writes_stage_timings(run_dir):
@@ -831,6 +866,31 @@ def test_train_checks_its_out_dir_before_loading_or_training(
                         needle=f"--out-dir {out}: {blocker} is not a "
                                f"directory")
     assert blocker.read_text(encoding="utf-8") == "not a directory\n"
+
+
+def test_trains_started_in_the_same_second_never_share_a_directory(
+        synth_small, tmp_path, capsys, monkeypatch):
+    root, paths = synth_small
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(time, "strftime", lambda *args: "20261020-084659")
+    argv = ["train", "--dataset", "synthetic", "--data", str(root),
+            "--embeddings", str(paths["embeddings"])] + TRAIN_FLAGS
+    assert main(argv) == 0
+    capsys.readouterr()
+    first = tmp_path / "runs" / "20261020-084659-seed5"
+    files = _run_files(first)
+
+    def never(*args, **kwargs):
+        raise AssertionError("loaded data into another run's directory")
+
+    # the same seed in the same second names the same directory: the later
+    # train stops before it loads anything, and the earlier run stays whole
+    monkeypatch.setattr(cosd.cli, "load_semeval", never)
+    err = _expect_failure(argv + ["--h", "3", "--trials", "1"], capsys,
+                          needle="runs/20261020-084659-seed5 already exists")
+    assert "--out-dir" in err
+    assert _run_files(first) == files
+    assert RunDir(first).config.trials == 2
 
 
 def test_topics_rejects_a_negative_seed_flag(synth_small, capsys,
@@ -1493,7 +1553,8 @@ def _oracle_scores(run, texts, trial, mode, norm):
         elif mode == "no_dis":
             group_dis = np.zeros_like(group_dis)
         sem[where], dis[where] = group_sem, group_dis
-    return cosd.cli.Scores(sem, dis, cosd.inference.argmax_labels(sem + dis))
+    return cosd.rundir.Scores(sem, dis,
+                              cosd.inference.argmax_labels(sem + dis))
 
 
 @pytest.mark.parametrize("mode", ["full", "no_sem", "no_dis"])

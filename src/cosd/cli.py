@@ -16,6 +16,7 @@ timestamps).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -160,17 +161,26 @@ def cmd_train(args: argparse.Namespace) -> int:
     if not config.embeddings:
         raise ConfigError("no --embeddings file given")
     run_dir = rundir.claim_run_dir(config)
-    dataset = load_dataset(config)
-    # each group's files are named by its slug
-    slugs = rundir.checked_slugs(
-        [k for k, _ in training.group_keys(dataset, config.joint)], "train")
-    store = training.load_embeddings(config.embeddings)
-    loaded = time.perf_counter()
+    try:
+        dataset = load_dataset(config)
+        # each group's files are named by its slug
+        slugs = rundir.checked_slugs(
+            [k for k, _ in training.group_keys(dataset, config.joint)],
+            "train")
+        store = training.load_embeddings(config.embeddings)
+        loaded = time.perf_counter()
 
-    result = training.train(dataset, store, config)
+        result = training.train(dataset, store, config)
 
-    rundir.write_run(run_dir, config, slugs, result, dataset.targets, start,
-                     loaded)
+        rundir.write_run(run_dir, config, slugs, result, dataset.targets,
+                         start, loaded)
+    except BaseException:
+        # a timestamped directory is this run's own: rmdir removes it only
+        # while it is still empty, and never a pinned --out-dir
+        if not config.out_dir:
+            with contextlib.suppress(OSError):
+                run_dir.rmdir()
+        raise
     print(f"run directory: {run_dir}")
     print(result.report_text, end="")
     return 0
@@ -274,8 +284,11 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         did_something = True
 
     if not did_something:
+        stops = "/".join(str(m.trained_sweeps)
+                         for m in run.triple(group).models)
         print(f"run {run.path}: groups {list(run.groups)}, "
-              f"trial {trial}, {n} text nodes, H={ckpt.h}, hops={ckpt.hops}")
+              f"trial {trial}, {n} text nodes, H={ckpt.h}, hops={ckpt.hops}, "
+              f"topic fit sweeps {stops} ({'/'.join(LABEL_KEYS)})")
     return 0
 
 
@@ -316,8 +329,10 @@ _FLAG_OPTIONS = {
     "hops": {"help": "propagation hops (0 = per-dataset default)"},
     "alpha": {"help": "doc-topic prior (0 = 50/H)"},
     "beta": {"help": "topic-word prior"},
-    "lda_sweeps": {"help": "CVB0 sweeps of the topic fit; the fit runs "
-                           "exactly this many"},
+    "lda_sweeps": {"help": "most CVB0 sweeps of the topic fit; each "
+                           "model stops at its own fixed point, the first "
+                           "sweep that moves none of its doc-topic and "
+                           "topic-word counts by more than 1e-4"},
     "fold_in_sweeps": {"help": "most CVB0 sweeps of a text's fold-in; each "
                                "text stops at its own fixed point"},
     "d1": {"help": "propagated embedding width"},

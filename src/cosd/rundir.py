@@ -316,12 +316,12 @@ class RunDir:
             training.semantic_matrix(group, self.store) for _, group in groups]
         dis = [None] * len(groups) if mode == "no_dis" else (
             training.fold_in_matrix(
-                [(self._triple(name), group) for name, group in groups],
+                [(self.triple(name), group) for name, group in groups],
                 self.config.fold_in_sweeps).rows)
         return [(name, at[name], sem_rows, dis_rows)
                 for (name, _), sem_rows, dis_rows in zip(groups, sem, dis)]
 
-    def _triple(self, name: str) -> topics.TopicModelTriple:
+    def triple(self, name: str) -> topics.TopicModelTriple:
         """The group's topic triple, each of whose models must have the
         run's H and the vocabulary of the group's first model."""
         models = []
@@ -370,7 +370,7 @@ class RunDir:
                 != [ex.stance.value for ex in pool]):
             raise ConfigError(f"{meta_path}: ids and stances differ from the "
                               f"train pool in {self.config.data}")
-        (dis,) = training.fold_in_matrix([(self._triple(name), pool)],
+        (dis,) = training.fold_in_matrix([(self.triple(name), pool)],
                                          self.config.fold_in_sweeps).rows
         lap = graph.laplacian(graph.build_adjacency(
             [ex.stance for ex in pool], dis))

@@ -2,16 +2,15 @@
 
 Three LDA models (favor / none / against training subsets, shared vocabulary,
 H topics each) are fit by the collapsed variational update CVB0, every
-training group's triple in one fit (fit_triples): each sweep updates every
-token of every model at once as whole-array numpy operations, from its
-model's expected counts as the previous sweep left them; the initial topics
-come from a keyed counter hash per doc. The models' topic-word counts are
-those expected counts, float64. Any text, train or test, is folded in under
-all three models with counts frozen by the same update run to its fixed
-point (fold_in_sets); the three length-H posteriors concatenated and
-divided by 3 give its topic distribution, which later doubles as
-text-to-topic edge weights. perplexity samples nothing: it scores the
-fold-in posteriors it is given.
+training group's triple in one fit (fit_triples), from initial topics drawn
+by a keyed counter hash per doc. The sweep count is a cap: each model stops
+at its own fixed point, the first sweep that moves none of its doc-topic and
+topic-word counts by more than 1e-4, and its topic-word counts are its
+expected counts, float64. Any text is folded in under all three models with
+their counts frozen, each (text, model) chain run to its own fixed point at
+1e-9 (fold_in_sets); one kernel, _cvb0, sweeps both. The three posteriors
+side by side, divided by 3, are a text's topic distribution, which later
+doubles as text-to-topic edge weights. perplexity scores given posteriors.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import numbers
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from math import inf, lgamma
+from math import inf, lgamma, prod
 from pathlib import Path
 from typing import NamedTuple
 
@@ -159,10 +158,95 @@ def _uniforms(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
     return (z >> np.uint64(11)) * 2.0**-53
 
 
+# --- the CVB0 sweep ----------------------------------------------------------
+
+
+def _head(buf: np.ndarray, n: int) -> np.ndarray:
+    """A C-contiguous buffer's first n columns, contiguous: (H, N) -> its
+    first H n values."""
+    rows = buf.shape[:-1]
+    return buf.reshape(-1)[:prod(rows) * n].reshape(*rows, n)
+
+
+def _cvb0(gamma: np.ndarray, cols: dict[str, np.ndarray],
+          tables: Sequence[tuple[str, np.ndarray, bool]], n_chains: int,
+          word_factor, tol: float, sweeps: int, on_sweep=None):
+    """CVB0 (Asuncion et al., "On Smoothing and Inference for Topic Models",
+    UAI 2009), the fit's and the fold-in's one kernel: every column at once
+    gets gamma_k = (n_dk - gamma_k + alpha) * word factor_k over its sum
+    across k, added in topic order, from the counts the previous sweep
+    left; then np.bincount sums each table afresh, a bin's columns in
+    column order, so a chain's arithmetic is a scalar loop's over its own.
+
+    gamma (H, n) starts the columns; cols holds their other arrays, "chain",
+    "alpha", each table's key and what word_factor(update, gamma, counts,
+    cols) reads to multiply its factor into update, each C-contiguous with
+    the column as its last axis. A table is (the key of its bins, each
+    bin's chain, tested); tables[0] is n_dk. A chain freezes at the first
+    sweep that moves none of its bins of a tested table by more than tol,
+    or after sweeps sweeps, and the other columns are compressed into the
+    heads of the arrays. on_sweep(s, counts, gamma, ran, stops) runs after
+    sweep s. Returns the tables as each chain stopped, the stop sweeps and
+    the chains still moving at the cap.
+    """
+    # the columns still sweeping: the heads of the arrays the call starts
+    # with, so that no sweep allocates a column array
+    at = bufs = {"gamma": gamma, **cols}
+    update, norm = np.empty_like(gamma), np.empty(gamma.shape[1])
+    g, step, total = gamma, update, norm
+
+    def recount(at):  # over no columns, np.bincount gives int64 zeros
+        return [np.array([np.bincount(at[key], row, len(chain_of))
+                          for row in at["gamma"]], dtype=np.float64)
+                for key, chain_of, _ in tables]
+
+    counts = recount(at)
+    final = [np.empty_like(table) for table in counts]
+    running, capped = np.ones(n_chains, bool), np.zeros(n_chains, bool)
+    stop = np.full(n_chains, sweeps)
+    for s in range(sweeps):
+        # every index is in range, and mode "wrap" writes out unbuffered
+        np.take(counts[0], at[tables[0][0]], axis=1, out=step, mode="wrap")
+        step -= g
+        step += at["alpha"]
+        word_factor(step, g, counts, at)
+        np.copyto(total, step[0])
+        for row in step[1:]:
+            total += row
+        np.divide(step, total, out=g)
+        new, moved = recount(at), np.zeros(n_chains)
+        for old, now, (_, chain_of, tested) in zip(counts, new, tables):
+            if tested:
+                np.maximum.at(moved, chain_of, np.abs(now - old).max(axis=0))
+        counts, done = new, running & (moved <= tol)
+        if s + 1 == sweeps:  # every chain stops, those still moving capped
+            capped, done = running & ~done, running
+        if on_sweep is not None:
+            on_sweep(s, counts, g, running, done)
+        if done.any():
+            stop[done] = s + 1
+            for kept, now, (_, chain_of, _) in zip(final, counts, tables):
+                np.copyto(kept, now, where=done[chain_of])
+            running &= ~done
+            if not running.any():
+                break
+            keep = np.flatnonzero(running[at["chain"]])
+            n = len(keep)
+            # np.take reads all of its input before it writes over it
+            at = {name: np.take(at[name], keep, axis=-1, out=_head(buf, n))
+                  for name, buf in bufs.items()}
+            g, step, total = at["gamma"], _head(update, n), norm[:n]
+    return final, stop, capped
+
+
 # --- fitting -----------------------------------------------------------------
 
 # sweeps between the log-joint records a fit keeps for the sidecar
 _LOG_JOINT_EVERY = 50
+
+# a fit's model is frozen at the first sweep that moves none of its
+# doc-topic and topic-word counts by more than this
+_FIT_TOL = 1e-4
 
 
 def fit_triples(groups: Sequence[tuple[Docs, Docs, Docs]],
@@ -171,10 +255,11 @@ def fit_triples(groups: Sequence[tuple[Docs, Docs, Docs]],
                 seeds: Sequence[int]) -> list[TopicModelTriple]:
     """Per group of (favor, none, against) docs, its three per-stance models
     over one vocabulary built from its docs, seeded seeds[g], seeds[g] + 1
-    and seeds[g] + 2; every group's models in one fit. The priors are
-    finite and > 0; a seed is an integer in [0, 2**64). The models share no
-    counts, so each is the same whatever the other groups hold: a one-set
-    fit is fit_triples([(docs, [], [])], ...)[0].favor."""
+    and seeds[g] + 2; every group's models in one fit, each run to its own
+    fixed point or for sweeps sweeps. The priors are finite and > 0; a seed
+    is an integer in [0, 2**64). The models share no counts, so each is the
+    same whatever the other groups hold: a one-set fit is
+    fit_triples([(docs, [], [])], ...)[0].favor."""
     if len(seeds) != len(groups):
         raise TopicsError(f"{len(seeds)} seeds for {len(groups)} groups")
     doc_sets, vocabs, set_seeds = [], [], []
@@ -191,24 +276,17 @@ def fit_triples(groups: Sequence[tuple[Docs, Docs, Docs]],
 def _fit(doc_sets: Sequence[Docs], vocabs: Sequence[Vocabulary],
          h: int, alpha: float, beta: float, sweeps: int,
          seeds: Sequence[int], sweep_callback=None) -> list[LdaModel]:
-    """One model per doc set over its vocabulary, every set's tokens in one
-    synchronous CVB0 fit (Asuncion et al., "On Smoothing and Inference for
-    Topic Models", UAI 2009).
-
-    Each in-vocabulary token holds a distribution gamma over the H topics,
-    one-hot at its initial topic floor(u * H): doc i of set m draws u from
-    the counter hash keyed by the finalizer over (the key of seeds[m]) + i,
-    numbers 0..n-1 for its n tokens. A sweep sets every token at once, from
-    the previous sweep's expected counts of its own model,
-    gamma_k = (n_dk - gamma_k + alpha)(n_wk - gamma_k + beta)
-    / (n_k - gamma_k + beta |V|) over its sum across k, added in topic
-    order, with |V| its set's vocabulary size; then it recounts n_dk, n_wk
-    and n_k, each a sum over its tokens in token order. A model's arithmetic
-    is that of a scalar loop over its own tokens, whatever the other sets
-    hold. sweep_callback(s, topic totals (H, sets), gamma (H, tokens) in
-    the fit's column order) runs after every sweep. Each model records its log joint over its expected
-    counts every 50 sweeps and after the last, except over an empty
-    vocabulary, where it is undefined. Both priors are finite and > 0.
+    """One model per doc set over its vocabulary, all in one _cvb0 fit with
+    a chain per model. A token's gamma starts one-hot at floor(u * H): doc
+    i of set m draws u from the counter hash keyed by the finalizer over
+    (the key of seeds[m]) + i, numbers 0..n-1 for its n tokens. Its word
+    factor is (n_wk - gamma_k + beta) / (n_k - gamma_k + beta |V|) over its
+    own model's counts. A model stops at the first sweep that moves none of
+    its n_dk and n_wk by more than _FIT_TOL, or after sweeps sweeps: its
+    trained_sweeps; its counts are those it stopped with, and its log joint
+    is recorded every 50 sweeps and at its stop, except over an empty
+    vocabulary. sweep_callback(s, n_k (H, sets), gamma of the models still
+    sweeping) runs after every sweep. Both priors are finite and > 0.
     """
     if not isinstance(h, numbers.Integral) or h < 1:
         raise TopicsError(f"H must be an integer >= 1, got {h!r}")
@@ -219,17 +297,16 @@ def _fit(doc_sets: Sequence[Docs], vocabs: Sequence[Vocabulary],
     keys = np.concatenate([
         _mix64(_keys([seed]) + np.arange(len(docs), dtype=np.uint64))
         for seed, docs in zip(seeds, doc_sets)])
-    set_of = np.repeat(np.arange(len(doc_sets)),
-                       [len(docs) for docs in doc_sets])
+    n_sets = len(doc_sets)
+    set_of = np.repeat(np.arange(n_sets), [len(docs) for docs in doc_sets])
     ids = [doc for docs, vocab in zip(doc_sets, vocabs)
            for doc in _doc_token_ids(docs, vocab)]
     lengths = np.array([len(doc) for doc in ids], dtype=np.int64)
     sizes = np.array([len(vocab) for vocab in vocabs], dtype=np.int64)
     offsets = np.concatenate([[0], np.cumsum(sizes)])
-    n_docs, n_sets, width = len(ids), len(doc_sets), int(offsets[-1])
     # per token, in (set, doc, position) order: its doc, its set and its
     # word's column among the sets' vocabularies side by side
-    doc = np.repeat(np.arange(n_docs), lengths)
+    doc = np.repeat(np.arange(len(ids)), lengths)
     token_set = set_of[doc]
     words = (np.array([w for doc_ids in ids for w in doc_ids], dtype=np.int64)
              + offsets[token_set])
@@ -243,60 +320,49 @@ def _fit(doc_sets: Sequence[Docs], vocabs: Sequence[Vocabulary],
     layout = np.lexsort((token_set, rank))
     doc, token_set, words, position = (
         a[layout] for a in (doc, token_set, words, position))
-    topic = np.arange(h)[:, None]
-    gamma = (topic == (_uniforms(keys[doc], position) * h).astype(np.int64)
+    gamma = (np.arange(h)[:, None]
+             == (_uniforms(keys[doc], position) * h).astype(np.int64)
              ).astype(np.float64)
     del position, rank, layout
-    # np.bincount adds each (topic, bin) sum in token order
-    flat = [(topic * bins + index).ravel()
-            for bins, index in ((n_docs, doc), (width, words),
-                                (n_sets, token_set))]
-
-    def recount():
-        # over no tokens at all, np.bincount gives int64 zeros
-        return [np.bincount(at, gamma.ravel(), h * bins)
-                .astype(np.float64, copy=False).reshape(h, bins)
-                for at, bins in zip(flat, (n_docs, width, n_sets))]
-
-    n_dk, n_wk, n_k = recount()
-    beta_v = (beta * sizes)[token_set]
-    update, factor = np.empty_like(gamma), np.empty_like(gamma)
-    norm = np.empty(len(doc))
+    scratch = np.empty_like(gamma)
     log_joints = [[] for _ in doc_sets]
-    for s in range(sweeps):
-        # every index is in range, and mode "wrap" writes out unbuffered;
-        # update becomes (n_dk - g + alpha) * (n_wk - g + beta), then that
-        # over (n_k - g + beta |V|)
-        np.take(n_dk, doc, axis=1, out=update, mode="wrap")
-        update -= gamma
-        update += alpha
-        for counts, index, prior, apply in (
-                (n_wk, words, beta, np.multiply),
-                (n_k, token_set, beta_v, np.divide)):
-            np.take(counts, index, axis=1, out=factor, mode="wrap")
+
+    def word_factor(update, gamma, counts, cols):
+        # update times (n_wk - g + beta), then that over (n_k - g + beta |V|)
+        factor = _head(scratch, gamma.shape[1])
+        for table, index, prior, apply in (
+                (counts[1], cols["word"], beta, np.multiply),
+                (counts[2], cols["chain"], cols["beta_v"], np.divide)):
+            np.take(table, index, axis=1, out=factor, mode="wrap")
             factor -= gamma
             factor += prior
             apply(update, factor, out=update)
-        np.copyto(norm, update[0])
-        for row in update[1:]:
-            norm += row
-        np.divide(update, norm, out=gamma)
-        n_dk, n_wk, n_k = recount()
+
+    def on_sweep(s, counts, gamma, ran, stops):
+        n_dk, n_wk, n_k = counts
         if sweep_callback is not None:
             sweep_callback(s, n_k, gamma)
-        done = s + 1
-        if done % _LOG_JOINT_EVERY == 0 or done == sweeps:
-            for m, record in enumerate(log_joints):
-                if sizes[m]:
-                    mine = (set_of == m) & (lengths > 0)
-                    record.append((done, _log_joint(
-                        n_wk[:, offsets[m]:offsets[m + 1]], n_k[:, m],
-                        n_dk[:, mine], lengths[mine], alpha, beta)))
+        due = ran if (s + 1) % _LOG_JOINT_EVERY == 0 else stops
+        for m in np.flatnonzero(due & (sizes > 0)):
+            mine = (set_of == m) & (lengths > 0)
+            log_joints[m].append((s + 1, _log_joint(
+                n_wk[:, offsets[m]:offsets[m + 1]], n_k[:, m],
+                n_dk[:, mine], lengths[mine], alpha, beta)))
+
+    (_, n_wk, _), stop, _ = _cvb0(
+        gamma, {"chain": token_set, "doc": doc, "word": words,
+                "alpha": np.full(len(doc), float(alpha)),
+                "beta_v": (beta * sizes)[token_set]},
+        [("doc", set_of, True),
+         ("word", np.repeat(np.arange(n_sets), sizes), True),
+         ("chain", np.arange(n_sets), False)],
+        n_sets, word_factor, _FIT_TOL, sweeps, on_sweep)
     return [LdaModel(h=h, alpha=float(alpha), beta=float(beta), vocab=vocab,
-                     topic_word_counts=table, trained_sweeps=sweeps,
+                     topic_word_counts=table, trained_sweeps=int(done),
                      log_joint=record)
-            for vocab, table, record in zip(
-                vocabs, np.split(n_wk, offsets[1:-1], axis=1), log_joints)]
+            for vocab, table, done, record in zip(
+                vocabs, np.split(n_wk, offsets[1:-1], axis=1), stop,
+                log_joints)]
 
 
 def _log_joint(n_wt: np.ndarray, n_t: np.ndarray, n_dt: np.ndarray,
@@ -336,22 +402,15 @@ class FoldIn(NamedTuple):
 
 def fold_in_sets(sets: Sequence[FoldInSet], sweeps: int = 50) -> FoldIn:
     """Fold-in posteriors of several model sets' docs; per set (models,
-    docs) one (D, len(models)*H) array.
-
-    A set's models share H and vocabulary, and every set has the same H
-    and number of models. Row d holds the set's models' length-H posteriors
-    side by side, each summing to 1. Topic-word counts stay frozen, so
-    every (doc, model) chain is independent; each runs the collapsed
-    variational fixed point CVB0 (Asuncion et al., "On Smoothing and
-    Inference for Topic Models", UAI 2009) from gamma = 1/H,
-    gamma_ik <- (n_k - gamma_ik + alpha) phi_k,w_i normalised over its
-    model's H topics, n_k = sum_i gamma_ik, every token at once. A chain
-    is frozen at the first sweep that moves none of its n_k by more than
-    1e-9, or after sweeps sweeps, and its posterior is
-    (n + alpha) / (length + H alpha). Each chain's arithmetic is that of a
-    scalar loop over its own tokens in order, so a doc's row does not
-    depend on the rest of the batch, the other sets or the other models of
-    its set. Empty or fully out-of-vocabulary docs give the uniform prior.
+    docs) one (D, len(models)*H) array. A set's models share H and
+    vocabulary, and all sets share H and the model count. Row d holds the
+    set's models' length-H posteriors side by side: each (doc, model) pair
+    is a _cvb0 chain from gamma = 1/H with the model's frozen phi as word
+    factor, frozen at the first sweep that moves none of its n_k by more
+    than 1e-9 or after sweeps sweeps, and gives (n_k + alpha) /
+    (length + H alpha). So a row does not depend on the rest of the batch,
+    the other sets or the other models of its set. Empty or fully
+    out-of-vocabulary docs give the uniform prior.
     """
     if not sets:
         return FoldIn([], 0)
@@ -373,76 +432,41 @@ def fold_in_sets(sets: Sequence[FoldInSet], sweeps: int = 50) -> FoldIn:
     ids, tables = [], []
     for models, docs in sets:
         ids += _doc_token_ids(docs, models[0].vocab)
-        # table[w] = the word's frozen phi under each model, H values per
-        # model side by side
-        tables.append(np.concatenate([m.phi().T for m in models], axis=1))
-    # the sets' tables stacked; a doc's word ids shift by the vocabulary
-    # sizes of the sets before its own, and its chains take its set's alphas
+        # table[k, w, m] = the word's frozen phi_k under model m
+        tables.append(np.array([m.phi() for m in models]).transpose(1, 2, 0))
+    # the sets' tables side by side; a doc's word ids shift by the
+    # vocabulary sizes of the sets before its own, and its chains take its
+    # set's alphas
     set_of = np.repeat(np.arange(len(sets)), sizes)
-    offsets = np.cumsum([0] + [len(t) for t in tables[:-1]])[set_of]
+    offsets = np.cumsum([0] + [t.shape[1] for t in tables[:-1]])[set_of]
     alphas = np.array([[m.alpha for m in models]
                        for models, _ in sets])[set_of]
-    factor = np.concatenate(tables)
-    live = np.flatnonzero([len(doc) for doc in ids])
+    factor = np.concatenate(tables, axis=1)
+    lengths = np.array([len(doc) for doc in ids], dtype=np.int64)
+    live = np.flatnonzero(lengths)
     capped = 0
     for at in range(0, len(live), _FOLD_IN_BATCH):
         batch = live[at:at + _FOLD_IN_BATCH]
-        out[batch], batch_capped = _cvb0(
-            [ids[d] for d in batch], offsets[batch], factor, alphas[batch], h,
-            sweeps)
-        capped += batch_capped
+        # a column per (token, model) pair in token order, its word factor
+        # the word's phi under the model; chain c = doc * M + model
+        doc = np.repeat(np.arange(len(batch)), lengths[batch])
+        words = (np.array([w for d in batch for w in ids[d]], dtype=np.int64)
+                 + offsets[batch][doc])
+        phi = np.take(factor, words, axis=1).reshape(h, -1)
+        chain = (doc[:, None] * n_models + np.arange(n_models)).reshape(-1)
+        alpha = alphas[batch].reshape(-1)
+        (counts,), _, stuck = _cvb0(
+            np.full(phi.shape, 1.0 / h),
+            {"chain": chain, "alpha": alpha[chain], "phi": phi},
+            [("chain", np.arange(len(alpha)), True)], len(alpha),
+            lambda update, gamma, counts, cols: np.multiply(
+                update, cols["phi"], out=update),
+            _FOLD_IN_TOL, sweeps)
+        out[batch] = ((counts.T + alpha[:, None]) / (
+            lengths[batch].repeat(n_models)[:, None] + h * alpha[:, None])
+        ).reshape(len(batch), -1)
+        capped += int(stuck.sum())
     return FoldIn(rows, capped)
-
-
-def _cvb0(ids: list[list[int]], offsets: np.ndarray, factor: np.ndarray,
-          alphas: np.ndarray, h: int, sweeps: int) -> tuple[np.ndarray, int]:
-    """fold_in_sets over nonempty docs: (D, M*H) posteriors and the number
-    of chains still running after the last sweep.
-
-    Doc d's word w is factor row w + offsets[d], and its chains take the
-    priors alphas[d] (M values); chain c = doc * M + model. Arrays are
-    topic-major, (H, columns), a column per (token, model) pair in token
-    order, so np.bincount sums a chain's columns in its tokens' order, as
-    a scalar loop would. A frozen chain's columns leave every array.
-    """
-    n_docs, n_models = alphas.shape
-    n_chains = n_docs * n_models
-    lengths = np.array([len(doc) for doc in ids], dtype=np.int64)
-    doc = np.repeat(np.arange(n_docs), lengths)
-    words = np.array([w for doc_ids in ids for w in doc_ids]) + offsets[doc]
-    phi = (factor[words].reshape(-1, n_models, h).transpose(2, 0, 1)
-           .reshape(h, -1))
-    chain = (doc[:, None] * n_models + np.arange(n_models)).reshape(-1)
-    alpha = alphas.reshape(-1)
-    col_alpha = alpha[chain]
-    gamma = np.full(phi.shape, 1.0 / h)
-    counts = np.stack([np.bincount(chain, row, n_chains) for row in gamma])
-    final = np.empty_like(counts)
-    running = np.ones(n_chains, dtype=bool)
-    for _ in range(sweeps):
-        # (n_k - gamma_ik + alpha) phi_k,w, written over the gathered n_k
-        new = np.take(counts, chain, axis=1)
-        new -= gamma
-        new += col_alpha
-        new *= phi
-        new /= new.sum(axis=0)
-        gamma = new
-        new = np.stack([np.bincount(chain, row, n_chains) for row in gamma])
-        done = running & (np.abs(new - counts).max(axis=0) <= _FOLD_IN_TOL)
-        counts = new
-        if done.any():
-            np.copyto(final, counts, where=done)
-            running &= ~done
-            if not running.any():
-                break
-            keep = running[chain]
-            chain, col_alpha, phi, gamma = (
-                np.compress(keep, a, axis=-1)
-                for a in (chain, col_alpha, phi, gamma))
-    np.copyto(final, counts, where=running)
-    post = (final.T + alpha[:, None]) / (
-        lengths.repeat(n_models)[:, None] + h * alpha[:, None])
-    return post.reshape(n_docs, n_models * h), int(running.sum())
 
 
 def perplexity(model: LdaModel, docs: Docs, thetas: np.ndarray) -> float:

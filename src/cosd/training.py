@@ -522,9 +522,10 @@ def build_groups(dataset: Dataset, store: EncoderStore, config: RunConfig
                  ) -> tuple[list[GroupData], dict[str, float]]:
     """Every group's record, in group_keys order, and the run's figures of
     the topic fit and the fold-in, which cover all groups at once: their
-    wall times, the fit's token updates (sweeps times in-vocabulary tokens,
-    over all models) and the (text, model) pairs the fold-in stopped at its
-    sweep cap. The triples are fitted together, every pool and val split is
+    wall times, the fit's token updates (each model's stop sweep times its
+    in-vocabulary tokens, over all models), the models that ran to the
+    sweep cap and the (text, model) pairs the fold-in stopped at its sweep
+    cap. The triples are fitted together, every pool and val split is
     folded in together, then each group's graph is built. A group with no
     training texts fails in fit_topics, before anything is fitted."""
     keys = group_keys(dataset, config.joint)
@@ -549,13 +550,15 @@ def build_groups(dataset: Dataset, store: EncoderStore, config: RunConfig
             sem_pool=semantic_matrix(pool, store),
             sem_val=semantic_matrix(val, store), lap=lap,
             graph_build_s=built - start))
-    # a group's vocabulary is its pool's tokens, and its stance subsets
-    # split the pool, so each pool token is one model's in-vocabulary token
-    updates = config.lda_sweeps * sum(len(ex.tokens) for pool in pools
-                                      for ex in pool)
-    return groups, {"topic_fit_s": fitted - began,
-                    "topic_fit_updates": updates,
-                    "fold_in_s": folded - fitted, "fold_in_capped": capped}
+    # a model's expected counts sum to its in-vocabulary tokens, to rounding
+    models = [m for triple in triples for m in triple.models]
+    return groups, {
+        "topic_fit_s": fitted - began,
+        "topic_fit_updates": sum(
+            m.trained_sweeps * round(m.topic_totals.sum()) for m in models),
+        "topic_fit_capped": sum(m.trained_sweeps == config.lda_sweeps
+                                for m in models),
+        "fold_in_s": folded - fitted, "fold_in_capped": capped}
 
 
 def _val_metrics(data: GroupData, model: cpa.CpaModel, config: RunConfig):

@@ -293,10 +293,20 @@ def test_train_run_layout(run_dir, tmp_path, monkeypatch):
 def test_train_writes_stage_timings(run_dir):
     doc = json.loads((run_dir / "timings.json").read_text(encoding="utf-8"))
     assert set(doc) == {"load_s", "topic_fit_s", "topic_fit_updates",
-                        "fold_in_s", "fold_in_capped", "groups", "write_s",
-                        "total_s"}
-    assert (type(doc["topic_fit_updates"]) is int
-            and doc["topic_fit_updates"] > 0)
+                        "topic_fit_capped", "fold_in_s", "fold_in_capped",
+                        "groups", "write_s", "total_s"}
+    # the updates the fit made, each model's stop sweep times its tokens,
+    # and the models that ran to the cap of 40 sweeps, read from the run's
+    # topic models
+    models = [cosd.topics.load_lda(path)
+              for path in sorted((run_dir / "lda").glob("*.lda1"))]
+    assert len(models) == 3
+    assert doc["topic_fit_updates"] == sum(
+        m.trained_sweeps * round(m.topic_totals.sum()) for m in models) > 0
+    assert doc["topic_fit_capped"] == sum(
+        m.trained_sweeps == 40 for m in models)
+    for key in ("topic_fit_updates", "topic_fit_capped"):
+        assert type(doc[key]) is int
     # the topic fit and the fold-in cover every group at once; the graph
     # is built per group
     (group,) = doc["groups"].values()
@@ -442,6 +452,30 @@ def test_inspect_summary_and_dumps(run_dir, tmp_path, capsys):
     assert rep_lines[-1].startswith("label:against ")
     width = len(rep_lines[0].split()) - 1
     assert width == 768 + 2 * 8
+
+
+def test_inspect_summary_shows_each_topic_models_stop_sweep(run_dir, tmp_path,
+                                                         capsys):
+    # the summary reads each model's trained_sweeps from its .lda1 file, in
+    # label order; one rewritten with another stop sweep shows that one
+    stops = [cosd.topics.load_lda(
+        run_dir / "lda" / f"{SLUG}.{key}.lda1").trained_sweeps
+        for key in ("favor", "none", "against")]
+    assert all(1 <= stop <= 40 for stop in stops)
+    assert main(["inspect", "--run", str(run_dir)]) == 0
+    summary = capsys.readouterr().out
+    assert summary.rstrip().endswith(
+        f"topic fit sweeps {stops[0]}/{stops[1]}/{stops[2]} "
+        f"(favor/none/against)")
+    copy = tmp_path / "run"
+    shutil.copytree(run_dir, copy)
+    path = copy / "lda" / f"{SLUG}.none.lda1"
+    model = cosd.topics.load_lda(path)
+    model.trained_sweeps = 17
+    cosd.topics.save_lda(model, path)
+    assert main(["inspect", "--run", str(copy)]) == 0
+    assert (f"topic fit sweeps {stops[0]}/17/{stops[2]} "
+            in capsys.readouterr().out)
 
 
 def test_inspect_reads_the_embeddings_only_for_final_reps(run_dir, tmp_path,
@@ -891,6 +925,30 @@ def test_trains_started_in_the_same_second_never_share_a_directory(
     assert "--out-dir" in err
     assert _run_files(first) == files
     assert RunDir(first).config.trials == 2
+
+
+def test_a_failed_auto_named_train_leaves_no_run_directory(
+        synth_small, tmp_path, capsys, monkeypatch):
+    # the timestamped directory is made before the data loads; a train
+    # that fails after that removes it again, while a pinned --out-dir is
+    # never touched
+    root, paths = synth_small
+    monkeypatch.chdir(tmp_path)
+    _expect_failure(["train", "--dataset", "synthetic", "--data",
+                     str(tmp_path / "missing"), "--embeddings", "x.emb1",
+                     "--seed", "3"], capsys, needle="missing")
+    assert list(tmp_path.glob("runs/*-seed3")) == []
+    # so does one after the data has loaded
+    _expect_failure(["train", "--dataset", "synthetic", "--data", str(root),
+                     "--embeddings", "x.emb1", "--seed", "3"], capsys,
+                    needle="x.emb1")
+    assert list(tmp_path.glob("runs/*-seed3")) == []
+    pinned = tmp_path / "pinned"
+    pinned.mkdir()
+    _expect_failure(["train", "--dataset", "synthetic", "--data",
+                     str(tmp_path / "missing"), "--embeddings", "x.emb1",
+                     "--out-dir", str(pinned)], capsys, needle="missing")
+    assert pinned.is_dir()
 
 
 def test_topics_rejects_a_negative_seed_flag(synth_small, capsys,

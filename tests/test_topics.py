@@ -137,9 +137,9 @@ def scalar_log_joint(n_wk, n_k, rows, lengths, alpha, beta):
     return out
 
 
-def cvb0_loop(doc_sets, v, h, alpha, beta, seeds, sweeps):
-    """Oracle: the synchronous CVB0 fit as plain loops, one token at a time
-    within each sweep.
+def cvb0_loop(doc_sets, v, h, alpha, beta, seeds, sweeps, tol=None):
+    """Oracle: the synchronous CVB0 fit as plain loops, one model at a time
+    and one token at a time within each sweep.
 
     doc_sets holds each model's docs as word ids under a vocabulary of v
     words. Each token of doc i of model m starts one-hot at floor(u * H),
@@ -148,22 +148,13 @@ def cvb0_loop(doc_sets, v, h, alpha, beta, seeds, sweeps):
     the counts its model held after the previous sweep:
     (n_dk - g_k + alpha)(n_wk - g_k + beta) / (n_k - g_k + beta v) over their
     running sum across topics; then every count is summed afresh from 0.0
-    over its tokens in order. Returns per model the (H, v) counts and the
-    log joint at sweep 0, every 50 sweeps and after the last (none at
-    v = 0).
+    over its tokens in order. A model stops at the first sweep that moves
+    none of its n_dk and n_wk by more than tol (the fit's _FIT_TOL unless
+    given), or after sweeps sweeps. Returns per model the (H, v) counts it
+    stopped with, its log joint at sweep 0, every 50 sweeps and at its stop
+    (none at v = 0), and its stop sweep.
     """
-    models = []
-    for seed, docs in zip(seeds, doc_sets):
-        key = cosd.topics._keys([seed])
-        tokens = []  # (doc, word, gamma) in token order
-        for i, ids in enumerate(docs):
-            doc_key = cosd.topics._mix64(key + np.array([i], dtype=np.uint64))
-            draws = cosd.topics._uniforms(doc_key, np.arange(len(ids)))
-            for w, u in zip(ids, draws.tolist()):
-                gamma = [0.0] * h
-                gamma[int(u * h)] = 1.0
-                tokens.append((i, w, gamma))
-        models.append((docs, tokens))
+    tol = cosd.topics._FIT_TOL if tol is None else tol
 
     def recount(docs, tokens):
         n_dk = [[0.0] * h for _ in docs]
@@ -176,21 +167,29 @@ def cvb0_loop(doc_sets, v, h, alpha, beta, seeds, sweeps):
                 n_k[k] += gamma[k]
         return n_dk, n_wk, n_k
 
-    counts = [recount(*model) for model in models]
-    records = [[] for _ in models]
+    tables, records, stops = [], [], []
+    for seed, docs in zip(seeds, doc_sets):
+        key = cosd.topics._keys([seed])
+        tokens = []  # (doc, word, gamma) in token order
+        for i, ids in enumerate(docs):
+            doc_key = cosd.topics._mix64(key + np.array([i], dtype=np.uint64))
+            draws = cosd.topics._uniforms(doc_key, np.arange(len(ids)))
+            for w, u in zip(ids, draws.tolist()):
+                gamma = [0.0] * h
+                gamma[int(u * h)] = 1.0
+                tokens.append((i, w, gamma))
+        live = [d for d, ids in enumerate(docs) if ids]
+        trace = []
 
-    def record(done):
-        for (docs, _), (n_dk, n_wk, n_k), out in zip(models, counts, records):
+        def record(done, n_dk, n_wk, n_k):
             if v > 0:
-                live = [d for d, ids in enumerate(docs) if ids]
-                out.append((done, scalar_log_joint(
+                trace.append((done, scalar_log_joint(
                     n_wk, n_k, [n_dk[d] for d in live],
                     [len(docs[d]) for d in live], alpha, beta)))
 
-    record(0)
-    for s in range(sweeps):
-        for m, ((docs, tokens), (n_dk, n_wk, n_k)) in enumerate(
-                zip(models, counts)):
+        n_dk, n_wk, n_k = recount(docs, tokens)
+        record(0, n_dk, n_wk, n_k)
+        for s in range(sweeps):
             updated = []
             for d, w, g in tokens:
                 p = [(n_dk[d][k] - g[k] + alpha) * (n_wk[w][k] - g[k] + beta)
@@ -199,12 +198,20 @@ def cvb0_loop(doc_sets, v, h, alpha, beta, seeds, sweeps):
                 for pk in p:
                     total += pk
                 updated.append((d, w, [pk / total for pk in p]))
-            models[m] = (docs, updated)
-        counts = [recount(*model) for model in models]
-        if (s + 1) % 50 == 0 or s + 1 == sweeps:
-            record(s + 1)
-    tables = [np.array(n_wk).reshape(v, h).T for _, n_wk, _ in counts]
-    return tables, records
+            tokens = updated
+            before = n_dk + n_wk
+            n_dk, n_wk, n_k = recount(docs, tokens)
+            moved = max((abs(a - b) for now, then in zip(n_dk + n_wk, before)
+                         for a, b in zip(now, then)), default=0.0)
+            stopped = moved <= tol or s + 1 == sweeps
+            if (s + 1) % 50 == 0 or stopped:
+                record(s + 1, n_dk, n_wk, n_k)
+            if stopped:
+                break
+        tables.append(np.array(n_wk).reshape(v, h).T)
+        records.append(trace)
+        stops.append(s + 1)
+    return tables, records, stops
 
 
 def _vocab(v: int) -> Vocabulary:
@@ -260,11 +267,12 @@ def test_sweep_kernel_equals_loop_oracle(monkeypatch, h, dyadic):
     for case, (docs, v, alpha, beta) in enumerate(_kernel_corpora(h)):
         (model,) = cosd.topics._fit([_token_docs(docs)], [_vocab(v)], h,
                                     alpha, beta, 12, [case])
-        (counts,), (records,) = cvb0_loop(
+        (counts,), (records,), (stop,) = cvb0_loop(
             [[[w for w in doc if w >= 0] for doc in docs]], v, h, alpha,
             beta, [case], 12)
         assert model.topic_word_counts.dtype == np.float64
         assert np.array_equal(model.topic_word_counts, counts), case
+        assert model.trained_sweeps == stop, case
         assert [s for s, _ in model.log_joint] == [s for s, _ in records[1:]]
         for (_, got), (_, want) in zip(model.log_joint, records[1:]):
             assert got == pytest.approx(want, rel=1e-9, abs=0.0)
@@ -275,12 +283,13 @@ def test_fit_triple_counts_equal_loop_oracle():
     sets = (docs[:15], docs[15:30], docs[30:])
     got = _triple(*sets, h=4, sweeps=60, seed=8)
     index = got.favor.vocab.index
-    counts, records = cvb0_loop(
+    counts, records, stops = cvb0_loop(
         [[[index[t] for t in doc] for doc in set_docs] for set_docs in sets],
         len(index), 4, 50.0 / 4, 0.01, [8, 9, 10], 60)
-    for model, want, trace in zip(got.models, counts, records):
+    for model, want, trace, stop in zip(got.models, counts, records, stops):
         assert np.array_equal(model.topic_word_counts, want)
-        assert [s for s, _ in model.log_joint] == [50, 60]
+        assert model.trained_sweeps == stop
+        assert [s for s, _ in model.log_joint] == [s for s, _ in trace[1:]]
         for (_, value), (_, oracle) in zip(model.log_joint, trace[1:]):
             assert value == pytest.approx(oracle, rel=1e-9, abs=0.0)
     # the models share no counts: each is its own one-model fit
@@ -317,23 +326,97 @@ def test_fit_triples_equals_each_groups_own_fit_and_loop_oracle():
         (alone,) = fit_triples([group], h=3, alpha=50.0 / 3, sweeps=60,
                                seeds=[seed])
         index = triple.favor.vocab.index
-        counts, records = cvb0_loop(
+        counts, records, stops = cvb0_loop(
             [[[index[t] for t in doc] for doc in docs] for docs in group],
             len(index), 3, 50.0 / 3, 0.01, [seed, seed + 1, seed + 2], 60)
-        for model, own, want, trace in zip(triple.models, alone.models,
-                                           counts, records):
+        for model, own, want, trace, stop in zip(
+                triple.models, alone.models, counts, records, stops):
             assert model.vocab.tokens == own.vocab.tokens
             assert np.array_equal(model.topic_word_counts,
                                   own.topic_word_counts)
             assert np.array_equal(model.topic_totals, own.topic_totals)
             assert model.log_joint == own.log_joint
+            assert model.trained_sweeps == own.trained_sweeps == stop
             assert np.array_equal(model.topic_word_counts, want)
             if not index:  # no vocabulary, no log joint
                 assert model.log_joint == trace == []
                 continue
-            assert [s for s, _ in model.log_joint] == [50, 60]
+            assert [s for s, _ in model.log_joint] == [s for s, _ in trace[1:]]
             for (_, value), (_, oracle) in zip(model.log_joint, trace[1:]):
                 assert value == pytest.approx(oracle, rel=1e-9, abs=0.0)
+
+
+def test_fit_stops_each_model_at_its_own_fixed_point():
+    # one group whose three models settle at three different sweeps, fitted
+    # again under a cap between the last two: the two that settle before it
+    # stop where they did, and the third runs to the cap. Each model must
+    # equal the oracle count for count, stop for stop and record for record
+    docs, _ = planted_corpus(n_docs=24, vocab_size=25, seed=42,
+                             doc_len=(1, 4))
+    group = (docs[:8], docs[8:16], docs[16:])
+    free = _triple(*group, h=3, sweeps=500, seed=5)
+    stops = sorted(m.trained_sweeps for m in free.models)
+    assert stops[0] < stops[1] < stops[2] < 500
+    cap = (stops[1] + stops[2]) // 2
+    capped = _triple(*group, h=3, sweeps=cap, seed=5)
+    index = capped.favor.vocab.index
+    counts, records, oracle_stops = cvb0_loop(
+        [[[index[t] for t in doc] for doc in set_docs] for set_docs in group],
+        len(index), 3, 50.0 / 3, 0.01, [5, 6, 7], cap)
+    for model, settled, want, trace, stop in zip(
+            capped.models, free.models, counts, records, oracle_stops):
+        assert model.trained_sweeps == stop
+        assert np.array_equal(model.topic_word_counts, want)
+        recorded_at = [s for s, _ in trace[1:]]
+        assert [s for s, _ in model.log_joint] == recorded_at
+        assert recorded_at == [*range(50, stop, 50), stop]
+        for (_, value), (_, oracle) in zip(model.log_joint, trace[1:]):
+            assert value == pytest.approx(oracle, rel=1e-9, abs=0.0)
+        if settled.trained_sweeps < cap:
+            assert model.trained_sweeps == settled.trained_sweeps
+            assert np.array_equal(model.topic_word_counts,
+                                  settled.topic_word_counts)
+            assert model.log_joint == settled.log_joint
+        else:
+            assert model.trained_sweeps == cap
+            assert not np.array_equal(model.topic_word_counts,
+                                      settled.topic_word_counts)
+    assert sorted(m.trained_sweeps for m in capped.models) == [*stops[:2],
+                                                               cap]
+
+
+def test_fit_stops_a_model_with_no_in_vocabulary_token_at_its_first_sweep():
+    # a model with no docs, one with empty docs only and one whose docs are
+    # all outside its vocabulary move no count: each stops at sweep 1 with
+    # zero counts and one log-joint record, the oracle's, while the models
+    # beside it sweep on as their own one-model fits
+    docs, _ = planted_corpus(n_docs=12, vocab_size=10, seed=3, doc_len=(2, 5))
+    vocab = Vocabulary.from_docs(docs)
+    models = cosd.topics._fit([docs, [], [[], []], [["zzz"], ["qqq", "z"]]],
+                              [vocab] * 4, 3, 50.0 / 3, 0.01, 500,
+                              [9, 10, 11, 12])
+    (alone,) = cosd.topics._fit([docs], [vocab], 3, 50.0 / 3, 0.01, 500, [9])
+    assert 1 < models[0].trained_sweeps < 500
+    assert models[0].trained_sweeps == alone.trained_sweeps
+    assert np.array_equal(models[0].topic_word_counts,
+                          alone.topic_word_counts)
+    assert models[0].log_joint == alone.log_joint
+    index = vocab.index
+    counts, records, stops = cvb0_loop(
+        [[[index[t] for t in doc if t in index] for doc in set_docs]
+         for set_docs in (docs, [], [[], []], [["zzz"], ["qqq", "z"]])],
+        len(vocab), 3, 50.0 / 3, 0.01, [9, 10, 11, 12], 500)
+    assert stops == [m.trained_sweeps for m in models]
+    for model, want, trace in zip(models, counts, records):
+        assert np.array_equal(model.topic_word_counts, want)
+        assert [s for s, _ in model.log_joint] == [s for s, _ in trace[1:]]
+        for (_, value), (_, oracle) in zip(model.log_joint, trace[1:]):
+            assert value == pytest.approx(oracle, rel=1e-9, abs=0.0)
+    for model in models[1:]:
+        assert model.trained_sweeps == 1
+        assert model.topic_word_counts.shape == (3, len(vocab))
+        assert not model.topic_word_counts.any()
+        assert [s for s, _ in model.log_joint] == [1]
 
 
 def test_fit_triples_takes_one_seed_per_group():
@@ -929,7 +1012,8 @@ def test_fit_records_log_joint_of_the_oracle_sampler(tmp_path):
     recorded = json.loads((tmp_path / "model.lda1.json").read_text())
     assert recorded["log_joint"] == [list(pair) for pair in m.log_joint]
     ids = [[m.vocab.index[t] for t in doc] for doc in docs]
-    _, (want,) = cvb0_loop([ids], len(m.vocab), 3, 50.0 / 3, 0.01, [4], 120)
+    _, (want,), _ = cvb0_loop([ids], len(m.vocab), 3, 50.0 / 3, 0.01, [4],
+                              120)
     assert [s for s, _ in want] == [0, 50, 100, 120]
     assert [s for s, _ in m.log_joint] == [50, 100, 120]
     for (_, got), (_, value) in zip(m.log_joint, want[1:]):

@@ -642,27 +642,30 @@ def test_fit_topics_reads_alpha_0_as_50_over_h(synth_setup):
 
 def test_build_group_data_shapes(synth_setup):
     dataset, store, target, _ = synth_setup
-    (data,), stages = build_groups(dataset, store, _config())
+    # at a cap of 150 sweeps the none model settles before it and the other
+    # two run to it
+    (data,), stages = build_groups(dataset, store, _config(lda_sweeps=150))
     # the triple is fitted on the pool's stance subsets, seeded from the
     # base seed and the group's name
-    (want,) = fit_triples([[[ex.tokens for ex in docs]
-                            for docs in stance_subsets(dataset, target)]],
-                          h=2, alpha=50.0 / 2, sweeps=30,
+    subsets = stance_subsets(dataset, target)
+    (want,) = fit_triples([[[ex.tokens for ex in docs] for docs in subsets]],
+                          h=2, alpha=50.0 / 2, sweeps=150,
                           seeds=[derive_seed(5, 7, target)])
     for got_model, want_model in zip(data.triple.models, want.models):
         assert np.array_equal(got_model.topic_word_counts,
                               want_model.topic_word_counts)
+        assert got_model.trained_sweeps == want_model.trained_sweeps
     assert data.graph_build_s >= 0.0
-    assert set(stages) == {"topic_fit_s", "topic_fit_updates", "fold_in_s",
-                           "fold_in_capped"}
-    # one update per token and sweep: the vocabulary is built from these
-    # docs, and each model's expected counts add up to its tokens
-    assert stages["topic_fit_updates"] == 30 * sum(
-        len(ex.tokens) for docs in stance_subsets(dataset, target)
-        for ex in docs)
-    assert stages["topic_fit_updates"] == pytest.approx(sum(
-        m.trained_sweeps * m.topic_totals.sum() for m in data.triple.models),
-        rel=1e-12)
+    assert set(stages) == {"topic_fit_s", "topic_fit_updates",
+                           "topic_fit_capped", "fold_in_s", "fold_in_capped"}
+    # one update per token and sweep its model ran: the vocabulary is built
+    # from these docs, so a model's tokens are its stance subset's
+    stops = [m.trained_sweeps for m in data.triple.models]
+    assert stops[1] < stops[0] == stops[2] == 150
+    assert stages["topic_fit_updates"] == sum(
+        stop * sum(len(ex.tokens) for ex in docs)
+        for stop, docs in zip(stops, subsets))
+    assert stages["topic_fit_capped"] == 2
     n = len(dataset.train_pool(target))
     assert len(data.pool) == n
     (dis_pool,), _ = fold_in_matrix([(want, data.pool)], sweeps=10)
@@ -898,12 +901,15 @@ def test_six_target_train_equals_per_group_fits(tmp_path):
     result = train(dataset, store, config)
     assert [data.group for data in result.groups] == names
     assert set(result.stages) == {"topic_fit_s", "topic_fit_updates",
-                                  "fold_in_s", "fold_in_capped"}
-    # every group's tokens, each counted once per sweep: a float sum of
-    # expected counts is an integer to rounding only
+                                  "topic_fit_capped", "fold_in_s",
+                                  "fold_in_capped"}
+    # every group's tokens, each counted once per sweep its model ran: a
+    # float sum of expected counts is an integer to rounding only
+    models = [m for data in result.groups for m in data.triple.models]
     assert result.stages["topic_fit_updates"] == sum(
-        m.trained_sweeps * round(m.topic_totals.sum())
-        for data in result.groups for m in data.triple.models)
+        m.trained_sweeps * round(m.topic_totals.sum()) for m in models)
+    assert result.stages["topic_fit_capped"] == sum(
+        m.trained_sweeps == 30 for m in models)
     assert len({len(data.triple.favor.vocab) for data in result.groups}) > 1
     for data in result.groups:
         assert data.pool == dataset.train_pool(data.group)
@@ -916,6 +922,7 @@ def test_six_target_train_equals_per_group_fits(tmp_path):
             assert got.vocab.tokens == own.vocab.tokens
             assert np.array_equal(got.topic_word_counts,
                                   own.topic_word_counts)
+            assert got.trained_sweeps == own.trained_sweeps
             assert got.log_joint == own.log_joint
         (dis_pool, dis_val), _ = fold_in_matrix(
             [(want, data.pool), (want, data.val)], sweeps=10)

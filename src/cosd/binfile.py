@@ -5,7 +5,8 @@ class. A wrong magic, a read past the end, an undecodable string or trailing
 bytes raise that error naming the file and the byte offset, never a bare
 struct.error or ValueError. The Reader streams the file: every read is
 checked against the file's size before it is made, and no copy of the whole
-file is held.
+file is held. Every read is positioned (os.pread, os.preadv), so none costs
+a seek of the file.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ class Reader:
     the cursor (more for a longer field, fewer at the end of the file), so
     a small header read after a seek costs one small read of the file.
 
-    Arrays are read only by read_into, into arrays the loader allocates,
+    Arrays are read only by read_into, into buffers the loader allocates,
     straight from the file; a loader checks a table's size with need()
     before it allocates it, so a header that claims more data than the
     file holds fails first.
@@ -47,8 +48,9 @@ class Reader:
         self._run, self._run_at = b"", 0  # bytes read ahead, from _run_at
         self._fh = open(self.path, "rb", buffering=0)
         try:
-            self.size = os.fstat(self._fh.fileno()).st_size
-            if self._fh.read(len(magic)) != magic:
+            self._fd = self._fh.fileno()
+            self.size = os.fstat(self._fd).st_size
+            if os.pread(self._fd, len(magic), 0) != magic:
                 raise error(f"{self.path}: bad magic, not a "
                             f"{magic.decode('ascii')} file")
         except BaseException:
@@ -77,35 +79,49 @@ class Reader:
             raise self.fail(f"truncated, {n} bytes needed but "
                             f"{self.left()} left")
 
+    def ahead(self) -> bytes:
+        """Up to 256 bytes from the cursor (fewer at the end of the file),
+        from one read; the cursor stays, and fields read next are served
+        from these bytes while they hold them."""
+        self._run = os.pread(self._fd, min(_AHEAD, self.size - self.off),
+                             self.off)
+        self._run_at = self.off
+        return self._run
+
     def _take(self, n: int) -> int:
         """Where the next n bytes start in the run, which is refilled when
         it does not hold them all; the cursor moves past them."""
         at = self.off - self._run_at
         if not 0 <= at <= len(self._run) - n:
             self.need(n)
-            self._fh.seek(self.off)
             self._run, self._run_at, at = (
-                self._fh.read(min(max(n, _AHEAD), self.left())),
+                os.pread(self._fd, min(max(n, _AHEAD), self.left()),
+                         self.off),
                 self.off, 0)
             if len(self._run) < n:
                 raise self.fail(f"short read, {len(self._run)} of {n} bytes")
         self.off += n
         return at
 
-    def read_into(self, out: np.ndarray) -> None:
-        """Fill the C-contiguous array `out` from the file, byte for byte,
-        with no intermediate copy."""
-        if not out.nbytes:
-            return  # a zero-length view cannot be cast to bytes
-        view = memoryview(out).cast("B")
-        self.need(len(view))
-        self._fh.seek(self.off)
+    def read_into(self, *outs: np.ndarray | bytearray) -> None:
+        """Fill the C-contiguous buffers `outs` from the file, in order and
+        byte for byte, with one read and no intermediate copy."""
+        views = [memoryview(out) for out in outs]
+        want = sum(view.nbytes for view in views)
+        self.need(want)
         got = 0
-        while got < len(view):  # one read returns at most about 2 GiB
-            step = self._fh.readinto(view[got:])
-            if not step:
-                raise self.fail(f"short read, {got} of {len(view)} bytes")
+        while True:
+            step = os.preadv(self._fd, views, self.off + got)
             got += step
+            if got == want:
+                break
+            if not step:
+                raise self.fail(f"short read, {got} of {want} bytes")
+            # one read returns at most about 2 GiB: read on past its end
+            views = [view.cast("B") for view in views if view.nbytes]
+            while step >= len(views[0]):
+                step -= len(views.pop(0))
+            views[0] = views[0][step:]
         self.off += got
 
     def seek(self, off: int) -> None:

@@ -49,14 +49,16 @@ class TrainingError(Exception):
 # carry target and label vectors; all other ids are example ids.
 
 _EMB_MAGIC = b"EMB1"
+_U32 = struct.Struct("<I")
 
 
 class TokenRows:
-    """An EMB1 file's example records, read through open() or items(): each
-    id maps to its record's byte offset and row count, and no rows are kept.
-    A read checks the header and the record it finds at that offset, so a
-    file changed since it was indexed raises TrainingError, not another
-    record's rows."""
+    """An EMB1 file's example records, read through open() or items(), or by
+    semantic_matrix through _source() and _fill(), which leave the finite
+    check to it: each id maps to its record's byte offset and row count, and
+    no rows are kept. A read checks the header and the record it finds at
+    that offset, so a file changed since it was indexed raises
+    TrainingError, not another record's rows."""
 
     def __init__(self, path: Path, header: tuple[int, int],
                  index: dict[str, tuple[int, int]]):
@@ -87,22 +89,43 @@ class TokenRows:
     @contextmanager
     def open(self) -> Iterator[Callable[..., np.ndarray]]:
         """read(rec_id, out=None), a record's (T, dim) float32 rows, read
-        into out when it is given; every read made in the block goes
-        through one open file."""
+        into out when it is given and checked to be finite; every read made
+        in the block goes through one open file."""
+        with self._source() as src:
+            yield functools.partial(self._read, src)
+
+    @contextmanager
+    def _source(self) -> Iterator[Reader]:
+        """The file, open, with its header checked against the indexed
+        one."""
         with Reader(self.path, TrainingError, _EMB_MAGIC) as src:
             if src.unpack("<II") != self._header:
                 raise src.fail("header changed since the file was indexed", 4)
-            yield functools.partial(self._read, src)
+            yield src
 
     def _read(self, src: Reader, rec_id: str,
               out: np.ndarray | None = None) -> np.ndarray:
+        """_fill's rows, checked to be finite."""
+        return _finite(src, rec_id, self._index[rec_id][0],
+                       self._fill(src, rec_id, out))
+
+    def _fill(self, src: Reader, rec_id: str,
+              out: np.ndarray | None = None) -> np.ndarray:
+        """The record's rows, read into out when it is given, with its
+        header in one read of the file, and not checked to be finite. The
+        header read must be the indexed id length, id and row count."""
         start, t = self._index[rec_id]
-        src.seek(start)
         want = rec_id.encode("utf-8")
-        if src.unpack(f"<I{len(want)}sI") != (len(want), want, t):
+        head = bytearray(8 + len(want))
+        src.seek(start)
+        if out is None:  # the bytes are checked before the rows are allocated
+            src.need(len(head) + F32.itemsize * self._header[1] * t)
+            out = np.empty((t, self._header[1]), dtype=F32)
+        src.read_into(head, out)
+        if head != _U32.pack(len(want)) + want + _U32.pack(t):
             raise src.fail(f"record {rec_id!r} changed since the file was "
                            f"indexed", start)
-        return _read_rows(src, rec_id, t, self._header[1], start, out)
+        return out
 
 
 @dataclass
@@ -169,18 +192,36 @@ def save_embeddings(path: str | Path,
             out.write(rec_id, mat)
 
 
-def _read_rows(src: Reader, rec_id: str, t: int, dim: int, start: int,
-               rows: np.ndarray | None = None) -> np.ndarray:
-    """The (t, dim) float32 rows at the cursor of the record that starts at
-    byte `start`, read into rows when it is given; they must be finite."""
-    if rows is None:
-        src.need(F32.itemsize * dim * t)  # before the rows are allocated
-        rows = np.empty((t, dim), dtype=F32)
-    src.read_into(rows)
+def _non_finite(src: Reader, rec_id: str, start: int) -> Exception:
+    """The error of a non-finite value in the record at byte `start`."""
+    return src.fail(f"record {rec_id!r} has non-finite values", start)
+
+
+def _finite(src: Reader, rec_id: str, start: int,
+            rows: np.ndarray) -> np.ndarray:
+    """rows, the record at byte `start`'s, unless a value is non-finite."""
     # a NaN makes min and max NaN, an infinity makes one infinite
     if not (-np.inf < rows.min() and rows.max() < np.inf):
-        raise src.fail(f"record {rec_id!r} has non-finite values", start)
+        raise _non_finite(src, rec_id, start)
     return rows
+
+
+def _record_head(src: Reader) -> tuple[str, int]:
+    """The id and row count of the record header at the cursor, which moves
+    past it, parsed from one read of up to 256 bytes. A header that read
+    does not hold whole, or whose id does not decode, is read again field
+    by field, which raises the error at the field's offset."""
+    head = src.ahead()
+    n = int.from_bytes(head[:4], "little")
+    if len(head) >= 8 + n:
+        try:
+            rec_id = head[4:4 + n].decode("utf-8")
+        except UnicodeDecodeError:
+            pass
+        else:
+            src.skip(8 + n)
+            return rec_id, _U32.unpack_from(head, 4 + n)[0]
+    return src.text(src.u32()), src.u32()
 
 
 def load_embeddings(path: str | Path, expect_dim: int = 768) -> EncoderStore:
@@ -203,8 +244,7 @@ def load_embeddings(path: str | Path, expect_dim: int = 768) -> EncoderStore:
         seen = set()
         for _ in range(count):
             start = src.off
-            rec_id = src.text(src.u32())
-            t = src.u32()
+            rec_id, t = _record_head(src)
             if t < 1:
                 raise src.fail(f"record {rec_id!r} has zero rows", start)
             if rec_id in seen:
@@ -214,8 +254,11 @@ def load_embeddings(path: str | Path, expect_dim: int = 768) -> EncoderStore:
                 src.skip(F32.itemsize * dim * t)
                 index[rec_id] = (start, t)
                 continue
-            pooled = np.mean(_read_rows(src, rec_id, t, dim, start),
-                             axis=0, dtype=np.float64)
+            src.need(F32.itemsize * dim * t)  # before the rows are allocated
+            rows = np.empty((t, dim), dtype=F32)
+            src.read_into(rows)
+            pooled = np.mean(_finite(src, rec_id, start, rows), axis=0,
+                             dtype=np.float64)
             if rec_id.startswith("target:"):
                 targets[rec_id[len("target:"):]] = pooled
             else:
@@ -249,10 +292,19 @@ def attention_weights(token_matrix: np.ndarray,
     if m.shape[1] != t.shape[0]:
         raise TrainingError(
             f"token dim {m.shape[1]} vs target dim {t.shape[0]}")
-    logits = (m @ t) / np.sqrt(m.shape[1])
-    logits -= logits.max()
-    e = np.exp(logits)
-    return e / e.sum()
+    return _weights(m, t, np.sqrt(m.shape[1]))
+
+
+def _weights(m: np.ndarray, t: np.ndarray, root: np.float64) -> np.ndarray:
+    """attention_weights of float64 rows m and vector t, with root the
+    square root of their dim, unchecked: the one softmax, whose operations
+    and their order semantic rows are bitwise equal to."""
+    weights = m @ t
+    weights /= root
+    weights -= weights.max()
+    np.exp(weights, out=weights)
+    weights /= weights.sum()
+    return weights
 
 
 def export_attention(example: Example, store: EncoderStore,
@@ -285,10 +337,21 @@ def semantic_matrix(examples: list[Example],
 
     Each example's record is read once, in file order, into one float32
     and one float64 buffer sized for the longest, and its row is written at
-    the example's position; none is read for no examples."""
+    the example's position; none is read for no examples. The pooled rows,
+    not the records, are checked to be finite: the target vectors are, and
+    a float32 value cannot overflow a float64 product, so a NaN or an
+    infinity in a record leaves a NaN or an infinity in its row (0 times an
+    infinity is NaN). The first such row in file order names its record."""
     for ex in examples:
-        if ex.id not in store.tokens or ex.target not in store.targets:
+        if ex.id not in store.tokens:
             raise TrainingError(f"missing embedding record for {ex.id!r}")
+    for name in dict.fromkeys(ex.target for ex in examples):
+        if name not in store.targets:
+            raise TrainingError(f"missing embedding record for target "
+                                f"{name!r}")
+        if store.targets[name].shape != (store.dim,):
+            raise TrainingError(f"token dim {store.dim} vs target {name!r} "
+                                f"of shape {store.targets[name].shape}")
     out = np.empty((len(examples), store.dim))
     if not examples:
         return out
@@ -296,11 +359,19 @@ def semantic_matrix(examples: list[Example],
     longest = max(t for _, t in where)
     narrow = np.empty((longest, store.dim), dtype=F32)
     wide = np.empty((longest, store.dim))
-    with store.tokens.open() as read:
-        for i in sorted(range(len(examples)), key=where.__getitem__):
-            ex, m = examples[i], wide[:where[i][1]]
-            np.copyto(m, read(ex.id, narrow[:len(m)]))
-            out[i] = attention_weights(m, store.targets[ex.target]) @ m
+    root = np.sqrt(store.dim)
+    with store.tokens._source() as src:
+        # a non-finite record meets inf - inf or 0 * inf; its row keeps a NaN
+        with np.errstate(invalid="ignore"):
+            for i in sorted(range(len(examples)), key=where.__getitem__):
+                ex, m = examples[i], wide[:where[i][1]]
+                np.copyto(m, store.tokens._fill(src, ex.id, narrow[:len(m)]))
+                np.matmul(_weights(m, store.targets[ex.target], root), m,
+                          out=out[i])
+        bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+        if bad.size:
+            i = min(bad, key=where.__getitem__)
+            raise _non_finite(src, examples[i].id, where[i][0])
     return out
 
 

@@ -1336,6 +1336,29 @@ def test_predict_text_without_embedding_record(run_dir, tmp_path, capsys):
                     capsys, needle="ghost-1")
 
 
+def test_predict_names_a_missing_target_record_of_a_joint_run(
+        synth_small, tmp_path, capsys):
+    # a joint run scores any target, so a target without a vector in the
+    # embeddings reaches the semantic rows; the text's own record exists
+    root, paths = synth_small
+    run = tmp_path / "run"
+    assert main(["train", "--dataset", "synthetic", "--data", str(root),
+                 "--embeddings", str(paths["embeddings"]), "--out-dir",
+                 str(run), "--joint"] + TRAIN_FLAGS) == 0
+    capsys.readouterr()
+    text_id = (root / "test.tsv").read_text(
+        encoding="utf-8").splitlines()[1].split("\t")[0]
+    rows = tmp_path / "other.tsv"
+    rows.write_text("ID\tTarget\tTweet\tStance\n"
+                    f"{text_id}\t{OTHER}\tsome words\tNONE\n",
+                    encoding="utf-8")
+    err = _expect_failure(["predict", "--run", str(run), "--in", str(rows),
+                           "--out", str(tmp_path / "o.tsv")], capsys,
+                          needle=f"missing embedding record for target "
+                                 f"'{OTHER}'")
+    assert text_id not in err
+
+
 # --- topics command ---------------------------------------------------------------
 
 
@@ -1737,13 +1760,13 @@ def test_scoring_reads_only_the_records_it_scores(run_dir, synth_small,
                                                   tmp_path, monkeypatch):
     root, _ = synth_small
     reads = []
-    original = training.TokenRows._read
+    original = training.TokenRows._fill
 
     def recording(self, src, rec_id, out=None):
         reads.append(rec_id)
         return original(self, src, rec_id, out)
 
-    monkeypatch.setattr(training.TokenRows, "_read", recording)
+    monkeypatch.setattr(training.TokenRows, "_fill", recording)
     out = tmp_path / "p.tsv"
     assert main(["predict", "--run", str(run_dir), "--in",
                  str(root / "test.tsv"), "--out", str(out)]) == 0

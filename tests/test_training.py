@@ -211,6 +211,61 @@ def _record_offsets(records, dim):
     return offsets
 
 
+def test_embeddings_index_ids_longer_than_the_read_ahead(tmp_path):
+    rng = np.random.default_rng(8)
+    long_id, target = "é" * 200, "ü" * 150  # 400 and 307 bytes of UTF-8
+    records = [("ex-1", rng.standard_normal((2, 4))),
+               (long_id, rng.standard_normal((3, 4))),
+               (f"target:{target}", rng.standard_normal((2, 4))),
+               ("ex-2", rng.standard_normal((1, 4)))]
+    path = tmp_path / "long.emb1"
+    save_embeddings(path, records, dim=4)
+    store = load_embeddings(path, expect_dim=4)
+    texts = [records[i] for i in (0, 1, 3)]
+    assert [rec_id for rec_id, _ in store.tokens.items()] == [
+        rec_id for rec_id, _ in texts]
+    for (_, mat), rows in zip(texts, record_rows(
+            store.tokens, *(rec_id for rec_id, _ in texts))):
+        assert np.array_equal(rows, mat.astype(np.float32))
+    assert np.array_equal(store.targets[target], records[2][1].astype(
+        np.float32).mean(axis=0, dtype=np.float64))
+    assert semantic_matrix(_examples((long_id, target)),
+                           store).shape == (1, 4)
+
+
+@pytest.mark.parametrize("raw_id", [b"ok\xff", b"\xe9" * 300])
+def test_embeddings_name_an_invalid_utf8_id_at_its_first_byte(tmp_path,
+                                                              raw_id):
+    path = tmp_path / "utf.emb1"
+    save_embeddings(path, [("ex-1", np.ones((2, 4)))], dim=4)
+    at = path.stat().st_size
+    path.write_bytes(b"EMB1" + struct.pack("<II", 2, 4)
+                     + path.read_bytes()[12:]
+                     + struct.pack("<I", len(raw_id)) + raw_id
+                     + struct.pack("<I", 1) + bytes(16))
+    with pytest.raises(TrainingError,
+                       match=f"utf.emb1: invalid UTF-8 at byte {at + 4}$"):
+        load_embeddings(path, expect_dim=4)
+
+
+@pytest.mark.parametrize("cut, need, left, field", [
+    (2, 4, 2, 0),    # inside the id length
+    (7, 5, 3, 4),    # inside the id
+    (11, 4, 2, 9),   # inside the row count
+])
+def test_embeddings_cut_inside_a_record_header_name_the_field(
+        tmp_path, cut, need, left, field):
+    records = [("ex-1", np.ones((3, 4))), ("ex-22", np.ones((1, 4)))]
+    path = tmp_path / "cut.emb1"
+    save_embeddings(path, records, dim=4)
+    at = _record_offsets(records, 4)[1]
+    path.write_bytes(path.read_bytes()[:at + cut])
+    with pytest.raises(TrainingError, match=(
+            f"cut.emb1: truncated, {need} bytes needed but {left} left at "
+            f"byte {at + field}$")):
+        load_embeddings(path, expect_dim=4)
+
+
 @pytest.mark.parametrize("rec_id", ["target:Policy", "label:none", "ex-2"])
 def test_embeddings_reject_a_repeated_record(tmp_path, rec_id):
     records = _records(np.random.default_rng(4))
@@ -349,6 +404,67 @@ def test_semantic_rows_reject_a_short_records_last_value(tmp_path, bad):
     with pytest.raises(TrainingError, match=f"record 'short' has non-finite "
                                             f"values at byte {at}$"):
         semantic_matrix(_examples(("short", "A"), ("long", "A")), store)
+
+
+# a target vector with an exact 0, so a bad value's logit may be NaN
+# (inf times 0), +inf or -inf (a token weight of exactly 0)
+_TARGET = np.array([0.5, -2.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("row", [0, 1, 2])
+@pytest.mark.parametrize("col", [0, 1, 2, 3])
+def test_semantic_rows_reject_every_non_finite_value_as_its_read_does(
+        tmp_path, bad, row, col):
+    rows = np.random.default_rng(row * 4 + col).standard_normal((3, 4))
+    rows[row, col] = bad
+    records = [("fine", np.ones((2, 4))), ("x", rows),
+               ("target:T", _TARGET[None])]
+    path = tmp_path / "bad.emb1"
+    save_embeddings(path, records, dim=4)
+    store = load_embeddings(path, expect_dim=4)
+    at = _record_offsets(records, 4)[1]
+    with pytest.raises(TrainingError) as read:
+        record_rows(store.tokens, "x")
+    assert str(read.value).endswith(
+        f"bad.emb1: record 'x' has non-finite values at byte {at}")
+    with pytest.raises(TrainingError) as pooled:
+        semantic_matrix(_examples(("fine", "T"), ("x", "T")), store)
+    assert str(pooled.value) == str(read.value)
+
+
+def test_a_non_finite_token_of_weight_zero_still_fails_its_row(tmp_path):
+    # -inf against a positive target entry: its logit is -inf, its weight
+    # exactly 0, and 0 times -inf is NaN in the pooled row
+    rows = np.ones((3, 4))
+    rows[1, 3] = -np.inf
+    with np.errstate(invalid="ignore"):
+        weights = attention_weights(rows, _TARGET)
+    assert weights[1] == 0.0 and np.isfinite(weights).all()
+    path = tmp_path / "zero.emb1"
+    records = [("x", rows), ("target:T", _TARGET[None])]
+    save_embeddings(path, records, dim=4)
+    store = load_embeddings(path, expect_dim=4)
+    with pytest.raises(TrainingError,
+                       match="record 'x' has non-finite values at byte 12$"):
+        semantic_matrix(_examples(("x", "T")), store)
+
+
+@pytest.mark.parametrize("order", [("b", "a", "ok"), ("ok", "a", "b")])
+def test_semantic_rows_name_the_first_non_finite_record_in_the_file(
+        tmp_path, order):
+    bad = np.ones((2, 4))
+    bad[0, 0] = np.nan
+    records = [("ok", np.ones((1, 4))), ("a", bad), ("b", -np.inf * bad),
+               ("target:T", _TARGET[None])]
+    path = tmp_path / "two.emb1"
+    save_embeddings(path, records, dim=4)
+    store = load_embeddings(path, expect_dim=4)
+    at = _record_offsets(records, 4)[1]
+    with pytest.raises(TrainingError,
+                       match=f"record 'a' has non-finite values at byte {at}$"):
+        semantic_matrix(_examples(*((rec_id, "T") for rec_id in order)),
+                        store)
 
 
 @pytest.mark.parametrize("t", [1, 2, 17, 64])
@@ -691,13 +807,13 @@ def test_build_groups_counts_the_fold_ins_stopped_at_the_cap(
 def test_group_data_reads_each_record_once(synth_setup, monkeypatch):
     dataset, store, target, _ = synth_setup
     reads = []
-    original = cosd.training.TokenRows._read
+    original = cosd.training.TokenRows._fill
 
     def counting(self, src, rec_id, out=None):
         reads.append(rec_id)
         return original(self, src, rec_id, out)
 
-    monkeypatch.setattr(cosd.training.TokenRows, "_read", counting)
+    monkeypatch.setattr(cosd.training.TokenRows, "_fill", counting)
     data = _group(dataset, store, _config())
     assert sorted(reads) == sorted(ex.id for ex in data.pool + data.val)
 

@@ -211,9 +211,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
     trial = run.trials(args.trial)[0]  # the first trial unless one is named
     examples = read_splits(args.infile, [Split.TEST]).examples
     scores = run.score(run.rows(examples, args.mode), trial, args.score_norm)
-    # Python floats, which format faster than numpy scalars, to the same text
-    lines = [f"{ex.id}\t{label.value}\t"
-             + "\t".join(f"{x:.6f}" for x in (*sem, *dis))
+    # Python floats, which format faster than numpy scalars, to the same
+    # text, each line by one format
+    line = "%s\t%s" + "\t%.6f" * 6
+    lines = [line % (ex.id, label.value, *sem, *dis)
              for ex, sem, dis, label in zip(examples, scores.sem.tolist(),
                                             scores.dis.tolist(),
                                             scores.predicted)]

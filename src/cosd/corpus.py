@@ -16,8 +16,9 @@ import random
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .stopwords import STOPWORDS
 
@@ -66,8 +67,33 @@ def tokenize(text: str) -> list[str]:
     output back through changes nothing.
     """
     lowered = _MENTION_RE.sub(" ", _URL_RE.sub(" ", text.lower()))
+    return _content(lowered)
+
+
+def _content(lowered: str) -> list[str]:
+    """The content tokens of lowered text with its URLs and mentions
+    blanked."""
     return [tok for tok in _TOKEN_RE.findall(lowered)
             if tok not in STOPWORDS and not tok.isdigit()]
+
+
+def tokenize_texts(texts: Sequence[str]) -> list[list[str]]:
+    """[tokenize(text) for text in texts], from one pass over the texts
+    joined by newlines: one lower() and one URL and mention blanking. A
+    newline is no part of a URL, a mention or a token, lowering neither
+    makes nor removes one, and no letter's lowercase reads across one (a
+    final sigma's context stops there), so each line's tokens are its
+    text's. A text holding a newline of its own is tokenized alone."""
+    if not texts:
+        return []
+    lowered = "\n".join(texts).lower()
+    if lowered.count("\n") >= len(texts):
+        whole = iter(tokenize_texts([text for text in texts
+                                     if "\n" not in text]))
+        return [tokenize(text) if "\n" in text else next(whole)
+                for text in texts]
+    lowered = _MENTION_RE.sub(" ", _URL_RE.sub(" ", lowered))
+    return [_content(line) for line in lowered.split("\n")]
 
 
 @dataclass(frozen=True)
@@ -162,25 +188,43 @@ def read_text(path: Path, error: type[Exception] = CorpusError) -> str:
                     f"{exc.start}") from exc
 
 
-def _read_tsv(path: Path, required: tuple[str, ...]) -> list[dict[str, str]]:
+def _read_tsv(path: Path, required: tuple[str, ...],
+              optional: tuple[str, ...] = ()) -> list[tuple]:
+    """The data rows of a tab-separated file under its header line, each as
+    (line number, the required columns' fields, the optional columns'),
+    read as csv.DictReader reads them: the first line is the header, even
+    when blank; blank lines are skipped but counted; a repeated column name
+    names its last column; fields past the header's are ignored. A row
+    short of a required column is an error, and one short of an optional
+    column reads None there, as does a column the header lacks."""
     if not path.is_file():
         raise CorpusError(f"missing dataset file: {path}")
     # newline="" as for a file opened for csv: line ends stay in the fields
     text = io.StringIO(read_text(path), newline="")
-    reader = csv.DictReader(text, delimiter="\t", quoting=csv.QUOTE_NONE)
-    if reader.fieldnames is None:
+    reader = csv.reader(text, delimiter="\t", quoting=csv.QUOTE_NONE)
+    header = next(reader, None)
+    if header is None:
         raise CorpusError(f"{path}: empty file")
-    missing = [col for col in required if col not in reader.fieldnames]
+    column = {name: i for i, name in enumerate(header)}
+    missing = [col for col in required if col not in column]
     if missing:
         raise CorpusError(f"{path}: missing columns {missing}")
+    pick = itemgetter(*(column[col] for col in required))
+    width = 1 + max(column[col] for col in required)
+    extra = [column.get(col, -1) for col in optional]
     rows = []
     for row in reader:
-        # the file's line number: the reader skips blank lines
+        if not row:
+            continue
+        # the file's line number: the reader counts blank lines too
         line = reader.line_num
-        if any(row.get(col) is None for col in required):
+        if len(row) < width:
             raise CorpusError(f"{path}:{line}: malformed row (short fields)")
-        row["_line"] = str(line)
-        rows.append(row)
+        fields = (line, *pick(row))
+        if extra:
+            fields += tuple(row[i] if 0 <= i < len(row) else None
+                            for i in extra)
+        rows.append(fields)
     if not rows:
         raise CorpusError(f"{path}: no data rows")
     return rows
@@ -201,24 +245,19 @@ def _finish(examples: list[Example], val_carved: bool) -> Dataset:
 
 def _tweet_rows(path: Path, split: Split) -> list[Example]:
     rows = _read_tsv(path, ("ID", "Target", "Tweet", "Stance"))
-    out = []
-    first_line: dict[str, str] = {}
-    for row in rows:
-        line = row["_line"]
-        if row["ID"] in first_line:
+    first_line: dict[str, int] = {}
+    stances = []
+    for line, ex_id, _, _, raw in rows:
+        first = first_line.setdefault(ex_id, line)
+        if first != line:
             raise CorpusError(f"{path}:{line}: duplicate example id "
-                              f"{row['ID']!r}, first on line "
-                              f"{first_line[row['ID']]}")
-        first_line[row["ID"]] = line
-        stance = _parse_stance(row["Stance"], path, int(line))
-        out.append(Example(
-            id=row["ID"],
-            target=row["Target"],
-            stance=stance,
-            split=split,
-            tokens=tuple(tokenize(row["Tweet"])),
-        ))
-    return out
+                              f"{ex_id!r}, first on line {first}")
+        stances.append(_parse_stance(raw, path, line))
+    tokens = tokenize_texts([row[3] for row in rows])
+    return [Example(id=ex_id, target=target, stance=stance, split=split,
+                    tokens=tuple(toks))
+            for (_, ex_id, target, _, _), stance, toks
+            in zip(rows, stances, tokens)]
 
 
 def read_splits(path: str | Path, splits: Iterable[Split] = tuple(Split),
@@ -304,20 +343,21 @@ def _ukp_rows(root: Path, wanted: set[Split]) -> list[Example]:
     split_map = {"train": Split.TRAIN, "val": Split.VAL, "test": Split.TEST}
     examples = []
     for file in files:
-        rows = _read_tsv(file, ("topic", "sentence", "annotation", "set"))
-        for row in rows:
-            raw_split = row["set"].strip().lower()
-            if raw_split not in split_map:
-                raise CorpusError(f"{file}:{row['_line']}: unknown split {row['set']!r}")
-            if split_map[raw_split] not in wanted:
+        rows = _read_tsv(file, ("topic", "sentence", "annotation", "set"),
+                         ("sentenceHash",))
+        kept = []
+        for line, topic, sentence, annotation, raw_split, sent_hash in rows:
+            split = split_map.get(raw_split.strip().lower())
+            if split is None:
+                raise CorpusError(f"{file}:{line}: unknown split "
+                                  f"{raw_split!r}")
+            if split not in wanted:
                 continue
-            stance = _parse_stance(row["annotation"], file, int(row["_line"]))
-            ex_id = row.get("sentenceHash") or f"{file.stem}-{row['_line']}"
-            examples.append(Example(
-                id=ex_id,
-                target=row["topic"],
-                stance=stance,
-                split=split_map[raw_split],
-                tokens=tuple(tokenize(row["sentence"])),
-            ))
+            kept.append((sent_hash or f"{file.stem}-{line}", topic,
+                         _parse_stance(annotation, file, line), split,
+                         sentence))
+        examples += [Example(id=ex_id, target=topic, stance=stance,
+                             split=split, tokens=tuple(toks))
+                     for (ex_id, topic, stance, split, _), toks in zip(
+                         kept, tokenize_texts([row[4] for row in kept]))]
     return examples

@@ -21,18 +21,24 @@ class MetricsError(Exception):
     """Misaligned or empty prediction, gold and target lists."""
 
 
+# Labels are counted by their index here: a Stance hashes through Python
+# code, an index in C.
+_ORDER = tuple(Stance)
+_SCORED = [_ORDER.index(cls) for cls in SCORED_CLASSES]
+
+
 def _f_avg(pairs: Counter) -> float:
-    """F_avg over counted (prediction, gold) pairs."""
+    """F_avg over (prediction, gold) pairs counted by label index."""
     total = 0.0
-    for cls in SCORED_CLASSES:
+    for cls in _SCORED:
         tp = pairs[cls, cls]
-        predicted = sum(n for (pred, _), n in pairs.items() if pred is cls)
-        actual = sum(n for (_, gold), n in pairs.items() if gold is cls)
+        predicted = sum(n for (pred, _), n in pairs.items() if pred == cls)
+        actual = sum(n for (_, gold), n in pairs.items() if gold == cls)
         precision = tp / predicted if predicted else 0.0
         recall = tp / actual if actual else 0.0
         if precision + recall:
             total += 2.0 * precision * recall / (precision + recall)
-    return total / len(SCORED_CLASSES)
+    return total / len(_SCORED)
 
 
 def _scores(preds, golds, targets) -> tuple[dict[str, float], float, float]:
@@ -43,8 +49,10 @@ def _scores(preds, golds, targets) -> tuple[dict[str, float], float, float]:
     if not preds:
         raise MetricsError("no predictions to score")
     groups: dict[str, Counter] = {}
-    for pred, gold, target in zip(preds, golds, targets):
-        groups.setdefault(target, Counter())[pred, gold] += 1
+    for (target, pred, gold), n in Counter(zip(
+            targets, map(_ORDER.index, preds),
+            map(_ORDER.index, golds))).items():
+        groups.setdefault(target, Counter())[pred, gold] = n
     per_target = {t: _f_avg(groups[t]) for t in sorted(groups)}
     macf = sum(per_target.values()) / len(per_target)
     return per_target, macf, _f_avg(sum(groups.values(), Counter()))

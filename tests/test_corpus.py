@@ -7,9 +7,10 @@ import re
 import pytest
 
 from conftest import SEMEVAL_TABLE, UKP_TABLE
+from cosd import corpus
 from cosd.corpus import (LABELS, CorpusError, Split, Stance, Vocabulary,
                          load_semeval, load_ukp, read_splits, stance_subsets,
-                         tokenize)
+                         tokenize, tokenize_texts)
 from cosd.stopwords import STOPWORDS
 
 # the UTF-8 byte-order mark, U+FEFF encoded
@@ -58,6 +59,29 @@ ORACLE_CASES = [
 ]
 
 
+def random_text(rng):
+    """Up to 80 characters from every rule's edge, with some whole URL
+    schemes, mentions, stopwords and numbers among them."""
+    alphabet = ("abcxyzABCXYZ0123456789 _-#@.:/!'\t"
+                "\u0661\u00b2\u0130\u00e9\u00df\u017f\u212a")
+    pieces = ["http://", "https://", "www.", "@", "the", "and", "42"]
+    return "".join(rng.choice(pieces) if rng.random() < 0.1
+                   else rng.choice(alphabet)
+                   for _ in range(rng.randrange(0, 80)))
+
+
+# texts whose ends meet their neighbours' in a joined file: line ends of
+# their own, final sigmas, a dotted capital I, URLs and mentions that run
+# to the end of the text, a mention and a URL that start the next one
+JOINED_CASES = [
+    "one\ntwo words", "crlf\r\nends", "\n",
+    "\u039f\u0394\u039f\u03a3", "\u03a3", "ab\u03a3", "\u03a3ab", "\u0130",
+    "I\u0130", "see http://x.co/path", "tail www.site.org",
+    "ask @someone", "@next word", "http://next.co then", "plain words",
+    "", "WWW.UPPER.ORG ok", "x\u2028y \u0085z",
+]
+
+
 class TestTokenize:
     @pytest.mark.parametrize("text", ORACLE_CASES)
     def test_equals_the_rules_oracle(self, text):
@@ -65,14 +89,46 @@ class TestTokenize:
 
     def test_equals_the_rules_oracle_on_random_text(self):
         rng = random.Random(7)
-        alphabet = ("abcxyzABCXYZ0123456789 _-#@.:/!'\t"
-                    "\u0661\u00b2\u0130\u00e9\u00df\u017f\u212a")
-        pieces = ["http://", "https://", "www.", "@", "the", "and", "42"]
         for _ in range(500):
-            text = "".join(rng.choice(pieces) if rng.random() < 0.1
-                           else rng.choice(alphabet)
-                           for _ in range(rng.randrange(0, 80)))
+            text = random_text(rng)
             assert tokenize(text) == tokenize_oracle(text), text
+
+    def test_whole_file_equals_the_oracle_per_text(self):
+        for texts in (ORACLE_CASES, JOINED_CASES, ORACLE_CASES + JOINED_CASES,
+                      [], [""], ["http://a.co"] * 3, ["no ends here"] * 3):
+            assert tokenize_texts(texts) == [tokenize_oracle(text)
+                                             for text in texts], texts
+
+    def test_whole_file_equals_the_oracle_on_random_batches(self):
+        rng = random.Random(11)
+        for _ in range(500):
+            texts = [rng.choice(JOINED_CASES) if rng.random() < 0.1
+                     else random_text(rng)
+                     for _ in range(rng.randrange(0, 12))]
+            assert tokenize_texts(texts) == [tokenize_oracle(text)
+                                             for text in texts], texts
+
+    def test_a_carriage_return_stays_on_the_joined_path(self, monkeypatch):
+        # only a newline splits the joined text: a lone CR is one more
+        # uncased separator inside its own line
+        texts = ["carriage\rreturn here", "\r", "end\r", "@me\rhttp://x.co\r"]
+        want = [tokenize_oracle(text) for text in texts]
+        monkeypatch.setattr(corpus, "tokenize", None)  # no per-text fallback
+        assert tokenize_texts(texts) == want
+
+    def test_a_joined_lowering_is_each_texts_lowering(self):
+        # what the whole-file tokenizer rests on: lowercase never reads
+        # across a newline (a final sigma's context stops there), and no
+        # lowercase letter is a newline
+        rng = random.Random(5)
+        batches = [[t for t in cases if "\n" not in t]
+                   for cases in (ORACLE_CASES, JOINED_CASES)]
+        batches += [[random_text(rng) for _ in range(8)] for _ in range(200)]
+        for texts in batches:
+            assert "\n".join(texts).lower().split("\n") == [
+                text.lower() for text in texts]
+        assert "\n".join(["\u039f\u0394\u039f\u03a3", "\u03a3ab"]).lower() == (
+            "\u03bf\u03b4\u03bf\u03c2\n\u03c3ab")
 
     def test_stated_examples(self):
         assert tokenize("Gun violence, in short") == ["gun", "violence", "short"]
@@ -345,6 +401,139 @@ class TestReadSplits:
         with pytest.raises(CorpusError, match="no examples in split Val"):
             read_splits(tmp_path, [Split.VAL])
         assert len(read_splits(tmp_path, [Split.TRAIN]).examples) == 1
+
+
+# The TSV reader's edge cases, in each layout: (header columns, a row's
+# fields from its id, text and label index, the id an example read from
+# line N of file STEM gets, and the read). The argument layout is read with
+# and without its optional sentenceHash column, which here comes last.
+_STANCE_WORDS = ("FAVOR", "NONE", "AGAINST")
+_ARG_WORDS = ("Argument_for", "NoArgument", "Argument_against")
+TSV_LAYOUTS = {
+    "tweet": (["ID", "Target", "Tweet", "Stance"],
+              lambda key, text, y: [key, "X", text, _STANCE_WORDS[y]],
+              lambda key, stem, line: key,
+              lambda path: read_splits(path, [Split.TEST])),
+    "argument": (["topic", "sentence", "annotation", "set"],
+                 lambda key, text, y: ["X", text, _ARG_WORDS[y], "test"],
+                 lambda key, stem, line: f"{stem}-{line}",
+                 lambda path: read_splits(path, [Split.TEST], ukp=True)),
+    "argument-hash": (["topic", "sentence", "annotation", "set",
+                       "sentenceHash"],
+                      lambda key, text, y: ["X", text, _ARG_WORDS[y], "test",
+                                            key],
+                      lambda key, stem, line: key,
+                      lambda path: read_splits(path, [Split.TEST], ukp=True)),
+}
+_ROWS = [("k1", "First text here", 0), ("k2", "second TEXT", 2),
+         ("k3", "third words", 1)]
+
+
+def _write_tsv(path, lines, end="\n"):
+    path.write_text("".join(line + end for line in lines), encoding="utf-8")
+    return path
+
+
+def _summary(examples):
+    return [(ex.id, ex.target, ex.stance, ex.split, ex.tokens)
+            for ex in examples]
+
+
+def _want(layout, stem, lines):
+    """The examples of _ROWS read from the given physical lines."""
+    key_of = TSV_LAYOUTS[layout][2]
+    return [(key_of(key, stem, line), "X", LABELS[y], Split.TEST,
+             tuple(tokenize(text)))
+            for (key, text, y), line in zip(_ROWS, lines)]
+
+
+@pytest.mark.parametrize("layout", sorted(TSV_LAYOUTS))
+class TestTsvRows:
+    def _lines(self, layout, rows=_ROWS):
+        header, row = TSV_LAYOUTS[layout][:2]
+        return ["\t".join(header)] + ["\t".join(row(*r)) for r in rows]
+
+    def test_a_blank_first_line_is_the_header(self, layout, tmp_path):
+        header, _, _, read = TSV_LAYOUTS[layout]
+        path = _write_tsv(tmp_path / "a.tsv", [""] + self._lines(layout))
+        with pytest.raises(CorpusError, match=re.escape(
+                f"{path}: missing columns {header[:4]}")):
+            read(path)
+
+    def test_blank_rows_are_skipped_and_counted(self, layout, tmp_path):
+        read = TSV_LAYOUTS[layout][3]
+        head, *rows = self._lines(layout)
+        path = _write_tsv(tmp_path / "a.tsv",
+                          [head, rows[0], "", "", rows[1], "", rows[2]])
+        assert _summary(read(path).examples) == _want(layout, "a", [2, 5, 7])
+        # the line numbers of errors count the blank rows too
+        bad = rows[2].replace(_ARG_WORDS[1], "Maybe").replace("NONE",
+                                                              "Maybe")
+        _write_tsv(path, [head, rows[0], "", "", rows[1], "", bad])
+        with pytest.raises(CorpusError, match=re.escape(
+                f"{path}:7: unknown stance value 'Maybe'")):
+            read(path)
+
+    def test_line_ends_crlf_and_lone_cr_read_as_lf(self, layout, tmp_path):
+        read = TSV_LAYOUTS[layout][3]
+        lines = self._lines(layout)
+        want = _summary(read(_write_tsv(tmp_path / "a.tsv", lines)).examples)
+        assert want == _want(layout, "a", [2, 3, 4])
+        for end in ("\r\n", "\r"):
+            path = _write_tsv(tmp_path / "a.tsv", lines + [""], end)
+            assert _summary(read(path).examples) == want
+
+    def test_a_repeated_header_name_takes_the_last_column(self, layout,
+                                                          tmp_path):
+        header, _, _, read = TSV_LAYOUTS[layout]
+        text_col = header[2] if layout == "tweet" else "sentence"
+        lines = self._lines(layout)
+        lines = ([lines[0] + "\t" + text_col]
+                 + [line + "\t" + text.swapcase() + " Extra"
+                    for line, (_, text, _) in zip(lines[1:], _ROWS)])
+        path = _write_tsv(tmp_path / "a.tsv", lines)
+        got = _summary(read(path).examples)
+        assert [ex[4] for ex in got] == [
+            tuple(tokenize(text.swapcase() + " Extra")) for _, text, _ in _ROWS]
+        # a row that stops short of the last column with the name is short
+        _write_tsv(path, lines[:2] + self._lines(layout)[2:])
+        with pytest.raises(CorpusError, match=re.escape(
+                f"{path}:3: malformed row (short fields)")):
+            read(path)
+
+    def test_a_short_row_names_its_line(self, layout, tmp_path):
+        read = TSV_LAYOUTS[layout][3]
+        head, *rows = self._lines(layout)
+        short = "\t".join(rows[1].split("\t")[:3])
+        path = _write_tsv(tmp_path / "a.tsv", [head, rows[0], "", short])
+        with pytest.raises(CorpusError, match=re.escape(
+                f"{path}:4: malformed row (short fields)")):
+            read(path)
+
+    def test_extra_trailing_fields_are_ignored(self, layout, tmp_path):
+        read = TSV_LAYOUTS[layout][3]
+        head, *rows = self._lines(layout)
+        path = _write_tsv(tmp_path / "a.tsv",
+                          [head] + [row + "\textra\tfields" for row in rows])
+        assert _summary(read(path).examples) == _want(layout, "a", [2, 3, 4])
+
+
+def test_a_duplicate_tweet_id_names_both_physical_lines(tmp_path):
+    path = _write_tsv(tmp_path / "a.tsv", [
+        "ID\tTarget\tTweet\tStance", "", "1\tX\thello\tFAVOR", "",
+        "2\tX\tthere\tNONE", "", "", "1\tX\tbye\tNONE"])
+    with pytest.raises(CorpusError, match=re.escape(
+            f"{path}:8: duplicate example id '1', first on line 3")):
+        read_splits(path, [Split.TEST])
+
+
+def test_an_argument_row_short_of_only_its_sentence_hash_is_named_by_line(
+        tmp_path):
+    header, row, _, read = TSV_LAYOUTS["argument-hash"]
+    lines = ["\t".join(header)] + ["\t".join(row(*r)) for r in _ROWS]
+    lines[2] = lines[2].rsplit("\t", 1)[0]
+    got = _summary(read(_write_tsv(tmp_path / "a.tsv", lines)).examples)
+    assert [ex[0] for ex in got] == ["k1", "a-3", "k3"]
 
 
 class TestVocabulary:

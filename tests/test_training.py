@@ -278,6 +278,43 @@ def test_embeddings_reject_a_repeated_record(tmp_path, rec_id):
         load_embeddings(path, expect_dim=8)
 
 
+def test_embeddings_name_a_repeated_text_id_at_its_second_record(tmp_path):
+    records = [("ex-1", np.ones((2, 4))), ("ex-2", np.ones((1, 4))),
+               ("label:none", np.ones((1, 4))), ("ex-1", np.ones((3, 4)))]
+    path = tmp_path / "again.emb1"
+    save_embeddings(path, records, dim=4)
+    at = _record_offsets(records, 4)[3]
+    with pytest.raises(TrainingError, match=(
+            f"again.emb1: duplicate record 'ex-1' at byte {at}$")):
+        load_embeddings(path, expect_dim=4)
+
+
+def test_embeddings_name_a_zero_row_text_record_at_its_start(tmp_path):
+    records = [("ex-1", np.ones((2, 4))), ("ex-2", np.ones((1, 4)))]
+    path = tmp_path / "zero.emb1"
+    save_embeddings(path, records, dim=4)
+    at = _record_offsets(records, 4)[1]
+    # ex-2's row count set to 0; its row stays, so the count still fits
+    raw = bytearray(path.read_bytes())
+    raw[at + 4 + 4:at + 4 + 4 + 4] = struct.pack("<I", 0)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(TrainingError, match=(
+            f"zero.emb1: record 'ex-2' has zero rows at byte {at}$")):
+        load_embeddings(path, expect_dim=4)
+
+
+def test_embeddings_name_text_rows_cut_short_where_the_rows_start(tmp_path):
+    records = [("ex-1", np.ones((2, 4))), ("ex-22", np.ones((3, 4)))]
+    path = tmp_path / "cut.emb1"
+    save_embeddings(path, records, dim=4)
+    rows_at = _record_offsets(records, 4)[1] + 8 + 5
+    path.write_bytes(path.read_bytes()[:rows_at + 40])
+    with pytest.raises(TrainingError, match=(
+            f"cut.emb1: truncated, 48 bytes needed but 40 left at "
+            f"byte {rows_at}$")):
+        load_embeddings(path, expect_dim=4)
+
+
 def test_embeddings_subset_read_checks_only_the_values_it_reads(tmp_path):
     bad = np.ones((2, 4))
     bad[1, 3] = np.nan

@@ -3,7 +3,7 @@
 Three LDA models (favor / none / against training subsets, shared vocabulary,
 H topics each) are fit by the collapsed variational update CVB0, every
 training group's triple in one fit (fit_triples), from initial topics drawn
-by a keyed counter hash per doc. The sweep count is a cap: each model stops
+by a numpy Generator per model. The sweep count is a cap: each model stops
 at its own fixed point, the first sweep that moves none of its doc-topic and
 topic-word counts by more than 1e-4, and its topic-word counts are its
 expected counts, float64. Any text is folded in under all three models with
@@ -121,43 +121,6 @@ def _doc_token_ids(docs: Docs, vocab: Vocabulary) -> list[list[int]]:
     return [[index[t] for t in doc if t in index] for doc in docs]
 
 
-# --- per-doc uniforms --------------------------------------------------------
-#
-# A keyed counter hash (Salmon et al., "Parallel random numbers: as easy as
-# 1, 2, 3", SC 2011): a doc's key is splitmix64's finalizer over its seed,
-# and its draw number c is the top 53 bits of the finalizer over
-# key + (c + 1) * gamma, which is splitmix64's sequence started at the key.
-# The + 1 keeps seed 0's first draw off 0.0: the finalizer maps 0 to 0. All
-# arithmetic is on uint64 arrays, which wrap without a warning.
-
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _mix64(z: np.ndarray) -> np.ndarray:
-    """splitmix64's finalizer over a uint64 array."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
-
-
-def _keys(seeds: Sequence[int]) -> np.ndarray:
-    """Each seed's key, the finalizer over it; (n,) uint64. A seed must be
-    an integer in [0, 2**64)."""
-    for seed in seeds:
-        if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
-            raise TopicsError(
-                f"seeds must be integers in [0, 2**64), got {seed!r}")
-    return _mix64(np.array([int(seed) for seed in seeds], dtype=np.uint64))
-
-
-def _uniforms(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
-    """The draws numbered counters of the docs keyed by keys, broadcast
-    together, as doubles in [0, 1). A doc of n tokens draws its initial
-    topics as floor(u * H) from counters 0..n-1."""
-    z = _mix64(keys + (counters.astype(np.uint64) + np.uint64(1)) * _GAMMA)
-    return (z >> np.uint64(11)) * 2.0**-53
-
-
 # --- the CVB0 sweep ----------------------------------------------------------
 
 
@@ -257,7 +220,7 @@ def fit_triples(groups: Sequence[tuple[Docs, Docs, Docs]],
     over one vocabulary built from its docs, seeded seeds[g], seeds[g] + 1
     and seeds[g] + 2; every group's models in one fit, each run to its own
     fixed point or for sweeps sweeps. The priors are finite and > 0; a seed
-    is an integer in [0, 2**64). The models share no counts, so each is the
+    is an integer >= 0. The models share no counts, so each is the
     same whatever the other groups hold: a one-set fit is
     fit_triples([(docs, [], [])], ...)[0].favor."""
     if len(seeds) != len(groups):
@@ -277,16 +240,17 @@ def _fit(doc_sets: Sequence[Docs], vocabs: Sequence[Vocabulary],
          h: int, alpha: float, beta: float, sweeps: int,
          seeds: Sequence[int], sweep_callback=None) -> list[LdaModel]:
     """One model per doc set over its vocabulary, all in one _cvb0 fit with
-    a chain per model. A token's gamma starts one-hot at floor(u * H): doc
-    i of set m draws u from the counter hash keyed by the finalizer over
-    (the key of seeds[m]) + i, numbers 0..n-1 for its n tokens. Its word
+    a chain per model. A token's gamma starts one-hot at its initial
+    topic: set m's n in-vocabulary tokens, in (doc, position) order, draw
+    theirs as np.random.default_rng(seeds[m]).integers(H, size=n). Its word
     factor is (n_wk - gamma_k + beta) / (n_k - gamma_k + beta |V|) over its
     own model's counts. A model stops at the first sweep that moves none of
     its n_dk and n_wk by more than _FIT_TOL, or after sweeps sweeps: its
     trained_sweeps; its counts are those it stopped with, and its log joint
     is recorded every 50 sweeps and at its stop, except over an empty
     vocabulary. sweep_callback(s, n_k (H, sets), gamma of the models still
-    sweeping) runs after every sweep. Both priors are finite and > 0.
+    sweeping) runs after every sweep. Both priors are finite and > 0, and
+    each seed is an integer >= 0.
     """
     if not isinstance(h, numbers.Integral) or h < 1:
         raise TopicsError(f"H must be an integer >= 1, got {h!r}")
@@ -294,9 +258,9 @@ def _fit(doc_sets: Sequence[Docs], vocabs: Sequence[Vocabulary],
         raise TopicsError(f"sweeps must be >= 1, got {sweeps}")
     h = int(h)
     _check_priors(alpha, beta)
-    keys = np.concatenate([
-        _mix64(_keys([seed]) + np.arange(len(docs), dtype=np.uint64))
-        for seed, docs in zip(seeds, doc_sets)])
+    for seed in seeds:
+        if not (isinstance(seed, numbers.Integral) and seed >= 0):
+            raise TopicsError(f"seeds must be integers >= 0, got {seed!r}")
     n_sets = len(doc_sets)
     set_of = np.repeat(np.arange(n_sets), [len(docs) for docs in doc_sets])
     ids = [doc for docs, vocab in zip(doc_sets, vocabs)
@@ -310,20 +274,22 @@ def _fit(doc_sets: Sequence[Docs], vocabs: Sequence[Vocabulary],
     token_set = set_of[doc]
     words = (np.array([w for doc_ids in ids for w in doc_ids], dtype=np.int64)
              + offsets[token_set])
-    position = np.arange(len(doc)) - (np.cumsum(lengths) - lengths)[doc]
+    # each token's initial topic, in the same order: set m's tokens draw
+    # theirs from a Generator of their own, seeded seeds[m]
+    per_set = np.bincount(token_set, minlength=n_sets)
+    topic = np.concatenate([
+        np.random.default_rng(int(seed)).integers(h, size=n)
+        for seed, n in zip(seeds, per_set)])
     # the columns interleave the sets: every set's first token, then every
     # set's second, and so on. A bin holds one set's tokens, still in token
     # order, but np.bincount's adds into one bin no longer follow each
     # other, so none waits on the one before
-    per_set = np.bincount(token_set, minlength=n_sets)
     rank = np.arange(len(doc)) - (np.cumsum(per_set) - per_set)[token_set]
     layout = np.lexsort((token_set, rank))
-    doc, token_set, words, position = (
-        a[layout] for a in (doc, token_set, words, position))
-    gamma = (np.arange(h)[:, None]
-             == (_uniforms(keys[doc], position) * h).astype(np.int64)
-             ).astype(np.float64)
-    del position, rank, layout
+    doc, token_set, words, topic = (
+        a[layout] for a in (doc, token_set, words, topic))
+    gamma = (np.arange(h)[:, None] == topic).astype(np.float64)
+    del topic, rank, layout
     scratch = np.empty_like(gamma)
     log_joints = [[] for _ in doc_sets]
 

@@ -142,10 +142,9 @@ def cvb0_loop(doc_sets, v, h, alpha, beta, seeds, sweeps, tol=None):
     and one token at a time within each sweep.
 
     doc_sets holds each model's docs as word ids under a vocabulary of v
-    words. Each token of doc i of model m starts one-hot at floor(u * H),
-    u its doc's draws 0..n-1 from the counter hash keyed by the finalizer
-    over (the key of seeds[m]) + i. A sweep sets every token, in order, from
-    the counts its model held after the previous sweep:
+    words. Model m's n tokens, in token order, start one-hot at
+    np.random.default_rng(seeds[m]).integers(H, size=n). A sweep sets every
+    token, in order, from the counts its model held after the previous sweep:
     (n_dk - g_k + alpha)(n_wk - g_k + beta) / (n_k - g_k + beta v) over their
     running sum across topics; then every count is summed afresh from 0.0
     over its tokens in order. A model stops at the first sweep that moves
@@ -169,14 +168,13 @@ def cvb0_loop(doc_sets, v, h, alpha, beta, seeds, sweeps, tol=None):
 
     tables, records, stops = [], [], []
     for seed, docs in zip(seeds, doc_sets):
-        key = cosd.topics._keys([seed])
+        draws = iter(np.random.default_rng(seed).integers(
+            h, size=sum(map(len, docs))).tolist())
         tokens = []  # (doc, word, gamma) in token order
         for i, ids in enumerate(docs):
-            doc_key = cosd.topics._mix64(key + np.array([i], dtype=np.uint64))
-            draws = cosd.topics._uniforms(doc_key, np.arange(len(ids)))
-            for w, u in zip(ids, draws.tolist()):
+            for w in ids:
                 gamma = [0.0] * h
-                gamma[int(u * h)] = 1.0
+                gamma[next(draws)] = 1.0
                 tokens.append((i, w, gamma))
         live = [d for d, ids in enumerate(docs) if ids]
         trace = []
@@ -257,14 +255,24 @@ def test_sweep_kernel_equals_loop_oracle(monkeypatch, h, dyadic):
     # every case is one set of one fit, each over its own vocabulary and
     # priors; each model must equal cvb0_loop over its set alone, count for
     # count
+    corpora = _kernel_corpora(h)
     if dyadic:
-        # uniforms in {0, 1/4, 1/2, 3/4}: at H > 4 some topics start empty,
-        # with n_k = 0 under the denominator; the fit and the oracle both
-        # draw through _uniforms
-        real_uniforms = cosd.topics._uniforms
-        monkeypatch.setattr(cosd.topics, "_uniforms", lambda keys, counters:
-                            np.floor(real_uniforms(keys, counters) * 4) / 4)
-    for case, (docs, v, alpha, beta) in enumerate(_kernel_corpora(h)):
+        # initial topics floor(j H / 4) for j in 0..3 only: at H > 4 some
+        # topics start empty, with n_k = 0 under the denominator; the fit
+        # and the oracle both draw through np.random.default_rng, once per
+        # case each
+        real_rng, seeded = np.random.default_rng, []
+
+        class FourTopics:
+            def __init__(self, seed):
+                seeded.append(seed)
+                self.rng = real_rng(seed)
+
+            def integers(self, high, size):
+                return self.rng.integers(4, size=size) * high // 4
+
+        monkeypatch.setattr(np.random, "default_rng", FourTopics)
+    for case, (docs, v, alpha, beta) in enumerate(corpora):
         (model,) = cosd.topics._fit([_token_docs(docs)], [_vocab(v)], h,
                                     alpha, beta, 12, [case])
         (counts,), (records,), (stop,) = cvb0_loop(
@@ -276,6 +284,9 @@ def test_sweep_kernel_equals_loop_oracle(monkeypatch, h, dyadic):
         assert [s for s, _ in model.log_joint] == [s for s, _ in records[1:]]
         for (_, got), (_, want) in zip(model.log_joint, records[1:]):
             assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+    if dyadic:
+        assert seeded == [case for case in range(len(corpora))
+                          for _ in range(2)]
 
 
 def test_fit_triple_counts_equal_loop_oracle():
@@ -426,14 +437,18 @@ def test_fit_triples_takes_one_seed_per_group():
                     seeds=[4])
 
 
-def test_fit_rejects_a_seed_outside_64_bits():
+def test_fit_rejects_a_seed_outside_64_bits(monkeypatch):
+    # a seed must be an integer >= 0, checked before any draw; a Generator
+    # takes any such seed, 2**64 and above included
     docs = [["a", "b"], ["b"]]
-    for bad in (-1, 2**64, 1.5):
-        with pytest.raises(TopicsError, match="seeds must be integers"):
+    fitted = fit_triples([(docs, docs, docs)], h=2, alpha=25.0, sweeps=1,
+                         seeds=[2**64])[0]
+    for m in fitted.models:
+        assert m.topic_word_counts.sum() == pytest.approx(3.0)
+    monkeypatch.setattr(np.random, "default_rng", None)  # no draw is made
+    for bad in (-1, 1.5):
+        with pytest.raises(TopicsError, match="seeds must be integers >= 0"):
             fit_one(docs, h=2, alpha=25.0, sweeps=1, seed=bad)
-    with pytest.raises(TopicsError, match="seeds must be integers"):
-        fit_triples([(docs, docs, docs)], h=2, alpha=25.0, sweeps=1,
-                    seeds=[2**64 - 2])
 
 
 def test_lockstep_recovers_planted_topics_like_the_sequential_sampler():
@@ -547,7 +562,7 @@ def test_fit_lda_rejects_zero_beta():
 def test_fit_rejects_zero_alpha_before_it_draws(monkeypatch):
     # alpha = 0 would give a one-token doc an all-zero conditional and put
     # the log joint on lgamma's pole; the fit refuses it up front
-    monkeypatch.setattr(cosd.topics, "_uniforms", None)  # no draw is made
+    monkeypatch.setattr(np.random, "default_rng", None)  # no draw is made
     for alpha in (0.0, -0.0):
         with pytest.raises(TopicsError, match="alpha > 0"):
             fit_one([["a", "b"], ["c"]], h=3, alpha=alpha, sweeps=1)
@@ -641,36 +656,6 @@ def test_fit_triple_builds_union_vocab_and_distinct_models():
     tables = [m.topic_word_counts for m in triple.models]
     assert not (np.array_equal(tables[0], tables[1])
                 and np.array_equal(tables[1], tables[2]))
-
-
-# splitmix64 from state 1234567: output k is the finalizer over the state
-# advanced k times by gamma
-_SPLITMIX64 = [6457827717110365317, 3203168211198807973, 9817491932198370423,
-               4593380528125082431, 16408922859458223821]
-
-
-def test_mix64_gives_the_splitmix64_reference_outputs():
-    gamma = 0x9E3779B97F4A7C15
-    states = np.array([(1234567 + k * gamma) % 2**64 for k in range(1, 6)],
-                      dtype=np.uint64)
-    assert cosd.topics._mix64(states).tolist() == _SPLITMIX64
-
-
-def test_uniforms_are_uniform_and_uncorrelated():
-    keys = cosd.topics._keys(np.arange(1000) + 2024)
-    u = cosd.topics._uniforms(keys[:, None], np.arange(1000))
-    assert u.shape == (1000, 1000)
-    assert 0.0 <= u.min() and u.max() < 1.0
-    # chi-square over 64 equal bins against its 0.999 quantile at 63 degrees
-    # of freedom
-    counts = np.bincount((u * 64).astype(np.int64).ravel(), minlength=64)
-    expected = u.size / 64
-    assert ((counts - expected) ** 2 / expected).sum() < 103.4
-    # lag 1 within a doc, and adjacent keys at the same counter
-    for a, b in ((u[:, :-1], u[:, 1:]), (u[:-1], u[1:])):
-        assert abs(np.corrcoef(a.ravel(), b.ravel())[0, 1]) < 0.01
-    # the finalizer maps 0 to 0; the counter's + 1 keeps seed 0 off it
-    assert cosd.topics._uniforms(cosd.topics._keys([0]), np.arange(1))[0] > 0
 
 
 # --- fold-in ----------------------------------------------------------------

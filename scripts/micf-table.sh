@@ -5,7 +5,9 @@
 #   scripts/micf-table.sh [--seeds N] CHECKOUT
 #
 # Each cell reads full / no_sem / no_dis, the test MicF of `cosd eval` in
-# that mode, to three decimals (a perfect score prints as 1.0). The runs:
+# that mode, to three decimals (a perfect score prints as 1.0); one
+# `cosd eval --mode full no_sem no_dis` call per run writes all three
+# reports, so CHECKOUT's eval must take several modes. The runs:
 #   - the base run at data seeds D = 13, 5 and 3: `cosd synth --seed D`,
 #     then `cosd train --dataset synthetic --h 3 --epochs 10 --trials 1
 #     --lda-sweeps 300 --seed 17`;
@@ -48,14 +50,12 @@ cosd() {
 }
 
 # $1 = row name, then one run directory per seed set: evaluates each run's
-# test split in each mode and prints the row
+# test split in every mode with one call and prints the row
 row() {
-  local name=$1 run mode
+  local name=$1 run
   shift
   for run in "$@"; do
-    for mode in full no_sem no_dis; do
-      cosd eval --run "$run" --split test --mode "$mode"
-    done
+    cosd eval --run "$run" --split test --mode full no_sem no_dis
   done
   python3 - "$name" "$@" <<'EOF'
 import csv, sys

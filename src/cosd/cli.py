@@ -6,11 +6,11 @@ synth take their configuration as flat key = value text; every key is also
 a flag of train, while topics and synth take flags only for the keys they
 read. Precedence: flag, then the config file, then defaults. predict, eval
 and inspect read the configuration of the run they are given from its
-manifest; predict and eval add only their own --mode and --score-norm. One
-command per process; every randomized step derives from the single seed,
-so identical invocations produce identical outputs (run directories are
-timestamped unless --out-dir pins them; file contents never embed
-timestamps).
+manifest; predict and eval add only their own --mode (eval takes several)
+and --score-norm. One command per process; every randomized step derives
+from the single seed, so identical invocations produce identical outputs
+(run directories are timestamped unless --out-dir pins them; file
+contents never embed timestamps).
 """
 
 from __future__ import annotations
@@ -187,6 +187,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    if len(set(args.mode)) < len(args.mode):
+        raise ConfigError(f"--mode repeats a mode: {' '.join(args.mode)}")
     run = rundir.RunDir(args.run)
     trials = run.trials(args.trial)
     labeled = [ex for ex in run.corpus(Split[args.split.upper()]).examples
@@ -195,14 +197,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ConfigError(f"no labeled examples in split {args.split!r}")
     # semantic rows and fold-ins depend on the split, not the trial
     rows = run.rows(labeled, args.mode)
-    text, csv_text = metrics.trial_report(
-        [run.score(rows, trial, args.score_norm).predicted
-         for trial in trials],
-        [ex.stance for ex in labeled], [ex.target for ex in labeled],
-        run.targets, trials)
-    suffix = f"{args.split}-{args.mode}" + ("-zscore" if args.score_norm else "")
-    rundir.write_report(run.path, suffix, text, csv_text)
-    print(text, end="")
+    sides = [run.score(rows, trial) for trial in trials]
+    for mode in args.mode:
+        text, csv_text = metrics.trial_report(
+            [inference.mode_scores(*both, mode, args.score_norm).predicted
+             for both in sides],
+            [ex.stance for ex in labeled], [ex.target for ex in labeled],
+            run.targets, trials)
+        suffix = f"{args.split}-{mode}" + "-zscore" * args.score_norm
+        rundir.write_report(run.path, suffix, text, csv_text)
+        print(text, end="")
     return 0
 
 
@@ -210,7 +214,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
     run = rundir.RunDir(args.run)
     trial = run.trials(args.trial)[0]  # the first trial unless one is named
     examples = read_splits(args.infile, [Split.TEST]).examples
-    scores = run.score(run.rows(examples, args.mode), trial, args.score_norm)
+    scores = inference.mode_scores(
+        *run.score(run.rows(examples, [args.mode]), trial), args.mode,
+        args.score_norm)
     # Python floats, which format faster than numpy scalars, to the same
     # text, each line by one format
     line = "%s\t%s" + "\t%.6f" * 6
@@ -364,9 +370,9 @@ def _add_run_flags(parser: argparse.ArgumentParser, trial_help: str) -> None:
     parser.add_argument("--trial", type=int, help=trial_help)
 
 
-def _add_score_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--mode", choices=inference.MODES, default="full",
-                        help="score with both paths or ablate one")
+def _add_score_flags(parser: argparse.ArgumentParser, **mode) -> None:
+    parser.add_argument("--mode", choices=inference.MODES,
+                        help="score with both paths or ablate one", **mode)
     parser.add_argument("--score-norm", dest="score_norm",
                         action="store_true",
                         help="z-score each score triple before adding")
@@ -400,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="score a TSV of texts with a trained run",
                        allow_abbrev=False)
     _add_run_flags(p, "trial number (default 1)")
-    _add_score_flags(p)
+    _add_score_flags(p, default="full")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
     p.set_defaults(func=cmd_predict)
@@ -408,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="metrics for a split against a trained run",
                        allow_abbrev=False)
     _add_run_flags(p, "one trial (default: all + mean)")
-    _add_score_flags(p)
+    _add_score_flags(p, nargs="+", default=["full"])
     p.add_argument("--split", choices=["train", "val", "test"], default="test")
     p.set_defaults(func=cmd_eval)
 

@@ -243,7 +243,8 @@ def _finish(examples: list[Example], val_carved: bool) -> Dataset:
                    val_carved=val_carved)
 
 
-def _tweet_rows(path: Path, split: Split) -> list[Example]:
+def _tweet_rows(path: Path, split: Split,
+                carve_seed: int | None = None) -> list[Example]:
     rows = _read_tsv(path, ("ID", "Target", "Tweet", "Stance"))
     first_line: dict[str, int] = {}
     stances = []
@@ -253,11 +254,13 @@ def _tweet_rows(path: Path, split: Split) -> list[Example]:
             raise CorpusError(f"{path}:{line}: duplicate example id "
                               f"{ex_id!r}, first on line {first}")
         stances.append(_parse_stance(raw, path, line))
+    splits = ([split] * len(rows) if carve_seed is None else
+              _carved_splits([row[2] for row in rows], carve_seed))
     tokens = tokenize_texts([row[3] for row in rows])
-    return [Example(id=ex_id, target=target, stance=stance, split=split,
+    return [Example(id=ex_id, target=target, stance=stance, split=row_split,
                     tokens=tuple(toks))
-            for (_, ex_id, target, _, _), stance, toks
-            in zip(rows, stances, tokens)]
+            for (_, ex_id, target, _, _), stance, row_split, toks
+            in zip(rows, stances, splits, tokens)]
 
 
 def read_splits(path: str | Path, splits: Iterable[Split] = tuple(Split),
@@ -287,9 +290,9 @@ def read_splits(path: str | Path, splits: Iterable[Split] = tuple(Split),
         examples = []
         carved = not (root / "val.tsv").is_file()
         if Split.TRAIN in wanted or (carved and Split.VAL in wanted):
-            train = _tweet_rows(root / "train.tsv", Split.TRAIN)
-            examples += [ex for ex in (_carve_val(train, seed) if carved
-                                       else train) if ex.split in wanted]
+            examples += [ex for ex in _tweet_rows(
+                root / "train.tsv", Split.TRAIN, seed if carved else None)
+                if ex.split in wanted]
         if Split.VAL in wanted and not carved:
             examples += _tweet_rows(root / "val.tsv", Split.VAL)
         if Split.TEST in wanted:
@@ -310,22 +313,20 @@ def load_ukp(path: str | Path) -> Dataset:
     return read_splits(path, ukp=True)
 
 
-def _carve_val(train_examples: list[Example], seed: int) -> list[Example]:
+def _carved_splits(targets: list[str], seed: int) -> list[Split]:
+    """Each train.tsv row's split, by the rows' targets, when no val.tsv
+    is shipped (see read_splits)."""
     rng = random.Random(seed)
     by_target: dict[str, list[int]] = {}
-    for i, ex in enumerate(train_examples):
-        by_target.setdefault(ex.target, []).append(i)
-    val_idx: set[int] = set()
+    for i, target in enumerate(targets):
+        by_target.setdefault(target, []).append(i)
+    splits = [Split.TRAIN] * len(targets)
     for target in sorted(by_target):
         idx = by_target[target]
         rng.shuffle(idx)
-        val_idx.update(idx[: len(idx) // 6])
-    out = []
-    for i, ex in enumerate(train_examples):
-        if i in val_idx:
-            ex = Example(ex.id, ex.target, ex.stance, Split.VAL, ex.tokens)
-        out.append(ex)
-    return out
+        for i in idx[: len(idx) // 6]:
+            splits[i] = Split.VAL
+    return splits
 
 
 def _ukp_rows(root: Path, wanted: set[Split]) -> list[Example]:

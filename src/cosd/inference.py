@@ -6,20 +6,23 @@ distribution with the trained topic embeddings, pushes both sides through
 the graph-free transform, and takes a per-stance max over topics. Their sum
 decides the label. score_batch is the one scoring path: val scoring during
 training, eval and predict all call it on stacked rows. It takes rows and
-no settings: a side given as None scores zeros and is never computed, which
-is how an ablation mode drops it; the caller picks the mode by the rows it
-builds. It returns the two sides' scores, and the caller labels them with
-argmax_labels.
+no settings: a side given as None scores zeros and is never computed. It
+returns the two sides' scores, and mode_scores is the one labelling rule:
+it turns them into a mode's labels, so one scoring serves every mode.
 """
 
 from __future__ import annotations
+
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .corpus import LABELS, Stance
 from .cpa import CpaModel, hop_outputs
 
-MODES = ("full", "no_sem", "no_dis")
+# each mode by the score sides its labels read: (semantic, distributed)
+MODES = {"full": (True, True), "no_sem": (False, True),
+         "no_dis": (True, False)}
 
 
 class InferenceError(Exception):
@@ -85,6 +88,34 @@ def argmax_labels(total: np.ndarray) -> list[Stance]:
     return [LABELS[i] for i in np.argmax(np.atleast_2d(total), axis=1)]
 
 
+def sides_read(modes: Iterable[str]) -> tuple[bool, bool]:
+    """Whether some mode reads the semantic, and the distributed side."""
+    if unknown := [mode for mode in modes if mode not in MODES]:
+        raise InferenceError(f"unknown mode {unknown[0]!r}, expected one "
+                             f"of {tuple(MODES)}")
+    return tuple(map(any, zip(*(MODES[mode] for mode in modes))))
+
+
+class Scores(NamedTuple):
+    """(n, 3) score rows in label order (Favor, None, Against) and each
+    text's label."""
+
+    sem: np.ndarray
+    dis: np.ndarray
+    predicted: list[Stance]    # argmax of sem + dis
+
+
+def mode_scores(sem: np.ndarray, dis: np.ndarray, mode: str,
+                score_norm: bool = False) -> Scores:
+    """A mode's two score sides and its labels: a side the mode does not
+    read (MODES) is zeros, and score_norm z-scores each side's rows first.
+    The labels are the argmax of the sides' sum, where 0 + x is x."""
+    sides = [(zscore_rows(side) if score_norm else side) if read
+             else np.zeros_like(side)
+             for side, read in zip((sem, dis), sides_read([mode]))]
+    return Scores(*sides, argmax_labels(sides[0] + sides[1]))
+
+
 def score_batch(sem_rows: np.ndarray | None, dis_rows: np.ndarray | None,
                 model: CpaModel,
                 slope: float = 0.01) -> tuple[np.ndarray, np.ndarray]:
@@ -94,8 +125,7 @@ def score_batch(sem_rows: np.ndarray | None, dis_rows: np.ndarray | None,
 
     sem_rows are semantic representations (n, d0), dis_rows topic
     distributions (n, 3H). A side given as None is never scored and reads
-    as zeros; one side must be given. A text's label is the argmax of the
-    two sides' sum (argmax_labels).
+    as zeros; one side must be given. mode_scores labels the texts.
     """
     if sem_rows is None and dis_rows is None:
         raise InferenceError("no semantic rows and no topic rows to score")

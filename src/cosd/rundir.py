@@ -11,12 +11,12 @@ import re
 import shutil
 import time
 from pathlib import Path
-from typing import NamedTuple
+from typing import Sequence
 
 import numpy as np
 
 from . import cpa, graph, inference, topics, training
-from .corpus import LABELS, Dataset, Example, Split, Stance, read_splits
+from .corpus import LABELS, Dataset, Example, Split, read_splits
 from .training import LABEL_KEYS, ConfigError, RunConfig
 
 # every file of a run directory by its role, relative to the directory:
@@ -194,17 +194,8 @@ def write_run(path: Path, config: RunConfig, slugs: dict[str, str],
 
 # per training group with texts, in manifest order: its name, the positions
 # of its texts in the scored list, their semantic rows and fold-in rows
-# (None for the side the scoring mode drops)
+# (None for a side no scoring mode reads)
 GroupRows = list[tuple[str, list[int], np.ndarray | None, np.ndarray | None]]
-
-
-class Scores(NamedTuple):
-    """(n, 3) score rows in label order (Favor, None, Against) and each
-    text's label."""
-
-    sem: np.ndarray
-    dis: np.ndarray
-    predicted: list[Stance]    # argmax of sem + dis
 
 
 class RunDir:
@@ -292,18 +283,17 @@ class RunDir:
                               f"run's config gives {want}")
         return ckpt
 
-    def rows(self, examples: list[Example], mode: str = "full") -> GroupRows:
+    def rows(self, examples: list[Example],
+             modes: Sequence[str] = ("full",)) -> GroupRows:
         """The texts, in any order, split by training group, with the rows
-        the scoring mode reads: no_sem builds no semantic rows (and opens
-        no embedding file), no_dis folds nothing in (and loads no topic
-        model); the dropped side is None. This is the one place the mode
-        is decided. Semantic rows read only the texts' own records of the
-        run's store. Every group's texts are folded in together.
-        InferenceError names an unknown mode, ConfigError a target the run
-        has no group for."""
-        if mode not in inference.MODES:
-            raise inference.InferenceError(
-                f"unknown mode {mode!r}, expected one of {inference.MODES}")
+        some scoring mode reads (inference.sides_read): semantic rows only
+        when one reads them (else no embedding file is opened), fold-in
+        rows only when one reads topics (else no topic model is loaded);
+        a side no mode reads is None. Semantic rows read only the texts'
+        own records of the run's store. Every group's texts are folded in
+        together. InferenceError names an unknown mode, ConfigError a
+        target the run has no group for."""
+        read_sem, read_dis = inference.sides_read(modes)
         at: dict[str, list[int]] = {name: [] for name in self.groups}
         for i, ex in enumerate(examples):
             name = "joint" if self.config.joint else ex.target
@@ -312,9 +302,9 @@ class RunDir:
             at[name].append(i)
         groups = [(name, [examples[i] for i in where])
                   for name, where in at.items() if where]
-        sem = [None] * len(groups) if mode == "no_sem" else [
+        sem = [None] * len(groups) if not read_sem else [
             training.semantic_matrix(group, self.store) for _, group in groups]
-        dis = [None] * len(groups) if mode == "no_dis" else (
+        dis = [None] * len(groups) if not read_dis else (
             training.fold_in_matrix(
                 [(self.triple(name), group) for name, group in groups],
                 self.config.fold_in_sweeps).rows)
@@ -337,20 +327,19 @@ class RunDir:
             models.append(model)
         return topics.TopicModelTriple(*models)
 
-    def score(self, rows: GroupRows, trial: int,
-              score_norm: bool = False) -> Scores:
+    def score(self, rows: GroupRows,
+              trial: int) -> tuple[np.ndarray, np.ndarray]:
         """Every group's rows scored against the trial's checkpoint of that
-        group, in the order of the texts given to rows; score_norm z-scores
-        each side's row before the sum's argmax labels it."""
+        group, in the order of the texts given to rows: the semantic and
+        distributed sides, zeros where rows has None; inference.mode_scores
+        labels them for each mode."""
         n = sum(len(where) for _, where, _, _ in rows)
         sem, dis = np.zeros((n, 3)), np.zeros((n, 3))
         for name, where, sem_rows, dis_rows in rows:
             sem[where], dis[where] = inference.score_batch(
                 sem_rows, dis_rows, self.checkpoint(name, trial),
                 slope=self.config.leaky_slope)
-        if score_norm:
-            sem, dis = inference.zscore_rows(sem), inference.zscore_rows(dis)
-        return Scores(sem, dis, inference.argmax_labels(sem + dis))
+        return sem, dis
 
     def training_graph(self, name: str, trial: int) -> tuple[
             cpa.CpaModel, list[Example], graph.BipartiteLaplacian]:

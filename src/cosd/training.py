@@ -635,7 +635,7 @@ def build_groups(dataset: Dataset, store: EncoderStore, config: RunConfig
 def _val_metrics(data: GroupData, model: cpa.CpaModel, config: RunConfig):
     """(macf, micf, preds) on the val split, current params: MacF and the
     predictions of full mode, and MicF per scoring mode. Each side is
-    scored once; an ablation's labels are the argmax of the side it keeps."""
+    scored once, and inference.mode_scores labels it for every mode."""
     micf = dict.fromkeys(inference.MODES, 0.0)
     if not data.val:
         return 0.0, micf, []
@@ -643,9 +643,8 @@ def _val_metrics(data: GroupData, model: cpa.CpaModel, config: RunConfig):
     targets = [ex.target for ex in data.val]
     sem, dis = inference.score_batch(data.sem_val, data.dis_val, model,
                                      slope=config.leaky_slope)
-    for mode, total in (("no_sem", dis), ("no_dis", sem),
-                        ("full", sem + dis)):  # full's preds are kept
-        preds = inference.argmax_labels(total)
+    for mode in ("no_sem", "no_dis", "full"):  # full's preds are kept
+        preds = inference.mode_scores(sem, dis, mode).predicted
         macf, micf[mode] = metrics.macro_micro(preds, golds, targets)
     return macf, micf, preds
 

@@ -228,14 +228,13 @@ def e2e(tmp_path_factory):
     golds = [ex.stance for ex in test_ex]
     targets = [ex.target for ex in test_ex]
 
-    def micf(total):
-        return macro_micro(inference.argmax_labels(total), golds, targets)[1]
+    def micf(mode):
+        preds = inference.mode_scores(sem, dis, mode).predicted
+        return macro_micro(preds, golds, targets)[1]
 
     majority = Counter(ex.stance for ex in dataset.train_pool()).most_common(1)[0][0]
     return {
-        "full": micf(sem + dis),
-        "no_sem": micf(dis),
-        "no_dis": micf(sem),
+        **{mode: micf(mode) for mode in inference.MODES},
         "baseline": macro_micro([majority] * len(golds), golds, targets)[1],
         "elapsed": elapsed,
         "epochs": config.epochs,

@@ -42,6 +42,13 @@ def _config(argv):
     return build_config(build_parser().parse_args(argv))
 
 
+def _scores(run, texts, trial, mode="full", norm=False):
+    """The run's scores and labels of texts in one mode, as predict gives
+    them."""
+    return cosd.inference.mode_scores(
+        *run.score(run.rows(texts, [mode]), trial), mode, norm)
+
+
 # --- config layer -----------------------------------------------------------------
 
 
@@ -270,7 +277,7 @@ def test_train_run_layout(run_dir, tmp_path, monkeypatch):
     # every name has moved, a copy at the moved names scores as the run
     run = RunDir(run_dir)
     texts = run.corpus(Split.VAL).examples
-    want = [run.score(run.rows(texts), trial) for trial in (1, 2)]
+    want = [_scores(run, texts, trial) for trial in (1, 2)]
     moved = tmp_path / "moved"
     for role, rel in list(layout.items()):
         for name in names[role]:
@@ -280,7 +287,7 @@ def test_train_run_layout(run_dir, tmp_path, monkeypatch):
         monkeypatch.setitem(layout, role, f"moved-{rel}")
     run = RunDir(moved)
     for trial, scores in zip((1, 2), want):
-        got = run.score(run.rows(texts), trial)
+        got = _scores(run, texts, trial)
         assert got.predicted == scores.predicted
         assert np.array_equal(got.sem, scores.sem)
         assert np.array_equal(got.dis, scores.dis)
@@ -1503,14 +1510,14 @@ def test_predict_labels_equal_eval_predictions(two_target_run, tmp_path,
 
     # eval scores the split's texts in file order; record its predictions
     evaluated = []
-    original = RunDir.score
+    original = cosd.inference.mode_scores
 
     def recording(*args, **kwargs):
         scores = original(*args, **kwargs)
         evaluated.extend(label.value for label in scores.predicted)
         return scores
 
-    monkeypatch.setattr(RunDir, "score", recording)
+    monkeypatch.setattr(cosd.inference, "mode_scores", recording)
     assert main(["eval", "--run", str(run), "--split", "test"] + extra) == 0
     assert evaluated == [r[1] for r in rows]
     assert np.isfinite([float(x) for r in rows for x in r[2:]]).all()
@@ -1595,12 +1602,11 @@ def test_run_dir_scores_interleaved_targets_in_input_order(two_target_run):
     texts = run.corpus(Split.TEST).examples
     assert [ex.target for ex in texts[:4]] == ["Synthetic Policy", OTHER] * 2
     for mode, norm in (("full", False), ("no_dis", True)):
-        scores = run.score(run.rows(texts, mode), 1, norm)
+        scores = _scores(run, texts, 1, mode, norm)
         assert len(scores.predicted) == len(texts)
         for name in run.groups:
             at = [i for i, ex in enumerate(texts) if ex.target == name]
-            alone = run.score(run.rows([texts[i] for i in at], mode), 1,
-                              norm)
+            alone = _scores(run, [texts[i] for i in at], 1, mode, norm)
             for got, want in zip(scores, alone):
                 if isinstance(want, list):
                     assert [got[i] for i in at] == want
@@ -1613,7 +1619,7 @@ def test_run_dir_rows_rejects_an_unknown_mode(run_dir):
     texts = run.corpus(Split.TEST).examples
     with pytest.raises(cosd.inference.InferenceError,
                        match="unknown mode 'nope'"):
-        run.rows(texts, "nope")
+        run.rows(texts, ["nope"])
 
 
 def _oracle_scores(run, texts, trial, mode, norm):
@@ -1621,7 +1627,7 @@ def _oracle_scores(run, texts, trial, mode, norm):
     zeros the side the mode drops."""
     n = len(texts)
     sem, dis = np.zeros((n, 3)), np.zeros((n, 3))
-    for name, where, sem_rows, dis_rows in run.rows(texts, "full"):
+    for name, where, sem_rows, dis_rows in run.rows(texts, ["full"]):
         model = run.checkpoint(name, trial)
         slope = run.config.leaky_slope
         group_sem = cosd.inference.semantic_scores(sem_rows, model.z)
@@ -1634,8 +1640,8 @@ def _oracle_scores(run, texts, trial, mode, norm):
         elif mode == "no_dis":
             group_dis = np.zeros_like(group_dis)
         sem[where], dis[where] = group_sem, group_dis
-    return cosd.rundir.Scores(sem, dis,
-                              cosd.inference.argmax_labels(sem + dis))
+    return cosd.inference.Scores(sem, dis,
+                                 cosd.inference.argmax_labels(sem + dis))
 
 
 @pytest.mark.parametrize("mode", ["full", "no_sem", "no_dis"])
@@ -1645,11 +1651,49 @@ def test_rows_of_a_mode_score_as_both_sides_zeroed(run_dir, two_target_run,
     for path in (run_dir, two_target_run[1]):
         run = RunDir(path)
         texts = run.corpus(Split.TEST).examples
-        got = run.score(run.rows(texts, mode), 1, norm)
+        got = _scores(run, texts, 1, mode, norm)
         want = _oracle_scores(run, texts, 1, mode, norm)
         for field in ("sem", "dis"):
             assert np.array_equal(getattr(got, field), getattr(want, field))
         assert got.predicted == want.predicted
+
+
+def _eval_outputs(run, argv, capsys):
+    """The stdout and the report files of one eval call on run, whose eval
+    reports are removed before the call and after it."""
+    for old in run.glob("report-*-*"):
+        old.unlink()
+    assert main(["eval", "--run", str(run)] + argv) == 0
+    reports = {path.name: path.read_bytes()
+               for path in run.glob("report-*-*")}
+    for path in run.glob("report-*-*"):
+        path.unlink()
+    return capsys.readouterr().out, reports
+
+
+@pytest.mark.parametrize("modes", [["full", "no_sem", "no_dis"],
+                                   ["no_sem", "no_dis"]])
+def test_a_multi_mode_eval_equals_its_single_mode_calls(
+        run_dir, two_target_run, tmp_path, capsys, modes):
+    for k, path in enumerate((run_dir, two_target_run[1])):
+        run = tmp_path / f"run-{k}"
+        shutil.copytree(path, run)
+        for split in ("train", "val", "test"):
+            for norm in ([], ["--score-norm"]):
+                argv = ["--split", split] + norm
+                out, reports = "", {}
+                for mode in modes:
+                    one_out, one_reports = _eval_outputs(
+                        run, argv + ["--mode", mode], capsys)
+                    out += one_out
+                    reports.update(one_reports)
+                assert len(reports) == 2 * len(modes)
+                assert _eval_outputs(run, argv + ["--mode", *modes],
+                                     capsys) == (out, reports)
+        # a repeated mode is an error before anything is scored or written
+        _expect_failure(["eval", "--run", str(run), "--mode", "full",
+                         "full"], capsys, needle="--mode repeats a mode")
+        assert not list(run.glob("report-*-*"))
 
 
 def _count_calls(monkeypatch):
@@ -1672,19 +1716,24 @@ def _count_calls(monkeypatch):
     ("full", set()),
     ("no_dis", {"fold_in_sets", "load_lda"}),
     ("no_sem", {"load_embeddings", "semantic_matrix"}),
+    ("no_sem no_dis", set()),
 ])
 def test_scoring_commands_skip_the_side_their_mode_drops(
         run_dir, synth_small, tmp_path, monkeypatch, mode, skipped):
     root, _ = synth_small
     calls = _count_calls(monkeypatch)
-    # one group: one triple of topic models, one call of everything else
+    # one group: one triple of topic models, one call of everything else,
+    # however many modes read them
     wanted = {"fold_in_sets": 1, "load_lda": 3, "load_embeddings": 1,
               "semantic_matrix": 1}
-    for argv in (["eval", "--run", str(run_dir), "--split", "test"],
-                 ["predict", "--run", str(run_dir), "--in",
-                  str(root / "test.tsv"), "--out", str(tmp_path / "p.tsv")]):
+    commands = [["eval", "--run", str(run_dir), "--split", "test"]]
+    if " " not in mode:  # predict takes one mode
+        commands.append(["predict", "--run", str(run_dir), "--in",
+                         str(root / "test.tsv"), "--out",
+                         str(tmp_path / "p.tsv")])
+    for argv in commands:
         calls.clear()
-        assert main(argv + ["--mode", mode]) == 0
+        assert main(argv + ["--mode", *mode.split()]) == 0
         assert calls == {name: count for name, count in wanted.items()
                          if name not in skipped}
 
@@ -1747,10 +1796,10 @@ def test_log_val_micf_per_mode_equals_eval_at_the_best_epoch(run_dir):
     header, *rows = (run_dir / "trial-1" / f"{SLUG}.log.csv").read_text(
         encoding="utf-8").strip().splitlines()
     best = dict(zip(header.split(","), rows[meta["best_epoch"] - 1].split(",")))
+    assert main(["eval", "--run", str(run_dir), "--split", "val",
+                 "--trial", "1", "--mode", "full", "no_sem", "no_dis"]) == 0
     for mode, column in (("full", "val_micf"), ("no_sem", "val_micf_no_sem"),
                          ("no_dis", "val_micf_no_dis")):
-        assert main(["eval", "--run", str(run_dir), "--split", "val",
-                     "--trial", "1", "--mode", mode]) == 0
         report = (run_dir / f"report-val-{mode}.csv").read_text(
             encoding="utf-8").strip().splitlines()
         assert report[1].split(",")[-1] == best[column]
@@ -1813,7 +1862,7 @@ def test_scoring_holds_one_record_besides_the_rows_it_builds(
                                   "embeddings"))
         tracemalloc.start()
         try:
-            rows = run.rows(texts, "no_dis")
+            rows = run.rows(texts, ["no_dis"])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1911,7 +1960,8 @@ def test_eval_of_a_carved_split_equals_a_report_over_the_full_load(
         assert texts
         rows = run.rows(texts)
         want = metrics.trial_report(
-            [run.score(rows, trial).predicted
+            [cosd.inference.mode_scores(*run.score(rows, trial),
+                                        "full").predicted
              for trial in (1, 2)],
             [ex.stance for ex in texts], [ex.target for ex in texts],
             dataset.targets, [1, 2])

@@ -183,6 +183,28 @@ class TestSemeval:
         assert ids(a) == ids(b)
         assert ids(a) != ids(c)
 
+    def test_val_carve_equals_a_carve_of_the_loaded_rows(self, semeval_dir):
+        """The oracle carves the examples of train.tsv after they are
+        built: per sorted target, one random.Random(seed) shuffle of its
+        row indexes, whose first sixth turns val."""
+        rows = read_splits(semeval_dir / "train.tsv", [Split.TEST]).examples
+        for seed in (0, 7, 8):
+            rng = random.Random(seed)
+            by_target = {}
+            for i, ex in enumerate(rows):
+                by_target.setdefault(ex.target, []).append(i)
+            val = set()
+            for target in sorted(by_target):
+                idx = by_target[target]
+                rng.shuffle(idx)
+                val.update(idx[: len(idx) // 6])
+            want = [dataclasses.replace(
+                ex, split=Split.VAL if i in val else Split.TRAIN)
+                for i, ex in enumerate(rows)]
+            got = read_splits(semeval_dir, [Split.TRAIN, Split.VAL],
+                              seed=seed).examples
+            assert got == want
+
 
 class TestUkp:
     def test_total_counts(self, ukp_dataset):

@@ -148,7 +148,7 @@ class Buffers:
     """One graph's node table e0 = [T; U; Z] and the arrays that propagate
     and batch_loss write, allocated once for its texts (the fixed text rows
     T, copied in here) and one model shape, so a training run allocates no
-    table-height array per mini-batch. Each forward copies the model's side
+    table-height array per step. Each forward copies the model's side
     rows [U; Z] into e0.
 
     Per hop k (input E^k of width d_k: d0 for the first hop, then d1):
@@ -234,7 +234,7 @@ def propagate(texts: np.ndarray, model: CpaModel, lap: BipartiteLaplacian,
 
 
 class Step(NamedTuple):
-    """One mini-batch's ranking loss and its gradients."""
+    """One step's ranking loss and its gradients."""
 
     loss: float
     g_side: np.ndarray
@@ -243,46 +243,40 @@ class Step(NamedTuple):
 
 
 def batch_loss(model: CpaModel, buf: Buffers, lap: BipartiteLaplacian,
-               batch: np.ndarray, gold: np.ndarray, negs: np.ndarray,
+               gold: np.ndarray, negs: np.ndarray,
                slope: float = 0.01) -> Step:
-    """One mini-batch's loss and its gradients for (side, w1, w2), over
-    buf's texts and the model's current side rows.
+    """One full step's loss and its gradients for (side, w1, w2), over
+    every one of buf's texts and the model's current side rows.
 
     The final rep of a node is [E^0 | E^1 | ... | E^l] over the propagated
-    hops. With v a batch text's rep and z its gold (z+) or negative (z-)
-    label node's, the loss is the mean over batch rows and negatives of
-    -log sigmoid(v.z+ - v.z-). batch: (B,) text rows; gold: (B,) and negs:
-    (B, J) label indices, 0..2 in label order.
+    hops. With v a text's rep and z its gold (z+) or negative (z-) label
+    node's, the loss is the mean over texts and negatives of
+    -log sigmoid(v.z+ - v.z-). gold: (n,) and negs: (n, J) label indices
+    of buf's n texts, 0..2 in label order.
 
-    Every v.z is read from the (B, 3) label scores S = sum_k V_k Z_k^T, with
-    V_k the batch rows of layer k and Z_k its three label rows, so a call
-    allocates only batch-by-width arrays.
+    Every v.z is read from the (n, 3) label scores S = sum_k V_k Z_k^T,
+    with V_k the text rows of layer k (a view) and Z_k its three label
+    rows, so a call allocates only text-by-3 and label-by-width arrays.
 
     The gradients are views into buf and hold until the next call with the
     same buffers overwrites them.
     """
-    batch, gold = np.asarray(batch), np.asarray(gold)
-    negs = np.asarray(negs)
-    b = len(batch)
-    if b == 0:
-        raise CpaError("empty batch")
-    if (gold.shape != (b,) or negs.ndim != 2 or negs.shape[0] != b
-            or negs.shape[1] < 1):
-        raise CpaError(f"batch {batch.shape}, gold {gold.shape} and "
-                       f"negatives {negs.shape} disagree")
+    gold, negs, n = np.asarray(gold), np.asarray(negs), buf.n
+    if (not n or gold.shape != (n,) or negs.ndim != 2
+            or negs.shape[0] != n or negs.shape[1] < 1):
+        raise CpaError(f"{n} texts, gold {gold.shape} and negatives "
+                       f"{negs.shape} disagree")
     labels = np.concatenate([gold, *negs.T])
-    n = buf.n
-    if not (0 <= batch.min() <= batch.max() < n
-            and 0 <= labels.min() <= labels.max() < 3):
-        raise CpaError("batch row out of range")
+    if not 0 <= labels.min() <= labels.max() < 3:
+        raise CpaError("label index out of range")
     _forward(model, lap, slope, buf)
     layers = [buf.e0] + buf.layers
 
     # forward: the label scores; the label nodes are the last three rows
-    vs = [layer[batch] for layer in layers]
+    vs = [layer[:n] for layer in layers]
     zs = [layer[-3:] for layer in layers]
     scores = sum(v @ z.T for v, z in zip(vs, zs))
-    rows = np.arange(b)
+    rows = np.arange(n)
     pos = scores[rows, gold][:, None]
     margins = [pos - scores[rows, neg][:, None] for neg in negs.T]
     acc = np.logaddexp(0.0, -margins[0])
@@ -291,7 +285,7 @@ def batch_loss(model: CpaModel, buf: Buffers, lap: BipartiteLaplacian,
     loss = (acc * (1.0 / len(margins))).mean()
 
     # backward to the scores; d(-log sigmoid(m))/dm = -sigmoid(-m)
-    coef = (1.0 / b) * (1.0 / len(margins)) * -1.0
+    coef = (1.0 / n) * (1.0 / len(margins)) * -1.0
     g_margins = [coef * np.exp(-np.logaddexp(0.0, m)) for m in margins]
     one_hot = np.eye(3)
     g_scores = one_hot[gold] * sum(g_margins[1:], g_margins[0])
@@ -299,10 +293,9 @@ def batch_loss(model: CpaModel, buf: Buffers, lap: BipartiteLaplacian,
         g_scores -= one_hot[neg] * g
 
     def add_scored(g_layer: np.ndarray, k: int) -> None:
-        # layer k's own score terms: dS Z_k into the batch rows (a text may
-        # repeat within a batch, so they accumulate), dS^T V_k into the
-        # label rows
-        np.add.at(g_layer, batch, g_scores @ zs[k])
+        # layer k's own score terms: dS Z_k into the text rows (formed in
+        # narrow, free at both calls), dS^T V_k into the label rows
+        g_layer[:n] += np.matmul(g_scores, zs[k], out=buf.narrow[:n])
         g_layer[-3:] += g_scores.T @ vs[k]
 
     # backward through the hops, last to first. With G = d loss / d pre

@@ -131,9 +131,11 @@ def dropout_graph(lap: BipartiteLaplacian, rate: float,
     Edge dropout zeroes entries of the two blocks independently (so the two
     directions of an edge drop independently) and rescales survivors by
     1/(1 - rate) so the propagated expectation is unchanged; node dropout
-    then samples nodes and zeroes their rows and columns in both blocks.
-    Draw order: the to_text mask, the to_side mask, then the node mask;
-    rate 0 draws nothing, so the caller's later draws are as they were.
+    then samples nodes and zeroes their rows and columns in both blocks,
+    except the three label nodes (the last rows), which a step ranks every
+    text against. Draw order: the to_text mask, the to_side mask, then the
+    node mask; rate 0 draws nothing, so the caller's later draws are as
+    they were.
     """
     if not 0.0 <= rate < 1.0:
         raise GraphError(f"rate must be in [0, 1), got {rate}")
@@ -143,6 +145,7 @@ def dropout_graph(lap: BipartiteLaplacian, rate: float,
     to_text = np.where(rng.random(shape) >= rate, lap.to_text / survive, 0.0)
     to_side = np.where(rng.random(shape) >= rate, lap.to_side / survive, 0.0)
     alive = rng.random(lap.rows) >= rate
+    alive[lap.n_text:][-3:] = True  # the label nodes
     keep = np.outer(alive[:lap.n_text], alive[lap.n_text:])
     return BipartiteLaplacian(np.where(keep, to_text, 0.0),
                               np.where(keep, to_side, 0.0))

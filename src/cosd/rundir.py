@@ -211,7 +211,10 @@ class RunDir:
                               f"{self.path}")
         doc = _read_json_object(manifest)
         try:
-            config = RunConfig(**doc["config"])
+            settings = doc["config"]
+            if isinstance(settings, dict):  # retired with mini-batch steps
+                settings.pop("batch_size", None)
+            config = RunConfig(**settings)
             config.data = doc["data"]
             config.embeddings = doc["embeddings"]
             groups = doc["groups"]

@@ -402,7 +402,6 @@ class RunConfig:
     lr_cpa: float = 1e-5
     lr_embed: float = 1e-4
     dropout: float = 0.1
-    batch_size: int = 32
     epochs: int = 50
     seed: int = 0
     trials: int = 3
@@ -427,10 +426,10 @@ class RunConfig:
                 raise ConfigError(f"{f.name} = {value!r} is not finite")
         if self.dataset not in DATASETS:
             raise ConfigError(f"unknown dataset kind {self.dataset!r}")
-        for name, low in (("epochs", 1), ("batch_size", 1), ("h", 1),
-                          ("trials", 1), ("lda_sweeps", 1),
-                          ("fold_in_sweeps", 1), ("d1", 1),
-                          ("hops", 0), ("alpha", 0), ("seed", 0)):
+        for name, low in (("epochs", 1), ("h", 1), ("trials", 1),
+                          ("lda_sweeps", 1), ("fold_in_sweeps", 1),
+                          ("d1", 1), ("hops", 0), ("alpha", 0),
+                          ("seed", 0)):
             if getattr(self, name) < low:
                 raise ConfigError(f"need {name} >= {low}, got "
                                   f"{getattr(self, name)}")
@@ -652,11 +651,12 @@ def _val_metrics(data: GroupData, model: cpa.CpaModel, config: RunConfig):
 def train_group(data: GroupData, store: EncoderStore, config: RunConfig,
                 trial_seed: int) -> GroupResult:
     """Train one group's graph model; keep a copy of the best-val epoch's.
-    The text rows are the pool's semantic rows, fixed in the buffers; Adam
-    updates the model in place: the topic and label rows and the weights."""
+    The text rows are the pool's semantic rows, fixed in the buffers. Each
+    epoch is one step over every pool text on that epoch's dropout graph,
+    and Adam updates the model in place: the topic and label rows and the
+    weights."""
     began = time.perf_counter()
     val_s = 0.0
-    n = len(data.pool)
     model = cpa.init_model(
         data.triple.h, store.label_matrix(),
         seed=derive_seed(trial_seed, 1, data.group),
@@ -676,23 +676,18 @@ def train_group(data: GroupData, store: EncoderStore, config: RunConfig,
         rng = np.random.default_rng(
             derive_seed(trial_seed, 3, data.group, epoch))
         lap = graph.dropout_graph(data.lap, config.dropout, rng)
-        order = rng.permutation(n)
-        loss = 0.0
-        for start in range(0, n, config.batch_size):
-            batch = order[start:start + config.batch_size]
-            step = cpa.batch_loss(model, buffers, lap, batch, gold[batch],
-                                  negs[batch], slope=config.leaky_slope)
-            # the gradients live in buffers until the next batch_loss call
-            adam_step(adam_embed, [step.g_side])
-            adam_step(adam_cpa, step.g_w1 + step.g_w2)
-            loss += step.loss * len(batch)
+        step = cpa.batch_loss(model, buffers, lap, gold, negs,
+                              slope=config.leaky_slope)
+        # the gradients live in buffers until the next batch_loss call
+        adam_step(adam_embed, [step.g_side])
+        adam_step(adam_cpa, step.g_w1 + step.g_w2)
 
         val_start = time.perf_counter()
         macf, micf, preds = _val_metrics(data, model, config)
         val_s += time.perf_counter() - val_start
         log_rows.append(dict(zip(
             [name for name, _ in LOG_COLUMNS],
-            (epoch, loss / n, macf, micf["full"], micf["no_sem"],
+            (epoch, step.loss, macf, micf["full"], micf["no_sem"],
              micf["no_dis"]))))
         if best is None or micf["full"] > best[0]:
             best = (micf["full"], epoch, model.copy(), preds)
@@ -722,9 +717,9 @@ def train(dataset: Dataset, store: EncoderStore,
     order; returns the group records, the trials' results, a val report and
     build_groups' figures of the topic fit and the fold-in.
 
-    Trials shift only the collaborative-training seed (inits, dropout, batch
-    order); the topic models are fixed by the base seed, the fold-in
-    distributions by the topic models, and both are shared across trials.
+    Trials shift only the collaborative-training seed (inits and dropout);
+    the topic models are fixed by the base seed, the fold-in distributions
+    by the topic models, and both are shared across trials.
     """
     absent = missing_ids(store, dataset)
     if absent:

@@ -102,12 +102,11 @@ def test_criterion_2_gradients_match_finite_differences(capsys):
     model = CpaModel(side=e0[n_text:].copy(), w1=weights[0], w2=weights[1],
                      h=h)
     buffers = Buffers(e0[:n_text], model)
-    batch = np.array([0, 1, 2, 3])
-    gold = np.array([0, 1, 2, 0])
+    gold = np.array([0, 1, 2, 0, 1, 2])
     negs = np.array([[j for j in range(3) if j != g] for g in gold])
 
     def full_loss():
-        return batch_loss(model, buffers, lap, batch, gold, negs)
+        return batch_loss(model, buffers, lap, gold, negs)
 
     # kink margin: h = 1e-5 perturbations cannot cross an activation zero
     dense = np.zeros((lap.rows, lap.rows))
@@ -211,8 +210,8 @@ def e2e(tmp_path_factory):
     dataset = load_semeval(out, seed=13)
     store = load_embeddings(paths["embeddings"])
     target = dataset.targets[0]
-    config = RunConfig(epochs=10, batch_size=32, hops=2, h=3, seed=17,
-                       trials=1, lda_sweeps=300, fold_in_sweeps=50, d1=64)
+    config = RunConfig(epochs=10, hops=2, h=3, seed=17, trials=1,
+                       lda_sweeps=300, fold_in_sweeps=50, d1=64)
     result = train(dataset, store, config)
 
     (group,) = result.groups
@@ -266,8 +265,8 @@ def test_criterion_7_byte_identical_reports(capsys, synth_small,
     flags = ["--dataset", "synthetic", "--data", str(root),
              "--embeddings", str(paths["embeddings"]),
              "--h", "2", "--hops", "2", "--lda-sweeps", "40",
-             "--fold-in-sweeps", "10", "--epochs", "3", "--batch-size", "16",
-             "--trials", "2", "--d1", "8", "--seed", "5"]
+             "--fold-in-sweeps", "10", "--epochs", "3", "--trials", "2",
+             "--d1", "8", "--seed", "5"]
     outputs = []
     for run in ("a", "b"):
         run_dir = base / run

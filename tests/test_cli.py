@@ -168,8 +168,8 @@ RUN_FLAGS = {"--run", "--trial"}
 TRAIN_OWN = {"--config", "--dataset", "--data", "--embeddings", "--out-dir",
              "--h", "--hops", "--alpha", "--beta", "--lda-sweeps",
              "--fold-in-sweeps", "--lr-cpa", "--lr-embed", "--dropout",
-             "--batch-size", "--epochs", "--seed", "--trials", "--d1",
-             "--leaky-slope", "--joint"}  # one per RunConfig key
+             "--epochs", "--seed", "--trials", "--d1", "--leaky-slope",
+             "--joint"}  # one per RunConfig key
 
 
 @pytest.mark.parametrize("command, own, argv", [
@@ -222,9 +222,8 @@ def test_main_reuses_one_parser_after_a_usage_error(capsys):
 
 
 TRAIN_FLAGS = ["--h", "2", "--hops", "2", "--lda-sweeps", "40",
-               "--fold-in-sweeps", "10", "--epochs", "3",
-               "--batch-size", "16", "--trials", "2", "--d1", "8",
-               "--seed", "5"]
+               "--fold-in-sweeps", "10", "--epochs", "3", "--trials", "2",
+               "--d1", "8", "--seed", "5"]
 
 
 @pytest.fixture(scope="module")
@@ -817,6 +816,43 @@ def test_eval_on_malformed_manifest(run_dir, tmp_path, capsys, edit):
             assert said in err
         elif edit == "no_targets":
             assert "missing key 'targets'" in err
+
+
+def test_a_run_trained_with_mini_batches_still_scores(run_dir, synth_small,
+                                                     tmp_path, capsys):
+    # run.json of a run trained before full-graph steps holds batch_size,
+    # the one retired key that is dropped
+    root, _ = synth_small
+    copy = tmp_path / "run"
+    shutil.copytree(run_dir, copy)
+    doc = json.loads((copy / "run.json").read_text(encoding="utf-8"))
+    doc["config"]["batch_size"] = 32
+    (copy / "run.json").write_text(json.dumps(doc), encoding="utf-8")
+    for argv in (["eval", "--split", "test"],
+                 ["predict", "--in", str(root / "test.tsv"),
+                  "--out", str(tmp_path / "p.tsv")],
+                 ["inspect"]):
+        assert main(argv + ["--run", str(copy)]) == 0
+        assert capsys.readouterr().err == ""
+    assert RunDir(copy).config == RunDir(run_dir).config
+
+
+def test_train_rejects_the_retired_batch_size(synth_small, tmp_path, capsys):
+    root, paths = synth_small
+    argv = ["train", "--dataset", "synthetic", "--data", str(root),
+            "--embeddings", str(paths["embeddings"]),
+            "--out-dir", str(tmp_path / "r")] + TRAIN_FLAGS
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--batch-size", "16"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        "cosd: error: unrecognized arguments: --batch-size 16"]
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("batch_size = 32\n", encoding="utf-8")
+    _expect_failure(argv + ["--config", str(cfg)], capsys,
+                    needle="unknown config key 'batch_size'")
+    assert not (tmp_path / "r").exists()
 
 
 def test_interrupted_train_writes_no_manifest(run_dir, synth_small, tmp_path,

@@ -5,9 +5,10 @@ batched hop must equal an explicit per-neighbor message loop (self term +
 discounted messages, elementwise interaction included) on random unit-weight
 bipartite graphs. Fused vs tape equivalence: batch_loss's hand-derived
 gradients must equal the autodiff tape's (tape.py) on random graphs. Both
-oracles also run at acceptance scale elsewhere. batch_loss's label-score
-form is also checked against the gathered-rows loss it replaced
-(_gathered_batch_loss), at random and acceptance sizes.
+oracles also run at acceptance scale elsewhere. batch_loss's full step, one
+label-score pass over every text, is also checked against the gathered-rows
+mini-batch loss it replaced (_gathered_batch_loss) over all rows, in order
+and permuted, at random and acceptance sizes.
 """
 
 import struct
@@ -257,7 +258,7 @@ def test_propagate_gradients_reach_all_parameters():
     gold = np.array([0, 1, 2])
     negs = np.array([[1, 2], [0, 2], [0, 1]])
     _, g_side, g_w1, g_w2 = batch_loss(model, Buffers(texts, model), lap,
-                                       np.arange(3), gold, negs)
+                                       gold, negs)
     assert g_side.shape == model.side.shape and np.abs(g_side).sum() > 0
     # hop weights reach every node row through propagation
     assert np.abs(g_side[:3]).sum() > 0
@@ -266,8 +267,8 @@ def test_propagate_gradients_reach_all_parameters():
 
 
 def _random_case(rng, hops, rate):
-    """A model, its texts, a random graph and a batch (text rows, gold and
-    negative label indices) whose texts share label rows."""
+    """A model, its texts, a random graph and every text's gold and
+    negative label indices, some texts sharing a label row."""
     h = int(rng.integers(1, 3))
     n_text = int(rng.integers(4, 10))
     n_side = 3 * h + 3
@@ -278,12 +279,10 @@ def _random_case(rng, hops, rate):
     model = _model(side, *init_cpa_weights(d0=7, d1=4, hops=hops,
                                            seed=int(rng.integers(1000))),
                    h=h)
-    b = int(rng.integers(3, n_text + 1))
-    batch = rng.permutation(n_text)[:b]
-    gold = rng.integers(0, 3, size=b)
+    gold = rng.integers(0, 3, size=n_text)
     gold[:2] = gold[2]  # at least three texts share a gold label row
     negs = np.array([[j for j in range(3) if j != k] for k in gold])
-    return model, texts, lap, batch, gold, negs
+    return model, texts, lap, gold, negs
 
 
 def _tape_table(model, texts):
@@ -296,16 +295,16 @@ def _tape_table(model, texts):
 def test_batch_loss_matches_tape_oracle(hops, rate):
     rng = np.random.default_rng(100 * hops + int(10 * rate))
     for _ in range(5):
-        model, texts, lap, batch, gold, negs = _random_case(rng, hops, rate)
+        model, texts, lap, gold, negs = _random_case(rng, hops, rate)
         loss, g_side, g_w1, g_w2 = batch_loss(
-            model, Buffers(texts, model), lap, batch, gold, negs)
+            model, Buffers(texts, model), lap, gold, negs)
         e0 = _tape_table(model, texts)
         w1 = [Tensor(w, requires_grad=True) for w in model.w1]
         w2 = [Tensor(w, requires_grad=True) for w in model.w2]
         # the tape takes node rows: labels follow the texts and topics
         first = len(texts) + 3 * model.h
-        oracle = tape.batch_loss(e0, w1, w2, lap, batch, first + gold,
-                                 first + negs)
+        oracle = tape.batch_loss(e0, w1, w2, lap, np.arange(len(texts)),
+                                 first + gold, first + negs)
         tape.backward(oracle)
         assert abs(loss - oracle.data[0, 0]) <= 1e-12 * abs(oracle.data[0, 0])
         # the text rows are data: the side rows are e0's trained rows
@@ -317,9 +316,10 @@ def test_batch_loss_matches_tape_oracle(hops, rate):
             assert np.abs(got - ref).max() <= 1e-12 * scale
 
 
-# The gathered-rows loss batch_loss replaced, kept as its oracle: it gathers
-# every batch text's and label node's final rep, one copy per batch row, and
-# scatters their gradients back with np.add.at.
+# The gathered-rows mini-batch loss batch_loss replaced, kept as its oracle:
+# it gathers every batch text's and label node's final rep, one copy per
+# batch row, and scatters their gradients back with np.add.at. Over all text
+# rows, in any order, it is one full step.
 def _gathered_batch_loss(model: CpaModel, buf: Buffers,
                           lap: BipartiteLaplacian,
                           batch: np.ndarray, gold: np.ndarray,
@@ -413,15 +413,19 @@ def _gathered_batch_loss(model: CpaModel, buf: Buffers,
     return Step(float(loss), g_side, buf.g_w1, buf.g_w2)
 
 
-def _assert_matches_gathered(model, texts, lap, batch, gold, negs):
-    got = batch_loss(model, Buffers(texts, model), lap, batch, gold, negs)
-    ref = _gathered_batch_loss(model, Buffers(texts, model), lap, batch,
-                               gold, negs)
-    assert abs(got.loss - ref.loss) <= 1e-13 * abs(ref.loss)
+def _assert_matches_gathered(model, texts, lap, gold, negs, order=None,
+                             tol=1e-13):
+    """The full step equals the gathered oracle over every text row, taken
+    in `order` (default: row order), within tol relative."""
+    order = np.arange(len(texts)) if order is None else order
+    got = batch_loss(model, Buffers(texts, model), lap, gold, negs)
+    ref = _gathered_batch_loss(model, Buffers(texts, model), lap, order,
+                               gold[order], negs[order])
+    assert abs(got.loss - ref.loss) <= tol * abs(ref.loss)
     for a, b in zip([got.g_side] + got.g_w1 + got.g_w2,
                     [ref.g_side] + ref.g_w1 + ref.g_w2):
         # an all-zero gradient must be matched exactly
-        assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+        assert np.abs(a - b).max() <= tol * np.abs(b).max()
 
 
 @pytest.mark.parametrize("rate", [0.0, 0.1])
@@ -432,9 +436,20 @@ def test_batch_loss_matches_gathered_oracle(hops, rate):
         _assert_matches_gathered(*_random_case(rng, hops, rate))
 
 
-def _acceptance_case(rng, batch_size):
+@pytest.mark.parametrize("hops", [1, 2, 3])
+def test_batch_loss_matches_a_permuted_all_rows_batch(hops):
+    # the mean over the texts sums them in another order, so equal to
+    # rounding only
+    rng = np.random.default_rng(300 + hops)
+    for _ in range(5):
+        case = _random_case(rng, hops, 0.1)
+        _assert_matches_gathered(*case, order=rng.permutation(len(case[1])),
+                                 tol=1e-12)
+
+
+def _acceptance_case(rng):
     """600 texts, H = 3, the encoder width and two hops, as at acceptance
-    scale, and a batch of distinct texts with their label indices."""
+    scale, with every text's label indices."""
     n_text, h, d0 = 600, 3, 768
     n_side = 3 * h + 3
     m = np.where(rng.random((n_text, n_side)) < 0.5,
@@ -443,25 +458,13 @@ def _acceptance_case(rng, batch_size):
     texts, side = _split(rng.standard_normal((n_text + n_side, d0)), lap)
     model = _model(side, *init_cpa_weights(d0=d0, d1=64, hops=2, seed=1),
                    h=h)
-    batch = rng.permutation(n_text)[:batch_size]
-    gold = rng.integers(0, 3, size=batch_size)
+    gold = rng.integers(0, 3, size=n_text)
     negs = np.array([[j for j in range(3) if j != k] for k in gold])
-    return model, texts, lap, batch, gold, negs
+    return model, texts, lap, gold, negs
 
 
 def test_batch_loss_matches_gathered_oracle_at_acceptance_size():
-    _assert_matches_gathered(*_acceptance_case(np.random.default_rng(14),
-                                               128))
-
-
-def test_batch_loss_accumulates_a_repeated_text_row():
-    rng = np.random.default_rng(16)
-    model, texts, lap, batch, gold, negs = _random_case(rng, 3, 0.1)
-    # the first text twice, once under another gold label
-    batch = np.concatenate([batch, batch[:2], batch[:1]])
-    gold = np.concatenate([gold, gold[:2], (gold[:1] + 1) % 3])
-    negs = np.array([[j for j in range(3) if j != k] for k in gold])
-    _assert_matches_gathered(model, texts, lap, batch, gold, negs)
+    _assert_matches_gathered(*_acceptance_case(np.random.default_rng(14)))
 
 
 @pytest.mark.parametrize("rate", [0.0, 0.1])
@@ -483,12 +486,11 @@ def test_propagate_matches_tape_propagate(hops, rate):
 
 def test_reused_buffers_hold_no_stale_state():
     rng = np.random.default_rng(12)
-    model, texts, base, batch, gold, negs = _random_case(rng, 3, 0.0)
+    model, texts, base, gold, negs = _random_case(rng, 3, 0.0)
     laps = [dropout_graph(base, 0.2, rng) for _ in range(2)]
-    perm = rng.permutation(len(batch))
-    cases = [(laps[0], batch, gold, negs),
-             (laps[1], batch[perm], gold[perm], negs[perm]),
-             (laps[0], batch[:2], gold[:2], negs[:2])]
+    perm = rng.permutation(len(gold))
+    cases = [(laps[0], gold, negs), (laps[1], gold[perm], negs[perm]),
+             (laps[0], gold, negs)]
     buffers = Buffers(texts, model)
     for case in cases:
         reused = batch_loss(model, buffers, *case)
@@ -503,13 +505,13 @@ def test_reused_buffers_hold_no_stale_state():
 
 def test_reused_buffers_follow_the_models_side_rows():
     rng = np.random.default_rng(15)
-    model, texts, lap, batch, gold, negs = _random_case(rng, 2, 0.1)
+    model, texts, lap, gold, negs = _random_case(rng, 2, 0.1)
     buffers = Buffers(texts, model)
-    first = batch_loss(model, buffers, lap, batch, gold, negs)
+    first = batch_loss(model, buffers, lap, gold, negs)
     # an update in place between two calls, as adam_step makes
     model.side -= 0.5 * first.g_side
-    reused = batch_loss(model, buffers, lap, batch, gold, negs)
-    fresh = batch_loss(model, Buffers(texts, model), lap, batch, gold, negs)
+    reused = batch_loss(model, buffers, lap, gold, negs)
+    fresh = batch_loss(model, Buffers(texts, model), lap, gold, negs)
     assert reused.loss != first.loss
     assert reused.loss == fresh.loss
     for got, ref in zip([reused.g_side] + reused.g_w1 + reused.g_w2,
@@ -519,49 +521,56 @@ def test_reused_buffers_follow_the_models_side_rows():
 
 
 def test_batch_loss_allocates_no_table_per_call():
-    model, texts, lap, batch, gold, negs = _acceptance_case(
-        np.random.default_rng(13), 32)
+    model, texts, lap, gold, negs = _acceptance_case(
+        np.random.default_rng(13))
     buffers = Buffers(texts, model)
-    batch_loss(model, buffers, lap, batch, gold, negs)
+    batch_loss(model, buffers, lap, gold, negs)
     tracemalloc.start()
     try:
-        batch_loss(model, buffers, lap, batch, gold, negs)
+        batch_loss(model, buffers, lap, gold, negs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # batch-by-width arrays only: no gathered copy of a label row and no
-    # table-wide scatter
+    # text-by-3 and label-by-width arrays only: no gathered copy of the
+    # text rows or of a label row, and no table-wide scatter
     assert peak < buffers.e0.nbytes / 8
 
 
 def test_batch_loss_validates_inputs():
     rng = np.random.default_rng(11)
-    model, texts, lap, batch, gold, negs = _random_case(rng, 2, 0.0)
+    model, texts, lap, gold, negs = _random_case(rng, 2, 0.0)
     buffers = Buffers(texts, model)
-    # an empty batch raises before the forward copies the side rows in
+    # labels for fewer texts than the buffers hold raise before the forward
+    # copies the side rows in
     before = buffers.e0.copy()
     shifted = model.copy()
     shifted.side += 1.0
-    with pytest.raises(CpaError, match="empty batch"):
-        batch_loss(shifted, buffers, lap, batch[:0], gold[:0], negs[:0])
+    with pytest.raises(CpaError, match="disagree"):
+        batch_loss(shifted, buffers, lap, gold[1:], negs[1:])
     assert np.array_equal(buffers.e0, before)
     with pytest.raises(CpaError):
-        batch_loss(model, buffers, lap, batch, gold[1:], negs)
+        batch_loss(model, buffers, lap, gold[1:], negs)
     with pytest.raises(CpaError):
-        batch_loss(model, buffers, lap, batch, gold, negs[:, :0])
+        batch_loss(model, buffers, lap, gold, negs[:, :0])
     with pytest.raises(CpaError):
-        batch_loss(model, buffers, lap, batch, gold + 3, negs)
+        batch_loss(model, buffers, lap, gold + 3, negs)
     with pytest.raises(CpaError):
-        batch_loss(model, buffers, lap, batch + len(texts), gold, negs)
+        batch_loss(model, buffers, lap, gold, negs - 3)
+    with pytest.raises(CpaError, match="disagree"):
+        batch_loss(model, Buffers(texts[:0], model),
+                   BipartiteLaplacian(np.zeros((0, len(model.side))),
+                                      np.zeros((0, len(model.side)))),
+                   gold[:0], negs[:0])
     inf = texts.copy()
-    inf[batch[0]] = np.inf
+    inf[0] = np.inf
     with np.errstate(all="ignore"):
         with pytest.raises(CpaError, match="non-finite"):
-            batch_loss(model, Buffers(inf, model), lap, batch, gold, negs)
-    other, other_texts = _random_case(np.random.default_rng(1), 3, 0.0)[:2]
+            batch_loss(model, Buffers(inf, model), lap, gold, negs)
+    other, other_texts, _, other_gold, other_negs = _random_case(
+        np.random.default_rng(1), 3, 0.0)
     with pytest.raises(CpaError, match="buffers"):
-        batch_loss(model, Buffers(other_texts, other), lap, batch, gold,
-                   negs)
+        batch_loss(model, Buffers(other_texts, other), lap, other_gold,
+                   other_negs)
 
 
 # --- the leaky ReLU and the per-graph text messages -------------------------
@@ -570,7 +579,9 @@ def test_batch_loss_validates_inputs():
 # product with exact multipliers and hop 0 kept the texts' messages to the
 # side rows per graph, kept as their oracle: every hop runs lap.matmul over
 # the whole table, and the leaky ReLU and its backward are masked multiplies,
-# np.multiply(..., slope, where=neg).
+# np.multiply(..., slope, where=neg). The loss is the mini-batch label-score
+# form, which gathers the batch rows and scatters into them with np.add.at;
+# called with every text row in order, it is bitwise the full step.
 
 
 def _masked_forward(model, lap, slope, buf):
@@ -661,8 +672,7 @@ def test_leaky_relu_is_bitwise_the_masked_form(slope, zeroed):
     rng = np.random.default_rng(int(100 * slope) + zeroed)
     for hops in (1, 2, 3):
         for _ in range(3):
-            model, texts, lap, batch, gold, negs = _random_case(rng, hops,
-                                                                0.1)
+            model, texts, lap, gold, negs = _random_case(rng, hops, 0.1)
             if zeroed:
                 # every hop's pre-activations in column 1 are exactly 0.0
                 for w in model.w1 + model.w2:
@@ -675,10 +685,10 @@ def test_leaky_relu_is_bitwise_the_masked_form(slope, zeroed):
             if zeroed:
                 assert all((layer[:, 1] == 0.0).all() for layer in ref.layers)
             _assert_steps_bitwise_equal(
-                batch_loss(model, Buffers(texts, model), lap, batch, gold,
-                           negs, slope),
-                _masked_batch_loss(model, Buffers(texts, model), lap, batch,
-                                   gold, negs, slope))
+                batch_loss(model, Buffers(texts, model), lap, gold, negs,
+                           slope),
+                _masked_batch_loss(model, Buffers(texts, model), lap,
+                                   np.arange(len(texts)), gold, negs, slope))
 
 
 @pytest.mark.parametrize("slope", [0.01, 1.0, 3.0])
@@ -697,25 +707,26 @@ def test_leaky_relu_keeps_signed_zeros_and_infinities(slope):
 
 
 def test_buffers_follow_a_new_graph():
-    # one Buffers runs batches on one dropout graph, then on a second, with
-    # an update between batches as in training: the texts' messages to the
-    # side rows are the second graph's, as in fresh buffers
+    # one Buffers runs steps on one dropout graph, then on a second, with
+    # an update between steps: the texts' messages to the side rows are the
+    # second graph's, as in fresh buffers
     rng = np.random.default_rng(19)
-    model, texts, base, batch, gold, negs = _random_case(rng, 3, 0.0)
+    model, texts, base, gold, negs = _random_case(rng, 3, 0.0)
     first, second = (dropout_graph(base, 0.3, rng) for _ in range(2))
     buffers = Buffers(texts, model)
     for lap in (first, first, second, second):
-        reused = batch_loss(model, buffers, lap, batch, gold, negs)
+        reused = batch_loss(model, buffers, lap, gold, negs)
         model.side -= 0.1 * reused.g_side
     fresh_buffers = Buffers(texts, model)
-    fresh = batch_loss(model, fresh_buffers, second, batch, gold, negs)
-    reused = batch_loss(model, buffers, second, batch, gold, negs)
+    fresh = batch_loss(model, fresh_buffers, second, gold, negs)
+    reused = batch_loss(model, buffers, second, gold, negs)
     _assert_steps_bitwise_equal(reused, fresh)
     for a, b in zip(buffers.layers, fresh_buffers.layers):
         assert _bitwise_equal(a, b)
-    # and both equal the masked oracle, which runs every product per batch
+    # and both equal the masked oracle, which runs every product per call
     _assert_steps_bitwise_equal(fresh, _masked_batch_loss(
-        model, Buffers(texts, model), second, batch, gold, negs, 0.01))
+        model, Buffers(texts, model), second, np.arange(len(texts)), gold,
+        negs, 0.01))
 
 
 # --- per-message oracle ----------------------------------------------------------

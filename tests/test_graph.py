@@ -209,6 +209,8 @@ def test_dropout_zero_rates_is_identity():
 
 @pytest.mark.parametrize("rate", [0.0, 0.1, 0.5, 0.9])
 def test_dropout_matches_two_rate_oracle(rate):
+    # outside the last three side columns, which hold the label nodes that
+    # dropout_graph keeps (test_dropout_keeps_the_label_nodes)
     for seed in range(6):
         rng = np.random.default_rng(seed)
         lap = laplacian(_random_adjacency(rng, int(rng.integers(1, 40)),
@@ -219,7 +221,7 @@ def test_dropout_matches_two_rate_oracle(rate):
         want = _two_rate_dropout(lap, rate, rate, want_rng)
         for a, b in ((got.to_text, want.to_text), (got.to_side, want.to_side)):
             assert (a.shape, a.dtype) == (b.shape, b.dtype)
-            assert a.tobytes() == b.tobytes()
+            assert a[:, :-3].tobytes() == b[:, :-3].tobytes()
         # the same draws: both generators are left in the same state
         assert (got_rng.bit_generator.state
                 == want_rng.bit_generator.state)
@@ -227,11 +229,40 @@ def test_dropout_matches_two_rate_oracle(rate):
 
 def _replay_masks(n_text, n_side, rate, seed):
     """The draws of dropout_graph, replayed: the to_text and to_side edge
-    keep-masks, then which text and side nodes drop."""
+    keep-masks, then which text and side nodes drop (never a label node,
+    one of the last three side nodes)."""
     rng = np.random.default_rng(seed)
     edge_kept = [rng.random((n_text, n_side)) >= rate for _ in range(2)]
     dropped = rng.random(n_text + n_side) < rate
+    dropped[n_text:][-3:] = False
     return edge_kept, dropped[:n_text], dropped[n_text:]
+
+
+@pytest.mark.parametrize("rate", [0.1, 0.9])
+def test_dropout_keeps_the_label_nodes(rate):
+    # against _two_rate_dropout at one rate, which is dropout_graph as it
+    # was before label nodes were kept, bit for bit
+    n_text, h = 40, 2
+    cut = 0  # blocks whose label columns the old dropout zeroed more of
+    for seed in range(20):
+        lap = laplacian(_random_adjacency(np.random.default_rng(seed),
+                                          n_text, 3 * h + 3, 0.8))
+        got = dropout_graph(lap, rate, np.random.default_rng(100 + seed))
+        old = _two_rate_dropout(lap, rate, rate,
+                                np.random.default_rng(100 + seed))
+        edge_kept, texts, sides = _replay_masks(n_text, 3 * h + 3, rate,
+                                                100 + seed)
+        assert not sides[-3:].any()
+        for a, b, block, kept in zip((got.to_text, got.to_side),
+                                     (old.to_text, old.to_side),
+                                     (lap.to_text, lap.to_side), edge_kept):
+            # every other entry is the old output's, bit for bit
+            assert a[:, :-3].tobytes() == b[:, :-3].tobytes()
+            # a label column keeps each kept edge of each surviving text
+            want = np.where(kept & ~texts[:, None], block / (1.0 - rate), 0.0)
+            assert a[:, -3:].tobytes() == want[:, -3:].tobytes()
+            cut += not np.array_equal(a[:, -3:], b[:, -3:])
+    assert cut > 0
 
 
 def test_dropout_edge_rate_binomial_bound_and_rescale():

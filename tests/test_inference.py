@@ -378,7 +378,7 @@ def trained(synth_small):
     root, paths = synth_small
     dataset = load_semeval(root)
     store = load_embeddings(paths["embeddings"])
-    config = RunConfig(epochs=4, batch_size=16, hops=2, h=2, seed=2,
+    config = RunConfig(epochs=4, hops=2, h=2, seed=2,
                        trials=1, lda_sweeps=40, fold_in_sweeps=10, d1=8,
                        dropout=0.1)
     (data,), _ = build_groups(dataset, store, config)

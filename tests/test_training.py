@@ -18,8 +18,8 @@ import pytest
 from conftest import record_rows
 import cosd.training
 from cosd import cpa, graph, inference, metrics
-from cosd.corpus import (Dataset, Example, Split, Stance, load_semeval,
-                         stance_subsets)
+from cosd.corpus import (LABELS, Dataset, Example, Split, Stance,
+                         load_semeval, stance_subsets)
 from cosd.synth import make_synthetic
 from cosd.topics import fit_triples, fold_in_sets, perplexity
 from cosd.training import (
@@ -717,7 +717,7 @@ def _assert_graph_of(data, dis_pool):
 
 
 def _config(**kw):
-    base = dict(epochs=3, batch_size=16, hops=2, h=2, seed=5, trials=2,
+    base = dict(epochs=3, hops=2, h=2, seed=5, trials=2,
                 lda_sweeps=30, fold_in_sweeps=10, d1=8, dropout=0.1)
     base.update(kw)
     return RunConfig(**base)
@@ -933,6 +933,47 @@ def test_train_group_text_rows_are_the_semantic_rows(synth_setup,
     assert not np.array_equal(seen[0][2], seen[-1][2])
 
 
+def test_train_group_takes_one_full_step_per_epoch(synth_setup, monkeypatch):
+    dataset, store, target, _ = synth_setup
+    config = _config(epochs=4)
+    data = _group(dataset, store, config)
+    steps, states = [], []
+    original = cpa.batch_loss
+
+    def counting(model, buf, lap, gold, negs, slope):
+        steps.append((lap, gold.copy()))
+        return original(model, buf, lap, gold, negs, slope=slope)
+
+    class Recording(AdamState):
+        def __init__(self, params, lr):
+            super().__init__(params, lr)
+            states.append(self)
+
+    monkeypatch.setattr(cpa, "batch_loss", counting)
+    monkeypatch.setattr(cosd.training, "AdamState", Recording)
+    train_group(data, store, config, trial_seed=7)
+    # one step per epoch over every pool text, in pool order
+    gold = [LABELS.index(ex.stance) for ex in data.pool]
+    assert len(steps) == config.epochs
+    assert all(list(g) == gold for _, g in steps)
+    assert [state.step_count for state in states] == [config.epochs] * 2
+    # each epoch's graph drops what the epoch's generator draws first, in
+    # the order the mini-batch trainer drew them: the to_text and to_side
+    # edge masks, then the node mask, whose label nodes are kept
+    n, rate = len(data.pool), config.dropout
+    for epoch, (lap, _) in enumerate(steps, 1):
+        rng = np.random.default_rng(derive_seed(7, 3, data.group, epoch))
+        edges = [rng.random(data.lap.to_text.shape) >= rate for _ in "ts"]
+        alive = rng.random(data.lap.rows) >= rate
+        alive[-3:] = True
+        keep = np.outer(alive[:n], alive[n:])
+        for got, block, kept in zip((lap.to_text, lap.to_side),
+                                    (data.lap.to_text, data.lap.to_side),
+                                    edges):
+            want = np.where(keep & kept, block / (1.0 - rate), 0.0)
+            assert got.tobytes() == want.tobytes()
+
+
 def _three_call_val_metrics(data, model, config):
     """(macf, micf, preds) of _val_metrics by one score_batch call per
     mode, each given only the rows its mode reads: the oracle."""
@@ -992,15 +1033,12 @@ def test_frozen_batch_step_decreases_loss(synth_setup):
     data = _group(dataset, store, config)
     model = cpa.init_model(2, store.label_matrix(), seed=1, d1=8, hops=2,
                            weight_seed=2)
-    from cosd.corpus import LABELS
-
-    batch = np.arange(4)
-    gold = np.array([LABELS.index(ex.stance) for ex in data.pool[:4]])
+    gold = np.array([LABELS.index(ex.stance) for ex in data.pool])
     negs = np.array([[j for j in range(3) if j != g] for g in gold])
     buffers = cpa.Buffers(data.sem_pool, model)
 
     def batch_loss():
-        return cpa.batch_loss(model, buffers, data.lap, batch, gold, negs)
+        return cpa.batch_loss(model, buffers, data.lap, gold, negs)
 
     # as in training, the text rows stay fixed
     adam_e = AdamState([model.side], lr=1e-7)

@@ -24,7 +24,7 @@
 # running it on two checkouts compares their sources on the same commands.
 # Every run is seeded, so two runs print the same bytes. The corpora and
 # run directories go to a temporary directory, removed on exit. One seed
-# set takes about 35 s on a 2-core host. It exits non-zero at the first
+# set takes about 6 s on a 2-core host. It exits non-zero at the first
 # command that does; a usage error exits 2.
 set -euo pipefail
 

@@ -233,6 +233,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
+    if args.attention_out and not args.export_attention:
+        raise ConfigError("--attention-out needs --export-attention")
     run = rundir.RunDir(args.run)
     trial = run.trials(args.trial)[0]
     group = run.group(args.group)

@@ -145,22 +145,20 @@ def _leaky_relu(x: np.ndarray, slope: float, neg: np.ndarray,
 
 
 class Buffers:
-    """One graph's node table e0 = [T; U; Z] and the arrays that propagate
-    and batch_loss write, allocated once for its texts (the fixed text rows
-    T, copied in here) and one model shape, so a training run allocates no
-    table-height array per step. Each forward copies the model's side
-    rows [U; Z] into e0.
+    """One text pool's node table e0 = [T; U; Z] and the arrays that
+    propagate and batch_loss write, allocated once for its texts (the fixed
+    text rows T, copied in here) and one model shape, so a training run
+    allocates no table-height array per step. Each forward copies the
+    model's side rows [U; Z] into e0.
 
     Per hop k (input E^k of width d_k: d0 for the first hop, then d1):
     layers[k] = E^{k+1}, nbr[k] = L E^k, prod[k] = E^k (*) L E^k,
     neg[k] = (pre-activation < 0) and grads[k] = d loss / d E^{k+1};
     g_side = d loss / d [U; Z], and g_w1[k], g_w2[k] the weight gradients.
     wide (d0) and narrow (d1) are one scratch per width. The backward
-    reuses nbr and prod as scratch once it has read them, except nbr[0]'s
-    side rows: the texts' messages to the side nodes depend only on the
-    fixed text rows and the graph, so a forward computes them only for a
-    Laplacian other than `graph`, the one they hold. A Laplacian's blocks
-    are never changed in place.
+    reuses nbr and prod as scratch once it has read them. Apart from T, a
+    call writes every array before it reads it, so no state carries over
+    from one call, or one graph, to the next.
     """
 
     def __init__(self, texts: np.ndarray, model: CpaModel):
@@ -180,7 +178,6 @@ class Buffers:
         self.g_w2 = [np.empty((w, d1)) for w in widths]
         self.wide = np.empty((rows, d0))
         self.narrow = np.empty((rows, d1))
-        self.graph = None
 
 
 def _forward(model: CpaModel, lap: BipartiteLaplacian, slope: float,
@@ -199,19 +196,11 @@ def _forward(model: CpaModel, lap: BipartiteLaplacian, slope: float,
     if lap.to_text.shape != (buf.n, len(model.side)):
         raise CpaError(f"laplacian blocks {lap.to_text.shape}, table has "
                        f"{buf.n} texts and {len(model.side)} side rows")
-    n, prev = buf.n, buf.e0
-    prev[n:] = model.side
+    prev = buf.e0
+    prev[buf.n:] = model.side
     for k, (a, b) in enumerate(zip(model.w1, model.w2)):
         nbr, prod, pre = buf.nbr[k], buf.prod[k], buf.layers[k]
-        if k == 0:
-            # lap.matmul; the texts' messages to the side rows, nbr[n:],
-            # only when the graph is not the one they were computed for
-            np.matmul(lap.to_text, prev[n:], out=nbr[:n])
-            if buf.graph is not lap:
-                np.matmul(lap.to_side.T, prev[:n], out=nbr[n:])
-                buf.graph = lap
-        else:
-            lap.matmul(prev, out=nbr)
+        lap.matmul(prev, out=nbr)
         np.multiply(prev, nbr, out=prod)
         np.matmul(prev, a, out=pre)
         pre += lap.matmul(pre, out=buf.narrow)
@@ -243,54 +232,48 @@ class Step(NamedTuple):
 
 
 def batch_loss(model: CpaModel, buf: Buffers, lap: BipartiteLaplacian,
-               gold: np.ndarray, negs: np.ndarray,
-               slope: float = 0.01) -> Step:
+               gold: np.ndarray, slope: float = 0.01) -> Step:
     """One full step's loss and its gradients for (side, w1, w2), over
     every one of buf's texts and the model's current side rows.
 
     The final rep of a node is [E^0 | E^1 | ... | E^l] over the propagated
-    hops. With v a text's rep and z its gold (z+) or negative (z-) label
-    node's, the loss is the mean over texts and negatives of
-    -log sigmoid(v.z+ - v.z-). gold: (n,) and negs: (n, J) label indices
-    of buf's n texts, 0..2 in label order.
+    hops. With v a text's rep, z+ its gold label node's and z- each of the
+    two other label nodes', the loss ranks gold above both rivals: the
+    mean over texts and rivals of -log sigmoid(v.z+ - v.z-). gold: (n,)
+    label indices of buf's n texts, 0..2 in label order.
 
     Every v.z is read from the (n, 3) label scores S = sum_k V_k Z_k^T,
     with V_k the text rows of layer k (a view) and Z_k its three label
-    rows, so a call allocates only text-by-3 and label-by-width arrays.
+    rows; a mask over S's columns picks each text's rivals. A call
+    allocates only text-by-3 and label-by-width arrays.
 
     The gradients are views into buf and hold until the next call with the
     same buffers overwrites them.
     """
-    gold, negs, n = np.asarray(gold), np.asarray(negs), buf.n
-    if (not n or gold.shape != (n,) or negs.ndim != 2
-            or negs.shape[0] != n or negs.shape[1] < 1):
-        raise CpaError(f"{n} texts, gold {gold.shape} and negatives "
-                       f"{negs.shape} disagree")
-    labels = np.concatenate([gold, *negs.T])
-    if not 0 <= labels.min() <= labels.max() < 3:
+    gold, n = np.asarray(gold), buf.n
+    if not n or gold.shape != (n,):
+        raise CpaError(f"{n} texts and gold labels {gold.shape} disagree")
+    if not 0 <= gold.min() <= gold.max() < 3:
         raise CpaError("label index out of range")
     _forward(model, lap, slope, buf)
     layers = [buf.e0] + buf.layers
 
-    # forward: the label scores; the label nodes are the last three rows
+    # forward: the label scores; the label nodes are the last three rows.
+    # A text's gold column holds margin 0 and is masked to an exact 0, so
+    # each row sums its two rival terms
     vs = [layer[:n] for layer in layers]
     zs = [layer[-3:] for layer in layers]
     scores = sum(v @ z.T for v, z in zip(vs, zs))
     rows = np.arange(n)
-    pos = scores[rows, gold][:, None]
-    margins = [pos - scores[rows, neg][:, None] for neg in negs.T]
-    acc = np.logaddexp(0.0, -margins[0])
-    for m in margins[1:]:
-        acc = acc + np.logaddexp(0.0, -m)
-    loss = (acc * (1.0 / len(margins))).mean()
+    rival = np.arange(3) != gold[:, None]
+    margins = scores[rows, gold][:, None] - scores
+    loss = ((np.logaddexp(0.0, -margins) * rival).sum(axis=1) * 0.5).mean()
 
     # backward to the scores; d(-log sigmoid(m))/dm = -sigmoid(-m)
-    coef = (1.0 / n) * (1.0 / len(margins)) * -1.0
-    g_margins = [coef * np.exp(-np.logaddexp(0.0, m)) for m in margins]
-    one_hot = np.eye(3)
-    g_scores = one_hot[gold] * sum(g_margins[1:], g_margins[0])
-    for g, neg in zip(g_margins, negs.T):
-        g_scores -= one_hot[neg] * g
+    coef = -0.5 / n
+    g_margins = coef * np.exp(-np.logaddexp(0.0, margins)) * rival
+    g_scores = np.negative(g_margins)
+    g_scores[rows, gold] = g_margins.sum(axis=1)
 
     def add_scored(g_layer: np.ndarray, k: int) -> None:
         # layer k's own score terms: dS Z_k into the text rows (formed in

@@ -664,7 +664,6 @@ def train_group(data: GroupData, store: EncoderStore, config: RunConfig,
         hops=config.resolved_hops())
 
     gold = np.array([LABELS.index(ex.stance) for ex in data.pool])
-    negs = np.array([[j for j in range(3) if j != g] for g in gold])
 
     adam_embed = AdamState([model.side], lr=config.lr_embed)
     adam_cpa = AdamState(model.w1 + model.w2, lr=config.lr_cpa)
@@ -676,7 +675,7 @@ def train_group(data: GroupData, store: EncoderStore, config: RunConfig,
         rng = np.random.default_rng(
             derive_seed(trial_seed, 3, data.group, epoch))
         lap = graph.dropout_graph(data.lap, config.dropout, rng)
-        step = cpa.batch_loss(model, buffers, lap, gold, negs,
+        step = cpa.batch_loss(model, buffers, lap, gold,
                               slope=config.leaky_slope)
         # the gradients live in buffers until the next batch_loss call
         adam_step(adam_embed, [step.g_side])

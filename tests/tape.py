@@ -335,7 +335,8 @@ def final_reps(e0: Tensor, layers: list[Tensor]) -> Tensor:
 def batch_loss(e0: Tensor, w1: list[Tensor], w2: list[Tensor],
                lap: BipartiteLaplacian, batch, gold, negs,
                slope: float = 0.01) -> Tensor:
-    """The mini-batch loss of cpa.batch_loss, recorded on the tape."""
+    """cpa.batch_loss's ranking loss over the text rows `batch`, with their
+    gold and negative label node rows given, recorded on the tape."""
     reps = final_reps(e0, propagate(e0, lap, w1, w2, slope))
     negs = np.asarray(negs)
     return loss_contrastive(

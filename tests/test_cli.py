@@ -566,6 +566,18 @@ def test_inspect_similar_and_attention(run_dir, synth_small, tmp_path, capsys):
     assert len(lines) > 1
 
 
+def test_inspect_attention_out_needs_export_attention(run_dir, tmp_path,
+                                                      capsys):
+    # one error line, and neither the run summary nor a file
+    attn = tmp_path / "attn.csv"
+    assert main(["inspect", "--run", str(run_dir),
+                 "--attention-out", str(attn)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == (
+        "", "error: --attention-out needs --export-attention\n")
+    assert not attn.exists()
+
+
 def test_export_attention_opens_the_file_once_for_its_record(
         run_dir, tmp_path, capsys, monkeypatch):
     meta = json.loads((run_dir / "trial-1" / f"{SLUG}.meta.json")

@@ -6,9 +6,10 @@ discounted messages, elementwise interaction included) on random unit-weight
 bipartite graphs. Fused vs tape equivalence: batch_loss's hand-derived
 gradients must equal the autodiff tape's (tape.py) on random graphs. Both
 oracles also run at acceptance scale elsewhere. batch_loss's full step, one
-label-score pass over every text, is also checked against the gathered-rows
-mini-batch loss it replaced (_gathered_batch_loss) over all rows, in order
-and permuted, at random and acceptance sizes.
+label-score pass over every text that masks out each text's gold column, is
+also checked against the gathered-rows loss it replaced
+(_gathered_batch_loss), which takes explicit negative labels, over all
+rows, in order and permuted, at random and acceptance sizes.
 """
 
 import struct
@@ -256,9 +257,8 @@ def test_propagate_gradients_reach_all_parameters():
     texts, side = _split(rng.standard_normal((9, 4)), lap)
     model = _model(side, *init_cpa_weights(d0=4, d1=3, hops=2, seed=2), h=1)
     gold = np.array([0, 1, 2])
-    negs = np.array([[1, 2], [0, 2], [0, 1]])
     _, g_side, g_w1, g_w2 = batch_loss(model, Buffers(texts, model), lap,
-                                       gold, negs)
+                                       gold)
     assert g_side.shape == model.side.shape and np.abs(g_side).sum() > 0
     # hop weights reach every node row through propagation
     assert np.abs(g_side[:3]).sum() > 0
@@ -266,9 +266,15 @@ def test_propagate_gradients_reach_all_parameters():
         assert g.shape == w.shape and np.abs(g).sum() > 0
 
 
+def _rivals(gold):
+    """Each text's two other label indices, ascending: the explicit
+    negatives the slow references take, (n, 2)."""
+    return np.array([[j for j in range(3) if j != g] for g in gold])
+
+
 def _random_case(rng, hops, rate):
-    """A model, its texts, a random graph and every text's gold and
-    negative label indices, some texts sharing a label row."""
+    """A model, its texts, a random graph and every text's gold label
+    index, some texts sharing a label row."""
     h = int(rng.integers(1, 3))
     n_text = int(rng.integers(4, 10))
     n_side = 3 * h + 3
@@ -281,8 +287,7 @@ def _random_case(rng, hops, rate):
                    h=h)
     gold = rng.integers(0, 3, size=n_text)
     gold[:2] = gold[2]  # at least three texts share a gold label row
-    negs = np.array([[j for j in range(3) if j != k] for k in gold])
-    return model, texts, lap, gold, negs
+    return model, texts, lap, gold
 
 
 def _tape_table(model, texts):
@@ -295,16 +300,16 @@ def _tape_table(model, texts):
 def test_batch_loss_matches_tape_oracle(hops, rate):
     rng = np.random.default_rng(100 * hops + int(10 * rate))
     for _ in range(5):
-        model, texts, lap, gold, negs = _random_case(rng, hops, rate)
+        model, texts, lap, gold = _random_case(rng, hops, rate)
         loss, g_side, g_w1, g_w2 = batch_loss(
-            model, Buffers(texts, model), lap, gold, negs)
+            model, Buffers(texts, model), lap, gold)
         e0 = _tape_table(model, texts)
         w1 = [Tensor(w, requires_grad=True) for w in model.w1]
         w2 = [Tensor(w, requires_grad=True) for w in model.w2]
         # the tape takes node rows: labels follow the texts and topics
         first = len(texts) + 3 * model.h
         oracle = tape.batch_loss(e0, w1, w2, lap, np.arange(len(texts)),
-                                 first + gold, first + negs)
+                                 first + gold, first + _rivals(gold))
         tape.backward(oracle)
         assert abs(loss - oracle.data[0, 0]) <= 1e-12 * abs(oracle.data[0, 0])
         # the text rows are data: the side rows are e0's trained rows
@@ -316,10 +321,11 @@ def test_batch_loss_matches_tape_oracle(hops, rate):
             assert np.abs(got - ref).max() <= 1e-12 * scale
 
 
-# The gathered-rows mini-batch loss batch_loss replaced, kept as its oracle:
-# it gathers every batch text's and label node's final rep, one copy per
-# batch row, and scatters their gradients back with np.add.at. Over all text
-# rows, in any order, it is one full step.
+# The gathered-rows loss batch_loss replaced, kept as its oracle: it takes
+# a batch of text rows and explicit negative labels, gathers every batch
+# text's and label node's final rep, one copy per batch row, and scatters
+# their gradients back with np.add.at. Over all text rows, in any order,
+# each with its two other labels as negatives, it is one full step.
 def _gathered_batch_loss(model: CpaModel, buf: Buffers,
                           lap: BipartiteLaplacian,
                           batch: np.ndarray, gold: np.ndarray,
@@ -413,14 +419,14 @@ def _gathered_batch_loss(model: CpaModel, buf: Buffers,
     return Step(float(loss), g_side, buf.g_w1, buf.g_w2)
 
 
-def _assert_matches_gathered(model, texts, lap, gold, negs, order=None,
+def _assert_matches_gathered(model, texts, lap, gold, order=None,
                              tol=1e-13):
     """The full step equals the gathered oracle over every text row, taken
     in `order` (default: row order), within tol relative."""
     order = np.arange(len(texts)) if order is None else order
-    got = batch_loss(model, Buffers(texts, model), lap, gold, negs)
+    got = batch_loss(model, Buffers(texts, model), lap, gold)
     ref = _gathered_batch_loss(model, Buffers(texts, model), lap, order,
-                               gold[order], negs[order])
+                               gold[order], _rivals(gold)[order])
     assert abs(got.loss - ref.loss) <= tol * abs(ref.loss)
     for a, b in zip([got.g_side] + got.g_w1 + got.g_w2,
                     [ref.g_side] + ref.g_w1 + ref.g_w2):
@@ -449,7 +455,7 @@ def test_batch_loss_matches_a_permuted_all_rows_batch(hops):
 
 def _acceptance_case(rng):
     """600 texts, H = 3, the encoder width and two hops, as at acceptance
-    scale, with every text's label indices."""
+    scale, with every text's gold label index."""
     n_text, h, d0 = 600, 3, 768
     n_side = 3 * h + 3
     m = np.where(rng.random((n_text, n_side)) < 0.5,
@@ -459,8 +465,7 @@ def _acceptance_case(rng):
     model = _model(side, *init_cpa_weights(d0=d0, d1=64, hops=2, seed=1),
                    h=h)
     gold = rng.integers(0, 3, size=n_text)
-    negs = np.array([[j for j in range(3) if j != k] for k in gold])
-    return model, texts, lap, gold, negs
+    return model, texts, lap, gold
 
 
 def test_batch_loss_matches_gathered_oracle_at_acceptance_size():
@@ -486,11 +491,10 @@ def test_propagate_matches_tape_propagate(hops, rate):
 
 def test_reused_buffers_hold_no_stale_state():
     rng = np.random.default_rng(12)
-    model, texts, base, gold, negs = _random_case(rng, 3, 0.0)
+    model, texts, base, gold = _random_case(rng, 3, 0.0)
     laps = [dropout_graph(base, 0.2, rng) for _ in range(2)]
     perm = rng.permutation(len(gold))
-    cases = [(laps[0], gold, negs), (laps[1], gold[perm], negs[perm]),
-             (laps[0], gold, negs)]
+    cases = [(laps[0], gold), (laps[1], gold[perm]), (laps[0], gold)]
     buffers = Buffers(texts, model)
     for case in cases:
         reused = batch_loss(model, buffers, *case)
@@ -505,13 +509,13 @@ def test_reused_buffers_hold_no_stale_state():
 
 def test_reused_buffers_follow_the_models_side_rows():
     rng = np.random.default_rng(15)
-    model, texts, lap, gold, negs = _random_case(rng, 2, 0.1)
+    model, texts, lap, gold = _random_case(rng, 2, 0.1)
     buffers = Buffers(texts, model)
-    first = batch_loss(model, buffers, lap, gold, negs)
+    first = batch_loss(model, buffers, lap, gold)
     # an update in place between two calls, as adam_step makes
     model.side -= 0.5 * first.g_side
-    reused = batch_loss(model, buffers, lap, gold, negs)
-    fresh = batch_loss(model, Buffers(texts, model), lap, gold, negs)
+    reused = batch_loss(model, buffers, lap, gold)
+    fresh = batch_loss(model, Buffers(texts, model), lap, gold)
     assert reused.loss != first.loss
     assert reused.loss == fresh.loss
     for got, ref in zip([reused.g_side] + reused.g_w1 + reused.g_w2,
@@ -521,13 +525,13 @@ def test_reused_buffers_follow_the_models_side_rows():
 
 
 def test_batch_loss_allocates_no_table_per_call():
-    model, texts, lap, gold, negs = _acceptance_case(
+    model, texts, lap, gold = _acceptance_case(
         np.random.default_rng(13))
     buffers = Buffers(texts, model)
-    batch_loss(model, buffers, lap, gold, negs)
+    batch_loss(model, buffers, lap, gold)
     tracemalloc.start()
     try:
-        batch_loss(model, buffers, lap, gold, negs)
+        batch_loss(model, buffers, lap, gold)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -538,7 +542,7 @@ def test_batch_loss_allocates_no_table_per_call():
 
 def test_batch_loss_validates_inputs():
     rng = np.random.default_rng(11)
-    model, texts, lap, gold, negs = _random_case(rng, 2, 0.0)
+    model, texts, lap, gold = _random_case(rng, 2, 0.0)
     buffers = Buffers(texts, model)
     # labels for fewer texts than the buffers hold raise before the forward
     # copies the side rows in
@@ -546,42 +550,40 @@ def test_batch_loss_validates_inputs():
     shifted = model.copy()
     shifted.side += 1.0
     with pytest.raises(CpaError, match="disagree"):
-        batch_loss(shifted, buffers, lap, gold[1:], negs[1:])
+        batch_loss(shifted, buffers, lap, gold[1:])
     assert np.array_equal(buffers.e0, before)
+    with pytest.raises(CpaError, match="disagree"):
+        batch_loss(model, buffers, lap, gold[:, None])
     with pytest.raises(CpaError):
-        batch_loss(model, buffers, lap, gold[1:], negs)
+        batch_loss(model, buffers, lap, gold + 3)
     with pytest.raises(CpaError):
-        batch_loss(model, buffers, lap, gold, negs[:, :0])
-    with pytest.raises(CpaError):
-        batch_loss(model, buffers, lap, gold + 3, negs)
-    with pytest.raises(CpaError):
-        batch_loss(model, buffers, lap, gold, negs - 3)
+        batch_loss(model, buffers, lap, gold - 3)
     with pytest.raises(CpaError, match="disagree"):
         batch_loss(model, Buffers(texts[:0], model),
                    BipartiteLaplacian(np.zeros((0, len(model.side))),
                                       np.zeros((0, len(model.side)))),
-                   gold[:0], negs[:0])
+                   gold[:0])
     inf = texts.copy()
     inf[0] = np.inf
     with np.errstate(all="ignore"):
         with pytest.raises(CpaError, match="non-finite"):
-            batch_loss(model, Buffers(inf, model), lap, gold, negs)
-    other, other_texts, _, other_gold, other_negs = _random_case(
+            batch_loss(model, Buffers(inf, model), lap, gold)
+    other, other_texts, _, other_gold = _random_case(
         np.random.default_rng(1), 3, 0.0)
     with pytest.raises(CpaError, match="buffers"):
-        batch_loss(model, Buffers(other_texts, other), lap, other_gold,
-                   other_negs)
+        batch_loss(model, Buffers(other_texts, other), lap, other_gold)
 
 
-# --- the leaky ReLU and the per-graph text messages -------------------------
+# --- the leaky ReLU and the rival mask ---------------------------------------
 #
 # The forward and batch_loss as they were before the leaky ReLU became a
-# product with exact multipliers and hop 0 kept the texts' messages to the
-# side rows per graph, kept as their oracle: every hop runs lap.matmul over
-# the whole table, and the leaky ReLU and its backward are masked multiplies,
-# np.multiply(..., slope, where=neg). The loss is the mini-batch label-score
-# form, which gathers the batch rows and scatters into them with np.add.at;
-# called with every text row in order, it is bitwise the full step.
+# product with exact multipliers and the loss read each text's rivals
+# through a mask over its label scores, kept as their oracle: the leaky ReLU
+# and its backward are masked multiplies, np.multiply(..., slope, where=neg),
+# and the loss takes explicit negative labels, one margin per negative,
+# gathers the batch rows' label scores and scatters into them with
+# np.add.at. Called with every text row in order and each text's two other
+# labels as negatives, it is bitwise the full step.
 
 
 def _masked_forward(model, lap, slope, buf):
@@ -672,7 +674,7 @@ def test_leaky_relu_is_bitwise_the_masked_form(slope, zeroed):
     rng = np.random.default_rng(int(100 * slope) + zeroed)
     for hops in (1, 2, 3):
         for _ in range(3):
-            model, texts, lap, gold, negs = _random_case(rng, hops, 0.1)
+            model, texts, lap, gold = _random_case(rng, hops, 0.1)
             if zeroed:
                 # every hop's pre-activations in column 1 are exactly 0.0
                 for w in model.w1 + model.w2:
@@ -685,10 +687,10 @@ def test_leaky_relu_is_bitwise_the_masked_form(slope, zeroed):
             if zeroed:
                 assert all((layer[:, 1] == 0.0).all() for layer in ref.layers)
             _assert_steps_bitwise_equal(
-                batch_loss(model, Buffers(texts, model), lap, gold, negs,
-                           slope),
+                batch_loss(model, Buffers(texts, model), lap, gold, slope),
                 _masked_batch_loss(model, Buffers(texts, model), lap,
-                                   np.arange(len(texts)), gold, negs, slope))
+                                   np.arange(len(texts)), gold,
+                                   _rivals(gold), slope))
 
 
 @pytest.mark.parametrize("slope", [0.01, 1.0, 3.0])
@@ -708,25 +710,44 @@ def test_leaky_relu_keeps_signed_zeros_and_infinities(slope):
 
 def test_buffers_follow_a_new_graph():
     # one Buffers runs steps on one dropout graph, then on a second, with
-    # an update between steps: the texts' messages to the side rows are the
-    # second graph's, as in fresh buffers
+    # an update between steps: every hop's messages are the second graph's,
+    # as in fresh buffers
     rng = np.random.default_rng(19)
-    model, texts, base, gold, negs = _random_case(rng, 3, 0.0)
+    model, texts, base, gold = _random_case(rng, 3, 0.0)
     first, second = (dropout_graph(base, 0.3, rng) for _ in range(2))
     buffers = Buffers(texts, model)
     for lap in (first, first, second, second):
-        reused = batch_loss(model, buffers, lap, gold, negs)
+        reused = batch_loss(model, buffers, lap, gold)
         model.side -= 0.1 * reused.g_side
     fresh_buffers = Buffers(texts, model)
-    fresh = batch_loss(model, fresh_buffers, second, gold, negs)
-    reused = batch_loss(model, buffers, second, gold, negs)
+    fresh = batch_loss(model, fresh_buffers, second, gold)
+    reused = batch_loss(model, buffers, second, gold)
     _assert_steps_bitwise_equal(reused, fresh)
     for a, b in zip(buffers.layers, fresh_buffers.layers):
         assert _bitwise_equal(a, b)
-    # and both equal the masked oracle, which runs every product per call
+    # and both equal the masked oracle
     _assert_steps_bitwise_equal(fresh, _masked_batch_loss(
         model, Buffers(texts, model), second, np.arange(len(texts)), gold,
-        negs, 0.01))
+        _rivals(gold), 0.01))
+
+
+@pytest.mark.parametrize("labels", [[0], [1], [2], [0, 1, 2]])
+@pytest.mark.parametrize("hops", [1, 2, 3])
+def test_rival_mask_is_bitwise_the_per_negative_loss(hops, labels):
+    # the rival mask's edge rows: a pool whose texts all share one gold
+    # label, so every row masks the same column, and a pool that holds
+    # each gold class
+    rng = np.random.default_rng(400 + 10 * hops + labels[0])
+    for _ in range(3):
+        model, texts, lap, _ = _random_case(rng, hops, 0.1)
+        gold = np.resize(labels, len(texts))
+        assert set(gold) == set(labels)
+        _assert_steps_bitwise_equal(
+            batch_loss(model, Buffers(texts, model), lap, gold),
+            _masked_batch_loss(model, Buffers(texts, model), lap,
+                               np.arange(len(texts)), gold, _rivals(gold),
+                               0.01))
+        _assert_matches_gathered(model, texts, lap, gold)
 
 
 # --- per-message oracle ----------------------------------------------------------

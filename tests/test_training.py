@@ -940,9 +940,9 @@ def test_train_group_takes_one_full_step_per_epoch(synth_setup, monkeypatch):
     steps, states = [], []
     original = cpa.batch_loss
 
-    def counting(model, buf, lap, gold, negs, slope):
+    def counting(model, buf, lap, gold, slope):
         steps.append((lap, gold.copy()))
-        return original(model, buf, lap, gold, negs, slope=slope)
+        return original(model, buf, lap, gold, slope=slope)
 
     class Recording(AdamState):
         def __init__(self, params, lr):
@@ -1034,11 +1034,10 @@ def test_frozen_batch_step_decreases_loss(synth_setup):
     model = cpa.init_model(2, store.label_matrix(), seed=1, d1=8, hops=2,
                            weight_seed=2)
     gold = np.array([LABELS.index(ex.stance) for ex in data.pool])
-    negs = np.array([[j for j in range(3) if j != g] for g in gold])
     buffers = cpa.Buffers(data.sem_pool, model)
 
     def batch_loss():
-        return cpa.batch_loss(model, buffers, data.lap, gold, negs)
+        return cpa.batch_loss(model, buffers, data.lap, gold)
 
     # as in training, the text rows stay fixed
     adam_e = AdamState([model.side], lr=1e-7)

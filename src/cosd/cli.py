@@ -118,6 +118,12 @@ def cmd_topics(args: argparse.Namespace) -> int:
     lo, hi = parse_h_range(args.h_range)
     if args.top_n < 2:
         raise ConfigError(f"need --top-n >= 2, got {args.top_n}")
+    # the CSV is written after every fit, so its path is checked first
+    if args.out and Path(args.out).is_dir():
+        raise ConfigError(f"--out {args.out} is a directory")
+    if args.out and not Path(args.out).parent.is_dir():
+        raise ConfigError(f"--out {args.out}: {Path(args.out).parent} is "
+                          f"not a directory")
     dataset = load_dataset(config)
     keys = training.group_keys(dataset, config.joint)
     names = [(key, stance_key) for key, _ in keys for stance_key in LABEL_KEYS]

@@ -10,7 +10,7 @@ expected counts, float64. Any text is folded in under all three models with
 their counts frozen, each (text, model) chain run to its own fixed point at
 1e-9 (fold_in_sets); one kernel, _cvb0, sweeps both. The three posteriors
 side by side, divided by 3, are a text's topic distribution, which later
-doubles as text-to-topic edge weights. perplexity scores given posteriors.
+doubles as text-to-topic edge weights. log_likelihoods scores posteriors.
 """
 
 from __future__ import annotations
@@ -71,6 +71,11 @@ class LdaModel:
         counts = self.topic_word_counts
         if counts.shape != (self.h, len(self.vocab)):
             raise TopicsError("topic_word_counts shape mismatch")
+        index = self.vocab.index
+        if len(index) != len(self.vocab) or any(
+                index.get(t) != w for w, t in enumerate(self.vocab.tokens)):
+            raise TopicsError("vocabulary tokens must be unique, each "
+                              "indexed at its own position")
         # a NaN fails every comparison, so it is tested for on its own
         if not (np.isfinite(counts).all() and (counts >= 0).all()):
             raise TopicsError("counts must be finite and >= 0")
@@ -435,29 +440,29 @@ def fold_in_sets(sets: Sequence[FoldInSet], sweeps: int = 50) -> FoldIn:
     return FoldIn(rows, capped)
 
 
-def perplexity(model: LdaModel, docs: Docs, thetas: np.ndarray) -> float:
-    """exp(-mean log p(w|d)) with p(w|d) = sum_h theta_dh phi_hw.
-
-    Row d of thetas, (len(docs), H), is doc d's topic posterior under the
-    model, which the caller takes from the fold-in; phi comes from the
-    smoothed trained counts. Docs with no in-vocabulary tokens are skipped;
-    raises if nothing is left.
-    """
+def log_likelihoods(model: LdaModel, docs: Docs,
+                    thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per doc, the sum of log p(w|d) = log sum_h theta_dh phi_hw over its
+    in-vocabulary tokens and their count: (D,) float64 and int64, 0 and 0
+    for a doc with none. Row d of thetas, (len(docs), H), is doc d's topic
+    posterior under the model, which the caller takes from the fold-in."""
     if np.shape(thetas) != (len(docs), model.h):
         raise TopicsError(f"thetas of shape {np.shape(thetas)} for "
                           f"{len(docs)} docs under H={model.h}")
-    phi = model.phi()
-    log_lik = 0.0
-    total = 0
-    for theta, ids in zip(thetas, _doc_token_ids(docs, model.vocab)):
-        if not ids:
-            continue
-        p = theta @ phi[:, ids]
-        log_lik += float(np.log(p).sum())
-        total += len(ids)
-    if total == 0:
+    ids = _doc_token_ids(docs, model.vocab)
+    counts = np.array([len(doc) for doc in ids], dtype=np.int64)
+    doc = np.repeat(np.arange(len(docs)), counts)
+    words = np.array([w for doc_ids in ids for w in doc_ids], dtype=np.int64)
+    p = np.einsum("th,ht->t", np.asarray(thetas)[doc], model.phi()[:, words])
+    return np.bincount(doc, np.log(p), len(docs)), counts
+
+
+def perplexity(model: LdaModel, docs: Docs, thetas: np.ndarray) -> float:
+    """exp(-mean log p(w|d)) of log_likelihoods' tokens; raises if none."""
+    sums, counts = log_likelihoods(model, docs, thetas)
+    if counts.sum() == 0:
         raise TopicsError("perplexity undefined: zero in-vocabulary tokens")
-    return float(np.exp(-log_lik / total))
+    return float(np.exp(-sums.sum() / counts.sum()))
 
 
 def umass_coherence(model: LdaModel, docs: Docs, top_n: int) -> float:

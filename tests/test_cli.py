@@ -691,6 +691,28 @@ def test_eval_names_a_topic_model_whose_counts_fail_its_checks(
                            f">= 0\n")
 
 
+def test_a_topic_model_whose_vocabulary_repeats_a_token_exits_2(
+        run_dir, tmp_path, capsys):
+    copy = tmp_path / "run"
+    shutil.copytree(run_dir, copy)
+    lda = copy / "lda" / f"{SLUG}.favor.lda1"
+    model = cosd.topics.load_lda(lda)
+    # the first two neighbouring tokens of one byte length: the second's
+    # bytes made the first's, so the file still reads whole
+    first, second = next(
+        pair for pair in zip(model.vocab.tokens, model.vocab.tokens[1:])
+        if len(pair[0].encode()) == len(pair[1].encode()))
+    raw = lda.read_bytes()
+    at = (4 + 8 + 16 + 4 + 8 * model.topic_word_counts.size
+          + sum(4 + len(t.encode()) for t in model.vocab.tokens[
+              :model.vocab.index[second]]) + 4)
+    lda.write_bytes(raw[:at] + first.encode() + raw[at + len(first):])
+    err = _expect_failure(["eval", "--run", str(copy), "--split", "test"],
+                          capsys)
+    assert err == (f"error: {lda}: vocabulary tokens must be unique, each "
+                   f"indexed at its own position\n")
+
+
 def test_a_topic_model_with_a_zero_prior_exits_2(run_dir, synth_small,
                                                  tmp_path, capsys):
     root, _ = synth_small
@@ -1050,6 +1072,29 @@ def test_topics_checks_top_n_before_loading_or_fitting(top_n, synth_small,
     _expect_failure(["topics", "--dataset", "synthetic", "--data", str(root),
                      "--h-range", "2:3", "--top-n", top_n], capsys,
                     needle=f"--top-n >= 2, got {top_n}")
+
+
+@pytest.mark.parametrize("parent", ["tmp", "missing", "a_file"])
+def test_topics_checks_out_before_loading_or_fitting(parent, synth_small,
+                                                     tmp_path, capsys,
+                                                     monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("ran before --out was checked")
+
+    monkeypatch.setattr(cosd.cli, "load_semeval", never)
+    monkeypatch.setattr(cosd.training, "fit_topics", never)
+    root, _ = synth_small
+    (tmp_path / "a_file").write_text("", encoding="utf-8")
+    # --out names a directory, or a file in a missing directory or under
+    # a file
+    out, want = ((tmp_path, f"--out {tmp_path} is a directory")
+                 if parent == "tmp" else
+                 (tmp_path / parent / "t.csv",
+                  f"--out {tmp_path / parent / 't.csv'}: "
+                  f"{tmp_path / parent} is not a directory"))
+    assert main(["topics", "--dataset", "synthetic", "--data", str(root),
+                 "--h-range", "2:2", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {want}\n")
 
 
 @pytest.mark.parametrize("command", ["topics", "train"])

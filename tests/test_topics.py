@@ -5,8 +5,10 @@ the planted-corpus recovery check runs a reduced version of the acceptance
 setup so regressions surface here first. The CVB0 fit and the CVB0 fold-in
 must equal, bit for bit, the plain loops kept here as oracles: cvb0_loop,
 one token at a time within each sweep, and cvb0_posterior, one doc under
-one model. A sequential collapsed Gibbs sampler (SequentialLda, loop_sweep)
-stays as the statistical reference for topic recovery.
+one model. log_likelihoods, which perplexity sums, must equal the per-doc
+loop loop_log_likelihoods: its counts exactly, its sums to 1e-12 relative.
+A sequential collapsed Gibbs sampler (SequentialLda, loop_sweep) stays as
+the statistical reference for topic recovery.
 """
 
 import json
@@ -27,6 +29,7 @@ from cosd.topics import (
     fit_triples,
     fold_in_sets,
     load_lda,
+    log_likelihoods,
     perplexity,
     save_lda,
     umass_coherence,
@@ -603,6 +606,19 @@ def test_lda_model_validates_counts():
                      topic_word_counts=counts, trained_sweeps=1)
 
 
+def test_lda_model_requires_each_token_once_at_its_own_index():
+    counts = np.array([[4, 1, 0], [1, 4, 0]])
+    # a repeated token, a token indexed elsewhere, and an index key that is
+    # no token
+    for tokens, index in ((["a", "a", "b"], {"a": 1, "b": 2}),
+                          (["a", "b", "c"], {"a": 0, "b": 2, "c": 1}),
+                          (["a", "b", "c"], {"a": 0, "b": 1, "c": 2, "d": 3})):
+        with pytest.raises(TopicsError, match="tokens must be unique"):
+            LdaModel(h=2, alpha=0.1, beta=0.01,
+                     vocab=Vocabulary(tokens=tokens, index=index),
+                     topic_word_counts=counts, trained_sweeps=1)
+
+
 def test_lda_model_rejects_a_zero_or_non_finite_prior():
     # a fold-in under a zero prior could meet an all-zero conditional: a
     # word no topic holds at beta = 0, or a one-token doc at alpha = 0,
@@ -890,6 +906,54 @@ def test_fold_in_rejects_mismatched_inputs():
 # --- corpus-level scores ------------------------------------------------------
 
 
+def loop_log_likelihoods(model, docs, thetas):
+    """The per-doc loop log_likelihoods replaced: each doc's sum of
+    log(theta_d @ phi[:, ids]) over its in-vocabulary ids, and their count."""
+    phi = model.phi()
+    sums, counts = [], []
+    for theta, doc in zip(thetas, docs):
+        ids = [model.vocab.index[t] for t in doc if t in model.vocab.index]
+        sums.append(float(np.log(theta @ phi[:, ids]).sum()) if ids else 0.0)
+        counts.append(len(ids))
+    return np.array(sums), np.array(counts)
+
+
+@pytest.mark.parametrize("h", [1, 3])
+def test_log_likelihoods_equal_the_per_doc_loop(h):
+    docs, _ = planted_corpus(n_docs=30, seed=10)
+    m = fit_one(docs, h=h, alpha=50.0 / h, sweeps=30, seed=2)
+    # out-of-vocabulary tokens inside a doc, an empty doc and an all-OOV doc
+    docs = [docs[0] + ["zzz"], [], ["zzz", "qqq"], *docs[1:8],
+            ["qqq", *docs[8], "zzz"]]
+    rng = np.random.default_rng(h)
+    for thetas in (fold_in_one([m], docs, sweeps=10),
+                   rng.dirichlet(np.ones(h), size=len(docs))):
+        sums, counts = log_likelihoods(m, docs, thetas)
+        want_sums, want_counts = loop_log_likelihoods(m, docs, thetas)
+        assert counts.dtype == np.int64 and sums.dtype == np.float64
+        assert np.array_equal(counts, want_counts)
+        assert counts[1] == counts[2] == 0 and sums[1] == sums[2] == 0.0
+        assert np.allclose(sums, want_sums, rtol=1e-12, atol=0.0)
+        assert perplexity(m, docs, thetas) == pytest.approx(
+            np.exp(-want_sums.sum() / want_counts.sum()), rel=1e-12)
+
+
+def test_log_likelihoods_of_no_docs_are_empty():
+    m = _model([[3, 1]], ["a", "b"])
+    sums, counts = log_likelihoods(m, [], np.ones((0, 1)))
+    assert sums.shape == counts.shape == (0,)
+
+
+def test_log_likelihoods_reject_thetas_not_one_row_per_doc_of_width_h():
+    m = _model([[3, 1], [1, 3]], ["a", "b"])
+    docs = [["a"], ["b", "a"]]
+    thetas = fold_in_one([m], docs)
+    for bad in (thetas[:1], np.vstack([thetas, thetas[:1]]), thetas[:, :1],
+                thetas[0]):
+        with pytest.raises(TopicsError, match="thetas of shape"):
+            log_likelihoods(m, docs, bad)
+
+
 def test_perplexity_single_topic_matches_hand_computation():
     m = _model([[3, 1]], ["a", "b"], beta=0.01)
     # H = 1 makes theta = [1], so p(w|d) is exactly the smoothed phi row
@@ -1055,6 +1119,20 @@ def test_lda_file_rejects_corruption(tmp_path):
     bad_text.write_bytes(raw[:first] + b"\xff" + raw[first + 1:])
     with pytest.raises(TopicsError, match="UTF-8"):
         load_lda(bad_text)
+
+
+def test_lda_file_whose_vocabulary_repeats_a_token_raises(tmp_path):
+    m = _model([[3, 1, 0], [1, 3, 2]], ["aa", "bb", "ccc"])
+    path = tmp_path / "model.lda1"
+    save_lda(m, path)
+    raw = path.read_bytes()
+    # the second token's bytes made the first's: same length, so the file
+    # reads whole, as a vocabulary whose index would skip column 0
+    assert raw.count(b"bb") == 1
+    path.write_bytes(raw.replace(b"bb", b"aa"))
+    with pytest.raises(TopicsError, match="model.lda1: vocabulary tokens "
+                                          "must be unique"):
+        load_lda(path)
 
 
 def test_lda_loads_the_file_counts_and_checks_sizes_first(tmp_path):

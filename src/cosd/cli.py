@@ -266,8 +266,8 @@ def cmd_inspect(args: argparse.Namespace) -> int:
                   + [f"label:{key}" for key in LABEL_KEYS])
     if args.dump_final_reps or args.similar_to:
         # the text rows are the pool's semantic rows
-        reps = cpa.propagate(training.semantic_matrix(pool, run.store), ckpt,
-                             lap, slope=run.config.leaky_slope)
+        reps = cpa.propagate(training.semantic_matrix(pool, run.store),
+                             ckpt, lap)
     if args.dump_final_reps:
         lines = [
             name + " " + " ".join(f"{x:.8f}" for x in row)
@@ -283,8 +283,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         sem = training.semantic_matrix([_example(run, args.similar_to)],
                                        run.store)
         # the query's first d0 columns are the text's row in the graph
-        (query,) = cpa.infer_transform(sem, ckpt,
-                                       slope=run.config.leaky_slope)
+        (query,) = cpa.infer_transform(sem, ckpt)
         hits = inference.top_k_similar(query, reps[:n], ids, args.k,
                                        exclude_id=args.similar_to)
         for rec_id, sim in hits:

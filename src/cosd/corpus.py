@@ -66,34 +66,23 @@ def tokenize(text: str) -> list[str]:
     bodies survive (only the '#' is a split point). Idempotent: running the
     output back through changes nothing.
     """
-    lowered = _MENTION_RE.sub(" ", _URL_RE.sub(" ", text.lower()))
-    return _content(lowered)
-
-
-def _content(lowered: str) -> list[str]:
-    """The content tokens of lowered text with its URLs and mentions
-    blanked."""
-    return [tok for tok in _TOKEN_RE.findall(lowered)
-            if tok not in STOPWORDS and not tok.isdigit()]
+    return tokenize_texts([text])[0]
 
 
 def tokenize_texts(texts: Sequence[str]) -> list[list[str]]:
     """[tokenize(text) for text in texts], from one pass over the texts
     joined by newlines: one lower() and one URL and mention blanking. A
-    newline is no part of a URL, a mention or a token, lowering neither
-    makes nor removes one, and no letter's lowercase reads across one (a
-    final sigma's context stops there), so each line's tokens are its
-    text's. A text holding a newline of its own is tokenized alone."""
+    text's own newlines become spaces first; both are uncased whitespace,
+    part of no URL, mention or token, and no letter's lowercase reads
+    across either (a final sigma's context stops at both), so each line's
+    tokens are its text's."""
     if not texts:
         return []
-    lowered = "\n".join(texts).lower()
-    if lowered.count("\n") >= len(texts):
-        whole = iter(tokenize_texts([text for text in texts
-                                     if "\n" not in text]))
-        return [tokenize(text) if "\n" in text else next(whole)
-                for text in texts]
+    lowered = "\n".join(text.replace("\n", " ") for text in texts).lower()
     lowered = _MENTION_RE.sub(" ", _URL_RE.sub(" ", lowered))
-    return [_content(line) for line in lowered.split("\n")]
+    return [[tok for tok in _TOKEN_RE.findall(line)
+             if tok not in STOPWORDS and not tok.isdigit()]
+            for line in lowered.split("\n")]
 
 
 @dataclass(frozen=True)

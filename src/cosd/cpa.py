@@ -5,6 +5,7 @@ hand-derived gradients and the buffers that hold the table and both write
 into, and the graph-free transform used at inference time.
 
 Node rows are ordered texts, topics, labels, matching the graph module.
+Every hop's LeakyReLU slope is the constant LEAKY_SLOPE, part of the layer.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .graph import BipartiteLaplacian
 
 D0 = 768
 D1 = 64
+LEAKY_SLOPE = 0.01  # as in NGCF (arXiv:1905.08108); no setting holds it
 
 
 class CpaError(Exception):
@@ -125,22 +127,22 @@ def init_model(h: int, label_vecs: np.ndarray, seed: int, weight_seed: int,
     return CpaModel(side=np.concatenate([u, label_vecs]), w1=w1, w2=w2, h=h)
 
 
-def _slopes(neg: np.ndarray, slope: float, out: np.ndarray) -> np.ndarray:
-    """The leaky ReLU's multipliers into out: exactly slope where the mask
-    neg is set and 1.0 elsewhere, so a product with them is bitwise the
-    masked product np.multiply(x, slope, where=neg)."""
-    np.multiply(neg, slope, out=out)
+def _slopes(neg: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The leaky ReLU's multipliers into out: exactly LEAKY_SLOPE where the
+    mask neg is set and 1.0 elsewhere, so a product with them is bitwise
+    the masked product np.multiply(x, LEAKY_SLOPE, where=neg)."""
+    np.multiply(neg, LEAKY_SLOPE, out=out)
     out += ~neg
     return out
 
 
-def _leaky_relu(x: np.ndarray, slope: float, neg: np.ndarray,
+def _leaky_relu(x: np.ndarray, neg: np.ndarray,
                 scratch: np.ndarray) -> np.ndarray:
-    """x <- LReLU(x) in place, bitwise np.where(x >= 0, x, slope * x); neg
-    (bool, x's shape) receives the mask x < 0 and scratch (x's shape) the
-    multipliers."""
+    """x <- LReLU(x) in place, bitwise np.where(x >= 0, x, LEAKY_SLOPE * x);
+    neg (bool, x's shape) receives the mask x < 0 and scratch (x's shape)
+    the multipliers."""
     np.less(x, 0.0, out=neg)
-    x *= _slopes(neg, slope, scratch)
+    x *= _slopes(neg, scratch)
     return x
 
 
@@ -180,8 +182,7 @@ class Buffers:
         self.narrow = np.empty((rows, d1))
 
 
-def _forward(model: CpaModel, lap: BipartiteLaplacian, slope: float,
-             buf: Buffers) -> None:
+def _forward(model: CpaModel, lap: BipartiteLaplacian, buf: Buffers) -> None:
     """The model's side rows into buf.e0, then the hop outputs into
     buf.layers, keeping each hop's L E, E (*) L E and negative mask for the
     backward.
@@ -205,11 +206,11 @@ def _forward(model: CpaModel, lap: BipartiteLaplacian, slope: float,
         np.matmul(prev, a, out=pre)
         pre += lap.matmul(pre, out=buf.narrow)
         pre += np.matmul(prod, b, out=buf.narrow)
-        prev = _leaky_relu(pre, slope, buf.neg[k], buf.narrow)
+        prev = _leaky_relu(pre, buf.neg[k], buf.narrow)
 
 
-def propagate(texts: np.ndarray, model: CpaModel, lap: BipartiteLaplacian,
-              slope: float = 0.01) -> np.ndarray:
+def propagate(texts: np.ndarray, model: CpaModel,
+              lap: BipartiteLaplacian) -> np.ndarray:
     """Final representations [E^0 | E^1 | ... | E^l] of every node, with
     E^0 = [texts; U; Z].
 
@@ -218,7 +219,7 @@ def propagate(texts: np.ndarray, model: CpaModel, lap: BipartiteLaplacian,
     Laplacian.
     """
     buf = Buffers(texts, model)
-    _forward(model, lap, slope, buf)
+    _forward(model, lap, buf)
     return np.concatenate([buf.e0] + buf.layers, axis=1)
 
 
@@ -232,7 +233,7 @@ class Step(NamedTuple):
 
 
 def batch_loss(model: CpaModel, buf: Buffers, lap: BipartiteLaplacian,
-               gold: np.ndarray, slope: float = 0.01) -> Step:
+               gold: np.ndarray) -> Step:
     """One full step's loss and its gradients for (side, w1, w2), over
     every one of buf's texts and the model's current side rows.
 
@@ -255,7 +256,7 @@ def batch_loss(model: CpaModel, buf: Buffers, lap: BipartiteLaplacian,
         raise CpaError(f"{n} texts and gold labels {gold.shape} disagree")
     if not 0 <= gold.min() <= gold.max() < 3:
         raise CpaError("label index out of range")
-    _forward(model, lap, slope, buf)
+    _forward(model, lap, buf)
     layers = [buf.e0] + buf.layers
 
     # forward: the label scores; the label nodes are the last three rows.
@@ -290,7 +291,7 @@ def batch_loss(model: CpaModel, buf: Buffers, lap: BipartiteLaplacian,
     add_scored(g_out, model.hops)
     for k in reversed(range(model.hops)):
         prev, nbr, prod = layers[k], buf.nbr[k], buf.prod[k]
-        g_out *= _slopes(buf.neg[k], slope, buf.narrow)         # now G
+        g_out *= _slopes(buf.neg[k], buf.narrow)                # now G
         np.matmul(prod.T, g_out, out=buf.g_w2[k])
         g_sum = lap.transpose_matmul(g_out, out=buf.narrow)
         g_sum += g_out                                          # G'
@@ -320,8 +321,7 @@ def batch_loss(model: CpaModel, buf: Buffers, lap: BipartiteLaplacian,
     return Step(float(loss), g_side, buf.g_w1, buf.g_w2)
 
 
-def infer_transform(x: np.ndarray, model: CpaModel,
-                    slope: float = 0.01) -> np.ndarray:
+def infer_transform(x: np.ndarray, model: CpaModel) -> np.ndarray:
     """Graph-free counterpart of propagate for unseen rows, (n, d0) in:
     x beside its hop_outputs, concatenated like the final reps. Uses the
     trained weights read-only."""
@@ -329,20 +329,19 @@ def infer_transform(x: np.ndarray, model: CpaModel,
     if prev.ndim != 2 or prev.shape[1] != model.d0:
         raise CpaError(f"input of shape {prev.shape}, need (n, {model.d0})")
     first = prev @ (model.w1[0] + model.w2[0])
-    return np.concatenate([prev, *hop_outputs(first, model, slope)], axis=1)
+    return np.concatenate([prev, *hop_outputs(first, model)], axis=1)
 
 
-def hop_outputs(first: np.ndarray, model: CpaModel,
-                slope: float = 0.01) -> Iterator[np.ndarray]:
+def hop_outputs(first: np.ndarray, model: CpaModel) -> Iterator[np.ndarray]:
     """The graph-free hop outputs e^1, ..., e^l of rows e^0, given the
     first hop's pre-activation `first` = e^0 (W1^1 + W2^1):
     e^k = LReLU(e^{k-1} (W1^k + W2^k)). The caller forms `first`, so rows
     e^0 = D U can pass D (U (W1^1 + W2^1)) and never form e^0."""
     neg, scratch = np.empty(first.shape, dtype=bool), np.empty(first.shape)
-    prev = _leaky_relu(first.copy(), slope, neg, scratch)
+    prev = _leaky_relu(first.copy(), neg, scratch)
     yield prev
     for a, b in zip(model.w1[1:], model.w2[1:]):
-        prev = _leaky_relu(prev @ (a + b), slope, neg, scratch)
+        prev = _leaky_relu(prev @ (a + b), neg, scratch)
         yield prev
 
 

@@ -6,9 +6,10 @@ distribution with the trained topic embeddings, pushes both sides through
 the graph-free transform, and takes a per-stance max over topics. Their sum
 decides the label. score_batch is the one scoring path: val scoring during
 training, eval and predict all call it on stacked rows. It takes rows and
-no settings: a side given as None scores zeros and is never computed. It
-returns the two sides' scores, and mode_scores is the one labelling rule:
-it turns them into a mode's labels, so one scoring serves every mode.
+no settings (the LeakyReLU slope is cpa.LEAKY_SLOPE): a side given as None
+scores zeros and is never computed. It returns the two sides' scores, and
+mode_scores is the one labelling rule: it turns them into a mode's labels,
+so one scoring serves every mode.
 """
 
 from __future__ import annotations
@@ -45,8 +46,7 @@ def semantic_scores(e_sem_matrix: np.ndarray,
     return scores
 
 
-def distributed_scores(dis_matrix: np.ndarray, model: CpaModel,
-                       slope: float = 0.01) -> np.ndarray:
+def distributed_scores(dis_matrix: np.ndarray, model: CpaModel) -> np.ndarray:
     """(n, 3) per stance block, max over its H topics of the products of the
     transformed topic-weighted mix with the model's transformed topic
     embeddings: infer_transform(dis_matrix @ U) @ infer_transform(U).T.
@@ -69,8 +69,8 @@ def distributed_scores(dis_matrix: np.ndarray, model: CpaModel,
     first = u_table @ (model.w1[0] + model.w2[0])
     sims = dis_matrix @ (u_table @ u_table.T)
     for text_hop, topic_hop in zip(
-            hop_outputs(dis_matrix @ first, model, slope),
-            hop_outputs(first, model, slope)):
+            hop_outputs(dis_matrix @ first, model),
+            hop_outputs(first, model)):
         sims += text_hop @ topic_hop.T
     return sims.reshape(len(dis_matrix), 3, -1).max(axis=2)
 
@@ -117,8 +117,7 @@ def mode_scores(sem: np.ndarray, dis: np.ndarray, mode: str,
 
 
 def score_batch(sem_rows: np.ndarray | None, dis_rows: np.ndarray | None,
-                model: CpaModel,
-                slope: float = 0.01) -> tuple[np.ndarray, np.ndarray]:
+                model: CpaModel) -> tuple[np.ndarray, np.ndarray]:
     """Hybrid scores of stacked texts against one group's trained model:
     the (n, 3) semantic and distributed score rows, in label order (Favor,
     None, Against).
@@ -135,7 +134,7 @@ def score_batch(sem_rows: np.ndarray | None, dis_rows: np.ndarray | None,
     sem = (np.zeros((n, 3)) if sem_rows is None
            else semantic_scores(sem_rows, model.z))
     dis = (np.zeros((n, 3)) if dis_rows is None
-           else distributed_scores(dis_rows, model, slope))
+           else distributed_scores(dis_rows, model))
     return sem, dis
 
 

@@ -214,6 +214,10 @@ class RunDir:
             settings = doc["config"]
             if isinstance(settings, dict):  # retired with mini-batch steps
                 settings.pop("batch_size", None)
+                slope = settings.pop("leaky_slope", cpa.LEAKY_SLOPE)
+                if slope != cpa.LEAKY_SLOPE:  # now a constant of the CPA hop
+                    raise ConfigError(f"leaky_slope = {slope!r}, but the CPA "
+                                      f"slope is {cpa.LEAKY_SLOPE}: retrain")
             config = RunConfig(**settings)
             config.data = doc["data"]
             config.embeddings = doc["embeddings"]
@@ -340,8 +344,7 @@ class RunDir:
         sem, dis = np.zeros((n, 3)), np.zeros((n, 3))
         for name, where, sem_rows, dis_rows in rows:
             sem[where], dis[where] = inference.score_batch(
-                sem_rows, dis_rows, self.checkpoint(name, trial),
-                slope=self.config.leaky_slope)
+                sem_rows, dis_rows, self.checkpoint(name, trial))
         return sem, dis
 
     def training_graph(self, name: str, trial: int) -> tuple[

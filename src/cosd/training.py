@@ -405,8 +405,7 @@ class RunConfig:
     epochs: int = 50
     seed: int = 0
     trials: int = 3
-    d1: int = 64
-    leaky_slope: float = 0.01
+    d1: int = cpa.D1
     joint: bool = False
 
     def resolved_hops(self) -> int:
@@ -433,7 +432,7 @@ class RunConfig:
             if getattr(self, name) < low:
                 raise ConfigError(f"need {name} >= {low}, got "
                                   f"{getattr(self, name)}")
-        for name in ("beta", "lr_cpa", "lr_embed", "leaky_slope"):
+        for name in ("beta", "lr_cpa", "lr_embed"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"need {name} > 0, got {getattr(self, name)}")
         if not 0.0 <= self.dropout < 1.0:
@@ -631,7 +630,7 @@ def build_groups(dataset: Dataset, store: EncoderStore, config: RunConfig
         "fold_in_s": folded - fitted, "fold_in_capped": capped}
 
 
-def _val_metrics(data: GroupData, model: cpa.CpaModel, config: RunConfig):
+def _val_metrics(data: GroupData, model: cpa.CpaModel):
     """(macf, micf, preds) on the val split, current params: MacF and the
     predictions of full mode, and MicF per scoring mode. Each side is
     scored once, and inference.mode_scores labels it for every mode."""
@@ -640,8 +639,7 @@ def _val_metrics(data: GroupData, model: cpa.CpaModel, config: RunConfig):
         return 0.0, micf, []
     golds = [ex.stance for ex in data.val]
     targets = [ex.target for ex in data.val]
-    sem, dis = inference.score_batch(data.sem_val, data.dis_val, model,
-                                     slope=config.leaky_slope)
+    sem, dis = inference.score_batch(data.sem_val, data.dis_val, model)
     for mode in ("no_sem", "no_dis", "full"):  # full's preds are kept
         preds = inference.mode_scores(sem, dis, mode).predicted
         macf, micf[mode] = metrics.macro_micro(preds, golds, targets)
@@ -675,14 +673,13 @@ def train_group(data: GroupData, store: EncoderStore, config: RunConfig,
         rng = np.random.default_rng(
             derive_seed(trial_seed, 3, data.group, epoch))
         lap = graph.dropout_graph(data.lap, config.dropout, rng)
-        step = cpa.batch_loss(model, buffers, lap, gold,
-                              slope=config.leaky_slope)
+        step = cpa.batch_loss(model, buffers, lap, gold)
         # the gradients live in buffers until the next batch_loss call
         adam_step(adam_embed, [step.g_side])
         adam_step(adam_cpa, step.g_w1 + step.g_w2)
 
         val_start = time.perf_counter()
-        macf, micf, preds = _val_metrics(data, model, config)
+        macf, micf, preds = _val_metrics(data, model)
         val_s += time.perf_counter() - val_start
         log_rows.append(dict(zip(
             [name for name, _ in LOG_COLUMNS],

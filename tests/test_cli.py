@@ -168,7 +168,7 @@ RUN_FLAGS = {"--run", "--trial"}
 TRAIN_OWN = {"--config", "--dataset", "--data", "--embeddings", "--out-dir",
              "--h", "--hops", "--alpha", "--beta", "--lda-sweeps",
              "--fold-in-sweeps", "--lr-cpa", "--lr-embed", "--dropout",
-             "--epochs", "--seed", "--trials", "--d1", "--leaky-slope",
+             "--epochs", "--seed", "--trials", "--d1",
              "--joint"}  # one per RunConfig key
 
 
@@ -871,22 +871,88 @@ def test_a_run_trained_with_mini_batches_still_scores(run_dir, synth_small,
     assert RunDir(copy).config == RunDir(run_dir).config
 
 
-def test_train_rejects_the_retired_batch_size(synth_small, tmp_path, capsys):
+def _assert_train_rejects(key, value, synth_small, tmp_path, capsys):
+    """A retired key is neither a flag of train nor a config file key."""
     root, paths = synth_small
     argv = ["train", "--dataset", "synthetic", "--data", str(root),
             "--embeddings", str(paths["embeddings"]),
             "--out-dir", str(tmp_path / "r")] + TRAIN_FLAGS
+    flag = "--" + key.replace("_", "-")
     with pytest.raises(SystemExit) as exc:
-        main(argv + ["--batch-size", "16"])
+        main(argv + [flag, value])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert [line for line in err.splitlines() if "error:" in line] == [
-        "cosd: error: unrecognized arguments: --batch-size 16"]
+        f"cosd: error: unrecognized arguments: {flag} {value}"]
     cfg = tmp_path / "old.cfg"
-    cfg.write_text("batch_size = 32\n", encoding="utf-8")
+    cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
     _expect_failure(argv + ["--config", str(cfg)], capsys,
-                    needle="unknown config key 'batch_size'")
+                    needle=f"unknown config key {key!r}")
     assert not (tmp_path / "r").exists()
+
+
+def test_train_rejects_the_retired_batch_size(synth_small, tmp_path, capsys):
+    _assert_train_rejects("batch_size", "16", synth_small, tmp_path, capsys)
+
+
+def test_train_rejects_the_retired_leaky_slope(synth_small, tmp_path, capsys):
+    _assert_train_rejects("leaky_slope", "0.01", synth_small, tmp_path,
+                          capsys)
+    assert "leaky_slope" not in vars(_config(["train"]))
+
+
+def _with_slope(run_dir, copy, slope):
+    """A copy of the run whose run.json holds leaky_slope = slope, as a
+    run trained before the slope became a constant of the CPA hop does."""
+    shutil.copytree(run_dir, copy)
+    doc = json.loads((copy / "run.json").read_text(encoding="utf-8"))
+    doc["config"]["leaky_slope"] = slope
+    (copy / "run.json").write_text(json.dumps(doc), encoding="utf-8")
+    return copy
+
+
+def test_a_run_trained_with_the_constant_slope_scores_the_same(
+        run_dir, synth_small, tmp_path, capsys):
+    root, _ = synth_small
+    now = tmp_path / "now"
+    shutil.copytree(run_dir, now)
+    old = _with_slope(run_dir, tmp_path / "old", 0.01)
+    outputs = []
+    for copy in (now, old):
+        for report in copy.glob("report-test*"):
+            report.unlink()
+        for mode in cosd.inference.MODES:
+            assert main(["eval", "--run", str(copy), "--split", "test",
+                         "--mode", mode]) == 0
+            assert main(["predict", "--run", str(copy), "--mode", mode,
+                         "--in", str(root / "test.tsv"),
+                         "--out", str(copy / f"p-{mode}.tsv")]) == 0
+        assert capsys.readouterr().err == ""
+        outputs.append({path.name: path.read_bytes() for path in
+                        [*copy.glob("report-test*"), *copy.glob("p-*")]})
+    assert len(outputs[0]) == 3 * len(cosd.inference.MODES)
+    assert outputs[0] == outputs[1]
+    assert RunDir(old).config == RunDir(run_dir).config
+
+
+def test_a_run_trained_with_another_slope_is_refused(run_dir, synth_small,
+                                                     tmp_path, capsys):
+    # scoring its checkpoint with the constant slope would be silently wrong
+    root, _ = synth_small
+    copy = _with_slope(run_dir, tmp_path / "run", 0.5)
+    before = {path: path.read_bytes() for path in copy.rglob("*")
+              if path.is_file()}
+    out = tmp_path / "p.tsv"
+    for argv in (["eval", "--split", "test"],
+                 ["predict", "--in", str(root / "test.tsv"),
+                  "--out", str(out)],
+                 ["inspect", "--dump-graph", str(tmp_path / "g.txt")]):
+        err = _expect_failure(argv + ["--run", str(copy)], capsys,
+                              needle="run.json")
+        assert "leaky_slope = 0.5" in err
+    assert {path: path.read_bytes() for path in copy.rglob("*")
+            if path.is_file()} == before
+    assert not out.exists() and not (tmp_path / "g.txt").exists()
 
 
 def test_interrupted_train_writes_no_manifest(run_dir, synth_small, tmp_path,
@@ -1722,9 +1788,8 @@ def _oracle_scores(run, texts, trial, mode, norm):
     sem, dis = np.zeros((n, 3)), np.zeros((n, 3))
     for name, where, sem_rows, dis_rows in run.rows(texts, ["full"]):
         model = run.checkpoint(name, trial)
-        slope = run.config.leaky_slope
         group_sem = cosd.inference.semantic_scores(sem_rows, model.z)
-        group_dis = cosd.inference.distributed_scores(dis_rows, model, slope)
+        group_dis = cosd.inference.distributed_scores(dis_rows, model)
         if norm:
             group_sem = cosd.inference.zscore_rows(group_sem)
             group_dis = cosd.inference.zscore_rows(group_dis)

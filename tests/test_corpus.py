@@ -130,6 +130,17 @@ class TestTokenize:
         assert "\n".join(["\u039f\u0394\u039f\u03a3", "\u03a3ab"]).lower() == (
             "\u03bf\u03b4\u03bf\u03c2\n\u03c3ab")
 
+    def test_a_texts_newlines_lower_as_spaces(self):
+        # a text's own newlines become spaces before the join: both stop a
+        # final sigma's context, so the lowering is the text's own
+        rng = random.Random(6)
+        texts = [t for t in ORACLE_CASES + JOINED_CASES if "\n" in t]
+        texts += ["\u03a3\n\u03a3", "ab\u03a3\nx", "ab\n\u03a3x"]
+        texts += [random_text(rng).replace("\t", "\n") for _ in range(200)]
+        for text in texts:
+            assert text.replace("\n", " ").lower() == (
+                text.lower().replace("\n", " ")), text
+
     def test_stated_examples(self):
         assert tokenize("Gun violence, in short") == ["gun", "violence", "short"]
         assert tokenize("") == []

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import tape
+from cosd import cpa
 from cosd.cpa import (
     Buffers,
     CpaError,
@@ -82,13 +83,13 @@ def _split(e0, lap):
     return e0[:lap.n_text], e0[lap.n_text:]
 
 
-def _hop_outputs(e0, lap, w1, w2, slope=0.01):
+def _hop_outputs(e0, lap, w1, w2):
     """propagate over the node table e0 ([texts; U; Z], H from its side
     rows): E^1..E^l, its final reps past the first d0 columns, which are
     e0 itself."""
     texts, side = _split(e0, lap)
     model = _model(side, w1, w2, h=(len(side) - 3) // 3)
-    reps = propagate(texts, model, lap, slope)
+    reps = propagate(texts, model, lap)
     d0, d1 = model.d0, model.d1
     assert np.array_equal(reps[:, :d0], e0)
     return [reps[:, d0 + k * d1:d0 + (k + 1) * d1] for k in range(model.hops)]
@@ -329,7 +330,7 @@ def test_batch_loss_matches_tape_oracle(hops, rate):
 def _gathered_batch_loss(model: CpaModel, buf: Buffers,
                           lap: BipartiteLaplacian,
                           batch: np.ndarray, gold: np.ndarray,
-                          negs: np.ndarray, slope: float = 0.01) -> Step:
+                          negs: np.ndarray) -> Step:
     """One mini-batch's loss and its gradients for (side, w1, w2), over
     buf's texts and the model's current side rows.
 
@@ -355,7 +356,7 @@ def _gathered_batch_loss(model: CpaModel, buf: Buffers,
             and 0 <= labels.min() <= labels.max() < 3):
         raise CpaError("batch row out of range")
     rows = np.concatenate([batch, n + side_rows])
-    _forward(model, lap, slope, buf)
+    _forward(model, lap, buf)
     layers = [buf.e0] + buf.layers
 
     # forward: every gathered final rep, in the order of rows
@@ -389,7 +390,8 @@ def _gathered_batch_loss(model: CpaModel, buf: Buffers,
     np.add.at(g_out, rows, g_reps[:, bounds[-2]:])
     for k in reversed(range(model.hops)):
         prev, nbr, prod = layers[k], buf.nbr[k], buf.prod[k]
-        np.multiply(g_out, slope, out=g_out, where=buf.neg[k])  # now G
+        np.multiply(g_out, cpa.LEAKY_SLOPE, out=g_out,
+                    where=buf.neg[k])                           # now G
         np.matmul(prod.T, g_out, out=buf.g_w2[k])
         g_sum = lap.transpose_matmul(g_out, out=buf.narrow)
         g_sum += g_out                                          # G'
@@ -670,7 +672,8 @@ def _assert_steps_bitwise_equal(got, ref):
 
 @pytest.mark.parametrize("zeroed", [False, True])
 @pytest.mark.parametrize("slope", [0.01, 1.0, 3.0])
-def test_leaky_relu_is_bitwise_the_masked_form(slope, zeroed):
+def test_leaky_relu_is_bitwise_the_masked_form(slope, zeroed, monkeypatch):
+    monkeypatch.setattr(cpa, "LEAKY_SLOPE", slope)
     rng = np.random.default_rng(int(100 * slope) + zeroed)
     for hops in (1, 2, 3):
         for _ in range(3):
@@ -681,26 +684,27 @@ def test_leaky_relu_is_bitwise_the_masked_form(slope, zeroed):
                     w[:, 1] = 0.0
             ref = Buffers(texts, model)
             _masked_forward(model, lap, slope, ref)
-            got = propagate(texts, model, lap, slope)
+            got = propagate(texts, model, lap)
             assert _bitwise_equal(
                 got, np.concatenate([ref.e0] + ref.layers, axis=1))
             if zeroed:
                 assert all((layer[:, 1] == 0.0).all() for layer in ref.layers)
             _assert_steps_bitwise_equal(
-                batch_loss(model, Buffers(texts, model), lap, gold, slope),
+                batch_loss(model, Buffers(texts, model), lap, gold),
                 _masked_batch_loss(model, Buffers(texts, model), lap,
                                    np.arange(len(texts)), gold,
                                    _rivals(gold), slope))
 
 
 @pytest.mark.parametrize("slope", [0.01, 1.0, 3.0])
-def test_leaky_relu_keeps_signed_zeros_and_infinities(slope):
+def test_leaky_relu_keeps_signed_zeros_and_infinities(slope, monkeypatch):
+    monkeypatch.setattr(cpa, "LEAKY_SLOPE", slope)
     # a matmul sums from +0.0, so no pre-activation of the forward is -0.0;
     # the helper itself must keep both zeros as np.where and the masked
     # multiply do
     x = np.array([[-2.0, -0.0, 0.0, 3.0, -1e-300, 5e-324, np.inf, -np.inf]])
     neg, scratch = np.empty(x.shape, dtype=bool), np.empty(x.shape)
-    got = _leaky_relu(x.copy(), slope, neg, scratch)
+    got = _leaky_relu(x.copy(), neg, scratch)
     assert _bitwise_equal(got, np.where(x >= 0, x, slope * x))
     masked = x.copy()
     np.multiply(masked, slope, out=masked, where=x < 0)

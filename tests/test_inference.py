@@ -238,11 +238,11 @@ def test_distributed_scores_batch_matches_single():
     assert distributed_scores(np.zeros((0, 6)), model).shape == (0, 3)
 
 
-def _whole_width_scores(dis, model, slope):
+def _whole_width_scores(dis, model):
     """Oracle: the scores formed at the texts' full width,
     infer_transform(dis @ U) @ infer_transform(U).T, then the block max."""
-    sims = (infer_transform(dis @ model.u, model, slope)
-            @ infer_transform(model.u, model, slope).T)
+    sims = (infer_transform(dis @ model.u, model)
+            @ infer_transform(model.u, model).T)
     return sims.reshape(len(dis), 3, -1).max(axis=2)
 
 
@@ -250,19 +250,20 @@ def _whole_width_scores(dis, model, slope):
 @pytest.mark.parametrize("hops", [1, 2, 3])
 @pytest.mark.parametrize("slope", [0.0, 0.01])
 def test_distributed_scores_hop_by_hop_equal_the_whole_width_product(
-        h, hops, slope):
+        h, hops, slope, monkeypatch):
+    monkeypatch.setattr(cosd.cpa, "LEAKY_SLOPE", slope)
     rng = np.random.default_rng([h, hops, int(slope * 100)])
     model = _model(rng.standard_normal((3 * h, 24)),
                    init_cpa_weights(d0=24, d1=6, hops=hops, seed=h),
                    rng.standard_normal((3, 24)))
     dis = rng.random((40, 3 * h)) ** 3
     dis /= dis.sum(axis=1, keepdims=True)
-    want = _whole_width_scores(dis, model, slope)
-    got = distributed_scores(dis, model, slope)
+    want = _whole_width_scores(dis, model)
+    got = distributed_scores(dis, model)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     dis[7, -1] = np.nan
     with pytest.raises(InferenceError, match="sum to 1"):
-        distributed_scores(dis, model, slope)
+        distributed_scores(dis, model)
 
 
 # --- modes and score normalization -------------------------------------------------

@@ -913,10 +913,10 @@ def test_train_group_text_rows_are_the_semantic_rows(synth_setup,
     seen = []
     original = cosd.training._val_metrics
 
-    def checked(data, model, config):
+    def checked(data, model):
         (held,) = buffers
         seen.append((held.n, held.e0[:n].copy(), model.u.copy()))
-        return original(data, model, config)
+        return original(data, model)
 
     monkeypatch.setattr(cosd.training, "AdamState", Recording)
     monkeypatch.setattr(cpa, "Buffers", Held)
@@ -940,9 +940,9 @@ def test_train_group_takes_one_full_step_per_epoch(synth_setup, monkeypatch):
     steps, states = [], []
     original = cpa.batch_loss
 
-    def counting(model, buf, lap, gold, slope):
+    def counting(model, buf, lap, gold):
         steps.append((lap, gold.copy()))
-        return original(model, buf, lap, gold, slope=slope)
+        return original(model, buf, lap, gold)
 
     class Recording(AdamState):
         def __init__(self, params, lr):
@@ -974,7 +974,7 @@ def test_train_group_takes_one_full_step_per_epoch(synth_setup, monkeypatch):
             assert got.tobytes() == want.tobytes()
 
 
-def _three_call_val_metrics(data, model, config):
+def _three_call_val_metrics(data, model):
     """(macf, micf, preds) of _val_metrics by one score_batch call per
     mode, each given only the rows its mode reads: the oracle."""
     golds = [ex.stance for ex in data.val]
@@ -983,8 +983,7 @@ def _three_call_val_metrics(data, model, config):
     for mode, sem, dis in (("no_sem", None, data.dis_val),
                            ("no_dis", data.sem_val, None),
                            ("full", data.sem_val, data.dis_val)):
-        sem_scores, dis_scores = inference.score_batch(
-            sem, dis, model, slope=config.leaky_slope)
+        sem_scores, dis_scores = inference.score_batch(sem, dis, model)
         preds = inference.argmax_labels(sem_scores + dis_scores)
         macf, micf[mode] = metrics.macro_micro(preds, golds, targets)
     return macf, micf, preds
@@ -1010,11 +1009,11 @@ def test_val_metrics_scores_each_side_once_as_three_calls_would(
     original = cosd.training._val_metrics
     epochs = []
 
-    def checked(data, model, config):
+    def checked(data, model):
         calls.clear()
-        got = original(data, model, config)
+        got = original(data, model)
         assert sorted(calls) == ["distributed_scores", "semantic_scores"]
-        epochs.append((got, _three_call_val_metrics(data, model, config)))
+        epochs.append((got, _three_call_val_metrics(data, model)))
         return got
 
     monkeypatch.setattr(cosd.training, "_val_metrics", checked)

@@ -136,8 +136,7 @@ def cmd_topics(args: argparse.Namespace) -> int:
         models = [model for triple in training.fit_topics(dataset, config, h)
                   for model in triple.models]
         thetas = topics.fold_in_sets(
-            [([model], subset) for model, subset in zip(models, docs)],
-            config.fold_in_sweeps).rows
+            [([model], subset) for model, subset in zip(models, docs)]).rows
         for model, subset, theta, row in zip(models, docs, thetas, scores):
             try:
                 perp = topics.perplexity(model, subset, theta)
@@ -340,21 +339,14 @@ _FLAG_OPTIONS = {
     "embeddings": {"help": "EMB1 embedding file"},
     "out_dir": {"help": "run directory"},
     "h": {"help": "topics per stance subset"},
-    "hops": {"help": "propagation hops (0 = per-dataset default)"},
-    "alpha": {"help": "doc-topic prior (0 = 50/H)"},
-    "beta": {"help": "topic-word prior"},
     "lda_sweeps": {"help": "most CVB0 sweeps of the topic fit; each "
                            "model stops at its own fixed point, the first "
                            "sweep that moves none of its doc-topic and "
                            "topic-word counts by more than 1e-4"},
-    "fold_in_sweeps": {"help": "most CVB0 sweeps of a text's fold-in; each "
-                               "text stops at its own fixed point"},
-    "d1": {"help": "propagated embedding width"},
     "joint": {"help": "one joint graph instead of per-target graphs"},
     "lr_embed": {"help": "Adam learning rate of the topic and label rows"},
 }
-TOPICS_KEYS = ("dataset", "data", "alpha", "beta", "lda_sweeps",
-               "fold_in_sweeps", "seed", "joint")
+TOPICS_KEYS = ("dataset", "data", "lda_sweeps", "seed", "joint")
 
 
 def _add_config_flags(parser: argparse.ArgumentParser,

@@ -192,6 +192,14 @@ def write_run(path: Path, config: RunConfig, slugs: dict[str, str],
 
 # --- reading ----------------------------------------------------------------
 
+# keys an older run.json may hold, each with the value cosd now fixes, for
+# which any other value must be retrained; None drops the key at any value,
+# since the .lda1 files hold the priors and checkpoint checks d1 and hops
+RETIRED_KEYS = {"batch_size": None, "alpha": None, "beta": None,
+                "hops": None, "d1": None, "leaky_slope": cpa.LEAKY_SLOPE,
+                "fold_in_sweeps": topics.FOLD_IN_SWEEPS}
+
+
 # per training group with texts, in manifest order: its name, the positions
 # of its texts in the scored list, their semantic rows and fold-in rows
 # (None for a side no scoring mode reads)
@@ -212,12 +220,12 @@ class RunDir:
         doc = _read_json_object(manifest)
         try:
             settings = doc["config"]
-            if isinstance(settings, dict):  # retired with mini-batch steps
-                settings.pop("batch_size", None)
-                slope = settings.pop("leaky_slope", cpa.LEAKY_SLOPE)
-                if slope != cpa.LEAKY_SLOPE:  # now a constant of the CPA hop
-                    raise ConfigError(f"leaky_slope = {slope!r}, but the CPA "
-                                      f"slope is {cpa.LEAKY_SLOPE}: retrain")
+            for key, fixed in RETIRED_KEYS.items():
+                if isinstance(settings, dict) and key in settings:
+                    value = settings.pop(key)
+                    if fixed is not None and value != fixed:
+                        raise ConfigError(f"{key} = {value!r}, but cosd "
+                                          f"fixes it at {fixed}: retrain")
             config = RunConfig(**settings)
             config.data = doc["data"]
             config.embeddings = doc["embeddings"]
@@ -279,15 +287,16 @@ class RunDir:
         return _path(self.path, role, slug=self.groups[name], **fields)
 
     def checkpoint(self, name: str, trial: int) -> cpa.CpaModel:
-        """The trial's checkpoint of the group, whose H, d1 and hop count
-        must be the run's."""
+        """The trial's checkpoint of the group, whose H must be the run's,
+        d1 cpa.D1 and hop count that of the run's dataset kind."""
         path = self._file("checkpoint", name, trial=trial)
         ckpt = cpa.load_checkpoint(path)
         got = (ckpt.h, ckpt.d1, ckpt.hops)
-        want = (self.config.h, self.config.d1, self.config.resolved_hops())
+        want = (self.config.h, cpa.D1, self.config.resolved_hops())
         if got != want:
             raise ConfigError(f"{path}: H, d1 and hops are {got}, but the "
-                              f"run's config gives {want}")
+                              f"run's H, the fixed d1 and the hops of "
+                              f"{self.config.dataset} data are {want}")
         return ckpt
 
     def rows(self, examples: list[Example],
@@ -313,8 +322,7 @@ class RunDir:
             training.semantic_matrix(group, self.store) for _, group in groups]
         dis = [None] * len(groups) if not read_dis else (
             training.fold_in_matrix(
-                [(self.triple(name), group) for name, group in groups],
-                self.config.fold_in_sweeps).rows)
+                [(self.triple(name), group) for name, group in groups]).rows)
         return [(name, at[name], sem_rows, dis_rows)
                 for (name, _), sem_rows, dis_rows in zip(groups, sem, dis)]
 
@@ -365,8 +373,7 @@ class RunDir:
                 != [ex.stance.value for ex in pool]):
             raise ConfigError(f"{meta_path}: ids and stances differ from the "
                               f"train pool in {self.config.data}")
-        (dis,) = training.fold_in_matrix([(self.triple(name), pool)],
-                                         self.config.fold_in_sweeps).rows
+        (dis,) = training.fold_in_matrix([(self.triple(name), pool)]).rows
         lap = graph.laplacian(graph.build_adjacency(
             [ex.stance for ex in pool], dis))
         return ckpt, pool, lap

@@ -243,7 +243,7 @@ def fit_triples(groups: Sequence[tuple[Docs, Docs, Docs]],
 
 def _fit(doc_sets: Sequence[Docs], vocabs: Sequence[Vocabulary],
          h: int, alpha: float, beta: float, sweeps: int,
-         seeds: Sequence[int], sweep_callback=None) -> list[LdaModel]:
+         seeds: Sequence[int]) -> list[LdaModel]:
     """One model per doc set over its vocabulary, all in one _cvb0 fit with
     a chain per model. A token's gamma starts one-hot at its initial
     topic: set m's n in-vocabulary tokens, in (doc, position) order, draw
@@ -253,9 +253,8 @@ def _fit(doc_sets: Sequence[Docs], vocabs: Sequence[Vocabulary],
     its n_dk and n_wk by more than _FIT_TOL, or after sweeps sweeps: its
     trained_sweeps; its counts are those it stopped with, and its log joint
     is recorded every 50 sweeps and at its stop, except over an empty
-    vocabulary. sweep_callback(s, n_k (H, sets), gamma of the models still
-    sweeping) runs after every sweep. Both priors are finite and > 0, and
-    each seed is an integer >= 0.
+    vocabulary. Both priors are finite and > 0, and each seed is an
+    integer >= 0.
     """
     if not isinstance(h, numbers.Integral) or h < 1:
         raise TopicsError(f"H must be an integer >= 1, got {h!r}")
@@ -311,8 +310,6 @@ def _fit(doc_sets: Sequence[Docs], vocabs: Sequence[Vocabulary],
 
     def on_sweep(s, counts, gamma, ran, stops):
         n_dk, n_wk, n_k = counts
-        if sweep_callback is not None:
-            sweep_callback(s, n_k, gamma)
         due = ran if (s + 1) % _LOG_JOINT_EVERY == 0 else stops
         for m in np.flatnonzero(due & (sizes > 0)):
             mine = (set_of == m) & (lengths > 0)
@@ -358,6 +355,9 @@ _FOLD_IN_BATCH = 1024
 # a chain is frozen at the first sweep that moves none of its counts by more
 _FOLD_IN_TOL = 1e-9
 
+# the most sweeps of a chain that has not reached its fixed point
+FOLD_IN_SWEEPS = 50
+
 
 FoldInSet = tuple[Sequence[LdaModel], Docs]
 
@@ -371,7 +371,8 @@ class FoldIn(NamedTuple):
     capped: int
 
 
-def fold_in_sets(sets: Sequence[FoldInSet], sweeps: int = 50) -> FoldIn:
+def fold_in_sets(sets: Sequence[FoldInSet],
+                 sweeps: int = FOLD_IN_SWEEPS) -> FoldIn:
     """Fold-in posteriors of several model sets' docs; per set (models,
     docs) one (D, len(models)*H) array. A set's models share H and
     vocabulary, and all sets share H and the model count. Row d holds the

@@ -176,6 +176,8 @@ class EmbeddingWriter:
         if mat.shape[1] != self.dim:
             raise TrainingError(f"record {rec_id!r} has dim {mat.shape[1]}, "
                                 f"file says {self.dim}")
+        if not len(mat):  # load_embeddings refuses it
+            raise TrainingError(f"record {rec_id!r} has zero rows")
         raw = rec_id.encode("utf-8")
         self._fh.write(struct.pack("<I", len(raw)))
         self._fh.write(raw)
@@ -387,30 +389,28 @@ DATASETS = ("semeval", "ukp", "synthetic")
 @dataclass
 class RunConfig:
     """Every setting of a run: each key is a flag of cosd train and a key
-    of run.json's config. validate() is the one check of the values."""
+    of run.json's config. validate() is the one check of the values. What
+    the method fixes is no key: the hops of the dataset kind
+    (resolved_hops), the topic priors fit_topics passes, cpa.D1,
+    cpa.LEAKY_SLOPE and topics.FOLD_IN_SWEEPS."""
 
     dataset: str = "semeval"
     data: str = ""
     embeddings: str = ""
     out_dir: str = ""
     h: int = 5
-    hops: int = 0                 # 0 = per-dataset default (3 tweet, 2 ukp/synthetic)
-    alpha: float = 0.0            # 0 = 50/H
-    beta: float = 0.01
     lda_sweeps: int = 500
-    fold_in_sweeps: int = 50
     lr_cpa: float = 1e-5
     lr_embed: float = 1e-4
     dropout: float = 0.1
     epochs: int = 50
     seed: int = 0
     trials: int = 3
-    d1: int = cpa.D1
     joint: bool = False
 
     def resolved_hops(self) -> int:
-        if self.hops > 0:
-            return self.hops
+        """The propagation hops of the dataset kind: 3 on tweets, 2 on
+        the argument and synthetic corpora."""
         return 2 if self.dataset in ("ukp", "synthetic") else 3
 
     def validate(self) -> None:
@@ -426,13 +426,11 @@ class RunConfig:
         if self.dataset not in DATASETS:
             raise ConfigError(f"unknown dataset kind {self.dataset!r}")
         for name, low in (("epochs", 1), ("h", 1), ("trials", 1),
-                          ("lda_sweeps", 1), ("fold_in_sweeps", 1),
-                          ("d1", 1), ("hops", 0), ("alpha", 0),
-                          ("seed", 0)):
+                          ("lda_sweeps", 1), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ConfigError(f"need {name} >= {low}, got "
                                   f"{getattr(self, name)}")
-        for name in ("beta", "lr_cpa", "lr_embed"):
+        for name in ("lr_cpa", "lr_embed"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"need {name} > 0, got {getattr(self, name)}")
         if not 0.0 <= self.dropout < 1.0:
@@ -555,15 +553,14 @@ class GroupResult:
 
 
 def fold_in_matrix(pairs: Sequence[tuple[topics.TopicModelTriple,
-                                         list[Example]]],
-                   sweeps: int) -> topics.FoldIn:
+                                         list[Example]]]) -> topics.FoldIn:
     """Per (triple, examples) pair, the (n, 3H) topic distributions: the
     three fold-in posteriors side by side, divided by 3; and the number of
-    (text, model) pairs stopped at `sweeps`. Every pair's texts are folded
-    in together."""
+    (text, model) pairs stopped at topics.FOLD_IN_SWEEPS. Every pair's
+    texts are folded in together."""
     rows, capped = topics.fold_in_sets(
         [(triple.models, [ex.tokens for ex in examples])
-         for triple, examples in pairs], sweeps)
+         for triple, examples in pairs])
     return topics.FoldIn([r / 3.0 for r in rows], capped)
 
 
@@ -571,9 +568,10 @@ def fit_topics(dataset: Dataset, config: RunConfig,
                h: int) -> list[topics.TopicModelTriple]:
     """Every group's topic triple with h topics per stance, in group_keys
     order, fitted on the token docs of its train pool's stance subsets and
-    seeded per group; all groups in one fit. Here, and only here, the
-    config's alpha of 0 means 50/h. A group with no training texts (a
-    target only in val or test) fails before anything is fitted."""
+    seeded per group; all groups in one fit, at the doc-topic prior 50/h
+    and the topic-word prior 0.01 of Griffiths & Steyvers (PNAS 2004). A
+    group with no training texts (a target only in val or test) fails
+    before anything is fitted."""
     keys = group_keys(dataset, config.joint)
     subsets = [stance_subsets(dataset, target) for _, target in keys]
     for (group, _), examples in zip(keys, subsets):
@@ -582,8 +580,7 @@ def fit_topics(dataset: Dataset, config: RunConfig,
     return topics.fit_triples(
         [[[ex.tokens for ex in docs] for docs in examples]
          for examples in subsets],
-        h=h, alpha=config.alpha or 50.0 / h, beta=config.beta,
-        sweeps=config.lda_sweeps,
+        h=h, alpha=50.0 / h, sweeps=config.lda_sweeps,
         seeds=[derive_seed(config.seed, 7, group) for group, _ in keys])
 
 
@@ -605,7 +602,7 @@ def build_groups(dataset: Dataset, store: EncoderStore, config: RunConfig
     fitted = time.perf_counter()
     rows, capped = fold_in_matrix(
         [(triple, examples) for triple, pool, val in zip(triples, pools, vals)
-         for examples in (pool, val)], config.fold_in_sweeps)
+         for examples in (pool, val)])
     folded = time.perf_counter()
     groups = []
     for (group, _), triple, pool, val, dis_pool, dis_val in zip(
@@ -658,7 +655,7 @@ def train_group(data: GroupData, store: EncoderStore, config: RunConfig,
     model = cpa.init_model(
         data.triple.h, store.label_matrix(),
         seed=derive_seed(trial_seed, 1, data.group),
-        weight_seed=derive_seed(trial_seed, 2, data.group), d1=config.d1,
+        weight_seed=derive_seed(trial_seed, 2, data.group),
         hops=config.resolved_hops())
 
     gold = np.array([LABELS.index(ex.stance) for ex in data.pool])

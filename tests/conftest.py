@@ -12,6 +12,8 @@ import random
 import numpy as np
 import pytest
 
+from cosd import topics
+
 # target -> split -> (favor, none, against)
 SEMEVAL_TABLE = {
     "Atheism": {"train": (92, 117, 304), "test": (32, 28, 160)},
@@ -162,6 +164,28 @@ def planted_corpus(n_topics=3, n_docs=300, vocab_size=50, seed=0,
         ids = rng.choice(vocab_size, size=n, p=phi_true[k])
         docs.append([words[int(w)] for w in ids])
     return docs, phi_true
+
+
+def fit_checking_sweeps(check, *args):
+    """topics._fit(*args), with check(s, n_k (H, sets), gamma of the models
+    still sweeping) run after every sweep s, before the fit's own hook, the
+    last argument its _cvb0 call passes."""
+    cvb0 = topics._cvb0
+
+    def checked(*cvb0_args):
+        *head, on_sweep = cvb0_args
+
+        def both(s, counts, gamma, ran, stops):
+            check(s, counts[2], gamma)
+            on_sweep(s, counts, gamma, ran, stops)
+
+        return cvb0(*head, both)
+
+    topics._cvb0 = checked
+    try:
+        return topics._fit(*args)
+    finally:
+        topics._cvb0 = cvb0
 
 
 def greedy_match_tv(phi_est, phi_true):

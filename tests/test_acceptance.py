@@ -11,8 +11,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import (SEMEVAL_TABLE, UKP_TABLE, greedy_match_tv,
-                      planted_corpus)
+from conftest import (SEMEVAL_TABLE, UKP_TABLE, fit_checking_sweeps,
+                      greedy_match_tv, planted_corpus)
 from cosd import inference, synth
 from cosd.cli import main
 from cosd.corpus import LABELS, Split, Vocabulary, load_semeval
@@ -161,7 +161,8 @@ def test_criterion_3_planted_topic_recovery(capsys):
         conserved.append(bool((gamma >= 0).all()) and abs(
             float(n_k.sum()) - total_tokens) <= 1e-9 * total_tokens)
 
-    (model,) = _fit([docs], [vocab], 3, 50.0 / 3, 0.01, 500, [42], check)
+    (model,) = fit_checking_sweeps(check, [docs], [vocab], 3, 50.0 / 3, 0.01,
+                                   500, [42])
     tvs = greedy_match_tv(model.phi(), phi_true)
     elapsed = time.perf_counter() - t0
     # the fit sweeps until the model stops at its fixed point or the cap
@@ -209,8 +210,8 @@ def e2e(tmp_path_factory):
     dataset = load_semeval(out, seed=13)
     store = load_embeddings(paths["embeddings"])
     target = dataset.targets[0]
-    config = RunConfig(epochs=10, hops=2, h=3, seed=17, trials=1,
-                       lda_sweeps=300, fold_in_sweeps=50, d1=64)
+    config = RunConfig(dataset="synthetic", epochs=10, h=3, seed=17,
+                       trials=1, lda_sweeps=300)
     result = train(dataset, store, config)
 
     (group,) = result.groups
@@ -218,8 +219,7 @@ def e2e(tmp_path_factory):
     ckpt = result.trials[0][target].checkpoint
     test_ex = dataset.split(Split.TEST)
     sem = inference.semantic_scores(semantic_matrix(test_ex, store), ckpt.z)
-    (dis_mat,) = fold_in_matrix([(triple, test_ex)],
-                                config.fold_in_sweeps).rows
+    (dis_mat,) = fold_in_matrix([(triple, test_ex)]).rows
     dis = inference.distributed_scores(dis_mat, ckpt)
     elapsed = time.perf_counter() - t0
 
@@ -263,9 +263,8 @@ def test_criterion_7_byte_identical_reports(capsys, synth_small,
     base = tmp_path_factory.mktemp("determinism")
     flags = ["--dataset", "synthetic", "--data", str(root),
              "--embeddings", str(paths["embeddings"]),
-             "--h", "2", "--hops", "2", "--lda-sweeps", "40",
-             "--fold-in-sweeps", "10", "--epochs", "3", "--trials", "2",
-             "--d1", "8", "--seed", "5"]
+             "--h", "2", "--lda-sweeps", "40", "--epochs", "3",
+             "--trials", "2", "--seed", "5"]
     outputs = []
     for run in ("a", "b"):
         run_dir = base / run

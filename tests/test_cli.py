@@ -7,6 +7,7 @@ inspect commands so the suite stays fast.
 
 import argparse
 import csv
+import dataclasses
 import json
 import re
 import shutil
@@ -127,10 +128,10 @@ def test_config_validation(tmp_path):
     assert cfg_config.dataset == "semeval"
     assert cfg_config.resolved_hops() == 3
     assert _config(["train", "--dataset", "ukp"]).resolved_hops() == 2
-    assert _config(["train", "--hops", "5"]).resolved_hops() == 5
-    assert _config(["train", "--hops", "0"]).resolved_hops() == 3
-    with pytest.raises(ConfigError, match="hops"):
-        _config(["train", "--hops", "-4"])
+    assert _config(["train", "--dataset", "synthetic"]).resolved_hops() == 2
+    assert len(dataclasses.fields(training.RunConfig)) == 13
+    with pytest.raises(ConfigError, match="lda_sweeps"):
+        _config(["train", "--lda-sweeps", "0"])
     # argparse guards the flags; merged file values are revalidated
     bad_kind = tmp_path / "kind.cfg"
     bad_kind.write_text("dataset = mystery\n", encoding="utf-8")
@@ -166,9 +167,8 @@ def test_run_dir_naming():
 
 RUN_FLAGS = {"--run", "--trial"}
 TRAIN_OWN = {"--config", "--dataset", "--data", "--embeddings", "--out-dir",
-             "--h", "--hops", "--alpha", "--beta", "--lda-sweeps",
-             "--fold-in-sweeps", "--lr-cpa", "--lr-embed", "--dropout",
-             "--epochs", "--seed", "--trials", "--d1",
+             "--h", "--lda-sweeps", "--lr-cpa", "--lr-embed", "--dropout",
+             "--epochs", "--seed", "--trials",
              "--joint"}  # one per RunConfig key
 
 
@@ -179,9 +179,8 @@ TRAIN_OWN = {"--config", "--dataset", "--data", "--embeddings", "--out-dir",
     ("inspect", RUN_FLAGS | {"--group", "--dump-graph", "--dump-final-reps",
                              "--similar-to", "--k", "--export-attention",
                              "--attention-out"}, ["--run", "R"]),
-    ("topics", {"--config", "--dataset", "--data", "--alpha", "--beta",
-                "--lda-sweeps", "--fold-in-sweeps", "--seed", "--joint",
-                "--h-range", "--top-n", "--out"}, []),
+    ("topics", {"--config", "--dataset", "--data", "--lda-sweeps", "--seed",
+                "--joint", "--h-range", "--top-n", "--out"}, []),
     ("synth", {"--config", "--seed", "--out", "--n-train", "--n-val",
                "--n-test", "--gen-h", "--words-per-topic", "--noise"},
      ["--out", "D"]),
@@ -221,9 +220,8 @@ def test_main_reuses_one_parser_after_a_usage_error(capsys):
 # --- training run fixture ----------------------------------------------------------
 
 
-TRAIN_FLAGS = ["--h", "2", "--hops", "2", "--lda-sweeps", "40",
-               "--fold-in-sweeps", "10", "--epochs", "3", "--trials", "2",
-               "--d1", "8", "--seed", "5"]
+TRAIN_FLAGS = ["--h", "2", "--lda-sweeps", "40", "--epochs", "3",
+               "--trials", "2", "--seed", "5"]
 
 
 @pytest.fixture(scope="module")
@@ -242,9 +240,10 @@ def test_train_run_layout(run_dir, tmp_path, monkeypatch):
     for stance_key in ("favor", "none", "against"):
         assert (run_dir / "lda" / f"{SLUG}.{stance_key}.lda1").is_file()
     # CPA2: a 20-byte header, then the topic and label rows (3H + 3 = 9 of
-    # d0 = 768) and the weights of two hops (768 x 8, then 8 x 8, twice),
+    # d0 = 768) and the weights of two hops (768 x d1, then d1 x d1, twice),
     # as float64; no text row
-    cpa_size = 20 + 8 * (9 * 768 + 2 * (768 * 8 + 8 * 8))
+    d1 = cosd.cpa.D1
+    cpa_size = 20 + 8 * (9 * 768 + 2 * (768 * d1 + d1 * d1))
     for trial in (1, 2):
         base = run_dir / f"trial-{trial}"
         assert (base / f"{SLUG}.cpa1").stat().st_size == cpa_size
@@ -457,7 +456,7 @@ def test_inspect_summary_and_dumps(run_dir, tmp_path, capsys):
     assert len(rep_lines) == 60 + 3 * 2 + 3
     assert rep_lines[-1].startswith("label:against ")
     width = len(rep_lines[0].split()) - 1
-    assert width == 768 + 2 * 8
+    assert width == 768 + 2 * cosd.cpa.D1
 
 
 def test_inspect_summary_shows_each_topic_models_stop_sweep(run_dir, tmp_path,
@@ -532,7 +531,7 @@ def test_inspect_similar_to_queries_with_the_texts_graph_row(
     # the query is infer_transform of the text's semantic row, which is the
     # text's row of the graph: E^0 of its final rep
     assert [f"{x:.8f}" for x in query[:768]] == row[:768]
-    assert query.shape == (768 + 2 * 8,)
+    assert query.shape == (768 + 2 * cosd.cpa.D1,)
     # a text of the test split is found too; an unknown id is not
     test_id = next(ex.id for ex in RunDir(run_dir).corpus(Split.TEST).examples)
     assert main(["inspect", "--run", str(run_dir),
@@ -817,7 +816,7 @@ TARGETS_EDITS = {
 
 @pytest.mark.parametrize("edit", ["no_config", "unknown_key", "retired_key",
                                   "bad_type", "bad_groups", "zero_trials",
-                                  "negative_hops", "no_targets",
+                                  "negative_seed", "no_targets",
                                   *TARGETS_EDITS])
 def test_eval_on_malformed_manifest(run_dir, tmp_path, capsys, edit):
     copy = tmp_path / "run"
@@ -835,11 +834,11 @@ def test_eval_on_malformed_manifest(run_dir, tmp_path, capsys, edit):
     elif edit == "retired_key":
         doc["config"]["parallel_trials"] = False
     elif edit == "bad_type":
-        doc["config"]["fold_in_sweeps"] = "10"
+        doc["config"]["lda_sweeps"] = "10"
     elif edit == "zero_trials":
         doc["config"]["trials"] = 0
-    elif edit == "negative_hops":
-        doc["config"]["hops"] = -4
+    elif edit == "negative_seed":
+        doc["config"]["seed"] = -4
     else:
         doc["groups"] = [{"name": "Synthetic Policy"}]
     (copy / "run.json").write_text(json.dumps(doc), encoding="utf-8")
@@ -871,24 +870,38 @@ def test_a_run_trained_with_mini_batches_still_scores(run_dir, synth_small,
     assert RunDir(copy).config == RunDir(run_dir).config
 
 
+# every key RunDir drops from an older run.json: a value that scores as
+# the run does now (for the priors and batch_size any value), and for a
+# value cosd fixes, another, which asks for a retrain
+RETIRED = {"batch_size": (32, None), "alpha": (0.3, None),
+           "beta": (0.5, None), "leaky_slope": (0.01, 0.5),
+           "fold_in_sweeps": (50, 10), "hops": (2, 3),
+           "d1": (cosd.cpa.D1, cosd.cpa.D1 + 1)}
+
+
 def _assert_train_rejects(key, value, synth_small, tmp_path, capsys):
-    """A retired key is neither a flag of train nor a config file key."""
+    """A retired key is neither a flag of train or topics nor a config file
+    key."""
     root, paths = synth_small
     argv = ["train", "--dataset", "synthetic", "--data", str(root),
             "--embeddings", str(paths["embeddings"]),
             "--out-dir", str(tmp_path / "r")] + TRAIN_FLAGS
     flag = "--" + key.replace("_", "-")
-    with pytest.raises(SystemExit) as exc:
-        main(argv + [flag, value])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert [line for line in err.splitlines() if "error:" in line] == [
-        f"cosd: error: unrecognized arguments: {flag} {value}"]
+    for command in (argv, ["topics", "--dataset", "synthetic", "--data",
+                           str(root), "--out", str(tmp_path / "t.csv")]):
+        with pytest.raises(SystemExit) as exc:
+            main(command + [flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"cosd: error: unrecognized arguments: {flag} {value}"]
     cfg = tmp_path / "old.cfg"
     cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
     _expect_failure(argv + ["--config", str(cfg)], capsys,
                     needle=f"unknown config key {key!r}")
     assert not (tmp_path / "r").exists()
+    assert not (tmp_path / "t.csv").exists()
+    assert key not in vars(_config(["train"]))
 
 
 def test_train_rejects_the_retired_batch_size(synth_small, tmp_path, capsys):
@@ -898,25 +911,40 @@ def test_train_rejects_the_retired_batch_size(synth_small, tmp_path, capsys):
 def test_train_rejects_the_retired_leaky_slope(synth_small, tmp_path, capsys):
     _assert_train_rejects("leaky_slope", "0.01", synth_small, tmp_path,
                           capsys)
-    assert "leaky_slope" not in vars(_config(["train"]))
 
 
-def _with_slope(run_dir, copy, slope):
-    """A copy of the run whose run.json holds leaky_slope = slope, as a
-    run trained before the slope became a constant of the CPA hop does."""
+@pytest.mark.parametrize("key", ["hops", "alpha", "beta", "d1",
+                                 "fold_in_sweeps"])
+def test_train_and_topics_reject_a_fixed_setting(key, synth_small, tmp_path,
+                                                 capsys):
+    _assert_train_rejects(key, str(RETIRED[key][0]), synth_small, tmp_path,
+                          capsys)
+
+
+def _with_key(run_dir, copy, key, value):
+    """A copy of the run whose run.json holds key = value, as a run trained
+    before the key was retired does. At another d1 or hop count, its
+    checkpoints have that shape, as training at that value gave them."""
     shutil.copytree(run_dir, copy)
     doc = json.loads((copy / "run.json").read_text(encoding="utf-8"))
-    doc["config"]["leaky_slope"] = slope
+    doc["config"][key] = value
     (copy / "run.json").write_text(json.dumps(doc), encoding="utf-8")
+    for path in copy.glob("trial-*/*.cpa1") if key in ("d1", "hops") else ():
+        ckpt = cosd.cpa.load_checkpoint(path)
+        if getattr(ckpt, key) != value:
+            ckpt = _reshaped(ckpt, key)
+            assert getattr(ckpt, key) == value
+            cosd.cpa.save_checkpoint(path, ckpt)
     return copy
 
 
-def test_a_run_trained_with_the_constant_slope_scores_the_same(
-        run_dir, synth_small, tmp_path, capsys):
+@pytest.mark.parametrize("key", sorted(RETIRED))
+def test_a_run_holding_a_retired_key_at_its_fixed_value_scores_the_same(
+        run_dir, synth_small, tmp_path, capsys, key):
     root, _ = synth_small
     now = tmp_path / "now"
     shutil.copytree(run_dir, now)
-    old = _with_slope(run_dir, tmp_path / "old", 0.01)
+    old = _with_key(run_dir, tmp_path / "old", key, RETIRED[key][0])
     outputs = []
     for copy in (now, old):
         for report in copy.glob("report-test*"):
@@ -927,19 +955,27 @@ def test_a_run_trained_with_the_constant_slope_scores_the_same(
             assert main(["predict", "--run", str(copy), "--mode", mode,
                          "--in", str(root / "test.tsv"),
                          "--out", str(copy / f"p-{mode}.tsv")]) == 0
-        assert capsys.readouterr().err == ""
+        assert main(["inspect", "--run", str(copy)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
         outputs.append({path.name: path.read_bytes() for path in
                         [*copy.glob("report-test*"), *copy.glob("p-*")]})
-    assert len(outputs[0]) == 3 * len(cosd.inference.MODES)
+        outputs[-1]["inspect"] = captured.out.replace(str(copy), "RUN")
+    assert len(outputs[0]) == 3 * len(cosd.inference.MODES) + 1
     assert outputs[0] == outputs[1]
     assert RunDir(old).config == RunDir(run_dir).config
 
 
-def test_a_run_trained_with_another_slope_is_refused(run_dir, synth_small,
-                                                     tmp_path, capsys):
-    # scoring its checkpoint with the constant slope would be silently wrong
+@pytest.mark.parametrize("key", [key for key, (_, other) in RETIRED.items()
+                                 if other is not None])
+def test_a_run_trained_at_another_fixed_value_is_refused(
+        run_dir, synth_small, tmp_path, capsys, key):
+    # scoring its checkpoint at the values cosd fixes would be silently
+    # wrong: RunDir refuses a fixed setting at another value, and a
+    # checkpoint of another d1 or hop count
+    value = RETIRED[key][1]
     root, _ = synth_small
-    copy = _with_slope(run_dir, tmp_path / "run", 0.5)
+    copy = _with_key(run_dir, tmp_path / "run", key, value)
     before = {path: path.read_bytes() for path in copy.rglob("*")
               if path.is_file()}
     out = tmp_path / "p.tsv"
@@ -947,9 +983,13 @@ def test_a_run_trained_with_another_slope_is_refused(run_dir, synth_small,
                  ["predict", "--in", str(root / "test.tsv"),
                   "--out", str(out)],
                  ["inspect", "--dump-graph", str(tmp_path / "g.txt")]):
-        err = _expect_failure(argv + ["--run", str(copy)], capsys,
-                              needle="run.json")
-        assert "leaky_slope = 0.5" in err
+        err = _expect_failure(argv + ["--run", str(copy)], capsys)
+        if key in ("d1", "hops"):
+            assert re.match(r"error: \S+\.cpa1: H, d1 and hops are ", err)
+        else:
+            assert err == (f"error: {copy / 'run.json'}: {key} = {value!r}, "
+                           f"but cosd fixes it at {RETIRED[key][0]}: "
+                           f"retrain\n")
     assert {path: path.read_bytes() for path in copy.rglob("*")
             if path.is_file()} == before
     assert not out.exists() and not (tmp_path / "g.txt").exists()
@@ -1005,7 +1045,7 @@ def test_train_into_a_reused_dir_leaves_only_the_new_run(run_dir, synth_small,
 
 
 @pytest.mark.parametrize("flag", [["--epochs", "0"], ["--dropout", "1.0"],
-                                  ["--hops", "-4"], ["--lr-cpa", "nan"],
+                                  ["--trials", "0"], ["--lr-cpa", "nan"],
                                   ["--seed", "-1"]])
 def test_train_checks_its_config_before_loading_or_fitting(
         flag, synth_small, tmp_path, capsys, monkeypatch):
@@ -1161,20 +1201,6 @@ def test_topics_checks_out_before_loading_or_fitting(parent, synth_small,
     assert main(["topics", "--dataset", "synthetic", "--data", str(root),
                  "--h-range", "2:2", "--out", str(out)]) == 2
     assert capsys.readouterr() == ("", f"error: {want}\n")
-
-
-@pytest.mark.parametrize("command", ["topics", "train"])
-def test_zero_topic_word_prior_exits_2(command, synth_small, tmp_path,
-                                       capsys):
-    root, paths = synth_small
-    argv = [command, "--dataset", "synthetic", "--data", str(root),
-            "--alpha", "0.01", "--beta", "0", "--lda-sweeps", "50"]
-    if command == "topics":
-        argv += ["--h-range", "7:7"]
-    else:
-        argv += ["--embeddings", str(paths["embeddings"]), "--out-dir",
-                 str(tmp_path / "r"), "--h", "7", "--trials", "1"]
-    _expect_failure(argv, capsys, needle="beta > 0")
 
 
 def test_inspect_unknown_group(run_dir, capsys):
@@ -1532,8 +1558,8 @@ def test_topics_table_and_csv(synth_small, tmp_path, capsys):
     root, _ = synth_small
     out = tmp_path / "sweep.csv"
     argv = ["topics", "--dataset", "synthetic", "--data", str(root),
-            "--h-range", "2:3", "--lda-sweeps", "20", "--fold-in-sweeps",
-            "10", "--seed", "6", "--top-n", "4", "--out", str(out)]
+            "--h-range", "2:3", "--lda-sweeps", "20", "--seed", "6",
+            "--top-n", "4", "--out", str(out)]
     assert main(argv) == 0
     table = capsys.readouterr().out.strip().splitlines()
     assert len(table) == 1 + 3 * 2  # header + stances x h values
@@ -1555,9 +1581,8 @@ def test_topics_rows_score_the_models_train_fits(run_dir, synth_small,
     out = tmp_path / "sweep.csv"
     # the flags of the run_dir fixture's train that topics reads
     assert main(["topics", "--dataset", "synthetic", "--data", str(root),
-                 "--h-range", "2:2", "--lda-sweeps", "40",
-                 "--fold-in-sweeps", "10", "--seed", "5", "--top-n", "4",
-                 "--out", str(out)]) == 0
+                 "--h-range", "2:2", "--lda-sweeps", "40", "--seed", "5",
+                 "--top-n", "4", "--out", str(out)]) == 0
     capsys.readouterr()
     rows = [line.split(",") for line in
             out.read_text(encoding="utf-8").strip().splitlines()[1:]]
@@ -1567,7 +1592,7 @@ def test_topics_rows_score_the_models_train_fits(run_dir, synth_small,
     for row, examples in zip(rows, subsets):
         model = cosd.topics.load_lda(run_dir / "lda" / f"{SLUG}.{row[1]}.lda1")
         docs = [ex.tokens for ex in examples]
-        (theta,) = cosd.topics.fold_in_sets([([model], docs)], 10).rows
+        (theta,) = cosd.topics.fold_in_sets([([model], docs)]).rows
         want = (cosd.topics.perplexity(model, docs, theta),
                 cosd.topics.umass_coherence(model, docs, top_n=4))
         assert row == ["Synthetic Policy", row[1], "2",
@@ -1628,8 +1653,7 @@ def test_csv_outputs_quote_a_target_name_with_a_comma(tmp_path, synth_small,
     assert main(["eval", "--run", str(run), "--split", "test"]) == 0
     topics_csv = tmp_path / "topics.csv"
     assert main(["topics", "--dataset", "synthetic", "--data", str(data),
-                 "--h-range", "2:2", "--lda-sweeps", "10",
-                 "--fold-in-sweeps", "5", "--top-n", "3",
+                 "--h-range", "2:2", "--lda-sweeps", "10", "--top-n", "3",
                  "--out", str(topics_csv)]) == 0
     capsys.readouterr()
     with open(run / "report-test-full.csv", encoding="utf-8",
@@ -1718,21 +1742,20 @@ def test_topics_folds_every_subset_in_once_per_h(two_target_run, tmp_path,
     calls = []
     original = cosd.topics.fold_in_sets
 
-    def recording(sets, sweeps=50):
-        calls.append((sets, sweeps))
-        return original(sets, sweeps)
+    def recording(sets, *rest):
+        calls.append((sets, rest))
+        return original(sets, *rest)
 
     monkeypatch.setattr(cosd.topics, "fold_in_sets", recording)
     out = tmp_path / "sweep.csv"
     assert main(["topics", "--dataset", "synthetic", "--data", str(data),
-                 "--h-range", "2:3", "--lda-sweeps", "10",
-                 "--fold-in-sweeps", "5", "--seed", "5", "--top-n", "3",
-                 "--out", str(out)]) == 0
+                 "--h-range", "2:3", "--lda-sweeps", "10", "--seed", "5",
+                 "--top-n", "3", "--out", str(out)]) == 0
     capsys.readouterr()
     # per H one call over both groups' three subsets, one model a set
     assert [len(sets) for sets, _ in calls] == [6, 6]
     assert {len(models) for sets, _ in calls for models, _ in sets} == {1}
-    assert {sweeps for _, sweeps in calls} == {5}
+    assert {rest for _, rest in calls} == {()}  # the fold-in's own cap
     with open(out, encoding="utf-8", newline="") as f:
         rows = list(csv.reader(f))[1:]
 
@@ -1746,7 +1769,7 @@ def test_topics_folds_every_subset_in_once_per_h(two_target_run, tmp_path,
             for h, (sets, _) in zip((2, 3), calls):
                 (model,), _ = sets[3 * g + j]
                 assert model.h == h
-                (theta,), _ = original([([model], docs)], 5)
+                (theta,), _ = original([([model], docs)])
                 want.append([
                     name, key, str(h),
                     f"{cosd.topics.perplexity(model, docs, theta):.6f}",

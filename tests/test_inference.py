@@ -17,7 +17,8 @@ import pytest
 from conftest import record_rows
 import cosd
 from cosd.corpus import Split, Stance, load_semeval
-from cosd.cpa import CpaModel, infer_transform, init_cpa_weights, propagate
+from cosd.cpa import (D1, CpaModel, infer_transform, init_cpa_weights,
+                      propagate)
 from cosd.inference import (
     InferenceError,
     argmax_labels,
@@ -379,9 +380,8 @@ def trained(synth_small):
     root, paths = synth_small
     dataset = load_semeval(root)
     store = load_embeddings(paths["embeddings"])
-    config = RunConfig(epochs=4, hops=2, h=2, seed=2,
-                       trials=1, lda_sweeps=40, fold_in_sweeps=10, d1=8,
-                       dropout=0.1)
+    config = RunConfig(dataset="synthetic", epochs=4, h=2, seed=2,
+                       trials=1, lda_sweeps=40, dropout=0.1)
     (data,), _ = build_groups(dataset, store, config)
     result = train_group(data, store, config, trial_seed=2)
     triple = data.triple
@@ -393,7 +393,7 @@ def _score_examples(examples, store, triple, ckpt, mode="full"):
     return score_batch(
         None if mode == "no_sem" else semantic_matrix(examples, store),
         None if mode == "no_dis"
-        else fold_in_matrix([(triple, examples)], 10).rows[0], ckpt)
+        else fold_in_matrix([(triple, examples)]).rows[0], ckpt)
 
 
 def test_predict_returns_bundles_and_beats_chance(trained):
@@ -445,7 +445,8 @@ def test_final_train_reps_shape(trained):
     n = len(data.pool)
     # the pool's semantic rows are the text rows
     reps = propagate(data.sem_pool, ckpt, data.lap)
-    width = ckpt.d0 + ckpt.hops * 8
+    assert (ckpt.d1, ckpt.hops) == (D1, 2)
+    width = ckpt.d0 + ckpt.hops * D1
     assert reps.shape == (n + 3 * ckpt.h + 3, width)
     assert np.isfinite(reps).all()
     assert np.array_equal(reps[:n, :ckpt.d0], data.sem_pool)

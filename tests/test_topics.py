@@ -19,7 +19,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import greedy_match_tv, planted_corpus
+from conftest import fit_checking_sweeps, greedy_match_tv, planted_corpus
 from cosd.corpus import Vocabulary
 import cosd.topics
 from cosd.topics import (
@@ -497,9 +497,9 @@ def test_sampler_conserves_counts_every_sweep():
         assert (n_t >= 0).all()
         assert abs(n_t[:, 0].sum() - total) <= 1e-9 * total
 
-    (model,) = cosd.topics._fit(
-        [docs], [Vocabulary.from_docs(docs)], 3, 50.0 / 3, 0.01, 5, [1],
-        check)
+    (model,) = fit_checking_sweeps(
+        check, [docs], [Vocabulary.from_docs(docs)], 3, 50.0 / 3, 0.01, 5,
+        [1])
     assert seen == [0, 1, 2, 3, 4]
     assert abs(model.topic_totals.sum() - total) <= 1e-9 * total
     assert (model.topic_word_counts >= 0).all()

@@ -110,6 +110,18 @@ def test_embedding_writer_enforces_the_header_count(tmp_path):
             out.write("a", np.ones(3))
 
 
+def test_embedding_writer_refuses_a_record_with_zero_rows(tmp_path):
+    # load_embeddings refuses such a record, so the writer writes none of it
+    path = tmp_path / "zero.emb1"
+    with pytest.raises(TrainingError, match="^record 'x' has zero rows$"):
+        save_embeddings(path, [("a", np.ones((2, 4))),
+                               ("x", np.empty((0, 4)))], dim=4)
+    one = tmp_path / "one.emb1"
+    save_embeddings(one, [("a", np.ones((2, 4)))], dim=4)
+    assert path.read_bytes() == one.read_bytes()[:4] + struct.pack(
+        "<II", 2, 4) + one.read_bytes()[12:]
+
+
 def test_embeddings_single_record_store(tmp_path):
     path = tmp_path / "one.emb1"
     save_embeddings(path, [("only", np.ones((1, 8)))], dim=8)
@@ -673,10 +685,10 @@ def test_derive_seeds_equal_the_seed_sequence_oracle(base):
 
 def test_train_config_validation():
     RunConfig().validate()
-    RunConfig(hops=0, alpha=0.0, dropout=0.0).validate()  # 0 = the default
+    RunConfig(dropout=0.0).validate()
     for bad in (dict(epochs=0), dict(dropout=1.0), dict(lr_cpa=0.0),
-                dict(trials=0), dict(hops=-4), dict(alpha=-0.5),
-                dict(beta=0.0), dict(lr_embed=float("nan")),
+                dict(trials=0), dict(lda_sweeps=0), dict(seed=-1),
+                dict(lr_embed=float("nan")),
                 dict(dataset="mystery"),
                 dict(epochs=3.0), dict(joint=1)):
         with pytest.raises(ConfigError):
@@ -717,8 +729,8 @@ def _assert_graph_of(data, dis_pool):
 
 
 def _config(**kw):
-    base = dict(epochs=3, hops=2, h=2, seed=5, trials=2,
-                lda_sweeps=30, fold_in_sweeps=10, d1=8, dropout=0.1)
+    base = dict(dataset="synthetic", epochs=3, h=2, seed=5, trials=2,
+                lda_sweeps=30, dropout=0.1)
     base.update(kw)
     return RunConfig(**base)
 
@@ -738,15 +750,15 @@ def test_missing_ids_reporting(synth_setup):
 def test_fold_in_matrix_rows_are_distributions(synth_setup):
     dataset, _, target, triple = synth_setup
     pool = dataset.train_pool(target)[:6]
-    (mat,), _ = fold_in_matrix([(triple, pool)], sweeps=10)
+    (mat,), _ = fold_in_matrix([(triple, pool)])
     assert mat.shape == (6, 6)
     assert np.allclose(mat.sum(axis=1), 1.0)
     # a row depends on its text alone: a subset reproduces the same rows,
     # alone or as one of several pairs folded in together
-    (sub,), _ = fold_in_matrix([(triple, pool[:2])], sweeps=10)
+    (sub,), _ = fold_in_matrix([(triple, pool[:2])])
     assert np.array_equal(sub, mat[:2])
     (head, empty, tail), _ = fold_in_matrix(
-        [(triple, pool[:2]), (triple, []), (triple, pool[2:])], sweeps=10)
+        [(triple, pool[:2]), (triple, []), (triple, pool[2:])])
     assert np.array_equal(head, mat[:2]) and np.array_equal(tail, mat[2:])
     assert empty.shape == (0, 6)
 
@@ -756,9 +768,9 @@ def test_fold_in_matrix_equals_scalar_oracle_thirds(synth_setup):
 
     dataset, _, target, triple = synth_setup
     pool = dataset.train_pool(target)[:8]
-    (mat,), _ = fold_in_matrix([(triple, pool)], sweeps=7)
+    (mat,), _ = fold_in_matrix([(triple, pool)])
     for row, ex in zip(mat, pool):
-        parts = [cvb0_posterior(m, ex.tokens, sweeps=7)
+        parts = [cvb0_posterior(m, ex.tokens)
                  for m in triple.models]
         assert np.array_equal(row, np.concatenate(parts) / 3.0)
 
@@ -771,8 +783,8 @@ def test_perplexity_theta_is_the_training_fold_in_block(synth_setup):
     h = triple.h
     for j, examples in enumerate(stance_subsets(dataset, target)):
         docs = [ex.tokens for ex in examples]
-        (rows,), _ = fold_in_matrix([(triple, examples)], sweeps=7)
-        (theta,), _ = fold_in_sets([([triple.models[j]], docs)], sweeps=7)
+        (rows,), _ = fold_in_matrix([(triple, examples)])
+        (theta,), _ = fold_in_sets([([triple.models[j]], docs)])
         assert np.array_equal(theta / 3.0, rows[:, j * h:(j + 1) * h])
         phi = triple.models[j].phi()
         index = triple.models[j].vocab.index
@@ -783,14 +795,13 @@ def test_perplexity_theta_is_the_training_fold_in_block(synth_setup):
                           theta) == pytest.approx(want, rel=1e-12)
 
 
-def test_fit_topics_reads_alpha_0_as_50_over_h(synth_setup):
-    # the config's 0 sentinel resolves here, to the float 50/H the topic
-    # fit then takes as given; any other alpha passes through
+def test_fit_topics_takes_alpha_50_over_h_and_beta_0_01(synth_setup):
+    # the priors of Griffiths & Steyvers, which no config key changes
     dataset = synth_setup[0]
-    for alpha, h, want in ((0.0, 4, 50.0 / 4), (0.0, 3, 50.0 / 3),
-                           (0.3, 4, 0.3)):
-        (triple,) = fit_topics(dataset, _config(alpha=alpha, lda_sweeps=1), h)
-        assert [m.alpha for m in triple.models] == [want] * 3
+    for h in (3, 4):
+        (triple,) = fit_topics(dataset, _config(lda_sweeps=1), h)
+        assert [(m.alpha, m.beta) for m in triple.models] == [
+            (50.0 / h, 0.01)] * 3
 
 
 def test_build_group_data_shapes(synth_setup):
@@ -821,7 +832,7 @@ def test_build_group_data_shapes(synth_setup):
     assert stages["topic_fit_capped"] == 2
     n = len(dataset.train_pool(target))
     assert len(data.pool) == n
-    (dis_pool,), _ = fold_in_matrix([(want, data.pool)], sweeps=10)
+    (dis_pool,), _ = fold_in_matrix([(want, data.pool)])
     assert dis_pool.shape == (n, 6)
     _assert_graph_of(data, dis_pool)
     assert data.lap.rows == n + 6 + 3
@@ -829,15 +840,17 @@ def test_build_group_data_shapes(synth_setup):
     assert np.array_equal(data.sem_pool, semantic_matrix(data.pool, store))
 
 
-@pytest.mark.parametrize("alpha, capped", [(0.01, True), (0.0, False)])
+@pytest.mark.parametrize("alpha, capped", [(0.01, True), (50.0 / 20, False)])
 def test_build_groups_counts_the_fold_ins_stopped_at_the_cap(
-        synth_setup, alpha, capped):
+        synth_setup, monkeypatch, alpha, capped):
     # at a small prior and many topics the CVB0 fixed point is slow to
     # reach, and 50 sweeps stop some (text, model) pairs short of it; at
-    # the default prior of 50/H none
+    # the prior 50/H that fit_topics passes none
     dataset, store, _, _ = synth_setup
-    _, stages = build_groups(dataset, store, _config(
-        h=20, alpha=alpha, fold_in_sweeps=50))
+    fit = cosd.topics.fit_triples
+    monkeypatch.setattr(cosd.topics, "fit_triples", lambda *args, **kw: fit(
+        *args, **{**kw, "alpha": alpha}))
+    _, stages = build_groups(dataset, store, _config(h=20))
     assert (stages["fold_in_capped"] > 0) == capped
 
 
@@ -885,7 +898,7 @@ def test_train_group_logs_and_best_checkpoint(synth_setup):
     # returns
     assert result.checkpoint.h == 2
     assert result.checkpoint.side.shape == (3 * 2 + 3, store.dim)
-    assert result.checkpoint.hops == config.hops
+    assert result.checkpoint.hops == config.resolved_hops() == 2
     assert all(np.isfinite(row["loss"]) for row in result.log_rows)
     assert len(result.val_preds) == len(data.val)
 
@@ -924,7 +937,7 @@ def test_train_group_text_rows_are_the_semantic_rows(synth_setup,
     train_group(data, store, config, trial_seed=7)
     # Adam holds the topic and label rows and the weights, no text row
     assert adam_params[0] == [(3 * 2 + 3, store.dim)]
-    assert adam_params[1] == [(store.dim, 8), (8, 8)] * 2
+    assert adam_params[1] == [(store.dim, cpa.D1), (cpa.D1, cpa.D1)] * 2
     assert len(seen) == config.epochs
     for n_text, texts, _ in seen:
         assert n_text == n
@@ -1114,7 +1127,7 @@ def test_six_target_train_equals_per_group_fits(tmp_path):
             assert got.trained_sweeps == own.trained_sweeps
             assert got.log_joint == own.log_joint
         (dis_pool, dis_val), _ = fold_in_matrix(
-            [(want, data.pool), (want, data.val)], sweeps=10)
+            [(want, data.pool), (want, data.val)])
         _assert_graph_of(data, dis_pool)
         assert np.array_equal(data.dis_val, dis_val)
 

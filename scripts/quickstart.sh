@@ -8,9 +8,8 @@
 # its relative entries are taken from the directory the script starts in.
 # OUT_DIR receives the corpus (data/), the topics CSV and stdout (topics/),
 # the run directory (run/) with the eval reports of the train, val and
-# test splits in each mode, with and without --score-norm, the predict TSVs of
-# the same six settings (preds/), and the inspect dumps, retrieval stdout
-# and attention CSV (inspect/). Paths are relative to OUT_DIR, so two runs
+# test splits in each mode, the predict TSV of each mode (preds/), and the
+# inspect dumps, retrieval stdout and attention CSV (inspect/). Paths are relative to OUT_DIR, so two runs
 # in the same OUT_DIR record the same paths in run.json. It exits non-zero
 # at the first command that does, and names that command on stderr.
 set -euo pipefail
@@ -47,13 +46,11 @@ cosd topics --dataset synthetic --data data --h-range 2:3 --lda-sweeps 50 \
 cosd train --dataset synthetic --data data --embeddings data/synth.emb1 \
   --out-dir run --h 3 --epochs 2 --trials 2 --lda-sweeps 100 --seed 17
 for mode in full no_dis no_sem; do
-  for norm in "" --score-norm; do
-    for split in train val test; do
-      cosd eval --run run --split "$split" --mode "$mode" $norm
-    done
-    cosd predict --run run --in data/test.tsv --mode "$mode" $norm \
-      --out "preds/$mode${norm:+-zscore}.tsv"
+  for split in train val test; do
+    cosd eval --run run --split "$split" --mode "$mode"
   done
+  cosd predict --run run --in data/test.tsv --mode "$mode" \
+    --out "preds/$mode.tsv"
 done
 id=$(cut -f1 data/train.tsv | sed -n 2p)
 cosd inspect --run run --dump-graph inspect/lap.txt

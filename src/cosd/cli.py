@@ -6,8 +6,8 @@ synth take their configuration as flat key = value text; every key is also
 a flag of train, while topics and synth take flags only for the keys they
 read. Precedence: flag, then the config file, then defaults. predict, eval
 and inspect read the configuration of the run they are given from its
-manifest; predict and eval add only their own --mode (eval takes several)
-and --score-norm. One command per process; every randomized step derives
+manifest; predict and eval add only their own --mode (eval takes
+several). One command per process; every randomized step derives
 from the single seed, so identical invocations produce identical outputs
 (run directories are timestamped unless --out-dir pins them; file
 contents never embed timestamps).
@@ -60,7 +60,7 @@ def read_config_file(path: str | Path) -> dict[str, str]:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"missing config file: {path}")
-    out = {}
+    out, first_line = {}, {}
     for lineno, line in enumerate(read_text(path, ConfigError).splitlines(),
                                   1):
         line = line.split("#", 1)[0].strip()
@@ -68,8 +68,12 @@ def read_config_file(path: str | Path) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip().strip('"')
+        key, value = (part.strip() for part in line.split("=", 1))
+        first = first_line.setdefault(key, lineno)
+        if first != lineno:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} repeated, "
+                              f"first on line {first}")
+        out[key] = value.strip('"')
     return out
 
 
@@ -113,17 +117,24 @@ def parse_h_range(raw: str) -> tuple[int, int]:
     return lo, hi
 
 
+def check_out_path(flag: str, path: str | None) -> None:
+    """An output file's path, checked before the work that fills it: a
+    directory, or a file in a directory that does not exist, is an error
+    that names the flag. An absent path passes."""
+    if path and Path(path).is_dir():
+        raise ConfigError(f"{flag} {path} is a directory")
+    if path and not Path(path).parent.is_dir():
+        raise ConfigError(f"{flag} {path}: {Path(path).parent} is not a "
+                          f"directory")
+
+
 def cmd_topics(args: argparse.Namespace) -> int:
     config = build_config(args)
     lo, hi = parse_h_range(args.h_range)
     if args.top_n < 2:
         raise ConfigError(f"need --top-n >= 2, got {args.top_n}")
     # the CSV is written after every fit, so its path is checked first
-    if args.out and Path(args.out).is_dir():
-        raise ConfigError(f"--out {args.out} is a directory")
-    if args.out and not Path(args.out).parent.is_dir():
-        raise ConfigError(f"--out {args.out}: {Path(args.out).parent} is "
-                          f"not a directory")
+    check_out_path("--out", args.out)
     dataset = load_dataset(config)
     keys = training.group_keys(dataset, config.joint)
     names = [(key, stance_key) for key, _ in keys for stance_key in LABEL_KEYS]
@@ -205,23 +216,21 @@ def cmd_eval(args: argparse.Namespace) -> int:
     sides = [run.score(rows, trial) for trial in trials]
     for mode in args.mode:
         text, csv_text = metrics.trial_report(
-            [inference.mode_scores(*both, mode, args.score_norm).predicted
-             for both in sides],
+            [inference.mode_scores(*both, mode).predicted for both in sides],
             [ex.stance for ex in labeled], [ex.target for ex in labeled],
             run.targets, trials)
-        suffix = f"{args.split}-{mode}" + "-zscore" * args.score_norm
-        rundir.write_report(run.path, suffix, text, csv_text)
+        rundir.write_report(run.path, f"{args.split}-{mode}", text, csv_text)
         print(text, end="")
     return 0
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
+    check_out_path("--out", args.outfile)
     run = rundir.RunDir(args.run)
     trial = run.trials(args.trial)[0]  # the first trial unless one is named
     examples = read_splits(args.infile, [Split.TEST]).examples
     scores = inference.mode_scores(
-        *run.score(run.rows(examples, [args.mode]), trial), args.mode,
-        args.score_norm)
+        *run.score(run.rows(examples, [args.mode]), trial), args.mode)
     # Python floats, which format faster than numpy scalars, to the same
     # text, each line by one format
     line = "%s\t%s" + "\t%.6f" * 6
@@ -240,6 +249,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
 def cmd_inspect(args: argparse.Namespace) -> int:
     if args.attention_out and not args.export_attention:
         raise ConfigError("--attention-out needs --export-attention")
+    for flag, path in (("--dump-graph", args.dump_graph),
+                       ("--dump-final-reps", args.dump_final_reps),
+                       ("--attention-out", args.attention_out)):
+        check_out_path(flag, path)
     run = rundir.RunDir(args.run)
     trial = run.trials(args.trial)[0]
     group = run.group(args.group)
@@ -369,14 +382,6 @@ def _add_run_flags(parser: argparse.ArgumentParser, trial_help: str) -> None:
     parser.add_argument("--trial", type=int, help=trial_help)
 
 
-def _add_score_flags(parser: argparse.ArgumentParser, **mode) -> None:
-    parser.add_argument("--mode", choices=inference.MODES,
-                        help="score with both paths or ablate one", **mode)
-    parser.add_argument("--score-norm", dest="score_norm",
-                        action="store_true",
-                        help="z-score each score triple before adding")
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The cosd parser, built once per process."""
@@ -405,7 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="score a TSV of texts with a trained run",
                        allow_abbrev=False)
     _add_run_flags(p, "trial number (default 1)")
-    _add_score_flags(p, default="full")
+    p.add_argument("--mode", choices=inference.MODES, default="full",
+                   help="score with both paths or ablate one")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
     p.set_defaults(func=cmd_predict)
@@ -413,7 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="metrics for a split against a trained run",
                        allow_abbrev=False)
     _add_run_flags(p, "one trial (default: all + mean)")
-    _add_score_flags(p, nargs="+", default=["full"])
+    p.add_argument("--mode", choices=inference.MODES, nargs="+",
+                   default=["full"],
+                   help="score with both paths or ablate one")
     p.add_argument("--split", choices=["train", "val", "test"], default="test")
     p.set_defaults(func=cmd_eval)
 

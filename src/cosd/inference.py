@@ -75,14 +75,6 @@ def distributed_scores(dis_matrix: np.ndarray, model: CpaModel) -> np.ndarray:
     return sims.reshape(len(dis_matrix), 3, -1).max(axis=2)
 
 
-def zscore_rows(scores: np.ndarray) -> np.ndarray:
-    """Standardize each row; a constant row becomes zeros."""
-    mean = scores.mean(axis=1, keepdims=True)
-    std = scores.std(axis=1, keepdims=True)
-    return np.divide(scores - mean, std, out=np.zeros_like(scores),
-                     where=std > 0)
-
-
 def argmax_labels(total: np.ndarray) -> list[Stance]:
     """Row-wise argmax; ties break by label order Favor < None < Against."""
     return [LABELS[i] for i in np.argmax(np.atleast_2d(total), axis=1)]
@@ -105,13 +97,11 @@ class Scores(NamedTuple):
     predicted: list[Stance]    # argmax of sem + dis
 
 
-def mode_scores(sem: np.ndarray, dis: np.ndarray, mode: str,
-                score_norm: bool = False) -> Scores:
+def mode_scores(sem: np.ndarray, dis: np.ndarray, mode: str) -> Scores:
     """A mode's two score sides and its labels: a side the mode does not
-    read (MODES) is zeros, and score_norm z-scores each side's rows first.
-    The labels are the argmax of the sides' sum, where 0 + x is x."""
-    sides = [(zscore_rows(side) if score_norm else side) if read
-             else np.zeros_like(side)
+    read (MODES) is zeros. The labels are the argmax of the sides' sum,
+    where 0 + x is x."""
+    sides = [side if read else np.zeros_like(side)
              for side, read in zip((sem, dis), sides_read([mode]))]
     return Scores(*sides, argmax_labels(sides[0] + sides[1]))
 

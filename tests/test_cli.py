@@ -43,11 +43,11 @@ def _config(argv):
     return build_config(build_parser().parse_args(argv))
 
 
-def _scores(run, texts, trial, mode="full", norm=False):
+def _scores(run, texts, trial, mode="full"):
     """The run's scores and labels of texts in one mode, as predict gives
     them."""
     return cosd.inference.mode_scores(
-        *run.score(run.rows(texts, [mode]), trial), mode, norm)
+        *run.score(run.rows(texts, [mode]), trial), mode)
 
 
 # --- config layer -----------------------------------------------------------------
@@ -95,6 +95,12 @@ def test_config_file_rejects_garbage(tmp_path):
     notbool.write_text("joint = maybe\n", encoding="utf-8")
     with pytest.raises(ConfigError):
         _config(["train", "--config", str(notbool)])
+    # a key given twice is an error, not its last value
+    twice = tmp_path / "twice.cfg"
+    twice.write_text("h = 3\n# comment\n\nh = 2\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=re.escape(
+            f"{twice}:4: key 'h' repeated, first on line 1")):
+        _config(["train", "--config", str(twice)])
 
 
 def test_config_file_may_start_with_a_byte_order_mark(tmp_path):
@@ -173,8 +179,8 @@ TRAIN_OWN = {"--config", "--dataset", "--data", "--embeddings", "--out-dir",
 
 
 @pytest.mark.parametrize("command, own, argv", [
-    ("eval", RUN_FLAGS | {"--mode", "--score-norm", "--split"}, ["--run", "R"]),
-    ("predict", RUN_FLAGS | {"--mode", "--score-norm", "--in", "--out"},
+    ("eval", RUN_FLAGS | {"--mode", "--split"}, ["--run", "R"]),
+    ("predict", RUN_FLAGS | {"--mode", "--in", "--out"},
      ["--run", "R", "--in", "in.tsv", "--out", "out.tsv"]),
     ("inspect", RUN_FLAGS | {"--group", "--dump-graph", "--dump-final-reps",
                              "--similar-to", "--k", "--export-attention",
@@ -383,10 +389,6 @@ def test_eval_single_trial_and_ablation(run_dir):
     report = run_dir / "report-val-no_dis.csv"
     lines = report.read_text(encoding="utf-8").strip().splitlines()
     assert len(lines) == 1 + 1 + 1  # header, trial-1, mean
-    rc = main(["eval", "--run", str(run_dir), "--split", "val",
-               "--score-norm"])
-    assert rc == 0
-    assert (run_dir / "report-val-full-zscore.csv").is_file()
 
 
 def test_eval_labels_the_trial_it_scores(run_dir):
@@ -851,25 +853,6 @@ def test_eval_on_malformed_manifest(run_dir, tmp_path, capsys, edit):
             assert "missing key 'targets'" in err
 
 
-def test_a_run_trained_with_mini_batches_still_scores(run_dir, synth_small,
-                                                     tmp_path, capsys):
-    # run.json of a run trained before full-graph steps holds batch_size,
-    # the one retired key that is dropped
-    root, _ = synth_small
-    copy = tmp_path / "run"
-    shutil.copytree(run_dir, copy)
-    doc = json.loads((copy / "run.json").read_text(encoding="utf-8"))
-    doc["config"]["batch_size"] = 32
-    (copy / "run.json").write_text(json.dumps(doc), encoding="utf-8")
-    for argv in (["eval", "--split", "test"],
-                 ["predict", "--in", str(root / "test.tsv"),
-                  "--out", str(tmp_path / "p.tsv")],
-                 ["inspect"]):
-        assert main(argv + ["--run", str(copy)]) == 0
-        assert capsys.readouterr().err == ""
-    assert RunDir(copy).config == RunDir(run_dir).config
-
-
 # every key RunDir drops from an older run.json: a value that scores as
 # the run does now (for the priors and batch_size any value), and for a
 # value cosd fixes, another, which asks for a retrain
@@ -1201,6 +1184,27 @@ def test_topics_checks_out_before_loading_or_fitting(parent, synth_small,
     assert main(["topics", "--dataset", "synthetic", "--data", str(root),
                  "--h-range", "2:2", "--out", str(out)]) == 2
     assert capsys.readouterr() == ("", f"error: {want}\n")
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("predict", "--out"), ("inspect", "--dump-graph"),
+    ("inspect", "--dump-final-reps"), ("inspect", "--attention-out")])
+def test_scoring_commands_check_an_output_path_before_the_run(
+        command, flag, run_dir, synth_small, tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError(f"read the run before {flag} was checked")
+
+    monkeypatch.setattr(cosd.rundir, "RunDir", never)
+    root, _ = synth_small
+    out = tmp_path / "nodir" / "out.txt"
+    argv = [command, "--run", str(run_dir), flag, str(out)]
+    if command == "predict":
+        argv += ["--in", str(root / "test.tsv")]
+    if flag == "--attention-out":
+        argv += ["--export-attention", "x"]
+    _expect_failure(argv, capsys, needle=f"{flag} {out}: {tmp_path / 'nodir'} "
+                                         f"is not a directory")
+    assert not (tmp_path / "nodir").exists()
 
 
 def test_inspect_unknown_group(run_dir, capsys):
@@ -1675,11 +1679,10 @@ def test_csv_outputs_quote_a_target_name_with_a_comma(tmp_path, synth_small,
 
 
 @pytest.mark.parametrize("mode", ["full", "no_sem", "no_dis"])
-@pytest.mark.parametrize("norm", [False, True])
 def test_predict_labels_equal_eval_predictions(two_target_run, tmp_path,
-                                               monkeypatch, mode, norm):
+                                               monkeypatch, mode):
     data, run = two_target_run
-    extra = ["--mode", mode] + (["--score-norm"] if norm else [])
+    extra = ["--mode", mode]
     out = tmp_path / "preds.tsv"
     assert main(["predict", "--run", str(run), "--in", str(data / "test.tsv"),
                  "--out", str(out)] + extra) == 0
@@ -1783,12 +1786,12 @@ def test_run_dir_scores_interleaved_targets_in_input_order(two_target_run):
     run = RunDir(path)
     texts = run.corpus(Split.TEST).examples
     assert [ex.target for ex in texts[:4]] == ["Synthetic Policy", OTHER] * 2
-    for mode, norm in (("full", False), ("no_dis", True)):
-        scores = _scores(run, texts, 1, mode, norm)
+    for mode in ("full", "no_dis"):
+        scores = _scores(run, texts, 1, mode)
         assert len(scores.predicted) == len(texts)
         for name in run.groups:
             at = [i for i, ex in enumerate(texts) if ex.target == name]
-            alone = _scores(run, [texts[i] for i in at], 1, mode, norm)
+            alone = _scores(run, [texts[i] for i in at], 1, mode)
             for got, want in zip(scores, alone):
                 if isinstance(want, list):
                     assert [got[i] for i in at] == want
@@ -1804,7 +1807,7 @@ def test_run_dir_rows_rejects_an_unknown_mode(run_dir):
         run.rows(texts, ["nope"])
 
 
-def _oracle_scores(run, texts, trial, mode, norm):
+def _oracle_scores(run, texts, trial, mode):
     """Scores by the path that computes both sides for every mode, then
     zeros the side the mode drops."""
     n = len(texts)
@@ -1813,9 +1816,6 @@ def _oracle_scores(run, texts, trial, mode, norm):
         model = run.checkpoint(name, trial)
         group_sem = cosd.inference.semantic_scores(sem_rows, model.z)
         group_dis = cosd.inference.distributed_scores(dis_rows, model)
-        if norm:
-            group_sem = cosd.inference.zscore_rows(group_sem)
-            group_dis = cosd.inference.zscore_rows(group_dis)
         if mode == "no_sem":
             group_sem = np.zeros_like(group_sem)
         elif mode == "no_dis":
@@ -1826,14 +1826,13 @@ def _oracle_scores(run, texts, trial, mode, norm):
 
 
 @pytest.mark.parametrize("mode", ["full", "no_sem", "no_dis"])
-@pytest.mark.parametrize("norm", [False, True])
 def test_rows_of_a_mode_score_as_both_sides_zeroed(run_dir, two_target_run,
-                                                   mode, norm):
+                                                   mode):
     for path in (run_dir, two_target_run[1]):
         run = RunDir(path)
         texts = run.corpus(Split.TEST).examples
-        got = _scores(run, texts, 1, mode, norm)
-        want = _oracle_scores(run, texts, 1, mode, norm)
+        got = _scores(run, texts, 1, mode)
+        want = _oracle_scores(run, texts, 1, mode)
         for field in ("sem", "dis"):
             assert np.array_equal(getattr(got, field), getattr(want, field))
         assert got.predicted == want.predicted
@@ -1860,17 +1859,16 @@ def test_a_multi_mode_eval_equals_its_single_mode_calls(
         run = tmp_path / f"run-{k}"
         shutil.copytree(path, run)
         for split in ("train", "val", "test"):
-            for norm in ([], ["--score-norm"]):
-                argv = ["--split", split] + norm
-                out, reports = "", {}
-                for mode in modes:
-                    one_out, one_reports = _eval_outputs(
-                        run, argv + ["--mode", mode], capsys)
-                    out += one_out
-                    reports.update(one_reports)
-                assert len(reports) == 2 * len(modes)
-                assert _eval_outputs(run, argv + ["--mode", *modes],
-                                     capsys) == (out, reports)
+            argv = ["--split", split]
+            out, reports = "", {}
+            for mode in modes:
+                one_out, one_reports = _eval_outputs(
+                    run, argv + ["--mode", mode], capsys)
+                out += one_out
+                reports.update(one_reports)
+            assert len(reports) == 2 * len(modes)
+            assert _eval_outputs(run, argv + ["--mode", *modes],
+                                 capsys) == (out, reports)
         # a repeated mode is an error before anything is scored or written
         _expect_failure(["eval", "--run", str(run), "--mode", "full",
                          "full"], capsys, needle="--mode repeats a mode")

@@ -26,7 +26,6 @@ from cosd.inference import (
     score_batch,
     semantic_scores,
     top_k_similar,
-    zscore_rows,
 )
 from cosd.training import (RunConfig, TrainingError, build_groups,
                            export_attention, fold_in_matrix, load_embeddings,
@@ -267,7 +266,7 @@ def test_distributed_scores_hop_by_hop_equal_the_whole_width_product(
         distributed_scores(dis, model)
 
 
-# --- modes and score normalization -------------------------------------------------
+# --- modes ------------------------------------------------------------------------
 
 
 def test_argmax_tie_break_label_order():
@@ -312,19 +311,6 @@ def test_bundle_constant_shift_invariance():
     delta = (shifted[0] + shifted[1]) - (base[0] + base[1])
     assert np.allclose(delta, delta[0, 0])
     assert shifted[2] == base[2]
-
-
-def test_zscore_rows_standardizes():
-    rows = np.array([[1.0, 2.0, 3.0], [5.0, 5.0, 5.0]])
-    out = zscore_rows(rows)
-    assert np.allclose(out[0].mean(), 0.0)
-    assert np.allclose(out[0].std(), 1.0)
-    assert np.array_equal(out[1], np.zeros(3))
-    # a constant side z-scores to zeros, so the other side alone decides
-    sem, dis, _ = _scored([2.0, 2.0, 2.0], [0.0, 1.0, 0.0])
-    sem, dis = zscore_rows(sem), zscore_rows(dis)
-    assert np.array_equal(sem, np.zeros((1, 3)))
-    assert argmax_labels(sem + dis) == [Stance.NONE]
 
 
 def test_score_batch_rows_match_one_row_calls():
